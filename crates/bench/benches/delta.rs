@@ -1,8 +1,8 @@
 //! Wall-clock Criterion benchmarks of the delta-encoding pipeline.
 //!
 //! Measures the *actual* encode and apply routines in `nilicon_criu::delta`
-//! over the three page classes (zero, sparse diff, dense churn), plus a
-//! full epoch-shaped batch: the CPU the primary pays per page to shrink the
+//! over the page classes (zero, sparse diff, dense churn, dense rewrite), plus
+//! a full epoch-shaped batch: the CPU the primary pays per page to shrink the
 //! wire, and the CPU the backup pays to reconstruct. Results land in
 //! `BENCH_delta.json` via the offline criterion shim.
 
@@ -50,6 +50,21 @@ fn bench_encode_classes(c: &mut Criterion) {
         shadow.encode(key(1), &page_edits(PAGE_SIZE, 1), &mut stats);
         b.iter(|| black_box(shadow.encode(key(1), &dense, &mut stats)));
     });
+    // A full-page rewrite against a populated shadow: the two pages differ
+    // in every byte, so every iteration is a real all-words-changed diff
+    // that classifies as Full (`dense_churn` re-encodes an unchanged page
+    // after its first iteration).
+    group.bench_function("dense_rewrite", |b| {
+        let mut shadow = ShadowStore::new();
+        let mut stats = DeltaStats::default();
+        let pages = [page_edits(PAGE_SIZE, 1), page_edits(PAGE_SIZE, 7)];
+        shadow.encode(key(1), &pages[1], &mut stats);
+        let mut round = 0usize;
+        b.iter(|| {
+            round += 1;
+            black_box(shadow.encode(key(1), &pages[round % 2], &mut stats))
+        });
+    });
     group.finish();
 }
 
@@ -66,8 +81,10 @@ fn bench_apply(c: &mut Criterion) {
         b.iter(|| black_box(sparse_enc.apply(Some(base.as_ref()))));
     });
     group.bench_function("store_apply_delta", |b| {
+        // The store is the page's only holder, as in steady state (applying
+        // the XOR delta repeatedly flips the page between two contents).
         let mut store = RadixTreeStore::new();
-        store.insert(key(1), base.clone());
+        store.insert(key(1), Rc::new(*base));
         b.iter(|| black_box(store.apply_delta(key(1), &sparse_enc)));
     });
     group.finish();

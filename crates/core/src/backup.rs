@@ -225,6 +225,11 @@ impl BackupAgent {
     /// Commit everything up to and including `epoch`: merge pages into the
     /// store, merge fs-cache state, adopt the metadata image, apply disk
     /// writes. Returns backup CPU consumed.
+    ///
+    /// An epoch carrying a delta for a page the store has never seen is
+    /// rejected as [`SimError::ImageCorrupt`] before it mutates anything (a
+    /// delta is only meaningful against the base the primary diffed it
+    /// from); the epoch stays pending and earlier epochs stay committed.
     pub fn commit(&mut self, epoch: u64, backup_disk: &mut BlockDevice) -> SimResult<Nanos> {
         let epochs: Vec<u64> = self.pending.range(..=epoch).map(|(&e, _)| e).collect();
         let per_probe = if self.use_radix {
@@ -235,6 +240,19 @@ impl BackupAgent {
         let mut cpu: Nanos = 0;
         let mut total_probes = 0u64;
         for e in epochs {
+            let img = &self.pending[&e];
+            let orphan = img.page_deltas.iter().find(|(pid, vpn, enc)| {
+                let key = PageKey {
+                    pid: *pid,
+                    vpn: *vpn,
+                };
+                matches!(enc, PageEncoding::Delta(_)) && self.store.get(key).is_none()
+            });
+            if let Some((pid, vpn, _)) = orphan {
+                return Err(SimError::ImageCorrupt(format!(
+                    "epoch {e}: delta for page {pid:?}/{vpn:#x} with no base in the backup store"
+                )));
+            }
             let mut img = self.pending.remove(&e).expect("epoch listed from range");
             self.store.begin_checkpoint();
             let mut probes = 0u64;
@@ -486,6 +504,31 @@ mod tests {
         for (pa, pb) in a.pages.iter().zip(b.pages.iter()) {
             assert_eq!((pa.0, pa.1), (pb.0, pb.1));
             assert_eq!(pa.2, pb.2, "page {:?}/{:#x} byte-identical", pa.0, pa.1);
+        }
+    }
+
+    #[test]
+    fn delta_without_a_base_page_is_image_corruption() {
+        for use_radix in [true, false] {
+            let mut a = BackupAgent::new(CostModel::default(), use_radix);
+            let mut disk = BlockDevice::new(DevId(2));
+            a.ingest(img(1, &[(1, 0x10, 1)]));
+            a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
+            a.commit(1, &mut disk).unwrap();
+
+            // A delta against a base only the primary's shadow ever held.
+            let enc = PageEncoding::Delta(Default::default());
+            let mut i2 = img(2, &[(1, 0x10, 2)]);
+            i2.page_deltas.push((Pid(1), 0x20, enc));
+            a.ingest(i2);
+            a.ingest_drbd(vec![DrbdMsg::Barrier(2)]);
+            let err = a.commit(2, &mut disk).unwrap_err();
+            assert!(matches!(err, SimError::ImageCorrupt(_)), "got {err:?}");
+            // Rejected before the epoch's first store mutation.
+            assert_eq!(a.committed_epoch(), Some(1));
+            assert_eq!(a.stored_pages(), 1);
+            let full = a.materialize().unwrap();
+            assert_eq!(full.pages[0].2[0], 1, "epoch 2's full page did not land");
         }
     }
 

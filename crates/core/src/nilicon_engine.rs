@@ -21,6 +21,7 @@ use nilicon_sim::replay::{ReplayEvent, ReplayLog};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// NiLiCon's primary-side engine plus the buffered backup agent.
 pub struct NiLiConEngine {
@@ -187,28 +188,31 @@ impl NiLiConEngine {
         'drain: for &pid in &pids {
             loop {
                 let m0 = primary.meter.lifetime_total();
-                let chunk = primary.cow_drain_pages(pid, COW_CHUNK)?;
-                if chunk.is_empty() {
+                // The drain lends each frame; a page is copied out only if
+                // it ships whole. Delta composition: encode at copy time
+                // against the shadow of the last shipped epoch — the encode
+                // CPU rides the drain, off the stop phase.
+                let mut pages = Vec::with_capacity(if delta { 0 } else { COW_CHUNK });
+                let mut deltas = Vec::with_capacity(if delta { COW_CHUNK } else { 0 });
+                let mut bytes = 0u64;
+                let shadow = &mut self.shadow;
+                let n = primary.cow_drain_with(pid, COW_CHUNK, |vpn, page| {
+                    if delta {
+                        let key = PageKey { pid, vpn };
+                        let enc = shadow.encode_with(key, page, || Rc::new(*page), &mut dstats);
+                        bytes += enc.encoded_bytes();
+                        deltas.push((pid, vpn, enc));
+                    } else {
+                        bytes += PAGE_SIZE as u64;
+                        pages.push((pid, vpn, Rc::new(*page)));
+                    }
+                })? as u64;
+                if n == 0 {
                     break;
                 }
-                let n = chunk.len() as u64;
-                // Delta composition: encode at copy time against the shadow
-                // of the last shipped epoch — the encode CPU rides the
-                // drain, off the stop phase.
-                let (pages, deltas, bytes) = if delta {
+                if delta {
                     primary.meter.charge(n * costs.delta_encode_per_page);
-                    let mut encs = Vec::with_capacity(chunk.len());
-                    let mut bytes = 0u64;
-                    for (vpn, data) in chunk {
-                        let enc = self.shadow.encode(PageKey { pid, vpn }, &data, &mut dstats);
-                        bytes += enc.encoded_bytes();
-                        encs.push((pid, vpn, enc));
-                    }
-                    (Vec::new(), encs, bytes)
-                } else {
-                    let pages: Vec<_> = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
-                    (pages, Vec::new(), n * PAGE_SIZE as u64)
-                };
+                }
                 t_drain += primary.meter.lifetime_total() - m0;
                 t_send = t_send.max(t_drain) + costs.repl_wire(bytes) + costs.repl_msg_overhead;
                 drained += n;

@@ -17,64 +17,37 @@
 //!   exact page bytes from the base page — the committed image is
 //!   byte-identical to the full-page path.
 //!
-//! Pages enter and leave as [`PageBuf`]s (refcounted immutable buffers), so
-//! shadow updates and full-page encodings are `Rc` clones, not 4 KiB copies.
-//! The diff scan itself works a 64-byte block at a time: equal blocks are
-//! dismissed with a single slice comparison (a vectorized `memcmp`), and only
-//! unequal blocks fall into the word-at-a-time `u64` loop — SIMD-friendly on
-//! the common sparsely-edited page.
+//! The encoder touches bytes in proportion to what changed. It reads the
+//! dirty page through a borrow ([`ShadowStore::encode_with`] — the COW drain
+//! lends the live frame), computes the per-word diff bitmap once with a
+//! vector kernel, and derives the exact encoded size from the bitmap alone.
+//! Only then does it build anything: a sparse page gets its runs (two exact
+//! allocations) and the shadow copy is patched in place; a first-touch or
+//! dense page asks the caller for a [`PageBuf`] (refcounted, immutable while
+//! shared) that the shadow, the wire encoding and the backup store then share
+//! without further copies. The backup side mirrors this:
+//! [`DeltaPage::xor_into`] patches the resident page where it lies.
 //!
 //! Per-epoch classification and byte accounting accumulate in [`DeltaStats`]
 //! (the `DeltaEncode` trace span and `trace-report`'s encoded-vs-raw column).
 
 use crate::pagestore::PageKey;
+use nilicon_sim::mem::PageKeyHasher;
 use nilicon_sim::{zero_page, PageBuf, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
-
-/// Multiply-rotate hasher for [`PageKey`]s (FxHash-style). The shadow lookup
-/// sits on the per-page encode path; SipHash's keyed rounds cost more than
-/// the whole diff scan of an unchanged page, and HashDoS resistance buys
-/// nothing against our own page keys.
-#[derive(Default)]
-pub struct PageKeyHasher(u64);
-
-impl PageKeyHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for PageKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-}
 
 type PageKeyBuild = BuildHasherDefault<PageKeyHasher>;
 
 /// 64-bit words per page (the XOR diff granularity).
 pub const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
 
-/// Bytes per comparison block (one cache line): the granularity at which the
-/// encode scan skips unchanged data with a single vectorized compare.
+/// 64-word chunks per page: one `u64` of the diff bitmap each.
+const BITMAP_CHUNKS: usize = WORDS_PER_PAGE / 64;
+
+/// Bytes per comparison block (one cache line, one vector compare).
 const BLOCK_BYTES: usize = 64;
 
 /// Wire-size model: every encoded page carries one 8-byte header word
@@ -82,6 +55,13 @@ const BLOCK_BYTES: usize = 64;
 const HEADER_BYTES: u64 = 8;
 /// Wire-size model: each run costs one offset/length word plus its payload.
 const RUN_HEADER_BYTES: u64 = 8;
+
+/// Modeled wire bytes of a delta of `runs` runs over `words` changed words.
+/// The one formula both the classifier (which knows only the counts) and
+/// [`PageEncoding::encoded_bytes`] (which has the built page) use.
+fn delta_wire_bytes(runs: usize, words: usize) -> u64 {
+    HEADER_BYTES + RUN_HEADER_BYTES * runs as u64 + 8 * words as u64
+}
 
 /// One run of consecutive changed 64-bit words within a page.
 ///
@@ -123,6 +103,19 @@ impl DeltaPage {
             (r.word_off, words)
         })
     }
+
+    /// XOR the runs into `page`, turning the contents the delta was taken
+    /// against into the contents it encodes. Touches only the changed words.
+    pub fn xor_into(&self, page: &mut [u8; PAGE_SIZE]) {
+        for (word_off, words) in self.iter_runs() {
+            let start = word_off as usize * 8;
+            let dst = &mut page[start..start + words.len() * 8];
+            for (bytes, xw) in dst.chunks_exact_mut(8).zip(words) {
+                let w = u64::from_le_bytes((&*bytes).try_into().expect("8-byte chunk")) ^ xw;
+                bytes.copy_from_slice(&w.to_le_bytes());
+            }
+        }
+    }
 }
 
 /// How one dirty page crosses the wire.
@@ -153,38 +146,28 @@ impl PageEncoding {
     pub fn encoded_bytes(&self) -> u64 {
         match self {
             PageEncoding::Zero => HEADER_BYTES,
-            PageEncoding::Delta(dp) => {
-                HEADER_BYTES
-                    + RUN_HEADER_BYTES * dp.runs.len() as u64
-                    + 8 * dp.xor_words.len() as u64
-            }
+            PageEncoding::Delta(dp) => delta_wire_bytes(dp.runs.len(), dp.xor_words.len()),
             PageEncoding::Full(_) => HEADER_BYTES + PAGE_SIZE as u64,
         }
     }
 
     /// Reconstruct the exact page bytes this encoding represents, given the
     /// receiver's current copy of the page (`None` if the page was never seen
-    /// — only `Zero` and `Full` are self-contained; applying a `Delta`
-    /// without a base is an image-corruption error upstream, here it applies
-    /// against an all-zero base to stay total).
+    /// — only `Zero` and `Full` are self-contained; a `Delta` without a base
+    /// is image corruption, which `BackupAgent::commit` rejects before it
+    /// gets here; this function stays total by patching an all-zero base).
     pub fn apply(&self, base: Option<&[u8; PAGE_SIZE]>) -> PageBuf {
         match self {
             PageEncoding::Zero => zero_page(),
             PageEncoding::Full(data) => data.clone(),
             PageEncoding::Delta(dp) => {
-                let mut page: [u8; PAGE_SIZE] = match base {
-                    Some(b) => *b,
-                    None => [0u8; PAGE_SIZE],
+                let mut page = match base {
+                    Some(b) => Rc::new(*b),
+                    None => zero_page(),
                 };
-                for (word_off, words) in dp.iter_runs() {
-                    let mut off = word_off as usize * 8;
-                    for xw in words {
-                        let w = u64::from_le_bytes(page[off..off + 8].try_into().unwrap()) ^ xw;
-                        page[off..off + 8].copy_from_slice(&w.to_le_bytes());
-                        off += 8;
-                    }
-                }
-                Rc::new(page)
+                // The shared zero page is cloned here, never written.
+                dp.xor_into(Rc::make_mut(&mut page));
+                page
             }
         }
     }
@@ -248,45 +231,63 @@ impl ShadowStore {
     }
 
     /// Classify and encode one dirty page against the shadow copy, updating
-    /// the shadow and `stats`.
+    /// the shadow and `stats`. A page that ships whole shares `data`'s
+    /// buffer with the shadow and the encoding.
     pub fn encode(&mut self, key: PageKey, data: &PageBuf, stats: &mut DeltaStats) -> PageEncoding {
+        self.encode_with(key, data, || data.clone(), stats)
+    }
+
+    /// [`Self::encode`] for a page the caller only has on loan (a live frame
+    /// lent by the COW drain): `data` is read in place, and `full` is called
+    /// — at most once — only if the page's whole contents must be kept, i.e.
+    /// it ships as a full page, or the shadow copy is still shared with
+    /// another holder and so cannot be patched.
+    pub fn encode_with(
+        &mut self,
+        key: PageKey,
+        data: &[u8; PAGE_SIZE],
+        full: impl FnOnce() -> PageBuf,
+        stats: &mut DeltaStats,
+    ) -> PageEncoding {
         stats.raw_bytes += PAGE_SIZE as u64;
-        // One shadow lookup covers classification and update; the shadow
-        // takes an `Rc` clone, so the shadow, the in-flight encoding, and
-        // the caller's staging buffer all share one immutable allocation (a
-        // zero page shadows its literal zero contents, so later deltas
-        // against it are correct).
-        let enc = match self.pages.entry(key) {
-            Entry::Vacant(e) => {
-                let enc = if is_zero_page(data) {
-                    stats.zero_pages += 1;
-                    PageEncoding::Zero
-                } else {
-                    stats.full_pages += 1;
-                    PageEncoding::Full(data.clone())
-                };
-                e.insert(data.clone());
-                enc
-            }
-            Entry::Occupied(mut e) => {
-                let enc = if is_zero_page(data) {
-                    stats.zero_pages += 1;
-                    PageEncoding::Zero
-                } else {
-                    let delta = PageEncoding::Delta(xor_runs(e.get(), data));
-                    if delta.encoded_bytes() < PAGE_SIZE as u64 {
-                        stats.delta_pages += 1;
-                        delta
+        // One shadow lookup covers classification and update. A zero page
+        // shadows the shared zero page, so later deltas against it are
+        // correct and cost no allocation.
+        let enc = if is_zero_page(data) {
+            self.pages.insert(key, zero_page());
+            PageEncoding::Zero
+        } else {
+            match self.pages.entry(key) {
+                Entry::Vacant(e) => PageEncoding::Full(e.insert(full()).clone()),
+                Entry::Occupied(mut e) => {
+                    let shadow = e.get_mut();
+                    let bm = diff_word_bitmap(shadow, data);
+                    let (words, runs) = diff_shape(&bm);
+                    if delta_wire_bytes(runs, words) < PAGE_SIZE as u64 {
+                        let dp = build_runs(&bm, words, runs, shadow, data);
+                        // Patch the shadow where it lies if nobody else holds
+                        // the buffer (a full page is shared with the wire
+                        // encoding and then the backup store until they
+                        // drop or replace it); otherwise leave that buffer
+                        // untouched and shadow the new contents instead.
+                        match Rc::get_mut(shadow) {
+                            Some(page) => dp.xor_into(page),
+                            None => *shadow = full(),
+                        }
+                        PageEncoding::Delta(dp)
                     } else {
                         // Dense churn: the diff would not beat the raw page.
-                        stats.full_pages += 1;
-                        PageEncoding::Full(data.clone())
+                        *shadow = full();
+                        PageEncoding::Full(shadow.clone())
                     }
-                };
-                e.insert(data.clone());
-                enc
+                }
             }
         };
+        match enc {
+            PageEncoding::Zero => stats.zero_pages += 1,
+            PageEncoding::Delta(_) => stats.delta_pages += 1,
+            PageEncoding::Full(_) => stats.full_pages += 1,
+        }
         stats.encoded_bytes += enc.encoded_bytes();
         enc
     }
@@ -303,7 +304,7 @@ fn is_zero_page(data: &[u8; PAGE_SIZE]) -> bool {
 /// vector kernel the CPU supports; `is_x86_feature_detected!` caches its
 /// CPUID probe, so the per-call dispatch cost is a predicted branch.
 #[inline]
-fn diff_word_bitmap(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; WORDS_PER_PAGE / 64] {
+fn diff_word_bitmap(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; BITMAP_CHUNKS] {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -327,9 +328,9 @@ fn diff_word_bitmap(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; WORDS
 unsafe fn diff_word_bitmap_avx512(
     old: &[u8; PAGE_SIZE],
     new: &[u8; PAGE_SIZE],
-) -> [u64; WORDS_PER_PAGE / 64] {
+) -> [u64; BITMAP_CHUNKS] {
     use std::arch::x86_64::*;
-    let mut bm = [0u64; WORDS_PER_PAGE / 64];
+    let mut bm = [0u64; BITMAP_CHUNKS];
     for (chunk, out) in bm.iter_mut().enumerate() {
         let mut acc = 0u64;
         // 8 blocks of 64 bytes = the 64 words covered by one bitmap entry.
@@ -353,9 +354,9 @@ unsafe fn diff_word_bitmap_avx512(
 unsafe fn diff_word_bitmap_avx2(
     old: &[u8; PAGE_SIZE],
     new: &[u8; PAGE_SIZE],
-) -> [u64; WORDS_PER_PAGE / 64] {
+) -> [u64; BITMAP_CHUNKS] {
     use std::arch::x86_64::*;
-    let mut bm = [0u64; WORDS_PER_PAGE / 64];
+    let mut bm = [0u64; BITMAP_CHUNKS];
     for (chunk, out) in bm.iter_mut().enumerate() {
         let mut acc = 0u64;
         for block in 0..8 {
@@ -379,11 +380,8 @@ unsafe fn diff_word_bitmap_avx2(
 
 /// Portable word diff (and the reference the vector kernels are tested
 /// against): one branch-free XOR pass, one bitmap bit per word.
-fn diff_word_bitmap_scalar(
-    old: &[u8; PAGE_SIZE],
-    new: &[u8; PAGE_SIZE],
-) -> [u64; WORDS_PER_PAGE / 64] {
-    let mut bm = [0u64; WORDS_PER_PAGE / 64];
+fn diff_word_bitmap_scalar(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; BITMAP_CHUNKS] {
+    let mut bm = [0u64; BITMAP_CHUNKS];
     for (chunk, out) in bm.iter_mut().enumerate() {
         let mut acc = 0u64;
         for w in 0..64 {
@@ -397,45 +395,58 @@ fn diff_word_bitmap_scalar(
     bm
 }
 
-/// Word-level XOR diff of two pages, as maximal runs of changed words over a
-/// flat payload.
-///
-/// A vectorized pass ([`diff_word_bitmap`]) finds exactly which 64-bit words
-/// changed; the run builder then touches only those words — no rescan of
-/// unchanged data. Runs of consecutive set bits become [`DeltaRun`]s, so the
-/// output is byte-identical to a plain full-page word scan.
-fn xor_runs(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> DeltaPage {
-    let bm = diff_word_bitmap(old, new);
-    let total: usize = bm.iter().map(|b| b.count_ones() as usize).sum();
-    let mut dp = DeltaPage::default();
-    if total == 0 {
-        return dp;
+/// `(changed words, maximal runs)` of the diff a bitmap describes, without
+/// building it: words are set bits, and a run starts at every set bit whose
+/// predecessor — bit 63 of the previous chunk for bit 0 — is clear.
+fn diff_shape(bm: &[u64; BITMAP_CHUNKS]) -> (usize, usize) {
+    let (mut words, mut runs, mut carry) = (0u32, 0u32, 0u64);
+    for &bits in bm {
+        words += bits.count_ones();
+        runs += (bits & !((bits << 1) | carry)).count_ones();
+        carry = bits >> 63;
     }
-    // The exact word count is known up front: one allocation each, no
-    // regrowth (runs can never outnumber changed words).
-    dp.xor_words.reserve_exact(total);
-    dp.runs.reserve_exact(total);
-    let mut prev_word = usize::MAX - 1;
+    (words as usize, runs as usize)
+}
+
+/// Build the word-level XOR diff `bm` describes — maximal runs of changed
+/// words over a flat payload — reading only the changed words of `old` and
+/// `new`. `words` and `runs` are the bitmap's [`diff_shape`]: both vectors
+/// are allocated once, at their final size.
+fn build_runs(
+    bm: &[u64; BITMAP_CHUNKS],
+    words: usize,
+    runs: usize,
+    old: &[u8; PAGE_SIZE],
+    new: &[u8; PAGE_SIZE],
+) -> DeltaPage {
+    let word = |page: &[u8; PAGE_SIZE], w: usize| {
+        u64::from_le_bytes(page[w * 8..w * 8 + 8].try_into().expect("8-byte word"))
+    };
+    let mut dp = DeltaPage::default();
+    dp.runs.reserve_exact(runs);
+    dp.xor_words.reserve_exact(words);
     for (chunk, &chunk_bits) in bm.iter().enumerate() {
         let mut bits = chunk_bits;
         while bits != 0 {
-            let w = chunk * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let off = w * 8;
-            let ow = u64::from_le_bytes(old[off..off + 8].try_into().unwrap());
-            let nw = u64::from_le_bytes(new[off..off + 8].try_into().unwrap());
-            if w == prev_word + 1 {
-                dp.runs.last_mut().expect("adjacent word extends a run").len += 1;
-            } else {
-                dp.runs.push(DeltaRun {
-                    word_off: w as u16,
-                    len: 1,
-                });
+            let start = bits.trailing_zeros();
+            let len = (bits >> start).trailing_ones() as usize;
+            // Adding the run's lowest bit carries through the run and clears
+            // it; the carry-out bit is masked off by the `&`.
+            bits &= bits.wrapping_add(1 << start);
+            let first = chunk * 64 + start as usize;
+            match dp.runs.last_mut() {
+                // A run reaching the end of the previous chunk continues.
+                Some(r) if r.word_off as usize + r.len as usize == first => r.len += len as u16,
+                _ => dp.runs.push(DeltaRun {
+                    word_off: first as u16,
+                    len: len as u16,
+                }),
             }
-            dp.xor_words.push(ow ^ nw);
-            prev_word = w;
+            dp.xor_words
+                .extend((first..first + len).map(|w| word(old, w) ^ word(new, w)));
         }
     }
+    debug_assert_eq!((dp.xor_words.len(), dp.runs.len()), (words, runs));
     dp
 }
 
@@ -443,6 +454,7 @@ fn xor_runs(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> DeltaPage {
 mod tests {
     use super::*;
     use nilicon_sim::ids::Pid;
+    use proptest::prelude::*;
 
     fn key(vpn: u64) -> PageKey {
         PageKey { pid: Pid(1), vpn }
@@ -454,6 +466,12 @@ mod tests {
             p[i] = v;
         }
         Rc::new(p)
+    }
+
+    fn diff_pages(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> DeltaPage {
+        let bm = diff_word_bitmap(old, new);
+        let (words, runs) = diff_shape(&bm);
+        build_runs(&bm, words, runs, old, new)
     }
 
     #[test]
@@ -493,6 +511,49 @@ mod tests {
     }
 
     #[test]
+    fn lent_page_is_copied_only_when_its_whole_contents_must_be_kept() {
+        let mut s = ShadowStore::new();
+        let mut st = DeltaStats::default();
+        let mut copies = 0;
+        let mut frame = [0u8; PAGE_SIZE];
+        frame[0] = 1;
+        // First touch ships whole: one copy, shared by shadow and encoding.
+        let first = s.encode_with(key(1), &frame, || Rc::new(frame), &mut st);
+        let PageEncoding::Full(in_flight) = first else {
+            panic!("first touch ships full")
+        };
+        // While the encoding is in flight the shadow cannot be patched.
+        frame[8] = 2;
+        let mut copy = || {
+            copies += 1;
+            Rc::new(frame)
+        };
+        let enc = s.encode_with(key(1), &frame, &mut copy, &mut st);
+        assert!(matches!(enc, PageEncoding::Delta(_)));
+        assert_eq!(in_flight[8], 0, "shared buffer left alone");
+        assert_eq!(enc.apply(Some(&in_flight)), Rc::new(frame));
+        // From here the shadow owns its buffer: sparse epochs copy nothing.
+        for i in 2..10usize {
+            let before = frame;
+            frame[8 * i] = i as u8;
+            let mut copy = || {
+                copies += 1;
+                Rc::new(frame)
+            };
+            let enc = s.encode_with(key(1), &frame, &mut copy, &mut st);
+            assert_eq!(enc.encoded_bytes(), 8 + 8 + 8);
+            assert_eq!(enc.apply(Some(&before)), Rc::new(frame));
+        }
+        assert_eq!(copies, 1);
+        let same = s.encode_with(key(1), &frame, || unreachable!(), &mut st);
+        assert_eq!(
+            same,
+            PageEncoding::Delta(DeltaPage::default()),
+            "shadow tracks the frame"
+        );
+    }
+
+    #[test]
     fn sparse_rewrite_becomes_small_delta() {
         let mut s = ShadowStore::new();
         let mut st = DeltaStats::default();
@@ -513,7 +574,7 @@ mod tests {
     fn adjacent_changed_words_coalesce_into_one_run() {
         let old = page_with(&[]);
         let new = page_with(&[(8, 1), (16, 2), (24, 3)]); // words 1,2,3
-        let dp = xor_runs(&old, &new);
+        let dp = diff_pages(&old, &new);
         assert_eq!(dp.runs.len(), 1);
         assert_eq!(dp.runs[0].word_off, 1);
         assert_eq!(dp.runs[0].len, 3);
@@ -526,10 +587,31 @@ mod tests {
         // scan must still produce one maximal run, like the plain word scan.
         let old = page_with(&[]);
         let new = page_with(&[(48, 1), (56, 2), (64, 3), (72, 4)]); // words 6..=9
-        let dp = xor_runs(&old, &new);
+        let dp = diff_pages(&old, &new);
         assert_eq!(dp.runs.len(), 1);
         assert_eq!(dp.runs[0].word_off, 6);
         assert_eq!(dp.runs[0].len, 4);
+    }
+
+    #[test]
+    fn run_straddling_a_bitmap_chunk_stays_one_run() {
+        // Words 62..=65 span the first two 64-word bitmap chunks, and word
+        // 127/128 the next boundary: counted and built as one run each.
+        let old = page_with(&[]);
+        let new = page_with(&[
+            (62 * 8, 1),
+            (63 * 8, 2),
+            (64 * 8, 3),
+            (65 * 8, 4),
+            (127 * 8, 5),
+            (128 * 8, 6),
+        ]);
+        let bm = diff_word_bitmap(&old, &new);
+        assert_eq!(diff_shape(&bm), (6, 2));
+        let dp = diff_pages(&old, &new);
+        let runs: Vec<(u16, u16)> = dp.runs.iter().map(|r| (r.word_off, r.len)).collect();
+        assert_eq!(runs, vec![(62, 4), (127, 2)]);
+        assert_eq!(dp.xor_words, vec![1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -537,7 +619,7 @@ mod tests {
         // Two separated runs: words 0..2 and word 100.
         let old = page_with(&[]);
         let new = page_with(&[(0, 1), (8, 2), (800, 3)]);
-        let dp = xor_runs(&old, &new);
+        let dp = diff_pages(&old, &new);
         let collected: Vec<(u16, Vec<u64>)> =
             dp.iter_runs().map(|(off, ws)| (off, ws.to_vec())).collect();
         assert_eq!(collected.len(), 2);
@@ -568,7 +650,7 @@ mod tests {
             "dispatched kernel must agree with the scalar reference"
         );
         // And the zero-diff case.
-        assert_eq!(diff_word_bitmap(&old, &old), [0u64; WORDS_PER_PAGE / 64]);
+        assert_eq!(diff_word_bitmap(&old, &old), [0u64; BITMAP_CHUNKS]);
     }
 
     #[test]
@@ -601,6 +683,97 @@ mod tests {
         let enc3 = s.encode(key(1), &v3, &mut st);
         let base = [0u8; PAGE_SIZE];
         assert_eq!(enc3.apply(Some(&base)), v3);
+    }
+
+    /// Runs of words to flip, as `(first word, length)`: the input families
+    /// the bitmap arithmetic could get wrong.
+    fn flipped_runs() -> impl Strategy<Value = Vec<(usize, usize)>> {
+        prop_oneof![
+            // Scattered short runs anywhere on the page.
+            proptest::collection::vec((0..WORDS_PER_PAGE, 1..6usize), 0..48),
+            // Runs starting just below a 64-word bitmap chunk edge.
+            proptest::collection::vec(
+                (1..8usize, 1..4usize, 1..70usize).prop_map(|(c, back, len)| (c * 64 - back, len)),
+                1..6
+            ),
+            // One or two long runs around the Delta/Full threshold
+            // (`runs + words == 511` is the first size that ships Full).
+            (0..4usize, 500..513usize).prop_map(|(at, len)| vec![(at, len)]),
+            (200..260usize, 245..256usize).prop_map(|(a, b)| vec![(0, a), (a + 1, b)]),
+            Just(vec![]),
+            Just(vec![(0, WORDS_PER_PAGE)]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bitmap_classification_matches_the_scalar_word_scan(
+            runs in flipped_runs(),
+            seed in any::<u64>(),
+            zero_base in any::<bool>(),
+        ) {
+            let mut old = [0u8; PAGE_SIZE];
+            if !zero_base {
+                let mut x = seed | 1;
+                for b in old.iter_mut() {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    *b = (x >> 56) as u8;
+                }
+            }
+            let mut new = old;
+            for &(first, len) in &runs {
+                for w in first..(first + len).min(WORDS_PER_PAGE) {
+                    new[w * 8 + (seed as usize + w) % 8] ^= 0x5A;
+                }
+            }
+
+            // Scalar reference: one word at a time, no bitmap.
+            let changed: Vec<bool> = (0..WORDS_PER_PAGE)
+                .map(|w| old[w * 8..w * 8 + 8] != new[w * 8..w * 8 + 8])
+                .collect();
+            let ref_words = changed.iter().filter(|&&c| c).count();
+            let ref_runs = (0..WORDS_PER_PAGE)
+                .filter(|&w| changed[w] && (w == 0 || !changed[w - 1]))
+                .count();
+            let ref_bytes = 8 + 8 * (ref_runs + ref_words) as u64;
+            let ref_class = if new.iter().all(|&b| b == 0) {
+                "zero"
+            } else if ref_bytes < PAGE_SIZE as u64 {
+                "delta"
+            } else {
+                "full"
+            };
+
+            let bm = diff_word_bitmap(&old, &new);
+            prop_assert_eq!(bm, diff_word_bitmap_scalar(&old, &new));
+            prop_assert_eq!(diff_shape(&bm), (ref_words, ref_runs));
+            let built = PageEncoding::Delta(diff_pages(&old, &new));
+            prop_assert_eq!(built.encoded_bytes(), ref_bytes, "size from counts == size as built");
+
+            let mut shadow = ShadowStore::new();
+            let mut st = DeltaStats::default();
+            let old_bytes = old;
+            let (old, new) = (Rc::new(old), Rc::new(new));
+            shadow.encode(key(1), &old, &mut st);
+            let before = st;
+            let enc = shadow.encode(key(1), &new, &mut st);
+            prop_assert_eq!(enc.class(), ref_class);
+            if ref_class == "delta" {
+                prop_assert_eq!(enc.encoded_bytes(), ref_bytes);
+                prop_assert_eq!(&enc, &built);
+            }
+            prop_assert_eq!(st.encoded_bytes - before.encoded_bytes, enc.encoded_bytes());
+            prop_assert_eq!(st.pages(), 2);
+            prop_assert_eq!(enc.apply(Some(&old)), new.clone(), "round trip");
+            // The shadow now holds `new`: re-encoding it is an empty delta.
+            let again = shadow.encode(key(1), &new, &mut st);
+            if ref_class != "zero" {
+                prop_assert_eq!(again, PageEncoding::Delta(DeltaPage::default()));
+            }
+            prop_assert_eq!(*old, old_bytes, "the buffer shared with the caller was not written");
+        }
     }
 
     #[test]

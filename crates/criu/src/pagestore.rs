@@ -17,8 +17,9 @@
 
 use crate::delta::PageEncoding;
 use nilicon_sim::ids::Pid;
-use nilicon_sim::PageBuf;
+use nilicon_sim::{zero_page, PageBuf};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Largest virtual page number either store can address: the radix tree
 /// walks 4 levels × 9 bits, exactly like the x86-64 page-table walk over
@@ -45,6 +46,9 @@ pub trait PageStore {
     /// Fetch a page.
     fn get(&self, key: PageKey) -> Option<&PageBuf>;
 
+    /// Take a page out of the store, handing its buffer to the caller.
+    fn remove(&mut self, key: PageKey) -> Option<PageBuf>;
+
     /// Number of distinct pages stored.
     fn len(&self) -> usize;
 
@@ -66,17 +70,22 @@ pub trait PageStore {
     /// commit the reconstructed page. Returns probe operations, like
     /// [`PageStore::insert`]; a [`PageEncoding::Delta`] costs one extra walk
     /// to fetch the base page first.
+    ///
+    /// The base page is patched where it lies when the store is its only
+    /// holder. While the primary's shadow, a pending epoch or a materialized
+    /// failover image still shares the buffer, `Rc::make_mut` clones it
+    /// first, so no other holder ever sees it change. (A delta for a page
+    /// the store never saw is image corruption, rejected upstream by
+    /// `BackupAgent::commit`; here it patches an all-zero base, like
+    /// [`PageEncoding::apply`].)
     fn apply_delta(&mut self, key: PageKey, enc: &PageEncoding) -> u64 {
-        let base = match enc {
-            PageEncoding::Delta(_) => self.get(key).cloned(),
-            _ => None,
-        };
-        let page = enc.apply(base.as_deref());
-        let insert_probes = self.insert(key, page);
-        if matches!(enc, PageEncoding::Delta(_)) {
-            insert_probes * 2
-        } else {
-            insert_probes
+        match enc {
+            PageEncoding::Delta(dp) => {
+                let mut page = self.remove(key).unwrap_or_else(zero_page);
+                dp.xor_into(Rc::make_mut(&mut page));
+                self.insert(key, page) * 2
+            }
+            _ => self.insert(key, enc.apply(None)),
         }
     }
 }
@@ -136,6 +145,12 @@ impl PageStore for LinkedListStore {
             }
         }
         None
+    }
+
+    fn remove(&mut self, key: PageKey) -> Option<PageBuf> {
+        let page = self.dirs.iter_mut().find_map(|dir| dir.remove(&key))?;
+        self.count -= 1;
+        Some(page)
     }
 
     fn len(&self) -> usize {
@@ -251,6 +266,18 @@ impl PageStore for RadixTreeStore {
             .as_ref()?
             .slots[i1]
             .as_ref()
+    }
+
+    fn remove(&mut self, key: PageKey) -> Option<PageBuf> {
+        let (i4, i3, i2, i1) = Self::split(key.vpn);
+        let page = self.roots.get_mut(&key.pid)?.slots[i4].as_mut()?.slots[i3]
+            .as_mut()?
+            .slots[i2]
+            .as_mut()?
+            .slots[i1]
+            .take()?;
+        self.count -= 1;
+        Some(page)
     }
 
     fn len(&self) -> usize {
@@ -385,28 +412,106 @@ mod tests {
         assert_eq!((i4, i3, i2, i1), RadixTreeStore::split(0));
     }
 
-    #[test]
-    fn apply_delta_matches_direct_insert() {
-        use crate::delta::{DeltaStats, ShadowStore};
+    /// Twelve epochs over five pages — sparse edits, a dense rewrite, a page
+    /// alternating with zeros, first touches — applied as deltas next to a
+    /// store taking the same pages whole. Everything that can alias a
+    /// resident buffer is kept alive throughout: the caller's `PageBuf`s
+    /// (a `Full` one is shared by shadow, encoding and store), every epoch's
+    /// encodings (a pending epoch), and periodic clones of the whole store (a
+    /// materialized image). In-place patching must never write through any
+    /// of them.
+    fn apply_delta_matches_direct_insert<S: PageStore + Default>() {
+        use crate::delta::{DeltaStats, PageEncoding, ShadowStore};
         let mut shadow = ShadowStore::new();
         let mut stats = DeltaStats::default();
-        let mut direct = RadixTreeStore::new();
-        let mut via_delta = RadixTreeStore::new();
-        let k = key(1, 0x42);
-        let mut v1 = [0u8; PAGE_SIZE];
-        v1[10] = 7;
-        let mut v2 = v1;
-        v2[10] = 9;
-        v2[4000] = 1;
-        for v in [v1, v2, [0u8; PAGE_SIZE]] {
-            let v = std::rc::Rc::new(v);
-            let enc = shadow.encode(k, &v, &mut stats);
-            direct.insert(k, v.clone());
-            let probes = via_delta.apply_delta(k, &enc);
-            assert!(probes >= 4);
-            assert_eq!(via_delta.get(k).unwrap(), direct.get(k).unwrap());
+        let mut direct = S::default();
+        let mut via_delta = S::default();
+        let mut held: Vec<(PageBuf, [u8; PAGE_SIZE])> = Vec::new();
+        let mut held_encs: Vec<PageEncoding> = Vec::new();
+        let mut contents = [[0u8; PAGE_SIZE]; 5];
+        for epoch in 1..=12u8 {
+            contents[0][8 * epoch as usize] = epoch; // sparse, every epoch
+            contents[1] = [epoch | 0x80; PAGE_SIZE]; // dense rewrite
+            contents[2] = if epoch % 3 == 0 {
+                [0; PAGE_SIZE]
+            } else {
+                contents[2]
+            };
+            contents[2][100] ^= epoch % 3; // zero / unchanged / sparse in turn
+            contents[3][4000] = epoch; // sparse ...
+            if epoch % 5 == 0 {
+                contents[3] = [epoch; PAGE_SIZE]; // ... then dense
+            }
+            direct.begin_checkpoint();
+            via_delta.begin_checkpoint();
+            // Page 4 is first touched at epoch 4.
+            let live = if epoch < 4 { 4 } else { 5 };
+            if live == 5 {
+                contents[4][epoch as usize] = 1;
+            }
+            for (vpn, bytes) in contents.iter().enumerate().take(live) {
+                let k = key(1, 0x40 + vpn as u64);
+                let page: PageBuf = std::rc::Rc::new(*bytes);
+                let enc = shadow.encode(k, &page, &mut stats);
+                let expect = direct.insert(k, page.clone());
+                let probes = via_delta.apply_delta(k, &enc);
+                let factor = if matches!(enc, PageEncoding::Delta(_)) {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(probes, expect * factor, "probe count as before");
+                assert_eq!(via_delta.get(k).unwrap(), direct.get(k).unwrap());
+                held.push((page, *bytes));
+                held_encs.push(enc);
+            }
+            if epoch % 4 == 0 {
+                for (_, p) in via_delta.iter_sorted() {
+                    held.push((p.clone(), **p));
+                }
+            }
+            assert_eq!(via_delta.len(), direct.len());
         }
-        assert_eq!(stats.pages(), 3);
+        assert!(stats.zero_pages > 0 && stats.delta_pages > 0 && stats.full_pages > 5);
+        for (buf, original) in &held {
+            assert!(**buf == *original, "a held buffer was written through");
+        }
+        let a: Vec<_> = via_delta.iter_sorted();
+        let b: Vec<_> = direct.iter_sorted();
+        assert_eq!(a, b, "delta path and full-page path hold the same image");
+    }
+
+    #[test]
+    fn apply_delta_matches_direct_insert_radix() {
+        apply_delta_matches_direct_insert::<RadixTreeStore>();
+    }
+
+    #[test]
+    fn apply_delta_matches_direct_insert_linked_list() {
+        apply_delta_matches_direct_insert::<LinkedListStore>();
+    }
+
+    #[test]
+    fn remove_hands_the_page_over() {
+        for store in [
+            &mut RadixTreeStore::new() as &mut dyn PageStore,
+            &mut LinkedListStore::new(),
+        ] {
+            store.begin_checkpoint();
+            store.insert(key(1, 0x10), page(1));
+            store.begin_checkpoint();
+            store.insert(key(1, 0x11), page(2));
+            assert_eq!(
+                store.remove(key(1, 0x10)).unwrap()[0],
+                1,
+                "found in an older checkpoint"
+            );
+            assert!(store.remove(key(1, 0x10)).is_none());
+            assert!(store.remove(key(2, 0x11)).is_none(), "unknown pid");
+            assert_eq!(store.len(), 1);
+            assert!(store.get(key(1, 0x10)).is_none());
+            assert_eq!(store.get(key(1, 0x11)).unwrap()[0], 2);
+        }
     }
 
     #[test]

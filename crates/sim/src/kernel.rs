@@ -17,6 +17,7 @@ use crate::ns::NsRegistry;
 use crate::proc::{freeze, thaw, FdEntry, FreezeReport, FreezeStrategy, Process};
 use crate::replay::{content_hash, ReplayEvent, ReplayRecorder};
 use crate::time::{CostMeter, Nanos};
+use std::rc::Rc;
 
 /// How VMA information is collected (§V-D deficiency (1)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,8 +222,9 @@ impl Kernel {
     /// Write guest memory, charging copy + tracking-fault costs.
     pub fn mem_write(&mut self, pid: Pid, addr: u64, data: &[u8]) -> SimResult<WriteOutcome> {
         let len = data.len() as u64;
-        let mode = self.mm(pid)?.tracking();
-        let out = self.mm_mut(pid)?.write(addr, data)?;
+        let mm = self.mm_mut(pid)?;
+        let mode = mm.tracking();
+        let out = mm.write(addr, data)?;
         let fault_cost = match mode {
             TrackingMode::None | TrackingMode::HardwareLog => 0,
             TrackingMode::SoftDirty => self.costs.soft_dirty_fault,
@@ -610,7 +612,7 @@ impl Kernel {
 
     /// Copy-on-write checkpoint pause: write-protect `vpns` instead of
     /// copying them, charging only the cheap per-page PTE work. The pages
-    /// are copied out after resume by [`Self::cow_drain_pages`] (or eagerly
+    /// are copied out after resume by [`Self::cow_drain_with`] (or eagerly
     /// by a write fault), moving the dominant stop-phase cost into the next
     /// execution phase.
     pub fn cow_protect_pages(&mut self, pid: Pid, vpns: &[u64]) -> SimResult<()> {
@@ -619,25 +621,41 @@ impl Kernel {
         Ok(())
     }
 
-    /// Background-copier step: collect fault-staged pages (already paid for
-    /// at fault time) plus up to `max` drained pages (charged per page).
-    /// Returns the combined `(vpn, contents)` batch.
+    /// Background-copier step: lend `lend` the fault-staged pages (already
+    /// paid for at fault time) and then up to `max` still-protected pages
+    /// (charged per page), in that order, without copying any of them.
+    /// Returns the number of pages lent.
+    pub fn cow_drain_with(
+        &mut self,
+        pid: Pid,
+        max: usize,
+        mut lend: impl FnMut(u64, &[u8; crate::PAGE_SIZE]),
+    ) -> SimResult<usize> {
+        let mm = self.mm_mut(pid)?;
+        let staged = mm.take_cow_staged();
+        for (vpn, page) in &staged {
+            lend(*vpn, page);
+        }
+        let drained = mm.cow_drain_with(max, lend);
+        self.charge(drained as u64 * self.costs.cow_drain_per_page);
+        Ok(staged.len() + drained)
+    }
+
+    /// [`Self::cow_drain_with`], copying the drained pages out: the combined
+    /// `(vpn, contents)` batch.
     pub fn cow_drain_pages(
         &mut self,
         pid: Pid,
         max: usize,
     ) -> SimResult<Vec<(u64, crate::mem::PageBuf)>> {
-        let mm = self.mm_mut(pid)?;
-        let mut out = mm.take_cow_staged();
-        let drained = mm.cow_drain(max);
-        self.charge(drained.len() as u64 * self.costs.cow_drain_per_page);
-        out.extend(drained);
+        let mut out = Vec::new();
+        self.cow_drain_with(pid, max, |vpn, page| out.push((vpn, Rc::new(*page))))?;
         Ok(out)
     }
 
     /// Pages a deferred checkpoint still owes for `pid`: protected and not
     /// yet drained or faulted. (Fault-staged copies are collected by the
-    /// next [`Self::cow_drain_pages`] call regardless of this count.)
+    /// next [`Self::cow_drain_with`] call regardless of this count.)
     pub fn cow_pending(&self, pid: Pid) -> SimResult<usize> {
         Ok(self.mm(pid)?.cow_protected_count())
     }

@@ -1,11 +1,13 @@
 //! Address spaces: the per-process `mm_struct`.
 
-use super::page::{zero_page, PageBuf, PageFrame};
+use super::page::{zero_page, PageBuf, PageFrame, PageKeyHasher};
 use super::vma::{MappedFile, Perms, Vma, VmaKind};
 use super::TrackingMode;
 use crate::error::{SimError, SimResult};
 use crate::PAGE_SIZE;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
+use std::rc::Rc;
 
 const PS: u64 = PAGE_SIZE as u64;
 
@@ -39,8 +41,9 @@ impl WriteOutcome {
 pub struct AddressSpace {
     /// VMAs keyed by start address.
     vmas: BTreeMap<u64, Vma>,
-    /// Materialized frames keyed by virtual page number.
-    frames: HashMap<u64, PageFrame>,
+    /// Materialized frames keyed by virtual page number. Every output that
+    /// depends on iteration order sorts, so the hasher cannot leak into it.
+    frames: HashMap<u64, PageFrame, BuildHasherDefault<PageKeyHasher>>,
     /// Current dirty-tracking mode.
     tracking: TrackingMode,
     /// Current heap break (end of the heap VMA), if a heap exists.
@@ -252,9 +255,9 @@ impl AddressSpace {
             let vpn = cur / PS;
             let in_page = (cur % PS) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            out.absorb(self.touch_page(vpn));
-            let f = self.frames.get_mut(&vpn).expect("touch_page materialized");
-            f.bytes_mut()[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            let (touched, frame) = self.touch_page(vpn);
+            frame.bytes_mut()[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            out.absorb(touched);
             off += n;
             cur += n as u64;
         }
@@ -265,10 +268,12 @@ impl AddressSpace {
     /// model "dirty a page" without meaningful data — e.g. scratch buffers).
     pub fn touch(&mut self, addr: u64) -> SimResult<WriteOutcome> {
         self.check_range(addr, 1, true)?;
-        Ok(self.touch_page(addr / PS))
+        Ok(self.touch_page(addr / PS).0)
     }
 
-    fn touch_page(&mut self, vpn: u64) -> WriteOutcome {
+    /// Fault in and dirty one page; hands back its frame so a write lands
+    /// without a second page-table lookup.
+    fn touch_page(&mut self, vpn: u64) -> (WriteOutcome, &mut PageFrame) {
         let mut out = WriteOutcome::default();
         // Copy-before-write: a write racing the background copier must stage
         // the checkpoint-time contents *before* the new bytes land (callers
@@ -300,7 +305,7 @@ impl AddressSpace {
         }
         frame.tracked_clean = false;
         frame.soft_dirty = true;
-        out
+        (out, frame)
     }
 
     fn check_range(&self, addr: u64, len: u64, need_write: bool) -> SimResult<()> {
@@ -405,7 +410,7 @@ impl AddressSpace {
 
     /// Write-protect `vpns` for a deferred checkpoint: instead of copying
     /// these pages while the container is frozen, the caller records them
-    /// here and drains them after resume ([`Self::cow_drain`]). A write to a
+    /// here and drains them after resume ([`Self::cow_drain_with`]). A write to a
     /// protected page before it is drained triggers an eager
     /// copy-before-write (see `touch_page`).
     pub fn cow_protect(&mut self, vpns: &[u64]) {
@@ -424,20 +429,34 @@ impl AddressSpace {
         std::mem::take(&mut self.cow_staged)
     }
 
-    /// Background-copier step: un-protect and copy out up to `max` protected
-    /// pages in ascending vpn order. The caller charges per-page drain cost
-    /// for exactly the pages returned.
-    pub fn cow_drain(&mut self, max: usize) -> Vec<(u64, PageBuf)> {
-        let take: Vec<u64> = self.cow_protected.iter().take(max).copied().collect();
-        let mut out = Vec::with_capacity(take.len());
-        for vpn in take {
-            self.cow_protected.remove(&vpn);
-            let snap = match self.frames.get(&vpn) {
-                Some(f) => f.snapshot(),
-                None => zero_page(),
+    /// Background-copier step: un-protect up to `max` protected pages in
+    /// ascending vpn order, lending each page's checkpoint-time contents to
+    /// `lend` instead of copying them out — the caller decides what (if
+    /// anything) of the page it needs to keep. Returns the number of pages
+    /// lent; the caller charges per-page drain cost for exactly that many.
+    pub fn cow_drain_with(
+        &mut self,
+        max: usize,
+        mut lend: impl FnMut(u64, &[u8; PAGE_SIZE]),
+    ) -> usize {
+        let mut drained = 0;
+        while drained < max {
+            let Some(vpn) = self.cow_protected.pop_first() else {
+                break;
             };
-            out.push((vpn, snap));
+            match self.frames.get(&vpn) {
+                Some(f) => lend(vpn, f.bytes()),
+                None => lend(vpn, &zero_page()),
+            }
+            drained += 1;
         }
+        drained
+    }
+
+    /// [`Self::cow_drain_with`], copying each page out.
+    pub fn cow_drain(&mut self, max: usize) -> Vec<(u64, PageBuf)> {
+        let mut out = Vec::with_capacity(max.min(self.cow_protected.len()));
+        self.cow_drain_with(max, |vpn, page| out.push((vpn, Rc::new(*page))));
         out
     }
 

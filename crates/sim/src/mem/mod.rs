@@ -12,7 +12,7 @@ mod page;
 mod vma;
 
 pub use addr_space::{AddressSpace, WriteOutcome};
-pub use page::{zero_page, PageBuf, PageFrame};
+pub use page::{zero_page, PageBuf, PageFrame, PageKeyHasher};
 pub use vma::{MappedFile, Perms, Vma, VmaKind};
 
 /// How first-writes to pages are tracked during an epoch.

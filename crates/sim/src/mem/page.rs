@@ -1,16 +1,56 @@
 //! A physical page frame with real contents and tracking bits.
 
 use crate::PAGE_SIZE;
+use std::hash::Hasher;
 use std::rc::Rc;
 
-/// A refcounted, immutable 4 KiB page buffer.
+/// A refcounted 4 KiB page buffer, immutable while shared.
 ///
-/// Checkpoint pages travel the dump → encode → transfer → ingest path as
-/// `PageBuf`s: one copy is made when the page is captured (the frame is still
-/// mutable), after which every stage — delta shadow, placement striping,
-/// backup stores — shares the same allocation. The simulation is
-/// single-threaded, so `Rc` suffices.
+/// A page that ships whole (eager dump, first touch, dense rewrite) is copied
+/// out of its frame once, and every later stage — delta shadow, placement
+/// striping, backup stores — shares that allocation. A page that ships as a
+/// sparse delta is never copied at all: the COW drain lends the frame
+/// (`AddressSpace::cow_drain_with`), and the delta shadow and the backup
+/// store patch their own resident copy in place when they are its only
+/// owner (`Rc::get_mut` / `Rc::make_mut`), cloning first when a pending
+/// epoch or a materialized image still holds it — so no holder ever sees a
+/// buffer change under it. The simulation is single-threaded, so `Rc`
+/// suffices.
 pub type PageBuf = Rc<[u8; PAGE_SIZE]>;
+
+/// Multiply-rotate hasher (FxHash-style) for page keys: virtual page numbers
+/// and `(pid, vpn)` pairs. Page-table and shadow lookups sit on per-page hot
+/// paths, where SipHash's keyed rounds cost more than the work they guard,
+/// and HashDoS resistance buys nothing against our own page numbers.
+#[derive(Default)]
+pub struct PageKeyHasher(u64);
+
+impl PageKeyHasher {
+    #[inline]
+    fn add(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for PageKeyHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(v as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+}
 
 thread_local! {
     static ZERO_PAGE: PageBuf = Rc::new([0u8; PAGE_SIZE]);
@@ -82,8 +122,8 @@ impl PageFrame {
         &mut self.data
     }
 
-    /// Copy the page out into an immutable shared buffer. This is the single
-    /// copy on the checkpoint path; everything downstream clones the `Rc`.
+    /// Copy the page out into a shared buffer (a page that ships whole);
+    /// everything downstream clones the `Rc`.
     pub fn snapshot(&self) -> PageBuf {
         Rc::new(*self.data)
     }
