@@ -1,15 +1,20 @@
 //! Wall-clock microbenchmarks of the substrate hot paths: dirty tracking,
-//! guest memory writes, the plug qdisc, socket checkpointing, and dump/
+//! guest memory writes, the plug qdisc, socket checkpointing, the message
+//! path (one request frame client to server, one KV batch served), and dump/
 //! restore of a realistic container.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nilicon_container::{ContainerRuntime, ContainerSpec, MemLayout};
+use nilicon::traffic::ClientBehavior;
+use nilicon_container::{
+    encode_frame, take_frame, Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout,
+};
 use nilicon_criu::{dump_container, full_dump, DumpConfig};
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::mem::TrackingMode;
 use nilicon_sim::net::{InputMode, NetStack, TcpState};
 use nilicon_sim::proc::FreezeStrategy;
+use nilicon_workloads::{RedisApp, Scale, YcsbBehavior};
 use std::hint::black_box;
 
 fn container_kernel(heap_pages: u64) -> (Kernel, nilicon_container::Container) {
@@ -76,6 +81,56 @@ fn bench_qdisc_and_sockets(c: &mut Criterion) {
         }
         b.iter(|| black_box(stack.checkpoint_sockets().1.len()));
     });
+    // One request frame of the paper's size from a client stack to the
+    // server's harvest: frame it, send it, route it (and the ACK back), take
+    // it off the server socket.
+    group.bench_function("send_recv_512k_frame", |b| {
+        let mut client = NetStack::new(2, 1_000_000_000, InputMode::Buffer);
+        let l = server.socket();
+        server.bind(l, 81).unwrap();
+        server.listen(l).unwrap();
+        let c = client.socket();
+        client.connect(c, Endpoint::new(1, 81)).unwrap();
+        let pump = |client: &mut NetStack, server: &mut NetStack| loop {
+            let (up, down) = (client.take_ready(), server.take_ready());
+            if up.is_empty() && down.is_empty() {
+                break;
+            }
+            up.into_iter().for_each(|p| server.ingress(p));
+            down.into_iter().for_each(|p| client.ingress(p));
+        };
+        pump(&mut client, &mut server);
+        let child = server.accept(l).unwrap().expect("handshake done");
+        let request = vec![7u8; 512 * 1024];
+        b.iter(|| {
+            client.send_bytes(c, encode_frame(&request).into()).unwrap();
+            pump(&mut client, &mut server);
+            black_box(take_frame(&mut server, child, false).unwrap().unwrap().len());
+        });
+    });
+    group.finish();
+}
+
+fn bench_kv_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kv");
+    // The paper's Redis request (§VI): 1000 ops, half sets, 1 KiB values,
+    // against a preloaded store.
+    group.bench_function("batch_1000x1k", |b| {
+        let scale = Scale::bench();
+        let mut app = RedisApp::new(scale, true);
+        let (mut k, cont) = container_kernel(app.heap_pages());
+        let pid = cont.init_pid();
+        app.init(&mut GuestCtx::new(&mut k, pid, 0)).unwrap();
+        let request = YcsbBehavior::new(1, scale, None)
+            .next_request(0, 0)
+            .expect("unbounded client");
+        b.iter(|| {
+            let out = app
+                .handle_request(&mut GuestCtx::new(&mut k, pid, 0), &request)
+                .unwrap();
+            black_box(out.response.len())
+        });
+    });
     group.finish();
 }
 
@@ -129,6 +184,7 @@ criterion_group!(
     benches,
     bench_mem_write,
     bench_qdisc_and_sockets,
+    bench_kv_batch,
     bench_dump_restore
 );
 criterion_main!(benches);

@@ -9,8 +9,10 @@
 //! will fail the §VII-A validation tests after a failover.
 
 use crate::layout::MemLayout;
-use nilicon_sim::ids::{Fd, Pid};
+use bytes::Bytes;
+use nilicon_sim::ids::{Fd, Pid, SockId};
 use nilicon_sim::kernel::Kernel;
+use nilicon_sim::net::NetStack;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimResult, PAGE_SIZE};
 
@@ -164,56 +166,164 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     v
 }
 
-/// Try to decode one frame from `buf`; returns `(payload, bytes_consumed)`.
-pub fn try_decode_frame(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
-    if buf.len() < 4 {
-        return None;
+/// Take one whole frame off `sock`'s read queue, returning its payload, or
+/// `None` while the next frame is still incomplete — a partial frame stays
+/// in the (checkpointed) read queue, so one that straddles an epoch boundary
+/// survives a failover inside socket state. The payload is a slice of the
+/// buffer the frame arrived in (copied only when the frame spans segments).
+///
+/// `counted` says whose read this is: a guest application's reads are part
+/// of the stack's delivery order ([`NetStack::recv_exact`]); a driver
+/// harvesting requests on the container's behalf reads the socket directly
+/// and leaves that order alone.
+pub fn take_frame(stack: &mut NetStack, sock: SockId, counted: bool) -> SimResult<Option<Bytes>> {
+    let mut hdr = [0u8; 4];
+    if !stack.sock(sock)?.read_queue.peek_prefix(&mut hdr) {
+        return Ok(None);
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if buf.len() < 4 + len {
-        return None;
-    }
-    Some((buf[4..4 + len].to_vec(), 4 + len))
+    let n = 4 + u32::from_le_bytes(hdr) as usize;
+    let frame = if counted {
+        stack.recv_exact(sock, n)?
+    } else {
+        stack.sock_mut(sock)?.recv_exact(n)?
+    };
+    Ok(frame.map(|f| f.slice(4..)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nilicon_sim::ids::Endpoint;
+    use nilicon_sim::net::{InputMode, TcpState};
+
+    /// An established socket whose read queue the test fills directly.
+    fn stack_with_sock() -> (NetStack, SockId) {
+        let mut stack = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+        let id = stack.socket();
+        let s = stack.sock_mut(id).unwrap();
+        s.state = TcpState::Established;
+        s.local = Endpoint::new(1, 80);
+        s.remote = Some(Endpoint::new(2, 4000));
+        (stack, id)
+    }
 
     #[test]
     fn frame_roundtrip() {
         let f = encode_frame(b"hello");
         assert_eq!(f.len(), 9);
-        let (payload, consumed) = try_decode_frame(&f).unwrap();
-        assert_eq!(payload, b"hello");
-        assert_eq!(consumed, 9);
+        let (mut stack, id) = stack_with_sock();
+        stack.sock_mut(id).unwrap().read_queue.extend_from_slice(&f);
+        assert_eq!(&take_frame(&mut stack, id, false).unwrap().unwrap()[..], b"hello");
+        assert_eq!(stack.sock(id).unwrap().delivered_bytes, 9, "header + payload");
+        assert!(take_frame(&mut stack, id, false).unwrap().is_none());
     }
 
     #[test]
-    fn partial_frames_return_none() {
+    fn partial_frames_stay_queued() {
         let f = encode_frame(b"abcdef");
-        assert!(try_decode_frame(&f[..3]).is_none(), "short header");
-        assert!(try_decode_frame(&f[..7]).is_none(), "short payload");
-        assert!(try_decode_frame(&f).is_some());
+        let (mut stack, id) = stack_with_sock();
+        for (upto, what) in [(3, "short header"), (7, "short payload")] {
+            let have = stack.sock(id).unwrap().readable();
+            stack.sock_mut(id).unwrap().read_queue.extend_from_slice(&f[have..upto]);
+            assert!(take_frame(&mut stack, id, true).unwrap().is_none(), "{what}");
+            assert_eq!(stack.sock(id).unwrap().readable(), upto, "nothing consumed");
+            assert_eq!(stack.delivered_seq(), 0);
+        }
+        stack.sock_mut(id).unwrap().read_queue.extend_from_slice(&f[7..]);
+        assert_eq!(&take_frame(&mut stack, id, true).unwrap().unwrap()[..], b"abcdef");
+        assert_eq!(stack.delivered_seq(), 1, "a counted read");
     }
 
     #[test]
-    fn back_to_back_frames() {
+    fn back_to_back_frames_share_the_arriving_segment() {
         let mut buf = encode_frame(b"one");
         buf.extend_from_slice(&encode_frame(b"two"));
-        let (p1, c1) = try_decode_frame(&buf).unwrap();
-        assert_eq!(p1, b"one");
-        let (p2, c2) = try_decode_frame(&buf[c1..]).unwrap();
-        assert_eq!(p2, b"two");
-        assert_eq!(c1 + c2, buf.len());
+        buf.extend_from_slice(&encode_frame(b""));
+        let seg = Bytes::from(buf);
+        let (mut stack, id) = stack_with_sock();
+        stack.sock_mut(id).unwrap().read_queue.push(seg.clone());
+        let one = take_frame(&mut stack, id, false).unwrap().unwrap();
+        let two = take_frame(&mut stack, id, false).unwrap().unwrap();
+        assert_eq!((&one[..], &two[..]), (&b"one"[..], &b"two"[..]));
+        assert_eq!(two.as_ptr(), seg[11..].as_ptr(), "a slice of the segment, not a copy");
+        assert!(take_frame(&mut stack, id, false).unwrap().unwrap().is_empty());
+        assert_eq!(stack.sock(id).unwrap().delivered_bytes, seg.len() as u64);
+        assert_eq!(stack.delivered_seq(), 0, "driver harvest is uncounted");
     }
 
     #[test]
-    fn empty_frame() {
-        let f = encode_frame(b"");
-        let (p, c) = try_decode_frame(&f).unwrap();
-        assert!(p.is_empty());
-        assert_eq!(c, 4);
+    fn reset_socket_is_an_error() {
+        let (mut stack, id) = stack_with_sock();
+        let s = stack.sock_mut(id).unwrap();
+        s.read_queue.extend_from_slice(&encode_frame(b"x"));
+        s.state = TcpState::Reset;
+        assert!(take_frame(&mut stack, id, true).is_err());
+    }
+
+    /// Frame boundaries against segment boundaries and an epoch boundary: a
+    /// frame in three segments, two frames in one segment, and a frame whose
+    /// first half is in the read queue when the primary is checkpointed and
+    /// lost — the half rides the repair state to the backup and the frame is
+    /// delivered exactly once when the rest arrives there.
+    #[test]
+    fn frames_survive_segment_and_epoch_boundaries() {
+        fn pump(a: &mut NetStack, b: &mut NetStack) {
+            loop {
+                let (from_a, from_b) = (a.take_ready(), b.take_ready());
+                if from_a.is_empty() && from_b.is_empty() {
+                    break;
+                }
+                from_a.into_iter().for_each(|p| b.ingress(p));
+                from_b.into_iter().for_each(|p| a.ingress(p));
+            }
+        }
+        let mut server = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+        let mut client = NetStack::new(2, 1_000_000_000, InputMode::Buffer);
+        let l = server.socket();
+        server.bind(l, 80).unwrap();
+        server.listen(l).unwrap();
+        let c = client.socket();
+        client.connect(c, Endpoint::new(1, 80)).unwrap();
+        pump(&mut client, &mut server);
+        let child = server.accept(l).unwrap().expect("handshake done");
+
+        // One frame in three segments.
+        let f = encode_frame(b"three segments");
+        for part in [&f[..2], &f[2..9], &f[9..]] {
+            assert!(take_frame(&mut server, child, false).unwrap().is_none());
+            client.send(c, part).unwrap();
+            pump(&mut client, &mut server);
+        }
+        let got = take_frame(&mut server, child, false).unwrap().unwrap();
+        assert_eq!(&got[..], b"three segments");
+
+        // Two frames in one segment.
+        let mut two = encode_frame(b"first");
+        two.extend_from_slice(&encode_frame(b"second"));
+        client.send_bytes(c, two.into()).unwrap();
+        pump(&mut client, &mut server);
+        assert_eq!(&take_frame(&mut server, child, false).unwrap().unwrap()[..], b"first");
+        assert_eq!(&take_frame(&mut server, child, false).unwrap().unwrap()[..], b"second");
+        assert!(take_frame(&mut server, child, false).unwrap().is_none());
+
+        // A frame split across an epoch boundary, with a failover in between.
+        let f = encode_frame(b"straddles the checkpoint");
+        client.send(c, &f[..10]).unwrap();
+        pump(&mut client, &mut server);
+        assert!(take_frame(&mut server, child, false).unwrap().is_none());
+        let (ports, states) = server.checkpoint_sockets();
+        assert_eq!(states[0].read_queue, &f[..10], "the partial frame is socket state");
+        drop(server);
+        let mut backup = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+        let restored = backup.restore_sockets(&ports, &states, 200_000_000).unwrap();
+        assert!(take_frame(&mut backup, restored[0], false).unwrap().is_none());
+        client.send(c, &f[10..]).unwrap();
+        pump(&mut client, &mut backup);
+        let got = take_frame(&mut backup, restored[0], false).unwrap().unwrap();
+        assert_eq!(&got[..], b"straddles the checkpoint");
+        assert!(take_frame(&mut backup, restored[0], false).unwrap().is_none(), "exactly once");
+        assert_eq!(backup.sock(restored[0]).unwrap().readable(), 0);
+        assert_eq!(client.broken_connections(), 0);
     }
 
     #[test]

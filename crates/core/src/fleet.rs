@@ -47,8 +47,9 @@ use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
 use crate::traffic::{ClientBehavior, ClientPool};
+use bytes::Bytes;
 use nilicon_container::{
-    encode_frame, try_decode_frame, Application, Container, ContainerRuntime, ContainerSpec,
+    encode_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec,
     GuestCtx, MemLayout,
 };
 use nilicon_criu::CheckpointImage;
@@ -210,7 +211,7 @@ struct Lane {
     /// Completed epochs (checkpoint seq is `epochs_done + 1`).
     epochs_done: u64,
     target: u64,
-    pending: VecDeque<(Endpoint, Vec<u8>, Nanos)>,
+    pending: VecDeque<(Endpoint, Bytes, Nanos)>,
     receipts: HashMap<Endpoint, VecDeque<Nanos>>,
     metrics: RunMetrics,
     jitter_state: u64,
@@ -714,17 +715,12 @@ impl FleetScheduler {
                 let ns = lane.container.ns.net;
                 let k = self.cluster.host_mut(host);
                 let cl_lat = k.costs.client_link_latency;
-                for (sid, remote) in k.stack(ns)?.established_ids() {
-                    let buf = k.stack(ns)?.peek_recv(sid)?;
-                    let mut off = 0;
-                    while let Some((frame, used)) = try_decode_frame(&buf[off..]) {
-                        off += used;
+                let stack = k.stack_mut(ns)?;
+                for (sid, remote) in stack.established_ids() {
+                    while let Some(frame) = take_frame(stack, sid, false)? {
                         let arrival =
                             exec_start + jitter(&mut lane.jitter_state, epoch_exec) + 2 * cl_lat;
                         lane.pending.push_back((remote, frame, arrival));
-                    }
-                    if off > 0 {
-                        k.stack_mut(ns)?.consume_recv(sid, off)?;
                     }
                 }
                 lane.pending
@@ -772,15 +768,13 @@ impl FleetScheduler {
             let wall = used * (epoch_exec + lane.last_stop) / epoch_exec;
             let t_done = arrival.max(exec_start) + wall;
             // Response goes out via the (plugged, if replicated) stack.
-            let ns = lane.container.ns.net;
-            let sid = k
-                .stack(ns)?
-                .established_ids()
-                .into_iter()
-                .find(|(_, r)| *r == remote)
-                .map(|(sid, _)| sid)
+            let stack = k.stack_mut(lane.container.ns.net)?;
+            let sid = lane
+                .pool
+                .as_ref()
+                .and_then(|pool| stack.sock_to(pool.server, remote))
                 .ok_or_else(|| SimError::Invalid(format!("fleet: no connection to {remote}")))?;
-            k.stack_mut(ns)?.send(sid, &encode_frame(&out.response))?;
+            stack.send_bytes(sid, encode_frame(&out.response).into())?;
             completions.push((remote, t_done));
             requests += 1;
         }

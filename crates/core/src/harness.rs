@@ -24,8 +24,9 @@ use crate::replay::replay_tail;
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_sim::replay::{content_hash, ReplayEvent};
 use crate::traffic::{ClientBehavior, ClientPool};
+use bytes::Bytes;
 use nilicon_container::{
-    encode_frame, try_decode_frame, Application, Container, ContainerRuntime, ContainerSpec,
+    encode_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec,
     GuestCtx, MemLayout,
 };
 use nilicon_sim::cluster::Cluster;
@@ -208,8 +209,8 @@ pub struct RunHarness {
     mode: RunMode,
     parallelism: f64,
     metrics: RunMetrics,
-    /// Decoded requests awaiting service: (client endpoint, payload, arrival).
-    pending: VecDeque<(Endpoint, Vec<u8>, Nanos)>,
+    /// Request frames awaiting service: (client endpoint, payload, arrival).
+    pending: VecDeque<(Endpoint, Bytes, Nanos)>,
     /// Per-connection queue of logical response receipt times.
     receipts: HashMap<Endpoint, VecDeque<Nanos>>,
     sender: HeartbeatSender,
@@ -575,17 +576,11 @@ impl RunHarness {
         let ns = self.container.ns.net;
         let k = self.cluster.host_mut(host);
         let cl_lat = k.costs.client_link_latency;
-        let conns = k.stack(ns)?.established_ids();
-        for (sid, remote) in conns {
-            let buf = k.stack(ns)?.peek_recv(sid)?;
-            let mut offset = 0;
-            while let Some((frame, consumed)) = try_decode_frame(&buf[offset..]) {
-                offset += consumed;
+        let stack = k.stack_mut(ns)?;
+        for (sid, remote) in stack.established_ids() {
+            while let Some(frame) = take_frame(stack, sid, false)? {
                 let arrival = base + jitter(&mut self.jitter_state, jitter_range) + 2 * cl_lat;
                 self.pending.push_back((remote, frame, arrival));
-            }
-            if offset > 0 {
-                k.stack_mut(ns)?.consume_recv(sid, offset)?;
             }
         }
         self.pending
@@ -615,15 +610,13 @@ impl RunHarness {
     fn send_response(&mut self, remote: Endpoint, payload: &[u8]) -> SimResult<()> {
         let host = self.active_host();
         let ns = self.container.ns.net;
-        let k = self.cluster.host_mut(host);
-        let sid = k
-            .stack(ns)?
-            .established_ids()
-            .into_iter()
-            .find(|(_, r)| *r == remote)
-            .map(|(sid, _)| sid)
+        let stack = self.cluster.host_mut(host).stack_mut(ns)?;
+        let sid = self
+            .pool
+            .as_ref()
+            .and_then(|pool| stack.sock_to(pool.server, remote))
             .ok_or_else(|| SimError::Invalid(format!("no connection to {remote}")))?;
-        k.stack_mut(ns)?.send(sid, &encode_frame(payload))?;
+        stack.send_bytes(sid, encode_frame(payload).into())?;
         Ok(())
     }
 

@@ -1451,7 +1451,7 @@ mod tests {
         ReplayEvent::Request {
             pid: Pid(1),
             at,
-            payload: vec![1, 2, 3],
+            payload: vec![1, 2, 3].into(),
             response_hash: 42,
             response_len: 3,
         }

@@ -1603,7 +1603,7 @@ mod tests {
         let ev = ReplayEvent::Request {
             pid: c.init_pid(),
             at: 5,
-            payload: vec![0xAA; 300],
+            payload: vec![0xAA; 300].into(),
             response_hash: 7,
             response_len: 4,
         };

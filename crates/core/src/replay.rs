@@ -233,7 +233,7 @@ mod tests {
         ReplayEvent::Request {
             pid: c.workers[0],
             at: 0,
-            payload: payload.to_vec(),
+            payload: payload.into(),
             response_hash: content_hash(&outcome.response),
             response_len: outcome.response.len() as u32,
         }

@@ -8,7 +8,7 @@
 //! validation meaningful across a failover.
 
 use crate::trace::{TraceEvent, Tracer};
-use nilicon_container::{encode_frame, try_decode_frame};
+use nilicon_container::{encode_frame, take_frame};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::{Endpoint, HostId, NsId, SockId};
 use nilicon_sim::time::Nanos;
@@ -38,7 +38,6 @@ pub trait ClientBehavior {
 #[derive(Debug)]
 struct ClientConn {
     sock: SockId,
-    rx: Vec<u8>,
     /// Send time of the outstanding request, if any.
     outstanding: Option<Nanos>,
     done: bool,
@@ -76,7 +75,6 @@ impl ClientPool {
             stack.connect(s, server)?;
             conns.push(ClientConn {
                 sock: s,
-                rx: Vec::new(),
                 outstanding: None,
                 done: false,
             });
@@ -119,7 +117,7 @@ impl ClientPool {
             match behavior.next_request(idx, now) {
                 Some(req) => {
                     let stack = cluster.host_mut(self.host).stack_mut(self.ns)?;
-                    stack.send(c.sock, &encode_frame(&req))?;
+                    stack.send_bytes(c.sock, encode_frame(&req).into())?;
                     // SplitMix64 think-time jitter.
                     self.jitter_state = self.jitter_state.wrapping_add(0x9E3779B97F4A7C15);
                     let mut z = self.jitter_state;
@@ -153,12 +151,7 @@ impl ClientPool {
         for (idx, c) in self.conns.iter_mut().enumerate() {
             let stack = cluster.host_mut(self.host).stack_mut(self.ns)?;
             let local = stack.sock(c.sock)?.local;
-            let bytes = stack.recv(c.sock, usize::MAX)?;
-            if !bytes.is_empty() {
-                c.rx.extend_from_slice(&bytes);
-            }
-            while let Some((frame, consumed)) = try_decode_frame(&c.rx) {
-                c.rx.drain(..consumed);
+            while let Some(frame) = take_frame(stack, c.sock, true)? {
                 let receipt = receipt_times
                     .get_mut(&local)
                     .and_then(|q| q.pop_front())

@@ -1,7 +1,7 @@
 //! Direct tests of the client pool (outside the full harness).
 
 use nilicon::traffic::{ClientBehavior, ClientPool};
-use nilicon_container::{encode_frame, try_decode_frame};
+use nilicon_container::{encode_frame, take_frame};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
@@ -52,17 +52,10 @@ fn world(n_clients: usize) -> (Cluster, nilicon_sim::ids::HostId, nilicon_sim::i
 /// Server side: echo every complete frame on every established connection.
 fn echo_all(cl: &mut Cluster, sh: nilicon_sim::ids::HostId, sns: nilicon_sim::ids::NsId) {
     cl.pump();
-    let k = cl.host_mut(sh);
-    let conns = k.stack(sns).unwrap().established_ids();
-    for (sid, _) in conns {
-        let buf = k.stack(sns).unwrap().peek_recv(sid).unwrap();
-        let mut off = 0;
-        while let Some((frame, used)) = try_decode_frame(&buf[off..]) {
-            off += used;
-            k.stack_mut(sns).unwrap().send(sid, &encode_frame(&frame)).unwrap();
-        }
-        if off > 0 {
-            k.stack_mut(sns).unwrap().consume_recv(sid, off).unwrap();
+    let stack = cl.host_mut(sh).stack_mut(sns).unwrap();
+    for (sid, _) in stack.established_ids() {
+        while let Some(frame) = take_frame(stack, sid, false).unwrap() {
+            stack.send_bytes(sid, encode_frame(&frame).into()).unwrap();
         }
     }
     cl.pump();

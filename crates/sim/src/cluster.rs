@@ -151,9 +151,8 @@ impl Cluster {
 
         for (idx, k) in self.kernels.iter_mut().enumerate() {
             let src_partitioned = self.partitioned.contains(&idx);
-            for (ns, _) in k.stack_addrs() {
-                let pkts = k.stack_mut(ns).expect("listed stack exists").take_ready();
-                for p in pkts {
+            for stack in k.stacks_mut() {
+                for p in stack.take_ready() {
                     if src_partitioned {
                         stats.dropped += 1;
                     } else {

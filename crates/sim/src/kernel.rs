@@ -62,7 +62,7 @@ pub struct Kernel {
     pub replay: ReplayRecorder,
     procs: std::collections::HashMap<Pid, Process>,
     spaces: std::collections::HashMap<AsId, AddressSpace>,
-    stacks: std::collections::HashMap<NsId, NetStack>,
+    stacks: std::collections::BTreeMap<NsId, NetStack>,
     pid_alloc: IdAlloc,
     tid_alloc: IdAlloc,
     as_alloc: IdAlloc,
@@ -88,7 +88,7 @@ impl Kernel {
             replay: ReplayRecorder::default(),
             procs: std::collections::HashMap::new(),
             spaces: std::collections::HashMap::new(),
-            stacks: std::collections::HashMap::new(),
+            stacks: std::collections::BTreeMap::new(),
             pid_alloc: IdAlloc::starting_at(100),
             tid_alloc: IdAlloc::starting_at(10_000),
             as_alloc: IdAlloc::default(),
@@ -406,11 +406,10 @@ impl Kernel {
             .ok_or(SimError::Invalid(format!("no stack for {ns}")))
     }
 
-    /// All `(ns, addr)` pairs (for cluster routing).
-    pub fn stack_addrs(&self) -> Vec<(NsId, u32)> {
-        let mut v: Vec<(NsId, u32)> = self.stacks.iter().map(|(&ns, s)| (ns, s.addr)).collect();
-        v.sort_unstable();
-        v
+    /// Every stack, in namespace order (cluster routing drains them in a
+    /// deterministic order).
+    pub fn stacks_mut(&mut self) -> impl Iterator<Item = &mut NetStack> {
+        self.stacks.values_mut()
     }
 
     /// Socket create within `pid`'s netns; installs an fd.

@@ -9,11 +9,13 @@
 //! RST generation for orphaned packets, retransmission timeouts (1 s default
 //! vs the paper's 200 ms repair-mode minimum), and packet loss at failover.
 
+mod byteq;
 mod chaos;
 mod qdisc;
 mod stack;
 mod tcp;
 
+pub use byteq::ByteQueue;
 pub use chaos::{ChaosConfig, ChaosLink, ChaosSchedule, FaultKind, FaultWindow, LinkDir};
 pub use qdisc::{InputGate, InputMode, PlugQdisc};
 pub use stack::{NetStack, SocketQueueStats};

@@ -48,7 +48,7 @@ impl PlugQdisc {
     /// FIFO order.
     pub fn release(&mut self) -> Vec<Packet> {
         self.released_total += self.buf.len() as u64;
-        self.buf.drain(..).collect()
+        Vec::from(std::mem::take(&mut self.buf))
     }
 
     /// Discard everything buffered (primary failed before commit — these
@@ -136,7 +136,7 @@ impl InputGate {
     /// in arrival order.
     pub fn unblock(&mut self) -> Vec<Packet> {
         self.blocked = false;
-        self.buf.drain(..).collect()
+        Vec::from(std::mem::take(&mut self.buf))
     }
 
     /// Packets currently held (Buffer mode).

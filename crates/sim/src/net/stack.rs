@@ -160,6 +160,15 @@ impl NetStack {
         Ok(data.len())
     }
 
+    /// [`NetStack::send`] of an owned buffer, shared with the write queue and
+    /// the wire instead of copied (see [`TcpSocket::send_bytes`]).
+    pub fn send_bytes(&mut self, sock: SockId, data: Bytes) -> SimResult<usize> {
+        let len = data.len();
+        let pkt = self.sock_mut(sock)?.send_bytes(data)?;
+        self.egress(pkt);
+        Ok(len)
+    }
+
     /// Application receive.
     pub fn recv(&mut self, sock: SockId, max: usize) -> SimResult<Vec<u8>> {
         let data = self.sock_mut(sock)?.recv(max)?;
@@ -169,21 +178,21 @@ impl NetStack {
         Ok(data)
     }
 
+    /// Application receive of exactly `n` bytes or nothing (see
+    /// [`TcpSocket::recv_exact`]), counted in the delivery order like
+    /// [`NetStack::recv`].
+    pub fn recv_exact(&mut self, sock: SockId, n: usize) -> SimResult<Option<Bytes>> {
+        let data = self.sock_mut(sock)?.recv_exact(n)?;
+        if data.as_ref().is_some_and(|d| !d.is_empty()) {
+            self.delivered_seq += 1;
+        }
+        Ok(data)
+    }
+
     /// Stack-wide delivery sequence number (bumped once per non-empty
     /// application read — the recv-order axis of the hybrid-replay log).
     pub fn delivered_seq(&self) -> u64 {
         self.delivered_seq
-    }
-
-    /// Peek the readable bytes without consuming (see [`TcpSocket::peek`]).
-    pub fn peek_recv(&self, sock: SockId) -> SimResult<Vec<u8>> {
-        Ok(self.sock(sock)?.peek())
-    }
-
-    /// Consume `n` peeked bytes.
-    pub fn consume_recv(&mut self, sock: SockId, n: usize) -> SimResult<()> {
-        self.sock_mut(sock)?.consume(n);
-        Ok(())
     }
 
     /// Immutable socket access.
@@ -431,6 +440,14 @@ impl NetStack {
         v
     }
 
+    /// The established socket connecting `local` to `remote`, if any: one
+    /// lookup in the connection map, where [`NetStack::established_ids`]
+    /// lists and sorts every socket.
+    pub fn sock_to(&self, local: Endpoint, remote: Endpoint) -> Option<SockId> {
+        let sid = *self.conns.get(&(local, remote))?;
+        (self.sockets[&sid].state == TcpState::Established).then_some(sid)
+    }
+
     /// Queue statistics for checkpoint-size accounting.
     pub fn queue_stats(&self) -> SocketQueueStats {
         let mut st = SocketQueueStats {
@@ -511,6 +528,26 @@ mod tests {
         assert_eq!(client.recv(c, 64).unwrap(), b"pong");
         assert_eq!(client.sock(c).unwrap().unacked(), 0);
         assert_eq!(server.sock(child).unwrap().unacked(), 0);
+    }
+
+    #[test]
+    fn sock_to_finds_only_the_established_connection() {
+        let (mut server, child, mut client, c, _) = connected_pair();
+        let (srv, cli) = (Endpoint::new(1, 80), client.sock(c).unwrap().local);
+        assert_eq!(server.sock_to(srv, cli), Some(child));
+        assert_eq!(client.sock_to(cli, srv), Some(c));
+        assert_eq!(server.sock_to(srv, Endpoint::new(2, 1)), None, "no such peer");
+        assert_eq!(server.sock_to(cli, srv), None, "direction matters");
+        server.sock_mut(child).unwrap().state = TcpState::Reset;
+        assert_eq!(server.sock_to(srv, cli), None, "a reset socket is not a connection");
+        server.close(child).unwrap();
+        assert_eq!(server.sock_to(srv, cli), None);
+        // An owned buffer is shared with the wire and the write queue, not copied.
+        let buf = Bytes::from(vec![7u8; 32]);
+        client.send_bytes(c, buf.clone()).unwrap();
+        let pkt = client.take_ready().pop().unwrap();
+        assert_eq!(pkt.payload.as_ptr(), buf.as_ptr());
+        assert_eq!(client.sock(c).unwrap().unacked(), 32);
     }
 
     #[test]

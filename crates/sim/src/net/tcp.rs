@@ -1,5 +1,6 @@
 //! TCP sockets with repair mode.
 
+use super::byteq::ByteQueue;
 use crate::error::{SimError, SimResult};
 use crate::ids::{Endpoint, SockId};
 use crate::time::Nanos;
@@ -164,9 +165,9 @@ pub struct TcpSocket {
     /// Next expected receive sequence number.
     pub rcv_nxt: u32,
     /// Transmitted-but-unacknowledged bytes (`snd_una..snd_nxt`).
-    pub write_queue: VecDeque<u8>,
+    pub write_queue: ByteQueue,
     /// Received-but-unread bytes.
-    pub read_queue: VecDeque<u8>,
+    pub read_queue: ByteQueue,
     /// Pending connections for a listener.
     pub backlog: VecDeque<SockId>,
     /// Repair mode (privileged get/set of the above).
@@ -193,8 +194,8 @@ impl TcpSocket {
             snd_nxt: 0,
             snd_una: 0,
             rcv_nxt: 0,
-            write_queue: VecDeque::new(),
-            read_queue: VecDeque::new(),
+            write_queue: ByteQueue::default(),
+            read_queue: ByteQueue::default(),
             backlog: VecDeque::new(),
             repair: false,
             rto: rto_default,
@@ -203,8 +204,14 @@ impl TcpSocket {
         }
     }
 
-    /// Application write: queue `data` and emit one data segment.
+    /// Application write: queue a copy of `data` and emit one data segment.
     pub fn send(&mut self, data: &[u8]) -> SimResult<Packet> {
+        self.send_bytes(Bytes::copy_from_slice(data))
+    }
+
+    /// [`TcpSocket::send`] of an owned buffer: the write queue and the
+    /// emitted segment share it, nothing is copied.
+    pub fn send_bytes(&mut self, data: Bytes) -> SimResult<Packet> {
         if self.state != TcpState::Established {
             return Err(SimError::InvalidSocketState {
                 sock: self.id,
@@ -213,7 +220,7 @@ impl TcpSocket {
             });
         }
         let seq = self.snd_nxt;
-        self.write_queue.extend(data.iter().copied());
+        self.write_queue.push(data.clone());
         self.snd_nxt = self.snd_nxt.wrapping_add(data.len() as u32);
         Ok(Packet {
             src: self.local,
@@ -221,7 +228,7 @@ impl TcpSocket {
             seq,
             ack: self.rcv_nxt,
             flags: TcpFlags::DATA,
-            payload: Bytes::copy_from_slice(data),
+            payload: data,
         })
     }
 
@@ -232,27 +239,31 @@ impl TcpSocket {
         }
         let n = max.min(self.read_queue.len());
         self.delivered_bytes += n as u64;
-        Ok(self.read_queue.drain(..n).collect())
+        let out = self.read_queue.copy_range(0, n);
+        self.read_queue.advance(n);
+        Ok(out)
+    }
+
+    /// Application read of exactly `n` bytes, or `None` (nothing consumed)
+    /// while fewer are readable. Drivers use this to take only whole
+    /// application frames, leaving a partial frame in the (checkpointed!)
+    /// read queue — a frame straddling an epoch boundary must survive a
+    /// failover inside socket state. The bytes come back as a slice of the
+    /// segment they arrived in whenever they lie within one.
+    pub fn recv_exact(&mut self, n: usize) -> SimResult<Option<Bytes>> {
+        if self.state == TcpState::Reset {
+            return Err(SimError::ConnReset);
+        }
+        let out = self.read_queue.take(n);
+        if out.is_some() {
+            self.delivered_bytes += n as u64;
+        }
+        Ok(out)
     }
 
     /// Bytes available to read.
     pub fn readable(&self) -> usize {
         self.read_queue.len()
-    }
-
-    /// Copy out the readable bytes without consuming them. Drivers use this
-    /// to take only whole application frames, leaving partial frames in the
-    /// (checkpointed!) read queue — a frame straddling an epoch boundary
-    /// must survive a failover inside socket state.
-    pub fn peek(&self) -> Vec<u8> {
-        self.read_queue.iter().copied().collect()
-    }
-
-    /// Consume `n` bytes previously observed via [`TcpSocket::peek`].
-    pub fn consume(&mut self, n: usize) {
-        let n = n.min(self.read_queue.len());
-        self.delivered_bytes += n as u64;
-        self.read_queue.drain(..n);
     }
 
     /// Bytes sent but not yet acknowledged.
@@ -285,7 +296,7 @@ impl TcpSocket {
                 // Process payload.
                 if !pkt.payload.is_empty() {
                     if pkt.seq == self.rcv_nxt {
-                        self.read_queue.extend(pkt.payload.iter().copied());
+                        self.read_queue.push(pkt.payload.clone());
                         self.rcv_nxt = self.rcv_nxt.wrapping_add(pkt.payload.len() as u32);
                         return Some(self.bare_ack());
                     } else if seq_lt(pkt.seq, self.rcv_nxt) {
@@ -304,8 +315,7 @@ impl TcpSocket {
         // Advance snd_una and trim the write queue by acked bytes.
         if seq_lt(self.snd_una, ack) || self.snd_una == ack {
             let acked = ack.wrapping_sub(self.snd_una) as usize;
-            let drop_n = acked.min(self.write_queue.len());
-            self.write_queue.drain(..drop_n);
+            self.write_queue.advance(acked);
             self.snd_una = ack;
         }
     }
@@ -339,8 +349,7 @@ impl TcpSocket {
         if self.state != TcpState::Established || offset >= self.write_queue.len() {
             return None;
         }
-        let end = (offset + RTO_MSS).min(self.write_queue.len());
-        let payload: Vec<u8> = self.write_queue.iter().copied().skip(offset).take(end - offset).collect();
+        let payload = self.write_queue.copy_range(offset, RTO_MSS);
         Some(Packet {
             src: self.local,
             dst: self.remote.expect("peer set"),
@@ -371,8 +380,8 @@ impl TcpSocket {
             snd_nxt: self.snd_nxt,
             snd_una: self.snd_una,
             rcv_nxt: self.rcv_nxt,
-            write_queue: self.write_queue.iter().copied().collect(),
-            read_queue: self.read_queue.iter().copied().collect(),
+            write_queue: self.write_queue.to_vec(),
+            read_queue: self.read_queue.to_vec(),
         })
     }
 
@@ -480,11 +489,18 @@ mod tests {
     #[test]
     fn retransmit_at_segments_a_large_window_by_mss() {
         let (mut a, mut b) = established_pair();
-        // Queue 3.5 MSS of unacked data across several sends.
+        // Queue 3.5 MSS of unacked data across many sends of uneven sizes,
+        // so MSS boundaries fall inside, on and across write-queue segments.
         let total = RTO_MSS * 3 + RTO_MSS / 2;
         let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
-        for chunk in data.chunks(1000) {
+        let mut rest = &data[..];
+        for size in [1, 1459, 7, 1453, 1000, 3, 300].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(size.min(rest.len()));
             a.send(chunk).unwrap();
+            rest = tail;
         }
         assert_eq!(a.unacked(), total);
         // Drain the window segment by segment.

@@ -14,7 +14,7 @@
 //! closed over: socket receives (payload + delivery order + stream offset),
 //! socket sends (verified by hash during replay), timer reads, and thread
 //! scheduling points. The harness layers `Request`/`Step` events on top — it
-//! drives the application via `peek_recv`/`consume_recv` rather than
+//! takes whole request frames off the sockets itself rather than through
 //! `sock_recv`, so request arrival is *its* nondeterminism to record.
 //!
 //! Recording is off unless explicitly enabled (the `hybrid_replay` extension
@@ -22,17 +22,28 @@
 //! never re-records its own events.
 
 use crate::ids::{Fd, Pid};
+use bytes::Bytes;
 use crate::time::Nanos;
 
-/// FNV-1a 64-bit. Stable, dependency-free content hash used to verify that
-/// replayed execution reproduces the recorded byte streams.
+/// Stable, dependency-free content hash used to verify that replayed
+/// execution reproduces the recorded byte streams (and by the guest KV store
+/// as its record checksum). FNV-1a's xor-multiply step taken over
+/// little-endian 64-bit words — one multiply per eight bytes, not per byte —
+/// with a byte-wise tail and the length mixed in last. Every step is a
+/// bijection of the running state, so two inputs of one length that differ
+/// in a single word never collide.
 pub fn content_hash(data: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        h = (h ^ w).wrapping_mul(PRIME);
     }
-    h
+    for &b in words.remainder() {
+        h = (h ^ b as u64).wrapping_mul(PRIME);
+    }
+    (h ^ data.len() as u64).wrapping_mul(PRIME)
 }
 
 /// One recorded nondeterministic event.
@@ -49,8 +60,9 @@ pub enum ReplayEvent {
         pid: Pid,
         /// Virtual time the request was dispatched.
         at: Nanos,
-        /// Request frame payload (what `Application::handle_request` saw).
-        payload: Vec<u8>,
+        /// Request frame payload (what `Application::handle_request` saw),
+        /// shared with the frame the request arrived in.
+        payload: Bytes,
         /// [`content_hash`] of the response bytes.
         response_hash: u64,
         /// Response length in bytes.
@@ -246,6 +258,17 @@ mod tests {
         assert_eq!(content_hash(b"abc"), content_hash(b"abc"));
         assert_ne!(content_hash(b"abc"), content_hash(b"abd"));
         assert_ne!(content_hash(b""), content_hash(b"\0"));
+        // Word body, byte tail and length all count: a flip anywhere in a
+        // 21-byte input (two words + five tail bytes) changes the hash, and
+        // so does appending zeros, within a word or a whole word of them.
+        let base: Vec<u8> = (0..21u8).collect();
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x80;
+            assert_ne!(content_hash(&base), content_hash(&flipped), "byte {i}");
+        }
+        assert_ne!(content_hash(&[0; 7]), content_hash(&[0; 8]));
+        assert_ne!(content_hash(&[0; 8]), content_hash(&[0; 16]));
     }
 
     #[test]
@@ -306,7 +329,7 @@ mod tests {
         let big = ReplayEvent::Request {
             pid: Pid(100),
             at: 0,
-            payload: vec![0u8; 1000],
+            payload: vec![0u8; 1000].into(),
             response_hash: 0,
             response_len: 4,
         };

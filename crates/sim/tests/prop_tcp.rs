@@ -2,9 +2,11 @@
 //! delivery under arbitrary send/deliver/drop/retransmit schedules — the
 //! foundation the §VII-A "no broken connections" guarantee rests on.
 
+use bytes::Bytes;
 use nilicon_sim::ids::Endpoint;
-use nilicon_sim::net::{InputMode, NetStack};
+use nilicon_sim::net::{ByteQueue, InputMode, NetStack};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 enum Ev {
@@ -30,6 +32,43 @@ fn schedule() -> impl Strategy<Value = Vec<Ev>> {
             3 => Just(Ev::ServerRead),
         ],
         1..80,
+    )
+}
+
+/// One step against a [`ByteQueue`] and its `VecDeque<u8>` model.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// `push` a shared buffer of this many bytes (0 = an empty segment).
+    Push(usize),
+    /// `extend` from a byte iterator.
+    Extend(usize),
+    /// `extend_from_slice`.
+    ExtendSlice(usize),
+    /// `advance` by this many bytes (may pass the end).
+    Advance(usize),
+    /// `take` this many bytes.
+    Take(usize),
+    /// `take` exactly up to the end of the front segment, or this many past it.
+    TakeAtBoundary(usize),
+    /// `peek_prefix` of this length.
+    Peek(usize),
+    /// `copy_range(off, len)`.
+    CopyRange(usize, usize),
+}
+
+fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            3 => (0..50usize).prop_map(QueueOp::Push),
+            1 => (0..50usize).prop_map(QueueOp::Extend),
+            2 => (0..50usize).prop_map(QueueOp::ExtendSlice),
+            2 => (0..120usize).prop_map(QueueOp::Advance),
+            3 => (0..120usize).prop_map(QueueOp::Take),
+            2 => (0..2usize).prop_map(QueueOp::TakeAtBoundary),
+            1 => (0..12usize).prop_map(QueueOp::Peek),
+            1 => (0..150usize, 0..150usize).prop_map(|(o, l)| QueueOp::CopyRange(o, l)),
+        ],
+        1..60,
     )
 }
 
@@ -114,6 +153,78 @@ proptest! {
             received.extend(server.recv(child, usize::MAX).unwrap());
         }
         prop_assert_eq!(received.len(), sent, "retransmission recovers every byte");
+    }
+
+    /// The rope behaves as the flat byte deque it replaced.
+    #[test]
+    fn byte_queue_matches_vecdeque_model(ops in queue_ops()) {
+        let mut q = ByteQueue::default();
+        let mut model: VecDeque<u8> = VecDeque::new();
+        let mut fed = 0usize; // stream position of the next byte appended
+        // Bytes left in each segment fed, front first: where the boundaries are.
+        let mut segs: VecDeque<usize> = VecDeque::new();
+        for op in ops {
+            let mut consumed = 0;
+            match op {
+                QueueOp::Push(n) | QueueOp::Extend(n) | QueueOp::ExtendSlice(n) => {
+                    let data: Vec<u8> = (fed..fed + n).map(stream_byte).collect();
+                    fed += n;
+                    model.extend(data.iter().copied());
+                    if n > 0 {
+                        segs.push_back(n);
+                    }
+                    match op {
+                        QueueOp::Push(_) => q.push(Bytes::from(data)),
+                        QueueOp::Extend(_) => q.extend(data),
+                        _ => q.extend_from_slice(&data),
+                    }
+                }
+                QueueOp::Advance(n) => {
+                    q.advance(n);
+                    consumed = n.min(model.len());
+                }
+                QueueOp::Take(_) | QueueOp::TakeAtBoundary(_) => {
+                    let n = match op {
+                        QueueOp::TakeAtBoundary(past) => segs.front().map_or(0, |&s| s + past),
+                        QueueOp::Take(n) => n,
+                        _ => unreachable!(),
+                    };
+                    let got = q.take(n);
+                    if n > model.len() {
+                        prop_assert!(got.is_none(), "take({}) of {} bytes", n, model.len());
+                    } else {
+                        let want: Vec<u8> = model.iter().copied().take(n).collect();
+                        prop_assert_eq!(&got.expect("enough queued")[..], &want[..]);
+                        consumed = n;
+                    }
+                }
+                QueueOp::Peek(n) => {
+                    let mut buf = vec![0u8; n];
+                    let ok = q.peek_prefix(&mut buf);
+                    prop_assert_eq!(ok, n <= model.len());
+                    if ok {
+                        prop_assert_eq!(buf, model.iter().copied().take(n).collect::<Vec<u8>>());
+                    }
+                }
+                QueueOp::CopyRange(off, len) => {
+                    let want: Vec<u8> = model.iter().copied().skip(off).take(len).collect();
+                    prop_assert_eq!(q.copy_range(off, len), want);
+                }
+            }
+            model.drain(..consumed);
+            while consumed > 0 {
+                let front = segs.front_mut().expect("consumed bytes were fed");
+                let n = consumed.min(*front);
+                *front -= n;
+                consumed -= n;
+                if *front == 0 {
+                    segs.pop_front();
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.to_vec(), model.iter().copied().collect::<Vec<u8>>());
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! metadata churn real stores exhibit around each operation.
 
 use nilicon_container::GuestCtx;
+use nilicon_sim::replay::content_hash;
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
 
 /// Header bytes per record slot.
@@ -34,6 +35,96 @@ pub enum KvOp {
     },
 }
 
+/// One operation of a batched request, its value borrowed from the request
+/// buffer it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvOpRef<'a> {
+    /// Store `value` (version-stamped) at `slot`.
+    Set {
+        /// Slot index.
+        slot: u32,
+        /// Client-assigned monotone version.
+        version: u64,
+        /// Value bytes, in place in the request.
+        value: &'a [u8],
+    },
+    /// Read `slot`.
+    Get {
+        /// Slot index.
+        slot: u32,
+    },
+}
+
+impl KvOpRef<'_> {
+    /// The owned form: copies the value out of the request buffer.
+    pub fn to_op(self) -> KvOp {
+        match self {
+            KvOpRef::Set {
+                slot,
+                version,
+                value,
+            } => KvOp::Set {
+                slot,
+                version,
+                value: value.to_vec(),
+            },
+            KvOpRef::Get { slot } => KvOp::Get { slot },
+        }
+    }
+}
+
+/// Cursor over a wire buffer; every read is bounds-checked.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+}
+
+/// Parse a batched request without copying its values. The whole request is
+/// validated before the caller sees the first op, so a malformed batch is
+/// rejected before any of it executes.
+pub fn decode_ops(buf: &[u8]) -> SimResult<Vec<KvOpRef<'_>>> {
+    fn parse(buf: &[u8]) -> Option<Vec<KvOpRef<'_>>> {
+        let mut r = Reader(buf);
+        let count = r.u32()? as usize;
+        // The count comes off the wire: reserve no more than the buffer can
+        // hold (an op is at least 5 bytes).
+        let mut ops = Vec::with_capacity(count.min(buf.len() / 5));
+        for _ in 0..count {
+            let tag = r.take(1)?[0];
+            let slot = r.u32()?;
+            ops.push(if tag == 1 {
+                let version = r.u64()?;
+                let len = r.u32()? as usize;
+                KvOpRef::Set {
+                    slot,
+                    version,
+                    value: r.take(len)?,
+                }
+            } else {
+                KvOpRef::Get { slot }
+            });
+        }
+        Some(ops)
+    }
+    parse(buf).ok_or_else(|| SimError::Invalid("malformed kv request".into()))
+}
+
 /// A batched request.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KvRequest {
@@ -44,7 +135,15 @@ pub struct KvRequest {
 impl KvRequest {
     /// Serialize for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16 + self.ops.len() * 24);
+        let size = 4 + self
+            .ops
+            .iter()
+            .map(|op| match op {
+                KvOp::Set { value, .. } => 17 + value.len(),
+                KvOp::Get { .. } => 5,
+            })
+            .sum::<usize>();
+        let mut v = Vec::with_capacity(size);
         v.extend_from_slice(&(self.ops.len() as u32).to_le_bytes());
         for op in &self.ops {
             match op {
@@ -70,34 +169,7 @@ impl KvRequest {
 
     /// Parse from the wire.
     pub fn decode(buf: &[u8]) -> SimResult<Self> {
-        let err = || SimError::Invalid("malformed kv request".into());
-        let mut i = 0usize;
-        let take = |i: &mut usize, n: usize| -> SimResult<&[u8]> {
-            if *i + n > buf.len() {
-                return Err(err());
-            }
-            let s = &buf[*i..*i + n];
-            *i += n;
-            Ok(s)
-        };
-        let count = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap()) as usize;
-        let mut ops = Vec::with_capacity(count);
-        for _ in 0..count {
-            let tag = take(&mut i, 1)?[0];
-            let slot = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap());
-            if tag == 1 {
-                let version = u64::from_le_bytes(take(&mut i, 8)?.try_into().unwrap());
-                let len = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap()) as usize;
-                let value = take(&mut i, len)?.to_vec();
-                ops.push(KvOp::Set {
-                    slot,
-                    version,
-                    value,
-                });
-            } else {
-                ops.push(KvOp::Get { slot });
-            }
-        }
+        let ops = decode_ops(buf)?.into_iter().map(KvOpRef::to_op).collect();
         Ok(KvRequest { ops })
     }
 }
@@ -114,7 +186,8 @@ pub struct KvResponse {
 impl KvResponse {
     /// Serialize for the wire.
     pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::new();
+        let size = 8 + self.gets.iter().map(|g| 16 + g.2.len()).sum::<usize>();
+        let mut v = Vec::with_capacity(size);
         v.extend_from_slice(&self.sets_acked.to_le_bytes());
         v.extend_from_slice(&(self.gets.len() as u32).to_le_bytes());
         for (slot, version, value) in &self.gets {
@@ -128,26 +201,82 @@ impl KvResponse {
 
     /// Parse from the wire.
     pub fn decode(buf: &[u8]) -> SimResult<Self> {
-        let err = || SimError::Invalid("malformed kv response".into());
-        let mut i = 0usize;
-        let take = |i: &mut usize, n: usize| -> SimResult<&[u8]> {
-            if *i + n > buf.len() {
-                return Err(err());
+        fn parse(buf: &[u8]) -> Option<KvResponse> {
+            let mut r = Reader(buf);
+            let sets_acked = r.u32()?;
+            let count = r.u32()? as usize;
+            // As in `decode_ops`: a get is at least 16 bytes on the wire.
+            let mut gets = Vec::with_capacity(count.min(buf.len() / 16));
+            for _ in 0..count {
+                let slot = r.u32()?;
+                let version = r.u64()?;
+                let len = r.u32()? as usize;
+                gets.push((slot, version, r.take(len)?.to_vec()));
             }
-            let s = &buf[*i..*i + n];
-            *i += n;
-            Ok(s)
-        };
-        let sets_acked = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap());
-        let count = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap()) as usize;
-        let mut gets = Vec::with_capacity(count);
-        for _ in 0..count {
-            let slot = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap());
-            let version = u64::from_le_bytes(take(&mut i, 8)?.try_into().unwrap());
-            let len = u32::from_le_bytes(take(&mut i, 4)?.try_into().unwrap()) as usize;
-            gets.push((slot, version, take(&mut i, len)?.to_vec()));
+            Some(KvResponse { gets, sets_acked })
         }
-        Ok(KvResponse { gets, sets_acked })
+        parse(buf).ok_or_else(|| SimError::Invalid("malformed kv response".into()))
+    }
+}
+
+/// Builds the wire form of a [`KvResponse`] in place: each value is read
+/// from guest memory straight into the response buffer, and the counts in
+/// the header are patched in at the end. The bytes equal
+/// [`KvResponse::encode`] of the same gets and acks.
+#[derive(Debug)]
+pub struct ResponseWriter {
+    buf: Vec<u8>,
+    sets_acked: u32,
+    gets: u32,
+}
+
+impl ResponseWriter {
+    /// A writer sized for the answer to `ops` against `kv`.
+    pub fn for_ops(ops: &[KvOpRef<'_>], kv: &GuestKv) -> Self {
+        let gets = ops
+            .iter()
+            .filter(|op| matches!(op, KvOpRef::Get { .. }))
+            .count();
+        let mut buf = Vec::with_capacity(8 + gets * (16 + kv.value_size));
+        buf.extend_from_slice(&[0; 8]);
+        ResponseWriter {
+            buf,
+            sets_acked: 0,
+            gets: 0,
+        }
+    }
+
+    /// Acknowledge one Set.
+    pub fn ack_set(&mut self) {
+        self.sets_acked += 1;
+    }
+
+    /// Answer one Get: load `slot` from `kv` into the response. On error the
+    /// response is left as it was before the call.
+    pub fn get(&mut self, kv: &GuestKv, ctx: &mut GuestCtx<'_>, slot: u32) -> SimResult<()> {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&slot.to_le_bytes());
+        self.buf.extend_from_slice(&[0; 12]);
+        match kv.get_into(ctx, slot, &mut self.buf) {
+            Ok(version) => {
+                let len = (self.buf.len() - at - 16) as u32;
+                self.buf[at + 4..at + 12].copy_from_slice(&version.to_le_bytes());
+                self.buf[at + 12..at + 16].copy_from_slice(&len.to_le_bytes());
+                self.gets += 1;
+                Ok(())
+            }
+            Err(e) => {
+                self.buf.truncate(at);
+                Err(e)
+            }
+        }
+    }
+
+    /// The finished wire bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.buf[0..4].copy_from_slice(&self.sets_acked.to_le_bytes());
+        self.buf[4..8].copy_from_slice(&self.gets.to_le_bytes());
+        self.buf
     }
 }
 
@@ -155,12 +284,12 @@ impl KvResponse {
 /// servers both compute it, making end-to-end verification possible without
 /// shipping golden data around.
 pub fn value_pattern(slot: u32, version: u64, len: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(len);
     let seed = (slot as u64)
         .wrapping_mul(0x9E3779B9)
         .wrapping_add(version.wrapping_mul(31));
-    for i in 0..len {
-        v.push((seed.wrapping_add(i as u64).wrapping_mul(0x2545F4914F6CDD1D) >> 56) as u8);
+    let mut v = vec![0u8; len];
+    for (i, b) in v.iter_mut().enumerate() {
+        *b = (seed.wrapping_add(i as u64).wrapping_mul(0x2545F4914F6CDD1D) >> 56) as u8;
     }
     v
 }
@@ -236,6 +365,16 @@ impl GuestKv {
     /// Load a record: `(version, value)`; an unwritten slot reads as
     /// `(0, empty)`.
     pub fn get(&self, ctx: &mut GuestCtx<'_>, slot: u32) -> SimResult<(u64, Vec<u8>)> {
+        let mut value = Vec::new();
+        let version = self.get_into(ctx, slot, &mut value)?;
+        Ok((version, value))
+    }
+
+    /// Load a record, appending its value to `out` and returning its
+    /// version: the value goes from guest memory straight into the caller's
+    /// buffer and its checksum is verified there. An unwritten slot appends
+    /// nothing and returns version 0; on error `out` is left as it was.
+    pub fn get_into(&self, ctx: &mut GuestCtx<'_>, slot: u32, out: &mut Vec<u8>) -> SimResult<u64> {
         let off = self.slot_off(slot)?;
         let mut hdr = [0u8; HEADER];
         ctx.heap_read(off, &mut hdr)?;
@@ -244,21 +383,30 @@ impl GuestKv {
         let sum = u32::from_le_bytes(hdr[12..16].try_into().unwrap());
         if version == 0 && len == 0 && sum == 0 {
             // Never-written slot (all-zero header).
-            return Ok((0, Vec::new()));
+            return Ok(0);
         }
         if len > self.value_size {
             return Err(SimError::ImageCorrupt(format!(
                 "slot {slot}: bad length {len}"
             )));
         }
-        let mut value = vec![0u8; len];
-        ctx.heap_read(off + HEADER as u64, &mut value)?;
-        if checksum(&value) != sum {
-            return Err(SimError::ImageCorrupt(format!(
-                "slot {slot}: checksum mismatch"
-            )));
+        let at = out.len();
+        out.resize(at + len, 0);
+        let loaded = ctx
+            .heap_read(off + HEADER as u64, &mut out[at..])
+            .and_then(|()| {
+                if checksum(&out[at..]) == sum {
+                    Ok(version)
+                } else {
+                    Err(SimError::ImageCorrupt(format!(
+                        "slot {slot}: checksum mismatch"
+                    )))
+                }
+            });
+        if loaded.is_err() {
+            out.truncate(at);
         }
-        Ok((version, value))
+        loaded
     }
 
     /// Dirty `n` aux-arena pages, picked deterministically from `salt` —
@@ -278,13 +426,10 @@ impl GuestKv {
     }
 }
 
+/// Record checksum: the word-wide [`content_hash`] folded to 32 bits.
 fn checksum(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C9DC5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x01000193);
-    }
-    h
+    let h = content_hash(data);
+    (h ^ (h >> 32)) as u32
 }
 
 #[cfg(test)]
@@ -292,6 +437,7 @@ mod tests {
     use super::*;
     use nilicon_container::{ContainerRuntime, ContainerSpec};
     use nilicon_sim::kernel::Kernel;
+    use proptest::prelude::*;
 
     fn ctx_kv() -> (Kernel, nilicon_sim::ids::Pid, GuestKv) {
         let mut k = Kernel::default();
@@ -376,13 +522,67 @@ mod tests {
     #[test]
     fn malformed_wire_rejected() {
         assert!(KvRequest::decode(&[1, 2]).is_err());
-        let mut good = KvRequest {
-            ops: vec![KvOp::Get { slot: 1 }],
+        assert!(KvResponse::decode(&[0]).is_err());
+        // Every truncation of a valid message is rejected, never a panic.
+        let req = KvRequest {
+            ops: vec![
+                KvOp::Get { slot: 1 },
+                KvOp::Set {
+                    slot: 2,
+                    version: 3,
+                    value: vec![9; 40],
+                },
+                KvOp::Get { slot: 4 },
+            ],
         }
         .encode();
-        good.truncate(good.len() - 1);
-        assert!(KvRequest::decode(&good).is_err());
-        assert!(KvResponse::decode(&[0]).is_err());
+        for cut in 0..req.len() {
+            assert!(KvRequest::decode(&req[..cut]).is_err(), "request cut at {cut}");
+        }
+        let resp = KvResponse {
+            gets: vec![(1, 7, vec![1; 33]), (99, 0, vec![])],
+            sets_acked: 1,
+        }
+        .encode();
+        for cut in 0..resp.len() {
+            assert!(KvResponse::decode(&resp[..cut]).is_err(), "response cut at {cut}");
+        }
+    }
+
+    /// A count field claiming `u32::MAX` entries on a short buffer is a
+    /// malformed message, not a 170 GB reservation that aborts the process.
+    #[test]
+    fn hostile_count_is_rejected_without_reserving_for_it() {
+        let err = |r: SimResult<()>| matches!(r, Err(SimError::Invalid(_)));
+        assert!(err(KvRequest::decode(&[0xFF; 4]).map(drop)));
+        assert!(err(decode_ops(&[0xFF; 4]).map(drop)));
+        assert!(err(KvResponse::decode(&[0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF]).map(drop)));
+        // The same count in front of real ops: still short of the claim.
+        let mut req = KvRequest {
+            ops: vec![KvOp::Get { slot: 1 }; 3],
+        }
+        .encode();
+        req[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(err(KvRequest::decode(&req).map(drop)));
+    }
+
+    #[test]
+    fn get_into_appends_in_place_and_unwinds_on_error() {
+        let (mut k, pid, kv) = ctx_kv();
+        let mut ctx = GuestCtx::new(&mut k, pid, 0);
+        kv.set(&mut ctx, 3, 9, &value_pattern(3, 9, 64)).unwrap();
+        let mut out = vec![0xAB];
+        assert_eq!(kv.get_into(&mut ctx, 3, &mut out).unwrap(), 9);
+        assert_eq!(out[1..], value_pattern(3, 9, 64)[..]);
+        assert_eq!(kv.get_into(&mut ctx, 4, &mut out).unwrap(), 0);
+        assert_eq!(out.len(), 65, "unwritten slot appends nothing");
+        // A written record with version 0 and an empty value is not mistaken
+        // for an unwritten slot: its checksum word is non-zero.
+        assert_ne!(checksum(&[]), 0);
+        let off = kv.slot_off(3).unwrap() + HEADER as u64 + 10;
+        ctx.heap_write(off, &[0xFF]).unwrap();
+        assert!(kv.get_into(&mut ctx, 3, &mut out).is_err());
+        assert_eq!(out.len(), 65, "failed get leaves the buffer as it was");
     }
 
     #[test]
@@ -403,5 +603,70 @@ mod tests {
         assert_eq!(value_pattern(1, 1, 32), value_pattern(1, 1, 32));
         assert_ne!(value_pattern(1, 1, 32), value_pattern(1, 2, 32));
         assert_ne!(value_pattern(1, 1, 32), value_pattern(2, 1, 32));
+    }
+
+    fn op_list() -> impl Strategy<Value = Vec<(bool, u32, u64, usize)>> {
+        // (is_set, slot, version, value length); slots collide on purpose and
+        // stay below the 100 the test store has, lengths include 0 and max.
+        proptest::collection::vec(
+            (any::<bool>(), 0..12u32, 0..4u64, prop_oneof![Just(0usize), Just(256), 0..257usize]),
+            0..40,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The borrowed server path and the owned public types agree on the
+        /// wire: `decode_ops` sees the ops `KvRequest::decode` sees, and the
+        /// bytes `ResponseWriter` builds are `KvResponse::encode` of what
+        /// executing those ops through `GuestKv::get` returns.
+        #[test]
+        fn borrowed_path_matches_owned_wire_format(list in op_list()) {
+            let ops: Vec<KvOp> = list
+                .iter()
+                .map(|&(is_set, slot, version, len)| if is_set {
+                    KvOp::Set { slot, version, value: value_pattern(slot, version, len) }
+                } else {
+                    KvOp::Get { slot }
+                })
+                .collect();
+            let wire = KvRequest { ops: ops.clone() }.encode();
+            let borrowed = decode_ops(&wire).unwrap();
+            prop_assert_eq!(
+                borrowed.iter().map(|op| op.to_op()).collect::<Vec<_>>(),
+                KvRequest::decode(&wire).unwrap().ops
+            );
+            prop_assert_eq!(&KvRequest::decode(&wire).unwrap().ops, &ops);
+
+            // Two identical stores: one served in place, one through the
+            // owned types.
+            let (mut k1, pid1, kv) = ctx_kv();
+            let (mut k2, pid2, _) = ctx_kv();
+            let mut c1 = GuestCtx::new(&mut k1, pid1, 0);
+            let mut c2 = GuestCtx::new(&mut k2, pid2, 0);
+            let mut writer = ResponseWriter::for_ops(&borrowed, &kv);
+            let mut owned = KvResponse::default();
+            for (op_ref, op) in borrowed.iter().zip(&ops) {
+                match (*op_ref, op) {
+                    (KvOpRef::Set { slot, version, value }, KvOp::Set { value: v2, .. }) => {
+                        kv.set(&mut c1, slot, version, value).unwrap();
+                        kv.set(&mut c2, slot, version, v2).unwrap();
+                        writer.ack_set();
+                        owned.sets_acked += 1;
+                    }
+                    (KvOpRef::Get { slot }, KvOp::Get { .. }) => {
+                        writer.get(&kv, &mut c1, slot).unwrap();
+                        let (version, value) = kv.get(&mut c2, slot).unwrap();
+                        owned.gets.push((slot, version, value));
+                    }
+                    _ => unreachable!("same op list"),
+                }
+            }
+            let bytes = writer.finish();
+            prop_assert_eq!(&bytes, &owned.encode());
+            prop_assert_eq!(KvResponse::decode(&bytes).unwrap(), owned);
+            prop_assert_eq!(k1.meter.take(), k2.meter.take(), "same guest-memory charges");
+        }
     }
 }

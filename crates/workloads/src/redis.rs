@@ -8,7 +8,7 @@
 //! (Table III: 6.3 K pages/epoch) and make Redis the most
 //! runtime-overhead-bound benchmark (Fig. 3).
 
-use crate::guestkv::{GuestKv, KvOp, KvRequest, KvResponse};
+use crate::guestkv::{decode_ops, GuestKv, KvOpRef, ResponseWriter};
 use crate::scale::Scale;
 use nilicon_container::{Application, GuestCtx, RequestOutcome};
 use nilicon_sim::time::Nanos;
@@ -55,31 +55,6 @@ impl RedisApp {
         &self.kv
     }
 
-    fn exec_batch(&mut self, ctx: &mut GuestCtx<'_>, req: &KvRequest) -> SimResult<KvResponse> {
-        let mut resp = KvResponse::default();
-        for op in &req.ops {
-            ctx.cpu(self.cpu_per_op);
-            self.ops_processed += 1;
-            match op {
-                KvOp::Set {
-                    slot,
-                    version,
-                    value,
-                } => {
-                    self.kv.set(ctx, *slot, *version, value)?;
-                    self.kv
-                        .aux_touch(ctx, *slot as u64 ^ version, self.aux_per_set)?;
-                    resp.sets_acked += 1;
-                }
-                KvOp::Get { slot } => {
-                    let (version, value) = self.kv.get(ctx, *slot)?;
-                    self.kv.aux_touch(ctx, *slot as u64, self.aux_per_get)?;
-                    resp.gets.push((*slot, version, value));
-                }
-            }
-        }
-        Ok(resp)
-    }
 }
 
 impl Application for RedisApp {
@@ -99,10 +74,32 @@ impl Application for RedisApp {
     }
 
     fn handle_request(&mut self, ctx: &mut GuestCtx<'_>, req: &[u8]) -> SimResult<RequestOutcome> {
-        let request = KvRequest::decode(req)?;
-        let resp = self.exec_batch(ctx, &request)?;
+        // Values go from the request buffer into guest memory, and from
+        // guest memory into the response buffer, with no copy in between.
+        let ops = decode_ops(req)?;
+        let mut resp = ResponseWriter::for_ops(&ops, &self.kv);
+        for op in ops {
+            ctx.cpu(self.cpu_per_op);
+            self.ops_processed += 1;
+            match op {
+                KvOpRef::Set {
+                    slot,
+                    version,
+                    value,
+                } => {
+                    self.kv.set(ctx, slot, version, value)?;
+                    self.kv
+                        .aux_touch(ctx, slot as u64 ^ version, self.aux_per_set)?;
+                    resp.ack_set();
+                }
+                KvOpRef::Get { slot } => {
+                    resp.get(&self.kv, ctx, slot)?;
+                    self.kv.aux_touch(ctx, slot as u64, self.aux_per_get)?;
+                }
+            }
+        }
         Ok(RequestOutcome {
-            response: resp.encode(),
+            response: resp.finish(),
         })
     }
 
@@ -115,7 +112,7 @@ impl Application for RedisApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guestkv::value_pattern;
+    use crate::guestkv::{value_pattern, KvOp, KvRequest, KvResponse};
     use nilicon_container::{ContainerRuntime, ContainerSpec};
     use nilicon_sim::kernel::Kernel;
 

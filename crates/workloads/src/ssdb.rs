@@ -6,7 +6,7 @@
 //! cost (LSM write path + syncs) gives SSDB its 93 ms stock batch latency
 //! (Table VI) and moderate dirty-page rate (Table III: 590 pages/epoch).
 
-use crate::guestkv::{GuestKv, KvOp, KvRequest, KvResponse};
+use crate::guestkv::{decode_ops, GuestKv, KvOpRef, ResponseWriter};
 use crate::scale::Scale;
 use nilicon_container::{Application, GuestCtx, RequestOutcome};
 use nilicon_sim::ids::Fd;
@@ -66,39 +66,36 @@ impl Application for SsdbApp {
 
     fn handle_request(&mut self, ctx: &mut GuestCtx<'_>, req: &[u8]) -> SimResult<RequestOutcome> {
         let fd = self.db_fd.expect("init ran");
-        let request = KvRequest::decode(req)?;
-        let mut resp = KvResponse::default();
-        for op in &request.ops {
+        let ops = decode_ops(req)?;
+        let mut resp = ResponseWriter::for_ops(&ops, &self.kv);
+        for op in ops {
             ctx.cpu(self.cpu_per_op);
             match op {
-                KvOp::Set {
+                KvOpRef::Set {
                     slot,
                     version,
                     value,
                 } => {
                     // Memtable (guest memory) + durable file write.
-                    self.kv.set(ctx, *slot, *version, value)?;
+                    self.kv.set(ctx, slot, version, value)?;
                     self.kv
-                        .aux_touch(ctx, *slot as u64 ^ version, self.aux_per_set)?;
+                        .aux_touch(ctx, slot as u64 ^ version, self.aux_per_set)?;
                     let mut rec = version.to_le_bytes().to_vec();
                     rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
                     rec.extend_from_slice(value);
-                    ctx.pwrite(fd, self.file_off(*slot), &rec)?;
+                    ctx.pwrite(fd, self.file_off(slot), &rec)?;
                     self.sets_since_sync += 1;
                     if self.sets_since_sync >= self.fsync_every {
                         ctx.fsync(fd)?;
                         self.sets_since_sync = 0;
                     }
-                    resp.sets_acked += 1;
+                    resp.ack_set();
                 }
-                KvOp::Get { slot } => {
-                    let (version, value) = self.kv.get(ctx, *slot)?;
-                    resp.gets.push((*slot, version, value));
-                }
+                KvOpRef::Get { slot } => resp.get(&self.kv, ctx, slot)?,
             }
         }
         Ok(RequestOutcome {
-            response: resp.encode(),
+            response: resp.finish(),
         })
     }
 
@@ -115,7 +112,7 @@ impl Application for SsdbApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guestkv::value_pattern;
+    use crate::guestkv::{value_pattern, KvOp, KvRequest, KvResponse};
     use nilicon_container::{ContainerRuntime, ContainerSpec};
     use nilicon_sim::kernel::Kernel;
 

@@ -166,7 +166,7 @@ fn run_replay(
                 ReplayEvent::Request {
                     pid: c.workers[0],
                     at,
-                    payload: req,
+                    payload: req.into(),
                     response_hash: content_hash(&outcome.response),
                     response_len: outcome.response.len() as u32,
                 }
