@@ -1,0 +1,85 @@
+//! Wall-clock benchmarks of the `(k, n)` placement data path: the
+//! Reed–Solomon page codec on its own (systematic and parity encode, decode
+//! from data fragments and through parity), and one whole
+//! `PlacementEngine` epoch at the dirty-page count the system benchmark's
+//! `kn_repair` workload averages.
+
+use criterion::{criterion_group, criterion_main, Criterion};
+use nilicon::{Checkpointer, OptimizationConfig, PlacementEngine};
+use nilicon_container::{ContainerRuntime, ContainerSpec, MemLayout};
+use nilicon_criu::ShardCodec;
+use nilicon_sim::kernel::Kernel;
+use nilicon_sim::PAGE_SIZE;
+use std::hint::black_box;
+
+fn noise_page(seed: u32) -> Box<[u8; PAGE_SIZE]> {
+    let mut page = Box::new([0u8; PAGE_SIZE]);
+    let mut x = seed | 1;
+    for b in page.iter_mut() {
+        x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+        *b = (x >> 16) as u8;
+    }
+    page
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("shard");
+    let page = noise_page(7);
+    for (name, k, n) in [("encode_2of3", 2, 3), ("encode_3of5", 3, 5)] {
+        let mut codec = ShardCodec::new(k, n).unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(codec.encode(black_box(&page)).len()));
+        });
+    }
+    let mut codec = ShardCodec::new(2, 3).unwrap();
+    let frags: Vec<Vec<u8>> = codec.encode(&page).to_vec();
+    for (name, picks) in [
+        ("decode_systematic_2of3", [0usize, 1]),
+        ("decode_parity_2of3", [1, 2]),
+    ] {
+        let picks: Vec<(usize, &[u8])> = picks.iter().map(|&i| (i, &frags[i][..])).collect();
+        let mut out = Box::new([0u8; PAGE_SIZE]);
+        group.bench_function(name, |b| {
+            b.iter(|| codec.decode(black_box(&picks), &mut out).unwrap());
+        });
+        assert_eq!(*out, *page);
+    }
+    group.finish();
+}
+
+fn bench_placement_epoch(c: &mut Criterion) {
+    const DIRTY_PAGES: u64 = 742;
+    let mut group = c.benchmark_group("shard");
+    let mut opts = OptimizationConfig::nilicon();
+    opts.backups = 3;
+    opts.quorum = 2;
+    let mut primary = Kernel::default();
+    let mut backup = Kernel::default();
+    let mut spec = ContainerSpec::server("bench", 10, 80);
+    spec.heap_pages = 2 * DIRTY_PAGES;
+    let cont = ContainerRuntime::create(&mut primary, &spec).unwrap();
+    let mut engine = PlacementEngine::new(opts, primary.costs.clone()).unwrap();
+    engine.prepare(&mut primary, &cont).unwrap();
+    let pid = cont.init_pid();
+    let mut epoch = 0u64;
+    group.bench_function("placement_checkpoint_742_pages", |b| {
+        b.iter(|| {
+            epoch += 1;
+            for page in 0..DIRTY_PAGES {
+                let word = (epoch * DIRTY_PAGES + page).to_le_bytes();
+                primary
+                    .mem_write(pid, MemLayout::heap_page(page), &word)
+                    .unwrap();
+            }
+            let out = engine
+                .checkpoint(&mut primary, &mut backup, &cont, epoch)
+                .unwrap();
+            engine.commit(&mut backup, epoch).unwrap();
+            black_box(out.state_bytes)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_codec, bench_placement_epoch);
+criterion_main!(benches);

@@ -9,7 +9,7 @@
 //! materialized into CRIU-format images and restored.
 
 use nilicon_criu::{
-    CheckpointImage, LinkedListStore, PageEncoding, PageKey, PageStore, RadixTreeStore,
+    CheckpointImage, FragBuf, LinkedListStore, PageEncoding, PageKey, PageStore, RadixTreeStore,
 };
 use nilicon_sim::ids::Pid;
 use nilicon_drbd::{DrbdBackup, DrbdMsg};
@@ -20,16 +20,22 @@ use nilicon_sim::ids::Ino;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// Merged committed file-cache page: contents + writeback-dirty flag.
 type FsPageEntry = (Box<[u8; PAGE_SIZE]>, bool);
+
+/// One page's erasure-coded fragment on its way into a replica's store.
+pub type Fragment = (Pid, u64, FragBuf);
 
 /// An epoch arriving in pieces (COW checkpointing): the metadata image lands
 /// first, then page chunks stream in as the primary's background copier
 /// drains them. The epoch enters `pending` — and thus becomes ackable — only
 /// once every expected page has arrived.
 struct CowAssembly {
-    img: CheckpointImage,
+    img: Rc<CheckpointImage>,
+    /// Fragments received so far (a `(k, n)` placement replica's chunks).
+    frags: Vec<Fragment>,
     /// Pages the primary deferred at pause (the protect-set size).
     expected_pages: u64,
     /// Pages received in chunks so far.
@@ -62,13 +68,18 @@ impl DiscardCounts {
 /// The backup agent's buffered replica state.
 pub struct BackupAgent {
     store: Box<dyn PageStore>,
-    /// Fully-received epochs awaiting commit (epoch → image).
-    pending: BTreeMap<u64, CheckpointImage>,
+    /// Committed fragments, when this agent is one replica of a `(k, n)`
+    /// placement: `frag_len` bytes per page, the replica's fragment of it.
+    /// Such an agent receives no whole pages and `store` stays empty (and
+    /// the other way round on the paper's single backup).
+    frag_store: Box<dyn PageStore<FragBuf>>,
+    /// Fully-received epochs awaiting commit (epoch → image and fragments).
+    pending: BTreeMap<u64, (Rc<CheckpointImage>, Vec<Fragment>)>,
     /// In-flight COW chunk assembly (at most one epoch streams at a time).
     assembling: Option<CowAssembly>,
     /// Latest committed metadata image (pages stripped — they live in the
     /// store).
-    committed_meta: Option<CheckpointImage>,
+    committed_meta: Option<Rc<CheckpointImage>>,
     /// Merged committed file-cache state.
     fs_pages: HashMap<(Ino, u64), FsPageEntry>,
     /// Merged committed inode-cache state.
@@ -90,7 +101,7 @@ impl std::fmt::Debug for BackupAgent {
         f.debug_struct("BackupAgent")
             .field("committed_epoch", &self.committed_epoch)
             .field("pending", &self.pending.len())
-            .field("stored_pages", &self.store.len())
+            .field("stored_pages", &self.stored_pages())
             .field("cpu", &self.cpu)
             .finish()
     }
@@ -100,13 +111,20 @@ impl BackupAgent {
     /// New agent. `use_radix` selects NiLiCon's radix tree vs stock CRIU's
     /// linked list of checkpoint directories (§V-A).
     pub fn new(costs: CostModel, use_radix: bool) -> Self {
-        let store: Box<dyn PageStore> = if use_radix {
-            Box::new(RadixTreeStore::new())
+        let (store, frag_store): (Box<dyn PageStore>, Box<dyn PageStore<FragBuf>>) = if use_radix {
+            (
+                Box::new(RadixTreeStore::new()),
+                Box::<RadixTreeStore<FragBuf>>::default(),
+            )
         } else {
-            Box::new(LinkedListStore::new())
+            (
+                Box::new(LinkedListStore::new()),
+                Box::<LinkedListStore<FragBuf>>::default(),
+            )
         };
         BackupAgent {
             store,
+            frag_store,
             pending: BTreeMap::new(),
             assembling: None,
             committed_meta: None,
@@ -128,7 +146,7 @@ impl BackupAgent {
             .costs
             .backup_recv(img.state_bytes(), img.transfer_chunks());
         self.cpu += cpu;
-        self.pending.insert(img.epoch, img);
+        self.pending.insert(img.epoch, (Rc::new(img), Vec::new()));
         cpu
     }
 
@@ -137,13 +155,23 @@ impl BackupAgent {
     /// `expected_pages` pages. The epoch is not ackable until
     /// [`BackupAgent::finish_assembly`] confirms every page arrived. Returns
     /// the backup CPU consumed receiving the metadata.
-    pub fn begin_assembly(&mut self, img: CheckpointImage, expected_pages: u64) -> Nanos {
+    ///
+    /// The replicas of a `(k, n)` placement receive the same metadata and
+    /// pass one shared image (an `Rc`) instead of a copy each; such an
+    /// epoch's pages arrive through [`BackupAgent::ingest_fragments`].
+    pub fn begin_assembly(
+        &mut self,
+        img: impl Into<Rc<CheckpointImage>>,
+        expected_pages: u64,
+    ) -> Nanos {
+        let img = img.into();
         let cpu = self
             .costs
             .backup_recv(img.state_bytes(), img.transfer_chunks());
         self.cpu += cpu;
         self.assembling = Some(CowAssembly {
             img,
+            frags: Vec::new(),
             expected_pages,
             received_pages: 0,
             received_chunks: 0,
@@ -160,6 +188,41 @@ impl BackupAgent {
         pages: Vec<(Pid, u64, PageBuf)>,
         deltas: Vec<(Pid, u64, PageEncoding)>,
     ) -> SimResult<Nanos> {
+        let bytes = pages.len() as u64 * PAGE_SIZE as u64
+            + deltas
+                .iter()
+                .map(|(_, _, e)| e.encoded_bytes())
+                .sum::<u64>();
+        let (asm, cpu) = self.receive_chunk(epoch, (pages.len() + deltas.len()) as u64, bytes)?;
+        let img = Rc::get_mut(&mut asm.img).ok_or_else(|| {
+            SimError::Invalid(format!(
+                "epoch {epoch}: whole pages cannot join a metadata image other replicas share"
+            ))
+        })?;
+        img.pages.extend(pages);
+        img.page_deltas.extend(deltas);
+        Ok(cpu)
+    }
+
+    /// [`BackupAgent::ingest_chunk`] for a `(k, n)` placement replica: one
+    /// chunk of this replica's fragments, `frag_len` bytes each, kept at
+    /// that size. The receive is charged per 4 KiB unit, as it was when a
+    /// fragment travelled padded to a page.
+    pub fn ingest_fragments(&mut self, epoch: u64, frags: Vec<Fragment>) -> SimResult<Nanos> {
+        let units = frags.len() as u64;
+        let (asm, cpu) = self.receive_chunk(epoch, units, units * PAGE_SIZE as u64)?;
+        asm.frags.extend(frags);
+        Ok(cpu)
+    }
+
+    /// Account one chunk of `units` pages (`bytes` on the modelled wire)
+    /// against the assembly open for `epoch`.
+    fn receive_chunk(
+        &mut self,
+        epoch: u64,
+        units: u64,
+        bytes: u64,
+    ) -> SimResult<(&mut CowAssembly, Nanos)> {
         let asm = match &mut self.assembling {
             Some(a) if a.img.epoch == epoch => a,
             _ => {
@@ -168,15 +231,11 @@ impl BackupAgent {
                 )))
             }
         };
-        let bytes = pages.len() as u64 * PAGE_SIZE as u64
-            + deltas.iter().map(|(_, _, e)| e.encoded_bytes()).sum::<u64>();
         let cpu = self.costs.backup_recv(bytes, 1);
         self.cpu += cpu;
-        asm.received_pages += (pages.len() + deltas.len()) as u64;
+        asm.received_pages += units;
         asm.received_chunks += 1;
-        asm.img.pages.extend(pages);
-        asm.img.page_deltas.extend(deltas);
-        Ok(cpu)
+        Ok((asm, cpu))
     }
 
     /// COW streaming step 3: the commit barrier. Verifies every deferred
@@ -199,7 +258,7 @@ impl BackupAgent {
                 asm.received_pages, asm.expected_pages
             )));
         }
-        self.pending.insert(epoch, asm.img);
+        self.pending.insert(epoch, (asm.img, asm.frags));
         Ok(())
     }
 
@@ -240,7 +299,7 @@ impl BackupAgent {
         let mut cpu: Nanos = 0;
         let mut total_probes = 0u64;
         for e in epochs {
-            let img = &self.pending[&e];
+            let img = &self.pending[&e].0;
             let orphan = img.page_deltas.iter().find(|(pid, vpn, enc)| {
                 let key = PageKey {
                     pid: *pid,
@@ -253,27 +312,47 @@ impl BackupAgent {
                     "epoch {e}: delta for page {pid:?}/{vpn:#x} with no base in the backup store"
                 )));
             }
-            let mut img = self.pending.remove(&e).expect("epoch listed from range");
+            let (mut img, frags) = self.pending.remove(&e).expect("epoch listed from range");
+            // What this epoch merges into the stores: taken out of an image
+            // this agent alone holds, copied out of one other replicas share.
+            let (pages, page_deltas, fs_pages, fs_inodes) = match Rc::get_mut(&mut img) {
+                Some(own) => (
+                    std::mem::take(&mut own.pages),
+                    std::mem::take(&mut own.page_deltas),
+                    std::mem::take(&mut own.fs_pages.pages),
+                    std::mem::take(&mut own.fs_inodes),
+                ),
+                None => (
+                    img.pages.clone(),
+                    img.page_deltas.clone(),
+                    img.fs_pages.pages.clone(),
+                    img.fs_inodes.clone(),
+                ),
+            };
             self.store.begin_checkpoint();
+            self.frag_store.begin_checkpoint();
             let mut probes = 0u64;
-            for (pid, vpn, data) in img.pages.drain(..) {
+            for (pid, vpn, data) in pages {
                 probes += self.store.insert(PageKey { pid, vpn }, data);
+            }
+            for (pid, vpn, frag) in frags {
+                probes += self.frag_store.insert(PageKey { pid, vpn }, frag);
             }
             // Delta-encoded pages: reconstruct against the store's current
             // copy (epochs apply in order, so that copy is exactly the
             // primary-side shadow base) and charge the modeled decode CPU.
-            let delta_pages = img.page_deltas.len() as u64;
-            for (pid, vpn, enc) in img.page_deltas.drain(..) {
+            let delta_pages = page_deltas.len() as u64;
+            for (pid, vpn, enc) in page_deltas {
                 probes += self.store.apply_delta(PageKey { pid, vpn }, &enc);
             }
             cpu += delta_pages * self.costs.delta_apply_per_page;
             total_probes += probes;
             cpu += probes * per_probe;
             // Merge file-cache state.
-            for (ino, idx, data, dirty) in img.fs_pages.pages.drain(..) {
+            for (ino, idx, data, dirty) in fs_pages {
                 self.fs_pages.insert((ino, idx), (data, dirty));
             }
-            for inode in img.fs_inodes.drain(..) {
+            for inode in fs_inodes {
                 self.fs_inodes.insert(inode.ino, inode);
             }
             self.committed_meta = Some(img);
@@ -320,7 +399,7 @@ impl BackupAgent {
             .committed_meta
             .as_ref()
             .ok_or_else(|| SimError::ImageCorrupt("no committed checkpoint".into()))?;
-        let mut img = meta.clone();
+        let mut img = CheckpointImage::clone(meta);
         img.pages = self
             .store
             .iter_sorted()
@@ -352,9 +431,21 @@ impl BackupAgent {
         self.cpu
     }
 
-    /// Pages currently in the committed store.
+    /// Pages currently in the committed store (whole or as fragments).
     pub fn stored_pages(&self) -> usize {
-        self.store.len()
+        self.store.len() + self.frag_store.len()
+    }
+
+    /// Every committed fragment, sorted by key. The metadata that goes with
+    /// them is [`BackupAgent::materialize`]'s image, whose page list is
+    /// empty on a fragment-holding agent.
+    pub fn fragments(&self) -> Vec<(PageKey, &FragBuf)> {
+        self.frag_store.iter_sorted()
+    }
+
+    /// The committed fragment of one page.
+    pub fn fragment(&self, key: PageKey) -> Option<&FragBuf> {
+        self.frag_store.get(key)
     }
 }
 
@@ -654,5 +745,87 @@ mod tests {
             "list commit {list_commit} vs radix {radix_commit} — §V-A gap grows with history"
         );
         assert_eq!(radix.stored_pages(), list.stored_pages());
+    }
+
+    #[test]
+    fn fragments_commit_behind_the_assembly_barrier() {
+        let mut a = agent();
+        let mut disk = BlockDevice::new(DevId(2));
+        let frag = |tag: u8| -> FragBuf { vec![tag; 2048].into() };
+        a.begin_assembly(img(1, &[]), 2);
+        let cpu = a
+            .ingest_fragments(1, vec![(Pid(1), 0x10, frag(1)), (Pid(1), 0x11, frag(2))])
+            .unwrap();
+        assert_eq!(
+            cpu,
+            CostModel::default().backup_recv(2 * PAGE_SIZE as u64, 1),
+            "the receive is charged per 4 KiB unit"
+        );
+        a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
+        assert!(!a.epoch_complete(1));
+        a.finish_assembly(1).unwrap();
+        a.commit(1, &mut disk).unwrap();
+        assert_eq!(a.stored_pages(), 2);
+        assert!(a.materialize().unwrap().pages.is_empty(), "no whole pages");
+
+        // Epoch 2 rewrites one page and is discarded before its commit.
+        a.begin_assembly(img(2, &[]), 1);
+        a.ingest_fragments(2, vec![(Pid(1), 0x10, frag(9))])
+            .unwrap();
+        assert!(a.ingest_fragments(3, vec![]).is_err(), "epoch mismatch");
+        a.discard_uncommitted();
+        let key = PageKey {
+            pid: Pid(1),
+            vpn: 0x10,
+        };
+        assert_eq!(
+            a.fragment(key).unwrap()[0],
+            1,
+            "uncommitted fragment never lands"
+        );
+        let keys: Vec<u64> = a.fragments().iter().map(|(k, _)| k.vpn).collect();
+        assert_eq!(keys, [0x10, 0x11]);
+    }
+
+    #[test]
+    fn shared_metadata_image_commits_like_an_owned_one() {
+        // Two replicas given one Rc'd image merge the same fs-cache state an
+        // agent given its own copy does, and the shared image is left whole.
+        let mut meta = img(1, &[]);
+        meta.fs_pages
+            .pages
+            .push((Ino(5), 0, Box::new([7u8; PAGE_SIZE]), true));
+        let shared = Rc::new(meta.clone());
+        let mut disk = BlockDevice::new(DevId(2));
+        let mut owned = agent();
+        owned.begin_assembly(meta, 0);
+        let mut replicas = [agent(), agent()];
+        for r in &mut replicas {
+            r.begin_assembly(shared.clone(), 0);
+        }
+        for a in replicas.iter_mut().chain([&mut owned]) {
+            a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
+            a.finish_assembly(1).unwrap();
+            a.commit(1, &mut disk).unwrap();
+        }
+        let want = owned.materialize().unwrap();
+        for r in &replicas {
+            let got = r.materialize().unwrap();
+            assert_eq!(got.fs_pages.pages, want.fs_pages.pages);
+            assert_eq!(got.epoch, want.epoch);
+        }
+        assert_eq!(
+            shared.fs_pages.pages.len(),
+            1,
+            "a shared image is only read"
+        );
+
+        // Whole pages have no place in an image other replicas share.
+        replicas[0].begin_assembly(Rc::new(img(2, &[])), 1);
+        let held = Rc::new(img(3, &[]));
+        replicas[1].begin_assembly(held.clone(), 1);
+        let page = vec![(Pid(1), 0x10, Rc::new([0u8; PAGE_SIZE]))];
+        assert!(replicas[0].ingest_chunk(2, page.clone(), vec![]).is_ok());
+        assert!(replicas[1].ingest_chunk(3, page, vec![]).is_err());
     }
 }

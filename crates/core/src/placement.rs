@@ -44,11 +44,13 @@
 //! Modeling notes: the engine requires the staged transfer path
 //! (`staging_buffer`) and composes with neither `delta_transfer` nor
 //! `cow_checkpoint` (fragments are coded from full page bodies after the
-//! container resumes). Replica receive CPU is modeled on the padded 4 KiB
-//! page boxes the agents store, not the `frag_len` payload — wire bytes and
-//! stored-fragment accounting use the true fragment size.
+//! container resumes). A fragment is built once, in the `frag_len`-byte heap
+//! buffer replica `i`'s store then keeps (DESIGN §10); replica receive CPU is
+//! still modeled on a 4 KiB unit per fragment — the charge is older than the
+//! fragment-sized stores and is kept, so no virtual number moved — while wire
+//! bytes and stored-fragment accounting use the true fragment size.
 
-use crate::backup::BackupAgent;
+use crate::backup::{BackupAgent, Fragment};
 use crate::config::OptimizationConfig;
 use crate::engine::{
     BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
@@ -57,8 +59,8 @@ use crate::engine::{
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
 use nilicon_criu::{
-    bootstrap_dump, dump_container, CheckpointImage, InfrequentCache, RestoreConfig,
-    RestoredContainer, ShardCodec,
+    bootstrap_dump, dump_container, CheckpointImage, FragBuf, InfrequentCache, PageKey,
+    RestoreConfig, RestoredContainer, ShardCodec,
 };
 use nilicon_drbd::{DrbdMsg, DrbdPrimary};
 use nilicon_sim::block::BlockDevice;
@@ -70,11 +72,7 @@ use nilicon_sim::replay::{ReplayEvent, ReplayLog};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashSet};
-
-/// One replica's per-epoch fragment batch, in `BackupAgent::ingest_chunk`
-/// page form: each entry carries a zero-padded `PAGE_SIZE` box holding that
-/// replica's fragment of the page.
-type FragmentBatch = Vec<(Pid, u64, PageBuf)>;
+use std::rc::Rc;
 
 /// One backup replica: a buffered agent plus its replicated block device.
 /// The replica at index 0 is backed by the harness's real backup kernel —
@@ -91,9 +89,13 @@ struct Replica {
 struct ActiveRepair {
     /// Replica index being regenerated.
     target: usize,
-    /// Full committed pages decoded from k survivors at repair begin,
-    /// streamed to the target in bounded chunks.
-    base_pages: Vec<(Pid, u64, PageBuf)>,
+    /// The k survivors the base is read from.
+    survivors: Vec<usize>,
+    /// Their committed fragments as of `base_epoch`, one key-aligned list
+    /// per survivor. The buffers are shared with the survivors' stores (a
+    /// later commit replaces a store's buffer, it never writes into one),
+    /// so the snapshot copies nothing; each step decodes its own chunk.
+    base: Vec<Vec<(PageKey, FragBuf)>>,
     /// Next page to stream.
     cursor: usize,
     /// Committed epoch the base image corresponds to.
@@ -257,13 +259,73 @@ impl PlacementEngine {
             .collect()
     }
 
-    /// Zero-padded fragment `idx` of `page`, as a fresh refcounted buffer
-    /// for the agent's page store (which holds 4 KiB units).
-    fn frag_boxed(&mut self, page: &[u8; PAGE_SIZE], idx: usize) -> PageBuf {
-        let frags = self.codec.encode(page);
-        let mut b = [0u8; PAGE_SIZE];
-        b[..frags[idx].len()].copy_from_slice(&frags[idx]);
-        std::rc::Rc::new(b)
+    /// Erasure-code `pages` and hand fragment `i` of each page to alive
+    /// replica `i`'s open assembly as one chunk, adding each replica's
+    /// receive CPU to `per_cpu[i]`. Every epoch path — whole-epoch,
+    /// pipelined, bootstrap — stripes through here.
+    fn fan_out(
+        &mut self,
+        epoch: u64,
+        pages: &[(Pid, u64, PageBuf)],
+        per_cpu: &mut [Nanos],
+    ) -> SimResult<()> {
+        let mut batches: Vec<Vec<Fragment>> = self
+            .replicas
+            .iter()
+            .map(|r| Vec::with_capacity(if r.alive { pages.len() } else { 0 }))
+            .collect();
+        for (pid, vpn, data) in pages {
+            for (i, batch) in batches.iter_mut().enumerate() {
+                if self.replicas[i].alive {
+                    batch.push((*pid, *vpn, self.codec.encode_fragment(data, i)));
+                }
+            }
+        }
+        for (i, batch) in batches.into_iter().enumerate() {
+            if self.replicas[i].alive {
+                per_cpu[i] += self.replicas[i].agent.ingest_fragments(epoch, batch)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The committed fragment lists of the replicas `pick`, sorted by key
+    /// and checked to hold the same keys.
+    fn committed_fragments<'a>(
+        replicas: &'a [Replica],
+        pick: &[usize],
+    ) -> SimResult<Vec<Vec<(PageKey, &'a FragBuf)>>> {
+        let mut lists = Vec::with_capacity(pick.len());
+        for &i in pick {
+            let r = replicas
+                .get(i)
+                .ok_or_else(|| SimError::Invalid(format!("no replica {i}")))?;
+            lists.push(r.agent.fragments());
+        }
+        for list in lists.iter().skip(1) {
+            if !list.iter().map(|f| f.0).eq(lists[0].iter().map(|f| f.0)) {
+                return Err(SimError::Invalid(format!(
+                    "replica fragment stores diverge: {} vs {} pages, or other keys",
+                    list.len(),
+                    lists[0].len()
+                )));
+            }
+        }
+        Ok(lists)
+    }
+
+    /// One page from `k` of its fragments (`(replica index, bytes)`). With
+    /// `k = 1` the fragment is the page and its buffer is handed over as is.
+    fn decode_page(codec: &mut ShardCodec, frags: &[(usize, &FragBuf)]) -> SimResult<PageBuf> {
+        if let [(_, whole)] = frags {
+            if let Ok(page) = PageBuf::try_from(FragBuf::clone(whole)) {
+                return Ok(page);
+            }
+        }
+        let mut page: PageBuf = Rc::new([0u8; PAGE_SIZE]);
+        let out = Rc::get_mut(&mut page).expect("a fresh page has one owner");
+        codec.decode(frags, out)?;
+        Ok(page)
     }
 
     /// Reconstruct the committed image byte-identically from the fragment
@@ -277,48 +339,17 @@ impl PlacementEngine {
                 replicas.len()
             )));
         }
-        let mut imgs = Vec::with_capacity(k);
-        for &i in replicas {
-            let r = self
-                .replicas
-                .get(i)
-                .ok_or_else(|| SimError::Invalid(format!("no replica {i}")))?;
-            imgs.push(r.agent.materialize()?);
-        }
+        let lists = Self::committed_fragments(&self.replicas, replicas)?;
         // Metadata, sockets, and fs state replicate in full on every
         // replica; adopt the first one's and decode only the pages.
-        let mut out = imgs[0].clone();
-        if k == 1 {
-            return Ok(out);
+        let mut out = self.replicas[replicas[0]].agent.materialize()?;
+        let mut frags = Vec::with_capacity(k);
+        for (p, &(key, _)) in lists[0].iter().enumerate() {
+            frags.clear();
+            frags.extend(replicas.iter().zip(&lists).map(|(&i, list)| (i, list[p].1)));
+            let page = Self::decode_page(&mut self.codec, &frags)?;
+            out.pages.push((key.pid, key.vpn, page));
         }
-        let n_pages = imgs[0].pages.len();
-        for img in &imgs[1..] {
-            if img.pages.len() != n_pages {
-                return Err(SimError::Invalid(format!(
-                    "replica fragment stores diverge: {} vs {n_pages} pages",
-                    img.pages.len()
-                )));
-            }
-        }
-        let frag_len = self.codec.frag_len();
-        let mut pages = Vec::with_capacity(n_pages);
-        for p in 0..n_pages {
-            let (pid, vpn, _) = imgs[0].pages[p];
-            let mut frags = Vec::with_capacity(k);
-            for (j, img) in imgs.iter().enumerate() {
-                let (fpid, fvpn, ref data) = img.pages[p];
-                if (fpid, fvpn) != (pid, vpn) {
-                    return Err(SimError::Invalid(format!(
-                        "replica fragment stores diverge at page {p}"
-                    )));
-                }
-                frags.push((replicas[j], &data[..frag_len]));
-            }
-            let mut full = [0u8; PAGE_SIZE];
-            self.codec.decode(&frags, &mut full)?;
-            pages.push((pid, vpn, std::rc::Rc::new(full)));
-        }
-        out.pages = pages;
         Ok(out)
     }
 
@@ -456,6 +487,9 @@ impl Checkpointer for PlacementEngine {
         // into n fragments and ship fragment i to replica i behind the
         // assembly barrier. All replica links run in parallel.
         let pages = std::mem::take(&mut img.pages);
+        // What is left is metadata every replica receives whole: one image,
+        // shared, not a copy per replica.
+        let img = Rc::new(img);
         let n_pages = pages.len() as u64;
         let meta_bytes = img.state_bytes();
         let frag_len = self.codec.frag_len() as u64;
@@ -467,7 +501,12 @@ impl Checkpointer for PlacementEngine {
         );
 
         let link = primary.costs.repl_link_latency;
-        let (ack_delay, total_cpu) = if self.opts.pipeline {
+        let first_alive = alive[0];
+        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
+        for &i in &alive {
+            per_cpu[i] = self.replicas[i].agent.begin_assembly(img.clone(), n_pages);
+        }
+        let transfer = if self.opts.pipeline {
             // --- Staged pipeline: chunked stripe fan-out -----------------
             // Each 64-page chunk is erasure-coded and striped to all alive
             // replicas as soon as it is encoded, with the shard-encode stage
@@ -477,15 +516,9 @@ impl Checkpointer for PlacementEngine {
             // whole-epoch fan-out.
             const PIPE_CHUNK: usize = 64;
             const PIPE_BOUND: usize = 4;
-            let alive_idx = self.alive_indices();
-            let first_alive = alive_idx[0];
             let meta_ser = self
                 .transfer_cost(primary, meta_bytes + wire.bytes, chunks + drbd_msgs)
                 - link;
-            let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
-            for &i in &alive_idx {
-                per_cpu[i] = self.replicas[i].agent.begin_assembly(img.clone(), n_pages);
-            }
             let mut t_enc: Nanos = 0;
             let mut t_send: Nanos = meta_ser;
             let mut sent_at: Vec<Nanos> = Vec::new();
@@ -497,19 +530,6 @@ impl Checkpointer for PlacementEngine {
                     });
                 }
                 let gate = if ci >= PIPE_BOUND { sent_at[ci - PIPE_BOUND] } else { 0 };
-                let mut chunk_batches: Vec<FragmentBatch> =
-                    self.replicas.iter().map(|_| Vec::new()).collect();
-                for (pid, vpn, data) in chunk {
-                    let frags = self.codec.encode(data);
-                    for (i, frag) in frags.iter().enumerate() {
-                        if !self.replicas[i].alive {
-                            continue;
-                        }
-                        let mut b = [0u8; PAGE_SIZE];
-                        b[..frag.len()].copy_from_slice(frag);
-                        chunk_batches[i].push((*pid, *vpn, std::rc::Rc::new(b)));
-                    }
-                }
                 let n = chunk.len() as u64;
                 t_enc = t_enc.max(gate) + n * primary.costs.shard_encode_per_page;
                 let wait = t_send.saturating_sub(t_enc);
@@ -519,25 +539,18 @@ impl Checkpointer for PlacementEngine {
                     + primary.costs.repl_wire(n * frag_len)
                     + primary.costs.repl_msg_overhead;
                 sent_at.push(t_send);
-                for (i, batch) in chunk_batches.into_iter().enumerate() {
-                    if !self.replicas[i].alive {
-                        continue;
-                    }
-                    let cpu = self.replicas[i].agent.ingest_chunk(epoch, batch, Vec::new())?;
-                    per_cpu[i] += cpu;
-                    if i == first_alive
-                        && self.stage_fail_at_chunk.is_some_and(|k| k == ci as u64)
-                    {
-                        // Ingest-stage crash on the designated replica: the
-                        // chunk replays from the upstream queue — received
-                        // twice, applied once.
-                        self.stage_fail_at_chunk = None;
-                        per_cpu[i] += cpu;
-                        self.tracer.mark(TraceEvent::StageRestart {
-                            stage: "ingest".into(),
-                            chunk: ci as u64,
-                        });
-                    }
+                let before = per_cpu[first_alive];
+                self.fan_out(epoch, chunk, &mut per_cpu)?;
+                if self.stage_fail_at_chunk.is_some_and(|k| k == ci as u64) {
+                    // Ingest-stage crash on the designated replica: the
+                    // chunk replays from the upstream queue — received
+                    // twice, applied once.
+                    self.stage_fail_at_chunk = None;
+                    per_cpu[first_alive] += per_cpu[first_alive] - before;
+                    self.tracer.mark(TraceEvent::StageRestart {
+                        stage: "ingest".into(),
+                        chunk: ci as u64,
+                    });
                 }
                 if self.tracer.enabled() {
                     self.tracer.mark(TraceEvent::StageDequeue {
@@ -547,99 +560,48 @@ impl Checkpointer for PlacementEngine {
                     });
                 }
             }
-            for &i in &alive_idx {
-                let agent = &mut self.replicas[i].agent;
-                agent.finish_assembly(epoch)?;
-                per_cpu[i] += agent.ingest_drbd(msgs.clone());
-            }
-            let ingest_one = per_cpu[first_alive];
-            // Shard encode moved to a background stage: the marker keeps the
-            // fan-out observable while Transfer + BackupIngest + Ack tile
-            // the ack delay.
-            self.tracer.mark(TraceEvent::ShardCommit {
-                shards: self.codec.n(),
-                pages: n_pages,
-                frag_bytes,
-            });
-            self.tracer.span(
-                TraceEvent::Transfer {
-                    bytes: meta_bytes + frag_bytes + wire.bytes,
-                },
-                t_send + link,
-            );
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
-            self.tracer.span(TraceEvent::Ack, link);
-            (
-                t_send + link + ingest_one + link,
-                per_cpu.iter().sum::<Nanos>(),
-            )
+            t_send + link
         } else {
-            let mut batches: Vec<FragmentBatch> = self
-                .replicas
-                .iter()
-                .map(|r| {
-                    if r.alive {
-                        Vec::with_capacity(pages.len())
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            for (pid, vpn, data) in &pages {
-                let frags = self.codec.encode(data);
-                for (i, frag) in frags.iter().enumerate() {
-                    if !self.replicas[i].alive {
-                        continue;
-                    }
-                    let mut b = [0u8; PAGE_SIZE];
-                    b[..frag.len()].copy_from_slice(frag);
-                    batches[i].push((*pid, *vpn, std::rc::Rc::new(b)));
-                }
-            }
-            let shard_cpu = n_pages * primary.costs.shard_encode_per_page;
-
-            let mut total_cpu: Nanos = 0;
-            let mut ingest_one: Nanos = 0;
-            for (i, batch) in batches.into_iter().enumerate() {
-                if !self.replicas[i].alive {
-                    continue;
-                }
-                let agent = &mut self.replicas[i].agent;
-                let mut cpu = agent.begin_assembly(img.clone(), n_pages);
-                cpu += agent.ingest_chunk(epoch, batch, Vec::new())?;
-                agent.finish_assembly(epoch)?;
-                cpu += agent.ingest_drbd(msgs.clone());
-                total_cpu += cpu;
-                if ingest_one == 0 {
-                    ingest_one = cpu;
-                }
-            }
-
-            let transfer = self.transfer_cost(
+            self.fan_out(epoch, &pages, &mut per_cpu)?;
+            self.transfer_cost(
                 primary,
                 meta_bytes + frag_bytes + wire.bytes,
                 chunks + drbd_msgs,
-            );
-            self.tracer.span(
-                TraceEvent::ShardCommit {
-                    shards: self.codec.n(),
-                    pages: n_pages,
-                    frag_bytes,
-                },
-                shard_cpu,
-            );
-            self.tracer.span(
-                TraceEvent::Transfer {
-                    bytes: meta_bytes + frag_bytes + wire.bytes,
-                },
-                transfer,
-            );
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
-            self.tracer.span(TraceEvent::Ack, link);
-            (shard_cpu + transfer + ingest_one + link, total_cpu)
+            )
         };
+        for &i in &alive {
+            let agent = &mut self.replicas[i].agent;
+            agent.finish_assembly(epoch)?;
+            per_cpu[i] += agent.ingest_drbd(msgs.clone());
+        }
+        let ingest_one = per_cpu[first_alive];
+        let shard_commit = TraceEvent::ShardCommit {
+            shards: self.codec.n(),
+            pages: n_pages,
+            frag_bytes,
+        };
+        let shard_cpu = if self.opts.pipeline {
+            // Shard encode moved to a background stage: the marker keeps the
+            // fan-out observable while Transfer + BackupIngest + Ack tile
+            // the ack delay.
+            self.tracer.mark(shard_commit);
+            0
+        } else {
+            let shard_cpu = n_pages * primary.costs.shard_encode_per_page;
+            self.tracer.span(shard_commit, shard_cpu);
+            shard_cpu
+        };
+        self.tracer.span(
+            TraceEvent::Transfer {
+                bytes: meta_bytes + frag_bytes + wire.bytes,
+            },
+            transfer,
+        );
+        self.tracer
+            .span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
+        self.tracer.span(TraceEvent::Ack, link);
+        let ack_delay = shard_cpu + transfer + ingest_one + link;
+        let total_cpu: Nanos = per_cpu.iter().sum();
         if self.opts.pipeline {
             self.pipe_backlog = ack_delay;
         }
@@ -831,6 +793,7 @@ impl Checkpointer for PlacementEngine {
         let stop_time = primary.meter.take();
 
         let deferred = std::mem::take(&mut img.deferred_vpns);
+        let img = Rc::new(img);
         let total_pages = deferred.len() as u64;
         let state_bytes = img.state_bytes();
         self.bootstrap_pids.clear();
@@ -864,7 +827,8 @@ impl Checkpointer for PlacementEngine {
         let mut backup_cpu = std::mem::take(&mut self.bootstrap_cpu_carry);
         let pids = self.bootstrap_pids.clone();
         let frag_len = self.codec.frag_len() as u64;
-        let alive = self.alive_indices();
+        let alive = self.alive_replicas() as u64;
+        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
         'drain: for &pid in &pids {
             loop {
                 if pages >= max_pages {
@@ -876,23 +840,17 @@ impl Checkpointer for PlacementEngine {
                     break;
                 }
                 let n = chunk.len() as u64;
-                let mut batches: Vec<FragmentBatch> =
-                    vec![Vec::with_capacity(chunk.len()); self.replicas.len()];
-                for (vpn, data) in chunk {
-                    for &i in &alive {
-                        batches[i].push((pid, vpn, self.frag_boxed(&data, i)));
-                    }
-                }
-                for (i, batch) in batches.into_iter().enumerate() {
-                    if self.replicas[i].alive {
-                        backup_cpu += self.replicas[i].agent.ingest_chunk(epoch, batch, Vec::new())?;
-                    }
-                }
+                let chunk: Vec<_> = chunk
+                    .into_iter()
+                    .map(|(vpn, data)| (pid, vpn, data))
+                    .collect();
+                self.fan_out(epoch, &chunk, &mut per_cpu)?;
                 backup_cpu += n * primary.costs.shard_encode_per_page;
                 pages += n;
-                bytes += n * frag_len * alive.len() as u64;
+                bytes += n * frag_len * alive;
             }
         }
+        backup_cpu += per_cpu.iter().sum::<Nanos>();
         let mut remaining = 0u64;
         for &pid in &pids {
             primary.take_cow_faults(pid)?;
@@ -966,13 +924,17 @@ impl Checkpointer for PlacementEngine {
             .iter()
             .position(|r| !r.alive)
             .ok_or_else(|| SimError::Invalid("repair_begin with no dead replica".into()))?;
-        let k = self.codec.k() as usize;
-        let survivors = self.survivors(k)?;
-        let base = self.reconstruct_committed(&survivors)?;
-        let base_epoch = base.epoch;
-        let mut meta = base.clone();
-        let base_pages = std::mem::take(&mut meta.pages);
-        let total_pages = base_pages.len() as u64;
+        let survivors = self.survivors(self.codec.k() as usize)?;
+        // The survivors' fragment buffers, not decoded pages: the snapshot
+        // shares them, and each step decodes only the chunk it streams.
+        let base: Vec<Vec<(PageKey, FragBuf)>> =
+            Self::committed_fragments(&self.replicas, &survivors)?
+                .into_iter()
+                .map(|list| list.into_iter().map(|(key, f)| (key, f.clone())).collect())
+                .collect();
+        let meta = self.replicas[survivors[0]].agent.materialize()?;
+        let base_epoch = meta.epoch;
+        let total_pages = base[0].len() as u64;
         let state_bytes = meta.state_bytes();
 
         // Fresh agent on the replacement host; the base image's metadata
@@ -987,7 +949,8 @@ impl Checkpointer for PlacementEngine {
         self.redirty.clear();
         self.repair = Some(ActiveRepair {
             target,
-            base_pages,
+            survivors,
+            base,
             cursor: 0,
             base_epoch,
             cpu_carry,
@@ -1002,12 +965,25 @@ impl Checkpointer for PlacementEngine {
         let Some(mut rep) = self.repair.take() else {
             return Err(SimError::Invalid("repair_step with no active repair".into()));
         };
-        let take = ((rep.base_pages.len() - rep.cursor) as u64).min(max_pages) as usize;
+        let total = rep.base[0].len();
+        let take = ((total - rep.cursor) as u64).min(max_pages) as usize;
         let mut batch = Vec::with_capacity(take);
+        let mut frags = Vec::with_capacity(rep.survivors.len());
         for p in rep.cursor..rep.cursor + take {
-            let (pid, vpn, ref data) = rep.base_pages[p];
-            let frag = self.frag_boxed(data, rep.target);
-            batch.push((pid, vpn, frag));
+            frags.clear();
+            frags.extend(
+                rep.survivors
+                    .iter()
+                    .zip(&rep.base)
+                    .map(|(&i, list)| (i, &list[p].1)),
+            );
+            let page = Self::decode_page(&mut self.codec, &frags)?;
+            let key = rep.base[0][p].0;
+            batch.push((
+                key.pid,
+                key.vpn,
+                self.codec.encode_fragment(&page, rep.target),
+            ));
         }
         rep.cursor += take;
         let k = self.codec.k() as u64;
@@ -1021,8 +997,8 @@ impl Checkpointer for PlacementEngine {
             + pages * (self.costs.shard_decode_per_page + self.costs.shard_encode_per_page);
         backup_cpu += self.replicas[rep.target]
             .agent
-            .ingest_chunk(rep.base_epoch, batch, Vec::new())?;
-        let remaining = (rep.base_pages.len() - rep.cursor) as u64;
+            .ingest_fragments(rep.base_epoch, batch)?;
+        let remaining = (total - rep.cursor) as u64;
         self.repair = Some(rep);
         Ok(BootstrapStep {
             pages,
@@ -1036,12 +1012,11 @@ impl Checkpointer for PlacementEngine {
         let Some(rep) = self.repair.take() else {
             return Err(SimError::Invalid("repair_finish with no active repair".into()));
         };
-        if rep.cursor < rep.base_pages.len() {
+        if rep.cursor < rep.base[0].len() {
             self.repair = Some(rep);
             return Err(SimError::Invalid("repair base image not fully streamed".into()));
         }
         let target = rep.target;
-        let k = self.codec.k() as usize;
 
         // Disk resync: one full-device snapshot from a surviving replica,
         // current as of the latest committed epoch, rides the target's DRBD
@@ -1071,31 +1046,44 @@ impl Checkpointer for PlacementEngine {
         };
 
         // Top-up: pages committed while the base streamed, at their current
-        // committed values, plus the current metadata image.
+        // committed values, plus the current metadata image. Only those
+        // keys are read back from the survivors and decoded.
         if !self.redirty.is_empty() {
-            let survivors = self.survivors(k)?;
-            let current = self.reconstruct_committed(&survivors)?;
-            let cur_epoch = current.epoch;
+            let survivors = self.survivors(self.codec.k() as usize)?;
+            let meta = self.replicas[survivors[0]].agent.materialize()?;
+            let cur_epoch = meta.epoch;
             if cur_epoch <= rep.base_epoch {
                 return Err(SimError::Invalid(format!(
                     "redirty pages with no later committed epoch ({cur_epoch} <= {})",
                     rep.base_epoch
                 )));
             }
-            let mut meta = current.clone();
-            let all_pages = std::mem::take(&mut meta.pages);
-            let mut batch = Vec::new();
-            for (pid, vpn, data) in &all_pages {
-                if self.redirty.contains(&(*pid, *vpn)) {
-                    batch.push((*pid, *vpn, self.frag_boxed(data, target)));
+            let mut keys: Vec<(Pid, u64)> = self.redirty.iter().copied().collect();
+            keys.sort_unstable();
+            let mut batch = Vec::with_capacity(keys.len());
+            let mut frags = Vec::with_capacity(survivors.len());
+            for (pid, vpn) in keys {
+                frags.clear();
+                for &i in &survivors {
+                    let frag = self.replicas[i].agent.fragment(PageKey { pid, vpn });
+                    frags.push((
+                        i,
+                        frag.ok_or_else(|| {
+                            SimError::Invalid(format!(
+                                "replica {i} holds no fragment of committed page {pid:?}/{vpn:#x}"
+                            ))
+                        })?,
+                    ));
                 }
+                let page = Self::decode_page(&mut self.codec, &frags)?;
+                batch.push((pid, vpn, self.codec.encode_fragment(&page, target)));
             }
             let n = batch.len() as u64;
             cpu += n * (self.costs.shard_decode_per_page + self.costs.shard_encode_per_page);
             {
                 let agent = &mut self.replicas[target].agent;
                 cpu += agent.begin_assembly(meta, n);
-                cpu += agent.ingest_chunk(cur_epoch, batch, Vec::new())?;
+                cpu += agent.ingest_fragments(cur_epoch, batch)?;
                 cpu += agent.ingest_drbd(vec![DrbdMsg::Barrier(cur_epoch)]);
                 agent.finish_assembly(cur_epoch)?;
             }
@@ -1644,5 +1632,207 @@ mod tests {
         let tail = e.take_replay_tail().unwrap();
         assert!(tail.dropped_partial, "unsealed epoch-2 log is unusable");
         assert!(tail.logs.is_empty());
+    }
+
+    /// Dirty more pages than one 64-page pipeline chunk holds.
+    fn touch_many(p: &mut Kernel, c: &Container) {
+        for page in 40..190u64 {
+            p.mem_write(
+                c.init_pid(),
+                MemLayout::heap_page(page),
+                &[page as u8, 0x3C],
+            )
+            .unwrap();
+        }
+    }
+
+    /// `epochs` committed epochs of the `apply` script under `opts`, the
+    /// first one carrying [`touch_many`]'s pages as well.
+    fn run_epochs(
+        opts: OptimizationConfig,
+        epochs: u64,
+    ) -> (Kernel, Kernel, Container, PlacementEngine) {
+        let mut p = Kernel::default();
+        let mut b = Kernel::default();
+        let c = ContainerRuntime::create(&mut p, &ContainerSpec::server("redis", 10, 6379)).unwrap();
+        let mut e = PlacementEngine::new(opts, p.costs.clone()).unwrap();
+        e.prepare(&mut p, &c).unwrap();
+        touch_many(&mut p, &c);
+        for epoch in 1..=epochs {
+            apply(&mut p, &c, epoch);
+            e.pipeline_advance(u64::MAX);
+            e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
+            e.commit(&mut b, epoch).unwrap();
+        }
+        (p, b, c, e)
+    }
+
+    fn stored(e: &PlacementEngine, replica: usize) -> Vec<(PageKey, Vec<u8>)> {
+        let frags = e.replicas[replica].agent.fragments();
+        frags.into_iter().map(|(key, f)| (key, f.to_vec())).collect()
+    }
+
+    #[test]
+    fn every_replica_stores_exactly_its_codec_fragment() {
+        // What the paper's single backup holds after the same writes is the
+        // page content; replica i must hold encode(page)[i], frag_len bytes,
+        // whichever branch fanned it out.
+        const EPOCHS: u64 = 6;
+        let mut pa = Kernel::default();
+        let mut ba = Kernel::default();
+        let ca =
+            ContainerRuntime::create(&mut pa, &ContainerSpec::server("redis", 10, 6379)).unwrap();
+        let mut ea = NiLiConEngine::new(OptimizationConfig::nilicon(), pa.costs.clone());
+        ea.prepare(&mut pa, &ca).unwrap();
+        touch_many(&mut pa, &ca);
+        for epoch in 1..=EPOCHS {
+            apply(&mut pa, &ca, epoch);
+            ea.checkpoint(&mut pa, &mut ba, &ca, epoch).unwrap();
+            ea.commit(&mut ba, epoch).unwrap();
+        }
+        let reference = ea.agent.materialize().unwrap();
+        assert!(reference.pages.len() > 64, "more than one pipeline chunk");
+
+        for pipeline in [false, true] {
+            for (k, n) in [(2u32, 3u32), (3, 5)] {
+                let mut opts = placement_opts(k, n);
+                opts.pipeline = pipeline;
+                let (_, _, _, e) = run_epochs(opts, EPOCHS);
+                let mut codec = ShardCodec::new(k, n).unwrap();
+                for i in 0..n as usize {
+                    let held = stored(&e, i);
+                    assert_eq!(held.len(), reference.pages.len());
+                    for ((key, frag), (pid, vpn, page)) in held.iter().zip(&reference.pages) {
+                        assert_eq!((key.pid, key.vpn), (*pid, *vpn));
+                        assert_eq!(frag.len(), e.frag_len(), "stored at fragment size");
+                        assert_eq!(
+                            frag,
+                            &codec.encode(page)[i],
+                            "(k={k},n={n}) pipeline={pipeline} replica {i} page {vpn:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repaired_replica_holds_what_a_never_failed_one_does() {
+        // Replica 0 is lost after epoch 3 and regenerated two pages a step
+        // while every epoch re-dirties pages already streamed (page 7 each
+        // epoch, a rotating one of 0..5): the top-up must bring exactly
+        // those keys forward.
+        let (mut p, _b, c, mut e) = run_epochs(placement_opts(2, 3), 3);
+        e.replica_fault().unwrap();
+        let mut fresh = Kernel::default();
+        e.repair_begin(3).unwrap();
+        let mut epoch = 3;
+        loop {
+            epoch += 1;
+            apply(&mut p, &c, epoch);
+            e.checkpoint(&mut p, &mut fresh, &c, epoch).unwrap();
+            e.commit(&mut fresh, epoch).unwrap();
+            if e.repair_step(epoch, 2).unwrap().remaining == 0 {
+                break;
+            }
+        }
+        assert!(!e.redirty.is_empty(), "pages were re-dirtied mid-stream");
+        e.repair_finish(&mut fresh, epoch).unwrap();
+
+        let (_, _, _, never_failed) = run_epochs(placement_opts(2, 3), epoch);
+        assert_eq!(e.committed_epoch(), never_failed.committed_epoch());
+        for i in 0..3 {
+            assert!(stored(&e, i) == stored(&never_failed, i), "replica {i}");
+        }
+        let a = e.replicas[0].agent.materialize().unwrap();
+        let b = never_failed.replicas[0].agent.materialize().unwrap();
+        assert_eq!(a.epoch, b.epoch, "top-up carried the current metadata");
+    }
+
+    /// Commit `frags` as epoch `epoch` on one replica only, behind its back.
+    fn inject(e: &mut PlacementEngine, replica: usize, epoch: u64, frags: Vec<Fragment>) {
+        let agent = &mut e.replicas[replica].agent;
+        let mut meta = agent.materialize().unwrap();
+        meta.epoch = epoch;
+        agent.begin_assembly(meta, frags.len() as u64);
+        agent.ingest_fragments(epoch, frags).unwrap();
+        agent.ingest_drbd(vec![DrbdMsg::Barrier(epoch)]);
+        agent.finish_assembly(epoch).unwrap();
+        agent.commit(epoch, &mut BlockDevice::default()).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Replica stores that disagree — one holds a page the others do
+        /// not, two hold different keys at the same position, one holds a
+        /// truncated or over-long fragment — make every read that touches
+        /// the odd one a `SimError`, never a panic; reads that avoid it
+        /// still succeed.
+        #[test]
+        fn diverging_replica_stores_are_errors_not_panics(
+            kind in 0usize..4,
+            victim in 0usize..3,
+        ) {
+            let (_p, mut b, c, mut e) = run_epochs(placement_opts(2, 3), 3);
+            let pid = c.init_pid();
+            let frag_len = e.frag_len();
+            let known = e.replicas[victim].agent.fragments()[0].0;
+            let other = (victim + 1) % 3;
+            let frag = |len: usize| -> FragBuf { vec![0xA5u8; len].into() };
+            // Which replicas a read must avoid to stay well-formed.
+            let mut odd = vec![victim];
+            match kind {
+                0 => inject(&mut e, victim, 4, vec![(pid, 0xdead, frag(frag_len))]),
+                1 => {
+                    // Same page count, different keys.
+                    inject(&mut e, victim, 4, vec![(pid, 0xdead, frag(frag_len))]);
+                    inject(&mut e, other, 4, vec![(pid, 0xbeef, frag(frag_len))]);
+                    odd.push(other);
+                }
+                2 => inject(&mut e, victim, 4, vec![(known.pid, known.vpn, frag(frag_len - 1))]),
+                _ => inject(&mut e, victim, 4, vec![(known.pid, known.vpn, frag(frag_len + 1))]),
+            }
+            for subset in [[0usize, 1], [0, 2], [1, 2]] {
+                let touches = subset.iter().filter(|i| odd.contains(i)).count();
+                // Kind 1's two odd replicas disagree with each other too.
+                let clean = touches == 0;
+                match e.reconstruct_committed(&subset) {
+                    Ok(_) => proptest::prop_assert!(clean, "kind {kind}: {subset:?} accepted"),
+                    Err(err) => {
+                        proptest::prop_assert!(!clean, "kind {kind}: {subset:?}: {err}");
+                        proptest::prop_assert!(matches!(err, SimError::Invalid(_)));
+                    }
+                }
+            }
+            // Failover and repair read the first k survivors.
+            let third = 3 - victim - other;
+            let dead = if kind == 1 { third } else { other };
+            e.fail_replica(dead).unwrap();
+            // Diverging keys stop a repair where it starts; a bad fragment
+            // stops it at the step that reads it.
+            let repair = e.repair_begin(4).and_then(|_| loop {
+                if e.repair_step(4, 16)?.remaining == 0 {
+                    break Ok(());
+                }
+            });
+            proptest::prop_assert!(repair.is_err());
+            proptest::prop_assert!(e.failover(&mut b).is_err());
+        }
+    }
+
+    #[test]
+    fn top_up_of_a_page_a_survivor_lacks_is_an_error() {
+        let (mut p, _b, c, mut e) = run_epochs(placement_opts(2, 3), 2);
+        e.replica_fault().unwrap();
+        let mut fresh = Kernel::default();
+        e.repair_begin(2).unwrap();
+        apply(&mut p, &c, 3);
+        e.checkpoint(&mut p, &mut fresh, &c, 3).unwrap();
+        e.commit(&mut fresh, 3).unwrap();
+        while e.repair_step(3, 64).unwrap().remaining > 0 {}
+        e.redirty.insert((c.init_pid(), 0xdead));
+        let err = e.repair_finish(&mut fresh, 3).unwrap_err();
+        assert!(matches!(err, SimError::Invalid(_)), "got {err:?}");
     }
 }

@@ -36,18 +36,21 @@ pub struct PageKey {
     pub vpn: u64,
 }
 
-/// A backup-side store of committed container pages.
-pub trait PageStore {
+/// A backup-side store of committed container pages. `B` is the buffer held
+/// per page: a whole page ([`PageBuf`]) on the paper's single backup, one
+/// `frag_len`-byte fragment ([`crate::FragBuf`]) on a `(k, n)` placement
+/// replica — same keys, same walk, same probe counts.
+pub trait PageStore<B = PageBuf> {
     /// Insert (or replace) a page. Returns the number of *probe operations*
     /// performed — the unit the replication runtime converts into backup CPU
     /// time. The store shares the refcounted buffer; nothing is copied.
-    fn insert(&mut self, key: PageKey, page: PageBuf) -> u64;
+    fn insert(&mut self, key: PageKey, page: B) -> u64;
 
     /// Fetch a page.
-    fn get(&self, key: PageKey) -> Option<&PageBuf>;
+    fn get(&self, key: PageKey) -> Option<&B>;
 
     /// Take a page out of the store, handing its buffer to the caller.
-    fn remove(&mut self, key: PageKey) -> Option<PageBuf>;
+    fn remove(&mut self, key: PageKey) -> Option<B>;
 
     /// Number of distinct pages stored.
     fn len(&self) -> usize;
@@ -58,7 +61,7 @@ pub trait PageStore {
     }
 
     /// All `(key, page)` pairs, sorted by key (image materialization).
-    fn iter_sorted(&self) -> Vec<(PageKey, &PageBuf)>;
+    fn iter_sorted(&self) -> Vec<(PageKey, &B)>;
 
     /// Mark the beginning of a new incremental checkpoint.
     fn begin_checkpoint(&mut self);
@@ -78,14 +81,21 @@ pub trait PageStore {
     /// the store never saw is image corruption, rejected upstream by
     /// `BackupAgent::commit`; here it patches an all-zero base, like
     /// [`PageEncoding::apply`].)
-    fn apply_delta(&mut self, key: PageKey, enc: &PageEncoding) -> u64 {
+    ///
+    /// Deltas are diffs of whole pages: the bound holds for `B = PageBuf`
+    /// alone (the identity conversions), so a fragment store has no such
+    /// method.
+    fn apply_delta(&mut self, key: PageKey, enc: &PageEncoding) -> u64
+    where
+        B: From<PageBuf> + Into<PageBuf>,
+    {
         match enc {
             PageEncoding::Delta(dp) => {
-                let mut page = self.remove(key).unwrap_or_else(zero_page);
+                let mut page: PageBuf = self.remove(key).map_or_else(zero_page, Into::into);
                 dp.xor_into(Rc::make_mut(&mut page));
-                self.insert(key, page) * 2
+                self.insert(key, page.into()) * 2
             }
-            _ => self.insert(key, enc.apply(None)),
+            _ => self.insert(key, enc.apply(None).into()),
         }
     }
 }
@@ -97,28 +107,41 @@ pub trait PageStore {
 /// Stock CRIU's store: one "directory" (map) per incremental checkpoint,
 /// newest first. Insert probes every older directory to remove a previous
 /// copy of the page.
-#[derive(Debug, Default)]
-pub struct LinkedListStore {
+#[derive(Debug)]
+pub struct LinkedListStore<B = PageBuf> {
     /// Directories, index 0 = current checkpoint.
-    dirs: Vec<HashMap<PageKey, PageBuf>>,
+    dirs: Vec<HashMap<PageKey, B>>,
     count: usize,
     checkpoints: u64,
 }
 
+impl<B> Default for LinkedListStore<B> {
+    fn default() -> Self {
+        LinkedListStore {
+            dirs: Vec::new(),
+            count: 0,
+            checkpoints: 0,
+        }
+    }
+}
+
 impl LinkedListStore {
-    /// Empty store.
+    /// Empty store of whole pages (a fragment store is built with
+    /// `Default`).
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<B> LinkedListStore<B> {
     /// Number of directories in the chain (grows with every checkpoint).
     pub fn chain_len(&self) -> usize {
         self.dirs.len()
     }
 }
 
-impl PageStore for LinkedListStore {
-    fn insert(&mut self, key: PageKey, page: PageBuf) -> u64 {
+impl<B> PageStore<B> for LinkedListStore<B> {
+    fn insert(&mut self, key: PageKey, page: B) -> u64 {
         if self.dirs.is_empty() {
             self.dirs.push(HashMap::new());
         }
@@ -138,7 +161,7 @@ impl PageStore for LinkedListStore {
         probes
     }
 
-    fn get(&self, key: PageKey) -> Option<&PageBuf> {
+    fn get(&self, key: PageKey) -> Option<&B> {
         for dir in &self.dirs {
             if let Some(p) = dir.get(&key) {
                 return Some(p);
@@ -147,7 +170,7 @@ impl PageStore for LinkedListStore {
         None
     }
 
-    fn remove(&mut self, key: PageKey) -> Option<PageBuf> {
+    fn remove(&mut self, key: PageKey) -> Option<B> {
         let page = self.dirs.iter_mut().find_map(|dir| dir.remove(&key))?;
         self.count -= 1;
         Some(page)
@@ -157,8 +180,8 @@ impl PageStore for LinkedListStore {
         self.count
     }
 
-    fn iter_sorted(&self) -> Vec<(PageKey, &PageBuf)> {
-        let mut v: Vec<(PageKey, &PageBuf)> = Vec::with_capacity(self.count);
+    fn iter_sorted(&self) -> Vec<(PageKey, &B)> {
+        let mut v: Vec<(PageKey, &B)> = Vec::with_capacity(self.count);
         for dir in &self.dirs {
             for (k, p) in dir {
                 v.push((*k, p));
@@ -198,21 +221,30 @@ impl<T> RadixNode<T> {
     }
 }
 
-type Leaf = RadixNode<PageBuf>;
-type L2 = RadixNode<Box<Leaf>>;
-type L3 = RadixNode<Box<L2>>;
-type L4 = RadixNode<Box<L3>>;
+type Leaf<B> = RadixNode<B>;
+type L2<B> = RadixNode<Box<Leaf<B>>>;
+type L3<B> = RadixNode<Box<L2<B>>>;
+type L4<B> = RadixNode<Box<L3<B>>>;
 
 /// NiLiCon's store: a 4-level radix tree per process, indexed by vpn exactly
 /// like the hardware page-table walk (9 bits per level, 36-bit vpn space).
-#[derive(Default)]
-pub struct RadixTreeStore {
-    roots: HashMap<Pid, Box<L4>>,
+pub struct RadixTreeStore<B = PageBuf> {
+    roots: HashMap<Pid, Box<L4<B>>>,
     count: usize,
     checkpoints: u64,
 }
 
-impl std::fmt::Debug for RadixTreeStore {
+impl<B> Default for RadixTreeStore<B> {
+    fn default() -> Self {
+        RadixTreeStore {
+            roots: HashMap::new(),
+            count: 0,
+            checkpoints: 0,
+        }
+    }
+}
+
+impl<B> std::fmt::Debug for RadixTreeStore<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RadixTreeStore")
             .field("pages", &self.count)
@@ -222,44 +254,46 @@ impl std::fmt::Debug for RadixTreeStore {
 }
 
 impl RadixTreeStore {
-    /// Empty store.
+    /// Empty store of whole pages (a fragment store is built with
+    /// `Default`).
     pub fn new() -> Self {
         Self::default()
     }
-
-    #[inline]
-    fn split(vpn: u64) -> (usize, usize, usize, usize) {
-        debug_assert!(
-            vpn <= MAX_VPN,
-            "vpn {vpn:#x} exceeds the 36-bit radix address space; \
-             bits above 36 would silently alias"
-        );
-        let l1 = (vpn & 0x1ff) as usize;
-        let l2 = ((vpn >> 9) & 0x1ff) as usize;
-        let l3 = ((vpn >> 18) & 0x1ff) as usize;
-        let l4 = ((vpn >> 27) & 0x1ff) as usize;
-        (l4, l3, l2, l1)
-    }
 }
 
-impl PageStore for RadixTreeStore {
-    fn insert(&mut self, key: PageKey, page: PageBuf) -> u64 {
-        let (i4, i3, i2, i1) = Self::split(key.vpn);
+/// The four 9-bit radix indices of a vpn, root level first.
+#[inline]
+fn split_vpn(vpn: u64) -> (usize, usize, usize, usize) {
+    debug_assert!(
+        vpn <= MAX_VPN,
+        "vpn {vpn:#x} exceeds the 36-bit radix address space; \
+         bits above 36 would silently alias"
+    );
+    let l1 = (vpn & 0x1ff) as usize;
+    let l2 = ((vpn >> 9) & 0x1ff) as usize;
+    let l3 = ((vpn >> 18) & 0x1ff) as usize;
+    let l4 = ((vpn >> 27) & 0x1ff) as usize;
+    (l4, l3, l2, l1)
+}
+
+impl<B> PageStore<B> for RadixTreeStore<B> {
+    fn insert(&mut self, key: PageKey, page: B) -> u64 {
+        let (i4, i3, i2, i1) = split_vpn(key.vpn);
         let root = self
             .roots
             .entry(key.pid)
-            .or_insert_with(|| Box::new(L4::new()));
-        let n3 = root.slots[i4].get_or_insert_with(|| Box::new(L3::new()));
-        let n2 = n3.slots[i3].get_or_insert_with(|| Box::new(L2::new()));
-        let leaf = n2.slots[i2].get_or_insert_with(|| Box::new(Leaf::new()));
+            .or_insert_with(|| Box::new(RadixNode::new()));
+        let n3 = root.slots[i4].get_or_insert_with(|| Box::new(RadixNode::new()));
+        let n2 = n3.slots[i3].get_or_insert_with(|| Box::new(RadixNode::new()));
+        let leaf = n2.slots[i2].get_or_insert_with(|| Box::new(RadixNode::new()));
         if leaf.slots[i1].replace(page).is_none() {
             self.count += 1;
         }
         4 // exactly four probes, independent of history (§V-A)
     }
 
-    fn get(&self, key: PageKey) -> Option<&PageBuf> {
-        let (i4, i3, i2, i1) = Self::split(key.vpn);
+    fn get(&self, key: PageKey) -> Option<&B> {
+        let (i4, i3, i2, i1) = split_vpn(key.vpn);
         self.roots.get(&key.pid)?.slots[i4].as_ref()?.slots[i3]
             .as_ref()?
             .slots[i2]
@@ -268,8 +302,8 @@ impl PageStore for RadixTreeStore {
             .as_ref()
     }
 
-    fn remove(&mut self, key: PageKey) -> Option<PageBuf> {
-        let (i4, i3, i2, i1) = Self::split(key.vpn);
+    fn remove(&mut self, key: PageKey) -> Option<B> {
+        let (i4, i3, i2, i1) = split_vpn(key.vpn);
         let page = self.roots.get_mut(&key.pid)?.slots[i4].as_mut()?.slots[i3]
             .as_mut()?
             .slots[i2]
@@ -284,7 +318,7 @@ impl PageStore for RadixTreeStore {
         self.count
     }
 
-    fn iter_sorted(&self) -> Vec<(PageKey, &PageBuf)> {
+    fn iter_sorted(&self) -> Vec<(PageKey, &B)> {
         let mut v = Vec::with_capacity(self.count);
         let mut pids: Vec<&Pid> = self.roots.keys().collect();
         pids.sort();
@@ -396,7 +430,7 @@ mod tests {
     #[test]
     fn radix_split_roundtrip() {
         for vpn in [0u64, 1, 0x1ff, 0x200, 0x3_ffff, 0x7_fff_fff, MAX_VPN] {
-            let (i4, i3, i2, i1) = RadixTreeStore::split(vpn);
+            let (i4, i3, i2, i1) = split_vpn(vpn);
             let back = ((i4 as u64) << 27) | ((i3 as u64) << 18) | ((i2 as u64) << 9) | i1 as u64;
             assert_eq!(back, vpn, "in-range vpns round-trip exactly");
         }
@@ -407,9 +441,9 @@ mod tests {
     fn radix_split_rejects_out_of_range_vpn() {
         // Two keys 2^36 apart used to alias silently; now the debug build
         // rejects the out-of-range key outright.
-        let (i4, i3, i2, i1) = RadixTreeStore::split(MAX_VPN + 1);
+        let (i4, i3, i2, i1) = split_vpn(MAX_VPN + 1);
         // Release builds keep the historical masking behavior.
-        assert_eq!((i4, i3, i2, i1), RadixTreeStore::split(0));
+        assert_eq!((i4, i3, i2, i1), split_vpn(0));
     }
 
     /// Twelve epochs over five pages — sparse edits, a dense rewrite, a page

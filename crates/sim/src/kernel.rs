@@ -396,14 +396,14 @@ impl Kernel {
     pub fn stack(&self, ns: NsId) -> SimResult<&NetStack> {
         self.stacks
             .get(&ns)
-            .ok_or(SimError::Invalid(format!("no stack for {ns}")))
+            .ok_or_else(|| SimError::Invalid(format!("no stack for {ns}")))
     }
 
     /// Mutable stack access.
     pub fn stack_mut(&mut self, ns: NsId) -> SimResult<&mut NetStack> {
         self.stacks
             .get_mut(&ns)
-            .ok_or(SimError::Invalid(format!("no stack for {ns}")))
+            .ok_or_else(|| SimError::Invalid(format!("no stack for {ns}")))
     }
 
     /// Every stack, in namespace order (cluster routing drains them in a
