@@ -4,10 +4,12 @@ pub use crate::cli::{apply_cli_extensions, cli_tracer};
 use nilicon::harness::{RunHarness, RunMode};
 use nilicon::metrics::{percentile, RunMetrics};
 use nilicon::trace::TraceEvent;
-use nilicon::{NiLiConEngine, OptimizationConfig, PlacementEngine, ReplicationConfig};
+use nilicon::{
+    Checkpointer, NiLiConEngine, OptimizationConfig, PlacementEngine, ReplicationConfig,
+};
 use nilicon_mc::McEngine;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::CostModel;
+use nilicon_sim::{CostModel, SimResult};
 use nilicon_workloads::Workload;
 use serde::Serialize;
 
@@ -15,24 +17,36 @@ use serde::Serialize;
 /// infrequent-state cache; the paper's 100-run averages are warm).
 pub const WARMUP_EPOCHS: usize = 4;
 
-/// A NiLiCon run mode with the given optimization set, plus any EXTENSION
-/// knobs passed on the command line (see [`apply_cli_extensions`]).
-pub fn nilicon_mode(opts: OptimizationConfig) -> RunMode {
-    let opts = apply_cli_extensions(opts, std::env::args());
-    if opts.backups > 1 {
-        assert!(
-            opts.quorum >= 1 && opts.quorum <= opts.backups,
-            "invalid --backups/--quorum placement: need 1 <= k <= n"
-        );
-        // The placement engine needs the staging buffer and doesn't compose
-        // with --delta/--cow: staircase rows without that shape keep the
-        // single-backup engine, so `--backups` upgrades exactly the rows
-        // that can host a k-of-n placement.
-        if let Ok(engine) = PlacementEngine::new(opts, CostModel::default()) {
-            return RunMode::Replicated(Box::new(engine));
-        }
+/// The engine an optimization set calls for: the k-of-n placement engine
+/// when `backups > 1`, else the paper's single-backup engine.
+///
+/// A placement needs the staged ack path, so a Table I staircase row below
+/// "+ Add memory staging buffer" keeps the single-backup engine under
+/// `--backups`. Anything else the placement engine refuses — `--delta` or
+/// `--cow`, a quorum outside `1..=n` — is its error: numbers under a
+/// placement label come from a placement.
+pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
+    if opts.backups > 1 && opts.staging_buffer {
+        return Ok(Box::new(PlacementEngine::new(opts, CostModel::default())?));
     }
-    RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())))
+    Ok(Box::new(NiLiConEngine::new(opts, CostModel::default())))
+}
+
+/// A NiLiCon run mode with the given optimization set, plus any EXTENSION
+/// knobs passed on the command line (see [`apply_cli_extensions`]). A
+/// combination the engines refuse ends the run with the engine's message.
+pub fn nilicon_mode(row: OptimizationConfig) -> RunMode {
+    let opts = apply_cli_extensions(row, std::env::args());
+    let engine = replicated_engine(opts).unwrap_or_else(|e| panic!("{e}"));
+    if opts.backups > 1 && !engine.supports_placement() {
+        let rows = OptimizationConfig::table1_rows();
+        let label = rows.iter().find(|(_, r)| *r == row).map_or("this row", |(l, _)| l);
+        eprintln!(
+            "--backups {}: \"{label}\" has no staging buffer; it keeps the single-backup engine",
+            opts.backups
+        );
+    }
+    RunMode::Replicated(engine)
 }
 
 /// The MC baseline run mode.

@@ -78,8 +78,8 @@ pub struct OptimizationConfig {
     /// Must satisfy `1 ≤ k ≤ n`. Ignored when `backups == 1`.
     pub quorum: u32,
     /// EXTENSION (HyCoR, arXiv:2101.09584): hybrid checkpoint + replay —
-    /// record every nondeterministic event (request dispatch, recv payload +
-    /// delivery order, timer reads, scheduling points) into a per-epoch log,
+    /// record every nondeterministic event (request dispatch, batch step)
+    /// into a per-epoch log,
     /// ship log chunks to the backup continuously, and release output as soon
     /// as the *log* commits instead of waiting for the epoch ack. At failover
     /// the backup restores the last committed checkpoint and re-executes the

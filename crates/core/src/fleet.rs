@@ -327,8 +327,8 @@ impl FleetScheduler {
     /// Build a fleet of `lanes.len()` replicated containers on one pair.
     ///
     /// `cfg.opts.fleet` must equal the lane count (the knob is what turns
-    /// the extension on; paper configs have it 0) and every lane address
-    /// must be unique. Boundaries are staggered by `i·E/N` unless
+    /// the extension on; paper configs have it 0), every lane address must
+    /// be unique, and `backups`, `hybrid_replay` and `rearm` must be off. Boundaries are staggered by `i·E/N` unless
     /// `cfg.opts.fleet_aligned` is set, which also downgrades the shared
     /// link from deficit-round-robin to FIFO to demonstrate the convoy.
     pub fn new(cfg: ReplicationConfig, lanes: Vec<LaneSpec>) -> SimResult<Self> {
@@ -338,6 +338,20 @@ impl FleetScheduler {
                 "fleet: opts.fleet ({}) must equal the lane count ({n})",
                 cfg.opts.fleet
             )));
+        }
+        // Every lane runs the single-backup engine with neither log shipping
+        // nor a rearm driver: a knob the lanes would ignore is an error, not
+        // a run without the mechanism.
+        for (set, knob) in [
+            (cfg.opts.backups > 1, "backups"),
+            (cfg.opts.hybrid_replay, "hybrid_replay"),
+            (cfg.opts.rearm, "rearm"),
+        ] {
+            if set {
+                return Err(SimError::Invalid(format!(
+                    "fleet: opts.{knob} does not compose with the fleet scheduler"
+                )));
+            }
         }
         let mut cluster = Cluster::new();
         let primary = cluster.add_host(Kernel::default());
@@ -1168,6 +1182,51 @@ mod tests {
         assert!(wait_of(&fair_out, 2) <= 3_000_000);
         // Work conservation: the hot lane still finishes by the serial sum.
         assert!(fair_out.iter().map(|o| o.2).max().unwrap() <= 52_000_001);
+    }
+
+    struct Inert;
+    impl Application for Inert {
+        fn name(&self) -> &str {
+            "inert"
+        }
+        fn init(&mut self, _ctx: &mut nilicon_container::GuestCtx<'_>) -> SimResult<()> {
+            Ok(())
+        }
+    }
+
+    /// The error of building a one-lane fleet under `nilicon()` + `set`.
+    fn rejected(set: impl FnOnce(&mut crate::OptimizationConfig)) -> String {
+        let mut cfg = ReplicationConfig::default();
+        cfg.opts.fleet = 1;
+        set(&mut cfg.opts);
+        let lane = LaneSpec {
+            spec: ContainerSpec::server("svc", 10, 6379),
+            app: Box::new(Inert),
+            behavior: None,
+        };
+        match FleetScheduler::new(cfg, vec![lane]) {
+            Err(SimError::Invalid(msg)) => msg,
+            Err(other) => panic!("wrong error: {other:?}"),
+            Ok(_) => panic!("a knob the lanes ignore must be rejected"),
+        }
+    }
+
+    #[test]
+    fn fleet_rejects_backups() {
+        let msg = rejected(|o| (o.backups, o.quorum) = (3, 2));
+        assert!(msg.contains("opts.backups"), "{msg}");
+    }
+
+    #[test]
+    fn fleet_rejects_hybrid_replay() {
+        let msg = rejected(|o| o.hybrid_replay = true);
+        assert!(msg.contains("opts.hybrid_replay"), "{msg}");
+    }
+
+    #[test]
+    fn fleet_rejects_rearm() {
+        let msg = rejected(|o| o.rearm = true);
+        assert!(msg.contains("opts.rearm"), "{msg}");
     }
 
     /// Waiting on one's own previous transfer is overlap, not contention:

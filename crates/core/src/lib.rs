@@ -97,6 +97,7 @@ pub mod metrics;
 pub mod nilicon_engine;
 pub mod placement;
 pub mod replay;
+mod stages;
 pub mod trace;
 pub mod traffic;
 

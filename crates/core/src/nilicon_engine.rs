@@ -1,4 +1,7 @@
-//! The primary-side NiLiCon replication engine (§IV, §V).
+//! The primary-side NiLiCon replication engine (§IV, §V): the stage core
+//! plus the single-backup transfer strategies — whole pages or XOR deltas
+//! into one [`BackupAgent`], synchronously, streamed off the COW drain, or
+//! through the staged pipeline.
 
 use crate::backup::BackupAgent;
 use crate::config::OptimizationConfig;
@@ -6,184 +9,174 @@ use crate::engine::{
     BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
     ReplayTail,
 };
+use crate::stages::{deferred_pids, delta_event, ChunkClock, StageCore, Stopped, CHUNK_PAGES};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{
-    bootstrap_dump, dump_container, CheckpointImage, DeltaStats, InfrequentCache, PageKey,
-    RestoreConfig, RestoredContainer, ShadowStore,
-};
-use nilicon_drbd::{DrbdMsg, DrbdPrimary};
+use nilicon_criu::{DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore};
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::TrackingMode;
-use nilicon_sim::net::InputMode;
-use nilicon_sim::replay::{ReplayEvent, ReplayLog};
+use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
-use std::collections::BTreeMap;
+use nilicon_sim::{CostModel, PageBuf, SimResult, PAGE_SIZE};
 use std::rc::Rc;
 
 /// NiLiCon's primary-side engine plus the buffered backup agent.
 pub struct NiLiConEngine {
-    opts: OptimizationConfig,
-    cache: InfrequentCache,
+    core: StageCore,
     /// Backup agent (public for Table V accounting and failover tests).
     pub agent: BackupAgent,
-    drbd: DrbdPrimary,
     /// Primary-side shadow of the page contents last shipped to the backup —
     /// the base for the next epoch's XOR deltas (`delta_transfer`).
     shadow: ShadowStore,
-    prepared: bool,
-    tracer: Tracer,
-    /// Cost model retained so `rearm_prepare` can rebuild the replica-side
-    /// structures (a replacement backup starts from an empty agent).
-    costs: nilicon_sim::CostModel,
-    /// Address spaces still holding COW-deferred bootstrap pages (empty
-    /// outside an active re-replication bootstrap).
-    bootstrap_pids: Vec<Pid>,
-    /// Backup CPU charged by `bootstrap_begin` (metadata + DRBD resync
-    /// receive), carried into the first `bootstrap_step`'s accounting.
-    bootstrap_cpu_carry: Nanos,
     /// Test-only fault injection: abort the COW drain after this many page
     /// chunks have been streamed, as if the primary died mid-copy. The
     /// epoch's assembly is never finished at the backup, so it can never be
     /// acked or committed — failover must fall back to the previous epoch.
     pub cow_fail_after_chunks: Option<u64>,
-    /// Backup-side store of the shipped nondeterminism logs, keyed by epoch
-    /// (`hybrid_replay` extension). Lives engine-side next to the agent — log
-    /// chunks are event-typed, not page-typed, so they do not ride the page
-    /// assembly barrier, but they share its fate: `rearm_prepare` drops them
-    /// with the dead backup.
-    log_store: BTreeMap<u64, ReplayLog>,
     /// Test-only fault injection: the primary dies after shipping this many
     /// log chunks — later chunks (and the seal message) are lost in flight,
     /// leaving the tail epoch's log *partial*. Failover must then take the
     /// plain last-checkpoint fallback instead of replaying.
     pub log_fail_after_chunks: Option<u64>,
-    /// Log chunks shipped so far (drives `log_fail_after_chunks`).
-    log_chunks_shipped: u64,
-    /// Staged-pipeline extension: ack-path work of the previous epoch's
-    /// pipeline not yet overlapped by execution time. `pipeline_advance`
-    /// drains it once per epoch; whatever remains at the next checkpoint
-    /// stalls the stop phase (backpressure).
-    pipe_backlog: Nanos,
-    /// Test-only fault injection (staged pipeline): the backup-ingest stage
-    /// crashes once, right after receiving this zero-based chunk index. The
-    /// supervisor restarts the stage and the chunk replays from the upstream
-    /// queue (peek-before-commit): its receive CPU is charged twice, but the
-    /// assembly is mutated exactly once — no lost or duplicated chunk.
+    /// Test-only fault injection (streamed transfers): the backup-ingest
+    /// stage crashes once, right after receiving this zero-based chunk index.
+    /// The supervisor restarts the stage and the chunk replays from the
+    /// upstream queue (peek-before-commit): its receive CPU is charged twice,
+    /// but the assembly is mutated exactly once — no lost or duplicated chunk.
     pub stage_fail_at_chunk: Option<u64>,
 }
 
 impl std::fmt::Debug for NiLiConEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NiLiConEngine")
-            .field("opts", &self.opts)
+            .field("opts", &self.core.opts)
             .field("agent", &self.agent)
             .finish()
     }
 }
 
+/// One epoch streaming to the backup chunk by chunk while the container
+/// runs: the open assembly's accounting.
+struct Stream {
+    epoch: u64,
+    clock: ChunkClock,
+    /// Metadata image + DRBD bytes (the first message).
+    meta_bytes: u64,
+    /// Page payload bytes sent so far.
+    payload_bytes: u64,
+    backup_cpu: Nanos,
+    dstats: DeltaStats,
+}
+
 impl NiLiConEngine {
     /// New engine. The backup page store follows
     /// [`OptimizationConfig::optimize_criu`] (radix tree vs linked list).
-    pub fn new(opts: OptimizationConfig, costs: nilicon_sim::CostModel) -> Self {
+    pub fn new(opts: OptimizationConfig, costs: CostModel) -> Self {
         NiLiConEngine {
-            opts,
-            cache: InfrequentCache::new(),
             agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
-            drbd: DrbdPrimary::new(),
+            core: StageCore::new(opts, costs),
             shadow: ShadowStore::new(),
-            prepared: false,
-            tracer: Tracer::disabled(),
-            costs,
-            bootstrap_pids: Vec::new(),
-            bootstrap_cpu_carry: 0,
             cow_fail_after_chunks: None,
-            log_store: BTreeMap::new(),
             log_fail_after_chunks: None,
-            log_chunks_shipped: 0,
-            pipe_backlog: 0,
             stage_fail_at_chunk: None,
         }
     }
 
-    /// Is the log-loss fault injection currently swallowing chunks?
-    fn log_link_down(&self) -> bool {
-        self.log_fail_after_chunks
-            .is_some_and(|k| self.log_chunks_shipped >= k)
-    }
-
     /// Active optimization set.
     pub fn opts(&self) -> OptimizationConfig {
-        self.opts
+        self.core.opts
     }
 
-    fn transfer_cost(&self, primary: &Kernel, bytes: u64, msgs: u64) -> Nanos {
-        let c = &primary.costs;
-        let mut t = c.repl_link_latency + c.repl_wire(bytes) + msgs * c.repl_msg_overhead;
-        if self.opts.dump_config().via_proxy {
-            t += c.proxy_overhead(bytes, msgs);
+    /// Open `epoch`'s assembly at the backup with the metadata image and the
+    /// DRBD traffic. They are ready the moment the container resumes, so
+    /// they go out first and the page chunks queue behind them on the link.
+    fn open_stream(
+        &mut self,
+        primary: &Kernel,
+        stopped: Stopped,
+        epoch: u64,
+        expected_pages: u64,
+        bounded: bool,
+    ) -> Stream {
+        let (img, msgs) = (stopped.img, stopped.msgs);
+        let meta_bytes = img.state_bytes() + stopped.drbd_bytes;
+        // `transfer_cost` includes the propagation latency; peel it off — in
+        // the pipelined model it is paid once, after the last chunk.
+        let msgs_out = img.transfer_chunks() + msgs.len() as u64;
+        let meta_ser = self.core.transfer_cost(primary, meta_bytes, msgs_out)
+            - primary.costs.repl_link_latency;
+        let mut backup_cpu = self.agent.begin_assembly(img, expected_pages);
+        backup_cpu += self.agent.ingest_drbd(msgs);
+        Stream {
+            epoch,
+            clock: ChunkClock::new(self.core.tracer.clone(), meta_ser, bounded),
+            meta_bytes,
+            payload_bytes: 0,
+            backup_cpu,
+            dstats: DeltaStats::default(),
         }
-        t
+    }
+
+    /// Send one chunk (`produce` to make, `bytes` on the wire) into the open
+    /// assembly.
+    fn ship_chunk(
+        &mut self,
+        s: &mut Stream,
+        costs: &CostModel,
+        produce: Nanos,
+        bytes: u64,
+        pages: Vec<(Pid, u64, PageBuf)>,
+        deltas: Vec<(Pid, u64, PageEncoding)>,
+    ) -> SimResult<()> {
+        s.clock
+            .send(produce, costs.repl_wire(bytes) + costs.repl_msg_overhead);
+        s.payload_bytes += bytes;
+        let cpu = self.agent.ingest_chunk(s.epoch, pages, deltas)?;
+        s.backup_cpu += cpu + s.clock.replayed(&mut self.stage_fail_at_chunk, cpu);
+        Ok(())
+    }
+
+    /// The last chunk is out: the ack lands one propagation latency after
+    /// it plus the backup's receive CPU. `off_wire` is the head of the ack
+    /// path the caller already accounted in a span of its own; the emitted
+    /// `Transfer + BackupIngest + Ack` spans tile the rest of `ack_delay`.
+    /// Returns `(ack_delay, state_bytes, backup_cpu)`.
+    fn ack_stream(&self, s: Stream, link: Nanos, off_wire: Nanos) -> (Nanos, u64, Nanos) {
+        let tracer = &self.core.tracer;
+        if self.core.opts.delta_transfer && tracer.enabled() {
+            tracer.mark(delta_event(&s.dstats));
+        }
+        let bytes = s.meta_bytes + s.payload_bytes;
+        let sent = s.clock.sent();
+        tracer.span(TraceEvent::Transfer { bytes }, sent + link - off_wire);
+        tracer.span(TraceEvent::BackupIngest { probes: 0 }, s.backup_cpu);
+        tracer.span(TraceEvent::Ack, link);
+        (sent + link + s.backup_cpu + link, bytes, s.backup_cpu)
     }
 
     /// COW extension: the background copy-out of the pages write-protected
     /// at pause, streamed to the backup while the container runs.
     ///
-    /// The drain is chunked and the wire is pipelined: chunk `i` can only be
-    /// serialized once it has been copied out (`t_drain`) *and* the link has
-    /// finished the previous chunk (`t_send`). The metadata image and DRBD
-    /// traffic go out first — they are ready the moment the container
-    /// resumes — so transfer overlaps copy-out. The ack lands one
-    /// propagation latency after the last chunk plus the backup's receive
-    /// CPU: the epoch is acked only once every deferred page has arrived,
-    /// and the backup's `finish_assembly` barrier enforces the same
+    /// Chunk `i` can only be serialized once it has been copied out *and*
+    /// the link has finished the previous chunk, so transfer overlaps
+    /// copy-out. The epoch is acked only once every deferred page has
+    /// arrived, and the backup's `finish_assembly` barrier enforces the same
     /// condition structurally.
     ///
-    /// Returns `(ack_delay, state_bytes, backup_cpu)`. The emitted
-    /// `CowCopy + Transfer + BackupIngest + Ack` spans tile `ack_delay`
-    /// exactly.
+    /// The emitted `CowCopy + Transfer + BackupIngest + Ack` spans tile
+    /// `ack_delay` exactly.
     fn cow_stream(
         &mut self,
         primary: &mut Kernel,
-        mut img: CheckpointImage,
-        msgs: Vec<DrbdMsg>,
-        drbd_bytes: u64,
-        drbd_msgs: u64,
+        mut stopped: Stopped,
         epoch: u64,
     ) -> SimResult<(Nanos, u64, Nanos)> {
-        /// Pages per streamed chunk (the same batch size
-        /// `CheckpointImage::transfer_chunks` models for the eager path).
-        const COW_CHUNK: usize = 64;
-        let costs = primary.costs.clone();
-        let link = costs.repl_link_latency;
+        let deferred = std::mem::take(&mut stopped.img.deferred_vpns);
+        let pids = deferred_pids(&deferred);
+        let mut s = self.open_stream(primary, stopped, epoch, deferred.len() as u64, false);
 
-        let deferred = std::mem::take(&mut img.deferred_vpns);
-        let expected = deferred.len() as u64;
-        let mut pids: Vec<Pid> = Vec::new();
-        for &(pid, _) in &deferred {
-            if !pids.contains(&pid) {
-                pids.push(pid);
-            }
-        }
-
-        // Chunk 0: metadata + DRBD, ready immediately. `transfer_cost`
-        // includes the propagation latency; peel it off — in the pipelined
-        // model it is paid once, after the last chunk is serialized.
-        let meta_bytes = img.state_bytes() + drbd_bytes;
-        let meta_ser =
-            self.transfer_cost(primary, meta_bytes, img.transfer_chunks() + drbd_msgs) - link;
-        let mut backup_cpu = self.agent.begin_assembly(img, expected);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-
-        let delta = self.opts.delta_transfer;
-        let mut dstats = DeltaStats::default();
+        let delta = self.core.opts.delta_transfer;
         let mut drained = 0u64;
-        let mut payload_bytes = 0u64;
-        let mut chunks_sent = 0u64;
-        let mut t_drain: Nanos = 0; // when chunk i finishes copy-out
-        let mut t_send: Nanos = meta_ser; // when the link finishes chunk i
         let mut aborted = false;
         'drain: for &pid in &pids {
             loop {
@@ -192,14 +185,14 @@ impl NiLiConEngine {
                 // it ships whole. Delta composition: encode at copy time
                 // against the shadow of the last shipped epoch — the encode
                 // CPU rides the drain, off the stop phase.
-                let mut pages = Vec::with_capacity(if delta { 0 } else { COW_CHUNK });
-                let mut deltas = Vec::with_capacity(if delta { COW_CHUNK } else { 0 });
+                let mut pages = Vec::with_capacity(if delta { 0 } else { CHUNK_PAGES });
+                let mut deltas = Vec::with_capacity(if delta { CHUNK_PAGES } else { 0 });
                 let mut bytes = 0u64;
-                let shadow = &mut self.shadow;
-                let n = primary.cow_drain_with(pid, COW_CHUNK, |vpn, page| {
+                let (shadow, dstats) = (&mut self.shadow, &mut s.dstats);
+                let n = primary.cow_drain_with(pid, CHUNK_PAGES, |vpn, page| {
                     if delta {
                         let key = PageKey { pid, vpn };
-                        let enc = shadow.encode_with(key, page, || Rc::new(*page), &mut dstats);
+                        let enc = shadow.encode_with(key, page, || Rc::new(*page), dstats);
                         bytes += enc.encoded_bytes();
                         deltas.push((pid, vpn, enc));
                     } else {
@@ -211,27 +204,17 @@ impl NiLiConEngine {
                     break;
                 }
                 if delta {
-                    primary.meter.charge(n * costs.delta_encode_per_page);
+                    primary
+                        .meter
+                        .charge(n * primary.costs.delta_encode_per_page);
                 }
-                t_drain += primary.meter.lifetime_total() - m0;
-                t_send = t_send.max(t_drain) + costs.repl_wire(bytes) + costs.repl_msg_overhead;
                 drained += n;
-                payload_bytes += bytes;
-                chunks_sent += 1;
-                let ingest_cpu = self.agent.ingest_chunk(epoch, pages, deltas)?;
-                backup_cpu += ingest_cpu;
-                if self.stage_fail_at_chunk.is_some_and(|k| k + 1 == chunks_sent) {
-                    // Ingest-stage crash: the chunk replays from the upstream
-                    // queue — received twice, applied once (the crashed
-                    // attempt died before mutating the assembly).
-                    self.stage_fail_at_chunk = None;
-                    backup_cpu += ingest_cpu;
-                    self.tracer.mark(TraceEvent::StageRestart {
-                        stage: "ingest".into(),
-                        chunk: chunks_sent - 1,
-                    });
-                }
-                if self.cow_fail_after_chunks.is_some_and(|k| chunks_sent >= k) {
+                let copy_out = primary.meter.lifetime_total() - m0;
+                self.ship_chunk(&mut s, &primary.costs, copy_out, bytes, pages, deltas)?;
+                if self
+                    .cow_fail_after_chunks
+                    .is_some_and(|k| s.clock.chunks() >= k)
+                {
                     aborted = true;
                     break 'drain;
                 }
@@ -245,42 +228,21 @@ impl NiLiConEngine {
         // meter so the next exec phase starts clean (the stop phase was
         // already consumed by `checkpoint`).
         primary.meter.take();
-
         if !aborted {
             // Commit barrier: the epoch becomes ackable only now.
             self.agent.finish_assembly(epoch)?;
         }
 
-        let ack_delay = t_send + link + backup_cpu + link;
-        self.tracer.span(
-            TraceEvent::CowCopy {
-                pages: drained,
-                bytes: payload_bytes,
-            },
-            t_drain,
-        );
+        let copied = s.clock.ready();
+        let cow_copy = TraceEvent::CowCopy {
+            pages: drained,
+            bytes: s.payload_bytes,
+        };
+        self.core.tracer.span(cow_copy, copied);
         if faults > 0 {
-            self.tracer.mark(TraceEvent::CowFault { faults });
+            self.core.tracer.mark(TraceEvent::CowFault { faults });
         }
-        if delta && self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DeltaEncode {
-                zero_pages: dstats.zero_pages,
-                delta_pages: dstats.delta_pages,
-                full_pages: dstats.full_pages,
-                raw_bytes: dstats.raw_bytes,
-                encoded_bytes: dstats.encoded_bytes,
-            });
-        }
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: meta_bytes + payload_bytes,
-            },
-            t_send + link - t_drain,
-        );
-        self.tracer
-            .span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-        self.tracer.span(TraceEvent::Ack, link);
-        Ok((ack_delay, meta_bytes + payload_bytes, backup_cpu))
+        Ok(self.ack_stream(s, primary.costs.repl_link_latency, copied))
     }
 
     /// Staged-pipeline extension: the eager dump's page payload leaves the
@@ -288,141 +250,50 @@ impl NiLiConEngine {
     /// stages overlapped with the next execution phase. The dumped pages are
     /// immutable refcounted snapshots, so encoding them after resume cannot
     /// race container writes — the stop phase keeps only freeze + dump +
-    /// local copy.
-    ///
-    /// The queue between encode and transfer holds [`PIPE_BOUND`] chunks:
-    /// chunk `i`'s encode cannot start before the link finished chunk
-    /// `i - PIPE_BOUND`, so the pipeline cannot run arbitrarily far ahead of
-    /// a slow link. Chunks hand off peek-before-commit — the upstream queue
-    /// keeps a chunk until the downstream stage durably accepted it, so a
-    /// crashed-and-restarted stage ([`stage_fail_at_chunk`]) replays its
-    /// in-flight chunk: charged twice in time, applied once to the assembly.
-    /// The epoch becomes ackable only at the `finish_assembly` barrier,
-    /// exactly like the synchronous path, so the committed image is
+    /// local copy. The epoch becomes ackable only at the `finish_assembly`
+    /// barrier, exactly like the synchronous path, so the committed image is
     /// byte-identical.
     ///
-    /// Returns `(ack_delay, state_bytes, backup_cpu)`; the emitted
-    /// `Transfer + BackupIngest + Ack` spans tile `ack_delay` exactly.
-    ///
-    /// [`stage_fail_at_chunk`]: NiLiConEngine::stage_fail_at_chunk
+    /// The emitted `Transfer + BackupIngest + Ack` spans tile `ack_delay`
+    /// exactly.
     fn pipeline_stream(
         &mut self,
         primary: &mut Kernel,
-        mut img: CheckpointImage,
-        msgs: Vec<DrbdMsg>,
-        drbd_bytes: u64,
-        drbd_msgs: u64,
+        mut stopped: Stopped,
         epoch: u64,
     ) -> SimResult<(Nanos, u64, Nanos)> {
-        /// Pages per pipelined chunk (matches `cow_stream`/`transfer_chunks`).
-        const PIPE_CHUNK: usize = 64;
-        /// Bounded-queue depth between the encode and transfer stages.
-        const PIPE_BOUND: usize = 4;
-        let costs = primary.costs.clone();
-        let link = costs.repl_link_latency;
+        let pages = std::mem::take(&mut stopped.img.pages);
+        let mut s = self.open_stream(primary, stopped, epoch, pages.len() as u64, true);
 
-        let pages = std::mem::take(&mut img.pages);
-        let expected = pages.len() as u64;
-        // Chunk 0: metadata + DRBD, ready the moment the container resumes.
-        // `transfer_cost` includes the propagation latency; peel it off — in
-        // the pipelined model it is paid once, after the last chunk.
-        let meta_bytes = img.state_bytes() + drbd_bytes;
-        let meta_ser =
-            self.transfer_cost(primary, meta_bytes, img.transfer_chunks() + drbd_msgs) - link;
-        let mut backup_cpu = self.agent.begin_assembly(img, expected);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-
-        let delta = self.opts.delta_transfer;
-        let mut dstats = DeltaStats::default();
-        let mut payload_bytes = 0u64;
-        let mut t_enc: Nanos = 0; // when the encode stage finishes chunk i
-        let mut t_send: Nanos = meta_ser; // when the link finishes chunk i
-        let mut sent_at: Vec<Nanos> = Vec::new();
-        for (i, chunk) in pages.chunks(PIPE_CHUNK).enumerate() {
+        let delta = self.core.opts.delta_transfer;
+        for chunk in pages.chunks(CHUNK_PAGES) {
             let n = chunk.len() as u64;
-            if self.tracer.enabled() {
-                self.tracer.mark(TraceEvent::StageEnqueue {
-                    stage: "encode".into(),
-                    chunk: i as u64,
-                });
-            }
-            // Bounded handoff: the encode stage stalls while the link is
-            // PIPE_BOUND chunks behind (its output queue is full).
-            let gate = if i >= PIPE_BOUND { sent_at[i - PIPE_BOUND] } else { 0 };
-            let (pages_out, deltas_out, bytes, encode_cost) = if delta {
+            if delta {
                 // Encode against the shadow of the last shipped epoch — the
                 // CPU rides the background stage, off the stop phase.
-                let cost = n * costs.delta_encode_per_page;
+                let cost = n * primary.costs.delta_encode_per_page;
                 primary.meter.charge(cost);
                 let mut encs = Vec::with_capacity(chunk.len());
                 let mut bytes = 0u64;
-                for (pid, vpn, data) in chunk {
-                    let enc = self.shadow.encode(
-                        PageKey { pid: *pid, vpn: *vpn },
-                        data,
-                        &mut dstats,
-                    );
+                for &(pid, vpn, ref data) in chunk {
+                    let enc = self
+                        .shadow
+                        .encode(PageKey { pid, vpn }, data, &mut s.dstats);
                     bytes += enc.encoded_bytes();
-                    encs.push((*pid, *vpn, enc));
+                    encs.push((pid, vpn, enc));
                 }
-                (Vec::new(), encs, bytes, cost)
+                self.ship_chunk(&mut s, &primary.costs, cost, bytes, Vec::new(), encs)?;
             } else {
-                (chunk.to_vec(), Vec::new(), n * PAGE_SIZE as u64, 0)
-            };
-            t_enc = t_enc.max(gate) + encode_cost;
-            // Queueing delay between encode-done and link pickup.
-            let wait = t_send.saturating_sub(t_enc);
-            t_send = t_send.max(t_enc) + costs.repl_wire(bytes) + costs.repl_msg_overhead;
-            sent_at.push(t_send);
-            payload_bytes += bytes;
-            let ingest_cpu = self.agent.ingest_chunk(epoch, pages_out, deltas_out)?;
-            backup_cpu += ingest_cpu;
-            if self.stage_fail_at_chunk.is_some_and(|k| k == i as u64) {
-                // Ingest-stage crash: the chunk replays from the upstream
-                // queue — received twice, applied once (the crashed attempt
-                // died before mutating the assembly).
-                self.stage_fail_at_chunk = None;
-                backup_cpu += ingest_cpu;
-                self.tracer.mark(TraceEvent::StageRestart {
-                    stage: "ingest".into(),
-                    chunk: i as u64,
-                });
-            }
-            if self.tracer.enabled() {
-                self.tracer.mark(TraceEvent::StageDequeue {
-                    stage: "transfer".into(),
-                    chunk: i as u64,
-                    wait,
-                });
+                let bytes = n * PAGE_SIZE as u64;
+                self.ship_chunk(&mut s, &primary.costs, 0, bytes, chunk.to_vec(), Vec::new())?;
             }
         }
         // The encode CPU was charged to the background stage; it must not
         // bill the next exec phase's interval meter.
         primary.meter.take();
-
         // Commit barrier: the epoch becomes ackable only now.
         self.agent.finish_assembly(epoch)?;
-
-        let ack_delay = t_send + link + backup_cpu + link;
-        if delta && self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DeltaEncode {
-                zero_pages: dstats.zero_pages,
-                delta_pages: dstats.delta_pages,
-                full_pages: dstats.full_pages,
-                raw_bytes: dstats.raw_bytes,
-                encoded_bytes: dstats.encoded_bytes,
-            });
-        }
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: meta_bytes + payload_bytes,
-            },
-            t_send + link,
-        );
-        self.tracer
-            .span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-        self.tracer.span(TraceEvent::Ack, link);
-        Ok((ack_delay, meta_bytes + payload_bytes, backup_cpu))
+        Ok(self.ack_stream(s, primary.costs.repl_link_latency, 0))
     }
 }
 
@@ -432,7 +303,7 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.core.tracer = tracer;
     }
 
     fn inject_stage_fail(&mut self, chunk: u64) {
@@ -440,32 +311,7 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        // Arm soft-dirty tracking on every container address space. No
-        // clear_refs here: everything the application wrote during init is
-        // still soft-dirty, so the first incremental checkpoint captures the
-        // full initial state (the initial sync).
-        let mode = if self.opts.pml_tracking {
-            TrackingMode::HardwareLog
-        } else {
-            TrackingMode::SoftDirty
-        };
-        for pid in container.all_pids() {
-            primary.mm_mut(pid)?.set_tracking(mode);
-        }
-        // Input-blocking mechanism (§V-C).
-        let mode = if self.opts.plug_input_blocking {
-            InputMode::Buffer
-        } else {
-            InputMode::Drop
-        };
-        primary
-            .stack_mut(container.ns.net)?
-            .input_gate
-            .set_mode(mode);
-        // Output commit: plug the egress qdisc for the whole run.
-        primary.stack_mut(container.ns.net)?.plugged = true;
-        self.prepared = true;
-        Ok(())
+        self.core.prepare(primary, container)
     }
 
     fn checkpoint(
@@ -475,124 +321,30 @@ impl Checkpointer for NiLiConEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<CheckpointOutcome> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared".into()));
-        }
-        let cfg = self.opts.dump_config();
+        let opts = self.core.opts;
         // The staged pipeline needs the staging buffer (§V-D(2)) to overlap
         // the ack path with execution; COW has its own streaming drain, so
         // the eager pipelined path covers the remaining shape.
-        let pipelined = self.opts.pipeline && self.opts.staging_buffer && !cfg.cow;
-        primary.meter.take();
+        let pipelined = opts.pipeline && opts.staging_buffer && !opts.cow_checkpoint;
+        // Delta-encode inside the stop phase (HyCoR extension) unless a
+        // background stage does it: under COW the pages are deferred and
+        // encoded by the drain (`cow_stream`); under the staged pipeline the
+        // dumped pages are immutable snapshots and the encode stage takes
+        // them (`pipeline_stream`).
+        let encode =
+            (opts.delta_transfer && !opts.cow_checkpoint && !pipelined).then_some(&mut self.shadow);
+        let stopped = self.core.stop_phase(primary, container, epoch, encode)?;
+        let mut stop_time = stopped.stop_time;
+        let dirty_pages = stopped.img.stats.dirty_pages;
 
-        // --- Stop phase -------------------------------------------------
-        // Phase boundaries are sampled off the lifetime meter so the emitted
-        // trace spans telescope exactly to the final `stop_time`.
-        let m_start = primary.meter.lifetime_total();
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        // Block network input (§III): even frozen, RX would mutate state.
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-        let m_frozen = primary.meter.lifetime_total();
-
-        // Incremental dump.
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = dump_container(primary, container, &cfg, cache, epoch)?;
-        let dirty_pages = img.stats.dirty_pages;
-        let dump_phases = img.stats.phases;
-        let m_dumped = primary.meter.lifetime_total();
-
-        // Delta-encode the page payload for the wire (HyCoR extension):
-        // classify each dirty page against the shadow of the last shipped
-        // epoch. The encode CPU is part of the stop phase — it must finish
-        // before the container resumes, or the parasite's page contents
-        // could change under the encoder. Under COW the pages are deferred,
-        // so encoding moves to the background drain (`cow_stream`); under the
-        // staged pipeline the dumped pages are immutable snapshots, so
-        // encoding moves to the background encode stage (`pipeline_stream`).
-        let delta_stats = if self.opts.delta_transfer && !cfg.cow && !pipelined {
-            let stats = img.encode_pages(&mut self.shadow);
-            primary
-                .meter
-                .charge(stats.pages() * primary.costs.delta_encode_per_page);
-            Some(stats)
-        } else {
-            None
-        };
-        let m_encoded = primary.meter.lifetime_total();
-        let state_bytes = img.state_bytes();
-        let chunks = img.transfer_chunks();
-
-        // DRBD: ship this epoch's disk writes + barrier (async — the wire
-        // time of disk writes does not stop the container).
-        let mut msgs = self.drbd.ship(&mut primary.vfs.disk);
-        msgs.push(self.drbd.barrier(epoch));
-        let wire = nilicon_drbd::wire_stats(&msgs);
-        let drbd_msgs = msgs.len() as u64;
-
-        // Resume.
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let m_resumed = primary.meter.lifetime_total();
-        let mut stop_time = primary.meter.take();
-
-        self.tracer.span(TraceEvent::Freeze, m_frozen - m_start);
-        self.tracer.span(TraceEvent::Dump { dirty_pages }, m_dumped - m_frozen);
-        if self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DumpDetail {
-                processes: dump_phases.processes,
-                pages: dump_phases.pages,
-                sockets: dump_phases.sockets,
-                fs_cache: dump_phases.fs_cache,
-                infrequent: dump_phases.infrequent,
-            });
-        }
-        if let Some(ds) = delta_stats {
-            self.tracer.span(
-                TraceEvent::DeltaEncode {
-                    zero_pages: ds.zero_pages,
-                    delta_pages: ds.delta_pages,
-                    full_pages: ds.full_pages,
-                    raw_bytes: ds.raw_bytes,
-                    encoded_bytes: ds.encoded_bytes,
-                },
-                m_encoded - m_dumped,
-            );
-        }
-        self.tracer.span(TraceEvent::LocalCopy, m_resumed - m_encoded);
-        self.tracer.mark(TraceEvent::DrbdShip {
-            writes: wire.writes,
-            bytes: wire.bytes,
-        });
-
-        // Staged pipeline: if the previous epoch's pipeline has not fully
-        // drained, the stop phase stalls until the backlog clears. A link
-        // slower than the epoch's execution phase thus degrades toward the
-        // paper's synchronous behavior instead of queueing unboundedly.
-        if self.opts.pipeline && self.pipe_backlog > 0 {
-            let stalled = std::mem::take(&mut self.pipe_backlog);
-            stop_time += stalled;
-            self.tracer.span(TraceEvent::Backpressure { stalled }, stalled);
-        }
-
-        // --- Transfer + ack --------------------------------------------
-        // COW: the container is already running; drain the write-protected
-        // pages into staging and stream them to the backup, chunk by chunk.
-        if cfg.cow {
-            let (ack_delay, state_bytes, backup_cpu) =
-                self.cow_stream(primary, img, msgs, wire.bytes, drbd_msgs, epoch)?;
-            if self.opts.pipeline {
-                self.pipe_backlog = ack_delay;
-            }
+        // --- Transfer + ack, container already running -------------------
+        if opts.cow_checkpoint || pipelined {
+            let (ack_delay, state_bytes, backup_cpu) = if opts.cow_checkpoint {
+                self.cow_stream(primary, stopped, epoch)?
+            } else {
+                self.pipeline_stream(primary, stopped, epoch)?
+            };
+            self.core.stage_backlog(ack_delay);
             return Ok(CheckpointOutcome {
                 stop_time,
                 state_bytes,
@@ -601,51 +353,30 @@ impl Checkpointer for NiLiConEngine {
                 backup_cpu,
             });
         }
-
-        // Staged pipeline (eager dump): the page payload flows through the
-        // encode → transfer → ingest stages overlapped with the next
-        // execution phase.
-        if pipelined {
-            let (ack_delay, state_bytes, backup_cpu) =
-                self.pipeline_stream(primary, img, msgs, wire.bytes, drbd_msgs, epoch)?;
-            self.pipe_backlog = ack_delay;
-            return Ok(CheckpointOutcome {
-                stop_time,
-                state_bytes,
-                dirty_pages,
-                ack_delay,
-                backup_cpu,
-            });
-        }
+        let (img, msgs) = (stopped.img, stopped.msgs);
 
         // Without the staging buffer the parasite pipes pages out one at a
         // time, so the synchronous transfer pays per-page message overheads
         // (part of what §V-D(2)+(3) eliminate).
-        let transfer_msgs = if self.opts.staging_buffer {
-            chunks
-        } else {
-            chunks + dirty_pages
-        };
-        let transfer =
-            self.transfer_cost(primary, state_bytes + wire.bytes, transfer_msgs + drbd_msgs);
+        let mut transfer_msgs = img.transfer_chunks() + msgs.len() as u64;
+        if !opts.staging_buffer {
+            transfer_msgs += dirty_pages;
+        }
+        let state_bytes = img.state_bytes() + stopped.drbd_bytes;
+        let transfer = self.core.transfer_cost(primary, state_bytes, transfer_msgs);
         let link = primary.costs.repl_link_latency;
         let mut backup_cpu = self.agent.ingest(img);
         backup_cpu += self.agent.ingest_drbd(msgs);
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: state_bytes + wire.bytes,
-            },
-            transfer,
-        );
+        let tracer = &self.core.tracer;
+        tracer.span(TraceEvent::Transfer { bytes: state_bytes }, transfer);
 
-        let ack_delay = if self.opts.staging_buffer {
+        let ack_delay = if opts.staging_buffer {
             // §V-D(2): transfer overlaps the next execution phase; the ack
             // (and output release) lands after wire + backup receive. The
             // page-store probes happen at the deferred commit — see the
             // `BackupCommit` marker emitted there.
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-            self.tracer.span(TraceEvent::Ack, link);
+            tracer.span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
+            tracer.span(TraceEvent::Ack, link);
             transfer + backup_cpu + link
         } else {
             // Without staging, the container stays stopped until the backup
@@ -653,16 +384,15 @@ impl Checkpointer for NiLiConEngine {
             // are all on the critical path.
             let commit_cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
             let (probes, _) = self.agent.last_commit_stats();
-            self.tracer
-                .span(TraceEvent::BackupIngest { probes }, backup_cpu + commit_cpu);
-            self.tracer.span(TraceEvent::Ack, link);
+            tracer.span(TraceEvent::BackupIngest { probes }, backup_cpu + commit_cpu);
+            tracer.span(TraceEvent::Ack, link);
             stop_time += transfer + backup_cpu + commit_cpu + link;
             0
         };
 
         Ok(CheckpointOutcome {
             stop_time,
-            state_bytes: state_bytes + wire.bytes,
+            state_bytes,
             dirty_pages,
             ack_delay,
             backup_cpu,
@@ -670,56 +400,28 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn pipeline_advance(&mut self, elapsed: Nanos) {
-        self.pipe_backlog = self.pipe_backlog.saturating_sub(elapsed);
+        self.core.pipeline_advance(elapsed);
     }
 
     fn commit(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        // Logs at or below the committed checkpoint are dead weight — their
-        // effects are inside the checkpoint image.
-        self.log_store.retain(|&e, _| e > epoch);
-        if self.opts.staging_buffer {
-            let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-            if self.tracer.enabled() {
-                let (probes, disk_pages) = self.agent.last_commit_stats();
-                self.tracer
-                    .mark(TraceEvent::BackupCommit { probes, disk_pages });
-            }
-            Ok(cpu)
-        } else {
-            Ok(0) // already committed inline during the stop phase
+        self.core.prune_logs(epoch);
+        if !self.core.opts.staging_buffer {
+            return Ok(0); // already committed inline during the stop phase
         }
+        let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
+        if self.core.tracer.enabled() {
+            let (probes, disk_pages) = self.agent.last_commit_stats();
+            self.core
+                .tracer
+                .mark(TraceEvent::BackupCommit { probes, disk_pages });
+        }
+        Ok(cpu)
     }
 
     fn failover(&mut self, backup: &mut Kernel) -> SimResult<(RestoredContainer, FailoverReport)> {
         self.agent.discard_uncommitted();
         let img = self.agent.materialize()?;
-        let restore_cfg = RestoreConfig {
-            optimized_rto: self.opts.optimized_rto,
-            block_input: true,
-        };
-        backup.meter.take();
-        let restored = nilicon_criu::restore_container(backup, &img, &restore_cfg)?;
-        backup.meter.take();
-
-        let c = &backup.costs;
-        let rto = if self.opts.optimized_rto {
-            c.tcp_rto_repair_min
-        } else {
-            c.tcp_rto_default
-        };
-        // Sockets come back roughly half-way through the restore (fd-table
-        // restoration precedes page loading for later processes); the RTO
-        // runs concurrently with the remaining restore and the ARP
-        // broadcast. Table II reports only the non-overlapped remainder.
-        let tcp = rto.saturating_sub(restored.restore_time / 2 + c.gratuitous_arp);
-        let report = FailoverReport {
-            restore: restored.restore_time,
-            arp: c.gratuitous_arp,
-            tcp,
-            others: c.recovery_misc,
-            disk_pages_committed: 0,
-        };
-        Ok((restored, report))
+        self.core.restore(backup, &img)
     }
 
     fn committed_epoch(&self) -> Option<u64> {
@@ -727,24 +429,16 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn supports_rearm(&self) -> bool {
-        self.opts.rearm
+        self.core.opts.rearm
     }
 
     fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
         // The old backup died with its buffers: every replica-side structure
         // restarts empty, and the delta shadow is stale (the replacement has
         // no base image to patch against).
-        self.cache = InfrequentCache::new();
-        self.agent = BackupAgent::new(self.costs.clone(), self.opts.optimize_criu);
-        self.drbd = DrbdPrimary::new();
+        self.agent = BackupAgent::new(self.core.costs.clone(), self.core.opts.optimize_criu);
         self.shadow = ShadowStore::new();
-        self.bootstrap_pids.clear();
-        self.bootstrap_cpu_carry = 0;
-        self.log_store.clear();
-        self.log_chunks_shipped = 0;
-        self.pipe_backlog = 0;
-        self.prepared = false;
-        self.prepare(primary, container)
+        self.core.rearm(primary, container)
     }
 
     fn bootstrap_begin(
@@ -753,64 +447,10 @@ impl Checkpointer for NiLiConEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<BootstrapBegin> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared for bootstrap".into()));
-        }
-        let cfg = self.opts.dump_config();
-        primary.meter.take();
-
-        // Stop phase: freeze + block input, full dump with the page copies
-        // deferred via COW, DRBD full-device snapshot, resume. The container
-        // pauses for roughly one incremental epoch's stop time even though
-        // the entire image is being captured.
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = bootstrap_dump(primary, container, &cfg, cache, epoch)?;
-
-        // The write log only covers history the dead backup already had; the
-        // full-device snapshot below supersedes it.
-        let _ = primary.vfs.disk.take_writes();
-        let mut msgs: Vec<DrbdMsg> = primary
-            .vfs
-            .disk
-            .full_sync_writes()
-            .into_iter()
-            .map(DrbdMsg::Write)
-            .collect();
-        msgs.push(self.drbd.barrier(epoch));
-
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let stop_time = primary.meter.take();
-
-        let deferred = std::mem::take(&mut img.deferred_vpns);
-        let total_pages = deferred.len() as u64;
-        let state_bytes = img.state_bytes();
-        self.bootstrap_pids.clear();
-        for &(pid, _) in &deferred {
-            if !self.bootstrap_pids.contains(&pid) {
-                self.bootstrap_pids.push(pid);
-            }
-        }
-        self.bootstrap_cpu_carry = self.agent.begin_assembly(img, total_pages);
-        self.bootstrap_cpu_carry += self.agent.ingest_drbd(msgs);
-        Ok(BootstrapBegin {
-            stop_time,
-            total_pages,
-            state_bytes,
-        })
+        let (img, msgs, begin) = self.core.bootstrap_stop(primary, container, epoch)?;
+        self.core.bootstrap_cpu_carry =
+            self.agent.begin_assembly(img, begin.total_pages) + self.agent.ingest_drbd(msgs);
+        Ok(begin)
     }
 
     fn bootstrap_step(
@@ -819,74 +459,34 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
         max_pages: u64,
     ) -> SimResult<BootstrapStep> {
-        /// Pages per streamed message, matching `cow_stream`'s batch size.
-        const COW_CHUNK: usize = 64;
-        let mut pages = 0u64;
-        let mut bytes = 0u64;
-        let mut backup_cpu = std::mem::take(&mut self.bootstrap_cpu_carry);
-        let pids = self.bootstrap_pids.clone();
-        'drain: for &pid in &pids {
-            loop {
-                if pages >= max_pages {
-                    break 'drain;
-                }
-                let want = ((max_pages - pages) as usize).min(COW_CHUNK);
-                let chunk = primary.cow_drain_pages(pid, want)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                let n = chunk.len() as u64;
-                let batch: Vec<_> = chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect();
-                backup_cpu += self.agent.ingest_chunk(epoch, batch, Vec::new())?;
-                pages += n;
-                bytes += n * PAGE_SIZE as u64;
-            }
-        }
-        let mut remaining = 0u64;
-        for &pid in &pids {
-            primary.take_cow_faults(pid)?;
-            remaining += primary.cow_pending(pid)? as u64;
-        }
-        // The drain rides the background thread: it must not bill the next
-        // exec phase's interval meter.
-        primary.meter.take();
-        Ok(BootstrapStep {
-            pages,
-            bytes,
-            backup_cpu,
-            remaining,
-        })
+        let agent = &mut self.agent;
+        self.core
+            .bootstrap_drain(primary, max_pages, PAGE_SIZE as u64, |chunk| {
+                agent.ingest_chunk(epoch, chunk, Vec::new())
+            })
     }
 
     fn bootstrap_finish(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
         self.agent.finish_assembly(epoch)?;
         if !self.agent.epoch_complete(epoch) {
-            return Err(SimError::Invalid(format!(
+            return Err(nilicon_sim::SimError::Invalid(format!(
                 "bootstrap epoch {epoch} sealed without its disk barrier"
             )));
         }
         let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-        self.bootstrap_pids.clear();
+        self.core.bootstrap_done();
         Ok(cpu)
     }
 
     fn bootstrap_abort(&mut self, primary: &mut Kernel, _container: &Container) -> SimResult<()> {
-        // Unwind the COW protect set — drain every deferred page to nowhere
-        // so the promoted container stops write-faulting — and drop the
-        // half-assembled image with the dead replacement.
-        let pids = std::mem::take(&mut self.bootstrap_pids);
-        for &pid in &pids {
-            while !primary.cow_drain_pages(pid, 64)?.is_empty() {}
-            primary.take_cow_faults(pid)?;
-        }
-        primary.meter.take();
-        self.bootstrap_cpu_carry = 0;
+        self.core.bootstrap_unwind(primary)?;
+        // The half-assembled image dies with the replacement.
         let _ = self.agent.discard_uncommitted();
         Ok(())
     }
 
     fn supports_replay(&self) -> bool {
-        self.opts.hybrid_replay
+        self.core.opts.hybrid_replay
     }
 
     fn ship_log(
@@ -895,87 +495,21 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
         events: &[ReplayEvent],
     ) -> SimResult<LogShipOutcome> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if events.is_empty() {
-            return Ok(LogShipOutcome::default());
-        }
-        let c = &primary.costs;
-        let bytes: u64 = events.iter().map(ReplayEvent::byte_len).sum();
-        let backup_cpu = c.backup_recv(bytes, 1);
-        // One chunk out, one commit confirmation back — the whole point of
-        // the hybrid scheme is that this round-trip is link-scale (~tens of
-        // µs), not epoch-scale.
-        let commit_latency = c.repl_link_latency
-            + c.repl_wire(bytes)
-            + c.repl_msg_overhead
-            + backup_cpu
-            + c.repl_link_latency;
-        let link_down = self.log_link_down();
-        self.log_chunks_shipped += 1;
-        if link_down {
-            // The chunk left the primary but never arrived: the epoch's log
-            // stays short and unsealed. The caller still observes a normal
-            // send — the primary cannot know its link just died.
-            return Ok(LogShipOutcome {
-                bytes,
-                chunks: 1,
-                commit_latency,
-                backup_cpu: 0,
-            });
-        }
-        let log = self
-            .log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch));
-        log.events.extend_from_slice(events);
-        Ok(LogShipOutcome {
-            bytes,
-            chunks: 1,
-            commit_latency,
-            backup_cpu,
-        })
+        let fail_after = self.log_fail_after_chunks;
+        self.core
+            .logs()?
+            .ship(&primary.costs, epoch, events, (1, 1), fail_after)
     }
 
     fn seal_log(&mut self, epoch: u64) -> SimResult<()> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if self.log_link_down() {
-            return Ok(()); // the seal message is lost with the link
-        }
-        self.log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch))
-            .sealed = true;
+        let fail_after = self.log_fail_after_chunks;
+        self.core.logs()?.seal(epoch, fail_after);
         Ok(())
     }
 
     fn take_replay_tail(&mut self) -> SimResult<ReplayTail> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
         let committed = self.agent.committed_epoch();
-        let store = std::mem::take(&mut self.log_store);
-        let mut tail = ReplayTail::default();
-        let mut expect = committed.map(|e| e + 1).unwrap_or(1);
-        for (epoch, log) in store {
-            if committed.is_some_and(|c| epoch <= c) {
-                continue; // already inside the checkpoint
-            }
-            if epoch != expect {
-                tail.dropped_partial = true; // gap: a whole epoch log vanished
-                break;
-            }
-            if !log.sealed {
-                tail.dropped_partial = true; // partial tail: seal never landed
-                break;
-            }
-            expect += 1;
-            tail.logs.push(log);
-        }
-        Ok(tail)
+        Ok(self.core.logs()?.take_tail(committed))
     }
 }
 
@@ -1483,81 +1017,5 @@ mod tests {
         let z = e.ship_log(&mut p, 1, &[]).unwrap();
         assert_eq!(z.chunks, 0);
         assert_eq!(z.commit_latency, 0);
-    }
-
-    #[test]
-    fn sealed_tail_is_contiguous_from_committed_epoch() {
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        // Epochs 2 and 3 ship + seal after the checkpoint commit.
-        e.ship_log(&mut p, 2, &[req_event(10)]).unwrap();
-        e.seal_log(2).unwrap();
-        e.ship_log(&mut p, 3, &[req_event(20), req_event(21)]).unwrap();
-        e.seal_log(3).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(!tail.dropped_partial);
-        assert_eq!(tail.logs.len(), 2);
-        assert_eq!(tail.logs[0].epoch, 2);
-        assert_eq!(tail.logs[1].epoch, 3);
-        assert_eq!(tail.events(), 3);
-    }
-
-    #[test]
-    fn commit_prunes_logs_covered_by_the_checkpoint() {
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.ship_log(&mut p, 1, &[req_event(0)]).unwrap();
-        e.seal_log(1).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(tail.logs.is_empty(), "epoch-1 log died with its checkpoint");
-        assert!(!tail.dropped_partial);
-    }
-
-    #[test]
-    fn gap_or_unsealed_log_marks_tail_partial() {
-        // Gap: epoch 2's log is missing entirely.
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        e.ship_log(&mut p, 3, &[req_event(30)]).unwrap();
-        e.seal_log(3).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(tail.dropped_partial, "missing epoch 2 breaks the chain");
-        assert!(tail.logs.is_empty());
-
-        // Unsealed: epoch 2 shipped but the seal never landed.
-        let (mut p2, mut b2, c2, mut e2) = replay_setup();
-        e2.prepare(&mut p2, &c2).unwrap();
-        e2.checkpoint(&mut p2, &mut b2, &c2, 1).unwrap();
-        e2.commit(&mut b2, 1).unwrap();
-        e2.ship_log(&mut p2, 2, &[req_event(10)]).unwrap();
-        let tail2 = e2.take_replay_tail().unwrap();
-        assert!(tail2.dropped_partial, "unsealed tail epoch is unusable");
-        assert!(tail2.logs.is_empty());
-    }
-
-    #[test]
-    fn log_link_failure_loses_chunks_and_seal_in_flight() {
-        let (mut p, mut b, c, mut e) = replay_setup();
-        e.prepare(&mut p, &c).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        e.log_fail_after_chunks = Some(1);
-        let o1 = e.ship_log(&mut p, 2, &[req_event(10)]).unwrap();
-        assert!(o1.backup_cpu > 0, "first chunk arrives");
-        // Second chunk and the seal are lost in flight; the primary cannot
-        // tell — it still observes a normal send.
-        let o2 = e.ship_log(&mut p, 2, &[req_event(11)]).unwrap();
-        assert_eq!(o2.backup_cpu, 0, "lost chunk burns no backup CPU");
-        assert_eq!(o2.chunks, 1);
-        e.seal_log(2).unwrap();
-        let tail = e.take_replay_tail().unwrap();
-        assert!(tail.dropped_partial, "partial log cannot be replayed");
-        assert!(tail.logs.is_empty());
     }
 }

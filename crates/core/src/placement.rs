@@ -56,21 +56,17 @@ use crate::engine::{
     BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
     RepairBegin, ReplayTail,
 };
+use crate::stages::{ChunkClock, StageCore, CHUNK_PAGES};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{
-    bootstrap_dump, dump_container, CheckpointImage, FragBuf, InfrequentCache, PageKey,
-    RestoreConfig, RestoredContainer, ShardCodec,
-};
-use nilicon_drbd::{DrbdMsg, DrbdPrimary};
+use nilicon_criu::{CheckpointImage, FragBuf, PageKey, RestoredContainer, ShardCodec};
+use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::TrackingMode;
-use nilicon_sim::net::InputMode;
-use nilicon_sim::replay::{ReplayEvent, ReplayLog};
+use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
+use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
@@ -83,6 +79,16 @@ struct Replica {
     agent: BackupAgent,
     disk: BlockDevice,
     alive: bool,
+}
+
+impl Replica {
+    fn new(costs: &CostModel, opts: &OptimizationConfig) -> Self {
+        Replica {
+            agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
+            disk: BlockDevice::default(),
+            alive: true,
+        }
+    }
 }
 
 /// An in-flight coded repair (one at a time).
@@ -107,14 +113,9 @@ struct ActiveRepair {
 
 /// The k-of-n placement engine (see the module docs).
 pub struct PlacementEngine {
-    opts: OptimizationConfig,
-    cache: InfrequentCache,
+    core: StageCore,
     codec: ShardCodec,
     replicas: Vec<Replica>,
-    drbd: DrbdPrimary,
-    prepared: bool,
-    tracer: Tracer,
-    costs: nilicon_sim::CostModel,
     /// Page keys of each not-yet-committed epoch (drained at commit). While
     /// a repair is active, committed keys accumulate in `redirty` so the
     /// repaired replica can be topped up to the current committed state.
@@ -122,30 +123,15 @@ pub struct PlacementEngine {
     /// Keys committed while the active repair streamed its base image.
     redirty: HashSet<(Pid, u64)>,
     repair: Option<ActiveRepair>,
-    /// Address spaces still holding COW-deferred bootstrap pages (rearm).
-    bootstrap_pids: Vec<Pid>,
-    /// Replica CPU charged by `bootstrap_begin`, carried into the first
-    /// `bootstrap_step`.
-    bootstrap_cpu_carry: Nanos,
-    /// Replay logs by epoch. Each chunk is erasure-coded into n fragments
-    /// of `ceil(bytes/k)` and fanned out like epoch pages; a chunk counts
-    /// as committed at the k-th ack. The store holds the logical
-    /// (reconstructible) log — checkpoint already refuses below quorum, so
-    /// a stored chunk is always decodable from the survivors.
-    log_store: BTreeMap<u64, ReplayLog>,
-    /// Test hook mirroring `NiLiConEngine::log_fail_after_chunks`: once the
-    /// counter reaches the threshold, later chunks and the seal vanish in
-    /// flight.
+    /// Test hook: once this many log chunks were shipped, later chunks and
+    /// the seal vanish in flight. (Each chunk is erasure-coded into n
+    /// fragments of `ceil(bytes/k)` and fanned out like epoch pages; the
+    /// store holds the logical log — checkpoint already refuses below
+    /// quorum, so a stored chunk is always decodable from the survivors.)
     pub log_fail_after_chunks: Option<u64>,
-    log_chunks_shipped: u64,
-    /// Staged-pipeline extension: ack-path work of the previous epoch's
-    /// fan-out not yet overlapped by execution time (see
-    /// `NiLiConEngine::pipe_backlog`).
-    pipe_backlog: Nanos,
-    /// Test hook mirroring `NiLiConEngine::stage_fail_at_chunk`: the
-    /// designated replica's ingest stage crashes once at this chunk index
-    /// and replays it from the upstream queue (received twice, applied
-    /// once).
+    /// Test hook: the designated replica's ingest stage crashes once at this
+    /// chunk index of a pipelined fan-out and replays it from the upstream
+    /// queue (received twice, applied once).
     pub stage_fail_at_chunk: Option<u64>,
 }
 
@@ -158,11 +144,58 @@ impl std::fmt::Debug for PlacementEngine {
     }
 }
 
+/// Erasure-code `pages` and hand fragment `i` of each page to alive replica
+/// `i`'s open assembly as one chunk, adding each replica's receive CPU to
+/// `per_cpu[i]`. Every epoch path — whole-epoch, pipelined, bootstrap —
+/// stripes through here.
+fn fan_out(
+    replicas: &mut [Replica],
+    codec: &ShardCodec,
+    epoch: u64,
+    pages: &[(Pid, u64, PageBuf)],
+    per_cpu: &mut [Nanos],
+) -> SimResult<()> {
+    let mut batches: Vec<Vec<Fragment>> = replicas
+        .iter()
+        .map(|r| Vec::with_capacity(if r.alive { pages.len() } else { 0 }))
+        .collect();
+    for (pid, vpn, data) in pages {
+        for (i, batch) in batches.iter_mut().enumerate() {
+            if replicas[i].alive {
+                batch.push((*pid, *vpn, codec.encode_fragment(data, i)));
+            }
+        }
+    }
+    for (i, batch) in batches.into_iter().enumerate() {
+        if replicas[i].alive {
+            per_cpu[i] += replicas[i].agent.ingest_fragments(epoch, batch)?;
+        }
+    }
+    Ok(())
+}
+
+/// Commit `epoch` on replica `i` — into the harness's backup kernel's device
+/// for the designated replica 0, into the replica's own otherwise.
+fn commit_replica(
+    replicas: &mut [Replica],
+    i: usize,
+    epoch: u64,
+    backup: &mut Kernel,
+) -> SimResult<Nanos> {
+    let r = &mut replicas[i];
+    let disk = if i == 0 {
+        &mut backup.vfs.disk
+    } else {
+        &mut r.disk
+    };
+    r.agent.commit(epoch, disk)
+}
+
 impl PlacementEngine {
     /// New engine for `opts.backups` replicas with quorum `opts.quorum`.
     /// Requires the staged transfer path and composes with neither the
     /// delta nor the COW extension.
-    pub fn new(opts: OptimizationConfig, costs: nilicon_sim::CostModel) -> SimResult<Self> {
+    pub fn new(opts: OptimizationConfig, costs: CostModel) -> SimResult<Self> {
         if !opts.staging_buffer {
             return Err(SimError::Invalid(
                 "placement requires the staging buffer (staged ack path)".into(),
@@ -173,44 +206,23 @@ impl PlacementEngine {
                 "placement composes with neither delta_transfer nor cow_checkpoint".into(),
             ));
         }
-        let codec = ShardCodec::new(opts.quorum, opts.backups)?;
-        let replicas = (0..opts.backups)
-            .map(|_| Replica {
-                agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
-                disk: BlockDevice::default(),
-                alive: true,
-            })
-            .collect();
         Ok(PlacementEngine {
-            opts,
-            cache: InfrequentCache::new(),
-            codec,
-            replicas,
-            drbd: DrbdPrimary::new(),
-            prepared: false,
-            tracer: Tracer::disabled(),
-            costs,
+            codec: ShardCodec::new(opts.quorum, opts.backups)?,
+            replicas: (0..opts.backups)
+                .map(|_| Replica::new(&costs, &opts))
+                .collect(),
+            core: StageCore::new(opts, costs),
             epoch_keys: BTreeMap::new(),
             redirty: HashSet::new(),
             repair: None,
-            bootstrap_pids: Vec::new(),
-            bootstrap_cpu_carry: 0,
-            log_store: BTreeMap::new(),
             log_fail_after_chunks: None,
-            log_chunks_shipped: 0,
-            pipe_backlog: 0,
             stage_fail_at_chunk: None,
         })
     }
 
-    fn log_link_down(&self) -> bool {
-        self.log_fail_after_chunks
-            .is_some_and(|k| self.log_chunks_shipped >= k)
-    }
-
     /// Active optimization set.
     pub fn opts(&self) -> OptimizationConfig {
-        self.opts
+        self.core.opts
     }
 
     /// Bytes of one page fragment as stored per replica.
@@ -245,11 +257,6 @@ impl PlacementEngine {
             .sum()
     }
 
-    fn transfer_cost(&self, primary: &Kernel, bytes: u64, msgs: u64) -> Nanos {
-        let c = &primary.costs;
-        c.repl_link_latency + c.repl_wire(bytes) + msgs * c.repl_msg_overhead
-    }
-
     fn alive_indices(&self) -> Vec<usize> {
         self.replicas
             .iter()
@@ -257,36 +264,6 @@ impl PlacementEngine {
             .filter(|(_, r)| r.alive)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Erasure-code `pages` and hand fragment `i` of each page to alive
-    /// replica `i`'s open assembly as one chunk, adding each replica's
-    /// receive CPU to `per_cpu[i]`. Every epoch path — whole-epoch,
-    /// pipelined, bootstrap — stripes through here.
-    fn fan_out(
-        &mut self,
-        epoch: u64,
-        pages: &[(Pid, u64, PageBuf)],
-        per_cpu: &mut [Nanos],
-    ) -> SimResult<()> {
-        let mut batches: Vec<Vec<Fragment>> = self
-            .replicas
-            .iter()
-            .map(|r| Vec::with_capacity(if r.alive { pages.len() } else { 0 }))
-            .collect();
-        for (pid, vpn, data) in pages {
-            for (i, batch) in batches.iter_mut().enumerate() {
-                if self.replicas[i].alive {
-                    batch.push((*pid, *vpn, self.codec.encode_fragment(data, i)));
-                }
-            }
-        }
-        for (i, batch) in batches.into_iter().enumerate() {
-            if self.replicas[i].alive {
-                per_cpu[i] += self.replicas[i].agent.ingest_fragments(epoch, batch)?;
-            }
-        }
-        Ok(())
     }
 
     /// The committed fragment lists of the replicas `pick`, sorted by key
@@ -353,6 +330,11 @@ impl PlacementEngine {
         Ok(out)
     }
 
+    /// CPU to decode one page from k fragments and re-encode one of its own.
+    fn recode_per_page(&self) -> Nanos {
+        self.core.costs.shard_decode_per_page + self.core.costs.shard_encode_per_page
+    }
+
     /// First `count` alive replica indices, erroring below the quorum.
     fn survivors(&self, count: usize) -> SimResult<Vec<usize>> {
         let alive = self.alive_indices();
@@ -372,7 +354,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.core.tracer = tracer;
     }
 
     fn inject_stage_fail(&mut self, chunk: u64) {
@@ -380,26 +362,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        let mode = if self.opts.pml_tracking {
-            TrackingMode::HardwareLog
-        } else {
-            TrackingMode::SoftDirty
-        };
-        for pid in container.all_pids() {
-            primary.mm_mut(pid)?.set_tracking(mode);
-        }
-        let mode = if self.opts.plug_input_blocking {
-            InputMode::Buffer
-        } else {
-            InputMode::Drop
-        };
-        primary
-            .stack_mut(container.ns.net)?
-            .input_gate
-            .set_mode(mode);
-        primary.stack_mut(container.ns.net)?.plugged = true;
-        self.prepared = true;
-        Ok(())
+        self.core.prepare(primary, container)
     }
 
     fn checkpoint(
@@ -409,9 +372,6 @@ impl Checkpointer for PlacementEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<CheckpointOutcome> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared".into()));
-        }
         let k = self.codec.k() as usize;
         let alive = self.alive_indices();
         if alive.len() < k {
@@ -420,67 +380,10 @@ impl Checkpointer for PlacementEngine {
                 alive.len()
             )));
         }
-        let cfg = self.opts.dump_config();
-        primary.meter.take();
-
-        // --- Stop phase (identical to the NiLiCon staged path) -----------
-        let m_start = primary.meter.lifetime_total();
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-        let m_frozen = primary.meter.lifetime_total();
-
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = dump_container(primary, container, &cfg, cache, epoch)?;
+        let stopped = self.core.stop_phase(primary, container, epoch, None)?;
+        let (mut img, msgs) = (stopped.img, stopped.msgs);
         let dirty_pages = img.stats.dirty_pages;
-        let dump_phases = img.stats.phases;
-        let m_dumped = primary.meter.lifetime_total();
-
-        let chunks = img.transfer_chunks();
-        let mut msgs = self.drbd.ship(&mut primary.vfs.disk);
-        msgs.push(self.drbd.barrier(epoch));
-        let wire = nilicon_drbd::wire_stats(&msgs);
-        let drbd_msgs = msgs.len() as u64;
-
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let m_resumed = primary.meter.lifetime_total();
-        let mut stop_time = primary.meter.take();
-
-        self.tracer.span(TraceEvent::Freeze, m_frozen - m_start);
-        self.tracer
-            .span(TraceEvent::Dump { dirty_pages }, m_dumped - m_frozen);
-        if self.tracer.enabled() {
-            self.tracer.mark(TraceEvent::DumpDetail {
-                processes: dump_phases.processes,
-                pages: dump_phases.pages,
-                sockets: dump_phases.sockets,
-                fs_cache: dump_phases.fs_cache,
-                infrequent: dump_phases.infrequent,
-            });
-        }
-        self.tracer.span(TraceEvent::LocalCopy, m_resumed - m_dumped);
-        self.tracer.mark(TraceEvent::DrbdShip {
-            writes: wire.writes,
-            bytes: wire.bytes,
-        });
-
-        // Staged pipeline: a previous epoch's undrained fan-out stalls this
-        // stop phase (backpressure) instead of queueing unboundedly.
-        if self.opts.pipeline && self.pipe_backlog > 0 {
-            let stalled = std::mem::take(&mut self.pipe_backlog);
-            stop_time += stalled;
-            self.tracer.span(TraceEvent::Backpressure { stalled }, stalled);
-        }
+        let meta_msgs = img.transfer_chunks() + msgs.len() as u64;
 
         // --- Shard encode + parallel fan-out (ack path) ------------------
         // The container is already running. Erasure-code each dirty page
@@ -491,83 +394,49 @@ impl Checkpointer for PlacementEngine {
         // shared, not a copy per replica.
         let img = Rc::new(img);
         let n_pages = pages.len() as u64;
-        let meta_bytes = img.state_bytes();
         let frag_len = self.codec.frag_len() as u64;
         let frag_bytes = n_pages * frag_len;
+        let meta_bytes = img.state_bytes() + stopped.drbd_bytes;
+        let state_bytes = meta_bytes + frag_bytes;
 
         self.epoch_keys.insert(
             epoch,
             pages.iter().map(|&(pid, vpn, _)| (pid, vpn)).collect(),
         );
 
-        let link = primary.costs.repl_link_latency;
+        let costs = &primary.costs;
+        let link = costs.repl_link_latency;
         let first_alive = alive[0];
         let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
         for &i in &alive {
             per_cpu[i] = self.replicas[i].agent.begin_assembly(img.clone(), n_pages);
         }
-        let transfer = if self.opts.pipeline {
-            // --- Staged pipeline: chunked stripe fan-out -----------------
-            // Each 64-page chunk is erasure-coded and striped to all alive
-            // replicas as soon as it is encoded, with the shard-encode stage
-            // at most PIPE_BOUND chunks ahead of the (parallel) links. The
-            // per-replica assembly barrier still gates the ack, so the
-            // committed fragment stores are byte-identical to the
-            // whole-epoch fan-out.
-            const PIPE_CHUNK: usize = 64;
-            const PIPE_BOUND: usize = 4;
-            let meta_ser = self
-                .transfer_cost(primary, meta_bytes + wire.bytes, chunks + drbd_msgs)
-                - link;
-            let mut t_enc: Nanos = 0;
-            let mut t_send: Nanos = meta_ser;
-            let mut sent_at: Vec<Nanos> = Vec::new();
-            for (ci, chunk) in pages.chunks(PIPE_CHUNK).enumerate() {
-                if self.tracer.enabled() {
-                    self.tracer.mark(TraceEvent::StageEnqueue {
-                        stage: "encode".into(),
-                        chunk: ci as u64,
-                    });
-                }
-                let gate = if ci >= PIPE_BOUND { sent_at[ci - PIPE_BOUND] } else { 0 };
+        let pipelined = self.core.opts.pipeline;
+        let transfer = if pipelined {
+            // Staged pipeline: each chunk is erasure-coded and striped to all
+            // alive replicas as soon as it is encoded, the shard-encode stage
+            // a bounded queue ahead of the (parallel) links. The per-replica
+            // assembly barrier still gates the ack, so the committed fragment
+            // stores are byte-identical to the whole-epoch fan-out.
+            let meta_ser = self.core.transfer_cost(primary, meta_bytes, meta_msgs) - link;
+            let mut clock = ChunkClock::new(self.core.tracer.clone(), meta_ser, true);
+            for chunk in pages.chunks(CHUNK_PAGES) {
                 let n = chunk.len() as u64;
-                t_enc = t_enc.max(gate) + n * primary.costs.shard_encode_per_page;
-                let wait = t_send.saturating_sub(t_enc);
-                // Replica links run in parallel: one chunk's wire time is a
-                // single fragment batch.
-                t_send = t_send.max(t_enc)
-                    + primary.costs.repl_wire(n * frag_len)
-                    + primary.costs.repl_msg_overhead;
-                sent_at.push(t_send);
+                // One chunk's wire time is a single fragment batch.
+                clock.send(
+                    n * costs.shard_encode_per_page,
+                    costs.repl_wire(n * frag_len) + costs.repl_msg_overhead,
+                );
                 let before = per_cpu[first_alive];
-                self.fan_out(epoch, chunk, &mut per_cpu)?;
-                if self.stage_fail_at_chunk.is_some_and(|k| k == ci as u64) {
-                    // Ingest-stage crash on the designated replica: the
-                    // chunk replays from the upstream queue — received
-                    // twice, applied once.
-                    self.stage_fail_at_chunk = None;
-                    per_cpu[first_alive] += per_cpu[first_alive] - before;
-                    self.tracer.mark(TraceEvent::StageRestart {
-                        stage: "ingest".into(),
-                        chunk: ci as u64,
-                    });
-                }
-                if self.tracer.enabled() {
-                    self.tracer.mark(TraceEvent::StageDequeue {
-                        stage: "transfer".into(),
-                        chunk: ci as u64,
-                        wait,
-                    });
-                }
+                fan_out(&mut self.replicas, &self.codec, epoch, chunk, &mut per_cpu)?;
+                // An ingest-stage crash hits the designated replica.
+                per_cpu[first_alive] +=
+                    clock.replayed(&mut self.stage_fail_at_chunk, per_cpu[first_alive] - before);
             }
-            t_send + link
+            clock.sent() + link
         } else {
-            self.fan_out(epoch, &pages, &mut per_cpu)?;
-            self.transfer_cost(
-                primary,
-                meta_bytes + frag_bytes + wire.bytes,
-                chunks + drbd_msgs,
-            )
+            fan_out(&mut self.replicas, &self.codec, epoch, &pages, &mut per_cpu)?;
+            self.core.transfer_cost(primary, state_bytes, meta_msgs)
         };
         for &i in &alive {
             let agent = &mut self.replicas[i].agent;
@@ -580,82 +449,56 @@ impl Checkpointer for PlacementEngine {
             pages: n_pages,
             frag_bytes,
         };
-        let shard_cpu = if self.opts.pipeline {
+        let tracer = &self.core.tracer;
+        let shard_cpu = if pipelined {
             // Shard encode moved to a background stage: the marker keeps the
             // fan-out observable while Transfer + BackupIngest + Ack tile
             // the ack delay.
-            self.tracer.mark(shard_commit);
+            tracer.mark(shard_commit);
             0
         } else {
-            let shard_cpu = n_pages * primary.costs.shard_encode_per_page;
-            self.tracer.span(shard_commit, shard_cpu);
+            let shard_cpu = n_pages * costs.shard_encode_per_page;
+            tracer.span(shard_commit, shard_cpu);
             shard_cpu
         };
-        self.tracer.span(
-            TraceEvent::Transfer {
-                bytes: meta_bytes + frag_bytes + wire.bytes,
-            },
-            transfer,
-        );
-        self.tracer
-            .span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
-        self.tracer.span(TraceEvent::Ack, link);
+        tracer.span(TraceEvent::Transfer { bytes: state_bytes }, transfer);
+        tracer.span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
+        tracer.span(TraceEvent::Ack, link);
         let ack_delay = shard_cpu + transfer + ingest_one + link;
-        let total_cpu: Nanos = per_cpu.iter().sum();
-        if self.opts.pipeline {
-            self.pipe_backlog = ack_delay;
-        }
+        self.core.stage_backlog(ack_delay);
 
         Ok(CheckpointOutcome {
-            stop_time,
-            state_bytes: meta_bytes + frag_bytes + wire.bytes,
+            stop_time: stopped.stop_time,
+            state_bytes,
             dirty_pages,
             ack_delay,
-            backup_cpu: total_cpu,
+            backup_cpu: per_cpu.iter().sum(),
         })
     }
 
     fn pipeline_advance(&mut self, elapsed: Nanos) {
-        self.pipe_backlog = self.pipe_backlog.saturating_sub(elapsed);
+        self.core.pipeline_advance(elapsed);
     }
 
     fn commit(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        self.log_store.retain(|&e, _| e > epoch);
+        self.core.prune_logs(epoch);
         let mut cpu: Nanos = 0;
         let mut marked = false;
-        for i in 0..self.replicas.len() {
-            if !self.replicas[i].alive {
-                continue;
-            }
-            let c = if i == 0 {
-                self.replicas[i].agent.commit(epoch, &mut backup.vfs.disk)?
-            } else {
-                let (agent, disk) = {
-                    let r = &mut self.replicas[i];
-                    (&mut r.agent, &mut r.disk)
-                };
-                agent.commit(epoch, disk)?
-            };
-            cpu += c;
-            if !marked && self.tracer.enabled() {
+        for i in self.alive_indices() {
+            cpu += commit_replica(&mut self.replicas, i, epoch, backup)?;
+            if !marked && self.core.tracer.enabled() {
                 let (probes, disk_pages) = self.replicas[i].agent.last_commit_stats();
-                self.tracer
+                self.core
+                    .tracer
                     .mark(TraceEvent::BackupCommit { probes, disk_pages });
                 marked = true;
             }
         }
         // Track what the active repair's base image now misses.
-        let committed: Vec<u64> = self
-            .epoch_keys
-            .range(..=epoch)
-            .map(|(&e, _)| e)
-            .collect();
-        for e in committed {
-            if let Some(keys) = self.epoch_keys.remove(&e) {
-                if self.repair.is_some() {
-                    self.redirty.extend(keys);
-                }
-            }
+        let later = self.epoch_keys.split_off(&(epoch + 1));
+        let committed = std::mem::replace(&mut self.epoch_keys, later);
+        if self.repair.is_some() {
+            self.redirty.extend(committed.into_values().flatten());
         }
         Ok(cpu)
     }
@@ -667,23 +510,13 @@ impl Checkpointer for PlacementEngine {
         }
         let survivors = self.survivors(k)?;
         let img = self.reconstruct_committed(&survivors)?;
-        let decode_cpu = if k > 1 {
-            img.pages.len() as u64 * backup.costs.shard_decode_per_page
-        } else {
-            0
-        };
-        let restore_cfg = RestoreConfig {
-            optimized_rto: self.opts.optimized_rto,
-            block_input: true,
-        };
-        backup.meter.take();
-        let restored = nilicon_criu::restore_container(backup, &img, &restore_cfg)?;
-        backup.meter.take();
+        let (restored, mut report) = self.core.restore(backup, &img)?;
+        if k > 1 {
+            report.others += img.pages.len() as u64 * backup.costs.shard_decode_per_page;
+        }
 
         // If the designated replica (whose disk IS the backup kernel's) is
         // dead, resync the kernel disk from a surviving replica's device.
-        let mut disk_pages = 0u64;
-        let mut disk_cost: Nanos = 0;
         if !self.replicas[0].alive {
             let src = survivors
                 .iter()
@@ -695,25 +528,10 @@ impl Checkpointer for PlacementEngine {
                 })?;
             for w in self.replicas[src].disk.full_sync_writes() {
                 backup.vfs.disk.apply_replicated(&w);
-                disk_pages += 1;
+                report.disk_pages_committed += 1;
             }
-            disk_cost = disk_pages * backup.costs.restore_disk_per_page;
+            report.others += report.disk_pages_committed * backup.costs.restore_disk_per_page;
         }
-
-        let c = &backup.costs;
-        let rto = if self.opts.optimized_rto {
-            c.tcp_rto_repair_min
-        } else {
-            c.tcp_rto_default
-        };
-        let tcp = rto.saturating_sub(restored.restore_time / 2 + c.gratuitous_arp);
-        let report = FailoverReport {
-            restore: restored.restore_time,
-            arp: c.gratuitous_arp,
-            tcp,
-            others: c.recovery_misc + decode_cpu + disk_cost,
-            disk_pages_committed: disk_pages,
-        };
         Ok((restored, report))
     }
 
@@ -726,28 +544,18 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn supports_rearm(&self) -> bool {
-        self.opts.rearm
+        self.core.opts.rearm
     }
 
     fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
         // Every replica-side structure restarts empty on fresh hosts.
-        self.cache = InfrequentCache::new();
         for r in &mut self.replicas {
-            r.agent = BackupAgent::new(self.costs.clone(), self.opts.optimize_criu);
-            r.disk = BlockDevice::default();
-            r.alive = true;
+            *r = Replica::new(&self.core.costs, &self.core.opts);
         }
-        self.pipe_backlog = 0;
-        self.drbd = DrbdPrimary::new();
         self.epoch_keys.clear();
         self.redirty.clear();
         self.repair = None;
-        self.bootstrap_pids.clear();
-        self.bootstrap_cpu_carry = 0;
-        self.log_store.clear();
-        self.log_chunks_shipped = 0;
-        self.prepared = false;
-        self.prepare(primary, container)
+        self.core.rearm(primary, container)
     }
 
     fn bootstrap_begin(
@@ -756,62 +564,15 @@ impl Checkpointer for PlacementEngine {
         container: &Container,
         epoch: u64,
     ) -> SimResult<BootstrapBegin> {
-        if !self.prepared {
-            return Err(SimError::Invalid("engine not prepared for bootstrap".into()));
-        }
-        let cfg = self.opts.dump_config();
-        primary.meter.take();
-
-        primary.freeze_cgroup(container.cgroup, cfg.freeze)?;
-        let block_cost = if self.opts.plug_input_blocking {
-            primary.costs.plug_block_cycle
-        } else {
-            primary.costs.firewall_block_cycle
-        };
-        primary.meter.charge(block_cost);
-        primary.stack_mut(container.ns.net)?.block_input();
-
-        let cache = if self.opts.cache_infrequent {
-            Some(&mut self.cache)
-        } else {
-            None
-        };
-        let mut img = bootstrap_dump(primary, container, &cfg, cache, epoch)?;
-
-        let _ = primary.vfs.disk.take_writes();
-        let mut msgs: Vec<DrbdMsg> = primary
-            .vfs
-            .disk
-            .full_sync_writes()
-            .into_iter()
-            .map(DrbdMsg::Write)
-            .collect();
-        msgs.push(self.drbd.barrier(epoch));
-
-        primary.stack_mut(container.ns.net)?.unblock_input();
-        primary.thaw_cgroup(container.cgroup)?;
-        let stop_time = primary.meter.take();
-
-        let deferred = std::mem::take(&mut img.deferred_vpns);
+        let (img, msgs, begin) = self.core.bootstrap_stop(primary, container, epoch)?;
         let img = Rc::new(img);
-        let total_pages = deferred.len() as u64;
-        let state_bytes = img.state_bytes();
-        self.bootstrap_pids.clear();
-        for &(pid, _) in &deferred {
-            if !self.bootstrap_pids.contains(&pid) {
-                self.bootstrap_pids.push(pid);
-            }
-        }
-        self.bootstrap_cpu_carry = 0;
+        let mut cpu: Nanos = 0;
         for r in self.replicas.iter_mut().filter(|r| r.alive) {
-            self.bootstrap_cpu_carry += r.agent.begin_assembly(img.clone(), total_pages);
-            self.bootstrap_cpu_carry += r.agent.ingest_drbd(msgs.clone());
+            cpu += r.agent.begin_assembly(img.clone(), begin.total_pages);
+            cpu += r.agent.ingest_drbd(msgs.clone());
         }
-        Ok(BootstrapBegin {
-            stop_time,
-            total_pages,
-            state_bytes,
-        })
+        self.core.bootstrap_cpu_carry = cpu;
+        Ok(begin)
     }
 
     fn bootstrap_step(
@@ -820,82 +581,35 @@ impl Checkpointer for PlacementEngine {
         epoch: u64,
         max_pages: u64,
     ) -> SimResult<BootstrapStep> {
-        /// Pages per streamed message (matches the COW drain batch size).
-        const COW_CHUNK: usize = 64;
-        let mut pages = 0u64;
-        let mut bytes = 0u64;
-        let mut backup_cpu = std::mem::take(&mut self.bootstrap_cpu_carry);
-        let pids = self.bootstrap_pids.clone();
-        let frag_len = self.codec.frag_len() as u64;
-        let alive = self.alive_replicas() as u64;
-        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
-        'drain: for &pid in &pids {
-            loop {
-                if pages >= max_pages {
-                    break 'drain;
-                }
-                let want = ((max_pages - pages) as usize).min(COW_CHUNK);
-                let chunk = primary.cow_drain_pages(pid, want)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                let n = chunk.len() as u64;
-                let chunk: Vec<_> = chunk
-                    .into_iter()
-                    .map(|(vpn, data)| (pid, vpn, data))
-                    .collect();
-                self.fan_out(epoch, &chunk, &mut per_cpu)?;
-                backup_cpu += n * primary.costs.shard_encode_per_page;
-                pages += n;
-                bytes += n * frag_len * alive;
-            }
-        }
-        backup_cpu += per_cpu.iter().sum::<Nanos>();
-        let mut remaining = 0u64;
-        for &pid in &pids {
-            primary.take_cow_faults(pid)?;
-            remaining += primary.cow_pending(pid)? as u64;
-        }
-        primary.meter.take();
-        Ok(BootstrapStep {
-            pages,
-            bytes,
-            backup_cpu,
-            remaining,
-        })
+        let page_wire_bytes = self.codec.frag_len() as u64 * self.alive_replicas() as u64;
+        let encode_per_page = primary.costs.shard_encode_per_page;
+        let (replicas, codec) = (&mut self.replicas, &self.codec);
+        self.core
+            .bootstrap_drain(primary, max_pages, page_wire_bytes, |chunk| {
+                let mut per_cpu: Vec<Nanos> = vec![0; replicas.len()];
+                fan_out(replicas, codec, epoch, &chunk, &mut per_cpu)?;
+                Ok(chunk.len() as u64 * encode_per_page + per_cpu.iter().sum::<Nanos>())
+            })
     }
 
     fn bootstrap_finish(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
         let mut cpu: Nanos = 0;
-        for i in 0..self.replicas.len() {
-            if !self.replicas[i].alive {
-                continue;
-            }
-            self.replicas[i].agent.finish_assembly(epoch)?;
-            if !self.replicas[i].agent.epoch_complete(epoch) {
+        for i in self.alive_indices() {
+            let agent = &mut self.replicas[i].agent;
+            agent.finish_assembly(epoch)?;
+            if !agent.epoch_complete(epoch) {
                 return Err(SimError::Invalid(format!(
                     "bootstrap epoch {epoch} sealed without its disk barrier on replica {i}"
                 )));
             }
-            cpu += if i == 0 {
-                self.replicas[i].agent.commit(epoch, &mut backup.vfs.disk)?
-            } else {
-                let r = &mut self.replicas[i];
-                r.agent.commit(epoch, &mut r.disk)?
-            };
+            cpu += commit_replica(&mut self.replicas, i, epoch, backup)?;
         }
-        self.bootstrap_pids.clear();
+        self.core.bootstrap_done();
         Ok(cpu)
     }
 
     fn bootstrap_abort(&mut self, primary: &mut Kernel, _container: &Container) -> SimResult<()> {
-        let pids = std::mem::take(&mut self.bootstrap_pids);
-        for &pid in &pids {
-            while !primary.cow_drain_pages(pid, 64)?.is_empty() {}
-            primary.take_cow_faults(pid)?;
-        }
-        primary.meter.take();
-        self.bootstrap_cpu_carry = 0;
+        self.core.bootstrap_unwind(primary)?;
         for r in self.replicas.iter_mut().filter(|r| r.alive) {
             let _ = r.agent.discard_uncommitted();
         }
@@ -903,7 +617,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn supports_placement(&self) -> bool {
-        self.opts.backups > 1
+        self.core.opts.backups > 1
     }
 
     fn placement(&self) -> (u32, u32) {
@@ -941,7 +655,8 @@ impl Checkpointer for PlacementEngine {
         // opens its assembly (sealed by `repair_finish`). Epochs committed
         // while the base streams accumulate in `redirty` and are topped up
         // at finish — the target is excluded from epoch traffic until then.
-        self.replicas[target].agent = BackupAgent::new(self.costs.clone(), self.opts.optimize_criu);
+        self.replicas[target].agent =
+            BackupAgent::new(self.core.costs.clone(), self.core.opts.optimize_criu);
         self.replicas[target].disk = BlockDevice::default();
         let cpu_carry = self.replicas[target]
             .agent
@@ -993,8 +708,7 @@ impl Checkpointer for PlacementEngine {
         // the surviving peers (the RS repair read amplification), decodes,
         // and re-encodes its own fragment.
         let bytes = pages * frag_len * k;
-        let mut backup_cpu = std::mem::take(&mut rep.cpu_carry)
-            + pages * (self.costs.shard_decode_per_page + self.costs.shard_encode_per_page);
+        let mut backup_cpu = std::mem::take(&mut rep.cpu_carry) + pages * self.recode_per_page();
         backup_cpu += self.replicas[rep.target]
             .agent
             .ingest_fragments(rep.base_epoch, batch)?;
@@ -1036,14 +750,7 @@ impl Checkpointer for PlacementEngine {
             cpu += agent.ingest_drbd(msgs);
             agent.finish_assembly(rep.base_epoch)?;
         }
-        cpu += if target == 0 {
-            self.replicas[target]
-                .agent
-                .commit(rep.base_epoch, &mut backup.vfs.disk)?
-        } else {
-            let r = &mut self.replicas[target];
-            r.agent.commit(rep.base_epoch, &mut r.disk)?
-        };
+        cpu += commit_replica(&mut self.replicas, target, rep.base_epoch, backup)?;
 
         // Top-up: pages committed while the base streamed, at their current
         // committed values, plus the current metadata image. Only those
@@ -1079,7 +786,7 @@ impl Checkpointer for PlacementEngine {
                 batch.push((pid, vpn, self.codec.encode_fragment(&page, target)));
             }
             let n = batch.len() as u64;
-            cpu += n * (self.costs.shard_decode_per_page + self.costs.shard_encode_per_page);
+            cpu += n * self.recode_per_page();
             {
                 let agent = &mut self.replicas[target].agent;
                 cpu += agent.begin_assembly(meta, n);
@@ -1087,14 +794,7 @@ impl Checkpointer for PlacementEngine {
                 cpu += agent.ingest_drbd(vec![DrbdMsg::Barrier(cur_epoch)]);
                 agent.finish_assembly(cur_epoch)?;
             }
-            cpu += if target == 0 {
-                self.replicas[target]
-                    .agent
-                    .commit(cur_epoch, &mut backup.vfs.disk)?
-            } else {
-                let r = &mut self.replicas[target];
-                r.agent.commit(cur_epoch, &mut r.disk)?
-            };
+            cpu += commit_replica(&mut self.replicas, target, cur_epoch, backup)?;
         }
         self.redirty.clear();
         self.replicas[target].alive = true;
@@ -1113,7 +813,7 @@ impl Checkpointer for PlacementEngine {
     }
 
     fn supports_replay(&self) -> bool {
-        self.opts.hybrid_replay
+        self.core.opts.hybrid_replay
     }
 
     fn ship_log(
@@ -1122,93 +822,22 @@ impl Checkpointer for PlacementEngine {
         epoch: u64,
         events: &[ReplayEvent],
     ) -> SimResult<LogShipOutcome> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if events.is_empty() {
-            return Ok(LogShipOutcome::default());
-        }
-        let k = self.codec.k() as u64;
-        let alive = self.alive_indices();
-        if (alive.len() as u64) < k {
-            return Err(SimError::Invalid(format!(
-                "cannot ship log below quorum: {} alive, need {k}",
-                alive.len()
-            )));
-        }
-        let c = &primary.costs;
-        let bytes: u64 = events.iter().map(ReplayEvent::byte_len).sum();
-        // Each replica receives one fragment of ceil(bytes/k); the links
-        // fan out in parallel, so the quorum (k-th) ack and the slowest
-        // coincide with uniform replicas — exactly the page path's model.
-        let frag_bytes = bytes.div_ceil(k);
-        let per_replica_cpu = c.backup_recv(frag_bytes, 1);
-        let commit_latency = c.repl_link_latency
-            + c.repl_wire(frag_bytes)
-            + c.repl_msg_overhead
-            + per_replica_cpu
-            + c.repl_link_latency;
-        let link_down = self.log_link_down();
-        self.log_chunks_shipped += 1;
-        if link_down {
-            return Ok(LogShipOutcome {
-                bytes: frag_bytes * alive.len() as u64,
-                chunks: 1,
-                commit_latency,
-                backup_cpu: 0,
-            });
-        }
-        let log = self
-            .log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch));
-        log.events.extend_from_slice(events);
-        Ok(LogShipOutcome {
-            bytes: frag_bytes * alive.len() as u64,
-            chunks: 1,
-            commit_latency,
-            backup_cpu: per_replica_cpu * alive.len() as u64,
-        })
+        let placement = (self.codec.k() as u64, self.alive_replicas() as u64);
+        let fail_after = self.log_fail_after_chunks;
+        self.core
+            .logs()?
+            .ship(&primary.costs, epoch, events, placement, fail_after)
     }
 
     fn seal_log(&mut self, epoch: u64) -> SimResult<()> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
-        if self.log_link_down() {
-            return Ok(()); // the seal vanishes with the link
-        }
-        self.log_store
-            .entry(epoch)
-            .or_insert_with(|| ReplayLog::new(epoch))
-            .sealed = true;
+        let fail_after = self.log_fail_after_chunks;
+        self.core.logs()?.seal(epoch, fail_after);
         Ok(())
     }
 
     fn take_replay_tail(&mut self) -> SimResult<ReplayTail> {
-        if !self.opts.hybrid_replay {
-            return Err(SimError::Invalid("hybrid_replay is off".into()));
-        }
         let committed = self.committed_epoch();
-        let store = std::mem::take(&mut self.log_store);
-        let mut tail = ReplayTail::default();
-        let mut expect = committed.map(|e| e + 1).unwrap_or(1);
-        for (epoch, log) in store {
-            if committed.is_some_and(|c| epoch <= c) {
-                continue;
-            }
-            if epoch != expect {
-                tail.dropped_partial = true;
-                break;
-            }
-            if !log.sealed {
-                tail.dropped_partial = true;
-                break;
-            }
-            expect += 1;
-            tail.logs.push(log);
-        }
-        Ok(tail)
+        Ok(self.core.logs()?.take_tail(committed))
     }
 }
 
@@ -1216,6 +845,7 @@ impl Checkpointer for PlacementEngine {
 mod tests {
     use super::*;
     use crate::nilicon_engine::NiLiConEngine;
+    use crate::trace::TraceRecord;
     use nilicon_container::{ContainerRuntime, ContainerSpec, MemLayout};
 
     fn placement_opts(k: u32, n: u32) -> OptimizationConfig {
@@ -1349,6 +979,57 @@ mod tests {
         }
         assert_eq!(pa.vfs.disk.digest(), pb.vfs.disk.digest());
         assert_eq!(ba.vfs.disk.digest(), bb.vfs.disk.digest());
+    }
+
+    #[test]
+    fn stop_phase_is_the_single_backup_engines_at_any_placement() {
+        // One scripted write history under NiLiCon and under (1,1) and (2,3)
+        // placements: how the checkpoint is laid out on replicas is decided
+        // after the container resumes, so every epoch stops for the same
+        // time and emits the same stop-phase spans.
+        fn history<E: Checkpointer>(
+            engine: impl FnOnce(&Kernel) -> E,
+        ) -> Vec<(Nanos, Vec<TraceRecord>)> {
+            let mut p = Kernel::default();
+            let mut b = Kernel::default();
+            let c = ContainerRuntime::create(&mut p, &ContainerSpec::server("redis", 10, 6379))
+                .unwrap();
+            let mut e = engine(&p);
+            let (tracer, ring) = Tracer::in_memory(4096);
+            e.set_tracer(tracer.clone());
+            e.prepare(&mut p, &c).unwrap();
+            touch_many(&mut p, &c);
+            let mut stops = Vec::new();
+            for epoch in 1..=5u64 {
+                apply(&mut p, &c, epoch);
+                tracer.begin_epoch(epoch, 0);
+                let o = e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
+                tracer.reconcile(epoch, o.stop_time, o.ack_delay).unwrap();
+                e.commit(&mut b, epoch).unwrap();
+                let spans: Vec<TraceRecord> = ring
+                    .snapshot()
+                    .into_iter()
+                    .filter(|r| r.epoch == epoch)
+                    .filter(|r| {
+                        r.kind.is_stop_phase()
+                            || matches!(
+                                r.kind,
+                                TraceEvent::DumpDetail { .. } | TraceEvent::DrbdShip { .. }
+                            )
+                    })
+                    .collect();
+                stops.push((o.stop_time, spans));
+            }
+            stops
+        }
+        let nilicon =
+            history(|p| NiLiConEngine::new(OptimizationConfig::nilicon(), p.costs.clone()));
+        assert!(nilicon.iter().all(|(stop, spans)| *stop > 0 && spans.len() >= 5));
+        for (k, n) in [(1, 1), (2, 3)] {
+            let placed =
+                history(|p| PlacementEngine::new(placement_opts(k, n), p.costs.clone()).unwrap());
+            assert_eq!(placed, nilicon, "(k={k},n={n})");
+        }
     }
 
     #[test]
@@ -1606,32 +1287,6 @@ mod tests {
         assert!(!tail.dropped_partial);
         assert_eq!(tail.logs.len(), 1);
         assert_eq!(tail.events(), 1);
-    }
-
-    #[test]
-    fn placement_log_loss_yields_partial_tail() {
-        let mut opts = placement_opts(2, 3);
-        opts.hybrid_replay = true;
-        let mut p = Kernel::default();
-        let mut b = Kernel::default();
-        let c =
-            ContainerRuntime::create(&mut p, &ContainerSpec::server("redis", 10, 6379)).unwrap();
-        let mut e = PlacementEngine::new(opts, p.costs.clone()).unwrap();
-        e.prepare(&mut p, &c).unwrap();
-        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-        e.commit(&mut b, 1).unwrap();
-        e.log_fail_after_chunks = Some(1); // first chunk lands, rest lost
-        let ev = ReplayEvent::Step {
-            pid: c.init_pid(),
-            at: 1,
-            done: true,
-        };
-        e.ship_log(&mut p, 2, std::slice::from_ref(&ev)).unwrap();
-        e.ship_log(&mut p, 2, &[ev]).unwrap(); // lost in flight
-        e.seal_log(2).unwrap(); // seal lost too
-        let tail = e.take_replay_tail().unwrap();
-        assert!(tail.dropped_partial, "unsealed epoch-2 log is unusable");
-        assert!(tail.logs.is_empty());
     }
 
     /// Dirty more pages than one 64-page pipeline chunk holds.

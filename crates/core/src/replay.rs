@@ -2,11 +2,11 @@
 //! checkpoint + replay extension (`OptimizationConfig::hybrid_replay`).
 //!
 //! The record half lives on the primary: the harness appends one
-//! [`ReplayEvent`] per nondeterministic input (request arrivals, batch
-//! steps, socket deliveries, timer reads, scheduling points) to a per-epoch
-//! log and ships it to the backup continuously, releasing client output as
-//! soon as the covering log chunk commits — link-scale latency instead of
-//! the epoch-scale ack wait (the HyCoR release rule).
+//! [`ReplayEvent`] per nondeterministic input (request dispatches and batch
+//! steps) to a per-epoch log and ships it to the backup continuously,
+//! releasing client output as soon as the covering log chunk commits —
+//! link-scale latency instead of the epoch-scale ack wait (the HyCoR
+//! release rule).
 //!
 //! This module is the replay half: after the backup restores the last
 //! *committed* checkpoint, [`replay_tail`] re-executes the sealed log tail
@@ -137,15 +137,6 @@ pub fn replay_tail(
                         break 'epochs;
                     }
                 }
-                // Delivery-order, stream-offset, timer, and scheduling
-                // events carry no state transition of their own in the
-                // simulated kernel — they pin the interleaving that the
-                // request/step events already execute under. Decoding them
-                // is still charged.
-                ReplayEvent::SockRecv { .. }
-                | ReplayEvent::SockSend { .. }
-                | ReplayEvent::TimerRead { .. }
-                | ReplayEvent::Sched { .. } => {}
             }
         }
         out.epochs += 1;

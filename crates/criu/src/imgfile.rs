@@ -427,7 +427,6 @@ fn decode_processes(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
                 run_state: ThreadRunState::User,
                 // Recording aid, not guest state: replay re-derives the
                 // scheduling sequence from the log, so restores start at 0.
-                sched_seq: 0,
             });
         }
         let nfds = r.u32()? as usize;

@@ -211,10 +211,6 @@ pub struct CostModel {
     /// CPU cost to reconstruct one page from k shard fragments (Gaussian
     /// decode; charged during failover reconstruction and coded repair).
     pub shard_decode_per_page: Nanos,
-    /// Primary CPU cost to append one nondeterministic event to the hybrid
-    /// replay log (HyCoR §"record/replay": an in-memory ring append — the
-    /// recording overhead HyCoR measures at a few percent of runtime).
-    pub log_append_per_event: Nanos,
     /// Backup CPU cost to apply one logged event during failover replay
     /// (decode + dispatch into the re-executing container).
     pub log_replay_per_event: Nanos,
@@ -332,7 +328,6 @@ impl Default for CostModel {
             delta_apply_per_page: 500,
             shard_encode_per_page: 900, // GF(2⁸) table-lookup pass over 4 KiB
             shard_decode_per_page: 1100, // matrix solve + k-way combine
-            log_append_per_event: 120,  // in-memory ring append + hash
             log_replay_per_event: 400,  // decode + dispatch at replay
 
             restore_base: ms(190),

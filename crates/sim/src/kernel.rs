@@ -15,7 +15,7 @@ use crate::mem::{AddressSpace, MappedFile, Perms, TrackingMode, Vma, VmaKind, Wr
 use crate::net::{InputMode, NetStack, RepairState};
 use crate::ns::NsRegistry;
 use crate::proc::{freeze, thaw, FdEntry, FreezeReport, FreezeStrategy, Process};
-use crate::replay::{content_hash, ReplayEvent, ReplayRecorder};
+use crate::replay::ReplayRecorder;
 use crate::time::{CostMeter, Nanos};
 use std::rc::Rc;
 
@@ -419,88 +419,6 @@ impl Kernel {
         let sid = self.stack_mut(ns)?.socket();
         let fd = self.proc_mut(pid)?.install_fd(FdEntry::Socket(sid));
         Ok((fd, sid))
-    }
-
-    /// send(2) on a socket fd, charging per-packet processing.
-    pub fn sock_send(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> SimResult<usize> {
-        self.charge(
-            self.costs.syscall_base
-                + data.len() as u64 * self.costs.copy_per_byte
-                + self.costs.packet_process,
-        );
-        let (ns, sid) = self.sock_ref(pid, fd)?;
-        let n = self.stack_mut(ns)?.send(sid, data)?;
-        if self.replay.active() {
-            self.charge(self.costs.log_append_per_event);
-            self.replay.record(ReplayEvent::SockSend {
-                pid,
-                fd,
-                len: n as u32,
-                hash: content_hash(&data[..n]),
-            });
-        }
-        Ok(n)
-    }
-
-    /// recv(2) on a socket fd. Under hybrid replay the returned payload, the
-    /// stack-wide delivery order, and the socket's stream offset are recorded
-    /// — the primary nondeterminism source the backup must reproduce.
-    pub fn sock_recv(&mut self, pid: Pid, fd: Fd, max: usize) -> SimResult<Vec<u8>> {
-        self.charge(self.costs.syscall_base);
-        let (ns, sid) = self.sock_ref(pid, fd)?;
-        let data = self.stack_mut(ns)?.recv(sid, max)?;
-        self.charge(data.len() as u64 * self.costs.copy_per_byte);
-        if self.replay.active() && !data.is_empty() {
-            let order = self.stack(ns)?.delivered_seq();
-            let off = self.stack(ns)?.sock(sid)?.delivered_bytes - data.len() as u64;
-            self.charge(self.costs.log_append_per_event);
-            self.replay.record(ReplayEvent::SockRecv {
-                pid,
-                fd,
-                len: data.len() as u32,
-                hash: content_hash(&data),
-                order,
-                off,
-            });
-        }
-        Ok(data)
-    }
-
-    /// A scheduling point: advance `pid`'s leader-thread scheduling sequence
-    /// and (under hybrid replay) record it, so replay reproduces the same
-    /// thread interleaving.
-    pub fn sched_point(&mut self, pid: Pid) -> SimResult<u64> {
-        let seq = self
-            .proc_mut(pid)?
-            .threads
-            .first_mut()
-            .map(|t| t.note_sched())
-            .unwrap_or(0);
-        if self.replay.active() {
-            self.charge(self.costs.log_append_per_event);
-            self.replay.record(ReplayEvent::Sched { pid, seq });
-        }
-        Ok(seq)
-    }
-
-    /// A guest clock read (gettimeofday flavor): charges the syscall and
-    /// (under hybrid replay) records the returned value so replay feeds the
-    /// identical timestamp back.
-    pub fn timer_read(&mut self, pid: Pid, now: Nanos) -> Nanos {
-        self.charge(self.costs.syscall_base);
-        if self.replay.active() {
-            self.charge(self.costs.log_append_per_event);
-            self.replay.record(ReplayEvent::TimerRead { pid, at: now });
-        }
-        now
-    }
-
-    fn sock_ref(&self, pid: Pid, fd: Fd) -> SimResult<(NsId, SockId)> {
-        let p = self.proc(pid)?;
-        match p.fd(fd)? {
-            FdEntry::Socket(sid) => Ok((p.netns, *sid)),
-            FdEntry::File { .. } => Err(SimError::Invalid(format!("{fd} is a file"))),
-        }
     }
 
     // ==================================================================
@@ -915,14 +833,13 @@ mod tests {
     #[test]
     fn socket_via_fds_and_checkpoint() {
         let (mut k, pid, _, ns) = kernel_with_container();
-        let (fd, sid) = k.socket(pid).unwrap();
+        let (_, sid) = k.socket(pid).unwrap();
         // Bind+listen through the stack directly (the runtime does this).
         k.stack_mut(ns).unwrap().bind(sid, 80).unwrap();
         k.stack_mut(ns).unwrap().listen(sid).unwrap();
         let (ports, states) = k.checkpoint_sockets(ns).unwrap();
         assert_eq!(ports, vec![80]);
         assert!(states.is_empty(), "listener is not an established socket");
-        assert!(k.sock_recv(pid, fd, 10).unwrap().is_empty());
     }
 
     #[test]

@@ -80,8 +80,6 @@ pub struct Thread {
     pub sched: SchedPolicy,
     /// Current run state.
     pub run_state: ThreadRunState,
-    /// Monotone scheduling-point counter (hybrid-replay interleaving axis).
-    pub sched_seq: u64,
 }
 
 impl Thread {
@@ -94,14 +92,7 @@ impl Thread {
             timers: Vec::new(),
             sched: SchedPolicy::Normal,
             run_state: ThreadRunState::User,
-            sched_seq: 0,
         }
-    }
-
-    /// Advance past a scheduling point, returning the new sequence number.
-    pub fn note_sched(&mut self) -> u64 {
-        self.sched_seq += 1;
-        self.sched_seq
     }
 }
 

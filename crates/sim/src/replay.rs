@@ -10,18 +10,15 @@
 //! and the exact output stream.
 //!
 //! This module owns the event vocabulary and the primary-side recorder. The
-//! sim kernel already owns every nondeterminism source, so the event set is
-//! closed over: socket receives (payload + delivery order + stream offset),
-//! socket sends (verified by hash during replay), timer reads, and thread
-//! scheduling points. The harness layers `Request`/`Step` events on top — it
-//! takes whole request frames off the sockets itself rather than through
-//! `sock_recv`, so request arrival is *its* nondeterminism to record.
+//! log records request dispatch and batch steps, full stop: the harness takes
+//! whole request frames off the sockets and calls the application itself, so
+//! request arrival and step order are the only nondeterminism a guest sees.
 //!
 //! Recording is off unless explicitly enabled (the `hybrid_replay` extension
 //! knob) and suppressed while a replay is in progress, so replayed execution
 //! never re-records its own events.
 
-use crate::ids::{Fd, Pid};
+use crate::ids::Pid;
 use bytes::Bytes;
 use crate::time::Nanos;
 
@@ -48,9 +45,9 @@ pub fn content_hash(data: &[u8]) -> u64 {
 
 /// One recorded nondeterministic event.
 ///
-/// Payload-carrying events (`Request`, `SockRecv`) store the actual bytes —
-/// replay must feed them back verbatim. Output-side events store only a hash:
-/// replay *re-produces* the bytes and the hash pins equivalence.
+/// A request's payload is stored as the actual bytes — replay must feed them
+/// back verbatim. Its response is stored only as a hash: replay *re-produces*
+/// the bytes and the hash pins equivalence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayEvent {
     /// A whole application request dispatched by the harness: the payload the
@@ -77,48 +74,6 @@ pub enum ReplayEvent {
         /// Whether the step reported completion.
         done: bool,
     },
-    /// `recv(2)` result: payload identity, global delivery order, and the
-    /// socket's cumulative stream offset before this read.
-    SockRecv {
-        /// Reading pid.
-        pid: Pid,
-        /// Socket fd.
-        fd: Fd,
-        /// Bytes returned.
-        len: u32,
-        /// [`content_hash`] of the returned bytes.
-        hash: u64,
-        /// Stack-wide delivery sequence number (order across sockets).
-        order: u64,
-        /// Cumulative bytes delivered on this socket *before* this read.
-        off: u64,
-    },
-    /// `send(2)` observed on the recorded timeline (hash only — replay
-    /// regenerates the bytes and must match).
-    SockSend {
-        /// Sending pid.
-        pid: Pid,
-        /// Socket fd.
-        fd: Fd,
-        /// Bytes sent.
-        len: u32,
-        /// [`content_hash`] of the sent bytes.
-        hash: u64,
-    },
-    /// A guest read of the virtual clock (gettimeofday flavor).
-    TimerRead {
-        /// Reading pid.
-        pid: Pid,
-        /// The value the clock returned.
-        at: Nanos,
-    },
-    /// A scheduling point: thread `seq` within `pid` advanced.
-    Sched {
-        /// Scheduled pid.
-        pid: Pid,
-        /// Per-thread scheduling sequence number after this point.
-        seq: u64,
-    },
 }
 
 impl ReplayEvent {
@@ -127,10 +82,6 @@ impl ReplayEvent {
         match self {
             ReplayEvent::Request { .. } => "request",
             ReplayEvent::Step { .. } => "step",
-            ReplayEvent::SockRecv { .. } => "sock_recv",
-            ReplayEvent::SockSend { .. } => "sock_send",
-            ReplayEvent::TimerRead { .. } => "timer_read",
-            ReplayEvent::Sched { .. } => "sched",
         }
     }
 
@@ -141,10 +92,6 @@ impl ReplayEvent {
         match self {
             ReplayEvent::Request { payload, .. } => HDR + 12 + payload.len() as u64,
             ReplayEvent::Step { .. } => HDR + 1,
-            ReplayEvent::SockRecv { len, .. } => HDR + 20 + *len as u64,
-            ReplayEvent::SockSend { .. } => HDR + 12,
-            ReplayEvent::TimerRead { .. } => HDR + 8,
-            ReplayEvent::Sched { .. } => HDR + 8,
         }
     }
 }
@@ -274,15 +221,17 @@ mod tests {
     #[test]
     fn recorder_dormant_until_enabled() {
         let mut r = ReplayRecorder::default();
-        r.record(ReplayEvent::TimerRead {
+        r.record(ReplayEvent::Step {
             pid: Pid(100),
             at: 5,
+            done: false,
         });
         assert!(r.is_empty());
         r.enable();
-        r.record(ReplayEvent::TimerRead {
+        r.record(ReplayEvent::Step {
             pid: Pid(100),
             at: 5,
+            done: false,
         });
         assert_eq!(r.len(), 1);
     }
@@ -293,15 +242,17 @@ mod tests {
         r.enable();
         r.set_replaying(true);
         assert!(!r.active());
-        r.record(ReplayEvent::Sched {
+        r.record(ReplayEvent::Step {
             pid: Pid(100),
-            seq: 1,
+            at: 1,
+            done: false,
         });
         assert!(r.is_empty());
         r.set_replaying(false);
-        r.record(ReplayEvent::Sched {
+        r.record(ReplayEvent::Step {
             pid: Pid(100),
-            seq: 1,
+            at: 1,
+            done: false,
         });
         assert_eq!(r.len(), 1);
     }
@@ -322,9 +273,10 @@ mod tests {
 
     #[test]
     fn byte_len_counts_payloads() {
-        let small = ReplayEvent::Sched {
+        let small = ReplayEvent::Step {
             pid: Pid(100),
-            seq: 0,
+            at: 0,
+            done: false,
         };
         let big = ReplayEvent::Request {
             pid: Pid(100),
