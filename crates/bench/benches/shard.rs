@@ -1,16 +1,21 @@
 //! Wall-clock benchmarks of the `(k, n)` placement data path: the
 //! Reed–Solomon page codec on its own (systematic and parity encode, decode
-//! from data fragments and through parity), and one whole
-//! `PlacementEngine` epoch at the dirty-page count the system benchmark's
-//! `kn_repair` workload averages.
+//! from data fragments and through parity), one whole `PlacementEngine`
+//! epoch at the dirty-page count the system benchmark's `kn_repair` workload
+//! averages, and that epoch's fan-out → commit cycle on its own.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nilicon::backup::BackupAgent;
 use nilicon::{Checkpointer, OptimizationConfig, PlacementEngine};
 use nilicon_container::{ContainerRuntime, ContainerSpec, MemLayout};
-use nilicon_criu::ShardCodec;
+use nilicon_criu::{end_fragment_round, CheckpointImage, ShardCodec};
+use nilicon_drbd::DrbdMsg;
+use nilicon_sim::block::BlockDevice;
+use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::PAGE_SIZE;
+use nilicon_sim::{CostModel, PAGE_SIZE};
 use std::hint::black_box;
+use std::rc::Rc;
 
 fn noise_page(seed: u32) -> Box<[u8; PAGE_SIZE]> {
     let mut page = Box::new([0u8; PAGE_SIZE]);
@@ -81,5 +86,56 @@ fn bench_placement_epoch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_placement_epoch);
+/// The fragment round trip on its own, no dump and no engine: 742 pages
+/// striped `(2,3)` into the buffers each replica's store keeps, received,
+/// committed — and the fragments that commit displaces written again by the
+/// next iteration's fan-out.
+fn bench_fan_out_commit(c: &mut Criterion) {
+    const PAGES: u64 = 742;
+    let mut group = c.benchmark_group("shard");
+    let codec = ShardCodec::new(2, 3).unwrap();
+    let costs = CostModel::default();
+    let mut replicas: Vec<(BackupAgent, BlockDevice)> = (0..3)
+        .map(|_| {
+            (
+                BackupAgent::new(costs.clone(), true),
+                BlockDevice::default(),
+            )
+        })
+        .collect();
+    let pages: Vec<Box<[u8; PAGE_SIZE]>> = (0..PAGES as u32).map(noise_page).collect();
+    let mut epoch = 0u64;
+    group.bench_function("fan_out_commit_cycle_742_pages", |b| {
+        b.iter(|| {
+            epoch += 1;
+            let meta = Rc::new(CheckpointImage {
+                epoch,
+                ..Default::default()
+            });
+            for (i, (agent, _)) in replicas.iter_mut().enumerate() {
+                agent.begin_assembly(meta.clone(), PAGES);
+                let batch = pages
+                    .iter()
+                    .enumerate()
+                    .map(|(vpn, page)| (Pid(1), vpn as u64, codec.encode_fragment(page, i)))
+                    .collect();
+                agent.ingest_fragments(epoch, batch).unwrap();
+                agent.ingest_drbd(vec![DrbdMsg::Barrier(epoch)]);
+                agent.finish_assembly(epoch).unwrap();
+            }
+            end_fragment_round();
+            for (agent, disk) in &mut replicas {
+                black_box(agent.commit(epoch, disk).unwrap());
+            }
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_placement_epoch,
+    bench_fan_out_commit
+);
 criterion_main!(benches);

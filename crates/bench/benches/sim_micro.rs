@@ -1,17 +1,21 @@
 //! Wall-clock microbenchmarks of the substrate hot paths: dirty tracking,
 //! guest memory writes, the plug qdisc, socket checkpointing, the message
-//! path (one request frame client to server, one KV batch served), and dump/
-//! restore of a realistic container.
+//! path (one request frame client to server, one KV batch served), dump/
+//! restore of a realistic container, and the dump → ingest → commit round trip
+//! a page buffer makes every epoch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nilicon::backup::BackupAgent;
 use nilicon::traffic::ClientBehavior;
 use nilicon_container::{
     encode_frame, take_frame, Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout,
 };
 use nilicon_criu::{dump_container, full_dump, DumpConfig};
+use nilicon_drbd::DrbdMsg;
+use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::TrackingMode;
+use nilicon_sim::mem::{end_page_round, TrackingMode};
 use nilicon_sim::net::{InputMode, NetStack, TcpState};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_workloads::{RedisApp, Scale, YcsbBehavior};
@@ -152,6 +156,59 @@ fn bench_dump_restore(c: &mut Criterion) {
             black_box(img.pages.len())
         });
     });
+    // The round trip the row above never makes: dirty pages dumped, ingested
+    // and committed each iteration, so the buffers one iteration's commit
+    // displaces are there for the next dump. 3000 dirty of 16 K resident is
+    // the reference point; the grid around it is the curve a regression in
+    // the dump path lands on (cost against dirty pages × resident set).
+    for (resident_k, dirty) in [
+        (16u64, 3000u64),
+        (4, 300),
+        (4, 1000),
+        (4, 3000),
+        (16, 300),
+        (16, 1000),
+        (64, 300),
+        (64, 1000),
+        (64, 3000),
+    ] {
+        let name = if (resident_k, dirty) == (16, 3000) {
+            "dump_commit_cycle_3000_dirty".to_string()
+        } else {
+            format!("dump_commit_cycle_{dirty}_dirty_{resident_k}k_resident")
+        };
+        group.bench_function(name, |b| {
+            let resident = resident_k * 1024;
+            let (mut k, cont) = container_kernel(resident);
+            let pid = cont.init_pid();
+            k.mm_mut(pid).unwrap().set_tracking(TrackingMode::SoftDirty);
+            for p in 0..resident {
+                k.mem_write(pid, MemLayout::heap_page(p), &[1]).unwrap();
+            }
+            k.freeze_cgroup(cont.cgroup, FreezeStrategy::BusyPoll)
+                .unwrap();
+            let mut agent = BackupAgent::new(k.costs.clone(), true);
+            let mut disk = BlockDevice::default();
+            let mut epoch = 0u64;
+            b.iter(|| {
+                epoch += 1;
+                // A stride coprime to the footprint scatters the dirty set.
+                for i in 0..dirty {
+                    let page = (epoch * dirty + i) * 7 % resident;
+                    k.mem_write(pid, MemLayout::heap_page(page), &epoch.to_le_bytes())
+                        .unwrap();
+                }
+                let img =
+                    dump_container(&mut k, &cont, &DumpConfig::nilicon(), None, epoch).unwrap();
+                end_page_round();
+                let pages = img.pages.len();
+                agent.ingest(img);
+                agent.ingest_drbd(vec![DrbdMsg::Barrier(epoch)]);
+                agent.commit(epoch, &mut disk).unwrap();
+                black_box(pages)
+            });
+        });
+    }
     group.bench_function("full_dump_restore_16MB", |b| {
         b.iter_batched(
             || {

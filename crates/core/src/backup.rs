@@ -9,7 +9,8 @@
 //! materialized into CRIU-format images and restored.
 
 use nilicon_criu::{
-    CheckpointImage, FragBuf, LinkedListStore, PageEncoding, PageKey, PageStore, RadixTreeStore,
+    recycle_fragment, CheckpointImage, FragBuf, LinkedListStore, PageEncoding, PageKey, PageStore,
+    RadixTreeStore,
 };
 use nilicon_sim::ids::Pid;
 use nilicon_drbd::{DrbdBackup, DrbdMsg};
@@ -17,6 +18,7 @@ use nilicon_sim::block::BlockDevice;
 use nilicon_sim::costs::CostModel;
 use nilicon_sim::fs::{FsCacheCheckpoint, Inode};
 use nilicon_sim::ids::Ino;
+use nilicon_sim::mem::recycle_page;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap};
@@ -332,11 +334,21 @@ impl BackupAgent {
             self.store.begin_checkpoint();
             self.frag_store.begin_checkpoint();
             let mut probes = 0u64;
+            // A buffer this epoch's version displaces goes back to where
+            // the next epoch's version will be written.
             for (pid, vpn, data) in pages {
-                probes += self.store.insert(PageKey { pid, vpn }, data);
+                let (p, displaced) = self.store.replace(PageKey { pid, vpn }, data);
+                probes += p;
+                if let Some(old) = displaced {
+                    recycle_page(old);
+                }
             }
             for (pid, vpn, frag) in frags {
-                probes += self.frag_store.insert(PageKey { pid, vpn }, frag);
+                let (p, displaced) = self.frag_store.replace(PageKey { pid, vpn }, frag);
+                probes += p;
+                if let Some(old) = displaced {
+                    recycle_fragment(old);
+                }
             }
             // Delta-encoded pages: reconstruct against the store's current
             // copy (epochs apply in order, so that copy is exactly the
@@ -453,6 +465,7 @@ impl BackupAgent {
 mod tests {
     use super::*;
     use nilicon_sim::ids::{DevId, Pid};
+    use nilicon_sim::mem::{end_page_round, spare_pages, AddressSpace};
     use nilicon_sim::ns::NsSet;
 
     fn img(epoch: u64, pages: &[(u32, u64, u8)]) -> CheckpointImage {
@@ -745,6 +758,146 @@ mod tests {
             "list commit {list_commit} vs radix {radix_commit} — §V-A gap grows with history"
         );
         assert_eq!(radix.stored_pages(), list.stored_pages());
+    }
+
+    /// A stop phase over `mm`: every soft-dirty page copied out into epoch
+    /// `epoch`'s image, tracking re-armed, the recycler's round ended.
+    fn dump(mm: &mut AddressSpace, epoch: u64) -> CheckpointImage {
+        let mut i = img(epoch, &[]);
+        for vpn in mm.soft_dirty_vpns() {
+            i.pages.push((Pid(1), vpn, mm.snapshot_page(vpn).unwrap()));
+        }
+        mm.clear_refs();
+        end_page_round();
+        i
+    }
+
+    fn ingest_and_commit(a: &mut BackupAgent, disk: &mut BlockDevice, i: CheckpointImage) {
+        let epoch = i.epoch;
+        a.ingest(i);
+        a.ingest_drbd(vec![DrbdMsg::Barrier(epoch)]);
+        a.commit(epoch, disk).unwrap();
+    }
+
+    const HEAP: u64 = 0x1000_0000;
+
+    #[test]
+    fn spare_pages_never_outnumber_the_previous_stop_phases_demand() {
+        const FOOTPRINT: u64 = 16 * 1024;
+        end_page_round();
+        let mut mm = AddressSpace::new();
+        mm.mmap_anon(HEAP, FOOTPRINT * PAGE_SIZE as u64).unwrap();
+        let mut a = agent();
+        let mut disk = BlockDevice::new(DevId(2));
+        let touch = |mm: &mut AddressSpace, pages: u64, tag: u8| {
+            for p in 0..pages {
+                mm.write(HEAP + p * PAGE_SIZE as u64, &[tag]).unwrap();
+            }
+        };
+        // Initial sync: nothing to displace, nothing spare.
+        touch(&mut mm, FOOTPRINT, 1);
+        ingest_and_commit(&mut a, &mut disk, dump(&mut mm, 1));
+        assert_eq!((a.stored_pages(), spare_pages()), (FOOTPRINT as usize, 0));
+        // A full resync displaces every page: all kept, its own stop phase
+        // having asked for that many.
+        touch(&mut mm, FOOTPRINT, 2);
+        ingest_and_commit(&mut a, &mut disk, dump(&mut mm, 2));
+        assert_eq!(spare_pages(), FOOTPRINT as usize);
+        // A 100-page epoch takes 100 of them; its stop phase's end frees
+        // the rest, and its commit hands back 100.
+        touch(&mut mm, 100, 3);
+        let small = dump(&mut mm, 3);
+        assert_eq!(spare_pages(), 0);
+        ingest_and_commit(&mut a, &mut disk, small);
+        assert_eq!(spare_pages(), 100);
+        // A full image from elsewhere (bootstrap, repair) displaces 16 K
+        // more: the surplus over those 100 is dropped as it is handed back.
+        let mut resync = img(4, &[]);
+        resync.pages = (0..FOOTPRINT)
+            .map(|p| {
+                (
+                    Pid(1),
+                    HEAP / PAGE_SIZE as u64 + p,
+                    Rc::new([4u8; PAGE_SIZE]),
+                )
+            })
+            .collect();
+        ingest_and_commit(&mut a, &mut disk, resync);
+        assert_eq!(spare_pages(), 100);
+        end_page_round();
+    }
+
+    /// Twenty-four generated epochs of whole-page and sparse writes through
+    /// dump → ingest → commit, whole or delta-encoded, with an image
+    /// materialized at epoch 5 kept alive throughout: recycling must neither
+    /// lose a committed byte nor write through the kept image.
+    fn generated_cycle_commits_guest_memory(delta: bool) {
+        const FOOTPRINT: u64 = 192;
+        end_page_round();
+        let mut mm = AddressSpace::new();
+        mm.mmap_anon(HEAP, FOOTPRINT * PAGE_SIZE as u64).unwrap();
+        let mut a = agent();
+        let mut disk = BlockDevice::new(DevId(2));
+        let mut shadow = nilicon_criu::ShadowStore::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut kept: Option<(CheckpointImage, Vec<[u8; PAGE_SIZE]>)> = None;
+        let mut reused = 0;
+        for epoch in 1..=24u64 {
+            for _ in 0..40 + rand() % 60 {
+                let r = rand();
+                let page = HEAP + (r >> 8) % FOOTPRINT * PAGE_SIZE as u64;
+                if r & 3 == 0 {
+                    mm.write(page, &[r as u8 | 1; PAGE_SIZE]).unwrap();
+                } else {
+                    let off = (r >> 32) % (PAGE_SIZE as u64 - 8);
+                    mm.write(page + off, &r.to_le_bytes()).unwrap();
+                }
+            }
+            let spare = spare_pages();
+            let mut i = dump(&mut mm, epoch);
+            reused += spare.min(i.pages.len());
+            if delta {
+                i.encode_pages(&mut shadow);
+            }
+            ingest_and_commit(&mut a, &mut disk, i);
+            if epoch == 5 {
+                let image = a.materialize().unwrap();
+                let bytes = image.pages.iter().map(|p| *p.2).collect();
+                kept = Some((image, bytes));
+            }
+        }
+        assert!(reused > 200, "the cycle ran on recycled buffers ({reused})");
+        let now = a.materialize().unwrap();
+        assert_eq!(
+            now.pages.iter().map(|p| p.1).collect::<Vec<_>>(),
+            mm.resident_vpns()
+        );
+        for (_, vpn, page) in &now.pages {
+            let mut guest = [0u8; PAGE_SIZE];
+            mm.read(vpn * PAGE_SIZE as u64, &mut guest).unwrap();
+            assert!(**page == guest, "page {vpn:#x} diverged from guest memory");
+        }
+        let (image, bytes) = kept.unwrap();
+        for ((_, vpn, page), was) in image.pages.iter().zip(&bytes) {
+            assert!(**page == *was, "kept image written through at {vpn:#x}");
+        }
+        end_page_round();
+    }
+
+    #[test]
+    fn generated_cycle_commits_guest_memory_whole_pages() {
+        generated_cycle_commits_guest_memory(false);
+    }
+
+    #[test]
+    fn generated_cycle_commits_guest_memory_deltas() {
+        generated_cycle_commits_guest_memory(true);
     }
 
     #[test]

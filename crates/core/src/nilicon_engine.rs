@@ -420,6 +420,7 @@ impl Checkpointer for NiLiConEngine {
 
     fn failover(&mut self, backup: &mut Kernel) -> SimResult<(RestoredContainer, FailoverReport)> {
         self.agent.discard_uncommitted();
+        StageCore::release_spare_buffers();
         let img = self.agent.materialize()?;
         self.core.restore(backup, &img)
     }
@@ -920,6 +921,130 @@ mod tests {
         assert!(report.restore > 100 * MILLISECOND);
         assert_eq!(report.arp, 28 * MILLISECOND);
         assert_eq!(report.others, 7 * MILLISECOND);
+    }
+
+    #[test]
+    fn failover_frees_the_spare_pages_before_it_materializes() {
+        use nilicon_sim::mem::{end_page_round, spare_pages};
+        end_page_round();
+        let (mut p, mut b, c, mut e) = setup();
+        e.prepare(&mut p, &c).unwrap();
+        for epoch in 1..=3u64 {
+            for page in 0..50u64 {
+                p.mem_write(c.init_pid(), MemLayout::heap_page(page), &[epoch as u8])
+                    .unwrap();
+            }
+            e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
+            assert_eq!(spare_pages(), 0, "the stop phase's end frees what it left");
+            e.commit(&mut b, epoch).unwrap();
+        }
+        assert_eq!(spare_pages(), 50, "epoch 3 displaced epoch 2's pages");
+        let (restored, _) = e.failover(&mut b).unwrap();
+        assert_eq!(spare_pages(), 0);
+        let mut byte = [0u8; 1];
+        b.mem_read(
+            restored.container.init_pid(),
+            MemLayout::heap_page(49),
+            &mut byte,
+        )
+        .unwrap();
+        assert_eq!(byte[0], 3);
+    }
+
+    /// A heap that shrinks after its pages were committed leaves the backup
+    /// holding pages no VMA of the latest image covers; failover restores
+    /// around them.
+    fn shrink_then_failover(opts: OptimizationConfig) {
+        let mut p = Kernel::default();
+        let mut b = Kernel::default();
+        let c =
+            ContainerRuntime::create(&mut p, &ContainerSpec::server("redis", 10, 6379)).unwrap();
+        let pid = c.init_pid();
+        let mut e = NiLiConEngine::new(opts, p.costs.clone());
+        e.prepare(&mut p, &c).unwrap();
+        let top = c.spec.heap_pages - 1;
+        p.mem_write(pid, MemLayout::heap(0), b"survives").unwrap();
+        p.mem_write(pid, MemLayout::heap_page(top), b"doomed")
+            .unwrap();
+        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
+        e.commit(&mut b, 1).unwrap();
+        p.mm_mut(pid)
+            .unwrap()
+            .brk(MemLayout::heap_page(top / 2))
+            .unwrap();
+        p.mem_write(pid, MemLayout::heap(0), b"SURVIVES").unwrap();
+        e.checkpoint(&mut p, &mut b, &c, 2).unwrap();
+        e.commit(&mut b, 2).unwrap();
+
+        let (restored, _) = e.failover(&mut b).unwrap();
+        assert_eq!(restored.skipped_pages, 1, "the page above the new break");
+        restored.finish(&mut b).unwrap();
+        let mut buf = [0u8; 8];
+        b.mem_read(pid, MemLayout::heap(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"SURVIVES");
+        assert!(b
+            .mem_read(pid, MemLayout::heap_page(top), &mut buf)
+            .is_err());
+    }
+
+    #[test]
+    fn shrink_then_failover_sync_path() {
+        shrink_then_failover(OptimizationConfig::nilicon());
+    }
+
+    #[test]
+    fn shrink_then_failover_cow_path() {
+        let mut opts = OptimizationConfig::nilicon();
+        opts.cow_checkpoint = true;
+        shrink_then_failover(opts);
+    }
+
+    #[test]
+    fn shrink_while_a_bootstrap_streams_then_failover() {
+        // The bootstrap protects the whole resident set and drains it over
+        // several steps. Pages unmapped in between are part of the image all
+        // the same — it is the container's state when the bootstrap stopped
+        // it — so they are staged with the contents they had then, not lent
+        // later as zero pages for addresses with no mapping.
+        let mut opts = OptimizationConfig::nilicon();
+        opts.rearm = true;
+        let (mut p, mut b, c, _) = setup();
+        let pid = c.init_pid();
+        let mut e = NiLiConEngine::new(opts, p.costs.clone());
+        e.prepare(&mut p, &c).unwrap();
+        let top = c.spec.heap_pages - 1;
+        for page in (0..40).chain(top - 40..=top) {
+            p.mem_write(pid, MemLayout::heap_page(page), &[7]).unwrap();
+        }
+        e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
+        e.commit(&mut b, 1).unwrap();
+
+        e.rearm_prepare(&mut p, &c).unwrap();
+        let begin = e.bootstrap_begin(&mut p, &c, 2).unwrap();
+        assert!(e.bootstrap_step(&mut p, 2, 16).unwrap().remaining > 0);
+        p.mm_mut(pid)
+            .unwrap()
+            .brk(MemLayout::heap_page(top / 2))
+            .unwrap();
+        let mut streamed = 16;
+        loop {
+            let step = e.bootstrap_step(&mut p, 2, 64).unwrap();
+            streamed += step.pages;
+            if step.remaining == 0 {
+                break;
+            }
+        }
+        assert_eq!(streamed, begin.total_pages, "the assembly barrier closes");
+        let mut b2 = Kernel::default();
+        e.bootstrap_finish(&mut b2, 2).unwrap();
+
+        // Failing over to the bootstrap epoch restores the heap as it was.
+        let (restored, _) = e.failover(&mut b2).unwrap();
+        assert_eq!(restored.skipped_pages, 0);
+        let mut byte = [0u8; 1];
+        b2.mem_read(pid, MemLayout::heap_page(top), &mut byte)
+            .unwrap();
+        assert_eq!(byte[0], 7);
     }
 
     #[test]

@@ -59,11 +59,14 @@ use crate::engine::{
 use crate::stages::{ChunkClock, StageCore, CHUNK_PAGES};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{CheckpointImage, FragBuf, PageKey, RestoredContainer, ShardCodec};
+use nilicon_criu::{
+    end_fragment_round, CheckpointImage, FragBuf, PageKey, RestoredContainer, ShardCodec,
+};
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
+use nilicon_sim::mem::recycle_page;
 use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
@@ -438,6 +441,12 @@ impl Checkpointer for PlacementEngine {
             fan_out(&mut self.replicas, &self.codec, epoch, &pages, &mut per_cpu)?;
             self.core.transfer_cost(primary, state_bytes, meta_msgs)
         };
+        // Striped: the fan-out used what spare fragments it could, and the
+        // dumped pages are the next stop phase's buffers.
+        end_fragment_round();
+        for (_, _, page) in pages {
+            recycle_page(page);
+        }
         for &i in &alive {
             let agent = &mut self.replicas[i].agent;
             agent.finish_assembly(epoch)?;
@@ -508,6 +517,7 @@ impl Checkpointer for PlacementEngine {
         for r in self.replicas.iter_mut().filter(|r| r.alive) {
             r.agent.discard_uncommitted();
         }
+        StageCore::release_spare_buffers();
         let survivors = self.survivors(k)?;
         let img = self.reconstruct_committed(&survivors)?;
         let (restored, mut report) = self.core.restore(backup, &img)?;
@@ -1096,6 +1106,50 @@ mod tests {
             "disk resynced from a surviving replica"
         );
         assert!(report.others > 0);
+    }
+
+    #[test]
+    fn buffers_circulate_between_commit_and_fan_out_until_failover() {
+        use nilicon_criu::spare_fragments;
+        use nilicon_sim::mem::{end_page_round, spare_pages};
+        end_page_round();
+        end_fragment_round();
+        let (mut p, mut b, c, mut e) = setup(2, 3);
+        e.prepare(&mut p, &c).unwrap();
+        let dirty = |p: &mut Kernel, tag: u8| {
+            for page in 0..30u64 {
+                p.mem_write(c.init_pid(), MemLayout::heap_page(page), &[tag])
+                    .unwrap();
+            }
+        };
+        for epoch in 1..=3u64 {
+            dirty(&mut p, epoch as u8);
+            e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
+            assert_eq!(
+                (spare_pages(), spare_fragments()),
+                (30, 0),
+                "striped pages wait for the next dump; the fan-out's end frees fragments"
+            );
+            e.commit(&mut b, epoch).unwrap();
+        }
+        assert_eq!(
+            spare_fragments(),
+            3 * 30,
+            "every replica displaced epoch 2's"
+        );
+        let (restored, _) = e.failover(&mut b).unwrap();
+        assert_eq!((spare_pages(), spare_fragments()), (0, 0));
+        let mut byte = [0u8; 1];
+        b.mem_read(
+            restored.container.init_pid(),
+            MemLayout::heap_page(29),
+            &mut byte,
+        )
+        .unwrap();
+        assert_eq!(
+            byte[0], 3,
+            "decoded from fragments written into recycled buffers"
+        );
     }
 
     #[test]

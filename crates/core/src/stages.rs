@@ -18,13 +18,13 @@ use crate::engine::{BootstrapBegin, BootstrapStep, FailoverReport, LogShipOutcom
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
 use nilicon_criu::{
-    bootstrap_dump, dump_container, CheckpointImage, DeltaStats, InfrequentCache, RestoreConfig,
-    RestoredContainer, ShadowStore,
+    bootstrap_dump, dump_container, end_fragment_round, CheckpointImage, DeltaStats,
+    InfrequentCache, RestoreConfig, RestoredContainer, ShadowStore,
 };
 use nilicon_drbd::{DrbdMsg, DrbdPrimary};
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::TrackingMode;
+use nilicon_sim::mem::{end_page_round, TrackingMode};
 use nilicon_sim::net::InputMode;
 use nilicon_sim::replay::{ReplayEvent, ReplayLog};
 use nilicon_sim::time::Nanos;
@@ -462,6 +462,9 @@ impl StageCore {
         Self::resume(primary, container)?;
         let m_resumed = primary.meter.lifetime_total();
         let mut stop_time = primary.meter.take();
+        // The dump filled what spare page buffers it needed; the rest are
+        // not carried through the execution phase.
+        end_page_round();
 
         self.tracer.span(TraceEvent::Freeze, m_frozen - m_start);
         self.tracer
@@ -619,6 +622,13 @@ impl StageCore {
         primary.meter.take();
         self.bootstrap_cpu_carry = 0;
         Ok(())
+    }
+
+    /// A failover is about to materialize or decode the whole committed
+    /// image: free the buffers waiting for a stop phase that will not come.
+    pub(crate) fn release_spare_buffers() {
+        end_page_round();
+        end_fragment_round();
     }
 
     /// Restore `img` on `backup` and account the recovery (Table II).

@@ -59,4 +59,4 @@ pub use image::{CheckpointImage, DumpPhases, DumpStats, ProcessImage};
 pub use imgfile::{decode as decode_image, encode as encode_image};
 pub use pagestore::{LinkedListStore, PageKey, PageStore, RadixTreeStore};
 pub use restore::{restore_container, RestoreConfig, RestoredContainer};
-pub use shard::{FragBuf, ShardCodec};
+pub use shard::{end_fragment_round, recycle_fragment, spare_fragments, FragBuf, ShardCodec};

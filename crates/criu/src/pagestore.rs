@@ -17,14 +17,17 @@
 
 use crate::delta::PageEncoding;
 use nilicon_sim::ids::Pid;
+use nilicon_sim::mem::recycle_page;
 use nilicon_sim::{zero_page, PageBuf};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Largest virtual page number either store can address: the radix tree
 /// walks 4 levels × 9 bits, exactly like the x86-64 page-table walk over
-/// 4 KiB pages (48-bit virtual addresses → 36-bit vpns). Keys above this
-/// would silently alias in the tree, so both stores reject them.
+/// 4 KiB pages (48-bit virtual addresses → 36-bit vpns). The tree masks a
+/// key above this onto one below (a debug build asserts); no guest page
+/// carries such a key, because `AddressSpace::mmap` refuses to map above
+/// `nilicon_sim::mem::VADDR_END`.
 pub const MAX_VPN: u64 = (1 << 36) - 1;
 
 /// Key of a stored page: (process, virtual page number).
@@ -45,6 +48,14 @@ pub trait PageStore<B = PageBuf> {
     /// performed — the unit the replication runtime converts into backup CPU
     /// time. The store shares the refcounted buffer; nothing is copied.
     fn insert(&mut self, key: PageKey, page: B) -> u64;
+
+    /// [`PageStore::insert`] that also hands back the buffer `page`
+    /// displaced, for the caller to recycle. The radix tree has it in hand at
+    /// the end of its walk; a store that would have to search for it (the
+    /// stock list) reports none and drops it as before.
+    fn replace(&mut self, key: PageKey, page: B) -> (u64, Option<B>) {
+        (self.insert(key, page), None)
+    }
 
     /// Fetch a page.
     fn get(&self, key: PageKey) -> Option<&B>;
@@ -95,7 +106,13 @@ pub trait PageStore<B = PageBuf> {
                 dp.xor_into(Rc::make_mut(&mut page));
                 self.insert(key, page.into()) * 2
             }
-            _ => self.insert(key, enc.apply(None).into()),
+            _ => {
+                let (probes, displaced) = self.replace(key, enc.apply(None).into());
+                if let Some(old) = displaced {
+                    recycle_page(old.into());
+                }
+                probes
+            }
         }
     }
 }
@@ -278,6 +295,10 @@ fn split_vpn(vpn: u64) -> (usize, usize, usize, usize) {
 
 impl<B> PageStore<B> for RadixTreeStore<B> {
     fn insert(&mut self, key: PageKey, page: B) -> u64 {
+        self.replace(key, page).0
+    }
+
+    fn replace(&mut self, key: PageKey, page: B) -> (u64, Option<B>) {
         let (i4, i3, i2, i1) = split_vpn(key.vpn);
         let root = self
             .roots
@@ -286,10 +307,11 @@ impl<B> PageStore<B> for RadixTreeStore<B> {
         let n3 = root.slots[i4].get_or_insert_with(|| Box::new(RadixNode::new()));
         let n2 = n3.slots[i3].get_or_insert_with(|| Box::new(RadixNode::new()));
         let leaf = n2.slots[i2].get_or_insert_with(|| Box::new(RadixNode::new()));
-        if leaf.slots[i1].replace(page).is_none() {
+        let displaced = leaf.slots[i1].replace(page);
+        if displaced.is_none() {
             self.count += 1;
         }
-        4 // exactly four probes, independent of history (§V-A)
+        (4, displaced) // exactly four probes, independent of history (§V-A)
     }
 
     fn get(&self, key: PageKey) -> Option<&B> {
@@ -546,6 +568,26 @@ mod tests {
             assert!(store.get(key(1, 0x10)).is_none());
             assert_eq!(store.get(key(1, 0x11)).unwrap()[0], 2);
         }
+    }
+
+    #[test]
+    fn replace_hands_back_what_the_radix_tree_displaced() {
+        let mut rt = RadixTreeStore::new();
+        let first = page(1);
+        assert!(matches!(rt.replace(key(1, 0x10), first.clone()), (4, None)));
+        let (probes, displaced) = rt.replace(key(1, 0x10), page(2));
+        assert_eq!(probes, 4);
+        assert!(Rc::ptr_eq(&displaced.unwrap(), &first), "the buffer itself");
+        assert_eq!((rt.len(), rt.get(key(1, 0x10)).unwrap()[0]), (1, 2));
+
+        // The stock list would have to search its chain for the old copy:
+        // it reports none and drops it.
+        let mut ll = LinkedListStore::new();
+        ll.begin_checkpoint();
+        ll.insert(key(1, 0x10), first);
+        ll.begin_checkpoint();
+        assert!(matches!(ll.replace(key(1, 0x10), page(2)), (2, None)));
+        assert_eq!((ll.len(), ll.get(key(1, 0x10)).unwrap()[0]), (1, 2));
     }
 
     #[test]

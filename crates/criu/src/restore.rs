@@ -47,6 +47,9 @@ pub struct RestoredContainer {
     pub restored_sockets: Vec<SockId>,
     /// Virtual time the restore itself took (Table II "Restore" component).
     pub restore_time: Nanos,
+    /// Committed pages left out because no VMA of the image covers them
+    /// (unmapped on the primary after the checkpoint that shipped them).
+    pub skipped_pages: u64,
 }
 
 impl RestoredContainer {
@@ -130,6 +133,7 @@ pub fn restore_container(
     }
 
     // Pages (grouped per pid to amortize lookups).
+    let mut skipped_pages = 0;
     {
         type PageList = Vec<(u64, nilicon_sim::PageBuf)>;
         let mut by_pid: std::collections::BTreeMap<Pid, PageList> =
@@ -138,7 +142,7 @@ pub fn restore_container(
             by_pid.entry(*pid).or_default().push((*vpn, data.clone()));
         }
         for (pid, pages) in by_pid {
-            kernel.install_pages(pid, &pages)?;
+            skipped_pages += kernel.install_pages(pid, &pages)?;
         }
     }
 
@@ -192,6 +196,7 @@ pub fn restore_container(
         },
         restored_sockets,
         restore_time,
+        skipped_pages,
     })
 }
 
@@ -345,6 +350,39 @@ mod tests {
             .unwrap()
             .rto;
         assert_eq!(rto2, 1_000 * MILLISECOND, "stock kernel: ≥1s");
+    }
+
+    #[test]
+    fn committed_pages_without_a_vma_are_skipped_and_counted() {
+        // A backup's store keeps every page it was ever sent; the metadata
+        // it restores from is the latest. A heap that shrank in between
+        // leaves pages no VMA of the image covers.
+        let (mut primary, c) = primary_with_state();
+        let pid = c.init_pid();
+        let heap_pages = c.spec.heap_pages;
+        primary
+            .mem_write(pid, MemLayout::heap_page(heap_pages - 1), b"tail")
+            .unwrap();
+        let stale = full_dump(&mut primary, &c, &DumpConfig::nilicon()).unwrap();
+        primary
+            .mm_mut(pid)
+            .unwrap()
+            .brk(MemLayout::heap_page(heap_pages / 2))
+            .unwrap();
+        let mut img = full_dump(&mut primary, &c, &DumpConfig::nilicon()).unwrap();
+        let kept = img.pages.len();
+        img.pages = stale.pages;
+        assert_eq!(img.pages.len(), kept + 1);
+
+        let mut backup = Kernel::default();
+        let r = restore_container(&mut backup, &img, &RestoreConfig::default()).unwrap();
+        assert_eq!(r.skipped_pages, 1);
+        let mut buf = [0u8; 9];
+        backup.mem_read(pid, MemLayout::heap(0), &mut buf).unwrap();
+        assert_eq!(&buf, b"key=value");
+        assert!(backup
+            .mem_read(pid, MemLayout::heap_page(heap_pages - 1), &mut buf)
+            .is_err());
     }
 
     #[test]

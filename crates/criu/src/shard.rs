@@ -22,10 +22,14 @@
 //! (`dst ^= c · src`, 32 bytes per step where the CPU has `pshufb`), and a
 //! fragment is written exactly once, into the heap buffer the replica's store
 //! will keep ([`ShardCodec::encode_fragment`]): nothing is staged in codec
-//! scratch and copied out. Decoding inverts the survivors' generator rows
-//! once per survivor set, not once per page.
+//! scratch and copied out. That buffer is, in steady state, one a commit
+//! displaced from a store an epoch earlier ([`recycle_fragment`]). Decoding
+//! inverts the survivors' generator rows once per survivor set, not once per
+//! page.
 
+use nilicon_sim::mem::Recycler;
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
+use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -33,6 +37,28 @@ use std::rc::Rc;
 /// refcounted heap buffer of exactly that size — what a replica's store
 /// holds per page, and what a repair reads from it without copying.
 pub type FragBuf = Rc<[u8]>;
+
+thread_local! {
+    static SPARE_FRAGS: RefCell<Recycler<[u8]>> = const { RefCell::new(Recycler::new()) };
+}
+
+/// Hand a fragment a commit displaced from a replica's store to the next
+/// [`ShardCodec::encode_fragment`]. The rules are the page recycler's
+/// (`nilicon_sim::mem::Recycler`), a round being one epoch's fan-out.
+pub fn recycle_fragment(buf: FragBuf) {
+    SPARE_FRAGS.with(|r| r.borrow_mut().give(buf));
+}
+
+/// An epoch's fan-out ended, or a failover is about to decode the whole
+/// image: free the spare fragments.
+pub fn end_fragment_round() {
+    SPARE_FRAGS.with(|r| r.borrow_mut().end_round());
+}
+
+/// Spare fragments this thread's recycler holds.
+pub fn spare_fragments() -> usize {
+    SPARE_FRAGS.with(|r| r.borrow().len())
+}
 
 /// Shift-and-reduce product in GF(2⁸) over the 0x11D primitive polynomial.
 /// Builds [`NIBBLES`] at compile time; the kernels are tested against it.
@@ -356,9 +382,10 @@ impl ShardCodec {
         }
     }
 
-    /// Fragment `idx` of `page`, alone, in the buffer it will be stored in.
-    /// A full-length systematic stripe is one slice copy; a repair, which
-    /// needs one fragment per page, computes no other.
+    /// Fragment `idx` of `page`, alone, in the buffer it will be stored in:
+    /// a recycled one when the thread has a spare of this codec's length
+    /// that nobody else holds. A repair, which needs one fragment per page,
+    /// computes no other.
     ///
     /// # Panics
     /// If `idx` is not a replica index (`idx >= n`).
@@ -368,10 +395,10 @@ impl ShardCodec {
             "fragment index {idx} out of range (n={})",
             self.n
         );
-        if idx < self.k {
-            let stripe = &page[self.stripe(idx)];
-            if stripe.len() == self.frag_len {
-                return Rc::from(stripe);
+        if let Some(mut frag) = SPARE_FRAGS.with(|r| r.borrow_mut().take()) {
+            if let Some(dst) = Rc::get_mut(&mut frag).filter(|d| d.len() == self.frag_len) {
+                self.fill_fragment(page, idx, dst);
+                return frag;
             }
         }
         let mut frag: FragBuf = std::iter::repeat_n(0u8, self.frag_len).collect();
@@ -608,6 +635,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn recycled_fragments_hold_exactly_what_fresh_ones_would() {
+        // Every index of three codecs written into spares that held another
+        // page's fragments: stale bytes must not survive in the zero padding
+        // of a short stripe or under a parity row.
+        for (k, n) in [(2u32, 3u32), (3, 5), (127, 128)] {
+            end_fragment_round();
+            let mut c = ShardCodec::new(k, n).unwrap();
+            let (old, new) = (page(9), page(200));
+            let stale: Vec<FragBuf> = (0..n as usize)
+                .map(|i| c.encode_fragment(&old, i))
+                .collect();
+            end_fragment_round();
+            let addrs: Vec<*const u8> = stale.iter().map(|f| f.as_ptr()).collect();
+            stale.into_iter().for_each(recycle_fragment);
+            assert_eq!(spare_fragments(), n as usize);
+            let want: Vec<Vec<u8>> = c.encode(&new).to_vec();
+            for (i, whole) in want.iter().enumerate() {
+                let frag = c.encode_fragment(&new, i);
+                assert!(addrs.contains(&frag.as_ptr()), "(k={k},n={n}) {i}: a spare");
+                assert_eq!(&frag[..], &whole[..], "(k={k},n={n}) fragment {i}");
+            }
+            assert_eq!(spare_fragments(), 0);
+        }
+        end_fragment_round();
+    }
+
+    #[test]
+    fn a_spare_of_another_length_or_with_another_holder_is_left_alone() {
+        end_fragment_round();
+        let c23 = ShardCodec::new(2, 3).unwrap();
+        let c35 = ShardCodec::new(3, 5).unwrap();
+        let p = page(5);
+        let held = c23.encode_fragment(&p, 2);
+        let other_len = c35.encode_fragment(&p, 4);
+        end_fragment_round();
+        let before = held.to_vec();
+        recycle_fragment(other_len);
+        recycle_fragment(held.clone());
+        let q = page(6);
+        for i in 0..3 {
+            let frag = c23.encode_fragment(&q, i);
+            assert_eq!(frag.len(), c23.frag_len());
+            assert!(!Rc::ptr_eq(&frag, &held));
+        }
+        assert_eq!(
+            &held[..],
+            &before[..],
+            "the other holder's bytes are untouched"
+        );
+        end_fragment_round();
     }
 
     /// FNV-1a over every fragment of a fixed page, recorded from the

@@ -582,18 +582,25 @@ impl Kernel {
         Ok(self.mm_mut(pid)?.take_cow_faults())
     }
 
-    /// Install pages at restore time.
+    /// Install pages at restore time. A page outside every VMA is skipped:
+    /// the container unmapped it (`munmap`, a `brk` shrink) after the
+    /// checkpoint that carried it, and the backup's store still holds it.
+    /// Returns the number of pages skipped.
     pub fn install_pages(
         &mut self,
         pid: Pid,
         pages: &[(u64, crate::mem::PageBuf)],
-    ) -> SimResult<()> {
+    ) -> SimResult<u64> {
         self.charge(pages.len() as u64 * self.costs.page_restore);
         let mm = self.mm_mut(pid)?;
+        let mut skipped = 0;
         for (vpn, data) in pages {
-            mm.install_page(*vpn, data)?;
+            match mm.install_page(*vpn, data) {
+                Err(SimError::Segfault { .. }) => skipped += 1,
+                other => other?,
+            }
         }
-        Ok(())
+        Ok(skipped)
     }
 
     /// Per-thread state collection cost (registers, sigmask, timers, sched —

@@ -11,6 +11,11 @@ use std::rc::Rc;
 
 const PS: u64 = PAGE_SIZE as u64;
 
+/// End of the mappable address range: 48-bit virtual addresses, as on
+/// x86-64 with four-level paging. The backup's radix tree indexes the
+/// 36-bit page numbers below it; a page above would alias one below.
+pub const VADDR_END: u64 = 1 << 48;
+
 /// Outcome of a memory write: how many tracking faults it took.
 ///
 /// The kernel converts fault counts into charged time using the active
@@ -68,12 +73,22 @@ impl AddressSpace {
     // Mapping management
     // ------------------------------------------------------------------
 
-    /// Map a VMA. Addresses and length must be page aligned and must not
-    /// overlap an existing VMA.
+    /// Map a VMA. Addresses and length must be page aligned, lie below
+    /// [`VADDR_END`] and must not overlap an existing VMA.
     pub fn mmap(&mut self, vma: Vma) -> SimResult<()> {
         if !vma.start.is_multiple_of(PS) || !vma.len.is_multiple_of(PS) || vma.len == 0 {
             return Err(SimError::BadMapping(format!(
                 "unaligned or empty mapping {:#x}+{:#x}",
+                vma.start, vma.len
+            )));
+        }
+        if vma
+            .start
+            .checked_add(vma.len)
+            .is_none_or(|end| end > VADDR_END)
+        {
+            return Err(SimError::BadMapping(format!(
+                "mapping {:#x}+{:#x} reaches above the 48-bit address space",
                 vma.start, vma.len
             )));
         }
@@ -127,13 +142,29 @@ impl AddressSpace {
             .remove(&start)
             .ok_or_else(|| SimError::BadMapping(format!("no VMA at {start:#x}")))?;
         let first = vma.first_vpn();
-        for vpn in first..first + vma.pages() {
-            self.frames.remove(&vpn);
-        }
+        self.drop_pages(first..first + vma.pages());
         if vma.is_heap {
             self.brk = None;
         }
         Ok(vma)
+    }
+
+    /// Drop the frames of pages that just lost their mapping. To a deferred
+    /// checkpoint that still owes the backup one of them, the unmap is one
+    /// more write: its checkpoint-time contents are staged first
+    /// (copy-before-unmap), and it leaves the protect set — a later drain
+    /// has no frame and no mapping to lend from. That checkpoint's image
+    /// still maps the page; later ones do not, and restore skips it.
+    fn drop_pages(&mut self, vpns: std::ops::Range<u64>) {
+        let mut owed = self.cow_protected.split_off(&vpns.start);
+        self.cow_protected.append(&mut owed.split_off(&vpns.end));
+        for vpn in owed {
+            let snap = self.page_contents(vpn);
+            self.cow_staged.push((vpn, snap));
+        }
+        for vpn in vpns {
+            self.frames.remove(&vpn);
+        }
     }
 
     /// Grow (or shrink) the heap VMA to end at `new_brk` (page aligned up).
@@ -158,11 +189,8 @@ impl AddressSpace {
         let heap = self.vmas.get_mut(&heap_start).expect("heap vma exists");
         let old_end = heap.end();
         heap.len = aligned - heap_start;
-        // Drop frames beyond a shrunken break.
         if aligned < old_end {
-            for vpn in aligned / PS..old_end / PS {
-                self.frames.remove(&vpn);
-            }
+            self.drop_pages(aligned / PS..old_end / PS);
         }
         self.brk = Some(aligned);
         Ok(aligned)
@@ -282,10 +310,7 @@ impl AddressSpace {
         if self.cow_protected.remove(&vpn) {
             out.cow_faults += 1;
             self.cow_faults += 1;
-            let snap = match self.frames.get(&vpn) {
-                Some(f) => f.snapshot(),
-                None => zero_page(),
-            };
+            let snap = self.page_contents(vpn);
             self.cow_staged.push((vpn, snap));
         }
         let frame = self.frames.entry(vpn).or_insert_with(|| {
@@ -379,10 +404,14 @@ impl AddressSpace {
     pub fn snapshot_page(&self, vpn: u64) -> SimResult<PageBuf> {
         let addr = vpn * PS;
         self.vma_at(addr).ok_or(SimError::Segfault { addr })?;
-        Ok(match self.frames.get(&vpn) {
-            Some(f) => f.snapshot(),
-            None => zero_page(),
-        })
+        Ok(self.page_contents(vpn))
+    }
+
+    /// A copy of the page's contents: zeros if no frame backs it.
+    fn page_contents(&self, vpn: u64) -> PageBuf {
+        self.frames
+            .get(&vpn)
+            .map_or_else(zero_page, PageFrame::snapshot)
     }
 
     /// Install page contents at restore time (does not set soft-dirty: a
@@ -699,6 +728,57 @@ mod tests {
         );
         assert_eq!(a.take_cow_staged().len(), 1);
         assert_eq!(a.cow_protected_count(), 0);
+    }
+
+    #[test]
+    fn mmap_rejects_addresses_above_48_bits() {
+        // The backup's radix tree keeps 36 bits of a page number: a page
+        // mapped above 2^48 would land on the slot of one 2^48 below.
+        let mut a = AddressSpace::new();
+        for (start, len) in [
+            (VADDR_END, PS),
+            (VADDR_END - PS, 2 * PS),
+            (0x10000 + VADDR_END, PS),
+            (u64::MAX - PS + 1, PS),
+        ] {
+            assert!(
+                matches!(a.mmap_anon(start, len), Err(SimError::BadMapping(_))),
+                "{start:#x}+{len:#x}"
+            );
+        }
+        assert!(a.mmap_anon(VADDR_END - PS, PS).is_ok(), "the last page");
+        assert_eq!(a.vma_count(), 1);
+    }
+
+    #[test]
+    fn unmapping_stages_what_a_deferred_checkpoint_is_owed() {
+        let mut a = space_with_heap();
+        a.mmap_anon(0x40000, 0x2000).unwrap();
+        for addr in [0x12000, 0x1e000, 0x1f000, 0x40000] {
+            a.write(addr, b"data").unwrap();
+        }
+        // 0x41 is mapped, protected and never touched: it reads as zeros.
+        a.cow_protect(&[0x12, 0x1e, 0x1f, 0x40, 0x41]);
+        a.write(0x1f000, b"late").unwrap(); // faults first: already staged
+
+        a.brk(0x1e000).unwrap(); // drops 0x1e, 0x1f
+        a.munmap(0x40000).unwrap(); // drops 0x40, 0x41
+        assert_eq!(a.cow_protected_count(), 1, "only the mapped page is left");
+        let staged = a.take_cow_staged();
+        let vpns: Vec<u64> = staged.iter().map(|(v, _)| *v).collect();
+        assert_eq!(vpns, [0x1f, 0x1e, 0x40, 0x41]);
+        for (vpn, page) in &staged[..3] {
+            assert_eq!(&page[..4], b"data", "{vpn:#x}: checkpoint-time contents");
+        }
+        assert!(staged[3].1.iter().all(|&b| b == 0));
+        let mut lent = Vec::new();
+        a.cow_drain_with(16, |vpn, page| lent.push((vpn, page[0])));
+        assert_eq!(lent, [(0x12, b'd')], "nothing lent for an unmapped page");
+
+        // Regrown, the range is fresh memory that owes no checkpoint a copy.
+        a.brk(0x20000).unwrap();
+        assert_eq!(a.write(0x1f000, b"new").unwrap().cow_faults, 0);
+        assert!(a.take_cow_staged().is_empty());
     }
 
     #[test]

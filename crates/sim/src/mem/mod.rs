@@ -11,8 +11,11 @@ mod addr_space;
 mod page;
 mod vma;
 
-pub use addr_space::{AddressSpace, WriteOutcome};
-pub use page::{zero_page, PageBuf, PageFrame, PageKeyHasher};
+pub use addr_space::{AddressSpace, WriteOutcome, VADDR_END};
+pub use page::{
+    end_page_round, recycle_page, spare_pages, zero_page, PageBuf, PageFrame, PageKeyHasher,
+    Recycler,
+};
 pub use vma::{MappedFile, Perms, Vma, VmaKind};
 
 /// How first-writes to pages are tracked during an epoch.
