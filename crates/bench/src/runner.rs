@@ -22,14 +22,21 @@ pub const WARMUP_EPOCHS: usize = 4;
 ///
 /// A placement needs the staged ack path, so a Table I staircase row below
 /// "+ Add memory staging buffer" keeps the single-backup engine under
-/// `--backups`. Anything else the placement engine refuses — `--delta` or
-/// `--cow`, a quorum outside `1..=n` — is its error: numbers under a
-/// placement label come from a placement.
+/// `--backups`. Every other combination goes through
+/// [`OptimizationConfig::validate`]: `--backups` with `--delta` or `--cow`
+/// is its error (and a quorum outside `1..=n` the codec's) — numbers under
+/// a placement label come from a placement.
 pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
-    if opts.backups > 1 && opts.staging_buffer {
-        return Ok(Box::new(PlacementEngine::new(opts, CostModel::default())?));
+    let costs = CostModel::default();
+    if opts.backups > 1 && !opts.staging_buffer {
+        return Ok(Box::new(NiLiConEngine::new(opts, costs)));
     }
-    Ok(Box::new(NiLiConEngine::new(opts, CostModel::default())))
+    opts.validate()?;
+    Ok(if opts.backups > 1 {
+        Box::new(PlacementEngine::new(opts, costs)?)
+    } else {
+        Box::new(NiLiConEngine::new(opts, costs))
+    })
 }
 
 /// A NiLiCon run mode with the given optimization set, plus any EXTENSION

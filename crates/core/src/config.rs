@@ -4,6 +4,7 @@ use nilicon_criu::{DumpConfig, FsCacheMode};
 use nilicon_sim::kernel::{PageTransferVia, VmaCollectVia};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::time::{Nanos, MILLISECOND};
+use nilicon_sim::{SimError, SimResult};
 
 /// The six §V optimizations, one per Table I row.
 ///
@@ -185,6 +186,43 @@ impl OptimizationConfig {
         rows
     }
 
+    /// Reject the knob combinations no engine or driver implements — a knob
+    /// that would silently do nothing is an error, not a run without the
+    /// mechanism. A k-of-n placement (`backups > 1`) codes fragments from
+    /// full page bodies after the stop phase, so it needs the staged ack
+    /// path and composes with neither `delta_transfer` nor `cow_checkpoint`;
+    /// every fleet lane runs the single-backup engine with neither log
+    /// shipping nor a rearm driver. Called by `PlacementEngine::new`,
+    /// `FleetScheduler::new` and the bench runner's engine choice.
+    pub fn validate(&self) -> SimResult<()> {
+        if self.backups > 1 {
+            if !self.staging_buffer {
+                return Err(SimError::Invalid(
+                    "placement requires the staging buffer (staged ack path)".into(),
+                ));
+            }
+            if self.delta_transfer || self.cow_checkpoint {
+                return Err(SimError::Invalid(
+                    "placement composes with neither delta_transfer nor cow_checkpoint".into(),
+                ));
+            }
+        }
+        if self.fleet > 0 {
+            for (set, knob) in [
+                (self.backups > 1, "backups"),
+                (self.hybrid_replay, "hybrid_replay"),
+                (self.rearm, "rearm"),
+            ] {
+                if set {
+                    return Err(SimError::Invalid(format!(
+                        "fleet: opts.{knob} does not compose with the fleet scheduler"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Derive the CRIU dump configuration these toggles imply.
     pub fn dump_config(&self) -> DumpConfig {
         DumpConfig {
@@ -337,6 +375,30 @@ mod tests {
         assert_eq!(cfg.dump_config().workers, 4);
         cfg.dump_workers = 0;
         assert_eq!(cfg.dump_config().workers, 1);
+    }
+
+    #[test]
+    fn validate_names_the_knob_that_does_not_compose() {
+        let rejected = |set: fn(&mut OptimizationConfig)| {
+            let mut o = OptimizationConfig::nilicon();
+            set(&mut o);
+            o.validate().unwrap_err().to_string()
+        };
+        for (_, row) in OptimizationConfig::table1_rows() {
+            row.validate().expect("every paper row is valid");
+        }
+        let mut placed = OptimizationConfig::nilicon();
+        (placed.backups, placed.quorum) = (3, 2);
+        placed.validate().expect("a placement on the staged path");
+        assert!(rejected(|o| (o.backups, o.staging_buffer) = (3, false)).contains("staging buffer"));
+        assert!(rejected(|o| (o.backups, o.delta_transfer) = (3, true)).contains("delta_transfer"));
+        assert!(rejected(|o| (o.backups, o.cow_checkpoint) = (3, true)).contains("cow_checkpoint"));
+        let mut fleet = OptimizationConfig::nilicon();
+        (fleet.fleet, fleet.delta_transfer, fleet.pipeline) = (8, true, true);
+        fleet.validate().expect("the fleet composes with the single-backup knobs");
+        assert!(rejected(|o| (o.fleet, o.backups) = (8, 3)).contains("opts.backups"));
+        assert!(rejected(|o| (o.fleet, o.hybrid_replay) = (8, true)).contains("opts.hybrid_replay"));
+        assert!(rejected(|o| (o.fleet, o.rearm) = (8, true)).contains("opts.rearm"));
     }
 
     #[test]

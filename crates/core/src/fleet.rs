@@ -27,53 +27,42 @@
 //!
 //! Failure handling is **per lane**: one consolidated heartbeat channel
 //! carries an N-bit liveness bitmap (one cpuacct-gated bit per container);
-//! each lane has its own [`FailureDetector`] and holder/grant [`Lease`]
-//! pair, so a fault on container A promotes only A's ownership to the
-//! backup — container B keeps executing on the primary with zero broken
-//! connections. The lease fence (holder anchored at epoch end on the
-//! primary, grant anchored at ack receipt on the backup, so the holder
-//! always expires first) preserves exactly-one-owner per container.
+//! each lane has its own [`FailureDetector`](crate::FailureDetector) and
+//! holder/grant [`Lease`](crate::Lease) pair, so a fault on container A
+//! promotes only A's ownership to the backup — container B keeps executing
+//! on the primary with zero broken connections. The lease fence (holder
+//! anchored at epoch end on the primary, grant anchored at ack receipt on
+//! the backup, so the holder always expires first) preserves
+//! exactly-one-owner per container.
+//!
+//! A lane is the same private lane core the run harness drives (`lane.rs`;
+//! `DESIGN.md` §8.2): execution phase, output release, fence and promotion
+//! tail are shared. What this module adds is the *time model* — lanes run
+//! on a fixed `i·E/N` grid through the two shared resources above.
 //!
 //! Off in every paper row: `OptimizationConfig::fleet == 0` in `basic()`
 //! and `nilicon()`, and Tables I–VI never construct a scheduler. With
 //! `fleet == 1` the lane commits byte-identical backup images, with the
 //! same reconciliation identities, as a plain single-engine loop (pinned by
 //! `tests/fleet_equivalence.rs`).
-
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HeartbeatSender, Lease};
 use crate::engine::{Checkpointer, FailoverReport};
+use crate::lane::{Completion, Fence, Lane, LaneSetup};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
-use crate::traffic::{ClientBehavior, ClientPool};
-use bytes::Bytes;
-use nilicon_container::{
-    encode_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec,
-    GuestCtx, MemLayout,
-};
+use crate::traffic::ClientBehavior;
+use nilicon_container::{Application, ContainerSpec, MemLayout};
 use nilicon_criu::CheckpointImage;
 use nilicon_sim::cluster::Cluster;
-use nilicon_sim::ids::{Endpoint, HostId};
+use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::net::InputMode;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult};
-use std::collections::{HashMap, VecDeque};
-
-/// Keep-alive process cost per epoch (matches the harness).
-const KEEPALIVE_COST: Nanos = 300;
+use std::collections::HashMap;
 
 /// Base address for per-lane client stacks (lane `i` gets `CLIENT_BASE+i`).
 const CLIENT_BASE: u32 = 200;
-
-fn jitter(state: &mut u64, range: Nanos) -> Nanos {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (z ^ (z >> 31)) % range.max(1)
-}
 
 /// One container's worth of workload handed to [`FleetScheduler::new`].
 pub struct LaneSpec {
@@ -172,61 +161,42 @@ impl SharedLink {
         raw.into_iter()
             .map(|(lane, ready, dur, completion)| {
                 let self_carry = self.own_busy[lane].saturating_sub(ready);
-                let wait = (completion - ready).saturating_sub(dur).saturating_sub(self_carry);
+                let wait = (completion - ready)
+                    .saturating_sub(dur)
+                    .saturating_sub(self_carry);
                 self.own_busy[lane] = completion;
                 (lane, wait, ready + dur + wait)
             })
             .collect()
     }
 }
-
 /// Epoch state staged between a lane's checkpoint and its (possibly
 /// fair-share-delayed) commit.
 struct StagedEpoch {
-    seq: u64,
-    stop_eff: Nanos,
-    ack_delay: Nanos,
-    state_bytes: u64,
-    dirty_pages: u64,
-    backup_cpu: Nanos,
-    exec_cpu: Nanos,
-    tracking: Nanos,
-    requests: u64,
-    completions: Vec<(Endpoint, Nanos)>,
+    /// The epoch's record as the checkpoint left it: `stop_time` includes
+    /// the dump-service queue wait, `ack_delay` excludes the link wait.
+    record: EpochRecord,
+    completions: Vec<Completion>,
 }
 
-/// One replicated container multiplexed onto the shared pair.
-struct Lane {
-    container: Container,
-    app: Box<dyn Application>,
-    behavior: Option<Box<dyn ClientBehavior>>,
-    pool: Option<ClientPool>,
+/// One replicated container multiplexed onto the shared pair: the lane core
+/// plus what is scheduling.
+struct FleetLane {
+    core: Lane,
     /// `None` after failover consumed the engine (the lane then runs
     /// unreplicated on the backup, as the paper does not re-arm).
     engine: Option<NiLiConEngine>,
-    tracer: Tracer,
+    fence: Fence,
     /// Phase offset of this lane's epoch boundaries (`i·E/N`; 0 aligned).
     offset: Nanos,
     next_boundary: Nanos,
     /// Completed epochs (checkpoint seq is `epochs_done + 1`).
     epochs_done: u64,
     target: u64,
-    pending: VecDeque<(Endpoint, Bytes, Nanos)>,
-    receipts: HashMap<Endpoint, VecDeque<Nanos>>,
-    metrics: RunMetrics,
-    jitter_state: u64,
-    cpu_debt: Nanos,
-    last_stop: Nanos,
     /// When this lane's own previous dump finishes on the serial service
     /// (self-carry is pipeline overlap, not queueing — see the link's
     /// `own_busy`).
     own_dump_until: Nanos,
-    sender: HeartbeatSender,
-    detector: FailureDetector,
-    /// Primary-side output lease (anchored at each acked epoch's end).
-    holder: Lease,
-    /// Backup-side promotion fence (anchored at each ack receipt).
-    grant: Lease,
     owner: Owner,
     /// The owning instance is executing (false between a fault and the
     /// lane's promotion).
@@ -235,15 +205,22 @@ struct Lane {
     /// Scripted per-epoch guest writes (equivalence tests drive lanes with
     /// the same write history a plain engine loop applies).
     script: Vec<Vec<(u64, u8)>>,
-    /// Completions whose release was deferred by a partition (no ack ⇒ no
-    /// output commit); discarded if the lane fails over.
-    held: Vec<(Endpoint, Nanos)>,
     staged: Option<StagedEpoch>,
-    failover_report: Option<FailoverReport>,
-    detection_latency: Option<Nanos>,
-    failovers: u64,
-    split_brain: bool,
     unrecovered: bool,
+}
+
+impl FleetLane {
+    /// The epoch ending at this boundary is done.
+    fn advance(&mut self, epoch_exec: Nanos) {
+        self.epochs_done += 1;
+        self.next_boundary += epoch_exec;
+    }
+
+    /// Whether the backup may take this lane over at `t`: detection fired
+    /// and the granted lease has run out.
+    fn promotable(&mut self, t: Nanos) -> bool {
+        self.engine.is_some() && self.core.detector.check(t) && t >= self.fence.promotable_at()
+    }
 }
 
 /// Per-lane outcome of a fleet run (the fleet analogue of `RunResult`).
@@ -263,7 +240,7 @@ pub struct LaneResult {
     /// The lane's workload-level validation outcome.
     pub verify: Result<(), String>,
     /// Promotion while the primary's output lease was still valid (the
-    /// fence failed; must never happen).
+    /// fence failed; must never happen — it also fails the run).
     pub split_brain: bool,
     /// The lane died with no backup to promote.
     pub unrecovered: bool,
@@ -304,13 +281,14 @@ pub struct FleetScheduler {
     /// emulates its per-container fail-stop without partitioning the
     /// (still healthy) primary.
     blackhole: HostId,
-    lanes: Vec<Lane>,
+    lanes: Vec<FleetLane>,
     cfg: ReplicationConfig,
     /// Serial dump service: busy until this time (stop phases queue).
     svc_busy_until: Nanos,
     link: SharedLink,
-    /// Consolidated heartbeat channel: liveness bitmap per interval index.
-    beat_bitmap: HashMap<u64, u64>,
+    /// Consolidated heartbeat channel: per interval index, one liveness bit
+    /// per lane (`⌈n/64⌉` words).
+    beat_bitmap: HashMap<u64, Vec<u64>>,
     /// Whole-primary fault (all primary-owned lanes promote).
     primary_fault_at: Option<Nanos>,
     primary_faulted: bool,
@@ -328,9 +306,12 @@ impl FleetScheduler {
     ///
     /// `cfg.opts.fleet` must equal the lane count (the knob is what turns
     /// the extension on; paper configs have it 0), every lane address must
-    /// be unique, and `backups`, `hybrid_replay` and `rearm` must be off. Boundaries are staggered by `i·E/N` unless
-    /// `cfg.opts.fleet_aligned` is set, which also downgrades the shared
-    /// link from deficit-round-robin to FIFO to demonstrate the convoy.
+    /// be unique, and the knobs must pass
+    /// [`OptimizationConfig::validate`](crate::OptimizationConfig::validate)
+    /// (`backups`, `hybrid_replay` and `rearm` off). Boundaries are
+    /// staggered by `i·E/N` unless `cfg.opts.fleet_aligned` is set, which
+    /// also downgrades the shared link from deficit-round-robin to FIFO to
+    /// demonstrate the convoy.
     pub fn new(cfg: ReplicationConfig, lanes: Vec<LaneSpec>) -> SimResult<Self> {
         let n = lanes.len();
         if n == 0 || cfg.opts.fleet as usize != n {
@@ -339,20 +320,7 @@ impl FleetScheduler {
                 cfg.opts.fleet
             )));
         }
-        // Every lane runs the single-backup engine with neither log shipping
-        // nor a rearm driver: a knob the lanes would ignore is an error, not
-        // a run without the mechanism.
-        for (set, knob) in [
-            (cfg.opts.backups > 1, "backups"),
-            (cfg.opts.hybrid_replay, "hybrid_replay"),
-            (cfg.opts.rearm, "rearm"),
-        ] {
-            if set {
-                return Err(SimError::Invalid(format!(
-                    "fleet: opts.{knob} does not compose with the fleet scheduler"
-                )));
-            }
-        }
+        cfg.opts.validate()?;
         let mut cluster = Cluster::new();
         let primary = cluster.add_host(Kernel::default());
         let backup = cluster.add_host(Kernel::default());
@@ -361,90 +329,51 @@ impl FleetScheduler {
         cluster.partition(blackhole);
 
         let aligned = cfg.opts.fleet_aligned;
-        let interval = cfg.heartbeat_interval;
-        let misses = cfg.heartbeat_misses;
-        let lease_term = (misses as Nanos + 2) * interval;
+        let lease_term = (cfg.heartbeat_misses as Nanos + 2) * cfg.heartbeat_interval;
         let quantum = cluster.host_mut(primary).costs.repl_wire(64 * 1024).max(1);
 
         let mut built = Vec::with_capacity(n);
-        for (i, mut ls) in lanes.into_iter().enumerate() {
-            let container = ContainerRuntime::create(cluster.host_mut(primary), &ls.spec)?;
-            cluster.bind_addr(ls.spec.addr, primary, container.ns.net);
-
-            // Workload init (clear the meters so epoch 1 starts clean).
-            {
-                let k = cluster.host_mut(primary);
-                let mut ctx = GuestCtx::new(k, container.workers[0], 0);
-                ls.app.init(&mut ctx)?;
-                k.meter.take();
-                k.fault_meter.take();
-            }
-
-            // Per-lane client netns on the shared client host.
-            let pool = match (&ls.behavior, ls.spec.listen_port) {
-                (Some(b), Some(port)) => {
-                    let ns = cluster
-                        .host_mut(client_host)
-                        .namespaces
-                        .create_set(&format!("client{i}"))
-                        .net;
-                    let addr = CLIENT_BASE + i as u32;
-                    cluster
-                        .host_mut(client_host)
-                        .create_stack(ns, addr, InputMode::Buffer);
-                    cluster.bind_addr(addr, client_host, ns);
-                    Some(ClientPool::connect(
-                        &mut cluster,
-                        client_host,
-                        ns,
-                        b.client_count(),
-                        Endpoint::new(ls.spec.addr, port),
-                    )?)
-                }
-                _ => None,
-            };
-
-            let mut engine =
-                NiLiConEngine::new(cfg.opts, cluster.host_mut(primary).costs.clone());
-            engine.prepare(cluster.host_mut(primary), &container)?;
-
+        for (i, ls) in lanes.into_iter().enumerate() {
             let offset = if aligned {
                 0
             } else {
                 (i as Nanos) * cfg.epoch_exec / n as Nanos
             };
-            built.push(Lane {
-                container,
-                app: ls.app,
-                behavior: ls.behavior,
-                pool,
+            // Per-lane client netns on the shared client host; the lane's
+            // budget is one core; a release that unplugs nothing is silent.
+            let setup = LaneSetup {
+                client_host,
+                client: (&format!("client{i}"), CLIENT_BASE + i as u32),
+                parallelism: 1.0,
+                jitter_seed: 0x243F6A8885A308D3 ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
+                detector_start: offset,
+                quiet_release: true,
+            };
+            let core = Lane::create(
+                &mut cluster,
+                primary,
+                &ls.spec,
+                ls.app,
+                ls.behavior,
+                &cfg,
+                setup,
+            )?;
+            let mut engine = NiLiConEngine::new(cfg.opts, cluster.host_mut(primary).costs.clone());
+            engine.prepare(cluster.host_mut(primary), &core.container)?;
+            built.push(FleetLane {
+                core,
                 engine: Some(engine),
-                tracer: Tracer::disabled(),
+                fence: Fence::new(lease_term, 0),
                 offset,
                 next_boundary: offset + cfg.epoch_exec,
                 epochs_done: 0,
                 target: 0,
-                pending: VecDeque::new(),
-                receipts: HashMap::new(),
-                metrics: RunMetrics::default(),
-                jitter_state: 0x243F6A8885A308D3 ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                cpu_debt: 0,
-                last_stop: 0,
                 own_dump_until: 0,
-                sender: HeartbeatSender::new(),
-                detector: FailureDetector::new(interval, misses, offset),
-                holder: Lease::new(lease_term, 0),
-                grant: Lease::new(lease_term, 0),
                 owner: Owner::Primary,
                 alive: true,
                 fault_at: None,
                 script: Vec::new(),
-                held: Vec::new(),
                 staged: None,
-                failover_report: None,
-                detection_latency: None,
-                failovers: 0,
-                split_brain: false,
                 unrecovered: false,
             });
         }
@@ -490,8 +419,7 @@ impl FleetScheduler {
         if let Some(e) = l.engine.as_mut() {
             e.set_tracer(tracer.clone());
         }
-        l.detector.set_tracer(tracer.clone());
-        l.tracer = tracer;
+        l.core.set_tracer(tracer);
     }
 
     /// Drive lane `lane` with a scripted per-epoch guest-write history
@@ -562,37 +490,23 @@ impl FleetScheduler {
         let n = self.lanes.len() as u32;
         let mut results = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
-            let _ = lane.tracer.flush();
-            let (broken, broken_err) = match lane.pool.as_ref() {
-                Some(p) => match p.broken_connections(&mut self.cluster) {
-                    Ok(b) => (b, None),
-                    Err(e) => (u64::MAX, Some(format!("broken_connections: {e}"))),
-                },
-                None => (0, None),
-            };
-            let verify = match broken_err {
-                Some(e) => Err(e),
-                None => match &lane.behavior {
-                    Some(b) => b.verify(),
-                    None => Ok(()),
-                },
-            };
+            let (broken_connections, verify) = lane.core.finish(&mut self.cluster);
             results.push(LaneResult {
-                metrics: std::mem::take(&mut lane.metrics),
-                failovers: lane.failovers,
-                failover: lane.failover_report.take(),
-                detection_latency: lane.detection_latency,
+                metrics: std::mem::take(&mut lane.core.metrics),
+                failovers: lane.core.failovers,
+                failover: lane.core.failover_report.take(),
+                detection_latency: lane.core.detection_latency,
                 on_backup: lane.owner == Owner::Backup,
-                broken_connections: broken,
+                broken_connections,
                 verify,
-                split_brain: lane.split_brain,
+                split_brain: lane.fence.split_brain(),
                 unrecovered: lane.unrecovered,
             });
         }
         let min_live_bits = self
             .beat_bitmap
             .values()
-            .map(|b| b.count_ones())
+            .map(|words| words.iter().map(|w| w.count_ones()).sum())
             .min()
             .unwrap_or(n);
         FleetResult {
@@ -642,9 +556,9 @@ impl FleetScheduler {
                     if !self.primary_faulted {
                         // Per-container fail-stop: only this lane's address
                         // goes dark (blackhole is permanently partitioned).
-                        let ns = lane.container.ns.net;
+                        let c = &lane.core.container;
                         self.cluster
-                            .bind_addr(lane.container.spec.addr, self.blackhole, ns);
+                            .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
                     }
                 }
             }
@@ -654,6 +568,14 @@ impl FleetScheduler {
     /// Whether primary→backup (and primary→client) traffic is cut at `t`.
     fn replication_cut(&self) -> bool {
         self.primary_faulted || self.partition_applied
+    }
+
+    /// The host executing lane `li`'s container.
+    fn host_of(&self, li: usize) -> HostId {
+        match self.lanes[li].owner {
+            Owner::Primary => self.primary,
+            Owner::Backup => self.backup,
+        }
     }
 
     /// Process every lane whose boundary is exactly `t`: exec + checkpoint
@@ -680,188 +602,91 @@ impl FleetScheduler {
     /// A faulted lane's boundary: no exec, no beat — poll the detector and
     /// promote once both the detection and the grant-lease fence allow it.
     fn dead_lane_boundary(&mut self, li: usize, t: Nanos) -> SimResult<()> {
-        let promote = {
-            let lane = &mut self.lanes[li];
-            if lane.engine.is_none() {
-                // Nothing to promote to: the service is gone.
-                lane.unrecovered = true;
-                return Ok(());
-            }
-            lane.next_boundary += self.cfg.epoch_exec;
-            lane.detector.check(t) && t >= lane.grant.expires_at()
-        };
-        if promote {
+        let lane = &mut self.lanes[li];
+        if lane.engine.is_none() {
+            // Nothing to promote to: the service is gone.
+            lane.unrecovered = true;
+            return Ok(());
+        }
+        lane.next_boundary += self.cfg.epoch_exec;
+        if lane.promotable(t) {
             self.promote_lane(li, t)?;
         }
         Ok(())
     }
 
     /// Execute one epoch of lane `li` ending at boundary `t` on its owner
-    /// host; for replicated lanes, run the stop phase (queued on the serial
-    /// dump service) and return the epoch's transfer job for the shared
-    /// link. Unreplicated lanes complete entirely here.
+    /// host ([`Lane::serve`]); for replicated lanes, run the stop phase
+    /// (queued on the serial dump service) and return the epoch's transfer
+    /// job for the shared link. Unreplicated lanes complete entirely here.
     fn lane_exec(&mut self, li: usize, t: Nanos) -> SimResult<Option<LinkJob>> {
         let epoch_exec = self.cfg.epoch_exec;
         let exec_start = t - epoch_exec;
-        let host = match self.lanes[li].owner {
-            Owner::Primary => self.primary,
-            Owner::Backup => self.backup,
-        };
-        let seq = self.lanes[li].epochs_done + 1;
-        let replicated = self.lanes[li].engine.is_some();
-
-        self.lanes[li].tracer.begin_epoch(seq, exec_start);
-        {
-            let lane = &self.lanes[li];
-            lane.tracer.mark(TraceEvent::FleetEpochStart {
-                lane: li as u32,
-                offset: lane.offset,
-            });
-        }
-
-        // Clients: issue, pump, harvest complete frames with jittered
-        // arrivals (the harness's client_turnaround, per lane).
-        {
-            let lane = &mut self.lanes[li];
-            if let (Some(pool), Some(behavior)) = (lane.pool.as_mut(), lane.behavior.as_mut()) {
-                pool.issue(&mut self.cluster, behavior.as_mut(), exec_start, epoch_exec)?;
-                self.cluster.pump();
-                let ns = lane.container.ns.net;
-                let k = self.cluster.host_mut(host);
-                let cl_lat = k.costs.client_link_latency;
-                let stack = k.stack_mut(ns)?;
-                for (sid, remote) in stack.established_ids() {
-                    while let Some(frame) = take_frame(stack, sid, false)? {
-                        let arrival =
-                            exec_start + jitter(&mut lane.jitter_state, epoch_exec) + 2 * cl_lat;
-                        lane.pending.push_back((remote, frame, arrival));
-                    }
-                }
-                lane.pending
-                    .make_contiguous()
-                    .sort_by_key(|(_, _, arrival)| *arrival);
-            }
-        }
+        let host = self.host_of(li);
+        let cut = self.replication_cut();
+        let lane = &mut self.lanes[li];
+        let seq = lane.epochs_done + 1;
+        lane.core.tracer.begin_epoch(seq, exec_start);
+        lane.core.tracer.mark(TraceEvent::FleetEpochStart {
+            lane: li as u32,
+            offset: lane.offset,
+        });
 
         // Scripted writes (the equivalence seam): epoch `seq` applies
-        // `script[seq-1]` exactly like a plain engine-loop history.
-        {
-            let lane = &mut self.lanes[li];
-            if let Some(writes) = lane.script.get((seq - 1) as usize).cloned() {
-                let k = self.cluster.host_mut(host);
-                for (page, val) in writes {
-                    k.mem_write(lane.container.init_pid(), MemLayout::heap_page(page), &[val])?;
-                }
+        // `script[seq-1]` exactly like a plain engine-loop history. Their
+        // tracking faults belong to this epoch's record.
+        let mut script_faults = 0;
+        if let Some(writes) = lane.script.get((seq - 1) as usize) {
+            let k = self.cluster.host_mut(host);
+            let pid = lane.core.container.init_pid();
+            for &(page, val) in writes {
+                k.mem_write(pid, MemLayout::heap_page(page), &[val])?;
             }
+            script_faults = k.fault_meter.take();
         }
 
-        // Serve requests that arrived inside this epoch.
-        let budget = epoch_exec;
-        let mut used: Nanos = KEEPALIVE_COST + self.lanes[li].cpu_debt;
-        let mut requests = 0u64;
-        let mut completions: Vec<(Endpoint, Nanos)> = Vec::new();
-        loop {
-            let lane = &mut self.lanes[li];
-            let Some((remote, req, arrival)) = lane.pending.front().cloned() else {
-                break;
-            };
-            if arrival > t || used >= budget {
-                break;
-            }
-            lane.pending.pop_front();
-            let pid = lane.container.workers[0];
-            let k = self.cluster.host_mut(host);
-            let out = {
-                let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                lane.app.handle_request(&mut ctx, &req)?
-            };
-            let cost = k.meter.take();
-            used += cost.max(100);
-            // Duty-cycle stretch: a request takes C·(E+stop)/E of wall time
-            // under replication (the container freezes every epoch).
-            let wall = used * (epoch_exec + lane.last_stop) / epoch_exec;
-            let t_done = arrival.max(exec_start) + wall;
-            // Response goes out via the (plugged, if replicated) stack.
-            let stack = k.stack_mut(lane.container.ns.net)?;
-            let sid = lane
-                .pool
-                .as_ref()
-                .and_then(|pool| stack.sock_to(pool.server, remote))
-                .ok_or_else(|| SimError::Invalid(format!("fleet: no connection to {remote}")))?;
-            stack.send_bytes(sid, encode_frame(&out.response).into())?;
-            completions.push((remote, t_done));
-            requests += 1;
-        }
-
-        let (exec_cpu, tracking) = {
-            let lane = &mut self.lanes[li];
-            lane.cpu_debt = used.saturating_sub(budget);
-            let consumed = used.min(budget);
-            let k = self.cluster.host_mut(host);
-            let tracking = k.fault_meter.take();
-            k.cgroups.charge_cpu(lane.container.cgroup, consumed);
-            (consumed, tracking)
-        };
+        let served = lane
+            .core
+            .serve(&mut self.cluster, host, exec_start, t, epoch_exec, None)?;
         let now = self.cluster.clock.now().max(t);
         self.cluster.clock.advance_to(now);
-        self.lanes[li]
-            .tracer
-            .span(TraceEvent::Exec { requests, steps: 0 }, epoch_exec);
+        let mut record = served.record(seq);
+        record.tracking_overhead += script_faults;
+        let completions = served.completions;
 
         // Consolidated heartbeat: one channel, one liveness bit per lane.
-        let cut = self.replication_cut();
-        {
-            let lane = &mut self.lanes[li];
-            let cpuacct = self
-                .cluster
-                .host_mut(host)
-                .cgroups
-                .cpuacct_usage(lane.container.cgroup);
-            let beat = lane.sender.tick(cpuacct);
-            let delivered = beat && lane.owner == Owner::Primary && replicated && !cut;
-            let interval_idx = t / self.cfg.heartbeat_interval.max(1);
-            if delivered {
-                *self.beat_bitmap.entry(interval_idx).or_insert(0) |= 1u64 << (li % 64);
-                lane.detector.on_beat(t);
-            } else {
-                self.beat_bitmap.entry(interval_idx).or_insert(0);
-            }
+        let beat = lane.core.beat_due(&mut self.cluster, host);
+        let words = self
+            .beat_bitmap
+            .entry(t / self.cfg.heartbeat_interval.max(1))
+            .or_insert_with(|| vec![0; self.lanes.len().div_ceil(64)]);
+        let lane = &mut self.lanes[li];
+        if beat && lane.owner == Owner::Primary && lane.engine.is_some() && !cut {
+            words[li / 64] |= 1u64 << (li % 64);
+            lane.core.detector.on_beat(t);
         }
 
-        if !replicated {
+        let Some(engine) = lane.engine.as_mut() else {
             // Post-failover lane: unreplicated, output released immediately.
-            return self.lane_release(li, t, seq, completions, exec_cpu, tracking, requests);
-        }
+            lane.core.metrics.push(record);
+            lane.core
+                .release(&mut self.cluster, host, t, completions, true)?;
+            lane.advance(epoch_exec);
+            return Ok(None);
+        };
         if cut {
             // Partitioned: the checkpoint cannot reach the backup, the ack
             // never comes, and this epoch's output stays plugged. The lease
             // is not renewed; keep executing until the fence decides.
-            let lane = &mut self.lanes[li];
-            lane.held.extend(completions);
-            lane.epochs_done += 1;
-            lane.next_boundary += epoch_exec;
-            lane.metrics.push(EpochRecord {
-                epoch: seq,
-                stop_time: 0,
-                dirty_pages: 0,
-                state_bytes: 0,
-                ack_delay: 0,
-                exec_cpu,
-                tracking_overhead: tracking,
-                backup_cpu: 0,
-                requests_done: requests,
-                steps_done: 0,
-            });
+            lane.core.held.extend(completions);
+            lane.advance(epoch_exec);
+            lane.core.metrics.push(record);
             // The backup cannot tell a dead primary from a partition: once
             // detection fires and the grant fence lapses it promotes. The
             // primary's holder lease expired strictly earlier, so the (still
             // alive) primary instance is fenced — its held output is
             // discarded at promotion, never released.
-            let promotable = {
-                let lane = &mut self.lanes[li];
-                lane.engine.is_some() && lane.detector.check(t) && t >= lane.grant.expires_at()
-            };
-            if promotable {
+            if lane.promotable(t) {
                 self.promote_lane(li, t)?;
             }
             return Ok(None);
@@ -872,34 +697,32 @@ impl FleetScheduler {
         // draining past later boundaries) is pre-copy-style overlap, not
         // queueing — only time spent behind other lanes counts.
         let dump_start = t.max(self.svc_busy_until);
-        let queue_wait = dump_start.saturating_sub(t.max(self.lanes[li].own_dump_until));
+        let queue_wait = dump_start.saturating_sub(t.max(lane.own_dump_until));
         if queue_wait > 0 {
-            self.lanes[li]
-                .tracer
-                .span(TraceEvent::Backpressure { stalled: queue_wait }, queue_wait);
+            lane.core.tracer.span(
+                TraceEvent::Backpressure {
+                    stalled: queue_wait,
+                },
+                queue_wait,
+            );
             self.queue_waits_log.push(queue_wait);
         }
-        let outcome = {
-            let lane = &mut self.lanes[li];
-            let engine = lane.engine.as_mut().expect("replicated lane");
-            engine.pipeline_advance(epoch_exec);
-            let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-            engine.checkpoint(pk, bk, &lane.container, seq)?
-        };
+        engine.pipeline_advance(epoch_exec);
+        let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
+        let outcome = engine.checkpoint(pk, bk, &lane.core.container, seq)?;
         let stop_eff = queue_wait + outcome.stop_time;
         let dump_end = dump_start + outcome.stop_time;
         self.svc_busy_until = dump_end;
-        self.lanes[li].own_dump_until = dump_end;
-        self.lanes[li].staged = Some(StagedEpoch {
-            seq,
-            stop_eff,
-            ack_delay: outcome.ack_delay,
-            state_bytes: outcome.state_bytes,
-            dirty_pages: outcome.dirty_pages,
-            backup_cpu: outcome.backup_cpu,
-            exec_cpu,
-            tracking,
-            requests,
+        lane.own_dump_until = dump_end;
+        lane.staged = Some(StagedEpoch {
+            record: EpochRecord {
+                stop_time: stop_eff,
+                dirty_pages: outcome.dirty_pages,
+                state_bytes: outcome.state_bytes,
+                ack_delay: outcome.ack_delay,
+                backup_cpu: outcome.backup_cpu,
+                ..record
+            },
             completions,
         });
         Ok(Some(LinkJob {
@@ -910,12 +733,25 @@ impl FleetScheduler {
     }
 
     /// Commit tail of a replicated epoch, after the shared link scheduled
-    /// its transfer: reconcile, release output at the acked time, commit on
-    /// the backup, renew both leases.
-    fn lane_commit(&mut self, li: usize, t: Nanos, fair_wait: Nanos, completion: Nanos) -> SimResult<()> {
-        let staged = self.lanes[li].staged.take().expect("staged epoch");
+    /// its transfer: reconcile, commit on the backup, renew both leases,
+    /// release the epoch's output at the acked time. (The fleet releases at
+    /// the ack instant itself, which the grant it just anchored covers; it
+    /// has no deferred release for the holder's lease to gate.)
+    fn lane_commit(
+        &mut self,
+        li: usize,
+        t: Nanos,
+        fair_wait: Nanos,
+        completion: Nanos,
+    ) -> SimResult<()> {
+        let host = self.host_of(li);
+        let lane = &mut self.lanes[li];
+        let StagedEpoch {
+            mut record,
+            completions,
+        } = lane.staged.take().expect("staged epoch");
         if fair_wait > 0 {
-            self.lanes[li].tracer.span(
+            lane.core.tracer.span(
                 TraceEvent::FairShareWait {
                     lane: li as u32,
                     waited: fair_wait,
@@ -924,216 +760,50 @@ impl FleetScheduler {
             );
             self.fair_waits_log.push(fair_wait);
         }
-        self.lanes[li]
+        record.ack_delay += fair_wait;
+        lane.core
             .tracer
-            .reconcile(staged.seq, staged.stop_eff, staged.ack_delay + fair_wait)
+            .reconcile(record.epoch, record.stop_time, record.ack_delay)
             .map_err(SimError::Invalid)?;
 
-        // The ack lands at `completion`; commit on the backup and release
-        // this epoch's plugged output.
-        {
-            let lane = &mut self.lanes[li];
-            let engine = lane.engine.as_mut().expect("replicated lane");
-            let bk = &mut *self.cluster.host_mut(self.backup);
-            engine.commit(bk, staged.seq)?;
-            lane.holder.grant(t);
-            lane.grant.grant(completion);
-        }
-        let ack_total = staged.ack_delay + fair_wait;
-        let release = t + staged.stop_eff + ack_total;
-        self.lanes[li].metrics.push(EpochRecord {
-            epoch: staged.seq,
-            stop_time: staged.stop_eff,
-            dirty_pages: staged.dirty_pages,
-            state_bytes: staged.state_bytes,
-            ack_delay: ack_total,
-            exec_cpu: staged.exec_cpu,
-            tracking_overhead: staged.tracking,
-            backup_cpu: staged.backup_cpu,
-            requests_done: staged.requests,
-            steps_done: 0,
-        });
-        let lane = &mut self.lanes[li];
-        lane.last_stop = staged.stop_eff;
-        self.release_output(li, release, staged.completions)?;
-        let lane = &mut self.lanes[li];
-        lane.epochs_done += 1;
-        lane.next_boundary += self.cfg.epoch_exec;
+        // The ack lands at `completion`.
+        let engine = lane.engine.as_mut().expect("replicated lane");
+        engine.commit(self.cluster.host_mut(self.backup), record.epoch)?;
+        lane.fence.on_ack(t, completion);
+        lane.core.metrics.push(record);
+        lane.core.last_stop = record.stop_time;
+        let release = t + record.stop_time + record.ack_delay;
+        lane.core
+            .release(&mut self.cluster, host, release, completions, true)?;
+        lane.advance(self.cfg.epoch_exec);
         Ok(())
     }
 
-    /// Unreplicated epoch tail (post-failover): release immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn lane_release(
-        &mut self,
-        li: usize,
-        t: Nanos,
-        seq: u64,
-        completions: Vec<(Endpoint, Nanos)>,
-        exec_cpu: Nanos,
-        tracking: Nanos,
-        requests: u64,
-    ) -> SimResult<Option<LinkJob>> {
-        self.lanes[li].metrics.push(EpochRecord {
-            epoch: seq,
-            stop_time: 0,
-            dirty_pages: 0,
-            state_bytes: 0,
-            ack_delay: 0,
-            exec_cpu,
-            tracking_overhead: tracking,
-            backup_cpu: 0,
-            requests_done: requests,
-            steps_done: 0,
-        });
-        self.release_output(li, t, completions)?;
-        let lane = &mut self.lanes[li];
-        lane.epochs_done += 1;
-        lane.next_boundary += self.cfg.epoch_exec;
-        Ok(None)
-    }
-
-    /// Release the lane's plugged output at logical time `release`, stamp
-    /// receipts, pump the wire, and deliver responses to the clients.
-    fn release_output(
-        &mut self,
-        li: usize,
-        release: Nanos,
-        completions: Vec<(Endpoint, Nanos)>,
-    ) -> SimResult<()> {
-        let host = match self.lanes[li].owner {
-            Owner::Primary => self.primary,
-            Owner::Backup => self.backup,
-        };
-        let cl_lat = self.cluster.host_mut(host).costs.client_link_latency;
-        {
-            let lane = &mut self.lanes[li];
-            let ns = lane.container.ns.net;
-            let released = self.cluster.host_mut(host).stack_mut(ns)?.release_output();
-            if released > 0 {
-                lane.tracer.event_at(
-                    TraceEvent::OutputRelease {
-                        packets: released as u64,
-                    },
-                    release,
-                );
-            }
-            for (remote, t_done) in completions {
-                let receipt = t_done.max(release) + cl_lat;
-                lane.receipts.entry(remote).or_default().push_back(receipt);
-                lane.metrics
-                    .release_waits
-                    .push(release.saturating_sub(t_done));
-            }
-        }
-        self.cluster.pump();
-        let lane = &mut self.lanes[li];
-        if let (Some(pool), Some(behavior)) = (lane.pool.as_mut(), lane.behavior.as_mut()) {
-            let lats = pool.collect(
-                &mut self.cluster,
-                behavior.as_mut(),
-                &mut lane.receipts,
-                release,
-                &lane.tracer,
-            )?;
-            lane.metrics.response_latencies.extend(lats);
-        }
-        Ok(())
-    }
-
-    /// Promote lane `li`'s ownership to the backup at time `t`: restore
-    /// from the lane's own backup agent, move the address, discard
-    /// uncommitted output, retransmit both sides. Every other lane is
-    /// untouched.
+    /// Promote lane `li`'s ownership to the backup at time `t`
+    /// ([`Lane::promote`]): restore from the lane's own backup agent, move
+    /// the address, discard uncommitted output, retransmit both sides.
+    /// Every other lane is untouched.
     fn promote_lane(&mut self, li: usize, t: Nanos) -> SimResult<()> {
-        let fault = self.lanes[li].fault_at.unwrap_or(t);
+        let lane = &mut self.lanes[li];
         // Exactly-one-owner fence: the primary's output lease must have
         // lapsed before the backup takes over.
-        if self.lanes[li].holder.valid_at(t) {
-            self.lanes[li].split_brain = true;
-        }
-        let detected = self.lanes[li].detector.detected_at();
-        let latency = detected.map(|d| d.saturating_sub(fault));
-
-        let mut engine = self.lanes[li].engine.take().expect("promotable lane");
-        let (restored, report) = engine.failover(self.cluster.host_mut(self.backup))?;
+        lane.fence.authorize_promotion(t)?;
+        let fault = lane.fault_at.unwrap_or(t);
+        let latency = lane
+            .core
+            .detector
+            .detected_at()
+            .map(|d| d.saturating_sub(fault));
+        let mut engine = lane.engine.take().expect("promotable lane");
         let now = self.cluster.clock.now().max(t);
-        self.cluster.clock.advance_to(now + report.total());
-
-        // Gratuitous ARP: the lane's address moves to the backup.
-        self.cluster.bind_addr(
-            restored.container.spec.addr,
-            self.backup,
-            restored.container.ns.net,
-        );
-        restored.finish(self.cluster.host_mut(self.backup))?;
-
-        // Rebuild the app's working state from restored guest memory.
-        {
-            let now = self.cluster.clock.now();
-            let k = self.cluster.host_mut(self.backup);
-            let mut ctx = GuestCtx::new(k, restored.container.workers[0], now);
-            self.lanes[li].app.recover(&mut ctx)?;
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        {
-            let lane = &mut self.lanes[li];
-            let discarded = (lane.pending.len() + lane.held.len()) as u64;
-            let now = self.cluster.clock.now();
-            lane.tracer
-                .event_at(TraceEvent::OutputDiscard { packets: discarded }, now);
-            lane.pending.clear();
-            lane.held.clear();
-            if let Some(lat) = latency {
-                lane.tracer.event_at(
-                    TraceEvent::Failover {
-                        detection_latency: lat,
-                        restore: report.restore,
-                        arp: report.arp,
-                        tcp: report.tcp,
-                        others: report.others,
-                    },
-                    now,
-                );
-            }
-            lane.container = restored.container;
-            lane.owner = Owner::Backup;
-            lane.alive = true;
-            lane.failovers += 1;
-            lane.failover_report = Some(report);
-            lane.detection_latency = latency;
-            lane.sender = HeartbeatSender::new();
-            lane.cpu_debt = 0;
-            lane.last_stop = 0;
-        }
-
-        // Retransmissions: restored server sockets re-send unacked
-        // responses (§V-E); clients re-send their unacked request backlog
-        // (multi-segment since the RTO fix).
-        let ns = self.lanes[li].container.ns.net;
-        self.cluster
-            .host_mut(self.backup)
-            .stack_mut(ns)?
-            .retransmit_all();
-        let lane = &mut self.lanes[li];
-        if let Some(pool) = lane.pool.as_mut() {
-            pool.retransmit(&mut self.cluster)?;
-        }
-        self.cluster.pump();
-        let now = self.cluster.clock.now();
-        let lane = &mut self.lanes[li];
-        if let (Some(pool), Some(behavior)) = (lane.pool.as_mut(), lane.behavior.as_mut()) {
-            let lats = pool.collect(
-                &mut self.cluster,
-                behavior.as_mut(),
-                &mut lane.receipts,
-                now,
-                &lane.tracer,
-            )?;
-            lane.metrics.response_latencies.extend(lats);
-        }
+        self.cluster.clock.advance_to(now);
+        lane.core
+            .promote(&mut self.cluster, self.backup, &mut engine, latency, 0)?;
+        lane.owner = Owner::Backup;
+        lane.alive = true;
+        // The promoted instance starts with a clean slate on the backup.
+        lane.core.cpu_debt = 0;
+        lane.core.last_stop = 0;
         Ok(())
     }
 }
@@ -1154,9 +824,21 @@ mod tests {
 
     fn batch() -> Vec<LinkJob> {
         vec![
-            LinkJob { lane: 0, ready: 0, dur: 50_000_000 },
-            LinkJob { lane: 1, ready: 0, dur: 1_000_000 },
-            LinkJob { lane: 2, ready: 0, dur: 1_000_000 },
+            LinkJob {
+                lane: 0,
+                ready: 0,
+                dur: 50_000_000,
+            },
+            LinkJob {
+                lane: 1,
+                ready: 0,
+                dur: 1_000_000,
+            },
+            LinkJob {
+                lane: 2,
+                ready: 0,
+                dur: 1_000_000,
+            },
         ]
     }
 
@@ -1229,15 +911,126 @@ mod tests {
         assert!(msg.contains("opts.rearm"), "{msg}");
     }
 
+    fn inert_fleet(n: u32) -> FleetScheduler {
+        let mut cfg = ReplicationConfig::default();
+        cfg.opts.fleet = n;
+        let lanes = (0..n)
+            .map(|i| LaneSpec {
+                spec: ContainerSpec::server(&format!("svc{i}"), 10 + i, 6379),
+                app: Box::new(Inert),
+                behavior: None,
+            })
+            .collect();
+        FleetScheduler::new(cfg, lanes).unwrap()
+    }
+
+    /// One liveness bit per lane, however many lanes: a 65-lane fleet shows
+    /// 65 live bits, and a dead lane 0 is not masked by a live lane 64.
+    #[test]
+    fn liveness_bitmap_does_not_alias_lanes_past_64() {
+        let mut fleet = inert_fleet(65);
+        fleet.run_epochs(6).unwrap();
+        assert_eq!(fleet.finish().min_live_bits, 65);
+
+        // Lane 0 dies at 100 ms, after its beat in interval 3. (Past
+        // interval 12 it runs alone, catching up the boundaries it spent on
+        // detection — unreplicated, so it never beats again.)
+        let mut fleet = inert_fleet(65);
+        fleet.inject_lane_fault_at(0, 100_000_000);
+        fleet.run_epochs(12).unwrap();
+        let live = |i: u64| -> u32 { fleet.beat_bitmap[&i].iter().map(|w| w.count_ones()).sum() };
+        assert_eq!((1..=3).map(live).collect::<Vec<_>>(), [65; 3]);
+        assert_eq!(
+            (4..=12).map(live).collect::<Vec<_>>(),
+            [64; 9],
+            "lane 0's bit is its own"
+        );
+        assert_eq!(fleet.finish().lanes[0].failovers, 1);
+    }
+
+    /// A batch application: each step burns 1 ms and stamps one heap page.
+    struct Stepper(u64);
+    impl Application for Stepper {
+        fn name(&self) -> &str {
+            "stepper"
+        }
+        fn init(&mut self, _ctx: &mut nilicon_container::GuestCtx<'_>) -> SimResult<()> {
+            Ok(())
+        }
+        fn step(
+            &mut self,
+            ctx: &mut nilicon_container::GuestCtx<'_>,
+        ) -> SimResult<nilicon_container::StepOutcome> {
+            ctx.cpu(1_000_000);
+            ctx.heap_touch_page(self.0 % 8, 0xA5)?;
+            self.0 += 1;
+            Ok(nilicon_container::StepOutcome { done: false })
+        }
+        fn is_server(&self) -> bool {
+            false
+        }
+    }
+
+    /// A batch lane steps under the fleet exactly as under the harness: its
+    /// writes are dirtied, checkpointed and committed on the backup.
+    #[test]
+    fn batch_lane_steps_and_commits_its_pages() {
+        let mut cfg = ReplicationConfig::default();
+        cfg.opts.fleet = 2;
+        let lane = |i: u32, app: Box<dyn Application>| LaneSpec {
+            spec: ContainerSpec::server(&format!("svc{i}"), 10 + i, 6379),
+            app,
+            behavior: None,
+        };
+        let lanes = vec![lane(0, Box::new(Stepper(0))), lane(1, Box::new(Inert))];
+        let mut fleet = FleetScheduler::new(cfg, lanes).unwrap();
+        fleet.run_epochs(4).unwrap();
+        let image = fleet.lane_image(0).unwrap();
+        let stamped = image
+            .pages
+            .iter()
+            .filter(|(_, vpn, _)| {
+                let first = MemLayout::heap_page(0) / nilicon_sim::PAGE_SIZE as u64;
+                (first..first + 8).contains(vpn)
+            })
+            .count();
+        assert_eq!(
+            stamped, 8,
+            "all eight stamped heap pages are in the committed image"
+        );
+        let r = fleet.finish();
+        let batch = &r.lanes[0].metrics;
+        assert!(
+            batch.steps_total >= 4 * 25,
+            "~30 one-ms steps per epoch: {}",
+            batch.steps_total
+        );
+        assert!(batch.epochs[1..]
+            .iter()
+            .all(|e| e.dirty_pages >= 8 && e.steps_done > 0));
+        assert_eq!(
+            r.lanes[1].metrics.steps_total, 0,
+            "the server lane never steps"
+        );
+    }
+
     /// Waiting on one's own previous transfer is overlap, not contention:
     /// a lone lane's fair-share wait is always zero.
     #[test]
     fn single_lane_never_waits_on_itself() {
         let mut l = link(true);
-        let first = l.schedule(vec![LinkJob { lane: 0, ready: 0, dur: 90_000_000 }]);
+        let first = l.schedule(vec![LinkJob {
+            lane: 0,
+            ready: 0,
+            dur: 90_000_000,
+        }]);
         assert_eq!(wait_of(&first, 0), 0);
         // Next epoch's transfer is ready long before the first drains.
-        let second = l.schedule(vec![LinkJob { lane: 0, ready: 30_000_000, dur: 5_000_000 }]);
+        let second = l.schedule(vec![LinkJob {
+            lane: 0,
+            ready: 30_000_000,
+            dur: 5_000_000,
+        }]);
         assert_eq!(wait_of(&second, 0), 0, "self-carry excluded");
     }
 }

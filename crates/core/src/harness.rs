@@ -15,33 +15,33 @@
 //! and are released when the backup acknowledges that epoch's state; client
 //! response latencies are computed against the *release* time (§II-A), which
 //! is what produces the Table VI latency inflation.
+//!
+//! The harness is one of two callers of the private lane core (`lane.rs`;
+//! `DESIGN.md` §8.2): what it adds is the *time model* — epochs are
+//! serial and the clock advances by each stop — plus the chaos schedule and
+//! the decision of what a backup fault means.
 
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HeartbeatSender, Lease};
+use crate::detector::FailureDetector;
 use crate::engine::{Checkpointer, FailoverReport};
-use crate::metrics::{EpochRecord, RunMetrics};
-use crate::replay::replay_tail;
-use crate::trace::{TraceEvent, Tracer};
-use nilicon_sim::replay::{content_hash, ReplayEvent};
-use crate::traffic::{ClientBehavior, ClientPool};
-use bytes::Bytes;
-use nilicon_container::{
-    encode_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec,
-    GuestCtx, MemLayout,
+use crate::lane::{
+    Completion, Fence, Lane, LaneSetup, LogTotals, Served, ShipLog, Stream, StreamKind, StreamPhase,
 };
+use crate::metrics::{EpochRecord, RunMetrics};
+use crate::trace::{TraceEvent, Tracer};
+use crate::traffic::ClientBehavior;
+use nilicon_container::{Application, Container, ContainerSpec, MemLayout};
 use nilicon_sim::cluster::Cluster;
-use nilicon_sim::ids::{Endpoint, HostId, Pid};
+use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::net::{ChaosConfig, ChaosLink, InputMode, LinkDir};
+use nilicon_sim::net::{ChaosConfig, ChaosLink, LinkDir};
+use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Address of the client host's stack on the bridge.
 pub const CLIENT_ADDR: u32 = 200;
-/// CPU cost of the keep-alive process per 30 ms interval (§IV: ~1000
-/// instructions).
-const KEEPALIVE_COST: Nanos = 300;
 
 /// How the container runs.
 pub enum RunMode {
@@ -57,6 +57,29 @@ impl std::fmt::Debug for RunMode {
             RunMode::Unreplicated => write!(f, "Unreplicated"),
             RunMode::Replicated(e) => write!(f, "Replicated({})", e.name()),
         }
+    }
+}
+
+/// The engine driving epochs. A free function over the field (not a method
+/// on the harness) so the borrow stays disjoint from `self.cluster`.
+fn engine(mode: &mut RunMode) -> &mut dyn Checkpointer {
+    match mode {
+        RunMode::Replicated(engine) => engine.as_mut(),
+        RunMode::Unreplicated => unreachable!("no engine is driving epochs"),
+    }
+}
+
+/// The engine a stream of `kind` runs on: the parked one for a rearm, the
+/// one driving epochs for a repair.
+fn stream_engine<'a>(
+    kind: StreamKind,
+    mode: &'a mut RunMode,
+    parked: &'a mut Option<Box<dyn Checkpointer>>,
+) -> Option<&'a mut (dyn Checkpointer + 'static)> {
+    match (kind, mode) {
+        (StreamKind::Rearm, _) => parked.as_deref_mut(),
+        (StreamKind::Repair, RunMode::Replicated(engine)) => Some(engine.as_mut()),
+        (StreamKind::Repair, RunMode::Unreplicated) => None,
     }
 }
 
@@ -85,50 +108,6 @@ pub struct RunResult {
     pub verify: Result<(), String>,
 }
 
-/// Where the re-replication extension stands (always `Idle` in paper
-/// configurations — every transition below is gated on
-/// [`Checkpointer::supports_rearm`]).
-#[derive(Debug, Clone, Copy)]
-enum RearmState {
-    /// No re-arm pending.
-    Idle,
-    /// A failover (or backup loss) happened; a bootstrap starts at `at`.
-    Scheduled { at: Nanos, attempt: u32 },
-    /// A replacement backup is ingesting the full bootstrap image in
-    /// bounded per-epoch chunks while the promoted container keeps serving.
-    Bootstrapping {
-        attempt: u32,
-        /// Epoch number the bootstrap image was taken at.
-        epoch: u64,
-        streamed_pages: u64,
-        streamed_bytes: u64,
-    },
-    /// Redundancy re-established: incremental epochs are running again.
-    Armed,
-}
-
-/// Where a coded repair stands (always `Idle` unless the active engine
-/// supports the `placement` extension — see
-/// [`Checkpointer::supports_placement`]). Unlike [`RearmState`], the engine
-/// keeps driving epochs throughout: the placement is merely *degraded*
-/// (`alive ≥ k` replicas still ack every epoch) while the lost replica's
-/// fragment store regenerates on a replacement host.
-#[derive(Debug, Clone, Copy)]
-enum RepairState {
-    /// Full redundancy (or no placement at all).
-    Idle,
-    /// A replica was lost with the quorum intact; a coded repair starts at
-    /// `at`.
-    Scheduled { at: Nanos, attempt: u32 },
-    /// The replacement is regenerating the missing fragments from k peers
-    /// in bounded per-epoch chunks while the primary keeps serving.
-    Repairing {
-        attempt: u32,
-        streamed_pages: u64,
-        streamed_bytes: u64,
-    },
-}
-
 /// Live counters of the chaos extension, for scenario classification by the
 /// `chaos` bench bin (all zero when no chaos schedule is armed).
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
@@ -155,17 +134,13 @@ pub struct ChaosStats {
 }
 
 /// Chaos-mode run state: the heartbeat link under the fault schedule plus
-/// both views of the output-release lease.
+/// the output-release fence.
 struct ChaosState {
     cfg: ChaosConfig,
     /// Heartbeats in flight (payload = send time).
     hb: ChaosLink<Nanos>,
-    /// The primary's (conservative, early-anchored) view of its lease.
-    holder: Lease,
-    /// The backup's granted view (late-anchored; gates promotion).
-    grant: Lease,
+    fence: Fence,
     last_beat_delivered: Nanos,
-    holder_was_valid: bool,
     in_partition: bool,
     partition_started_at: Option<Nanos>,
     /// Acks attempted inside a partial-loss window (drives `drop_nth`).
@@ -178,17 +153,8 @@ struct ChaosState {
 /// the gap voids it — fault-during-output-release.
 struct PendingRelease {
     release_time: Nanos,
-    /// Completions riding this release: (client endpoint, service-done time).
-    receipts: Vec<(Endpoint, Nanos)>,
-}
-
-/// Deterministic SplitMix64 jitter in `[0, range)`.
-fn jitter(state: &mut u64, range: Nanos) -> Nanos {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (z ^ (z >> 31)) % range.max(1)
+    /// Completions riding this release.
+    receipts: Vec<Completion>,
 }
 
 /// The harness itself.
@@ -201,61 +167,36 @@ pub struct RunHarness {
     pub backup: HostId,
     /// Client host id.
     pub client_host: HostId,
-    container: Container,
-    app: Box<dyn Application>,
-    behavior: Option<Box<dyn ClientBehavior>>,
-    pool: Option<ClientPool>,
+    lane: Lane,
     cfg: ReplicationConfig,
     mode: RunMode,
-    parallelism: f64,
-    metrics: RunMetrics,
-    /// Request frames awaiting service: (client endpoint, payload, arrival).
-    pending: VecDeque<(Endpoint, Bytes, Nanos)>,
-    /// Per-connection queue of logical response receipt times.
-    receipts: HashMap<Endpoint, VecDeque<Nanos>>,
-    sender: HeartbeatSender,
-    detector: FailureDetector,
     /// Pending primary-host faults, in firing order.
     faults: VecDeque<Nanos>,
     /// Pending backup-host faults, in firing order.
     backup_faults: VecDeque<Nanos>,
     stage_fails: VecDeque<(Nanos, u64)>,
-    failover_report: Option<FailoverReport>,
-    detection_latency: Option<Nanos>,
     on_backup: bool,
     /// Whether the run was constructed replicated (fault injection into a
     /// stock run is a harness-usage error, even after degradation).
     replicated_run: bool,
-    failovers: u64,
     unrecovered_faults: u64,
     /// The service is gone (unprotected fault): no further epochs run.
     dead: bool,
-    rearm: RearmState,
-    repair: RepairState,
+    /// The rearm bootstrap or coded repair in flight (always idle in paper
+    /// configurations: a rearm needs [`Checkpointer::supports_rearm`], a
+    /// repair [`Checkpointer::supports_placement`]). During a repair the
+    /// engine keeps driving epochs — the placement is merely *degraded*.
+    stream: Stream,
+    /// A rearm completed since the most recent failover or backup loss.
+    rearmed: bool,
     /// The engine while it is not driving epochs (between a failover and
     /// the completion of the re-replication bootstrap).
     parked: Option<Box<dyn Checkpointer>>,
-    /// Completions produced during a bootstrap: their responses sit in the
-    /// plugged qdisc until the first post-re-arm epoch commits (the
-    /// bootstrap image predates them, so output commit must wait for the
-    /// first incremental checkpoint that covers them).
-    held: Vec<(Endpoint, Nanos)>,
     epoch: u64,
-    rr: u64,
-    batch_done: bool,
-    jitter_state: u64,
-    /// CPU consumed beyond the previous epoch's budget (a request larger
-    /// than one epoch's budget keeps the cores busy into the next epoch).
-    cpu_debt: Nanos,
-    /// Previous epoch's stop time — the steady-state duty-cycle stretch for
-    /// service-time accounting (a C-ms request takes C·(E+stop)/E of wall
-    /// time under replication because the container freezes every epoch).
-    last_stop: Nanos,
     /// Chaos extension state (None on every paper path).
     chaos: Option<ChaosState>,
     /// Chaos mode: the release deferred from the previous epoch, if any.
     pending_release: Option<PendingRelease>,
-    tracer: Tracer,
 }
 
 impl std::fmt::Debug for RunHarness {
@@ -268,6 +209,16 @@ impl std::fmt::Debug for RunHarness {
     }
 }
 
+/// Insert `item` into a queue kept sorted by `key` (after any equal keys).
+fn insert_sorted<T>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> Nanos) {
+    let at = key(&item);
+    let pos = queue
+        .iter()
+        .position(|q| key(q) > at)
+        .unwrap_or(queue.len());
+    queue.insert(pos, item);
+}
+
 impl RunHarness {
     /// Build a harness: three hosts, the container on the primary, the
     /// workload initialized, clients connected (if `behavior` is given), and
@@ -277,7 +228,7 @@ impl RunHarness {
     /// CPU budget and Table V's "Active" row).
     pub fn new(
         spec: ContainerSpec,
-        mut app: Box<dyn Application>,
+        app: Box<dyn Application>,
         behavior: Option<Box<dyn ClientBehavior>>,
         mut mode: RunMode,
         cfg: ReplicationConfig,
@@ -287,47 +238,19 @@ impl RunHarness {
         let primary = cluster.add_host(Kernel::default());
         let backup = cluster.add_host(Kernel::default());
         let client_host = cluster.add_host(Kernel::default());
-
-        // Container on the primary.
-        let container = ContainerRuntime::create(cluster.host_mut(primary), &spec)?;
-        cluster.bind_addr(spec.addr, primary, container.ns.net);
-
-        // Client stack.
-        let client_ns = cluster
-            .host_mut(client_host)
-            .namespaces
-            .create_set("client")
-            .net;
-        cluster
-            .host_mut(client_host)
-            .create_stack(client_ns, CLIENT_ADDR, InputMode::Buffer);
-        cluster.bind_addr(CLIENT_ADDR, client_host, client_ns);
-
-        // Workload init.
-        {
-            let k = cluster.host_mut(primary);
-            let mut ctx = GuestCtx::new(k, container.workers[0], 0);
-            app.init(&mut ctx)?;
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        // Clients connect before the qdisc is plugged (handshakes flow
-        // freely during setup).
-        let pool = match (&behavior, spec.listen_port) {
-            (Some(b), Some(port)) => Some(ClientPool::connect(
-                &mut cluster,
-                client_host,
-                client_ns,
-                b.client_count(),
-                Endpoint::new(spec.addr, port),
-            )?),
-            _ => None,
+        let setup = LaneSetup {
+            client_host,
+            client: ("client", CLIENT_ADDR),
+            parallelism,
+            jitter_seed: 0x243F6A8885A308D3,
+            detector_start: 0,
+            quiet_release: false,
         };
+        let lane = Lane::create(&mut cluster, primary, &spec, app, behavior, &cfg, setup)?;
 
         // Engine preparation (arms tracking, plugs the qdisc).
         if let RunMode::Replicated(engine) = &mut mode {
-            engine.prepare(cluster.host_mut(primary), &container)?;
+            engine.prepare(cluster.host_mut(primary), &lane.container)?;
             cluster.host_mut(primary).meter.take();
             if engine.supports_replay() {
                 // Hybrid replay: the primary kernel records nondeterministic
@@ -336,49 +259,28 @@ impl RunHarness {
             }
         }
 
-        let interval = cfg.heartbeat_interval;
-        let misses = cfg.heartbeat_misses;
         let replicated_run = matches!(mode, RunMode::Replicated(_));
         Ok(RunHarness {
             cluster,
             primary,
             backup,
             client_host,
-            container,
-            app,
-            behavior,
-            pool,
+            lane,
             cfg,
             mode,
-            parallelism,
-            metrics: RunMetrics::default(),
-            pending: VecDeque::new(),
-            receipts: HashMap::new(),
-            sender: HeartbeatSender::new(),
-            detector: FailureDetector::new(interval, misses, 0),
             faults: VecDeque::new(),
             backup_faults: VecDeque::new(),
             stage_fails: VecDeque::new(),
-            failover_report: None,
-            detection_latency: None,
             on_backup: false,
             replicated_run,
-            failovers: 0,
             unrecovered_faults: 0,
             dead: false,
-            rearm: RearmState::Idle,
-            repair: RepairState::Idle,
+            stream: Stream::idle(),
+            rearmed: false,
             parked: None,
-            held: Vec::new(),
             epoch: 0,
-            rr: 0,
-            batch_done: false,
-            jitter_state: 0x243F6A8885A308D3,
-            cpu_debt: 0,
-            last_stop: 0,
             chaos: None,
             pending_release: None,
-            tracer: Tracer::disabled(),
         })
     }
 
@@ -402,17 +304,14 @@ impl RunHarness {
         if cfg.link_latency == 0 {
             cfg.link_latency = self.cluster.host_mut(self.primary).costs.repl_link_latency;
         }
-        let term = lease_term.unwrap_or(
-            (self.cfg.heartbeat_misses as Nanos + 2) * self.cfg.heartbeat_interval,
-        );
+        let term = lease_term
+            .unwrap_or((self.cfg.heartbeat_misses as Nanos + 2) * self.cfg.heartbeat_interval);
         let now = self.cluster.clock.now();
         let hb = ChaosLink::new(LinkDir::AtoB, cfg.link_latency, cfg.schedule.clone());
         self.chaos = Some(ChaosState {
             hb,
-            holder: Lease::new(term, now),
-            grant: Lease::new(term, now),
+            fence: Fence::new(term, now),
             last_beat_delivered: now,
-            holder_was_valid: true,
             in_partition: false,
             partition_started_at: None,
             acks_attempted: 0,
@@ -424,7 +323,10 @@ impl RunHarness {
     /// Chaos counters so far (None if [`RunHarness::set_chaos`] was never
     /// called).
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.stats)
+        self.chaos.as_ref().map(|c| ChaosStats {
+            split_brain: c.fence.split_brain(),
+            ..c.stats
+        })
     }
 
     /// Whether replication is currently driving epochs (false after a
@@ -446,13 +348,13 @@ impl RunHarness {
     pub fn snapshot_heap(&mut self, pages: u64) -> Vec<u8> {
         let host = self.active_host();
         let mut out = Vec::new();
-        for pid in self.container.workers.clone() {
+        for pid in self.lane.container.workers.clone() {
             for page in 0..pages {
                 let mut buf = vec![0u8; PAGE_SIZE];
-                let _ = self
-                    .cluster
-                    .host_mut(host)
-                    .mem_read(pid, MemLayout::heap_page(page), &mut buf);
+                let _ =
+                    self.cluster
+                        .host_mut(host)
+                        .mem_read(pid, MemLayout::heap_page(page), &mut buf);
                 out.extend_from_slice(&buf);
             }
         }
@@ -466,8 +368,7 @@ impl RunHarness {
         if let RunMode::Replicated(engine) = &mut self.mode {
             engine.set_tracer(tracer.clone());
         }
-        self.detector.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.lane.set_tracer(tracer);
     }
 
     /// Schedule a fail-stop fault of the active host at absolute virtual
@@ -475,12 +376,7 @@ impl RunHarness {
     /// order, and with the `rearm` extension a later fault exercises a
     /// second failover onto the bootstrapped replacement backup.
     pub fn inject_fault_at(&mut self, t: Nanos) {
-        let pos = self
-            .faults
-            .iter()
-            .position(|&f| f > t)
-            .unwrap_or(self.faults.len());
-        self.faults.insert(pos, t);
+        insert_sorted(&mut self.faults, t, |&f| f);
     }
 
     /// Schedule a fail-stop fault of the *backup* host at `t`. During a
@@ -488,12 +384,7 @@ impl RunHarness {
     /// aborts and retries with backoff); against a healthy replicated pair
     /// it degrades the run to unreplicated.
     pub fn inject_backup_fault_at(&mut self, t: Nanos) {
-        let pos = self
-            .backup_faults
-            .iter()
-            .position(|&f| f > t)
-            .unwrap_or(self.backup_faults.len());
-        self.backup_faults.insert(pos, t);
+        insert_sorted(&mut self.backup_faults, t, |&f| f);
     }
 
     /// Schedule a one-shot pipeline-stage crash: at the first checkpoint at
@@ -502,12 +393,7 @@ impl RunHarness {
     /// channel's peek-before-commit slot — see `DESIGN.md` §12). A no-op
     /// for engines without staged transfer.
     pub fn inject_stage_fail_at(&mut self, t: Nanos, chunk: u64) {
-        let pos = self
-            .stage_fails
-            .iter()
-            .position(|&(f, _)| f > t)
-            .unwrap_or(self.stage_fails.len());
-        self.stage_fails.insert(pos, (t, chunk));
+        insert_sorted(&mut self.stage_fails, (t, chunk), |&(f, _)| f);
     }
 
     fn active_host(&self) -> HostId {
@@ -520,12 +406,12 @@ impl RunHarness {
 
     /// Current container handle.
     pub fn container(&self) -> &Container {
-        &self.container
+        &self.lane.container
     }
 
     /// True once the batch workload reported completion.
     pub fn batch_done(&self) -> bool {
-        self.batch_done
+        self.lane.batch_done
     }
 
     /// Completed epochs so far.
@@ -536,88 +422,24 @@ impl RunHarness {
     /// Whether the run has failed over at least once (the container now
     /// lives on a host other than the original primary).
     pub fn on_backup(&self) -> bool {
-        self.on_backup || self.failovers > 0
+        self.on_backup || self.lane.failovers > 0
     }
 
     /// Completed failovers so far.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.lane.failovers
     }
 
     /// Whether the `rearm` extension has re-established redundancy after
     /// the most recent failover (or backup loss).
     pub fn rearmed(&self) -> bool {
-        matches!(self.rearm, RearmState::Armed)
+        self.rearmed
     }
 
     /// Whether a coded repair is scheduled or streaming (the placement
     /// extension's degraded window).
     pub fn repair_active(&self) -> bool {
-        !matches!(self.repair, RepairState::Idle)
-    }
-
-    // ------------------------------------------------------------------
-    // Client plumbing
-    // ------------------------------------------------------------------
-
-    /// Issue requests from idle clients, pump the wire, and harvest complete
-    /// frames into `pending` (with jittered arrival times — real clients are
-    /// not phase-locked to the epoch clock).
-    fn client_turnaround(&mut self, base: Nanos) -> SimResult<()> {
-        let jitter_range = self.cfg.epoch_exec;
-        if let (Some(pool), Some(behavior)) = (self.pool.as_mut(), self.behavior.as_mut()) {
-            pool.issue(&mut self.cluster, behavior.as_mut(), base, jitter_range)?;
-        } else {
-            return Ok(());
-        }
-        self.cluster.pump();
-
-        let host = self.active_host();
-        let ns = self.container.ns.net;
-        let k = self.cluster.host_mut(host);
-        let cl_lat = k.costs.client_link_latency;
-        let stack = k.stack_mut(ns)?;
-        for (sid, remote) in stack.established_ids() {
-            while let Some(frame) = take_frame(stack, sid, false)? {
-                let arrival = base + jitter(&mut self.jitter_state, jitter_range) + 2 * cl_lat;
-                self.pending.push_back((remote, frame, arrival));
-            }
-        }
-        self.pending
-            .make_contiguous()
-            .sort_by_key(|(_, _, arrival)| *arrival);
-        Ok(())
-    }
-
-    /// Deliver released responses to clients at their logical receipt times;
-    /// record latencies.
-    fn client_collect(&mut self, fallback_now: Nanos) -> SimResult<()> {
-        if let (Some(pool), Some(behavior)) = (self.pool.as_mut(), self.behavior.as_mut()) {
-            let lats = pool.collect(
-                &mut self.cluster,
-                behavior.as_mut(),
-                &mut self.receipts,
-                fallback_now,
-                &self.tracer,
-            )?;
-            self.metrics.response_latencies.extend(lats);
-        }
-        Ok(())
-    }
-
-    /// Send one response on the connection to `remote` (looked up fresh so
-    /// it works across failovers).
-    fn send_response(&mut self, remote: Endpoint, payload: &[u8]) -> SimResult<()> {
-        let host = self.active_host();
-        let ns = self.container.ns.net;
-        let stack = self.cluster.host_mut(host).stack_mut(ns)?;
-        let sid = self
-            .pool
-            .as_ref()
-            .and_then(|pool| stack.sock_to(pool.server, remote))
-            .ok_or_else(|| SimError::Invalid(format!("no connection to {remote}")))?;
-        stack.send_bytes(sid, encode_frame(payload).into())?;
-        Ok(())
+        self.stream.active(StreamKind::Repair)
     }
 
     // ------------------------------------------------------------------
@@ -629,7 +451,7 @@ impl RunHarness {
     fn chaos_beat(&mut self, t: Nanos) {
         match self.chaos.as_mut() {
             Some(ch) => ch.hb.send(t, t),
-            None => self.detector.on_beat(t),
+            None => self.lane.detector.on_beat(t),
         }
     }
 
@@ -638,9 +460,16 @@ impl RunHarness {
         if let Some(ch) = self.chaos.as_mut() {
             for (at, _sent) in ch.hb.poll(now) {
                 ch.last_beat_delivered = ch.last_beat_delivered.max(at);
-                self.detector.on_beat(at);
+                self.lane.detector.on_beat(at);
             }
         }
+    }
+
+    /// Whether the chaos schedule cuts the primary→backup direction at `t`.
+    fn chaos_blocked(chaos: &Option<ChaosState>, t: Nanos) -> bool {
+        chaos
+            .as_ref()
+            .is_some_and(|ch| ch.cfg.schedule.blocked(t, LinkDir::AtoB))
     }
 
     /// Emit `PartitionStart`/`PartitionHeal`/`LeaseExpire` markers on
@@ -654,20 +483,16 @@ impl RunHarness {
             ch.in_partition = true;
             ch.partition_started_at = Some(now);
             ch.stats.partitions += 1;
-            self.tracer.event_at(TraceEvent::PartitionStart, now);
+            self.lane.tracer.event_at(TraceEvent::PartitionStart, now);
         } else if !part && ch.in_partition {
             ch.in_partition = false;
-            self.tracer.event_at(TraceEvent::PartitionHeal, now);
+            self.lane.tracer.event_at(TraceEvent::PartitionHeal, now);
         }
-        if ch.holder_was_valid && !ch.holder.valid_at(now) {
-            ch.holder_was_valid = false;
+        if let Some(at) = ch.fence.lapsed(now) {
             ch.stats.lease_expiries += 1;
-            self.tracer.event_at(
-                TraceEvent::LeaseExpire {
-                    at: ch.holder.expires_at(),
-                },
-                ch.holder.expires_at(),
-            );
+            self.lane
+                .tracer
+                .event_at(TraceEvent::LeaseExpire { at }, at);
         }
     }
 
@@ -675,52 +500,30 @@ impl RunHarness {
     /// still valid at the logical release time, release and deliver;
     /// otherwise *fence*: the packets stay plugged (they ride the next valid
     /// release, or die with the primary) and only the event is emitted.
-    fn chaos_flush_pending(&mut self, _now: Nanos) -> SimResult<()> {
+    fn chaos_flush_pending(&mut self) -> SimResult<()> {
         let Some(pr) = self.pending_release.take() else {
             return Ok(());
         };
-        let valid = self
+        let ch = self
             .chaos
-            .as_ref()
-            .expect("pending release without chaos state")
-            .holder
-            .valid_at(pr.release_time);
-        if !valid {
-            self.tracer.event_at(
+            .as_mut()
+            .expect("pending release without chaos state");
+        if !ch.fence.may_release(pr.release_time) {
+            self.lane.tracer.event_at(
                 TraceEvent::FencedOutput {
                     packets: pr.receipts.len() as u64,
                 },
                 pr.release_time,
             );
-            self.chaos.as_mut().expect("chaos").stats.fenced_releases += 1;
-            self.held.extend(pr.receipts);
+            ch.stats.fenced_releases += 1;
+            self.lane.held.extend(pr.receipts);
             return Ok(());
         }
-        let ns = self.container.ns.net;
-        let released = self
-            .cluster
-            .host_mut(self.primary)
-            .stack_mut(ns)?
-            .release_output();
-        self.tracer.event_at(
-            TraceEvent::OutputRelease {
-                packets: released as u64,
-            },
-            pr.release_time,
-        );
-        self.cluster.pump();
-        let cl = self
-            .cluster
-            .host_mut(self.primary)
-            .costs
-            .client_link_latency;
-        let held = std::mem::take(&mut self.held);
-        for (remote, t_done) in held.into_iter().chain(pr.receipts) {
-            let receipt = t_done.max(pr.release_time) + cl;
-            self.receipts.entry(remote).or_default().push_back(receipt);
-        }
-        self.client_collect(pr.release_time)?;
-        Ok(())
+        let held = std::mem::take(&mut self.lane.held);
+        let riding = held.into_iter().chain(pr.receipts);
+        let host = self.active_host();
+        self.lane
+            .release(&mut self.cluster, host, pr.release_time, riding, false)
     }
 
     /// Chaos-mode epoch prologue: flush the deferred release, trace schedule
@@ -730,30 +533,32 @@ impl RunHarness {
     /// if a promotion consumed this epoch slot.
     fn chaos_prologue(&mut self) -> SimResult<bool> {
         let now = self.cluster.clock.now();
-        self.chaos_flush_pending(now)?;
+        self.chaos_flush_pending()?;
         self.chaos_edges(now);
         self.chaos_deliver_beats(now);
         if !matches!(self.mode, RunMode::Replicated(_)) {
             return Ok(false);
         }
-        if self.detector.check(now) {
-            let det = self.detector.detected_at().expect("check returned true");
-            let (late_beat, grant_expiry) = {
-                let ch = self.chaos.as_ref().expect("chaos prologue");
-                (ch.last_beat_delivered, ch.grant.expires_at())
-            };
+        if self.lane.detector.check(now) {
+            let det = self
+                .lane
+                .detector
+                .detected_at()
+                .expect("check returned true");
+            let ch = self.chaos.as_mut().expect("chaos prologue");
+            let late_beat = ch.last_beat_delivered;
             if late_beat > det {
                 // A beat arrived after the suspicion began: false positive.
                 // The lease gate bought the time to notice — rescind.
-                self.tracer.event_at(
+                self.lane.tracer.event_at(
                     TraceEvent::FalseSuspicion {
                         suspected_for: late_beat - det,
                     },
                     late_beat,
                 );
-                self.detector.rescind(late_beat);
-                self.chaos.as_mut().expect("chaos").stats.false_suspicions += 1;
-            } else if now >= grant_expiry {
+                self.lane.detector.rescind(late_beat);
+                ch.stats.false_suspicions += 1;
+            } else if now >= ch.fence.promotable_at() {
                 self.chaos_promote(now)?;
                 return Ok(true);
             }
@@ -764,40 +569,16 @@ impl RunHarness {
     }
 
     /// Promote the backup on granted-lease expiry (the primary may be alive
-    /// but unreachable — a partition, not a fault). Safe because the
-    /// primary's own lease expired strictly earlier, so it is already
-    /// fenced: its plugged output can never be released. Checked, not
-    /// assumed — a violation is reported as split-brain and fails the run.
+    /// but unreachable — a partition, not a fault).
     fn chaos_promote(&mut self, now: Nanos) -> SimResult<()> {
-        {
-            let ch = self.chaos.as_mut().expect("chaos promote");
-            if ch.holder.valid_at(now) {
-                ch.stats.split_brain = true;
-                return Err(SimError::Invalid(format!(
-                    "split-brain: promoting at {now}ns while the primary's output lease is \
-                     valid until {}ns",
-                    ch.holder.expires_at()
-                )));
-            }
-        }
+        let ch = self.chaos.as_mut().expect("chaos promote");
+        ch.fence.authorize_promotion(now)?;
+        // "Detection latency" for a partition is measured from its start.
+        let latency = now.saturating_sub(ch.partition_started_at.unwrap_or(now));
         // The fenced primary withdraws (fail-stop its traffic); whatever it
         // still held plugged is discarded exactly as at a real fault.
         self.cluster.partition(self.primary);
-        let voided: Vec<(Endpoint, Nanos)> = self
-            .pending_release
-            .take()
-            .map(|p| p.receipts)
-            .unwrap_or_default();
-        // "Detection latency" for a partition is measured from its start.
-        let since = self
-            .chaos
-            .as_ref()
-            .expect("chaos")
-            .partition_started_at
-            .unwrap_or(now);
-        let latency = now.saturating_sub(since);
-        self.detection_latency = Some(latency);
-        self.promote_backup(latency, voided)
+        self.promote_backup(latency)
     }
 
     // ------------------------------------------------------------------
@@ -808,7 +589,7 @@ impl RunHarness {
     /// the service dies to an unprotected fault).
     pub fn run_epochs(&mut self, n: u64) -> SimResult<()> {
         for _ in 0..n {
-            if self.batch_done || self.dead {
+            if self.lane.batch_done || self.dead {
                 break;
             }
             let now = self.cluster.clock.now();
@@ -818,14 +599,14 @@ impl RunHarness {
             // (fault-during-output-release) or flushes it (backup faults:
             // the ack had already committed).
             if let Some(release_time) = self.pending_release.as_ref().map(|p| p.release_time) {
-                let next_fault = match (self.faults.front(), self.backup_faults.front()) {
-                    (Some(&p), Some(&b)) => Some(p.min(b)),
-                    (Some(&p), None) => Some(p),
-                    (None, Some(&b)) => Some(b),
-                    (None, None) => None,
-                };
-                if next_fault.is_none_or(|f| release_time <= f) {
-                    self.chaos_flush_pending(now)?;
+                let next_fault = self
+                    .faults
+                    .front()
+                    .into_iter()
+                    .chain(self.backup_faults.front())
+                    .min();
+                if next_fault.is_none_or(|&f| release_time <= f) {
+                    self.chaos_flush_pending()?;
                 }
             }
             let horizon = now + self.cfg.epoch_exec;
@@ -849,11 +630,10 @@ impl RunHarness {
                 self.handle_primary_fault(t.max(now))?;
                 continue;
             }
-            self.rearm_tick()?;
-            self.repair_tick()?;
+            self.stream_tick()?;
             self.run_one_epoch()?;
         }
-        self.metrics.elapsed = self.cluster.clock.now();
+        self.lane.metrics.elapsed = self.cluster.clock.now();
         Ok(())
     }
 
@@ -861,7 +641,7 @@ impl RunHarness {
     /// `max_epochs`). Errors if the bound is hit first.
     pub fn run_batch_to_completion(&mut self, max_epochs: u64) -> SimResult<()> {
         let mut left = max_epochs;
-        while !self.batch_done {
+        while !self.lane.batch_done {
             if left == 0 {
                 return Err(SimError::Invalid(
                     "batch did not complete within bound".into(),
@@ -871,8 +651,40 @@ impl RunHarness {
             self.run_epochs(chunk)?;
             left -= chunk;
         }
-        self.metrics.elapsed = self.cluster.clock.now();
+        self.lane.metrics.elapsed = self.cluster.clock.now();
         Ok(())
+    }
+
+    /// The lane's execution phase, with the replay log hook when the engine
+    /// records: each chunk ships to the backup's log store unless the chaos
+    /// schedule cuts the link at that instant.
+    fn serve(
+        &mut self,
+        host: HostId,
+        exec_start: Nanos,
+        window_end: Nanos,
+        exec_window: Nanos,
+    ) -> SimResult<Served> {
+        let replay_on = self.replay_on();
+        let RunHarness {
+            lane,
+            cluster,
+            mode,
+            chaos,
+            primary,
+            epoch,
+            ..
+        } = self;
+        let mut ship = |cluster: &mut Cluster, at: Nanos, events: &[ReplayEvent]| {
+            if Self::chaos_blocked(chaos, at) {
+                return Ok(None);
+            }
+            engine(mode)
+                .ship_log(cluster.host_mut(*primary), *epoch, events)
+                .map(Some)
+        };
+        let hook = replay_on.then_some(&mut ship as ShipLog<'_>);
+        lane.serve(cluster, host, exec_start, window_end, exec_window, hook)
     }
 
     fn run_one_epoch(&mut self) -> SimResult<()> {
@@ -882,424 +694,56 @@ impl RunHarness {
         }
         let exec_start = self.cluster.clock.now();
         let host = self.active_host();
-        self.tracer.begin_epoch(self.epoch, exec_start);
-
-        // --- Client requests arrive -------------------------------------
-        self.client_turnaround(exec_start)?;
-
-        // --- Execution phase --------------------------------------------
-        let budget = (self.cfg.epoch_exec as f64 * self.parallelism) as Nanos;
+        let epoch = self.epoch;
         let epoch_end = exec_start + self.cfg.epoch_exec;
-        let mut used: Nanos = KEEPALIVE_COST + self.cpu_debt;
-        let mut requests_done = 0u64;
-        let mut steps_done = 0u64;
-        let mut completions: Vec<(Endpoint, Nanos)> = Vec::new();
-        // Hybrid-replay accounting: per-epoch log traffic, shipped as the
-        // execution phase produces it (HyCoR-style continuous streaming).
-        let replay_on = self.replay_on();
-        let cl_lat = self.cluster.host_mut(host).costs.client_link_latency;
-        let mut log_events = 0u64;
-        let mut log_bytes = 0u64;
-        let mut log_time: Nanos = 0;
-        let mut log_commit_max: Nanos = 0;
-        let mut log_backup_cpu: Nanos = 0;
-        let mut step_events: Vec<ReplayEvent> = Vec::new();
-
-        {
-            let k = self.cluster.host_mut(host);
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        if self.app.is_server() {
-            while used < budget {
-                let Some(pos) = self
-                    .pending
-                    .iter()
-                    .position(|(_, _, arrival)| *arrival <= epoch_end)
-                else {
-                    break;
-                };
-                let (remote, req, arrival) = self.pending.remove(pos).expect("pos valid");
-                let pid = self.pick_worker();
-                let response = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.handle_request(&mut ctx, &req)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                // Wall time to completion: queueing + service, stretched by
-                // the epoch duty cycle (the container is frozen for
-                // `last_stop` out of every `epoch_exec + last_stop`).
-                let stretch_num = self.cfg.epoch_exec + self.last_stop;
-                let wall_used = used.saturating_mul(stretch_num) / self.cfg.epoch_exec;
-                let t_done = arrival.max(exec_start) + wall_used;
-                self.send_response(remote, &response.response)?;
-                requests_done += 1;
-                if replay_on {
-                    // Ship this completion's log chunk immediately; once the
-                    // backup acks the chunk the response is externalizable —
-                    // it does not wait for the epoch checkpoint.
-                    let t_chunk = exec_start + used;
-                    let blocked = self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|ch| ch.cfg.schedule.blocked(t_chunk, LinkDir::AtoB));
-                    if blocked {
-                        // The log link is cut: the chunk cannot commit, so
-                        // this completion falls back to the epoch-ack path.
-                        completions.push((remote, t_done));
-                    } else {
-                        let ev = ReplayEvent::Request {
-                            pid,
-                            at: arrival,
-                            payload: req,
-                            response_hash: content_hash(&response.response),
-                            response_len: response.response.len() as u32,
-                        };
-                        let ship = {
-                            let RunMode::Replicated(engine) = &mut self.mode else {
-                                unreachable!()
-                            };
-                            let (pk, _bk) =
-                                self.cluster.two_hosts_mut(self.primary, self.backup);
-                            engine.ship_log(pk, self.epoch, &[ev])?
-                        };
-                        log_events += 1;
-                        log_bytes += ship.bytes;
-                        log_time += ship.commit_latency;
-                        log_commit_max = log_commit_max.max(ship.commit_latency);
-                        log_backup_cpu += ship.backup_cpu;
-                        self.metrics.release_waits.push(ship.commit_latency);
-                        self.receipts
-                            .entry(remote)
-                            .or_default()
-                            .push_back(t_done + ship.commit_latency + cl_lat);
-                    }
-                } else {
-                    completions.push((remote, t_done));
-                }
-            }
-        } else {
-            while used < budget && !self.batch_done {
-                let pid = self.container.workers[0];
-                let outcome = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.step(&mut ctx)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                steps_done += 1;
-                if replay_on {
-                    step_events.push(ReplayEvent::Step {
-                        pid,
-                        at: exec_start + used,
-                        done: outcome.done,
-                    });
-                }
-                if outcome.done {
-                    self.batch_done = true;
-                }
-            }
-        }
-
-        // Batch workloads have no per-request output to release early, so
-        // their step log ships as one aggregate chunk at the epoch boundary.
-        if replay_on && !step_events.is_empty() {
-            let blocked = self
-                .chaos
-                .as_ref()
-                .is_some_and(|ch| ch.cfg.schedule.blocked(epoch_end, LinkDir::AtoB));
-            if !blocked {
-                let n = step_events.len() as u64;
-                let ship = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (pk, _bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.ship_log(pk, self.epoch, &step_events)?
-                };
-                log_events += n;
-                log_bytes += ship.bytes;
-                log_time += ship.commit_latency;
-                log_commit_max = log_commit_max.max(ship.commit_latency);
-                log_backup_cpu += ship.backup_cpu;
-            }
-        }
-
-        self.cpu_debt = used.saturating_sub(budget);
-        let consumed = used.min(budget);
-        let tracking_overhead = self.cluster.host_mut(host).fault_meter.take();
-        let cg = self.container.cgroup;
-        self.cluster.host_mut(host).cgroups.charge_cpu(cg, consumed);
+        self.lane.tracer.begin_epoch(epoch, exec_start);
+        let served = self.serve(host, exec_start, epoch_end, self.cfg.epoch_exec)?;
         self.cluster.clock.advance_to(epoch_end);
-        self.tracer.span(
-            TraceEvent::Exec {
-                requests: requests_done,
-                steps: steps_done,
-            },
-            self.cfg.epoch_exec,
-        );
+        let record = served.record(epoch);
+        let Served {
+            completions,
+            committed,
+            log,
+            ..
+        } = served;
+        // Hybrid replay: completions whose log chunk committed do not wait
+        // for the epoch checkpoint.
+        self.lane.stamp_committed(committed);
 
-        // --- Heartbeat ---------------------------------------------------
-        let cpuacct = self.cluster.host_mut(host).cgroups.cpuacct_usage(cg);
-        if self.sender.tick(cpuacct) && !self.cluster.is_partitioned(host) {
+        if self.lane.beat_due(&mut self.cluster, host) && !self.cluster.is_partitioned(host) {
             self.chaos_beat(epoch_end);
         }
 
-        // --- Stop phase / release ----------------------------------------
-        let epoch = self.epoch;
         if matches!(self.mode, RunMode::Unreplicated) {
             self.cluster.pump();
-            if matches!(self.rearm, RearmState::Bootstrapping { .. }) {
+            if self.stream.streaming(StreamKind::Rearm) {
                 // Responses stay in the plugged qdisc: the bootstrap image
                 // predates them, so they are only releasable once the first
                 // post-re-arm incremental checkpoint commits.
-                self.held.extend(completions);
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    requests_done,
-                    steps_done,
-                    ..Default::default()
-                });
-                self.bootstrap_step_epoch()?;
+                self.lane.held.extend(completions);
+                self.lane.metrics.push(record);
+                self.stream_step()?;
             } else {
-                let cl = self.cluster.host_mut(host).costs.client_link_latency;
-                for (remote, t_done) in completions {
-                    self.receipts
-                        .entry(remote)
-                        .or_default()
-                        .push_back(t_done + cl);
-                }
-                self.client_collect(epoch_end)?;
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    requests_done,
-                    steps_done,
-                    ..Default::default()
-                });
+                self.lane.stamp(0, completions, false);
+                self.lane.collect(&mut self.cluster, epoch_end)?;
+                self.lane.metrics.push(record);
             }
-        } else if self
-            .chaos
-            .as_ref()
-            .is_some_and(|ch| ch.cfg.schedule.blocked(epoch_end, LinkDir::AtoB))
-        {
+        } else if Self::chaos_blocked(&self.chaos, epoch_end) {
             // Chaos: the transfer direction is cut at the epoch boundary —
             // the checkpoint cannot reach the backup, so the epoch *stalls*:
             // no stop phase, output stays plugged, and the dirty state
             // accumulates into the first post-heal checkpoint (soft-dirty
             // tracking is cumulative until cleared by a dump). The backup
             // sees silence and starts suspecting.
-            self.held.extend(completions);
+            self.lane.held.extend(completions);
             self.chaos.as_mut().expect("chaos").stats.stalled_epochs += 1;
-            self.metrics.push(EpochRecord {
-                epoch,
-                exec_cpu: consumed,
-                tracking_overhead,
-                requests_done,
-                steps_done,
-                ..Default::default()
-            });
+            self.lane.metrics.push(record);
         } else {
-            let outcome = {
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
-                // The execution phase that just ended is overlap time for the
-                // engine's background pipeline stages (staged-pipeline
-                // extension; a no-op for synchronous engines). Whatever
-                // backlog remains surfaces as backpressure in the checkpoint.
-                engine.pipeline_advance(self.cfg.epoch_exec);
-                while self
-                    .stage_fails
-                    .front()
-                    .is_some_and(|&(t, _)| t <= self.cluster.clock.now())
-                {
-                    let (_, chunk) = self.stage_fails.pop_front().expect("front checked");
-                    engine.inject_stage_fail(chunk);
-                }
-                let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                engine.checkpoint(pk, bk, &self.container, epoch)?
-            };
-            self.cluster.clock.advance(outcome.stop_time);
-            self.last_stop = outcome.stop_time;
-            if replay_on {
-                // The seal rides the checkpoint transfer: it marks the
-                // epoch's log complete so a failover can replay it whole.
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
-                engine.seal_log(epoch)?;
-            }
-            // Chaos delay spikes stretch the ack round-trip (transfer out
-            // plus ack back). With a staging engine the stretch is an
-            // explicit ack-phase span so the reconciliation identity still
-            // tiles; inline engines (ack_delay == 0) get a zero-duration
-            // marker instead, since their ack spans are already folded into
-            // the stop time.
-            let chaos_extra = self
-                .chaos
-                .as_ref()
-                .map_or(0, |ch| 2 * ch.cfg.schedule.delay_extra(epoch_end));
-            if chaos_extra > 0 {
-                if outcome.ack_delay > 0 {
-                    self.tracer
-                        .span(TraceEvent::ChaosDelay { extra: chaos_extra }, chaos_extra);
-                } else {
-                    self.tracer.mark(TraceEvent::ChaosDelay { extra: chaos_extra });
-                }
-            }
-            let traced_ack = if outcome.ack_delay > 0 {
-                outcome.ack_delay + chaos_extra
-            } else {
-                outcome.ack_delay
-            };
-            // The engine's phase spans must tile exactly the stop time and
-            // ack delay it reported (the OBSERVABILITY.md invariant).
-            if replay_on {
-                if log_events > 0 {
-                    self.tracer.span(
-                        TraceEvent::LogShip {
-                            events: log_events,
-                            bytes: log_bytes,
-                        },
-                        log_time,
-                    );
-                    self.tracer.mark(TraceEvent::LogCommit {
-                        events: log_events,
-                        commit_latency: log_commit_max,
-                    });
-                }
-                self.tracer
-                    .reconcile_with_log(epoch, outcome.stop_time, traced_ack, log_time)
-                    .map_err(SimError::Invalid)?;
-            } else {
-                self.tracer
-                    .reconcile(epoch, outcome.stop_time, traced_ack)
-                    .map_err(SimError::Invalid)?;
-            }
-            let release_time = self.cluster.clock.now() + outcome.ack_delay + chaos_extra;
-
-            if let Some(ch) = self.chaos.as_mut() {
-                // Chaos: the backup commits regardless (the transfer went
-                // through); only the ack's return leg can differ.
-                let ack_lost = if ch.cfg.schedule.blocked(release_time, LinkDir::BtoA) {
-                    true
-                } else if let Some(n) =
-                    ch.cfg.schedule.loss_period(release_time, LinkDir::BtoA)
-                {
-                    ch.acks_attempted += 1;
-                    ch.acks_attempted.is_multiple_of(n)
-                } else {
-                    false
-                };
-                let commit_cpu = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (_pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.commit(bk, epoch)?
-                };
-                if ack_lost {
-                    // The primary never learns: no release, no lease
-                    // renewal. The completions ride the next acked epoch.
-                    ch.stats.withheld_acks += 1;
-                    self.held.extend(completions);
-                } else {
-                    // The ack doubles as a lease grant: the primary anchors
-                    // at its own checkpoint start (epoch end), the backup at
-                    // the ack's completion — holder expiry ≤ granted expiry,
-                    // the exactly-one-owner ordering. The release itself is
-                    // deferred to the epoch boundary so a fault inside the
-                    // gap can void it.
-                    ch.holder.grant(epoch_end);
-                    ch.grant.grant(release_time);
-                    ch.holder_was_valid = true;
-                    let until = ch.holder.expires_at();
-                    self.tracer
-                        .event_at(TraceEvent::LeaseAcquire { until }, release_time);
-                    self.pending_release = Some(PendingRelease {
-                        release_time,
-                        receipts: completions,
-                    });
-                }
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    stop_time: outcome.stop_time,
-                    dirty_pages: outcome.dirty_pages,
-                    state_bytes: outcome.state_bytes,
-                    ack_delay: outcome.ack_delay + chaos_extra,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    backup_cpu: outcome.backup_cpu + commit_cpu + log_backup_cpu,
-                    requests_done,
-                    steps_done,
-                });
-            } else {
-                // Paper path: mechanically release now; logically at
-                // release_time.
-                let ns = self.container.ns.net;
-                let released = self
-                    .cluster
-                    .host_mut(self.primary)
-                    .stack_mut(ns)?
-                    .release_output();
-                self.tracer.event_at(
-                    TraceEvent::OutputRelease {
-                        packets: released as u64,
-                    },
-                    release_time,
-                );
-                self.cluster.pump();
-                let commit_cpu = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (_pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.commit(bk, epoch)?
-                };
-
-                let cl = self
-                    .cluster
-                    .host_mut(self.primary)
-                    .costs
-                    .client_link_latency;
-                // Bootstrap-era completions (if any) ride this epoch's
-                // release: this is the first commit whose image covers them.
-                let held = std::mem::take(&mut self.held);
-                for (remote, t_done) in held.into_iter().chain(completions) {
-                    let receipt = t_done.max(release_time) + cl;
-                    if !replay_on {
-                        self.metrics
-                            .release_waits
-                            .push(release_time.saturating_sub(t_done));
-                    }
-                    self.receipts.entry(remote).or_default().push_back(receipt);
-                }
-                self.client_collect(release_time)?;
-                self.metrics.push(EpochRecord {
-                    epoch,
-                    stop_time: outcome.stop_time,
-                    dirty_pages: outcome.dirty_pages,
-                    state_bytes: outcome.state_bytes,
-                    ack_delay: outcome.ack_delay,
-                    exec_cpu: consumed,
-                    tracking_overhead,
-                    backup_cpu: outcome.backup_cpu + commit_cpu + log_backup_cpu,
-                    requests_done,
-                    steps_done,
-                });
-            }
+            self.checkpoint_epoch(record, completions, log, epoch_end)?;
             // A coded repair streams its bounded chunk after the epoch's
             // checkpoint acked (the stream rides the inter-replica links,
             // never the primary's stop phase).
-            self.repair_step_epoch()?;
+            self.stream_step()?;
         }
 
         // The epoch (including its stop phase) completed healthy: the agent
@@ -1313,13 +757,132 @@ impl RunHarness {
         Ok(())
     }
 
-    fn pick_worker(&mut self) -> Pid {
-        // Requests are handled in the leader's context: application fds are
-        // opened there, and concentrating guest state in one address space
-        // is checkpoint-equivalent (the dump walks every process either
-        // way). Multi-process CPU capacity is modeled by `parallelism`.
-        self.rr += 1;
-        self.container.workers[0]
+    /// The replicated epoch's stop phase and release: checkpoint, reconcile
+    /// the trace, commit on the backup, and release the epoch's output at
+    /// the ack — mechanically now, logically at `release_time` (paper path);
+    /// under chaos the release is deferred to the next epoch boundary and an
+    /// ack lost on its return leg withholds it.
+    fn checkpoint_epoch(
+        &mut self,
+        record: EpochRecord,
+        completions: Vec<Completion>,
+        log: LogTotals,
+        epoch_end: Nanos,
+    ) -> SimResult<()> {
+        let epoch = record.epoch;
+        let replay_on = self.replay_on();
+        let outcome = {
+            let engine = engine(&mut self.mode);
+            // The execution phase that just ended is overlap time for the
+            // engine's background pipeline stages (staged-pipeline
+            // extension; a no-op for synchronous engines). Whatever
+            // backlog remains surfaces as backpressure in the checkpoint.
+            engine.pipeline_advance(self.cfg.epoch_exec);
+            while self
+                .stage_fails
+                .front()
+                .is_some_and(|&(t, _)| t <= epoch_end)
+            {
+                let (_, chunk) = self.stage_fails.pop_front().expect("front checked");
+                engine.inject_stage_fail(chunk);
+            }
+            let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
+            engine.checkpoint(pk, bk, &self.lane.container, epoch)?
+        };
+        self.cluster.clock.advance(outcome.stop_time);
+        self.lane.last_stop = outcome.stop_time;
+        if replay_on {
+            // The seal rides the checkpoint transfer: it marks the epoch's
+            // log complete so a failover can replay it whole.
+            engine(&mut self.mode).seal_log(epoch)?;
+        }
+        // Chaos delay spikes stretch the ack round-trip (transfer out plus
+        // ack back). With a staging engine the stretch is an explicit
+        // ack-phase span so the reconciliation identity still tiles; inline
+        // engines (ack_delay == 0) get a zero-duration marker instead, since
+        // their ack spans are already folded into the stop time.
+        let chaos_extra = self
+            .chaos
+            .as_ref()
+            .map_or(0, |ch| 2 * ch.cfg.schedule.delay_extra(epoch_end));
+        let tracer = &self.lane.tracer;
+        if chaos_extra > 0 {
+            if outcome.ack_delay > 0 {
+                tracer.span(TraceEvent::ChaosDelay { extra: chaos_extra }, chaos_extra);
+            } else {
+                tracer.mark(TraceEvent::ChaosDelay { extra: chaos_extra });
+            }
+        }
+        let traced_ack = if outcome.ack_delay > 0 {
+            outcome.ack_delay + chaos_extra
+        } else {
+            outcome.ack_delay
+        };
+        // The engine's phase spans must tile exactly the stop time and ack
+        // delay it reported (the OBSERVABILITY.md invariant).
+        log.trace(tracer);
+        tracer
+            .reconcile_with_log(epoch, outcome.stop_time, traced_ack, log.time)
+            .map_err(SimError::Invalid)?;
+        let release_time = self.cluster.clock.now() + outcome.ack_delay + chaos_extra;
+
+        // Chaos: the backup commits regardless (the transfer went through);
+        // only the ack's return leg can differ.
+        let ack_lost = self.chaos.as_mut().map(|ch| {
+            if ch.cfg.schedule.blocked(release_time, LinkDir::BtoA) {
+                true
+            } else if let Some(n) = ch.cfg.schedule.loss_period(release_time, LinkDir::BtoA) {
+                ch.acks_attempted += 1;
+                ch.acks_attempted.is_multiple_of(n)
+            } else {
+                false
+            }
+        });
+        if ack_lost.is_none() {
+            self.lane
+                .unplug(&mut self.cluster, self.primary, release_time)?;
+        }
+        let commit_cpu =
+            engine(&mut self.mode).commit(self.cluster.host_mut(self.backup), epoch)?;
+        match (ack_lost, self.chaos.as_mut()) {
+            (Some(true), Some(ch)) => {
+                // The primary never learns: no release, no lease renewal.
+                // The completions ride the next acked epoch.
+                ch.stats.withheld_acks += 1;
+                self.lane.held.extend(completions);
+            }
+            (Some(false), Some(ch)) => {
+                // The ack doubles as a lease grant (see [`Fence`]). The
+                // release itself is deferred to the epoch boundary so a
+                // fault inside the gap can void it.
+                ch.fence.on_ack(epoch_end, release_time);
+                let until = ch.fence.holder_expiry();
+                self.lane
+                    .tracer
+                    .event_at(TraceEvent::LeaseAcquire { until }, release_time);
+                self.pending_release = Some(PendingRelease {
+                    release_time,
+                    receipts: completions,
+                });
+            }
+            _ => {
+                // Held completions (if any) ride this epoch's release: this
+                // is the first commit whose image covers them.
+                let held = std::mem::take(&mut self.lane.held);
+                let riding = held.into_iter().chain(completions);
+                self.lane.stamp(release_time, riding, !replay_on);
+                self.lane.collect(&mut self.cluster, release_time)?;
+            }
+        }
+        self.lane.metrics.push(EpochRecord {
+            stop_time: outcome.stop_time,
+            dirty_pages: outcome.dirty_pages,
+            state_bytes: outcome.state_bytes,
+            ack_delay: outcome.ack_delay + chaos_extra,
+            backup_cpu: outcome.backup_cpu + commit_cpu + log.backup_cpu,
+            ..record
+        });
+        Ok(())
     }
 
     /// Hybrid replay: a primary fault lands inside the coming epoch. The
@@ -1332,199 +895,29 @@ impl RunHarness {
     fn run_truncated_epoch(&mut self, fault_time: Nanos) -> SimResult<()> {
         let exec_start = self.cluster.clock.now();
         let host = self.active_host();
-        self.tracer.begin_epoch(self.epoch, exec_start);
-        self.client_turnaround(exec_start)?;
-
+        self.lane.tracer.begin_epoch(self.epoch, exec_start);
         let exec_window = fault_time
             .saturating_sub(exec_start)
             .min(self.cfg.epoch_exec);
-        let budget = (exec_window as f64 * self.parallelism) as Nanos;
-        let cl_lat = self.cluster.host_mut(host).costs.client_link_latency;
-        let mut used: Nanos = KEEPALIVE_COST + self.cpu_debt;
-        let mut requests_done = 0u64;
-        let mut steps_done = 0u64;
-        // (receipt time, release wait) per committed chunk — deliverable
-        // only if the *whole* truncated log commits.
-        let mut released: Vec<(Endpoint, Nanos, Nanos)> = Vec::new();
-        let mut blocked_any = false;
-        let mut log_events = 0u64;
-        let mut log_bytes = 0u64;
-        let mut log_time: Nanos = 0;
-        let mut log_commit_max: Nanos = 0;
-
-        {
-            let k = self.cluster.host_mut(host);
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        if self.app.is_server() {
-            while used < budget {
-                let Some(pos) = self
-                    .pending
-                    .iter()
-                    .position(|(_, _, arrival)| *arrival <= fault_time)
-                else {
-                    break;
-                };
-                let (remote, req, arrival) = self.pending.remove(pos).expect("pos valid");
-                let pid = self.pick_worker();
-                let response = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.handle_request(&mut ctx, &req)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                let stretch_num = self.cfg.epoch_exec + self.last_stop;
-                let wall_used = used.saturating_mul(stretch_num) / self.cfg.epoch_exec;
-                let t_done = arrival.max(exec_start) + wall_used;
-                self.send_response(remote, &response.response)?;
-                requests_done += 1;
-                let t_chunk = exec_start + used;
-                let blocked = self
-                    .chaos
-                    .as_ref()
-                    .is_some_and(|ch| ch.cfg.schedule.blocked(t_chunk, LinkDir::AtoB));
-                if blocked {
-                    blocked_any = true;
-                    continue;
-                }
-                let ev = ReplayEvent::Request {
-                    pid,
-                    at: arrival,
-                    payload: req,
-                    response_hash: content_hash(&response.response),
-                    response_len: response.response.len() as u32,
-                };
-                let ship = {
-                    let RunMode::Replicated(engine) = &mut self.mode else {
-                        unreachable!()
-                    };
-                    let (pk, _bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                    engine.ship_log(pk, self.epoch, &[ev])?
-                };
-                log_events += 1;
-                log_bytes += ship.bytes;
-                log_time += ship.commit_latency;
-                log_commit_max = log_commit_max.max(ship.commit_latency);
-                released.push((
-                    remote,
-                    t_done + ship.commit_latency + cl_lat,
-                    ship.commit_latency,
-                ));
-            }
-        } else {
-            let mut step_events: Vec<ReplayEvent> = Vec::new();
-            while used < budget && !self.batch_done {
-                let pid = self.container.workers[0];
-                let outcome = {
-                    let k = self.cluster.host_mut(host);
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.step(&mut ctx)?
-                };
-                let cost = self.cluster.host_mut(host).meter.take();
-                used += cost.max(100);
-                steps_done += 1;
-                step_events.push(ReplayEvent::Step {
-                    pid,
-                    at: exec_start + used,
-                    done: outcome.done,
-                });
-                if outcome.done {
-                    self.batch_done = true;
-                }
-            }
-            if !step_events.is_empty() {
-                let blocked = self
-                    .chaos
-                    .as_ref()
-                    .is_some_and(|ch| ch.cfg.schedule.blocked(fault_time, LinkDir::AtoB));
-                if blocked {
-                    blocked_any = true;
-                } else {
-                    let n = step_events.len() as u64;
-                    let ship = {
-                        let RunMode::Replicated(engine) = &mut self.mode else {
-                            unreachable!()
-                        };
-                        let (pk, _bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
-                        engine.ship_log(pk, self.epoch, &step_events)?
-                    };
-                    log_events += n;
-                    log_bytes += ship.bytes;
-                    log_time += ship.commit_latency;
-                    log_commit_max = log_commit_max.max(ship.commit_latency);
-                }
-            }
-        }
-
+        let served = self.serve(host, exec_start, fault_time, exec_window)?;
+        let record = served.record(self.epoch);
         // Work interrupted by the fault dies with the primary.
-        self.cpu_debt = 0;
-        let consumed = used.min(budget);
-        let tracking_overhead = self.cluster.host_mut(host).fault_meter.take();
-        let cg = self.container.cgroup;
-        self.cluster.host_mut(host).cgroups.charge_cpu(cg, consumed);
-        self.tracer.span(
-            TraceEvent::Exec {
-                requests: requests_done,
-                steps: steps_done,
-            },
-            exec_window,
-        );
-        if log_events > 0 {
-            self.tracer.span(
-                TraceEvent::LogShip {
-                    events: log_events,
-                    bytes: log_bytes,
-                },
-                log_time,
-            );
-            self.tracer.mark(TraceEvent::LogCommit {
-                events: log_events,
-                commit_latency: log_commit_max,
-            });
+        self.lane.cpu_debt = 0;
+        served.log.trace(&self.lane.tracer);
+        // A blocked chunk means part of the log never committed: the log
+        // stays unsealed and *nothing* from the epoch is released — a
+        // response escaping would expose state the fallback image does not
+        // contain. Clients retransmit and the recovered container re-serves
+        // them. Otherwise seal the truncated log so failover replay covers
+        // this partial epoch, and deliver the outputs that were granted
+        // release at log commit.
+        if !served.blocked {
+            engine(&mut self.mode).seal_log(self.epoch)?;
+            self.lane.unplug(&mut self.cluster, host, fault_time)?;
+            self.lane.stamp_committed(served.committed);
+            self.lane.collect(&mut self.cluster, fault_time)?;
         }
-
-        if blocked_any {
-            // Part of the log never committed: the epoch's log stays
-            // unsealed and *nothing* from it is released — a blocked
-            // response escaping would expose state the fallback image does
-            // not contain. The partial tail forces fallback replay; clients
-            // retransmit and the recovered container re-serves them.
-        } else {
-            // The whole truncated log committed: seal it so failover replay
-            // covers this partial epoch, and deliver the outputs that were
-            // granted release at log commit.
-            {
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
-                engine.seal_log(self.epoch)?;
-            }
-            let ns = self.container.ns.net;
-            let released_pkts = self.cluster.host_mut(host).stack_mut(ns)?.release_output();
-            self.tracer.event_at(
-                TraceEvent::OutputRelease {
-                    packets: released_pkts as u64,
-                },
-                fault_time,
-            );
-            self.cluster.pump();
-            for (remote, receipt, wait) in released.drain(..) {
-                self.metrics.release_waits.push(wait);
-                self.receipts.entry(remote).or_default().push_back(receipt);
-            }
-            self.client_collect(fault_time)?;
-        }
-        self.metrics.push(EpochRecord {
-            epoch: self.epoch,
-            exec_cpu: consumed,
-            tracking_overhead,
-            requests_done,
-            steps_done,
-            ..Default::default()
-        });
+        self.lane.metrics.push(record);
         self.epoch += 1;
         self.do_failover(fault_time)
     }
@@ -1549,13 +942,12 @@ impl RunHarness {
         // everything still plugged or queued dies with the host.
         self.cluster.clock.advance_to(fault_time);
         self.cluster.partition(self.active_host());
-        let discarded = (self.pending.len() + self.held.len()) as u64;
-        self.tracer.event_at(
-            TraceEvent::OutputDiscard { packets: discarded },
-            fault_time,
-        );
-        self.pending.clear();
-        self.held.clear();
+        let discarded = (self.lane.pending.len() + self.lane.held.len()) as u64;
+        self.lane
+            .tracer
+            .event_at(TraceEvent::OutputDiscard { packets: discarded }, fault_time);
+        self.lane.pending.clear();
+        self.lane.held.clear();
         self.unrecovered_faults += 1;
         self.dead = true;
         Ok(())
@@ -1570,226 +962,87 @@ impl RunHarness {
         // Fail-stop: block all primary traffic (§VII-A).
         self.cluster.clock.advance_to(fault_time);
         self.cluster.partition(self.primary);
-        // Chaos: a release deferred past the fault dies with the primary.
-        // The plugged packets were never unplugged, so they are discarded
-        // with the rest of the uncommitted output, never duplicated.
-        let voided = self
-            .pending_release
-            .take()
-            .map_or_else(Vec::new, |pr| pr.receipts);
 
         // Detection: the detector only changes state on its own heartbeat
         // grid, so poll along the beat boundaries. Under chaos, beats still
         // in flight (delayed or heal-flushed) keep landing while we wait.
-        let mut t = self.detector.next_boundary(fault_time);
+        let mut t = self.lane.detector.next_boundary(fault_time);
         loop {
             self.chaos_deliver_beats(t);
-            if self.detector.check(t) {
+            if self.lane.detector.check(t) {
                 break;
             }
             t += self.cfg.heartbeat_interval;
         }
-        let detected = self.detector.detected_at().expect("check returned true");
-        let mut act = detected.max(fault_time);
-        if let Some(ch) = &self.chaos {
-            // Fencing: promotion additionally waits out the granted lease,
-            // so even a falsely-suspected primary can no longer release.
-            act = act.max(ch.grant.expires_at());
-        }
-        self.cluster.clock.advance_to(act);
-        let latency = if self.chaos.is_some() {
-            // A standing suspicion (from a partition, say) may predate the
-            // injected fault; the silence simply continues.
-            detected.saturating_sub(fault_time)
-        } else {
-            self.detector
+        let detected = self
+            .lane
+            .detector
+            .detected_at()
+            .expect("check returned true");
+        let Some(ch) = self.chaos.as_mut() else {
+            self.cluster.clock.advance_to(detected.max(fault_time));
+            let latency = self
+                .lane
+                .detector
                 .detection_latency(fault_time)?
-                .expect("check returned true")
+                .expect("check returned true");
+            return self.promote_backup(latency);
         };
-        self.detection_latency = Some(latency);
-        if let Some(ch) = &mut self.chaos {
-            let now = self.cluster.clock.now();
-            if ch.holder.valid_at(now) {
-                ch.stats.split_brain = true;
-                return Err(SimError::Invalid(format!(
-                    "split-brain: promoting at {now}ns while the primary's \
-                     output lease is valid until {}ns",
-                    ch.holder.expires_at()
-                )));
-            }
-        }
-        self.promote_backup(latency, voided)
+        // Fencing: promotion additionally waits out the granted lease, so
+        // even a falsely-suspected primary can no longer release.
+        let act = detected.max(fault_time).max(ch.fence.promotable_at());
+        self.cluster.clock.advance_to(act);
+        ch.fence.authorize_promotion(act)?;
+        // A standing suspicion (from a partition, say) may predate the
+        // injected fault; the silence simply continues.
+        self.promote_backup(detected.saturating_sub(fault_time))
     }
 
-    /// The failover tail: restore on the backup, move the address, discard
-    /// uncommitted output, retransmit, and either re-arm or degrade. Shared
-    /// by the injected-fault path ([`Self::do_failover`]) and the
-    /// chaos-detected path ([`Self::chaos_promote`]); `voided` are receipts
-    /// from a deferred release that died with the primary.
-    fn promote_backup(&mut self, latency: Nanos, voided: Vec<(Endpoint, Nanos)>) -> SimResult<()> {
-        // Failover on the backup.
-        let (restored, report) = {
-            let RunMode::Replicated(engine) = &mut self.mode else {
-                unreachable!()
-            };
-            let bk = &mut *self.cluster.host_mut(self.backup);
-            engine.failover(bk)?
-        };
-        self.cluster.clock.advance(report.total());
-
-        // Gratuitous ARP: the address moves to the backup.
-        self.cluster.bind_addr(
-            restored.container.spec.addr,
+    /// Promote the backup ([`Lane::promote`]), then either re-arm or
+    /// degrade. Shared by the injected-fault path ([`Self::do_failover`])
+    /// and the chaos-detected path ([`Self::chaos_promote`]). A release
+    /// deferred past the fault dies with the primary: its packets were never
+    /// unplugged, so they are discarded with the rest of the uncommitted
+    /// output, never duplicated.
+    fn promote_backup(&mut self, latency: Nanos) -> SimResult<()> {
+        let voided = self
+            .pending_release
+            .take()
+            .map_or(0, |pr| pr.receipts.len());
+        self.lane.promote(
+            &mut self.cluster,
             self.backup,
-            restored.container.ns.net,
-        );
-        restored.finish(self.cluster.host_mut(self.backup))?;
-
-        // Rebuild the application's working state from restored guest memory.
-        {
-            let now = self.cluster.clock.now();
-            let k = self.cluster.host_mut(self.backup);
-            let mut ctx = GuestCtx::new(k, restored.container.workers[0], now);
-            self.app.recover(&mut ctx)?;
-            k.meter.take();
-            k.fault_meter.take();
-        }
-
-        // Hybrid replay: re-execute the sealed log tail on top of the
-        // restored checkpoint, recovering the post-checkpoint execution
-        // whose outputs were already released at log commit. A divergence
-        // (gap, partial tail, hash mismatch) falls back to the plain
-        // last-checkpoint state just restored.
-        let tail = {
-            let RunMode::Replicated(engine) = &mut self.mode else {
-                unreachable!()
-            };
-            if engine.supports_replay() {
-                Some(engine.take_replay_tail()?)
-            } else {
-                None
-            }
-        };
-        if let Some(tail) = tail {
-            if !tail.logs.is_empty() || tail.dropped_partial {
-                let now = self.cluster.clock.now();
-                self.tracer.event_at(
-                    TraceEvent::ReplayStart {
-                        epochs: tail.logs.len() as u64,
-                        events: tail.events(),
-                    },
-                    now,
-                );
-                let out = replay_tail(
-                    &mut *self.cluster.host_mut(self.backup),
-                    &restored.container,
-                    self.app.as_mut(),
-                    &tail,
-                )?;
-                self.cluster.clock.advance(out.replay_cpu);
-                let done = self.cluster.clock.now();
-                match out.diverged {
-                    Some(reason) => {
-                        self.tracer
-                            .event_at(TraceEvent::ReplayDiverge { reason }, done);
-                        // The executor rolled guest memory back; re-derive
-                        // the app's working state from the checkpoint too.
-                        let k = self.cluster.host_mut(self.backup);
-                        let mut ctx = GuestCtx::new(k, restored.container.workers[0], done);
-                        self.app.recover(&mut ctx)?;
-                        k.meter.take();
-                        k.fault_meter.take();
-                    }
-                    None => {
-                        self.tracer.event_at(
-                            TraceEvent::ReplayComplete {
-                                events: out.events,
-                                replay_time: out.replay_cpu,
-                            },
-                            done,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Uncommitted driver-side buffers are garbage now: the clients will
-        // retransmit anything the committed state has not consumed. Held
-        // bootstrap-era completions were never released — discarded too, as
-        // is any deferred release voided by the fault.
-        let discarded = (self.pending.len() + self.held.len() + voided.len()) as u64;
-        self.tracer.event_at(
-            TraceEvent::OutputDiscard { packets: discarded },
-            self.cluster.clock.now(),
-        );
-        self.pending.clear();
-        self.held.clear();
-
-        self.tracer.event_at(
-            TraceEvent::Failover {
-                detection_latency: latency,
-                restore: report.restore,
-                arp: report.arp,
-                tcp: report.tcp,
-                others: report.others,
-            },
-            self.cluster.clock.now(),
-        );
-
-        self.container = restored.container;
-        self.failover_report = Some(report);
-        self.failovers += 1;
+            engine(&mut self.mode),
+            Some(latency),
+            voided,
+        )?;
         // A repair in flight at failover time is moot: the rearm bootstrap
         // (if any) rebuilds the whole placement from the promoted primary.
-        self.repair = RepairState::Idle;
-        // The promoted host's cgroup accounting starts from zero: without a
-        // fresh sender, `tick` would never see progress and the re-armed
-        // detector would starve.
-        self.sender = HeartbeatSender::new();
-
-        // Retransmissions: restored server sockets re-send unacked
-        // responses (§V-E); clients re-send unacked requests.
-        let ns = self.container.ns.net;
-        self.cluster
-            .host_mut(self.backup)
-            .stack_mut(ns)?
-            .retransmit_all();
-        if let Some(pool) = self.pool.as_mut() {
-            pool.retransmit(&mut self.cluster)?;
-        }
-        self.cluster.pump();
-        // Retransmitted responses reach clients now.
-        let now = self.cluster.clock.now();
-        self.client_collect(now)?;
-
-        let supports_rearm = match &self.mode {
-            RunMode::Replicated(engine) => engine.supports_rearm(),
-            RunMode::Unreplicated => false,
-        };
-        if supports_rearm {
-            // Rearm extension: the promoted host becomes the new primary
-            // (role swap keeps `active_host` and any later failover on the
-            // unmodified code path); the engine parks until a replacement
-            // backup is bootstrapped.
-            let RunMode::Replicated(engine) =
-                std::mem::replace(&mut self.mode, RunMode::Unreplicated)
-            else {
-                unreachable!()
-            };
-            self.parked = Some(engine);
-            std::mem::swap(&mut self.primary, &mut self.backup);
-            self.rearm = RearmState::Scheduled {
-                at: now + self.cfg.rearm_delay,
-                attempt: 0,
-            };
-        } else {
+        self.stream.reset();
+        match std::mem::replace(&mut self.mode, RunMode::Unreplicated) {
+            RunMode::Replicated(engine) if engine.supports_rearm() => {
+                // Rearm extension: the promoted host becomes the new primary
+                // (role swap keeps `active_host` and any later failover on
+                // the unmodified code path); the engine parks until a
+                // replacement backup is bootstrapped.
+                std::mem::swap(&mut self.primary, &mut self.backup);
+                self.park_for_rearm(engine, self.cluster.clock.now());
+            }
             // Continue unreplicated on the backup (the paper does not
             // re-arm replication after failover).
-            self.mode = RunMode::Unreplicated;
-            self.on_backup = true;
+            _ => self.on_backup = true,
         }
         self.epoch += 1;
         Ok(())
+    }
+
+    /// Park `engine` and schedule the bootstrap of a replacement backup
+    /// `rearm_delay` after `t`.
+    fn park_for_rearm(&mut self, engine: Box<dyn Checkpointer>, t: Nanos) {
+        self.parked = Some(engine);
+        self.rearmed = false;
+        self.stream
+            .schedule(StreamKind::Rearm, t + self.cfg.rearm_delay, 0);
     }
 
     /// A backup-host fault fired: with a k-of-n placement and the quorum
@@ -1801,36 +1054,43 @@ impl RunHarness {
         // A deferred release whose ack already committed is legitimate: the
         // backup acknowledged the covering epoch before it died, so flush it
         // (lease validity holds by construction — the ack renewed it).
-        self.chaos_flush_pending(t)?;
-        let has_placement = match &self.mode {
-            RunMode::Replicated(engine) => engine.supports_placement(),
-            RunMode::Unreplicated => false,
-        };
-        if has_placement {
-            let RunMode::Replicated(engine) = &mut self.mode else {
-                unreachable!()
-            };
-            let (k, _n) = engine.placement();
+        self.chaos_flush_pending()?;
+        if matches!(self.stream.phase, StreamPhase::Streaming { .. }) {
+            // The replacement host died mid-stream: discard its
+            // half-assembled image, keep serving, retry with backoff. A
+            // bootstrap had the container unreplicated, so its plugged
+            // output goes out; a repair provisions another fresh host and
+            // epochs keep committing on the surviving quorum throughout.
             self.cluster.partition(self.backup);
-            if let RepairState::Repairing { attempt, .. } = self.repair {
-                // The replacement host died mid-repair: discard its
-                // half-regenerated fragment store, provision another fresh
-                // host, and retry with exponential backoff. Epochs keep
-                // committing on the surviving quorum throughout.
-                engine.repair_abort()?;
-                self.backup = self.cluster.add_host(Kernel::default());
-                let backoff = self
-                    .cfg
-                    .rearm_backoff
-                    .saturating_mul(1u64 << attempt.min(16));
-                self.repair = RepairState::Scheduled {
-                    at: t + backoff,
-                    attempt: attempt + 1,
-                };
-                return Ok(());
-            }
-            let attempt = match self.repair {
-                RepairState::Scheduled { attempt, .. } => attempt + 1,
+            let engine = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked)
+                .expect("streaming without an engine");
+            self.stream.abort(
+                t,
+                engine,
+                self.cluster.host_mut(self.primary),
+                &self.lane.container,
+                self.cfg.rearm_backoff,
+            )?;
+            return match self.stream.kind {
+                StreamKind::Rearm => self.release_plugged_output(t),
+                StreamKind::Repair => {
+                    self.backup = self.cluster.add_host(Kernel::default());
+                    Ok(())
+                }
+            };
+        }
+        let RunMode::Replicated(mut engine) =
+            std::mem::replace(&mut self.mode, RunMode::Unreplicated)
+        else {
+            return Err(SimError::Invalid(
+                "backup fault injected with no live backup".into(),
+            ));
+        };
+        self.cluster.partition(self.backup);
+        if engine.supports_placement() {
+            let (k, _n) = engine.placement();
+            let attempt = match self.stream.phase {
+                StreamPhase::Scheduled { attempt, .. } => attempt + 1,
                 _ => 0,
             };
             let alive = engine.replica_fault()?;
@@ -1839,294 +1099,109 @@ impl RunHarness {
                 // stays plugged/released on the normal ack path. Provision
                 // the replacement immediately; the repair starts after the
                 // same settling delay a rearm bootstrap uses.
+                self.mode = RunMode::Replicated(engine);
                 self.backup = self.cluster.add_host(Kernel::default());
-                self.tracer
+                self.lane
+                    .tracer
                     .event_at(TraceEvent::DegradedMode { alive, need: k }, t);
-                self.repair = RepairState::Scheduled {
-                    at: t + self.cfg.rearm_delay,
-                    attempt,
-                };
+                self.stream
+                    .schedule(StreamKind::Repair, t + self.cfg.rearm_delay, attempt);
                 return Ok(());
             }
             // Below quorum: no further epoch can ack. Fall through to the
             // single-backup degrade path (release everything and, with the
             // rearm extension, bootstrap a whole new placement).
-            self.repair = RepairState::Idle;
-            let RunMode::Replicated(engine) =
-                std::mem::replace(&mut self.mode, RunMode::Unreplicated)
-            else {
-                unreachable!()
-            };
-            self.release_plugged_output(t)?;
-            if engine.supports_rearm() {
-                self.parked = Some(engine);
-                self.rearm = RearmState::Scheduled {
-                    at: t + self.cfg.rearm_delay,
-                    attempt: 0,
-                };
-            }
-            return Ok(());
+            self.stream.reset();
         }
-        if let RearmState::Bootstrapping { attempt, .. } = self.rearm {
-            // The replacement died mid-bootstrap: unwind the COW set, drop
-            // the half-assembled image, keep serving, retry later.
-            self.cluster.partition(self.backup);
-            {
-                let engine = self.parked.as_mut().expect("bootstrapping without an engine");
-                engine.bootstrap_abort(self.cluster.host_mut(self.primary), &self.container)?;
-            }
-            self.release_plugged_output(t)?;
-            let backoff = self
-                .cfg
-                .rearm_backoff
-                .saturating_mul(1u64 << attempt.min(16));
-            self.rearm = RearmState::Scheduled {
-                at: t + backoff,
-                attempt: attempt + 1,
-            };
-            return Ok(());
+        self.release_plugged_output(t)?;
+        if engine.supports_rearm() {
+            self.park_for_rearm(engine, t);
         }
-        if matches!(self.mode, RunMode::Replicated(_)) {
-            self.cluster.partition(self.backup);
-            let RunMode::Replicated(engine) =
-                std::mem::replace(&mut self.mode, RunMode::Unreplicated)
-            else {
-                unreachable!()
-            };
-            self.release_plugged_output(t)?;
-            if engine.supports_rearm() {
-                self.parked = Some(engine);
-                self.rearm = RearmState::Scheduled {
-                    at: t + self.cfg.rearm_delay,
-                    attempt: 0,
-                };
-            }
-            return Ok(());
-        }
-        Err(SimError::Invalid(
-            "backup fault injected with no live backup".into(),
-        ))
+        Ok(())
     }
 
     /// Replication is gone (backup lost): output commit is moot, so unplug
-    /// the qdisc, release everything held, and deliver to clients.
+    /// the qdisc for good, release everything held, and deliver to clients.
     fn release_plugged_output(&mut self, t: Nanos) -> SimResult<()> {
-        let ns = self.container.ns.net;
         let host = self.active_host();
-        let stack = self.cluster.host_mut(host).stack_mut(ns)?;
-        let released = stack.release_output();
-        stack.plugged = false;
-        self.tracer.event_at(
-            TraceEvent::OutputRelease {
-                packets: released as u64,
-            },
-            t,
-        );
-        self.cluster.pump();
-        let cl = self.cluster.host_mut(host).costs.client_link_latency;
-        let held = std::mem::take(&mut self.held);
-        for (remote, t_done) in held {
-            self.receipts
-                .entry(remote)
-                .or_default()
-                .push_back(t_done.max(t) + cl);
-        }
-        self.client_collect(t)?;
-        Ok(())
+        let ns = self.lane.container.ns.net;
+        self.cluster.host_mut(host).stack_mut(ns)?.plugged = false;
+        let held = std::mem::take(&mut self.lane.held);
+        self.lane.release(&mut self.cluster, host, t, held, false)
     }
 
-    /// Start a scheduled bootstrap once its time arrives.
-    fn rearm_tick(&mut self) -> SimResult<()> {
-        if let RearmState::Scheduled { at, attempt } = self.rearm {
-            if at <= self.cluster.clock.now() {
-                self.begin_bootstrap(attempt)?;
-            }
+    /// Start the scheduled stream once its time arrives. A rearm provisions
+    /// a fresh replacement host and stops the container once for the
+    /// bootstrap checkpoint; a repair whose placement has meanwhile degraded
+    /// below quorum (or failed over) is dropped.
+    fn stream_tick(&mut self) -> SimResult<()> {
+        let now = self.cluster.clock.now();
+        if !self.stream.due(now) {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Start a scheduled coded repair once its time arrives (the placement
-    /// analog of [`Self::rearm_tick`]).
-    fn repair_tick(&mut self) -> SimResult<()> {
-        if let RepairState::Scheduled { at, attempt } = self.repair {
-            if at <= self.cluster.clock.now() {
-                let now = self.cluster.clock.now();
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    // The placement degraded below quorum (or failed over)
-                    // after the repair was scheduled.
-                    self.repair = RepairState::Idle;
-                    return Ok(());
-                };
-                self.tracer.event_at(
-                    TraceEvent::RepairStart {
-                        kind: "repair".into(),
-                        attempt,
-                    },
-                    now,
-                );
-                engine.repair_begin(self.epoch)?;
-                self.repair = RepairState::Repairing {
-                    attempt,
-                    streamed_pages: 0,
-                    streamed_bytes: 0,
-                };
-            }
+        let rearm = self.stream.kind == StreamKind::Rearm;
+        if rearm {
+            self.backup = self.cluster.add_host(Kernel::default());
         }
-        Ok(())
-    }
-
-    /// One bounded chunk of the coded-repair stream (runs at the end of each
-    /// replicated epoch while a repair is active). When the last fragment
-    /// regenerates, the repaired replica seals (mid-repair commits included,
-    /// disk resynced) and rejoins the placement at full redundancy.
-    fn repair_step_epoch(&mut self) -> SimResult<()> {
-        let RepairState::Repairing {
-            attempt,
-            streamed_pages,
-            streamed_bytes,
-        } = self.repair
-        else {
+        let Some(engine) = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked) else {
+            self.stream.reset();
             return Ok(());
         };
-        let step = {
-            let RunMode::Replicated(engine) = &mut self.mode else {
-                return Ok(());
-            };
-            engine.repair_step(self.epoch, self.cfg.rearm_chunk_pages)?
-        };
-        let now = self.cluster.clock.now();
-        if step.pages > 0 {
-            self.tracer.event_at(
-                TraceEvent::RepairChunk {
-                    pages: step.pages,
-                    bytes: step.bytes,
-                },
-                now,
-            );
+        if rearm {
+            engine.set_tracer(self.lane.tracer.clone());
         }
-        let pages = streamed_pages + step.pages;
-        let bytes = streamed_bytes + step.bytes;
-        if step.remaining == 0 {
-            {
-                let RunMode::Replicated(engine) = &mut self.mode else {
-                    unreachable!()
-                };
-                engine.repair_finish(self.cluster.host_mut(self.backup), self.epoch)?;
-            }
-            self.repair = RepairState::Idle;
-            self.tracer
-                .event_at(TraceEvent::RepairComplete { pages, bytes }, now);
-        } else {
-            self.repair = RepairState::Repairing {
-                attempt,
-                streamed_pages: pages,
-                streamed_bytes: bytes,
-            };
-        }
-        Ok(())
-    }
-
-    /// Provision a fresh replacement host and take the full COW-deferred
-    /// bootstrap checkpoint (one stop of roughly an incremental epoch's
-    /// length); the page payload then streams in bounded per-epoch chunks.
-    fn begin_bootstrap(&mut self, attempt: u32) -> SimResult<()> {
-        let now = self.cluster.clock.now();
-        self.backup = self.cluster.add_host(Kernel::default());
-        let mut engine = self
-            .parked
-            .take()
-            .expect("rearm scheduled with no parked engine");
-        engine.set_tracer(self.tracer.clone());
-        engine.rearm_prepare(self.cluster.host_mut(self.primary), &self.container)?;
-        self.cluster.host_mut(self.primary).meter.take();
-        self.tracer
-            .event_at(TraceEvent::RearmStart { attempt }, now);
-        let begin = engine.bootstrap_begin(
+        let stop = self.stream.begin(
+            now,
+            engine,
             self.cluster.host_mut(self.primary),
-            &self.container,
+            &self.lane.container,
             self.epoch,
+            &self.lane.tracer,
         )?;
-        self.cluster.clock.advance(begin.stop_time);
-        self.last_stop = begin.stop_time;
-        self.rearm = RearmState::Bootstrapping {
-            attempt,
-            epoch: self.epoch,
-            streamed_pages: 0,
-            streamed_bytes: 0,
-        };
-        self.parked = Some(engine);
+        if rearm {
+            self.cluster.clock.advance(stop);
+            self.lane.last_stop = stop;
+        }
         Ok(())
     }
 
-    /// One bounded chunk of the bootstrap stream (runs at the end of each
-    /// epoch while a bootstrap is active). When the last deferred page
-    /// lands, the image commits on the replacement and incremental epochs
-    /// resume with a fresh failure detector.
-    fn bootstrap_step_epoch(&mut self) -> SimResult<()> {
-        let RearmState::Bootstrapping {
-            attempt,
-            epoch,
-            streamed_pages,
-            streamed_bytes,
-        } = self.rearm
-        else {
+    /// One bounded chunk of the stream in flight, if any (runs at the end of
+    /// each epoch). A completed repair rejoins the placement at full
+    /// redundancy; a completed bootstrap resumes incremental epochs with a
+    /// fresh failure detector.
+    fn stream_step(&mut self) -> SimResult<()> {
+        let Some(engine) = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked) else {
             return Ok(());
         };
-        let step = {
-            let engine = self.parked.as_mut().expect("bootstrapping without an engine");
-            engine.bootstrap_step(
-                self.cluster.host_mut(self.primary),
-                epoch,
-                self.cfg.rearm_chunk_pages,
-            )?
-        };
         let now = self.cluster.clock.now();
-        if step.pages > 0 {
-            self.tracer.event_at(
-                TraceEvent::BootstrapChunk {
-                    pages: step.pages,
-                    bytes: step.bytes,
-                },
-                now,
-            );
+        let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
+        let done = self.stream.step(
+            now,
+            engine,
+            pk,
+            bk,
+            self.epoch,
+            self.cfg.rearm_chunk_pages,
+            &self.lane.tracer,
+        )?;
+        if !done || self.stream.kind == StreamKind::Repair {
+            return Ok(());
         }
-        let pages = streamed_pages + step.pages;
-        let bytes = streamed_bytes + step.bytes;
-        if step.remaining == 0 {
-            {
-                let engine = self.parked.as_mut().expect("bootstrapping without an engine");
-                engine.bootstrap_finish(self.cluster.host_mut(self.backup), epoch)?;
-            }
-            let engine = self.parked.take().expect("just used");
-            if engine.supports_replay() {
-                // The promoted host resumes recording for the new pair.
-                self.cluster.host_mut(self.primary).replay.enable();
-            }
-            self.mode = RunMode::Replicated(engine);
-            self.rearm = RearmState::Armed;
-            self.detector = FailureDetector::new(
-                self.cfg.heartbeat_interval,
-                self.cfg.heartbeat_misses,
-                now,
-            );
-            self.detector.set_tracer(self.tracer.clone());
-            if let Some(ch) = self.chaos.as_mut() {
-                // Fresh pair, fresh fences: re-anchor both leases at `now`
-                // so a grant left over from before the fault cannot
-                // green-light an instant promotion.
-                ch.holder.grant(now);
-                ch.grant.grant(now);
-                ch.holder_was_valid = true;
-            }
-            self.tracer
-                .event_at(TraceEvent::RearmComplete { pages, bytes }, now);
-        } else {
-            self.rearm = RearmState::Bootstrapping {
-                attempt,
-                epoch,
-                streamed_pages: pages,
-                streamed_bytes: bytes,
-            };
+        let engine = self.parked.take().expect("just used");
+        if engine.supports_replay() {
+            // The promoted host resumes recording for the new pair.
+            self.cluster.host_mut(self.primary).replay.enable();
+        }
+        self.mode = RunMode::Replicated(engine);
+        self.rearmed = true;
+        self.lane.detector =
+            FailureDetector::new(self.cfg.heartbeat_interval, self.cfg.heartbeat_misses, now);
+        self.lane.detector.set_tracer(self.lane.tracer.clone());
+        if let Some(ch) = self.chaos.as_mut() {
+            // Fresh pair, fresh fences: re-anchor both leases at `now` so a
+            // grant left over from before the fault cannot green-light an
+            // instant promotion.
+            ch.fence.on_ack(now, now);
         }
         Ok(())
     }
@@ -2135,47 +1210,27 @@ impl RunHarness {
     pub fn finish(mut self) -> RunResult {
         // Flush a deferred release still sitting at the end of the run (its
         // ack committed; only the epoch boundary never came).
-        if self.pending_release.is_some() {
-            let now = self.cluster.clock.now();
-            let _ = self.chaos_flush_pending(now);
-        }
-        let _ = self.tracer.flush();
-        self.metrics.elapsed = self.cluster.clock.now();
-        // A failed client-stack lookup must fail the run, not count as zero
-        // broken connections — fold the error into `verify` so the §VII-A
-        // gate can't pass vacuously.
-        let (broken, broken_err) = match self.pool.as_mut() {
-            Some(p) => match p.broken_connections(&mut self.cluster) {
-                Ok(n) => (n, None),
-                Err(e) => (u64::MAX, Some(format!("broken_connections: {e}"))),
-            },
-            None => (0, None),
-        };
-        let verify = match broken_err {
-            Some(e) => Err(e),
-            None => match &self.behavior {
-                Some(b) => b.verify(),
-                None => Ok(()),
-            },
-        };
+        let _ = self.chaos_flush_pending();
+        self.lane.metrics.elapsed = self.cluster.clock.now();
+        let (broken_connections, verify) = self.lane.finish(&mut self.cluster);
         // A scheduled fault that never fired is unproven survival: the old
         // `recovered` semantics (fault pending + still on the primary =
         // not recovered) are preserved by counting it against the run.
         let unrecovered = self.unrecovered_faults + self.faults.len() as u64;
         RunResult {
-            metrics: self.metrics,
-            failover: self.failover_report,
-            detection_latency: self.detection_latency,
+            metrics: self.lane.metrics,
+            failover: self.lane.failover_report,
+            detection_latency: self.lane.detection_latency,
             recovered: unrecovered == 0,
-            failovers: self.failovers,
+            failovers: self.lane.failovers,
             unrecovered_faults: unrecovered,
-            broken_connections: broken,
+            broken_connections,
             verify,
         }
     }
 
     /// Read-only metrics access mid-run.
     pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
+        &self.lane.metrics
     }
 }

@@ -40,7 +40,9 @@
 //! * [`traffic`] — client pool and the [`traffic::ClientBehavior`] seam that
 //!   workloads implement,
 //! * [`harness`] — the epoch-loop run harness (unreplicated / NiLiCon / MC)
-//!   with fault injection,
+//!   with fault injection; it and [`fleet`] drive one private lane core
+//!   (execution phase, output release, lease fence, promotion tail,
+//!   rearm/repair stream),
 //! * [`metrics`] — per-epoch records and aggregation (Tables III-VI),
 //! * [`trace`] — epoch-phase spans/events with pluggable sinks (see
 //!   `OBSERVABILITY.md` for the schema).
@@ -93,6 +95,7 @@ pub mod detector;
 pub mod engine;
 pub mod fleet;
 pub mod harness;
+mod lane;
 pub mod metrics;
 pub mod nilicon_engine;
 pub mod placement;

@@ -197,18 +197,11 @@ fn commit_replica(
 impl PlacementEngine {
     /// New engine for `opts.backups` replicas with quorum `opts.quorum`.
     /// Requires the staged transfer path and composes with neither the
-    /// delta nor the COW extension.
+    /// delta nor the COW extension ([`OptimizationConfig::validate`], whose
+    /// placement rules are keyed on `backups > 1`: the degenerate (1,1)
+    /// placement is a test seam no knob selects).
     pub fn new(opts: OptimizationConfig, costs: CostModel) -> SimResult<Self> {
-        if !opts.staging_buffer {
-            return Err(SimError::Invalid(
-                "placement requires the staging buffer (staged ack path)".into(),
-            ));
-        }
-        if opts.delta_transfer || opts.cow_checkpoint {
-            return Err(SimError::Invalid(
-                "placement composes with neither delta_transfer nor cow_checkpoint".into(),
-            ));
-        }
+        opts.validate()?;
         Ok(PlacementEngine {
             codec: ShardCodec::new(opts.quorum, opts.backups)?,
             replicas: (0..opts.backups)

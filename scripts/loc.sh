@@ -1,0 +1,34 @@
+#!/bin/sh
+# Code lines per source file: non-blank, non-comment lines above the first
+# `#[cfg(test)]`, for every crates/*/src/**/*.rs, plus the total. This is the
+# "net LOC (non-test, non-doc)" figure the ROADMAP ground rules ask each PR
+# to report. Exits non-zero when the two epoch drivers and the lane core they
+# share (harness.rs + fleet.rs + lane.rs) exceed the ratchet below; ROADMAP
+# item 1 PRs lower it, nothing raises it.
+set -eu
+cd "$(dirname "$0")/.."
+
+RATCHET=2122
+
+count() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+         { n++ }
+         END { print n + 0 }' "$1"
+}
+
+total=0
+drivers=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+    n=$(count "$f")
+    printf '%6d  %s\n' "$n" "$f"
+    total=$((total + n))
+    case "$f" in
+    crates/core/src/harness.rs | crates/core/src/fleet.rs | crates/core/src/lane.rs)
+        drivers=$((drivers + n))
+        ;;
+    esac
+done
+printf '%6d  total\n' "$total"
+printf '%6d  harness.rs + fleet.rs + lane.rs (ratchet %d)\n' "$drivers" "$RATCHET"
+[ "$drivers" -le "$RATCHET" ]
