@@ -1,8 +1,10 @@
 //! Wall-clock microbenchmarks of the substrate hot paths: dirty tracking,
 //! guest memory writes, the plug qdisc, socket checkpointing, the message
 //! path (one request frame client to server, one KV batch served), dump/
-//! restore of a realistic container, and the dump → ingest → commit round trip
-//! a page buffer makes every epoch.
+//! restore of a realistic container, the dump → ingest → commit round trip
+//! a page buffer makes every epoch, and the staged path's drain: the protect
+//! queue's cycle and the delta encode of a lent page against the number of
+//! lines the guest wrote in it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nilicon::backup::BackupAgent;
@@ -10,16 +12,19 @@ use nilicon::traffic::ClientBehavior;
 use nilicon_container::{
     encode_frame, take_frame, Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout,
 };
-use nilicon_criu::{dump_container, full_dump, DumpConfig};
+use nilicon_criu::{dump_container, full_dump, DeltaStats, DumpConfig, PageKey, ShadowStore};
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::{end_page_round, TrackingMode};
+use nilicon_sim::mem::{end_page_round, AddressSpace, TrackingMode, LINE_BYTES};
 use nilicon_sim::net::{InputMode, NetStack, TcpState};
 use nilicon_sim::proc::FreezeStrategy;
+use nilicon_sim::PAGE_SIZE;
 use nilicon_workloads::{RedisApp, Scale, YcsbBehavior};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::rc::Rc;
 
 fn container_kernel(heap_pages: u64) -> (Kernel, nilicon_container::Container) {
     let mut k = Kernel::default();
@@ -237,11 +242,110 @@ fn bench_dump_restore(c: &mut Criterion) {
     group.finish();
 }
 
+/// The heap the staged-path rows run on — `storm_staged`'s shape: 16 384
+/// resident pages, 2 700 of them dirty per epoch, scattered.
+const STAGED_RESIDENT: u64 = 16_384;
+const STAGED_DIRTY: u64 = 2_700;
+
+/// The `i`-th dirty page of `epoch`: a stride coprime to the footprint.
+fn staged_page(epoch: u64, i: u64) -> u64 {
+    (epoch * STAGED_DIRTY + i) * 7 % STAGED_RESIDENT
+}
+
+/// An address space with a fully resident `STAGED_RESIDENT`-page mapping at
+/// address 0 (page `n` is vpn `n`).
+fn staged_space() -> AddressSpace {
+    let mut a = AddressSpace::new();
+    a.mmap_anon(0, STAGED_RESIDENT * PAGE_SIZE as u64).unwrap();
+    a.set_tracking(TrackingMode::SoftDirty);
+    for page in 0..STAGED_RESIDENT {
+        let fill = [page as u8 | 1; PAGE_SIZE];
+        a.write(page * PAGE_SIZE as u64, &fill).unwrap();
+    }
+    a
+}
+
+/// Staged-path rows. `delta/encode_lent_L_lines_cold` is a curve, not a
+/// point (cost of one epoch's drain + encode against the lines written per
+/// page): each iteration writes `L` lines in each of 2 700 scattered pages of
+/// the 64 MiB heap (untimed), then times scan → protect → drain with every
+/// lent page encoded against a 64 MiB shadow — frame and shadow lines come
+/// from memory, as they do in the system, not from the cache the `delta`
+/// bench's hot rows run in. `mem/cow_protect_drain_cycle_*` is the set
+/// traffic alone: the protect-set test of 2 700 writes, the protect, the pops.
+fn bench_staged_drain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("delta");
+    for lines in [1usize, 4, 16, 64] {
+        group.bench_function(format!("encode_lent_{lines}_lines_cold"), |b| {
+            let space = RefCell::new(staged_space());
+            let mut shadow = ShadowStore::new();
+            let mut stats = DeltaStats::default();
+            let key = |vpn| PageKey {
+                pid: nilicon_sim::ids::Pid(1),
+                vpn,
+            };
+            // The initial sync: every page ships whole and is shadowed.
+            let mut drain = |a: &mut AddressSpace| {
+                let vpns = a.soft_dirty_vpns();
+                a.clear_refs();
+                a.cow_protect(&vpns);
+                a.cow_drain_with(usize::MAX, |vpn, page, lines| {
+                    let full = || Rc::new(*page);
+                    black_box(shadow.encode_with(key(vpn), page, lines, full, &mut stats));
+                })
+            };
+            drain(&mut space.borrow_mut());
+            let mut epoch = 0u64;
+            b.iter_batched(
+                || {
+                    epoch += 1;
+                    let mut a = space.borrow_mut();
+                    for i in 0..STAGED_DIRTY {
+                        let at = staged_page(epoch, i) * PAGE_SIZE as u64;
+                        // Every other line from a varying start, so the
+                        // written lines are not one contiguous run.
+                        for l in 0..lines {
+                            let line = (epoch as usize + 2 * l + l / 32) % 64;
+                            a.write(at + (line * LINE_BYTES) as u64, &[epoch as u8; LINE_BYTES])
+                                .unwrap();
+                        }
+                    }
+                },
+                |()| black_box(drain(&mut space.borrow_mut())),
+                criterion::BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("mem");
+    group.bench_function(
+        format!("cow_protect_drain_cycle_{STAGED_DIRTY}_of_{STAGED_RESIDENT}"),
+        |b| {
+            let mut a = staged_space();
+            a.clear_refs();
+            let mut epoch = 0u64;
+            b.iter(|| {
+                epoch += 1;
+                for i in 0..STAGED_DIRTY {
+                    a.touch(staged_page(epoch, i) * PAGE_SIZE as u64).unwrap();
+                }
+                let vpns = a.soft_dirty_vpns();
+                a.clear_refs();
+                a.cow_protect(&vpns);
+                black_box(a.cow_drain_with(usize::MAX, |_, _, _| {}))
+            });
+        },
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mem_write,
     bench_qdisc_and_sockets,
     bench_kv_batch,
-    bench_dump_restore
+    bench_dump_restore,
+    bench_staged_drain
 );
 criterion_main!(benches);

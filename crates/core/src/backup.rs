@@ -9,8 +9,8 @@
 //! materialized into CRIU-format images and restored.
 
 use nilicon_criu::{
-    recycle_fragment, CheckpointImage, FragBuf, LinkedListStore, PageEncoding, PageKey, PageStore,
-    RadixTreeStore,
+    recycle_fragment, unmapped_since, CheckpointImage, FragBuf, LinkedListStore, PageEncoding,
+    PageKey, PageStore, RadixTreeStore,
 };
 use nilicon_sim::ids::Pid;
 use nilicon_drbd::{DrbdBackup, DrbdMsg};
@@ -283,9 +283,10 @@ impl BackupAgent {
         self.pending.contains_key(&epoch) && self.drbd.epoch_complete(epoch)
     }
 
-    /// Commit everything up to and including `epoch`: merge pages into the
-    /// store, merge fs-cache state, adopt the metadata image, apply disk
-    /// writes. Returns backup CPU consumed.
+    /// Commit everything up to and including `epoch`: prune the pages the
+    /// epoch's VMAs no longer cover, merge pages into the store, merge
+    /// fs-cache state, adopt the metadata image, apply disk writes. Returns
+    /// backup CPU consumed.
     ///
     /// An epoch carrying a delta for a page the store has never seen is
     /// rejected as [`SimError::ImageCorrupt`] before it mutates anything (a
@@ -331,6 +332,16 @@ impl BackupAgent {
                     img.fs_inodes.clone(),
                 ),
             };
+            // Pages the container unmapped since the image this one replaces
+            // leave the stores with it: mapped again and never written, they
+            // are zeros on the primary and must be at failover.
+            if let Some(prev) = &self.committed_meta {
+                let was = prev.processes.iter().map(|p| (p.pid, &p.vmas[..]));
+                for (pid, vpns) in unmapped_since(was, &img.processes) {
+                    self.store.remove_range(pid, vpns.clone());
+                    self.frag_store.remove_range(pid, vpns);
+                }
+            }
             self.store.begin_checkpoint();
             self.frag_store.begin_checkpoint();
             let mut probes = 0u64;

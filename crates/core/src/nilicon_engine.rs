@@ -12,9 +12,13 @@ use crate::engine::{
 use crate::stages::{deferred_pids, delta_event, ChunkClock, StageCore, Stopped, CHUNK_PAGES};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore};
+use nilicon_criu::{
+    unmapped_since, CheckpointImage, DeltaStats, PageEncoding, PageKey, RestoredContainer,
+    ShadowStore,
+};
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
+use nilicon_sim::mem::Vma;
 use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, PageBuf, SimResult, PAGE_SIZE};
@@ -28,6 +32,9 @@ pub struct NiLiConEngine {
     /// Primary-side shadow of the page contents last shipped to the backup —
     /// the base for the next epoch's XOR deltas (`delta_transfer`).
     shadow: ShadowStore,
+    /// The VMAs of the image the shadow was last encoded for, per process:
+    /// what the next image is compared with to forget unmapped pages.
+    mapped: Vec<(Pid, Vec<Vma>)>,
     /// Test-only fault injection: abort the COW drain after this many page
     /// chunks have been streamed, as if the primary died mid-copy. The
     /// epoch's assembly is never finished at the backup, so it can never be
@@ -76,6 +83,7 @@ impl NiLiConEngine {
             agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
             core: StageCore::new(opts, costs),
             shadow: ShadowStore::new(),
+            mapped: Vec::new(),
             cow_fail_after_chunks: None,
             log_fail_after_chunks: None,
             stage_fail_at_chunk: None,
@@ -85,6 +93,25 @@ impl NiLiConEngine {
     /// Active optimization set.
     pub fn opts(&self) -> OptimizationConfig {
         self.core.opts
+    }
+
+    /// `img` is the next image the backup commits: drop from the shadow the
+    /// pages it no longer maps, which that commit prunes from the store — a
+    /// pruned store under a live shadow entry would make the page's next
+    /// delta an orphan.
+    fn forget_unmapped(&mut self, img: &CheckpointImage) {
+        let now = img.processes.iter().map(|p| (p.pid, &p.vmas[..]));
+        if now
+            .clone()
+            .eq(self.mapped.iter().map(|(pid, v)| (*pid, &v[..])))
+        {
+            return;
+        }
+        let was = self.mapped.iter().map(|(pid, v)| (*pid, &v[..]));
+        for (pid, vpns) in unmapped_since(was, &img.processes) {
+            self.shadow.forget(pid, vpns);
+        }
+        self.mapped = now.map(|(pid, v)| (pid, v.to_vec())).collect();
     }
 
     /// Open `epoch`'s assembly at the backup with the metadata image and the
@@ -181,18 +208,19 @@ impl NiLiConEngine {
         'drain: for &pid in &pids {
             loop {
                 let m0 = primary.meter.lifetime_total();
-                // The drain lends each frame; a page is copied out only if
-                // it ships whole. Delta composition: encode at copy time
-                // against the shadow of the last shipped epoch — the encode
-                // CPU rides the drain, off the stop phase.
+                // The drain lends each frame with the lines written since it
+                // was last lent; a page is copied out only if it ships
+                // whole. Delta composition: encode at copy time against the
+                // shadow of the last shipped epoch, reading those lines only
+                // — the encode CPU rides the drain, off the stop phase.
                 let mut pages = Vec::with_capacity(if delta { 0 } else { CHUNK_PAGES });
                 let mut deltas = Vec::with_capacity(if delta { CHUNK_PAGES } else { 0 });
                 let mut bytes = 0u64;
                 let (shadow, dstats) = (&mut self.shadow, &mut s.dstats);
-                let n = primary.cow_drain_with(pid, CHUNK_PAGES, |vpn, page| {
+                let n = primary.cow_drain_with(pid, CHUNK_PAGES, |vpn, page, lines| {
                     if delta {
                         let key = PageKey { pid, vpn };
-                        let enc = shadow.encode_with(key, page, || Rc::new(*page), dstats);
+                        let enc = shadow.encode_with(key, page, lines, || Rc::new(*page), dstats);
                         bytes += enc.encoded_bytes();
                         deltas.push((pid, vpn, enc));
                     } else {
@@ -334,6 +362,9 @@ impl Checkpointer for NiLiConEngine {
         let encode =
             (opts.delta_transfer && !opts.cow_checkpoint && !pipelined).then_some(&mut self.shadow);
         let stopped = self.core.stop_phase(primary, container, epoch, encode)?;
+        if opts.delta_transfer {
+            self.forget_unmapped(&stopped.img);
+        }
         let mut stop_time = stopped.stop_time;
         let dirty_pages = stopped.img.stats.dirty_pages;
 
@@ -439,6 +470,7 @@ impl Checkpointer for NiLiConEngine {
         // no base image to patch against).
         self.agent = BackupAgent::new(self.core.costs.clone(), self.core.opts.optimize_criu);
         self.shadow = ShadowStore::new();
+        self.mapped.clear();
         self.core.rearm(primary, container)
     }
 
@@ -951,10 +983,14 @@ mod tests {
         assert_eq!(byte[0], 3);
     }
 
-    /// A heap that shrinks after its pages were committed leaves the backup
-    /// holding pages no VMA of the latest image covers; failover restores
-    /// around them.
-    fn shrink_then_failover(opts: OptimizationConfig) {
+    /// A range unmapped after its pages were committed leaves every holder
+    /// of those pages at the commit that carries the shrunken VMAs — the
+    /// backup's store, the delta shadow — so mapped again and only read it is
+    /// zeros after failover, as it is on the primary: across a checkpoint
+    /// (the `brk` shrink) and within one epoch (`munmap` then `mmap` at the
+    /// same address). Without `regrow` the container fails over shrunken.
+    fn shrink_then_failover(opts: OptimizationConfig, regrow: bool) {
+        const ARENA: u64 = 0x6000_0000_0000;
         let mut p = Kernel::default();
         let mut b = Kernel::default();
         let c =
@@ -963,11 +999,18 @@ mod tests {
         let mut e = NiLiConEngine::new(opts, p.costs.clone());
         e.prepare(&mut p, &c).unwrap();
         let top = c.spec.heap_pages - 1;
+        p.mm_mut(pid).unwrap().mmap_anon(ARENA, 0x2000).unwrap();
         p.mem_write(pid, MemLayout::heap(0), b"survives").unwrap();
-        p.mem_write(pid, MemLayout::heap_page(top), b"doomed")
-            .unwrap();
+        for addr in [
+            MemLayout::heap_page(top - 1),
+            MemLayout::heap_page(top),
+            ARENA,
+        ] {
+            p.mem_write(pid, addr, b"doomed").unwrap();
+        }
         e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
         e.commit(&mut b, 1).unwrap();
+        let stored = e.agent.stored_pages();
         p.mm_mut(pid)
             .unwrap()
             .brk(MemLayout::heap_page(top / 2))
@@ -975,28 +1018,72 @@ mod tests {
         p.mem_write(pid, MemLayout::heap(0), b"SURVIVES").unwrap();
         e.checkpoint(&mut p, &mut b, &c, 2).unwrap();
         e.commit(&mut b, 2).unwrap();
+        assert_eq!(e.agent.stored_pages(), stored - 2, "pruned above the break");
+
+        let mut buf = [0u8; 8];
+        if regrow {
+            let mm = p.mm_mut(pid).unwrap();
+            mm.brk(MemLayout::heap_page(top + 1)).unwrap();
+            mm.munmap(ARENA).unwrap();
+            mm.mmap_anon(ARENA, 0x2000).unwrap();
+            for addr in [
+                MemLayout::heap_page(top - 1),
+                MemLayout::heap_page(top),
+                ARENA,
+            ] {
+                p.mem_read(pid, addr, &mut buf).unwrap();
+                assert_eq!(buf, [0; 8], "fresh memory on the primary");
+            }
+            e.checkpoint(&mut p, &mut b, &c, 3).unwrap();
+            e.commit(&mut b, 3).unwrap();
+            // A page both sides forgot has no base: it ships whole again.
+            p.mem_write(pid, MemLayout::heap_page(top), b"REBORN")
+                .unwrap();
+            e.checkpoint(&mut p, &mut b, &c, 4).unwrap();
+            e.commit(&mut b, 4).unwrap();
+        }
 
         let (restored, _) = e.failover(&mut b).unwrap();
-        assert_eq!(restored.skipped_pages, 1, "the page above the new break");
+        assert_eq!(restored.skipped_pages, 0, "nothing stale left to skip");
         restored.finish(&mut b).unwrap();
-        let mut buf = [0u8; 8];
         b.mem_read(pid, MemLayout::heap(0), &mut buf).unwrap();
         assert_eq!(&buf, b"SURVIVES");
-        assert!(b
-            .mem_read(pid, MemLayout::heap_page(top), &mut buf)
-            .is_err());
+        if regrow {
+            for addr in [MemLayout::heap_page(top - 1), ARENA] {
+                b.mem_read(pid, addr, &mut buf).unwrap();
+                assert_eq!(buf, [0; 8], "{addr:#x}: old bytes resurrected");
+            }
+            b.mem_read(pid, MemLayout::heap_page(top), &mut buf)
+                .unwrap();
+            assert_eq!(&buf, b"REBORN\0\0");
+        } else {
+            assert!(b
+                .mem_read(pid, MemLayout::heap_page(top), &mut buf)
+                .is_err());
+        }
     }
 
     #[test]
     fn shrink_then_failover_sync_path() {
-        shrink_then_failover(OptimizationConfig::nilicon());
+        shrink_then_failover(OptimizationConfig::nilicon(), false);
+        shrink_then_failover(OptimizationConfig::nilicon(), true);
     }
 
     #[test]
     fn shrink_then_failover_cow_path() {
         let mut opts = OptimizationConfig::nilicon();
         opts.cow_checkpoint = true;
-        shrink_then_failover(opts);
+        shrink_then_failover(opts, false);
+        shrink_then_failover(opts, true);
+    }
+
+    #[test]
+    fn shrink_then_failover_delta_cow_path() {
+        let mut opts = OptimizationConfig::nilicon();
+        opts.cow_checkpoint = true;
+        opts.delta_transfer = true;
+        shrink_then_failover(opts, false);
+        shrink_then_failover(opts, true);
     }
 
     #[test]

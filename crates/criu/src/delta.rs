@@ -19,8 +19,9 @@
 //!
 //! The encoder touches bytes in proportion to what changed. It reads the
 //! dirty page through a borrow ([`ShadowStore::encode_with`] — the COW drain
-//! lends the live frame), computes the per-word diff bitmap once with a
-//! vector kernel, and derives the exact encoded size from the bitmap alone.
+//! lends the live frame together with the set of 64-byte lines the guest
+//! wrote), computes the per-word diff bitmap once with a vector kernel over
+//! those lines only, and derives the exact encoded size from the bitmap alone.
 //! Only then does it build anything: a sparse page gets its runs (two exact
 //! allocations) and the shadow copy is patched in place; a first-touch or
 //! dense page asks the caller for a [`PageBuf`] (refcounted, immutable while
@@ -32,7 +33,7 @@
 //! (the `DeltaEncode` trace span and `trace-report`'s encoded-vs-raw column).
 
 use crate::pagestore::PageKey;
-use nilicon_sim::mem::PageKeyHasher;
+use nilicon_sim::mem::{PageKeyHasher, ALL_LINES, LINE_BYTES};
 use nilicon_sim::{zero_page, PageBuf, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -46,9 +47,6 @@ pub const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
 
 /// 64-word chunks per page: one `u64` of the diff bitmap each.
 const BITMAP_CHUNKS: usize = WORDS_PER_PAGE / 64;
-
-/// Bytes per comparison block (one cache line, one vector compare).
-const BLOCK_BYTES: usize = 64;
 
 /// Wire-size model: every encoded page carries one 8-byte header word
 /// (class tag + vpn-relative addressing).
@@ -230,11 +228,21 @@ impl ShadowStore {
         self.pages.is_empty()
     }
 
+    /// Forget the pages of `pid` in `vpns`: the container unmapped the
+    /// range, and the backup prunes it from its store at the same epoch
+    /// boundary ([`crate::image::unmapped_since`]), so a page mapped there
+    /// later has no base on either side and ships whole.
+    pub fn forget(&mut self, pid: nilicon_sim::ids::Pid, vpns: std::ops::Range<u64>) {
+        self.pages
+            .retain(|key, _| key.pid != pid || !vpns.contains(&key.vpn));
+    }
+
     /// Classify and encode one dirty page against the shadow copy, updating
     /// the shadow and `stats`. A page that ships whole shares `data`'s
-    /// buffer with the shadow and the encoding.
+    /// buffer with the shadow and the encoding. A captured buffer does not
+    /// say where it was written, so every line is compared.
     pub fn encode(&mut self, key: PageKey, data: &PageBuf, stats: &mut DeltaStats) -> PageEncoding {
-        self.encode_with(key, data, || data.clone(), stats)
+        self.encode_with(key, data, ALL_LINES, || data.clone(), stats)
     }
 
     /// [`Self::encode`] for a page the caller only has on loan (a live frame
@@ -242,10 +250,17 @@ impl ShadowStore {
     /// — at most once — only if the page's whole contents must be kept, i.e.
     /// it ships as a full page, or the shadow copy is still shared with
     /// another holder and so cannot be patched.
+    ///
+    /// `lines` is the page's written-line set: bit `l` clear promises that
+    /// bytes `64 l .. 64 l + 64` of `data` equal the shadow copy's, and the
+    /// diff reads only the lines whose bit is set. It may over-approximate
+    /// ([`ALL_LINES`] is always right); a debug build recomputes the diff
+    /// over every line and asserts that the two agree.
     pub fn encode_with(
         &mut self,
         key: PageKey,
         data: &[u8; PAGE_SIZE],
+        lines: u64,
         full: impl FnOnce() -> PageBuf,
         stats: &mut DeltaStats,
     ) -> PageEncoding {
@@ -261,7 +276,12 @@ impl ShadowStore {
                 Entry::Vacant(e) => PageEncoding::Full(e.insert(full()).clone()),
                 Entry::Occupied(mut e) => {
                     let shadow = e.get_mut();
-                    let bm = diff_word_bitmap(shadow, data);
+                    let bm = diff_word_bitmap(shadow, data, lines);
+                    debug_assert_eq!(
+                        bm,
+                        diff_word_bitmap(shadow, data, ALL_LINES),
+                        "{key:?}: a line outside {lines:#x} differs from the shadow"
+                    );
                     let (words, runs) = diff_shape(&bm);
                     if delta_wire_bytes(runs, words) < PAGE_SIZE as u64 {
                         let dp = build_runs(&bm, words, runs, shadow, data);
@@ -295,28 +315,58 @@ impl ShadowStore {
 
 /// All-zero check, one 64-byte block compare at a time (vectorized memcmp).
 fn is_zero_page(data: &[u8; PAGE_SIZE]) -> bool {
-    const ZERO_BLOCK: [u8; BLOCK_BYTES] = [0u8; BLOCK_BYTES];
-    data.chunks_exact(BLOCK_BYTES).all(|b| b == ZERO_BLOCK)
+    const ZERO_BLOCK: [u8; LINE_BYTES] = [0u8; LINE_BYTES];
+    data.chunks_exact(LINE_BYTES).all(|b| b == ZERO_BLOCK)
 }
 
-/// Per-word diff bitmap of a page: bit `w` of `result[w / 64]` is set iff
-/// 64-bit word `w` differs between `old` and `new`. Dispatches to the widest
-/// vector kernel the CPU supports; `is_x86_feature_detected!` caches its
-/// CPUID probe, so the per-call dispatch cost is a predicted branch.
+/// Per-word diff bitmap of a page over the lines of `lines`: bit `w` of
+/// `result[w / 64]` is set iff 64-bit word `w` lies in one of those lines and
+/// differs between `old` and `new`; the other lines are not read. Dispatches
+/// to the widest vector kernel the CPU supports; `is_x86_feature_detected!`
+/// caches its CPUID probe, so the per-call dispatch cost is a predicted
+/// branch.
 #[inline]
-fn diff_word_bitmap(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; BITMAP_CHUNKS] {
+fn diff_word_bitmap(
+    old: &[u8; PAGE_SIZE],
+    new: &[u8; PAGE_SIZE],
+    lines: u64,
+) -> [u64; BITMAP_CHUNKS] {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f support was just verified at runtime.
-            return unsafe { diff_word_bitmap_avx512(old, new) };
+            return unsafe { diff_word_bitmap_avx512(old, new, lines) };
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: avx2 support was just verified at runtime.
-            return unsafe { diff_word_bitmap_avx2(old, new) };
+            return unsafe { diff_word_bitmap_avx2(old, new, lines) };
         }
     }
-    diff_word_bitmap_scalar(old, new)
+    diff_word_bitmap_scalar(old, new, lines)
+}
+
+/// Assemble the bitmap from `block(l)`, the eight inequality bits of the
+/// words of line `l`, over the lines of `lines`: eight lines of 64 bytes are
+/// the 64 words one bitmap entry covers. Every line — the eager paths — is
+/// the fixed walk the kernels always ran; a sparse set walks its set bits.
+#[inline(always)]
+fn bitmap_of(lines: u64, block: impl Fn(usize) -> u64) -> [u64; BITMAP_CHUNKS] {
+    let mut bm = [0u64; BITMAP_CHUNKS];
+    if lines == ALL_LINES {
+        for (chunk, out) in bm.iter_mut().enumerate() {
+            for b in 0..8 {
+                *out |= block(chunk * 8 + b) << (b * 8);
+            }
+        }
+    } else {
+        let mut left = lines;
+        while left != 0 {
+            let line = left.trailing_zeros() as usize;
+            left &= left - 1;
+            bm[line / 8] |= block(line) << (line % 8 * 8);
+        }
+    }
+    bm
 }
 
 /// AVX-512 word diff: `vpcmpq` yields one inequality bit per 64-bit lane
@@ -328,23 +378,17 @@ fn diff_word_bitmap(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; BITMA
 unsafe fn diff_word_bitmap_avx512(
     old: &[u8; PAGE_SIZE],
     new: &[u8; PAGE_SIZE],
+    lines: u64,
 ) -> [u64; BITMAP_CHUNKS] {
     use std::arch::x86_64::*;
-    let mut bm = [0u64; BITMAP_CHUNKS];
-    for (chunk, out) in bm.iter_mut().enumerate() {
-        let mut acc = 0u64;
-        // 8 blocks of 64 bytes = the 64 words covered by one bitmap entry.
-        for block in 0..8 {
-            let off = chunk * 512 + block * BLOCK_BYTES;
-            // SAFETY: `off + 64 <= PAGE_SIZE`; unaligned loads are explicit.
-            let o = unsafe { _mm512_loadu_si512(old.as_ptr().add(off) as *const _) };
-            let n = unsafe { _mm512_loadu_si512(new.as_ptr().add(off) as *const _) };
-            let k = _mm512_cmpneq_epi64_mask(o, n) as u64;
-            acc |= k << (block * 8);
-        }
-        *out = acc;
-    }
-    bm
+    bitmap_of(lines, |line| {
+        let off = line * LINE_BYTES;
+        // SAFETY: `line < 64`, so `off + 64 <= PAGE_SIZE`; unaligned loads
+        // are explicit.
+        let o = unsafe { _mm512_loadu_si512(old.as_ptr().add(off) as *const _) };
+        let n = unsafe { _mm512_loadu_si512(new.as_ptr().add(off) as *const _) };
+        _mm512_cmpneq_epi64_mask(o, n) as u64
+    })
 }
 
 /// AVX2 word diff: `vpcmpeqq` per 32-byte half, sign bits extracted with
@@ -354,45 +398,43 @@ unsafe fn diff_word_bitmap_avx512(
 unsafe fn diff_word_bitmap_avx2(
     old: &[u8; PAGE_SIZE],
     new: &[u8; PAGE_SIZE],
+    lines: u64,
 ) -> [u64; BITMAP_CHUNKS] {
     use std::arch::x86_64::*;
-    let mut bm = [0u64; BITMAP_CHUNKS];
-    for (chunk, out) in bm.iter_mut().enumerate() {
-        let mut acc = 0u64;
-        for block in 0..8 {
-            let off = chunk * 512 + block * BLOCK_BYTES;
-            // SAFETY: `off + 64 <= PAGE_SIZE`; unaligned loads are explicit.
-            let eq = unsafe {
-                let o0 = _mm256_loadu_si256(old.as_ptr().add(off) as *const _);
-                let o1 = _mm256_loadu_si256(old.as_ptr().add(off + 32) as *const _);
-                let n0 = _mm256_loadu_si256(new.as_ptr().add(off) as *const _);
-                let n1 = _mm256_loadu_si256(new.as_ptr().add(off + 32) as *const _);
-                let e0 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(o0, n0)));
-                let e1 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(o1, n1)));
-                (e0 as u64 & 0xf) | ((e1 as u64 & 0xf) << 4)
-            };
-            acc |= (!eq & 0xff) << (block * 8);
-        }
-        *out = acc;
-    }
-    bm
+    bitmap_of(lines, |line| {
+        let off = line * LINE_BYTES;
+        // SAFETY: `line < 64`, so `off + 64 <= PAGE_SIZE`; unaligned loads
+        // are explicit.
+        let eq = unsafe {
+            let o0 = _mm256_loadu_si256(old.as_ptr().add(off) as *const _);
+            let o1 = _mm256_loadu_si256(old.as_ptr().add(off + 32) as *const _);
+            let n0 = _mm256_loadu_si256(new.as_ptr().add(off) as *const _);
+            let n1 = _mm256_loadu_si256(new.as_ptr().add(off + 32) as *const _);
+            let e0 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(o0, n0)));
+            let e1 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(o1, n1)));
+            (e0 as u64 & 0xf) | ((e1 as u64 & 0xf) << 4)
+        };
+        !eq & 0xff
+    })
 }
 
 /// Portable word diff (and the reference the vector kernels are tested
-/// against): one branch-free XOR pass, one bitmap bit per word.
-fn diff_word_bitmap_scalar(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> [u64; BITMAP_CHUNKS] {
-    let mut bm = [0u64; BITMAP_CHUNKS];
-    for (chunk, out) in bm.iter_mut().enumerate() {
+/// against): one branch-free XOR pass per line, one bitmap bit per word.
+fn diff_word_bitmap_scalar(
+    old: &[u8; PAGE_SIZE],
+    new: &[u8; PAGE_SIZE],
+    lines: u64,
+) -> [u64; BITMAP_CHUNKS] {
+    bitmap_of(lines, |line| {
         let mut acc = 0u64;
-        for w in 0..64 {
-            let off = (chunk * 64 + w) * 8;
+        for w in 0..8 {
+            let off = line * LINE_BYTES + w * 8;
             let ow = u64::from_le_bytes(old[off..off + 8].try_into().unwrap());
             let nw = u64::from_le_bytes(new[off..off + 8].try_into().unwrap());
             acc |= u64::from(ow != nw) << w;
         }
-        *out = acc;
-    }
-    bm
+        acc
+    })
 }
 
 /// `(changed words, maximal runs)` of the diff a bitmap describes, without
@@ -469,7 +511,7 @@ mod tests {
     }
 
     fn diff_pages(old: &[u8; PAGE_SIZE], new: &[u8; PAGE_SIZE]) -> DeltaPage {
-        let bm = diff_word_bitmap(old, new);
+        let bm = diff_word_bitmap(old, new, ALL_LINES);
         let (words, runs) = diff_shape(&bm);
         build_runs(&bm, words, runs, old, new)
     }
@@ -518,7 +560,7 @@ mod tests {
         let mut frame = [0u8; PAGE_SIZE];
         frame[0] = 1;
         // First touch ships whole: one copy, shared by shadow and encoding.
-        let first = s.encode_with(key(1), &frame, || Rc::new(frame), &mut st);
+        let first = s.encode_with(key(1), &frame, ALL_LINES, || Rc::new(frame), &mut st);
         let PageEncoding::Full(in_flight) = first else {
             panic!("first touch ships full")
         };
@@ -528,7 +570,7 @@ mod tests {
             copies += 1;
             Rc::new(frame)
         };
-        let enc = s.encode_with(key(1), &frame, &mut copy, &mut st);
+        let enc = s.encode_with(key(1), &frame, 1, &mut copy, &mut st);
         assert!(matches!(enc, PageEncoding::Delta(_)));
         assert_eq!(in_flight[8], 0, "shared buffer left alone");
         assert_eq!(enc.apply(Some(&in_flight)), Rc::new(frame));
@@ -540,12 +582,12 @@ mod tests {
                 copies += 1;
                 Rc::new(frame)
             };
-            let enc = s.encode_with(key(1), &frame, &mut copy, &mut st);
+            let enc = s.encode_with(key(1), &frame, 1 << (i / 8), &mut copy, &mut st);
             assert_eq!(enc.encoded_bytes(), 8 + 8 + 8);
             assert_eq!(enc.apply(Some(&before)), Rc::new(frame));
         }
         assert_eq!(copies, 1);
-        let same = s.encode_with(key(1), &frame, || unreachable!(), &mut st);
+        let same = s.encode_with(key(1), &frame, 0, || unreachable!(), &mut st);
         assert_eq!(
             same,
             PageEncoding::Delta(DeltaPage::default()),
@@ -606,7 +648,7 @@ mod tests {
             (127 * 8, 5),
             (128 * 8, 6),
         ]);
-        let bm = diff_word_bitmap(&old, &new);
+        let bm = diff_word_bitmap(&old, &new, ALL_LINES);
         assert_eq!(diff_shape(&bm), (6, 2));
         let dp = diff_pages(&old, &new);
         let runs: Vec<(u16, u16)> = dp.runs.iter().map(|r| (r.word_off, r.len)).collect();
@@ -645,12 +687,15 @@ mod tests {
             *b = b.wrapping_add(1); // a dense 4-block stretch
         }
         assert_eq!(
-            diff_word_bitmap(&old, &new),
-            diff_word_bitmap_scalar(&old, &new),
+            diff_word_bitmap(&old, &new, ALL_LINES),
+            diff_word_bitmap_scalar(&old, &new, ALL_LINES),
             "dispatched kernel must agree with the scalar reference"
         );
         // And the zero-diff case.
-        assert_eq!(diff_word_bitmap(&old, &old), [0u64; BITMAP_CHUNKS]);
+        assert_eq!(
+            diff_word_bitmap(&old, &old, ALL_LINES),
+            [0u64; BITMAP_CHUNKS]
+        );
     }
 
     #[test]
@@ -746,8 +791,8 @@ mod tests {
                 "full"
             };
 
-            let bm = diff_word_bitmap(&old, &new);
-            prop_assert_eq!(bm, diff_word_bitmap_scalar(&old, &new));
+            let bm = diff_word_bitmap(&old, &new, ALL_LINES);
+            prop_assert_eq!(bm, diff_word_bitmap_scalar(&old, &new, ALL_LINES));
             prop_assert_eq!(diff_shape(&bm), (ref_words, ref_runs));
             let built = PageEncoding::Delta(diff_pages(&old, &new));
             prop_assert_eq!(built.encoded_bytes(), ref_bytes, "size from counts == size as built");
@@ -773,6 +818,46 @@ mod tests {
                 prop_assert_eq!(again, PageEncoding::Delta(DeltaPage::default()));
             }
             prop_assert_eq!(*old, old_bytes, "the buffer shared with the caller was not written");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A line set selects exactly its lines: the bitmap is the
+        /// whole-page one with the other lines' bytes masked off, in every
+        /// kernel this CPU can run.
+        #[test]
+        fn a_line_set_reads_and_reports_only_its_lines(
+            runs in flipped_runs(),
+            lines in prop_oneof![any::<u64>(), (0..64u32).prop_map(|l| 1u64 << l), Just(0), Just(ALL_LINES)],
+        ) {
+            let old = [0x11u8; PAGE_SIZE];
+            let mut new = old;
+            for &(first, len) in &runs {
+                for w in first..(first + len).min(WORDS_PER_PAGE) {
+                    new[w * 8 + w % 8] ^= 0x5A;
+                }
+            }
+            let mut want = diff_word_bitmap_scalar(&old, &new, ALL_LINES);
+            for (chunk, bits) in want.iter_mut().enumerate() {
+                for block in (0..8).filter(|b| lines >> (chunk * 8 + b) & 1 == 0) {
+                    *bits &= !(0xff << (block * 8));
+                }
+            }
+            prop_assert_eq!(diff_word_bitmap_scalar(&old, &new, lines), want);
+            prop_assert_eq!(diff_word_bitmap(&old, &new, lines), want);
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: avx2 support was just verified at runtime.
+                    prop_assert_eq!(unsafe { diff_word_bitmap_avx2(&old, &new, lines) }, want);
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: avx512f support was just verified at runtime.
+                    prop_assert_eq!(unsafe { diff_word_bitmap_avx512(&old, &new, lines) }, want);
+                }
+            }
         }
     }
 

@@ -32,6 +32,53 @@ pub struct ProcessImage {
     pub vmas: Vec<Vma>,
 }
 
+/// The page ranges `prev` mapped, per process, that no VMA of `now` covers any
+/// more (`munmap`, a `brk` shrink, a process that exited). Whoever holds
+/// contents for the previous image — the backup's page store, the primary's
+/// delta shadow — forgets these pages at the same epoch boundary: mapped
+/// again later and not written, they read as zeros on the primary, and must
+/// not come back with their old bytes at failover. Empty on all but the rare
+/// epoch whose VMAs changed; both VMA lists are in address order.
+pub fn unmapped_since<'a>(
+    prev: impl IntoIterator<Item = (Pid, &'a [Vma])>,
+    now: &[ProcessImage],
+) -> Vec<(Pid, std::ops::Range<u64>)> {
+    let mut gone = Vec::new();
+    for (pid, was) in prev {
+        let is = now
+            .iter()
+            .find(|p| p.pid == pid)
+            .map_or(&[][..], |p| &p.vmas[..]);
+        if was == is {
+            continue;
+        }
+        let vpn_end = |v: &Vma| v.first_vpn() + v.pages();
+        let mut is = is.iter().peekable();
+        for vma in was {
+            let (mut from, end) = (vma.first_vpn(), vpn_end(vma));
+            while from < end {
+                // A VMA of `now` that ends at or below `from` covers nothing
+                // from here on; the next one covers `from` or bounds its gap.
+                while is.peek().is_some_and(|v| vpn_end(v) <= from) {
+                    is.next();
+                }
+                from = match is.peek() {
+                    Some(v) if v.first_vpn() <= from => vpn_end(v),
+                    Some(v) if v.first_vpn() < end => {
+                        gone.push((pid, from..v.first_vpn()));
+                        v.first_vpn()
+                    }
+                    _ => {
+                        gone.push((pid, from..end));
+                        end
+                    }
+                };
+            }
+        }
+    }
+    gone
+}
+
 /// Per-stage cost breakdown of one dump, sampled off the kernel's lifetime
 /// meter. The five fields sum to [`DumpStats::stop_time`] — code outside the
 /// sampled stages charges nothing, so the telescoped stage deltas cover the
@@ -216,6 +263,58 @@ mod tests {
             write_queue: vec![0; wq],
             read_queue: vec![0; rq],
         }
+    }
+
+    #[test]
+    fn unmapped_since_is_the_set_difference_of_the_two_vma_lists() {
+        use nilicon_sim::mem::{Perms, VmaKind};
+        let vma = |first: u64, pages: u64| Vma {
+            start: first * PAGE_SIZE as u64,
+            len: pages * PAGE_SIZE as u64,
+            perms: Perms::RW,
+            kind: VmaKind::Anon,
+            is_heap: false,
+            is_stack: false,
+        };
+        let proc_of = |pid: u32, vmas: Vec<Vma>| ProcessImage {
+            pid: Pid(pid),
+            ppid: Pid(0),
+            mm: AsId(pid),
+            exe: String::new(),
+            threads: Vec::new(),
+            fds: Vec::new(),
+            vmas,
+        };
+        let was = [
+            (
+                Pid(1),
+                vec![vma(10, 10), vma(30, 10), vma(50, 10), vma(70, 2)],
+            ),
+            (Pid(2), vec![vma(10, 10)]),
+            (Pid(3), vec![vma(5, 1), vma(8, 1)]),
+        ];
+        let gone =
+            |now: &[ProcessImage]| unmapped_since(was.iter().map(|(pid, v)| (*pid, &v[..])), now);
+        let same: Vec<ProcessImage> = was.iter().map(|(p, v)| proc_of(p.0, v.clone())).collect();
+        assert!(gone(&same).is_empty());
+        // Pid 1: the first VMA shrunk from the top, the second split by a
+        // hole with a new VMA reaching in from below, the third replaced by
+        // one that covers it and more, the fourth gone. Pid 2 grew. Pid 3
+        // exited.
+        let now = [
+            proc_of(1, vec![vma(10, 4), vma(25, 8), vma(36, 2), vma(45, 30)]),
+            proc_of(2, vec![vma(10, 20)]),
+        ];
+        assert_eq!(
+            gone(&now),
+            [
+                (Pid(1), 14..20),
+                (Pid(1), 33..36),
+                (Pid(1), 38..40),
+                (Pid(3), 5..6),
+                (Pid(3), 8..9),
+            ]
+        );
     }
 
     #[test]

@@ -32,6 +32,32 @@ const TAG_SOCKETS: u8 = 4;
 const TAG_FS: u8 = 5;
 const TAG_KERNEL: u8 = 6;
 
+/// Fewest bytes one element of each counted list occupies on the wire (its
+/// fixed fields, every embedded list and string empty): the divisor that
+/// bounds a decoded count by the bytes its section has left.
+mod min_bytes {
+    use nilicon_sim::PAGE_SIZE;
+    /// pid, ppid, mm, exe length, thread / fd / VMA counts.
+    pub const PROCESS: usize = 4 + 4 + 4 + 8 + 4 + 4 + 4;
+    /// tid, rip, rsp, 14 registers, sigmask, timer count, sched tag.
+    pub const THREAD: usize = 4 + 8 + 8 + 14 * 8 + 8 + 4 + 1;
+    pub const TIMER: usize = 8 + 8;
+    /// fd, kind tag, a socket id (the shorter entry).
+    pub const FD: usize = 4 + 1 + 4;
+    /// start, len, perms, kind tag, flags.
+    pub const VMA: usize = 8 + 8 + 1 + 1 + 1;
+    pub const PAGE: usize = 4 + 8 + PAGE_SIZE;
+    pub const LISTENER: usize = 2;
+    /// Two endpoints, three sequence numbers, two queue lengths.
+    pub const SOCKET: usize = 2 * (4 + 2) + 3 * 4 + 2 * 8;
+    pub const FS_PAGE: usize = 8 + 8 + 1 + PAGE_SIZE;
+    pub const INODE: usize = 8 + 1 + 8 + 4 + 4 + 4 + 8 + 1;
+    pub const NAMESPACE: usize = 4 + 1 + 8;
+    pub const CGROUP: usize = 4 + 8 + 8 + 1 + 4 + 8;
+    pub const MOUNT: usize = 4 + 3 * 8;
+    pub const PATH: usize = 8 + 8;
+}
+
 // ----------------------------------------------------------------------
 // Little-endian writer/reader helpers
 // ----------------------------------------------------------------------
@@ -72,17 +98,43 @@ impl<'a> R<'a> {
     fn new(buf: &'a [u8]) -> Self {
         R { buf, pos: 0 }
     }
-    fn take(&mut self, n: usize) -> SimResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(SimError::ImageCorrupt(format!(
-                "truncated at {} (+{n} of {})",
-                self.pos,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    /// The next `n` bytes. `n` comes straight off the wire: a length near
+    /// `usize::MAX` must fail the bound, not wrap past it.
+    fn take(&mut self, n: u64) -> SimResult<&'a [u8]> {
+        let end = usize::try_from(n)
+            .ok()
+            .and_then(|n| self.pos.checked_add(n))
+            .filter(|&end| end <= self.buf.len())
+            .ok_or_else(|| {
+                SimError::ImageCorrupt(format!(
+                    "truncated at {} (+{n} of {})",
+                    self.pos,
+                    self.buf.len()
+                ))
+            })?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
+    }
+    /// An element count off the wire, checked against what is left of the
+    /// section: `n` elements of at least `min_bytes` each must fit in it, so
+    /// a hostile count is rejected before anything is reserved for it.
+    fn count(&self, n: u64, min_bytes: usize) -> SimResult<usize> {
+        let left = (self.buf.len() - self.pos) / min_bytes;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= left)
+            .ok_or_else(|| {
+                SimError::ImageCorrupt(format!(
+                    "count {n} at {} exceeds the {left} elements the section has room for",
+                    self.pos
+                ))
+            })
+    }
+    /// A `u32` element count ([`Self::count`]).
+    fn count32(&mut self, min_bytes: usize) -> SimResult<usize> {
+        let n = self.u32()?;
+        self.count(n.into(), min_bytes)
     }
     fn u8(&mut self) -> SimResult<u8> {
         Ok(self.take(1)?[0])
@@ -100,7 +152,7 @@ impl<'a> R<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     fn bytes(&mut self) -> SimResult<Vec<u8>> {
-        let n = self.u64()? as usize;
+        let n = self.u64()?;
         Ok(self.take(n)?.to_vec())
     }
     fn str(&mut self) -> SimResult<String> {
@@ -325,7 +377,9 @@ fn encode_inode(w: &mut W, i: &nilicon_sim::fs::Inode) {
 // Decode
 // ----------------------------------------------------------------------
 
-/// Parse an NLCN image. Strict: corrupt input errors, never panics.
+/// Parse an NLCN image. Strict: corrupt input is [`SimError::ImageCorrupt`],
+/// never a panic, and no length or count read from the input reserves more
+/// than the input's own size (`R::take`, `R::count`).
 pub fn decode(buf: &[u8]) -> SimResult<CheckpointImage> {
     let mut r = R::new(buf);
     if r.take(4)? != MAGIC {
@@ -341,7 +395,7 @@ pub fn decode(buf: &[u8]) -> SimResult<CheckpointImage> {
     let mut seen = [false; 7];
     while !r.done() {
         let tag = r.u8()?;
-        let len = r.u64()? as usize;
+        let len = r.u64()?;
         let payload = r.take(len)?;
         if (tag as usize) < seen.len() {
             if seen[tag as usize] {
@@ -387,13 +441,13 @@ fn decode_meta(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
 }
 
 fn decode_processes(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
-    let n = r.u32()? as usize;
+    let n = r.count32(min_bytes::PROCESS)?;
     for _ in 0..n {
         let pid = Pid(r.u32()?);
         let ppid = Pid(r.u32()?);
         let mm = nilicon_sim::ids::AsId(r.u32()?);
         let exe = r.str()?;
-        let nthreads = r.u32()? as usize;
+        let nthreads = r.count32(min_bytes::THREAD)?;
         let mut threads = Vec::with_capacity(nthreads);
         for _ in 0..nthreads {
             let tid = nilicon_sim::ids::Tid(r.u32()?);
@@ -404,7 +458,7 @@ fn decode_processes(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
                 *g = r.u64()?;
             }
             let sigmask = r.u64()?;
-            let ntimers = r.u32()? as usize;
+            let ntimers = r.count32(min_bytes::TIMER)?;
             let mut timers = Vec::with_capacity(ntimers);
             for _ in 0..ntimers {
                 timers.push(Timer {
@@ -429,7 +483,7 @@ fn decode_processes(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
                 // scheduling sequence from the log, so restores start at 0.
             });
         }
-        let nfds = r.u32()? as usize;
+        let nfds = r.count32(min_bytes::FD)?;
         let mut fds = Vec::with_capacity(nfds);
         for _ in 0..nfds {
             let fd = Fd(r.u32()? as i32);
@@ -444,7 +498,7 @@ fn decode_processes(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
             };
             fds.push((fd, entry));
         }
-        let nvmas = r.u32()? as usize;
+        let nvmas = r.count32(min_bytes::VMA)?;
         let mut vmas = Vec::with_capacity(nvmas);
         for _ in 0..nvmas {
             let start = r.u64()?;
@@ -487,12 +541,13 @@ fn decode_processes(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
 }
 
 fn decode_pages(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
-    let n = r.u64()? as usize;
+    let n = r.u64()?;
+    let n = r.count(n, min_bytes::PAGE)?;
     img.pages.reserve(n);
     for _ in 0..n {
         let pid = Pid(r.u32()?);
         let vpn = r.u64()?;
-        let data = r.take(PAGE_SIZE)?;
+        let data = r.take(PAGE_SIZE as u64)?;
         let mut page = [0u8; PAGE_SIZE];
         page.copy_from_slice(data);
         img.pages.push((pid, vpn, std::rc::Rc::new(page)));
@@ -501,11 +556,11 @@ fn decode_pages(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
 }
 
 fn decode_sockets(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
-    let nl = r.u32()? as usize;
+    let nl = r.count32(min_bytes::LISTENER)?;
     for _ in 0..nl {
         img.listeners.push(r.u16()?);
     }
-    let ns = r.u32()? as usize;
+    let ns = r.count32(min_bytes::SOCKET)?;
     for _ in 0..ns {
         img.sockets.push(RepairState {
             local: Endpoint::new(r.u32()?, r.u16()?),
@@ -521,17 +576,18 @@ fn decode_sockets(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
 }
 
 fn decode_fs(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
-    let n = r.u64()? as usize;
+    let n = r.u64()?;
+    let n = r.count(n, min_bytes::FS_PAGE)?;
     for _ in 0..n {
         let ino = Ino(r.u64()?);
         let idx = r.u64()?;
         let dirty = r.u8()? != 0;
-        let data = r.take(PAGE_SIZE)?;
+        let data = r.take(PAGE_SIZE as u64)?;
         let mut page = Box::new([0u8; PAGE_SIZE]);
         page.copy_from_slice(data);
         img.fs_pages.pages.push((ino, idx, page, dirty));
     }
-    let ni = r.u32()? as usize;
+    let ni = r.count32(min_bytes::INODE)?;
     for _ in 0..ni {
         img.fs_inodes.push(decode_inode(r)?);
     }
@@ -558,7 +614,7 @@ fn decode_inode(r: &mut R<'_>) -> SimResult<nilicon_sim::fs::Inode> {
 
 fn decode_kernel(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
     use nilicon_sim::ns::{Namespace, NsKind};
-    let n = r.u32()? as usize;
+    let n = r.count32(min_bytes::NAMESPACE)?;
     for _ in 0..n {
         let id = nilicon_sim::ids::NsId(r.u32()?);
         let kind = match r.u8()? {
@@ -576,7 +632,7 @@ fn decode_kernel(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
             config: r.bytes()?,
         });
     }
-    let n = r.u32()? as usize;
+    let n = r.count32(min_bytes::CGROUP)?;
     for _ in 0..n {
         img.cgroups.push(nilicon_sim::cgroup::Cgroup {
             id: nilicon_sim::ids::CgroupId(r.u32()?),
@@ -587,7 +643,7 @@ fn decode_kernel(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
             memory_limit: r.u64()?,
         });
     }
-    let n = r.u32()? as usize;
+    let n = r.count32(min_bytes::MOUNT)?;
     for _ in 0..n {
         img.mounts.push(nilicon_sim::fs::Mount {
             id: nilicon_sim::ids::MountId(r.u32()?),
@@ -596,11 +652,11 @@ fn decode_kernel(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
             fstype: r.str()?,
         });
     }
-    let n = r.u32()? as usize;
+    let n = r.count32(min_bytes::INODE)?;
     for _ in 0..n {
         img.devfiles.push(decode_inode(r)?);
     }
-    let n = r.u32()? as usize;
+    let n = r.count32(min_bytes::PATH)?;
     for _ in 0..n {
         img.paths.push((r.str()?, Ino(r.u64()?)));
     }

@@ -63,6 +63,21 @@ pub trait PageStore<B = PageBuf> {
     /// Take a page out of the store, handing its buffer to the caller.
     fn remove(&mut self, key: PageKey) -> Option<B>;
 
+    /// Forget the pages of `pid` in `vpns` (a range the container unmapped,
+    /// see [`crate::image::unmapped_since`]) in one pass over what is stored:
+    /// the range may span far more pages than the store holds, and the
+    /// epochs that unmap are rare. No probes are reported — the commit that
+    /// prunes charges what it charged before.
+    fn remove_range(&mut self, pid: Pid, vpns: std::ops::Range<u64>) {
+        let stored = self.iter_sorted().into_iter().map(|(key, _)| key);
+        let doomed: Vec<PageKey> = stored
+            .filter(|key| key.pid == pid && vpns.contains(&key.vpn))
+            .collect();
+        for key in doomed {
+            self.remove(key);
+        }
+    }
+
     /// Number of distinct pages stored.
     fn len(&self) -> usize;
 
@@ -400,6 +415,23 @@ mod tests {
         store.insert(key(1, 0x7_fff_fff), page(4)); // far vpn
         store.begin_checkpoint();
         store.insert(key(2, 0x10), page(5)); // other pid, same vpn
+    }
+
+    #[test]
+    fn remove_range_forgets_one_process_range() {
+        for store in [
+            &mut LinkedListStore::new() as &mut dyn PageStore,
+            &mut RadixTreeStore::new(),
+        ] {
+            exercise(store);
+            store.insert(key(1, 0x12), page(6));
+            store.remove_range(Pid(1), 0x11..0x13);
+            assert_eq!(store.len(), 3);
+            // Any length of range is one pass; pid 2 keeps its 0x10.
+            store.remove_range(Pid(1), 0..1 << 36);
+            let left: Vec<PageKey> = store.iter_sorted().iter().map(|(k, _)| *k).collect();
+            assert_eq!(left, [key(2, 0x10)]);
+        }
     }
 
     #[test]

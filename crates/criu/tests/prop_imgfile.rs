@@ -207,3 +207,150 @@ proptest! {
         let _ = decode_image(&bytes[..n]); // truncation must not panic
     }
 }
+
+/// A small valid image with every section and every counted list populated
+/// (two pages, ~9 KiB encoded): small enough to corrupt at every offset.
+fn small_image() -> Vec<u8> {
+    let mut img = CheckpointImage {
+        epoch: 7,
+        name: "victim".into(),
+        addr: 10,
+        ns: Some(NsSet {
+            pid: NsId(1),
+            net: NsId(2),
+            mnt: NsId(3),
+            uts: NsId(4),
+            ipc: NsId(5),
+            user: NsId(6),
+        }),
+        listeners: vec![80, 443],
+        ..Default::default()
+    };
+    let mut thread = Thread::new(Tid(100));
+    thread.timers.push(Timer {
+        expires_at: 5,
+        interval: 9,
+    });
+    thread.sched = SchedPolicy::Fifo(3);
+    img.processes.push(ProcessImage {
+        pid: Pid(100),
+        ppid: Pid(1),
+        mm: AsId(1),
+        exe: "/bin/app".into(),
+        threads: vec![thread],
+        fds: vec![
+            (
+                Fd(3),
+                FdEntry::File {
+                    ino: Ino(9),
+                    offset: 44,
+                    flags: 1,
+                },
+            ),
+            (Fd(4), FdEntry::Socket(SockId(2))),
+        ],
+        vmas: vec![Vma {
+            start: 0x1000,
+            len: 0x2000,
+            perms: Perms::RW,
+            kind: VmaKind::File(MappedFile {
+                ino: Ino(9),
+                file_off: 0,
+            }),
+            is_heap: true,
+            is_stack: false,
+        }],
+    });
+    for vpn in 1..3 {
+        img.pages
+            .push((Pid(100), vpn, std::rc::Rc::new([vpn as u8; PAGE_SIZE])));
+    }
+    img.sockets.push(RepairState {
+        local: Endpoint::new(10, 80),
+        remote: Endpoint::new(11, 4000),
+        snd_nxt: 8,
+        snd_una: 4,
+        rcv_nxt: 2,
+        write_queue: b"out!".to_vec(),
+        read_queue: b"in".to_vec(),
+    });
+    img.fs_pages
+        .pages
+        .push((Ino(9), 0, Box::new([0xCD; PAGE_SIZE]), true));
+    img.fs_inodes.push(Inode::regular(Ino(9)));
+    img.namespaces.push(Namespace {
+        id: NsId(4),
+        kind: NsKind::Uts,
+        config: b"host".to_vec(),
+    });
+    img.cgroups.push(Cgroup::new(CgroupId(1), "/docker/x"));
+    img.mounts.push(Mount {
+        id: MountId(1),
+        source: "overlay".into(),
+        target: "/".into(),
+        fstype: "overlay".into(),
+    });
+    img.devfiles.push(Inode::regular(Ino(2)));
+    img.paths.push(("/data/f".into(), Ino(9)));
+    encode_image(&img)
+}
+
+/// `decode` on hostile input: an image or `ImageCorrupt`, never a panic.
+/// (A count or length that reserved memory in proportion to its value would
+/// abort or time out here: the splices below ask for up to 2^64 elements.)
+fn decodes_or_rejects(bytes: &[u8]) -> Result<(), String> {
+    match decode_image(bytes) {
+        Ok(_) | Err(nilicon_sim::SimError::ImageCorrupt(_)) => Ok(()),
+        Err(other) => Err(format!("unexpected error {other:?}")),
+    }
+}
+
+#[test]
+fn decode_survives_every_truncation_and_every_hostile_length() {
+    let good = small_image();
+    assert!(decode_image(&good).is_ok());
+    assert!(good.len() < 20_000, "small enough to sweep: {}", good.len());
+    for at in 0..good.len() {
+        // A cut on a section boundary is a shorter valid image.
+        decodes_or_rejects(&good[..at]).unwrap_or_else(|e| panic!("truncated at {at}: {e}"));
+        // Whatever count or length lives here, make it enormous: all ones
+        // (a u32 count of 4 G, a u64 length that overflows `pos + n`), and
+        // one that lands exactly on `usize::MAX` when added to its offset.
+        for splice in [
+            &[0xFF; 4][..],
+            &[0xFF; 8][..],
+            &(u64::MAX - at as u64 - 8).to_le_bytes()[..],
+        ] {
+            let mut bad = good.clone();
+            let end = (at + splice.len()).min(bad.len());
+            bad[at..end].copy_from_slice(&splice[..end - at]);
+            decodes_or_rejects(&bad).unwrap_or_else(|e| panic!("splice at {at}: {e}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// Random flips, splices, cuts and insertions of a valid image.
+    #[test]
+    fn decode_survives_random_corruption(
+        edits in proptest::collection::vec(
+            (0u8..4, any::<prop::sample::Index>(), any::<u64>(), 1usize..9),
+            1..5,
+        ),
+    ) {
+        let mut bytes = small_image();
+        for (kind, at, val, len) in edits {
+            let at = at.index(bytes.len());
+            let end = (at + len).min(bytes.len());
+            match kind {
+                0 => bytes[at] ^= (val as u8) | 1,
+                1 => bytes[at..end].copy_from_slice(&val.to_le_bytes()[..end - at]),
+                2 => drop(bytes.drain(at..end)),
+                _ => drop(bytes.splice(at..at, val.to_le_bytes()[..len.min(8)].iter().copied())),
+            }
+        }
+        prop_assert_eq!(decodes_or_rejects(&bytes), Ok(()));
+    }
+}

@@ -541,17 +541,19 @@ impl Kernel {
     /// Background-copier step: lend `lend` the fault-staged pages (already
     /// paid for at fault time) and then up to `max` still-protected pages
     /// (charged per page), in that order, without copying any of them.
-    /// Returns the number of pages lent.
+    /// The third argument is the page's written-line set (see
+    /// [`crate::mem::AddressSpace::cow_drain_with`]); a fault-staged copy is
+    /// lent with every line. Returns the number of pages lent.
     pub fn cow_drain_with(
         &mut self,
         pid: Pid,
         max: usize,
-        mut lend: impl FnMut(u64, &[u8; crate::PAGE_SIZE]),
+        mut lend: impl FnMut(u64, &[u8; crate::PAGE_SIZE], u64),
     ) -> SimResult<usize> {
         let mm = self.mm_mut(pid)?;
         let staged = mm.take_cow_staged();
         for (vpn, page) in &staged {
-            lend(*vpn, page);
+            lend(*vpn, page, crate::mem::ALL_LINES);
         }
         let drained = mm.cow_drain_with(max, lend);
         self.charge(drained as u64 * self.costs.cow_drain_per_page);
@@ -566,7 +568,7 @@ impl Kernel {
         max: usize,
     ) -> SimResult<Vec<(u64, crate::mem::PageBuf)>> {
         let mut out = Vec::new();
-        self.cow_drain_with(pid, max, |vpn, page| out.push((vpn, Rc::new(*page))))?;
+        self.cow_drain_with(pid, max, |vpn, page, _| out.push((vpn, Rc::new(*page))))?;
         Ok(out)
     }
 

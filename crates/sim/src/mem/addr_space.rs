@@ -1,12 +1,13 @@
 //! Address spaces: the per-process `mm_struct`.
 
-use super::page::{zero_page, PageBuf, PageFrame, PageKeyHasher};
+use super::page::{lines_of, zero_page, PageBuf, PageFrame, PageKeyHasher, ALL_LINES};
 use super::vma::{MappedFile, Perms, Vma, VmaKind};
 use super::TrackingMode;
 use crate::error::{SimError, SimResult};
 use crate::PAGE_SIZE;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 use std::rc::Rc;
 
 const PS: u64 = PAGE_SIZE as u64;
@@ -41,6 +42,111 @@ impl WriteOutcome {
     }
 }
 
+/// Marks a [`ProtectQueue`] entry whose page left out of turn. Page numbers
+/// are below 2^36 ([`VADDR_END`]), so the bit is free.
+const GONE: u64 = 1 << 63;
+
+/// The pages a deferred checkpoint write-protected and still owes a copy
+/// of: the pagemap scan's ascending run, kept as it arrived and consumed
+/// from the front. A page that leaves out of turn — a write fault, an unmap
+/// — is marked [`GONE`] where it lies, so the run stays sorted and a
+/// bootstrap's thousands of faults cost a binary search each.
+#[derive(Debug, Default)]
+struct ProtectQueue {
+    /// Ascending page numbers, [`GONE`] bit aside.
+    vpns: Vec<u64>,
+    /// Entries before this index were popped.
+    head: usize,
+    /// Entries from `head` on that are not [`GONE`].
+    live: usize,
+}
+
+impl ProtectQueue {
+    /// Add `vpns`: one merge of the caller's run into what is still pending,
+    /// sorted and deduplicated — against an empty queue, every epoch of every
+    /// workload, a checked copy of the pagemap scan's run. Each entry is
+    /// checked as it is placed, because the queue is only as good as its
+    /// order: an entry out of place would hide a protected page from
+    /// [`Self::remove`]'s search (a write with no copy-before-write), one
+    /// with the [`GONE`] bit would never be lent — a checkpoint silently
+    /// missing a page either way.
+    fn protect(&mut self, vpns: &[u64]) {
+        let mut sorted = Vec::new();
+        let vpns = if vpns.windows(2).all(|w| w[0] < w[1]) {
+            vpns
+        } else {
+            sorted.extend_from_slice(vpns);
+            sorted.sort_unstable();
+            sorted.dedup();
+            &sorted[..]
+        };
+        let old = std::mem::take(&mut self.vpns);
+        let mut pending = old[self.head..]
+            .iter()
+            .copied()
+            .filter(|e| e & GONE == 0)
+            .peekable();
+        let mut merged = Vec::with_capacity(self.live + vpns.len());
+        for &vpn in vpns {
+            assert!(
+                vpn < GONE,
+                "page number {vpn:#x} is outside any address space"
+            );
+            while let Some(below) = pending.next_if(|&p| p < vpn) {
+                merged.push(below);
+            }
+            pending.next_if_eq(&vpn);
+            merged.push(vpn);
+        }
+        merged.extend(pending);
+        (self.head, self.live) = (0, merged.len());
+        self.vpns = merged;
+    }
+
+    /// Take `vpn` out of turn; false if it is not protected. A length test
+    /// during the execution phase, where the queue is empty.
+    fn remove(&mut self, vpn: u64) -> bool {
+        if self.live == 0 {
+            return false;
+        }
+        let pending = &mut self.vpns[self.head..];
+        match pending.binary_search_by_key(&vpn, |e| e & !GONE) {
+            Ok(i) if pending[i] & GONE == 0 => {
+                pending[i] |= GONE;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Take every protected page of `range` out of turn, in ascending order.
+    fn remove_range(&mut self, range: Range<u64>) -> Vec<u64> {
+        let pending = &mut self.vpns[self.head..];
+        let lo = pending.partition_point(|e| e & !GONE < range.start);
+        let hi = pending.partition_point(|e| e & !GONE < range.end);
+        let mut removed = Vec::new();
+        for e in pending[lo..hi].iter_mut().filter(|e| **e & GONE == 0) {
+            removed.push(*e);
+            *e |= GONE;
+        }
+        self.live -= removed.len();
+        removed
+    }
+
+    /// The lowest protected page, which leaves the queue.
+    fn pop(&mut self) -> Option<u64> {
+        while let Some(&e) = self.vpns.get(self.head) {
+            self.head += 1;
+            if e & GONE == 0 {
+                self.live -= 1;
+                return Some(e);
+            }
+        }
+        None
+    }
+}
+
 /// A simulated address space: VMAs + page table.
 #[derive(Debug, Default)]
 pub struct AddressSpace {
@@ -55,12 +161,17 @@ pub struct AddressSpace {
     brk: Option<u64>,
     /// Pages write-protected by a deferred (copy-on-write) checkpoint whose
     /// checkpoint-time contents have not been copied out yet.
-    cow_protected: BTreeSet<u64>,
+    cow_protected: ProtectQueue,
     /// Checkpoint-time contents of protected pages that took a write fault
     /// before the background copier reached them (copy-before-write).
     cow_staged: Vec<(u64, PageBuf)>,
     /// COW write-protect faults taken since the last [`Self::take_cow_faults`].
     cow_faults: u64,
+    /// Pages whose frame an unmap dropped since the last [`Self::clear_refs`].
+    /// One that is mapped again by the next scan reads as zeros where the
+    /// last checkpoint may hold bytes, so the scan reports it dirty — what
+    /// `VM_SOFTDIRTY` on a new VMA does in Linux.
+    unmapped: Vec<u64>,
 }
 
 impl AddressSpace {
@@ -154,16 +265,18 @@ impl AddressSpace {
     /// more write: its checkpoint-time contents are staged first
     /// (copy-before-unmap), and it leaves the protect set — a later drain
     /// has no frame and no mapping to lend from. That checkpoint's image
-    /// still maps the page; later ones do not, and restore skips it.
-    fn drop_pages(&mut self, vpns: std::ops::Range<u64>) {
-        let mut owed = self.cow_protected.split_off(&vpns.start);
-        self.cow_protected.append(&mut owed.split_off(&vpns.end));
-        for vpn in owed {
+    /// still maps the page; later ones do not, and the commit that carries
+    /// them prunes it from the backup. A dropped frame is remembered until
+    /// the next `clear_refs` (see `unmapped`).
+    fn drop_pages(&mut self, vpns: Range<u64>) {
+        for vpn in self.cow_protected.remove_range(vpns.clone()) {
             let snap = self.page_contents(vpn);
             self.cow_staged.push((vpn, snap));
         }
         for vpn in vpns {
-            self.frames.remove(&vpn);
+            if self.frames.remove(&vpn).is_some() {
+                self.unmapped.push(vpn);
+            }
         }
     }
 
@@ -285,6 +398,7 @@ impl AddressSpace {
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
             let (touched, frame) = self.touch_page(vpn);
             frame.bytes_mut()[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            frame.written_lines |= lines_of(in_page, n);
             out.absorb(touched);
             off += n;
             cur += n as u64;
@@ -306,11 +420,18 @@ impl AddressSpace {
         // Copy-before-write: a write racing the background copier must stage
         // the checkpoint-time contents *before* the new bytes land (callers
         // copy bytes only after `touch_page` returns, so this snapshot is
-        // exactly what the frozen container held).
-        if self.cow_protected.remove(&vpn) {
+        // exactly what the frozen container held). The snapshot is what the
+        // checkpoint is lent, so the frame's written lines restart from it.
+        if self.cow_protected.remove(vpn) {
             out.cow_faults += 1;
             self.cow_faults += 1;
-            let snap = self.page_contents(vpn);
+            let snap = match self.frames.get_mut(&vpn) {
+                Some(f) => {
+                    f.written_lines = 0;
+                    f.snapshot()
+                }
+                None => zero_page(),
+            };
             self.cow_staged.push((vpn, snap));
         }
         let frame = self.frames.entry(vpn).or_insert_with(|| {
@@ -367,6 +488,7 @@ impl AddressSpace {
     /// re-arm tracking on every resident frame. Returns the number of frames
     /// walked (the kernel charges `clear_refs_per_page` each).
     pub fn clear_refs(&mut self) -> u64 {
+        self.unmapped.clear();
         let mut walked = 0;
         for f in self.frames.values_mut() {
             f.soft_dirty = false;
@@ -377,7 +499,9 @@ impl AddressSpace {
     }
 
     /// `/proc/pid/pagemap` equivalent: virtual page numbers of frames with
-    /// the soft-dirty bit set, in ascending order. The kernel charges
+    /// the soft-dirty bit set, in ascending order, plus the pages unmapped
+    /// and mapped again since the last `clear_refs` that nothing has written
+    /// (no frame: they are zeros now). The kernel charges
     /// `pagemap_scan_per_page` for every *mapped* page scanned, not only the
     /// dirty ones — the scan walks the whole address space (§VII-C).
     pub fn soft_dirty_vpns(&self) -> Vec<u64> {
@@ -387,7 +511,11 @@ impl AddressSpace {
             .filter(|(_, f)| f.soft_dirty)
             .map(|(&vpn, _)| vpn)
             .collect();
+        let remapped =
+            |vpn: &&u64| !self.frames.contains_key(vpn) && self.vma_at(**vpn * PS).is_some();
+        v.extend(self.unmapped.iter().filter(remapped));
         v.sort_unstable();
+        v.dedup();
         v
     }
 
@@ -443,12 +571,12 @@ impl AddressSpace {
     /// protected page before it is drained triggers an eager
     /// copy-before-write (see `touch_page`).
     pub fn cow_protect(&mut self, vpns: &[u64]) {
-        self.cow_protected.extend(vpns.iter().copied());
+        self.cow_protected.protect(vpns);
     }
 
     /// Pages still write-protected (not yet drained or faulted).
     pub fn cow_protected_count(&self) -> usize {
-        self.cow_protected.len()
+        self.cow_protected.live
     }
 
     /// Pages whose checkpoint-time contents were eagerly staged by write
@@ -461,21 +589,27 @@ impl AddressSpace {
     /// Background-copier step: un-protect up to `max` protected pages in
     /// ascending vpn order, lending each page's checkpoint-time contents to
     /// `lend` instead of copying them out — the caller decides what (if
-    /// anything) of the page it needs to keep. Returns the number of pages
-    /// lent; the caller charges per-page drain cost for exactly that many.
+    /// anything) of the page it needs to keep. The third argument is the
+    /// page's written-line set ([`PageFrame::written_lines`]): outside those
+    /// lines the page still holds the bytes it was last lent with. Lending
+    /// clears the set. Returns the number of pages lent; the caller charges
+    /// per-page drain cost for exactly that many.
     pub fn cow_drain_with(
         &mut self,
         max: usize,
-        mut lend: impl FnMut(u64, &[u8; PAGE_SIZE]),
+        mut lend: impl FnMut(u64, &[u8; PAGE_SIZE], u64),
     ) -> usize {
         let mut drained = 0;
         while drained < max {
-            let Some(vpn) = self.cow_protected.pop_first() else {
+            let Some(vpn) = self.cow_protected.pop() else {
                 break;
             };
-            match self.frames.get(&vpn) {
-                Some(f) => lend(vpn, f.bytes()),
-                None => lend(vpn, &zero_page()),
+            match self.frames.get_mut(&vpn) {
+                Some(f) => {
+                    let lines = std::mem::take(&mut f.written_lines);
+                    lend(vpn, f.bytes(), lines);
+                }
+                None => lend(vpn, &zero_page(), ALL_LINES),
             }
             drained += 1;
         }
@@ -484,8 +618,8 @@ impl AddressSpace {
 
     /// [`Self::cow_drain_with`], copying each page out.
     pub fn cow_drain(&mut self, max: usize) -> Vec<(u64, PageBuf)> {
-        let mut out = Vec::with_capacity(max.min(self.cow_protected.len()));
-        self.cow_drain_with(max, |vpn, page| out.push((vpn, Rc::new(*page))));
+        let mut out = Vec::with_capacity(max.min(self.cow_protected.live));
+        self.cow_drain_with(max, |vpn, page, _| out.push((vpn, Rc::new(*page))));
         out
     }
 
@@ -730,6 +864,139 @@ mod tests {
         assert_eq!(a.cow_protected_count(), 0);
     }
 
+    /// Drain everything, as `(vpn, written-line set)`.
+    fn lent_lines(a: &mut AddressSpace) -> Vec<(u64, u64)> {
+        let mut lent = Vec::new();
+        a.cow_drain_with(usize::MAX, |vpn, _, lines| lent.push((vpn, lines)));
+        lent
+    }
+
+    #[test]
+    fn a_page_is_lent_with_the_lines_written_since_it_was_last_lent() {
+        let mut a = space_with_heap();
+        a.write(0x10000, b"first touch").unwrap();
+        a.cow_protect(&[0x10]);
+        assert_eq!(lent_lines(&mut a), [(0x10, ALL_LINES)], "a new frame");
+
+        // Bytes 60..70 lie in lines 0 and 1; the last byte of the page and
+        // the first of the next are line 63 of one and line 0 of the other.
+        a.write(0x10000 + 60, &[7; 10]).unwrap();
+        a.write(0x10000 + PS - 1, &[8; 2]).unwrap();
+        a.touch(0x10000).unwrap(); // dirties the page, writes no byte
+        a.cow_protect(&[0x10, 0x11]);
+        assert_eq!(
+            lent_lines(&mut a),
+            [(0x10, 0b11 | 1 << 63), (0x11, ALL_LINES)],
+            "0x11 materialized under the write"
+        );
+        // Lending cleared both sets; a whole-page write names every line.
+        a.write(0x11000 + 64, &[9; 64]).unwrap();
+        a.write(0x10000, &[1; PAGE_SIZE]).unwrap();
+        a.cow_protect(&[0x10, 0x11, 0x12]);
+        assert_eq!(
+            lent_lines(&mut a),
+            [(0x10, ALL_LINES), (0x11, 0b10), (0x12, ALL_LINES)],
+            "0x12 has no frame: zeros, every line"
+        );
+        let mut b = space_with_heap();
+        b.install_page(0x10, &[3; PAGE_SIZE]).unwrap();
+        b.cow_protect(&[0x10]);
+        assert_eq!(
+            lent_lines(&mut b),
+            [(0x10, ALL_LINES)],
+            "an installed frame"
+        );
+    }
+
+    #[test]
+    fn a_cow_fault_restarts_the_written_lines_from_its_staged_copy() {
+        let mut a = space_with_heap();
+        a.write(0x10000, &[1; PAGE_SIZE]).unwrap();
+        a.cow_protect(&[0x10]);
+        lent_lines(&mut a);
+        a.write(0x10000 + 128, b"epoch").unwrap(); // line 2
+        a.cow_protect(&[0x10]);
+        a.write(0x10000 + 640, b"racer").unwrap(); // line 10, faults
+        assert_eq!(a.take_cow_staged().len(), 1, "lent whole, by the kernel");
+        assert!(lent_lines(&mut a).is_empty());
+        a.write(0x10000 + 704, b"later").unwrap(); // line 11
+        a.cow_protect(&[0x10]);
+        assert_eq!(
+            lent_lines(&mut a),
+            [(0x10, 0b11 << 10)],
+            "what differs from the staged copy: the racing write and after"
+        );
+    }
+
+    fn drained(a: &mut AddressSpace, max: usize) -> Vec<u64> {
+        a.cow_drain(max).into_iter().map(|(vpn, _)| vpn).collect()
+    }
+
+    #[test]
+    fn protect_queue_skips_pages_that_fault_mid_drain_or_last() {
+        let mut a = space_with_heap();
+        a.cow_protect(&[0x10, 0x11, 0x12, 0x13, 0x14, 0x15]);
+        assert_eq!(drained(&mut a, 2), [0x10, 0x11]);
+        assert_eq!(a.cow_protected_count(), 4);
+        assert_eq!(a.write(0x13000, b"x").unwrap().cow_faults, 1);
+        assert_eq!(
+            a.write(0x15000, b"x").unwrap().cow_faults,
+            1,
+            "the last entry"
+        );
+        assert_eq!(a.write(0x10000, b"x").unwrap().cow_faults, 0, "drained");
+        assert_eq!(a.write(0x13000, b"x").unwrap().cow_faults, 0, "faults once");
+        assert_eq!(a.cow_protected_count(), 2);
+        assert_eq!(drained(&mut a, 1), [0x12]);
+        assert_eq!(a.cow_protected_count(), 1);
+        assert_eq!(drained(&mut a, 100), [0x14]);
+        assert_eq!(a.cow_protected_count(), 0);
+        assert!(drained(&mut a, 100).is_empty());
+        // The next epoch's run replaces what is left of this one.
+        a.cow_protect(&[0x11, 0x15]);
+        assert_eq!(a.cow_protected_count(), 2);
+        assert_eq!(drained(&mut a, 100), [0x11, 0x15]);
+        assert_eq!(a.take_cow_faults(), 2);
+    }
+
+    #[test]
+    fn protect_queue_unmaps_across_drained_pending_and_faulted_entries() {
+        let mut a = space_with_heap();
+        let all: Vec<u64> = (0x10..0x20).collect();
+        a.cow_protect(&all);
+        assert_eq!(drained(&mut a, 4), [0x10, 0x11, 0x12, 0x13]);
+        a.write(0x1a000, b"x").unwrap(); // faults 0x1a out
+        a.take_cow_staged();
+        // Shrink to 0x18: 0x18..0x20 unmapped — one of them already faulted.
+        a.brk(0x18000).unwrap();
+        let staged: Vec<u64> = a.take_cow_staged().iter().map(|(v, _)| *v).collect();
+        assert_eq!(staged, [0x18, 0x19, 0x1b, 0x1c, 0x1d, 0x1e, 0x1f]);
+        assert_eq!(a.cow_protected_count(), 4);
+        // And down into the drained part: only the pending pages are staged.
+        a.brk(0x12000).unwrap();
+        let staged: Vec<u64> = a.take_cow_staged().iter().map(|(v, _)| *v).collect();
+        assert_eq!(staged, [0x14, 0x15, 0x16, 0x17]);
+        assert_eq!(a.cow_protected_count(), 0);
+        assert!(drained(&mut a, 100).is_empty());
+    }
+
+    #[test]
+    fn protecting_into_a_non_empty_queue_merges_sorted_and_deduplicated() {
+        let mut a = space_with_heap();
+        a.cow_protect(&[0x11, 0x13, 0x15, 0x17]);
+        assert_eq!(drained(&mut a, 1), [0x11]);
+        a.write(0x15000, b"x").unwrap(); // faulted: stays out of the merge
+        a.cow_protect(&[0x12, 0x13, 0x1f]);
+        assert_eq!(a.cow_protected_count(), 4);
+        assert_eq!(a.write(0x15000, b"x").unwrap().cow_faults, 0);
+        assert_eq!(a.write(0x12000, b"x").unwrap().cow_faults, 1);
+        assert_eq!(drained(&mut a, 100), [0x13, 0x17, 0x1f]);
+        // A caller's unsorted list with repeats is a set all the same.
+        a.cow_protect(&[0x14, 0x10, 0x14, 0x12]);
+        assert_eq!(a.cow_protected_count(), 3);
+        assert_eq!(drained(&mut a, 100), [0x10, 0x12, 0x14]);
+    }
+
     #[test]
     fn mmap_rejects_addresses_above_48_bits() {
         // The backup's radix tree keeps 36 bits of a page number: a page
@@ -772,7 +1039,7 @@ mod tests {
         }
         assert!(staged[3].1.iter().all(|&b| b == 0));
         let mut lent = Vec::new();
-        a.cow_drain_with(16, |vpn, page| lent.push((vpn, page[0])));
+        a.cow_drain_with(16, |vpn, page, _| lent.push((vpn, page[0])));
         assert_eq!(lent, [(0x12, b'd')], "nothing lent for an unmapped page");
 
         // Regrown, the range is fresh memory that owes no checkpoint a copy.

@@ -16,7 +16,9 @@ use std::rc::Rc;
 /// ([`recycle_page`]) for the next stop phase to fill. A page that ships as
 /// a sparse delta is never copied at all: the COW drain lends the frame
 /// (`AddressSpace::cow_drain_with`), and the delta shadow and the backup
-/// store patch their own resident copy in place.
+/// store patch their own resident copy in place — and it is now read only
+/// where it was written: the frame is lent with the set of 64-byte lines the
+/// guest wrote since it was last lent ([`PageFrame::written_lines`]).
 ///
 /// One rule covers every write into a buffer, patch or refill: only its sole
 /// owner writes (`Rc::get_mut` / `Rc::make_mut`). A holder that finds a
@@ -155,6 +157,23 @@ pub fn spare_pages() -> usize {
     SPARE_PAGES.with(|r| r.borrow().len())
 }
 
+/// Bytes per line of a written-line set: one cache line, the delta encoder's
+/// compare block.
+pub const LINE_BYTES: usize = 64;
+
+/// The written-line set that names every line of a page — what a holder that
+/// does not know which lines changed must say.
+pub const ALL_LINES: u64 = u64::MAX;
+
+const _: () = assert!(PAGE_SIZE / LINE_BYTES == u64::BITS as usize);
+
+/// The lines the bytes `start..start + len` of a page lie in (`len > 0`).
+#[inline]
+pub(crate) fn lines_of(start: usize, len: usize) -> u64 {
+    let (first, last) = (start / LINE_BYTES, (start + len - 1) / LINE_BYTES);
+    (ALL_LINES >> (63 - (last - first))) << first
+}
+
 /// One 4 KiB page frame.
 ///
 /// Frames materialize lazily on first write; a virtual page with no frame
@@ -166,6 +185,13 @@ pub struct PageFrame {
     pub soft_dirty: bool,
     /// Tracking armed: the *next* write to this frame takes a tracking fault.
     pub tracked_clean: bool,
+    /// Written-line set: bit `l` is set if bytes `64 l .. 64 l + 64` may
+    /// differ from what they were when this frame was last lent to a
+    /// checkpoint (`AddressSpace::cow_drain_with`, or the copy a COW fault
+    /// stages). Only `AddressSpace::write` sets single bits and only a lend
+    /// clears them; a new frame — materialised, installed at restore — says
+    /// [`ALL_LINES`], so the set may over-approximate, never miss a line.
+    pub written_lines: u64,
 }
 
 impl std::fmt::Debug for PageFrame {
@@ -173,6 +199,7 @@ impl std::fmt::Debug for PageFrame {
         f.debug_struct("PageFrame")
             .field("soft_dirty", &self.soft_dirty)
             .field("tracked_clean", &self.tracked_clean)
+            .field("written_lines", &format_args!("{:#x}", self.written_lines))
             .field("first_bytes", &&self.data[..8])
             .finish()
     }
@@ -184,6 +211,7 @@ impl Default for PageFrame {
             data: Box::new([0u8; PAGE_SIZE]),
             soft_dirty: false,
             tracked_clean: false,
+            written_lines: ALL_LINES,
         }
     }
 }
