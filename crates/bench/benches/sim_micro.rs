@@ -1,7 +1,9 @@
 //! Wall-clock microbenchmarks of the substrate hot paths: dirty tracking,
 //! guest memory writes, the plug qdisc, socket checkpointing, the message
-//! path (one request frame client to server, one KV batch served), dump/
-//! restore of a realistic container, the dump → ingest → commit round trip
+//! path (one request frame client to server, one KV batch served), the request
+//! path around the application (socket checkpoint against queued bytes, the
+//! echo round trip, guest-access table lookups), dump/restore of a realistic
+//! container, the dump → ingest → commit round trip
 //! a page buffer makes every epoch, and the staged path's drain: the protect
 //! queue's cycle and the delta encode of a lent page against the number of
 //! lines the guest wrote in it.
@@ -15,6 +17,7 @@ use nilicon_container::{
 use nilicon_criu::{dump_container, full_dump, DeltaStats, DumpConfig, PageKey, ShadowStore};
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
+use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::mem::{end_page_round, AddressSpace, TrackingMode, LINE_BYTES};
@@ -115,6 +118,95 @@ fn bench_qdisc_and_sockets(c: &mut Criterion) {
             client.send_bytes(c, encode_frame(&request).into()).unwrap();
             pump(&mut client, &mut server);
             black_box(take_frame(&mut server, child, false).unwrap().unwrap().len());
+        });
+    });
+    group.finish();
+}
+
+/// The request path around the application: what a socket checkpoint costs
+/// against the bytes queued (the benchmark's probe queues 256 B per socket
+/// and cannot see a per-byte cost), the issue → route → serve → release →
+/// collect loop of one small echo (the `fleet_8` inner loop), and the
+/// per-access table lookups under guest reads and writes.
+fn bench_request_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("net");
+    for (label, bytes) in [("256B", 256), ("64KiB", 64 << 10), ("512KiB", 512 << 10)] {
+        group.bench_function(format!("checkpoint_sockets_8_socks_{label}_queues"), |b| {
+            let mut stack = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+            for i in 0..8u16 {
+                let id = stack.socket();
+                let s = stack.sock_mut(id).unwrap();
+                s.state = TcpState::Established;
+                s.local = Endpoint::new(1, 3000);
+                s.remote = Some(Endpoint::new(2, 40_000 + i));
+                // An unread request and an unacknowledged response, each the
+                // one buffer it arrived in / was sent from.
+                s.read_queue.extend_from_slice(&vec![1u8; bytes]);
+                s.write_queue.extend_from_slice(&vec![2u8; bytes]);
+            }
+            b.iter(|| black_box(stack.checkpoint_sockets()).1.len());
+        });
+    }
+    group.bench_function("pump_512_echo_roundtrips", |b| {
+        let mut cl = Cluster::new();
+        let (hs, hc) = (cl.add_host(Kernel::default()), cl.add_host(Kernel::default()));
+        let ns_s = cl.host_mut(hs).namespaces.create_set("server").net;
+        let ns_c = cl.host_mut(hc).namespaces.create_set("clients").net;
+        cl.host_mut(hs).create_stack(ns_s, 10, InputMode::Buffer);
+        cl.host_mut(hc).create_stack(ns_c, 20, InputMode::Buffer);
+        cl.bind_addr(10, hs, ns_s);
+        cl.bind_addr(20, hc, ns_c);
+        let server = cl.host_mut(hs).stack_mut(ns_s).unwrap();
+        let l = server.socket();
+        server.bind(l, 80).unwrap();
+        server.listen(l).unwrap();
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                let stack = cl.host_mut(hc).stack_mut(ns_c).unwrap();
+                let c = stack.socket();
+                stack.connect(c, Endpoint::new(10, 80)).unwrap();
+                c
+            })
+            .collect();
+        cl.pump();
+        cl.host_mut(hs).stack_mut(ns_s).unwrap().plugged = true;
+        let request = [7u8; 64];
+        b.iter(|| {
+            for _ in 0..64 {
+                let stack = cl.host_mut(hc).stack_mut(ns_c).unwrap();
+                for &c in &clients {
+                    stack.send_bytes(c, encode_frame(&request).into()).unwrap();
+                }
+                cl.pump();
+                let server = cl.host_mut(hs).stack_mut(ns_s).unwrap();
+                for (sid, _) in server.established_ids() {
+                    while let Some(req) = take_frame(server, sid, false).unwrap() {
+                        server.send_bytes(sid, encode_frame(&req).into()).unwrap();
+                    }
+                }
+                server.release_output();
+                cl.pump();
+                let stack = cl.host_mut(hc).stack_mut(ns_c).unwrap();
+                for &c in &clients {
+                    black_box(take_frame(stack, c, true).unwrap().expect("echoed").len());
+                }
+            }
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("kernel");
+    group.bench_function("mem_read_write_1KiB_x1000", |b| {
+        let (mut k, cont) = container_kernel(1024);
+        let pid = cont.init_pid();
+        let mut buf = vec![0x5Au8; 1024];
+        b.iter(|| {
+            for i in 0..1000u64 {
+                let addr = MemLayout::heap((i * 1031 % 1000) * 1024);
+                k.mem_write(pid, addr, &buf).unwrap();
+                k.mem_read(pid, addr, &mut buf).unwrap();
+            }
+            black_box(buf[0])
         });
     });
     group.finish();
@@ -344,6 +436,7 @@ criterion_group!(
     benches,
     bench_mem_write,
     bench_qdisc_and_sockets,
+    bench_request_path,
     bench_kv_batch,
     bench_dump_restore,
     bench_staged_drain

@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run --release -p nilicon-bench --bin fleet_bench            # full curve
 //! cargo run --release -p nilicon-bench --bin fleet_bench -- quick   # CI smoke
+//! cargo run --release -p nilicon-bench --bin fleet_bench -- scale   # the scale cell alone, timed
 //! ```
 //!
 //! Three measurements, all gated (the process exits nonzero on a miss):
@@ -50,6 +51,8 @@ const CURVE_EPOCHS: u64 = 24;
 /// so this cell runs deep in the saturated regime — it gates correctness
 /// and aggregate throughput there, not latency.
 const SCALE_CLIENTS: usize = 1_000;
+/// Per-lane epochs in the scale cell.
+const SCALE_EPOCHS: u64 = 12;
 /// Clients per lane on the stop-time curve: light load, so the per-lane
 /// stop floor (~6 ms) rather than connection-dump cost sets the knee.
 const CURVE_CLIENTS: usize = 4;
@@ -362,8 +365,40 @@ fn gate(ok: bool, msg: &str) {
     }
 }
 
+/// The scale cell: 100 lanes × [`SCALE_CLIENTS`] clients, [`SCALE_EPOCHS`]
+/// epochs each.
+fn scale_cell() -> CellOut {
+    eprintln!("[scale] 100 lanes x {SCALE_CLIENTS} clients (100K connections)...");
+    let scale = run_cell(100, SCALE_CLIENTS, SCALE_EPOCHS, false, 8);
+    print_cell(&scale);
+    gate(
+        scale.lanes >= 100 && scale.connections >= 100_000,
+        "scale cell must multiplex 100+ lanes / 100K+ connections",
+    );
+    gate(
+        scale.all_verified && scale.broken_connections == 0 && scale.split_brains == 0,
+        "scale cell failed verification",
+    );
+    scale
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");
+    if std::env::args().any(|a| a == "scale") {
+        // Simulator throughput on the cell that is all request path: wall
+        // time and simulated time per wall time (a host number: printed,
+        // never written to BENCH_fleet.json).
+        let t = std::time::Instant::now();
+        scale_cell();
+        let wall = t.elapsed();
+        let simulated = (SCALE_EPOCHS * FLEET_EPOCH) as f64;
+        println!(
+            "scale cell: {:.2} s wall, {:.4} simulated ns per wall ns",
+            wall.as_secs_f64(),
+            simulated / wall.as_nanos() as f64
+        );
+        return;
+    }
 
     eprintln!("[identity] --fleet 1 vs plain engine...");
     let identity = identity_gate(if quick { 6 } else { 10 }, !quick);
@@ -406,17 +441,7 @@ fn main() {
         curve.push(c);
     }
 
-    eprintln!("[scale] 100 lanes x {SCALE_CLIENTS} clients (100K connections)...");
-    let scale = run_cell(100, SCALE_CLIENTS, 12, false, 8);
-    print_cell(&scale);
-    gate(
-        scale.lanes >= 100 && scale.connections >= 100_000,
-        "scale cell must multiplex 100+ lanes / 100K+ connections",
-    );
-    gate(
-        scale.all_verified && scale.broken_connections == 0 && scale.split_brains == 0,
-        "scale cell failed verification",
-    );
+    let scale = scale_cell();
 
     let bench = Bench {
         identity_ok: true,

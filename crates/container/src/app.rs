@@ -312,7 +312,7 @@ mod tests {
         pump(&mut client, &mut server);
         assert!(take_frame(&mut server, child, false).unwrap().is_none());
         let (ports, states) = server.checkpoint_sockets();
-        assert_eq!(states[0].read_queue, &f[..10], "the partial frame is socket state");
+        assert_eq!(states[0].read_queue, f[..10], "the partial frame is socket state");
         drop(server);
         let mut backup = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
         let restored = backup.restore_sockets(&ports, &states, 200_000_000).unwrap();

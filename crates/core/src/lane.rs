@@ -22,13 +22,13 @@ use nilicon_container::{
     encode_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec, GuestCtx,
 };
 use nilicon_sim::cluster::Cluster;
-use nilicon_sim::ids::{Endpoint, HostId, Pid};
+use nilicon_sim::ids::{Endpoint, HostId, IdMap, Pid};
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::net::InputMode;
 use nilicon_sim::replay::{content_hash, ReplayEvent};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// CPU cost of the keep-alive process per 30 ms interval (§IV: ~1000
 /// instructions).
@@ -137,7 +137,7 @@ pub(crate) struct Lane {
     /// sorted by arrival at every turnaround.
     pub pending: VecDeque<(Endpoint, Bytes, Nanos)>,
     /// Per-connection queue of logical response receipt times.
-    receipts: HashMap<Endpoint, VecDeque<Nanos>>,
+    receipts: IdMap<Endpoint, VecDeque<Nanos>>,
     /// Completions whose responses sit in the plugged qdisc past their own
     /// epoch (stalled or un-acked epoch, bootstrap in progress): they ride
     /// the next release, or are discarded at failover.
@@ -224,7 +224,7 @@ impl Lane {
             behavior,
             pool,
             pending: VecDeque::new(),
-            receipts: HashMap::new(),
+            receipts: IdMap::default(),
             held: Vec::new(),
             metrics: RunMetrics::default(),
             jitter_state: setup.jitter_seed,
@@ -481,14 +481,14 @@ impl Lane {
     /// record latencies.
     pub fn collect(&mut self, cluster: &mut Cluster, fallback_now: Nanos) -> SimResult<()> {
         if let (Some(pool), Some(behavior)) = (self.pool.as_mut(), self.behavior.as_mut()) {
-            let lats = pool.collect(
+            pool.collect_into(
                 cluster,
                 behavior.as_mut(),
                 &mut self.receipts,
                 fallback_now,
                 &self.tracer,
+                &mut self.metrics.response_latencies,
             )?;
-            self.metrics.response_latencies.extend(lats);
         }
         Ok(())
     }

@@ -13,7 +13,8 @@ use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::{Endpoint, HostId, NsId, SockId};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 
 /// Workload-defined client behavior.
 pub trait ClientBehavior {
@@ -143,11 +144,28 @@ impl ClientPool {
         &mut self,
         cluster: &mut Cluster,
         behavior: &mut dyn ClientBehavior,
-        receipt_times: &mut HashMap<Endpoint, std::collections::VecDeque<Nanos>>,
+        receipt_times: &mut HashMap<Endpoint, VecDeque<Nanos>, impl BuildHasher>,
         fallback_now: Nanos,
         tracer: &Tracer,
     ) -> SimResult<Vec<Nanos>> {
         let mut latencies = Vec::new();
+        self.collect_into(cluster, behavior, receipt_times, fallback_now, tracer, &mut latencies)?;
+        Ok(latencies)
+    }
+
+    /// [`ClientPool::collect`] appending the latencies to `latencies` (a
+    /// run's own record, which amortises its growth over the run). Returns
+    /// the number of requests completed.
+    pub fn collect_into(
+        &mut self,
+        cluster: &mut Cluster,
+        behavior: &mut dyn ClientBehavior,
+        receipt_times: &mut HashMap<Endpoint, VecDeque<Nanos>, impl BuildHasher>,
+        fallback_now: Nanos,
+        tracer: &Tracer,
+        latencies: &mut Vec<Nanos>,
+    ) -> SimResult<usize> {
+        let before = latencies.len();
         for (idx, c) in self.conns.iter_mut().enumerate() {
             let stack = cluster.host_mut(self.host).stack_mut(self.ns)?;
             let local = stack.sock(c.sock)?.local;
@@ -163,15 +181,16 @@ impl ClientPool {
                 self.completed_total += 1;
             }
         }
-        if !latencies.is_empty() {
+        let responses = latencies.len() - before;
+        if responses > 0 {
             tracer.event_at(
                 TraceEvent::ClientDeliver {
-                    responses: latencies.len() as u64,
+                    responses: responses as u64,
                 },
                 fallback_now,
             );
         }
-        Ok(latencies)
+        Ok(responses)
     }
 
     /// After failover: retransmit every client's unacknowledged bytes (the

@@ -33,14 +33,11 @@
 //! (the `DeltaEncode` trace span and `trace-report`'s encoded-vs-raw column).
 
 use crate::pagestore::PageKey;
-use nilicon_sim::mem::{PageKeyHasher, ALL_LINES, LINE_BYTES};
+use nilicon_sim::ids::IdMap;
+use nilicon_sim::mem::{ALL_LINES, LINE_BYTES};
 use nilicon_sim::{zero_page, PageBuf, PAGE_SIZE};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::rc::Rc;
-
-type PageKeyBuild = BuildHasherDefault<PageKeyHasher>;
 
 /// 64-bit words per page (the XOR diff granularity).
 pub const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -209,7 +206,7 @@ impl DeltaStats {
 /// applies this epoch (the backup applies epochs strictly in order, §IV).
 #[derive(Debug, Default)]
 pub struct ShadowStore {
-    pages: HashMap<PageKey, PageBuf, PageKeyBuild>,
+    pages: IdMap<PageKey, PageBuf>,
 }
 
 impl ShadowStore {

@@ -416,7 +416,7 @@ mod tests {
         assert_eq!(img.stats.sockets, 1);
         assert_eq!(img.stats.socket_queue_bytes, 15);
         assert_eq!(img.listeners, vec![6379]);
-        assert_eq!(img.sockets[0].read_queue, b"pending request");
+        assert_eq!(img.sockets[0].read_queue, b"pending request"[..]);
     }
 
     #[test]

@@ -260,8 +260,8 @@ mod tests {
             snd_nxt: 0,
             snd_una: 0,
             rcv_nxt: 0,
-            write_queue: vec![0; wq],
-            read_queue: vec![0; rq],
+            write_queue: vec![0; wq].into(),
+            read_queue: vec![0; rq].into(),
         }
     }
 

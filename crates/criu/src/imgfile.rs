@@ -18,7 +18,7 @@
 use crate::image::{CheckpointImage, ProcessImage};
 use nilicon_sim::ids::{Endpoint, Fd, Ino, Pid, SockId};
 use nilicon_sim::mem::{MappedFile, Perms, Vma, VmaKind};
-use nilicon_sim::net::RepairState;
+use nilicon_sim::net::{ByteQueue, RepairState};
 use nilicon_sim::proc::{FdEntry, RegisterFile, SchedPolicy, Thread, ThreadRunState, Timer};
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
 
@@ -86,6 +86,15 @@ impl W {
     }
     fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+    /// A socket queue, written as [`Self::bytes`] writes its flattened
+    /// contents: the length, then the rope's segments in order.
+    fn queue(&mut self, q: &ByteQueue) {
+        self.u64(q.len() as u64);
+        self.0.reserve(q.len());
+        for chunk in q.chunks() {
+            self.0.extend_from_slice(chunk);
+        }
     }
 }
 
@@ -280,8 +289,8 @@ pub fn encode(img: &CheckpointImage) -> Vec<u8> {
         sk.u32(s.snd_nxt);
         sk.u32(s.snd_una);
         sk.u32(s.rcv_nxt);
-        sk.bytes(&s.write_queue);
-        sk.bytes(&s.read_queue);
+        sk.queue(&s.write_queue);
+        sk.queue(&s.read_queue);
     }
     section(&mut out, TAG_SOCKETS, sk.0);
 
@@ -568,8 +577,8 @@ fn decode_sockets(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
             snd_nxt: r.u32()?,
             snd_una: r.u32()?,
             rcv_nxt: r.u32()?,
-            write_queue: r.bytes()?,
-            read_queue: r.bytes()?,
+            write_queue: r.bytes()?.into(),
+            read_queue: r.bytes()?.into(),
         });
     }
     Ok(())

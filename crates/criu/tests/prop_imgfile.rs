@@ -133,8 +133,8 @@ fn arb_image() -> impl Strategy<Value = CheckpointImage> {
                         snd_nxt: snd,
                         snd_una: snd.wrapping_sub(q.len() as u32),
                         rcv_nxt: rcv,
-                        write_queue: q.clone(),
-                        read_queue: q,
+                        write_queue: q.clone().into(),
+                        read_queue: q.into(),
                     });
                 }
                 img.namespaces.push(Namespace {
@@ -271,8 +271,8 @@ fn small_image() -> Vec<u8> {
         snd_nxt: 8,
         snd_una: 4,
         rcv_nxt: 2,
-        write_queue: b"out!".to_vec(),
-        read_queue: b"in".to_vec(),
+        write_queue: b"out!".to_vec().into(),
+        read_queue: b"in".to_vec().into(),
     });
     img.fs_pages
         .pages

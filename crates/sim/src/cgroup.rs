@@ -1,9 +1,8 @@
 //! Control groups: `cpuacct` (drives the failure detector) and freezer state.
 
-use crate::ids::CgroupId;
+use crate::ids::{CgroupId, IdMap};
 use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One control group.
 ///
@@ -44,7 +43,7 @@ impl Cgroup {
 /// The cgroup hierarchy of one kernel.
 #[derive(Debug, Default)]
 pub struct CgroupTree {
-    groups: HashMap<CgroupId, Cgroup>,
+    groups: IdMap<CgroupId, Cgroup>,
     next: u32,
 }
 

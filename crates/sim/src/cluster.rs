@@ -7,11 +7,12 @@
 //! all of a host's traffic (the paper uses `sch_plug` for this) and "manually
 //! unplugging the network cable".
 
-use crate::ids::{HostId, NsId};
+use crate::ids::{HostId, IdHasher, IdMap, NsId};
 use crate::kernel::Kernel;
 use crate::net::Packet;
 use crate::time::SimClock;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 /// Counters from one routing pump.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,8 +37,12 @@ impl PumpStats {
 #[derive(Debug)]
 pub struct Cluster {
     kernels: Vec<Kernel>,
-    routes: HashMap<u32, (usize, NsId)>,
-    partitioned: HashSet<usize>,
+    routes: IdMap<u32, (usize, NsId)>,
+    partitioned: HashSet<usize, BuildHasherDefault<IdHasher>>,
+    /// Packets between stacks during a [`Cluster::pump`], and the stacks its
+    /// last round delivered to; kept for their capacity.
+    in_flight: Vec<Packet>,
+    woken: Vec<(usize, NsId)>,
     /// Shared virtual clock (drivers advance it; the cluster only reads it).
     pub clock: SimClock,
     totals: PumpStats,
@@ -54,8 +59,10 @@ impl Cluster {
     pub fn new() -> Self {
         Cluster {
             kernels: Vec::new(),
-            routes: HashMap::new(),
-            partitioned: HashSet::new(),
+            routes: IdMap::default(),
+            partitioned: HashSet::default(),
+            in_flight: Vec::new(),
+            woken: Vec::new(),
             clock: SimClock::new(),
             totals: PumpStats::default(),
         }
@@ -132,49 +139,49 @@ impl Cluster {
     /// Route packets between stacks until quiescent. Delivery is logical
     /// (timing is the driver's concern); the stats let drivers charge wire
     /// time.
+    ///
+    /// The first round drains every stack, in (host, namespace) order; only a
+    /// delivery can make a stack ready again, so each later round drains just
+    /// the stacks the round before delivered to, in the same order.
     pub fn pump(&mut self) -> PumpStats {
         let mut stats = PumpStats::default();
-        loop {
-            let round = self.pump_once();
-            if round == PumpStats::default() {
-                break;
-            }
-            stats.absorb(round);
-        }
-        self.totals.absorb(stats);
-        stats
-    }
-
-    fn pump_once(&mut self) -> PumpStats {
-        let mut stats = PumpStats::default();
-        let mut in_flight: Vec<(usize, Packet)> = Vec::new();
-
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        let mut woken = std::mem::take(&mut self.woken);
         for (idx, k) in self.kernels.iter_mut().enumerate() {
-            let src_partitioned = self.partitioned.contains(&idx);
-            for stack in k.stacks_mut() {
-                for p in stack.take_ready() {
-                    if src_partitioned {
-                        stats.dropped += 1;
-                    } else {
-                        in_flight.push((idx, p));
+            if self.partitioned.contains(&idx) {
+                stats.dropped += k.stacks_mut().map(|s| s.drain_ready().len() as u64).sum::<u64>();
+            } else {
+                k.stacks_mut().for_each(|s| in_flight.extend(s.drain_ready()));
+            }
+        }
+        while !in_flight.is_empty() {
+            woken.clear();
+            for pkt in in_flight.drain(..) {
+                match self.routes.get(&pkt.dst.addr) {
+                    Some(&(host, ns)) if !self.partitioned.contains(&host) => {
+                        stats.bytes += pkt.wire_bytes();
+                        stats.delivered += 1;
+                        self.kernels[host]
+                            .stack_mut(ns)
+                            .expect("routed stack exists")
+                            .ingress(pkt);
+                        if woken.last() != Some(&(host, ns)) {
+                            woken.push((host, ns));
+                        }
                     }
+                    _ => stats.dropped += 1,
                 }
             }
-        }
-
-        for (_src, pkt) in in_flight {
-            match self.routes.get(&pkt.dst.addr) {
-                Some(&(host, ns)) if !self.partitioned.contains(&host) => {
-                    stats.bytes += pkt.wire_bytes();
-                    stats.delivered += 1;
-                    self.kernels[host]
-                        .stack_mut(ns)
-                        .expect("routed stack exists")
-                        .ingress(pkt);
-                }
-                _ => stats.dropped += 1,
+            woken.sort_unstable();
+            woken.dedup();
+            // A woken stack's host took a delivery: it is not partitioned.
+            for &(host, ns) in &woken {
+                let stack = self.kernels[host].stack_mut(ns).expect("just delivered to");
+                in_flight.extend(stack.drain_ready());
             }
         }
+        (self.in_flight, self.woken) = (in_flight, woken);
+        self.totals.absorb(stats);
         stats
     }
 

@@ -6,7 +6,9 @@
 //! handle-based.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
@@ -97,6 +99,56 @@ impl fmt::Display for Endpoint {
         write!(f, "{}:{}", self.addr, self.port)
     }
 }
+
+/// Multiply-rotate hasher (FxHash-style) for the simulation's own keys:
+/// ids, endpoints, virtual page numbers and `(pid, vpn)` pairs. Object-table
+/// and page-table lookups sit on per-request and per-page hot paths, where
+/// SipHash's keyed rounds cost more than the work they guard, and HashDoS
+/// resistance buys nothing against identifiers this program hands out
+/// itself. Every integer width is one step; only `write` walks bytes.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.add(v as u64);
+    }
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.add(v as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+}
+
+/// A hash map keyed by the simulation's own identifiers ([`IdHasher`]). Its
+/// iteration order depends on insertion history, so nothing ordered may be
+/// derived from it unsorted: every walk either sorts or is order-free, and
+/// says which.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Allocates monotonically increasing raw IDs.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -60,8 +60,8 @@ pub struct Kernel {
     /// Nondeterminism recorder (hybrid checkpoint + replay). Dormant unless
     /// the `hybrid_replay` extension knob enables it.
     pub replay: ReplayRecorder,
-    procs: std::collections::HashMap<Pid, Process>,
-    spaces: std::collections::HashMap<AsId, AddressSpace>,
+    procs: IdMap<Pid, Process>,
+    spaces: IdMap<AsId, AddressSpace>,
     stacks: std::collections::BTreeMap<NsId, NetStack>,
     pid_alloc: IdAlloc,
     tid_alloc: IdAlloc,
@@ -86,8 +86,8 @@ impl Kernel {
             namespaces: NsRegistry::new(),
             ftrace: FtraceHooks::with_default_hooks(),
             replay: ReplayRecorder::default(),
-            procs: std::collections::HashMap::new(),
-            spaces: std::collections::HashMap::new(),
+            procs: IdMap::default(),
+            spaces: IdMap::default(),
             stacks: std::collections::BTreeMap::new(),
             pid_alloc: IdAlloc::starting_at(100),
             tid_alloc: IdAlloc::starting_at(10_000),
@@ -139,7 +139,8 @@ impl Kernel {
             .procs
             .remove(&pid)
             .ok_or(SimError::NoSuchProcess(pid))?;
-        // Drop the address space if no other process shares it.
+        // Drop the address space if no other process shares it (an
+        // existence test: order-free).
         if !self.procs.values().any(|q| q.mm == p.mm) {
             self.spaces.remove(&p.mm);
         }
@@ -436,6 +437,8 @@ impl Kernel {
             return Err(SimError::FreezerState("no processes in cgroup"));
         }
         let costs = self.costs.clone();
+        // Table order: `freeze` and `thaw` count threads, take a maximum and
+        // set every run state — order-free.
         let mut procs: Vec<&mut Process> = self
             .procs
             .values_mut()
@@ -452,6 +455,7 @@ impl Kernel {
     /// Thaw `cgroup`.
     pub fn thaw_cgroup(&mut self, cgroup: CgroupId) -> SimResult<()> {
         let costs = self.costs.clone();
+        // Table order, as in `freeze_cgroup`: order-free.
         let mut procs: Vec<&mut Process> = self
             .procs
             .values_mut()

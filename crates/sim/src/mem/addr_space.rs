@@ -1,12 +1,12 @@
 //! Address spaces: the per-process `mm_struct`.
 
-use super::page::{lines_of, zero_page, PageBuf, PageFrame, PageKeyHasher, ALL_LINES};
+use super::page::{lines_of, zero_page, PageBuf, PageFrame, ALL_LINES};
 use super::vma::{MappedFile, Perms, Vma, VmaKind};
 use super::TrackingMode;
 use crate::error::{SimError, SimResult};
+use crate::ids::IdMap;
 use crate::PAGE_SIZE;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -154,7 +154,7 @@ pub struct AddressSpace {
     vmas: BTreeMap<u64, Vma>,
     /// Materialized frames keyed by virtual page number. Every output that
     /// depends on iteration order sorts, so the hasher cannot leak into it.
-    frames: HashMap<u64, PageFrame, BuildHasherDefault<PageKeyHasher>>,
+    frames: IdMap<u64, PageFrame>,
     /// Current dirty-tracking mode.
     tracking: TrackingMode,
     /// Current heap break (end of the heap VMA), if a heap exists.

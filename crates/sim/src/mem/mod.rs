@@ -13,7 +13,7 @@ mod vma;
 
 pub use addr_space::{AddressSpace, WriteOutcome, VADDR_END};
 pub use page::{
-    end_page_round, recycle_page, spare_pages, zero_page, PageBuf, PageFrame, PageKeyHasher,
+    end_page_round, recycle_page, spare_pages, zero_page, PageBuf, PageFrame,
     Recycler, ALL_LINES, LINE_BYTES,
 };
 pub use vma::{MappedFile, Perms, Vma, VmaKind};

@@ -2,7 +2,6 @@
 
 use crate::PAGE_SIZE;
 use std::cell::RefCell;
-use std::hash::Hasher;
 use std::rc::Rc;
 
 /// A refcounted 4 KiB page buffer, immutable while shared.
@@ -27,40 +26,6 @@ use std::rc::Rc;
 /// skipped — so no holder ever sees a buffer change under it. The simulation
 /// is single-threaded, so `Rc` suffices.
 pub type PageBuf = Rc<[u8; PAGE_SIZE]>;
-
-/// Multiply-rotate hasher (FxHash-style) for page keys: virtual page numbers
-/// and `(pid, vpn)` pairs. Page-table and shadow lookups sit on per-page hot
-/// paths, where SipHash's keyed rounds cost more than the work they guard,
-/// and HashDoS resistance buys nothing against our own page numbers.
-#[derive(Default)]
-pub struct PageKeyHasher(u64);
-
-impl PageKeyHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for PageKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-}
 
 /// Spare buffers on their way from the commit that displaced them to the
 /// stage that fills them next, `T` being what a buffer holds (a page, a

@@ -10,6 +10,9 @@ use std::collections::VecDeque;
 
 /// FIFO of bytes: a deque of non-empty [`Bytes`] segments, of which the
 /// first `head` bytes of the front segment are already consumed.
+///
+/// A clone shares the (immutable) buffers, one reference count per segment,
+/// so it is a snapshot: nothing done to the original afterwards changes it.
 #[derive(Debug, Clone, Default)]
 pub struct ByteQueue {
     segs: VecDeque<Bytes>,
@@ -39,6 +42,12 @@ impl ByteQueue {
     /// Append a copy of `data` as one segment.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.push(Bytes::copy_from_slice(data));
+    }
+
+    /// The queued bytes in order, as the slices they are stored in (what an
+    /// image writer copies out; nothing is flattened).
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks_from(0)
     }
 
     /// The queued bytes from `off` on, as the slices they are stored in.
@@ -71,16 +80,11 @@ impl ByteQueue {
         out
     }
 
-    /// All queued bytes, copied out.
+    /// All queued bytes, copied out. Not on the checkpoint path: a
+    /// checkpoint clones the rope (one reference count per segment; `Bytes`
+    /// is immutable, so the clone is a snapshot) and flattens nothing.
     pub fn to_vec(&self) -> Vec<u8> {
-        // Every socket's queues are copied at every checkpoint and most hold
-        // at most one small segment, where the chunk walk costs more than
-        // the copy (measured: 128 sockets x 256 B, 7-10 % slower without).
-        match self.segs.len() {
-            0 => Vec::new(),
-            1 => self.segs[0][self.head..].to_vec(),
-            _ => self.copy_range(0, self.len),
-        }
+        self.copy_range(0, self.len)
     }
 
     /// Fill `buf` with the first `buf.len()` queued bytes without consuming
@@ -131,6 +135,61 @@ impl ByteQueue {
         };
         self.advance(n);
         Some(out)
+    }
+}
+
+/// Whether two chunk sequences of equal total length spell the same bytes.
+fn same_bytes<'a, 'b>(
+    a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'b [u8]>,
+) -> bool {
+    let mut y: &[u8] = &[];
+    for mut x in a {
+        while !x.is_empty() {
+            if y.is_empty() {
+                match b.next() {
+                    Some(chunk) => y = chunk,
+                    None => return false,
+                }
+            }
+            let n = x.len().min(y.len());
+            if x[..n] != y[..n] {
+                return false;
+            }
+            (x, y) = (&x[n..], &y[n..]);
+        }
+    }
+    true
+}
+
+/// Content equality: the bytes queued, whatever segments hold them and
+/// however much of the front segment is already consumed.
+impl PartialEq for ByteQueue {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && same_bytes(self.chunks(), other.chunks())
+    }
+}
+
+impl Eq for ByteQueue {}
+
+impl PartialEq<[u8]> for ByteQueue {
+    fn eq(&self, other: &[u8]) -> bool {
+        self.len == other.len() && same_bytes(self.chunks(), std::iter::once(other))
+    }
+}
+
+/// The vector's allocation becomes the queue's one segment (no copy).
+impl From<Vec<u8>> for ByteQueue {
+    fn from(v: Vec<u8>) -> Self {
+        let mut q = ByteQueue::default();
+        q.push(Bytes::from(v));
+        q
+    }
+}
+
+impl From<&[u8]> for ByteQueue {
+    fn from(v: &[u8]) -> Self {
+        v.to_vec().into()
     }
 }
 

@@ -47,8 +47,18 @@ impl PlugQdisc {
     /// Release everything buffered so far (epoch commit). Returns packets in
     /// FIFO order.
     pub fn release(&mut self) -> Vec<Packet> {
-        self.released_total += self.buf.len() as u64;
-        Vec::from(std::mem::take(&mut self.buf))
+        let mut out = Vec::new();
+        self.release_into(&mut out);
+        out
+    }
+
+    /// [`PlugQdisc::release`] appending to `out`; the buffer keeps its
+    /// capacity for the next epoch's output. Returns the packets released.
+    pub fn release_into(&mut self, out: &mut Vec<Packet>) -> usize {
+        let n = self.buf.len();
+        self.released_total += n as u64;
+        out.extend(self.buf.drain(..));
+        n
     }
 
     /// Discard everything buffered (primary failed before commit — these

@@ -3,10 +3,9 @@
 use super::qdisc::{InputGate, InputMode, PlugQdisc};
 use super::tcp::{Packet, RepairState, TcpFlags, TcpSocket, TcpState};
 use crate::error::{SimError, SimResult};
-use crate::ids::{Endpoint, IdAlloc, SockId};
+use crate::ids::{Endpoint, IdAlloc, IdMap, SockId};
 use crate::time::Nanos;
 use bytes::Bytes;
-use std::collections::HashMap;
 
 /// Aggregate socket-queue statistics (the non-page component of transferred
 /// checkpoint state — Table IV: "dirty pages and the read/write queues of TCP
@@ -26,9 +25,9 @@ pub struct SocketQueueStats {
 pub struct NetStack {
     /// This stack's flat network address.
     pub addr: u32,
-    sockets: HashMap<SockId, TcpSocket>,
-    listeners: HashMap<u16, SockId>,
-    conns: HashMap<(Endpoint, Endpoint), SockId>,
+    sockets: IdMap<SockId, TcpSocket>,
+    listeners: IdMap<u16, SockId>,
+    conns: IdMap<(Endpoint, Endpoint), SockId>,
     sock_alloc: IdAlloc,
     ephemeral: u16,
     rto_default: Nanos,
@@ -52,9 +51,9 @@ impl NetStack {
     pub fn new(addr: u32, rto_default: Nanos, input_mode: InputMode) -> Self {
         NetStack {
             addr,
-            sockets: HashMap::new(),
-            listeners: HashMap::new(),
-            conns: HashMap::new(),
+            sockets: IdMap::default(),
+            listeners: IdMap::default(),
+            conns: IdMap::default(),
             sock_alloc: IdAlloc::default(),
             ephemeral: 32768,
             rto_default,
@@ -315,7 +314,13 @@ impl NetStack {
 
     /// Drain packets ready to leave the stack (pass-through egress + RSTs).
     pub fn take_ready(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.out_ready)
+        self.drain_ready().collect()
+    }
+
+    /// [`NetStack::take_ready`] as a draining iterator: the ready queue keeps
+    /// its capacity for the packets of the next round.
+    pub fn drain_ready(&mut self) -> std::vec::Drain<'_, Packet> {
+        self.out_ready.drain(..)
     }
 
     /// Inject a raw packet into the egress-ready queue, bypassing the plug
@@ -328,10 +333,7 @@ impl NetStack {
     /// Release the plugged output buffer (epoch commit): packets move to the
     /// ready queue, in order.
     pub fn release_output(&mut self) -> usize {
-        let pkts = self.qdisc.release();
-        let n = pkts.len();
-        self.out_ready.extend(pkts);
-        n
+        self.qdisc.release_into(&mut self.out_ready)
     }
 
     /// Discard plugged output (failover: uncommitted output must not escape).
@@ -357,24 +359,27 @@ impl NetStack {
     // ------------------------------------------------------------------
 
     /// Dump all established sockets via repair mode and all listening ports.
-    /// Returns `(listeners, repair states)` sorted for determinism.
+    /// Returns `(listeners, repair states)`, both sorted: ports ascending,
+    /// states in socket-id order. A state holds its queues by reference
+    /// ([`RepairState`]); nothing is copied here.
     pub fn checkpoint_sockets(&mut self) -> (Vec<u16>, Vec<RepairState>) {
         let mut ports: Vec<u16> = self.listeners.keys().copied().collect();
         ports.sort_unstable();
-        let mut ids: Vec<SockId> = self
+        let mut socks: Vec<&mut TcpSocket> = self
             .sockets
-            .iter()
-            .filter(|(_, s)| s.state == TcpState::Established)
-            .map(|(&id, _)| id)
+            .values_mut()
+            .filter(|s| s.state == TcpState::Established)
             .collect();
-        ids.sort_unstable();
-        let mut states = Vec::with_capacity(ids.len());
-        for id in ids {
-            let s = self.sockets.get_mut(&id).expect("id just listed");
-            s.set_repair(true);
-            states.push(s.repair_get().expect("repair mode just set"));
-            s.set_repair(false);
-        }
+        socks.sort_unstable_by_key(|s| s.id);
+        let states = socks
+            .into_iter()
+            .map(|s| {
+                s.set_repair(true);
+                let state = s.repair_get().expect("repair mode just set");
+                s.set_repair(false);
+                state
+            })
+            .collect();
         (ports, states)
     }
 
@@ -409,20 +414,20 @@ impl NetStack {
     /// the restored sockets' RTO at failover; §V-E). Each socket's whole
     /// unacked window is drained in MSS-sized segments — a backlog larger
     /// than one MSS produces multiple packets, not a truncated first one.
+    /// Sockets retransmit in id order, so the packet order on the wire does
+    /// not depend on how the socket table happens to be laid out.
     pub fn retransmit_all(&mut self) -> usize {
-        let mut pkts = Vec::new();
-        for s in self.sockets.values() {
-            if s.restored {
-                let mut off = 0;
-                while let Some(p) = s.retransmit_at(off) {
-                    off += p.payload.len();
-                    pkts.push(p);
-                }
+        let mut ids: Vec<SockId> =
+            self.sockets.values().filter(|s| s.restored).map(|s| s.id).collect();
+        ids.sort_unstable();
+        let mut n = 0;
+        for id in ids {
+            let mut off = 0;
+            while let Some(p) = self.sockets[&id].retransmit_at(off) {
+                off += p.payload.len();
+                self.egress(p);
+                n += 1;
             }
-        }
-        let n = pkts.len();
-        for p in pkts {
-            self.egress(p);
         }
         n
     }
@@ -455,6 +460,7 @@ impl NetStack {
             listeners: self.listeners.len(),
             queue_bytes: 0,
         };
+        // Counts and sums: order-free.
         for s in self.sockets.values() {
             if s.state == TcpState::Established {
                 st.established += 1;
@@ -483,6 +489,7 @@ impl NetStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::ByteQueue;
 
     const RTO: Nanos = 1_000_000_000;
 
@@ -628,8 +635,8 @@ mod tests {
         let (ports, states) = server.checkpoint_sockets();
         assert_eq!(ports, vec![80]);
         assert_eq!(states.len(), 1);
-        assert_eq!(states[0].read_queue, b"query");
-        assert_eq!(states[0].write_queue, b"answer");
+        assert_eq!(states[0].read_queue, b"query"[..]);
+        assert_eq!(states[0].write_queue, b"answer"[..]);
 
         // "Backup host": fresh stack at the same address.
         let mut backup = NetStack::new(1, RTO, InputMode::Buffer);
@@ -646,6 +653,42 @@ mod tests {
             client.broken_connections(),
             0,
             "no RST ever reached the client"
+        );
+    }
+
+    #[test]
+    fn restored_sockets_retransmit_in_id_order() {
+        use crate::net::RTO_MSS;
+        // Three connections with unacked windows (the middle one two
+        // segments long), restored in this order, so ids ascend with it.
+        let window = |port: u16, len: usize| RepairState {
+            local: Endpoint::new(1, 80),
+            remote: Endpoint::new(2, port),
+            snd_nxt: len as u32,
+            snd_una: 0,
+            rcv_nxt: 0,
+            write_queue: vec![port as u8; len].into(),
+            read_queue: ByteQueue::default(),
+        };
+        let states = [window(40_003, 10), window(40_001, RTO_MSS + 5), window(40_002, 20)];
+        let mut backup = NetStack::new(1, RTO, InputMode::Buffer);
+        let ids = backup.restore_sockets(&[80], &states, 200_000_000).unwrap();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(backup.retransmit_all(), 4);
+        let sent: Vec<(u16, u32, usize)> = backup
+            .take_ready()
+            .iter()
+            .map(|p| (p.dst.port, p.seq, p.payload.len()))
+            .collect();
+        assert_eq!(
+            sent,
+            [
+                (40_003, 0, 10),
+                (40_001, 0, RTO_MSS),
+                (40_001, RTO_MSS as u32, 5),
+                (40_002, 0, 20)
+            ],
+            "socket-id order, each window front to back"
         );
     }
 

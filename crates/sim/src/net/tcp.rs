@@ -121,7 +121,9 @@ impl TcpState {
 
 /// Everything socket repair mode exposes (§II-B): sequence numbers plus the
 /// write queue (transmitted but not acknowledged) and read queue (received
-/// but not read by the process).
+/// but not read by the process). The queues are held by reference: a clone
+/// of the socket's rope shares its (immutable) segments, so what the live
+/// socket sends, acknowledges or reads afterwards cannot change it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairState {
     /// Local endpoint.
@@ -135,9 +137,9 @@ pub struct RepairState {
     /// Next expected receive sequence number.
     pub rcv_nxt: u32,
     /// Write-queue contents (bytes `snd_una..snd_nxt`).
-    pub write_queue: Vec<u8>,
+    pub write_queue: ByteQueue,
     /// Read-queue contents (received, not yet read by the application).
-    pub read_queue: Vec<u8>,
+    pub read_queue: ByteQueue,
 }
 
 impl RepairState {
@@ -380,8 +382,8 @@ impl TcpSocket {
             snd_nxt: self.snd_nxt,
             snd_una: self.snd_una,
             rcv_nxt: self.rcv_nxt,
-            write_queue: self.write_queue.to_vec(),
-            read_queue: self.read_queue.to_vec(),
+            write_queue: self.write_queue.clone(),
+            read_queue: self.read_queue.clone(),
         })
     }
 
@@ -397,8 +399,8 @@ impl TcpSocket {
         self.snd_nxt = st.snd_nxt;
         self.snd_una = st.snd_una;
         self.rcv_nxt = st.rcv_nxt;
-        self.write_queue = st.write_queue.iter().copied().collect();
-        self.read_queue = st.read_queue.iter().copied().collect();
+        self.write_queue = st.write_queue.clone();
+        self.read_queue = st.read_queue.clone();
         self.state = TcpState::Established;
         self.rto = rto_min;
         self.restored = true;
@@ -534,8 +536,8 @@ mod tests {
 
         b.set_repair(true);
         let st = b.repair_get().unwrap();
-        assert_eq!(st.read_queue, b"unacked!");
-        assert_eq!(st.write_queue, b"reply");
+        assert_eq!(st.read_queue, b"unacked!"[..]);
+        assert_eq!(st.write_queue, b"reply"[..]);
 
         let mut b2 = TcpSocket::new(SockId(9), 1_000_000_000);
         assert!(
@@ -576,8 +578,8 @@ mod tests {
             snd_nxt: 0,
             snd_una: 0,
             rcv_nxt: 0,
-            write_queue: vec![0; 100],
-            read_queue: vec![0; 50],
+            write_queue: vec![0; 100].into(),
+            read_queue: vec![0; 50].into(),
         };
         assert_eq!(st.state_bytes(), 214);
     }

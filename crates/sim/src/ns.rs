@@ -4,9 +4,8 @@
 //! take up to 100ms" (§I) — which is why namespaces sit in NiLiCon's
 //! infrequently-modified cached state set (§V-B).
 
-use crate::ids::NsId;
+use crate::ids::{IdMap, NsId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Namespace kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,7 +66,7 @@ pub struct NsSet {
 /// Namespace registry of one kernel.
 #[derive(Debug, Default)]
 pub struct NsRegistry {
-    spaces: HashMap<NsId, Namespace>,
+    spaces: IdMap<NsId, Namespace>,
     next: u32,
 }
 

@@ -227,6 +227,55 @@ proptest! {
         }
     }
 
+    /// Equality is about the bytes queued: two queues fed the same bytes
+    /// through different `push` / `extend_from_slice` cuts, behind consumed
+    /// prefixes of different lengths, are equal (to each other and to the
+    /// slice); one differing byte makes them unequal; and a clone — what a
+    /// checkpoint holds — is unaffected by what the original does next.
+    #[test]
+    fn byte_queue_equality_is_content_and_a_clone_is_a_snapshot(
+        bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        hist_a in (0..40usize, proptest::collection::vec((1..200usize, any::<bool>()), 0..12)),
+        hist_b in (0..40usize, proptest::collection::vec((1..200usize, any::<bool>()), 0..12)),
+        flip in any::<prop::sample::Index>(),
+        later in proptest::collection::vec((0u8..3, 1..300usize), 0..8),
+    ) {
+        // `junk` consumed bytes first, then `bytes` cut as the history says.
+        let build = |data: &[u8], (junk, cuts): &(usize, Vec<(usize, bool)>)| {
+            let mut q = ByteQueue::default();
+            let mut fed = vec![0xEEu8; *junk];
+            fed.extend_from_slice(data);
+            let mut rest = &fed[..];
+            for &(cut, shared) in cuts.iter().cycle().take(if cuts.is_empty() { 0 } else { 64 }) {
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                if shared { q.push(Bytes::copy_from_slice(head)) } else { q.extend_from_slice(head) }
+                rest = tail;
+            }
+            q.extend_from_slice(rest);
+            q.advance(*junk);
+            q
+        };
+        let (mut a, b) = (build(&bytes, &hist_a), build(&bytes, &hist_b));
+        prop_assert_eq!(&a, &b);
+        prop_assert!(a == bytes[..] && b == bytes[..]);
+        if !bytes.is_empty() {
+            let mut other = bytes.clone();
+            other[flip.index(bytes.len())] ^= 0x40;
+            prop_assert!(a != build(&other, &hist_b), "one byte differs");
+            prop_assert!(a != other[..] && a != bytes[1..]);
+        }
+        let snapshot = a.clone();
+        for (kind, n) in later {
+            match kind {
+                0 => a.advance(n),
+                1 => drop(a.take(n.min(a.len()))),
+                _ => a.push(Bytes::from(vec![0x11; n])),
+            }
+        }
+        prop_assert!(snapshot == bytes[..], "the clone still holds the bytes it was taken with");
+        prop_assert_eq!(snapshot, b);
+    }
+
     #[test]
     fn repair_roundtrip_any_queue_state(
         unread in proptest::collection::vec(any::<u8>(), 0..2000),
@@ -241,8 +290,8 @@ proptest! {
             snd_nxt: seqs.0,
             snd_una: seqs.0.wrapping_sub(unacked.len() as u32),
             rcv_nxt: seqs.1,
-            write_queue: unacked.clone(),
-            read_queue: unread.clone(),
+            write_queue: unacked.clone().into(),
+            read_queue: unread.clone().into(),
         };
         let mut sock = TcpSocket::new(SockId(9), 1_000_000_000);
         sock.set_repair(true);

@@ -280,6 +280,9 @@ impl ResponseWriter {
     }
 }
 
+/// Multiplier of [`value_pattern`].
+const PATTERN_K: u64 = 0x2545F4914F6CDD1D;
+
 /// The deterministic value pattern for `(slot, version)` — clients and
 /// servers both compute it, making end-to-end verification possible without
 /// shipping golden data around.
@@ -287,9 +290,13 @@ pub fn value_pattern(slot: u32, version: u64, len: usize) -> Vec<u8> {
     let seed = (slot as u64)
         .wrapping_mul(0x9E3779B9)
         .wrapping_add(version.wrapping_mul(31));
+    // Byte `i` is the top byte of `(seed + i)·K`; since `(seed + i)·K ≡
+    // seed·K + i·K (mod 2⁶⁴)`, the product advances by one add per byte.
+    let mut acc = seed.wrapping_mul(PATTERN_K);
     let mut v = vec![0u8; len];
-    for (i, b) in v.iter_mut().enumerate() {
-        *b = (seed.wrapping_add(i as u64).wrapping_mul(0x2545F4914F6CDD1D) >> 56) as u8;
+    for b in v.iter_mut() {
+        *b = (acc >> 56) as u8;
+        acc = acc.wrapping_add(PATTERN_K);
     }
     v
 }
@@ -616,6 +623,21 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-add loop yields the bytes of the multiply form the
+        /// pattern is defined by (they sit in guest memory and replay logs).
+        #[test]
+        fn value_pattern_matches_the_multiply_form(
+            slot in any::<u32>(),
+            version in any::<u64>(),
+            len in 0..4097usize,
+        ) {
+            let seed = (slot as u64).wrapping_mul(0x9E3779B9).wrapping_add(version.wrapping_mul(31));
+            let want: Vec<u8> = (0..len as u64)
+                .map(|i| (seed.wrapping_add(i).wrapping_mul(0x2545F4914F6CDD1D) >> 56) as u8)
+                .collect();
+            prop_assert_eq!(value_pattern(slot, version, len), want);
+        }
 
         /// The borrowed server path and the owned public types agree on the
         /// wire: `decode_ops` sees the ops `KvRequest::decode` sees, and the
