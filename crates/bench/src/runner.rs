@@ -22,21 +22,20 @@ pub const WARMUP_EPOCHS: usize = 4;
 ///
 /// A placement needs the staged ack path, so a Table I staircase row below
 /// "+ Add memory staging buffer" keeps the single-backup engine under
-/// `--backups`. Every other combination goes through
-/// [`OptimizationConfig::validate`]: `--backups` with `--delta` or `--cow`
-/// is its error (and a quorum outside `1..=n` the codec's) — numbers under
-/// a placement label come from a placement.
+/// `--backups`. Every other combination is judged by
+/// [`OptimizationConfig::validate`], which both engine constructors go
+/// through: `--backups` with `--delta` or `--cow`, or with a quorum outside
+/// `1..=n`, is its error — numbers under a placement label come from a
+/// placement.
 pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
     let costs = CostModel::default();
-    if opts.backups > 1 && !opts.staging_buffer {
-        return Ok(Box::new(NiLiConEngine::new(opts, costs)));
+    if opts.backups > 1 && opts.staging_buffer {
+        return Ok(Box::new(PlacementEngine::new(opts, costs)?));
     }
-    opts.validate()?;
-    Ok(if opts.backups > 1 {
-        Box::new(PlacementEngine::new(opts, costs)?)
-    } else {
-        Box::new(NiLiConEngine::new(opts, costs))
-    })
+    if opts.backups == 1 {
+        opts.validate()?; // an error here, where the constructor would panic
+    }
+    Ok(Box::new(NiLiConEngine::new(opts, costs)))
 }
 
 /// A NiLiCon run mode with the given optimization set, plus any EXTENSION

@@ -188,14 +188,23 @@ impl OptimizationConfig {
 
     /// Reject the knob combinations no engine or driver implements — a knob
     /// that would silently do nothing is an error, not a run without the
-    /// mechanism. A k-of-n placement (`backups > 1`) codes fragments from
-    /// full page bodies after the stop phase, so it needs the staged ack
-    /// path and composes with neither `delta_transfer` nor `cow_checkpoint`;
-    /// every fleet lane runs the single-backup engine with neither log
-    /// shipping nor a rearm driver. Called by `PlacementEngine::new`,
-    /// `FleetScheduler::new` and the bench runner's engine choice.
+    /// mechanism — for the replica layout these knobs select: coded when
+    /// `backups > 1`. The one place the rules live: both engine constructors
+    /// (each for its own layout), `FleetScheduler::new` and the bench
+    /// runner's engine choice call it.
     pub fn validate(&self) -> SimResult<()> {
-        if self.backups > 1 {
+        self.validate_for(self.backups > 1)
+    }
+
+    /// [`Self::validate`] for an engine of the coded (`PlacementEngine`, at
+    /// any `(k, n)`) or the mirror (`NiLiConEngine`) layout. The coded
+    /// layout codes fragments from full page bodies after the stop phase, so
+    /// it needs the staged ack path, composes with neither `delta_transfer`
+    /// nor `cow_checkpoint`, and its quorum must lie in `1..=backups`; every
+    /// fleet lane runs the mirror layout with neither log shipping nor a
+    /// rearm driver.
+    pub(crate) fn validate_for(&self, coded: bool) -> SimResult<()> {
+        if coded {
             if !self.staging_buffer {
                 return Err(SimError::Invalid(
                     "placement requires the staging buffer (staged ack path)".into(),
@@ -219,6 +228,12 @@ impl OptimizationConfig {
                     )));
                 }
             }
+        }
+        if coded && !(1..=self.backups).contains(&self.quorum) {
+            return Err(SimError::Invalid(format!(
+                "invalid placement (k={}, n={}): need 1 <= k <= n <= 128",
+                self.quorum, self.backups
+            )));
         }
         Ok(())
     }
@@ -393,6 +408,8 @@ mod tests {
         assert!(rejected(|o| (o.backups, o.staging_buffer) = (3, false)).contains("staging buffer"));
         assert!(rejected(|o| (o.backups, o.delta_transfer) = (3, true)).contains("delta_transfer"));
         assert!(rejected(|o| (o.backups, o.cow_checkpoint) = (3, true)).contains("cow_checkpoint"));
+        assert!(rejected(|o| (o.backups, o.quorum) = (3, 4)).contains("1 <= k <= n"));
+        assert!(rejected(|o| (o.backups, o.quorum) = (3, 0)).contains("1 <= k <= n"));
         let mut fleet = OptimizationConfig::nilicon();
         (fleet.fleet, fleet.delta_transfer, fleet.pipeline) = (8, true, true);
         fleet.validate().expect("the fleet composes with the single-backup knobs");

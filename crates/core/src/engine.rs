@@ -1,5 +1,8 @@
 //! The [`Checkpointer`] seam between the epoch-loop harness and a
-//! replication engine (NiLiCon here, MC in `nilicon-mc`).
+//! replication engine: the one NiLiCon engine here
+//! ([`Engine`](crate::nilicon_engine::Engine), whose `supports_*` answers
+//! come from its knobs and replica count), MC in `nilicon-mc`, COLO in
+//! `nilicon-colo` (which keep the `false` defaults).
 
 use nilicon_container::Container;
 use nilicon_criu::RestoredContainer;
@@ -98,7 +101,7 @@ pub struct RepairBegin {
     pub state_bytes: u64,
 }
 
-fn no_placement<T>() -> SimResult<T> {
+pub(crate) fn no_placement<T>() -> SimResult<T> {
     Err(SimError::Invalid(
         "engine does not support k-of-n placement".into(),
     ))
@@ -201,8 +204,10 @@ pub trait Checkpointer {
     fn committed_epoch(&self) -> Option<u64>;
 
     /// Whether this engine can re-establish redundancy after a failover
-    /// (the `rearm` extension). Engines that return `false` keep the paper's
-    /// behavior: one failover permanently exhausts fault tolerance.
+    /// (the `rearm` extension: [`Engine`](crate::nilicon_engine::Engine) on
+    /// either layout, iff `opts.rearm`). Engines that return `false` keep
+    /// the paper's behavior: one failover permanently exhausts fault
+    /// tolerance.
     fn supports_rearm(&self) -> bool {
         false
     }
@@ -254,8 +259,10 @@ pub trait Checkpointer {
     }
 
     /// Whether this engine stripes committed state across k-of-n replicas
-    /// (the `placement` extension). When `false`, the remaining methods in
-    /// this block error by default and the harness never calls them.
+    /// (the `placement` extension: [`PlacementEngine`](crate::PlacementEngine)
+    /// with more than one replica). When `false`, the remaining methods in
+    /// this block error — by default, and on the mirror layout — and the
+    /// harness never calls them.
     fn supports_placement(&self) -> bool {
         false
     }
@@ -301,9 +308,11 @@ pub trait Checkpointer {
     }
 
     /// Whether this engine ships a nondeterminism log and can replay it at
-    /// failover (the `hybrid_replay` extension). When `false`, the remaining
-    /// methods in this block error by default and the harness keeps the
-    /// paper's release-at-epoch-ack behavior.
+    /// failover (the `hybrid_replay` extension:
+    /// [`Engine`](crate::nilicon_engine::Engine) on either layout, iff
+    /// `opts.hybrid_replay`). When `false`, the remaining methods in this
+    /// block error and the harness keeps the paper's release-at-epoch-ack
+    /// behavior.
     fn supports_replay(&self) -> bool {
         false
     }

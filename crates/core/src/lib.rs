@@ -32,9 +32,12 @@
 //! * [`engine`] — the [`engine::Checkpointer`] trait shared with the MC
 //!   baseline, plus checkpoint/failover outcome types,
 //! * [`backup`] — the backup agent: buffered state, page store, DRBD buffer,
-//! * [`nilicon_engine`] — the primary-side NiLiCon engine,
-//! * [`placement`] — the k-of-n erasure-coded multi-backup engine with
-//!   unified repair/rearm/migration streaming,
+//! * [`nilicon_engine`] — the one replication engine (`Engine<L>`, the only
+//!   [`engine::Checkpointer`] impl here) over a private stage core
+//!   (`stages`: stop phase, log store, chunk clock, replica set), and its
+//!   `Mirror` layout: [`NiLiConEngine`], the paper's single backup,
+//! * [`placement`] — the engine's `Coded` layout, [`PlacementEngine`]:
+//!   k-of-n erasure-coded fragments, decode at failover, coded repair,
 //! * [`fleet`] — the fleet-scale extension: N containers multiplexed over
 //!   one primary/backup pair with staggered epochs and fair-share commit,
 //! * [`traffic`] — client pool and the [`traffic::ClientBehavior`] seam that

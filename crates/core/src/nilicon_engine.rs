@@ -1,40 +1,54 @@
-//! The primary-side NiLiCon replication engine (§IV, §V): the stage core
-//! plus the single-backup transfer strategies — whole pages or XOR deltas
-//! into one [`BackupAgent`], synchronously, streamed off the COW drain, or
-//! through the staged pipeline.
+//! The replication engine (§III–V, Fig. 2): one primary agent over a set of
+//! backup agents, generic over how a checkpoint is laid out on them.
+//!
+//! [`Engine`] owns the stage core (`stages.rs`), the replica set — the
+//! paper's single backup is `n = k = 1` — the three test hooks, and its
+//! layout; it carries the only [`Checkpointer`] impl among the NiLiCon
+//! engines. Where the two layouts differ the engine looks at which one it
+//! holds ([`Layout::view`], resolved at compile time): what a chunk carries,
+//! where it lands, how the committed image comes back. [`NiLiConEngine`] is
+//! the [`Mirror`] layout (this file): whole pages or XOR deltas into the one
+//! agent, synchronously, off the COW drain, or through the staged pipeline.
+//! [`PlacementEngine`](crate::PlacementEngine) is the [`Coded`] layout
+//! (`placement.rs`): `frag_len` fragments fanned out to `n` agents, decoded
+//! from any `k`.
 
 use crate::backup::BackupAgent;
 use crate::config::OptimizationConfig;
 use crate::engine::{
-    BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
-    ReplayTail,
+    no_placement, BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport,
+    LogShipOutcome, RepairBegin, ReplayTail,
 };
-use crate::stages::{deferred_pids, delta_event, ChunkClock, StageCore, Stopped, CHUNK_PAGES};
+use crate::placement::Coded;
+use crate::stages::{
+    ack_spans, alive_indices, commit_replica, committed_epoch, deferred_pids, delta_event,
+    open_assemblies, survivors, ChunkClock, Mapped, Replica, StageCore, Stopped, CHUNK_PAGES,
+};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{
-    unmapped_since, CheckpointImage, DeltaStats, PageEncoding, PageKey, RestoredContainer,
-    ShadowStore,
-};
+use nilicon_criu::{DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore};
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::Vma;
+use nilicon_sim::mem::ALL_LINES;
 use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{CostModel, PageBuf, SimResult, PAGE_SIZE};
+use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-/// NiLiCon's primary-side engine plus the buffered backup agent.
-pub struct NiLiConEngine {
-    core: StageCore,
-    /// Backup agent (public for Table V accounting and failover tests).
-    pub agent: BackupAgent,
-    /// Primary-side shadow of the page contents last shipped to the backup —
-    /// the base for the next epoch's XOR deltas (`delta_transfer`).
-    shadow: ShadowStore,
-    /// The VMAs of the image the shadow was last encoded for, per process:
-    /// what the next image is compared with to forget unmapped pages.
-    mapped: Vec<(Pid, Vec<Vma>)>,
+/// The replication engine: the primary-side agent plus its buffered backup
+/// replicas, laid out by `L`. Named through its two constructors,
+/// [`NiLiConEngine::new`] and
+/// [`PlacementEngine::new`](crate::PlacementEngine::new).
+pub struct Engine<L> {
+    name: &'static str,
+    pub(crate) core: StageCore,
+    /// The replica set. Dereferencing the engine gives the designated
+    /// replica 0, so `engine.agent` is the paper's backup agent.
+    pub(crate) replicas: Vec<Replica>,
+    /// Replicas whose stores it takes to bring the committed image back.
+    quorum: u32,
+    pub(crate) layout: L,
     /// Test-only fault injection: abort the COW drain after this many page
     /// chunks have been streamed, as if the primary died mid-copy. The
     /// epoch's assembly is never finished at the backup, so it can never be
@@ -43,47 +57,112 @@ pub struct NiLiConEngine {
     /// Test-only fault injection: the primary dies after shipping this many
     /// log chunks — later chunks (and the seal message) are lost in flight,
     /// leaving the tail epoch's log *partial*. Failover must then take the
-    /// plain last-checkpoint fallback instead of replaying.
+    /// plain last-checkpoint fallback instead of replaying. (A chunk is
+    /// coded and fanned out like epoch pages; the store holds the logical
+    /// log — checkpoint refuses below quorum, so a stored chunk is always
+    /// decodable from the survivors.)
     pub log_fail_after_chunks: Option<u64>,
-    /// Test-only fault injection (streamed transfers): the backup-ingest
-    /// stage crashes once, right after receiving this zero-based chunk index.
-    /// The supervisor restarts the stage and the chunk replays from the
-    /// upstream queue (peek-before-commit): its receive CPU is charged twice,
-    /// but the assembly is mutated exactly once — no lost or duplicated chunk.
+    /// Test-only fault injection (streamed transfers): the designated
+    /// replica's ingest stage crashes once, right after receiving this
+    /// zero-based chunk index. The supervisor restarts the stage and the
+    /// chunk replays from the upstream queue (peek-before-commit): its
+    /// receive CPU is charged twice, but the assembly is mutated exactly
+    /// once — no lost or duplicated chunk.
     pub stage_fail_at_chunk: Option<u64>,
 }
 
-impl std::fmt::Debug for NiLiConEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NiLiConEngine")
-            .field("opts", &self.core.opts)
-            .field("agent", &self.agent)
-            .finish()
+/// The paper's engine: one warm backup holding whole pages.
+pub type NiLiConEngine = Engine<Mirror>;
+
+/// The paper's layout: one backup agent holding whole pages, sent whole or
+/// as XOR deltas against the primary-side shadow of what it last received.
+#[derive(Default)]
+pub struct Mirror {
+    /// The page contents last shipped to the backup — the base for the next
+    /// epoch's XOR deltas (`delta_transfer`).
+    shadow: ShadowStore,
+    /// The VMAs of the image the shadow was last encoded for.
+    mapped: Mapped,
+    /// The chunk being staged: whole pages, or encodings and their
+    /// classification stats for the epoch so far.
+    pages: Vec<(Pid, u64, PageBuf)>,
+    deltas: Vec<(Pid, u64, PageEncoding)>,
+    bytes: u64,
+    dstats: DeltaStats,
+}
+
+/// Which layout an engine holds.
+pub enum View<'a> {
+    /// The paper's single mirror.
+    Mirror(&'a mut Mirror),
+    /// A k-of-n erasure-coded placement.
+    Coded(&'a mut Coded),
+}
+
+/// An engine's layout. The set is closed — [`Mirror`] and [`Coded`] — and the
+/// engine branches on [`Layout::view`] where they differ; each engine type
+/// holds one layout for good, so the branch is decided when it is compiled.
+pub trait Layout {
+    /// This layout, as the variant it is.
+    fn view(&mut self) -> View<'_>;
+}
+
+impl Layout for Mirror {
+    fn view(&mut self) -> View<'_> {
+        View::Mirror(self)
     }
 }
 
-/// One epoch streaming to the backup chunk by chunk while the container
-/// runs: the open assembly's accounting.
-struct Stream {
-    epoch: u64,
-    clock: ChunkClock,
-    /// Metadata image + DRBD bytes (the first message).
-    meta_bytes: u64,
-    /// Page payload bytes sent so far.
-    payload_bytes: u64,
-    backup_cpu: Nanos,
-    dstats: DeltaStats,
+impl<L> std::fmt::Debug for Engine<L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (k, n) = (self.quorum, self.replicas.len());
+        write!(f, "{} ({k},{n}) {:?}", self.name, self.replicas[0].agent)
+    }
+}
+
+impl<L> Deref for Engine<L> {
+    type Target = Replica;
+    fn deref(&self) -> &Replica {
+        &self.replicas[0]
+    }
+}
+
+impl<L> DerefMut for Engine<L> {
+    fn deref_mut(&mut self) -> &mut Replica {
+        &mut self.replicas[0]
+    }
 }
 
 impl NiLiConEngine {
     /// New engine. The backup page store follows
     /// [`OptimizationConfig::optimize_criu`] (radix tree vs linked list).
+    ///
+    /// # Panics
+    /// With [`OptimizationConfig::validate`]'s message if `opts` is a fleet
+    /// configuration with a knob the fleet does not run — the only rule
+    /// that applies to this layout.
     pub fn new(opts: OptimizationConfig, costs: CostModel) -> Self {
-        NiLiConEngine {
-            agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
+        opts.validate_for(false).unwrap_or_else(|e| panic!("{e}"));
+        Engine::assemble("NiLiCon", opts, costs, (1, 1), Mirror::default())
+    }
+}
+
+impl<L> Engine<L> {
+    /// `n` fresh replicas with quorum `k` under `layout`; the public
+    /// constructors validate `opts` for their layout first.
+    pub(crate) fn assemble(
+        name: &'static str,
+        opts: OptimizationConfig,
+        costs: CostModel,
+        (k, n): (u32, u32),
+        layout: L,
+    ) -> Self {
+        Engine {
+            name,
+            replicas: (0..n).map(|_| Replica::new(&costs, &opts)).collect(),
+            quorum: k,
             core: StageCore::new(opts, costs),
-            shadow: ShadowStore::new(),
-            mapped: Vec::new(),
+            layout,
             cow_fail_after_chunks: None,
             log_fail_after_chunks: None,
             stage_fail_at_chunk: None,
@@ -95,239 +174,334 @@ impl NiLiConEngine {
         self.core.opts
     }
 
-    /// `img` is the next image the backup commits: drop from the shadow the
-    /// pages it no longer maps, which that commit prunes from the store — a
-    /// pruned store under a live shadow entry would make the page's next
-    /// delta an orphan.
-    fn forget_unmapped(&mut self, img: &CheckpointImage) {
-        let now = img.processes.iter().map(|p| (p.pid, &p.vmas[..]));
-        if now
-            .clone()
-            .eq(self.mapped.iter().map(|(pid, v)| (*pid, &v[..])))
-        {
-            return;
-        }
-        let was = self.mapped.iter().map(|(pid, v)| (*pid, &v[..]));
-        for (pid, vpns) in unmapped_since(was, &img.processes) {
-            self.shadow.forget(pid, vpns);
-        }
-        self.mapped = now.map(|(pid, v)| (pid, v.to_vec())).collect();
+    /// Replicas currently alive.
+    pub fn alive_replicas(&self) -> u32 {
+        self.replicas.iter().filter(|r| r.alive).count() as u32
     }
 
-    /// Open `epoch`'s assembly at the backup with the metadata image and the
-    /// DRBD traffic. They are ready the moment the container resumes, so
-    /// they go out first and the page chunks queue behind them on the link.
-    fn open_stream(
-        &mut self,
-        primary: &Kernel,
-        stopped: Stopped,
-        epoch: u64,
-        expected_pages: u64,
-        bounded: bool,
-    ) -> Stream {
-        let (img, msgs) = (stopped.img, stopped.msgs);
-        let meta_bytes = img.state_bytes() + stopped.drbd_bytes;
-        // `transfer_cost` includes the propagation latency; peel it off — in
-        // the pipelined model it is paid once, after the last chunk.
-        let msgs_out = img.transfer_chunks() + msgs.len() as u64;
-        let meta_ser = self.core.transfer_cost(primary, meta_bytes, msgs_out)
-            - primary.costs.repl_link_latency;
-        let mut backup_cpu = self.agent.begin_assembly(img, expected_pages);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-        Stream {
-            epoch,
-            clock: ChunkClock::new(self.core.tracer.clone(), meta_ser, bounded),
-            meta_bytes,
-            payload_bytes: 0,
-            backup_cpu,
-            dstats: DeltaStats::default(),
-        }
-    }
-
-    /// Send one chunk (`produce` to make, `bytes` on the wire) into the open
-    /// assembly.
-    fn ship_chunk(
-        &mut self,
-        s: &mut Stream,
-        costs: &CostModel,
-        produce: Nanos,
-        bytes: u64,
-        pages: Vec<(Pid, u64, PageBuf)>,
-        deltas: Vec<(Pid, u64, PageEncoding)>,
-    ) -> SimResult<()> {
-        s.clock
-            .send(produce, costs.repl_wire(bytes) + costs.repl_msg_overhead);
-        s.payload_bytes += bytes;
-        let cpu = self.agent.ingest_chunk(s.epoch, pages, deltas)?;
-        s.backup_cpu += cpu + s.clock.replayed(&mut self.stage_fail_at_chunk, cpu);
+    /// Mark replica `i` dead (test hook; the harness designates replica 0
+    /// via [`Checkpointer::replica_fault`]).
+    pub fn fail_replica(&mut self, i: usize) -> SimResult<()> {
+        let r = self.replicas.get_mut(i);
+        r.ok_or_else(|| SimError::Invalid(format!("no replica {i}")))?
+            .alive = false;
         Ok(())
     }
+}
 
-    /// The last chunk is out: the ack lands one propagation latency after
-    /// it plus the backup's receive CPU. `off_wire` is the head of the ack
-    /// path the caller already accounted in a span of its own; the emitted
-    /// `Transfer + BackupIngest + Ack` spans tile the rest of `ack_delay`.
-    /// Returns `(ack_delay, state_bytes, backup_cpu)`.
-    fn ack_stream(&self, s: Stream, link: Nanos, off_wire: Nanos) -> (Nanos, u64, Nanos) {
-        let tracer = &self.core.tracer;
-        if self.core.opts.delta_transfer && tracer.enabled() {
-            tracer.mark(delta_event(&s.dstats));
-        }
-        let bytes = s.meta_bytes + s.payload_bytes;
-        let sent = s.clock.sent();
-        tracer.span(TraceEvent::Transfer { bytes }, sent + link - off_wire);
-        tracer.span(TraceEvent::BackupIngest { probes: 0 }, s.backup_cpu);
-        tracer.span(TraceEvent::Ack, link);
-        (sent + link + s.backup_cpu + link, bytes, s.backup_cpu)
-    }
+/// Where a streamed transfer's chunks come from.
+enum Source<'a> {
+    /// The COW copier: at most `budget` more of the pages write-protected at
+    /// pause, lent where they lie, address space by address space.
+    Drain { pids: &'a [Pid], budget: u64 },
+    /// The eager dump's pages: immutable refcounted snapshots, so handling
+    /// them after resume cannot race container writes.
+    Snapshots(std::slice::Chunks<'a, (Pid, u64, PageBuf)>),
+}
 
-    /// COW extension: the background copy-out of the pages write-protected
-    /// at pause, streamed to the backup while the container runs.
-    ///
-    /// Chunk `i` can only be serialized once it has been copied out *and*
-    /// the link has finished the previous chunk, so transfer overlaps
-    /// copy-out. The epoch is acked only once every deferred page has
-    /// arrived, and the backup's `finish_assembly` barrier enforces the same
-    /// condition structurally.
-    ///
-    /// The emitted `CowCopy + Transfer + BackupIngest + Ack` spans tile
-    /// `ack_delay` exactly.
-    fn cow_stream(
+impl Source<'_> {
+    /// Stage the next chunk into `layout` for the `alive` replicas; the
+    /// pages staged, zero once the source is exhausted.
+    fn fill<L: Layout>(
         &mut self,
         primary: &mut Kernel,
-        mut stopped: Stopped,
-        epoch: u64,
-    ) -> SimResult<(Nanos, u64, Nanos)> {
-        let deferred = std::mem::take(&mut stopped.img.deferred_vpns);
-        let pids = deferred_pids(&deferred);
-        let mut s = self.open_stream(primary, stopped, epoch, deferred.len() as u64, false);
-
-        let delta = self.core.opts.delta_transfer;
-        let mut drained = 0u64;
-        let mut aborted = false;
-        'drain: for &pid in &pids {
-            loop {
-                let m0 = primary.meter.lifetime_total();
-                // The drain lends each frame with the lines written since it
-                // was last lent; a page is copied out only if it ships
-                // whole. Delta composition: encode at copy time against the
-                // shadow of the last shipped epoch, reading those lines only
-                // — the encode CPU rides the drain, off the stop phase.
-                let mut pages = Vec::with_capacity(if delta { 0 } else { CHUNK_PAGES });
-                let mut deltas = Vec::with_capacity(if delta { CHUNK_PAGES } else { 0 });
-                let mut bytes = 0u64;
-                let (shadow, dstats) = (&mut self.shadow, &mut s.dstats);
-                let n = primary.cow_drain_with(pid, CHUNK_PAGES, |vpn, page, lines| {
-                    if delta {
-                        let key = PageKey { pid, vpn };
-                        let enc = shadow.encode_with(key, page, lines, || Rc::new(*page), dstats);
-                        bytes += enc.encoded_bytes();
-                        deltas.push((pid, vpn, enc));
-                    } else {
-                        bytes += PAGE_SIZE as u64;
-                        pages.push((pid, vpn, Rc::new(*page)));
+        layout: &mut L,
+        alive: &[usize],
+        encode: bool,
+    ) -> SimResult<u64> {
+        match self {
+            Source::Drain { pids, budget } => {
+                while let Some((&pid, rest)) = pids.split_first() {
+                    let want = (*budget).min(CHUNK_PAGES as u64) as usize;
+                    if want == 0 {
+                        break;
                     }
-                })? as u64;
-                if n == 0 {
-                    break;
+                    // A page is copied out only if the layout keeps it
+                    // whole; an encoding layout reads the written lines.
+                    let n = primary.cow_drain_with(pid, want, |vpn, page, lines| {
+                        let key = PageKey { pid, vpn };
+                        stage(layout, alive, encode, key, page, lines, || Rc::new(*page))
+                    })? as u64;
+                    if n > 0 {
+                        *budget = budget.saturating_sub(n);
+                        return Ok(n);
+                    }
+                    *pids = rest;
                 }
-                if delta {
-                    primary
-                        .meter
-                        .charge(n * primary.costs.delta_encode_per_page);
-                }
-                drained += n;
-                let copy_out = primary.meter.lifetime_total() - m0;
-                self.ship_chunk(&mut s, &primary.costs, copy_out, bytes, pages, deltas)?;
-                if self
-                    .cow_fail_after_chunks
-                    .is_some_and(|k| s.clock.chunks() >= k)
-                {
-                    aborted = true;
-                    break 'drain;
-                }
+                Ok(0)
             }
+            Source::Snapshots(chunks) => {
+                let chunk = chunks.next().unwrap_or_default();
+                for &(pid, vpn, ref data) in chunk {
+                    let key = PageKey { pid, vpn };
+                    stage(layout, alive, encode, key, data, ALL_LINES, || data.clone());
+                }
+                Ok(chunk.len() as u64)
+            }
+        }
+    }
+}
+
+/// Add one page to the chunk `layout` is building for the `alive` replicas.
+/// The page is read where it lies — a frame the COW drain lends with its
+/// written-line set `lines`, or a dumped snapshot; `whole` hands over an
+/// owned copy, and is called at most once, only if the page is kept whole.
+/// The mirror encodes against the shadow of the last shipped epoch where
+/// `encode` says so (never in a bootstrap: the replacement has no base to
+/// patch); the coded layout builds each alive replica's fragment.
+fn stage<L: Layout>(
+    layout: &mut L,
+    alive: &[usize],
+    encode: bool,
+    key: PageKey,
+    page: &[u8; PAGE_SIZE],
+    lines: u64,
+    whole: impl FnOnce() -> PageBuf,
+) {
+    match layout.view() {
+        View::Mirror(m) if encode => {
+            let enc = m.shadow.encode_with(key, page, lines, whole, &mut m.dstats);
+            m.bytes += enc.encoded_bytes();
+            m.deltas.push((key.pid, key.vpn, enc));
+        }
+        View::Mirror(m) => {
+            m.bytes += PAGE_SIZE as u64;
+            m.pages.push((key.pid, key.vpn, whole()));
+        }
+        View::Coded(c) => c.stage(alive, key, page),
+    }
+}
+
+impl<L: Layout> Engine<L> {
+    /// The coded layout with the rest of the engine beside it, or the refusal
+    /// every placement-only method gives on the mirror.
+    fn coded(&mut self) -> SimResult<(&mut Coded, &StageCore, &mut [Replica])> {
+        match self.layout.view() {
+            View::Coded(c) => Ok((c, &self.core, &mut self.replicas)),
+            View::Mirror(_) => no_placement(),
+        }
+    }
+
+    /// Send the `pages`-page chunk staged in the layout into `epoch`'s open
+    /// assemblies, adding each replica's receive CPU to `per_cpu`. Returns
+    /// the bytes one link carried (the replica links run in parallel) and
+    /// what the background encode stage spent — charged to the primary's
+    /// meter where the encode is metered.
+    fn ship(
+        &mut self,
+        primary: &mut Kernel,
+        epoch: u64,
+        pages: u64,
+        encode: bool,
+        per_cpu: &mut [Nanos],
+    ) -> SimResult<(u64, Nanos)> {
+        match self.layout.view() {
+            View::Mirror(m) => {
+                let (whole, deltas) = (std::mem::take(&mut m.pages), std::mem::take(&mut m.deltas));
+                per_cpu[0] += self.replicas[0].agent.ingest_chunk(epoch, whole, deltas)?;
+                let per_page = if encode {
+                    primary.costs.delta_encode_per_page
+                } else {
+                    0
+                };
+                primary.meter.charge(pages * per_page);
+                Ok((std::mem::take(&mut m.bytes), pages * per_page))
+            }
+            View::Coded(c) => Ok((
+                c.ship(&mut self.replicas, epoch, per_cpu)?,
+                pages * primary.costs.shard_encode_per_page,
+            )),
+        }
+    }
+
+    /// The streamed transfer, container already running: open the epoch's
+    /// assembly on every alive replica with the metadata image and the DRBD
+    /// traffic (ready the moment the container resumes, so they go out first
+    /// and the page chunks queue behind them on the link), then per chunk
+    /// produce + ship, then the `finish_assembly` barrier — only now is the
+    /// epoch ackable, exactly like the synchronous path, so the committed
+    /// image is byte-identical — then the ack.
+    ///
+    /// The chunks are the COW drain's (`cow_checkpoint`: the background
+    /// copy-out of the pages write-protected at pause; chunk `i` is
+    /// serialized once it has been copied out *and* the link finished chunk
+    /// `i - 1`) or the eager dump's through the staged pipeline (`pipeline`:
+    /// the stop phase keeps only freeze + dump + local copy). Either way the
+    /// encode CPU rides the background stage, off the stop phase.
+    ///
+    /// The emitted `[CowCopy] + Transfer + BackupIngest + Ack` spans tile
+    /// `ack_delay` exactly. Fills in `out`'s transfer half.
+    fn stream(
+        &mut self,
+        primary: &mut Kernel,
+        stopped: Stopped,
+        epoch: u64,
+        alive: &[usize],
+        out: &mut CheckpointOutcome,
+    ) -> SimResult<()> {
+        let opts = self.core.opts;
+        let cow = opts.cow_checkpoint;
+        let (mut img, msgs) = (stopped.img, stopped.msgs);
+        let page_batches = img.transfer_chunks();
+        let deferred = std::mem::take(&mut img.deferred_vpns);
+        let pages = std::mem::take(&mut img.pages);
+        let pids = deferred_pids(&deferred);
+        let mut source = if cow {
+            Source::Drain {
+                pids: &pids,
+                budget: u64::MAX,
+            }
+        } else {
+            Source::Snapshots(pages.chunks(CHUNK_PAGES))
+        };
+
+        // The coded layout counts the page batches in the metadata message
+        // as well as per chunk — older than the fold, kept so that no
+        // virtual number moves.
+        let meta_msgs = msgs.len() as u64
+            + match self.layout.view() {
+                View::Mirror(_) => img.transfer_chunks(),
+                View::Coded(_) => page_batches,
+            };
+        let meta_bytes = img.state_bytes() + stopped.drbd_bytes;
+        let link = primary.costs.repl_link_latency;
+        // `transfer_cost` includes the propagation latency; peel it off — in
+        // the pipelined model it is paid once, after the last chunk.
+        let meta_ser = self.core.transfer_cost(primary, meta_bytes, meta_msgs) - link;
+        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
+        let expected = (deferred.len() + pages.len()) as u64;
+        open_assemblies(&mut self.replicas, alive, img, expected, msgs, &mut per_cpu);
+
+        // The COW drain is paced by the kernel and has no queue to mark;
+        // the staged pipeline's encode stage runs a bounded queue ahead.
+        let mut clock = ChunkClock::new(self.core.tracer.clone(), meta_ser, !cow);
+        let first = alive[0];
+        let (mut drained, mut payload_bytes) = (0u64, 0u64);
+        let mut aborted = false;
+        while !aborted {
+            let m0 = primary.meter.lifetime_total();
+            let n = source.fill(primary, &mut self.layout, alive, opts.delta_transfer)?;
+            if n == 0 {
+                break;
+            }
+            drained += n;
+            let before = per_cpu[first];
+            let (bytes, encode) =
+                self.ship(primary, epoch, n, opts.delta_transfer, &mut per_cpu)?;
+            let produce = if cow {
+                primary.meter.lifetime_total() - m0
+            } else {
+                encode
+            };
+            let costs = &primary.costs;
+            clock.send(produce, costs.repl_wire(bytes) + costs.repl_msg_overhead);
+            payload_bytes += bytes;
+            // An ingest-stage crash hits the designated replica.
+            per_cpu[first] +=
+                clock.replayed(&mut self.stage_fail_at_chunk, per_cpu[first] - before);
+            aborted = cow
+                && self
+                    .cow_fail_after_chunks
+                    .is_some_and(|k| clock.chunks() >= k);
         }
         let mut faults = 0u64;
         for &pid in &pids {
             faults += primary.take_cow_faults(pid)?;
         }
-        // The drain was sampled off the lifetime meter; clear the interval
-        // meter so the next exec phase starts clean (the stop phase was
-        // already consumed by `checkpoint`).
+        // The background stages were sampled off the lifetime meter; clear
+        // the interval meter so the next exec phase starts clean (the stop
+        // phase was already consumed by `checkpoint`).
         primary.meter.take();
         if !aborted {
             // Commit barrier: the epoch becomes ackable only now.
-            self.agent.finish_assembly(epoch)?;
-        }
-
-        let copied = s.clock.ready();
-        let cow_copy = TraceEvent::CowCopy {
-            pages: drained,
-            bytes: s.payload_bytes,
-        };
-        self.core.tracer.span(cow_copy, copied);
-        if faults > 0 {
-            self.core.tracer.mark(TraceEvent::CowFault { faults });
-        }
-        Ok(self.ack_stream(s, primary.costs.repl_link_latency, copied))
-    }
-
-    /// Staged-pipeline extension: the eager dump's page payload leaves the
-    /// stop phase and flows through delta-encode → transfer → backup-ingest
-    /// stages overlapped with the next execution phase. The dumped pages are
-    /// immutable refcounted snapshots, so encoding them after resume cannot
-    /// race container writes — the stop phase keeps only freeze + dump +
-    /// local copy. The epoch becomes ackable only at the `finish_assembly`
-    /// barrier, exactly like the synchronous path, so the committed image is
-    /// byte-identical.
-    ///
-    /// The emitted `Transfer + BackupIngest + Ack` spans tile `ack_delay`
-    /// exactly.
-    fn pipeline_stream(
-        &mut self,
-        primary: &mut Kernel,
-        mut stopped: Stopped,
-        epoch: u64,
-    ) -> SimResult<(Nanos, u64, Nanos)> {
-        let pages = std::mem::take(&mut stopped.img.pages);
-        let mut s = self.open_stream(primary, stopped, epoch, pages.len() as u64, true);
-
-        let delta = self.core.opts.delta_transfer;
-        for chunk in pages.chunks(CHUNK_PAGES) {
-            let n = chunk.len() as u64;
-            if delta {
-                // Encode against the shadow of the last shipped epoch — the
-                // CPU rides the background stage, off the stop phase.
-                let cost = n * primary.costs.delta_encode_per_page;
-                primary.meter.charge(cost);
-                let mut encs = Vec::with_capacity(chunk.len());
-                let mut bytes = 0u64;
-                for &(pid, vpn, ref data) in chunk {
-                    let enc = self
-                        .shadow
-                        .encode(PageKey { pid, vpn }, data, &mut s.dstats);
-                    bytes += enc.encoded_bytes();
-                    encs.push((pid, vpn, enc));
-                }
-                self.ship_chunk(&mut s, &primary.costs, cost, bytes, Vec::new(), encs)?;
-            } else {
-                let bytes = n * PAGE_SIZE as u64;
-                self.ship_chunk(&mut s, &primary.costs, 0, bytes, chunk.to_vec(), Vec::new())?;
+            for &i in alive {
+                self.replicas[i].agent.finish_assembly(epoch)?;
             }
         }
-        // The encode CPU was charged to the background stage; it must not
-        // bill the next exec phase's interval meter.
-        primary.meter.take();
-        // Commit barrier: the epoch becomes ackable only now.
-        self.agent.finish_assembly(epoch)?;
-        Ok(self.ack_stream(s, primary.costs.repl_link_latency, 0))
+
+        let tracer = &self.core.tracer;
+        let copied = if cow { clock.ready() } else { 0 };
+        if cow {
+            let cow_copy = TraceEvent::CowCopy {
+                pages: drained,
+                bytes: payload_bytes,
+            };
+            tracer.span(cow_copy, copied);
+            if faults > 0 {
+                tracer.mark(TraceEvent::CowFault { faults });
+            }
+        }
+        match self.layout.view() {
+            View::Mirror(m) => {
+                let dstats = std::mem::take(&mut m.dstats);
+                if opts.delta_transfer && tracer.enabled() {
+                    tracer.mark(delta_event(&dstats));
+                }
+            }
+            // Shard encode ran in a background stage: the marker keeps the
+            // fan-out observable while the spans below tile the ack delay.
+            View::Coded(c) => {
+                tracer.mark(c.shard_commit(pages.len() as u64, payload_bytes));
+                c.recycle(pages);
+            }
+        }
+        // The ack lands one propagation latency after the last chunk plus
+        // the designated replica's receive CPU; `copied` is the head of the
+        // ack path `CowCopy` already covers.
+        out.state_bytes = meta_bytes + payload_bytes;
+        out.backup_cpu = per_cpu.iter().sum();
+        let transfer = clock.sent() + link - copied;
+        let ingest = (per_cpu[first], 0);
+        out.ack_delay = copied + ack_spans(tracer, out.state_bytes, transfer, ingest, link);
+        Ok(())
     }
 }
 
-impl Checkpointer for NiLiConEngine {
+/// The mirror's synchronous transfer: one image, received whole — the
+/// backup's receive CPU is charged on the whole image, not on metadata plus
+/// chunks. Fills in `out`'s transfer half.
+fn mirror_transfer(
+    core: &StageCore,
+    agent: &mut BackupAgent,
+    primary: &Kernel,
+    backup: &mut Kernel,
+    stopped: Stopped,
+    epoch: u64,
+    out: &mut CheckpointOutcome,
+) -> SimResult<()> {
+    let (img, msgs) = (stopped.img, stopped.msgs);
+    // Without the staging buffer the parasite pipes pages out one at a
+    // time, so the synchronous transfer pays per-page message overheads
+    // (part of what §V-D(2)+(3) eliminate).
+    let mut transfer_msgs = img.transfer_chunks() + msgs.len() as u64;
+    if !core.opts.staging_buffer {
+        transfer_msgs += out.dirty_pages;
+    }
+    out.state_bytes = img.state_bytes() + stopped.drbd_bytes;
+    let transfer = core.transfer_cost(primary, out.state_bytes, transfer_msgs);
+    let link = primary.costs.repl_link_latency;
+    out.backup_cpu = agent.ingest(img) + agent.ingest_drbd(msgs);
+    if core.opts.staging_buffer {
+        // §V-D(2): transfer overlaps the next execution phase; the ack (and
+        // output release) lands after wire + backup receive. The page-store
+        // probes happen at the deferred commit — see the `BackupCommit`
+        // marker emitted there.
+        let ingest = (out.backup_cpu, 0);
+        out.ack_delay = ack_spans(&core.tracer, out.state_bytes, transfer, ingest, link);
+    } else {
+        // Without staging, the container stays stopped until the backup has
+        // consumed the state — transfer, receive, and inline commit are all
+        // on the critical path.
+        let commit_cpu = agent.commit(epoch, &mut backup.vfs.disk)?;
+        let ingest = (out.backup_cpu + commit_cpu, agent.last_commit_stats().0);
+        out.stop_time += ack_spans(&core.tracer, out.state_bytes, transfer, ingest, link);
+    }
+    Ok(())
+}
+
+impl<L: Layout> Checkpointer for Engine<L> {
     fn name(&self) -> &'static str {
-        "NiLiCon"
+        self.name
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -350,84 +524,55 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
     ) -> SimResult<CheckpointOutcome> {
         let opts = self.core.opts;
-        // The staged pipeline needs the staging buffer (§V-D(2)) to overlap
-        // the ack path with execution; COW has its own streaming drain, so
-        // the eager pipelined path covers the remaining shape.
-        let pipelined = opts.pipeline && opts.staging_buffer && !opts.cow_checkpoint;
+        let (k, alive) = (self.quorum as usize, alive_indices(&self.replicas));
+        if alive.len() < k {
+            return Err(SimError::Invalid(format!(
+                "cannot checkpoint below quorum: {} alive, need {k}",
+                alive.len()
+            )));
+        }
+        let streamed = self.core.streams();
         // Delta-encode inside the stop phase (HyCoR extension) unless a
-        // background stage does it: under COW the pages are deferred and
-        // encoded by the drain (`cow_stream`); under the staged pipeline the
-        // dumped pages are immutable snapshots and the encode stage takes
-        // them (`pipeline_stream`).
-        let encode =
-            (opts.delta_transfer && !opts.cow_checkpoint && !pipelined).then_some(&mut self.shadow);
-        let stopped = self.core.stop_phase(primary, container, epoch, encode)?;
-        if opts.delta_transfer {
-            self.forget_unmapped(&stopped.img);
-        }
-        let mut stop_time = stopped.stop_time;
-        let dirty_pages = stopped.img.stats.dirty_pages;
-
-        // --- Transfer + ack, container already running -------------------
-        if opts.cow_checkpoint || pipelined {
-            let (ack_delay, state_bytes, backup_cpu) = if opts.cow_checkpoint {
-                self.cow_stream(primary, stopped, epoch)?
-            } else {
-                self.pipeline_stream(primary, stopped, epoch)?
-            };
-            self.core.stage_backlog(ack_delay);
-            return Ok(CheckpointOutcome {
-                stop_time,
-                state_bytes,
-                dirty_pages,
-                ack_delay,
-                backup_cpu,
-            });
-        }
-        let (img, msgs) = (stopped.img, stopped.msgs);
-
-        // Without the staging buffer the parasite pipes pages out one at a
-        // time, so the synchronous transfer pays per-page message overheads
-        // (part of what §V-D(2)+(3) eliminate).
-        let mut transfer_msgs = img.transfer_chunks() + msgs.len() as u64;
-        if !opts.staging_buffer {
-            transfer_msgs += dirty_pages;
-        }
-        let state_bytes = img.state_bytes() + stopped.drbd_bytes;
-        let transfer = self.core.transfer_cost(primary, state_bytes, transfer_msgs);
-        let link = primary.costs.repl_link_latency;
-        let mut backup_cpu = self.agent.ingest(img);
-        backup_cpu += self.agent.ingest_drbd(msgs);
-        let tracer = &self.core.tracer;
-        tracer.span(TraceEvent::Transfer { bytes: state_bytes }, transfer);
-
-        let ack_delay = if opts.staging_buffer {
-            // §V-D(2): transfer overlaps the next execution phase; the ack
-            // (and output release) lands after wire + backup receive. The
-            // page-store probes happen at the deferred commit — see the
-            // `BackupCommit` marker emitted there.
-            tracer.span(TraceEvent::BackupIngest { probes: 0 }, backup_cpu);
-            tracer.span(TraceEvent::Ack, link);
-            transfer + backup_cpu + link
-        } else {
-            // Without staging, the container stays stopped until the backup
-            // has consumed the state — transfer, receive, and inline commit
-            // are all on the critical path.
-            let commit_cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-            let (probes, _) = self.agent.last_commit_stats();
-            tracer.span(TraceEvent::BackupIngest { probes }, backup_cpu + commit_cpu);
-            tracer.span(TraceEvent::Ack, link);
-            stop_time += transfer + backup_cpu + commit_cpu + link;
-            0
+        // background stage does it: the drain under COW (the pages are
+        // deferred), the encode stage under the staged pipeline.
+        let shadow = match self.layout.view() {
+            View::Mirror(m) if opts.delta_transfer && !streamed => Some(&mut m.shadow),
+            _ => None,
         };
-
-        Ok(CheckpointOutcome {
-            stop_time,
-            state_bytes,
-            dirty_pages,
-            ack_delay,
-            backup_cpu,
-        })
+        let stopped = self.core.stop_phase(primary, container, epoch, shadow)?;
+        let img = &stopped.img;
+        match self.layout.view() {
+            // `img` is the next image the backup commits: drop from the
+            // shadow the pages it no longer maps, which that commit prunes
+            // from the store — a pruned store under a live shadow entry
+            // would make the page's next delta an orphan.
+            View::Mirror(m) if opts.delta_transfer => {
+                for (pid, vpns) in m.mapped.unmapped_by(img) {
+                    m.shadow.forget(pid, vpns);
+                }
+            }
+            View::Coded(c) => c.note_epoch(epoch, img),
+            View::Mirror(_) => {}
+        }
+        let mut out = CheckpointOutcome {
+            stop_time: stopped.stop_time,
+            dirty_pages: img.stats.dirty_pages,
+            ..CheckpointOutcome::default()
+        };
+        if streamed {
+            self.stream(primary, stopped, epoch, &alive, &mut out)?;
+            self.core.stage_backlog(out.ack_delay);
+            return Ok(out);
+        }
+        let (core, replicas) = (&self.core, &mut self.replicas);
+        match self.layout.view() {
+            View::Coded(c) => c.transfer(core, replicas, &alive, primary, stopped, &mut out)?,
+            View::Mirror(_) => {
+                let agent = &mut replicas[0].agent;
+                mirror_transfer(core, agent, primary, backup, stopped, epoch, &mut out)?
+            }
+        }
+        Ok(out)
     }
 
     fn pipeline_advance(&mut self, elapsed: Nanos) {
@@ -436,28 +581,58 @@ impl Checkpointer for NiLiConEngine {
 
     fn commit(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
         self.core.prune_logs(epoch);
-        if !self.core.opts.staging_buffer {
-            return Ok(0); // already committed inline during the stop phase
+        if !self.core.opts.staging_buffer && !self.core.streams() {
+            return Ok(0); // the synchronous transfer committed inline
         }
-        let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-        if self.core.tracer.enabled() {
-            let (probes, disk_pages) = self.agent.last_commit_stats();
-            self.core
-                .tracer
-                .mark(TraceEvent::BackupCommit { probes, disk_pages });
+        let mut cpu: Nanos = 0;
+        for (nth, i) in alive_indices(&self.replicas).into_iter().enumerate() {
+            cpu += commit_replica(&mut self.replicas, i, epoch, backup)?;
+            if nth == 0 && self.core.tracer.enabled() {
+                let (probes, disk_pages) = self.replicas[i].agent.last_commit_stats();
+                self.core
+                    .tracer
+                    .mark(TraceEvent::BackupCommit { probes, disk_pages });
+            }
+        }
+        if let View::Coded(c) = self.layout.view() {
+            c.committed(epoch);
         }
         Ok(cpu)
     }
 
     fn failover(&mut self, backup: &mut Kernel) -> SimResult<(RestoredContainer, FailoverReport)> {
-        self.agent.discard_uncommitted();
+        for r in self.replicas.iter_mut().filter(|r| r.alive) {
+            r.agent.discard_uncommitted();
+        }
         StageCore::release_spare_buffers();
-        let img = self.agent.materialize()?;
-        self.core.restore(backup, &img)
+        let k = self.quorum;
+        let survivors = survivors(&self.replicas, k as usize)?;
+        let img = match self.layout.view() {
+            View::Mirror(_) => self.replicas[0].agent.materialize()?,
+            View::Coded(c) => c.image(&self.replicas, &survivors)?,
+        };
+        let (restored, mut report) = self.core.restore(backup, &img)?;
+        if k > 1 {
+            report.others += img.pages.len() as u64 * backup.costs.shard_decode_per_page;
+        }
+
+        // If the designated replica (whose disk IS the backup kernel's) is
+        // dead, resync the kernel disk from a surviving replica's device.
+        if !self.replicas[0].alive {
+            let src = self.replicas.iter().find(|r| r.alive).ok_or_else(|| {
+                SimError::Invalid("no surviving replica disk to resync from".into())
+            })?;
+            for w in src.disk.full_sync_writes() {
+                backup.vfs.disk.apply_replicated(&w);
+                report.disk_pages_committed += 1;
+            }
+            report.others += report.disk_pages_committed * backup.costs.restore_disk_per_page;
+        }
+        Ok((restored, report))
     }
 
     fn committed_epoch(&self) -> Option<u64> {
-        self.agent.committed_epoch()
+        committed_epoch(&self.replicas)
     }
 
     fn supports_rearm(&self) -> bool {
@@ -465,12 +640,17 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        // The old backup died with its buffers: every replica-side structure
-        // restarts empty, and the delta shadow is stale (the replacement has
-        // no base image to patch against).
-        self.agent = BackupAgent::new(self.core.costs.clone(), self.core.opts.optimize_criu);
-        self.shadow = ShadowStore::new();
-        self.mapped.clear();
+        // The old backups died with their buffers: every replica-side
+        // structure restarts empty on fresh hosts, and so does what the
+        // layout kept about them (a delta shadow would be stale: the
+        // replacement has no base image to patch against).
+        for r in &mut self.replicas {
+            *r = Replica::new(&self.core.costs, &self.core.opts);
+        }
+        match self.layout.view() {
+            View::Mirror(m) => *m = Mirror::default(),
+            View::Coded(c) => c.reset(),
+        }
         self.core.rearm(primary, container)
     }
 
@@ -481,8 +661,17 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
     ) -> SimResult<BootstrapBegin> {
         let (img, msgs, begin) = self.core.bootstrap_stop(primary, container, epoch)?;
-        self.core.bootstrap_cpu_carry =
-            self.agent.begin_assembly(img, begin.total_pages) + self.agent.ingest_drbd(msgs);
+        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
+        let alive = alive_indices(&self.replicas);
+        open_assemblies(
+            &mut self.replicas,
+            &alive,
+            img,
+            begin.total_pages,
+            msgs,
+            &mut per_cpu,
+        );
+        self.core.bootstrap_cpu_carry = per_cpu.iter().sum();
         Ok(begin)
     }
 
@@ -492,30 +681,90 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
         max_pages: u64,
     ) -> SimResult<BootstrapStep> {
-        let agent = &mut self.agent;
-        self.core
-            .bootstrap_drain(primary, max_pages, PAGE_SIZE as u64, |chunk| {
-                agent.ingest_chunk(epoch, chunk, Vec::new())
-            })
+        let alive = alive_indices(&self.replicas);
+        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
+        let pids = std::mem::take(&mut self.core.bootstrap_pids);
+        let mut source = Source::Drain {
+            pids: &pids,
+            budget: max_pages,
+        };
+        let mut step = BootstrapStep {
+            backup_cpu: std::mem::take(&mut self.core.bootstrap_cpu_carry),
+            ..BootstrapStep::default()
+        };
+        loop {
+            let n = source.fill(primary, &mut self.layout, &alive, false)?;
+            if n == 0 {
+                break;
+            }
+            let (on_a_link, encode) = self.ship(primary, epoch, n, false, &mut per_cpu)?;
+            step.pages += n;
+            step.bytes += on_a_link * alive.len() as u64;
+            step.backup_cpu += encode;
+        }
+        self.core.bootstrap_pids = pids;
+        step.backup_cpu += per_cpu.iter().sum::<Nanos>();
+        step.remaining = self.core.bootstrap_remaining(primary)?;
+        Ok(step)
     }
 
     fn bootstrap_finish(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        self.agent.finish_assembly(epoch)?;
-        if !self.agent.epoch_complete(epoch) {
-            return Err(nilicon_sim::SimError::Invalid(format!(
-                "bootstrap epoch {epoch} sealed without its disk barrier"
-            )));
+        let mut cpu: Nanos = 0;
+        for i in alive_indices(&self.replicas) {
+            let agent = &mut self.replicas[i].agent;
+            agent.finish_assembly(epoch)?;
+            if !agent.epoch_complete(epoch) {
+                return Err(SimError::Invalid(format!(
+                    "bootstrap epoch {epoch} sealed without its disk barrier on replica {i}"
+                )));
+            }
+            cpu += commit_replica(&mut self.replicas, i, epoch, backup)?;
         }
-        let cpu = self.agent.commit(epoch, &mut backup.vfs.disk)?;
-        self.core.bootstrap_done();
+        self.core.bootstrap_pids.clear();
         Ok(cpu)
     }
 
     fn bootstrap_abort(&mut self, primary: &mut Kernel, _container: &Container) -> SimResult<()> {
         self.core.bootstrap_unwind(primary)?;
         // The half-assembled image dies with the replacement.
-        let _ = self.agent.discard_uncommitted();
+        for r in self.replicas.iter_mut().filter(|r| r.alive) {
+            let _ = r.agent.discard_uncommitted();
+        }
         Ok(())
+    }
+
+    fn supports_placement(&self) -> bool {
+        self.replicas.len() > 1
+    }
+
+    fn placement(&self) -> (u32, u32) {
+        (self.quorum, self.replicas.len() as u32)
+    }
+
+    fn replica_fault(&mut self) -> SimResult<u32> {
+        self.coded()?;
+        self.replicas[0].alive = false;
+        Ok(self.alive_replicas())
+    }
+
+    fn repair_begin(&mut self, _epoch: u64) -> SimResult<RepairBegin> {
+        let (c, core, replicas) = self.coded()?;
+        c.repair_begin(core, replicas)
+    }
+
+    fn repair_step(&mut self, _epoch: u64, max_pages: u64) -> SimResult<BootstrapStep> {
+        let (c, core, replicas) = self.coded()?;
+        c.repair_step(core, replicas, max_pages)
+    }
+
+    fn repair_finish(&mut self, backup: &mut Kernel, _epoch: u64) -> SimResult<Nanos> {
+        let (c, core, replicas) = self.coded()?;
+        c.repair_finish(core, replicas, backup)
+    }
+
+    fn repair_abort(&mut self) -> SimResult<()> {
+        let (c, _, replicas) = self.coded()?;
+        c.repair_abort(replicas)
     }
 
     fn supports_replay(&self) -> bool {
@@ -528,10 +777,11 @@ impl Checkpointer for NiLiConEngine {
         epoch: u64,
         events: &[ReplayEvent],
     ) -> SimResult<LogShipOutcome> {
+        let placement = (self.quorum as u64, self.alive_replicas() as u64);
         let fail_after = self.log_fail_after_chunks;
         self.core
             .logs()?
-            .ship(&primary.costs, epoch, events, (1, 1), fail_after)
+            .ship(&primary.costs, epoch, events, placement, fail_after)
     }
 
     fn seal_log(&mut self, epoch: u64) -> SimResult<()> {
@@ -541,7 +791,7 @@ impl Checkpointer for NiLiConEngine {
     }
 
     fn take_replay_tail(&mut self) -> SimResult<ReplayTail> {
-        let committed = self.agent.committed_epoch();
+        let committed = self.committed_epoch();
         Ok(self.core.logs()?.take_tail(committed))
     }
 }

@@ -1,8 +1,10 @@
-//! k-of-n erasure-coded multi-backup replication — the `placement` engine.
+//! k-of-n erasure-coded multi-backup replication — the `Coded` layout of the
+//! one replication engine ([`Engine`], `nilicon_engine.rs`), named
+//! [`PlacementEngine`].
 //!
 //! NiLiCon's single warm backup gives exactly one fault-tolerance level at
 //! 2× memory: lose the backup and the pair is one fault from data loss until
-//! rearm completes. This engine generalizes the backup side to a *placement*
+//! rearm completes. This layout generalizes the backup side to a *placement*
 //! of `n` replicas with quorum `k`:
 //!
 //! * each committed epoch's dirty pages are erasure-coded into `n` fragments
@@ -32,8 +34,8 @@
 //!
 //! All three stream a bounded chunk per epoch, keep the served container
 //! running between chunks, and seal with the same assembly barrier. Rearm
-//! reuses the [`Checkpointer`] bootstrap methods; repair adds the
-//! `repair_*` methods (no stop phase at all — it reads *committed* state);
+//! is the engine's bootstrap stream, whatever the layout; repair is this
+//! layout's `repair_*` (no stop phase at all — it reads *committed* state);
 //! migration is the degenerate `k = 1, n = 1` placement driven to a
 //! deliberate failover (see `examples/live_migration.rs`).
 //!
@@ -41,58 +43,34 @@
 //! `(1,2)` is exactly the paper's 2× mirroring, `(2,3)` stores 1.5×, `(3,5)`
 //! ≈ 1.67× — coded placements beat mirroring while tolerating more faults.
 //!
-//! Modeling notes: the engine requires the staged transfer path
+//! Modeling notes: the layout requires the staged transfer path
 //! (`staging_buffer`) and composes with neither `delta_transfer` nor
-//! `cow_checkpoint` (fragments are coded from full page bodies after the
-//! container resumes). A fragment is built once, in the `frag_len`-byte heap
+//! `cow_checkpoint` ([`OptimizationConfig::validate`]; fragments are coded
+//! from full page bodies after the container resumes). A fragment is built once, in the `frag_len`-byte heap
 //! buffer replica `i`'s store then keeps (DESIGN §10); replica receive CPU is
 //! still modeled on a 4 KiB unit per fragment — the charge is older than the
 //! fragment-sized stores and is kept, so no virtual number moved — while wire
 //! bytes and stored-fragment accounting use the true fragment size.
 
-use crate::backup::{BackupAgent, Fragment};
+use crate::backup::Fragment;
 use crate::config::OptimizationConfig;
-use crate::engine::{
-    BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport, LogShipOutcome,
-    RepairBegin, ReplayTail,
+use crate::engine::{BootstrapStep, CheckpointOutcome, RepairBegin};
+use crate::nilicon_engine::{Engine, Layout, View};
+use crate::stages::{
+    ack_spans, commit_replica, committed_epoch, open_assemblies, survivors, Mapped, Replica,
+    StageCore, Stopped,
 };
-use crate::stages::{ChunkClock, StageCore, CHUNK_PAGES};
-use crate::trace::{TraceEvent, Tracer};
-use nilicon_container::Container;
-use nilicon_criu::{
-    end_fragment_round, CheckpointImage, FragBuf, PageKey, RestoredContainer, ShardCodec,
-};
+use crate::trace::TraceEvent;
+use nilicon_criu::{end_fragment_round, CheckpointImage, FragBuf, PageKey, ShardCodec};
 use nilicon_drbd::DrbdMsg;
-use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::mem::recycle_page;
-use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::rc::Rc;
-
-/// One backup replica: a buffered agent plus its replicated block device.
-/// The replica at index 0 is backed by the harness's real backup kernel —
-/// its committed disk writes go to that kernel's device (passed into
-/// [`Checkpointer::commit`]), and `disk` here stays unused. Replicas `1..n`
-/// are modeled hosts that commit into their own `disk`.
-struct Replica {
-    agent: BackupAgent,
-    disk: BlockDevice,
-    alive: bool,
-}
-
-impl Replica {
-    fn new(costs: &CostModel, opts: &OptimizationConfig) -> Self {
-        Replica {
-            agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
-            disk: BlockDevice::default(),
-            alive: true,
-        }
-    }
-}
 
 /// An in-flight coded repair (one at a time).
 struct ActiveRepair {
@@ -114,542 +92,329 @@ struct ActiveRepair {
     cpu_carry: Nanos,
 }
 
-/// The k-of-n placement engine (see the module docs).
-pub struct PlacementEngine {
-    core: StageCore,
+/// What a checkpointed epoch will have changed once it commits: the page
+/// keys it carries, and the page ranges its image no longer maps.
+type EpochNote = (Vec<(Pid, u64)>, Vec<(Pid, Range<u64>)>);
+
+/// The k-of-n layout (see the module docs): replica `i` stores fragment `i`
+/// of every committed page.
+pub struct Coded {
     codec: ShardCodec,
-    replicas: Vec<Replica>,
-    /// Page keys of each not-yet-committed epoch (drained at commit). While
-    /// a repair is active, committed keys accumulate in `redirty` so the
-    /// repaired replica can be topped up to the current committed state.
-    epoch_keys: BTreeMap<u64, Vec<(Pid, u64)>>,
-    /// Keys committed while the active repair streamed its base image.
-    redirty: HashSet<(Pid, u64)>,
+    /// The chunk being staged: replica `i`'s batch of fragments.
+    batches: Vec<Vec<Fragment>>,
+    /// One note per not-yet-committed epoch, drained at commit.
+    epoch_notes: BTreeMap<u64, EpochNote>,
+    /// The VMAs of the last checkpointed image.
+    mapped: Mapped,
+    /// Keys committed — and still mapped — while the active repair streamed
+    /// its base image: what brings the repaired replica up to the current
+    /// committed state at the seal.
+    pub(crate) redirty: HashSet<(Pid, u64)>,
     repair: Option<ActiveRepair>,
-    /// Test hook: once this many log chunks were shipped, later chunks and
-    /// the seal vanish in flight. (Each chunk is erasure-coded into n
-    /// fragments of `ceil(bytes/k)` and fanned out like epoch pages; the
-    /// store holds the logical log — checkpoint already refuses below
-    /// quorum, so a stored chunk is always decodable from the survivors.)
-    pub log_fail_after_chunks: Option<u64>,
-    /// Test hook: the designated replica's ingest stage crashes once at this
-    /// chunk index of a pipelined fan-out and replays it from the upstream
-    /// queue (received twice, applied once).
-    pub stage_fail_at_chunk: Option<u64>,
 }
 
-impl std::fmt::Debug for PlacementEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlacementEngine")
-            .field("codec", &self.codec)
-            .field("alive", &self.alive_replicas())
-            .finish()
-    }
-}
-
-/// Erasure-code `pages` and hand fragment `i` of each page to alive replica
-/// `i`'s open assembly as one chunk, adding each replica's receive CPU to
-/// `per_cpu[i]`. Every epoch path — whole-epoch, pipelined, bootstrap —
-/// stripes through here.
-fn fan_out(
-    replicas: &mut [Replica],
-    codec: &ShardCodec,
-    epoch: u64,
-    pages: &[(Pid, u64, PageBuf)],
-    per_cpu: &mut [Nanos],
-) -> SimResult<()> {
-    let mut batches: Vec<Vec<Fragment>> = replicas
-        .iter()
-        .map(|r| Vec::with_capacity(if r.alive { pages.len() } else { 0 }))
-        .collect();
-    for (pid, vpn, data) in pages {
-        for (i, batch) in batches.iter_mut().enumerate() {
-            if replicas[i].alive {
-                batch.push((*pid, *vpn, codec.encode_fragment(data, i)));
-            }
-        }
-    }
-    for (i, batch) in batches.into_iter().enumerate() {
-        if replicas[i].alive {
-            per_cpu[i] += replicas[i].agent.ingest_fragments(epoch, batch)?;
-        }
-    }
-    Ok(())
-}
-
-/// Commit `epoch` on replica `i` — into the harness's backup kernel's device
-/// for the designated replica 0, into the replica's own otherwise.
-fn commit_replica(
-    replicas: &mut [Replica],
-    i: usize,
-    epoch: u64,
-    backup: &mut Kernel,
-) -> SimResult<Nanos> {
-    let r = &mut replicas[i];
-    let disk = if i == 0 {
-        &mut backup.vfs.disk
-    } else {
-        &mut r.disk
-    };
-    r.agent.commit(epoch, disk)
-}
+/// The k-of-n placement engine (see the module docs).
+pub type PlacementEngine = Engine<Coded>;
 
 impl PlacementEngine {
     /// New engine for `opts.backups` replicas with quorum `opts.quorum`.
     /// Requires the staged transfer path and composes with neither the
     /// delta nor the COW extension ([`OptimizationConfig::validate`], whose
-    /// placement rules are keyed on `backups > 1`: the degenerate (1,1)
-    /// placement is a test seam no knob selects).
+    /// placement rules apply to this layout at any `(k, n)`, the degenerate
+    /// `(1, 1)` included).
     pub fn new(opts: OptimizationConfig, costs: CostModel) -> SimResult<Self> {
-        opts.validate()?;
-        Ok(PlacementEngine {
-            codec: ShardCodec::new(opts.quorum, opts.backups)?,
-            replicas: (0..opts.backups)
-                .map(|_| Replica::new(&costs, &opts))
-                .collect(),
-            core: StageCore::new(opts, costs),
-            epoch_keys: BTreeMap::new(),
+        opts.validate_for(true)?;
+        let codec = ShardCodec::new(opts.quorum, opts.backups)?;
+        let layout = Coded {
+            batches: vec![Vec::new(); opts.backups as usize],
+            codec,
+            epoch_notes: BTreeMap::new(),
+            mapped: Mapped::default(),
             redirty: HashSet::new(),
             repair: None,
-            log_fail_after_chunks: None,
-            stage_fail_at_chunk: None,
-        })
-    }
-
-    /// Active optimization set.
-    pub fn opts(&self) -> OptimizationConfig {
-        self.core.opts
+        };
+        let placement = (opts.quorum, opts.backups);
+        Ok(Engine::assemble(
+            "Placement",
+            opts,
+            costs,
+            placement,
+            layout,
+        ))
     }
 
     /// Bytes of one page fragment as stored per replica.
     pub fn frag_len(&self) -> usize {
-        self.codec.frag_len()
-    }
-
-    /// Replicas currently alive.
-    pub fn alive_replicas(&self) -> u32 {
-        self.replicas.iter().filter(|r| r.alive).count() as u32
-    }
-
-    /// Mark replica `i` dead (test hook; the harness designates replica 0
-    /// via [`Checkpointer::replica_fault`]).
-    pub fn fail_replica(&mut self, i: usize) -> SimResult<()> {
-        let r = self
-            .replicas
-            .get_mut(i)
-            .ok_or_else(|| SimError::Invalid(format!("no replica {i}")))?;
-        r.alive = false;
-        Ok(())
+        self.layout.codec.frag_len()
     }
 
     /// Total fragment payload bytes currently stored across alive replicas
     /// (`stored pages × frag_len`, summed) — the memory-overhead metric of
     /// the (k, n) sweep.
     pub fn stored_fragment_bytes(&self) -> u64 {
-        self.replicas
-            .iter()
-            .filter(|r| r.alive)
-            .map(|r| r.agent.stored_pages() as u64 * self.codec.frag_len() as u64)
+        let alive = self.replicas.iter().filter(|r| r.alive);
+        alive
+            .map(|r| r.agent.stored_pages() as u64 * self.frag_len() as u64)
             .sum()
-    }
-
-    fn alive_indices(&self) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.alive)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The committed fragment lists of the replicas `pick`, sorted by key
-    /// and checked to hold the same keys.
-    fn committed_fragments<'a>(
-        replicas: &'a [Replica],
-        pick: &[usize],
-    ) -> SimResult<Vec<Vec<(PageKey, &'a FragBuf)>>> {
-        let mut lists = Vec::with_capacity(pick.len());
-        for &i in pick {
-            let r = replicas
-                .get(i)
-                .ok_or_else(|| SimError::Invalid(format!("no replica {i}")))?;
-            lists.push(r.agent.fragments());
-        }
-        for list in lists.iter().skip(1) {
-            if !list.iter().map(|f| f.0).eq(lists[0].iter().map(|f| f.0)) {
-                return Err(SimError::Invalid(format!(
-                    "replica fragment stores diverge: {} vs {} pages, or other keys",
-                    list.len(),
-                    lists[0].len()
-                )));
-            }
-        }
-        Ok(lists)
-    }
-
-    /// One page from `k` of its fragments (`(replica index, bytes)`). With
-    /// `k = 1` the fragment is the page and its buffer is handed over as is.
-    fn decode_page(codec: &mut ShardCodec, frags: &[(usize, &FragBuf)]) -> SimResult<PageBuf> {
-        if let [(_, whole)] = frags {
-            if let Ok(page) = PageBuf::try_from(FragBuf::clone(whole)) {
-                return Ok(page);
-            }
-        }
-        let mut page: PageBuf = Rc::new([0u8; PAGE_SIZE]);
-        let out = Rc::get_mut(&mut page).expect("a fresh page has one owner");
-        codec.decode(frags, out)?;
-        Ok(page)
     }
 
     /// Reconstruct the committed image byte-identically from the fragment
     /// stores of exactly `k` distinct replicas. This is the failover path's
     /// core and directly testable: any k-subset must produce the same image.
     pub fn reconstruct_committed(&mut self, replicas: &[usize]) -> SimResult<CheckpointImage> {
-        let k = self.codec.k() as usize;
-        if replicas.len() != k {
+        self.layout.image(&self.replicas, replicas)
+    }
+}
+
+/// The committed fragment lists of the replicas `pick`, sorted by key and
+/// checked to hold the same keys.
+fn committed_fragments<'a>(
+    replicas: &'a [Replica],
+    pick: &[usize],
+) -> SimResult<Vec<Vec<(PageKey, &'a FragBuf)>>> {
+    let mut lists = Vec::with_capacity(pick.len());
+    for &i in pick {
+        let r = replicas
+            .get(i)
+            .ok_or_else(|| SimError::Invalid(format!("no replica {i}")))?;
+        lists.push(r.agent.fragments());
+    }
+    for list in lists.iter().skip(1) {
+        if !list.iter().map(|f| f.0).eq(lists[0].iter().map(|f| f.0)) {
             return Err(SimError::Invalid(format!(
-                "reconstruction needs exactly k={k} replicas, got {}",
-                replicas.len()
+                "replica fragment stores diverge: {} vs {} pages, or other keys",
+                list.len(),
+                lists[0].len()
             )));
         }
-        let lists = Self::committed_fragments(&self.replicas, replicas)?;
+    }
+    Ok(lists)
+}
+
+/// One page from `k` of its fragments (`(replica index, bytes)`). With
+/// `k = 1` the fragment is the page and its buffer is handed over as is.
+fn decode_page(codec: &mut ShardCodec, frags: &[(usize, &FragBuf)]) -> SimResult<PageBuf> {
+    if let [(_, whole)] = frags {
+        if let Ok(page) = PageBuf::try_from(FragBuf::clone(whole)) {
+            return Ok(page);
+        }
+    }
+    let mut page: PageBuf = Rc::new([0u8; PAGE_SIZE]);
+    let out = Rc::get_mut(&mut page).expect("a fresh page has one owner");
+    codec.decode(frags, out)?;
+    Ok(page)
+}
+
+impl Coded {
+    /// `target`'s fragment of the page `key`, regenerated from `k`
+    /// survivors' fragments of it (decode + re-encode).
+    fn regenerate(
+        &mut self,
+        key: PageKey,
+        frags: &[(usize, &FragBuf)],
+        target: usize,
+    ) -> SimResult<Fragment> {
+        let page = decode_page(&mut self.codec, frags)?;
+        Ok((key.pid, key.vpn, self.codec.encode_fragment(&page, target)))
+    }
+
+    /// Take the active repair out for `method` to advance or end.
+    fn active_repair(&mut self, method: &str) -> SimResult<ActiveRepair> {
+        let none = || SimError::Invalid(format!("{method} with no active repair"));
+        self.repair.take().ok_or_else(none)
+    }
+
+    /// CPU to decode `pages` pages from k fragments each and re-encode one
+    /// fragment of each.
+    fn recode_cpu(costs: &CostModel, pages: u64) -> Nanos {
+        pages * (costs.shard_decode_per_page + costs.shard_encode_per_page)
+    }
+}
+
+/// Close `target`'s open assembly of `epoch` behind the disk traffic `msgs`
+/// and commit it. Returns the replica CPU consumed.
+fn seal(
+    replicas: &mut [Replica],
+    target: usize,
+    epoch: u64,
+    msgs: Vec<DrbdMsg>,
+    backup: &mut Kernel,
+) -> SimResult<Nanos> {
+    let agent = &mut replicas[target].agent;
+    let cpu = agent.ingest_drbd(msgs);
+    agent.finish_assembly(epoch)?;
+    Ok(cpu + commit_replica(replicas, target, epoch, backup)?)
+}
+
+impl Layout for Coded {
+    fn view(&mut self) -> View<'_> {
+        View::Coded(self)
+    }
+}
+
+impl Coded {
+    /// Every replica restarts empty (rearm): forget what mirrored them.
+    pub(crate) fn reset(&mut self) {
+        self.epoch_notes.clear();
+        self.mapped = Mapped::default();
+        self.redirty.clear();
+        self.repair = None;
+    }
+
+    /// `img` left the stop phase as `epoch`: note what its commit changes.
+    pub(crate) fn note_epoch(&mut self, epoch: u64, img: &CheckpointImage) {
+        let keys = img.pages.iter().map(|&(pid, vpn, _)| (pid, vpn)).collect();
+        self.epoch_notes
+            .insert(epoch, (keys, self.mapped.unmapped_by(img)));
+    }
+
+    /// The whole-epoch fan-out, container already running: erasure-code each
+    /// dirty page into n fragments and ship fragment i to replica i behind
+    /// the assembly barrier. All replica links run in parallel. Fills in
+    /// `out`'s transfer half.
+    pub(crate) fn transfer(
+        &mut self,
+        core: &StageCore,
+        replicas: &mut [Replica],
+        alive: &[usize],
+        primary: &Kernel,
+        stopped: Stopped,
+        out: &mut CheckpointOutcome,
+    ) -> SimResult<()> {
+        let (mut img, msgs) = (stopped.img, stopped.msgs);
+        let epoch = img.epoch;
+        let meta_msgs = img.transfer_chunks() + msgs.len() as u64;
+        let pages = std::mem::take(&mut img.pages);
+        let n_pages = pages.len() as u64;
+        let frag_bytes = n_pages * self.codec.frag_len() as u64;
+        out.state_bytes = img.state_bytes() + stopped.drbd_bytes + frag_bytes;
+
+        let mut per_cpu: Vec<Nanos> = vec![0; replicas.len()];
+        // What is left of the image is metadata every replica receives whole.
+        open_assemblies(replicas, alive, img, n_pages, msgs, &mut per_cpu);
+        for &i in alive {
+            self.batches[i].reserve(pages.len());
+        }
+        for &(pid, vpn, ref data) in &pages {
+            self.stage(alive, PageKey { pid, vpn }, data);
+        }
+        self.ship(replicas, epoch, &mut per_cpu)?;
+        for &i in alive {
+            replicas[i].agent.finish_assembly(epoch)?;
+        }
+        self.recycle(pages);
+
+        let costs = &primary.costs;
+        let shard_cpu = n_pages * costs.shard_encode_per_page;
+        core.tracer
+            .span(self.shard_commit(n_pages, frag_bytes), shard_cpu);
+        let transfer = core.transfer_cost(primary, out.state_bytes, meta_msgs);
+        let (ingest, link) = ((per_cpu[alive[0]], 0), costs.repl_link_latency);
+        out.ack_delay =
+            shard_cpu + ack_spans(&core.tracer, out.state_bytes, transfer, ingest, link);
+        out.backup_cpu = per_cpu.iter().sum();
+        Ok(())
+    }
+
+    /// Add one page to the chunk being built: every path that stripes —
+    /// whole-epoch, pipelined, bootstrap — goes through here. Fragment `i`
+    /// of the page is built once, in the buffer replica `i`'s store then
+    /// keeps.
+    pub(crate) fn stage(&mut self, alive: &[usize], key: PageKey, page: &[u8; PAGE_SIZE]) {
+        for &i in alive {
+            self.batches[i].push((key.pid, key.vpn, self.codec.encode_fragment(page, i)));
+        }
+    }
+
+    /// Hand the staged chunk to the alive replicas' open assemblies of
+    /// `epoch`, adding each one's receive CPU to `per_cpu`. Returns the
+    /// bytes one link carried: one chunk's wire time is a single fragment
+    /// batch.
+    pub(crate) fn ship(
+        &mut self,
+        replicas: &mut [Replica],
+        epoch: u64,
+        per_cpu: &mut [Nanos],
+    ) -> SimResult<u64> {
+        let mut pages = 0;
+        for (i, batch) in self.batches.iter_mut().enumerate() {
+            if replicas[i].alive {
+                pages = batch.len() as u64;
+                let batch = std::mem::take(batch);
+                per_cpu[i] += replicas[i].agent.ingest_fragments(epoch, batch)?;
+            }
+        }
+        Ok(pages * self.codec.frag_len() as u64)
+    }
+
+    /// The alive replicas committed everything up to `epoch`. Track what the
+    /// active repair's base image now misses, epoch by epoch: a page an
+    /// epoch unmapped leaves the survivors' stores at this commit and has
+    /// nothing to top up; the pages it carries do.
+    pub(crate) fn committed(&mut self, epoch: u64) {
+        let later = self.epoch_notes.split_off(&(epoch + 1));
+        let committed = std::mem::replace(&mut self.epoch_notes, later);
+        if self.repair.is_none() {
+            return;
+        }
+        for (keys, unmapped) in committed.into_values() {
+            for (pid, vpns) in unmapped {
+                self.redirty
+                    .retain(|(p, vpn)| *p != pid || !vpns.contains(vpn));
+            }
+            self.redirty.extend(keys);
+        }
+    }
+
+    /// The committed image, decoded from the stores of the `k` replicas
+    /// `pick`.
+    pub(crate) fn image(
+        &mut self,
+        replicas: &[Replica],
+        pick: &[usize],
+    ) -> SimResult<CheckpointImage> {
+        let k = self.codec.k() as usize;
+        if pick.len() != k {
+            return Err(SimError::Invalid(format!(
+                "reconstruction needs exactly k={k} replicas, got {}",
+                pick.len()
+            )));
+        }
+        let lists = committed_fragments(replicas, pick)?;
         // Metadata, sockets, and fs state replicate in full on every
         // replica; adopt the first one's and decode only the pages.
-        let mut out = self.replicas[replicas[0]].agent.materialize()?;
+        let mut out = replicas[pick[0]].agent.materialize()?;
         let mut frags = Vec::with_capacity(k);
         for (p, &(key, _)) in lists[0].iter().enumerate() {
             frags.clear();
-            frags.extend(replicas.iter().zip(&lists).map(|(&i, list)| (i, list[p].1)));
-            let page = Self::decode_page(&mut self.codec, &frags)?;
+            frags.extend(pick.iter().zip(&lists).map(|(&i, list)| (i, list[p].1)));
+            let page = decode_page(&mut self.codec, &frags)?;
             out.pages.push((key.pid, key.vpn, page));
         }
         Ok(out)
     }
 
-    /// CPU to decode one page from k fragments and re-encode one of its own.
-    fn recode_per_page(&self) -> Nanos {
-        self.core.costs.shard_decode_per_page + self.core.costs.shard_encode_per_page
-    }
-
-    /// First `count` alive replica indices, erroring below the quorum.
-    fn survivors(&self, count: usize) -> SimResult<Vec<usize>> {
-        let alive = self.alive_indices();
-        if alive.len() < count {
-            return Err(SimError::Invalid(format!(
-                "placement below quorum: {} alive, need {count}",
-                alive.len()
-            )));
-        }
-        Ok(alive[..count].to_vec())
-    }
-}
-
-impl Checkpointer for PlacementEngine {
-    fn name(&self) -> &'static str {
-        "Placement"
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.tracer = tracer;
-    }
-
-    fn inject_stage_fail(&mut self, chunk: u64) {
-        self.stage_fail_at_chunk = Some(chunk);
-    }
-
-    fn prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        self.core.prepare(primary, container)
-    }
-
-    fn checkpoint(
+    /// [`Checkpointer::repair_begin`](crate::Checkpointer::repair_begin).
+    pub(crate) fn repair_begin(
         &mut self,
-        primary: &mut Kernel,
-        _backup: &mut Kernel,
-        container: &Container,
-        epoch: u64,
-    ) -> SimResult<CheckpointOutcome> {
-        let k = self.codec.k() as usize;
-        let alive = self.alive_indices();
-        if alive.len() < k {
-            return Err(SimError::Invalid(format!(
-                "cannot checkpoint below quorum: {} alive, need {k}",
-                alive.len()
-            )));
-        }
-        let stopped = self.core.stop_phase(primary, container, epoch, None)?;
-        let (mut img, msgs) = (stopped.img, stopped.msgs);
-        let dirty_pages = img.stats.dirty_pages;
-        let meta_msgs = img.transfer_chunks() + msgs.len() as u64;
-
-        // --- Shard encode + parallel fan-out (ack path) ------------------
-        // The container is already running. Erasure-code each dirty page
-        // into n fragments and ship fragment i to replica i behind the
-        // assembly barrier. All replica links run in parallel.
-        let pages = std::mem::take(&mut img.pages);
-        // What is left is metadata every replica receives whole: one image,
-        // shared, not a copy per replica.
-        let img = Rc::new(img);
-        let n_pages = pages.len() as u64;
-        let frag_len = self.codec.frag_len() as u64;
-        let frag_bytes = n_pages * frag_len;
-        let meta_bytes = img.state_bytes() + stopped.drbd_bytes;
-        let state_bytes = meta_bytes + frag_bytes;
-
-        self.epoch_keys.insert(
-            epoch,
-            pages.iter().map(|&(pid, vpn, _)| (pid, vpn)).collect(),
-        );
-
-        let costs = &primary.costs;
-        let link = costs.repl_link_latency;
-        let first_alive = alive[0];
-        let mut per_cpu: Vec<Nanos> = vec![0; self.replicas.len()];
-        for &i in &alive {
-            per_cpu[i] = self.replicas[i].agent.begin_assembly(img.clone(), n_pages);
-        }
-        let pipelined = self.core.opts.pipeline;
-        let transfer = if pipelined {
-            // Staged pipeline: each chunk is erasure-coded and striped to all
-            // alive replicas as soon as it is encoded, the shard-encode stage
-            // a bounded queue ahead of the (parallel) links. The per-replica
-            // assembly barrier still gates the ack, so the committed fragment
-            // stores are byte-identical to the whole-epoch fan-out.
-            let meta_ser = self.core.transfer_cost(primary, meta_bytes, meta_msgs) - link;
-            let mut clock = ChunkClock::new(self.core.tracer.clone(), meta_ser, true);
-            for chunk in pages.chunks(CHUNK_PAGES) {
-                let n = chunk.len() as u64;
-                // One chunk's wire time is a single fragment batch.
-                clock.send(
-                    n * costs.shard_encode_per_page,
-                    costs.repl_wire(n * frag_len) + costs.repl_msg_overhead,
-                );
-                let before = per_cpu[first_alive];
-                fan_out(&mut self.replicas, &self.codec, epoch, chunk, &mut per_cpu)?;
-                // An ingest-stage crash hits the designated replica.
-                per_cpu[first_alive] +=
-                    clock.replayed(&mut self.stage_fail_at_chunk, per_cpu[first_alive] - before);
-            }
-            clock.sent() + link
-        } else {
-            fan_out(&mut self.replicas, &self.codec, epoch, &pages, &mut per_cpu)?;
-            self.core.transfer_cost(primary, state_bytes, meta_msgs)
-        };
-        // Striped: the fan-out used what spare fragments it could, and the
-        // dumped pages are the next stop phase's buffers.
-        end_fragment_round();
-        for (_, _, page) in pages {
-            recycle_page(page);
-        }
-        for &i in &alive {
-            let agent = &mut self.replicas[i].agent;
-            agent.finish_assembly(epoch)?;
-            per_cpu[i] += agent.ingest_drbd(msgs.clone());
-        }
-        let ingest_one = per_cpu[first_alive];
-        let shard_commit = TraceEvent::ShardCommit {
-            shards: self.codec.n(),
-            pages: n_pages,
-            frag_bytes,
-        };
-        let tracer = &self.core.tracer;
-        let shard_cpu = if pipelined {
-            // Shard encode moved to a background stage: the marker keeps the
-            // fan-out observable while Transfer + BackupIngest + Ack tile
-            // the ack delay.
-            tracer.mark(shard_commit);
-            0
-        } else {
-            let shard_cpu = n_pages * costs.shard_encode_per_page;
-            tracer.span(shard_commit, shard_cpu);
-            shard_cpu
-        };
-        tracer.span(TraceEvent::Transfer { bytes: state_bytes }, transfer);
-        tracer.span(TraceEvent::BackupIngest { probes: 0 }, ingest_one);
-        tracer.span(TraceEvent::Ack, link);
-        let ack_delay = shard_cpu + transfer + ingest_one + link;
-        self.core.stage_backlog(ack_delay);
-
-        Ok(CheckpointOutcome {
-            stop_time: stopped.stop_time,
-            state_bytes,
-            dirty_pages,
-            ack_delay,
-            backup_cpu: per_cpu.iter().sum(),
-        })
-    }
-
-    fn pipeline_advance(&mut self, elapsed: Nanos) {
-        self.core.pipeline_advance(elapsed);
-    }
-
-    fn commit(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        self.core.prune_logs(epoch);
-        let mut cpu: Nanos = 0;
-        let mut marked = false;
-        for i in self.alive_indices() {
-            cpu += commit_replica(&mut self.replicas, i, epoch, backup)?;
-            if !marked && self.core.tracer.enabled() {
-                let (probes, disk_pages) = self.replicas[i].agent.last_commit_stats();
-                self.core
-                    .tracer
-                    .mark(TraceEvent::BackupCommit { probes, disk_pages });
-                marked = true;
-            }
-        }
-        // Track what the active repair's base image now misses.
-        let later = self.epoch_keys.split_off(&(epoch + 1));
-        let committed = std::mem::replace(&mut self.epoch_keys, later);
-        if self.repair.is_some() {
-            self.redirty.extend(committed.into_values().flatten());
-        }
-        Ok(cpu)
-    }
-
-    fn failover(&mut self, backup: &mut Kernel) -> SimResult<(RestoredContainer, FailoverReport)> {
-        let k = self.codec.k() as usize;
-        for r in self.replicas.iter_mut().filter(|r| r.alive) {
-            r.agent.discard_uncommitted();
-        }
-        StageCore::release_spare_buffers();
-        let survivors = self.survivors(k)?;
-        let img = self.reconstruct_committed(&survivors)?;
-        let (restored, mut report) = self.core.restore(backup, &img)?;
-        if k > 1 {
-            report.others += img.pages.len() as u64 * backup.costs.shard_decode_per_page;
-        }
-
-        // If the designated replica (whose disk IS the backup kernel's) is
-        // dead, resync the kernel disk from a surviving replica's device.
-        if !self.replicas[0].alive {
-            let src = survivors
-                .iter()
-                .copied()
-                .find(|&i| i != 0)
-                .or_else(|| self.alive_indices().into_iter().find(|&i| i != 0))
-                .ok_or_else(|| {
-                    SimError::Invalid("no surviving replica disk to resync from".into())
-                })?;
-            for w in self.replicas[src].disk.full_sync_writes() {
-                backup.vfs.disk.apply_replicated(&w);
-                report.disk_pages_committed += 1;
-            }
-            report.others += report.disk_pages_committed * backup.costs.restore_disk_per_page;
-        }
-        Ok((restored, report))
-    }
-
-    fn committed_epoch(&self) -> Option<u64> {
-        self.replicas
-            .iter()
-            .filter(|r| r.alive)
-            .filter_map(|r| r.agent.committed_epoch())
-            .max()
-    }
-
-    fn supports_rearm(&self) -> bool {
-        self.core.opts.rearm
-    }
-
-    fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
-        // Every replica-side structure restarts empty on fresh hosts.
-        for r in &mut self.replicas {
-            *r = Replica::new(&self.core.costs, &self.core.opts);
-        }
-        self.epoch_keys.clear();
-        self.redirty.clear();
-        self.repair = None;
-        self.core.rearm(primary, container)
-    }
-
-    fn bootstrap_begin(
-        &mut self,
-        primary: &mut Kernel,
-        container: &Container,
-        epoch: u64,
-    ) -> SimResult<BootstrapBegin> {
-        let (img, msgs, begin) = self.core.bootstrap_stop(primary, container, epoch)?;
-        let img = Rc::new(img);
-        let mut cpu: Nanos = 0;
-        for r in self.replicas.iter_mut().filter(|r| r.alive) {
-            cpu += r.agent.begin_assembly(img.clone(), begin.total_pages);
-            cpu += r.agent.ingest_drbd(msgs.clone());
-        }
-        self.core.bootstrap_cpu_carry = cpu;
-        Ok(begin)
-    }
-
-    fn bootstrap_step(
-        &mut self,
-        primary: &mut Kernel,
-        epoch: u64,
-        max_pages: u64,
-    ) -> SimResult<BootstrapStep> {
-        let page_wire_bytes = self.codec.frag_len() as u64 * self.alive_replicas() as u64;
-        let encode_per_page = primary.costs.shard_encode_per_page;
-        let (replicas, codec) = (&mut self.replicas, &self.codec);
-        self.core
-            .bootstrap_drain(primary, max_pages, page_wire_bytes, |chunk| {
-                let mut per_cpu: Vec<Nanos> = vec![0; replicas.len()];
-                fan_out(replicas, codec, epoch, &chunk, &mut per_cpu)?;
-                Ok(chunk.len() as u64 * encode_per_page + per_cpu.iter().sum::<Nanos>())
-            })
-    }
-
-    fn bootstrap_finish(&mut self, backup: &mut Kernel, epoch: u64) -> SimResult<Nanos> {
-        let mut cpu: Nanos = 0;
-        for i in self.alive_indices() {
-            let agent = &mut self.replicas[i].agent;
-            agent.finish_assembly(epoch)?;
-            if !agent.epoch_complete(epoch) {
-                return Err(SimError::Invalid(format!(
-                    "bootstrap epoch {epoch} sealed without its disk barrier on replica {i}"
-                )));
-            }
-            cpu += commit_replica(&mut self.replicas, i, epoch, backup)?;
-        }
-        self.core.bootstrap_done();
-        Ok(cpu)
-    }
-
-    fn bootstrap_abort(&mut self, primary: &mut Kernel, _container: &Container) -> SimResult<()> {
-        self.core.bootstrap_unwind(primary)?;
-        for r in self.replicas.iter_mut().filter(|r| r.alive) {
-            let _ = r.agent.discard_uncommitted();
-        }
-        Ok(())
-    }
-
-    fn supports_placement(&self) -> bool {
-        self.core.opts.backups > 1
-    }
-
-    fn placement(&self) -> (u32, u32) {
-        (self.codec.k(), self.codec.n())
-    }
-
-    fn replica_fault(&mut self) -> SimResult<u32> {
-        self.replicas[0].alive = false;
-        Ok(self.alive_replicas())
-    }
-
-    fn repair_begin(&mut self, _epoch: u64) -> SimResult<RepairBegin> {
+        core: &StageCore,
+        replicas: &mut [Replica],
+    ) -> SimResult<RepairBegin> {
         if self.repair.is_some() {
             return Err(SimError::Invalid("a repair is already active".into()));
         }
-        let target = self
-            .replicas
+        let target = replicas
             .iter()
             .position(|r| !r.alive)
             .ok_or_else(|| SimError::Invalid("repair_begin with no dead replica".into()))?;
-        let survivors = self.survivors(self.codec.k() as usize)?;
+        let survivors = survivors(replicas, self.codec.k() as usize)?;
         // The survivors' fragment buffers, not decoded pages: the snapshot
         // shares them, and each step decodes only the chunk it streams.
-        let base: Vec<Vec<(PageKey, FragBuf)>> =
-            Self::committed_fragments(&self.replicas, &survivors)?
-                .into_iter()
-                .map(|list| list.into_iter().map(|(key, f)| (key, f.clone())).collect())
-                .collect();
-        let meta = self.replicas[survivors[0]].agent.materialize()?;
+        let base: Vec<Vec<(PageKey, FragBuf)>> = committed_fragments(replicas, &survivors)?
+            .into_iter()
+            .map(|list| list.into_iter().map(|(key, f)| (key, f.clone())).collect())
+            .collect();
+        let meta = replicas[survivors[0]].agent.materialize()?;
         let base_epoch = meta.epoch;
         let total_pages = base[0].len() as u64;
         let state_bytes = meta.state_bytes();
@@ -658,12 +423,11 @@ impl Checkpointer for PlacementEngine {
         // opens its assembly (sealed by `repair_finish`). Epochs committed
         // while the base streams accumulate in `redirty` and are topped up
         // at finish — the target is excluded from epoch traffic until then.
-        self.replicas[target].agent =
-            BackupAgent::new(self.core.costs.clone(), self.core.opts.optimize_criu);
-        self.replicas[target].disk = BlockDevice::default();
-        let cpu_carry = self.replicas[target]
-            .agent
-            .begin_assembly(meta, total_pages);
+        replicas[target] = Replica {
+            alive: false,
+            ..Replica::new(&core.costs, &core.opts)
+        };
+        let cpu_carry = replicas[target].agent.begin_assembly(meta, total_pages);
         self.redirty.clear();
         self.repair = Some(ActiveRepair {
             target,
@@ -679,40 +443,33 @@ impl Checkpointer for PlacementEngine {
         })
     }
 
-    fn repair_step(&mut self, _epoch: u64, max_pages: u64) -> SimResult<BootstrapStep> {
-        let Some(mut rep) = self.repair.take() else {
-            return Err(SimError::Invalid("repair_step with no active repair".into()));
-        };
+    /// [`Checkpointer::repair_step`](crate::Checkpointer::repair_step).
+    pub(crate) fn repair_step(
+        &mut self,
+        core: &StageCore,
+        replicas: &mut [Replica],
+        max_pages: u64,
+    ) -> SimResult<BootstrapStep> {
+        let mut rep = self.active_repair("repair_step")?;
         let total = rep.base[0].len();
         let take = ((total - rep.cursor) as u64).min(max_pages) as usize;
         let mut batch = Vec::with_capacity(take);
         let mut frags = Vec::with_capacity(rep.survivors.len());
         for p in rep.cursor..rep.cursor + take {
             frags.clear();
-            frags.extend(
-                rep.survivors
-                    .iter()
-                    .zip(&rep.base)
-                    .map(|(&i, list)| (i, &list[p].1)),
-            );
-            let page = Self::decode_page(&mut self.codec, &frags)?;
-            let key = rep.base[0][p].0;
-            batch.push((
-                key.pid,
-                key.vpn,
-                self.codec.encode_fragment(&page, rep.target),
-            ));
+            let held = rep.survivors.iter().zip(&rep.base);
+            frags.extend(held.map(|(&i, list)| (i, &list[p].1)));
+            batch.push(self.regenerate(rep.base[0][p].0, &frags, rep.target)?);
         }
         rep.cursor += take;
-        let k = self.codec.k() as u64;
-        let frag_len = self.codec.frag_len() as u64;
         let pages = take as u64;
         // The replacement host reads k committed fragments per page from
         // the surviving peers (the RS repair read amplification), decodes,
         // and re-encodes its own fragment.
-        let bytes = pages * frag_len * k;
-        let mut backup_cpu = std::mem::take(&mut rep.cpu_carry) + pages * self.recode_per_page();
-        backup_cpu += self.replicas[rep.target]
+        let bytes = pages * self.codec.frag_len() as u64 * self.codec.k() as u64;
+        let mut backup_cpu =
+            std::mem::take(&mut rep.cpu_carry) + Self::recode_cpu(&core.costs, pages);
+        backup_cpu += replicas[rep.target]
             .agent
             .ingest_fragments(rep.base_epoch, batch)?;
         let remaining = (total - rep.cursor) as u64;
@@ -725,122 +482,101 @@ impl Checkpointer for PlacementEngine {
         })
     }
 
-    fn repair_finish(&mut self, backup: &mut Kernel, _epoch: u64) -> SimResult<Nanos> {
-        let Some(rep) = self.repair.take() else {
-            return Err(SimError::Invalid("repair_finish with no active repair".into()));
-        };
+    /// [`Checkpointer::repair_finish`](crate::Checkpointer::repair_finish).
+    pub(crate) fn repair_finish(
+        &mut self,
+        core: &StageCore,
+        replicas: &mut [Replica],
+        backup: &mut Kernel,
+    ) -> SimResult<Nanos> {
+        let rep = self.active_repair("repair_finish")?;
         if rep.cursor < rep.base[0].len() {
             self.repair = Some(rep);
-            return Err(SimError::Invalid("repair base image not fully streamed".into()));
+            return Err(SimError::Invalid(
+                "repair base image not fully streamed".into(),
+            ));
         }
-        let target = rep.target;
+        let (target, base_epoch) = (rep.target, rep.base_epoch);
 
         // Disk resync: one full-device snapshot from a surviving replica,
         // current as of the latest committed epoch, rides the target's DRBD
         // stream behind the base epoch's barrier.
-        let src = self
-            .alive_indices()
-            .into_iter()
-            .find(|&i| i != target && i != 0)
-            .map(|i| self.replicas[i].disk.full_sync_writes())
+        let src = (1..replicas.len())
+            .find(|&i| i != target && replicas[i].alive)
+            .map(|i| replicas[i].disk.full_sync_writes())
             .unwrap_or_else(|| backup.vfs.disk.full_sync_writes());
         let mut msgs: Vec<DrbdMsg> = src.into_iter().map(DrbdMsg::Write).collect();
-        msgs.push(DrbdMsg::Barrier(rep.base_epoch));
+        msgs.push(DrbdMsg::Barrier(base_epoch));
+        let mut cpu = seal(replicas, target, base_epoch, msgs, backup)?;
 
-        let mut cpu: Nanos = 0;
-        {
-            let agent = &mut self.replicas[target].agent;
-            cpu += agent.ingest_drbd(msgs);
-            agent.finish_assembly(rep.base_epoch)?;
-        }
-        cpu += commit_replica(&mut self.replicas, target, rep.base_epoch, backup)?;
-
-        // Top-up: pages committed while the base streamed, at their current
-        // committed values, plus the current metadata image. Only those
-        // keys are read back from the survivors and decoded.
-        if !self.redirty.is_empty() {
-            let survivors = self.survivors(self.codec.k() as usize)?;
-            let meta = self.replicas[survivors[0]].agent.materialize()?;
+        // Top-up, if an epoch committed while the base streamed: the pages
+        // committed since, at their current committed values — only those
+        // keys are read back from the survivors and decoded — under the
+        // current metadata image, whose commit also prunes what the
+        // container unmapped since the base.
+        let latest = committed_epoch(replicas);
+        if latest.is_some_and(|e| e > base_epoch) {
+            let survivors = survivors(replicas, self.codec.k() as usize)?;
+            let meta = replicas[survivors[0]].agent.materialize()?;
             let cur_epoch = meta.epoch;
-            if cur_epoch <= rep.base_epoch {
-                return Err(SimError::Invalid(format!(
-                    "redirty pages with no later committed epoch ({cur_epoch} <= {})",
-                    rep.base_epoch
-                )));
-            }
-            let mut keys: Vec<(Pid, u64)> = self.redirty.iter().copied().collect();
+            let mut keys: Vec<(Pid, u64)> = self.redirty.drain().collect();
             keys.sort_unstable();
             let mut batch = Vec::with_capacity(keys.len());
             let mut frags = Vec::with_capacity(survivors.len());
             for (pid, vpn) in keys {
+                let key = PageKey { pid, vpn };
                 frags.clear();
                 for &i in &survivors {
-                    let frag = self.replicas[i].agent.fragment(PageKey { pid, vpn });
-                    frags.push((
-                        i,
-                        frag.ok_or_else(|| {
-                            SimError::Invalid(format!(
-                                "replica {i} holds no fragment of committed page {pid:?}/{vpn:#x}"
-                            ))
-                        })?,
-                    ));
+                    let frag = replicas[i].agent.fragment(key).ok_or_else(|| {
+                        SimError::Invalid(format!(
+                            "replica {i} holds no fragment of committed page {pid:?}/{vpn:#x}"
+                        ))
+                    })?;
+                    frags.push((i, frag));
                 }
-                let page = Self::decode_page(&mut self.codec, &frags)?;
-                batch.push((pid, vpn, self.codec.encode_fragment(&page, target)));
+                batch.push(self.regenerate(key, &frags, target)?);
             }
             let n = batch.len() as u64;
-            cpu += n * self.recode_per_page();
-            {
-                let agent = &mut self.replicas[target].agent;
-                cpu += agent.begin_assembly(meta, n);
-                cpu += agent.ingest_fragments(cur_epoch, batch)?;
-                cpu += agent.ingest_drbd(vec![DrbdMsg::Barrier(cur_epoch)]);
-                agent.finish_assembly(cur_epoch)?;
-            }
-            cpu += commit_replica(&mut self.replicas, target, cur_epoch, backup)?;
+            cpu += Self::recode_cpu(&core.costs, n);
+            let agent = &mut replicas[target].agent;
+            cpu += agent.begin_assembly(meta, n);
+            cpu += agent.ingest_fragments(cur_epoch, batch)?;
+            let barrier = vec![DrbdMsg::Barrier(cur_epoch)];
+            cpu += seal(replicas, target, cur_epoch, barrier, backup)?;
+        } else if !self.redirty.is_empty() {
+            return Err(SimError::Invalid(format!(
+                "redirty pages with no later committed epoch ({latest:?} <= {base_epoch})"
+            )));
         }
-        self.redirty.clear();
-        self.replicas[target].alive = true;
+        replicas[target].alive = true;
         Ok(cpu)
     }
 
-    fn repair_abort(&mut self) -> SimResult<()> {
-        let Some(rep) = self.repair.take() else {
-            return Err(SimError::Invalid("repair_abort with no active repair".into()));
-        };
+    /// [`Checkpointer::repair_abort`](crate::Checkpointer::repair_abort).
+    pub(crate) fn repair_abort(&mut self, replicas: &mut [Replica]) -> SimResult<()> {
+        let rep = self.active_repair("repair_abort")?;
         // The replacement host died with its half-regenerated store; the
         // target stays dead until a later attempt rebuilds it from scratch.
-        let _ = self.replicas[rep.target].agent.discard_uncommitted();
+        let _ = replicas[rep.target].agent.discard_uncommitted();
         self.redirty.clear();
         Ok(())
     }
 
-    fn supports_replay(&self) -> bool {
-        self.core.opts.hybrid_replay
+    pub(crate) fn shard_commit(&self, pages: u64, frag_bytes: u64) -> TraceEvent {
+        TraceEvent::ShardCommit {
+            shards: self.codec.n(),
+            pages,
+            frag_bytes,
+        }
     }
 
-    fn ship_log(
-        &mut self,
-        primary: &mut Kernel,
-        epoch: u64,
-        events: &[ReplayEvent],
-    ) -> SimResult<LogShipOutcome> {
-        let placement = (self.codec.k() as u64, self.alive_replicas() as u64);
-        let fail_after = self.log_fail_after_chunks;
-        self.core
-            .logs()?
-            .ship(&primary.costs, epoch, events, placement, fail_after)
-    }
-
-    fn seal_log(&mut self, epoch: u64) -> SimResult<()> {
-        let fail_after = self.log_fail_after_chunks;
-        self.core.logs()?.seal(epoch, fail_after);
-        Ok(())
-    }
-
-    fn take_replay_tail(&mut self) -> SimResult<ReplayTail> {
-        let committed = self.committed_epoch();
-        Ok(self.core.logs()?.take_tail(committed))
+    /// Striped: the fan-out used what spare fragments it could, and the
+    /// dumped pages are the next stop phase's buffers.
+    pub(crate) fn recycle(&self, pages: Vec<(Pid, u64, PageBuf)>) {
+        end_fragment_round();
+        for (_, _, page) in pages {
+            recycle_page(page);
+        }
     }
 }
 
@@ -848,8 +584,11 @@ impl Checkpointer for PlacementEngine {
 mod tests {
     use super::*;
     use crate::nilicon_engine::NiLiConEngine;
-    use crate::trace::TraceRecord;
-    use nilicon_container::{ContainerRuntime, ContainerSpec, MemLayout};
+    use crate::trace::{TraceRecord, Tracer};
+    use crate::Checkpointer;
+    use nilicon_container::{Container, ContainerRuntime, ContainerSpec, MemLayout};
+    use nilicon_sim::block::BlockDevice;
+    use nilicon_sim::replay::ReplayEvent;
 
     fn placement_opts(k: u32, n: u32) -> OptimizationConfig {
         let mut opts = OptimizationConfig::nilicon();
@@ -884,15 +623,25 @@ mod tests {
 
     #[test]
     fn rejects_invalid_configs() {
-        let costs = nilicon_sim::CostModel::default();
-        let mut opts = placement_opts(2, 3);
-        opts.staging_buffer = false;
-        assert!(PlacementEngine::new(opts, costs.clone()).is_err());
-        let mut opts = placement_opts(2, 3);
-        opts.delta_transfer = true;
-        assert!(PlacementEngine::new(opts, costs.clone()).is_err());
-        assert!(PlacementEngine::new(placement_opts(4, 3), costs.clone()).is_err());
-        assert!(PlacementEngine::new(placement_opts(0, 2), costs).is_err());
+        // The rules are `OptimizationConfig::validate`'s, keyed on this
+        // layout: a hand-built (1,1) placement is checked like any other.
+        type Knob = fn(&mut OptimizationConfig);
+        let set: [(u32, u32, Knob, &str); 7] = [
+            (2, 3, |o| o.staging_buffer = false, "staging buffer"),
+            (2, 3, |o| o.delta_transfer = true, "delta_transfer"),
+            (1, 1, |o| o.delta_transfer = true, "delta_transfer"),
+            (1, 1, |o| o.cow_checkpoint = true, "cow_checkpoint"),
+            (4, 3, |_| (), "invalid placement (k=4, n=3)"),
+            (0, 2, |_| (), "invalid placement (k=0, n=2)"),
+            (2, 200, |_| (), "invalid placement (k=2, n=200)"),
+        ];
+        for (k, n, knob, message) in set {
+            let mut opts = placement_opts(k, n);
+            knob(&mut opts);
+            let err = PlacementEngine::new(opts, CostModel::default()).unwrap_err();
+            assert!(err.to_string().contains(message), "({k},{n}): {err}");
+        }
+        PlacementEngine::new(placement_opts(1, 1), CostModel::default()).expect("(1,1) is valid");
     }
 
     #[test]
@@ -1438,7 +1187,7 @@ mod tests {
                 break;
             }
         }
-        assert!(!e.redirty.is_empty(), "pages were re-dirtied mid-stream");
+        assert!(!e.layout.redirty.is_empty(), "pages were re-dirtied mid-stream");
         e.repair_finish(&mut fresh, epoch).unwrap();
 
         let (_, _, _, never_failed) = run_epochs(placement_opts(2, 3), epoch);
@@ -1524,6 +1273,62 @@ mod tests {
     }
 
     #[test]
+    fn heap_shrink_while_a_repair_streams_is_not_divergence() {
+        // A page committed while the repair streams is one the top-up owes
+        // the target — until a later epoch unmaps it: that epoch's commit
+        // prunes it from the survivors' stores, and must drop it from the
+        // top-up too, or `repair_finish` reads a fragment nobody holds.
+        let (mut p, _b, c, mut e) = run_epochs(placement_opts(2, 3), 2);
+        let pid = c.init_pid();
+        let top = c.spec.heap_pages - 1;
+        e.replica_fault().unwrap();
+        let mut fresh = Kernel::default();
+        e.repair_begin(2).unwrap();
+        p.mem_write(pid, MemLayout::heap_page(top), b"doomed")
+            .unwrap();
+        e.checkpoint(&mut p, &mut fresh, &c, 3).unwrap();
+        e.commit(&mut fresh, 3).unwrap();
+        assert!(e
+            .layout
+            .redirty
+            .contains(&(pid, MemLayout::heap_page(top) >> 12)));
+        let mm = p.mm_mut(pid).unwrap();
+        mm.brk(MemLayout::heap_page(top / 2)).unwrap();
+        e.checkpoint(&mut p, &mut fresh, &c, 4).unwrap();
+        e.commit(&mut fresh, 4).unwrap();
+        while e.repair_step(4, 64).unwrap().remaining > 0 {}
+        e.repair_finish(&mut fresh, 4).unwrap();
+        assert_eq!(e.alive_replicas(), 3);
+
+        // The repaired replica 0 holds what the survivors hold: the image is
+        // the same whichever of them it is read with.
+        let reference = e.reconstruct_committed(&[1, 2]).unwrap();
+        assert_eq!(reference.epoch, 4, "the top-up carried the shrunken image");
+        for with in [[0usize, 1], [0, 2]] {
+            let img = e.reconstruct_committed(&with).unwrap();
+            assert_eq!(img.epoch, reference.epoch);
+            assert!(img.pages == reference.pages, "replica 0 with {with:?}");
+        }
+
+        // Mapped again and never written, the range reads zeros on the
+        // primary, and so it must after a failover.
+        p.mm_mut(pid)
+            .unwrap()
+            .brk(MemLayout::heap_page(top + 1))
+            .unwrap();
+        e.checkpoint(&mut p, &mut fresh, &c, 5).unwrap();
+        e.commit(&mut fresh, 5).unwrap();
+        let (restored, _) = e.failover(&mut fresh).unwrap();
+        assert_eq!(restored.skipped_pages, 0, "nothing stale left to skip");
+        restored.finish(&mut fresh).unwrap();
+        let mut buf = [0xffu8; 6];
+        fresh
+            .mem_read(pid, MemLayout::heap_page(top), &mut buf)
+            .unwrap();
+        assert_eq!(buf, [0; 6], "old bytes resurrected above the old break");
+    }
+
+    #[test]
     fn top_up_of_a_page_a_survivor_lacks_is_an_error() {
         let (mut p, _b, c, mut e) = run_epochs(placement_opts(2, 3), 2);
         e.replica_fault().unwrap();
@@ -1533,7 +1338,7 @@ mod tests {
         e.checkpoint(&mut p, &mut fresh, &c, 3).unwrap();
         e.commit(&mut fresh, 3).unwrap();
         while e.repair_step(3, 64).unwrap().remaining > 0 {}
-        e.redirty.insert((c.init_pid(), 0xdead));
+        e.layout.redirty.insert((c.init_pid(), 0xdead));
         let err = e.repair_finish(&mut fresh, 3).unwrap_err();
         assert!(matches!(err, SimError::Invalid(_)), "got {err:?}");
     }

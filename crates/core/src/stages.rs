@@ -1,35 +1,43 @@
-//! The stage core under both engines: everything of the epoch mechanism
-//! (§IV–V: freeze → dump → resume → transfer → ack → release) that does not
-//! depend on how the checkpoint is laid out on replicas.
+//! What lies under the one replication engine
+//! ([`Engine`](crate::nilicon_engine::Engine)): everything of the epoch
+//! mechanism (§IV–V: freeze → dump → resume → transfer → ack → release) that
+//! does not depend on how the checkpoint is laid out on replicas.
 //!
 //! * [`StageCore`] — the primary side: arming, the stop phase of an
-//!   incremental epoch and of a bootstrap, the bootstrap drain and its
-//!   unwind, the pipeline backlog, restore + the recovery report;
+//!   incremental epoch and of a bootstrap, its unwind, the pipeline backlog,
+//!   restore + the recovery report;
 //! * [`LogStore`] — the backup-side store of shipped nondeterminism logs;
-//! * [`ChunkClock`] — the timing model of a chunked, pipelined transfer.
+//! * [`ChunkClock`] — the timing model of a chunked, pipelined transfer;
+//! * [`Replica`] — the replica set's element, with what every layout does
+//!   to a set of them (open an epoch's assemblies, commit, pick survivors);
+//!   [`Mapped`] — which pages an image unmapped; [`ack_spans`] — the one ack
+//!   computation.
 //!
-//! What an engine adds is its transfer-stage strategy: whole pages or XOR
-//! deltas into one [`BackupAgent`](crate::backup::BackupAgent)
-//! ([`NiLiConEngine`](crate::NiLiConEngine)), or fragments fanned out to `n`
-//! of them ([`PlacementEngine`](crate::PlacementEngine)).
+//! What a layout adds — what a chunk carries, where it lands, how the
+//! committed image comes back — is `Mirror` (`nilicon_engine.rs`) or `Coded`
+//! (`placement.rs`).
 
+use crate::backup::BackupAgent;
 use crate::config::OptimizationConfig;
-use crate::engine::{BootstrapBegin, BootstrapStep, FailoverReport, LogShipOutcome, ReplayTail};
+use crate::engine::{BootstrapBegin, FailoverReport, LogShipOutcome, ReplayTail};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
 use nilicon_criu::{
-    bootstrap_dump, dump_container, end_fragment_round, CheckpointImage, DeltaStats,
-    InfrequentCache, RestoreConfig, RestoredContainer, ShadowStore,
+    bootstrap_dump, dump_container, end_fragment_round, unmapped_since, CheckpointImage,
+    DeltaStats, InfrequentCache, RestoreConfig, RestoredContainer, ShadowStore,
 };
 use nilicon_drbd::{DrbdMsg, DrbdPrimary};
+use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::{end_page_round, TrackingMode};
+use nilicon_sim::mem::{end_page_round, TrackingMode, Vma};
 use nilicon_sim::net::InputMode;
 use nilicon_sim::replay::{ReplayEvent, ReplayLog};
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{CostModel, PageBuf, SimError, SimResult};
+use nilicon_sim::{CostModel, SimError, SimResult};
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// Pages per streamed chunk, on every chunked path (COW drain, staged
 /// pipeline, bootstrap stream and its unwind). It equals the page batch
@@ -290,7 +298,7 @@ pub(crate) struct Stopped {
     pub(crate) stop_time: Nanos,
 }
 
-/// Primary-side state and phases common to both engines.
+/// Primary-side state and phases common to both layouts.
 pub(crate) struct StageCore {
     pub(crate) opts: OptimizationConfig,
     /// Retained so a rearm can rebuild replica-side structures.
@@ -307,7 +315,7 @@ pub(crate) struct StageCore {
     pipe_backlog: Nanos,
     /// Address spaces still holding COW-deferred bootstrap pages (empty
     /// outside an active re-replication bootstrap).
-    bootstrap_pids: Vec<Pid>,
+    pub(crate) bootstrap_pids: Vec<Pid>,
     /// Backup CPU charged when the bootstrap began (metadata + DRBD resync
     /// receive), carried into the first drain's accounting.
     pub(crate) bootstrap_cpu_carry: Nanos,
@@ -502,6 +510,15 @@ impl StageCore {
         })
     }
 
+    /// Whether an epoch's pages stream to the replicas while the container
+    /// runs: off the COW drain, or through the staged pipeline — which needs
+    /// the staging buffer (§V-D(2)) to overlap the ack path with execution.
+    /// Otherwise the whole epoch ships at once, and without the staging
+    /// buffer commits inline.
+    pub(crate) fn streams(&self) -> bool {
+        self.opts.cow_checkpoint || (self.opts.pipeline && self.opts.staging_buffer)
+    }
+
     /// Staged pipeline: this epoch's ack path (`ack_delay` long) runs in the
     /// background; what execution time does not overlap stalls the next
     /// stop phase.
@@ -564,51 +581,18 @@ impl StageCore {
         Ok((img, msgs, begin))
     }
 
-    /// Drain at most `max_pages` deferred bootstrap pages, a chunk at a
-    /// time, into `sink`, which ships the chunk and returns the backup CPU
-    /// it cost. `page_wire_bytes` is what one page occupies on the wire.
-    pub(crate) fn bootstrap_drain(
-        &mut self,
-        primary: &mut Kernel,
-        max_pages: u64,
-        page_wire_bytes: u64,
-        mut sink: impl FnMut(Vec<(Pid, u64, PageBuf)>) -> SimResult<Nanos>,
-    ) -> SimResult<BootstrapStep> {
-        let mut pages = 0u64;
-        let mut backup_cpu = std::mem::take(&mut self.bootstrap_cpu_carry);
-        'drain: for &pid in &self.bootstrap_pids {
-            loop {
-                if pages >= max_pages {
-                    break 'drain;
-                }
-                let want = ((max_pages - pages) as usize).min(CHUNK_PAGES);
-                let chunk = primary.cow_drain_pages(pid, want)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                pages += chunk.len() as u64;
-                backup_cpu += sink(chunk.into_iter().map(|(vpn, d)| (pid, vpn, d)).collect())?;
-            }
-        }
+    /// One bootstrap step drained what it could: report what is still
+    /// deferred, and clear the COW fault counts and the interval meter — the
+    /// drain rides the background thread and must not bill the next exec
+    /// phase.
+    pub(crate) fn bootstrap_remaining(&self, primary: &mut Kernel) -> SimResult<u64> {
         let mut remaining = 0u64;
         for &pid in &self.bootstrap_pids {
             primary.take_cow_faults(pid)?;
             remaining += primary.cow_pending(pid)? as u64;
         }
-        // The drain rides the background thread: it must not bill the next
-        // exec phase's interval meter.
         primary.meter.take();
-        Ok(BootstrapStep {
-            pages,
-            bytes: pages * page_wire_bytes,
-            backup_cpu,
-            remaining,
-        })
-    }
-
-    /// The bootstrap is over (sealed or abandoned): nothing is deferred.
-    pub(crate) fn bootstrap_done(&mut self) {
-        self.bootstrap_pids.clear();
+        Ok(remaining)
     }
 
     /// The replacement died mid-bootstrap: unwind the COW protect set —
@@ -665,6 +649,135 @@ impl StageCore {
         };
         Ok((restored, report))
     }
+}
+
+/// The VMAs of the last checkpointed image, per process: what the next image
+/// is compared with to find the pages it no longer maps. Whatever keeps
+/// per-page state beside the backup's stores — the delta shadow, a repair's
+/// re-dirtied keys — forgets those pages at the epoch the stores prune them
+/// ([`BackupAgent::commit`]), by the same comparison.
+#[derive(Default)]
+pub(crate) struct Mapped(Vec<(Pid, Vec<Vma>)>);
+
+impl Mapped {
+    /// The page ranges `img` no longer maps that the image before it did;
+    /// `img` becomes the reference.
+    pub(crate) fn unmapped_by(&mut self, img: &CheckpointImage) -> Vec<(Pid, Range<u64>)> {
+        let now = img.processes.iter().map(|p| (p.pid, &p.vmas[..]));
+        let was = self.0.iter().map(|(pid, v)| (*pid, &v[..]));
+        if now.clone().eq(was.clone()) {
+            return Vec::new();
+        }
+        let gone = unmapped_since(was, &img.processes);
+        self.0 = now.map(|(pid, v)| (pid, v.to_vec())).collect();
+        gone
+    }
+}
+
+/// One backup replica: a buffered agent plus its replicated block device.
+/// Replica 0 is the *designated* one, backed by the harness's real backup
+/// kernel: its committed disk writes go to that kernel's device (passed
+/// into [`Checkpointer::commit`](crate::Checkpointer::commit)) and `disk`
+/// stays unused. Replicas `1..n` are modeled hosts that commit into their
+/// own `disk`. The paper's single backup is a replica set of one.
+pub struct Replica {
+    /// The buffered agent (public for Table V accounting and failover
+    /// tests: `engine.agent` is the designated replica's).
+    pub agent: BackupAgent,
+    pub(crate) disk: BlockDevice,
+    pub(crate) alive: bool,
+}
+
+impl Replica {
+    pub(crate) fn new(costs: &CostModel, opts: &OptimizationConfig) -> Self {
+        Replica {
+            agent: BackupAgent::new(costs.clone(), opts.optimize_criu),
+            disk: BlockDevice::default(),
+            alive: true,
+        }
+    }
+}
+
+/// The alive replicas' indices.
+pub(crate) fn alive_indices(replicas: &[Replica]) -> Vec<usize> {
+    (0..replicas.len()).filter(|&i| replicas[i].alive).collect()
+}
+
+/// The highest epoch an alive replica committed.
+pub(crate) fn committed_epoch(replicas: &[Replica]) -> Option<u64> {
+    let alive = replicas.iter().filter(|r| r.alive);
+    alive.filter_map(|r| r.agent.committed_epoch()).max()
+}
+
+/// The first `count` alive replicas' indices, erroring below the quorum.
+pub(crate) fn survivors(replicas: &[Replica], count: usize) -> SimResult<Vec<usize>> {
+    let mut alive = alive_indices(replicas);
+    if alive.len() < count {
+        return Err(SimError::Invalid(format!(
+            "placement below quorum: {} alive, need {count}",
+            alive.len()
+        )));
+    }
+    alive.truncate(count);
+    Ok(alive)
+}
+
+/// Open an assembly expecting `expected` pages on each of the `alive`
+/// replicas with the metadata image `img` — one image, shared — and hand
+/// each the DRBD traffic `msgs`; both are ready the moment the container
+/// resumes. Adds each replica's receive CPU to `per_cpu`. With one replica
+/// its agent ends up the image's only holder, so whole pages can join it.
+pub(crate) fn open_assemblies(
+    replicas: &mut [Replica],
+    alive: &[usize],
+    img: CheckpointImage,
+    expected: u64,
+    mut msgs: Vec<DrbdMsg>,
+    per_cpu: &mut [Nanos],
+) {
+    let img = Rc::new(img);
+    for (nth, &i) in alive.iter().enumerate() {
+        let msgs = if nth + 1 == alive.len() {
+            std::mem::take(&mut msgs)
+        } else {
+            msgs.clone()
+        };
+        let agent = &mut replicas[i].agent;
+        per_cpu[i] += agent.begin_assembly(img.clone(), expected) + agent.ingest_drbd(msgs);
+    }
+}
+
+/// Commit `epoch` on replica `i` — into the harness's backup kernel's device
+/// for the designated replica 0, into the replica's own otherwise.
+pub(crate) fn commit_replica(
+    replicas: &mut [Replica],
+    i: usize,
+    epoch: u64,
+    backup: &mut Kernel,
+) -> SimResult<Nanos> {
+    let r = &mut replicas[i];
+    let disk = if i == 0 {
+        &mut backup.vfs.disk
+    } else {
+        &mut r.disk
+    };
+    r.agent.commit(epoch, disk)
+}
+
+/// The tail of every ack path: `bytes` took `transfer` on the wire, the
+/// designated replica `ingest` to receive them, the ack one `link` latency
+/// back. Emits `Transfer + BackupIngest + Ack` and returns their sum.
+pub(crate) fn ack_spans(
+    tracer: &Tracer,
+    bytes: u64,
+    transfer: Nanos,
+    (ingest, probes): (Nanos, u64),
+    link: Nanos,
+) -> Nanos {
+    tracer.span(TraceEvent::Transfer { bytes }, transfer);
+    tracer.span(TraceEvent::BackupIngest { probes }, ingest);
+    tracer.span(TraceEvent::Ack, link);
+    transfer + ingest + link
 }
 
 #[cfg(test)]
