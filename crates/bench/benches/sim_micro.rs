@@ -1,18 +1,20 @@
 //! Wall-clock microbenchmarks of the substrate hot paths: dirty tracking,
 //! guest memory writes, the plug qdisc, socket checkpointing, the message
-//! path (one request frame client to server, one KV batch served), the request
-//! path around the application (socket checkpoint against queued bytes, the
-//! echo round trip, guest-access table lookups), dump/restore of a realistic
+//! path (one KV batch served, one value generated, one response digested), the
+//! request path around the application (one frame client to server and a
+//! socket checkpoint, each against the bytes carried; the echo round trip;
+//! guest-access table lookups), dump/restore of a realistic
 //! container, the dump → ingest → commit round trip
 //! a page buffer makes every epoch, and the staged path's drain: the protect
 //! queue's cycle and the delta encode of a lent page against the number of
 //! lines the guest wrote in it.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use nilicon::backup::BackupAgent;
 use nilicon::traffic::ClientBehavior;
 use nilicon_container::{
-    encode_frame, take_frame, Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout,
+    send_frame, take_frame, Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout,
 };
 use nilicon_criu::{dump_container, full_dump, DeltaStats, DumpConfig, PageKey, ShadowStore};
 use nilicon_drbd::DrbdMsg;
@@ -24,7 +26,8 @@ use nilicon_sim::mem::{end_page_round, AddressSpace, TrackingMode, LINE_BYTES};
 use nilicon_sim::net::{InputMode, NetStack, TcpState};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::PAGE_SIZE;
-use nilicon_workloads::{RedisApp, Scale, YcsbBehavior};
+use nilicon_sim::replay::response_digest;
+use nilicon_workloads::{value_pattern, RedisApp, Scale, YcsbBehavior};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
@@ -93,33 +96,6 @@ fn bench_qdisc_and_sockets(c: &mut Criterion) {
         }
         b.iter(|| black_box(stack.checkpoint_sockets().1.len()));
     });
-    // One request frame of the paper's size from a client stack to the
-    // server's harvest: frame it, send it, route it (and the ACK back), take
-    // it off the server socket.
-    group.bench_function("send_recv_512k_frame", |b| {
-        let mut client = NetStack::new(2, 1_000_000_000, InputMode::Buffer);
-        let l = server.socket();
-        server.bind(l, 81).unwrap();
-        server.listen(l).unwrap();
-        let c = client.socket();
-        client.connect(c, Endpoint::new(1, 81)).unwrap();
-        let pump = |client: &mut NetStack, server: &mut NetStack| loop {
-            let (up, down) = (client.take_ready(), server.take_ready());
-            if up.is_empty() && down.is_empty() {
-                break;
-            }
-            up.into_iter().for_each(|p| server.ingress(p));
-            down.into_iter().for_each(|p| client.ingress(p));
-        };
-        pump(&mut client, &mut server);
-        let child = server.accept(l).unwrap().expect("handshake done");
-        let request = vec![7u8; 512 * 1024];
-        b.iter(|| {
-            client.send_bytes(c, encode_frame(&request).into()).unwrap();
-            pump(&mut client, &mut server);
-            black_box(take_frame(&mut server, child, false).unwrap().unwrap().len());
-        });
-    });
     group.finish();
 }
 
@@ -131,6 +107,34 @@ fn bench_qdisc_and_sockets(c: &mut Criterion) {
 fn bench_request_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("net");
     for (label, bytes) in [("256B", 256), ("64KiB", 64 << 10), ("512KiB", 512 << 10)] {
+        // One frame from a client stack to the server's harvest: send it,
+        // route it (and the ACK back), take it off the server socket. The
+        // body is the caller's buffer throughout, so the row is flat in it.
+        group.bench_function(format!("frame_roundtrip_{label}"), |b| {
+            let mut server = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+            let mut client = NetStack::new(2, 1_000_000_000, InputMode::Buffer);
+            let l = server.socket();
+            server.bind(l, 80).unwrap();
+            server.listen(l).unwrap();
+            let c = client.socket();
+            client.connect(c, Endpoint::new(1, 80)).unwrap();
+            let pump = |client: &mut NetStack, server: &mut NetStack| loop {
+                let (up, down) = (client.take_ready(), server.take_ready());
+                if up.is_empty() && down.is_empty() {
+                    break;
+                }
+                up.into_iter().for_each(|p| server.ingress(p));
+                down.into_iter().for_each(|p| client.ingress(p));
+            };
+            pump(&mut client, &mut server);
+            let child = server.accept(l).unwrap().expect("handshake done");
+            let body = Bytes::from(vec![7u8; bytes]);
+            b.iter(|| {
+                send_frame(&mut client, c, body.clone()).unwrap();
+                pump(&mut client, &mut server);
+                black_box(take_frame(&mut server, child, false).unwrap().unwrap().len());
+            });
+        });
         group.bench_function(format!("checkpoint_sockets_8_socks_{label}_queues"), |b| {
             let mut stack = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
             for i in 0..8u16 {
@@ -175,13 +179,13 @@ fn bench_request_path(c: &mut Criterion) {
             for _ in 0..64 {
                 let stack = cl.host_mut(hc).stack_mut(ns_c).unwrap();
                 for &c in &clients {
-                    stack.send_bytes(c, encode_frame(&request).into()).unwrap();
+                    send_frame(stack, c, Bytes::copy_from_slice(&request)).unwrap();
                 }
                 cl.pump();
                 let server = cl.host_mut(hs).stack_mut(ns_s).unwrap();
                 for (sid, _) in server.established_ids() {
                     while let Some(req) = take_frame(server, sid, false).unwrap() {
-                        server.send_bytes(sid, encode_frame(&req).into()).unwrap();
+                        send_frame(server, sid, req).unwrap();
                     }
                 }
                 server.release_output();
@@ -231,6 +235,23 @@ fn bench_kv_batch(c: &mut Criterion) {
                 .unwrap();
             black_box(out.response.len())
         });
+    });
+    // One value of that request, as the generator builds it (twice an op:
+    // once to send, once to check the reply).
+    group.bench_function("value_pattern_1KiB", |b| {
+        let mut version = 0u64;
+        b.iter(|| {
+            version += 1;
+            black_box(value_pattern(black_box(17), version, 1024))
+        });
+    });
+    group.finish();
+
+    // The replay log's digest of one response of the paper's size.
+    let mut group = c.benchmark_group("replay");
+    group.bench_function("response_digest_512KiB", |b| {
+        let response: Vec<u8> = (0..512 << 10).map(|i| ((i * 31) >> 3) as u8).collect();
+        b.iter(|| black_box(response_digest(black_box(&response))));
     });
     group.finish();
 }

@@ -156,9 +156,18 @@ pub trait Application {
 
 // ----------------------------------------------------------------------
 // Request framing: 4-byte little-endian length prefix over the TCP stream.
+//
+// A frame of a page or more goes out the way a server `writev`s it: the
+// prefix as one small buffer, the body as the buffer the application
+// produced, in one segment. The body is never copied next to its prefix —
+// the sender's write queue, the packet and the receiver's read queue
+// reference the caller's allocation — and `take_frame` hands the application
+// a slice of that same buffer. A smaller frame is one flat buffer.
 // ----------------------------------------------------------------------
 
-/// Frame a message for the wire.
+/// A frame as one contiguous byte string: what [`send_frame`] puts on the
+/// stream, spelled out. For [`send_frame`]'s small frames and for tests that
+/// write a stream by hand; senders use [`send_frame`].
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut v = Vec::with_capacity(4 + payload.len());
     v.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -166,14 +175,35 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     v
 }
 
+/// Send `body` on `sock` as one frame in one segment: the length prefix and
+/// the body ride as two buffers of a gather write, the body by reference.
+/// A body shorter than a page is copied behind its prefix instead — two
+/// buffers cost every queue the frame passes a second entry, which a copy
+/// that small undercuts. The stream is the same bytes either way.
+///
+/// `body` is a `Vec<u8>` or a [`Bytes`]: the buffer becomes the segment, so
+/// it is handed over, and a small one is read where it lies.
+pub fn send_frame(
+    stack: &mut NetStack,
+    sock: SockId,
+    body: impl Into<Bytes> + AsRef<[u8]>,
+) -> SimResult<usize> {
+    let len = body.as_ref().len();
+    if len < PAGE_SIZE {
+        return stack.send_bytes(sock, encode_frame(body.as_ref()).into());
+    }
+    stack.send_gather(sock, Bytes::copy_from_slice(&(len as u32).to_le_bytes()), body.into())
+}
+
 /// Take one whole frame off `sock`'s read queue, returning its payload, or
 /// `None` while the next frame is still incomplete — a partial frame stays
 /// in the (checkpointed) read queue, so one that straddles an epoch boundary
 /// survives a failover inside socket state. The payload is a slice of the
-/// buffer the frame arrived in (copied only when the frame spans segments).
+/// buffer the body arrived in (copied only when the body spans segments).
+/// Prefix and body are consumed as one read.
 ///
 /// `counted` says whose read this is: a guest application's reads are part
-/// of the stack's delivery order ([`NetStack::recv_exact`]); a driver
+/// of the stack's delivery order ([`NetStack::recv_body`]); a driver
 /// harvesting requests on the container's behalf reads the socket directly
 /// and leaves that order alone.
 pub fn take_frame(stack: &mut NetStack, sock: SockId, counted: bool) -> SimResult<Option<Bytes>> {
@@ -181,13 +211,12 @@ pub fn take_frame(stack: &mut NetStack, sock: SockId, counted: bool) -> SimResul
     if !stack.sock(sock)?.read_queue.peek_prefix(&mut hdr) {
         return Ok(None);
     }
-    let n = 4 + u32::from_le_bytes(hdr) as usize;
-    let frame = if counted {
-        stack.recv_exact(sock, n)?
+    let n = u32::from_le_bytes(hdr) as usize;
+    if counted {
+        stack.recv_body(sock, hdr.len(), n)
     } else {
-        stack.sock_mut(sock)?.recv_exact(n)?
-    };
-    Ok(frame.map(|f| f.slice(4..)))
+        stack.sock_mut(sock)?.recv_body(hdr.len(), n)
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +234,31 @@ mod tests {
         s.local = Endpoint::new(1, 80);
         s.remote = Some(Endpoint::new(2, 4000));
         (stack, id)
+    }
+
+    fn pump(a: &mut NetStack, b: &mut NetStack) {
+        loop {
+            let (from_a, from_b) = (a.take_ready(), b.take_ready());
+            if from_a.is_empty() && from_b.is_empty() {
+                break;
+            }
+            from_a.into_iter().for_each(|p| b.ingress(p));
+            from_b.into_iter().for_each(|p| a.ingress(p));
+        }
+    }
+
+    /// `(server, accepted socket, client, client socket)` after the handshake.
+    fn connected() -> (NetStack, SockId, NetStack, SockId) {
+        let mut server = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+        let mut client = NetStack::new(2, 1_000_000_000, InputMode::Buffer);
+        let l = server.socket();
+        server.bind(l, 80).unwrap();
+        server.listen(l).unwrap();
+        let c = client.socket();
+        client.connect(c, Endpoint::new(1, 80)).unwrap();
+        pump(&mut client, &mut server);
+        let child = server.accept(l).unwrap().expect("handshake done");
+        (server, child, client, c)
     }
 
     #[test]
@@ -267,25 +321,7 @@ mod tests {
     /// delivered exactly once when the rest arrives there.
     #[test]
     fn frames_survive_segment_and_epoch_boundaries() {
-        fn pump(a: &mut NetStack, b: &mut NetStack) {
-            loop {
-                let (from_a, from_b) = (a.take_ready(), b.take_ready());
-                if from_a.is_empty() && from_b.is_empty() {
-                    break;
-                }
-                from_a.into_iter().for_each(|p| b.ingress(p));
-                from_b.into_iter().for_each(|p| a.ingress(p));
-            }
-        }
-        let mut server = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
-        let mut client = NetStack::new(2, 1_000_000_000, InputMode::Buffer);
-        let l = server.socket();
-        server.bind(l, 80).unwrap();
-        server.listen(l).unwrap();
-        let c = client.socket();
-        client.connect(c, Endpoint::new(1, 80)).unwrap();
-        pump(&mut client, &mut server);
-        let child = server.accept(l).unwrap().expect("handshake done");
+        let (mut server, child, mut client, c) = connected();
 
         // One frame in three segments.
         let f = encode_frame(b"three segments");
@@ -323,6 +359,70 @@ mod tests {
         assert_eq!(&got[..], b"straddles the checkpoint");
         assert!(take_frame(&mut backup, restored[0], false).unwrap().is_none(), "exactly once");
         assert_eq!(backup.sock(restored[0]).unwrap().readable(), 0);
+        assert_eq!(client.broken_connections(), 0);
+    }
+
+    /// A sent frame is one packet of two buffers, and the body the receiver
+    /// takes is the sender's allocation; each frame is one counted read of
+    /// prefix and body, an empty one included.
+    #[test]
+    fn a_sent_frame_arrives_as_a_slice_of_the_senders_buffer() {
+        let (mut server, child, mut client, c) = connected();
+        let bodies = [Bytes::from(vec![7u8; 5000]), Bytes::new(), Bytes::from(vec![9u8; PAGE_SIZE])];
+        for body in &bodies {
+            assert_eq!(send_frame(&mut client, c, body.clone()).unwrap(), 4 + body.len());
+        }
+        let sent = client.take_ready();
+        assert_eq!(sent.len(), 3, "one packet a frame");
+        assert_eq!(sent[0].head[..], 5000u32.to_le_bytes());
+        assert_eq!(sent[0].payload.as_ptr(), bodies[0].as_ptr());
+        assert_eq!(sent[0].wire_bytes(), 54 + 4 + 5000);
+        assert_eq!((sent[1].seq, sent[2].seq), (5004, 5008), "both parts count in the stream");
+        assert!(sent[1].head.is_empty() && sent[1].payload[..] == [0; 4], "below a page: one flat buffer");
+        assert_eq!(sent[2].payload.as_ptr(), bodies[2].as_ptr(), "a page: by reference");
+        sent.into_iter().for_each(|p| server.ingress(p));
+        for (i, body) in bodies.iter().enumerate() {
+            let got = take_frame(&mut server, child, true).unwrap().unwrap();
+            assert_eq!(&got, body);
+            assert!(body.is_empty() || got.as_ptr() == body.as_ptr(), "a slice, not a copy");
+            assert_eq!(server.delivered_seq(), i as u64 + 1, "one read a frame");
+        }
+        assert!(take_frame(&mut server, child, true).unwrap().is_none());
+        assert_eq!(server.sock(child).unwrap().delivered_bytes, 12 + 5000 + PAGE_SIZE as u64);
+        pump(&mut client, &mut server);
+        assert_eq!(client.sock(c).unwrap().unacked(), 0, "header and body both acknowledged");
+    }
+
+    /// The prefix reaches the primary in one epoch and the body never does:
+    /// the prefix rides the repair state, the client's write queue (body
+    /// segment only, the prefix was acknowledged) retransmits to the backup,
+    /// and the frame is delivered there exactly once.
+    #[test]
+    fn a_header_checkpointed_without_its_body_completes_on_the_backup() {
+        let (mut server, child, mut client, c) = connected();
+        let body = Bytes::from((0..6000u32).map(|i| i as u8).collect::<Vec<_>>());
+        send_frame(&mut client, c, body.clone()).unwrap();
+        let pkt = client.take_ready().pop().unwrap();
+        server.ingress(nilicon_sim::net::Packet { payload: Bytes::new(), ..pkt });
+        pump(&mut client, &mut server);
+        assert_eq!(client.sock(c).unwrap().unacked(), 6000);
+        assert!(take_frame(&mut server, child, true).unwrap().is_none());
+        assert_eq!((server.sock(child).unwrap().readable(), server.delivered_seq()), (4, 0));
+        let (ports, states) = server.checkpoint_sockets();
+        assert_eq!(states[0].read_queue, 6000u32.to_le_bytes()[..]);
+        drop(server);
+        let mut backup = NetStack::new(1, 1_000_000_000, InputMode::Buffer);
+        let restored = backup.restore_sockets(&ports, &states, 200_000_000).unwrap();
+        assert!(take_frame(&mut backup, restored[0], true).unwrap().is_none());
+        let mut off = 0;
+        while let Some(p) = client.sock(c).unwrap().retransmit_at(off) {
+            off += p.data_len();
+            client.inject_egress(p);
+        }
+        pump(&mut client, &mut backup);
+        assert_eq!(take_frame(&mut backup, restored[0], true).unwrap().unwrap(), body);
+        assert!(take_frame(&mut backup, restored[0], true).unwrap().is_none(), "exactly once");
+        assert_eq!(backup.delivered_seq(), 1);
         assert_eq!(client.broken_connections(), 0);
     }
 

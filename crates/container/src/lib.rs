@@ -18,7 +18,7 @@ mod layout;
 mod runtime;
 mod spec;
 
-pub use app::{encode_frame, take_frame, Application, GuestCtx, RequestOutcome, StepOutcome};
+pub use app::{encode_frame, send_frame, take_frame, Application, GuestCtx, RequestOutcome, StepOutcome};
 pub use layout::MemLayout;
 pub use runtime::{Container, ContainerRuntime};
 pub use spec::ContainerSpec;

@@ -19,13 +19,13 @@ use crate::trace::{TraceEvent, Tracer};
 use crate::traffic::{ClientBehavior, ClientPool};
 use bytes::Bytes;
 use nilicon_container::{
-    encode_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec, GuestCtx,
+    send_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec, GuestCtx,
 };
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::{Endpoint, HostId, IdMap, Pid};
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::net::InputMode;
-use nilicon_sim::replay::{content_hash, ReplayEvent};
+use nilicon_sim::replay::{response_digest, ReplayEvent};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimError, SimResult};
 use std::collections::VecDeque;
@@ -326,10 +326,8 @@ impl Lane {
             {
                 let (remote, req, arrival) = self.pending.pop_front().expect("front checked");
                 let k = cluster.host_mut(host);
-                let out = {
-                    let mut ctx = GuestCtx::new(k, pid, exec_start + used);
-                    self.app.handle_request(&mut ctx, &req)?
-                };
+                let mut ctx = GuestCtx::new(k, pid, exec_start + used);
+                let response = self.app.handle_request(&mut ctx, &req)?.response;
                 used += k.meter.take().max(100);
                 // Wall time to completion: queueing + service, stretched by
                 // the epoch duty cycle (the container is frozen for
@@ -345,9 +343,12 @@ impl Lane {
                     .as_ref()
                     .and_then(|pool| stack.sock_to(pool.server, remote))
                     .ok_or_else(|| SimError::Invalid(format!("no connection to {remote}")))?;
-                stack.send_bytes(sid, encode_frame(&out.response).into())?;
+                // What the log records of the response, taken before the
+                // stack takes the buffer.
+                let logged = ship.is_some().then(|| (response_digest(&response), response.len() as u32));
+                send_frame(stack, sid, response)?;
                 s.requests += 1;
-                let Some(ship) = ship.as_mut() else {
+                let (Some(ship), Some((response_hash, response_len))) = (ship.as_mut(), logged) else {
                     s.completions.push((remote, t_done));
                     continue;
                 };
@@ -358,8 +359,8 @@ impl Lane {
                     pid,
                     at: arrival,
                     payload: req,
-                    response_hash: content_hash(&out.response),
-                    response_len: out.response.len() as u32,
+                    response_hash,
+                    response_len,
                 };
                 match ship(cluster, exec_start + used, &[ev])? {
                     Some(o) => {

@@ -20,7 +20,7 @@
 use crate::engine::ReplayTail;
 use nilicon_container::{Application, Container, GuestCtx, MemLayout};
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::replay::{content_hash, ReplayEvent};
+use nilicon_sim::replay::{response_digest, ReplayEvent};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{SimResult, PAGE_SIZE};
 
@@ -121,7 +121,7 @@ pub fn replay_tail(
                         app.handle_request(&mut ctx, payload)?
                     };
                     if outcome.response.len() as u32 != *response_len
-                        || content_hash(&outcome.response) != *response_hash
+                        || response_digest(&outcome.response) != *response_hash
                     {
                         diverged = Some("mismatch".into());
                         break 'epochs;
@@ -225,7 +225,7 @@ mod tests {
             pid: c.workers[0],
             at: 0,
             payload: payload.into(),
-            response_hash: content_hash(&outcome.response),
+            response_hash: response_digest(&outcome.response),
             response_len: outcome.response.len() as u32,
         }
     }

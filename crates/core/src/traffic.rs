@@ -8,7 +8,7 @@
 //! validation meaningful across a failover.
 
 use crate::trace::{TraceEvent, Tracer};
-use nilicon_container::{encode_frame, take_frame};
+use nilicon_container::{send_frame, take_frame};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::{Endpoint, HostId, NsId, SockId};
 use nilicon_sim::time::Nanos;
@@ -118,7 +118,7 @@ impl ClientPool {
             match behavior.next_request(idx, now) {
                 Some(req) => {
                     let stack = cluster.host_mut(self.host).stack_mut(self.ns)?;
-                    stack.send_bytes(c.sock, encode_frame(&req).into())?;
+                    send_frame(stack, c.sock, req)?;
                     // SplitMix64 think-time jitter.
                     self.jitter_state = self.jitter_state.wrapping_add(0x9E3779B97F4A7C15);
                     let mut z = self.jitter_state;
@@ -204,7 +204,7 @@ impl ClientPool {
         for c in &self.conns {
             let mut off = 0;
             while let Some(pkt) = stack.sock(c.sock)?.retransmit_at(off) {
-                off += pkt.payload.len();
+                off += pkt.data_len();
                 stack.inject_egress(pkt);
                 n += 1;
             }

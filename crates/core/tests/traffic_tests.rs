@@ -1,7 +1,7 @@
 //! Direct tests of the client pool (outside the full harness).
 
 use nilicon::traffic::{ClientBehavior, ClientPool};
-use nilicon_container::{encode_frame, take_frame};
+use nilicon_container::{send_frame, take_frame};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
@@ -55,7 +55,7 @@ fn echo_all(cl: &mut Cluster, sh: nilicon_sim::ids::HostId, sns: nilicon_sim::id
     let stack = cl.host_mut(sh).stack_mut(sns).unwrap();
     for (sid, _) in stack.established_ids() {
         while let Some(frame) = take_frame(stack, sid, false).unwrap() {
-            stack.send_bytes(sid, encode_frame(&frame).into()).unwrap();
+            send_frame(stack, sid, frame).unwrap();
         }
     }
     cl.pump();

@@ -250,7 +250,8 @@ impl ShadowStore {
     ///
     /// `lines` is the page's written-line set: bit `l` clear promises that
     /// bytes `64 l .. 64 l + 64` of `data` equal the shadow copy's, and the
-    /// diff reads only the lines whose bit is set. It may over-approximate
+    /// diff reads only the lines whose bit is set — as does the zero test,
+    /// unless every one of them is zero. It may over-approximate
     /// ([`ALL_LINES`] is always right); a debug build recomputes the diff
     /// over every line and asserts that the two agree.
     pub fn encode_with(
@@ -265,7 +266,7 @@ impl ShadowStore {
         // One shadow lookup covers classification and update. A zero page
         // shadows the shared zero page, so later deltas against it are
         // correct and cost no allocation.
-        let enc = if is_zero_page(data) {
+        let enc = if is_zero_page(data, lines) {
             self.pages.insert(key, zero_page());
             PageEncoding::Zero
         } else {
@@ -311,8 +312,21 @@ impl ShadowStore {
 }
 
 /// All-zero check, one 64-byte block compare at a time (vectorized memcmp).
-fn is_zero_page(data: &[u8; PAGE_SIZE]) -> bool {
+/// The lines of `lines` — where the page was written — are read first: a
+/// page the guest wrote a non-zero byte into is settled there and never read
+/// outside them. Only when they are all zero (or `lines` is [`ALL_LINES`],
+/// which says nothing) is the whole page scanned; an unwritten line can hold
+/// anything, so it is never taken for zero unread.
+fn is_zero_page(data: &[u8; PAGE_SIZE], lines: u64) -> bool {
     const ZERO_BLOCK: [u8; LINE_BYTES] = [0u8; LINE_BYTES];
+    let mut left = if lines == ALL_LINES { 0 } else { lines };
+    while left != 0 {
+        let off = left.trailing_zeros() as usize * LINE_BYTES;
+        left &= left - 1;
+        if data[off..off + LINE_BYTES] != ZERO_BLOCK {
+            return false;
+        }
+    }
     data.chunks_exact(LINE_BYTES).all(|b| b == ZERO_BLOCK)
 }
 
@@ -714,17 +728,38 @@ mod tests {
 
     #[test]
     fn page_returning_to_zero_is_elided_and_shadowed_as_zero() {
+        // Captured (every line compared) and lent with the one line that was
+        // written: byte 100 lies in line 1.
+        for lines in [ALL_LINES, 1 << 1] {
+            let mut s = ShadowStore::new();
+            let mut st = DeltaStats::default();
+            let v1 = page_with(&[(100, 5)]);
+            s.encode(key(1), &v1, &mut st);
+            let enc = s.encode_with(key(1), &zero_page(), lines, || unreachable!(), &mut st);
+            assert_eq!(enc, PageEncoding::Zero);
+            // A later sparse write deltas against the *zero* shadow, not v1.
+            let v3 = page_with(&[(100, 9)]);
+            let enc3 = s.encode_with(key(1), &v3, lines, || v3.clone(), &mut st);
+            let base = [0u8; PAGE_SIZE];
+            assert_eq!(enc3.apply(Some(&base)), v3);
+        }
+    }
+
+    /// The written lines settle a page that is not zero; they never settle
+    /// one that is: the guest zeroed line 0, line 1 still holds what the
+    /// shadow holds, and the page is a delta, not `Zero`.
+    #[test]
+    fn zero_written_lines_do_not_make_a_zero_page() {
         let mut s = ShadowStore::new();
         let mut st = DeltaStats::default();
-        let v1 = page_with(&[(100, 5)]);
+        let v1 = page_with(&[(8, 3), (100, 5)]);
         s.encode(key(1), &v1, &mut st);
-        let enc = s.encode(key(1), &zero_page(), &mut st);
-        assert_eq!(enc, PageEncoding::Zero);
-        // A later sparse write deltas against the *zero* shadow, not v1.
-        let v3 = page_with(&[(100, 9)]);
-        let enc3 = s.encode(key(1), &v3, &mut st);
-        let base = [0u8; PAGE_SIZE];
-        assert_eq!(enc3.apply(Some(&base)), v3);
+        let v2 = page_with(&[(100, 5)]);
+        assert!(is_zero_page(&zero_page(), 1) && !is_zero_page(&v2, 1) && !is_zero_page(&v2, 1 << 1));
+        let enc = s.encode_with(key(1), &v2, 1, || v2.clone(), &mut st);
+        assert!(matches!(enc, PageEncoding::Delta(_)), "{enc:?}");
+        assert_eq!(enc.apply(Some(&v1)), v2);
+        assert_eq!(st.zero_pages, 0);
     }
 
     /// Runs of words to flip, as `(first word, length)`: the input families

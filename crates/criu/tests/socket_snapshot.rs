@@ -73,6 +73,7 @@ fn the_image_keeps_checkpoint_time_bytes_through_file_and_restore() {
         seq: states[0].rcv_nxt,
         ack: states[0].snd_una.wrapping_add(9),
         flags: TcpFlags::ACK,
+        head: Bytes::new(),
         payload: Bytes::new(),
     });
     server.send(child, b"after the checkpoint").unwrap();
@@ -110,8 +111,15 @@ fn the_image_keeps_checkpoint_time_bytes_through_file_and_restore() {
 
 #[test]
 fn rope_queues_encode_to_the_bytes_of_flat_queues() {
-    let (mut server, _, _, _, want_read, want_write) = server_mid_conversation();
+    let (mut server, child, _, _, want_read, want_write) = server_mid_conversation();
+    // A sent frame's prefix and body are two more segments of the write
+    // queue; its flattened twin spells them as one.
+    let body = vec![0xAB; 5000];
+    let frame = nilicon_container::encode_frame(&body);
+    nilicon_container::send_frame(&mut server, child, body).unwrap();
+    let want_write = &[want_write, &frame[..]].concat()[..];
     let (ports, states) = server.checkpoint_sockets();
+    assert_eq!(states[0].write_queue.chunks().count(), 4, "a rope: two sends, prefix, body");
     let mut flat = states.clone();
     for s in &mut flat {
         s.read_queue = ByteQueue::from(s.read_queue.to_vec());

@@ -4,6 +4,10 @@
 //! Redis batches), so they keep the buffers they were handed — the sender's
 //! write queue, the packet on the wire and the receiver's read queue all
 //! reference one allocation — and every operation works a segment at a time.
+//! A frame sent as a gather write is two segments, its length prefix and
+//! its body; a reader that drops the prefix and takes the body gets a slice
+//! of the body's buffer, because [`ByteQueue::take`] copies only what
+//! straddles segments.
 
 use bytes::Bytes;
 use std::collections::VecDeque;

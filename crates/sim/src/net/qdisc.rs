@@ -174,6 +174,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags,
+            head: Bytes::new(),
             payload: Bytes::from_static(b"x"),
         }
     }

@@ -130,6 +130,7 @@ impl NetStack {
             seq: 0,
             ack: 0,
             flags: TcpFlags::SYN,
+            head: Bytes::new(),
             payload: Bytes::new(),
         };
         let local = s.local;
@@ -162,8 +163,14 @@ impl NetStack {
     /// [`NetStack::send`] of an owned buffer, shared with the write queue and
     /// the wire instead of copied (see [`TcpSocket::send_bytes`]).
     pub fn send_bytes(&mut self, sock: SockId, data: Bytes) -> SimResult<usize> {
-        let len = data.len();
-        let pkt = self.sock_mut(sock)?.send_bytes(data)?;
+        self.send_gather(sock, Bytes::new(), data)
+    }
+
+    /// [`NetStack::send_bytes`] of `head` then `data` as one segment (see
+    /// [`TcpSocket::send_gather`]): one packet through egress, two buffers.
+    pub fn send_gather(&mut self, sock: SockId, head: Bytes, data: Bytes) -> SimResult<usize> {
+        let pkt = self.sock_mut(sock)?.send_gather(head, data)?;
+        let len = pkt.data_len();
         self.egress(pkt);
         Ok(len)
     }
@@ -181,8 +188,14 @@ impl NetStack {
     /// [`TcpSocket::recv_exact`]), counted in the delivery order like
     /// [`NetStack::recv`].
     pub fn recv_exact(&mut self, sock: SockId, n: usize) -> SimResult<Option<Bytes>> {
-        let data = self.sock_mut(sock)?.recv_exact(n)?;
-        if data.as_ref().is_some_and(|d| !d.is_empty()) {
+        self.recv_body(sock, 0, n)
+    }
+
+    /// [`TcpSocket::recv_body`], counted in the delivery order as the one
+    /// read of `hdr + n` bytes it is.
+    pub fn recv_body(&mut self, sock: SockId, hdr: usize, n: usize) -> SimResult<Option<Bytes>> {
+        let data = self.sock_mut(sock)?.recv_body(hdr, n)?;
+        if data.is_some() && hdr + n > 0 {
             self.delivered_seq += 1;
         }
         Ok(data)
@@ -290,6 +303,7 @@ impl NetStack {
                     seq: 0,
                     ack: pkt.seq,
                     flags: TcpFlags::SYN_ACK,
+                    head: Bytes::new(),
                     payload: Bytes::new(),
                 };
                 self.egress(synack);
@@ -306,6 +320,7 @@ impl NetStack {
                 seq: pkt.ack,
                 ack: pkt.seq,
                 flags: TcpFlags::RST,
+                head: Bytes::new(),
                 payload: Bytes::new(),
             };
             self.out_ready.push(rst); // RSTs bypass the plug: kernel-generated
@@ -424,7 +439,7 @@ impl NetStack {
         for id in ids {
             let mut off = 0;
             while let Some(p) = self.sockets[&id].retransmit_at(off) {
-                off += p.payload.len();
+                off += p.data_len();
                 self.egress(p);
                 n += 1;
             }

@@ -78,15 +78,25 @@ pub struct Packet {
     pub ack: u32,
     /// Flags.
     pub flags: TcpFlags,
+    /// Stream bytes that precede `payload` in this segment, held apart so a
+    /// sender can put a small header in front of a large body without
+    /// copying the body next to it (a gather write). Empty for every other
+    /// segment; the receiver sees one stream either way.
+    pub head: Bytes,
     /// Payload bytes.
     pub payload: Bytes,
 }
 
 impl Packet {
-    /// Total on-wire size: a nominal 54-byte header plus payload. Used for
-    /// link-time accounting.
+    /// Stream bytes this segment carries (`head` then `payload`).
+    pub fn data_len(&self) -> usize {
+        self.head.len() + self.payload.len()
+    }
+
+    /// Total on-wire size: a nominal 54-byte header plus the stream bytes.
+    /// Used for link-time accounting.
     pub fn wire_bytes(&self) -> u64 {
-        54 + self.payload.len() as u64
+        54 + self.data_len() as u64
     }
 }
 
@@ -214,6 +224,13 @@ impl TcpSocket {
     /// [`TcpSocket::send`] of an owned buffer: the write queue and the
     /// emitted segment share it, nothing is copied.
     pub fn send_bytes(&mut self, data: Bytes) -> SimResult<Packet> {
+        self.send_gather(Bytes::new(), data)
+    }
+
+    /// One data segment carrying `head` then `data` (`writev` of two
+    /// buffers): both are queued and emitted by reference, neither is copied
+    /// next to the other.
+    pub fn send_gather(&mut self, head: Bytes, data: Bytes) -> SimResult<Packet> {
         if self.state != TcpState::Established {
             return Err(SimError::InvalidSocketState {
                 sock: self.id,
@@ -222,14 +239,16 @@ impl TcpSocket {
             });
         }
         let seq = self.snd_nxt;
+        self.write_queue.push(head.clone());
         self.write_queue.push(data.clone());
-        self.snd_nxt = self.snd_nxt.wrapping_add(data.len() as u32);
+        self.snd_nxt = self.snd_nxt.wrapping_add((head.len() + data.len()) as u32);
         Ok(Packet {
             src: self.local,
             dst: self.remote.expect("established socket has a peer"),
             seq,
             ack: self.rcv_nxt,
             flags: TcpFlags::DATA,
+            head,
             payload: data,
         })
     }
@@ -253,14 +272,22 @@ impl TcpSocket {
     /// failover inside socket state. The bytes come back as a slice of the
     /// segment they arrived in whenever they lie within one.
     pub fn recv_exact(&mut self, n: usize) -> SimResult<Option<Bytes>> {
+        self.recv_body(0, n)
+    }
+
+    /// One application read of exactly `hdr + n` bytes that returns the last
+    /// `n` (a frame's body behind a header the caller has already peeked),
+    /// or `None` (nothing consumed) while fewer are readable.
+    pub fn recv_body(&mut self, hdr: usize, n: usize) -> SimResult<Option<Bytes>> {
         if self.state == TcpState::Reset {
             return Err(SimError::ConnReset);
         }
-        let out = self.read_queue.take(n);
-        if out.is_some() {
-            self.delivered_bytes += n as u64;
+        if self.read_queue.len() < hdr + n {
+            return Ok(None);
         }
-        Ok(out)
+        self.read_queue.advance(hdr);
+        self.delivered_bytes += (hdr + n) as u64;
+        Ok(self.read_queue.take(n))
     }
 
     /// Bytes available to read.
@@ -296,10 +323,11 @@ impl TcpSocket {
                     self.process_ack(pkt.ack);
                 }
                 // Process payload.
-                if !pkt.payload.is_empty() {
+                if pkt.data_len() > 0 {
                     if pkt.seq == self.rcv_nxt {
+                        self.read_queue.push(pkt.head.clone());
                         self.read_queue.push(pkt.payload.clone());
-                        self.rcv_nxt = self.rcv_nxt.wrapping_add(pkt.payload.len() as u32);
+                        self.rcv_nxt = self.rcv_nxt.wrapping_add(pkt.data_len() as u32);
                         return Some(self.bare_ack());
                     } else if seq_lt(pkt.seq, self.rcv_nxt) {
                         // Duplicate (retransmission already covered) — re-ACK.
@@ -329,6 +357,7 @@ impl TcpSocket {
             seq: self.snd_nxt,
             ack: self.rcv_nxt,
             flags: TcpFlags::ACK,
+            head: Bytes::new(),
             payload: Bytes::new(),
         }
     }
@@ -358,6 +387,7 @@ impl TcpSocket {
             seq: self.snd_una.wrapping_add(offset as u32),
             ack: self.rcv_nxt,
             flags: TcpFlags::DATA,
+            head: Bytes::new(),
             payload: Bytes::from(payload),
         })
     }
@@ -465,6 +495,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags: TcpFlags::RST,
+            head: Bytes::new(),
             payload: Bytes::new(),
         };
         a.on_segment(&rst);

@@ -4,14 +4,17 @@
 
 use bytes::Bytes;
 use nilicon_sim::ids::Endpoint;
-use nilicon_sim::net::{ByteQueue, InputMode, NetStack};
+use nilicon_sim::net::{ByteQueue, InputMode, NetStack, RTO_MSS};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 enum Ev {
-    /// Client sends a chunk of its (infinite) deterministic stream.
-    Send(usize),
+    /// Client sends a chunk of its (infinite) deterministic stream: copied
+    /// (`send`), by reference (`send_bytes`), or as a gather write of a
+    /// prefix of up to four bytes and the rest (`send_gather`, what
+    /// `send_frame` does).
+    Send(usize, How),
     /// Deliver all in-flight packets (both directions).
     Deliver,
     /// Drop everything currently in flight.
@@ -22,10 +25,18 @@ enum Ev {
     ServerRead,
 }
 
+#[derive(Debug, Clone, Copy)]
+enum How {
+    Copy,
+    Owned,
+    Gather,
+}
+
 fn schedule() -> impl Strategy<Value = Vec<Ev>> {
+    let how = prop_oneof![Just(How::Copy), Just(How::Owned), Just(How::Gather)];
     proptest::collection::vec(
         prop_oneof![
-            4 => (1..400usize).prop_map(Ev::Send),
+            4 => (prop_oneof![1..400usize, 1400..3200usize], how).prop_map(|(n, how)| Ev::Send(n, how)),
             4 => Just(Ev::Deliver),
             2 => Just(Ev::DropInFlight),
             2 => Just(Ev::Retransmit),
@@ -101,9 +112,17 @@ proptest! {
 
         for ev in events {
             match ev {
-                Ev::Send(n) => {
-                    let chunk: Vec<u8> = (sent..sent + n).map(stream_byte).collect();
-                    client.send(c, &chunk).unwrap();
+                Ev::Send(n, how) => {
+                    let mut chunk: Vec<u8> = (sent..sent + n).map(stream_byte).collect();
+                    let put = match how {
+                        How::Copy => client.send(c, &chunk),
+                        How::Owned => client.send_bytes(c, chunk.into()),
+                        How::Gather => {
+                            let body = chunk.split_off(n.min(4));
+                            client.send_gather(c, chunk.into(), body.into())
+                        }
+                    };
+                    prop_assert_eq!(put.unwrap(), n);
                     sent += n;
                     in_flight.extend(client.take_ready());
                 }
@@ -144,11 +163,15 @@ proptest! {
         for _ in 0..4 {
             // Drain the whole unacked window (MSS-segmented since the
             // multi-segment RTO fix), not just the first segment.
+            // The write queue holds copied, owned and prefix + body segments;
+            // the walk covers it flattened, in steps of at most one MSS.
             let mut off = 0;
             while let Some(pkt) = client.sock(c).unwrap().retransmit_at(off) {
-                off += pkt.payload.len();
+                prop_assert!(pkt.head.is_empty() && (1..=RTO_MSS).contains(&pkt.data_len()));
+                off += pkt.data_len();
                 server.ingress(pkt);
             }
+            prop_assert_eq!(off, client.sock(c).unwrap().unacked(), "the walk covers the window");
             for p in server.take_ready() { client.ingress(p); }
             received.extend(server.recv(child, usize::MAX).unwrap());
         }
@@ -302,7 +325,6 @@ proptest! {
         prop_assert_eq!(sock.state, TcpState::Established);
         prop_assert_eq!(sock.recv(usize::MAX).unwrap(), unread);
         if !unacked.is_empty() {
-            use nilicon_sim::net::RTO_MSS;
             let rt = sock.retransmit().expect("unacked bytes retransmit");
             prop_assert_eq!(rt.seq, st.snd_una);
             // The drain loop covers the whole window in MSS-sized segments.

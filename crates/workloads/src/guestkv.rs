@@ -292,13 +292,114 @@ pub fn value_pattern(slot: u32, version: u64, len: usize) -> Vec<u8> {
         .wrapping_add(version.wrapping_mul(31));
     // Byte `i` is the top byte of `(seed + i)·K`; since `(seed + i)·K ≡
     // seed·K + i·K (mod 2⁶⁴)`, the product advances by one add per byte.
-    let mut acc = seed.wrapping_mul(PATTERN_K);
     let mut v = vec![0u8; len];
-    for b in v.iter_mut() {
+    fill_pattern(seed.wrapping_mul(PATTERN_K), &mut v);
+    v
+}
+
+/// `out[i]` = the top byte of `acc + i·K`, by the widest kernel the CPU has
+/// (`is_x86_feature_detected!` caches its probe). One add chain yields a byte
+/// a cycle; the vector kernels run one chain per 64-bit lane.
+fn fill_pattern(acc: u64, out: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: avx512f support was just verified at runtime.
+            return unsafe { fill_pattern_avx512(acc, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 support was just verified at runtime.
+            return unsafe { fill_pattern_avx2(acc, out) };
+        }
+    }
+    fill_pattern_scalar(acc, out)
+}
+
+/// Portable fill (the reference the vector kernels are tested against, and
+/// their tail).
+fn fill_pattern_scalar(mut acc: u64, out: &mut [u8]) {
+    for b in out {
         *b = (acc >> 56) as u8;
         acc = acc.wrapping_add(PATTERN_K);
     }
-    v
+}
+
+/// Lane offsets of accumulator register `j` in a kernel that fills blocks
+/// of `8 × LANES` bytes from eight registers: lane `l` of register `j`
+/// produces byte `8 l + j`, so the eight top bytes that belong to output
+/// word `l` sit in lane `l` of the eight registers and one shift, mask and
+/// OR per register assembles `LANES` finished words.
+#[cfg(target_arch = "x86_64")]
+const fn lane_offsets<const LANES: usize>(j: usize) -> [u64; LANES] {
+    let mut offs = [0; LANES];
+    let mut l = 0;
+    while l < LANES {
+        offs[l] = PATTERN_K.wrapping_mul((8 * l + j) as u64);
+        l += 1;
+    }
+    offs
+}
+
+/// AVX2 fill: 32 bytes a step from eight registers of four add chains.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_pattern_avx2(acc: u64, out: &mut [u8]) {
+    use std::arch::x86_64::*;
+    let mut accs: [__m256i; 8] = std::array::from_fn(|j| {
+        let offs = lane_offsets::<4>(j);
+        // SAFETY: `offs` is four u64, the 32 bytes the unaligned load reads.
+        let offs = unsafe { _mm256_loadu_si256(offs.as_ptr().cast()) };
+        _mm256_add_epi64(_mm256_set1_epi64x(acc as i64), offs)
+    });
+    let step = _mm256_set1_epi64x(PATTERN_K.wrapping_mul(32) as i64);
+    let mut blocks = out.chunks_exact_mut(32);
+    let mut filled = 0u64;
+    for block in &mut blocks {
+        let mut words = _mm256_setzero_si256();
+        for (j, a) in accs.iter_mut().enumerate() {
+            let byte = _mm256_srl_epi64(*a, _mm_cvtsi32_si128(56 - 8 * j as i32));
+            let mask = _mm256_set1_epi64x((0xFFu64 << (8 * j)) as i64);
+            words = _mm256_or_si256(words, _mm256_and_si256(byte, mask));
+            *a = _mm256_add_epi64(*a, step);
+        }
+        // SAFETY: `chunks_exact_mut(32)` yields exactly 32 bytes; the store
+        // is unaligned.
+        unsafe { _mm256_storeu_si256(block.as_mut_ptr().cast(), words) };
+        filled += 32;
+    }
+    let tail = acc.wrapping_add(PATTERN_K.wrapping_mul(filled));
+    fill_pattern_scalar(tail, blocks.into_remainder());
+}
+
+/// AVX-512 fill: 64 bytes a step from eight registers of eight add chains.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fill_pattern_avx512(acc: u64, out: &mut [u8]) {
+    use std::arch::x86_64::*;
+    let mut accs: [__m512i; 8] = std::array::from_fn(|j| {
+        let offs = lane_offsets::<8>(j);
+        // SAFETY: `offs` is eight u64, the 64 bytes the unaligned load reads.
+        let offs = unsafe { _mm512_loadu_si512(offs.as_ptr().cast()) };
+        _mm512_add_epi64(_mm512_set1_epi64(acc as i64), offs)
+    });
+    let step = _mm512_set1_epi64(PATTERN_K.wrapping_mul(64) as i64);
+    let mut blocks = out.chunks_exact_mut(64);
+    let mut filled = 0u64;
+    for block in &mut blocks {
+        let mut words = _mm512_setzero_si512();
+        for (j, a) in accs.iter_mut().enumerate() {
+            let byte = _mm512_srl_epi64(*a, _mm_cvtsi32_si128(56 - 8 * j as i32));
+            let mask = _mm512_set1_epi64((0xFFu64 << (8 * j)) as i64);
+            words = _mm512_or_si512(words, _mm512_and_si512(byte, mask));
+            *a = _mm512_add_epi64(*a, step);
+        }
+        // SAFETY: `chunks_exact_mut(64)` yields exactly 64 bytes; the store
+        // is unaligned.
+        unsafe { _mm512_storeu_si512(block.as_mut_ptr().cast(), words) };
+        filled += 64;
+    }
+    let tail = acc.wrapping_add(PATTERN_K.wrapping_mul(filled));
+    fill_pattern_scalar(tail, blocks.into_remainder());
 }
 
 /// The guest-memory store: slot-indexed records + an aux metadata arena.
@@ -624,19 +725,41 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The one-add loop yields the bytes of the multiply form the
-        /// pattern is defined by (they sit in guest memory and replay logs).
+        /// Every fill — the dispatched one, the portable loop and each
+        /// vector kernel this CPU has, called by name — yields the bytes of
+        /// the multiply form the pattern is defined by (they sit in guest
+        /// memory and replay logs), at lengths on, off and below the 32- and
+        /// 64-byte blocks.
         #[test]
         fn value_pattern_matches_the_multiply_form(
             slot in any::<u32>(),
             version in any::<u64>(),
-            len in 0..4097usize,
+            len in prop_oneof![0..1101usize, 0..4097usize],
         ) {
             let seed = (slot as u64).wrapping_mul(0x9E3779B9).wrapping_add(version.wrapping_mul(31));
             let want: Vec<u8> = (0..len as u64)
                 .map(|i| (seed.wrapping_add(i).wrapping_mul(0x2545F4914F6CDD1D) >> 56) as u8)
                 .collect();
-            prop_assert_eq!(value_pattern(slot, version, len), want);
+            prop_assert_eq!(&value_pattern(slot, version, len), &want);
+            let acc = seed.wrapping_mul(PATTERN_K);
+            let mut got = vec![0xEEu8; len];
+            fill_pattern_scalar(acc, &mut got);
+            prop_assert_eq!(&got, &want, "scalar");
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    got.fill(0xEE);
+                    // SAFETY: avx2 support was just verified at runtime.
+                    unsafe { fill_pattern_avx2(acc, &mut got) };
+                    prop_assert_eq!(&got, &want, "avx2");
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    got.fill(0xEE);
+                    // SAFETY: avx512f support was just verified at runtime.
+                    unsafe { fill_pattern_avx512(acc, &mut got) };
+                    prop_assert_eq!(&got, &want, "avx512");
+                }
+            }
         }
 
         /// The borrowed server path and the owned public types agree on the

@@ -10,7 +10,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RATCHET=2122
+RATCHET=2121
 ENGINES_RATCHET=1533
 
 count() {

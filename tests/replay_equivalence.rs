@@ -20,7 +20,7 @@ use nilicon_container::{
     Application, Container, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout, RequestOutcome,
 };
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::replay::{content_hash, ReplayEvent};
+use nilicon_sim::replay::{content_hash, response_digest, ReplayEvent};
 use nilicon_sim::{CostModel, SimResult, MILLISECOND, PAGE_SIZE};
 use nilicon_workloads::{self as workloads, Scale};
 use proptest::prelude::*;
@@ -167,7 +167,7 @@ fn run_replay(
                     pid: c.workers[0],
                     at,
                     payload: req.into(),
-                    response_hash: content_hash(&outcome.response),
+                    response_hash: response_digest(&outcome.response),
                     response_len: outcome.response.len() as u32,
                 }
             })
