@@ -112,8 +112,8 @@ pub struct OptimizationConfig {
     /// EXTENSION (fleet scale): align every fleet member's epoch boundary to
     /// the same phase instead of staggering — the stop-phase convoy
     /// configuration the stagger exists to avoid; used by `fleet_bench
-    /// --aligned` to measure the convoy. Ignored when `fleet == 0`; off in
-    /// every paper reproduction run.
+    /// --aligned` to measure the convoy. [`Self::validate`] rejects it when
+    /// `fleet == 0`; off in every paper reproduction run.
     pub fleet_aligned: bool,
 }
 
@@ -228,6 +228,10 @@ impl OptimizationConfig {
                     )));
                 }
             }
+        } else if self.fleet_aligned {
+            return Err(SimError::Invalid(
+                "fleet: opts.fleet_aligned needs the fleet scheduler (opts.fleet > 0)".into(),
+            ));
         }
         if coded && !(1..=self.backups).contains(&self.quorum) {
             return Err(SimError::Invalid(format!(
@@ -416,6 +420,7 @@ mod tests {
         assert!(rejected(|o| (o.fleet, o.backups) = (8, 3)).contains("opts.backups"));
         assert!(rejected(|o| (o.fleet, o.hybrid_replay) = (8, true)).contains("opts.hybrid_replay"));
         assert!(rejected(|o| (o.fleet, o.rearm) = (8, true)).contains("opts.rearm"));
+        assert!(rejected(|o| o.fleet_aligned = true).contains("opts.fleet_aligned"));
     }
 
     #[test]

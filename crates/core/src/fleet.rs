@@ -289,9 +289,6 @@ pub struct FleetScheduler {
     /// Consolidated heartbeat channel: per interval index, one liveness bit
     /// per lane (`⌈n/64⌉` words).
     beat_bitmap: HashMap<u64, Vec<u64>>,
-    /// Whole-primary fault (all primary-owned lanes promote).
-    primary_fault_at: Option<Nanos>,
-    primary_faulted: bool,
     /// Replication-network partition window `[from, until)`.
     partition_window: Option<(Nanos, Nanos)>,
     partition_applied: bool,
@@ -394,8 +391,6 @@ impl FleetScheduler {
             cfg,
             svc_busy_until: 0,
             beat_bitmap: HashMap::new(),
-            primary_fault_at: None,
-            primary_faulted: false,
             partition_window: None,
             partition_applied: false,
             queue_waits_log: Vec::new(),
@@ -433,12 +428,6 @@ impl FleetScheduler {
     /// processes die; the primary host, and every other lane, stay up).
     pub fn inject_lane_fault_at(&mut self, lane: usize, t: Nanos) {
         self.lanes[lane].fault_at = Some(t);
-    }
-
-    /// Fail-stop the whole primary host at `t`: every primary-owned lane
-    /// loses its container and promotes independently.
-    pub fn inject_primary_fault_at(&mut self, t: Nanos) {
-        self.primary_fault_at = Some(t);
     }
 
     /// Partition the primary from the backup (and clients) for
@@ -522,29 +511,15 @@ impl FleetScheduler {
     // Event-loop internals
     // ------------------------------------------------------------------
 
-    /// Apply scheduled world events (primary fault, partition window edges)
+    /// Apply scheduled world events (partition window edges, lane faults)
     /// that fire at or before boundary `t`.
     fn apply_world_events(&mut self, t: Nanos) {
-        if let Some(f) = self.primary_fault_at {
-            if f <= t && !self.primary_faulted {
-                self.primary_faulted = true;
-                self.cluster.partition(self.primary);
-                for lane in &mut self.lanes {
-                    if lane.owner == Owner::Primary {
-                        lane.alive = false;
-                        if lane.fault_at.is_none() {
-                            lane.fault_at = Some(f);
-                        }
-                    }
-                }
-            }
-        }
         if let Some((from, until)) = self.partition_window {
             if !self.partition_applied && t >= from && t < until {
                 self.partition_applied = true;
                 self.cluster.partition(self.primary);
             }
-            if self.partition_applied && t >= until && !self.primary_faulted {
+            if self.partition_applied && t >= until {
                 self.partition_applied = false;
                 self.cluster.heal(self.primary);
             }
@@ -553,21 +528,14 @@ impl FleetScheduler {
             if let Some(f) = lane.fault_at {
                 if f <= t && lane.owner == Owner::Primary && lane.alive {
                     lane.alive = false;
-                    if !self.primary_faulted {
-                        // Per-container fail-stop: only this lane's address
-                        // goes dark (blackhole is permanently partitioned).
-                        let c = &lane.core.container;
-                        self.cluster
-                            .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
-                    }
+                    // Per-container fail-stop: only this lane's address goes
+                    // dark (blackhole is permanently partitioned).
+                    let c = &lane.core.container;
+                    self.cluster
+                        .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
                 }
             }
         }
-    }
-
-    /// Whether primary→backup (and primary→client) traffic is cut at `t`.
-    fn replication_cut(&self) -> bool {
-        self.primary_faulted || self.partition_applied
     }
 
     /// The host executing lane `li`'s container.
@@ -623,7 +591,7 @@ impl FleetScheduler {
         let epoch_exec = self.cfg.epoch_exec;
         let exec_start = t - epoch_exec;
         let host = self.host_of(li);
-        let cut = self.replication_cut();
+        let cut = self.partition_applied;
         let lane = &mut self.lanes[li];
         let seq = lane.epochs_done + 1;
         lane.core.tracer.begin_epoch(seq, exec_start);

@@ -60,7 +60,7 @@
 //! ```
 
 use nilicon_sim::time::Nanos;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -71,7 +71,7 @@ use std::rc::Rc;
 /// Variants with a natural duration are emitted as *spans* (`dur > 0`);
 /// instantaneous markers are emitted with `dur == 0`. See `OBSERVABILITY.md`
 /// for the full schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A new run begins: everything that follows (until the next `RunStart`)
     /// belongs to this workload/mode pair. Epoch numbers restart at 0.
@@ -521,440 +521,6 @@ impl TraceEvent {
     /// Phase spans charged to the continuous log-ship path (hybrid replay).
     pub fn is_log_phase(&self) -> bool {
         matches!(self, TraceEvent::LogShip { .. })
-    }
-}
-
-// The offline serde stand-in's derive does not handle struct-style enum
-// variants, so (de)serialization is spelled out. The wire format follows
-// serde's externally-tagged convention: `"Freeze"` for unit variants,
-// `{"Dump":{"dirty_pages":3}}` for data variants.
-impl serde::ser::Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        fn u(v: u64) -> Value {
-            Value::Int(v as i128)
-        }
-        fn tagged(tag: &str, fields: Vec<(String, Value)>) -> Value {
-            Value::Object(vec![(tag.to_string(), Value::Object(fields))])
-        }
-        match self {
-            TraceEvent::Freeze => Value::Str("Freeze".into()),
-            TraceEvent::LocalCopy => Value::Str("LocalCopy".into()),
-            TraceEvent::Ack => Value::Str("Ack".into()),
-            TraceEvent::PartitionStart => Value::Str("PartitionStart".into()),
-            TraceEvent::PartitionHeal => Value::Str("PartitionHeal".into()),
-            TraceEvent::RunStart { name, mode } => tagged(
-                "RunStart",
-                vec![
-                    ("name".into(), Value::Str(name.clone())),
-                    ("mode".into(), Value::Str(mode.clone())),
-                ],
-            ),
-            TraceEvent::Exec { requests, steps } => tagged(
-                "Exec",
-                vec![
-                    ("requests".into(), u(*requests)),
-                    ("steps".into(), u(*steps)),
-                ],
-            ),
-            TraceEvent::Dump { dirty_pages } => {
-                tagged("Dump", vec![("dirty_pages".into(), u(*dirty_pages))])
-            }
-            TraceEvent::DumpDetail {
-                processes,
-                pages,
-                sockets,
-                fs_cache,
-                infrequent,
-            } => tagged(
-                "DumpDetail",
-                vec![
-                    ("processes".into(), u(*processes)),
-                    ("pages".into(), u(*pages)),
-                    ("sockets".into(), u(*sockets)),
-                    ("fs_cache".into(), u(*fs_cache)),
-                    ("infrequent".into(), u(*infrequent)),
-                ],
-            ),
-            TraceEvent::DeltaEncode {
-                zero_pages,
-                delta_pages,
-                full_pages,
-                raw_bytes,
-                encoded_bytes,
-            } => tagged(
-                "DeltaEncode",
-                vec![
-                    ("zero_pages".into(), u(*zero_pages)),
-                    ("delta_pages".into(), u(*delta_pages)),
-                    ("full_pages".into(), u(*full_pages)),
-                    ("raw_bytes".into(), u(*raw_bytes)),
-                    ("encoded_bytes".into(), u(*encoded_bytes)),
-                ],
-            ),
-            TraceEvent::DrbdShip { writes, bytes } => tagged(
-                "DrbdShip",
-                vec![("writes".into(), u(*writes)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::CowCopy { pages, bytes } => tagged(
-                "CowCopy",
-                vec![("pages".into(), u(*pages)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::CowFault { faults } => {
-                tagged("CowFault", vec![("faults".into(), u(*faults))])
-            }
-            TraceEvent::Transfer { bytes } => tagged("Transfer", vec![("bytes".into(), u(*bytes))]),
-            TraceEvent::BackupIngest { probes } => {
-                tagged("BackupIngest", vec![("probes".into(), u(*probes))])
-            }
-            TraceEvent::BackupCommit { probes, disk_pages } => tagged(
-                "BackupCommit",
-                vec![
-                    ("probes".into(), u(*probes)),
-                    ("disk_pages".into(), u(*disk_pages)),
-                ],
-            ),
-            TraceEvent::OutputRelease { packets } => {
-                tagged("OutputRelease", vec![("packets".into(), u(*packets))])
-            }
-            TraceEvent::ClientDeliver { responses } => {
-                tagged("ClientDeliver", vec![("responses".into(), u(*responses))])
-            }
-            TraceEvent::HeartbeatMiss { misses } => {
-                tagged("HeartbeatMiss", vec![("misses".into(), u(*misses as u64))])
-            }
-            TraceEvent::OutputDiscard { packets } => {
-                tagged("OutputDiscard", vec![("packets".into(), u(*packets))])
-            }
-            TraceEvent::RearmStart { attempt } => {
-                tagged("RearmStart", vec![("attempt".into(), u(*attempt as u64))])
-            }
-            TraceEvent::BootstrapChunk { pages, bytes } => tagged(
-                "BootstrapChunk",
-                vec![("pages".into(), u(*pages)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::RearmComplete { pages, bytes } => tagged(
-                "RearmComplete",
-                vec![("pages".into(), u(*pages)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::Failover {
-                detection_latency,
-                restore,
-                arp,
-                tcp,
-                others,
-            } => tagged(
-                "Failover",
-                vec![
-                    ("detection_latency".into(), u(*detection_latency)),
-                    ("restore".into(), u(*restore)),
-                    ("arp".into(), u(*arp)),
-                    ("tcp".into(), u(*tcp)),
-                    ("others".into(), u(*others)),
-                ],
-            ),
-            TraceEvent::LeaseAcquire { until } => {
-                tagged("LeaseAcquire", vec![("until".into(), u(*until))])
-            }
-            TraceEvent::LeaseExpire { at } => tagged("LeaseExpire", vec![("at".into(), u(*at))]),
-            TraceEvent::FencedOutput { packets } => {
-                tagged("FencedOutput", vec![("packets".into(), u(*packets))])
-            }
-            TraceEvent::FalseSuspicion { suspected_for } => tagged(
-                "FalseSuspicion",
-                vec![("suspected_for".into(), u(*suspected_for))],
-            ),
-            TraceEvent::ChaosDelay { extra } => {
-                tagged("ChaosDelay", vec![("extra".into(), u(*extra))])
-            }
-            TraceEvent::ShardCommit {
-                shards,
-                pages,
-                frag_bytes,
-            } => tagged(
-                "ShardCommit",
-                vec![
-                    ("shards".into(), u(*shards as u64)),
-                    ("pages".into(), u(*pages)),
-                    ("frag_bytes".into(), u(*frag_bytes)),
-                ],
-            ),
-            TraceEvent::RepairStart { kind, attempt } => tagged(
-                "RepairStart",
-                vec![
-                    ("kind".into(), Value::Str(kind.clone())),
-                    ("attempt".into(), u(*attempt as u64)),
-                ],
-            ),
-            TraceEvent::RepairChunk { pages, bytes } => tagged(
-                "RepairChunk",
-                vec![("pages".into(), u(*pages)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::RepairComplete { pages, bytes } => tagged(
-                "RepairComplete",
-                vec![("pages".into(), u(*pages)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::DegradedMode { alive, need } => tagged(
-                "DegradedMode",
-                vec![
-                    ("alive".into(), u(*alive as u64)),
-                    ("need".into(), u(*need as u64)),
-                ],
-            ),
-            TraceEvent::LogShip { events, bytes } => tagged(
-                "LogShip",
-                vec![("events".into(), u(*events)), ("bytes".into(), u(*bytes))],
-            ),
-            TraceEvent::LogCommit {
-                events,
-                commit_latency,
-            } => tagged(
-                "LogCommit",
-                vec![
-                    ("events".into(), u(*events)),
-                    ("commit_latency".into(), u(*commit_latency)),
-                ],
-            ),
-            TraceEvent::ReplayStart { epochs, events } => tagged(
-                "ReplayStart",
-                vec![("epochs".into(), u(*epochs)), ("events".into(), u(*events))],
-            ),
-            TraceEvent::ReplayComplete {
-                events,
-                replay_time,
-            } => tagged(
-                "ReplayComplete",
-                vec![
-                    ("events".into(), u(*events)),
-                    ("replay_time".into(), u(*replay_time)),
-                ],
-            ),
-            TraceEvent::ReplayDiverge { reason } => tagged(
-                "ReplayDiverge",
-                vec![("reason".into(), Value::Str(reason.clone()))],
-            ),
-            TraceEvent::StageEnqueue { stage, chunk } => tagged(
-                "StageEnqueue",
-                vec![
-                    ("stage".into(), Value::Str(stage.clone())),
-                    ("chunk".into(), u(*chunk)),
-                ],
-            ),
-            TraceEvent::StageDequeue { stage, chunk, wait } => tagged(
-                "StageDequeue",
-                vec![
-                    ("stage".into(), Value::Str(stage.clone())),
-                    ("chunk".into(), u(*chunk)),
-                    ("wait".into(), u(*wait)),
-                ],
-            ),
-            TraceEvent::StageRestart { stage, chunk } => tagged(
-                "StageRestart",
-                vec![
-                    ("stage".into(), Value::Str(stage.clone())),
-                    ("chunk".into(), u(*chunk)),
-                ],
-            ),
-            TraceEvent::Backpressure { stalled } => {
-                tagged("Backpressure", vec![("stalled".into(), u(*stalled))])
-            }
-            TraceEvent::FleetEpochStart { lane, offset } => tagged(
-                "FleetEpochStart",
-                vec![
-                    ("lane".into(), u(*lane as u64)),
-                    ("offset".into(), u(*offset)),
-                ],
-            ),
-            TraceEvent::FairShareWait { lane, waited } => tagged(
-                "FairShareWait",
-                vec![
-                    ("lane".into(), u(*lane as u64)),
-                    ("waited".into(), u(*waited)),
-                ],
-            ),
-        }
-    }
-}
-
-impl serde::de::Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        if let Some(s) = v.as_str() {
-            return match s {
-                "Freeze" => Ok(TraceEvent::Freeze),
-                "LocalCopy" => Ok(TraceEvent::LocalCopy),
-                "Ack" => Ok(TraceEvent::Ack),
-                "PartitionStart" => Ok(TraceEvent::PartitionStart),
-                "PartitionHeal" => Ok(TraceEvent::PartitionHeal),
-                other => Err(serde::Error::msg(format!("unknown trace event {other:?}"))),
-            };
-        }
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg("trace event: expected string or object"))?;
-        let [(tag, inner)] = obj else {
-            return Err(serde::Error::msg("trace event: expected single-key object"));
-        };
-        let f = serde::de::field::<u64>;
-        let fields = inner
-            .as_object()
-            .ok_or_else(|| serde::Error::msg(format!("{tag}: expected object payload")))?;
-        match tag.as_str() {
-            "RunStart" => Ok(TraceEvent::RunStart {
-                name: serde::de::field(fields, "name")?,
-                mode: serde::de::field(fields, "mode")?,
-            }),
-            "Exec" => Ok(TraceEvent::Exec {
-                requests: f(fields, "requests")?,
-                steps: f(fields, "steps")?,
-            }),
-            "Dump" => Ok(TraceEvent::Dump {
-                dirty_pages: f(fields, "dirty_pages")?,
-            }),
-            "DumpDetail" => Ok(TraceEvent::DumpDetail {
-                processes: f(fields, "processes")?,
-                pages: f(fields, "pages")?,
-                sockets: f(fields, "sockets")?,
-                fs_cache: f(fields, "fs_cache")?,
-                infrequent: f(fields, "infrequent")?,
-            }),
-            "DeltaEncode" => Ok(TraceEvent::DeltaEncode {
-                zero_pages: f(fields, "zero_pages")?,
-                delta_pages: f(fields, "delta_pages")?,
-                full_pages: f(fields, "full_pages")?,
-                raw_bytes: f(fields, "raw_bytes")?,
-                encoded_bytes: f(fields, "encoded_bytes")?,
-            }),
-            "DrbdShip" => Ok(TraceEvent::DrbdShip {
-                writes: f(fields, "writes")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "CowCopy" => Ok(TraceEvent::CowCopy {
-                pages: f(fields, "pages")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "CowFault" => Ok(TraceEvent::CowFault {
-                faults: f(fields, "faults")?,
-            }),
-            "Transfer" => Ok(TraceEvent::Transfer {
-                bytes: f(fields, "bytes")?,
-            }),
-            "BackupIngest" => Ok(TraceEvent::BackupIngest {
-                probes: f(fields, "probes")?,
-            }),
-            "BackupCommit" => Ok(TraceEvent::BackupCommit {
-                probes: f(fields, "probes")?,
-                disk_pages: f(fields, "disk_pages")?,
-            }),
-            "OutputRelease" => Ok(TraceEvent::OutputRelease {
-                packets: f(fields, "packets")?,
-            }),
-            "ClientDeliver" => Ok(TraceEvent::ClientDeliver {
-                responses: f(fields, "responses")?,
-            }),
-            "HeartbeatMiss" => Ok(TraceEvent::HeartbeatMiss {
-                misses: serde::de::field(fields, "misses")?,
-            }),
-            "OutputDiscard" => Ok(TraceEvent::OutputDiscard {
-                packets: f(fields, "packets")?,
-            }),
-            "RearmStart" => Ok(TraceEvent::RearmStart {
-                attempt: serde::de::field(fields, "attempt")?,
-            }),
-            "BootstrapChunk" => Ok(TraceEvent::BootstrapChunk {
-                pages: f(fields, "pages")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "RearmComplete" => Ok(TraceEvent::RearmComplete {
-                pages: f(fields, "pages")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "Failover" => Ok(TraceEvent::Failover {
-                detection_latency: f(fields, "detection_latency")?,
-                restore: f(fields, "restore")?,
-                arp: f(fields, "arp")?,
-                tcp: f(fields, "tcp")?,
-                others: f(fields, "others")?,
-            }),
-            "LeaseAcquire" => Ok(TraceEvent::LeaseAcquire {
-                until: f(fields, "until")?,
-            }),
-            "LeaseExpire" => Ok(TraceEvent::LeaseExpire {
-                at: f(fields, "at")?,
-            }),
-            "FencedOutput" => Ok(TraceEvent::FencedOutput {
-                packets: f(fields, "packets")?,
-            }),
-            "FalseSuspicion" => Ok(TraceEvent::FalseSuspicion {
-                suspected_for: f(fields, "suspected_for")?,
-            }),
-            "ChaosDelay" => Ok(TraceEvent::ChaosDelay {
-                extra: f(fields, "extra")?,
-            }),
-            "ShardCommit" => Ok(TraceEvent::ShardCommit {
-                shards: serde::de::field(fields, "shards")?,
-                pages: f(fields, "pages")?,
-                frag_bytes: f(fields, "frag_bytes")?,
-            }),
-            "RepairStart" => Ok(TraceEvent::RepairStart {
-                kind: serde::de::field(fields, "kind")?,
-                attempt: serde::de::field(fields, "attempt")?,
-            }),
-            "RepairChunk" => Ok(TraceEvent::RepairChunk {
-                pages: f(fields, "pages")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "RepairComplete" => Ok(TraceEvent::RepairComplete {
-                pages: f(fields, "pages")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "DegradedMode" => Ok(TraceEvent::DegradedMode {
-                alive: serde::de::field(fields, "alive")?,
-                need: serde::de::field(fields, "need")?,
-            }),
-            "LogShip" => Ok(TraceEvent::LogShip {
-                events: f(fields, "events")?,
-                bytes: f(fields, "bytes")?,
-            }),
-            "LogCommit" => Ok(TraceEvent::LogCommit {
-                events: f(fields, "events")?,
-                commit_latency: f(fields, "commit_latency")?,
-            }),
-            "ReplayStart" => Ok(TraceEvent::ReplayStart {
-                epochs: f(fields, "epochs")?,
-                events: f(fields, "events")?,
-            }),
-            "ReplayComplete" => Ok(TraceEvent::ReplayComplete {
-                events: f(fields, "events")?,
-                replay_time: f(fields, "replay_time")?,
-            }),
-            "ReplayDiverge" => Ok(TraceEvent::ReplayDiverge {
-                reason: serde::de::field(fields, "reason")?,
-            }),
-            "StageEnqueue" => Ok(TraceEvent::StageEnqueue {
-                stage: serde::de::field(fields, "stage")?,
-                chunk: f(fields, "chunk")?,
-            }),
-            "StageDequeue" => Ok(TraceEvent::StageDequeue {
-                stage: serde::de::field(fields, "stage")?,
-                chunk: f(fields, "chunk")?,
-                wait: f(fields, "wait")?,
-            }),
-            "StageRestart" => Ok(TraceEvent::StageRestart {
-                stage: serde::de::field(fields, "stage")?,
-                chunk: f(fields, "chunk")?,
-            }),
-            "Backpressure" => Ok(TraceEvent::Backpressure {
-                stalled: f(fields, "stalled")?,
-            }),
-            "FleetEpochStart" => Ok(TraceEvent::FleetEpochStart {
-                lane: serde::de::field(fields, "lane")?,
-                offset: f(fields, "offset")?,
-            }),
-            "FairShareWait" => Ok(TraceEvent::FairShareWait {
-                lane: serde::de::field(fields, "lane")?,
-                waited: f(fields, "waited")?,
-            }),
-            other => Err(serde::Error::msg(format!("unknown trace event {other:?}"))),
-        }
     }
 }
 
@@ -1572,6 +1138,73 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e:?} in {line}", kind.name()));
             assert_eq!(back, rec, "{line}");
         }
+    }
+
+    /// The exact JSONL text of one record per encoding shape: three readers
+    /// (`trace-report`, the benchmark's span files, OBSERVABILITY.md) parse
+    /// this format, so a changed field order or tag is a test failure.
+    #[test]
+    fn wire_format_is_pinned_per_encoding_shape() {
+        let cases = [
+            (TraceEvent::Freeze, r#""Freeze""#),
+            (
+                TraceEvent::Dump { dirty_pages: 99 },
+                r#"{"Dump":{"dirty_pages":99}}"#,
+            ),
+            (
+                TraceEvent::HeartbeatMiss { misses: 2 },
+                r#"{"HeartbeatMiss":{"misses":2}}"#,
+            ),
+            (
+                TraceEvent::RunStart {
+                    name: "redis".into(),
+                    mode: "NiLiCon".into(),
+                },
+                r#"{"RunStart":{"name":"redis","mode":"NiLiCon"}}"#,
+            ),
+            (
+                TraceEvent::StageDequeue {
+                    stage: "transfer".into(),
+                    chunk: 7,
+                    wait: 12_000,
+                },
+                r#"{"StageDequeue":{"stage":"transfer","chunk":7,"wait":12000}}"#,
+            ),
+            (
+                TraceEvent::Failover {
+                    detection_latency: 90,
+                    restore: 218,
+                    arp: 28,
+                    tcp: 54,
+                    others: 7,
+                },
+                r#"{"Failover":{"detection_latency":90,"restore":218,"arp":28,"tcp":54,"others":7}}"#,
+            ),
+        ];
+        for (kind, text) in cases {
+            let rec = TraceRecord {
+                epoch: 3,
+                t: 100,
+                dur: 50,
+                kind,
+            };
+            let line = format!(r#"{{"epoch":3,"t":100,"dur":50,"kind":{text}}}"#);
+            assert_eq!(serde_json::to_string(&rec).unwrap(), line);
+            assert_eq!(serde_json::from_str::<TraceRecord>(&line).unwrap(), rec);
+        }
+        let err = |line: &str| {
+            serde_json::from_str::<TraceRecord>(line)
+                .unwrap_err()
+                .to_string()
+        };
+        for kind in [r#""Nope""#, r#"{"Nope":{"x":1}}"#] {
+            let e = err(&format!(r#"{{"epoch":0,"t":0,"dur":0,"kind":{kind}}}"#));
+            assert!(e.contains("Nope"), "{e}");
+        }
+        let e = err(r#"{"epoch":0,"t":0,"dur":0,"kind":{"Dump":{}}}"#);
+        assert!(e.contains("dirty_pages"), "{e}");
+        let e = err(r#"{"epoch":0,"t":0,"kind":"Freeze"}"#);
+        assert!(e.contains("dur"), "{e}");
     }
 
     #[test]
