@@ -1,7 +1,12 @@
 //! Runs the three-way benchmark comparison ONCE and emits Fig. 3 and
 //! Tables III, IV, and V from the same data (they all derive from the same
 //! runs in the paper too).
+//!
+//! `cargo run --release -p nilicon-bench --bin comparison_report -- [EPOCHS]`
+//! (default 120); the NiLiCon runs take the extension flags of
+//! [`nilicon_bench::apply_cli_extensions`] (`--delta`, `--cow`, ...).
 
+use nilicon_bench::comparison::{PAPER_FIG3, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5};
 use nilicon_bench::{fmt_mib, fmt_ms, run_comparisons, Table};
 use nilicon_workloads::Scale;
 
@@ -10,15 +15,6 @@ fn main() {
     let comparisons = run_comparisons(Scale::bench(), epochs);
 
     // ---------------- Fig. 3 ----------------
-    let paper_fig3: &[(&str, f64, f64)] = &[
-        ("Swaptions", 12.54, 19.48),
-        ("Streamcluster", 25.96, 31.83),
-        ("Redis", 71.85, 67.32),
-        ("SSDB", 32.44, 33.71),
-        ("Node", 38.97, 58.32),
-        ("Lighttpd", 30.18, 37.67),
-        ("DJCMS", 52.66, 54.67),
-    ];
     let mut fig3 = Table::new(
         format!("Fig. 3 — overhead NiLiCon vs MC ({epochs} epochs; breakdown = stop+runtime)"),
         vec![
@@ -32,7 +28,7 @@ fn main() {
         ],
     );
     for c in &comparisons {
-        let p = paper_fig3
+        let p = PAPER_FIG3
             .iter()
             .find(|(n, ..)| *n == c.name)
             .expect("known");
@@ -55,15 +51,6 @@ fn main() {
     fig3.emit();
 
     // ---------------- Table III ----------------
-    let paper_t3: &[(&str, f64, f64, f64, f64)] = &[
-        ("Swaptions", 2.4, 5.1, 212.0, 46.0),
-        ("Streamcluster", 3.0, 7.4, 462.0, 303.0),
-        ("Redis", 9.3, 18.9, 6200.0, 6300.0),
-        ("SSDB", 3.0, 10.4, 1107.0, 590.0),
-        ("Node", 9.4, 38.2, 6400.0, 5400.0),
-        ("Lighttpd", 4.8, 25.0, 2900.0, 1600.0),
-        ("DJCMS", 4.5, 19.1, 2800.0, 3000.0),
-    ];
     let mut t3 = Table::new(
         "Table III — avg stop time & dirty pages per epoch (paper / measured)",
         vec![
@@ -75,7 +62,10 @@ fn main() {
         ],
     );
     for c in &comparisons {
-        let p = paper_t3.iter().find(|(n, ..)| *n == c.name).expect("known");
+        let p = PAPER_TABLE3
+            .iter()
+            .find(|(n, ..)| *n == c.name)
+            .expect("known");
         t3.push(
             c.name.clone(),
             vec![
@@ -89,27 +79,21 @@ fn main() {
     t3.emit();
 
     // ---------------- Table IV ----------------
-    let paper_t4: &[(&str, [f64; 3], [&str; 3])] = &[
-        ("Swaptions", [5.1, 5.1, 5.2], ["189K", "193K", "201K"]),
-        ("Streamcluster", [6.3, 6.4, 13.1], ["257K", "269K", "306K"]),
-        ("Redis", [15.0, 18.0, 20.0], ["17.9M", "24.2M", "30.0M"]),
-        ("SSDB", [9.0, 10.0, 11.0], ["1.43M", "2.88M", "3.41M"]),
-        ("Node", [38.0, 41.0, 46.0], ["22.7M", "24.2M", "25.2M"]),
-        ("Lighttpd", [20.0, 25.0, 35.0], ["2.05M", "7.17M", "14.65M"]),
-        ("DJCMS", [16.0, 18.0, 21.0], ["53.1K", "9.5M", "13.3M"]),
-    ];
     let mut t4 = Table::new(
         "Table IV — NiLiCon stop & state percentiles p10/p50/p90 (paper / measured)",
         vec!["benchmark", "stop p10/50/90", "state p10/50/90"],
     );
     for c in &comparisons {
-        let p = paper_t4.iter().find(|(n, ..)| *n == c.name).expect("known");
+        let p = PAPER_TABLE4
+            .iter()
+            .find(|(n, ..)| *n == c.name)
+            .expect("known");
         let s = &c.nilicon;
         t4.push(
             c.name.clone(),
             vec![
                 format!(
-                    "{:.0}/{:.0}/{:.0}ms / {}/{}/{}",
+                    "{:.1}/{:.1}/{:.1}ms / {}/{}/{}",
                     p.1[0],
                     p.1[1],
                     p.1[2],
@@ -132,24 +116,21 @@ fn main() {
     t4.emit();
 
     // ---------------- Table V ----------------
-    let paper_t5: &[(&str, f64, f64)] = &[
-        ("Swaptions", 3.96, 0.07),
-        ("Streamcluster", 3.91, 0.08),
-        ("Redis", 0.98, 0.28),
-        ("SSDB", 1.70, 0.12),
-        ("Node", 1.01, 0.40),
-        ("Lighttpd", 3.95, 0.18),
-        ("DJCMS", 1.41, 0.26),
-    ];
     let mut t5 = Table::new(
         "Table V — active vs backup core utilization (paper / measured)",
         vec!["benchmark", "active", "backup"],
     );
     for c in &comparisons {
-        let p = paper_t5.iter().find(|(n, ..)| *n == c.name).expect("known");
+        let p = PAPER_TABLE5
+            .iter()
+            .find(|(n, ..)| *n == c.name)
+            .expect("known");
         t5.push(
             c.name.clone(),
             vec![
+                // Paper methodology: "similar core utilization measurements
+                // were done on a host executing the benchmarks without
+                // replication" — the Active row is the stock run.
                 format!("{:.2} / {:.2}", p.1, c.stock.active_util),
                 format!("{:.2} / {:.2}", p.2, c.nilicon.backup_util),
             ],

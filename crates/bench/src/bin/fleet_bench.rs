@@ -7,12 +7,11 @@
 //! cargo run --release -p nilicon-bench --bin fleet_bench -- scale   # the scale cell alone, timed
 //! ```
 //!
-//! Three measurements, all gated (the process exits nonzero on a miss):
+//! Two measurements, both gated (the process exits nonzero on a miss); the
+//! full run adds the stop-time curve over N = 1..100 lanes between them.
+//! That `--fleet 1` commits what the plain engine loop commits is
+//! `crates/core/tests/fleet_equivalence.rs`'s property, not a cell here.
 //!
-//! * **identity** — a `--fleet 1` fleet over a scripted write history must
-//!   commit a byte-identical backup image, with equal per-epoch
-//!   stop/ack/bytes/pages outcomes, vs the plain single-engine loop
-//!   (paper rows cannot drift behind the fleet refactor).
 //! * **convoy** — at N = 8 lanes the staggered fleet's aggregate p99 stop
 //!   time must beat `--aligned` (synchronized boundaries + FIFO link), which
 //!   serializes every lane's dump behind its neighbors' each epoch.
@@ -25,17 +24,12 @@
 
 use nilicon::fleet::{FleetScheduler, LaneSpec};
 use nilicon::traffic::ClientBehavior;
-use nilicon::{percentile, Checkpointer, NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_container::{
-    Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout, RequestOutcome,
-};
-use nilicon_criu::CheckpointImage;
-use nilicon_sim::kernel::Kernel;
+use nilicon::{percentile, OptimizationConfig, ReplicationConfig};
+use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::SimResult;
 use serde::Serialize;
 
-const EPOCH: Nanos = 30_000_000;
 /// Epoch length for the fleet cells. Multiplexing is only stable while
 /// Σ per-lane stop < epoch, and even a tiny container's dump floor is
 /// ~6-7 ms (freeze + scan fixed costs), so the paper's 30 ms epoch
@@ -62,121 +56,6 @@ const CURVE_CLIENTS: usize = 4;
 /// `(N-1)·160ms / (epoch - N·stop)` epochs to drain, so a fixed head-side
 /// warmup skip cannot reach steady state — the tail window can.
 const TAIL: usize = 8;
-
-// ---------------------------------------------------------------------------
-// Identity gate: --fleet 1 == the plain engine loop
-// ---------------------------------------------------------------------------
-
-/// One epoch's scripted guest writes: (heap page, byte value).
-type EpochWrites = Vec<(u64, u8)>;
-
-struct Inert;
-impl Application for Inert {
-    fn name(&self) -> &str {
-        "inert"
-    }
-    fn init(&mut self, _ctx: &mut GuestCtx<'_>) -> SimResult<()> {
-        Ok(())
-    }
-}
-
-/// Deterministic write history (xorshift-scrambled): `epochs` epochs of up
-/// to 40 writes over a 300-page working set.
-fn identity_history(epochs: u64) -> Vec<EpochWrites> {
-    let mut s = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    (0..epochs)
-        .map(|_| {
-            let n = next() % 40;
-            (0..n).map(|_| (next() % 300, next() as u8)).collect()
-        })
-        .collect()
-}
-
-fn run_plain(
-    opts: OptimizationConfig,
-    history: &[EpochWrites],
-) -> (CheckpointImage, Vec<(Nanos, Nanos, u64, u64)>) {
-    let mut p = Kernel::default();
-    let mut b = Kernel::default();
-    let spec = ContainerSpec::server("redis", 10, 6379);
-    let c = ContainerRuntime::create(&mut p, &spec).expect("container");
-    let mut e = NiLiConEngine::new(opts, p.costs.clone());
-    e.prepare(&mut p, &c).expect("prepare");
-    let mut outcomes = Vec::new();
-    for (i, writes) in history.iter().enumerate() {
-        for &(page, val) in writes {
-            p.mem_write(c.init_pid(), MemLayout::heap_page(page), &[val])
-                .expect("write");
-        }
-        e.pipeline_advance(EPOCH);
-        let o = e.checkpoint(&mut p, &mut b, &c, i as u64 + 1).expect("ckpt");
-        e.commit(&mut b, i as u64 + 1).expect("commit");
-        outcomes.push((o.stop_time, o.ack_delay, o.state_bytes, o.dirty_pages));
-    }
-    (e.agent.materialize().expect("image"), outcomes)
-}
-
-fn run_fleet1(
-    opts: OptimizationConfig,
-    history: &[EpochWrites],
-) -> (CheckpointImage, Vec<(Nanos, Nanos, u64, u64)>) {
-    let mut cfg = ReplicationConfig { opts, ..Default::default() };
-    cfg.opts.fleet = 1;
-    let mut fleet = FleetScheduler::new(
-        cfg,
-        vec![LaneSpec {
-            spec: ContainerSpec::server("redis", 10, 6379),
-            app: Box::new(Inert),
-            behavior: None,
-        }],
-    )
-    .expect("fleet");
-    fleet.script_writes(0, history.to_vec());
-    fleet.run_epochs(history.len() as u64).expect("run");
-    let img = fleet.lane_image(0).expect("image");
-    let r = fleet.finish();
-    let outcomes = r.lanes[0]
-        .metrics
-        .epochs
-        .iter()
-        .map(|e| (e.stop_time, e.ack_delay, e.state_bytes, e.dirty_pages))
-        .collect();
-    (img, outcomes)
-}
-
-/// Byte-compare the committed images and per-epoch outcomes; `Ok(())` or a
-/// description of the first divergence.
-fn identity_gate(epochs: u64, with_delta: bool) -> Result<(), String> {
-    let history = identity_history(epochs);
-    let mut rows = vec![("nilicon", OptimizationConfig::nilicon())];
-    if with_delta {
-        let mut o = OptimizationConfig::nilicon();
-        o.delta_transfer = true;
-        rows.push(("nilicon+delta", o));
-    }
-    for (label, opts) in rows {
-        let (img_a, out_a) = run_plain(opts, &history);
-        let (img_b, out_b) = run_fleet1(opts, &history);
-        if img_a.pages.len() != img_b.pages.len() {
-            return Err(format!("{label}: page-set sizes diverge"));
-        }
-        for (x, y) in img_a.pages.iter().zip(img_b.pages.iter()) {
-            if (x.0, x.1) != (y.0, y.1) || x.2 != y.2 {
-                return Err(format!("{label}: page {:?}/{:#x} diverged", x.0, x.1));
-            }
-        }
-        if out_a != out_b {
-            return Err(format!("{label}: per-epoch stop/ack outcomes diverge"));
-        }
-    }
-    Ok(())
-}
 
 // ---------------------------------------------------------------------------
 // Fleet cells: tiny echo lanes with a tunable dirty footprint
@@ -342,7 +221,6 @@ fn print_cell(c: &CellOut) {
 
 #[derive(Serialize)]
 struct Bench {
-    identity_ok: bool,
     convoy: Vec<CellOut>,
     convoy_p99_ratio: f64,
     curve: Vec<CellOut>,
@@ -400,14 +278,6 @@ fn main() {
         return;
     }
 
-    eprintln!("[identity] --fleet 1 vs plain engine...");
-    let identity = identity_gate(if quick { 6 } else { 10 }, !quick);
-    match &identity {
-        Ok(()) => println!("identity: --fleet 1 byte-identical to the plain engine"),
-        Err(e) => println!("identity: DIVERGED: {e}"),
-    }
-    gate(identity.is_ok(), "--fleet 1 diverged from the plain engine loop");
-
     let (stag, alig) = convoy_pair(8, 30);
     print_cell(&stag);
     print_cell(&alig);
@@ -444,7 +314,6 @@ fn main() {
     let scale = scale_cell();
 
     let bench = Bench {
-        identity_ok: true,
         convoy: vec![stag, alig],
         convoy_p99_ratio: ratio,
         curve,
@@ -454,7 +323,7 @@ fn main() {
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("wrote BENCH_fleet.json");
     println!(
-        "fleet gates clean: identity, convoy {ratio:.2}x, \
+        "fleet gates clean: convoy {ratio:.2}x, \
          100-lane/100K-connection scale cell verified"
     );
 }

@@ -7,8 +7,8 @@
 //!
 //! Two measurements, both gated (the process exits nonzero on a miss):
 //!
-//! * **delta encode** — the 300-page epoch-shaped encode batch (the
-//!   `delta_epoch_300_pages/encode` shape from `benches/delta.rs`), gated on
+//! * **delta encode** — a 300-page epoch-shaped batch of sparse rewrites
+//!   through the all-lines `ShadowStore::encode`, gated on
 //!   a ratio measured in this process: each timed encode is interleaved with
 //!   a reference pass over the same batch (a plain `copy_from_slice` of the
 //!   300 pages, which slows and speeds with the machine the way the encode
@@ -37,8 +37,8 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::rc::Rc;
 
-/// The pre-SIMD `delta_epoch_300_pages/encode` mean (ns) from
-/// `BENCH_delta.json` — the scalar byte-loop PR 9 replaced. History only.
+/// The same batch's mean encode (ns) under the scalar byte loop the
+/// word-at-a-time diff replaced. History only.
 const ENCODE_BASELINE_NS: u64 = 146_461;
 
 /// Gate: median encode over median reference pass. Calibrated over 15 runs
@@ -89,8 +89,7 @@ fn page_edits(n: usize, seed: u8) -> PageBuf {
 
 /// Wall-clock figures of the 300-page epoch encode.
 struct EncodeTiming {
-    /// Mean encode (ns), as the `delta_epoch_300_pages/encode` criterion
-    /// bench reports it.
+    /// Mean encode (ns).
     mean_ns: u64,
     /// Median encode (ns).
     median_ns: u64,
@@ -98,10 +97,9 @@ struct EncodeTiming {
     reference_median_ns: u64,
 }
 
-/// Time one 300-page epoch encode (the `delta_epoch_300_pages/encode`
-/// criterion shape: 3 warmups + 15 samples), each sample followed by the
-/// reference pass — the same 300 pages, built the same way, copied into a
-/// flat buffer instead of encoded.
+/// Time one 300-page epoch encode (3 warmups + 15 samples), each sample
+/// followed by the reference pass — the same 300 pages, built the same way,
+/// copied into a flat buffer instead of encoded.
 fn encode_epoch_timing() -> EncodeTiming {
     let mut shadow = ShadowStore::new();
     let mut stats = DeltaStats::default();

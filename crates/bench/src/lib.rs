@@ -1,26 +1,25 @@
 //! # nilicon-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§VII); each prints
-//! the paper's reported values next to this reproduction's measurements and
-//! emits machine-readable JSON records (consumed by EXPERIMENTS.md).
+//! One binary per table/figure of the paper's evaluation (§VII), except that
+//! the four exhibits the paper derives from one run set share one; each
+//! prints the paper's reported values next to this reproduction's
+//! measurements and emits machine-readable JSON records (consumed by
+//! EXPERIMENTS.md).
 //!
-//! | Binary        | Regenerates |
-//! |---------------|-------------|
-//! | `table1`      | Table I — optimization impact on streamcluster |
-//! | `table2`      | Table II — recovery latency breakdown |
-//! | `fig3`        | Fig. 3 — overhead, NiLiCon vs MC, with breakdown |
-//! | `table3`      | Table III — avg stop time & dirty pages/epoch |
-//! | `table4`      | Table IV — stop-time & state-size percentiles |
-//! | `table5`      | Table V — active vs backup core utilization |
-//! | `table6`      | Table VI — single-client response latency |
-//! | `validation`  | §VII-A — fault-injection recovery-rate campaign |
-//! | `scalability` | §VII-C — thread/client/process sweeps |
-//! | `anchors`     | §V/§VI — paper-stated cost anchors vs the model |
-//! | `reproduce`   | everything above, in sequence |
+//! | Binary              | Regenerates |
+//! |---------------------|-------------|
+//! | `table1`            | Table I — optimization impact on streamcluster |
+//! | `table2`            | Table II — recovery latency breakdown |
+//! | `comparison_report` | Fig. 3 and Tables III–V — one set of stock / NiLiCon / MC runs |
+//! | `table6`            | Table VI — single-client response latency |
+//! | `validation`        | §VII-A — fault-injection recovery-rate campaign |
+//! | `scalability`       | §VII-C — thread/client/process sweeps |
+//! | `anchors`           | §V/§VI — paper-stated cost anchors vs the model |
+//! | `reproduce`         | everything above, in sequence |
 //!
 //! Criterion microbenches (`cargo bench`) measure the *real* data structures
-//! in wall-clock time: the §V-A radix tree vs linked-list page stores, the
-//! soft-dirty scan, checkpoint image sizing, and the plug qdisc.
+//! in wall-clock time. EXPERIMENTS.md's "Measurement apparatus" table says
+//! what each binary, bench and `BENCH_*.json` alone measures.
 
 pub mod chaos;
 pub mod cli;
