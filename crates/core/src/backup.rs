@@ -89,7 +89,6 @@ pub struct BackupAgent {
     /// DRBD write buffer.
     pub drbd: DrbdBackup,
     committed_epoch: Option<u64>,
-    cpu: Nanos,
     costs: CostModel,
     use_radix: bool,
     /// `(page-store probes, disk pages applied)` of the most recent
@@ -104,7 +103,6 @@ impl std::fmt::Debug for BackupAgent {
             .field("committed_epoch", &self.committed_epoch)
             .field("pending", &self.pending.len())
             .field("stored_pages", &self.stored_pages())
-            .field("cpu", &self.cpu)
             .finish()
     }
 }
@@ -134,7 +132,6 @@ impl BackupAgent {
             fs_inodes: HashMap::new(),
             drbd: DrbdBackup::new(),
             committed_epoch: None,
-            cpu: 0,
             costs,
             use_radix,
             last_commit_stats: (0, 0),
@@ -147,7 +144,6 @@ impl BackupAgent {
         let cpu = self
             .costs
             .backup_recv(img.state_bytes(), img.transfer_chunks());
-        self.cpu += cpu;
         self.pending.insert(img.epoch, (Rc::new(img), Vec::new()));
         cpu
     }
@@ -170,7 +166,6 @@ impl BackupAgent {
         let cpu = self
             .costs
             .backup_recv(img.state_bytes(), img.transfer_chunks());
-        self.cpu += cpu;
         self.assembling = Some(CowAssembly {
             img,
             frags: Vec::new(),
@@ -234,7 +229,6 @@ impl BackupAgent {
             }
         };
         let cpu = self.costs.backup_recv(bytes, 1);
-        self.cpu += cpu;
         asm.received_pages += units;
         asm.received_chunks += 1;
         Ok((asm, cpu))
@@ -272,9 +266,7 @@ impl BackupAgent {
             bytes += m.wire_bytes();
             self.drbd.receive(m);
         }
-        let cpu = self.costs.backup_recv(bytes, n.max(1));
-        self.cpu += cpu;
-        cpu
+        self.costs.backup_recv(bytes, n.max(1))
     }
 
     /// Whether `epoch`'s container state *and* disk barrier have both
@@ -384,7 +376,6 @@ impl BackupAgent {
         let disk_pages = self.drbd.commit(epoch, backup_disk) as u64;
         cpu += disk_pages as Nanos * self.costs.restore_disk_per_page;
         self.last_commit_stats = (total_probes, disk_pages);
-        self.cpu += cpu;
         Ok(cpu)
     }
 
@@ -447,11 +438,6 @@ impl BackupAgent {
     /// Highest committed epoch.
     pub fn committed_epoch(&self) -> Option<u64> {
         self.committed_epoch
-    }
-
-    /// Total backup CPU consumed so far (Table V).
-    pub fn cpu_total(&self) -> Nanos {
-        self.cpu
     }
 
     /// Pages currently in the committed store (whole or as fragments).

@@ -30,14 +30,14 @@ use crate::lane::{
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::trace::{TraceEvent, Tracer};
 use crate::traffic::ClientBehavior;
-use nilicon_container::{Application, Container, ContainerSpec, MemLayout};
+use nilicon_container::{Application, Container, ContainerSpec};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::net::{ChaosConfig, ChaosLink, LinkDir};
 use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
+use nilicon_sim::{SimError, SimResult};
 use std::collections::VecDeque;
 
 /// Address of the client host's stack on the bridge.
@@ -252,11 +252,6 @@ impl RunHarness {
         if let RunMode::Replicated(engine) = &mut mode {
             engine.prepare(cluster.host_mut(primary), &lane.container)?;
             cluster.host_mut(primary).meter.take();
-            if engine.supports_replay() {
-                // Hybrid replay: the primary kernel records nondeterministic
-                // events from here on (dormant on every paper row).
-                cluster.host_mut(primary).replay.enable();
-            }
         }
 
         let replicated_run = matches!(mode, RunMode::Replicated(_));
@@ -347,18 +342,7 @@ impl RunHarness {
     /// (the `tests/cow_equivalence.rs` pattern as a harness method).
     pub fn snapshot_heap(&mut self, pages: u64) -> Vec<u8> {
         let host = self.active_host();
-        let mut out = Vec::new();
-        for pid in self.lane.container.workers.clone() {
-            for page in 0..pages {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                let _ =
-                    self.cluster
-                        .host_mut(host)
-                        .mem_read(pid, MemLayout::heap_page(page), &mut buf);
-                out.extend_from_slice(&buf);
-            }
-        }
-        out
+        crate::replay::heap_snapshot(self.cluster.host_mut(host), &self.lane.container, pages)
     }
 
     /// Attach a [`Tracer`]: the harness, the engine, and the failure
@@ -412,11 +396,6 @@ impl RunHarness {
     /// True once the batch workload reported completion.
     pub fn batch_done(&self) -> bool {
         self.lane.batch_done
-    }
-
-    /// Completed epochs so far.
-    pub fn epochs_run(&self) -> u64 {
-        self.epoch
     }
 
     /// Whether the run has failed over at least once (the container now
@@ -1188,10 +1167,6 @@ impl RunHarness {
             return Ok(());
         }
         let engine = self.parked.take().expect("just used");
-        if engine.supports_replay() {
-            // The promoted host resumes recording for the new pair.
-            self.cluster.host_mut(self.primary).replay.enable();
-        }
         self.mode = RunMode::Replicated(engine);
         self.rearmed = true;
         self.lane.detector =

@@ -94,14 +94,6 @@ impl RunMetrics {
         self.requests_total as f64 / (self.elapsed as f64 / 1e9)
     }
 
-    /// Batch steps per virtual second.
-    pub fn steps_per_sec(&self) -> f64 {
-        if self.elapsed == 0 {
-            return 0.0;
-        }
-        self.steps_total as f64 / (self.elapsed as f64 / 1e9)
-    }
-
     /// Mean response latency (Table VI).
     pub fn mean_latency(&self) -> Nanos {
         avg(self.response_latencies.iter().copied())

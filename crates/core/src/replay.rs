@@ -42,8 +42,9 @@ pub struct ReplayOutcome {
 }
 
 /// Byte snapshot of every worker's guest heap (unmapped pages read as
-/// zeros) — the rollback image for divergence handling.
-fn heap_snapshot(kernel: &mut Kernel, container: &Container, pages: u64) -> Vec<u8> {
+/// zeros) — the rollback image for divergence handling, and the harness's
+/// committed-state probe.
+pub(crate) fn heap_snapshot(kernel: &mut Kernel, container: &Container, pages: u64) -> Vec<u8> {
     let mut out = Vec::new();
     for &pid in &container.workers {
         for page in 0..pages {
@@ -97,10 +98,6 @@ pub fn replay_tail(
     let per_event = kernel.costs.log_replay_per_event;
     let pid = container.workers[0];
 
-    // Replayed execution must not re-record: the recorder stays attached
-    // (the promoted primary records again after the failover) but is
-    // suppressed for the duration.
-    kernel.replay.set_replaying(true);
     kernel.meter.take();
     let mut diverged: Option<String> = None;
 
@@ -143,7 +140,6 @@ pub fn replay_tail(
     }
 
     out.replay_cpu = kernel.meter.take();
-    kernel.replay.set_replaying(false);
     if let Some(reason) = diverged {
         heap_rollback(kernel, container, pages, &snap);
         out.diverged = Some(reason);
@@ -155,7 +151,6 @@ pub fn replay_tail(
 mod tests {
     use super::*;
     use nilicon_container::{ContainerRuntime, ContainerSpec, RequestOutcome};
-    use nilicon_sim::ids::Pid;
     use nilicon_sim::replay::ReplayLog;
 
     /// Deterministic counter app: state lives in guest heap, so replaying
@@ -327,43 +322,5 @@ mod tests {
         let out = replay_tail(&mut k, &c, &mut app, &tail).unwrap();
         assert!(out.diverged.is_none());
         assert_eq!(out.events, 0);
-    }
-
-    #[test]
-    fn replaying_flag_suppresses_recording() {
-        let (mut rec_k, rec_c) = setup();
-        let mut app = CounterApp;
-        {
-            let mut ctx = GuestCtx::new(&mut rec_k, rec_c.workers[0], 0);
-            app.init(&mut ctx).unwrap();
-        }
-        let mut log = ReplayLog::new(1);
-        log.events
-            .push(request_event(&mut rec_k, &rec_c, &mut app, b"abc"));
-        log.sealed = true;
-
-        let (mut rep_k, rep_c) = setup();
-        let mut rep_app = CounterApp;
-        {
-            let mut ctx = GuestCtx::new(&mut rep_k, rep_c.workers[0], 0);
-            rep_app.init(&mut ctx).unwrap();
-        }
-        rep_k.replay.enable();
-        let tail = ReplayTail {
-            logs: vec![log],
-            dropped_partial: false,
-        };
-        replay_tail(&mut rep_k, &rep_c, &mut rep_app, &tail).unwrap();
-        assert!(
-            rep_k.replay.is_empty(),
-            "replay execution must not append to the new log"
-        );
-        assert!(
-            !rep_k.replay.is_replaying(),
-            "recorder re-arms for the promoted primary"
-        );
-        // Sanity: the Pid in the log is carried but dispatch happens on the
-        // restored container's leader worker.
-        let _ = Pid(0);
     }
 }

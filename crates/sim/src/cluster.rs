@@ -98,11 +98,6 @@ impl Cluster {
         }
     }
 
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.kernels.len()
-    }
-
     /// Register (or move) the route for `addr` to `(host, ns)`.
     ///
     /// At failover the backup broadcasts a gratuitous ARP reply to take over

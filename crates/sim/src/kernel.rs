@@ -15,7 +15,6 @@ use crate::mem::{AddressSpace, MappedFile, Perms, TrackingMode, Vma, VmaKind, Wr
 use crate::net::{InputMode, NetStack, RepairState};
 use crate::ns::NsRegistry;
 use crate::proc::{freeze, thaw, FdEntry, FreezeReport, FreezeStrategy, Process};
-use crate::replay::ReplayRecorder;
 use crate::time::{CostMeter, Nanos};
 use std::rc::Rc;
 
@@ -57,9 +56,6 @@ pub struct Kernel {
     pub namespaces: NsRegistry,
     /// ftrace hook registry.
     pub ftrace: FtraceHooks,
-    /// Nondeterminism recorder (hybrid checkpoint + replay). Dormant unless
-    /// the `hybrid_replay` extension knob enables it.
-    pub replay: ReplayRecorder,
     procs: IdMap<Pid, Process>,
     spaces: IdMap<AsId, AddressSpace>,
     stacks: std::collections::BTreeMap<NsId, NetStack>,
@@ -85,7 +81,6 @@ impl Kernel {
             cgroups: CgroupTree::new(),
             namespaces: NsRegistry::new(),
             ftrace: FtraceHooks::with_default_hooks(),
-            replay: ReplayRecorder::default(),
             procs: IdMap::default(),
             spaces: IdMap::default(),
             stacks: std::collections::BTreeMap::new(),

@@ -9,14 +9,12 @@
 //! container, feeding recorded events back, reproducing byte-identical state
 //! and the exact output stream.
 //!
-//! This module owns the event vocabulary and the primary-side recorder. The
-//! log records request dispatch and batch steps, full stop: the harness takes
+//! This module owns the event vocabulary and the per-epoch log. The log
+//! records request dispatch and batch steps, full stop: the harness takes
 //! whole request frames off the sockets and calls the application itself, so
 //! request arrival and step order are the only nondeterminism a guest sees.
-//!
-//! Recording is off unless explicitly enabled (the `hybrid_replay` extension
-//! knob) and suppressed while a replay is in progress, so replayed execution
-//! never re-records its own events.
+//! The lane core's serve hook appends to it, and only when the
+//! `hybrid_replay` extension knob is on.
 
 use crate::ids::Pid;
 use bytes::Bytes;
@@ -105,14 +103,6 @@ pub enum ReplayEvent {
 }
 
 impl ReplayEvent {
-    /// Short kind tag (trace/report labels).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ReplayEvent::Request { .. } => "request",
-            ReplayEvent::Step { .. } => "step",
-        }
-    }
-
     /// Modeled wire size of this event in the shipped log: a fixed header
     /// plus any carried payload. Drives log-ship transfer cost.
     pub fn byte_len(&self) -> u64 {
@@ -165,65 +155,6 @@ impl ReplayLog {
     }
 }
 
-/// Primary-side event recorder, owned by the kernel. Dormant (zero-cost
-/// no-ops) unless enabled; suppressed while `replaying` so re-execution on
-/// the backup does not re-record.
-#[derive(Debug, Default)]
-pub struct ReplayRecorder {
-    enabled: bool,
-    replaying: bool,
-    events: Vec<ReplayEvent>,
-}
-
-impl ReplayRecorder {
-    /// Turn recording on (the `hybrid_replay` knob).
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Is recording configured on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Should events be captured *right now*? (enabled and not replaying)
-    pub fn active(&self) -> bool {
-        self.enabled && !self.replaying
-    }
-
-    /// Enter/leave replay mode (suppresses recording).
-    pub fn set_replaying(&mut self, on: bool) {
-        self.replaying = on;
-    }
-
-    /// Is a replay in progress?
-    pub fn is_replaying(&self) -> bool {
-        self.replaying
-    }
-
-    /// Append an event if capture is active.
-    pub fn record(&mut self, ev: ReplayEvent) {
-        if self.active() {
-            self.events.push(ev);
-        }
-    }
-
-    /// Take everything recorded since the last drain (epoch boundary).
-    pub fn drain(&mut self) -> Vec<ReplayEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,59 +189,6 @@ mod tests {
         // image files); the replay digest is a different function.
         assert_eq!(content_hash(b"abc"), 0xfc17_b883_ee07_4f58);
         assert_ne!(response_digest(b"abc"), content_hash(b"abc"));
-    }
-
-    #[test]
-    fn recorder_dormant_until_enabled() {
-        let mut r = ReplayRecorder::default();
-        r.record(ReplayEvent::Step {
-            pid: Pid(100),
-            at: 5,
-            done: false,
-        });
-        assert!(r.is_empty());
-        r.enable();
-        r.record(ReplayEvent::Step {
-            pid: Pid(100),
-            at: 5,
-            done: false,
-        });
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn replaying_suppresses_capture() {
-        let mut r = ReplayRecorder::default();
-        r.enable();
-        r.set_replaying(true);
-        assert!(!r.active());
-        r.record(ReplayEvent::Step {
-            pid: Pid(100),
-            at: 1,
-            done: false,
-        });
-        assert!(r.is_empty());
-        r.set_replaying(false);
-        r.record(ReplayEvent::Step {
-            pid: Pid(100),
-            at: 1,
-            done: false,
-        });
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn drain_resets_buffer() {
-        let mut r = ReplayRecorder::default();
-        r.enable();
-        r.record(ReplayEvent::Step {
-            pid: Pid(100),
-            at: 1,
-            done: false,
-        });
-        let evs = r.drain();
-        assert_eq!(evs.len(), 1);
-        assert!(r.is_empty());
     }
 
     #[test]

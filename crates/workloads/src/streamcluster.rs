@@ -71,11 +71,6 @@ impl StreamclusterApp {
         (self.assign_base + assign_bytes).div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64
     }
 
-    /// Assignment-array pages — the per-epoch dirty-page driver.
-    pub fn assignment_pages(&self) -> u64 {
-        ((self.scale.sc_points * 8) as u64).div_ceil(PAGE_SIZE as u64)
-    }
-
     fn point_coord(point: usize, d: usize) -> f32 {
         // Deterministic synthetic input (stands in for the PARSEC input set).
         let h = (point as u64)

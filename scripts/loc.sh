@@ -11,7 +11,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RATCHET=2095
+RATCHET=2075
 ENGINES_RATCHET=1533
 
 count() {
