@@ -20,19 +20,20 @@ fn main() {
     // Stock throughput baseline (epoch length irrelevant unreplicated).
     let stock = {
         let w = nilicon_workloads::redis(scale, 8, None);
+        let cfg = ReplicationConfig::default();
         let mut h = RunHarness::new(
             w.spec,
             w.app,
             w.behavior,
             RunMode::Unreplicated,
-            ReplicationConfig::default(),
+            cfg,
             w.parallelism,
         )
         .expect("harness");
         h.run_epochs(virtual_secs * 33).expect("run");
         let r = h.finish();
         r.verify.expect("valid");
-        summarize("Redis", "stock", &r.metrics, WARMUP_EPOCHS)
+        summarize("Redis", "stock", &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
     };
 
     let mut t = Table::new(
@@ -60,16 +61,9 @@ fn main() {
         h.run_epochs(virtual_secs * 1_000 / epoch_ms).expect("run");
         let r = h.finish();
         r.verify.expect("valid");
-        let s = summarize("Redis", &format!("{epoch_ms}ms"), &r.metrics, WARMUP_EPOCHS);
-        // Overhead vs stock must account for the different epoch length:
-        // recompute wall from the records (30e6 constant in summarize is the
-        // default epoch; redo by hand here).
-        let epochs = &r.metrics.epochs[WARMUP_EPOCHS.min(r.metrics.epochs.len())..];
-        let wall: u64 =
-            epochs.iter().map(|e| epoch_ms * MILLISECOND + e.stop_time).sum();
-        let work: u64 = epochs.iter().map(|e| e.requests_done).sum();
-        let tput = work as f64 / (wall as f64 / 1e9);
-        let overhead = (1.0 - tput / stock.throughput) * 100.0;
+        let label = format!("{epoch_ms}ms");
+        let s = summarize("Redis", &label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
+        let overhead = s.overhead_vs(stock.throughput) * 100.0;
         t.push(
             format!("{epoch_ms}ms"),
             vec![

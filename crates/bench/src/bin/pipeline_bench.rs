@@ -189,7 +189,14 @@ fn streamcluster_row(label: &str, opts: OptimizationConfig) -> ThroughputRow {
     h.run_epochs(EPOCHS).expect("run");
     let r = h.finish();
     r.verify.expect("workload validated");
-    let s = nilicon_bench::summarize(w.name, label, &r.metrics, nilicon_bench::WARMUP_EPOCHS);
+    let epoch_exec = ReplicationConfig::default().epoch_exec;
+    let s = nilicon_bench::summarize(
+        w.name,
+        label,
+        &r.metrics,
+        epoch_exec,
+        nilicon_bench::WARMUP_EPOCHS,
+    );
     let warm = &r.metrics.epochs[nilicon_bench::WARMUP_EPOCHS..];
     ThroughputRow {
         mode: label.to_string(),

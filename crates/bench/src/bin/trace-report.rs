@@ -312,7 +312,7 @@ mod tests {
     use nilicon::harness::{RunHarness, RunMode};
     use nilicon::trace::Tracer;
     use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
-    use nilicon_sim::net::{ChaosConfig, ChaosSchedule, FaultKind};
+    use nilicon_sim::net::{ChaosSchedule, FaultKind};
     use nilicon_sim::{CostModel, MILLISECOND as MS};
     use nilicon_workloads::net_echo;
     use std::sync::OnceLock;
@@ -385,7 +385,7 @@ mod tests {
         let schedule = ChaosSchedule::default()
             .window(400 * MS, 460 * MS, FaultKind::Partition)
             .window(600 * MS, 800 * MS, FaultKind::DelaySpike { extra: 20 * MS });
-        h.set_chaos(ChaosConfig::new(schedule));
+        h.set_chaos(schedule);
         h.run_epochs(25).unwrap();
         tracer.flush().unwrap();
     }

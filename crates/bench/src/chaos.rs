@@ -20,7 +20,7 @@ use nilicon::harness::{RunHarness, RunMode};
 use nilicon::traffic::ClientBehavior;
 use nilicon::{ChaosStats, NiLiConEngine, OptimizationConfig, PlacementEngine, ReplicationConfig};
 use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome, StepOutcome};
-use nilicon_sim::net::{ChaosConfig, ChaosSchedule, FaultKind, LinkDir};
+use nilicon_sim::net::{ChaosSchedule, FaultKind, LinkDir};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, SimResult, MILLISECOND, PAGE_SIZE};
 use nilicon_workloads::net_echo;
@@ -458,7 +458,7 @@ fn chaos_cfg(sc: &Scenario) -> ReplicationConfig {
 /// run open with one spurious suspicion/fence cycle (see DESIGN.md §9).
 fn arm(h: &mut RunHarness, sc: &Scenario) -> Result<(), String> {
     h.run_epochs(1).map_err(|e| e.to_string())?;
-    h.set_chaos(ChaosConfig::new(sc.schedule.clone()));
+    h.set_chaos(sc.schedule.clone());
     if let Some(t) = sc.primary_fault {
         h.inject_fault_at(t);
     }

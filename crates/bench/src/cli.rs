@@ -31,58 +31,43 @@ pub fn positional_u64(n: usize, default: u64) -> u64 {
 /// `--replay` enables HyCoR-style hybrid checkpoint + replay (outputs
 /// release when their nondeterminism-log chunk commits on the backup
 /// instead of waiting for the epoch ack; failover replays the sealed tail),
-/// `--pipeline` runs the checkpoint's dump-drain → delta-encode →
+/// and `--pipeline` runs the checkpoint's dump-drain → delta-encode →
 /// transfer → backup-ingest sequence as a staged pipeline overlapped with
 /// the next execution phase (bounded peek-before-commit queues; a slow link
-/// backpressures into the stop phase), and `--fleet N` multiplexes N
-/// containers over one primary/backup pair with staggered epoch boundaries
-/// and deficit-round-robin fair-share commit (`--aligned` removes the
-/// stagger and downgrades the shared link to FIFO to demonstrate the
-/// stop-phase convoy).
+/// backpressures into the stop phase). The fleet has a driver of its own,
+/// `fleet_bench`, which parses its own arguments.
 /// With no flags present the row is returned untouched, so every table
 /// binary stays paper-faithful by default but can demo the extensions
 /// (visible in `trace-report`'s DeltaEncode/CowCopy/Backpressure phases and
-/// summary lines).
+/// summary lines). Positional arguments pass through and `--trace <path>` is
+/// [`cli_tracer`]'s; any other `--` flag is an error, not a run without it.
 pub fn apply_cli_extensions(
     mut opts: OptimizationConfig,
     mut args: impl Iterator<Item = String>,
-) -> OptimizationConfig {
+) -> Result<OptimizationConfig, String> {
     while let Some(a) = args.next() {
+        let mut count = || {
+            args.next()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{a} requires a count"))
+        };
         match a.as_str() {
             "--delta" => opts.delta_transfer = true,
             "--cow" => opts.cow_checkpoint = true,
             "--rearm" => opts.rearm = true,
             "--replay" => opts.hybrid_replay = true,
             "--pipeline" => opts.pipeline = true,
-            "--aligned" => opts.fleet_aligned = true,
-            "--fleet" => {
-                opts.fleet = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--fleet requires a container count");
+            "--dump-workers" => opts.dump_workers = count()?,
+            "--backups" => opts.backups = count()?,
+            "--quorum" => opts.quorum = count()?,
+            "--trace" => {
+                args.next();
             }
-            "--dump-workers" => {
-                opts.dump_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--dump-workers requires a worker count");
-            }
-            "--backups" => {
-                opts.backups = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--backups requires a replica count");
-            }
-            "--quorum" => {
-                opts.quorum = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--quorum requires a replica count");
-            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             _ => {}
         }
     }
-    opts
+    Ok(opts)
 }
 
 thread_local! {
@@ -121,38 +106,23 @@ mod tests {
     fn cli_extensions_overlay_flags() {
         let base = OptimizationConfig::nilicon();
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let overlay = |v: &[&str]| apply_cli_extensions(base, args(v).into_iter()).unwrap();
 
-        let untouched = apply_cli_extensions(base, args(&["table1", "30"]).into_iter());
-        assert_eq!(untouched, base, "no flags -> paper-faithful row");
+        assert_eq!(overlay(&["table1", "30"]), base, "no flags -> paper-faithful row");
+        let traced = overlay(&["table1", "40", "--trace", "/tmp/t.jsonl"]);
+        assert_eq!(traced, base, "--trace is the tracer's flag");
 
-        let extended = apply_cli_extensions(
-            base,
-            args(&["table1", "--delta", "--dump-workers", "4", "--cow", "--rearm"]).into_iter(),
-        );
+        let extended = overlay(&["table1", "--delta", "--dump-workers", "4", "--cow", "--rearm"]);
         assert!(extended.delta_transfer);
         assert_eq!(extended.dump_workers, 4);
         assert!(extended.cow_checkpoint);
         assert!(extended.rearm);
 
-        let replayed = apply_cli_extensions(base, args(&["table6", "--replay"]).into_iter());
-        assert!(replayed.hybrid_replay);
-
-        let piped = apply_cli_extensions(base, args(&["table1", "--pipeline"]).into_iter());
-        assert!(piped.pipeline);
+        assert!(overlay(&["table6", "--replay"]).hybrid_replay);
+        assert!(overlay(&["table1", "--pipeline"]).pipeline);
         assert!(!base.pipeline, "paper row untouched");
 
-        let fleet = apply_cli_extensions(
-            base,
-            args(&["fleet_bench", "--fleet", "8", "--aligned"]).into_iter(),
-        );
-        assert_eq!(fleet.fleet, 8);
-        assert!(fleet.fleet_aligned);
-        assert_eq!(base.fleet, 0, "paper row untouched");
-
-        let placed = apply_cli_extensions(
-            base,
-            args(&["table1", "--backups", "3", "--quorum", "2"]).into_iter(),
-        );
+        let placed = overlay(&["table1", "--backups", "3", "--quorum", "2"]);
         assert_eq!(placed.backups, 3);
         assert_eq!(placed.quorum, 2);
         let engine = replicated_engine(placed).unwrap();
@@ -166,7 +136,7 @@ mod tests {
             (&["--backups", "3", "--cow"][..], "cow_checkpoint"),
             (&["--backups", "3", "--quorum", "4"][..], "k=4, n=3"),
         ] {
-            let err = match replicated_engine(apply_cli_extensions(base, args(flags).into_iter())) {
+            let err = match replicated_engine(overlay(flags)) {
                 Err(e) => e.to_string(),
                 Ok(e) => panic!("{flags:?} ran as {}", e.name()),
             };
@@ -175,9 +145,28 @@ mod tests {
         // Staircase rows below the staging buffer keep the paper's engine;
         // the rows from it on host the placement.
         for (label, row) in OptimizationConfig::table1_rows() {
-            let opts = apply_cli_extensions(row, args(&["--backups", "3", "--quorum", "2"]).into_iter());
+            let flags = args(&["--backups", "3", "--quorum", "2"]);
+            let opts = apply_cli_extensions(row, flags.into_iter()).unwrap();
             let engine = replicated_engine(opts).unwrap();
             assert_eq!(engine.supports_placement(), row.staging_buffer, "{label}");
+        }
+    }
+
+    /// A flag the table binaries cannot honour fails the run instead of
+    /// printing a paper-faithful table under it: the fleet flags belong to
+    /// `fleet_bench`, whose lanes the single-container harness never builds.
+    #[test]
+    fn cli_extensions_reject_flags_they_cannot_honour() {
+        let base = OptimizationConfig::nilicon();
+        for (flags, needle) in [
+            (&["table1", "3", "--fleet", "8"][..], "unknown flag --fleet"),
+            (&["fleet_bench", "--aligned"][..], "unknown flag --aligned"),
+            (&["table1", "--dleta"][..], "unknown flag --dleta"),
+            (&["table1", "--backups"][..], "--backups requires a count"),
+        ] {
+            let args = flags.iter().map(|s| s.to_string());
+            let err = apply_cli_extensions(base, args).unwrap_err();
+            assert!(err.contains(needle), "{flags:?}: {err}");
         }
     }
 }

@@ -39,10 +39,11 @@ pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpoi
 }
 
 /// A NiLiCon run mode with the given optimization set, plus any EXTENSION
-/// knobs passed on the command line (see [`apply_cli_extensions`]). A
-/// combination the engines refuse ends the run with the engine's message.
+/// knobs passed on the command line (see [`apply_cli_extensions`]). An
+/// unknown flag, or a combination the engines refuse, ends the run with its
+/// message.
 pub fn nilicon_mode(row: OptimizationConfig) -> RunMode {
-    let opts = apply_cli_extensions(row, std::env::args());
+    let opts = apply_cli_extensions(row, std::env::args()).unwrap_or_else(|e| panic!("{e}"));
     let engine = replicated_engine(opts).unwrap_or_else(|e| panic!("{e}"));
     if opts.backups > 1 && !engine.supports_placement() {
         let rows = OptimizationConfig::table1_rows();
@@ -109,15 +110,22 @@ impl PerfSummary {
     }
 }
 
-/// Aggregate `metrics`, skipping `warmup` epochs.
-pub fn summarize(name: &str, mode: &str, metrics: &RunMetrics, warmup: usize) -> PerfSummary {
+/// Aggregate `metrics` of a run with `epoch_exec`-long execution phases,
+/// skipping `warmup` epochs.
+pub fn summarize(
+    name: &str,
+    mode: &str,
+    metrics: &RunMetrics,
+    epoch_exec: Nanos,
+    warmup: usize,
+) -> PerfSummary {
     let epochs = if metrics.epochs.len() > warmup {
         &metrics.epochs[warmup..]
     } else {
         &metrics.epochs[..]
     };
     let n = epochs.len().max(1) as f64;
-    let wall: Nanos = epochs.iter().map(|e| 30_000_000 + e.stop_time).sum();
+    let wall: Nanos = epochs.iter().map(|e| epoch_exec + e.stop_time).sum();
     let wall_s = (wall as f64 / 1e9).max(1e-12);
     let work: u64 = epochs.iter().map(|e| e.requests_done + e.steps_done).sum();
     let stops: Vec<Nanos> = epochs.iter().map(|e| e.stop_time).collect();
@@ -154,15 +162,9 @@ pub fn summarize(name: &str, mode: &str, metrics: &RunMetrics, warmup: usize) ->
 /// Run a server workload for `epochs` epochs under `mode`.
 pub fn run_server(w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfSummary {
     let name = w.name;
-    let mut h = RunHarness::new(
-        w.spec,
-        w.app,
-        w.behavior,
-        mode,
-        ReplicationConfig::default(),
-        w.parallelism,
-    )
-    .expect("harness");
+    let cfg = ReplicationConfig::default();
+    let mut h =
+        RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).expect("harness");
     let tracer = cli_tracer();
     tracer.event_at(
         TraceEvent::RunStart {
@@ -176,22 +178,16 @@ pub fn run_server(w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfS
     let r = h.finish();
     r.verify.expect("workload validated");
     assert_eq!(r.broken_connections, 0, "{name}: broken connections");
-    summarize(name, label, &r.metrics, WARMUP_EPOCHS)
+    summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
 }
 
 /// Run a batch workload to completion (bounded); returns the summary plus
 /// total elapsed virtual time (for execution-time overhead).
 pub fn run_batch(w: Workload, mode: RunMode, max_epochs: u64, label: &str) -> (PerfSummary, Nanos) {
     let name = w.name;
-    let mut h = RunHarness::new(
-        w.spec,
-        w.app,
-        w.behavior,
-        mode,
-        ReplicationConfig::default(),
-        w.parallelism,
-    )
-    .expect("harness");
+    let cfg = ReplicationConfig::default();
+    let mut h =
+        RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).expect("harness");
     let tracer = cli_tracer();
     tracer.event_at(
         TraceEvent::RunStart {
@@ -205,13 +201,16 @@ pub fn run_batch(w: Workload, mode: RunMode, max_epochs: u64, label: &str) -> (P
         .expect("batch completes");
     let r = h.finish();
     let elapsed = r.metrics.elapsed;
-    (summarize(name, label, &r.metrics, WARMUP_EPOCHS), elapsed)
+    let s = summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
+    (s, elapsed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nilicon::metrics::EpochRecord;
+
+    const E: Nanos = 30_000_000;
 
     fn metrics(stops: &[Nanos], reqs: &[u64]) -> RunMetrics {
         let mut m = RunMetrics::default();
@@ -237,17 +236,21 @@ mod tests {
         let stops = [200_000_000, 150_000_000, 5_000_000, 5_000_000, 5_000_000, 5_000_000];
         let reqs = [1, 1, 10, 10, 10, 10];
         let m = metrics(&stops, &reqs);
-        let s = summarize("x", "y", &m, 2);
+        let s = summarize("x", "y", &m, E, 2);
         assert_eq!(s.avg_stop, 5_000_000, "warmup epochs excluded");
         let per_epoch_wall = 35_000_000.0;
         let expect = 10.0 / (per_epoch_wall / 1e9);
         assert!((s.throughput - expect).abs() < 1.0, "{} vs {expect}", s.throughput);
+        // A 120 ms epoch run does the same work in 125 ms per epoch.
+        let long = summarize("x", "y", &m, 4 * E, 2);
+        let expect = 10.0 / (125_000_000.0 / 1e9);
+        assert!((long.throughput - expect).abs() < 1.0, "{} vs {expect}", long.throughput);
     }
 
     #[test]
     fn summarize_handles_short_runs() {
         let m = metrics(&[1_000_000], &[5]);
-        let s = summarize("x", "y", &m, 4); // warmup longer than the run
+        let s = summarize("x", "y", &m, E, 4); // warmup longer than the run
         assert_eq!(s.avg_stop, 1_000_000);
         assert!(s.throughput > 0.0);
     }
@@ -255,7 +258,7 @@ mod tests {
     #[test]
     fn overhead_metrics() {
         let m = metrics(&[10_000_000; 10], &[8; 10]);
-        let s = summarize("x", "y", &m, 2);
+        let s = summarize("x", "y", &m, E, 2);
         // Server metric: throughput reduction.
         let o = s.overhead_vs(s.throughput * 2.0);
         assert!((o - 0.5).abs() < 1e-9);
@@ -265,9 +268,12 @@ mod tests {
         assert_eq!(s.overhead_vs(0.0), 0.0, "degenerate baseline");
     }
 
+    /// The engines behind both modes construct. (`nilicon_mode` itself reads
+    /// the process's arguments, which under the test harness are its own.)
     #[test]
     fn modes_construct() {
-        let _ = nilicon_mode(nilicon::OptimizationConfig::nilicon());
+        let engine = replicated_engine(OptimizationConfig::nilicon()).unwrap();
+        assert_eq!(engine.placement(), (1, 1));
         let _ = mc_mode();
     }
 }

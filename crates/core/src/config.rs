@@ -103,16 +103,16 @@ pub struct OptimizationConfig {
     /// EXTENSION (fleet scale; ROADMAP item 1): multiplex this many
     /// containers over one primary/backup pair via the [`crate::fleet`]
     /// scheduler — per-container shadow stores and epoch state feeding one
-    /// shared transfer link, staggered epoch boundaries (phase offset
-    /// `i·epoch/N`), one consolidated heartbeat channel carrying per-container
-    /// liveness bits, and fair-share output commit. `0` disables the fleet
+    /// shared FIFO transfer link, staggered epoch boundaries (phase offset
+    /// `i·epoch/N`), and one consolidated heartbeat channel carrying
+    /// per-container liveness bits. `0` disables the fleet
     /// layer entirely (the paper's one-container-per-pair topology); every
     /// paper reproduction run uses `0`.
     pub fleet: u32,
     /// EXTENSION (fleet scale): align every fleet member's epoch boundary to
-    /// the same phase instead of staggering — the stop-phase convoy
-    /// configuration the stagger exists to avoid; used by `fleet_bench
-    /// --aligned` to measure the convoy. [`Self::validate`] rejects it when
+    /// the same phase instead of staggering — the stop-phase and link convoy
+    /// configuration the stagger exists to avoid; `fleet_bench`'s aligned
+    /// cell measures the convoy with it. [`Self::validate`] rejects it when
     /// `fleet == 0`; off in every paper reproduction run.
     pub fleet_aligned: bool,
 }
@@ -287,22 +287,12 @@ impl Default for OptimizationConfig {
 pub struct ReplicationConfig {
     /// Execution-phase length (§IV: 30 ms).
     pub epoch_exec: Nanos,
-    /// Heartbeat interval (§IV: 30 ms).
-    pub heartbeat_interval: Nanos,
-    /// Consecutive missed heartbeats before failover (§IV: 3).
-    pub heartbeat_misses: u32,
     /// Optimization toggles.
     pub opts: OptimizationConfig,
-    /// Re-replication only ([`OptimizationConfig::rearm`]): delay from the
-    /// end of failover recovery to the start of the replacement-backup
-    /// bootstrap (models provisioning the standby host).
-    pub rearm_delay: Nanos,
-    /// Re-replication only: base retry backoff after a bootstrap attempt is
-    /// killed by a standby fault; doubles per consecutive failed attempt.
-    pub rearm_backoff: Nanos,
-    /// Re-replication only: bootstrap streaming budget — at most this many
-    /// deferred pages are drained to the replacement backup per 30 ms epoch,
-    /// bounding the background bandwidth the bootstrap may take.
+    /// Re-replication only ([`OptimizationConfig::rearm`]): bootstrap
+    /// streaming budget — at most this many deferred pages are drained to
+    /// the replacement backup per 30 ms epoch, bounding the background
+    /// bandwidth the bootstrap may take.
     pub rearm_chunk_pages: u64,
 }
 
@@ -310,11 +300,7 @@ impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
             epoch_exec: 30 * MILLISECOND,
-            heartbeat_interval: 30 * MILLISECOND,
-            heartbeat_misses: 3,
             opts: OptimizationConfig::nilicon(),
-            rearm_delay: 60 * MILLISECOND,
-            rearm_backoff: 120 * MILLISECOND,
             rearm_chunk_pages: 256,
         }
     }
@@ -427,13 +413,11 @@ mod tests {
     fn default_replication_config_matches_paper() {
         let c = ReplicationConfig::default();
         assert_eq!(c.epoch_exec, 30 * MILLISECOND);
-        assert_eq!(c.heartbeat_interval, 30 * MILLISECOND);
-        assert_eq!(c.heartbeat_misses, 3);
-        // Re-replication pacing knobs exist but the knob itself is off.
+        assert_eq!(crate::detector::HEARTBEAT_INTERVAL, 30 * MILLISECOND);
+        assert_eq!(crate::detector::HEARTBEAT_MISSES, 3);
+        // The re-replication budget exists but the knob itself is off.
         assert!(!c.opts.rearm);
         assert!(!c.opts.hybrid_replay);
-        assert_eq!(c.rearm_delay, 60 * MILLISECOND);
-        assert_eq!(c.rearm_backoff, 120 * MILLISECOND);
         assert_eq!(c.rearm_chunk_pages, 256);
     }
 }

@@ -9,8 +9,13 @@
 //! an average detection latency of 90 ms.
 
 use crate::trace::{TraceEvent, Tracer};
-use nilicon_sim::time::Nanos;
+use nilicon_sim::time::{Nanos, MILLISECOND};
 use nilicon_sim::{SimError, SimResult};
+
+/// Heartbeat interval (§IV: 30 ms).
+pub(crate) const HEARTBEAT_INTERVAL: Nanos = 30 * MILLISECOND;
+/// Consecutive missed heartbeats before failover (§IV: 3).
+pub(crate) const HEARTBEAT_MISSES: u32 = 3;
 
 /// Primary-side heartbeat gate: emit a beat only if cpuacct advanced.
 #[derive(Debug, Default)]
@@ -48,8 +53,6 @@ impl HeartbeatSender {
 /// Backup-side detector: 3 consecutive missed intervals ⇒ failure.
 #[derive(Debug)]
 pub struct FailureDetector {
-    interval: Nanos,
-    misses_allowed: u32,
     last_beat: Nanos,
     detected_at: Option<Nanos>,
     /// Missed intervals already traced since the last beat (dedupes
@@ -60,10 +63,8 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// New detector; `start` anchors the first interval.
-    pub fn new(interval: Nanos, misses_allowed: u32, start: Nanos) -> Self {
+    pub fn new(start: Nanos) -> Self {
         FailureDetector {
-            interval,
-            misses_allowed,
             last_beat: start,
             detected_at: None,
             misses_traced: 0,
@@ -95,19 +96,20 @@ impl FailureDetector {
             // Trace each interval boundary that elapsed beat-less, capped at
             // the detection threshold.
             let elapsed =
-                (((now - self.last_beat) / self.interval) as u32).min(self.misses_allowed);
+                (((now - self.last_beat) / HEARTBEAT_INTERVAL) as u32).min(HEARTBEAT_MISSES);
             for k in (self.misses_traced + 1)..=elapsed {
                 self.tracer.event_at(
                     TraceEvent::HeartbeatMiss { misses: k },
-                    self.last_beat + k as Nanos * self.interval,
+                    self.last_beat + k as Nanos * HEARTBEAT_INTERVAL,
                 );
             }
             self.misses_traced = self.misses_traced.max(elapsed);
         }
-        if now >= self.last_beat + self.misses_allowed as Nanos * self.interval {
+        let threshold = self.last_beat + HEARTBEAT_MISSES as Nanos * HEARTBEAT_INTERVAL;
+        if now >= threshold {
             // The detector notices at the interval boundary following the
             // third miss.
-            self.detected_at = Some(self.last_beat + self.misses_allowed as Nanos * self.interval);
+            self.detected_at = Some(threshold);
             return true;
         }
         false
@@ -126,16 +128,16 @@ impl FailureDetector {
     /// nothing can happen.
     pub fn next_boundary(&self, t: Nanos) -> Nanos {
         if t <= self.last_beat {
-            return self.last_beat + self.interval;
+            return self.last_beat + HEARTBEAT_INTERVAL;
         }
-        let intervals = (t - self.last_beat).div_ceil(self.interval).max(1);
-        self.last_beat + intervals * self.interval
+        let intervals = (t - self.last_beat).div_ceil(HEARTBEAT_INTERVAL).max(1);
+        self.last_beat + intervals * HEARTBEAT_INTERVAL
     }
 
     /// Cancel a standing detection at time `t`: a late heartbeat proved the
     /// suspicion false before promotion went through. Only meaningful when
     /// promotion is gated on something slower than detection (the chaos
-    /// lease — see [`Lease`]); the paper's detector promotes immediately, so
+    /// lease); the paper's detector promotes immediately, so
     /// on the paper path detection stays sticky and this is never called.
     /// Re-anchors the silence window at `t`.
     pub fn rescind(&mut self, t: Nanos) {
@@ -160,68 +162,11 @@ impl FailureDetector {
     }
 }
 
-/// An output-release lease: the split-brain fence (chaos extension).
-///
-/// The backup's epoch ack doubles as a lease grant: it authorizes the
-/// primary to release buffered output for `term` nanoseconds past the ack's
-/// anchor time. The *primary* anchors its copy of the lease at the moment it
-/// started the checkpoint (epoch end — before any link delay), while the
-/// *backup* anchors its grant at the (later) time the ack completed. Since
-/// the primary's anchor always precedes the backup's, the primary's lease
-/// expires first:
-///
-/// ```text
-/// primary expiry = epoch_end + term  ≤  ack_time + term = granted expiry
-/// ```
-///
-/// so a primary that loses contact stops releasing output (*fences*) strictly
-/// before the backup's grant can lapse — and the backup only promotes after
-/// its grant expires. At most one side can ever release output: the
-/// exactly-one-owner invariant (DESIGN.md §9).
-#[derive(Debug, Clone, Copy)]
-pub struct Lease {
-    term: Nanos,
-    expires_at: Nanos,
-}
-
-impl Lease {
-    /// A lease with the given term, initially granted at `start` (the
-    /// implicit grant that accompanies replication handoff).
-    pub fn new(term: Nanos, start: Nanos) -> Self {
-        Lease {
-            term,
-            expires_at: start + term,
-        }
-    }
-
-    /// Renew: extend to `anchor + term`. Renewals never shorten the lease
-    /// (a reordered stale ack must not revoke a newer grant).
-    pub fn grant(&mut self, anchor: Nanos) {
-        self.expires_at = self.expires_at.max(anchor + self.term);
-    }
-
-    /// Whether the lease still authorizes output release at `t`.
-    pub fn valid_at(&self, t: Nanos) -> bool {
-        t < self.expires_at
-    }
-
-    /// Current expiry instant.
-    pub fn expires_at(&self) -> Nanos {
-        self.expires_at
-    }
-
-    /// The lease term.
-    pub fn term(&self) -> Nanos {
-        self.term
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nilicon_sim::time::MILLISECOND;
 
-    const MS30: Nanos = 30 * MILLISECOND;
+    const MS30: Nanos = HEARTBEAT_INTERVAL;
 
     #[test]
     fn sender_gates_on_cpuacct_progress() {
@@ -234,7 +179,7 @@ mod tests {
 
     #[test]
     fn detector_fires_after_three_misses() {
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         // Healthy beats.
         for i in 1..=5u64 {
             d.on_beat(i * MS30);
@@ -254,7 +199,7 @@ mod tests {
 
     #[test]
     fn beats_after_detection_are_ignored() {
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         assert!(d.check(3 * MS30));
         d.on_beat(4 * MS30);
         assert!(d.check(4 * MS30), "detection is sticky");
@@ -263,7 +208,7 @@ mod tests {
 
     #[test]
     fn no_false_positive_while_beating() {
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         let mut t = 0;
         for _ in 0..1000 {
             t += MS30;
@@ -275,7 +220,7 @@ mod tests {
     #[test]
     fn missed_intervals_emit_deduplicated_trace_events() {
         let (tracer, ring) = crate::trace::Tracer::in_memory(16);
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         d.set_tracer(tracer);
         d.on_beat(MS30);
         // Repeated checks within the same silence window: one event per
@@ -294,7 +239,7 @@ mod tests {
             .collect();
         assert_eq!(misses, vec![(1, 2 * MS30), (2, 3 * MS30), (3, 4 * MS30)]);
         // A beat resets the miss counter.
-        let mut d2 = FailureDetector::new(MS30, 3, 0);
+        let mut d2 = FailureDetector::new(0);
         let (tr2, ring2) = crate::trace::Tracer::in_memory(16);
         d2.set_tracer(tr2);
         assert!(!d2.check(MS30 + MILLISECOND));
@@ -306,7 +251,7 @@ mod tests {
     #[test]
     fn mid_interval_fault_detection_latency_bounds() {
         // Fault lands mid-interval: latency between 90 and 120 ms.
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         d.on_beat(MS30);
         let fault = MS30 + 17 * MILLISECOND;
         // Poll on the detector's own beat grid.
@@ -324,7 +269,7 @@ mod tests {
 
     #[test]
     fn next_boundary_lands_on_the_beat_grid() {
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         d.on_beat(5 * MS30);
         // At or before the last beat: the following boundary.
         assert_eq!(d.next_boundary(0), 6 * MS30);
@@ -338,7 +283,7 @@ mod tests {
 
     #[test]
     fn rescind_cancels_detection_and_reanchors() {
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         assert!(d.check(3 * MS30), "silence from t=0 detects at 90ms");
         // A late beat arrives at 95ms; the harness rescinds the suspicion.
         d.rescind(95 * MILLISECOND);
@@ -348,42 +293,15 @@ mod tests {
     }
 
     #[test]
-    fn primary_lease_expires_no_later_than_the_grant() {
-        // Primary anchors at epoch end, backup at ack time (later): the
-        // fence closes before promotion opens, for any ack delay.
-        let term = 150 * MILLISECOND;
-        for ack_delay in [0, 1, 370_000, 12 * MILLISECOND] {
-            let epoch_end = 600 * MILLISECOND;
-            let mut holder = Lease::new(term, 0);
-            let mut grant = Lease::new(term, 0);
-            holder.grant(epoch_end);
-            grant.grant(epoch_end + ack_delay);
-            assert!(holder.expires_at() <= grant.expires_at());
-            // At the instant the grant lapses, the holder is already fenced.
-            assert!(!holder.valid_at(grant.expires_at()));
-        }
-    }
-
-    #[test]
-    fn stale_grant_never_shortens_a_lease() {
-        let mut l = Lease::new(100, 0);
-        l.grant(500);
-        l.grant(200); // reordered stale ack
-        assert_eq!(l.expires_at(), 600);
-        assert!(l.valid_at(599));
-        assert!(!l.valid_at(600));
-    }
-
-    #[test]
     fn detection_before_fault_is_a_hard_error() {
-        let mut d = FailureDetector::new(MS30, 3, 0);
+        let mut d = FailureDetector::new(0);
         assert!(d.check(3 * MS30));
         // Asking about a fault *after* the (stale) detection must error, not
         // silently report a 0ns latency.
         assert!(d.detection_latency(4 * MS30).is_err());
         assert_eq!(d.detection_latency(0).unwrap(), Some(3 * MS30));
         // Undetected: no latency, no error.
-        let d2 = FailureDetector::new(MS30, 3, 0);
+        let d2 = FailureDetector::new(0);
         assert_eq!(d2.detection_latency(0).unwrap(), None);
     }
 }

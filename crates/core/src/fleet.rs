@@ -12,23 +12,24 @@
 //!   [`TraceEvent::Backpressure`] stop-phase span so the reconciliation
 //!   identity still holds per lane;
 //! * a **shared transfer link** to the backup: concurrent epoch transfers
-//!   are scheduled either deficit-round-robin (default; no hot-container
-//!   starvation, quantum ≈ one 64 KiB wire chunk) or FIFO (the
-//!   `fleet_aligned` convoy mode), with the extra wait surfaced as a
+//!   run FIFO, with the extra wait surfaced as a
 //!   [`TraceEvent::FairShareWait`] ack-phase span that delays that lane's
 //!   output commit only.
 //!
+//! Both are one serial resource: a job waits for whatever is ahead of it,
+//! and only the wait behind *other* lanes is reported.
+//!
 //! Epoch boundaries are **staggered**: lane `i` phase-offsets its epoch by
 //! `i·E/N` so at most one lane is in its stop phase at a time (until dump
-//! time exceeds `E/N`). The `fleet_aligned` knob removes the stagger *and*
-//! the fair-share discipline to demonstrate the convoy: all N lanes freeze
-//! at once, queue on the dump service, and FIFO-commit behind the hottest
-//! lane.
+//! time exceeds `E/N`), and no two lanes ever share a boundary. The
+//! `fleet_aligned` knob removes the stagger to demonstrate the convoy: all
+//! N lanes freeze at once, queue on the dump service, and commit behind the
+//! hottest lane.
 //!
 //! Failure handling is **per lane**: one consolidated heartbeat channel
 //! carries an N-bit liveness bitmap (one cpuacct-gated bit per container);
 //! each lane has its own [`FailureDetector`](crate::FailureDetector) and
-//! holder/grant [`Lease`](crate::Lease) pair, so a fault on container A
+//! holder/grant lease pair, so a fault on container A
 //! promotes only A's ownership to the backup — container B keeps executing
 //! on the primary with zero broken connections. The lease fence (holder
 //! anchored at epoch end on the primary, grant anchored at ack receipt on
@@ -46,8 +47,9 @@
 //! same reconciliation identities, as a plain single-engine loop (pinned by
 //! `tests/fleet_equivalence.rs`).
 use crate::config::ReplicationConfig;
+use crate::detector::HEARTBEAT_INTERVAL;
 use crate::engine::{Checkpointer, FailoverReport};
-use crate::lane::{Completion, Fence, Lane, LaneSetup};
+use crate::lane::{Completion, Fence, Lane, LaneSetup, LEASE_TERM};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
@@ -75,13 +77,6 @@ pub struct LaneSpec {
     pub behavior: Option<Box<dyn ClientBehavior>>,
 }
 
-/// Which host currently owns (executes) a lane's container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    Primary,
-    Backup,
-}
-
 /// One epoch transfer contending for the shared replication link.
 struct LinkJob {
     lane: usize,
@@ -89,89 +84,61 @@ struct LinkJob {
     dur: Nanos,
 }
 
-/// The shared primary→backup transfer link: serial, scheduled either
-/// deficit-round-robin (fair) or FIFO (aligned/convoy mode).
-struct SharedLink {
-    fair: bool,
+/// A per-pair resource the lanes take turns on: the dump service and the
+/// replication link. One job runs at a time, in the order jobs are offered.
+struct Serial {
     busy_until: Nanos,
-    /// Link time served per lane so far (the DRR deficit counter).
-    served: Vec<Nanos>,
-    /// Per-lane completion of the lane's own previous transfer: waiting on
-    /// one's own prior epoch is pipeline overlap, not contention, and is
-    /// excluded from the reported fair-share wait (a one-lane fleet must
-    /// report exactly the plain engine's ack delays).
-    own_busy: Vec<Nanos>,
-    /// DRR quantum (wire time of one 64 KiB transfer chunk).
-    quantum: Nanos,
+    /// Per-lane end of the lane's own previous job: waiting on one's own
+    /// prior epoch (its epoch-1 full image still draining, say) is pipeline
+    /// overlap, not contention, and is excluded from the reported wait (a
+    /// one-lane fleet must report exactly the plain engine's stop times and
+    /// ack delays).
+    own: Vec<Nanos>,
 }
 
-impl SharedLink {
-    /// Schedule a batch of transfers that became ready together (an aligned
-    /// boundary produces up to N; a staggered one produces one). Returns
-    /// `(lane, fair_wait, completion)` per job, where `fair_wait` is the
-    /// time the transfer spent waiting on (or interleaved with) other
-    /// lanes' traffic beyond its own wire time.
+impl Serial {
+    fn new(lanes: usize) -> Self {
+        Serial {
+            busy_until: 0,
+            own: vec![0; lanes],
+        }
+    }
+
+    /// How long a job of `lane` ready at `ready` would wait behind other
+    /// lanes' jobs.
+    fn wait(&self, lane: usize, ready: Nanos) -> Nanos {
+        ready
+            .max(self.busy_until)
+            .saturating_sub(ready.max(self.own[lane]))
+    }
+
+    /// Run a job of `lane` ready at `ready` for `dur`; returns its wait
+    /// behind other lanes.
+    fn take(&mut self, lane: usize, ready: Nanos, dur: Nanos) -> Nanos {
+        let wait = self.wait(lane, ready);
+        let end = ready.max(self.busy_until) + dur;
+        self.busy_until = end;
+        self.own[lane] = end;
+        wait
+    }
+
+    /// Schedule a batch of link transfers that became ready at one boundary
+    /// (an aligned boundary produces up to N; a staggered one, one), FIFO in
+    /// `(ready, lane)` order. Returns `(lane, wait, completion)` per job,
+    /// where `completion` is the ack instant `ready + dur + wait`.
     fn schedule(&mut self, mut jobs: Vec<LinkJob>) -> Vec<(usize, Nanos, Nanos)> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let start = jobs
-            .iter()
-            .map(|j| j.ready)
-            .min()
-            .expect("non-empty batch")
-            .max(self.busy_until);
-        let mut raw: Vec<(usize, Nanos, Nanos, Nanos)> = Vec::with_capacity(jobs.len());
-        if self.fair {
-            // Deficit round-robin in `quantum` slices: the lane with the
-            // least link time served so far goes first, so a small transfer
-            // is never stuck behind a hot lane's multi-megabyte epoch.
-            let mut remaining: Vec<Nanos> = jobs.iter().map(|j| j.dur).collect();
-            let mut now = start;
-            let mut left = jobs.len();
-            while left > 0 {
-                let pick = (0..jobs.len())
-                    .filter(|&i| remaining[i] > 0)
-                    .min_by_key(|&i| (self.served[jobs[i].lane], jobs[i].lane))
-                    .expect("left > 0");
-                let slice = remaining[pick].min(self.quantum.max(1));
-                now += slice;
-                remaining[pick] -= slice;
-                self.served[jobs[pick].lane] += slice;
-                if remaining[pick] == 0 {
-                    let j = &jobs[pick];
-                    raw.push((j.lane, j.ready, j.dur, now));
-                    left -= 1;
-                }
-            }
-            self.busy_until = now;
-        } else {
-            // FIFO run-to-completion in arrival (lane) order: the convoy.
-            jobs.sort_by_key(|j| (j.ready, j.lane));
-            let mut now = start;
-            for j in jobs {
-                now = now.max(j.ready) + j.dur;
-                self.served[j.lane] += j.dur;
-                raw.push((j.lane, j.ready, j.dur, now));
-            }
-            self.busy_until = now;
-        }
-        // Attribute waits: anything explained by the lane's own previous
-        // transfer still draining is overlap, not fair-share contention.
-        raw.into_iter()
-            .map(|(lane, ready, dur, completion)| {
-                let self_carry = self.own_busy[lane].saturating_sub(ready);
-                let wait = (completion - ready)
-                    .saturating_sub(dur)
-                    .saturating_sub(self_carry);
-                self.own_busy[lane] = completion;
-                (lane, wait, ready + dur + wait)
+        jobs.sort_by_key(|j| (j.ready, j.lane));
+        jobs.into_iter()
+            .map(|j| {
+                let wait = self.take(j.lane, j.ready, j.dur);
+                (j.lane, wait, j.ready + j.dur + wait)
             })
             .collect()
     }
 }
+
 /// Epoch state staged between a lane's checkpoint and its (possibly
-/// fair-share-delayed) commit.
+/// link-delayed) commit.
 struct StagedEpoch {
     /// The epoch's record as the checkpoint left it: `stop_time` includes
     /// the dump-service queue wait, `ack_delay` excludes the link wait.
@@ -193,11 +160,6 @@ struct FleetLane {
     /// Completed epochs (checkpoint seq is `epochs_done + 1`).
     epochs_done: u64,
     target: u64,
-    /// When this lane's own previous dump finishes on the serial service
-    /// (self-carry is pipeline overlap, not queueing — see the link's
-    /// `own_busy`).
-    own_dump_until: Nanos,
-    owner: Owner,
     /// The owning instance is executing (false between a fault and the
     /// lane's promotion).
     alive: bool,
@@ -283,9 +245,9 @@ pub struct FleetScheduler {
     blackhole: HostId,
     lanes: Vec<FleetLane>,
     cfg: ReplicationConfig,
-    /// Serial dump service: busy until this time (stop phases queue).
-    svc_busy_until: Nanos,
-    link: SharedLink,
+    /// The serial dump service (stop phases queue).
+    dump: Serial,
+    link: Serial,
     /// Consolidated heartbeat channel: per interval index, one liveness bit
     /// per lane (`⌈n/64⌉` words).
     beat_bitmap: HashMap<u64, Vec<u64>>,
@@ -294,7 +256,7 @@ pub struct FleetScheduler {
     partition_applied: bool,
     /// Nonzero dump-service queue waits, in occurrence order.
     queue_waits_log: Vec<Nanos>,
-    /// Nonzero shared-link fair/convoy waits, in occurrence order.
+    /// Nonzero shared-link waits, in occurrence order.
     fair_waits_log: Vec<Nanos>,
 }
 
@@ -307,8 +269,7 @@ impl FleetScheduler {
     /// [`OptimizationConfig::validate`](crate::OptimizationConfig::validate)
     /// (`backups`, `hybrid_replay` and `rearm` off). Boundaries are
     /// staggered by `i·E/N` unless `cfg.opts.fleet_aligned` is set, which
-    /// also downgrades the shared link from deficit-round-robin to FIFO to
-    /// demonstrate the convoy.
+    /// puts every lane on one boundary to demonstrate the convoy.
     pub fn new(cfg: ReplicationConfig, lanes: Vec<LaneSpec>) -> SimResult<Self> {
         let n = lanes.len();
         if n == 0 || cfg.opts.fleet as usize != n {
@@ -326,8 +287,6 @@ impl FleetScheduler {
         cluster.partition(blackhole);
 
         let aligned = cfg.opts.fleet_aligned;
-        let lease_term = (cfg.heartbeat_misses as Nanos + 2) * cfg.heartbeat_interval;
-        let quantum = cluster.host_mut(primary).costs.repl_wire(64 * 1024).max(1);
 
         let mut built = Vec::with_capacity(n);
         for (i, ls) in lanes.into_iter().enumerate() {
@@ -360,13 +319,11 @@ impl FleetScheduler {
             built.push(FleetLane {
                 core,
                 engine: Some(engine),
-                fence: Fence::new(lease_term, 0),
+                fence: Fence::new(LEASE_TERM, 0),
                 offset,
                 next_boundary: offset + cfg.epoch_exec,
                 epochs_done: 0,
                 target: 0,
-                own_dump_until: 0,
-                owner: Owner::Primary,
                 alive: true,
                 fault_at: None,
                 script: Vec::new(),
@@ -381,15 +338,9 @@ impl FleetScheduler {
             client_host,
             blackhole,
             lanes: built,
-            link: SharedLink {
-                fair: !aligned,
-                busy_until: 0,
-                served: vec![0; n],
-                own_busy: vec![0; n],
-                quantum,
-            },
+            dump: Serial::new(n),
+            link: Serial::new(n),
             cfg,
-            svc_busy_until: 0,
             beat_bitmap: HashMap::new(),
             partition_window: None,
             partition_applied: false,
@@ -485,7 +436,7 @@ impl FleetScheduler {
                 failovers: lane.core.failovers,
                 failover: lane.core.failover_report.take(),
                 detection_latency: lane.core.detection_latency,
-                on_backup: lane.owner == Owner::Backup,
+                on_backup: lane.core.failovers > 0,
                 broken_connections,
                 verify,
                 split_brain: lane.fence.split_brain(),
@@ -526,7 +477,7 @@ impl FleetScheduler {
         }
         for lane in &mut self.lanes {
             if let Some(f) = lane.fault_at {
-                if f <= t && lane.owner == Owner::Primary && lane.alive {
+                if f <= t && lane.core.failovers == 0 && lane.alive {
                     lane.alive = false;
                     // Per-container fail-stop: only this lane's address goes
                     // dark (blackhole is permanently partitioned).
@@ -540,9 +491,10 @@ impl FleetScheduler {
 
     /// The host executing lane `li`'s container.
     fn host_of(&self, li: usize) -> HostId {
-        match self.lanes[li].owner {
-            Owner::Primary => self.primary,
-            Owner::Backup => self.backup,
+        if self.lanes[li].core.failovers > 0 {
+            self.backup
+        } else {
+            self.primary
         }
     }
 
@@ -626,10 +578,10 @@ impl FleetScheduler {
         let beat = lane.core.beat_due(&mut self.cluster, host);
         let words = self
             .beat_bitmap
-            .entry(t / self.cfg.heartbeat_interval.max(1))
+            .entry(t / HEARTBEAT_INTERVAL)
             .or_insert_with(|| vec![0; self.lanes.len().div_ceil(64)]);
         let lane = &mut self.lanes[li];
-        if beat && lane.owner == Owner::Primary && lane.engine.is_some() && !cut {
+        if beat && lane.engine.is_some() && !cut {
             words[li / 64] |= 1u64 << (li % 64);
             lane.core.detector.on_beat(t);
         }
@@ -661,11 +613,7 @@ impl FleetScheduler {
         }
 
         // Stop phase: the serial dump service (one CRIU' helper per host).
-        // Waiting on one's *own* previous dump (the epoch-1 full image
-        // draining past later boundaries) is pre-copy-style overlap, not
-        // queueing — only time spent behind other lanes counts.
-        let dump_start = t.max(self.svc_busy_until);
-        let queue_wait = dump_start.saturating_sub(t.max(lane.own_dump_until));
+        let queue_wait = self.dump.wait(li, t);
         if queue_wait > 0 {
             lane.core.tracer.span(
                 TraceEvent::Backpressure {
@@ -678,10 +626,8 @@ impl FleetScheduler {
         engine.pipeline_advance(epoch_exec);
         let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
         let outcome = engine.checkpoint(pk, bk, &lane.core.container, seq)?;
+        self.dump.take(li, t, outcome.stop_time);
         let stop_eff = queue_wait + outcome.stop_time;
-        let dump_end = dump_start + outcome.stop_time;
-        self.svc_busy_until = dump_end;
-        lane.own_dump_until = dump_end;
         lane.staged = Some(StagedEpoch {
             record: EpochRecord {
                 stop_time: stop_eff,
@@ -709,7 +655,7 @@ impl FleetScheduler {
         &mut self,
         li: usize,
         t: Nanos,
-        fair_wait: Nanos,
+        link_wait: Nanos,
         completion: Nanos,
     ) -> SimResult<()> {
         let host = self.host_of(li);
@@ -718,17 +664,17 @@ impl FleetScheduler {
             mut record,
             completions,
         } = lane.staged.take().expect("staged epoch");
-        if fair_wait > 0 {
+        if link_wait > 0 {
             lane.core.tracer.span(
                 TraceEvent::FairShareWait {
                     lane: li as u32,
-                    waited: fair_wait,
+                    waited: link_wait,
                 },
-                fair_wait,
+                link_wait,
             );
-            self.fair_waits_log.push(fair_wait);
+            self.fair_waits_log.push(link_wait);
         }
-        record.ack_delay += fair_wait;
+        record.ack_delay += link_wait;
         lane.core
             .tracer
             .reconcile(record.epoch, record.stop_time, record.ack_delay)
@@ -767,7 +713,6 @@ impl FleetScheduler {
         self.cluster.clock.advance_to(now);
         lane.core
             .promote(&mut self.cluster, self.backup, &mut engine, latency, 0)?;
-        lane.owner = Owner::Backup;
         lane.alive = true;
         // The promoted instance starts with a clean slate on the backup.
         lane.core.cpu_debt = 0;
@@ -780,58 +725,40 @@ impl FleetScheduler {
 mod tests {
     use super::*;
 
-    fn link(fair: bool) -> SharedLink {
-        SharedLink {
-            fair,
-            busy_until: 0,
-            served: vec![0; 3],
-            own_busy: vec![0; 3],
-            quantum: 1_000_000,
-        }
-    }
-
-    fn batch() -> Vec<LinkJob> {
-        vec![
-            LinkJob {
-                lane: 0,
-                ready: 0,
-                dur: 50_000_000,
-            },
-            LinkJob {
-                lane: 1,
-                ready: 0,
-                dur: 1_000_000,
-            },
-            LinkJob {
-                lane: 2,
-                ready: 0,
-                dur: 1_000_000,
-            },
-        ]
-    }
-
     fn wait_of(out: &[(usize, Nanos, Nanos)], lane: usize) -> Nanos {
         out.iter().find(|o| o.0 == lane).expect("lane scheduled").1
     }
 
-    /// FIFO puts the hot lane's 50 ms transfer at the head and starves the
-    /// two small ones; DRR's quantum interleave completes the small
-    /// transfers within a few quanta.
+    /// The link runs a batch FIFO in `(ready, lane)` order: a hot lane at the
+    /// head delays every lane behind it by its whole transfer — the convoy
+    /// `fleet_bench`'s aligned cell measures.
     #[test]
-    fn fair_link_does_not_starve_small_transfers_behind_a_hot_lane() {
-        let fifo_out = link(false).schedule(batch());
-        assert!(wait_of(&fifo_out, 1) >= 50_000_000, "FIFO convoy");
-        assert!(wait_of(&fifo_out, 2) >= 50_000_000, "FIFO convoy");
+    fn fifo_link_delays_the_lanes_behind_a_hot_head() {
+        let job = |lane, dur| LinkJob { lane, ready: 0, dur };
+        let batch = vec![job(2, 1_000_000), job(0, 50_000_000), job(1, 1_000_000)];
+        let out = Serial::new(3).schedule(batch);
+        let order: Vec<usize> = out.iter().map(|o| o.0).collect();
+        assert_eq!(order, [0, 1, 2], "lane order within one ready instant");
+        assert_eq!(wait_of(&out, 0), 0);
+        assert_eq!(wait_of(&out, 1), 50_000_000);
+        assert_eq!(wait_of(&out, 2), 51_000_000);
+        // Each ack lands at ready + own wire time + wait: back to back.
+        let acks: Vec<Nanos> = out.iter().map(|o| o.2).collect();
+        assert_eq!(acks, [50_000_000, 51_000_000, 52_000_000]);
+    }
 
-        let fair_out = link(true).schedule(batch());
-        assert!(
-            wait_of(&fair_out, 1) <= 3_000_000,
-            "DRR: small transfer unstarved, waited {}",
-            wait_of(&fair_out, 1)
-        );
-        assert!(wait_of(&fair_out, 2) <= 3_000_000);
-        // Work conservation: the hot lane still finishes by the serial sum.
-        assert!(fair_out.iter().map(|o| o.2).max().unwrap() <= 52_000_001);
+    /// Staggered boundaries `i·E/N` are pairwise distinct modulo `E`, so no
+    /// two lanes share a boundary and every link batch holds one transfer.
+    #[test]
+    fn staggered_offsets_never_share_a_boundary() {
+        for epoch in [30_000_000, 120_000_000] {
+            for n in 1..=128u64 {
+                let mut offsets: Vec<Nanos> = (0..n).map(|i| i * epoch / n % epoch).collect();
+                offsets.sort_unstable();
+                offsets.dedup();
+                assert_eq!(offsets.len() as u64, n, "E = {epoch}, N = {n}");
+            }
+        }
     }
 
     struct Inert;
@@ -983,10 +910,10 @@ mod tests {
     }
 
     /// Waiting on one's own previous transfer is overlap, not contention:
-    /// a lone lane's fair-share wait is always zero.
+    /// a lone lane's link wait is always zero.
     #[test]
     fn single_lane_never_waits_on_itself() {
-        let mut l = link(true);
+        let mut l = Serial::new(1);
         let first = l.schedule(vec![LinkJob {
             lane: 0,
             ready: 0,

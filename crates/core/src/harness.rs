@@ -22,10 +22,11 @@
 //! the decision of what a backup fault means.
 
 use crate::config::ReplicationConfig;
-use crate::detector::FailureDetector;
+use crate::detector::{FailureDetector, HEARTBEAT_INTERVAL};
 use crate::engine::{Checkpointer, FailoverReport};
 use crate::lane::{
-    Completion, Fence, Lane, LaneSetup, LogTotals, Served, ShipLog, Stream, StreamKind, StreamPhase,
+    Completion, Fence, Lane, LaneSetup, LogTotals, Served, ShipLog, Stream, StreamKind,
+    StreamPhase, LEASE_TERM,
 };
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::trace::{TraceEvent, Tracer};
@@ -34,14 +35,22 @@ use nilicon_container::{Application, Container, ContainerSpec};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::net::{ChaosConfig, ChaosLink, LinkDir};
+use nilicon_sim::net::{ChaosLink, ChaosSchedule, LinkDir};
 use nilicon_sim::replay::ReplayEvent;
-use nilicon_sim::time::Nanos;
+use nilicon_sim::time::{Nanos, MILLISECOND};
 use nilicon_sim::{SimError, SimResult};
 use std::collections::VecDeque;
 
 /// Address of the client host's stack on the bridge.
 pub const CLIENT_ADDR: u32 = 200;
+
+/// Re-replication only ([`crate::OptimizationConfig::rearm`]): delay from
+/// the end of failover recovery (or a replica loss) to the start of the
+/// replacement's bootstrap or repair (models provisioning the standby host).
+const REARM_DELAY: Nanos = 60 * MILLISECOND;
+/// Re-replication only: base retry backoff after a stream attempt is killed
+/// by a standby fault; doubles per consecutive failed attempt.
+const REARM_BACKOFF: Nanos = 120 * MILLISECOND;
 
 /// How the container runs.
 pub enum RunMode {
@@ -136,7 +145,7 @@ pub struct ChaosStats {
 /// Chaos-mode run state: the heartbeat link under the fault schedule plus
 /// the output-release fence.
 struct ChaosState {
-    cfg: ChaosConfig,
+    schedule: ChaosSchedule,
     /// Heartbeats in flight (payload = send time).
     hb: ChaosLink<Nanos>,
     fence: Fence,
@@ -279,39 +288,23 @@ impl RunHarness {
         })
     }
 
-    /// Arm the chaos extension: inject the network-fault schedule on the
-    /// replication/heartbeat link and turn on the output-release lease
-    /// (split-brain fence). Call on a replicated harness before any epochs
-    /// run; paper rows never call this, so the paper path is untouched.
-    ///
-    /// The lease term defaults to `(heartbeat_misses + 2) × interval`
-    /// (150 ms in the paper config) — deliberately longer than the 90 ms
-    /// detection threshold, so a false suspicion under delay can resolve
-    /// before the promotion gate opens. The price of the fence is promotion
-    /// latency: the backup waits out the granted lease even when the primary
-    /// is truly dead.
-    pub fn set_chaos(&mut self, cfg: ChaosConfig) {
-        self.set_chaos_with_lease(cfg, None)
-    }
-
-    /// [`RunHarness::set_chaos`] with an explicit lease term override.
-    pub fn set_chaos_with_lease(&mut self, mut cfg: ChaosConfig, lease_term: Option<Nanos>) {
-        if cfg.link_latency == 0 {
-            cfg.link_latency = self.cluster.host_mut(self.primary).costs.repl_link_latency;
-        }
-        let term = lease_term
-            .unwrap_or((self.cfg.heartbeat_misses as Nanos + 2) * self.cfg.heartbeat_interval);
+    /// Arm the chaos extension: inject the network-fault `schedule` on the
+    /// replication/heartbeat link (the cost model's replication-link
+    /// latency) and turn on the output-release lease (split-brain fence, a
+    /// 150 ms term). Call on a replicated harness; paper rows never call
+    /// this, so the paper path is untouched.
+    pub fn set_chaos(&mut self, schedule: ChaosSchedule) {
+        let latency = self.cluster.host_mut(self.primary).costs.repl_link_latency;
         let now = self.cluster.clock.now();
-        let hb = ChaosLink::new(LinkDir::AtoB, cfg.link_latency, cfg.schedule.clone());
         self.chaos = Some(ChaosState {
-            hb,
-            fence: Fence::new(term, now),
+            hb: ChaosLink::new(LinkDir::AtoB, latency, schedule.clone()),
+            fence: Fence::new(LEASE_TERM, now),
             last_beat_delivered: now,
             in_partition: false,
             partition_started_at: None,
             acks_attempted: 0,
             stats: ChaosStats::default(),
-            cfg,
+            schedule,
         });
     }
 
@@ -448,7 +441,7 @@ impl RunHarness {
     fn chaos_blocked(chaos: &Option<ChaosState>, t: Nanos) -> bool {
         chaos
             .as_ref()
-            .is_some_and(|ch| ch.cfg.schedule.blocked(t, LinkDir::AtoB))
+            .is_some_and(|ch| ch.schedule.blocked(t, LinkDir::AtoB))
     }
 
     /// Emit `PartitionStart`/`PartitionHeal`/`LeaseExpire` markers on
@@ -457,7 +450,7 @@ impl RunHarness {
         let Some(ch) = self.chaos.as_mut() else {
             return;
         };
-        let part = ch.cfg.schedule.partitioned(now);
+        let part = ch.schedule.partitioned(now);
         if part && !ch.in_partition {
             ch.in_partition = true;
             ch.partition_started_at = Some(now);
@@ -501,8 +494,9 @@ impl RunHarness {
         let held = std::mem::take(&mut self.lane.held);
         let riding = held.into_iter().chain(pr.receipts);
         let host = self.active_host();
+        let waits = !self.replay_on();
         self.lane
-            .release(&mut self.cluster, host, pr.release_time, riding, false)
+            .release(&mut self.cluster, host, pr.release_time, riding, waits)
     }
 
     /// Chaos-mode epoch prologue: flush the deferred release, trace schedule
@@ -783,7 +777,7 @@ impl RunHarness {
         let chaos_extra = self
             .chaos
             .as_ref()
-            .map_or(0, |ch| 2 * ch.cfg.schedule.delay_extra(epoch_end));
+            .map_or(0, |ch| 2 * ch.schedule.delay_extra(epoch_end));
         let tracer = &self.lane.tracer;
         if chaos_extra > 0 {
             if outcome.ack_delay > 0 {
@@ -808,9 +802,9 @@ impl RunHarness {
         // Chaos: the backup commits regardless (the transfer went through);
         // only the ack's return leg can differ.
         let ack_lost = self.chaos.as_mut().map(|ch| {
-            if ch.cfg.schedule.blocked(release_time, LinkDir::BtoA) {
+            if ch.schedule.blocked(release_time, LinkDir::BtoA) {
                 true
-            } else if let Some(n) = ch.cfg.schedule.loss_period(release_time, LinkDir::BtoA) {
+            } else if let Some(n) = ch.schedule.loss_period(release_time, LinkDir::BtoA) {
                 ch.acks_attempted += 1;
                 ch.acks_attempted.is_multiple_of(n)
             } else {
@@ -951,7 +945,7 @@ impl RunHarness {
             if self.lane.detector.check(t) {
                 break;
             }
-            t += self.cfg.heartbeat_interval;
+            t += HEARTBEAT_INTERVAL;
         }
         let detected = self
             .lane
@@ -1016,12 +1010,11 @@ impl RunHarness {
     }
 
     /// Park `engine` and schedule the bootstrap of a replacement backup
-    /// `rearm_delay` after `t`.
+    /// [`REARM_DELAY`] after `t`.
     fn park_for_rearm(&mut self, engine: Box<dyn Checkpointer>, t: Nanos) {
         self.parked = Some(engine);
         self.rearmed = false;
-        self.stream
-            .schedule(StreamKind::Rearm, t + self.cfg.rearm_delay, 0);
+        self.stream.schedule(StreamKind::Rearm, t + REARM_DELAY, 0);
     }
 
     /// A backup-host fault fired: with a k-of-n placement and the quorum
@@ -1048,7 +1041,7 @@ impl RunHarness {
                 engine,
                 self.cluster.host_mut(self.primary),
                 &self.lane.container,
-                self.cfg.rearm_backoff,
+                REARM_BACKOFF,
             )?;
             return match self.stream.kind {
                 StreamKind::Rearm => self.release_plugged_output(t),
@@ -1084,7 +1077,7 @@ impl RunHarness {
                     .tracer
                     .event_at(TraceEvent::DegradedMode { alive, need: k }, t);
                 self.stream
-                    .schedule(StreamKind::Repair, t + self.cfg.rearm_delay, attempt);
+                    .schedule(StreamKind::Repair, t + REARM_DELAY, attempt);
                 return Ok(());
             }
             // Below quorum: no further epoch can ack. Fall through to the
@@ -1169,8 +1162,7 @@ impl RunHarness {
         let engine = self.parked.take().expect("just used");
         self.mode = RunMode::Replicated(engine);
         self.rearmed = true;
-        self.lane.detector =
-            FailureDetector::new(self.cfg.heartbeat_interval, self.cfg.heartbeat_misses, now);
+        self.lane.detector = FailureDetector::new(now);
         self.lane.detector.set_tracer(self.lane.tracer.clone());
         if let Some(ch) = self.chaos.as_mut() {
             // Fresh pair, fresh fences: re-anchor both leases at `now` so a

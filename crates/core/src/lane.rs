@@ -11,7 +11,7 @@
 //! `DESIGN.md` §8.2.
 
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HeartbeatSender, Lease};
+use crate::detector::{FailureDetector, HeartbeatSender, HEARTBEAT_INTERVAL, HEARTBEAT_MISSES};
 use crate::engine::{Checkpointer, FailoverReport, LogShipOutcome};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::replay::replay_tail;
@@ -235,11 +235,7 @@ impl Lane {
             client_link,
             quiet_release: setup.quiet_release,
             sender: HeartbeatSender::new(),
-            detector: FailureDetector::new(
-                cfg.heartbeat_interval,
-                cfg.heartbeat_misses,
-                setup.detector_start,
-            ),
+            detector: FailureDetector::new(setup.detector_start),
             failover_report: None,
             detection_latency: None,
             failovers: 0,
@@ -656,17 +652,34 @@ impl Lane {
 // Fence
 // ----------------------------------------------------------------------
 
+/// Term of both drivers' output-release leases: two heartbeat intervals
+/// past the detection threshold (150 ms), so a false suspicion under delay
+/// can resolve before the promotion gate opens. The price of the fence is
+/// promotion latency: the backup waits out the granted lease even when the
+/// primary is truly dead.
+pub(crate) const LEASE_TERM: Nanos = (HEARTBEAT_MISSES as Nanos + 2) * HEARTBEAT_INTERVAL;
+
 /// The output-release lease pair of one container — pure: time comes in as
-/// arguments. The ack of an epoch doubles as a lease grant; the primary
-/// anchors its (conservative) view at the epoch's end, the backup anchors
-/// the granted view at the ack's completion, so the holder always expires
-/// first. Output may be released only under the holder's lease and only at
-/// an instant an observed ack covers; promotion only once the grant has run
-/// out. Exactly-one-owner is the ordering of the two expiries.
+/// arguments. The ack of an epoch doubles as a lease grant for `term` past
+/// its anchor. The primary anchors its (conservative) view at the epoch's
+/// end, the backup anchors the granted view at the ack's completion, so the
+/// holder always expires first:
+///
+/// ```text
+/// holder expiry = epoch_end + term  ≤  ack_time + term = granted expiry
+/// ```
+///
+/// Output may be released only under the holder's lease and only at an
+/// instant an observed ack covers; promotion only once the grant has run
+/// out. Exactly-one-owner is the ordering of the two expiries (DESIGN.md
+/// §9).
 #[derive(Debug, Clone)]
 pub(crate) struct Fence {
-    holder: Lease,
-    grant: Lease,
+    term: Nanos,
+    /// The primary's lease: valid strictly before this instant.
+    holder_until: Nanos,
+    /// The backup's grant: promotion may not happen before this instant.
+    grant_until: Nanos,
     /// Latest ack instant observed: a release may name no later one.
     acked_at: Option<Nanos>,
     holder_was_valid: bool,
@@ -677,8 +690,9 @@ impl Fence {
     /// Both leases start with the implicit grant of replication handoff.
     pub fn new(term: Nanos, start: Nanos) -> Self {
         Fence {
-            holder: Lease::new(term, start),
-            grant: Lease::new(term, start),
+            term,
+            holder_until: start + term,
+            grant_until: start + term,
             acked_at: None,
             holder_was_valid: true,
             split_brain: false,
@@ -686,15 +700,16 @@ impl Fence {
     }
 
     /// The epoch that ended at `epoch_end` committed on the backup and its
-    /// ack arrived at `ack_at`: renew both views.
+    /// ack arrived at `ack_at`: renew both views. A renewal never shortens a
+    /// lease (a reordered stale ack must not revoke a newer grant).
     pub fn on_ack(&mut self, epoch_end: Nanos, ack_at: Nanos) {
         debug_assert!(epoch_end <= ack_at, "an ack precedes its epoch's end");
-        self.holder.grant(epoch_end);
-        self.grant.grant(ack_at);
+        self.holder_until = self.holder_until.max(epoch_end + self.term);
+        self.grant_until = self.grant_until.max(ack_at + self.term);
         self.acked_at = self.acked_at.max(Some(ack_at));
         self.holder_was_valid = true;
         debug_assert!(
-            self.holder.expires_at() <= self.grant.expires_at(),
+            self.holder_until <= self.grant_until,
             "exactly-one-owner: the holder must expire before the grant"
         );
     }
@@ -702,9 +717,9 @@ impl Fence {
     /// Whether output may be released at `at`: an observed ack covers the
     /// instant and the holder's lease is still valid there.
     pub fn may_release(&self, at: Nanos) -> bool {
-        let ok = self.acked_at.is_some_and(|acked| at <= acked) && self.holder.valid_at(at);
+        let ok = self.acked_at.is_some_and(|acked| at <= acked) && at < self.holder_until;
         debug_assert!(
-            !ok || self.grant.valid_at(at),
+            !ok || at < self.grant_until,
             "exactly-one-owner: release at {at}ns after the grant ran out"
         );
         ok
@@ -712,20 +727,20 @@ impl Fence {
 
     /// When the primary's own lease runs out.
     pub fn holder_expiry(&self) -> Nanos {
-        self.holder.expires_at()
+        self.holder_until
     }
 
     /// Earliest instant the backup may promote (the granted lease's end).
     pub fn promotable_at(&self) -> Nanos {
-        self.grant.expires_at()
+        self.grant_until
     }
 
     /// `Some(expiry)` once per lapse of the holder's lease (edge-triggered;
     /// re-armed by the next ack).
     pub fn lapsed(&mut self, now: Nanos) -> Option<Nanos> {
-        (self.holder_was_valid && !self.holder.valid_at(now)).then(|| {
+        (self.holder_was_valid && now >= self.holder_until).then(|| {
             self.holder_was_valid = false;
-            self.holder.expires_at()
+            self.holder_until
         })
     }
 
@@ -733,12 +748,12 @@ impl Fence {
     /// expired strictly earlier, so it is already fenced — checked, not
     /// assumed: a violation is recorded as split-brain *and* fails the run.
     pub fn authorize_promotion(&mut self, now: Nanos) -> SimResult<()> {
-        if self.holder.valid_at(now) {
+        if now < self.holder_until {
             self.split_brain = true;
             return Err(SimError::Invalid(format!(
                 "split-brain: promoting at {now}ns while the primary's output lease is \
                  valid until {}ns",
-                self.holder.expires_at()
+                self.holder_until
             )));
         }
         Ok(())
@@ -996,7 +1011,7 @@ mod tests {
     /// invariants are probed at the instants where they could break.
     fn drive(seq: &[Ev], term: Nanos) {
         let mut fence = Fence::new(term, 0);
-        let mut det = FailureDetector::new(E, 3, 0);
+        let mut det = FailureDetector::new(0);
         let (mut cut, mut dead, mut promoted_at) = (false, false, None);
         let mut late_beats: Vec<Nanos> = Vec::new();
         // Would-be release instants of every epoch, and the acks observed.
@@ -1092,6 +1107,30 @@ mod tests {
         assert_eq!(fence.lapsed(E + 151 * MILLISECOND), None);
         fence.on_ack(10 * E, 10 * E);
         assert_eq!(fence.lapsed(20 * E), Some(10 * E + 150 * MILLISECOND));
+    }
+
+    #[test]
+    fn primary_lease_expires_no_later_than_the_grant() {
+        // Primary anchors at epoch end, backup at ack time (later): the
+        // fence closes before promotion opens, for any ack delay.
+        for ack_delay in [0, 1, 370_000, 12 * MILLISECOND] {
+            let epoch_end = 600 * MILLISECOND;
+            let mut fence = Fence::new(LEASE_TERM, 0);
+            fence.on_ack(epoch_end, epoch_end + ack_delay);
+            assert!(fence.holder_expiry() <= fence.promotable_at());
+            // At the instant the grant lapses, the holder is already fenced.
+            assert!(fence.authorize_promotion(fence.promotable_at()).is_ok());
+        }
+    }
+
+    #[test]
+    fn stale_grant_never_shortens_a_lease() {
+        let mut fence = Fence::new(100, 0);
+        fence.on_ack(500, 500);
+        fence.on_ack(200, 200); // reordered stale ack
+        assert_eq!((fence.holder_expiry(), fence.promotable_at()), (600, 600));
+        assert_eq!(fence.lapsed(599), None);
+        assert_eq!(fence.lapsed(600), Some(600));
     }
 
     // ------------------------------------------------------------------

@@ -39,7 +39,7 @@
 //! * [`placement`] — the engine's `Coded` layout, [`PlacementEngine`]:
 //!   k-of-n erasure-coded fragments, decode at failover, coded repair,
 //! * [`fleet`] — the fleet-scale extension: N containers multiplexed over
-//!   one primary/backup pair with staggered epochs and fair-share commit,
+//!   one primary/backup pair with staggered epochs and a shared FIFO link,
 //! * [`traffic`] — client pool and the [`traffic::ClientBehavior`] seam that
 //!   workloads implement,
 //! * [`harness`] — the epoch-loop run harness (unreplicated / NiLiCon / MC)
@@ -109,7 +109,7 @@ pub mod traffic;
 
 pub use backup::DiscardCounts;
 pub use config::{OptimizationConfig, ReplicationConfig};
-pub use detector::{FailureDetector, Lease};
+pub use detector::FailureDetector;
 pub use engine::{BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport};
 pub use fleet::{FleetResult, FleetScheduler, LaneResult, LaneSpec};
 pub use harness::{ChaosStats, RunHarness, RunMode, RunResult};

@@ -428,14 +428,14 @@ pub enum TraceEvent {
         /// This lane's phase offset within the epoch period (`i·epoch/N` ns).
         offset: Nanos,
     },
-    /// Extra time this lane's transfer waited on the shared replication link
-    /// beyond its own wire time, under the fair-share (deficit round-robin)
-    /// arbiter (fleet extension; an ack-phase *span* — it participates in the
-    /// per-lane ack reconciliation identity, see OBSERVABILITY.md).
+    /// Extra time this lane's transfer waited behind other lanes on the
+    /// shared FIFO replication link, beyond its own wire time (fleet
+    /// extension; an ack-phase *span* — it participates in the per-lane ack
+    /// reconciliation identity, see OBSERVABILITY.md).
     FairShareWait {
         /// Fleet lane (container index within the pair).
         lane: u32,
-        /// Virtual ns waited for other lanes' quanta on the shared link.
+        /// Virtual ns waited for other lanes' transfers on the shared link.
         waited: Nanos,
     },
 }

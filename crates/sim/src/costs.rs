@@ -152,10 +152,6 @@ pub struct CostModel {
     pub firewall_block_cycle: Nanos,
     /// Plug/unplug of the buffering qdisc (NiLiCon; §V-C: 43 µs).
     pub plug_block_cycle: Nanos,
-    /// TCP SYN retransmission penalty when connection-establishment packets
-    /// are *dropped* by the firewall approach (§V-C: "up to three seconds");
-    /// we charge the initial 1 s SYN retry timer per dropped SYN.
-    pub syn_retry_penalty: Nanos,
     /// Per-packet cost of traversing the stack (either direction).
     pub packet_process: Nanos,
     /// Gratuitous ARP broadcast at failover (Table II: 28 ms including
@@ -308,7 +304,6 @@ impl Default for CostModel {
 
             firewall_block_cycle: ms(7), // §V-C
             plug_block_cycle: us(43),    // §V-C
-            syn_retry_penalty: 1_000 * ms(1),
             packet_process: us(4),
             gratuitous_arp: ms(28),         // Table II
             tcp_rto_default: 1_000 * ms(1), // §V-E: "at least one second"

@@ -162,31 +162,6 @@ impl ChaosSchedule {
     }
 }
 
-/// Chaos knobs for one replicated run: the fault schedule plus the base
-/// one-way latency of the (otherwise clean) replication link.
-///
-/// A `link_latency` of 0 means "use the cost model's replication-link
-/// latency" — the harness substitutes it at [`set_chaos`] time.
-///
-/// [`set_chaos`]: ../../nilicon/harness/struct.RunHarness.html
-#[derive(Debug, Clone, Default)]
-pub struct ChaosConfig {
-    /// The fault schedule.
-    pub schedule: ChaosSchedule,
-    /// Base one-way link latency (0 = cost-model default).
-    pub link_latency: Nanos,
-}
-
-impl ChaosConfig {
-    /// A config with the given schedule and the default link latency.
-    pub fn new(schedule: ChaosSchedule) -> Self {
-        ChaosConfig {
-            schedule,
-            link_latency: 0,
-        }
-    }
-}
-
 /// One direction of the replication link under a chaos schedule.
 ///
 /// `send(t, msg)` stamps the message with a delivery time derived from the

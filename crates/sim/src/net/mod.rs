@@ -16,7 +16,7 @@ mod stack;
 mod tcp;
 
 pub use byteq::ByteQueue;
-pub use chaos::{ChaosConfig, ChaosLink, ChaosSchedule, FaultKind, FaultWindow, LinkDir};
+pub use chaos::{ChaosLink, ChaosSchedule, FaultKind, FaultWindow, LinkDir};
 pub use qdisc::{InputGate, InputMode, PlugQdisc};
 pub use stack::{NetStack, SocketQueueStats};
 pub use tcp::{Packet, RepairState, TcpFlags, TcpSocket, TcpState, RTO_MSS};

@@ -3,9 +3,12 @@
 //! a false suspicion under delay spikes must not promote while the lease
 //! holder is alive, and a fenced promotion must never overlap a valid lease.
 
+use nilicon::harness::{RunHarness, RunMode};
+use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_bench::chaos::{run_cell, run_state_cell, scenarios, Outcome, Scenario};
 use nilicon_sim::net::{ChaosSchedule, FaultKind};
-use nilicon_sim::MILLISECOND;
+use nilicon_sim::{CostModel, MILLISECOND};
+use nilicon_workloads::{redis, Scale};
 
 const MS: u64 = MILLISECOND;
 
@@ -67,4 +70,28 @@ fn long_partition_promotes_fenced_without_split_brain() {
     assert!(!cell.state.stats.split_brain);
     assert!(!cell.service.stats.split_brain);
     assert!(cell.state.state_ok && cell.service.service_ok);
+}
+
+/// Arming chaos with an empty schedule changes nothing a run measures: the
+/// release deferred to the next epoch boundary records the same release
+/// waits, latencies and epoch records as the paper path's release at the
+/// ack.
+#[test]
+fn empty_chaos_schedule_leaves_every_metric_unchanged() {
+    let run = |armed: bool| {
+        let w = redis(Scale::small(), 4, None);
+        let engine = NiLiConEngine::new(OptimizationConfig::nilicon(), CostModel::default());
+        let mode = RunMode::Replicated(Box::new(engine));
+        let cfg = ReplicationConfig::default();
+        let mut h = RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).unwrap();
+        h.run_epochs(1).unwrap();
+        if armed {
+            h.set_chaos(ChaosSchedule::default());
+        }
+        h.run_epochs(60).unwrap();
+        h.finish().metrics
+    };
+    let (armed, plain) = (run(true), run(false));
+    assert_eq!(armed.release_waits.len(), plain.release_waits.len());
+    assert_eq!(format!("{armed:?}"), format!("{plain:?}"));
 }
