@@ -2,8 +2,7 @@
 //! across fault-timing shifts and print the scenario × outcome matrix.
 //!
 //! ```text
-//! cargo run --release -p nilicon-bench --bin chaos            # full matrix
-//! cargo run --release -p nilicon-bench --bin chaos -- quick   # CI smoke
+//! cargo run --release -p nilicon-bench --bin chaos   # the full matrix
 //! ```
 //!
 //! Every `recovered` cell is backed by the byte-identical committed-state
@@ -11,18 +10,12 @@
 //! the process. The full matrix also lands in `CHAOS_matrix.json`.
 
 use nilicon_bench::chaos::{
-    fleet_scenarios, run_cell, run_fleet_cell, run_state_cell, scenarios, Cell, Outcome,
-    CELL_EPOCHS,
+    fleet_scenarios, run_cell, run_fleet_cell, scenarios, Cell, Outcome, CELL_EPOCHS,
 };
 use nilicon_bench::Table;
 use nilicon_sim::MILLISECOND;
 
 fn main() {
-    if std::env::args().any(|a| a == "quick") {
-        quick();
-        return;
-    }
-
     // The fault-timing sweep: the same schedule landing at different phases
     // of the 30 ms epoch (mid-epoch, near a boundary, near a release).
     let shifts = [0, 7 * MILLISECOND, 23 * MILLISECOND];
@@ -117,26 +110,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("chaos matrix clean: zero split-brain, all cells match the catalog");
-}
-
-/// CI smoke: one short partition + heal, asserted recovered with a
-/// byte-identical committed state.
-fn quick() {
-    let sc = scenarios(0)
-        .into_iter()
-        .find(|s| s.name == "partition-brief")
-        .expect("catalog has partition-brief");
-    let cell = run_state_cell(&sc, 30);
-    println!(
-        "chaos quick: partition-brief -> {} (state {})",
-        cell.outcome,
-        if cell.state_ok { "byte-identical" } else { "MISMATCH" }
-    );
-    assert_eq!(cell.outcome, Outcome::Recovered, "smoke scenario must recover");
-    assert!(cell.state_ok, "smoke scenario must be byte-identical");
-    assert!(
-        cell.stats.stalled_epochs > 0,
-        "the partition must actually have cut the transfer link"
-    );
-    println!("chaos quick PASS");
 }

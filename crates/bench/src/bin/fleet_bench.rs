@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! cargo run --release -p nilicon-bench --bin fleet_bench            # full curve
-//! cargo run --release -p nilicon-bench --bin fleet_bench -- quick   # CI smoke
 //! cargo run --release -p nilicon-bench --bin fleet_bench -- scale   # the scale cell alone, timed
 //! ```
 //!
@@ -23,11 +22,11 @@
 //! The full run lands in `BENCH_fleet.json`.
 
 use nilicon::fleet::{FleetScheduler, LaneSpec};
-use nilicon::traffic::ClientBehavior;
+use nilicon::trace::{TraceEvent, Tracer};
 use nilicon::{percentile, OptimizationConfig, ReplicationConfig};
-use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome};
+use nilicon_bench::chaos::echo_lane;
+use nilicon_container::ContainerSpec;
 use nilicon_sim::time::Nanos;
-use nilicon_sim::SimResult;
 use serde::Serialize;
 
 /// Epoch length for the fleet cells. Multiplexing is only stable while
@@ -56,69 +55,8 @@ const CURVE_CLIENTS: usize = 4;
 /// `(N-1)·160ms / (epoch - N·stop)` epochs to drain, so a fixed head-side
 /// warmup skip cannot reach steady state — the tail window can.
 const TAIL: usize = 8;
-
-// ---------------------------------------------------------------------------
-// Fleet cells: tiny echo lanes with a tunable dirty footprint
-// ---------------------------------------------------------------------------
-
-/// Echo server whose requests rotate writes over `dirty` heap pages, so a
-/// lane's per-epoch checkpoint footprint is a knob.
-struct FleetEcho {
-    dirty: u64,
-    n: u64,
-}
-
-impl Application for FleetEcho {
-    fn name(&self) -> &str {
-        "fleet-echo"
-    }
-    fn init(&mut self, _ctx: &mut GuestCtx<'_>) -> SimResult<()> {
-        Ok(())
-    }
-    fn handle_request(&mut self, ctx: &mut GuestCtx<'_>, req: &[u8]) -> SimResult<RequestOutcome> {
-        self.n += 1;
-        ctx.cpu(20_000);
-        let page = self.n % self.dirty;
-        ctx.heap_write(page * 4096, req)?;
-        let mut back = vec![0u8; req.len()];
-        ctx.heap_read(page * 4096, &mut back)?;
-        Ok(RequestOutcome { response: back })
-    }
-}
-
-/// Closed-loop clients issuing tagged 3-byte payloads, verifying echoes.
-struct CurveClients {
-    n: usize,
-    tag: u8,
-    issued: u64,
-    got: u64,
-    bad: u64,
-}
-
-impl ClientBehavior for CurveClients {
-    fn client_count(&self) -> usize {
-        self.n
-    }
-    fn next_request(&mut self, idx: usize, _now: Nanos) -> Option<Vec<u8>> {
-        self.issued += 1;
-        Some(vec![self.tag, idx as u8, (self.issued % 251) as u8])
-    }
-    fn on_response(&mut self, idx: usize, resp: &[u8], _now: Nanos, _latency: Nanos) {
-        self.got += 1;
-        if resp.len() != 3 || resp[0] != self.tag || resp[1] != idx as u8 {
-            self.bad += 1;
-        }
-    }
-    fn verify(&self) -> Result<(), String> {
-        if self.bad > 0 {
-            return Err(format!("{} corrupted echoes (tag {})", self.bad, self.tag));
-        }
-        if self.got == 0 {
-            return Err(format!("no responses completed (tag {})", self.tag));
-        }
-        Ok(())
-    }
-}
+/// Per-lane trace ring: room for every record of the longest cell.
+const RING_CAP: usize = 1 << 14;
 
 /// A tiny lane: one single-thread process, few mapped files, small heap —
 /// the per-lane stop time is dominated by the dirty footprint, not the
@@ -129,17 +67,7 @@ fn curve_lane(i: u32, clients: usize, dirty: u64) -> LaneSpec {
     spec.threads_in_syscall = 1;
     spec.mapped_files = 4;
     spec.heap_pages = 128;
-    LaneSpec {
-        spec,
-        app: Box::new(FleetEcho { dirty, n: 0 }),
-        behavior: Some(Box::new(CurveClients {
-            n: clients,
-            tag: 0x40 + (i % 64) as u8,
-            issued: 0,
-            got: 0,
-            bad: 0,
-        })),
-    }
+    echo_lane(spec, 20_000, dirty, clients, 0x40 + (i % 64) as u8)
 }
 
 #[derive(Serialize)]
@@ -160,7 +88,8 @@ struct CellOut {
 }
 
 /// Run one fleet cell and aggregate post-warmup stop percentiles across
-/// every lane (stop here is `stop_eff`: the dump plus its convoy wait).
+/// every lane (stop here is `stop_eff`: the dump plus its convoy wait). The
+/// dump-queue and link waits are read back from each lane's trace.
 fn run_cell(n: u32, clients: usize, epochs: u64, aligned: bool, dirty: u64) -> CellOut {
     let mut cfg = ReplicationConfig {
         epoch_exec: FLEET_EPOCH,
@@ -171,8 +100,27 @@ fn run_cell(n: u32, clients: usize, epochs: u64, aligned: bool, dirty: u64) -> C
     cfg.opts.fleet_aligned = aligned;
     let lanes = (0..n).map(|i| curve_lane(i, clients, dirty)).collect();
     let mut fleet = FleetScheduler::new(cfg, lanes).expect("fleet");
+    let rings: Vec<_> = (0..n as usize)
+        .map(|i| {
+            let (tracer, ring) = Tracer::in_memory(RING_CAP);
+            fleet.set_tracer(i, tracer);
+            ring
+        })
+        .collect();
     fleet.run_epochs(epochs).expect("run");
     let r = fleet.finish();
+
+    let (mut queue_waits, mut fair_waits) = (Vec::new(), Vec::new());
+    for ring in &rings {
+        assert!(ring.len() < RING_CAP, "a lane's trace outgrew its ring");
+        for rec in ring.snapshot() {
+            match rec.kind {
+                TraceEvent::Backpressure { stalled } => queue_waits.push(stalled),
+                TraceEvent::FairShareWait { waited, .. } => fair_waits.push(waited),
+                _ => {}
+            }
+        }
+    }
 
     let mut stops = Vec::new();
     let mut requests_total = 0u64;
@@ -194,8 +142,8 @@ fn run_cell(n: u32, clients: usize, epochs: u64, aligned: bool, dirty: u64) -> C
         requests_per_s: requests_total as f64 / (epochs as f64 * FLEET_EPOCH as f64 / 1e9),
         stop_p50_ns: percentile(stops.clone(), 50.0),
         stop_p99_ns: percentile(stops, 99.0),
-        mean_queue_wait_ns: mean(&r.queue_waits),
-        mean_fair_wait_ns: mean(&r.fair_waits),
+        mean_queue_wait_ns: mean(&queue_waits),
+        mean_fair_wait_ns: mean(&fair_waits),
         broken_connections: broken,
         split_brains: r.split_brains(),
         all_verified,
@@ -261,7 +209,6 @@ fn scale_cell() -> CellOut {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
     if std::env::args().any(|a| a == "scale") {
         // Simulator throughput on the cell that is all request path: wall
         // time and simulated time per wall time (a host number: printed,
@@ -293,11 +240,6 @@ fn main() {
         stag.stop_p99_ns < alig.stop_p99_ns,
         "staggered aggregate p99 stop must beat the aligned convoy at N=8",
     );
-
-    if quick {
-        println!("fleet quick PASS");
-        return;
-    }
 
     let mut curve = Vec::new();
     for n in [1u32, 2, 4, 8, 16, 32, 64, 100] {

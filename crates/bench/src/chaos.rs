@@ -640,10 +640,16 @@ pub fn fleet_scenarios(shift: Nanos) -> Vec<FleetScenario> {
     ]
 }
 
-/// Echo application for fleet lanes: stages each request through guest
-/// heap so committed state covers served requests.
-struct FleetEchoApp;
-impl Application for FleetEchoApp {
+/// Echo application for fleet lanes: each request burns `cpu` and is staged
+/// through guest heap, rotating over `dirty` pages, so committed state
+/// covers served requests and a lane's per-epoch footprint is a knob.
+struct FleetEcho {
+    cpu: Nanos,
+    dirty: u64,
+    n: u64,
+}
+
+impl Application for FleetEcho {
     fn name(&self) -> &str {
         "fleet-echo"
     }
@@ -651,16 +657,18 @@ impl Application for FleetEchoApp {
         Ok(())
     }
     fn handle_request(&mut self, ctx: &mut GuestCtx<'_>, req: &[u8]) -> SimResult<RequestOutcome> {
-        ctx.cpu(40_000);
-        ctx.heap_write(0, req)?;
+        self.n += 1;
+        ctx.cpu(self.cpu);
+        let at = self.n % self.dirty * PAGE_SIZE as u64;
+        ctx.heap_write(at, req)?;
         let mut back = vec![0u8; req.len()];
-        ctx.heap_read(0, &mut back)?;
+        ctx.heap_read(at, &mut back)?;
         Ok(RequestOutcome { response: back })
     }
 }
 
 /// Closed-loop clients tagging payloads per lane and verifying every echo.
-struct FleetEchoClients {
+struct EchoClients {
     n: usize,
     tag: u8,
     issued: u64,
@@ -668,7 +676,7 @@ struct FleetEchoClients {
     bad: u64,
 }
 
-impl ClientBehavior for FleetEchoClients {
+impl ClientBehavior for EchoClients {
     fn client_count(&self) -> usize {
         self.n
     }
@@ -693,20 +701,28 @@ impl ClientBehavior for FleetEchoClients {
     }
 }
 
-fn fleet_lane(i: u32) -> LaneSpec {
-    let mut spec = ContainerSpec::server(&format!("svc{i}"), 10 + i, 6379);
-    spec.heap_pages = 64;
+/// A fleet lane in `spec`: an echo server spending `cpu` per request over
+/// `dirty` heap pages, for `clients` closed-loop clients whose payloads
+/// carry `tag`. The chaos cells and `fleet_bench` both build their lanes
+/// here.
+pub fn echo_lane(spec: ContainerSpec, cpu: Nanos, dirty: u64, clients: usize, tag: u8) -> LaneSpec {
     LaneSpec {
         spec,
-        app: Box::new(FleetEchoApp),
-        behavior: Some(Box::new(FleetEchoClients {
-            n: 2,
-            tag: 0x40 + i as u8,
+        app: Box::new(FleetEcho { cpu, dirty, n: 0 }),
+        behavior: Some(Box::new(EchoClients {
+            n: clients,
+            tag,
             issued: 0,
             got: 0,
             bad: 0,
         })),
     }
+}
+
+fn fleet_lane(i: u32) -> LaneSpec {
+    let mut spec = ContainerSpec::server(&format!("svc{i}"), 10 + i, 6379);
+    spec.heap_pages = 64;
+    echo_lane(spec, 40_000, 1, 2, 0x40 + i as u8)
 }
 
 /// Run one fleet cell: `epochs` epochs per lane under the scenario, judged

@@ -34,12 +34,6 @@ pub struct OptimizationConfig {
     /// §V-E: 200 ms repair-mode minimum RTO at restore (recovery latency,
     /// not normal-operation overhead).
     pub optimized_rto: bool,
-    /// EXTENSION (not in the paper's implementation): hardware
-    /// page-modification logging instead of soft-dirty PTEs — the §VIII
-    /// direction Phantasy takes. Eliminates per-write tracking faults and
-    /// replaces the footprint-proportional pagemap scan with a
-    /// dirty-proportional log drain. Off in every paper reproduction run.
-    pub pml_tracking: bool,
     /// EXTENSION (HyCoR, arXiv:2101.09584): delta-encode the epoch's dirty
     /// pages against the last shipped epoch before transfer — zero pages
     /// elided, sparse changes as XOR deltas, dense churn as full pages.
@@ -128,7 +122,6 @@ impl OptimizationConfig {
             staging_buffer: false,
             shm_page_transfer: false,
             optimized_rto: false,
-            pml_tracking: false,
             delta_transfer: false,
             dump_workers: 1,
             cow_checkpoint: false,
@@ -152,7 +145,6 @@ impl OptimizationConfig {
             staging_buffer: true,
             shm_page_transfer: true,
             optimized_rto: true,
-            pml_tracking: false,
             delta_transfer: false,
             dump_workers: 1,
             cow_checkpoint: false,
@@ -202,7 +194,9 @@ impl OptimizationConfig {
     /// it needs the staged ack path, composes with neither `delta_transfer`
     /// nor `cow_checkpoint`, and its quorum must lie in `1..=backups`; every
     /// fleet lane runs the mirror layout with neither log shipping nor a
-    /// rearm driver.
+    /// rearm driver, and needs the staging buffer: the shared link schedules
+    /// the ack path, and without the buffer the transfer rides the stop
+    /// phase instead.
     pub(crate) fn validate_for(&self, coded: bool) -> SimResult<()> {
         if coded {
             if !self.staging_buffer {
@@ -217,6 +211,11 @@ impl OptimizationConfig {
             }
         }
         if self.fleet > 0 {
+            if !self.staging_buffer {
+                return Err(SimError::Invalid(
+                    "fleet: the shared link needs opts.staging_buffer (staged ack path)".into(),
+                ));
+            }
             for (set, knob) in [
                 (self.backups > 1, "backups"),
                 (self.hybrid_replay, "hybrid_replay"),
@@ -262,11 +261,6 @@ impl OptimizationConfig {
             },
             via_proxy: !self.optimize_criu,
             incremental: true,
-            dirty_source: if self.pml_tracking {
-                nilicon_criu::DirtySource::Pml
-            } else {
-                nilicon_criu::DirtySource::SoftDirty
-            },
             // NiLiCon always uses fgetfc — the DNC kernel change predates the
             // §V optimization sequence (it is part of the basic design, §III).
             fs_cache: FsCacheMode::Fgetfc,
@@ -287,7 +281,9 @@ impl Default for OptimizationConfig {
 pub struct ReplicationConfig {
     /// Execution-phase length (§IV: 30 ms).
     pub epoch_exec: Nanos,
-    /// Optimization toggles.
+    /// Optimization toggles for the engines `FleetScheduler` builds. Only
+    /// the fleet reads them: `RunHarness` takes its knobs from the engine
+    /// it is handed.
     pub opts: OptimizationConfig,
     /// Re-replication only ([`OptimizationConfig::rearm`]): bootstrap
     /// streaming budget — at most this many deferred pages are drained to
@@ -303,6 +299,25 @@ impl Default for ReplicationConfig {
             opts: OptimizationConfig::nilicon(),
             rearm_chunk_pages: 256,
         }
+    }
+}
+
+impl ReplicationConfig {
+    /// Reject the zero values that make a run silently stall: a zero
+    /// `epoch_exec` is a zero CPU budget (no request served, no step
+    /// taken), and a zero `rearm_chunk_pages` moves nothing per epoch, so a
+    /// rearm or repair never completes. `RunHarness::new` and
+    /// `FleetScheduler::new` call it.
+    pub fn validate(&self) -> SimResult<()> {
+        for (zero, field) in [
+            (self.epoch_exec == 0, "epoch_exec"),
+            (self.rearm_chunk_pages == 0, "rearm_chunk_pages"),
+        ] {
+            if zero {
+                return Err(SimError::Invalid(format!("cfg.{field} must be nonzero")));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -357,7 +372,6 @@ mod tests {
     #[test]
     fn extensions_default_off_in_paper_configs() {
         for cfg in [OptimizationConfig::basic(), OptimizationConfig::nilicon()] {
-            assert!(!cfg.pml_tracking);
             assert!(!cfg.delta_transfer);
             assert_eq!(cfg.dump_workers, 1);
             assert!(!cfg.cow_checkpoint);
@@ -406,6 +420,7 @@ mod tests {
         assert!(rejected(|o| (o.fleet, o.backups) = (8, 3)).contains("opts.backups"));
         assert!(rejected(|o| (o.fleet, o.hybrid_replay) = (8, true)).contains("opts.hybrid_replay"));
         assert!(rejected(|o| (o.fleet, o.rearm) = (8, true)).contains("opts.rearm"));
+        assert!(rejected(|o| (o.fleet, o.staging_buffer) = (8, false)).contains("opts.staging_buffer"));
         assert!(rejected(|o| o.fleet_aligned = true).contains("opts.fleet_aligned"));
     }
 

@@ -160,10 +160,11 @@ struct FleetLane {
     /// Completed epochs (checkpoint seq is `epochs_done + 1`).
     epochs_done: u64,
     target: u64,
-    /// The owning instance is executing (false between a fault and the
-    /// lane's promotion).
-    alive: bool,
+    /// A lane fault injected but not yet fired.
     fault_at: Option<Nanos>,
+    /// When the owning instance stopped executing: set by a fired fault,
+    /// cleared at the lane's promotion.
+    down_since: Option<Nanos>,
     /// Scripted per-epoch guest writes (equivalence tests drive lanes with
     /// the same write history a plain engine loop applies).
     script: Vec<Vec<(u64, u8)>>,
@@ -208,14 +209,12 @@ pub struct LaneResult {
     pub unrecovered: bool,
 }
 
-/// Fleet-wide outcome: per-lane results plus the shared-resource waits.
+/// Fleet-wide outcome: per-lane results plus the heartbeat channel's view.
+/// The shared-resource waits are in each lane's trace
+/// ([`TraceEvent::Backpressure`], [`TraceEvent::FairShareWait`]).
 pub struct FleetResult {
     /// One result per lane, in lane order.
     pub lanes: Vec<LaneResult>,
-    /// Every nonzero dump-service queue wait (the stop-phase convoy).
-    pub queue_waits: Vec<Nanos>,
-    /// Every nonzero shared-link wait (the commit-path contention).
-    pub fair_waits: Vec<Nanos>,
     /// Heartbeat intervals observed on the consolidated channel.
     pub heartbeat_intervals: u64,
     /// Minimum number of live bits seen in any full-fleet interval.
@@ -254,10 +253,6 @@ pub struct FleetScheduler {
     /// Replication-network partition window `[from, until)`.
     partition_window: Option<(Nanos, Nanos)>,
     partition_applied: bool,
-    /// Nonzero dump-service queue waits, in occurrence order.
-    queue_waits_log: Vec<Nanos>,
-    /// Nonzero shared-link waits, in occurrence order.
-    fair_waits_log: Vec<Nanos>,
 }
 
 impl FleetScheduler {
@@ -265,11 +260,12 @@ impl FleetScheduler {
     ///
     /// `cfg.opts.fleet` must equal the lane count (the knob is what turns
     /// the extension on; paper configs have it 0), every lane address must
-    /// be unique, and the knobs must pass
+    /// be unique, and `cfg` must pass [`ReplicationConfig::validate`] and
     /// [`OptimizationConfig::validate`](crate::OptimizationConfig::validate)
-    /// (`backups`, `hybrid_replay` and `rearm` off). Boundaries are
-    /// staggered by `i·E/N` unless `cfg.opts.fleet_aligned` is set, which
-    /// puts every lane on one boundary to demonstrate the convoy.
+    /// (`staging_buffer` on; `backups`, `hybrid_replay` and `rearm` off).
+    /// Boundaries are staggered by `i·E/N` unless `cfg.opts.fleet_aligned`
+    /// is set, which puts every lane on one boundary to demonstrate the
+    /// convoy.
     pub fn new(cfg: ReplicationConfig, lanes: Vec<LaneSpec>) -> SimResult<Self> {
         let n = lanes.len();
         if n == 0 || cfg.opts.fleet as usize != n {
@@ -278,6 +274,7 @@ impl FleetScheduler {
                 cfg.opts.fleet
             )));
         }
+        cfg.validate()?;
         cfg.opts.validate()?;
         let mut cluster = Cluster::new();
         let primary = cluster.add_host(Kernel::default());
@@ -324,8 +321,8 @@ impl FleetScheduler {
                 next_boundary: offset + cfg.epoch_exec,
                 epochs_done: 0,
                 target: 0,
-                alive: true,
                 fault_at: None,
+                down_since: None,
                 script: Vec::new(),
                 staged: None,
                 unrecovered: false,
@@ -344,8 +341,6 @@ impl FleetScheduler {
             beat_bitmap: HashMap::new(),
             partition_window: None,
             partition_applied: false,
-            queue_waits_log: Vec::new(),
-            fair_waits_log: Vec::new(),
         })
     }
 
@@ -451,8 +446,6 @@ impl FleetScheduler {
             .unwrap_or(n);
         FleetResult {
             lanes: results,
-            queue_waits: std::mem::take(&mut self.queue_waits_log),
-            fair_waits: std::mem::take(&mut self.fair_waits_log),
             heartbeat_intervals: self.beat_bitmap.len() as u64,
             min_live_bits,
         }
@@ -476,15 +469,15 @@ impl FleetScheduler {
             }
         }
         for lane in &mut self.lanes {
-            if let Some(f) = lane.fault_at {
-                if f <= t && lane.core.failovers == 0 && lane.alive {
-                    lane.alive = false;
-                    // Per-container fail-stop: only this lane's address goes
-                    // dark (blackhole is permanently partitioned).
-                    let c = &lane.core.container;
-                    self.cluster
-                        .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
-                }
+            // A due fault fires once, on whichever instance owns the lane:
+            // after a failover no backup is left, and the lane is lost.
+            if let Some(f) = lane.fault_at.take_if(|f| *f <= t) {
+                lane.down_since.get_or_insert(f);
+                // Per-container fail-stop: only this lane's address goes
+                // dark (blackhole is permanently partitioned).
+                let c = &lane.core.container;
+                self.cluster
+                    .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
             }
         }
     }
@@ -505,7 +498,7 @@ impl FleetScheduler {
     fn process_group(&mut self, t: Nanos, group: &[usize]) -> SimResult<()> {
         let mut jobs: Vec<LinkJob> = Vec::new();
         for &li in group {
-            if !self.lanes[li].alive {
+            if self.lanes[li].down_since.is_some() {
                 self.dead_lane_boundary(li, t)?;
                 continue;
             }
@@ -621,7 +614,6 @@ impl FleetScheduler {
                 },
                 queue_wait,
             );
-            self.queue_waits_log.push(queue_wait);
         }
         engine.pipeline_advance(epoch_exec);
         let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
@@ -672,7 +664,6 @@ impl FleetScheduler {
                 },
                 link_wait,
             );
-            self.fair_waits_log.push(link_wait);
         }
         record.ack_delay += link_wait;
         lane.core
@@ -702,7 +693,7 @@ impl FleetScheduler {
         // Exactly-one-owner fence: the primary's output lease must have
         // lapsed before the backup takes over.
         lane.fence.authorize_promotion(t)?;
-        let fault = lane.fault_at.unwrap_or(t);
+        let fault = lane.down_since.take().unwrap_or(t);
         let latency = lane
             .core
             .detector
@@ -713,7 +704,6 @@ impl FleetScheduler {
         self.cluster.clock.advance_to(now);
         lane.core
             .promote(&mut self.cluster, self.backup, &mut engine, latency, 0)?;
-        lane.alive = true;
         // The promoted instance starts with a clean slate on the backup.
         lane.core.cpu_debt = 0;
         lane.core.last_stop = 0;
@@ -771,11 +761,12 @@ mod tests {
         }
     }
 
-    /// The error of building a one-lane fleet under `nilicon()` + `set`.
-    fn rejected(set: impl FnOnce(&mut crate::OptimizationConfig)) -> String {
+    /// The error of building a one-lane fleet under the default config +
+    /// `set`.
+    fn rejected(set: impl FnOnce(&mut ReplicationConfig)) -> String {
         let mut cfg = ReplicationConfig::default();
         cfg.opts.fleet = 1;
-        set(&mut cfg.opts);
+        set(&mut cfg);
         let lane = LaneSpec {
             spec: ContainerSpec::server("svc", 10, 6379),
             app: Box::new(Inert),
@@ -790,20 +781,40 @@ mod tests {
 
     #[test]
     fn fleet_rejects_backups() {
-        let msg = rejected(|o| (o.backups, o.quorum) = (3, 2));
+        let msg = rejected(|c| (c.opts.backups, c.opts.quorum) = (3, 2));
         assert!(msg.contains("opts.backups"), "{msg}");
     }
 
     #[test]
     fn fleet_rejects_hybrid_replay() {
-        let msg = rejected(|o| o.hybrid_replay = true);
+        let msg = rejected(|c| c.opts.hybrid_replay = true);
         assert!(msg.contains("opts.hybrid_replay"), "{msg}");
     }
 
     #[test]
     fn fleet_rejects_rearm() {
-        let msg = rejected(|o| o.rearm = true);
+        let msg = rejected(|c| c.opts.rearm = true);
         assert!(msg.contains("opts.rearm"), "{msg}");
+    }
+
+    /// Without the staging buffer the transfer rides the stop phase, so a
+    /// link wait would land on an ack path the epoch does not have.
+    #[test]
+    fn fleet_rejects_no_staging_buffer() {
+        let msg = rejected(|c| c.opts.staging_buffer = false);
+        assert!(msg.contains("opts.staging_buffer"), "{msg}");
+    }
+
+    #[test]
+    fn fleet_rejects_a_zero_epoch() {
+        let msg = rejected(|c| c.epoch_exec = 0);
+        assert!(msg.contains("cfg.epoch_exec"), "{msg}");
+    }
+
+    #[test]
+    fn fleet_rejects_a_zero_rearm_chunk() {
+        let msg = rejected(|c| c.rearm_chunk_pages = 0);
+        assert!(msg.contains("cfg.rearm_chunk_pages"), "{msg}");
     }
 
     fn inert_fleet(n: u32) -> FleetScheduler {

@@ -234,7 +234,9 @@ impl RunHarness {
     /// the engine prepared (if replicated).
     ///
     /// `parallelism` is the workload's usable core count (drives the exec
-    /// CPU budget and Table V's "Active" row).
+    /// CPU budget and Table V's "Active" row). `cfg` must pass
+    /// [`ReplicationConfig::validate`]; its `opts` are not read (the
+    /// engine in `mode` carries its own).
     pub fn new(
         spec: ContainerSpec,
         app: Box<dyn Application>,
@@ -243,6 +245,7 @@ impl RunHarness {
         cfg: ReplicationConfig,
         parallelism: f64,
     ) -> SimResult<Self> {
+        cfg.validate()?;
         let mut cluster = Cluster::new();
         let primary = cluster.add_host(Kernel::default());
         let backup = cluster.add_host(Kernel::default());
@@ -926,12 +929,8 @@ impl RunHarness {
         Ok(())
     }
 
+    /// Fail over a replicated run (callers check the engine is driving).
     fn do_failover(&mut self, fault_time: Nanos) -> SimResult<()> {
-        if matches!(self.mode, RunMode::Unreplicated) {
-            return Err(SimError::Invalid(
-                "fault injected into an unreplicated run".into(),
-            ));
-        }
         // Fail-stop: block all primary traffic (§VII-A).
         self.cluster.clock.advance_to(fault_time);
         self.cluster.partition(self.primary);

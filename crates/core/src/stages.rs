@@ -343,13 +343,8 @@ impl StageCore {
         // No clear_refs here: everything the application wrote during init
         // is still soft-dirty, so the first incremental checkpoint captures
         // the full initial state (the initial sync).
-        let mode = if self.opts.pml_tracking {
-            TrackingMode::HardwareLog
-        } else {
-            TrackingMode::SoftDirty
-        };
         for pid in container.all_pids() {
-            primary.mm_mut(pid)?.set_tracking(mode);
+            primary.mm_mut(pid)?.set_tracking(TrackingMode::SoftDirty);
         }
         // Input-blocking mechanism (§V-C).
         let mode = if self.opts.plug_input_blocking {

@@ -256,6 +256,34 @@ fn lane_fault_promotes_only_that_lane() {
     assert_eq!(r.split_brains(), 0);
 }
 
+/// A second fault on a lane that already failed over finds no backup: the
+/// lane is lost, and its neighbour still never notices.
+#[test]
+fn second_lane_fault_leaves_the_lane_unrecovered() {
+    let mut cfg = ReplicationConfig {
+        opts: OptimizationConfig::nilicon(),
+        ..Default::default()
+    };
+    cfg.opts.fleet = 2;
+    let mut fleet = FleetScheduler::new(cfg, vec![lane(0, 2), lane(1, 2)]).unwrap();
+    fleet.inject_lane_fault_at(0, 310_000_000);
+    fleet.run_epochs(30).unwrap();
+    fleet.inject_lane_fault_at(0, 1_600_000_000);
+    fleet.run_epochs(30).unwrap();
+    let r = fleet.finish();
+
+    let a = &r.lanes[0];
+    assert_eq!(a.failovers, 1, "nothing left to fail over to");
+    assert!(a.unrecovered, "the second fault takes lane A down");
+
+    let b = &r.lanes[1];
+    assert_eq!(b.failovers, 0, "lane B untouched");
+    assert!(!b.unrecovered);
+    assert_eq!(b.broken_connections, 0);
+    b.verify.as_ref().expect("lane B verifies");
+    assert_eq!(r.split_brains(), 0);
+}
+
 /// A fleet run with no faults: every lane verifies, zero broken
 /// connections, and the consolidated heartbeat channel saw every lane's
 /// liveness bit each interval.

@@ -351,54 +351,24 @@ fn tracking_overhead_recorded_for_replicated_only() {
     assert!(run(nilicon()) > 0, "soft-dirty faults metered");
 }
 
-#[test]
-fn pml_extension_eliminates_tracking_faults() {
-    // The §VIII/Phantasy-style extension: hardware page-modification logging
-    // removes per-write tracking faults entirely; correctness is unchanged.
-    let run = |pml: bool| {
-        let mut opts = OptimizationConfig::nilicon();
-        opts.pml_tracking = pml;
-        let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
-        let mut h = RunHarness::new(
-            spec(),
-            Box::new(Echo),
-            Some(Box::new(Clients::new(2))),
-            mode,
-            ReplicationConfig::default(),
-            1.0,
-        )
-        .unwrap();
-        h.run_epochs(12).unwrap();
-        let r = h.finish();
-        r.verify.unwrap();
-        let tracking: Nanos = r.metrics.epochs.iter().map(|e| e.tracking_overhead).sum();
-        (tracking, r.metrics.avg_dirty_pages())
-    };
-    let (soft_tracking, soft_dirty) = run(false);
-    let (pml_tracking, pml_dirty) = run(true);
-    assert!(soft_tracking > 0);
-    assert_eq!(pml_tracking, 0, "PML takes no per-write faults");
-    assert_eq!(soft_dirty, pml_dirty, "identical dirty sets either way");
+/// The error `RunHarness::new` gives for `ReplicationConfig::default()` +
+/// `set`.
+fn harness_rejects(set: fn(&mut ReplicationConfig)) -> String {
+    let mut cfg = ReplicationConfig::default();
+    set(&mut cfg);
+    RunHarness::new(spec(), Box::new(Echo), None, nilicon(), cfg, 1.0)
+        .unwrap_err()
+        .to_string()
 }
 
 #[test]
-fn pml_extension_survives_failover() {
-    let mut opts = OptimizationConfig::nilicon();
-    opts.pml_tracking = true;
-    let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
-    let mut h = RunHarness::new(
-        spec(),
-        Box::new(Echo),
-        Some(Box::new(Clients::new(2))),
-        mode,
-        ReplicationConfig::default(),
-        1.0,
-    )
-    .unwrap();
-    h.inject_fault_at(250 * MILLISECOND);
-    h.run_epochs(25).unwrap();
-    let r = h.finish();
-    assert!(r.recovered);
-    assert_eq!(r.broken_connections, 0);
-    r.verify.unwrap();
+fn harness_rejects_a_zero_epoch() {
+    let msg = harness_rejects(|c| c.epoch_exec = 0);
+    assert!(msg.contains("cfg.epoch_exec"), "{msg}");
+}
+
+#[test]
+fn harness_rejects_a_zero_rearm_chunk() {
+    let msg = harness_rejects(|c| c.rearm_chunk_pages = 0);
+    assert!(msg.contains("cfg.rearm_chunk_pages"), "{msg}");
 }

@@ -1,6 +1,6 @@
 //! The generated knob walk (ROADMAP 5a), engine level.
 //!
-//! Every on/off combination of the five data-path knobs, at two dump-worker
+//! Every on/off combination of the four data-path knobs, at two dump-worker
 //! counts, on each replica layout, goes through the layout's public
 //! constructor. A combination [`OptimizationConfig::validate`] accepts runs
 //! one fixed write script — sparse edits, a dense page, a page that turns to
@@ -171,20 +171,19 @@ fn every_accepted_combination_commits_and_restores_the_reference_bytes() {
 
     let (mut accepted, mut rejected) = (0, 0);
     for layout in [None, Some((1u32, 2u32)), Some((2, 3))] {
-        for knobs in 0u32..1 << 5 {
+        for knobs in 0u32..1 << 4 {
             for dump_workers in [1, 4] {
                 let mut opts = OptimizationConfig::nilicon();
                 opts.rearm = true;
                 opts.delta_transfer = knobs & 1 != 0;
                 opts.cow_checkpoint = knobs & 2 != 0;
                 opts.pipeline = knobs & 4 != 0;
-                opts.pml_tracking = knobs & 8 != 0;
-                opts.staging_buffer = knobs & 16 == 0;
+                opts.staging_buffer = knobs & 8 == 0;
                 opts.dump_workers = dump_workers;
                 if let Some((k, n)) = layout {
                     (opts.quorum, opts.backups) = (k, n);
                 }
-                let what = format!("{layout:?} knobs {knobs:#07b} x{dump_workers}");
+                let what = format!("{layout:?} knobs {knobs:#06b} x{dump_workers}");
                 let got = match (layout, opts.validate()) {
                     (None, verdict) => {
                         verdict.expect("the mirror layout rejects none of these knobs");
@@ -213,5 +212,5 @@ fn every_accepted_combination_commits_and_restores_the_reference_bytes() {
         }
     }
     println!("knob walk: {accepted} combinations accepted and walked, {rejected} rejected");
-    assert!(accepted >= 80, "the walk lost combinations: {accepted}");
+    assert!(accepted >= 40, "the walk lost combinations: {accepted}");
 }

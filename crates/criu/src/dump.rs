@@ -7,18 +7,6 @@ use nilicon_sim::kernel::{Kernel, PageTransferVia, VmaCollectVia};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::SimResult;
 
-/// How dirty pages are identified at dump time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirtySource {
-    /// Linux soft-dirty PTEs via `clear_refs`/`pagemap` (the paper's
-    /// mechanism, §II-B): scan cost proportional to the mapped footprint.
-    SoftDirty,
-    /// Hardware page-modification log (PML extension, §VIII/Phantasy):
-    /// drain cost proportional to the *dirty* set only, and no per-write
-    /// runtime faults.
-    Pml,
-}
-
 /// How file-system cache state is checkpointed (§III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsCacheMode {
@@ -42,10 +30,9 @@ pub struct DumpConfig {
     /// Consumed by the transfer layer in the `nilicon` crate; carried here so
     /// one config object describes a full Table-I row.
     pub via_proxy: bool,
-    /// Incremental dump (soft-dirty) vs full dump of resident pages.
+    /// Incremental dump (soft-dirty PTEs via `clear_refs`/`pagemap`, §II-B)
+    /// vs full dump of resident pages.
     pub incremental: bool,
-    /// Dirty-page identification mechanism.
-    pub dirty_source: DirtySource,
     /// File-system cache handling (§III).
     pub fs_cache: FsCacheMode,
     /// Dump shards: the per-process loop is split round-robin across this
@@ -69,7 +56,6 @@ impl DumpConfig {
             page_via: PageTransferVia::Pipe,
             via_proxy: true,
             incremental: true,
-            dirty_source: DirtySource::SoftDirty,
             fs_cache: FsCacheMode::FlushAll,
             workers: 1,
             cow: false,
@@ -84,7 +70,6 @@ impl DumpConfig {
             page_via: PageTransferVia::SharedMem,
             via_proxy: false,
             incremental: true,
-            dirty_source: DirtySource::SoftDirty,
             fs_cache: FsCacheMode::Fgetfc,
             workers: 1,
             cow: false,
@@ -142,10 +127,7 @@ pub fn dump_container(
 
         // Dirty (or all resident) pages.
         let vpns = if cfg.incremental {
-            let dirty = match cfg.dirty_source {
-                DirtySource::SoftDirty => kernel.pagemap_dirty(pid)?,
-                DirtySource::Pml => kernel.pml_drain(pid)?,
-            };
+            let dirty = kernel.pagemap_dirty(pid)?;
             kernel.clear_refs(pid)?; // re-arm tracking for the next epoch
             dirty
         } else {

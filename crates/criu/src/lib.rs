@@ -54,7 +54,7 @@ pub mod shard;
 
 pub use cache::InfrequentCache;
 pub use delta::{DeltaStats, PageEncoding, ShadowStore};
-pub use dump::{bootstrap_dump, dump_container, full_dump, DirtySource, DumpConfig, FsCacheMode};
+pub use dump::{bootstrap_dump, dump_container, full_dump, DumpConfig, FsCacheMode};
 pub use image::{unmapped_since, CheckpointImage, DumpPhases, DumpStats, ProcessImage};
 pub use imgfile::{decode as decode_image, encode as encode_image};
 pub use pagestore::{LinkedListStore, PageKey, PageStore, RadixTreeStore};

@@ -248,9 +248,6 @@ pub struct CostModel {
     /// Resuming the ready-to-go backup VM at failover (Remus §II-A:
     /// "minimal delay").
     pub vm_resume_at_failover: Nanos,
-    /// Reading one entry of the hardware page-modification log (PML
-    /// extension; Phantasy §VIII direction).
-    pub pml_drain_per_page: Nanos,
 
     // ------------------------------------------------------------------
     // Proxy (stock CRIU state-transfer intermediary, §V-A)
@@ -337,7 +334,6 @@ impl Default for CostModel {
             hv_dirty_log_per_page: 5,
             vm_device_state_bytes: 80 * 1024,
             vm_resume_at_failover: ms(60),
-            pml_drain_per_page: 120,
 
             proxy_per_byte_ns_x1000: 700,
             proxy_per_msg: us(10),

@@ -222,7 +222,7 @@ impl Kernel {
         let mode = mm.tracking();
         let out = mm.write(addr, data)?;
         let fault_cost = match mode {
-            TrackingMode::None | TrackingMode::HardwareLog => 0,
+            TrackingMode::None => 0,
             TrackingMode::SoftDirty => self.costs.soft_dirty_fault,
             TrackingMode::WriteProtect => self.costs.vmexit_fault,
         };
@@ -245,19 +245,10 @@ impl Kernel {
     /// used by drivers that account runtime overhead separately.
     pub fn fault_cost(&self, pid: Pid) -> SimResult<Nanos> {
         Ok(match self.mm(pid)?.tracking() {
-            TrackingMode::None | TrackingMode::HardwareLog => 0,
+            TrackingMode::None => 0,
             TrackingMode::SoftDirty => self.costs.soft_dirty_fault,
             TrackingMode::WriteProtect => self.costs.vmexit_fault,
         })
-    }
-
-    /// Drain the hardware page-modification log (PML extension): returns the
-    /// dirty vpns, charging per *logged* page instead of a full address-space
-    /// scan — the Phantasy-style cost advantage over `/proc/pid/pagemap`.
-    pub fn pml_drain(&mut self, pid: Pid) -> SimResult<Vec<u64>> {
-        let dirty = self.mm(pid)?.soft_dirty_vpns();
-        self.charge(self.costs.syscall_base + dirty.len() as u64 * self.costs.pml_drain_per_page);
-        Ok(dirty)
     }
 
     // ==================================================================

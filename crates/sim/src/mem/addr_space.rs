@@ -443,7 +443,7 @@ impl AddressSpace {
             f
         });
         let fault = match self.tracking {
-            TrackingMode::None | TrackingMode::HardwareLog => false,
+            TrackingMode::None => false,
             TrackingMode::SoftDirty | TrackingMode::WriteProtect => frame.tracked_clean,
         };
         if fault {

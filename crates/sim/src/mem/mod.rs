@@ -30,10 +30,4 @@ pub enum TrackingMode {
     /// Hypervisor write protection: first write takes a VM exit/entry pair
     /// (the MC baseline's dominant runtime overhead).
     WriteProtect,
-    /// Hardware page-modification logging (Intel PML): the CPU appends
-    /// modified-page addresses to a log with no per-write fault. The paper's
-    /// §VIII points at Phantasy, which uses PML to cut the runtime tracking
-    /// overhead — implemented here as an extension (see
-    /// `nilicon::OptimizationConfig::pml_tracking`).
-    HardwareLog,
 }

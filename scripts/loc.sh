@@ -11,8 +11,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RATCHET=2021
-ENGINES_RATCHET=1533
+RATCHET=2005
+ENGINES_RATCHET=1528
 
 count() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }

@@ -1,4 +1,4 @@
-//! Tier-1 chaos coverage: the CI smoke scenario (short partition + heal →
+//! Tier-1 chaos coverage: the partition-brief cell (short partition + heal →
 //! recovered, byte-identical committed state) and the fencing guarantees —
 //! a false suspicion under delay spikes must not promote while the lease
 //! holder is alive, and a fenced promotion must never overlap a valid lease.
@@ -19,7 +19,7 @@ fn catalog(name: &str) -> Scenario {
         .unwrap_or_else(|| panic!("catalog misses {name}"))
 }
 
-/// The CI smoke cell: a 60 ms partition heals, the stalled epochs catch up,
+/// The partition-brief cell: a 60 ms partition heals, the stalled epochs catch up,
 /// and the final heap replays byte-identically.
 #[test]
 fn smoke_partition_heal_recovers_byte_identical() {
