@@ -226,7 +226,7 @@ fn bench_kv_batch(c: &mut Criterion) {
         let (mut k, cont) = container_kernel(app.heap_pages());
         let pid = cont.init_pid();
         app.init(&mut GuestCtx::new(&mut k, pid, 0)).unwrap();
-        let request = YcsbBehavior::new(1, scale, None)
+        let request = YcsbBehavior::new(1, scale)
             .next_request(0, 0)
             .expect("unbounded client");
         b.iter(|| {

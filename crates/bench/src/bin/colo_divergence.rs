@@ -15,7 +15,7 @@ use nilicon_workloads::Scale;
 fn main() {
     let epochs: u64 = nilicon_bench::cli::positional_u64(1, 60);
     let scale = Scale::bench();
-    let redis = || nilicon_workloads::redis(scale, 8, None);
+    let redis = || nilicon_workloads::redis(scale, 8);
 
     eprintln!("[stock]...");
     let stock = run_server(redis(), RunMode::Unreplicated, epochs, "stock");

@@ -19,7 +19,7 @@ fn main() {
 
     // Stock throughput baseline (epoch length irrelevant unreplicated).
     let stock = {
-        let w = nilicon_workloads::redis(scale, 8, None);
+        let w = nilicon_workloads::redis(scale, 8);
         let cfg = ReplicationConfig::default();
         let mut h = RunHarness::new(
             w.spec,
@@ -42,7 +42,7 @@ fn main() {
     );
     for epoch_ms in [10u64, 20, 30, 60, 120] {
         eprintln!("[epoch={epoch_ms}ms]...");
-        let w = nilicon_workloads::redis(scale, 8, None);
+        let w = nilicon_workloads::redis(scale, 8);
         let cfg = ReplicationConfig {
             epoch_exec: epoch_ms * MILLISECOND,
             ..ReplicationConfig::default()

@@ -32,7 +32,7 @@ use nilicon_criu::delta::{DeltaStats, ShadowStore};
 use nilicon_criu::PageKey;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::{CostModel, PageBuf, PAGE_SIZE};
-use nilicon_workloads::{Scale, StreamclusterApp, Workload};
+use nilicon_workloads::{Scale, Workload};
 use serde::Serialize;
 use std::hint::black_box;
 use std::rc::Rc;
@@ -155,11 +155,7 @@ fn encode_epoch_timing() -> EncodeTiming {
 fn continuous_streamcluster() -> Workload {
     let mut scale = Scale::bench();
     scale.sc_points *= 4;
-    let mut w = nilicon_workloads::streamcluster(scale, 4);
-    let mut app = StreamclusterApp::new(scale);
-    app.passes = u32::MAX;
-    w.app = Box::new(app);
-    w
+    nilicon_workloads::streamcluster(scale, 4)
 }
 
 /// Run streamcluster for [`EPOCHS`] epochs and summarize: post-warmup

@@ -61,7 +61,7 @@ struct Bench {
 
 /// The Table-VI Redis row under the given release rule.
 fn redis_run(hybrid_replay: bool) -> RunMetrics {
-    let w = nilicon_workloads::redis(Scale::bench(), 1, None);
+    let w = nilicon_workloads::redis(Scale::bench(), 1);
     let mut opts = OptimizationConfig::nilicon();
     opts.hybrid_replay = hybrid_replay;
     let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));

@@ -7,16 +7,8 @@
 use nilicon::harness::RunMode;
 use nilicon::OptimizationConfig;
 use nilicon_bench::{fmt_ms, nilicon_mode, run_server, PerfSummary, Table};
-use nilicon_workloads::{Scale, StreamclusterApp, Workload};
+use nilicon_workloads::{streamcluster, Scale, Workload};
 use std::collections::HashMap;
-
-fn sc_threads(scale: Scale, threads: usize) -> Workload {
-    let mut w = nilicon_workloads::streamcluster(scale, threads);
-    let mut app = StreamclusterApp::new(scale);
-    app.passes = u32::MAX;
-    w.app = Box::new(app);
-    w
-}
 
 /// Stock (unreplicated) baselines, keyed by (workload, procs/threads,
 /// clients). Identical workload configs appear in more than one table —
@@ -65,10 +57,10 @@ fn main() {
         for (threads, p) in paper {
             eprintln!("[threads={threads}] stock + NiLiCon...");
             let stock = stock_cache.get_or_run(("streamcluster", threads, 0), epochs, || {
-                sc_threads(scale, threads)
+                streamcluster(scale, threads)
             });
             let repl = run_server(
-                sc_threads(scale, threads),
+                streamcluster(scale, threads),
                 nilicon_mode(OptimizationConfig::nilicon()),
                 epochs,
                 "NiLiCon",
@@ -102,10 +94,10 @@ fn main() {
         for (clients, p) in paper {
             eprintln!("[clients={clients}] stock + NiLiCon...");
             let stock = stock_cache.get_or_run(("lighttpd", 4, clients), epochs, || {
-                nilicon_workloads::lighttpd(4, clients, None)
+                nilicon_workloads::lighttpd(4, clients)
             });
             let repl = run_server(
-                nilicon_workloads::lighttpd(4, clients, None),
+                nilicon_workloads::lighttpd(4, clients),
                 nilicon_mode(OptimizationConfig::nilicon()),
                 epochs,
                 "NiLiCon",
@@ -135,10 +127,10 @@ fn main() {
             let clients = 8 * procs;
             eprintln!("[processes={procs}] stock + NiLiCon...");
             let stock = stock_cache.get_or_run(("lighttpd", procs, clients), epochs, || {
-                nilicon_workloads::lighttpd(procs, clients, None)
+                nilicon_workloads::lighttpd(procs, clients)
             });
             let repl = run_server(
-                nilicon_workloads::lighttpd(procs, clients, None),
+                nilicon_workloads::lighttpd(procs, clients),
                 nilicon_mode(OptimizationConfig::nilicon()),
                 epochs,
                 "NiLiCon",

@@ -13,15 +13,7 @@
 use nilicon::harness::RunMode;
 use nilicon::OptimizationConfig;
 use nilicon_bench::{nilicon_mode, run_server, Table};
-use nilicon_workloads::{Scale, StreamclusterApp, Workload};
-
-fn continuous_streamcluster(scale: Scale) -> Workload {
-    let mut w = nilicon_workloads::streamcluster(scale, 4);
-    let mut app = StreamclusterApp::new(scale);
-    app.passes = u32::MAX; // continuous: we measure steady-state throughput
-    w.app = Box::new(app);
-    w
-}
+use nilicon_workloads::{streamcluster, Scale};
 
 fn main() {
     let epochs: u64 = nilicon_bench::cli::positional_u64(1, 300);
@@ -30,7 +22,7 @@ fn main() {
     let paper = [1940.0, 619.0, 84.0, 65.0, 53.0, 37.0, 31.0];
     eprintln!("running stock baseline...");
     let stock = run_server(
-        continuous_streamcluster(scale),
+        streamcluster(scale, 4),
         RunMode::Unreplicated,
         epochs,
         "stock",
@@ -42,12 +34,7 @@ fn main() {
     );
     for (i, (label, opts)) in OptimizationConfig::table1_rows().into_iter().enumerate() {
         eprintln!("running: {label}...");
-        let s = run_server(
-            continuous_streamcluster(scale),
-            nilicon_mode(opts),
-            epochs,
-            label,
-        );
+        let s = run_server(streamcluster(scale, 4), nilicon_mode(opts), epochs, label);
         let overhead = s.time_overhead_vs(stock.throughput) * 100.0;
         t.push(
             label,

@@ -53,12 +53,12 @@ fn main() {
     );
 
     eprintln!("[Net] failover...");
-    let w = nilicon_workloads::net_echo(5, None);
+    let w = nilicon_workloads::net_echo(5);
     let par = w.parallelism;
     let (net, net_det) = run_failover(w, par);
 
     eprintln!("[Redis] failover (paper-scale 100MB dataset)...");
-    let w = nilicon_workloads::redis(Scale::paper(), 5, None);
+    let w = nilicon_workloads::redis(Scale::paper(), 5);
     let par = w.parallelism;
     let (redis, redis_det) = run_failover(w, par);
 

@@ -25,21 +25,12 @@ fn single_client_workloads(
     vec![
         (
             "Redis",
-            Box::new(move || nilicon_workloads::redis(scale, 1, None)),
+            Box::new(move || nilicon_workloads::redis(scale, 1)),
         ),
-        (
-            "SSDB",
-            Box::new(move || nilicon_workloads::ssdb(scale, 1, None)),
-        ),
-        (
-            "Node",
-            Box::new(move || nilicon_workloads::node(scale, 1, None)),
-        ),
-        (
-            "Lighttpd",
-            Box::new(|| nilicon_workloads::lighttpd(4, 1, None)),
-        ),
-        ("DJCMS", Box::new(|| nilicon_workloads::djcms(1, None))),
+        ("SSDB", Box::new(move || nilicon_workloads::ssdb(scale, 1))),
+        ("Node", Box::new(move || nilicon_workloads::node(scale, 1))),
+        ("Lighttpd", Box::new(|| nilicon_workloads::lighttpd(4, 1))),
+        ("DJCMS", Box::new(|| nilicon_workloads::djcms(1))),
     ]
 }
 

@@ -339,7 +339,7 @@ mod tests {
             cfg.opts.fleet_aligned = true;
             let lanes = (0..2)
                 .map(|i| {
-                    let w = net_echo(2, None);
+                    let w = net_echo(2);
                     let mut spec = w.spec;
                     spec.name = format!("net{i}");
                     spec.addr += i;
@@ -368,7 +368,7 @@ mod tests {
     /// A replicated `net_echo` run under a chaos schedule with a partition
     /// and a delay spike (the spike stretches acks: `ChaosDelay` spans).
     fn chaos_run(tracer: &Tracer) {
-        let w = net_echo(4, None);
+        let w = net_echo(4);
         let engine = NiLiConEngine::new(OptimizationConfig::nilicon(), CostModel::default());
         let mut h = RunHarness::new(
             w.spec,

@@ -12,7 +12,6 @@
 use nilicon::harness::{RunHarness, RunMode};
 use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_bench::Table;
-use nilicon_sim::time::MILLISECOND;
 use nilicon_sim::CostModel;
 use nilicon_workloads::Scale;
 
@@ -20,48 +19,27 @@ fn builders(scale: Scale) -> Vec<(&'static str, nilicon_bench::comparison::Workl
     vec![
         (
             "Redis",
-            Box::new(move || nilicon_workloads::redis(scale, 4, None)),
+            Box::new(move || nilicon_workloads::redis(scale, 4)),
         ),
-        (
-            "SSDB",
-            Box::new(move || nilicon_workloads::ssdb(scale, 4, None)),
-        ),
-        (
-            "Node",
-            Box::new(move || nilicon_workloads::node(scale, 16, None)),
-        ),
-        (
-            "Lighttpd",
-            Box::new(|| nilicon_workloads::lighttpd(4, 8, None)),
-        ),
-        ("DJCMS", Box::new(|| nilicon_workloads::djcms(8, None))),
+        ("SSDB", Box::new(move || nilicon_workloads::ssdb(scale, 4))),
+        ("Node", Box::new(move || nilicon_workloads::node(scale, 16))),
+        ("Lighttpd", Box::new(|| nilicon_workloads::lighttpd(4, 8))),
+        ("DJCMS", Box::new(|| nilicon_workloads::djcms(8))),
         (
             "Swaptions",
-            Box::new(move || {
-                let mut w = nilicon_workloads::swaptions(scale, 4);
-                let mut app = nilicon_workloads::SwaptionsApp::new(scale);
-                app.swaptions = u32::MAX;
-                w.app = Box::new(app);
-                w
-            }),
+            Box::new(move || nilicon_workloads::swaptions(scale, 4)),
         ),
         (
             "Streamcluster",
-            Box::new(move || {
-                let mut w = nilicon_workloads::streamcluster(scale, 4);
-                let mut app = nilicon_workloads::StreamclusterApp::new(scale);
-                app.passes = u32::MAX;
-                w.app = Box::new(app);
-                w
-            }),
+            Box::new(move || nilicon_workloads::streamcluster(scale, 4)),
         ),
         (
             "StressFs (micro)",
-            Box::new(|| nilicon_workloads::stress_fs(128 * 1024, None)),
+            Box::new(|| nilicon_workloads::stress_fs(128 * 1024)),
         ),
         (
             "StackEcho (micro)",
-            Box::new(|| nilicon_workloads::stack_echo(4, 16_000, None)),
+            Box::new(|| nilicon_workloads::stack_echo(4, 16_000)),
         ),
     ]
 }
@@ -96,7 +74,7 @@ fn main() {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let span = epochs * 30 * MILLISECOND;
+            let span = epochs * ReplicationConfig::default().epoch_exec;
             let fault_at = span / 10 + (rng >> 16) % (span * 8 / 10);
 
             let w = build();

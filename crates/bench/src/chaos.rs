@@ -548,7 +548,7 @@ pub fn run_state_cell(sc: &Scenario, epochs: u64) -> CellRun {
 /// Run the `net_echo` service cell: same scenario, correctness judged by the
 /// echo behavior's verification and broken-connection count.
 pub fn run_service_cell(sc: &Scenario, epochs: u64) -> CellRun {
-    let w = net_echo(4, None);
+    let w = net_echo(4);
     let mut h = RunHarness::new(
         w.spec,
         w.app,

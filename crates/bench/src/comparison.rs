@@ -3,8 +3,8 @@
 
 use crate::runner::{mc_mode, nilicon_mode, run_server, PerfSummary};
 use nilicon::harness::RunMode;
-use nilicon::OptimizationConfig;
-use nilicon_workloads::{Scale, StreamclusterApp, SwaptionsApp, Workload};
+use nilicon::{OptimizationConfig, ReplicationConfig};
+use nilicon_workloads::{Scale, Workload};
 use serde::Serialize;
 
 /// Paper Fig. 3: (benchmark, MC %, NiLiCon %). The values follow the
@@ -84,7 +84,8 @@ impl Comparison {
     pub fn breakdown_pct(&self, s: &PerfSummary) -> (f64, f64) {
         let total = self.overhead_pct(s);
         // Stop time adds dead time per epoch: avg_stop/epoch_exec.
-        let stopped = (s.avg_stop as f64 / 30e6 * 100.0).min(total.max(0.0));
+        let epoch = ReplicationConfig::default().epoch_exec as f64;
+        let stopped = (s.avg_stop as f64 / epoch * 100.0).min(total.max(0.0));
         (stopped, (total - stopped).max(0.0))
     }
 }
@@ -98,49 +99,37 @@ pub fn fig3_workloads(scale: Scale) -> Vec<(&'static str, bool, WorkloadBuilder)
         (
             "Swaptions",
             true,
-            Box::new(move || {
-                let mut w = nilicon_workloads::swaptions(scale, 4);
-                let mut app = SwaptionsApp::new(scale);
-                app.swaptions = u32::MAX; // continuous; we measure throughput
-                w.app = Box::new(app);
-                w
-            }),
+            Box::new(move || nilicon_workloads::swaptions(scale, 4)),
         ),
         (
             "Streamcluster",
             true,
-            Box::new(move || {
-                let mut w = nilicon_workloads::streamcluster(scale, 4);
-                let mut app = StreamclusterApp::new(scale);
-                app.passes = u32::MAX;
-                w.app = Box::new(app);
-                w
-            }),
+            Box::new(move || nilicon_workloads::streamcluster(scale, 4)),
         ),
         (
             "Redis",
             false,
-            Box::new(move || nilicon_workloads::redis(scale, 8, None)),
+            Box::new(move || nilicon_workloads::redis(scale, 8)),
         ),
         (
             "SSDB",
             false,
-            Box::new(move || nilicon_workloads::ssdb(scale, 8, None)),
+            Box::new(move || nilicon_workloads::ssdb(scale, 8)),
         ),
         (
             "Node",
             false,
-            Box::new(move || nilicon_workloads::node(scale, 128, None)),
+            Box::new(move || nilicon_workloads::node(scale, 128)),
         ),
         (
             "Lighttpd",
             false,
-            Box::new(move || nilicon_workloads::lighttpd(4, 32, None)),
+            Box::new(move || nilicon_workloads::lighttpd(4, 32)),
         ),
         (
             "DJCMS",
             false,
-            Box::new(move || nilicon_workloads::djcms(16, None)),
+            Box::new(move || nilicon_workloads::djcms(16)),
         ),
     ]
 }
@@ -188,5 +177,19 @@ mod tests {
         assert_eq!(workloads, PAPER_TABLE3.map(|r| r.0));
         assert_eq!(workloads, PAPER_TABLE4.map(|r| r.0));
         assert_eq!(workloads, PAPER_TABLE5.map(|r| r.0));
+    }
+
+    #[test]
+    fn bundles_are_consistent() {
+        for (name, batch, build) in fig3_workloads(Scale::small()) {
+            let w = build();
+            assert!(w.parallelism > 0.5, "{name}");
+            assert_eq!(batch, !w.app.is_server(), "{name}");
+            assert_eq!(w.behavior.is_some(), w.app.is_server(), "{name}");
+            if w.app.is_server() {
+                assert!(w.spec.listen_port.is_some(), "{name}");
+            }
+            assert!(w.spec.heap_pages > 0, "{name}");
+        }
     }
 }

@@ -30,6 +30,4 @@ pub mod runner;
 pub use cli::{apply_cli_extensions, cli_tracer, positional_u64};
 pub use comparison::{fig3_workloads, run_comparisons, Comparison};
 pub use report::{fmt_mib, fmt_ms, Row, Table};
-pub use runner::{
-    mc_mode, nilicon_mode, run_batch, run_server, summarize, PerfSummary, WARMUP_EPOCHS,
-};
+pub use runner::{mc_mode, nilicon_mode, run_server, summarize, PerfSummary, WARMUP_EPOCHS};

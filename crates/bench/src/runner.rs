@@ -181,30 +181,6 @@ pub fn run_server(w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfS
     summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
 }
 
-/// Run a batch workload to completion (bounded); returns the summary plus
-/// total elapsed virtual time (for execution-time overhead).
-pub fn run_batch(w: Workload, mode: RunMode, max_epochs: u64, label: &str) -> (PerfSummary, Nanos) {
-    let name = w.name;
-    let cfg = ReplicationConfig::default();
-    let mut h =
-        RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).expect("harness");
-    let tracer = cli_tracer();
-    tracer.event_at(
-        TraceEvent::RunStart {
-            name: name.to_string(),
-            mode: label.to_string(),
-        },
-        0,
-    );
-    h.set_tracer(tracer);
-    h.run_batch_to_completion(max_epochs)
-        .expect("batch completes");
-    let r = h.finish();
-    let elapsed = r.metrics.elapsed;
-    let s = summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
-    (s, elapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,11 +107,6 @@ impl<'k> GuestCtx<'k> {
     pub fn fsync(&mut self, fd: Fd) -> SimResult<usize> {
         self.kernel.fsync(self.pid, fd)
     }
-
-    /// Number of whole pages needed for `bytes`.
-    pub fn pages_for(bytes: usize) -> u64 {
-        (bytes as u64).div_ceil(PAGE_SIZE as u64)
-    }
 }
 
 /// An application hosted in a container.
@@ -424,13 +419,5 @@ mod tests {
         assert!(take_frame(&mut backup, restored[0], true).unwrap().is_none(), "exactly once");
         assert_eq!(backup.delivered_seq(), 1);
         assert_eq!(client.broken_connections(), 0);
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(GuestCtx::pages_for(0), 0);
-        assert_eq!(GuestCtx::pages_for(1), 1);
-        assert_eq!(GuestCtx::pages_for(4096), 1);
-        assert_eq!(GuestCtx::pages_for(4097), 2);
     }
 }

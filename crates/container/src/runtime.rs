@@ -169,18 +169,6 @@ impl ContainerRuntime {
         }
         Ok(())
     }
-
-    /// Tear a container down: kill processes, drop the stack, unmount.
-    pub fn destroy(kernel: &mut Kernel, container: &Container) -> SimResult<()> {
-        for pid in container.all_pids() {
-            let _ = kernel.kill_process(pid);
-        }
-        kernel.drop_stack(container.ns.net);
-        for &m in &container.mounts {
-            let _ = kernel.umount(m);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -248,16 +236,6 @@ mod tests {
         assert!(sigs.contains(&StateComponent::Mounts));
         assert!(sigs.contains(&StateComponent::DeviceFiles));
         assert!(sigs.contains(&StateComponent::MappedFiles));
-    }
-
-    #[test]
-    fn destroy_cleans_up() {
-        let mut k = Kernel::default();
-        let spec = ContainerSpec::server("djcms", 10, 8000);
-        let c = ContainerRuntime::create(&mut k, &spec).unwrap();
-        ContainerRuntime::destroy(&mut k, &c).unwrap();
-        assert!(k.pids_in_cgroup(c.cgroup).is_empty());
-        assert!(k.stack(c.ns.net).is_err());
     }
 
     #[test]

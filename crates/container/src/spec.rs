@@ -61,11 +61,6 @@ impl ContainerSpec {
             threads_in_syscall: 0,
         }
     }
-
-    /// Total thread count across all worker processes.
-    pub fn total_threads(&self) -> usize {
-        self.processes * self.threads_per_process
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,6 @@ mod tests {
     fn presets() {
         let s = ContainerSpec::server("redis", 10, 6379);
         assert_eq!(s.listen_port, Some(6379));
-        assert_eq!(s.total_threads(), 4);
         let b = ContainerSpec::batch("streamcluster", 11);
         assert!(b.listen_port.is_none());
         assert_eq!(b.exe, "/usr/bin/streamcluster");

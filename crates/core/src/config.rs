@@ -1,6 +1,6 @@
 //! Replication configuration: the §V optimizations as toggles.
 
-use nilicon_criu::{DumpConfig, FsCacheMode};
+use nilicon_criu::DumpConfig;
 use nilicon_sim::kernel::{PageTransferVia, VmaCollectVia};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::time::{Nanos, MILLISECOND};
@@ -259,11 +259,6 @@ impl OptimizationConfig {
             } else {
                 PageTransferVia::Pipe
             },
-            via_proxy: !self.optimize_criu,
-            incremental: true,
-            // NiLiCon always uses fgetfc — the DNC kernel change predates the
-            // §V optimization sequence (it is part of the basic design, §III).
-            fs_cache: FsCacheMode::Fgetfc,
             workers: self.dump_workers.max(1),
             cow: self.cow_checkpoint,
         }
@@ -358,14 +353,11 @@ mod tests {
         assert_eq!(basic.freeze, FreezeStrategy::Stock);
         assert_eq!(basic.vma_via, VmaCollectVia::Smaps);
         assert_eq!(basic.page_via, PageTransferVia::Pipe);
-        assert!(basic.via_proxy);
 
         let full = OptimizationConfig::nilicon().dump_config();
         assert_eq!(full.freeze, FreezeStrategy::BusyPoll);
         assert_eq!(full.vma_via, VmaCollectVia::Netlink);
         assert_eq!(full.page_via, PageTransferVia::SharedMem);
-        assert!(!full.via_proxy);
-        assert_eq!(full.fs_cache, FsCacheMode::Fgetfc);
         assert_eq!(full.workers, 1, "paper runs dump serially");
     }
 

@@ -16,7 +16,7 @@ use crate::engine::{Checkpointer, FailoverReport, LogShipOutcome};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::replay::replay_tail;
 use crate::trace::{TraceEvent, Tracer};
-use crate::traffic::{ClientBehavior, ClientPool};
+use crate::traffic::{jitter, ClientBehavior, ClientPool};
 use bytes::Bytes;
 use nilicon_container::{
     send_frame, take_frame, Application, Container, ContainerRuntime, ContainerSpec, GuestCtx,
@@ -33,15 +33,6 @@ use std::collections::VecDeque;
 /// CPU cost of the keep-alive process per 30 ms interval (§IV: ~1000
 /// instructions).
 const KEEPALIVE_COST: Nanos = 300;
-
-/// Deterministic SplitMix64 jitter in `[0, range)`.
-fn jitter(state: &mut u64, range: Nanos) -> Nanos {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (z ^ (z >> 31)) % range.max(1)
-}
 
 /// A served request whose response rides the epoch ack: (client endpoint,
 /// service-done time).

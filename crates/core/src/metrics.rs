@@ -76,11 +76,6 @@ impl RunMetrics {
         self.epochs.iter().map(|e| e.dirty_pages).sum::<u64>() as f64 / self.epochs.len() as f64
     }
 
-    /// Stop-time percentile (Table IV).
-    pub fn stop_percentile(&self, p: f64) -> Nanos {
-        percentile(self.epochs.iter().map(|e| e.stop_time).collect(), p)
-    }
-
     /// State-size percentile in bytes (Table IV).
     pub fn state_percentile(&self, p: f64) -> u64 {
         percentile(self.epochs.iter().map(|e| e.state_bytes).collect(), p)
@@ -116,14 +111,6 @@ impl RunMetrics {
             return 0.0;
         }
         self.backup_cpu_total as f64 / self.elapsed as f64
-    }
-
-    /// Active (primary) core utilization: exec CPU / elapsed (Table V).
-    pub fn active_utilization(&self) -> f64 {
-        if self.elapsed == 0 {
-            return 0.0;
-        }
-        self.exec_cpu_total as f64 / self.elapsed as f64
     }
 
     /// Fraction of total overhead attributable to stop time vs runtime
@@ -208,11 +195,9 @@ mod tests {
         assert_eq!(m.avg_stop(), 2500);
         assert_eq!(m.avg_dirty_pages(), 25.0);
         assert_eq!(m.requests_total, 20);
-        assert_eq!(m.stop_percentile(50.0), 2000);
         assert_eq!(m.state_percentile(90.0), 4096 * 4);
         assert!((m.throughput_rps() - 125.0).abs() < 1e-9);
         assert!((m.backup_utilization() - 0.025).abs() < 1e-9);
-        assert!((m.active_utilization() - 0.75).abs() < 1e-9);
     }
 
     #[test]

@@ -386,7 +386,7 @@ impl StageCore {
     pub(crate) fn transfer_cost(&self, primary: &Kernel, bytes: u64, msgs: u64) -> Nanos {
         let c = &primary.costs;
         let mut t = c.repl_link_latency + c.repl_wire(bytes) + msgs * c.repl_msg_overhead;
-        if self.opts.dump_config().via_proxy {
+        if !self.opts.optimize_criu {
             t += c.proxy_overhead(bytes, msgs);
         }
         t

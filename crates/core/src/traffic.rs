@@ -16,6 +16,15 @@ use nilicon_sim::{SimError, SimResult};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasher;
 
+/// Deterministic SplitMix64 jitter in `[0, range)`.
+pub(crate) fn jitter(state: &mut u64, range: Nanos) -> Nanos {
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    (z ^ (z >> 31)) % range.max(1)
+}
+
 /// Workload-defined client behavior.
 pub trait ClientBehavior {
     /// Number of concurrent clients.
@@ -119,13 +128,7 @@ impl ClientPool {
                 Some(req) => {
                     let stack = cluster.host_mut(self.host).stack_mut(self.ns)?;
                     send_frame(stack, c.sock, req)?;
-                    // SplitMix64 think-time jitter.
-                    self.jitter_state = self.jitter_state.wrapping_add(0x9E3779B97F4A7C15);
-                    let mut z = self.jitter_state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                    let j = (z ^ (z >> 31)) % jitter_range.max(1);
-                    c.outstanding = Some(now + j);
+                    c.outstanding = Some(now + jitter(&mut self.jitter_state, jitter_range));
                     self.issued_total += 1;
                     sent += 1;
                 }

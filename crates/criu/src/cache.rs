@@ -9,7 +9,7 @@
 
 use crate::image::CheckpointImage;
 use nilicon_container::Container;
-use nilicon_sim::ftrace::{StateComponent, ALL_COMPONENTS};
+use nilicon_sim::ftrace::StateComponent;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::SimResult;
@@ -47,11 +47,6 @@ impl InfrequentCache {
                 StateComponent::MappedFiles => self.mapped_files_valid.clear(),
             }
         }
-    }
-
-    /// Invalidate everything (used by ablations and at attach time).
-    pub fn invalidate_all(&mut self) {
-        self.apply_signals(&ALL_COMPONENTS);
     }
 
     /// Fill `img`'s infrequently-modified fields, re-collecting (and paying
@@ -123,6 +118,7 @@ impl InfrequentCache {
 mod tests {
     use super::*;
     use nilicon_container::{ContainerRuntime, ContainerSpec};
+    use nilicon_sim::ftrace::ALL_COMPONENTS;
     use nilicon_sim::time::MILLISECOND;
 
     fn setup() -> (Kernel, Container) {
@@ -207,7 +203,7 @@ mod tests {
         );
 
         // With an explicit invalidation it is picked up.
-        cache.invalidate_all();
+        cache.apply_signals(&ALL_COMPONENTS);
         let mut img3 = CheckpointImage::default();
         cache.collect_into(&mut k, &c, &mut img3).unwrap();
         assert_eq!(img3.mounts.len(), img.mounts.len() + 1);

@@ -7,16 +7,6 @@ use nilicon_sim::kernel::{Kernel, PageTransferVia, VmaCollectVia};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::SimResult;
 
-/// How file-system cache state is checkpointed (§III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsCacheMode {
-    /// NiLiCon: collect DNC entries with the new `fgetfc` syscall.
-    Fgetfc,
-    /// Stock CRIU: flush the cache to (network-attached) storage after the
-    /// checkpoint — prohibitive at 30 ms epochs for disk-heavy apps.
-    FlushAll,
-}
-
 /// Dump configuration: each field is one of the paper's §V toggles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DumpConfig {
@@ -26,15 +16,6 @@ pub struct DumpConfig {
     pub vma_via: VmaCollectVia,
     /// Parasite page-transfer mechanism (§V-D (3)).
     pub page_via: PageTransferVia,
-    /// Route the state transfer through the stock proxy processes (§V-A).
-    /// Consumed by the transfer layer in the `nilicon` crate; carried here so
-    /// one config object describes a full Table-I row.
-    pub via_proxy: bool,
-    /// Incremental dump (soft-dirty PTEs via `clear_refs`/`pagemap`, §II-B)
-    /// vs full dump of resident pages.
-    pub incremental: bool,
-    /// File-system cache handling (§III).
-    pub fs_cache: FsCacheMode,
     /// Dump shards: the per-process loop is split round-robin across this
     /// many worker threads and stop time charged as the *max* of per-shard
     /// costs instead of their sum (the concurrency opportunity §VIII points
@@ -54,9 +35,6 @@ impl DumpConfig {
             freeze: FreezeStrategy::Stock,
             vma_via: VmaCollectVia::Smaps,
             page_via: PageTransferVia::Pipe,
-            via_proxy: true,
-            incremental: true,
-            fs_cache: FsCacheMode::FlushAll,
             workers: 1,
             cow: false,
         }
@@ -68,9 +46,6 @@ impl DumpConfig {
             freeze: FreezeStrategy::BusyPoll,
             vma_via: VmaCollectVia::Netlink,
             page_via: PageTransferVia::SharedMem,
-            via_proxy: false,
-            incremental: true,
-            fs_cache: FsCacheMode::Fgetfc,
             workers: 1,
             cow: false,
         }
@@ -83,7 +58,8 @@ impl Default for DumpConfig {
     }
 }
 
-/// Dump a (frozen) container into a checkpoint image.
+/// Incremental dump of a (frozen) container into a checkpoint image: the
+/// pages soft-dirty since the last dump (`clear_refs`/`pagemap`, §II-B).
 ///
 /// The caller is responsible for freezing the container and blocking network
 /// input first — the replication agent orchestrates that (§IV); `criu dump`
@@ -97,6 +73,19 @@ pub fn dump_container(
     cfg: &DumpConfig,
     cache: Option<&mut InfrequentCache>,
     epoch: u64,
+) -> SimResult<CheckpointImage> {
+    dump(kernel, container, cfg, cache, epoch, true)
+}
+
+/// The dump proper; `incremental = false` captures every resident page and
+/// leaves the soft-dirty bits as they are.
+fn dump(
+    kernel: &mut Kernel,
+    container: &Container,
+    cfg: &DumpConfig,
+    cache: Option<&mut InfrequentCache>,
+    epoch: u64,
+    incremental: bool,
 ) -> SimResult<CheckpointImage> {
     let t0 = kernel.meter.lifetime_total();
     let mut img = CheckpointImage {
@@ -126,7 +115,7 @@ pub fn dump_container(
         img.stats.phases.processes += s_pages - s_proc;
 
         // Dirty (or all resident) pages.
-        let vpns = if cfg.incremental {
+        let vpns = if incremental {
             let dirty = kernel.pagemap_dirty(pid)?;
             kernel.clear_refs(pid)?; // re-arm tracking for the next epoch
             dirty
@@ -204,18 +193,10 @@ pub fn dump_container(
     // File-system cache (§III).
     // ------------------------------------------------------------------
     let s_fs = kernel.meter.lifetime_total();
-    match cfg.fs_cache {
-        FsCacheMode::Fgetfc => {
-            let (pages, inodes) = kernel.fgetfc();
-            img.stats.fs_cache_pages = pages.pages.len() as u64;
-            img.fs_pages = pages;
-            img.fs_inodes = inodes;
-        }
-        FsCacheMode::FlushAll => {
-            // Committed to (shared) storage instead of the image.
-            img.stats.fs_cache_pages = kernel.flush_fs_cache() as u64;
-        }
-    }
+    let (pages, inodes) = kernel.fgetfc();
+    img.stats.fs_cache_pages = pages.pages.len() as u64;
+    img.fs_pages = pages;
+    img.fs_inodes = inodes;
     img.paths = kernel.vfs.paths().map(|(p, &i)| (p.clone(), i)).collect();
     let s_inf = kernel.meter.lifetime_total();
     img.stats.phases.fs_cache += s_inf - s_fs;
@@ -249,10 +230,10 @@ pub fn dump_container(
 /// the protect cost — roughly one incremental epoch — instead of growing with
 /// the footprint. The caller freezes/thaws and streams the deferred pages.
 ///
-/// Unlike the incremental path, a non-incremental [`dump_container`] does not
-/// clear the soft-dirty bits; this helper does, while the container is still
-/// frozen, so every write after the resume is dirty again and lands in the
-/// first incremental epoch toward the new backup.
+/// Unlike [`dump_container`], a full dump does not clear the soft-dirty
+/// bits; this helper does, while the container is still frozen, so every
+/// write after the resume is dirty again and lands in the first incremental
+/// epoch toward the new backup.
 pub fn bootstrap_dump(
     kernel: &mut Kernel,
     container: &Container,
@@ -260,10 +241,8 @@ pub fn bootstrap_dump(
     cache: Option<&mut InfrequentCache>,
     epoch: u64,
 ) -> SimResult<CheckpointImage> {
-    let mut full_cfg = *cfg;
-    full_cfg.incremental = false;
-    full_cfg.cow = true;
-    let img = dump_container(kernel, container, &full_cfg, cache, epoch)?;
+    let cow = DumpConfig { cow: true, ..*cfg };
+    let img = dump(kernel, container, &cow, cache, epoch, false)?;
     for &pid in &container.all_pids() {
         kernel.clear_refs(pid)?;
     }
@@ -277,10 +256,9 @@ pub fn full_dump(
     cfg: &DumpConfig,
 ) -> SimResult<CheckpointImage> {
     kernel.freeze_cgroup(container.cgroup, cfg.freeze)?;
-    let mut full_cfg = *cfg;
-    full_cfg.incremental = false;
-    full_cfg.cow = false; // one-shot migration needs the pages in the image
-    let img = dump_container(kernel, container, &full_cfg, None, 0)?;
+    // One-shot migration needs the pages in the image.
+    let eager = DumpConfig { cow: false, ..*cfg };
+    let img = dump(kernel, container, &eager, None, 0, false)?;
     kernel.thaw_cgroup(container.cgroup)?;
     Ok(img)
 }
@@ -417,16 +395,6 @@ mod tests {
             "fgetfc puts pages in the image"
         );
         assert_eq!(k.vfs.disk.pending_writes(), 0, "nothing flushed");
-
-        k.pwrite(pid, fd, 0, &vec![2u8; 8192], 2).unwrap();
-        let mut cfg = DumpConfig::nilicon();
-        cfg.fs_cache = FsCacheMode::FlushAll;
-        let img2 = dump_container(&mut k, &c, &cfg, None, 2).unwrap();
-        assert!(
-            img2.fs_pages.pages.is_empty(),
-            "flush mode commits to storage instead"
-        );
-        assert_eq!(k.vfs.disk.pending_writes(), 2);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! |--------------------------------------------------|---------------------------------|--------|
 //! | 100 ms sleep while freezing                      | busy-poll thread states         | [`DumpConfig::freeze`] |
 //! | incremental pages in a linked list of directories| 4-level radix tree              | [`pagestore`] impls |
-//! | proxy processes relay state transfer             | direct agent-to-agent transfer  | `DumpConfig::via_proxy` |
+//! | proxy processes relay state transfer             | direct agent-to-agent transfer  | `optimize_criu` (`nilicon` crate) |
 //! | VMAs via `/proc/pid/smaps` text                  | task-diag netlink               | [`DumpConfig::vma_via`] |
 //! | parasite pages through a pipe                    | shared-memory region            | [`DumpConfig::page_via`] |
 //! | re-collect all in-kernel state every epoch       | ftrace-invalidated cache (§V-B) | [`cache::InfrequentCache`] |
-//! | flush fs cache to a NAS                          | DNC tracking + `fgetfc` (§III)  | [`DumpConfig::fs_cache`] |
+//! | flush fs cache to a NAS                          | DNC tracking + `fgetfc` (§III)  | always on ([`dump_container`]) |
 //!
 //! The dump produces a [`image::CheckpointImage`] holding *real state* (page
 //! bytes, socket queues, inode metadata); restore rebuilds a working
@@ -54,7 +54,7 @@ pub mod shard;
 
 pub use cache::InfrequentCache;
 pub use delta::{DeltaStats, PageEncoding, ShadowStore};
-pub use dump::{bootstrap_dump, dump_container, full_dump, DumpConfig, FsCacheMode};
+pub use dump::{bootstrap_dump, dump_container, full_dump, DumpConfig};
 pub use image::{unmapped_since, CheckpointImage, DumpPhases, DumpStats, ProcessImage};
 pub use imgfile::{decode as decode_image, encode as encode_image};
 pub use pagestore::{LinkedListStore, PageKey, PageStore, RadixTreeStore};

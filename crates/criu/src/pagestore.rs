@@ -165,13 +165,6 @@ impl LinkedListStore {
     }
 }
 
-impl<B> LinkedListStore<B> {
-    /// Number of directories in the chain (grows with every checkpoint).
-    pub fn chain_len(&self) -> usize {
-        self.dirs.len()
-    }
-}
-
 impl<B> PageStore<B> for LinkedListStore<B> {
     fn insert(&mut self, key: PageKey, page: B) -> u64 {
         if self.dirs.is_empty() {
@@ -463,7 +456,7 @@ mod tests {
             last >= 50,
             "probe count grows with checkpoint chain, got {last}"
         );
-        assert_eq!(ll.chain_len(), 50);
+        assert_eq!(ll.dirs.len(), 50);
         assert_eq!(ll.len(), 1, "stale copies were removed along the walk");
     }
 

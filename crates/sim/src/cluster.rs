@@ -107,13 +107,6 @@ impl Cluster {
         self.routes.insert(addr, (host.0 as usize, ns));
     }
 
-    /// Where `addr` currently routes.
-    pub fn route_of(&self, addr: u32) -> Option<(HostId, NsId)> {
-        self.routes
-            .get(&addr)
-            .map(|&(h, ns)| (HostId(h as u32), ns))
-    }
-
     /// Emulate a fail-stop fault on `host` by blocking all of its traffic
     /// (§VII-A: "a fail-stop fault is emulated using the sch_plug module, by
     /// blocking incoming and outgoing traffic").
@@ -308,7 +301,6 @@ mod tests {
                 .is_some(),
             "connection reached the restored location"
         );
-        assert_eq!(cl.route_of(10), Some((h1, restored_ns)));
     }
 
     #[test]

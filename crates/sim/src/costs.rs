@@ -348,12 +348,6 @@ impl CostModel {
         bytes * self.repl_link_per_byte_ns_x1000 / 1_000
     }
 
-    /// Wire time for `bytes` on the client-facing link.
-    #[inline]
-    pub fn client_wire(&self, bytes: u64) -> Nanos {
-        bytes * self.client_link_per_byte_ns_x1000 / 1_000
-    }
-
     /// Backup CPU time to receive `bytes` split into `msgs` chunks.
     #[inline]
     pub fn backup_recv(&self, bytes: u64, msgs: u64) -> Nanos {
@@ -427,7 +421,10 @@ mod tests {
         let t = c.repl_wire(1024 * 1024);
         assert!((700 * MICROSECOND..1_000 * MICROSECOND).contains(&t));
         // 1 Gb/s is 10x slower.
-        assert_eq!(c.client_wire(1000), 10 * c.repl_wire(1000));
+        assert_eq!(
+            c.client_link_per_byte_ns_x1000,
+            10 * c.repl_link_per_byte_ns_x1000
+        );
     }
 
     #[test]

@@ -104,16 +104,6 @@ impl Vfs {
             .ok_or_else(|| SimError::NoSuchPath(path.to_string()))
     }
 
-    /// Remove a path (and its inode — no hard links in the simulation).
-    pub fn unlink(&mut self, path: &str) -> SimResult<()> {
-        let ino = self
-            .paths
-            .remove(path)
-            .ok_or_else(|| SimError::NoSuchPath(path.to_string()))?;
-        self.inodes.remove(&ino);
-        Ok(())
-    }
-
     /// Inode metadata.
     pub fn inode(&self, ino: Ino) -> SimResult<&Inode> {
         self.inodes.get(&ino).ok_or(SimError::NoSuchInode(ino))
@@ -184,11 +174,6 @@ impl Vfs {
     pub fn fsync(&mut self, ino: Ino) -> SimResult<usize> {
         self.inode(ino)?;
         Ok(self.cache.flush(&mut self.disk, Some(ino)))
-    }
-
-    /// Full sync of every dirty page.
-    pub fn sync_all(&mut self) -> usize {
-        self.cache.flush(&mut self.disk, None)
     }
 
     // ------------------------------------------------------------------
@@ -287,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn create_lookup_unlink() {
+    fn create_and_lookup() {
         let mut v = vfs();
         let ino = v.create("/data/file1", InodeKind::Regular, 5).unwrap();
         assert_eq!(v.lookup("/data/file1").unwrap(), ino);
@@ -296,9 +281,7 @@ mod tests {
             v.create("/data/file1", InodeKind::Regular, 6),
             Err(SimError::PathExists(_))
         ));
-        v.unlink("/data/file1").unwrap();
-        assert!(v.lookup("/data/file1").is_err());
-        assert!(v.inode(ino).is_err());
+        assert!(v.lookup("/data/file2").is_err());
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub struct FtraceHooks {
     hooks: HashMap<KernelFn, StateComponent>,
     /// Components flagged changed since the agent last drained signals.
     pending: HashSet<StateComponent>,
-    hits_total: u64,
 }
 
 impl FtraceHooks {
@@ -98,16 +97,10 @@ impl FtraceHooks {
         self.hooks.insert(func, component);
     }
 
-    /// Remove a hook.
-    pub fn unregister(&mut self, func: KernelFn) {
-        self.hooks.remove(&func);
-    }
-
     /// Called by kernel code on every invocation of a hookable function.
     /// (ftrace itself has negligible overhead — §V-B — so no cost is
     /// charged here.)
     pub fn hit(&mut self, func: KernelFn) {
-        self.hits_total += 1;
         if let Some(&c) = self.hooks.get(&func) {
             self.pending.insert(c);
         }
@@ -126,16 +119,6 @@ impl FtraceHooks {
         v.sort_by_key(|c| ALL_COMPONENTS.iter().position(|x| x == c));
         v
     }
-
-    /// Peek whether a component has a pending change signal.
-    pub fn is_pending(&self, c: StateComponent) -> bool {
-        self.pending.contains(&c)
-    }
-
-    /// Total hook-function invocations observed.
-    pub fn hits_total(&self) -> u64 {
-        self.hits_total
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +130,6 @@ mod tests {
         let mut h = FtraceHooks::with_default_hooks();
         h.hit(KernelFn::Mount);
         h.hit(KernelFn::CgroupModify);
-        assert!(h.is_pending(StateComponent::Mounts));
         let sigs = h.drain_signals();
         assert_eq!(sigs, vec![StateComponent::Cgroups, StateComponent::Mounts]);
         assert!(h.drain_signals().is_empty(), "drained");
@@ -160,24 +142,16 @@ mod tests {
         let mut h = FtraceHooks::with_default_hooks();
         h.hit(KernelFn::UncommonPath);
         assert!(h.drain_signals().is_empty());
-        assert_eq!(
-            h.hits_total(),
-            1,
-            "the call happened; the hook just wasn't there"
-        );
     }
 
     #[test]
-    fn register_unregister() {
+    fn registered_hook_signals_its_component() {
         let mut h = FtraceHooks::new();
         h.hit(KernelFn::Mount);
         assert!(h.drain_signals().is_empty(), "no hooks registered");
         h.register(KernelFn::UncommonPath, StateComponent::Mounts);
         h.hit(KernelFn::UncommonPath);
         assert_eq!(h.drain_signals(), vec![StateComponent::Mounts]);
-        h.unregister(KernelFn::UncommonPath);
-        h.hit(KernelFn::UncommonPath);
-        assert!(h.drain_signals().is_empty());
     }
 
     #[test]

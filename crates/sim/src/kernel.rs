@@ -241,16 +241,6 @@ impl Kernel {
         self.mm(pid)?.read(addr, buf)
     }
 
-    /// Tracking-fault cost for the current mode of `pid`'s address space —
-    /// used by drivers that account runtime overhead separately.
-    pub fn fault_cost(&self, pid: Pid) -> SimResult<Nanos> {
-        Ok(match self.mm(pid)?.tracking() {
-            TrackingMode::None => 0,
-            TrackingMode::SoftDirty => self.costs.soft_dirty_fault,
-            TrackingMode::WriteProtect => self.costs.vmexit_fault,
-        })
-    }
-
     // ==================================================================
     // Files
     // ==================================================================
@@ -320,13 +310,6 @@ impl Kernel {
         self.vfs.mount(source, target, fstype)
     }
 
-    /// Unmount (fires ftrace).
-    pub fn umount(&mut self, id: MountId) -> SimResult<()> {
-        self.charge(self.costs.syscall_base * 3);
-        self.ftrace.hit(KernelFn::Umount);
-        self.vfs.umount(id)
-    }
-
     /// mknod (fires ftrace).
     pub fn mknod(&mut self, path: &str, now: Nanos) -> SimResult<Ino> {
         self.charge(self.costs.syscall_base * 2);
@@ -372,11 +355,6 @@ impl Kernel {
     pub fn create_stack(&mut self, ns: NsId, addr: u32, input_mode: InputMode) {
         let rto = self.costs.tcp_rto_default;
         self.stacks.insert(ns, NetStack::new(addr, rto, input_mode));
-    }
-
-    /// Remove a namespace's stack (network-namespace teardown at failover).
-    pub fn drop_stack(&mut self, ns: NsId) -> Option<NetStack> {
-        self.stacks.remove(&ns)
     }
 
     /// Stack access.
@@ -646,14 +624,6 @@ impl Kernel {
         (pages, inodes)
     }
 
-    /// CRIU-stock alternative to `fgetfc`: flush the whole fs cache, charging
-    /// per flushed page (§III's "prohibitive overhead" path).
-    pub fn flush_fs_cache(&mut self) -> usize {
-        let pages = self.vfs.sync_all();
-        self.charge(pages as u64 * self.costs.fs_flush_per_page);
-        pages
-    }
-
     /// Collect namespace state (uncached cost: up to 100 ms, §I).
     pub fn collect_namespaces(&mut self, set: &crate::ns::NsSet) -> Vec<crate::ns::Namespace> {
         self.charge(self.costs.ns_collect);
@@ -907,12 +877,6 @@ mod tests {
         assert!(!inodes.is_empty());
         let cost = k.meter.take();
         assert!(cost < MILLISECOND, "fgetfc is cheap ({cost}ns)");
-        // Contrast with the stock flush path.
-        k.pwrite(pid, fd, 0, &vec![8u8; 3 * crate::PAGE_SIZE], 2)
-            .unwrap();
-        k.meter.take();
-        k.flush_fs_cache();
-        assert!(k.meter.take() > cost, "flush costs more than fgetfc");
     }
 
     #[test]

@@ -357,11 +357,6 @@ impl AddressSpace {
         self.vmas.values().map(Vma::pages).sum()
     }
 
-    /// Number of materialized (resident) frames.
-    pub fn resident_pages(&self) -> usize {
-        self.frames.len()
-    }
-
     // ------------------------------------------------------------------
     // Access
     // ------------------------------------------------------------------
@@ -667,7 +662,7 @@ mod tests {
         let mut buf = [0u8; 4];
         a.read(addr, &mut buf).unwrap();
         assert_eq!(&buf, b"wxyz");
-        assert_eq!(a.resident_pages(), 2);
+        assert_eq!(a.resident_vpns().len(), 2);
     }
 
     #[test]
@@ -1055,7 +1050,7 @@ mod tests {
         a.write(0x40000, b"gone").unwrap();
         let v = a.munmap(0x40000).unwrap();
         assert_eq!(v.len, 0x1000);
-        assert_eq!(a.resident_pages(), 0);
+        assert_eq!(a.resident_vpns().len(), 0);
         assert!(a.munmap(0x40000).is_err());
     }
 }

@@ -86,8 +86,6 @@ pub struct InputGate {
     mode: InputMode,
     blocked: bool,
     buf: VecDeque<Packet>,
-    dropped_total: u64,
-    dropped_syns_total: u64,
 }
 
 impl InputGate {
@@ -127,19 +125,10 @@ impl InputGate {
         if !self.blocked {
             return Some(pkt);
         }
-        match self.mode {
-            InputMode::Buffer => {
-                self.buf.push_back(pkt);
-                None
-            }
-            InputMode::Drop => {
-                self.dropped_total += 1;
-                if pkt.flags.syn {
-                    self.dropped_syns_total += 1;
-                }
-                None
-            }
+        if let InputMode::Buffer = self.mode {
+            self.buf.push_back(pkt);
         }
+        None
     }
 
     /// Stop blocking; returns any buffered packets for delivery (Buffer mode)
@@ -152,11 +141,6 @@ impl InputGate {
     /// Packets currently held (Buffer mode).
     pub fn pending(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Lifetime counts `(dropped, dropped_syns)` — Drop mode only.
-    pub fn drop_totals(&self) -> (u64, u64) {
-        (self.dropped_total, self.dropped_syns_total)
     }
 }
 
@@ -217,7 +201,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out[0].flags.syn, "FIFO order preserved");
         assert!(!g.is_blocked());
-        assert_eq!(g.drop_totals(), (0, 0));
     }
 
     #[test]
@@ -227,6 +210,5 @@ mod tests {
         assert!(g.offer(pkt(TcpFlags::SYN)).is_none());
         assert!(g.offer(pkt(TcpFlags::DATA)).is_none());
         assert!(g.unblock().is_empty(), "dropped packets are gone");
-        assert_eq!(g.drop_totals(), (2, 1));
     }
 }

@@ -40,7 +40,6 @@ pub struct NetStack {
     /// Egress packets ready to leave the stack now.
     out_ready: Vec<Packet>,
     broken_connections: u64,
-    rsts_sent: u64,
     /// Stack-wide count of non-empty application reads — the global delivery
     /// order recorded per recv in the hybrid-replay log.
     delivered_seq: u64,
@@ -62,7 +61,6 @@ impl NetStack {
             input_gate: InputGate::new(input_mode),
             out_ready: Vec::new(),
             broken_connections: 0,
-            rsts_sent: 0,
             delivered_seq: 0,
         }
     }
@@ -313,7 +311,6 @@ impl NetStack {
         if !pkt.flags.rst {
             // No socket for this packet: the kernel answers RST — the exact
             // §III hazard during recovery if input is not blocked.
-            self.rsts_sent += 1;
             let rst = Packet {
                 src: pkt.dst,
                 dst: pkt.src,
@@ -349,11 +346,6 @@ impl NetStack {
     /// ready queue, in order.
     pub fn release_output(&mut self) -> usize {
         self.qdisc.release_into(&mut self.out_ready)
-    }
-
-    /// Discard plugged output (failover: uncommitted output must not escape).
-    pub fn discard_output(&mut self) -> usize {
-        self.qdisc.discard()
     }
 
     /// Block input (checkpoint stop phase / recovery window).
@@ -494,11 +486,6 @@ impl NetStack {
     pub fn broken_connections(&self) -> u64 {
         self.broken_connections
     }
-
-    /// RSTs this stack has generated for orphaned packets.
-    pub fn rsts_sent(&self) -> u64 {
-        self.rsts_sent
-    }
 }
 
 #[cfg(test)]
@@ -580,7 +567,6 @@ mod tests {
         client.connect(c, Endpoint::new(1, 9999)).unwrap();
         pump(&mut client, &mut server);
         assert_eq!(client.sock(c).unwrap().state, TcpState::Reset);
-        assert_eq!(server.rsts_sent(), 1);
         assert_eq!(client.broken_connections(), 1);
     }
 
@@ -612,7 +598,7 @@ mod tests {
         pump(&mut client, &mut server);
         server.recv(child, 64).unwrap();
         server.send(child, b"uncommitted").unwrap();
-        let n = server.discard_output();
+        let n = server.qdisc.discard();
         assert!(n >= 1);
         pump(&mut client, &mut server);
         assert_eq!(client.sock(c).unwrap().readable(), 0);

@@ -78,17 +78,6 @@ impl Process {
         self.fds.get(&fd).ok_or(SimError::BadFd(self.pid, fd))
     }
 
-    /// Mutable fd lookup.
-    pub fn fd_mut(&mut self, fd: Fd) -> SimResult<&mut FdEntry> {
-        let pid = self.pid;
-        self.fds.get_mut(&fd).ok_or(SimError::BadFd(pid, fd))
-    }
-
-    /// Close an fd.
-    pub fn close_fd(&mut self, fd: Fd) -> SimResult<FdEntry> {
-        self.fds.remove(&fd).ok_or(SimError::BadFd(self.pid, fd))
-    }
-
     /// Number of open fds.
     pub fn fd_count(&self) -> usize {
         self.fds.len()
@@ -125,15 +114,7 @@ mod tests {
         });
         assert_eq!(fd, Fd(3));
         assert!(p.fd(fd).is_ok());
-        if let FdEntry::File { offset, .. } = p.fd_mut(fd).unwrap() {
-            *offset = 42;
-        }
-        assert!(matches!(
-            p.fd(fd).unwrap(),
-            FdEntry::File { offset: 42, .. }
-        ));
-        p.close_fd(fd).unwrap();
-        assert!(matches!(p.fd(fd), Err(SimError::BadFd(_, _))));
+        assert!(matches!(p.fd(Fd(4)), Err(SimError::BadFd(_, _))));
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Virtual time: nanosecond clock, cost meter, and a small event queue.
+//! Virtual time: nanosecond clock and cost meter.
 //!
 //! Nothing in the simulation ever reads the wall clock. All durations are
 //! virtual nanoseconds ([`Nanos`]); experiment determinism follows.
 
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Virtual nanoseconds.
@@ -38,19 +36,6 @@ pub const fn quantize_up(t: Nanos, interval: Nanos) -> Nanos {
         t
     } else {
         t.div_ceil(interval) * interval
-    }
-}
-
-/// Format a duration for human-readable reports (e.g. `7.4ms`, `43µs`).
-pub fn fmt_dur(n: Nanos) -> String {
-    if n >= SECOND {
-        format!("{:.2}s", n as f64 / SECOND as f64)
-    } else if n >= MILLISECOND {
-        format!("{:.2}ms", n as f64 / MILLISECOND as f64)
-    } else if n >= MICROSECOND {
-        format!("{:.1}µs", n as f64 / MICROSECOND as f64)
-    } else {
-        format!("{n}ns")
     }
 }
 
@@ -157,86 +142,6 @@ impl CostMeter {
     }
 }
 
-/// A timestamped event in the miniature discrete-event queue.
-///
-/// Used by the replication runtime for interleaving client request arrivals,
-/// epoch boundaries, heartbeats, acknowledgments, and fault injections. Events
-/// with equal timestamps pop in insertion order (a stable sequence number
-/// breaks ties), keeping runs deterministic.
-#[derive(Debug)]
-struct Scheduled<E> {
-    at: Nanos,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// A deterministic min-heap event queue over virtual time.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    next_seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `event` at absolute virtual time `at`.
-    pub fn schedule(&mut self, at: Nanos, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
-    }
-
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// Pop the earliest event as `(time, event)`.
-    pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,28 +215,6 @@ mod tests {
         fresh.refund(100);
         assert_eq!(fresh.peek(), 0);
         assert_eq!(fresh.lifetime_total(), 0);
-    }
-
-    #[test]
-    fn event_queue_orders_by_time_then_insertion() {
-        let mut q = EventQueue::new();
-        q.schedule(50, "b");
-        q.schedule(10, "a");
-        q.schedule(50, "c");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(10));
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((50, "b")), "FIFO among equal timestamps");
-        assert_eq!(q.pop(), Some((50, "c")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_dur(43 * MICROSECOND), "43.0µs");
-        assert_eq!(fmt_dur(7_400_000), "7.40ms");
-        assert_eq!(fmt_dur(2 * SECOND), "2.00s");
-        assert_eq!(fmt_dur(999), "999ns");
     }
 
     #[test]

@@ -47,16 +47,20 @@ pub struct YcsbBehavior {
     versions: Vec<HashMap<u32, u64>>,
     expectations: Vec<Vec<(u32, u64)>>,
     rngs: Vec<u64>,
-    issued: Vec<u64>,
-    max_requests: Option<u64>,
     errors: Vec<String>,
     responses: u64,
 }
 
 impl YcsbBehavior {
-    /// `n_clients` clients over `scale.kv_records` slots; each client stops
-    /// after `max_requests` batches (None = run forever).
-    pub fn new(n_clients: usize, scale: Scale, max_requests: Option<u64>) -> Self {
+    /// `n_clients` clients over `scale.kv_records` slots. Each client owns a
+    /// partition of at least one slot, so there can be no more clients than
+    /// records: shared slots would read as lost updates.
+    pub fn new(n_clients: usize, scale: Scale) -> Self {
+        assert!(
+            n_clients <= scale.kv_records,
+            "{n_clients} YCSB clients exceed the {} KV records: each client needs a slot of its own",
+            scale.kv_records
+        );
         YcsbBehavior {
             n_clients,
             scale,
@@ -66,8 +70,6 @@ impl YcsbBehavior {
             rngs: (0..n_clients)
                 .map(|i| 0x9E3779B9u64.wrapping_mul(i as u64 + 1))
                 .collect(),
-            issued: vec![0; n_clients],
-            max_requests,
             errors: Vec::new(),
             responses: 0,
         }
@@ -90,12 +92,6 @@ impl ClientBehavior for YcsbBehavior {
     }
 
     fn next_request(&mut self, idx: usize, _now: Nanos) -> Option<Vec<u8>> {
-        if let Some(max) = self.max_requests {
-            if self.issued[idx] >= max {
-                return None;
-            }
-        }
-        self.issued[idx] += 1;
         let base = idx as u32 * self.slots_per_client;
         let mut ops = Vec::with_capacity(self.scale.batch_ops);
         let mut expected = Vec::new();
@@ -197,8 +193,6 @@ pub struct SiegeBehavior {
     pub skip_prefix: usize,
     rngs: Vec<u64>,
     outstanding: Vec<Option<u32>>,
-    issued: Vec<u64>,
-    max_requests: Option<u64>,
     errors: Vec<String>,
     responses: u64,
 }
@@ -206,12 +200,7 @@ pub struct SiegeBehavior {
 impl SiegeBehavior {
     /// `n_clients` clients over `page_ids` distinct pages whose golden size
     /// is `response_len`.
-    pub fn new(
-        n_clients: usize,
-        page_ids: u32,
-        response_len: usize,
-        max_requests: Option<u64>,
-    ) -> Self {
+    pub fn new(n_clients: usize, page_ids: u32, response_len: usize) -> Self {
         SiegeBehavior {
             n_clients,
             page_ids,
@@ -221,8 +210,6 @@ impl SiegeBehavior {
                 .map(|i| 0xABCD_EF12u64.wrapping_mul(i as u64 + 3))
                 .collect(),
             outstanding: vec![None; n_clients],
-            issued: vec![0; n_clients],
-            max_requests,
             errors: Vec::new(),
             responses: 0,
         }
@@ -240,12 +227,6 @@ impl ClientBehavior for SiegeBehavior {
     }
 
     fn next_request(&mut self, idx: usize, _now: Nanos) -> Option<Vec<u8>> {
-        if let Some(max) = self.max_requests {
-            if self.issued[idx] >= max {
-                return None;
-            }
-        }
-        self.issued[idx] += 1;
         let id = (lcg(&mut self.rngs[idx]) % self.page_ids as u64) as u32;
         self.outstanding[idx] = Some(id);
         Some(id.to_le_bytes().to_vec())
@@ -291,20 +272,13 @@ pub struct EchoBehavior {
     max_len: usize,
     rngs: Vec<u64>,
     outstanding: Vec<Option<Vec<u8>>>,
-    issued: Vec<u64>,
-    max_requests: Option<u64>,
     errors: Vec<String>,
     responses: u64,
 }
 
 impl EchoBehavior {
     /// Clients sending payloads of `min_len..=max_len` bytes.
-    pub fn new(
-        n_clients: usize,
-        min_len: usize,
-        max_len: usize,
-        max_requests: Option<u64>,
-    ) -> Self {
+    pub fn new(n_clients: usize, min_len: usize, max_len: usize) -> Self {
         assert!(min_len <= max_len && min_len > 0);
         EchoBehavior {
             n_clients,
@@ -314,8 +288,6 @@ impl EchoBehavior {
                 .map(|i| 0x1234_5678u64.wrapping_mul(i as u64 + 7))
                 .collect(),
             outstanding: vec![None; n_clients],
-            issued: vec![0; n_clients],
-            max_requests,
             errors: Vec::new(),
             responses: 0,
         }
@@ -333,12 +305,6 @@ impl ClientBehavior for EchoBehavior {
     }
 
     fn next_request(&mut self, idx: usize, _now: Nanos) -> Option<Vec<u8>> {
-        if let Some(max) = self.max_requests {
-            if self.issued[idx] >= max {
-                return None;
-            }
-        }
-        self.issued[idx] += 1;
         let len =
             self.min_len + (lcg(&mut self.rngs[idx]) as usize) % (self.max_len - self.min_len + 1);
         let mut payload = Vec::with_capacity(len);
@@ -381,7 +347,7 @@ mod tests {
             batch_ops: 200,
             ..Scale::small()
         };
-        let mut b = YcsbBehavior::new(2, scale, None);
+        let mut b = YcsbBehavior::new(2, scale);
         let req = b.next_request(0, 0).unwrap();
         let decoded = KvRequest::decode(&req).unwrap();
         assert_eq!(decoded.ops.len(), 200);
@@ -406,7 +372,7 @@ mod tests {
             batch_ops: 10,
             ..Scale::small()
         };
-        let mut b = YcsbBehavior::new(1, scale, None);
+        let mut b = YcsbBehavior::new(1, scale);
         let req = KvRequest::decode(&b.next_request(0, 0).unwrap()).unwrap();
         // Build the CORRECT response.
         let mut resp = KvResponse::default();
@@ -440,16 +406,14 @@ mod tests {
     }
 
     #[test]
-    fn ycsb_respects_max_requests() {
-        let mut b = YcsbBehavior::new(1, Scale::small(), Some(2));
-        assert!(b.next_request(0, 0).is_some());
-        assert!(b.next_request(0, 0).is_some());
-        assert!(b.next_request(0, 0).is_none());
+    #[should_panic(expected = "5000 YCSB clients exceed the 4000 KV records")]
+    fn ycsb_rejects_more_clients_than_records() {
+        YcsbBehavior::new(5000, Scale::small());
     }
 
     #[test]
     fn siege_golden_copy_check() {
-        let mut s = SiegeBehavior::new(1, 10, 128, None);
+        let mut s = SiegeBehavior::new(1, 10, 128);
         let req = s.next_request(0, 0).unwrap();
         let id = u32::from_le_bytes(req[0..4].try_into().unwrap());
         s.on_response(0, &golden_page(id as u64, 128), 0, 0);
@@ -462,7 +426,7 @@ mod tests {
 
     #[test]
     fn siege_skip_prefix_tolerates_dynamic_header() {
-        let mut s = SiegeBehavior::new(1, 10, 64, None);
+        let mut s = SiegeBehavior::new(1, 10, 64);
         s.skip_prefix = 4;
         let req = s.next_request(0, 0).unwrap();
         let id = u32::from_le_bytes(req[0..4].try_into().unwrap());
@@ -474,7 +438,7 @@ mod tests {
 
     #[test]
     fn echo_detects_corruption() {
-        let mut e = EchoBehavior::new(1, 10, 20, None);
+        let mut e = EchoBehavior::new(1, 10, 20);
         let sent = e.next_request(0, 0).unwrap();
         e.on_response(0, &sent, 0, 0);
         assert!(e.verify().is_ok());
@@ -487,7 +451,7 @@ mod tests {
 
     #[test]
     fn echo_sizes_within_bounds() {
-        let mut e = EchoBehavior::new(1, 5, 9, None);
+        let mut e = EchoBehavior::new(1, 5, 9);
         for _ in 0..50 {
             let p = e.next_request(0, 0).unwrap();
             assert!((5..=9).contains(&p.len()));

@@ -55,6 +55,6 @@ pub use ssdb::SsdbApp;
 pub use streamcluster::StreamclusterApp;
 pub use swaptions::SwaptionsApp;
 pub use workload::{
-    all_server_workloads, all_workloads, djcms, lighttpd, net_echo, node, redis, ssdb, stack_echo,
-    streamcluster, stress_fs, swaptions, Workload,
+    djcms, lighttpd, net_echo, node, redis, ssdb, stack_echo, streamcluster, stress_fs, swaptions,
+    Workload,
 };

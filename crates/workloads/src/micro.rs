@@ -110,8 +110,6 @@ pub struct StressFsApp {
     pub file_size: u64,
     /// fsync every N operations (exercises DRBD).
     pub fsync_every: u64,
-    /// Stop after this many operations (None = run forever).
-    pub max_ops: Option<u64>,
     fd: Option<Fd>,
     /// Errors detected (checked by the validation harness).
     pub errors: u64,
@@ -123,11 +121,10 @@ const MIRROR: u64 = PAGE_SIZE as u64;
 
 impl StressFsApp {
     /// New stressor over a file of `file_size` bytes.
-    pub fn new(file_size: u64, max_ops: Option<u64>) -> Self {
+    pub fn new(file_size: u64) -> Self {
         StressFsApp {
             file_size,
             fsync_every: 32,
-            max_ops,
             fd: None,
             errors: 0,
         }
@@ -179,11 +176,6 @@ impl Application for StressFsApp {
     fn step(&mut self, ctx: &mut GuestCtx<'_>) -> SimResult<StepOutcome> {
         let fd = self.fd.expect("init ran");
         let (mut rng, ops) = self.read_state(ctx)?;
-        if let Some(max) = self.max_ops {
-            if ops >= max {
-                return Ok(StepOutcome { done: true });
-            }
-        }
         ctx.cpu(8_000);
         let len = (lcg(&mut rng) % 8192 + 1) as usize; // 1-8192 bytes (§VII-A)
         let off = lcg(&mut rng) % (self.file_size - len as u64);
@@ -255,17 +247,13 @@ mod tests {
 
     #[test]
     fn stress_fs_detects_no_errors_in_healthy_run() {
-        let mut app = StressFsApp::new(64 * 1024, Some(300));
+        let mut app = StressFsApp::new(64 * 1024);
         let (mut k, pid) = host(app.heap_pages());
         let mut ctx = GuestCtx::new(&mut k, pid, 0);
         app.init(&mut ctx).unwrap();
-        let mut i = 0;
-        loop {
+        for i in 0..300 {
             let mut ctx = GuestCtx::new(&mut k, pid, i);
-            if app.step(&mut ctx).unwrap().done {
-                break;
-            }
-            i += 1;
+            assert!(!app.step(&mut ctx).unwrap().done);
         }
         assert_eq!(app.errors, 0, "read-after-write consistency holds");
         assert!(k.vfs.disk.writes_total() > 0, "fsyncs reached the device");
@@ -274,7 +262,7 @@ mod tests {
     #[test]
     fn stress_fs_catches_real_corruption() {
         // Corrupt the file behind the app's back: errors must be flagged.
-        let mut app = StressFsApp::new(32 * 1024, Some(2000));
+        let mut app = StressFsApp::new(32 * 1024);
         app.fsync_every = u64::MAX; // keep it in the cache
         let (mut k, pid) = host(app.heap_pages());
         let mut ctx = GuestCtx::new(&mut k, pid, 0);
@@ -300,7 +288,7 @@ mod tests {
 
     #[test]
     fn stress_fs_state_lives_in_guest() {
-        let mut app = StressFsApp::new(32 * 1024, None);
+        let mut app = StressFsApp::new(32 * 1024);
         let (mut k, pid) = host(app.heap_pages());
         let mut ctx = GuestCtx::new(&mut k, pid, 0);
         app.init(&mut ctx).unwrap();

@@ -37,7 +37,7 @@ impl std::fmt::Debug for Workload {
 }
 
 /// Redis: memory-stressing NoSQL, no persistence (§VI).
-pub fn redis(scale: Scale, clients: usize, max_requests: Option<u64>) -> Workload {
+pub fn redis(scale: Scale, clients: usize) -> Workload {
     let app = RedisApp::new(scale, true);
     let mut spec = ContainerSpec::server("redis", 10, 6379);
     spec.threads_per_process = 4;
@@ -47,13 +47,13 @@ pub fn redis(scale: Scale, clients: usize, max_requests: Option<u64>) -> Workloa
         name: "Redis",
         spec,
         app: Box::new(app),
-        behavior: Some(Box::new(YcsbBehavior::new(clients, scale, max_requests))),
+        behavior: Some(Box::new(YcsbBehavior::new(clients, scale))),
         parallelism: 1.0,
     }
 }
 
 /// SSDB: disk-stressing NoSQL, full persistence (§VI).
-pub fn ssdb(scale: Scale, clients: usize, max_requests: Option<u64>) -> Workload {
+pub fn ssdb(scale: Scale, clients: usize) -> Workload {
     let app = SsdbApp::new(scale);
     let mut spec = ContainerSpec::server("ssdb", 10, 8888);
     spec.threads_per_process = 8;
@@ -64,20 +64,20 @@ pub fn ssdb(scale: Scale, clients: usize, max_requests: Option<u64>) -> Workload
         name: "SSDB",
         spec,
         app: Box::new(app),
-        behavior: Some(Box::new(YcsbBehavior::new(clients, scale, max_requests))),
+        behavior: Some(Box::new(YcsbBehavior::new(clients, scale))),
         parallelism: 1.7,
     }
 }
 
 /// Node: socket-heavy search/render service; 128 clients to saturate (§VI).
-pub fn node(scale: Scale, clients: usize, max_requests: Option<u64>) -> Workload {
+pub fn node(scale: Scale, clients: usize) -> Workload {
     let app = NodeApp::new(scale);
     let mut spec = ContainerSpec::server("node", 10, 3000);
     spec.threads_per_process = 4;
     spec.mapped_files = 40;
     spec.heap_pages = app.heap_pages();
     spec.threads_in_syscall = 3;
-    let mut behavior = SiegeBehavior::new(clients, 4096, app.response_len, max_requests);
+    let mut behavior = SiegeBehavior::new(clients, 4096, app.response_len);
     behavior.skip_prefix = 4; // dynamic hit-count prefix
     Workload {
         name: "Node",
@@ -89,14 +89,14 @@ pub fn node(scale: Scale, clients: usize, max_requests: Option<u64>) -> Workload
 }
 
 /// Lighttpd: CPU-heavy PHP watermarking across `processes` workers (§VI).
-pub fn lighttpd(processes: usize, clients: usize, max_requests: Option<u64>) -> Workload {
+pub fn lighttpd(processes: usize, clients: usize) -> Workload {
     let app = LighttpdApp::new();
     let mut spec = ContainerSpec::server("lighttpd", 10, 80);
     spec.processes = processes;
     spec.threads_per_process = 1;
     spec.mapped_files = 22;
     spec.heap_pages = app.heap_pages();
-    let behavior = SiegeBehavior::new(clients, 1024, app.response_len, max_requests);
+    let behavior = SiegeBehavior::new(clients, 1024, app.response_len);
     Workload {
         name: "Lighttpd",
         spec,
@@ -107,7 +107,7 @@ pub fn lighttpd(processes: usize, clients: usize, max_requests: Option<u64>) -> 
 }
 
 /// DJCMS: nginx + Python + MySQL dashboard pipeline (§VI).
-pub fn djcms(clients: usize, max_requests: Option<u64>) -> Workload {
+pub fn djcms(clients: usize) -> Workload {
     let app = DjcmsApp::new();
     let mut spec = ContainerSpec::server("djcms", 10, 8000);
     spec.processes = 3;
@@ -115,7 +115,7 @@ pub fn djcms(clients: usize, max_requests: Option<u64>) -> Workload {
     spec.mapped_files = 64;
     spec.heap_pages = app.heap_pages();
     spec.threads_in_syscall = 2;
-    let behavior = SiegeBehavior::new(clients, 256, app.response_len, max_requests);
+    let behavior = SiegeBehavior::new(clients, 256, app.response_len);
     Workload {
         name: "DJCMS",
         spec,
@@ -125,9 +125,12 @@ pub fn djcms(clients: usize, max_requests: Option<u64>) -> Workload {
     }
 }
 
-/// PARSEC streamcluster with `threads` worker threads (§VI, §VII-C).
+/// PARSEC streamcluster with `threads` worker threads (§VI, §VII-C), run
+/// continuously: every measurement reads steady-state throughput, so the
+/// app never reports `done`.
 pub fn streamcluster(scale: Scale, threads: usize) -> Workload {
-    let app = StreamclusterApp::new(scale);
+    let mut app = StreamclusterApp::new(scale);
+    app.passes = u32::MAX;
     let mut spec = ContainerSpec::batch("streamcluster", 10);
     spec.threads_per_process = threads;
     spec.mapped_files = 12;
@@ -141,9 +144,10 @@ pub fn streamcluster(scale: Scale, threads: usize) -> Workload {
     }
 }
 
-/// PARSEC swaptions (§VI).
+/// PARSEC swaptions (§VI), run continuously like [`streamcluster`].
 pub fn swaptions(scale: Scale, threads: usize) -> Workload {
-    let app = SwaptionsApp::new(scale);
+    let mut app = SwaptionsApp::new(scale);
+    app.swaptions = u32::MAX;
     let mut spec = ContainerSpec::batch("swaptions", 10);
     spec.threads_per_process = threads;
     spec.mapped_files = 10;
@@ -158,7 +162,7 @@ pub fn swaptions(scale: Scale, threads: usize) -> Workload {
 }
 
 /// `Net` echo microbenchmark (§VII-B): 10-byte echo.
-pub fn net_echo(clients: usize, max_requests: Option<u64>) -> Workload {
+pub fn net_echo(clients: usize) -> Workload {
     let mut spec = ContainerSpec::server("net", 10, 7777);
     spec.threads_per_process = 1;
     spec.mapped_files = 6;
@@ -167,14 +171,14 @@ pub fn net_echo(clients: usize, max_requests: Option<u64>) -> Workload {
         name: "Net",
         spec,
         app: Box::new(NetEchoApp::new()),
-        behavior: Some(Box::new(EchoBehavior::new(clients, 10, 10, max_requests))),
+        behavior: Some(Box::new(EchoBehavior::new(clients, 10, 10))),
         parallelism: 1.0,
     }
 }
 
 /// Stack-echo validation microbenchmark (§VII-A): random-size echoes staged
 /// through guest stack memory.
-pub fn stack_echo(clients: usize, max_len: usize, max_requests: Option<u64>) -> Workload {
+pub fn stack_echo(clients: usize, max_len: usize) -> Workload {
     let mut spec = ContainerSpec::server("stack-echo", 10, 7778);
     spec.threads_per_process = 2;
     spec.mapped_files = 6;
@@ -187,7 +191,6 @@ pub fn stack_echo(clients: usize, max_len: usize, max_requests: Option<u64>) -> 
             clients,
             1,
             max_len.min(StackEchoApp::MAX_MSG),
-            max_requests,
         ))),
         parallelism: 1.0,
     }
@@ -195,8 +198,8 @@ pub fn stack_echo(clients: usize, max_len: usize, max_requests: Option<u64>) -> 
 
 /// File/disk validation microbenchmark (§VII-A): random read/write mix with
 /// in-guest mirror verification.
-pub fn stress_fs(file_size: u64, max_ops: Option<u64>) -> Workload {
-    let app = StressFsApp::new(file_size, max_ops);
+pub fn stress_fs(file_size: u64) -> Workload {
+    let app = StressFsApp::new(file_size);
     let mut spec = ContainerSpec::batch("stress-fs", 10);
     spec.threads_per_process = 1;
     spec.mapped_files = 6;
@@ -210,69 +213,44 @@ pub fn stress_fs(file_size: u64, max_ops: Option<u64>) -> Workload {
     }
 }
 
-/// The five server benchmarks at a given scale (Fig. 3's left-hand set uses
-/// `streamcluster`/`swaptions` too — see [`all_workloads`]).
-pub fn all_server_workloads(scale: Scale, max_requests: Option<u64>) -> Vec<Workload> {
-    vec![
-        redis(scale, 8, max_requests),
-        ssdb(scale, 8, max_requests),
-        node(scale, 128, max_requests),
-        lighttpd(4, 32, max_requests),
-        djcms(16, max_requests),
-    ]
-}
-
-/// All seven paper benchmarks in Fig. 3 order.
-pub fn all_workloads(scale: Scale, max_requests: Option<u64>) -> Vec<Workload> {
-    let mut v = vec![swaptions(scale, 4), streamcluster(scale, 4)];
-    v.extend(all_server_workloads(scale, max_requests));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nilicon_container::{ContainerRuntime, GuestCtx};
+    use nilicon_sim::kernel::Kernel;
 
     #[test]
-    fn bundles_are_consistent() {
-        for w in all_workloads(Scale::small(), Some(1)) {
-            assert!(w.parallelism > 0.5, "{}", w.name);
-            assert_eq!(w.behavior.is_some(), w.app.is_server(), "{}", w.name);
-            if w.app.is_server() {
-                assert!(w.spec.listen_port.is_some(), "{}", w.name);
+    fn batch_builders_run_past_the_apps_finite_defaults() {
+        // Two 1024-point chunks per pass: 6 passes end at step 12, and
+        // swaptions' default count at step 128.
+        let scale = Scale {
+            sc_points: 2048,
+            sw_trials: 1,
+            ..Scale::small()
+        };
+        for (mut w, steps) in [(streamcluster(scale, 4), 20), (swaptions(scale, 4), 200)] {
+            let mut k = Kernel::default();
+            let pid = ContainerRuntime::create(&mut k, &w.spec)
+                .unwrap()
+                .init_pid();
+            w.app.init(&mut GuestCtx::new(&mut k, pid, 0)).unwrap();
+            for i in 0..steps {
+                let done = w.app.step(&mut GuestCtx::new(&mut k, pid, i)).unwrap().done;
+                assert!(!done, "{} reported done at step {i}", w.name);
             }
-            assert!(w.spec.heap_pages > 0);
         }
     }
 
     #[test]
-    fn fig3_order_and_count() {
-        let all = all_workloads(Scale::small(), None);
-        let names: Vec<&str> = all.iter().map(|w| w.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "Swaptions",
-                "Streamcluster",
-                "Redis",
-                "SSDB",
-                "Node",
-                "Lighttpd",
-                "DJCMS"
-            ]
-        );
-    }
-
-    #[test]
     fn node_uses_128_clients() {
-        let w = node(Scale::small(), 128, None);
+        let w = node(Scale::small(), 128);
         assert_eq!(w.behavior.as_ref().unwrap().client_count(), 128);
     }
 
     #[test]
     fn lighttpd_process_sweep_shapes() {
         for n in [1, 4, 8] {
-            let w = lighttpd(n, 8, None);
+            let w = lighttpd(n, 8);
             assert_eq!(w.spec.processes, n);
             assert!((w.parallelism - n as f64 * 0.99).abs() < 1e-9);
         }

@@ -49,7 +49,7 @@ fn ycsb_against_redis_long_run() {
     let mut spec = ContainerSpec::server("redis", 10, 6379);
     spec.heap_pages = app.heap_pages();
     let (mut k, pid) = host(&spec);
-    let mut b = YcsbBehavior::new(3, scale, None);
+    let mut b = YcsbBehavior::new(3, scale);
     drive(&mut app, &mut b, &mut k, pid, 40);
     assert_eq!(b.responses(), 120);
     assert!(b.errors().is_empty());
@@ -62,7 +62,7 @@ fn ycsb_against_ssdb_long_run() {
     let mut spec = ContainerSpec::server("ssdb", 10, 8888);
     spec.heap_pages = app.heap_pages();
     let (mut k, pid) = host(&spec);
-    let mut b = YcsbBehavior::new(2, scale, None);
+    let mut b = YcsbBehavior::new(2, scale);
     drive(&mut app, &mut b, &mut k, pid, 30);
     assert!(k.vfs.disk.writes_total() > 0, "persistence reached the device");
 }
@@ -74,7 +74,7 @@ fn siege_against_node_long_run() {
     let mut spec = ContainerSpec::server("node", 10, 3000);
     spec.heap_pages = app.heap_pages();
     let (mut k, pid) = host(&spec);
-    let mut b = SiegeBehavior::new(4, 4096, app.response_len, None);
+    let mut b = SiegeBehavior::new(4, 4096, app.response_len);
     b.skip_prefix = 4;
     drive(&mut app, &mut b, &mut k, pid, 25);
     assert_eq!(b.responses(), 100);
@@ -86,7 +86,7 @@ fn echo_against_stack_echo_long_run() {
     let mut spec = ContainerSpec::server("stack-echo", 10, 7778);
     spec.heap_pages = 64;
     let (mut k, pid) = host(&spec);
-    let mut b = EchoBehavior::new(2, 1, 50_000, None);
+    let mut b = EchoBehavior::new(2, 1, 50_000);
     drive(&mut app, &mut b, &mut k, pid, 30);
     assert_eq!(b.responses(), 60);
 }
@@ -131,7 +131,7 @@ fn ycsb_catches_a_lying_server() {
     spec.heap_pages = app.inner.heap_pages();
     let (mut k, pid) = host(&spec);
 
-    let mut b = YcsbBehavior::new(1, scale, None);
+    let mut b = YcsbBehavior::new(1, scale);
     {
         let mut ctx = GuestCtx::new(&mut k, pid, 0);
         app.init(&mut ctx).unwrap();

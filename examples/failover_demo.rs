@@ -12,7 +12,7 @@ use nilicon_repro::sim::CostModel;
 use nilicon_repro::workloads::{self, Scale};
 
 fn main() {
-    let workload = workloads::redis(Scale::small(), 4, None);
+    let workload = workloads::redis(Scale::small(), 4);
     let engine = NiLiConEngine::new(OptimizationConfig::nilicon(), CostModel::default());
     let mut harness = RunHarness::new(
         workload.spec,

@@ -9,14 +9,10 @@
 use nilicon_repro::core::harness::{RunHarness, RunMode};
 use nilicon_repro::core::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_repro::sim::CostModel;
-use nilicon_repro::workloads::{self, Scale, StreamclusterApp};
+use nilicon_repro::workloads::{self, Scale};
 
 fn run(opts: OptimizationConfig, epochs: u64) -> (f64, f64) {
-    let scale = Scale::bench();
-    let mut w = workloads::streamcluster(scale, 4);
-    let mut app = StreamclusterApp::new(scale);
-    app.passes = u32::MAX;
-    w.app = Box::new(app);
+    let w = workloads::streamcluster(Scale::bench(), 4);
 
     let engine = NiLiConEngine::new(opts, CostModel::default());
     let mut h = RunHarness::new(

@@ -12,7 +12,7 @@ use nilicon_repro::workloads::{self, Scale};
 
 fn main() {
     // 1. Pick a workload: a Redis-like store with 4 YCSB-style clients.
-    let workload = workloads::redis(Scale::small(), 4, None);
+    let workload = workloads::redis(Scale::small(), 4);
 
     // 2. Wrap it in the replication harness: three simulated hosts (primary,
     //    backup, client), the container on the primary, NiLiCon with every

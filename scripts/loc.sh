@@ -11,7 +11,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RATCHET=2005
+RATCHET=1998
 ENGINES_RATCHET=1528
 
 count() {

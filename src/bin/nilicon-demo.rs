@@ -13,7 +13,7 @@ use nilicon_repro::core::harness::{RunHarness, RunMode};
 use nilicon_repro::core::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_repro::mc::McEngine;
 use nilicon_repro::sim::CostModel;
-use nilicon_repro::workloads::{self, Scale, StreamclusterApp, SwaptionsApp, Workload};
+use nilicon_repro::workloads::{self, Scale, Workload};
 
 const WORKLOADS: &[&str] = &[
     "redis",
@@ -94,28 +94,22 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn build_workload(name: &str, scale: Scale, clients: usize) -> Result<Workload, String> {
+    if matches!(name, "redis" | "ssdb") && clients > scale.kv_records {
+        return Err(format!(
+            "{clients} YCSB clients exceed the {} KV records: each client needs a slot of its own",
+            scale.kv_records
+        ));
+    }
     Ok(match name {
-        "redis" => workloads::redis(scale, clients, None),
-        "ssdb" => workloads::ssdb(scale, clients, None),
-        "node" => workloads::node(scale, clients.max(16), None),
-        "lighttpd" => workloads::lighttpd(4, clients.max(8), None),
-        "djcms" => workloads::djcms(clients.max(8), None),
-        "streamcluster" => {
-            let mut w = workloads::streamcluster(scale, 4);
-            let mut app = StreamclusterApp::new(scale);
-            app.passes = u32::MAX;
-            w.app = Box::new(app);
-            w
-        }
-        "swaptions" => {
-            let mut w = workloads::swaptions(scale, 4);
-            let mut app = SwaptionsApp::new(scale);
-            app.swaptions = u32::MAX;
-            w.app = Box::new(app);
-            w
-        }
-        "net" => workloads::net_echo(clients, None),
-        "stress-fs" => workloads::stress_fs(256 * 1024, None),
+        "redis" => workloads::redis(scale, clients),
+        "ssdb" => workloads::ssdb(scale, clients),
+        "node" => workloads::node(scale, clients.max(16)),
+        "lighttpd" => workloads::lighttpd(4, clients.max(8)),
+        "djcms" => workloads::djcms(clients.max(8)),
+        "streamcluster" => workloads::streamcluster(scale, 4),
+        "swaptions" => workloads::swaptions(scale, 4),
+        "net" => workloads::net_echo(clients),
+        "stress-fs" => workloads::stress_fs(256 * 1024),
         other => {
             return Err(format!(
                 "unknown workload {other}; known: {}",

@@ -106,7 +106,7 @@ fn input_blocking_during_restore_is_load_bearing() {
 #[test]
 fn basic_vs_full_config_on_disk_heavy_workload() {
     let run = |opts: OptimizationConfig| {
-        let w = workloads::ssdb(Scale::small(), 4, None);
+        let w = workloads::ssdb(Scale::small(), 4);
         let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
         let mut h = RunHarness::new(
             w.spec,
@@ -136,7 +136,7 @@ fn basic_vs_full_config_on_disk_heavy_workload() {
 /// container sees the new mount.
 #[test]
 fn cache_invalidation_survives_failover() {
-    let w = workloads::redis(Scale::small(), 2, None);
+    let w = workloads::redis(Scale::small(), 2);
     let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(
         OptimizationConfig::nilicon(),
         CostModel::default(),
@@ -178,7 +178,7 @@ fn cache_invalidation_survives_failover() {
 fn mc_disk_caveat_vs_nilicon_correctness() {
     use nilicon_mc::McEngine;
     let run = |mc: bool| -> (u64, u64) {
-        let w = workloads::ssdb(Scale::small(), 2, None);
+        let w = workloads::ssdb(Scale::small(), 2);
         let mode: RunMode = if mc {
             RunMode::Replicated(Box::new(McEngine::new(CostModel::default())))
         } else {

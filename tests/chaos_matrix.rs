@@ -79,7 +79,7 @@ fn long_partition_promotes_fenced_without_split_brain() {
 #[test]
 fn empty_chaos_schedule_leaves_every_metric_unchanged() {
     let run = |armed: bool| {
-        let w = redis(Scale::small(), 4, None);
+        let w = redis(Scale::small(), 4);
         let engine = NiLiConEngine::new(OptimizationConfig::nilicon(), CostModel::default());
         let mode = RunMode::Replicated(Box::new(engine));
         let cfg = ReplicationConfig::default();

@@ -1,7 +1,8 @@
 //! Doc checks. Every `TraceEvent` variant must be documented in
 //! OBSERVABILITY.md — the trace schema is a contract, and an event that
 //! ships without documentation is unreconcilable by readers of the traces.
-//! Every measurement binary, criterion bench and root `BENCH_*` file must
+//! Every measurement binary, criterion bench and root `BENCH_*` or
+//! `REPRODUCE_*` file must
 //! have a row in EXPERIMENTS.md's "Measurement apparatus" table saying what
 //! it alone measures — a second producer of a number cannot land unnoticed.
 
@@ -109,7 +110,7 @@ fn apparatus_rows(doc: &str) -> Vec<(String, bool)> {
 
 /// The artifacts the table must cover, named as the table names them:
 /// `src/bin/*.rs` and `benches/*.rs` relative to `crates/bench`, and the
-/// `BENCH_*` files at the repository root.
+/// `BENCH_*` and `REPRODUCE_*` files at the repository root.
 fn apparatus_on_disk(root: &Path) -> Vec<String> {
     let names = |dir: &Path| -> Vec<String> {
         std::fs::read_dir(dir)
@@ -130,7 +131,11 @@ fn apparatus_on_disk(root: &Path) -> Vec<String> {
                 .map(|n| format!("{sub}/{n}")),
         );
     }
-    found.extend(names(root).into_iter().filter(|n| n.starts_with("BENCH_")));
+    found.extend(
+        names(root)
+            .into_iter()
+            .filter(|n| n.starts_with("BENCH_") || n.starts_with("REPRODUCE_")),
+    );
     found
 }
 

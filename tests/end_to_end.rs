@@ -30,7 +30,7 @@ fn nilicon_mode() -> RunMode {
 
 #[test]
 fn unreplicated_redis_serves_and_validates() {
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut h = harness(w, RunMode::Unreplicated);
     h.run_epochs(30).unwrap();
     let r = h.finish();
@@ -46,7 +46,7 @@ fn unreplicated_redis_serves_and_validates() {
 
 #[test]
 fn nilicon_redis_serves_with_overhead() {
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut h = harness(w, nilicon_mode());
     h.run_epochs(30).unwrap();
     let r = h.finish();
@@ -58,7 +58,7 @@ fn nilicon_redis_serves_with_overhead() {
     assert!(r.metrics.backup_utilization() > 0.0);
 
     // Throughput must be lower than unreplicated.
-    let w2 = workloads::redis(Scale::small(), 4, None);
+    let w2 = workloads::redis(Scale::small(), 4);
     let mut h2 = harness(w2, RunMode::Unreplicated);
     h2.run_epochs(30).unwrap();
     let stock = h2.finish();
@@ -75,7 +75,7 @@ fn nilicon_failover_preserves_kv_consistency() {
     // The headline §VII-A experiment, miniaturized: run Redis under NiLiCon,
     // kill the primary mid-run, and require (a) recovery, (b) zero broken
     // connections, (c) YCSB read-your-writes consistency across the failover.
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut h = harness(w, nilicon_mode());
     h.inject_fault_at(400 * MILLISECOND);
     h.run_epochs(60).unwrap();
@@ -105,7 +105,7 @@ fn nilicon_failover_preserves_kv_consistency() {
 
 #[test]
 fn nilicon_failover_stack_echo_consistency() {
-    let w = workloads::stack_echo(4, 8000, None);
+    let w = workloads::stack_echo(4, 8000);
     let mut h = harness(w, nilicon_mode());
     h.inject_fault_at(300 * MILLISECOND);
     h.run_epochs(50).unwrap();
@@ -117,7 +117,7 @@ fn nilicon_failover_stack_echo_consistency() {
 
 #[test]
 fn nilicon_batch_stress_fs_survives_failover() {
-    let w = workloads::stress_fs(64 * 1024, None);
+    let w = workloads::stress_fs(64 * 1024);
     let mut h = harness(w, nilicon_mode());
     h.inject_fault_at(350 * MILLISECOND);
     h.run_epochs(40).unwrap();
@@ -159,7 +159,7 @@ fn swaptions_completes_under_replication_with_failover() {
 
 #[test]
 fn mc_runs_redis_with_lower_stop_higher_runtime() {
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut h = harness(
         w,
         RunMode::Replicated(Box::new(McEngine::new(CostModel::default()))),
@@ -168,7 +168,7 @@ fn mc_runs_redis_with_lower_stop_higher_runtime() {
     let mc = h.finish();
     mc.verify.expect("MC serves correctly");
 
-    let w2 = workloads::redis(Scale::small(), 4, None);
+    let w2 = workloads::redis(Scale::small(), 4);
     let mut h2 = harness(w2, nilicon_mode());
     h2.run_epochs(25).unwrap();
     let nl = h2.finish();
@@ -219,7 +219,7 @@ fn single_client_latency_inflates_under_nilicon() {
     // Table VI mechanism: buffering-until-ack inflates single-client latency
     // by roughly half an epoch plus the stop time.
     let run = |mode: RunMode| {
-        let w = workloads::net_echo(1, None);
+        let w = workloads::net_echo(1);
         let mut h = harness(w, mode);
         h.run_epochs(40).unwrap();
         h.finish().metrics.mean_latency()
@@ -251,7 +251,7 @@ fn rearm_survives_two_sequential_primary_faults() {
     // primary fault is survivable — two failovers, zero broken connections,
     // read-your-writes consistency across both.
     use nilicon::trace::{TraceEvent, Tracer};
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut h = RunHarness::new(
         w.spec,
         w.app,
@@ -321,7 +321,7 @@ fn rearm_bootstrap_survives_replacement_loss_and_retries() {
     // The promoted container keeps serving unreplicated, the half-assembled
     // image is dropped, and a later attempt (exponential backoff) succeeds.
     use nilicon::trace::{TraceEvent, Tracer};
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     // Tiny chunks stretch the bootstrap across many epochs so the injected
     // backup fault reliably lands mid-stream.
     let cfg = ReplicationConfig {
@@ -370,7 +370,7 @@ fn rearm_bootstrap_survives_replacement_loss_and_retries() {
 #[test]
 fn run_lasts_virtual_seconds_and_is_deterministic() {
     let run = || {
-        let w = workloads::ssdb(Scale::small(), 4, None);
+        let w = workloads::ssdb(Scale::small(), 4);
         let mut h = harness(w, nilicon_mode());
         h.run_epochs(35).unwrap();
         let r = h.finish();

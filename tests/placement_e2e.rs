@@ -23,7 +23,7 @@ fn placement_mode(k: u32, n: u32) -> RunMode {
 }
 
 fn harness(cfg: ReplicationConfig, k: u32, n: u32) -> RunHarness {
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     RunHarness::new(
         w.spec,
         w.app,

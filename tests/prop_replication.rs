@@ -18,9 +18,9 @@ fn run_with_fault(
 ) -> nilicon::harness::RunResult {
     let scale = Scale::small();
     let w = match which % 3 {
-        0 => workloads::redis(scale, clients, None),
-        1 => workloads::ssdb(scale, clients, None),
-        _ => workloads::stack_echo(clients, 4000, None),
+        0 => workloads::redis(scale, clients),
+        1 => workloads::ssdb(scale, clients),
+        _ => workloads::stack_echo(clients, 4000),
     };
     let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
     let mut h = RunHarness::new(

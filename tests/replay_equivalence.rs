@@ -268,7 +268,7 @@ fn partial_tail_falls_back_to_the_last_committed_checkpoint() {
 /// fault no longer rounds recovery down to the previous checkpoint.
 #[test]
 fn harness_fault_mid_epoch_replays_the_sealed_tail() {
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut opts = OptimizationConfig::nilicon();
     opts.hybrid_replay = true;
     let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
@@ -326,7 +326,7 @@ fn harness_fault_mid_epoch_replays_the_sealed_tail() {
 /// still be clean: one failover, no broken connections.
 #[test]
 fn harness_partial_log_falls_back_and_recovers() {
-    let w = workloads::redis(Scale::small(), 4, None);
+    let w = workloads::redis(Scale::small(), 4);
     let mut opts = OptimizationConfig::nilicon();
     opts.hybrid_replay = true;
     let mut engine = NiLiConEngine::new(opts, CostModel::default());
