@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Merged committed file-cache page: contents + writeback-dirty flag.
-type FsPageEntry = (Box<[u8; PAGE_SIZE]>, bool);
+type FsPageEntry = (PageBuf, bool);
 
 /// One page's erasure-coded fragment on its way into a replica's store.
 pub type Fragment = (Pid, u64, FragBuf);
@@ -548,10 +548,10 @@ mod tests {
         let mut i1 = img(1, &[]);
         i1.fs_pages
             .pages
-            .push((Ino(5), 0, Box::new([1u8; PAGE_SIZE]), true));
+            .push((Ino(5), 0, Rc::new([1u8; PAGE_SIZE]), true));
         i1.fs_pages
             .pages
-            .push((Ino(5), 1, Box::new([1u8; PAGE_SIZE]), false));
+            .push((Ino(5), 1, Rc::new([1u8; PAGE_SIZE]), false));
         a.ingest(i1);
         a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
         a.commit(1, &mut disk).unwrap();
@@ -559,7 +559,7 @@ mod tests {
         let mut i2 = img(2, &[]);
         i2.fs_pages
             .pages
-            .push((Ino(5), 0, Box::new([2u8; PAGE_SIZE]), true)); // update
+            .push((Ino(5), 0, Rc::new([2u8; PAGE_SIZE]), true)); // update
         a.ingest(i2);
         a.ingest_drbd(vec![DrbdMsg::Barrier(2)]);
         a.commit(2, &mut disk).unwrap();
@@ -712,7 +712,7 @@ mod tests {
         let w = nilicon_sim::block::DiskWrite {
             ino: Ino(4),
             page_idx: 0,
-            data: Box::new([0u8; PAGE_SIZE]),
+            data: Rc::new([0u8; PAGE_SIZE]),
         };
         a.ingest_drbd(vec![
             DrbdMsg::Write(w.clone()),
@@ -944,7 +944,7 @@ mod tests {
         let mut meta = img(1, &[]);
         meta.fs_pages
             .pages
-            .push((Ino(5), 0, Box::new([7u8; PAGE_SIZE]), true));
+            .push((Ino(5), 0, Rc::new([7u8; PAGE_SIZE]), true));
         let shared = Rc::new(meta.clone());
         let mut disk = BlockDevice::new(DevId(2));
         let mut owned = agent();

@@ -623,7 +623,7 @@ impl<L: Layout> Checkpointer for Engine<L> {
                 SimError::Invalid("no surviving replica disk to resync from".into())
             })?;
             for w in src.disk.full_sync_writes() {
-                backup.vfs.disk.apply_replicated(&w);
+                backup.vfs.disk.apply_replicated(w);
                 report.disk_pages_committed += 1;
             }
             report.others += report.disk_pages_committed * backup.costs.restore_disk_per_page;

@@ -592,8 +592,9 @@ fn decode_fs(r: &mut R<'_>, img: &mut CheckpointImage) -> SimResult<()> {
         let idx = r.u64()?;
         let dirty = r.u8()? != 0;
         let data = r.take(PAGE_SIZE as u64)?;
-        let mut page = Box::new([0u8; PAGE_SIZE]);
+        let mut page = [0u8; PAGE_SIZE];
         page.copy_from_slice(data);
+        let page = std::rc::Rc::new(page);
         img.fs_pages.pages.push((ino, idx, page, dirty));
     }
     let ni = r.count32(min_bytes::INODE)?;

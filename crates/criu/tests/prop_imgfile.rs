@@ -276,7 +276,7 @@ fn small_image() -> Vec<u8> {
     });
     img.fs_pages
         .pages
-        .push((Ino(9), 0, Box::new([0xCD; PAGE_SIZE]), true));
+        .push((Ino(9), 0, std::rc::Rc::new([0xCD; PAGE_SIZE]), true));
     img.fs_inodes.push(Inode::regular(Ino(9)));
     img.namespaces.push(Namespace {
         id: NsId(4),

@@ -144,9 +144,9 @@ impl DrbdBackup {
         let mut n = 0;
         for e in to_commit {
             let writes = self.sealed.remove(&e).expect("key listed from range");
-            for w in &writes {
+            n += writes.len();
+            for w in writes {
                 disk.apply_replicated(w);
-                n += 1;
             }
             self.committed = Some(self.committed.map_or(e, |c| c.max(e)));
         }
@@ -176,10 +176,13 @@ impl DrbdBackup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nilicon_sim::fs::PageCache;
     use nilicon_sim::ids::{DevId, Ino};
+    use nilicon_sim::PageBuf;
+    use std::rc::Rc;
 
-    fn page(tag: u8) -> Box<[u8; PAGE_SIZE]> {
-        Box::new([tag; PAGE_SIZE])
+    fn page(tag: u8) -> PageBuf {
+        Rc::new([tag; PAGE_SIZE])
     }
 
     struct Pair {
@@ -315,6 +318,41 @@ mod tests {
         assert_eq!(s.writes, 2);
         assert_eq!(s.bytes, 2 * 4120 + 16);
         assert_eq!(wire_stats(&[]), WireStats::default());
+    }
+
+    #[test]
+    fn one_buffer_from_page_cache_to_backup_disk_until_the_next_write() {
+        let mut p = pair();
+        let mut cache = PageCache::new();
+        cache.write(&p.pdisk, Ino(1), 0, 0, b"v1");
+        cache.flush(&mut p.pdisk, None);
+        let cached = cache.get(Ino(1), 0).unwrap().data.clone();
+        let stored = p.pdisk.read_page(Ino(1), 0).unwrap();
+        assert!(Rc::ptr_eq(&cached, stored), "flush shares into the store");
+        let msgs = p.pri.ship(&mut p.pdisk);
+        let DrbdMsg::Write(logged) = &msgs[0] else {
+            panic!("a write first")
+        };
+        assert!(Rc::ptr_eq(&cached, &logged.data), "the write log shares it");
+        for m in msgs {
+            p.bak.receive(m);
+        }
+        p.bak.receive(p.pri.barrier(1));
+        p.bak.commit(1, &mut p.bdisk);
+        let applied = p.bdisk.read_page(Ino(1), 0).unwrap();
+        assert!(Rc::ptr_eq(&cached, applied), "the backup disk shares it");
+        let ckpt = cache.fgetfc();
+        assert!(Rc::ptr_eq(&cached, &ckpt.pages[0].2), "fgetfc shares it");
+
+        cache.write(&p.pdisk, Ino(1), 0, 0, b"v2");
+        let now = &cache.get(Ino(1), 0).unwrap().data;
+        assert!(!Rc::ptr_eq(&cached, now), "the next write copies");
+        assert_eq!(&now[..2], b"v2");
+        let held = [&ckpt.pages[0].2, p.pdisk.read_page(Ino(1), 0).unwrap()];
+        for page in held.into_iter().chain(p.bdisk.read_page(Ino(1), 0)) {
+            assert!(Rc::ptr_eq(&cached, page));
+            assert_eq!(&page[..2], b"v1", "no holder sees the write");
+        }
     }
 
     #[test]

@@ -5,11 +5,12 @@
 use nilicon_drbd::{DrbdBackup, DrbdPrimary};
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::{DevId, Ino};
-use nilicon_sim::PAGE_SIZE;
+use nilicon_sim::{PageBuf, PAGE_SIZE};
 use proptest::prelude::*;
+use std::rc::Rc;
 
-fn page(tag: u8) -> Box<[u8; PAGE_SIZE]> {
-    Box::new([tag; PAGE_SIZE])
+fn page(tag: u8) -> PageBuf {
+    Rc::new([tag; PAGE_SIZE])
 }
 
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //! is appended to a write log that the DRBD primary drains.
 
 use crate::ids::{DevId, Ino};
-use crate::PAGE_SIZE;
+use crate::mem::PageBuf;
 use std::collections::HashMap;
 
 /// One logical disk write (a page of file data hitting stable storage).
@@ -17,8 +17,8 @@ pub struct DiskWrite {
     pub ino: Ino,
     /// Page index within the file.
     pub page_idx: u64,
-    /// Page contents.
-    pub data: Box<[u8; PAGE_SIZE]>,
+    /// Page contents, shared with the store that holds the same version.
+    pub data: PageBuf,
 }
 
 impl std::fmt::Debug for DiskWrite {
@@ -35,7 +35,7 @@ impl std::fmt::Debug for DiskWrite {
 pub struct BlockDevice {
     /// Device id (assigned by the kernel).
     pub id: DevId,
-    store: HashMap<(Ino, u64), Box<[u8; PAGE_SIZE]>>,
+    store: HashMap<(Ino, u64), PageBuf>,
     write_log: Vec<DiskWrite>,
     writes_total: u64,
 }
@@ -50,7 +50,7 @@ impl BlockDevice {
     }
 
     /// Write one page to stable storage (logged for replication).
-    pub fn write_page(&mut self, ino: Ino, page_idx: u64, data: Box<[u8; PAGE_SIZE]>) {
+    pub fn write_page(&mut self, ino: Ino, page_idx: u64, data: PageBuf) {
         self.store.insert((ino, page_idx), data.clone());
         self.write_log.push(DiskWrite {
             ino,
@@ -62,14 +62,14 @@ impl BlockDevice {
 
     /// Apply a replicated write *without* logging it (backup-side commit —
     /// re-logging would echo the write back to the replication layer).
-    pub fn apply_replicated(&mut self, w: &DiskWrite) {
-        self.store.insert((w.ino, w.page_idx), w.data.clone());
+    pub fn apply_replicated(&mut self, w: DiskWrite) {
+        self.store.insert((w.ino, w.page_idx), w.data);
         self.writes_total += 1;
     }
 
     /// Read one page; `None` if never written.
-    pub fn read_page(&self, ino: Ino, page_idx: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.store.get(&(ino, page_idx)).map(|b| &**b)
+    pub fn read_page(&self, ino: Ino, page_idx: u64) -> Option<&PageBuf> {
+        self.store.get(&(ino, page_idx))
     }
 
     /// Drain the write log (the DRBD primary ships these asynchronously).
@@ -136,9 +136,11 @@ impl BlockDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAGE_SIZE;
+    use std::rc::Rc;
 
-    fn page(fill: u8) -> Box<[u8; PAGE_SIZE]> {
-        Box::new([fill; PAGE_SIZE])
+    fn page(fill: u8) -> PageBuf {
+        Rc::new([fill; PAGE_SIZE])
     }
 
     #[test]
@@ -169,7 +171,7 @@ mod tests {
         let mut backup = BlockDevice::new(DevId(2));
         primary.write_page(Ino(9), 3, page(0xAA));
         for w in primary.take_writes() {
-            backup.apply_replicated(&w);
+            backup.apply_replicated(w);
         }
         assert_eq!(backup.pending_writes(), 0, "backup must not re-log");
         assert_eq!(backup.read_page(Ino(9), 3).unwrap()[0], 0xAA);
@@ -199,7 +201,7 @@ mod tests {
         let keys: Vec<(Ino, u64)> = snap.iter().map(|w| (w.ino, w.page_idx)).collect();
         assert_eq!(keys, vec![(Ino(1), 0), (Ino(1), 5), (Ino(2), 1)], "sorted");
         let mut fresh = BlockDevice::new(DevId(3));
-        for w in &snap {
+        for w in snap {
             fresh.apply_replicated(w);
         }
         assert_eq!(fresh.digest(), src.digest());

@@ -2,14 +2,17 @@
 
 use crate::block::BlockDevice;
 use crate::ids::Ino;
+use crate::mem::PageBuf;
 use crate::PAGE_SIZE;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One cached file page.
 #[derive(Clone)]
 pub struct CachePage {
-    /// Page contents.
-    pub data: Box<[u8; PAGE_SIZE]>,
+    /// Page contents, shared with the disk, the write log and checkpoints
+    /// until the next write into the page copies it.
+    pub data: PageBuf,
     /// Needs writeback to the block device.
     pub dirty: bool,
     /// Dirty but Not Checkpointed: modified since the last `fgetfc` (§III).
@@ -33,7 +36,7 @@ impl std::fmt::Debug for CachePage {
 #[derive(Debug, Default, Clone)]
 pub struct FsCacheCheckpoint {
     /// `(inode, page index, contents, dirty-for-writeback)` tuples.
-    pub pages: Vec<(Ino, u64, Box<[u8; PAGE_SIZE]>, bool)>,
+    pub pages: Vec<(Ino, u64, PageBuf, bool)>,
 }
 
 impl FsCacheCheckpoint {
@@ -56,20 +59,29 @@ impl PageCache {
     }
 
     /// Write `data` into the cache at `(ino, page_idx)` from `offset` within
-    /// the page. Marks the entry Dirty + DNC. Returns true if the entry was
-    /// newly created.
-    pub fn write(&mut self, ino: Ino, page_idx: u64, offset: usize, data: &[u8]) -> bool {
+    /// the page; an uncached page starts from its contents on `disk` (zeros
+    /// if it was never written). Marks the entry Dirty + DNC. Returns true if
+    /// the entry was newly created.
+    pub fn write(
+        &mut self,
+        disk: &BlockDevice,
+        ino: Ino,
+        page_idx: u64,
+        offset: usize,
+        data: &[u8],
+    ) -> bool {
         assert!(offset + data.len() <= PAGE_SIZE, "cache write exceeds page");
         let mut created = false;
         let e = self.entries.entry((ino, page_idx)).or_insert_with(|| {
             created = true;
+            let on_disk = disk.read_page(ino, page_idx).cloned();
             CachePage {
-                data: Box::new([0u8; PAGE_SIZE]),
+                data: on_disk.unwrap_or_else(|| Rc::new([0; PAGE_SIZE])),
                 dirty: false,
                 dnc: false,
             }
         });
-        e.data[offset..offset + data.len()].copy_from_slice(data);
+        Rc::make_mut(&mut e.data)[offset..offset + data.len()].copy_from_slice(data);
         e.dirty = true;
         e.dnc = true;
         created
@@ -95,7 +107,7 @@ impl PageCache {
             self.entries.insert(
                 (ino, page_idx),
                 CachePage {
-                    data: Box::new(*p),
+                    data: p.clone(),
                     dirty: false,
                     dnc: false,
                 },
@@ -191,7 +203,7 @@ mod tests {
     fn write_then_read_hits_cache() {
         let mut pc = PageCache::new();
         let disk = BlockDevice::new(DevId(1));
-        pc.write(Ino(1), 0, 100, b"hello");
+        pc.write(&disk, Ino(1), 0, 100, b"hello");
         let mut buf = [0u8; 5];
         assert!(pc.read(&disk, Ino(1), 0, 100, &mut buf));
         assert_eq!(&buf, b"hello");
@@ -203,7 +215,7 @@ mod tests {
     fn read_faults_in_from_disk_clean() {
         let mut pc = PageCache::new();
         let mut disk = BlockDevice::new(DevId(1));
-        disk.write_page(Ino(1), 2, Box::new([9u8; PAGE_SIZE]));
+        disk.write_page(Ino(1), 2, Rc::new([9u8; PAGE_SIZE]));
         let mut buf = [0u8; 3];
         assert!(pc.read(&disk, Ino(1), 2, 0, &mut buf));
         assert_eq!(buf, [9, 9, 9]);
@@ -225,8 +237,8 @@ mod tests {
     fn flush_writes_back_and_clears_dirty_not_dnc() {
         let mut pc = PageCache::new();
         let mut disk = BlockDevice::new(DevId(1));
-        pc.write(Ino(1), 0, 0, b"a");
-        pc.write(Ino(2), 0, 0, b"b");
+        pc.write(&disk, Ino(1), 0, 0, b"a");
+        pc.write(&disk, Ino(2), 0, 0, b"b");
         let n = pc.flush(&mut disk, Some(Ino(1)));
         assert_eq!(n, 1);
         assert_eq!(disk.read_page(Ino(1), 0).unwrap()[0], b'a');
@@ -239,8 +251,9 @@ mod tests {
     #[test]
     fn fgetfc_collects_exactly_dnc_and_clears() {
         let mut pc = PageCache::new();
-        pc.write(Ino(1), 0, 0, b"x");
-        pc.write(Ino(1), 3, 0, b"y");
+        let disk = BlockDevice::new(DevId(1));
+        pc.write(&disk, Ino(1), 0, 0, b"x");
+        pc.write(&disk, Ino(1), 3, 0, b"y");
         let c1 = pc.fgetfc();
         assert_eq!(c1.pages.len(), 2);
         assert_eq!(c1.bytes(), 2 * PAGE_SIZE as u64);
@@ -250,7 +263,7 @@ mod tests {
         assert!(pc.fgetfc().pages.is_empty());
 
         // One page re-dirtied -> only that page collected.
-        pc.write(Ino(1), 3, 10, b"z");
+        pc.write(&disk, Ino(1), 3, 10, b"z");
         let c2 = pc.fgetfc();
         assert_eq!(c2.pages.len(), 1);
         assert_eq!(c2.pages[0].1, 3);
@@ -259,9 +272,10 @@ mod tests {
     #[test]
     fn fgetfc_is_sorted() {
         let mut pc = PageCache::new();
-        pc.write(Ino(2), 5, 0, b"b");
-        pc.write(Ino(1), 9, 0, b"a");
-        pc.write(Ino(1), 2, 0, b"c");
+        let disk = BlockDevice::new(DevId(1));
+        pc.write(&disk, Ino(2), 5, 0, b"b");
+        pc.write(&disk, Ino(1), 9, 0, b"a");
+        pc.write(&disk, Ino(1), 2, 0, b"c");
         let c = pc.fgetfc();
         let keys: Vec<(Ino, u64)> = c.pages.iter().map(|(i, p, _, _)| (*i, *p)).collect();
         assert_eq!(keys, vec![(Ino(1), 2), (Ino(1), 9), (Ino(2), 5)]);
@@ -270,12 +284,12 @@ mod tests {
     #[test]
     fn install_restores_contents_and_dirty_flag() {
         let mut pc = PageCache::new();
-        pc.write(Ino(1), 0, 0, b"keep");
+        let disk = BlockDevice::new(DevId(9));
+        pc.write(&disk, Ino(1), 0, 0, b"keep");
         let ckpt = pc.fgetfc();
 
         let mut restored = PageCache::new();
         restored.install(&ckpt);
-        let disk = BlockDevice::new(DevId(9));
         let mut buf = [0u8; 4];
         assert!(restored.read(&disk, Ino(1), 0, 0, &mut buf));
         assert_eq!(&buf, b"keep");
@@ -285,5 +299,24 @@ mod tests {
             "writeback obligation survives failover"
         );
         assert_eq!(restored.dnc_count(), 0);
+    }
+
+    #[test]
+    fn partial_write_to_uncached_page_keeps_the_rest_of_it() {
+        let mut disk = BlockDevice::new(DevId(1));
+        let mut pc = PageCache::new();
+        pc.write(&disk, Ino(1), 0, 0, &[5u8; PAGE_SIZE]);
+        pc.flush(&mut disk, None);
+
+        let mut fresh = PageCache::new();
+        assert!(fresh.write(&disk, Ino(1), 0, 10, &[6]), "uncached entry");
+        let mut buf = [0u8; PAGE_SIZE];
+        fresh.read(&disk, Ino(1), 0, 0, &mut buf);
+        assert_eq!(buf[10], 6);
+        assert!(
+            buf.iter().enumerate().all(|(i, &b)| i == 10 || b == 5),
+            "the bytes the write did not cover come from the disk"
+        );
+        assert_eq!(disk.read_page(Ino(1), 0).unwrap()[10], 5, "disk unchanged");
     }
 }

@@ -137,8 +137,8 @@ impl Vfs {
             let page_idx = cur / PAGE_SIZE as u64;
             let in_page = (cur % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - written);
-            self.cache
-                .write(ino, page_idx, in_page, &data[written..written + n]);
+            let chunk = &data[written..written + n];
+            self.cache.write(&self.disk, ino, page_idx, in_page, chunk);
             written += n;
             cur += n as u64;
         }

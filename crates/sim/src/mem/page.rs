@@ -19,6 +19,18 @@ use std::rc::Rc;
 /// where it was written: the frame is lent with the set of 64-byte lines the
 /// guest wrote since it was last lent ([`PageFrame::written_lines`]).
 ///
+/// A file page is one too, from the page cache to the backup's disk. A
+/// write-back (`PageCache::flush`) shares the cached buffer with the block
+/// device's store and its write log; DRBD ships that log entry, and the
+/// backup's commit moves it into its own disk (`apply_replicated`) — so does
+/// a full resync (`full_sync_writes`). `fgetfc` shares it with the
+/// checkpoint image, the backup's merged file-cache state shares it with
+/// the image `BackupAgent::materialize` builds, and restore (`install`)
+/// shares it with the new cache. Only `PageCache::write` copies: the first
+/// write into a page that any of those still holds clones it, once; a page
+/// the cache alone holds is written in place, and a page new to the cache
+/// starts as the disk's buffer (or a fresh zeroed one).
+///
 /// One rule covers every write into a buffer, patch or refill: only its sole
 /// owner writes (`Rc::get_mut` / `Rc::make_mut`). A holder that finds a
 /// pending epoch, the shadow or a materialized image still sharing the

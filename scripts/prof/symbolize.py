@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Symbolize sampler.c dumps: self / inclusive tables, callers of a function.
 
-  symbolize.py [--within FRAME] [--exclude FRAME] [--callers FRAME]
+  symbolize.py [--within FRAME]... [--exclude FRAME]... [--callers FRAME]
                [--top N] prof.<pid>...
 
 --within keeps only the samples whose stack has a frame containing FRAME
 (e.g. EpochTimer::run: the timed phase), --exclude drops those that have one
-(e.g. stock_throughput: the unreplicated baseline pass). Inlined frames are
-expanded (addr2line -i), so `hash_one` or `copy_nonoverlapping` show up.
+(e.g. stock_throughput: the unreplicated baseline pass). Both repeat: a
+sample is kept when it is under every --within and under no --exclude.
+Inlined frames are expanded (addr2line -i), so `hash_one` or
+`copy_nonoverlapping` show up.
 """
 import argparse, collections, os, subprocess
 
@@ -74,14 +76,15 @@ def symbolize(stacks, maps):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("dumps", nargs="+")
-    for flag in ("--within", "--exclude", "--callers"):
-        ap.add_argument(flag, metavar="FRAME")
+    for flag in ("--within", "--exclude"):
+        ap.add_argument(flag, metavar="FRAME", action="append", default=[])
+    ap.add_argument("--callers", metavar="FRAME")
     ap.add_argument("--top", type=int, default=30)
     args = ap.parse_args()
     stacks = [s for d in args.dumps for s in symbolize(*load(d))]
     has = lambda st, frame: any(frame in n for n in st)
-    stacks = [s for s in stacks if s and (not args.within or has(s, args.within))
-              and not (args.exclude and has(s, args.exclude))]
+    stacks = [s for s in stacks if s and all(has(s, f) for f in args.within)
+              and not any(has(s, f) for f in args.exclude)]
     total = len(stacks) or 1
     def table(title, counts):
         print(f"\n{title} ({total} samples)")
