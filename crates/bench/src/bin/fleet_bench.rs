@@ -8,7 +8,7 @@
 //!
 //! Two measurements, both gated (the process exits nonzero on a miss); the
 //! full run adds the stop-time curve over N = 1..100 lanes between them.
-//! That `--fleet 1` commits what the plain engine loop commits is
+//! That `--fleet 1` runs the plain engine loop's epochs is
 //! `crates/core/tests/fleet_equivalence.rs`'s property, not a cell here.
 //!
 //! * **convoy** — at N = 8 lanes the staggered fleet's aggregate p99 stop

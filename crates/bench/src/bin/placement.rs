@@ -59,7 +59,8 @@ struct SweepRow {
     degraded_failover_ns: u64,
 }
 
-/// Deterministic write script (the `tests/shard_equivalence.rs` shape).
+/// Deterministic write script: `WRITES_PER_EPOCH` two-byte page writes,
+/// page and value derived from `(epoch, i)`.
 fn script(p: &mut Kernel, c: &Container, epoch: u64) {
     for i in 0..WRITES_PER_EPOCH {
         let x = 7u64

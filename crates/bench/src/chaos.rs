@@ -8,23 +8,27 @@
 //! * a **state** run — the [`ScriptApp`] batch workload, whose guest-heap
 //!   contents are a pure function of a step counter `n`, so the final memory
 //!   can be re-derived by replaying `1..=n` onto the initial snapshot and
-//!   byte-compared (the `tests/cow_equivalence.rs` pattern, without needing
-//!   a reference run);
+//!   byte-compared without a reference run;
 //! * a **service** run — the `net_echo` workload, checking response
 //!   correctness and broken connections across the same schedule.
 //!
-//! A cell's outcome is the worse of the two.
+//! A cell's outcome is the worse of the two. `tests/lattice.rs` runs the
+//! same two runs (and fleet lanes built from [`echo_lane`] and
+//! [`ScriptApp`]) over every knob combination the validators accept.
 
 use nilicon::fleet::{FleetScheduler, LaneSpec};
 use nilicon::harness::{RunHarness, RunMode};
+use nilicon::trace::Tracer;
 use nilicon::traffic::ClientBehavior;
-use nilicon::{ChaosStats, NiLiConEngine, OptimizationConfig, PlacementEngine, ReplicationConfig};
+use nilicon::{ChaosStats, OptimizationConfig, ReplicationConfig};
 use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome, StepOutcome};
 use nilicon_sim::net::{ChaosSchedule, FaultKind, LinkDir};
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{CostModel, SimResult, MILLISECOND, PAGE_SIZE};
+use nilicon_sim::{SimResult, MILLISECOND, PAGE_SIZE};
 use nilicon_workloads::net_echo;
 use serde::Serialize;
+
+use crate::runner::replicated_engine;
 
 const MS: Nanos = MILLISECOND;
 /// Heap pages the script touches (and the snapshot covers).
@@ -159,33 +163,29 @@ pub struct Scenario {
     pub name: &'static str,
     /// Link-fault schedule (already shifted).
     pub schedule: ChaosSchedule,
-    /// Fail-stop the active host at this time.
-    pub primary_fault: Option<Nanos>,
-    /// Fail-stop the backup host at this time.
-    pub backup_fault: Option<Nanos>,
-    /// Fail-stop the (replacement) backup host a second time — lands the
-    /// fault mid-repair in the placement scenarios.
-    pub backup_fault2: Option<Nanos>,
-    /// Run with the re-replication extension armed.
-    pub rearm: bool,
-    /// Run under a k-of-n placement instead of the single warm backup.
-    pub placement: Option<(u32, u32)>,
+    /// Fail-stop the active host at each of these times.
+    pub primary_faults: Vec<Nanos>,
+    /// Fail-stop the backup host at each of these times — a second one
+    /// lands mid-repair in the placement scenarios.
+    pub backup_faults: Vec<Nanos>,
+    /// The engine's knobs, chosen by [`replicated_engine`]: e.g. `rearm`,
+    /// `hybrid_replay` (output releases at log commit and a failover replays
+    /// the sealed tail), `pipeline` (bounded peek-before-commit channels
+    /// overlap the next execution phase), or a `(quorum, backups)`
+    /// placement instead of the single warm backup.
+    pub opts: OptimizationConfig,
     /// Override the per-epoch repair/bootstrap chunk (tiny chunks stretch a
     /// repair across many epochs so mid-repair faults land reliably).
     pub chunk_pages: Option<u64>,
-    /// Run with the hybrid checkpoint + replay extension (`--replay`):
-    /// output releases at log commit and a failover replays the sealed tail.
-    pub replay: bool,
-    /// Run with the staged pipeline (`--pipeline`): dump-drain, encode,
-    /// transfer, and ingest overlap the next execution phase behind bounded
-    /// peek-before-commit channels.
-    pub pipeline: bool,
     /// Crash the pipeline's ingest stage at the first checkpoint at or
     /// after this time (chunk 0 of that transfer): the restarted stage
     /// replays the chunk from the channel's uncommitted slot.
     pub stage_fail: Option<Nanos>,
     /// Expected outcome per the failure-mode catalog.
     pub expect: Outcome,
+    /// The tracer to attach (`None`: a fresh ring). Either way one is
+    /// attached, which makes the harness reconcile every epoch's spans.
+    pub trace: Option<Tracer>,
 }
 
 impl Default for Scenario {
@@ -193,18 +193,22 @@ impl Default for Scenario {
         Scenario {
             name: "",
             schedule: ChaosSchedule::default(),
-            primary_fault: None,
-            backup_fault: None,
-            backup_fault2: None,
-            rearm: false,
-            placement: None,
+            primary_faults: Vec::new(),
+            backup_faults: Vec::new(),
+            opts: OptimizationConfig::nilicon(),
             chunk_pages: None,
-            replay: false,
-            pipeline: false,
             stage_fail: None,
             expect: Outcome::Recovered,
+            trace: None,
         }
     }
+}
+
+/// The paper configuration with `set` applied: a catalog cell's knobs.
+fn nilicon_with(set: fn(&mut OptimizationConfig)) -> OptimizationConfig {
+    let mut opts = OptimizationConfig::nilicon();
+    set(&mut opts);
+    opts
 }
 
 /// The scenario catalog, with every window and fault time shifted by
@@ -287,15 +291,15 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
         Scenario {
             name: "backup-fault-mid-epoch",
             schedule: none.clone(),
-            backup_fault: Some(s(415 * MS)),
+            backup_faults: vec![s(415 * MS)],
             expect: Outcome::Degraded,
             ..Default::default()
         },
         Scenario {
             name: "backup-fault-rearm",
             schedule: none.clone(),
-            backup_fault: Some(s(415 * MS)),
-            rearm: true,
+            backup_faults: vec![s(415 * MS)],
+            opts: nilicon_with(|o| o.rearm = true),
             ..Default::default()
         },
         Scenario {
@@ -305,7 +309,7 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
                 s(500 * MS),
                 FaultKind::DelaySpike { extra: 10 * MS },
             ),
-            primary_fault: Some(s(415 * MS)),
+            primary_faults: vec![s(415 * MS)],
             ..Default::default()
         },
         // ---- k-of-n placement scenarios: backup loss under (2,3) -------
@@ -315,8 +319,8 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
         Scenario {
             name: "backup-loss-mid-epoch",
             schedule: none.clone(),
-            backup_fault: Some(s(415 * MS)),
-            placement: Some((2, 3)),
+            backup_faults: vec![s(415 * MS)],
+            opts: nilicon_with(|o| (o.quorum, o.backups) = (2, 3)),
             ..Default::default()
         },
         // The replacement host dies while the repair streams: the
@@ -326,9 +330,8 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
         Scenario {
             name: "backup-loss-mid-repair",
             schedule: none.clone(),
-            backup_fault: Some(s(415 * MS)),
-            backup_fault2: Some(s(575 * MS)),
-            placement: Some((2, 3)),
+            backup_faults: vec![s(415 * MS), s(575 * MS)],
+            opts: nilicon_with(|o| (o.quorum, o.backups) = (2, 3)),
             chunk_pages: Some(8),
             ..Default::default()
         },
@@ -338,8 +341,8 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
         Scenario {
             name: "backup-loss-in-partition",
             schedule: none.clone().window(s(430 * MS), s(540 * MS), FaultKind::Partition),
-            backup_fault: Some(s(470 * MS)),
-            placement: Some((2, 3)),
+            backup_faults: vec![s(470 * MS)],
+            opts: nilicon_with(|o| (o.quorum, o.backups) = (2, 3)),
             ..Default::default()
         },
         // ---- hybrid checkpoint + replay scenarios (`--replay`) ---------
@@ -352,7 +355,7 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
             schedule: none
                 .clone()
                 .window(s(400 * MS), s(460 * MS), FaultKind::Partition),
-            replay: true,
+            opts: nilicon_with(|o| o.hybrid_replay = true),
             ..Default::default()
         },
         // Fault mid-epoch with the log mid-ship: the truncated fault
@@ -363,8 +366,8 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
         Scenario {
             name: "replay-fault-mid-replay",
             schedule: none.clone(),
-            primary_fault: Some(s(415 * MS)),
-            replay: true,
+            primary_faults: vec![s(415 * MS)],
+            opts: nilicon_with(|o| o.hybrid_replay = true),
             ..Default::default()
         },
         // ---- staged-pipeline scenarios (`--pipeline`) ------------------
@@ -378,7 +381,7 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
             schedule: none
                 .clone()
                 .window(s(400 * MS), s(460 * MS), FaultKind::Partition),
-            pipeline: true,
+            opts: nilicon_with(|o| o.pipeline = true),
             stage_fail: Some(s(415 * MS)),
             ..Default::default()
         },
@@ -396,8 +399,8 @@ pub fn scenarios(shift: Nanos) -> Vec<Scenario> {
                 s(700 * MS),
                 FaultKind::DelaySpike { extra: 80 * MS },
             ),
-            pipeline: true,
-            primary_fault: Some(s(445 * MS)),
+            opts: nilicon_with(|o| o.pipeline = true),
+            primary_faults: vec![s(445 * MS)],
             ..Default::default()
         },
     ]
@@ -425,21 +428,7 @@ pub struct CellRun {
 }
 
 fn chaos_mode(sc: &Scenario) -> RunMode {
-    let mut opts = OptimizationConfig::nilicon();
-    opts.rearm = sc.rearm;
-    opts.hybrid_replay = sc.replay;
-    opts.pipeline = sc.pipeline;
-    match sc.placement {
-        Some((k, n)) => {
-            opts.quorum = k;
-            opts.backups = n;
-            RunMode::Replicated(Box::new(
-                PlacementEngine::new(opts, CostModel::default())
-                    .expect("valid catalog placement"),
-            ))
-        }
-        None => RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default()))),
-    }
+    RunMode::Replicated(replicated_engine(sc.opts).expect("a config validate accepts"))
 }
 
 /// The per-cell replication config: catalog chunk override applied.
@@ -451,21 +440,21 @@ fn chaos_cfg(sc: &Scenario) -> ReplicationConfig {
     cfg
 }
 
-/// Run the initial-sync epoch on the paper path, then arm the chaos link,
-/// leases, and fault schedule. NiLiCon likewise starts failure detection
+/// Attach the scenario's tracer, which turns on the harness's per-epoch
+/// trace reconciliation (a mismatch aborts the run), run the initial-sync
+/// epoch on the paper path, then arm the chaos link, leases, and fault
+/// schedule. NiLiCon likewise starts failure detection
 /// only after the bootstrap transfer completes: the ~160 ms initial full
 /// sync is silence on the heartbeat channel, and arming earlier makes every
 /// run open with one spurious suspicion/fence cycle (see DESIGN.md §9).
 fn arm(h: &mut RunHarness, sc: &Scenario) -> Result<(), String> {
+    h.set_tracer(sc.trace.clone().unwrap_or_else(|| Tracer::in_memory(64).0));
     h.run_epochs(1).map_err(|e| e.to_string())?;
     h.set_chaos(sc.schedule.clone());
-    if let Some(t) = sc.primary_fault {
+    for &t in &sc.primary_faults {
         h.inject_fault_at(t);
     }
-    if let Some(t) = sc.backup_fault {
-        h.inject_backup_fault_at(t);
-    }
-    if let Some(t) = sc.backup_fault2 {
+    for &t in &sc.backup_faults {
         h.inject_backup_fault_at(t);
     }
     if let Some(t) = sc.stage_fail {
@@ -497,7 +486,8 @@ fn classify(
 }
 
 /// Run the [`ScriptApp`] state cell: `epochs` epochs under the scenario,
-/// then byte-compare the final heap against the replayed script.
+/// byte-comparing the heap against the replayed script after every
+/// failover and at the end.
 pub fn run_state_cell(sc: &Scenario, epochs: u64) -> CellRun {
     let mut spec = ContainerSpec::batch("script", 10);
     spec.heap_pages = HEAP_PAGES;
@@ -512,18 +502,30 @@ pub fn run_state_cell(sc: &Scenario, epochs: u64) -> CellRun {
     )
     .expect("harness");
     let base = h.snapshot_heap(HEAP_PAGES);
-    let error = arm(&mut h, sc)
-        .err()
-        .or_else(|| h.run_epochs(epochs.saturating_sub(1)).err().map(|e| e.to_string()));
+    let scripted = |h: &mut RunHarness| {
+        let snap = h.snapshot_heap(HEAP_PAGES);
+        let n = u64::from_le_bytes(snap[0..8].try_into().expect("counter bytes"));
+        n > 0 && snap == replay(&base, n)
+    };
+    // Checked right after every failover too: re-executing the script
+    // rewrites its pages, which would paper over a torn restore.
+    let (mut error, mut restored_ok) = (arm(&mut h, sc).err(), true);
+    for _ in 1..epochs {
+        if error.is_some() {
+            break;
+        }
+        let failovers = h.failovers();
+        error = h.run_epochs(1).err().map(|e| e.to_string());
+        if h.failovers() > failovers {
+            restored_ok &= scripted(&mut h);
+        }
+    }
     let stats = h.chaos_stats().unwrap_or_default();
     let failovers = h.failovers();
     let replication_now = h.replication_active();
-
-    let snap = h.snapshot_heap(HEAP_PAGES);
-    let n = u64::from_le_bytes(snap[0..8].try_into().expect("counter bytes"));
     // A run that aborted (split-brain) proves nothing about state; skip the
     // replay so the comparison can't mask the real outcome.
-    let state_ok = error.is_none() && n > 0 && snap == replay(&base, n);
+    let state_ok = error.is_none() && restored_ok && scripted(&mut h);
 
     let r = h.finish();
     let outcome = classify(
@@ -736,6 +738,9 @@ pub fn run_fleet_cell(sc: &FleetScenario, epochs: u64) -> CellRun {
     cfg.opts.fleet = sc.lanes;
     let lanes = (0..sc.lanes).map(fleet_lane).collect();
     let mut fleet = FleetScheduler::new(cfg, lanes).expect("fleet");
+    for lane in 0..fleet.len() {
+        fleet.set_tracer(lane, Tracer::in_memory(64).0);
+    }
     if let Some((from, until)) = sc.partition {
         fleet.partition_primary(from, until);
     }

@@ -24,9 +24,9 @@ pub const WARMUP_EPOCHS: usize = 4;
 /// "+ Add memory staging buffer" keeps the single-backup engine under
 /// `--backups`. Every other combination is judged by
 /// [`OptimizationConfig::validate`], which both engine constructors go
-/// through: `--backups` with `--delta` or `--cow`, or with a quorum outside
-/// `1..=n`, is its error — numbers under a placement label come from a
-/// placement.
+/// through: `--backups` with `--delta` or `--cow`, or with a shape outside
+/// `1 <= k <= n <= 128`, is its error — numbers under a placement label
+/// come from a placement.
 pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
     let costs = CostModel::default();
     if opts.backups > 1 && opts.staging_buffer {

@@ -1,6 +1,6 @@
 //! Replication configuration: the §V optimizations as toggles.
 
-use nilicon_criu::DumpConfig;
+use nilicon_criu::{DumpConfig, ShardCodec};
 use nilicon_sim::kernel::{PageTransferVia, VmaCollectVia};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::time::{Nanos, MILLISECOND};
@@ -70,7 +70,7 @@ pub struct OptimizationConfig {
     /// fragment sets are durable, failover reconstructs the committed image
     /// from any `k` survivors, and per-replica storage is `ceil(4 KiB / k)`
     /// per page (total overhead `n/k`× instead of mirroring's `n`×).
-    /// Must satisfy `1 ≤ k ≤ n`. Ignored when `backups == 1`.
+    /// Must satisfy `1 ≤ k ≤ n ≤ 128`. Ignored when `backups == 1`.
     pub quorum: u32,
     /// EXTENSION (HyCoR, arXiv:2101.09584): hybrid checkpoint + replay —
     /// record every nondeterministic event (request dispatch, batch step)
@@ -192,7 +192,7 @@ impl OptimizationConfig {
     /// any `(k, n)`) or the mirror (`NiLiConEngine`) layout. The coded
     /// layout codes fragments from full page bodies after the stop phase, so
     /// it needs the staged ack path, composes with neither `delta_transfer`
-    /// nor `cow_checkpoint`, and its quorum must lie in `1..=backups`; every
+    /// nor `cow_checkpoint`, and its shape must pass [`ShardCodec::check`]; every
     /// fleet lane runs the mirror layout with neither log shipping nor a
     /// rearm driver, and needs the staging buffer: the shared link schedules
     /// the ack path, and without the buffer the transfer rides the stop
@@ -232,11 +232,8 @@ impl OptimizationConfig {
                 "fleet: opts.fleet_aligned needs the fleet scheduler (opts.fleet > 0)".into(),
             ));
         }
-        if coded && !(1..=self.backups).contains(&self.quorum) {
-            return Err(SimError::Invalid(format!(
-                "invalid placement (k={}, n={}): need 1 <= k <= n <= 128",
-                self.quorum, self.backups
-            )));
+        if coded {
+            ShardCodec::check(self.quorum, self.backups)?;
         }
         Ok(())
     }
@@ -406,6 +403,8 @@ mod tests {
         assert!(rejected(|o| (o.backups, o.cow_checkpoint) = (3, true)).contains("cow_checkpoint"));
         assert!(rejected(|o| (o.backups, o.quorum) = (3, 4)).contains("1 <= k <= n"));
         assert!(rejected(|o| (o.backups, o.quorum) = (3, 0)).contains("1 <= k <= n"));
+        assert!(rejected(|o| (o.backups, o.quorum) = (200, 2)).contains("n <= 128"));
+        assert!(rejected(|o| (o.backups, o.quorum) = (129, 1)).contains("n <= 128"));
         let mut fleet = OptimizationConfig::nilicon();
         (fleet.fleet, fleet.delta_transfer, fleet.pipeline) = (8, true, true);
         fleet.validate().expect("the fleet composes with the single-backup knobs");

@@ -43,9 +43,9 @@
 //!
 //! Off in every paper row: `OptimizationConfig::fleet == 0` in `basic()`
 //! and `nilicon()`, and Tables I–VI never construct a scheduler. With
-//! `fleet == 1` the lane commits byte-identical backup images, with the
-//! same reconciliation identities, as a plain single-engine loop (pinned by
-//! `tests/fleet_equivalence.rs`).
+//! `fleet == 1` the lane has the same per-epoch stop/ack outcomes, and so
+//! the same reconciliation identities, as a plain single-engine loop
+//! (pinned by `tests/fleet_equivalence.rs`).
 use crate::config::ReplicationConfig;
 use crate::detector::HEARTBEAT_INTERVAL;
 use crate::engine::{Checkpointer, FailoverReport};
@@ -55,7 +55,6 @@ use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
 use crate::traffic::ClientBehavior;
 use nilicon_container::{Application, ContainerSpec, MemLayout};
-use nilicon_criu::CheckpointImage;
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
@@ -384,14 +383,14 @@ impl FleetScheduler {
         self.partition_window = Some((from, until));
     }
 
-    /// The committed backup image of lane `lane` (byte-comparison seam for
-    /// the `fleet == 1` equivalence bar). Errors after failover (the
-    /// engine, and its agent, were consumed by the promotion).
-    pub fn lane_image(&mut self, lane: usize) -> SimResult<CheckpointImage> {
-        match self.lanes[lane].engine.as_ref() {
-            Some(e) => e.agent.materialize(),
-            None => Err(SimError::Invalid("fleet: lane failed over".into())),
-        }
+    /// Byte snapshot of lane `lane`'s guest heap on the host that runs it,
+    /// before or after a failover: [`RunHarness::snapshot_heap`]'s twin.
+    ///
+    /// [`RunHarness::snapshot_heap`]: crate::harness::RunHarness::snapshot_heap
+    pub fn snapshot_heap(&mut self, lane: usize, pages: u64) -> Vec<u8> {
+        let host = self.host_of(lane);
+        let c = &self.lanes[lane].core.container;
+        crate::replay::heap_snapshot(self.cluster.host_mut(host), c, pages)
     }
 
     /// Run `n` more epochs on every lane (staggered lanes interleave; a
@@ -891,7 +890,8 @@ mod tests {
         let lanes = vec![lane(0, Box::new(Stepper(0))), lane(1, Box::new(Inert))];
         let mut fleet = FleetScheduler::new(cfg, lanes).unwrap();
         fleet.run_epochs(4).unwrap();
-        let image = fleet.lane_image(0).unwrap();
+        let engine = fleet.lanes[0].engine.as_ref().unwrap();
+        let image = engine.agent.materialize().unwrap();
         let stamped = image
             .pages
             .iter()

@@ -335,7 +335,9 @@ impl RunHarness {
     /// Byte snapshot of the active container's guest heap: `pages` pages per
     /// worker process, unmapped pages reading as zeros. This is the
     /// committed-state probe behind the chaos matrix's byte-identical check
-    /// (the `tests/cow_equivalence.rs` pattern as a harness method).
+    /// ([`FleetScheduler::snapshot_heap`] is the fleet's).
+    ///
+    /// [`FleetScheduler::snapshot_heap`]: crate::fleet::FleetScheduler::snapshot_heap
     pub fn snapshot_heap(&mut self, pages: u64) -> Vec<u8> {
         let host = self.active_host();
         crate::replay::heap_snapshot(self.cluster.host_mut(host), &self.lane.container, pages)

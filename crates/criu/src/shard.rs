@@ -292,14 +292,21 @@ impl std::fmt::Debug for ShardCodec {
 }
 
 impl ShardCodec {
-    /// Build the codec for quorum `k` of `n` replicas.
-    /// Requires `1 ≤ k ≤ n ≤ 128`.
-    pub fn new(k: u32, n: u32) -> SimResult<Self> {
+    /// The placement shape a codec exists for: `1 ≤ k ≤ n ≤ 128`. The one
+    /// copy of the rule — [`ShardCodec::new`] and the engines' config
+    /// validation both call it.
+    pub fn check(k: u32, n: u32) -> SimResult<()> {
         if k == 0 || k > n || n > 128 {
             return Err(SimError::Invalid(format!(
                 "invalid placement (k={k}, n={n}): need 1 <= k <= n <= 128"
             )));
         }
+        Ok(())
+    }
+
+    /// Build the codec for quorum `k` of `n` replicas ([`ShardCodec::check`]).
+    pub fn new(k: u32, n: u32) -> SimResult<Self> {
+        Self::check(k, n)?;
         let (k, n) = (k as usize, n as usize);
         let frag_len = PAGE_SIZE.div_ceil(k);
         // Vandermonde rows over distinct nonzero points x_i = 2^i, brought

@@ -197,3 +197,127 @@ fn apparatus_check_catches_a_bin_without_a_row() {
         ]
     );
 }
+
+/// The test citations in `doc`: every `…tests/<name>.rs` path (with the
+/// `::<fn>` after it, if any) and every `--test <name>`, the latter as
+/// `tests/<name>.rs`.
+fn test_citations(doc: &str) -> Vec<(String, Option<String>)> {
+    let ident = |s: &str| {
+        let end = s
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(s.len());
+        s[..end].to_string()
+    };
+    let mut cited = Vec::new();
+    for (at, _) in doc.match_indices("tests/") {
+        let name = ident(&doc[at + 6..]);
+        let Some(rest) = doc[at + 6 + name.len()..].strip_prefix(".rs") else {
+            continue;
+        };
+        let path_char = |c: char| c.is_ascii_alphanumeric() || "_-/.".contains(c);
+        let start = doc[..at].rfind(|c| !path_char(c)).map_or(0, |i| i + 1);
+        let path = format!("{}tests/{name}.rs", &doc[start..at]);
+        cited.push((path, rest.strip_prefix("::").map(ident)));
+    }
+    for (at, flag) in doc.match_indices("--test ") {
+        let name = ident(&doc[at + flag.len()..]);
+        if !name.is_empty() {
+            cited.push((format!("tests/{name}.rs"), None));
+        }
+    }
+    cited
+}
+
+/// Every `.rs` file under `root`, as a path relative to it (build output
+/// and hidden directories skipped).
+fn rust_files(root: &Path) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() && name != "target" && !name.starts_with('.') {
+                dirs.push(path);
+            } else if name.ends_with(".rs") {
+                let rel = path.strip_prefix(root).expect("under root");
+                found.push(rel.to_string_lossy().into_owned());
+            }
+        }
+    }
+    found
+}
+
+/// What is wrong with `cited` against `files` (and `read`, their text): a
+/// path that names no file or several, a `::name` that is no `fn` there.
+fn citation_gaps(
+    cited: &[(String, Option<String>)],
+    files: &[String],
+    read: impl Fn(&str) -> String,
+) -> Vec<String> {
+    let mut gaps = Vec::new();
+    for (path, func) in cited {
+        let hits: Vec<&String> = files
+            .iter()
+            .filter(|f| *f == path || f.ends_with(&format!("/{path}")))
+            .collect();
+        let [file] = hits[..] else {
+            gaps.push(format!("{path}: {} files match", hits.len()));
+            continue;
+        };
+        if let Some(func) = func {
+            let text = read(file);
+            let defined = text
+                .match_indices(&format!("fn {func}"))
+                .any(|(at, m)| text[at + m.len()..].starts_with(['(', '<']));
+            if !defined {
+                gaps.push(format!("{path}::{func}: no such fn"));
+            }
+        }
+    }
+    gaps
+}
+
+#[test]
+fn every_cited_test_file_and_fn_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let docs = [
+        include_str!("../DESIGN.md"),
+        include_str!("../EXPERIMENTS.md"),
+        include_str!("../.claude/skills/verify/SKILL.md"),
+    ];
+    let cited: Vec<_> = docs.iter().flat_map(|d| test_citations(d)).collect();
+    assert!(
+        cited.len() >= 20,
+        "parser found only {} citations",
+        cited.len()
+    );
+    let files = rust_files(root);
+    let read = |f: &str| std::fs::read_to_string(root.join(f)).expect("cited file");
+    let gaps = citation_gaps(&cited, &files, read);
+    assert!(gaps.is_empty(), "stale test citations: {gaps:?}");
+}
+
+#[test]
+fn citation_check_catches_a_missing_file_and_fn() {
+    let doc = "see `tests/a.rs::kept`, tests/a.rs::gone, `crates/x/tests/b.rs`, \
+               `cargo test --test c`, tests/d.rs and `tests/e.rs`";
+    let cited = test_citations(doc);
+    let files = [
+        "tests/a.rs",
+        "crates/x/tests/b.rs",
+        "tests/c.rs",
+        "y/tests/e.rs",
+        "z/tests/e.rs",
+    ]
+    .map(String::from);
+    let read = |_: &str| "fn kept() {}\nfn gone_too() {}".to_string();
+    assert_eq!(
+        citation_gaps(&cited, &files, read),
+        [
+            "tests/a.rs::gone: no such fn",
+            "tests/d.rs: 0 files match",
+            "tests/e.rs: 2 files match",
+        ]
+    );
+}
