@@ -128,13 +128,18 @@ mod tests {
         let engine = replicated_engine(placed).unwrap();
         assert_eq!(engine.placement(), (2, 3));
         assert!(engine.supports_placement());
+        let striped = overlay(&["table1", "--backups", "3", "--quorum", "2", "--cow"]);
+        assert_eq!(replicated_engine(striped).unwrap().placement(), (2, 3));
 
-        // `--backups` with `--delta`/`--cow` (or a quorum no codec has) is
-        // the placement engine's error, not a silent single-backup run.
+        // `--backups` with `--delta` (or a quorum no codec has) is the
+        // placement engine's error, not a silent single-backup run; a
+        // quorum without backups, or a dump without workers, is
+        // `validate`'s.
         for (flags, needle) in [
             (&["--backups", "3", "--delta"][..], "delta_transfer"),
-            (&["--backups", "3", "--cow"][..], "cow_checkpoint"),
             (&["--backups", "3", "--quorum", "4"][..], "k=4, n=3"),
+            (&["--quorum", "2"][..], "opts.quorum"),
+            (&["--dump-workers", "0"][..], "opts.dump_workers"),
         ] {
             let err = match replicated_engine(overlay(flags)) {
                 Err(e) => e.to_string(),

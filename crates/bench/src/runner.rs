@@ -24,9 +24,10 @@ pub const WARMUP_EPOCHS: usize = 4;
 /// "+ Add memory staging buffer" keeps the single-backup engine under
 /// `--backups`. Every other combination is judged by
 /// [`OptimizationConfig::validate`], which both engine constructors go
-/// through: `--backups` with `--delta` or `--cow`, or with a shape outside
+/// through: `--backups` with `--delta`, or with a shape outside
 /// `1 <= k <= n <= 128`, is its error — numbers under a placement label
-/// come from a placement.
+/// come from a placement — and so is `--quorum` without `--backups`;
+/// `--backups` with `--cow` stripes the COW drain's pages.
 pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
     let costs = CostModel::default();
     if opts.backups > 1 && opts.staging_buffer {

@@ -43,7 +43,8 @@ pub struct OptimizationConfig {
     pub delta_transfer: bool,
     /// EXTENSION (§VIII concurrency): shard the per-process dump loop across
     /// this many workers; stop time charges the max shard instead of the
-    /// sum. `1` (the paper's serial dump) in every reproduction run.
+    /// sum. At least `1`; `1` (the paper's serial dump) in every
+    /// reproduction run.
     pub dump_workers: u32,
     /// EXTENSION (§VIII pause-shrinking; HyCoR, arXiv:2101.09584):
     /// copy-on-write checkpointing — at pause, dirty pages are
@@ -70,7 +71,7 @@ pub struct OptimizationConfig {
     /// fragment sets are durable, failover reconstructs the committed image
     /// from any `k` survivors, and per-replica storage is `ceil(4 KiB / k)`
     /// per page (total overhead `n/k`× instead of mirroring's `n`×).
-    /// Must satisfy `1 ≤ k ≤ n ≤ 128`. Ignored when `backups == 1`.
+    /// Must satisfy `1 ≤ k ≤ n ≤ 128`, so `1` when `backups == 1`.
     pub quorum: u32,
     /// EXTENSION (HyCoR, arXiv:2101.09584): hybrid checkpoint + replay —
     /// record every nondeterministic event (request dispatch, batch step)
@@ -189,48 +190,42 @@ impl OptimizationConfig {
     }
 
     /// [`Self::validate`] for an engine of the coded (`PlacementEngine`, at
-    /// any `(k, n)`) or the mirror (`NiLiConEngine`) layout. The coded
-    /// layout codes fragments from full page bodies after the stop phase, so
-    /// it needs the staged ack path, composes with neither `delta_transfer`
-    /// nor `cow_checkpoint`, and its shape must pass [`ShardCodec::check`]; every
+    /// any `(k, n)`) or the mirror (`NiLiConEngine`) layout. Every layout
+    /// dumps with at least one worker, and a quorum other than 1 needs more
+    /// than one backup. The coded layout codes fragments from full page
+    /// bodies — the dump's, or the COW drain's — after the container
+    /// resumes, so it needs the staged ack path, does not compose with
+    /// `delta_transfer`, and its shape must pass [`ShardCodec::check`]; every
     /// fleet lane runs the mirror layout with neither log shipping nor a
     /// rearm driver, and needs the staging buffer: the shared link schedules
     /// the ack path, and without the buffer the transfer rides the stop
     /// phase instead.
     pub(crate) fn validate_for(&self, coded: bool) -> SimResult<()> {
-        if coded {
-            if !self.staging_buffer {
-                return Err(SimError::Invalid(
-                    "placement requires the staging buffer (staged ack path)".into(),
-                ));
-            }
-            if self.delta_transfer || self.cow_checkpoint {
-                return Err(SimError::Invalid(
-                    "placement composes with neither delta_transfer nor cow_checkpoint".into(),
-                ));
-            }
-        }
-        if self.fleet > 0 {
-            if !self.staging_buffer {
-                return Err(SimError::Invalid(
-                    "fleet: the shared link needs opts.staging_buffer (staged ack path)".into(),
-                ));
-            }
-            for (set, knob) in [
-                (self.backups > 1, "backups"),
-                (self.hybrid_replay, "hybrid_replay"),
-                (self.rearm, "rearm"),
-            ] {
-                if set {
-                    return Err(SimError::Invalid(format!(
-                        "fleet: opts.{knob} does not compose with the fleet scheduler"
-                    )));
-                }
-            }
-        } else if self.fleet_aligned {
-            return Err(SimError::Invalid(
+        let fleet = self.fleet > 0;
+        let fleet_rule = "does not compose with the fleet scheduler";
+        for (broken, rule) in [
+            (self.dump_workers == 0, "opts.dump_workers must be at least 1".into()),
+            (self.backups == 1 && self.quorum != 1, "opts.quorum needs opts.backups > 1".into()),
+            (
+                coded && !self.staging_buffer,
+                "placement requires the staging buffer (staged ack path)".into(),
+            ),
+            (coded && self.delta_transfer, "placement does not compose with delta_transfer".into()),
+            (
+                fleet && !self.staging_buffer,
+                "fleet: the shared link needs opts.staging_buffer (staged ack path)".into(),
+            ),
+            (fleet && self.backups > 1, format!("fleet: opts.backups {fleet_rule}")),
+            (fleet && self.hybrid_replay, format!("fleet: opts.hybrid_replay {fleet_rule}")),
+            (fleet && self.rearm, format!("fleet: opts.rearm {fleet_rule}")),
+            (
+                !fleet && self.fleet_aligned,
                 "fleet: opts.fleet_aligned needs the fleet scheduler (opts.fleet > 0)".into(),
-            ));
+            ),
+        ] {
+            if broken {
+                return Err(SimError::Invalid(rule));
+            }
         }
         if coded {
             ShardCodec::check(self.quorum, self.backups)?;
@@ -256,7 +251,7 @@ impl OptimizationConfig {
             } else {
                 PageTransferVia::Pipe
             },
-            workers: self.dump_workers.max(1),
+            workers: self.dump_workers,
             cow: self.cow_checkpoint,
         }
     }
@@ -377,12 +372,10 @@ mod tests {
         let mut cow = OptimizationConfig::nilicon();
         cow.cow_checkpoint = true;
         assert!(cow.dump_config().cow);
-        // Sharding knob flows through to the CRIU dump config (clamped ≥ 1).
+        // Sharding knob flows through to the CRIU dump config.
         let mut cfg = OptimizationConfig::nilicon();
         cfg.dump_workers = 4;
         assert_eq!(cfg.dump_config().workers, 4);
-        cfg.dump_workers = 0;
-        assert_eq!(cfg.dump_config().workers, 1);
     }
 
     #[test]
@@ -400,11 +393,14 @@ mod tests {
         placed.validate().expect("a placement on the staged path");
         assert!(rejected(|o| (o.backups, o.staging_buffer) = (3, false)).contains("staging buffer"));
         assert!(rejected(|o| (o.backups, o.delta_transfer) = (3, true)).contains("delta_transfer"));
-        assert!(rejected(|o| (o.backups, o.cow_checkpoint) = (3, true)).contains("cow_checkpoint"));
+        (placed.cow_checkpoint, placed.pipeline) = (true, true);
+        placed.validate().expect("a placement off the COW drain");
         assert!(rejected(|o| (o.backups, o.quorum) = (3, 4)).contains("1 <= k <= n"));
         assert!(rejected(|o| (o.backups, o.quorum) = (3, 0)).contains("1 <= k <= n"));
         assert!(rejected(|o| (o.backups, o.quorum) = (200, 2)).contains("n <= 128"));
         assert!(rejected(|o| (o.backups, o.quorum) = (129, 1)).contains("n <= 128"));
+        assert!(rejected(|o| o.quorum = 2).contains("opts.quorum"));
+        assert!(rejected(|o| o.dump_workers = 0).contains("opts.dump_workers"));
         let mut fleet = OptimizationConfig::nilicon();
         (fleet.fleet, fleet.delta_transfer, fleet.pipeline) = (8, true, true);
         fleet.validate().expect("the fleet composes with the single-backup knobs");

@@ -778,24 +778,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fleet_rejects_backups() {
-        let msg = rejected(|c| (c.opts.backups, c.opts.quorum) = (3, 2));
-        assert!(msg.contains("opts.backups"), "{msg}");
-    }
-
-    #[test]
-    fn fleet_rejects_hybrid_replay() {
-        let msg = rejected(|c| c.opts.hybrid_replay = true);
-        assert!(msg.contains("opts.hybrid_replay"), "{msg}");
-    }
-
-    #[test]
-    fn fleet_rejects_rearm() {
-        let msg = rejected(|c| c.opts.rearm = true);
-        assert!(msg.contains("opts.rearm"), "{msg}");
-    }
-
     /// Without the staging buffer the transfer rides the stop phase, so a
     /// link wait would land on an ack path the epoch does not have.
     #[test]

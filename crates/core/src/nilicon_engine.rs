@@ -22,7 +22,7 @@ use crate::engine::{
 use crate::placement::Coded;
 use crate::stages::{
     ack_spans, alive_indices, commit_replica, committed_epoch, deferred_pids, delta_event,
-    open_assemblies, survivors, ChunkClock, Mapped, Replica, StageCore, Stopped, CHUNK_PAGES,
+    open_assemblies, survivors, ChunkClock, Replica, StageCore, Stopped, CHUNK_PAGES,
 };
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
@@ -81,8 +81,6 @@ pub struct Mirror {
     /// The page contents last shipped to the backup — the base for the next
     /// epoch's XOR deltas (`delta_transfer`).
     shadow: ShadowStore,
-    /// The VMAs of the image the shadow was last encoded for.
-    mapped: Mapped,
     /// The chunk being staged: whole pages, or encodings and their
     /// classification stats for the epoch so far.
     pages: Vec<(Pid, u64, PageBuf)>,
@@ -285,8 +283,9 @@ impl<L: Layout> Engine<L> {
     /// Send the `pages`-page chunk staged in the layout into `epoch`'s open
     /// assemblies, adding each replica's receive CPU to `per_cpu`. Returns
     /// the bytes one link carried (the replica links run in parallel) and
-    /// what the background encode stage spent — charged to the primary's
-    /// meter where the encode is metered.
+    /// what the background encode stage spent — the delta or the shard
+    /// encode, charged to the primary's meter, where the COW drain's clock
+    /// reads it.
     fn ship(
         &mut self,
         primary: &mut Kernel,
@@ -295,23 +294,21 @@ impl<L: Layout> Engine<L> {
         encode: bool,
         per_cpu: &mut [Nanos],
     ) -> SimResult<(u64, Nanos)> {
-        match self.layout.view() {
+        let costs = &primary.costs;
+        let (bytes, per_page) = match self.layout.view() {
             View::Mirror(m) => {
                 let (whole, deltas) = (std::mem::take(&mut m.pages), std::mem::take(&mut m.deltas));
                 per_cpu[0] += self.replicas[0].agent.ingest_chunk(epoch, whole, deltas)?;
-                let per_page = if encode {
-                    primary.costs.delta_encode_per_page
-                } else {
-                    0
-                };
-                primary.meter.charge(pages * per_page);
-                Ok((std::mem::take(&mut m.bytes), pages * per_page))
+                let per_page = if encode { costs.delta_encode_per_page } else { 0 };
+                (std::mem::take(&mut m.bytes), per_page)
             }
-            View::Coded(c) => Ok((
+            View::Coded(c) => (
                 c.ship(&mut self.replicas, epoch, per_cpu)?,
-                pages * primary.costs.shard_encode_per_page,
-            )),
-        }
+                costs.shard_encode_per_page,
+            ),
+        };
+        primary.meter.charge(pages * per_page);
+        Ok((bytes, pages * per_page))
     }
 
     /// The streamed transfer, container already running: open the epoch's
@@ -342,7 +339,6 @@ impl<L: Layout> Engine<L> {
         let opts = self.core.opts;
         let cow = opts.cow_checkpoint;
         let (mut img, msgs) = (stopped.img, stopped.msgs);
-        let page_batches = img.transfer_chunks();
         let deferred = std::mem::take(&mut img.deferred_vpns);
         let pages = std::mem::take(&mut img.pages);
         let pids = deferred_pids(&deferred);
@@ -355,14 +351,7 @@ impl<L: Layout> Engine<L> {
             Source::Snapshots(pages.chunks(CHUNK_PAGES))
         };
 
-        // The coded layout counts the page batches in the metadata message
-        // as well as per chunk — older than the fold, kept so that no
-        // virtual number moves.
-        let meta_msgs = msgs.len() as u64
-            + match self.layout.view() {
-                View::Mirror(_) => img.transfer_chunks(),
-                View::Coded(_) => page_batches,
-            };
+        let meta_msgs = msgs.len() as u64 + img.transfer_chunks();
         let meta_bytes = img.state_bytes() + stopped.drbd_bytes;
         let link = primary.costs.repl_link_latency;
         // `transfer_cost` includes the propagation latency; peel it off — in
@@ -441,7 +430,7 @@ impl<L: Layout> Engine<L> {
             // Shard encode ran in a background stage: the marker keeps the
             // fan-out observable while the spans below tile the ack delay.
             View::Coded(c) => {
-                tracer.mark(c.shard_commit(pages.len() as u64, payload_bytes));
+                tracer.mark(c.shard_commit(drained, payload_bytes));
                 c.recycle(pages);
             }
         }
@@ -541,18 +530,18 @@ impl<L: Layout> Checkpointer for Engine<L> {
         };
         let stopped = self.core.stop_phase(primary, container, epoch, shadow)?;
         let img = &stopped.img;
+        // `img` is the next image the replicas commit, and that commit
+        // prunes from their stores the pages it no longer maps.
+        let unmapped = self.core.mapped.unmapped_by(img);
         match self.layout.view() {
-            // `img` is the next image the backup commits: drop from the
-            // shadow the pages it no longer maps, which that commit prunes
-            // from the store — a pruned store under a live shadow entry
-            // would make the page's next delta an orphan.
-            View::Mirror(m) if opts.delta_transfer => {
-                for (pid, vpns) in m.mapped.unmapped_by(img) {
+            // Drop them from the delta shadow too: a pruned store under a
+            // live shadow entry would make the page's next delta an orphan.
+            View::Mirror(m) => {
+                for (pid, vpns) in unmapped {
                     m.shadow.forget(pid, vpns);
                 }
             }
-            View::Coded(c) => c.note_epoch(epoch, img),
-            View::Mirror(_) => {}
+            View::Coded(c) => c.note_epoch(epoch, img, unmapped),
         }
         let mut out = CheckpointOutcome {
             stop_time: stopped.stop_time,

@@ -44,21 +44,24 @@
 //! ≈ 1.67× — coded placements beat mirroring while tolerating more faults.
 //!
 //! Modeling notes: the layout requires the staged transfer path
-//! (`staging_buffer`) and composes with neither `delta_transfer` nor
-//! `cow_checkpoint` ([`OptimizationConfig::validate`]; fragments are coded
-//! from full page bodies after the container resumes). A fragment is built once, in the `frag_len`-byte heap
-//! buffer replica `i`'s store then keeps (DESIGN §10); replica receive CPU is
-//! still modeled on a 4 KiB unit per fragment — the charge is older than the
-//! fragment-sized stores and is kept, so no virtual number moved — while wire
-//! bytes and stored-fragment accounting use the true fragment size.
+//! (`staging_buffer`) and does not compose with `delta_transfer`
+//! ([`OptimizationConfig::validate`]): fragments are coded from full page
+//! bodies after the container resumes — the dumped snapshots, or under
+//! `cow_checkpoint` the frames the COW drain lends, whose shard encode then
+//! rides the drain's clock like the mirror's delta encode. A fragment is
+//! built once, in the `frag_len`-byte heap buffer replica `i`'s store then
+//! keeps (DESIGN §10); replica receive CPU is still modeled on a 4 KiB unit
+//! per fragment — the charge is older than the fragment-sized stores and is
+//! kept, so no virtual number moved — while wire bytes and stored-fragment
+//! accounting use the true fragment size.
 
 use crate::backup::Fragment;
 use crate::config::OptimizationConfig;
 use crate::engine::{BootstrapStep, CheckpointOutcome, RepairBegin};
 use crate::nilicon_engine::{Engine, Layout, View};
 use crate::stages::{
-    ack_spans, commit_replica, committed_epoch, open_assemblies, survivors, Mapped, Replica,
-    StageCore, Stopped,
+    ack_spans, commit_replica, committed_epoch, open_assemblies, survivors, Replica, StageCore,
+    Stopped,
 };
 use crate::trace::TraceEvent;
 use nilicon_criu::{end_fragment_round, CheckpointImage, FragBuf, PageKey, ShardCodec};
@@ -104,8 +107,6 @@ pub struct Coded {
     batches: Vec<Vec<Fragment>>,
     /// One note per not-yet-committed epoch, drained at commit.
     epoch_notes: BTreeMap<u64, EpochNote>,
-    /// The VMAs of the last checkpointed image.
-    mapped: Mapped,
     /// Keys committed — and still mapped — while the active repair streamed
     /// its base image: what brings the repaired replica up to the current
     /// committed state at the seal.
@@ -118,10 +119,10 @@ pub type PlacementEngine = Engine<Coded>;
 
 impl PlacementEngine {
     /// New engine for `opts.backups` replicas with quorum `opts.quorum`.
-    /// Requires the staged transfer path and composes with neither the
-    /// delta nor the COW extension ([`OptimizationConfig::validate`], whose
-    /// placement rules apply to this layout at any `(k, n)`, the degenerate
-    /// `(1, 1)` included).
+    /// Requires the staged transfer path and does not compose with the
+    /// delta extension ([`OptimizationConfig::validate`], whose placement
+    /// rules apply to this layout at any `(k, n)`, the degenerate `(1, 1)`
+    /// included); with the COW extension the drain's pages are striped.
     pub fn new(opts: OptimizationConfig, costs: CostModel) -> SimResult<Self> {
         opts.validate_for(true)?;
         let codec = ShardCodec::new(opts.quorum, opts.backups)?;
@@ -129,7 +130,6 @@ impl PlacementEngine {
             batches: vec![Vec::new(); opts.backups as usize],
             codec,
             epoch_notes: BTreeMap::new(),
-            mapped: Mapped::default(),
             redirty: HashSet::new(),
             repair: None,
         };
@@ -256,16 +256,22 @@ impl Coded {
     /// Every replica restarts empty (rearm): forget what mirrored them.
     pub(crate) fn reset(&mut self) {
         self.epoch_notes.clear();
-        self.mapped = Mapped::default();
         self.redirty.clear();
         self.repair = None;
     }
 
-    /// `img` left the stop phase as `epoch`: note what its commit changes.
-    pub(crate) fn note_epoch(&mut self, epoch: u64, img: &CheckpointImage) {
-        let keys = img.pages.iter().map(|&(pid, vpn, _)| (pid, vpn)).collect();
-        self.epoch_notes
-            .insert(epoch, (keys, self.mapped.unmapped_by(img)));
+    /// `img` left the stop phase as `epoch`, no longer mapping `unmapped`:
+    /// note what its commit changes — the pages it carries, dumped or left
+    /// to the COW drain.
+    pub(crate) fn note_epoch(
+        &mut self,
+        epoch: u64,
+        img: &CheckpointImage,
+        unmapped: Vec<(Pid, Range<u64>)>,
+    ) {
+        let dumped = img.pages.iter().map(|&(pid, vpn, _)| (pid, vpn));
+        let keys = dumped.chain(img.deferred_vpns.iter().copied()).collect();
+        self.epoch_notes.insert(epoch, (keys, unmapped));
     }
 
     /// The whole-epoch fan-out, container already running: erasure-code each
@@ -626,11 +632,10 @@ mod tests {
         // The rules are `OptimizationConfig::validate`'s, keyed on this
         // layout: a hand-built (1,1) placement is checked like any other.
         type Knob = fn(&mut OptimizationConfig);
-        let set: [(u32, u32, Knob, &str); 7] = [
+        let set: [(u32, u32, Knob, &str); 6] = [
             (2, 3, |o| o.staging_buffer = false, "staging buffer"),
             (2, 3, |o| o.delta_transfer = true, "delta_transfer"),
             (1, 1, |o| o.delta_transfer = true, "delta_transfer"),
-            (1, 1, |o| o.cow_checkpoint = true, "cow_checkpoint"),
             (4, 3, |_| (), "invalid placement (k=4, n=3)"),
             (0, 2, |_| (), "invalid placement (k=0, n=2)"),
             (2, 200, |_| (), "invalid placement (k=2, n=200)"),
@@ -642,15 +647,25 @@ mod tests {
             assert!(err.to_string().contains(message), "({k},{n}): {err}");
         }
         PlacementEngine::new(placement_opts(1, 1), CostModel::default()).expect("(1,1) is valid");
+        for (k, n) in [(1, 1), (2, 3)] {
+            let mut cow = placement_opts(k, n);
+            cow.cow_checkpoint = true;
+            PlacementEngine::new(cow, CostModel::default()).expect("the COW drain is striped");
+        }
     }
 
     #[test]
     fn epochs_commit_and_reconcile_across_placements() {
-        for (k, n) in [(1u32, 2u32), (2, 3), (3, 5)] {
-            let (mut p, mut b, c, mut e) = setup(k, n);
+        let shapes = [(1u32, 2u32), (2, 3), (3, 5)];
+        for ((k, n), cow) in shapes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
+            let (mut p, mut b, c, _) = setup(k, n);
+            let mut opts = placement_opts(k, n);
+            opts.cow_checkpoint = cow;
+            let mut e = PlacementEngine::new(opts, p.costs.clone()).unwrap();
             let (tracer, ring) = Tracer::in_memory(256);
             e.set_tracer(tracer.clone());
             e.prepare(&mut p, &c).unwrap();
+            let mut dirty = Vec::new();
             for epoch in 1..=3u64 {
                 apply(&mut p, &c, epoch);
                 tracer.begin_epoch(epoch, 0);
@@ -658,14 +673,20 @@ mod tests {
                 tracer.reconcile(epoch, o.stop_time, o.ack_delay).unwrap();
                 assert!(o.ack_delay > 0, "staged ack path");
                 e.commit(&mut b, epoch).unwrap();
+                dirty.push(o.dirty_pages);
             }
             assert_eq!(e.committed_epoch(), Some(3), "(k={k},n={n})");
-            let shard_spans = ring
+            let striped: Vec<u64> = ring
                 .snapshot()
                 .iter()
-                .filter(|r| matches!(r.kind, TraceEvent::ShardCommit { .. }))
-                .count();
-            assert_eq!(shard_spans, 3, "one ShardCommit span per epoch");
+                .filter_map(|r| match r.kind {
+                    TraceEvent::ShardCommit { pages, .. } => Some(pages),
+                    _ => None,
+                })
+                .collect();
+            // One ShardCommit per epoch, carrying the pages striped —
+            // off the COW drain as well as off the dump.
+            assert_eq!(striped, dirty, "(k={k},n={n}) cow={cow}");
         }
     }
 
@@ -1172,32 +1193,36 @@ mod tests {
         // Replica 0 is lost after epoch 3 and regenerated two pages a step
         // while every epoch re-dirties pages already streamed (page 7 each
         // epoch, a rotating one of 0..5): the top-up must bring exactly
-        // those keys forward.
-        let (mut p, _b, c, mut e) = run_epochs(placement_opts(2, 3), 3);
-        e.replica_fault().unwrap();
-        let mut fresh = Kernel::default();
-        e.repair_begin(3).unwrap();
-        let mut epoch = 3;
-        loop {
-            epoch += 1;
-            apply(&mut p, &c, epoch);
-            e.checkpoint(&mut p, &mut fresh, &c, epoch).unwrap();
-            e.commit(&mut fresh, epoch).unwrap();
-            if e.repair_step(epoch, 2).unwrap().remaining == 0 {
-                break;
+        // those keys forward — dumped, or left to the COW drain.
+        for cow in [false, true] {
+            let mut opts = placement_opts(2, 3);
+            opts.cow_checkpoint = cow;
+            let (mut p, _b, c, mut e) = run_epochs(opts, 3);
+            e.replica_fault().unwrap();
+            let mut fresh = Kernel::default();
+            e.repair_begin(3).unwrap();
+            let mut epoch = 3;
+            loop {
+                epoch += 1;
+                apply(&mut p, &c, epoch);
+                e.checkpoint(&mut p, &mut fresh, &c, epoch).unwrap();
+                e.commit(&mut fresh, epoch).unwrap();
+                if e.repair_step(epoch, 2).unwrap().remaining == 0 {
+                    break;
+                }
             }
-        }
-        assert!(!e.layout.redirty.is_empty(), "pages were re-dirtied mid-stream");
-        e.repair_finish(&mut fresh, epoch).unwrap();
+            assert!(!e.layout.redirty.is_empty(), "cow={cow}: pages were re-dirtied mid-stream");
+            e.repair_finish(&mut fresh, epoch).unwrap();
 
-        let (_, _, _, never_failed) = run_epochs(placement_opts(2, 3), epoch);
-        assert_eq!(e.committed_epoch(), never_failed.committed_epoch());
-        for i in 0..3 {
-            assert!(stored(&e, i) == stored(&never_failed, i), "replica {i}");
+            let (_, _, _, never_failed) = run_epochs(opts, epoch);
+            assert_eq!(e.committed_epoch(), never_failed.committed_epoch());
+            for i in 0..3 {
+                assert!(stored(&e, i) == stored(&never_failed, i), "cow={cow}: replica {i}");
+            }
+            let a = e.replicas[0].agent.materialize().unwrap();
+            let b = never_failed.replicas[0].agent.materialize().unwrap();
+            assert_eq!(a.epoch, b.epoch, "top-up carried the current metadata");
         }
-        let a = e.replicas[0].agent.materialize().unwrap();
-        let b = never_failed.replicas[0].agent.materialize().unwrap();
-        assert_eq!(a.epoch, b.epoch, "top-up carried the current metadata");
     }
 
     /// Commit `frags` as epoch `epoch` on one replica only, behind its back.

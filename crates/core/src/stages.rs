@@ -320,6 +320,10 @@ pub(crate) struct StageCore {
     /// receive), carried into the first drain's accounting.
     pub(crate) bootstrap_cpu_carry: Nanos,
     logs: LogStore,
+    /// The VMAs of the last checkpointed image: which pages each layout
+    /// forgets (the mirror's delta shadow) or notes (the coded repair's
+    /// top-up) at the epoch its replicas prune them.
+    pub(crate) mapped: Mapped,
 }
 
 impl StageCore {
@@ -335,6 +339,7 @@ impl StageCore {
             bootstrap_pids: Vec::new(),
             bootstrap_cpu_carry: 0,
             logs: LogStore::default(),
+            mapped: Mapped::default(),
         }
     }
 

@@ -12,7 +12,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 RATCHET=1998
-ENGINES_RATCHET=1528
+ENGINES_RATCHET=1524
 
 count() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }

@@ -314,7 +314,7 @@ fn walk(f: Fault) -> usize {
 #[test]
 fn no_fault() {
     let accepted = walk(Fault::None);
-    assert!(accepted >= 160, "the walk lost combinations: {accepted}");
+    assert!(accepted >= 192, "the walk lost combinations: {accepted}");
 }
 
 #[test]
