@@ -22,7 +22,7 @@ use nilicon_sim::block::BlockDevice;
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::Endpoint;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::{end_page_round, AddressSpace, TrackingMode, LINE_BYTES};
+use nilicon_sim::mem::{end_page_round, recycle_page, AddressSpace, TrackingMode, LINE_BYTES};
 use nilicon_sim::net::{InputMode, NetStack, TcpState};
 use nilicon_sim::proc::FreezeStrategy;
 use nilicon_sim::PAGE_SIZE;
@@ -30,7 +30,6 @@ use nilicon_sim::replay::response_digest;
 use nilicon_workloads::{value_pattern, RedisApp, Scale, YcsbBehavior};
 use std::cell::RefCell;
 use std::hint::black_box;
-use std::rc::Rc;
 
 fn container_kernel(heap_pages: u64) -> (Kernel, nilicon_container::Container) {
     let mut k = Kernel::default();
@@ -59,6 +58,21 @@ fn bench_mem_write(c: &mut Criterion) {
     group.bench_function("clear_refs_8k_pages", |b| {
         b.iter(|| black_box(k.clear_refs(pid).unwrap()));
     });
+    // The copy a share defers: a snapshot shares the page, and the next
+    // 64-byte write into it copies the page into the spare the last commit
+    // handed back (recycled here, as a commit would).
+    group.bench_function("write_64B_into_shared_page", |b| {
+        let line = [0xCDu8; 64];
+        b.iter(|| {
+            off = (off + 4096) % (8192 * 4096 - 4096);
+            let addr = MemLayout::heap(off);
+            let shared = k.mm(pid).unwrap().snapshot_page(addr / 4096).unwrap();
+            black_box(k.mem_write(pid, addr, &line).unwrap());
+            end_page_round();
+            recycle_page(shared);
+        });
+    });
+    end_page_round();
     group.finish();
 }
 
@@ -403,7 +417,7 @@ fn bench_staged_drain(c: &mut Criterion) {
                 a.clear_refs();
                 a.cow_protect(&vpns);
                 a.cow_drain_with(usize::MAX, |vpn, page, lines| {
-                    let full = || Rc::new(*page);
+                    let full = || page.clone();
                     black_box(shadow.encode_with(key(vpn), page, lines, full, &mut stats));
                 })
             };

@@ -21,6 +21,8 @@
 //! in wall-clock time. EXPERIMENTS.md's "Measurement apparatus" table says
 //! what each binary, bench and `BENCH_*.json` alone measures.
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod cli;
 pub mod comparison;

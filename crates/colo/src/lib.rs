@@ -34,6 +34,7 @@
 //! only, and phase reconciliation is vacuous (see `OBSERVABILITY.md`).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use nilicon::backup::BackupAgent;
 use nilicon::engine::{CheckpointOutcome, Checkpointer, FailoverReport};

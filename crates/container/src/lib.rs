@@ -12,6 +12,7 @@
 //! and "how the container is replicated".
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod app;
 mod layout;

@@ -757,7 +757,7 @@ mod tests {
         assert_eq!(radix.stored_pages(), list.stored_pages());
     }
 
-    /// A stop phase over `mm`: every soft-dirty page copied out into epoch
+    /// A stop phase over `mm`: every soft-dirty page shared into epoch
     /// `epoch`'s image, tracking re-armed, the recycler's round ended.
     fn dump(mm: &mut AddressSpace, epoch: u64) -> CheckpointImage {
         let mut i = img(epoch, &[]);
@@ -846,6 +846,9 @@ mod tests {
         let mut kept: Option<(CheckpointImage, Vec<[u8; PAGE_SIZE]>)> = None;
         let mut reused = 0;
         for epoch in 1..=24u64 {
+            // The dump shared every page it took with its frame: each first
+            // write after it takes a spare the last commit handed back.
+            let spare = spare_pages();
             for _ in 0..40 + rand() % 60 {
                 let r = rand();
                 let page = HEAP + (r >> 8) % FOOTPRINT * PAGE_SIZE as u64;
@@ -856,9 +859,8 @@ mod tests {
                     mm.write(page + off, &r.to_le_bytes()).unwrap();
                 }
             }
-            let spare = spare_pages();
+            reused += spare - spare_pages();
             let mut i = dump(&mut mm, epoch);
-            reused += spare.min(i.pages.len());
             if delta {
                 i.encode_pages(&mut shadow);
             }

@@ -91,6 +91,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod backup;
 pub mod config;

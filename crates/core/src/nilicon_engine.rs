@@ -26,7 +26,9 @@ use crate::stages::{
 };
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
-use nilicon_criu::{DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore};
+use nilicon_criu::{
+    end_fragment_round, DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore,
+};
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::mem::ALL_LINES;
@@ -34,7 +36,6 @@ use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::ops::{Deref, DerefMut};
-use std::rc::Rc;
 
 /// The replication engine: the primary-side agent plus its buffered backup
 /// replicas, laid out by `L`. Named through its two constructors,
@@ -214,11 +215,11 @@ impl Source<'_> {
                     if want == 0 {
                         break;
                     }
-                    // A page is copied out only if the layout keeps it
-                    // whole; an encoding layout reads the written lines.
+                    // A page the layout keeps whole shares the frame's
+                    // buffer; an encoding layout reads the written lines.
                     let n = primary.cow_drain_with(pid, want, |vpn, page, lines| {
                         let key = PageKey { pid, vpn };
-                        stage(layout, alive, encode, key, page, lines, || Rc::new(*page))
+                        stage(layout, alive, encode, key, page, lines, || page.clone())
                     })? as u64;
                     if n > 0 {
                         *budget = budget.saturating_sub(n);
@@ -242,8 +243,9 @@ impl Source<'_> {
 
 /// Add one page to the chunk `layout` is building for the `alive` replicas.
 /// The page is read where it lies — a frame the COW drain lends with its
-/// written-line set `lines`, or a dumped snapshot; `whole` hands over an
-/// owned copy, and is called at most once, only if the page is kept whole.
+/// written-line set `lines`, or a dumped snapshot; `whole` hands over the
+/// buffer to keep, and is called at most once, only if the page is kept
+/// whole.
 /// The mirror encodes against the shadow of the last shipped epoch where
 /// `encode` says so (never in a bootstrap: the replacement has no base to
 /// patch); the coded layout builds each alive replica's fragment.
@@ -431,7 +433,7 @@ impl<L: Layout> Engine<L> {
             // fan-out observable while the spans below tile the ack delay.
             View::Coded(c) => {
                 tracer.mark(c.shard_commit(drained, payload_bytes));
-                c.recycle(pages);
+                end_fragment_round();
             }
         }
         // The ack lands one propagation latency after the last chunk plus

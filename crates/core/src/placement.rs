@@ -68,7 +68,6 @@ use nilicon_criu::{end_fragment_round, CheckpointImage, FragBuf, PageKey, ShardC
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::recycle_page;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashSet};
@@ -308,7 +307,11 @@ impl Coded {
         for &i in alive {
             replicas[i].agent.finish_assembly(epoch)?;
         }
-        self.recycle(pages);
+        // Striped: the fan-out used what spare fragments it could. The
+        // dumped pages share the frames' buffers; dropped here, they leave
+        // each frame its buffer's sole holder, written in place.
+        end_fragment_round();
+        drop(pages);
 
         let costs = &primary.costs;
         let shard_cpu = n_pages * costs.shard_encode_per_page;
@@ -573,15 +576,6 @@ impl Coded {
             shards: self.codec.n(),
             pages,
             frag_bytes,
-        }
-    }
-
-    /// Striped: the fan-out used what spare fragments it could, and the
-    /// dumped pages are the next stop phase's buffers.
-    pub(crate) fn recycle(&self, pages: Vec<(Pid, u64, PageBuf)>) {
-        end_fragment_round();
-        for (_, _, page) in pages {
-            recycle_page(page);
         }
     }
 }
@@ -890,8 +884,9 @@ mod tests {
             e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
             assert_eq!(
                 (spare_pages(), spare_fragments()),
-                (30, 0),
-                "striped pages wait for the next dump; the fan-out's end frees fragments"
+                (0, 0),
+                "striped pages leave their frames the sole holders, written in \
+                 place; the fan-out's end frees fragments"
             );
             e.commit(&mut b, epoch).unwrap();
         }

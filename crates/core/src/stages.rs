@@ -470,8 +470,10 @@ impl StageCore {
         Self::resume(primary, container)?;
         let m_resumed = primary.meter.lifetime_total();
         let mut stop_time = primary.meter.take();
-        // The dump filled what spare page buffers it needed; the rest are
-        // not carried through the execution phase.
+        // The epoch's round ends: the spare page buffers the last commit
+        // handed back and this execution phase's first writes into shared
+        // frames left unused are freed, and the next round may keep as many
+        // as those writes asked for.
         end_page_round();
 
         self.tracer.span(TraceEvent::Freeze, m_frozen - m_start);

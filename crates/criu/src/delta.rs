@@ -236,17 +236,21 @@ impl ShadowStore {
 
     /// Classify and encode one dirty page against the shadow copy, updating
     /// the shadow and `stats`. A page that ships whole shares `data`'s
-    /// buffer with the shadow and the encoding. A captured buffer does not
-    /// say where it was written, so every line is compared.
+    /// buffer with the shadow and the encoding, and so does a shadow copy
+    /// that cannot be patched: a captured buffer is shared already. A
+    /// captured buffer does not say where it was written, so every line is
+    /// compared.
     pub fn encode(&mut self, key: PageKey, data: &PageBuf, stats: &mut DeltaStats) -> PageEncoding {
-        self.encode_with(key, data, ALL_LINES, || data.clone(), stats)
+        self.encode_page(key, data, ALL_LINES, || data.clone(), false, stats)
     }
 
     /// [`Self::encode`] for a page the caller only has on loan (a live frame
     /// lent by the COW drain): `data` is read in place, and `full` is called
-    /// — at most once — only if the page's whole contents must be kept, i.e.
-    /// it ships as a full page, or the shadow copy is still shared with
-    /// another holder and so cannot be patched.
+    /// — at most once — only if the page ships as a full page, which then
+    /// keeps `full`'s buffer as its shadow. A shadow copy still shared with
+    /// another holder cannot be patched; it is replaced by a copy of `data`
+    /// the shadow owns, never by `full`'s buffer, so that the next sparse
+    /// epoch patches it in place and the lent frame stays write-enabled.
     ///
     /// `lines` is the page's written-line set: bit `l` clear promises that
     /// bytes `64 l .. 64 l + 64` of `data` equal the shadow copy's, and the
@@ -260,6 +264,21 @@ impl ShadowStore {
         data: &[u8; PAGE_SIZE],
         lines: u64,
         full: impl FnOnce() -> PageBuf,
+        stats: &mut DeltaStats,
+    ) -> PageEncoding {
+        self.encode_page(key, data, lines, full, true, stats)
+    }
+
+    /// [`Self::encode_with`]; `lent` says whether a shadow copy that cannot
+    /// be patched must take a copy of `data` of its own rather than `full`'s
+    /// buffer.
+    fn encode_page(
+        &mut self,
+        key: PageKey,
+        data: &[u8; PAGE_SIZE],
+        lines: u64,
+        full: impl FnOnce() -> PageBuf,
+        lent: bool,
         stats: &mut DeltaStats,
     ) -> PageEncoding {
         stats.raw_bytes += PAGE_SIZE as u64;
@@ -287,9 +306,12 @@ impl ShadowStore {
                         // the buffer (a full page is shared with the wire
                         // encoding and then the backup store until they
                         // drop or replace it); otherwise leave that buffer
-                        // untouched and shadow the new contents instead.
+                        // untouched and shadow the new contents instead — a
+                        // copy of its own when the page is lent, so that the
+                        // frame stays write-enabled.
                         match Rc::get_mut(shadow) {
                             Some(page) => dp.xor_into(page),
+                            None if lent => *shadow = Rc::new(*data),
                             None => *shadow = full(),
                         }
                         PageEncoding::Delta(dp)
@@ -555,49 +577,71 @@ mod tests {
         let mut st = DeltaStats::default();
         let p = page_with(&[(0, 7)]);
         let enc = s.encode(key(1), &p, &mut st);
-        match enc {
+        match &enc {
             PageEncoding::Full(buf) => {
-                assert!(Rc::ptr_eq(&buf, &p), "zero-copy: same allocation");
+                assert!(Rc::ptr_eq(buf, &p), "zero-copy: same allocation");
             }
             other => panic!("expected Full, got {other:?}"),
         }
+        // The encoding still holds the shadow's buffer, so a sparse rewrite
+        // cannot patch it: a captured page is shared by the shadow, not
+        // copied.
+        let p2 = page_with(&[(0, 7), (8, 1)]);
+        assert!(matches!(
+            s.encode(key(1), &p2, &mut st),
+            PageEncoding::Delta(_)
+        ));
+        assert_eq!(
+            Rc::strong_count(&p2),
+            2,
+            "the shadow holds the captured buffer"
+        );
     }
 
     #[test]
     fn lent_page_is_copied_only_when_its_whole_contents_must_be_kept() {
         let mut s = ShadowStore::new();
         let mut st = DeltaStats::default();
-        let mut copies = 0;
+        let mut shares = 0;
         let mut frame = [0u8; PAGE_SIZE];
         frame[0] = 1;
-        // First touch ships whole: one copy, shared by shadow and encoding.
-        let first = s.encode_with(key(1), &frame, ALL_LINES, || Rc::new(frame), &mut st);
+        // First touch ships whole: the lent buffer, shared by shadow and
+        // encoding.
+        let lent = Rc::new(frame);
+        let first = s.encode_with(key(1), &lent, ALL_LINES, || lent.clone(), &mut st);
         let PageEncoding::Full(in_flight) = first else {
             panic!("first touch ships full")
         };
-        // While the encoding is in flight the shadow cannot be patched.
+        assert!(Rc::ptr_eq(&in_flight, &lent));
+        // While the encoding is in flight the shadow cannot be patched: it
+        // copies the page into a buffer of its own and leaves the lent one
+        // to the frame alone.
         frame[8] = 2;
-        let mut copy = || {
-            copies += 1;
-            Rc::new(frame)
+        let lent = Rc::new(frame);
+        let mut share = || {
+            shares += 1;
+            lent.clone()
         };
-        let enc = s.encode_with(key(1), &frame, 1, &mut copy, &mut st);
+        let enc = s.encode_with(key(1), &lent, 1, &mut share, &mut st);
         assert!(matches!(enc, PageEncoding::Delta(_)));
         assert_eq!(in_flight[8], 0, "shared buffer left alone");
         assert_eq!(enc.apply(Some(&in_flight)), Rc::new(frame));
+        assert_eq!(Rc::strong_count(&lent), 1, "the shadow kept a copy");
         // From here the shadow owns its buffer: sparse epochs copy nothing.
         for i in 2..10usize {
             let before = frame;
             frame[8 * i] = i as u8;
-            let mut copy = || {
-                copies += 1;
-                Rc::new(frame)
+            let lent = Rc::new(frame);
+            let mut share = || {
+                shares += 1;
+                lent.clone()
             };
-            let enc = s.encode_with(key(1), &frame, 1 << (i / 8), &mut copy, &mut st);
+            let enc = s.encode_with(key(1), &lent, 1 << (i / 8), &mut share, &mut st);
             assert_eq!(enc.encoded_bytes(), 8 + 8 + 8);
             assert_eq!(enc.apply(Some(&before)), Rc::new(frame));
+            assert_eq!(Rc::strong_count(&lent), 1, "patched in place");
         }
-        assert_eq!(copies, 1);
+        assert_eq!(shares, 0, "no sparse epoch keeps the lent buffer");
         let same = s.encode_with(key(1), &frame, 0, || unreachable!(), &mut st);
         assert_eq!(
             same,

@@ -22,6 +22,7 @@
 //! at the repo root for the full epoch-phase event schema).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use nilicon_sim::block::{BlockDevice, DiskWrite};
 use nilicon_sim::PAGE_SIZE;

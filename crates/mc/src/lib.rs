@@ -32,6 +32,7 @@
 //! reconciliation check is then vacuous by design (see `OBSERVABILITY.md`).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use nilicon::backup::BackupAgent;
 use nilicon::engine::{CheckpointOutcome, Checkpointer, FailoverReport};

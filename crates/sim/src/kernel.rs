@@ -16,7 +16,6 @@ use crate::net::{InputMode, NetStack, RepairState};
 use crate::ns::NsRegistry;
 use crate::proc::{freeze, thaw, FdEntry, FreezeReport, FreezeStrategy, Process};
 use crate::time::{CostMeter, Nanos};
-use std::rc::Rc;
 
 /// How VMA information is collected (§V-D deficiency (1)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -475,7 +474,9 @@ impl Kernel {
     }
 
     /// Copy out page contents for a set of vpns via the parasite (§V-D),
-    /// charging per the transfer mechanism.
+    /// charging per the transfer mechanism. The copy is charged, not made:
+    /// each page shares its frame's buffer, and the frame's next write
+    /// copies it.
     pub fn read_pages(
         &mut self,
         pid: Pid,
@@ -516,7 +517,7 @@ impl Kernel {
         &mut self,
         pid: Pid,
         max: usize,
-        mut lend: impl FnMut(u64, &[u8; crate::PAGE_SIZE], u64),
+        mut lend: impl FnMut(u64, &crate::mem::PageBuf, u64),
     ) -> SimResult<usize> {
         let mm = self.mm_mut(pid)?;
         let staged = mm.take_cow_staged();
@@ -528,15 +529,15 @@ impl Kernel {
         Ok(staged.len() + drained)
     }
 
-    /// [`Self::cow_drain_with`], copying the drained pages out: the combined
-    /// `(vpn, contents)` batch.
+    /// [`Self::cow_drain_with`], keeping every page lent: the combined
+    /// `(vpn, contents)` batch, each drained page sharing its frame's buffer.
     pub fn cow_drain_pages(
         &mut self,
         pid: Pid,
         max: usize,
     ) -> SimResult<Vec<(u64, crate::mem::PageBuf)>> {
         let mut out = Vec::new();
-        self.cow_drain_with(pid, max, |vpn, page, _| out.push((vpn, Rc::new(*page))))?;
+        self.cow_drain_with(pid, max, |vpn, page, _| out.push((vpn, page.clone())))?;
         Ok(out)
     }
 

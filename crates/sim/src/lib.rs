@@ -29,6 +29,8 @@
 //! validation); *time* is modeled by [`costs::CostModel`], whose constants are
 //! documented against the measurements the paper itself reports.
 
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod cgroup;
 pub mod cluster;

@@ -8,7 +8,6 @@ use crate::ids::IdMap;
 use crate::PAGE_SIZE;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::rc::Rc;
 
 const PS: u64 = PAGE_SIZE as u64;
 
@@ -392,7 +391,12 @@ impl AddressSpace {
             let in_page = (cur % PS) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
             let (touched, frame) = self.touch_page(vpn);
-            frame.bytes_mut()[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            let src = &data[off..off + n];
+            if n == PAGE_SIZE {
+                frame.overwrite().copy_from_slice(src);
+            } else {
+                frame.bytes_mut()[in_page..in_page + n].copy_from_slice(src);
+            }
             frame.written_lines |= lines_of(in_page, n);
             out.absorb(touched);
             off += n;
@@ -413,10 +417,12 @@ impl AddressSpace {
     fn touch_page(&mut self, vpn: u64) -> (WriteOutcome, &mut PageFrame) {
         let mut out = WriteOutcome::default();
         // Copy-before-write: a write racing the background copier must stage
-        // the checkpoint-time contents *before* the new bytes land (callers
-        // copy bytes only after `touch_page` returns, so this snapshot is
-        // exactly what the frozen container held). The snapshot is what the
-        // checkpoint is lent, so the frame's written lines restart from it.
+        // the checkpoint-time contents *before* the new bytes land. The
+        // staged copy shares the frame's buffer, and the write that follows
+        // (callers write only after `touch_page` returns) copies it, so the
+        // share holds exactly what the frozen container held. The share is
+        // what the checkpoint is lent, so the frame's written lines restart
+        // from it.
         if self.cow_protected.remove(vpn) {
             out.cow_faults += 1;
             self.cow_faults += 1;
@@ -523,27 +529,28 @@ impl AddressSpace {
     // Checkpoint support
     // ------------------------------------------------------------------
 
-    /// Copy out one page's contents (zeros if unmaterialized but mapped).
+    /// Share one page's contents (zeros if unmaterialized but mapped); the
+    /// frame's next write copies them (see [`PageFrame::snapshot`]).
     pub fn snapshot_page(&self, vpn: u64) -> SimResult<PageBuf> {
         let addr = vpn * PS;
         self.vma_at(addr).ok_or(SimError::Segfault { addr })?;
         Ok(self.page_contents(vpn))
     }
 
-    /// A copy of the page's contents: zeros if no frame backs it.
+    /// The page's contents, shared: zeros if no frame backs it.
     fn page_contents(&self, vpn: u64) -> PageBuf {
         self.frames
             .get(&vpn)
             .map_or_else(zero_page, PageFrame::snapshot)
     }
 
-    /// Install page contents at restore time (does not set soft-dirty: a
-    /// freshly restored container starts with a clean tracking slate).
-    pub fn install_page(&mut self, vpn: u64, data: &[u8; PAGE_SIZE]) -> SimResult<()> {
+    /// Install page contents at restore time, sharing the image's buffer
+    /// until the page's first write (does not set soft-dirty: a freshly
+    /// restored container starts with a clean tracking slate).
+    pub fn install_page(&mut self, vpn: u64, data: &PageBuf) -> SimResult<()> {
         let addr = vpn * PS;
         self.vma_at(addr).ok_or(SimError::Segfault { addr })?;
-        let mut f = PageFrame::from_bytes(data);
-        f.soft_dirty = false;
+        let mut f = PageFrame::sharing(data.clone());
         f.tracked_clean = true;
         self.frames.insert(vpn, f);
         Ok(())
@@ -584,7 +591,10 @@ impl AddressSpace {
     /// Background-copier step: un-protect up to `max` protected pages in
     /// ascending vpn order, lending each page's checkpoint-time contents to
     /// `lend` instead of copying them out — the caller decides what (if
-    /// anything) of the page it needs to keep. The third argument is the
+    /// anything) of the page it needs to keep: a clone of the buffer
+    /// write-protects the frame until its next write copies it (see
+    /// [`PageFrame::snapshot`]), so the clone keeps the checkpoint-time
+    /// bytes. The third argument is the
     /// page's written-line set ([`PageFrame::written_lines`]): outside those
     /// lines the page still holds the bytes it was last lent with. Lending
     /// clears the set. Returns the number of pages lent; the caller charges
@@ -592,7 +602,7 @@ impl AddressSpace {
     pub fn cow_drain_with(
         &mut self,
         max: usize,
-        mut lend: impl FnMut(u64, &[u8; PAGE_SIZE], u64),
+        mut lend: impl FnMut(u64, &PageBuf, u64),
     ) -> usize {
         let mut drained = 0;
         while drained < max {
@@ -600,10 +610,7 @@ impl AddressSpace {
                 break;
             };
             match self.frames.get_mut(&vpn) {
-                Some(f) => {
-                    let lines = std::mem::take(&mut f.written_lines);
-                    lend(vpn, f.bytes(), lines);
-                }
+                Some(f) => f.lend(|page, lines| lend(vpn, page, lines)),
                 None => lend(vpn, &zero_page(), ALL_LINES),
             }
             drained += 1;
@@ -611,10 +618,11 @@ impl AddressSpace {
         drained
     }
 
-    /// [`Self::cow_drain_with`], copying each page out.
+    /// [`Self::cow_drain_with`], keeping every page: each shares its
+    /// frame's buffer.
     pub fn cow_drain(&mut self, max: usize) -> Vec<(u64, PageBuf)> {
         let mut out = Vec::with_capacity(max.min(self.cow_protected.live));
-        self.cow_drain_with(max, |vpn, page, _| out.push((vpn, Rc::new(*page))));
+        self.cow_drain_with(max, |vpn, page, _| out.push((vpn, page.clone())));
         out
     }
 
@@ -628,6 +636,7 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     fn space_with_heap() -> AddressSpace {
         let mut a = AddressSpace::new();
@@ -894,7 +903,7 @@ mod tests {
             "0x12 has no frame: zeros, every line"
         );
         let mut b = space_with_heap();
-        b.install_page(0x10, &[3; PAGE_SIZE]).unwrap();
+        b.install_page(0x10, &Rc::new([3; PAGE_SIZE])).unwrap();
         b.cow_protect(&[0x10]);
         assert_eq!(
             lent_lines(&mut b),

@@ -1,23 +1,26 @@
 //! A physical page frame with real contents and tracking bits.
 
 use crate::PAGE_SIZE;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A refcounted 4 KiB page buffer, immutable while shared.
 ///
-/// Buffers circulate rather than live and die with a page version. A page
-/// that ships whole (eager dump, COW fault copy, first touch, dense rewrite)
-/// is copied out of its frame once, into a buffer the thread's [`Recycler`]
-/// hands out ([`PageFrame::snapshot`]); every later stage — delta shadow,
-/// placement striping, backup store — shares that allocation; and when a
-/// commit displaces it from the backup store it goes back to the recycler
-/// ([`recycle_page`]) for the next stop phase to fill. A page that ships as
-/// a sparse delta is never copied at all: the COW drain lends the frame
-/// (`AddressSpace::cow_drain_with`), and the delta shadow and the backup
-/// store patch their own resident copy in place — and it is now read only
-/// where it was written: the frame is lent with the set of 64-byte lines the
-/// guest wrote since it was last lent ([`PageFrame::written_lines`]).
+/// One buffer serves a page version from the guest's frame to the backup's
+/// store. A frame shares its buffer with the eager dump
+/// ([`PageFrame::snapshot`]), with a COW fault's or an unmap's staged copy,
+/// with the delta shadow and the backup store when the COW drain lends it
+/// and the page ships whole (`AddressSpace::cow_drain_with`), and with the
+/// backup's image at restore (`AddressSpace::install_page`).
+/// A shared frame is write-protected, like a PTE after `fork`: its first
+/// write copies the buffer once, into a spare the thread's [`Recycler`]
+/// holds, and a write that covers the whole page takes the spare without
+/// reading the old bytes. When a commit displaces a version from the backup
+/// store, its buffer goes back to the recycler ([`recycle_page`]) for the
+/// next such write. A page that ships as a sparse delta is never copied on
+/// its way out: the delta shadow and the backup store patch their own
+/// resident copy in place, reading the lent frame only where the guest
+/// wrote it ([`PageFrame::written_lines`]).
 ///
 /// A file page is one too, from the page cache to the backup's disk. A
 /// write-back (`PageCache::flush`) shares the cached buffer with the block
@@ -32,22 +35,24 @@ use std::rc::Rc;
 /// starts as the disk's buffer (or a fresh zeroed one).
 ///
 /// One rule covers every write into a buffer, patch or refill: only its sole
-/// owner writes (`Rc::get_mut` / `Rc::make_mut`). A holder that finds a
-/// pending epoch, the shadow or a materialized image still sharing the
-/// buffer clones first, and a recycled buffer somebody still holds is
-/// skipped — so no holder ever sees a buffer change under it. The simulation
-/// is single-threaded, so `Rc` suffices.
+/// owner writes. A holder that finds a pending epoch, the shadow, a frame or
+/// a materialized image still sharing the buffer copies first, and a
+/// recycled buffer somebody still holds is skipped — so no holder ever sees
+/// a buffer change under it. The simulation is single-threaded, so `Rc`
+/// suffices.
 pub type PageBuf = Rc<[u8; PAGE_SIZE]>;
 
 /// Spare buffers on their way from the commit that displaced them to the
 /// stage that fills them next, `T` being what a buffer holds (a page, a
 /// fragment).
 ///
-/// Demand is counted in rounds — one stop phase for pages, one fan-out for
-/// fragments — and the recycler never holds more than the round before
-/// asked for: what a full sync, a bootstrap or a repair displaces beyond
-/// that is dropped as it is handed back, and what a round leaves unused is
-/// dropped when it ends. It needs no size to be chosen for it.
+/// Demand is counted in rounds — for pages, an epoch from one stop phase's
+/// end to the next, whose first writes into the frames the dump shared ask
+/// for them; one fan-out for fragments — and the recycler never holds more
+/// than the round before asked for: what a full sync, a bootstrap or a
+/// repair displaces beyond that is dropped as it is handed back, and what a
+/// round leaves unused is dropped when it ends. It needs no size to be
+/// chosen for it.
 pub struct Recycler<T: ?Sized> {
     spare: Vec<Rc<T>>,
     /// Buffers asked for since the round began.
@@ -117,14 +122,14 @@ pub fn zero_page() -> PageBuf {
     ZERO_PAGE.with(Rc::clone)
 }
 
-/// Hand a page buffer nothing refers to any more — displaced from a backup
-/// store, or striped into fragments — to the next [`PageFrame::snapshot`].
+/// Hand a page buffer a backup store's commit displaced to the next first
+/// write into a shared frame.
 pub fn recycle_page(buf: PageBuf) {
     SPARE_PAGES.with(|r| r.borrow_mut().give(buf));
 }
 
-/// A stop phase ended, or a failover is about to rebuild the whole image:
-/// free the spare pages (see [`Recycler::end_round`]).
+/// A stop phase ended the epoch, or a failover is about to rebuild the whole
+/// image: free the spare pages (see [`Recycler::end_round`]).
 pub fn end_page_round() {
     SPARE_PAGES.with(|r| r.borrow_mut().end_round());
 }
@@ -154,10 +159,18 @@ pub(crate) fn lines_of(start: usize, len: usize) -> u64 {
 /// One 4 KiB page frame.
 ///
 /// Frames materialize lazily on first write; a virtual page with no frame
-/// reads as zeros, exactly like an untouched anonymous mapping.
-#[derive(Clone)]
+/// reads as zeros, exactly like an untouched anonymous mapping. A new frame
+/// owns a zeroed buffer of its own, so its first write lands in place.
 pub struct PageFrame {
-    data: Box<[u8; PAGE_SIZE]>,
+    /// The page's bytes; written only through [`Self::own`], which the
+    /// `shared` bit guards.
+    data: PageBuf,
+    /// Write-protect bit: set wherever a clone of `data` can outlive the
+    /// call that made it ([`Self::snapshot`], [`Self::sharing`], `Clone`, a
+    /// lend after which the borrower holds a clone), cleared by the write
+    /// that takes a buffer of the frame's own. While it is clear the frame
+    /// is `data`'s sole holder, so a write need not read the `Rc` header.
+    shared: Cell<bool>,
     /// Soft-dirty bit: set on write, cleared by `clear_refs`.
     pub soft_dirty: bool,
     /// Tracking armed: the *next* write to this frame takes a tracking fault.
@@ -174,6 +187,7 @@ pub struct PageFrame {
 impl std::fmt::Debug for PageFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageFrame")
+            .field("shared", &self.shared.get())
             .field("soft_dirty", &self.soft_dirty)
             .field("tracked_clean", &self.tracked_clean)
             .field("written_lines", &format_args!("{:#x}", self.written_lines))
@@ -184,27 +198,43 @@ impl std::fmt::Debug for PageFrame {
 
 impl Default for PageFrame {
     fn default() -> Self {
+        Self::with(Rc::new([0u8; PAGE_SIZE]), false)
+    }
+}
+
+/// A clone shares the buffer: both frames are write-protected, and whichever
+/// writes first copies.
+impl Clone for PageFrame {
+    fn clone(&self) -> Self {
         PageFrame {
-            data: Box::new([0u8; PAGE_SIZE]),
-            soft_dirty: false,
-            tracked_clean: false,
-            written_lines: ALL_LINES,
+            soft_dirty: self.soft_dirty,
+            tracked_clean: self.tracked_clean,
+            written_lines: self.written_lines,
+            ..Self::sharing(self.snapshot())
         }
     }
 }
 
 impl PageFrame {
+    fn with(data: PageBuf, shared: bool) -> Self {
+        PageFrame {
+            data,
+            shared: Cell::new(shared),
+            soft_dirty: false,
+            tracked_clean: false,
+            written_lines: ALL_LINES,
+        }
+    }
+
     /// A zeroed frame.
     pub fn zeroed() -> Self {
         Self::default()
     }
 
-    /// A frame initialized with `data` starting at offset 0 (rest zeroed).
-    pub fn from_bytes(data: &[u8]) -> Self {
-        let mut f = Self::default();
-        let n = data.len().min(PAGE_SIZE);
-        f.data[..n].copy_from_slice(&data[..n]);
-        f
+    /// A frame whose contents are `data`, shared with its other holders
+    /// until the frame's first write.
+    pub fn sharing(data: PageBuf) -> Self {
+        Self::with(data, true)
     }
 
     /// Read-only view of the page contents.
@@ -213,24 +243,87 @@ impl PageFrame {
         &self.data
     }
 
-    /// Mutable view of the page contents. Callers are responsible for dirty
-    /// accounting — use [`crate::mem::AddressSpace`] APIs in normal paths.
+    /// Mutable view of the page contents; a shared frame first copies its
+    /// buffer. Callers are responsible for dirty accounting — use
+    /// [`crate::mem::AddressSpace`] APIs in normal paths.
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.data
+        if self.shared.get() {
+            self.unshare(true);
+        }
+        self.own()
     }
 
-    /// Copy the page out into a shared buffer (a page that ships whole);
-    /// everything downstream clones the `Rc`. The buffer is a recycled one
-    /// when the thread has a spare that nobody else holds.
-    pub fn snapshot(&self) -> PageBuf {
-        if let Some(mut buf) = SPARE_PAGES.with(|r| r.borrow_mut().take()) {
-            if let Some(dst) = Rc::get_mut(&mut buf) {
-                *dst = *self.data;
-                return buf;
-            }
+    /// Mutable view for a write that replaces every byte: a shared frame
+    /// takes a buffer of its own without reading the old bytes, so what the
+    /// view holds before the write is unspecified.
+    #[inline]
+    pub(crate) fn overwrite(&mut self) -> &mut [u8; PAGE_SIZE] {
+        if self.shared.get() {
+            self.unshare(false);
         }
-        Rc::new(*self.data)
+        self.own()
+    }
+
+    /// The buffer of a frame that holds it alone.
+    #[inline]
+    #[allow(unsafe_code)]
+    fn own(&mut self) -> &mut [u8; PAGE_SIZE] {
+        debug_assert!(
+            Rc::strong_count(&self.data) == 1 && Rc::weak_count(&self.data) == 0,
+            "a write-enabled frame shares its buffer"
+        );
+        // SAFETY: `data` is private, and every path that hands out a clone
+        // of it (`snapshot`, `sharing`, `Clone`, `lend`) sets `shared`,
+        // which only `unshare` clears — after it has checked that no other
+        // `Rc` or `Weak` is left, or replaced `data` with a buffer nobody
+        // else holds. So with `shared` clear, this frame is the allocation's
+        // only holder (the assertion above checks it in debug builds), and
+        // `&mut self` rules out any other borrow of the bytes: the exclusive
+        // reference aliases nothing. This is `Rc::get_mut` without reading
+        // the counts on every guest write.
+        unsafe { &mut *Rc::as_ptr(&self.data).cast_mut() }
+    }
+
+    /// Take the write protection off: keep the buffer when every other
+    /// holder has let go of it, else move to a spare nobody else holds (a
+    /// fresh one when the thread has none), copying the old bytes in if
+    /// `keep` says so.
+    #[cold]
+    fn unshare(&mut self, keep: bool) {
+        self.shared.set(false);
+        if Rc::get_mut(&mut self.data).is_some() {
+            return;
+        }
+        let spare = SPARE_PAGES.with(|r| r.borrow_mut().take());
+        self.data = match spare.filter(|b| Rc::strong_count(b) == 1 && Rc::weak_count(b) == 0) {
+            Some(mut buf) => {
+                if keep {
+                    *Rc::get_mut(&mut buf).expect("the spare has no other holder") = *self.data;
+                }
+                buf
+            }
+            None if keep => Rc::new(*self.data),
+            None => Rc::new([0u8; PAGE_SIZE]),
+        };
+    }
+
+    /// Share the page's buffer (a page that ships whole); everything
+    /// downstream clones the `Rc`, and the frame's next write copies.
+    pub fn snapshot(&self) -> PageBuf {
+        self.shared.set(true);
+        self.data.clone()
+    }
+
+    /// Lend the buffer to `with` along with the written-line set, which the
+    /// lend clears. A borrower that keeps a clone write-protects the frame.
+    pub(crate) fn lend<R>(&mut self, with: impl FnOnce(&PageBuf, u64) -> R) -> R {
+        let lines = std::mem::take(&mut self.written_lines);
+        let r = with(&self.data, lines);
+        if Rc::get_mut(&mut self.data).is_none() {
+            self.shared.set(true);
+        }
+        r
     }
 }
 
@@ -238,27 +331,29 @@ impl PageFrame {
 mod tests {
     use super::*;
 
+    /// A frame holding `data` from offset 0 on, the rest zeroed.
+    fn from_bytes(data: &[u8]) -> PageFrame {
+        let mut f = PageFrame::zeroed();
+        f.bytes_mut()[..data.len()].copy_from_slice(data);
+        f
+    }
+
     #[test]
     fn zeroed_and_from_bytes() {
         let z = PageFrame::zeroed();
         assert!(z.bytes().iter().all(|&b| b == 0));
-        let f = PageFrame::from_bytes(&[1, 2, 3]);
+        let f = from_bytes(&[1, 2, 3]);
         assert_eq!(&f.bytes()[..4], &[1, 2, 3, 0]);
         assert!(!f.soft_dirty);
     }
 
-    #[test]
-    fn from_bytes_truncates_oversized_input() {
-        let big = vec![0xAB; PAGE_SIZE + 100];
-        let f = PageFrame::from_bytes(&big);
-        assert_eq!(f.bytes()[PAGE_SIZE - 1], 0xAB);
-    }
-
-    /// One round in which `frame` is snapshotted `n` times: afterwards the
-    /// thread's recycler keeps up to `n` buffers.
+    /// One round in which `n` clones of `frame` each take a buffer of their
+    /// own at their first write: afterwards the thread's recycler keeps up
+    /// to `n` buffers.
     fn round_of(frame: &PageFrame, n: usize) {
         for _ in 0..n {
-            frame.snapshot();
+            let mut f = frame.clone();
+            f.bytes_mut()[0] ^= 1;
         }
         end_page_round();
     }
@@ -286,27 +381,36 @@ mod tests {
     #[test]
     fn snapshot_refills_a_spare_only_its_sole_owner_holds() {
         end_page_round();
-        let old = PageFrame::from_bytes(b"old");
-        let new = PageFrame::from_bytes(b"new");
+        let old = from_bytes(b"old");
+        let mut new = from_bytes(b"new");
         round_of(&old, 2);
 
-        // Exclusively owned: the next snapshot is written into it.
-        let spare = old.snapshot();
+        // Exclusively owned: the first write after a share copies into it.
+        let spare: PageBuf = Rc::new(*old.bytes());
         let addr = Rc::as_ptr(&spare);
         recycle_page(spare);
         assert_eq!(spare_pages(), 1);
+        let shared = new.snapshot();
+        new.bytes_mut()[PAGE_SIZE - 1] = 0;
         let reused = new.snapshot();
         assert_eq!(Rc::as_ptr(&reused), addr, "same allocation");
         assert_eq!(&reused[..4], b"new\0", "wholly overwritten");
         assert_eq!(spare_pages(), 0);
+        assert!(!Rc::ptr_eq(&shared, &reused), "the share keeps its buffer");
 
         // Still held elsewhere (a pending epoch, the shadow, a materialized
-        // image): skipped, never written, however many snapshots follow.
+        // image): skipped, never written, however many first writes follow.
         round_of(&old, 2);
         let held = old.snapshot();
         recycle_page(held.clone());
         assert_eq!(spare_pages(), 1);
-        let later: Vec<PageBuf> = (0..1000).map(|_| new.snapshot()).collect();
+        let later: Vec<PageBuf> = (0..1000)
+            .map(|_| {
+                let mut f = new.clone();
+                f.bytes_mut()[PAGE_SIZE - 1] = 1;
+                f.snapshot()
+            })
+            .collect();
         assert_eq!(
             &held[..4],
             b"old\0",
@@ -319,10 +423,53 @@ mod tests {
 
     #[test]
     fn snapshot_is_independent() {
-        let mut f = PageFrame::from_bytes(b"hello");
+        let mut f = from_bytes(b"hello");
         let snap = f.snapshot();
         f.bytes_mut()[0] = b'X';
         assert_eq!(&snap[..5], b"hello");
         assert_eq!(f.bytes()[0], b'X');
+    }
+
+    #[test]
+    fn a_sole_owned_frame_is_written_in_place() {
+        let mut f = from_bytes(b"here");
+        let addr = Rc::as_ptr(&f.data);
+        f.bytes_mut()[0] = b'H';
+        f.overwrite().fill(7);
+        assert_eq!(Rc::as_ptr(&f.data), addr, "never shared: never moved");
+
+        // Shared, then every other holder lets go: the buffer is kept.
+        drop(f.snapshot());
+        f.bytes_mut()[0] = b'h';
+        assert_eq!(Rc::as_ptr(&f.data), addr, "nobody else held it");
+        let lent = f.lend(|page, _| page[0]);
+        assert_eq!(lent, b'h');
+        f.bytes_mut()[1] = 1;
+        assert_eq!(Rc::as_ptr(&f.data), addr, "a lend that keeps no clone");
+    }
+
+    #[test]
+    fn a_whole_page_write_to_a_shared_frame_never_copies_the_old_bytes() {
+        end_page_round();
+        let mut f = from_bytes(b"old bytes");
+        // With no spare, and with one the last round left (filled with 0xEE):
+        // the frame's new buffer never holds what the shared one does.
+        for spare in [None, Some(0xEE)] {
+            if let Some(b) = spare {
+                round_of(&f, 1);
+                recycle_page(Rc::new([b; PAGE_SIZE]));
+            }
+            f.bytes_mut()[..9].copy_from_slice(b"old bytes");
+            let held = f.snapshot();
+            let view = f.overwrite();
+            assert!(
+                view.iter().all(|&b| b == spare.unwrap_or(0)),
+                "{spare:?}: the old bytes were read"
+            );
+            view[..9].copy_from_slice(b"new bytes");
+            assert_eq!(&held[..9], b"old bytes");
+            assert_eq!(&f.bytes()[..9], b"new bytes");
+        }
+        end_page_round();
     }
 }

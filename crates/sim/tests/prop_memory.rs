@@ -2,9 +2,12 @@
 //!
 //! DESIGN.md invariant 7: after `clear_refs`, `pagemap` returns *exactly*
 //! the set of pages written since — no false dirties, no missed writes —
-//! under arbitrary interleavings of writes, reads, clears, and scans.
+//! under arbitrary interleavings of writes, reads, clears, and scans. And
+//! a page buffer a frame shares — with a snapshot, a staged or lent copy, an
+//! installed image or a cloned frame — keeps the bytes it was taken with,
+//! whatever the frame is written with later.
 
-use nilicon_sim::mem::{AddressSpace, PageBuf, Perms, TrackingMode, Vma, VmaKind};
+use nilicon_sim::mem::{AddressSpace, PageBuf, PageFrame, Perms, TrackingMode, Vma, VmaKind};
 use nilicon_sim::PAGE_SIZE;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -45,6 +48,108 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..PAGES).prop_map(|page| Op::Read { page }),
         Just(Op::ClearRefs),
         Just(Op::Scan),
+    ]
+}
+
+/// One step of a run in which frames share their buffers: guest writes,
+/// the holders that take a frame's buffer, and frames beside the address
+/// space that share one.
+#[derive(Debug, Clone)]
+enum ShareOp {
+    Write {
+        page: u64,
+        off: usize,
+        len: usize,
+        byte: u8,
+    },
+    WholeWrite {
+        page: u64,
+        byte: u8,
+    },
+    Snapshot {
+        page: u64,
+    },
+    /// A stop phase: write-protect the dirty pages for a deferred copy.
+    Protect,
+    /// The copier: the fault-staged pages, then up to `max` protected ones,
+    /// lent to a borrower that keeps a clone of each or drops it.
+    Drain {
+        max: usize,
+        keep: bool,
+    },
+    /// Restore one kept buffer into a page.
+    Install {
+        page: u64,
+        from: usize,
+    },
+    /// A frame beside the address space, sharing a page's buffer.
+    Adopt {
+        page: u64,
+    },
+    CloneFrame {
+        i: usize,
+    },
+    FrameWrite {
+        i: usize,
+        off: usize,
+        byte: u8,
+    },
+}
+
+/// One copier step: lend the fault-staged pages and up to `max` protected
+/// ones, each of which must hold its checkpoint-time bytes (`at_protect`);
+/// a borrower that keeps them adds them to `kept`.
+fn lent_contents_are_checkpoint_time(
+    a: &mut AddressSpace,
+    max: usize,
+    keep: bool,
+    at_protect: &std::collections::BTreeMap<u64, Vec<u8>>,
+    kept: &mut Vec<(PageBuf, Vec<u8>)>,
+) -> Result<(), String> {
+    let mut lent = Vec::new();
+    let staged = a.take_cow_staged();
+    for (vpn, page) in &staged {
+        lent.push((*vpn, page[..].to_vec()));
+    }
+    if keep {
+        kept.extend(
+            staged
+                .into_iter()
+                .map(|(vpn, page)| (page, at_protect[&vpn].clone())),
+        );
+    }
+    a.cow_drain_with(max, |vpn, page, _| {
+        lent.push((vpn, page[..].to_vec()));
+        if keep {
+            kept.push((page.clone(), at_protect[&vpn].clone()));
+        }
+    });
+    for (vpn, bytes) in lent {
+        prop_assert!(
+            bytes == at_protect[&vpn],
+            "{vpn:#x} lent without its checkpoint-time bytes"
+        );
+    }
+    Ok(())
+}
+
+/// Pages in the sharing run: few, so that its steps keep meeting.
+const SHARE_PAGES: u64 = 8;
+
+fn share_strategy() -> impl Strategy<Value = ShareOp> {
+    let page = 0..SHARE_PAGES;
+    prop_oneof![
+        4 => (page.clone(), 0..PAGE_SIZE, 1..200usize, any::<u8>())
+            .prop_map(|(page, off, len, byte)| ShareOp::Write { page, off, len, byte }),
+        2 => (page.clone(), any::<u8>()).prop_map(|(page, byte)| ShareOp::WholeWrite { page, byte }),
+        2 => page.clone().prop_map(|page| ShareOp::Snapshot { page }),
+        1 => Just(ShareOp::Protect),
+        2 => (1..4usize, any::<bool>()).prop_map(|(max, keep)| ShareOp::Drain { max, keep }),
+        1 => (page.clone(), any::<usize>()).prop_map(|(page, from)| ShareOp::Install { page, from }),
+        1 => page.prop_map(|page| ShareOp::Adopt { page }),
+        1 => any::<usize>().prop_map(|i| ShareOp::CloneFrame { i }),
+        2 => (any::<usize>(), 0..PAGE_SIZE, any::<u8>())
+            .prop_map(|(i, off, byte)| ShareOp::FrameWrite { i, off, byte }),
     ]
 }
 
@@ -237,5 +342,95 @@ proptest! {
             prop_assert_eq!(a.snapshot_page(vpn).unwrap(), b.snapshot_page(vpn).unwrap());
         }
         prop_assert_eq!(b.soft_dirty_count(), 0, "restored pages start clean");
+    }
+
+    /// Every buffer a frame shared keeps the bytes it had when it was
+    /// taken — a snapshot, a COW fault's staged copy, a lend the borrower
+    /// kept, the image a page was installed from, a frame beside the
+    /// address space and its clones — through partial and whole-page
+    /// writes into the frames that still hold it; and every frame reads as
+    /// the model says. Checked after every step.
+    #[test]
+    fn a_shared_page_buffer_keeps_its_bytes_through_later_writes(
+        ops in proptest::collection::vec(share_strategy(), 1..150)
+    ) {
+        use std::collections::BTreeMap;
+        let mut a = space();
+        let vpn_of = |page: u64| BASE / PAGE_SIZE as u64 + page;
+        let mut model: BTreeMap<u64, Vec<u8>> =
+            (0..SHARE_PAGES).map(|p| (vpn_of(p), vec![0; PAGE_SIZE])).collect();
+        // Protected pages' checkpoint-time contents.
+        let mut at_protect: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut kept: Vec<(PageBuf, Vec<u8>)> = Vec::new();
+        let mut frames: Vec<(PageFrame, Vec<u8>)> = Vec::new();
+
+        for op in ops {
+            match op {
+                ShareOp::Write { page, off, len, byte } => {
+                    let len = len.min(PAGE_SIZE - off);
+                    a.write(BASE + page * PAGE_SIZE as u64 + off as u64, &vec![byte; len]).unwrap();
+                    model.get_mut(&vpn_of(page)).unwrap()[off..off + len].fill(byte);
+                }
+                ShareOp::WholeWrite { page, byte } => {
+                    a.write(BASE + page * PAGE_SIZE as u64, &[byte; PAGE_SIZE]).unwrap();
+                    model.insert(vpn_of(page), vec![byte; PAGE_SIZE]);
+                }
+                ShareOp::Snapshot { page } => {
+                    let vpn = vpn_of(page);
+                    kept.push((a.snapshot_page(vpn).unwrap(), model[&vpn].clone()));
+                }
+                ShareOp::Protect => {
+                    // The last epoch's copier finishes before this stop phase.
+                    lent_contents_are_checkpoint_time(&mut a, usize::MAX, false, &at_protect, &mut kept)?;
+                    let dirty = a.soft_dirty_vpns();
+                    a.clear_refs();
+                    a.cow_protect(&dirty);
+                    for vpn in dirty {
+                        at_protect.insert(vpn, model[&vpn].clone());
+                    }
+                }
+                ShareOp::Drain { max, keep } => {
+                    lent_contents_are_checkpoint_time(&mut a, max, keep, &at_protect, &mut kept)?;
+                }
+                ShareOp::Install { page, from } => {
+                    // Restore happens with no deferred copy outstanding.
+                    if kept.is_empty() || a.cow_protected_count() > 0 {
+                        continue;
+                    }
+                    let (buf, bytes) = kept[from % kept.len()].clone();
+                    a.install_page(vpn_of(page), &buf).unwrap();
+                    model.insert(vpn_of(page), bytes);
+                }
+                ShareOp::Adopt { page } => {
+                    let vpn = vpn_of(page);
+                    frames.push((PageFrame::sharing(a.snapshot_page(vpn).unwrap()), model[&vpn].clone()));
+                }
+                ShareOp::CloneFrame { i } => {
+                    if !frames.is_empty() {
+                        let (f, bytes) = &frames[i % frames.len()];
+                        frames.push((f.clone(), bytes.clone()));
+                    }
+                }
+                ShareOp::FrameWrite { i, off, byte } => {
+                    if !frames.is_empty() {
+                        let n = frames.len();
+                        let (f, bytes) = &mut frames[i % n];
+                        f.bytes_mut()[off] = byte;
+                        bytes[off] = byte;
+                    }
+                }
+            }
+            for (buf, bytes) in &kept {
+                prop_assert!(buf[..] == bytes[..], "a later write reached a taken buffer");
+            }
+            for (f, bytes) in &frames {
+                prop_assert!(f.bytes()[..] == bytes[..], "a frame beside the space diverged");
+            }
+            let mut page = vec![0u8; PAGE_SIZE];
+            for (vpn, bytes) in &model {
+                a.read(vpn * PAGE_SIZE as u64, &mut page).unwrap();
+                prop_assert!(page == *bytes, "page {vpn:#x} diverged from the model");
+            }
+        }
     }
 }

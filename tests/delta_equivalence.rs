@@ -207,7 +207,6 @@ mod written_lines {
     use nilicon_sim::PAGE_SIZE;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use std::rc::Rc;
 
     const PS: u64 = PAGE_SIZE as u64;
     /// A heap small enough that shrinks, regrowths and writes collide.
@@ -413,7 +412,7 @@ mod written_lines {
 
         /// Lend up to `max` deferred pages. An incremental epoch encodes each
         /// with its written-line set and, beside it, with every line against
-        /// the reference shadow; a bootstrap copies them out whole.
+        /// the reference shadow; a bootstrap keeps them whole.
         fn drain(&mut self, max: usize, whole: bool) -> Result<(), String> {
             let mut left = max;
             for pid in self.c.all_pids() {
@@ -427,13 +426,13 @@ mod written_lines {
                         .k
                         .cow_drain_with(pid, want, |vpn, page, lines| {
                             if whole {
-                                pages.push((pid, vpn, Rc::new(*page)));
+                                pages.push((pid, vpn, page.clone()));
                                 return;
                             }
                             let key = PageKey { pid, vpn };
                             let hinted =
-                                shadow.encode_with(key, page, lines, || Rc::new(*page), &mut stats);
-                            let all = reference.encode(key, &Rc::new(*page), &mut stats);
+                                shadow.encode_with(key, page, lines, || page.clone(), &mut stats);
+                            let all = reference.encode(key, page, &mut stats);
                             if hinted != all {
                                 diverged.push((vpn, lines, hinted.class(), all.class()));
                             }
