@@ -16,7 +16,10 @@ use nilicon::traffic::ClientBehavior;
 use nilicon_container::{
     send_frame, take_frame, Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout,
 };
-use nilicon_criu::{dump_container, full_dump, DeltaStats, DumpConfig, PageKey, ShadowStore};
+use nilicon_criu::{
+    dump_container, encode_against, full_dump, DeltaStats, DumpConfig, PageEncoding, PageKey,
+    PageStore, RadixTreeStore,
+};
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::cluster::Cluster;
@@ -394,37 +397,49 @@ fn staged_space() -> AddressSpace {
 
 /// Staged-path rows. `delta/encode_lent_L_lines_cold` is a curve, not a
 /// point (cost of one epoch's drain + encode against the lines written per
-/// page): each iteration writes `L` lines in each of 2 700 scattered pages of
-/// the 64 MiB heap (untimed), then times scan → protect → drain with every
-/// lent page encoded against a 64 MiB shadow — frame and shadow lines come
-/// from memory, as they do in the system, not from the cache the `delta`
-/// bench's hot rows run in. `mem/cow_protect_drain_cycle_*` is the set
-/// traffic alone: the protect-set test of 2 700 writes, the protect, the pops.
+/// page): each iteration commits the last drain's encodings into a 64 MiB
+/// backup store and writes `L` lines in each of 2 700 scattered pages of the
+/// 64 MiB heap (untimed), then times scan → protect → drain with every lent
+/// page encoded against the store's copy, as the engine encodes — frame and
+/// store lines come from memory, as they do in the system, not from the
+/// cache the `delta` bench's hot rows run in. `mem/cow_protect_drain_cycle_*`
+/// is the set traffic alone: the protect-set test of 2 700 writes, the
+/// protect, the pops.
 fn bench_staged_drain(c: &mut Criterion) {
     let mut group = c.benchmark_group("delta");
     for lines in [1usize, 4, 16, 64] {
         group.bench_function(format!("encode_lent_{lines}_lines_cold"), |b| {
             let space = RefCell::new(staged_space());
-            let mut shadow = ShadowStore::new();
+            let store = RefCell::new(RadixTreeStore::new());
+            let encoded: RefCell<Vec<(PageKey, PageEncoding)>> = RefCell::default();
             let mut stats = DeltaStats::default();
             let key = |vpn| PageKey {
                 pid: nilicon_sim::ids::Pid(1),
                 vpn,
             };
-            // The initial sync: every page ships whole and is shadowed.
             let mut drain = |a: &mut AddressSpace| {
                 let vpns = a.soft_dirty_vpns();
                 a.clear_refs();
                 a.cow_protect(&vpns);
+                let (store, mut encoded) = (store.borrow(), encoded.borrow_mut());
                 a.cow_drain_with(usize::MAX, |vpn, page, lines| {
-                    let full = || page.clone();
-                    black_box(shadow.encode_with(key(vpn), page, lines, full, &mut stats));
+                    let base = store.get(key(vpn)).map(|p| &**p);
+                    let enc = encode_against(base, page, lines, || page.clone(), &mut stats);
+                    encoded.push((key(vpn), enc));
                 })
             };
+            let commit = || {
+                let mut store = store.borrow_mut();
+                for (k, enc) in encoded.borrow_mut().drain(..) {
+                    store.apply_delta(k, &enc);
+                }
+            };
+            // The initial sync: every page ships whole.
             drain(&mut space.borrow_mut());
             let mut epoch = 0u64;
             b.iter_batched(
                 || {
+                    commit();
                     epoch += 1;
                     let mut a = space.borrow_mut();
                     for i in 0..STAGED_DIRTY {

@@ -8,7 +8,8 @@
 //! Two measurements, both gated (the process exits nonzero on a miss):
 //!
 //! * **delta encode** — a 300-page epoch-shaped batch of sparse rewrites
-//!   through the all-lines `ShadowStore::encode`, gated on
+//!   through the all-lines `encode_against` a committed backup store (the
+//!   function the engine runs), gated on
 //!   a ratio measured in this process: each timed encode is interleaved with
 //!   a reference pass over the same batch (a plain `copy_from_slice` of the
 //!   300 pages, which slows and speeds with the machine the way the encode
@@ -28,8 +29,9 @@
 
 use nilicon::harness::{RunHarness, RunMode};
 use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_criu::delta::{DeltaStats, ShadowStore};
-use nilicon_criu::PageKey;
+use nilicon_criu::delta::{encode_against, DeltaStats};
+use nilicon_criu::{PageKey, PageStore, RadixTreeStore};
+use nilicon_sim::mem::ALL_LINES;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::{CostModel, PageBuf, PAGE_SIZE};
 use nilicon_workloads::{Scale, Workload};
@@ -97,14 +99,14 @@ struct EncodeTiming {
     reference_median_ns: u64,
 }
 
-/// Time one 300-page epoch encode (3 warmups + 15 samples), each sample
-/// followed by the reference pass — the same 300 pages, built the same way,
-/// copied into a flat buffer instead of encoded.
+/// Time one 300-page epoch encode against a store holding the 300 pages
+/// (3 warmups + 15 samples), each sample followed by the reference pass —
+/// the same 300 pages, built the same way, copied into a flat buffer
+/// instead of encoded.
 fn encode_epoch_timing() -> EncodeTiming {
-    let mut shadow = ShadowStore::new();
-    let mut stats = DeltaStats::default();
+    let mut store = RadixTreeStore::new();
     for vpn in 0..300u64 {
-        shadow.encode(key(0x1000 + vpn), &page_edits(8, 1), &mut stats);
+        store.insert(key(0x1000 + vpn), page_edits(8, 1));
     }
     let mut round = 1u8;
     let mut flat = vec![0u8; 300 * PAGE_SIZE];
@@ -112,7 +114,9 @@ fn encode_epoch_timing() -> EncodeTiming {
         let start = std::time::Instant::now();
         let mut st = DeltaStats::default();
         for vpn in 0..300u64 {
-            black_box(shadow.encode(key(0x1000 + vpn), &page_edits(8, round), &mut st));
+            let page = page_edits(8, round);
+            let base = store.get(key(0x1000 + vpn)).map(|p| &**p);
+            black_box(encode_against(base, &page, ALL_LINES, || page.clone(), &mut st));
         }
         black_box(st.encoded_bytes);
         let encode = start.elapsed().as_nanos() as u64;

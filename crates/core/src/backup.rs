@@ -354,8 +354,8 @@ impl BackupAgent {
                 }
             }
             // Delta-encoded pages: reconstruct against the store's current
-            // copy (epochs apply in order, so that copy is exactly the
-            // primary-side shadow base) and charge the modeled decode CPU.
+            // copy (epochs apply in order, so that copy is exactly the base
+            // the primary encoded against) and charge the modeled decode CPU.
             let delta_pages = page_deltas.len() as u64;
             for (pid, vpn, enc) in page_deltas {
                 probes += self.store.apply_delta(PageKey { pid, vpn }, &enc);
@@ -382,6 +382,28 @@ impl BackupAgent {
     /// `(page-store probes, disk pages applied)` of the most recent commit.
     pub fn last_commit_stats(&self) -> (u64, u64) {
         self.last_commit_stats
+    }
+
+    /// The committed page store, as the base `epoch`'s pages are
+    /// delta-encoded against: what its deltas will be applied to at its
+    /// commit — provided every older epoch is committed by then. An older
+    /// epoch still pending or assembling would commit in between and change
+    /// the base under the encoding, so it is refused, naming both epochs.
+    pub fn delta_base(&self, epoch: u64) -> SimResult<&dyn PageStore> {
+        let pending = self.pending.keys().next().map(|&e| (e, "pending"));
+        let assembling = self.assembling.as_ref().map(|a| (a.img.epoch, "assembling"));
+        match pending.into_iter().chain(assembling).find(|&(e, _)| e < epoch) {
+            Some((older, state)) => Err(SimError::Invalid(format!(
+                "delta encode of epoch {epoch} while epoch {older} is still {state}: \
+                 the committed store is not the base its deltas will meet"
+            ))),
+            None => Ok(&*self.store),
+        }
+    }
+
+    /// The page encodings of `epoch`, received and not yet committed.
+    pub fn pending_encodings(&self, epoch: u64) -> Option<&[(Pid, u64, PageEncoding)]> {
+        self.pending.get(&epoch).map(|(img, _)| &img.page_deltas[..])
     }
 
     /// Failover step 1: discard everything not committed (§IV: "the backup
@@ -572,12 +594,10 @@ mod tests {
 
     #[test]
     fn delta_committed_image_matches_full_page_path() {
-        use nilicon_criu::ShadowStore;
         let mut full_agent = agent();
         let mut delta_agent = agent();
         let mut d1 = BlockDevice::new(DevId(1));
         let mut d2 = BlockDevice::new(DevId(2));
-        let mut shadow = ShadowStore::new();
         for e in 1..=5u64 {
             // Page contents evolve: one sparse edit per epoch, one zero page.
             let mut p = [0u8; PAGE_SIZE];
@@ -587,7 +607,7 @@ mod tests {
             i.pages.push((Pid(1), 0x10, std::rc::Rc::new(p)));
             i.pages.push((Pid(1), 0x11, nilicon_sim::zero_page()));
             let mut di = i.clone();
-            di.encode_pages(&mut shadow);
+            di.encode_pages(delta_agent.delta_base(e).unwrap());
             assert!(
                 di.state_bytes() < i.state_bytes(),
                 "epoch {e}: encoded wire bytes smaller"
@@ -617,7 +637,7 @@ mod tests {
             a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
             a.commit(1, &mut disk).unwrap();
 
-            // A delta against a base only the primary's shadow ever held.
+            // A delta against a base the backup never committed.
             let enc = PageEncoding::Delta(Default::default());
             let mut i2 = img(2, &[(1, 0x10, 2)]);
             i2.page_deltas.push((Pid(1), 0x20, enc));
@@ -631,6 +651,25 @@ mod tests {
             let full = a.materialize().unwrap();
             assert_eq!(full.pages[0].2[0], 1, "epoch 2's full page did not land");
         }
+    }
+
+    #[test]
+    fn delta_base_refuses_while_an_older_epoch_is_uncommitted() {
+        let mut a = agent();
+        let mut disk = BlockDevice::new(DevId(2));
+        assert!(a.delta_base(1).unwrap().is_empty(), "nothing committed yet");
+        a.ingest(img(1, &[(1, 0x10, 1)]));
+        a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
+        let err = a.delta_base(2).err().expect("epoch 1 is pending");
+        let msg = err.to_string();
+        assert!(msg.contains("epoch 2") && msg.contains("epoch 1 is still pending"), "{msg}");
+        assert!(a.delta_base(1).is_ok(), "an epoch is not older than itself");
+        a.commit(1, &mut disk).unwrap();
+        assert_eq!(a.delta_base(2).unwrap().len(), 1);
+        a.begin_assembly(img(2, &[]), 1);
+        let msg = a.delta_base(3).err().expect("epoch 2 is assembling").to_string();
+        assert!(msg.contains("epoch 2 is still assembling"), "{msg}");
+        assert!(a.delta_base(2).is_ok(), "the epoch being streamed");
     }
 
     #[test]
@@ -835,7 +874,6 @@ mod tests {
         mm.mmap_anon(HEAP, FOOTPRINT * PAGE_SIZE as u64).unwrap();
         let mut a = agent();
         let mut disk = BlockDevice::new(DevId(2));
-        let mut shadow = nilicon_criu::ShadowStore::new();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut rand = move || {
             x ^= x << 13;
@@ -862,7 +900,7 @@ mod tests {
             reused += spare - spare_pages();
             let mut i = dump(&mut mm, epoch);
             if delta {
-                i.encode_pages(&mut shadow);
+                i.encode_pages(a.delta_base(epoch).unwrap());
             }
             ingest_and_commit(&mut a, &mut disk, i);
             if epoch == 5 {

@@ -27,7 +27,8 @@ use crate::stages::{
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
 use nilicon_criu::{
-    end_fragment_round, DeltaStats, PageEncoding, PageKey, RestoredContainer, ShadowStore,
+    encode_against, end_fragment_round, DeltaStats, PageEncoding, PageKey, PageStore,
+    RestoredContainer,
 };
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
@@ -76,12 +77,9 @@ pub struct Engine<L> {
 pub type NiLiConEngine = Engine<Mirror>;
 
 /// The paper's layout: one backup agent holding whole pages, sent whole or
-/// as XOR deltas against the primary-side shadow of what it last received.
+/// as XOR deltas against the pages it has committed.
 #[derive(Default)]
 pub struct Mirror {
-    /// The page contents last shipped to the backup — the base for the next
-    /// epoch's XOR deltas (`delta_transfer`).
-    shadow: ShadowStore,
     /// The chunk being staged: whole pages, or encodings and their
     /// classification stats for the epoch so far.
     pages: Vec<(Pid, u64, PageBuf)>,
@@ -199,14 +197,15 @@ enum Source<'a> {
 }
 
 impl Source<'_> {
-    /// Stage the next chunk into `layout` for the `alive` replicas; the
-    /// pages staged, zero once the source is exhausted.
+    /// Stage the next chunk into `layout` for the `alive` replicas, encoded
+    /// against `base` if given; the pages staged, zero once the source is
+    /// exhausted.
     fn fill<L: Layout>(
         &mut self,
         primary: &mut Kernel,
         layout: &mut L,
         alive: &[usize],
-        encode: bool,
+        base: Option<&dyn PageStore>,
     ) -> SimResult<u64> {
         match self {
             Source::Drain { pids, budget } => {
@@ -219,7 +218,7 @@ impl Source<'_> {
                     // buffer; an encoding layout reads the written lines.
                     let n = primary.cow_drain_with(pid, want, |vpn, page, lines| {
                         let key = PageKey { pid, vpn };
-                        stage(layout, alive, encode, key, page, lines, || page.clone())
+                        stage(layout, alive, base, key, page, lines, || page.clone())
                     })? as u64;
                     if n > 0 {
                         *budget = budget.saturating_sub(n);
@@ -233,7 +232,7 @@ impl Source<'_> {
                 let chunk = chunks.next().unwrap_or_default();
                 for &(pid, vpn, ref data) in chunk {
                     let key = PageKey { pid, vpn };
-                    stage(layout, alive, encode, key, data, ALL_LINES, || data.clone());
+                    stage(layout, alive, base, key, data, ALL_LINES, || data.clone());
                 }
                 Ok(chunk.len() as u64)
             }
@@ -246,29 +245,30 @@ impl Source<'_> {
 /// written-line set `lines`, or a dumped snapshot; `whole` hands over the
 /// buffer to keep, and is called at most once, only if the page is kept
 /// whole.
-/// The mirror encodes against the shadow of the last shipped epoch where
-/// `encode` says so (never in a bootstrap: the replacement has no base to
+/// The mirror encodes against the replica's committed store `base` where
+/// one is given (never in a bootstrap: the replacement has no base to
 /// patch); the coded layout builds each alive replica's fragment.
 fn stage<L: Layout>(
     layout: &mut L,
     alive: &[usize],
-    encode: bool,
+    base: Option<&dyn PageStore>,
     key: PageKey,
     page: &[u8; PAGE_SIZE],
     lines: u64,
     whole: impl FnOnce() -> PageBuf,
 ) {
-    match layout.view() {
-        View::Mirror(m) if encode => {
-            let enc = m.shadow.encode_with(key, page, lines, whole, &mut m.dstats);
+    match (layout.view(), base) {
+        (View::Mirror(m), Some(store)) => {
+            let old = store.get(key).map(|p| &**p);
+            let enc = encode_against(old, page, lines, whole, &mut m.dstats);
             m.bytes += enc.encoded_bytes();
             m.deltas.push((key.pid, key.vpn, enc));
         }
-        View::Mirror(m) => {
+        (View::Mirror(m), None) => {
             m.bytes += PAGE_SIZE as u64;
             m.pages.push((key.pid, key.vpn, whole()));
         }
-        View::Coded(c) => c.stage(alive, key, page),
+        (View::Coded(c), _) => c.stage(alive, key, page),
     }
 }
 
@@ -371,7 +371,9 @@ impl<L: Layout> Engine<L> {
         let mut aborted = false;
         while !aborted {
             let m0 = primary.meter.lifetime_total();
-            let n = source.fill(primary, &mut self.layout, alive, opts.delta_transfer)?;
+            let agent = &self.replicas[0].agent;
+            let base = opts.delta_transfer.then(|| agent.delta_base(epoch)).transpose()?;
+            let n = source.fill(primary, &mut self.layout, alive, base)?;
             if n == 0 {
                 break;
             }
@@ -523,27 +525,16 @@ impl<L: Layout> Checkpointer for Engine<L> {
             )));
         }
         let streamed = self.core.streams();
-        // Delta-encode inside the stop phase (HyCoR extension) unless a
-        // background stage does it: the drain under COW (the pages are
-        // deferred), the encode stage under the staged pipeline.
-        let shadow = match self.layout.view() {
-            View::Mirror(m) if opts.delta_transfer && !streamed => Some(&mut m.shadow),
-            _ => None,
-        };
-        let stopped = self.core.stop_phase(primary, container, epoch, shadow)?;
+        // Delta-encode (HyCoR extension; mirror only, `validate` sees to
+        // that) against the pages replica 0 has committed — inside the stop
+        // phase unless a background stage does it: the drain under COW (the
+        // pages are deferred), the encode stage under the staged pipeline.
+        let agent = &self.replicas[0].agent;
+        let base = opts.delta_transfer.then(|| agent.delta_base(epoch)).transpose()?;
+        let stopped = self.core.stop_phase(primary, container, epoch, base.filter(|_| !streamed))?;
         let img = &stopped.img;
-        // `img` is the next image the replicas commit, and that commit
-        // prunes from their stores the pages it no longer maps.
-        let unmapped = self.core.mapped.unmapped_by(img);
-        match self.layout.view() {
-            // Drop them from the delta shadow too: a pruned store under a
-            // live shadow entry would make the page's next delta an orphan.
-            View::Mirror(m) => {
-                for (pid, vpns) in unmapped {
-                    m.shadow.forget(pid, vpns);
-                }
-            }
-            View::Coded(c) => c.note_epoch(epoch, img, unmapped),
+        if let View::Coded(c) = self.layout.view() {
+            c.note_epoch(epoch, img);
         }
         let mut out = CheckpointOutcome {
             stop_time: stopped.stop_time,
@@ -633,8 +624,7 @@ impl<L: Layout> Checkpointer for Engine<L> {
     fn rearm_prepare(&mut self, primary: &mut Kernel, container: &Container) -> SimResult<()> {
         // The old backups died with their buffers: every replica-side
         // structure restarts empty on fresh hosts, and so does what the
-        // layout kept about them (a delta shadow would be stale: the
-        // replacement has no base image to patch against).
+        // layout kept about them.
         for r in &mut self.replicas {
             *r = Replica::new(&self.core.costs, &self.core.opts);
         }
@@ -684,7 +674,7 @@ impl<L: Layout> Checkpointer for Engine<L> {
             ..BootstrapStep::default()
         };
         loop {
-            let n = source.fill(primary, &mut self.layout, &alive, false)?;
+            let n = source.fill(primary, &mut self.layout, &alive, None)?;
             if n == 0 {
                 break;
             }
@@ -922,6 +912,36 @@ mod tests {
         assert!(encoded_bytes < raw_bytes / 10, "sparse epoch shrinks 10x+");
     }
 
+    /// A delta is taken against the committed store, so it is sound only
+    /// when every older epoch has committed: checkpointing epoch 2 with
+    /// epoch 1 still pending is refused with delta on — on the stop-phase
+    /// path and off the COW drain — and harmless with it off.
+    #[test]
+    fn delta_encode_refuses_an_uncommitted_older_epoch() {
+        for (delta, cow) in [(true, false), (true, true), (false, false)] {
+            let (mut p, mut b, c, _) = setup();
+            let mut opts = OptimizationConfig::nilicon();
+            (opts.delta_transfer, opts.cow_checkpoint) = (delta, cow);
+            let mut e = NiLiConEngine::new(opts, p.costs.clone());
+            e.prepare(&mut p, &c).unwrap();
+            p.mem_write(c.init_pid(), MemLayout::heap(0), b"one").unwrap();
+            e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
+            p.mem_write(c.init_pid(), MemLayout::heap(0), b"two").unwrap();
+            let second = e.checkpoint(&mut p, &mut b, &c, 2);
+            if !delta {
+                assert!(second.is_ok(), "{second:?}");
+                continue;
+            }
+            let Err(SimError::Invalid(msg)) = second else {
+                panic!("cow={cow}: expected a refusal, got {second:?}")
+            };
+            assert!(
+                msg.contains("epoch 2") && msg.contains("epoch 1 is still pending"),
+                "{msg}"
+            );
+        }
+    }
+
     #[test]
     fn cow_checkpoint_moves_copy_off_the_stop_phase() {
         use crate::trace::{TraceEvent, Tracer};
@@ -1034,13 +1054,20 @@ mod tests {
         assert_eq!(e.committed_epoch(), Some(1));
     }
 
-    #[test]
-    fn rearmed_backup_image_matches_always_replicated_run() {
-        // Equivalence: a backup bootstrapped mid-run via the re-replication
-        // path must end up with a committed image byte-identical to a backup
-        // that was replicated from the start, given the same writes.
+    /// Equivalence: a backup bootstrapped mid-run via the re-replication
+    /// path must end up with a committed image byte-identical to a backup
+    /// that was replicated from the start, given the same writes. Epoch 5,
+    /// the first incremental epoch after the bootstrap, also rewrites a byte
+    /// of every warm page; its outcome is returned.
+    fn rearmed_backup_image_matches_always_replicated(
+        mut opts: OptimizationConfig,
+    ) -> CheckpointOutcome {
         let writes = |epoch: u64| -> Vec<(u64, u8)> {
-            vec![(epoch % 7, epoch as u8), (10 + epoch, 0xA0 | epoch as u8)]
+            let mut w = vec![(epoch % 7, epoch as u8), (10 + epoch, 0xA0 | epoch as u8)];
+            if epoch == 5 {
+                w.extend((20..220u64).map(|page| (page, !(page as u8))));
+            }
+            w
         };
         let apply = |p: &mut Kernel, c: &Container, epoch: u64| {
             for (page, val) in writes(epoch) {
@@ -1056,7 +1083,6 @@ mod tests {
                     .unwrap();
             }
         };
-        let mut opts = OptimizationConfig::nilicon();
         opts.rearm = true;
 
         // Run A: continuously replicated, epochs 1..=6.
@@ -1107,10 +1133,14 @@ mod tests {
         assert!(chunks > 1, "image streamed across multiple bounded steps");
         eb.bootstrap_finish(&mut b2, 4).unwrap();
         assert_eq!(eb.committed_epoch(), Some(4));
+        let mut first_incremental = CheckpointOutcome::default();
         for epoch in 5..=6u64 {
             apply(&mut pb, &cb, epoch);
-            eb.checkpoint(&mut pb, &mut b2, &cb, epoch).unwrap();
+            let o = eb.checkpoint(&mut pb, &mut b2, &cb, epoch).unwrap();
             eb.commit(&mut b2, epoch).unwrap();
+            if epoch == 5 {
+                first_incremental = o;
+            }
         }
         let img_b = eb.agent.materialize().unwrap();
 
@@ -1123,6 +1153,30 @@ mod tests {
             ba.vfs.disk.digest(),
             b2.vfs.disk.digest(),
             "replica disks identical"
+        );
+        first_incremental
+    }
+
+    #[test]
+    fn rearmed_backup_image_matches_always_replicated_run() {
+        let o = rearmed_backup_image_matches_always_replicated(OptimizationConfig::nilicon());
+        assert!(o.state_bytes > o.dirty_pages * PAGE_SIZE as u64, "whole pages");
+    }
+
+    /// With delta + COW the first incremental epoch after a bootstrap
+    /// encodes against the image the bootstrap committed: the warm pages the
+    /// new backup already holds ship as deltas, not whole.
+    #[test]
+    fn rearmed_backup_under_delta_ships_deltas_against_the_bootstrap_image() {
+        let mut opts = OptimizationConfig::nilicon();
+        (opts.delta_transfer, opts.cow_checkpoint) = (true, true);
+        let o = rearmed_backup_image_matches_always_replicated(opts);
+        assert!(o.dirty_pages > 200, "{} dirty pages", o.dirty_pages);
+        assert!(
+            o.state_bytes < o.dirty_pages * PAGE_SIZE as u64,
+            "{} bytes for {} dirty pages",
+            o.state_bytes,
+            o.dirty_pages
         );
     }
 
@@ -1224,9 +1278,9 @@ mod tests {
         assert_eq!(byte[0], 3);
     }
 
-    /// A range unmapped after its pages were committed leaves every holder
-    /// of those pages at the commit that carries the shrunken VMAs — the
-    /// backup's store, the delta shadow — so mapped again and only read it is
+    /// A range unmapped after its pages were committed leaves the backup's
+    /// store — the delta base too — at the commit that carries the shrunken
+    /// VMAs, so mapped again and only read it is
     /// zeros after failover, as it is on the primary: across a checkpoint
     /// (the `brk` shrink) and within one epoch (`munmap` then `mmap` at the
     /// same address). Without `regrow` the container fails over shrunken.

@@ -64,10 +64,13 @@ use crate::stages::{
     Stopped,
 };
 use crate::trace::TraceEvent;
-use nilicon_criu::{end_fragment_round, CheckpointImage, FragBuf, PageKey, ShardCodec};
+use nilicon_criu::{
+    end_fragment_round, unmapped_since, CheckpointImage, FragBuf, PageKey, ShardCodec,
+};
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
+use nilicon_sim::mem::Vma;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, PageBuf, SimError, SimResult, PAGE_SIZE};
 use std::collections::{BTreeMap, HashSet};
@@ -106,6 +109,11 @@ pub struct Coded {
     batches: Vec<Vec<Fragment>>,
     /// One note per not-yet-committed epoch, drained at commit.
     epoch_notes: BTreeMap<u64, EpochNote>,
+    /// The VMAs of the last checkpointed image, per process: what the next
+    /// image is compared with to find the pages it no longer maps, which
+    /// the replicas prune at its commit (`BackupAgent::commit`, by the same
+    /// comparison).
+    mapped: Vec<(Pid, Vec<Vma>)>,
     /// Keys committed — and still mapped — while the active repair streamed
     /// its base image: what brings the repaired replica up to the current
     /// committed state at the seal.
@@ -129,6 +137,7 @@ impl PlacementEngine {
             batches: vec![Vec::new(); opts.backups as usize],
             codec,
             epoch_notes: BTreeMap::new(),
+            mapped: Vec::new(),
             redirty: HashSet::new(),
             repair: None,
         };
@@ -255,21 +264,24 @@ impl Coded {
     /// Every replica restarts empty (rearm): forget what mirrored them.
     pub(crate) fn reset(&mut self) {
         self.epoch_notes.clear();
+        self.mapped.clear();
         self.redirty.clear();
         self.repair = None;
     }
 
-    /// `img` left the stop phase as `epoch`, no longer mapping `unmapped`:
-    /// note what its commit changes — the pages it carries, dumped or left
-    /// to the COW drain.
-    pub(crate) fn note_epoch(
-        &mut self,
-        epoch: u64,
-        img: &CheckpointImage,
-        unmapped: Vec<(Pid, Range<u64>)>,
-    ) {
+    /// `img` left the stop phase as `epoch`: note what its commit changes —
+    /// the pages it carries, dumped or left to the COW drain, and the ranges
+    /// it no longer maps that the image before it did.
+    pub(crate) fn note_epoch(&mut self, epoch: u64, img: &CheckpointImage) {
         let dumped = img.pages.iter().map(|&(pid, vpn, _)| (pid, vpn));
         let keys = dumped.chain(img.deferred_vpns.iter().copied()).collect();
+        let now = img.processes.iter().map(|p| (p.pid, &p.vmas[..]));
+        let was = self.mapped.iter().map(|(pid, v)| (*pid, &v[..]));
+        let mut unmapped = Vec::new();
+        if !now.clone().eq(was.clone()) {
+            unmapped = unmapped_since(was, &img.processes);
+            self.mapped = now.map(|(pid, v)| (pid, v.to_vec())).collect();
+        }
         self.epoch_notes.insert(epoch, (keys, unmapped));
     }
 

@@ -10,8 +10,7 @@
 //! * [`ChunkClock`] — the timing model of a chunked, pipelined transfer;
 //! * [`Replica`] — the replica set's element, with what every layout does
 //!   to a set of them (open an epoch's assemblies, commit, pick survivors);
-//!   [`Mapped`] — which pages an image unmapped; [`ack_spans`] — the one ack
-//!   computation.
+//!   [`ack_spans`] — the one ack computation.
 //!
 //! What a layout adds — what a chunk carries, where it lands, how the
 //! committed image comes back — is `Mirror` (`nilicon_engine.rs`) or `Coded`
@@ -23,20 +22,19 @@ use crate::engine::{BootstrapBegin, FailoverReport, LogShipOutcome, ReplayTail};
 use crate::trace::{TraceEvent, Tracer};
 use nilicon_container::Container;
 use nilicon_criu::{
-    bootstrap_dump, dump_container, end_fragment_round, unmapped_since, CheckpointImage,
-    DeltaStats, InfrequentCache, RestoreConfig, RestoredContainer, ShadowStore,
+    bootstrap_dump, dump_container, end_fragment_round, CheckpointImage, DeltaStats,
+    InfrequentCache, PageStore, RestoreConfig, RestoredContainer,
 };
 use nilicon_drbd::{DrbdMsg, DrbdPrimary};
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
 use nilicon_sim::kernel::Kernel;
-use nilicon_sim::mem::{end_page_round, TrackingMode, Vma};
+use nilicon_sim::mem::{end_page_round, TrackingMode};
 use nilicon_sim::net::InputMode;
 use nilicon_sim::replay::{ReplayEvent, ReplayLog};
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, SimError, SimResult};
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::rc::Rc;
 
 /// Pages per streamed chunk, on every chunked path (COW drain, staged
@@ -288,7 +286,7 @@ impl LogStore {
 /// What the stop phase of an incremental epoch hands the transfer stage.
 pub(crate) struct Stopped {
     /// The dumped image (page payload delta-encoded if the stop phase was
-    /// given a shadow store).
+    /// given a base store).
     pub(crate) img: CheckpointImage,
     /// This epoch's disk writes and its barrier.
     pub(crate) msgs: Vec<DrbdMsg>,
@@ -320,10 +318,6 @@ pub(crate) struct StageCore {
     /// receive), carried into the first drain's accounting.
     pub(crate) bootstrap_cpu_carry: Nanos,
     logs: LogStore,
-    /// The VMAs of the last checkpointed image: which pages each layout
-    /// forgets (the mirror's delta shadow) or notes (the coded repair's
-    /// top-up) at the epoch its replicas prune them.
-    pub(crate) mapped: Mapped,
 }
 
 impl StageCore {
@@ -339,7 +333,6 @@ impl StageCore {
             bootstrap_pids: Vec::new(),
             bootstrap_cpu_carry: 0,
             logs: LogStore::default(),
-            mapped: Mapped::default(),
         }
     }
 
@@ -420,10 +413,11 @@ impl StageCore {
     /// → optional delta encode → DRBD ship → resume, then the backpressure
     /// stall if the previous epoch's pipeline has not drained.
     ///
-    /// `encode` is the shadow store to delta-encode the page payload against
-    /// *inside* the stop phase — the encoder must finish before the container
-    /// resumes, or the page contents could change under it. Engines that
-    /// encode in a background stage (or not at all) pass `None`.
+    /// `base` is the replica's committed store to delta-encode the page
+    /// payload against *inside* the stop phase — the encoder must finish
+    /// before the container resumes, or the page contents could change under
+    /// it. Engines that encode in a background stage (or not at all) pass
+    /// `None`.
     ///
     /// Emits `Freeze`, `Dump`, `DumpDetail`, `[DeltaEncode]`, `LocalCopy`,
     /// `DrbdShip`, `[Backpressure]`; the spans telescope to `stop_time`.
@@ -432,7 +426,7 @@ impl StageCore {
         primary: &mut Kernel,
         container: &Container,
         epoch: u64,
-        encode: Option<&mut ShadowStore>,
+        base: Option<&dyn PageStore>,
     ) -> SimResult<Stopped> {
         if !self.prepared {
             return Err(SimError::Invalid("engine not prepared".into()));
@@ -452,8 +446,8 @@ impl StageCore {
         let phases = img.stats.phases;
         let m_dumped = primary.meter.lifetime_total();
 
-        let delta_stats = encode.map(|shadow| {
-            let stats = img.encode_pages(shadow);
+        let delta_stats = base.map(|base| {
+            let stats = img.encode_pages(base);
             primary
                 .meter
                 .charge(stats.pages() * primary.costs.delta_encode_per_page);
@@ -650,29 +644,6 @@ impl StageCore {
             disk_pages_committed: 0,
         };
         Ok((restored, report))
-    }
-}
-
-/// The VMAs of the last checkpointed image, per process: what the next image
-/// is compared with to find the pages it no longer maps. Whatever keeps
-/// per-page state beside the backup's stores — the delta shadow, a repair's
-/// re-dirtied keys — forgets those pages at the epoch the stores prune them
-/// ([`BackupAgent::commit`]), by the same comparison.
-#[derive(Default)]
-pub(crate) struct Mapped(Vec<(Pid, Vec<Vma>)>);
-
-impl Mapped {
-    /// The page ranges `img` no longer maps that the image before it did;
-    /// `img` becomes the reference.
-    pub(crate) fn unmapped_by(&mut self, img: &CheckpointImage) -> Vec<(Pid, Range<u64>)> {
-        let now = img.processes.iter().map(|p| (p.pid, &p.vmas[..]));
-        let was = self.0.iter().map(|(pid, v)| (*pid, &v[..]));
-        if now.clone().eq(was.clone()) {
-            return Vec::new();
-        }
-        let gone = unmapped_since(was, &img.processes);
-        self.0 = now.map(|(pid, v)| (pid, v.to_vec())).collect();
-        gone
     }
 }
 

@@ -98,7 +98,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `--fleet 1` is the identity, under the paper config and with the
-    /// delta shadow store on: the same per-epoch stop/ack/bytes/pages (so
+    /// delta transfer on: the same per-epoch stop/ack/bytes/pages (so
     /// the reconciliation identities, which the fleet checks internally
     /// every epoch, match too).
     #[test]

@@ -65,7 +65,7 @@ fn run_history(
 
 /// Randomized epoch histories: 10–14 epochs, each dirtying 0–40 pages in a
 /// 300-page heap window (overlapping pages across epochs exercise the
-/// delta shadow store's incremental path).
+/// delta encoder's incremental path against the committed store).
 fn arb_history() -> impl Strategy<Value = Vec<EpochWrites>> {
     proptest::collection::vec(
         proptest::collection::vec((0u64..300, any::<u8>()), 0..40),

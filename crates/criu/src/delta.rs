@@ -3,29 +3,32 @@
 //! NiLiCon's per-epoch wire volume is dominated by dirty pages, and every
 //! dirty page ships its full 4 KiB body even when only a few cache lines
 //! changed (§V, Table I). HyCoR (Zhou & Tamir, arXiv:2101.09584) attacks
-//! exactly this: shrink what must cross the replication link per epoch. This
-//! module implements the primary-side half of that pipeline:
+//! exactly this: shrink what must cross the replication link per epoch. The
+//! base a delta is taken against is the backup's committed image — the page
+//! store the backup agent keeps anyway (§III–IV); the primary holds no copy
+//! of it. The backup applies epochs strictly in order, so while epoch `e` is
+//! encoded the store holds exactly what `e`'s deltas will be applied to.
 //!
-//! * a [`ShadowStore`] holding the page contents as of the last epoch the
-//!   primary shipped (the backup applies epochs in order, so this is the base
-//!   the backup will hold when the delta arrives);
-//! * [`ShadowStore::encode`], which classifies each dirty page as a **zero
-//!   page** (elided — a one-word marker), an **XOR delta** (sparse word-level
-//!   diff against the shadow copy, run-length encoded), or a **full page**
-//!   (first touch, or churn so dense the delta would not pay);
-//! * [`PageEncoding::apply`], the backup-side inverse, which reconstructs the
-//!   exact page bytes from the base page — the committed image is
-//!   byte-identical to the full-page path.
+//! * [`encode_against`] classifies one dirty page against the store's copy
+//!   as a **zero page** (elided — a one-word marker), an **XOR delta**
+//!   (sparse word-level diff, run-length encoded), or a **full page** (no
+//!   committed copy, or churn so dense the delta would not pay). It is pure:
+//!   it reads the base and updates nothing but the epoch's [`DeltaStats`].
+//! * [`PageEncoding::apply`] and `PageStore::apply_delta` are the
+//!   backup-side inverse, which rebuild the exact page bytes from the base —
+//!   the committed image is byte-identical to the full-page path, one buffer
+//!   per committed page version.
+//! * [`ShadowStore`] is a receiver model: encode, then apply, over a map of
+//!   its own, for benchmarks and tests that need both ends without an agent.
 //!
 //! The encoder touches bytes in proportion to what changed. It reads the
-//! dirty page through a borrow ([`ShadowStore::encode_with`] — the COW drain
-//! lends the live frame together with the set of 64-byte lines the guest
-//! wrote), computes the per-word diff bitmap once with a vector kernel over
-//! those lines only, and derives the exact encoded size from the bitmap alone.
-//! Only then does it build anything: a sparse page gets its runs (two exact
-//! allocations) and the shadow copy is patched in place; a first-touch or
-//! dense page asks the caller for a [`PageBuf`] (refcounted, immutable while
-//! shared) that the shadow, the wire encoding and the backup store then share
+//! dirty page through a borrow (the COW drain lends the live frame together
+//! with the set of 64-byte lines the guest wrote), computes the per-word diff
+//! bitmap once with a vector kernel over those lines only, and derives the
+//! exact encoded size from the bitmap alone. Only then does it build
+//! anything: a sparse page gets its runs (two exact allocations); a page
+//! that ships whole asks the caller for a [`PageBuf`] (refcounted, immutable
+//! while shared) that the wire encoding and the backup store then share
 //! without further copies. The backup side mirrors this:
 //! [`DeltaPage::xor_into`] patches the resident page where it lies.
 //!
@@ -36,7 +39,6 @@ use crate::pagestore::PageKey;
 use nilicon_sim::ids::IdMap;
 use nilicon_sim::mem::{ALL_LINES, LINE_BYTES};
 use nilicon_sim::{zero_page, PageBuf, PAGE_SIZE};
-use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 /// 64-bit words per page (the XOR diff granularity).
@@ -199,23 +201,75 @@ impl DeltaStats {
     }
 }
 
-/// Primary-side shadow of the page contents most recently shipped to the
-/// backup, keyed like the backup's page store. Encoding a page both
-/// classifies it against the shadow copy and updates the shadow, so the next
-/// epoch's delta is always relative to what the backup will hold once it
-/// applies this epoch (the backup applies epochs strictly in order, §IV).
+/// Classify and encode one dirty page against `base`, the receiver's copy of
+/// it (`None`: the receiver holds no copy, so a non-zero page ships whole),
+/// and account it in `stats`. Nothing else is updated: whoever holds `base`
+/// rebuilds the page from the encoding ([`PageEncoding::apply`],
+/// `PageStore::apply_delta`).
+///
+/// `data` is read where it lies — a captured buffer, or a live frame the COW
+/// drain lends. `full` hands over the buffer a page that ships whole keeps,
+/// and is called at most once, only then.
+///
+/// `lines` is the page's written-line set: bit `l` clear promises that bytes
+/// `64 l .. 64 l + 64` of `data` equal `base`'s, and the diff reads only the
+/// lines whose bit is set — as does the zero test, unless every one of them
+/// is zero. It may over-approximate ([`ALL_LINES`] is always right); a debug
+/// build recomputes the diff over every line and asserts that the two agree.
+pub fn encode_against(
+    base: Option<&[u8; PAGE_SIZE]>,
+    data: &[u8; PAGE_SIZE],
+    lines: u64,
+    full: impl FnOnce() -> PageBuf,
+    stats: &mut DeltaStats,
+) -> PageEncoding {
+    let enc = if is_zero_page(data, lines) {
+        PageEncoding::Zero
+    } else if let Some(base) = base {
+        let bm = diff_word_bitmap(base, data, lines);
+        debug_assert_eq!(
+            bm,
+            diff_word_bitmap(base, data, ALL_LINES),
+            "a line outside {lines:#x} differs from the base"
+        );
+        let (words, runs) = diff_shape(&bm);
+        if delta_wire_bytes(runs, words) < PAGE_SIZE as u64 {
+            PageEncoding::Delta(build_runs(&bm, words, runs, base, data))
+        } else {
+            // Dense churn: the diff would not beat the raw page.
+            PageEncoding::Full(full())
+        }
+    } else {
+        PageEncoding::Full(full())
+    };
+    match enc {
+        PageEncoding::Zero => stats.zero_pages += 1,
+        PageEncoding::Delta(_) => stats.delta_pages += 1,
+        PageEncoding::Full(_) => stats.full_pages += 1,
+    }
+    stats.raw_bytes += PAGE_SIZE as u64;
+    stats.encoded_bytes += enc.encoded_bytes();
+    enc
+}
+
+/// A model of the receiver's page store, keyed like it: each page is
+/// encoded against the copy the model holds and then rebuilt from its
+/// encoding, as the backup rebuilds it at commit — so the model always holds
+/// what the backup would have committed from the same pages. Benchmarks and
+/// tests use it as a self-contained sender/receiver pair; the engine encodes
+/// against the backup's store itself.
 #[derive(Debug, Default)]
 pub struct ShadowStore {
     pages: IdMap<PageKey, PageBuf>,
 }
 
 impl ShadowStore {
-    /// Empty shadow (before the initial sync).
+    /// Empty model (before the initial sync).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pages currently shadowed.
+    /// Pages currently held.
     pub fn len(&self) -> usize {
         self.pages.len()
     }
@@ -225,110 +279,39 @@ impl ShadowStore {
         self.pages.is_empty()
     }
 
-    /// Forget the pages of `pid` in `vpns`: the container unmapped the
-    /// range, and the backup prunes it from its store at the same epoch
-    /// boundary ([`crate::image::unmapped_since`]), so a page mapped there
-    /// later has no base on either side and ships whole.
-    pub fn forget(&mut self, pid: nilicon_sim::ids::Pid, vpns: std::ops::Range<u64>) {
+    /// The model's copy of `key`: what the backup would hold for it.
+    pub fn get(&self, key: PageKey) -> Option<&PageBuf> {
+        self.pages.get(&key)
+    }
+
+    /// Drop the pages of `pid` in `vpns`, as the backup's commit prunes a
+    /// range the container unmapped ([`crate::image::unmapped_since`]): a
+    /// page mapped there later has no base and ships whole.
+    pub fn remove_range(&mut self, pid: nilicon_sim::ids::Pid, vpns: std::ops::Range<u64>) {
         self.pages
             .retain(|key, _| key.pid != pid || !vpns.contains(&key.vpn));
     }
 
-    /// Classify and encode one dirty page against the shadow copy, updating
-    /// the shadow and `stats`. A page that ships whole shares `data`'s
-    /// buffer with the shadow and the encoding, and so does a shadow copy
-    /// that cannot be patched: a captured buffer is shared already. A
-    /// captured buffer does not say where it was written, so every line is
-    /// compared.
+    /// [`encode_against`] the model's copy of `key`, every line compared (a
+    /// captured buffer does not say where it was written), then apply the
+    /// encoding to that copy. A page that ships whole shares `data`'s
+    /// buffer; a delta patches the copy in place unless another holder
+    /// shares it, in which case the model takes `data`'s buffer instead —
+    /// the contents the patch would produce.
     pub fn encode(&mut self, key: PageKey, data: &PageBuf, stats: &mut DeltaStats) -> PageEncoding {
-        self.encode_page(key, data, ALL_LINES, || data.clone(), false, stats)
-    }
-
-    /// [`Self::encode`] for a page the caller only has on loan (a live frame
-    /// lent by the COW drain): `data` is read in place, and `full` is called
-    /// — at most once — only if the page ships as a full page, which then
-    /// keeps `full`'s buffer as its shadow. A shadow copy still shared with
-    /// another holder cannot be patched; it is replaced by a copy of `data`
-    /// the shadow owns, never by `full`'s buffer, so that the next sparse
-    /// epoch patches it in place and the lent frame stays write-enabled.
-    ///
-    /// `lines` is the page's written-line set: bit `l` clear promises that
-    /// bytes `64 l .. 64 l + 64` of `data` equal the shadow copy's, and the
-    /// diff reads only the lines whose bit is set — as does the zero test,
-    /// unless every one of them is zero. It may over-approximate
-    /// ([`ALL_LINES`] is always right); a debug build recomputes the diff
-    /// over every line and asserts that the two agree.
-    pub fn encode_with(
-        &mut self,
-        key: PageKey,
-        data: &[u8; PAGE_SIZE],
-        lines: u64,
-        full: impl FnOnce() -> PageBuf,
-        stats: &mut DeltaStats,
-    ) -> PageEncoding {
-        self.encode_page(key, data, lines, full, true, stats)
-    }
-
-    /// [`Self::encode_with`]; `lent` says whether a shadow copy that cannot
-    /// be patched must take a copy of `data` of its own rather than `full`'s
-    /// buffer.
-    fn encode_page(
-        &mut self,
-        key: PageKey,
-        data: &[u8; PAGE_SIZE],
-        lines: u64,
-        full: impl FnOnce() -> PageBuf,
-        lent: bool,
-        stats: &mut DeltaStats,
-    ) -> PageEncoding {
-        stats.raw_bytes += PAGE_SIZE as u64;
-        // One shadow lookup covers classification and update. A zero page
-        // shadows the shared zero page, so later deltas against it are
-        // correct and cost no allocation.
-        let enc = if is_zero_page(data, lines) {
-            self.pages.insert(key, zero_page());
-            PageEncoding::Zero
-        } else {
-            match self.pages.entry(key) {
-                Entry::Vacant(e) => PageEncoding::Full(e.insert(full()).clone()),
-                Entry::Occupied(mut e) => {
-                    let shadow = e.get_mut();
-                    let bm = diff_word_bitmap(shadow, data, lines);
-                    debug_assert_eq!(
-                        bm,
-                        diff_word_bitmap(shadow, data, ALL_LINES),
-                        "{key:?}: a line outside {lines:#x} differs from the shadow"
-                    );
-                    let (words, runs) = diff_shape(&bm);
-                    if delta_wire_bytes(runs, words) < PAGE_SIZE as u64 {
-                        let dp = build_runs(&bm, words, runs, shadow, data);
-                        // Patch the shadow where it lies if nobody else holds
-                        // the buffer (a full page is shared with the wire
-                        // encoding and then the backup store until they
-                        // drop or replace it); otherwise leave that buffer
-                        // untouched and shadow the new contents instead — a
-                        // copy of its own when the page is lent, so that the
-                        // frame stays write-enabled.
-                        match Rc::get_mut(shadow) {
-                            Some(page) => dp.xor_into(page),
-                            None if lent => *shadow = Rc::new(*data),
-                            None => *shadow = full(),
-                        }
-                        PageEncoding::Delta(dp)
-                    } else {
-                        // Dense churn: the diff would not beat the raw page.
-                        *shadow = full();
-                        PageEncoding::Full(shadow.clone())
-                    }
-                }
-            }
+        let Some(page) = self.pages.get_mut(&key) else {
+            let enc = encode_against(None, data, ALL_LINES, || data.clone(), stats);
+            self.pages.insert(key, enc.apply(None));
+            return enc;
         };
-        match enc {
-            PageEncoding::Zero => stats.zero_pages += 1,
-            PageEncoding::Delta(_) => stats.delta_pages += 1,
-            PageEncoding::Full(_) => stats.full_pages += 1,
+        let enc = encode_against(Some(page), data, ALL_LINES, || data.clone(), stats);
+        match &enc {
+            PageEncoding::Delta(dp) => match Rc::get_mut(page) {
+                Some(own) => dp.xor_into(own),
+                None => *page = data.clone(),
+            },
+            _ => *page = enc.apply(None),
         }
-        stats.encoded_bytes += enc.encoded_bytes();
         enc
     }
 }
@@ -583,9 +566,9 @@ mod tests {
             }
             other => panic!("expected Full, got {other:?}"),
         }
-        // The encoding still holds the shadow's buffer, so a sparse rewrite
-        // cannot patch it: a captured page is shared by the shadow, not
-        // copied.
+        // The encoding still holds the model's buffer, so a sparse rewrite
+        // cannot patch it: the model takes the captured buffer, which holds
+        // what the patch would produce, instead of copying.
         let p2 = page_with(&[(0, 7), (8, 1)]);
         assert!(matches!(
             s.encode(key(1), &p2, &mut st),
@@ -594,60 +577,54 @@ mod tests {
         assert_eq!(
             Rc::strong_count(&p2),
             2,
-            "the shadow holds the captured buffer"
+            "the model holds the captured buffer"
         );
     }
 
+    /// A lent page is read in place: its buffer is taken only when it ships
+    /// whole, and the base it is diffed against is never written.
     #[test]
     fn lent_page_is_copied_only_when_its_whole_contents_must_be_kept() {
-        let mut s = ShadowStore::new();
         let mut st = DeltaStats::default();
-        let mut shares = 0;
+        let mut takes = 0;
         let mut frame = [0u8; PAGE_SIZE];
         frame[0] = 1;
-        // First touch ships whole: the lent buffer, shared by shadow and
-        // encoding.
+        // No committed copy: the page ships whole, in the lent buffer.
         let lent = Rc::new(frame);
-        let first = s.encode_with(key(1), &lent, ALL_LINES, || lent.clone(), &mut st);
-        let PageEncoding::Full(in_flight) = first else {
-            panic!("first touch ships full")
+        let first = encode_against(None, &lent, ALL_LINES, || lent.clone(), &mut st);
+        let PageEncoding::Full(base) = first else {
+            panic!("a page with no base ships full")
         };
-        assert!(Rc::ptr_eq(&in_flight, &lent));
-        // While the encoding is in flight the shadow cannot be patched: it
-        // copies the page into a buffer of its own and leaves the lent one
-        // to the frame alone.
-        frame[8] = 2;
-        let lent = Rc::new(frame);
-        let mut share = || {
-            shares += 1;
-            lent.clone()
-        };
-        let enc = s.encode_with(key(1), &lent, 1, &mut share, &mut st);
-        assert!(matches!(enc, PageEncoding::Delta(_)));
-        assert_eq!(in_flight[8], 0, "shared buffer left alone");
-        assert_eq!(enc.apply(Some(&in_flight)), Rc::new(frame));
-        assert_eq!(Rc::strong_count(&lent), 1, "the shadow kept a copy");
-        // From here the shadow owns its buffer: sparse epochs copy nothing.
-        for i in 2..10usize {
-            let before = frame;
+        assert!(Rc::ptr_eq(&base, &lent));
+        // Sparse epochs against that base take no buffer and write nothing.
+        for i in 1..10usize {
             frame[8 * i] = i as u8;
-            let lent = Rc::new(frame);
-            let mut share = || {
-                shares += 1;
-                lent.clone()
+            let mut take = || {
+                takes += 1;
+                Rc::new(frame)
             };
-            let enc = s.encode_with(key(1), &lent, 1 << (i / 8), &mut share, &mut st);
-            assert_eq!(enc.encoded_bytes(), 8 + 8 + 8);
-            assert_eq!(enc.apply(Some(&before)), Rc::new(frame));
-            assert_eq!(Rc::strong_count(&lent), 1, "patched in place");
+            let enc = encode_against(Some(&base), &frame, 0b11, &mut take, &mut st);
+            assert_eq!(enc.encoded_bytes(), 8 + 8 + 8 * i as u64, "one run of {i} words");
+            assert_eq!(enc.apply(Some(&base)), Rc::new(frame));
         }
-        assert_eq!(shares, 0, "no sparse epoch keeps the lent buffer");
-        let same = s.encode_with(key(1), &frame, 0, || unreachable!(), &mut st);
-        assert_eq!(
-            same,
-            PageEncoding::Delta(DeltaPage::default()),
-            "shadow tracks the frame"
-        );
+        assert_eq!(takes, 0, "no sparse epoch keeps the lent buffer");
+        assert_eq!(*base, {
+            let mut b = [0u8; PAGE_SIZE];
+            b[0] = 1;
+            b
+        });
+        // Dense churn takes it exactly once.
+        frame = [0x5A; PAGE_SIZE];
+        let mut take = || {
+            takes += 1;
+            Rc::new(frame)
+        };
+        let enc = encode_against(Some(&base), &frame, ALL_LINES, &mut take, &mut st);
+        assert!(matches!(enc, PageEncoding::Full(_)));
+        assert_eq!(takes, 1);
+        let same = encode_against(Some(&frame), &frame, 0, || unreachable!(), &mut st);
+        assert_eq!(same, PageEncoding::Delta(DeltaPage::default()));
+        assert_eq!((st.full_pages, st.delta_pages, st.zero_pages), (2, 10, 0));
     }
 
     #[test]
@@ -775,32 +752,39 @@ mod tests {
         // Captured (every line compared) and lent with the one line that was
         // written: byte 100 lies in line 1.
         for lines in [ALL_LINES, 1 << 1] {
-            let mut s = ShadowStore::new();
             let mut st = DeltaStats::default();
             let v1 = page_with(&[(100, 5)]);
-            s.encode(key(1), &v1, &mut st);
-            let enc = s.encode_with(key(1), &zero_page(), lines, || unreachable!(), &mut st);
+            let enc = encode_against(Some(&v1), &zero_page(), lines, || unreachable!(), &mut st);
             assert_eq!(enc, PageEncoding::Zero);
-            // A later sparse write deltas against the *zero* shadow, not v1.
+            // The receiver now holds the zero page, and a later sparse write
+            // deltas against it, not against v1.
+            let base = enc.apply(Some(&v1));
+            assert_eq!(*base, [0u8; PAGE_SIZE]);
             let v3 = page_with(&[(100, 9)]);
-            let enc3 = s.encode_with(key(1), &v3, lines, || v3.clone(), &mut st);
-            let base = [0u8; PAGE_SIZE];
+            let enc3 = encode_against(Some(&base), &v3, lines, || v3.clone(), &mut st);
+            assert!(matches!(enc3, PageEncoding::Delta(_)), "{enc3:?}");
             assert_eq!(enc3.apply(Some(&base)), v3);
         }
+        // The model does the same with every line.
+        let mut s = ShadowStore::new();
+        let mut st = DeltaStats::default();
+        s.encode(key(1), &page_with(&[(100, 5)]), &mut st);
+        assert_eq!(s.encode(key(1), &zero_page(), &mut st), PageEncoding::Zero);
+        let v3 = page_with(&[(100, 9)]);
+        let enc3 = s.encode(key(1), &v3, &mut st);
+        assert_eq!(enc3.apply(Some(&[0u8; PAGE_SIZE])), v3);
     }
 
     /// The written lines settle a page that is not zero; they never settle
     /// one that is: the guest zeroed line 0, line 1 still holds what the
-    /// shadow holds, and the page is a delta, not `Zero`.
+    /// base holds, and the page is a delta, not `Zero`.
     #[test]
     fn zero_written_lines_do_not_make_a_zero_page() {
-        let mut s = ShadowStore::new();
         let mut st = DeltaStats::default();
         let v1 = page_with(&[(8, 3), (100, 5)]);
-        s.encode(key(1), &v1, &mut st);
         let v2 = page_with(&[(100, 5)]);
         assert!(is_zero_page(&zero_page(), 1) && !is_zero_page(&v2, 1) && !is_zero_page(&v2, 1 << 1));
-        let enc = s.encode_with(key(1), &v2, 1, || v2.clone(), &mut st);
+        let enc = encode_against(Some(&v1), &v2, 1, || v2.clone(), &mut st);
         assert!(matches!(enc, PageEncoding::Delta(_)), "{enc:?}");
         assert_eq!(enc.apply(Some(&v1)), v2);
         assert_eq!(st.zero_pages, 0);
@@ -873,13 +857,13 @@ mod tests {
             let built = PageEncoding::Delta(diff_pages(&old, &new));
             prop_assert_eq!(built.encoded_bytes(), ref_bytes, "size from counts == size as built");
 
-            let mut shadow = ShadowStore::new();
+            let mut model = ShadowStore::new();
             let mut st = DeltaStats::default();
             let old_bytes = old;
             let (old, new) = (Rc::new(old), Rc::new(new));
-            shadow.encode(key(1), &old, &mut st);
+            model.encode(key(1), &old, &mut st);
             let before = st;
-            let enc = shadow.encode(key(1), &new, &mut st);
+            let enc = model.encode(key(1), &new, &mut st);
             prop_assert_eq!(enc.class(), ref_class);
             if ref_class == "delta" {
                 prop_assert_eq!(enc.encoded_bytes(), ref_bytes);
@@ -888,8 +872,8 @@ mod tests {
             prop_assert_eq!(st.encoded_bytes - before.encoded_bytes, enc.encoded_bytes());
             prop_assert_eq!(st.pages(), 2);
             prop_assert_eq!(enc.apply(Some(&old)), new.clone(), "round trip");
-            // The shadow now holds `new`: re-encoding it is an empty delta.
-            let again = shadow.encode(key(1), &new, &mut st);
+            // The model now holds `new`: re-encoding it is an empty delta.
+            let again = model.encode(key(1), &new, &mut st);
             if ref_class != "zero" {
                 prop_assert_eq!(again, PageEncoding::Delta(DeltaPage::default()));
             }

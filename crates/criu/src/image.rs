@@ -1,11 +1,11 @@
 //! Checkpoint images: the in-memory equivalent of CRIU's image files.
 
-use crate::delta::{DeltaStats, PageEncoding, ShadowStore};
-use crate::pagestore::PageKey;
+use crate::delta::{encode_against, DeltaStats, PageEncoding};
+use crate::pagestore::{PageKey, PageStore};
 use nilicon_sim::cgroup::Cgroup;
 use nilicon_sim::fs::{FsCacheCheckpoint, Inode, Mount};
 use nilicon_sim::ids::{AsId, Fd, Ino, Pid};
-use nilicon_sim::mem::{PageBuf, Vma};
+use nilicon_sim::mem::{PageBuf, Vma, ALL_LINES};
 use nilicon_sim::net::RepairState;
 use nilicon_sim::ns::{Namespace, NsSet};
 use nilicon_sim::proc::{FdEntry, Thread};
@@ -34,8 +34,8 @@ pub struct ProcessImage {
 
 /// The page ranges `prev` mapped, per process, that no VMA of `now` covers any
 /// more (`munmap`, a `brk` shrink, a process that exited). Whoever holds
-/// contents for the previous image — the backup's page store, the primary's
-/// delta shadow — forgets these pages at the same epoch boundary: mapped
+/// contents for the previous image — the backup's page stores, a coded
+/// repair's re-dirtied keys — forgets these pages at the same epoch boundary: mapped
 /// again later and not written, they read as zeros on the primary, and must
 /// not come back with their old bytes at failover. Empty on all but the rare
 /// epoch whose VMAs changed; both VMA lists are in address order.
@@ -233,14 +233,16 @@ impl CheckpointImage {
     /// Delta-encode the dirty-page payload for the wire (HyCoR-style):
     /// drain [`CheckpointImage::pages`] into
     /// [`CheckpointImage::page_deltas`], classifying each page against
-    /// `shadow` (the contents as of the last shipped epoch). After this,
+    /// `base`, the receiver's committed copy of the pages (the store this
+    /// epoch's deltas will be applied to). After this,
     /// [`CheckpointImage::state_bytes`] counts *encoded* bytes for the page
     /// payload. Returns the per-epoch classification stats (also recorded in
     /// `stats.delta`).
-    pub fn encode_pages(&mut self, shadow: &mut ShadowStore) -> DeltaStats {
+    pub fn encode_pages(&mut self, base: &dyn PageStore) -> DeltaStats {
         let mut stats = DeltaStats::default();
         for (pid, vpn, data) in self.pages.drain(..) {
-            let enc = shadow.encode(PageKey { pid, vpn }, &data, &mut stats);
+            let old = base.get(PageKey { pid, vpn }).map(|p| &**p);
+            let enc = encode_against(old, &data, ALL_LINES, || data.clone(), &mut stats);
             self.page_deltas.push((pid, vpn, enc));
         }
         self.stats.delta = Some(stats);
@@ -350,7 +352,7 @@ mod tests {
 
     #[test]
     fn encode_pages_shrinks_wire_bytes_for_sparse_epochs() {
-        let mut shadow = ShadowStore::new();
+        let mut store = crate::RadixTreeStore::new();
         // Epoch 1: first touch — everything ships full (plus zero elision).
         let mut img1 = CheckpointImage::default();
         let mut raw = [0u8; PAGE_SIZE];
@@ -358,18 +360,21 @@ mod tests {
         img1.pages.push((Pid(1), 0x10, std::rc::Rc::new(raw)));
         img1.pages.push((Pid(1), 0x11, nilicon_sim::zero_page()));
         let raw1 = img1.state_bytes();
-        let stats1 = img1.encode_pages(&mut shadow);
+        let stats1 = img1.encode_pages(&store);
         assert!(img1.pages.is_empty(), "pages drained into deltas");
         assert_eq!(img1.page_deltas.len(), 2);
         assert_eq!((stats1.full_pages, stats1.zero_pages), (1, 1));
         assert!(img1.state_bytes() < raw1, "zero elision already pays");
+        for (pid, vpn, enc) in &img1.page_deltas {
+            store.apply_delta(PageKey { pid: *pid, vpn: *vpn }, enc);
+        }
 
         // Epoch 2: one word changed — ships as a tiny delta.
         let mut img2 = CheckpointImage::default();
         raw[0] = 2;
         img2.pages.push((Pid(1), 0x10, std::rc::Rc::new(raw)));
         let raw2 = img2.state_bytes();
-        let stats2 = img2.encode_pages(&mut shadow);
+        let stats2 = img2.encode_pages(&store);
         assert_eq!(stats2.delta_pages, 1);
         assert!(
             img2.state_bytes() < raw2 / 10,

@@ -53,7 +53,7 @@ pub mod restore;
 pub mod shard;
 
 pub use cache::InfrequentCache;
-pub use delta::{DeltaStats, PageEncoding, ShadowStore};
+pub use delta::{encode_against, DeltaStats, PageEncoding, ShadowStore};
 pub use dump::{bootstrap_dump, dump_container, full_dump, DumpConfig};
 pub use image::{unmapped_since, CheckpointImage, DumpPhases, DumpStats, ProcessImage};
 pub use imgfile::{decode as decode_image, encode as encode_image};

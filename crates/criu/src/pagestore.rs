@@ -101,7 +101,7 @@ pub trait PageStore<B = PageBuf> {
     /// to fetch the base page first.
     ///
     /// The base page is patched where it lies when the store is its only
-    /// holder. While the primary's shadow, a pending epoch or a materialized
+    /// holder. While a guest frame, a pending epoch or a materialized
     /// failover image still shares the buffer, `Rc::make_mut` clones it
     /// first, so no other holder ever sees it change. (A delta for a page
     /// the store never saw is image corruption, rejected upstream by
@@ -495,15 +495,16 @@ mod tests {
 
     /// Twelve epochs over five pages — sparse edits, a dense rewrite, a page
     /// alternating with zeros, first touches — applied as deltas next to a
-    /// store taking the same pages whole. Everything that can alias a
+    /// store taking the same pages whole, each encoded against the delta
+    /// store's own copy, as the engine encodes. Everything that can alias a
     /// resident buffer is kept alive throughout: the caller's `PageBuf`s
-    /// (a `Full` one is shared by shadow, encoding and store), every epoch's
+    /// (a `Full` one is shared by caller, encoding and store), every epoch's
     /// encodings (a pending epoch), and periodic clones of the whole store (a
     /// materialized image). In-place patching must never write through any
     /// of them.
     fn apply_delta_matches_direct_insert<S: PageStore + Default>() {
-        use crate::delta::{DeltaStats, PageEncoding, ShadowStore};
-        let mut shadow = ShadowStore::new();
+        use crate::delta::{encode_against, DeltaStats, PageEncoding};
+        use nilicon_sim::mem::ALL_LINES;
         let mut stats = DeltaStats::default();
         let mut direct = S::default();
         let mut via_delta = S::default();
@@ -533,7 +534,8 @@ mod tests {
             for (vpn, bytes) in contents.iter().enumerate().take(live) {
                 let k = key(1, 0x40 + vpn as u64);
                 let page: PageBuf = std::rc::Rc::new(*bytes);
-                let enc = shadow.encode(k, &page, &mut stats);
+                let base = via_delta.get(k).map(|p| &**p);
+                let enc = encode_against(base, &page, ALL_LINES, || page.clone(), &mut stats);
                 let expect = direct.insert(k, page.clone());
                 let probes = via_delta.apply_delta(k, &enc);
                 let factor = if matches!(enc, PageEncoding::Delta(_)) {

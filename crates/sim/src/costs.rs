@@ -193,8 +193,8 @@ pub struct CostModel {
     /// incremental-image store (per previous checkpoint in the chain,
     /// per page; §V-A).
     pub list_probe_per_ckpt: Nanos,
-    /// Primary CPU cost to delta-encode one dirty page against the shadow
-    /// copy of the last shipped epoch (word-level XOR scan of 4 KiB;
+    /// Primary CPU cost to delta-encode one dirty page against the backup's
+    /// committed copy (word-level XOR scan of 4 KiB;
     /// HyCoR-style wire reduction). Charged inside the stop phase.
     pub delta_encode_per_page: Nanos,
     /// Backup CPU cost to apply one delta-encoded page against its stored

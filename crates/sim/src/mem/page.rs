@@ -9,7 +9,7 @@ use std::rc::Rc;
 /// One buffer serves a page version from the guest's frame to the backup's
 /// store. A frame shares its buffer with the eager dump
 /// ([`PageFrame::snapshot`]), with a COW fault's or an unmap's staged copy,
-/// with the delta shadow and the backup store when the COW drain lends it
+/// with the wire encoding and the backup store when the COW drain lends it
 /// and the page ships whole (`AddressSpace::cow_drain_with`), and with the
 /// backup's image at restore (`AddressSpace::install_page`).
 /// A shared frame is write-protected, like a PTE after `fork`: its first
@@ -18,9 +18,9 @@ use std::rc::Rc;
 /// reading the old bytes. When a commit displaces a version from the backup
 /// store, its buffer goes back to the recycler ([`recycle_page`]) for the
 /// next such write. A page that ships as a sparse delta is never copied on
-/// its way out: the delta shadow and the backup store patch their own
-/// resident copy in place, reading the lent frame only where the guest
-/// wrote it ([`PageFrame::written_lines`]).
+/// its way out: the backup store, which is also the delta base, patches its
+/// resident copy in place, and the encoder reads the lent frame only where
+/// the guest wrote it ([`PageFrame::written_lines`]).
 ///
 /// A file page is one too, from the page cache to the backup's disk. A
 /// write-back (`PageCache::flush`) shares the cached buffer with the block
@@ -35,8 +35,8 @@ use std::rc::Rc;
 /// starts as the disk's buffer (or a fresh zeroed one).
 ///
 /// One rule covers every write into a buffer, patch or refill: only its sole
-/// owner writes. A holder that finds a pending epoch, the shadow, a frame or
-/// a materialized image still sharing the buffer copies first, and a
+/// owner writes. A holder that finds a pending epoch, a frame or a
+/// materialized image still sharing the buffer copies first, and a
 /// recycled buffer somebody still holds is skipped — so no holder ever sees
 /// a buffer change under it. The simulation is single-threaded, so `Rc`
 /// suffices.
@@ -398,8 +398,7 @@ mod tests {
         assert_eq!(spare_pages(), 0);
         assert!(!Rc::ptr_eq(&shared, &reused), "the share keeps its buffer");
 
-        // Still held elsewhere (a pending epoch, the shadow, a materialized
-        // image): skipped, never written, however many first writes follow.
+        // Still held elsewhere (a pending epoch, a materialized image): skipped, never written, however many first writes follow.
         round_of(&old, 2);
         let held = old.snapshot();
         recycle_page(held.clone());

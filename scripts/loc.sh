@@ -12,7 +12,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 RATCHET=1998
-ENGINES_RATCHET=1524
+ENGINES_RATCHET=1505
 
 count() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }

@@ -4,9 +4,9 @@
 //! `delta_transfer` enabled the backup's committed image must be
 //! byte-identical to the full-page path after every epoch, and the state a
 //! failover restores must match bit-for-bit — including an uncommitted
-//! tail epoch that both paths have to discard. The staged path patches the
-//! primary's shadow and the backup's store in place; nothing that still
-//! holds one of those buffers may ever see it change.
+//! tail epoch that both paths have to discard. Every delta is taken against
+//! the backup's committed store, which the staged path patches in place;
+//! nothing that still holds one of its buffers may ever see it change.
 
 use nilicon::{Checkpointer, NiLiConEngine, OptimizationConfig};
 use nilicon_container::{Container, ContainerRuntime, ContainerSpec, MemLayout};
@@ -188,6 +188,119 @@ fn in_place_patching_never_writes_a_buffer_someone_else_holds() {
 }
 
 // ----------------------------------------------------------------------
+// The delta base is the committed image
+// ----------------------------------------------------------------------
+
+/// A mapping to `munmap` and `mmap` again at the same address.
+const ARENA: u64 = 0x6000_0000_0000;
+
+/// Every page class, plus the three ways a page can lose its committed copy
+/// or keep it across an unmap: a `brk` shrink at epoch 3 (its commit prunes
+/// the top of the heap) undone at epoch 5 (the top page comes back with no
+/// base), and the arena unmapped and mapped again within epoch 4 (same
+/// VMAs: nothing is pruned, the written page is a delta against the old
+/// bytes, the unwritten one reads as zeros).
+fn remap_script(k: &mut Kernel, c: &Container, epoch: u64) {
+    let pid = c.init_pid();
+    let top = c.spec.heap_pages - 1;
+    let mm = k.mm_mut(pid).unwrap();
+    match epoch {
+        1 => mm.mmap_anon(ARENA, 2 * PAGE_SIZE as u64).unwrap(),
+        3 => drop(mm.brk(MemLayout::heap_page(top / 2)).unwrap()),
+        4 => {
+            mm.munmap(ARENA).unwrap();
+            mm.mmap_anon(ARENA, 2 * PAGE_SIZE as u64).unwrap();
+            k.mem_write(pid, ARENA + 8, b"back").unwrap();
+        }
+        5 => drop(mm.brk(MemLayout::heap_page(top + 1)).unwrap()),
+        _ => {}
+    }
+    if epoch == 1 {
+        for addr in [ARENA, ARENA + PAGE_SIZE as u64, MemLayout::heap_page(top)] {
+            k.mem_write(pid, addr, &[0x5A; 256]).unwrap();
+        }
+    }
+    if epoch >= 5 {
+        k.mem_write(pid, MemLayout::heap_page(top) + epoch, b"top").unwrap();
+    }
+    mixed_script(k, c, epoch);
+}
+
+/// The engine — delta alone on the stop phase, off the COW drain, and
+/// through the staged pipeline — beside a [`ShadowStore`] receiver model fed
+/// the pages each epoch shipped, pruned where the commit pruned. For every
+/// epoch each page's class and encoded bytes are the model's, and the
+/// committed image is the model's; after a failover the restored memory is.
+#[test]
+fn the_delta_base_is_the_committed_image() {
+    use nilicon_criu::{unmapped_since, DeltaStats, PageKey, ShadowStore};
+    use nilicon_sim::mem::Vma;
+    use std::collections::BTreeMap;
+
+    for (cow, pipeline) in [(false, false), (true, false), (false, true)] {
+        let name = format!("delta cow={cow} pipeline={pipeline}");
+        let mut p = Kernel::default();
+        let mut b = Kernel::default();
+        let spec = ContainerSpec::server("redis", 10, 6379);
+        let c = ContainerRuntime::create(&mut p, &spec).unwrap();
+        let mut opts = OptimizationConfig::nilicon();
+        (opts.delta_transfer, opts.cow_checkpoint, opts.pipeline) = (true, cow, pipeline);
+        let mut e = NiLiConEngine::new(opts, p.costs.clone());
+        e.prepare(&mut p, &c).unwrap();
+        let mut model = ShadowStore::new();
+        let mut stats = DeltaStats::default();
+        let mut mapped: Vec<(nilicon_sim::ids::Pid, Vec<Vma>)> = Vec::new();
+        let mut classes = BTreeMap::<&str, u64>::new();
+        let mut keys = Vec::new();
+        for epoch in 1..=7u64 {
+            remap_script(&mut p, &c, epoch);
+            e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
+            let encs = e.agent.pending_encodings(epoch).unwrap().to_vec();
+            e.commit(&mut b, epoch).unwrap();
+            let img = e.agent.materialize().unwrap();
+            let was = mapped.iter().map(|(pid, v)| (*pid, &v[..]));
+            for (pid, vpns) in unmapped_since(was, &img.processes) {
+                model.remove_range(pid, vpns);
+            }
+            mapped = img.processes.iter().map(|p| (p.pid, p.vmas.clone())).collect();
+            let committed: BTreeMap<_, _> =
+                img.pages.iter().map(|(pid, vpn, page)| ((*pid, *vpn), page)).collect();
+            for (pid, vpn, enc) in &encs {
+                // A copy, so the model patches buffers of its own.
+                let page = std::rc::Rc::new(**committed[&(*pid, *vpn)]);
+                let want = model.encode(PageKey { pid: *pid, vpn: *vpn }, &page, &mut stats);
+                assert_eq!(
+                    (enc.class(), enc.encoded_bytes()),
+                    (want.class(), want.encoded_bytes()),
+                    "{name}: epoch {epoch}, page {pid:?}/{vpn:#x}"
+                );
+                *classes.entry(enc.class()).or_default() += 1;
+            }
+            assert_eq!(model.len(), img.pages.len(), "{name}: epoch {epoch}");
+            keys = img.pages.iter().map(|&(pid, vpn, _)| (pid, vpn)).collect();
+            for (pid, vpn, page) in &img.pages {
+                let key = PageKey { pid: *pid, vpn: *vpn };
+                assert_eq!(model.get(key), Some(page), "{name}: epoch {epoch}, {vpn:#x}");
+            }
+        }
+        assert_eq!(classes.len(), 3, "{name}: every class shipped: {classes:?}");
+
+        // An epoch that never commits, then the failover.
+        remap_script(&mut p, &c, 8);
+        e.checkpoint(&mut p, &mut b, &c, 8).unwrap();
+        let (restored, _) = e.failover(&mut b).unwrap();
+        assert_eq!(restored.skipped_pages, 0);
+        restored.finish(&mut b).unwrap();
+        for (pid, vpn) in keys {
+            let mut page = [0u8; PAGE_SIZE];
+            b.mem_read(pid, vpn * PAGE_SIZE as u64, &mut page).unwrap();
+            let want = model.get(PageKey { pid, vpn }).unwrap();
+            assert!(page == **want, "{name}: restored page {pid:?}/{vpn:#x}");
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Written-line sets: the hint is exact under every way a page can change
 // ----------------------------------------------------------------------
 
@@ -195,14 +308,14 @@ mod written_lines {
     use nilicon::backup::BackupAgent;
     use nilicon_container::{Container, ContainerRuntime, ContainerSpec, MemLayout};
     use nilicon_criu::{
-        bootstrap_dump, dump_container, restore_container, unmapped_since, CheckpointImage,
-        DeltaStats, DumpConfig, PageKey, ShadowStore,
+        bootstrap_dump, dump_container, encode_against, restore_container, DeltaStats,
+        DumpConfig, PageKey,
     };
     use nilicon_drbd::DrbdMsg;
     use nilicon_sim::block::BlockDevice;
     use nilicon_sim::ids::Pid;
     use nilicon_sim::kernel::Kernel;
-    use nilicon_sim::mem::{TrackingMode, Vma};
+    use nilicon_sim::mem::{TrackingMode, ALL_LINES};
     use nilicon_sim::proc::FreezeStrategy;
     use nilicon_sim::PAGE_SIZE;
     use proptest::prelude::*;
@@ -233,8 +346,8 @@ mod written_lines {
         /// COW + delta checkpoint: drain `first` pages, let `racing` writes
         /// fault on what is still protected, drain the rest, commit.
         Checkpoint(usize, Vec<Poke>),
-        /// The backup is lost: shadow cleared, whole image streamed to a new
-        /// one through the protect queue while `racing` writes fault.
+        /// The backup is lost: the whole image streamed to a new one through
+        /// the protect queue while `racing` writes fault.
         Rearm(usize, Vec<Poke>),
         Failover,
     }
@@ -267,17 +380,14 @@ mod written_lines {
     /// Watched guest memory, page by page: `vpn → bytes` for what is mapped.
     type Memory = BTreeMap<u64, Box<[u8; PAGE_SIZE]>>;
 
-    /// One primary with the staged path's parts wired as `cow_stream` wires
-    /// them, plus a second shadow that is always encoded with every line.
+    /// One primary with the staged path's parts wired as the engine's COW
+    /// drain wires them: each lent page encoded against the agent's
+    /// committed store with its written-line set, and beside it with every
+    /// line.
     struct Rig {
         k: Kernel,
         c: Container,
         pid: Pid,
-        /// Encoded with the drain's written-line sets.
-        shadow: ShadowStore,
-        /// Encoded with `ALL_LINES` from the same pages in the same order.
-        reference: ShadowStore,
-        mapped: Vec<(Pid, Vec<Vma>)>,
         agent: BackupAgent,
         disk: BlockDevice,
         epoch: u64,
@@ -306,9 +416,6 @@ mod written_lines {
                 k,
                 c,
                 pid,
-                shadow: ShadowStore::new(),
-                reference: ShadowStore::new(),
-                mapped: Vec::new(),
                 agent,
                 disk: BlockDevice::default(),
                 epoch: 0,
@@ -411,8 +518,8 @@ mod written_lines {
         }
 
         /// Lend up to `max` deferred pages. An incremental epoch encodes each
-        /// with its written-line set and, beside it, with every line against
-        /// the reference shadow; a bootstrap keeps them whole.
+        /// against the committed store with its written-line set and, beside
+        /// it, with every line; a bootstrap keeps them whole.
         fn drain(&mut self, max: usize, whole: bool) -> Result<(), String> {
             let mut left = max;
             for pid in self.c.all_pids() {
@@ -420,7 +527,7 @@ mod written_lines {
                     let want = left.min(7);
                     let (mut pages, mut deltas, mut diverged) =
                         (Vec::new(), Vec::new(), Vec::new());
-                    let (shadow, reference) = (&mut self.shadow, &mut self.reference);
+                    let store = self.agent.delta_base(self.epoch).map_err(err)?;
                     let mut stats = DeltaStats::default();
                     let n = self
                         .k
@@ -429,10 +536,11 @@ mod written_lines {
                                 pages.push((pid, vpn, page.clone()));
                                 return;
                             }
-                            let key = PageKey { pid, vpn };
+                            let base = store.get(PageKey { pid, vpn }).map(|p| &**p);
                             let hinted =
-                                shadow.encode_with(key, page, lines, || page.clone(), &mut stats);
-                            let all = reference.encode(key, page, &mut stats);
+                                encode_against(base, page, lines, || page.clone(), &mut stats);
+                            let all =
+                                encode_against(base, page, ALL_LINES, || page.clone(), &mut stats);
                             if hinted != all {
                                 diverged.push((vpn, lines, hinted.class(), all.class()));
                             }
@@ -457,20 +565,6 @@ mod written_lines {
             Ok(())
         }
 
-        /// What `NiLiConEngine::forget_unmapped` does, for both shadows.
-        fn forget_unmapped(&mut self, img: &CheckpointImage) {
-            let was = self.mapped.iter().map(|(pid, v)| (*pid, &v[..]));
-            for (pid, vpns) in unmapped_since(was, &img.processes) {
-                self.shadow.forget(pid, vpns.clone());
-                self.reference.forget(pid, vpns);
-            }
-            self.mapped = img
-                .processes
-                .iter()
-                .map(|p| (p.pid, p.vmas.clone()))
-                .collect();
-        }
-
         fn checkpoint(&mut self, first: usize, racing: &[Poke], rearm: bool) -> Result<(), String> {
             self.epoch += 1;
             let mut cfg = DumpConfig::nilicon();
@@ -479,9 +573,6 @@ mod written_lines {
                 .freeze_cgroup(self.c.cgroup, FreezeStrategy::BusyPoll)
                 .map_err(err)?;
             let mut img = if rearm {
-                self.shadow = ShadowStore::new();
-                self.reference = ShadowStore::new();
-                self.mapped.clear();
                 self.agent = BackupAgent::new(self.k.costs.clone(), true);
                 bootstrap_dump(&mut self.k, &self.c, &cfg, None, self.epoch)
             } else {
@@ -492,9 +583,6 @@ mod written_lines {
             self.k.thaw_cgroup(self.c.cgroup).map_err(err)?;
 
             let deferred = std::mem::take(&mut img.deferred_vpns);
-            if !rearm {
-                self.forget_unmapped(&img);
-            }
             self.agent.begin_assembly(img, deferred.len() as u64);
             self.drain(first, rearm)?;
             for p in racing {
