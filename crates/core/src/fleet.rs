@@ -458,6 +458,7 @@ impl FleetScheduler {
     /// that fire at or before boundary `t`.
     fn apply_world_events(&mut self, t: Nanos) {
         if let Some((from, until)) = self.partition_window {
+            // A partition, not a crash: the primary stays alive and heals.
             if !self.partition_applied && t >= from && t < until {
                 self.partition_applied = true;
                 self.cluster.partition(self.primary);
@@ -515,14 +516,16 @@ impl FleetScheduler {
     /// promote once both the detection and the grant-lease fence allow it.
     fn dead_lane_boundary(&mut self, li: usize, t: Nanos) -> SimResult<()> {
         let lane = &mut self.lanes[li];
-        if lane.engine.is_none() {
-            // Nothing to promote to: the service is gone.
-            lane.unrecovered = true;
-            return Ok(());
-        }
+        // With no engine there is nothing to promote to: the service is gone.
+        lane.unrecovered = lane.engine.is_none();
         lane.next_boundary += self.cfg.epoch_exec;
         if lane.promotable(t) {
             self.promote_lane(li, t)?;
+            // The fail-stopped instance leaves the shared primary with its
+            // promotion; a partition-driven one keeps its fenced zombie.
+            for pid in self.lanes[li].core.container.all_pids() {
+                self.cluster.host_mut(self.primary).kill_process(pid)?;
+            }
         }
         Ok(())
     }
@@ -833,6 +836,29 @@ mod tests {
             "lane 0's bit is its own"
         );
         assert_eq!(fleet.finish().lanes[0].failovers, 1);
+    }
+
+    /// A lane's fail-stop takes its instance off the shared primary at its
+    /// promotion; the restored instance runs on the backup under the same
+    /// pids, and the other lane's processes stay where they were.
+    #[test]
+    fn promotion_removes_the_fail_stopped_instance_from_the_primary() {
+        let mut fleet = inert_fleet(2);
+        let lane0 = fleet.lanes[0].core.container.all_pids();
+        let lane1 = fleet.lanes[1].core.container.all_pids();
+        let runs = |f: &FleetScheduler, h: HostId, pids: &[nilicon_sim::ids::Pid]| {
+            pids.iter().all(|&p| f.cluster.host(h).proc(p).is_ok())
+        };
+        assert!(runs(&fleet, fleet.primary, &lane0));
+        fleet.inject_lane_fault_at(0, 100_000_000);
+        fleet.run_epochs(12).unwrap();
+        assert_eq!(fleet.lanes[0].core.failovers, 1);
+        let (p, b) = (fleet.primary, fleet.backup);
+        assert!(lane0
+            .iter()
+            .all(|&q| fleet.cluster.host(p).proc(q).is_err()));
+        assert!(runs(&fleet, b, &lane0), "restored on the backup");
+        assert!(runs(&fleet, p, &lane1), "lane 1 untouched");
     }
 
     /// A batch application: each step burns 1 ms and stamps one heap page.

@@ -554,7 +554,8 @@ impl RunHarness {
         // "Detection latency" for a partition is measured from its start.
         let latency = now.saturating_sub(ch.partition_started_at.unwrap_or(now));
         // The fenced primary withdraws (fail-stop its traffic); whatever it
-        // still held plugged is discarded exactly as at a real fault.
+        // still held plugged is discarded exactly as at a real fault. It is
+        // a zombie behind an expired lease, not a crash: it keeps its state.
         self.cluster.partition(self.primary);
         self.promote_backup(latency)
     }
@@ -917,7 +918,9 @@ impl RunHarness {
             ));
         }
         // No live backup (fault tolerance exhausted, or mid-bootstrap):
-        // everything still plugged or queued dies with the host.
+        // everything still plugged or queued dies with the host. It only
+        // goes dark, keeping its memory: the chaos runner still checks the
+        // lost instance's heap against its script model.
         self.cluster.clock.advance_to(fault_time);
         self.cluster.partition(self.active_host());
         let discarded = (self.lane.pending.len() + self.lane.held.len()) as u64;
@@ -933,9 +936,10 @@ impl RunHarness {
 
     /// Fail over a replicated run (callers check the engine is driving).
     fn do_failover(&mut self, fault_time: Nanos) -> SimResult<()> {
-        // Fail-stop: block all primary traffic (§VII-A).
+        // Fail-stop (§VII-A): the primary goes dark and its memory with it,
+        // so the restored container is the committed image's only holder.
         self.cluster.clock.advance_to(fault_time);
-        self.cluster.partition(self.primary);
+        self.cluster.crash(self.primary);
 
         // Detection: the detector only changes state on its own heartbeat
         // grid, so poll along the beat boundaries. Under chaos, beats still
@@ -1034,7 +1038,7 @@ impl RunHarness {
             // bootstrap had the container unreplicated, so its plugged
             // output goes out; a repair provisions another fresh host and
             // epochs keep committing on the surviving quorum throughout.
-            self.cluster.partition(self.backup);
+            self.cluster.crash(self.backup);
             let engine = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked)
                 .expect("streaming without an engine");
             self.stream.abort(
@@ -1059,7 +1063,7 @@ impl RunHarness {
                 "backup fault injected with no live backup".into(),
             ));
         };
-        self.cluster.partition(self.backup);
+        self.cluster.crash(self.backup);
         if engine.supports_placement() {
             let (k, _n) = engine.placement();
             let attempt = match self.stream.phase {

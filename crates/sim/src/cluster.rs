@@ -5,7 +5,8 @@
 //! cluster routes packets between the hosts' network stacks and supports the
 //! two fault-injection mechanisms of §VII-A: fail-stop emulation by blocking
 //! all of a host's traffic (the paper uses `sch_plug` for this) and "manually
-//! unplugging the network cable".
+//! unplugging the network cable". A [`Cluster::crash`] is the fail-stop
+//! itself: the host goes dark for good and its memory goes with it.
 
 use crate::ids::{HostId, IdHasher, IdMap, NsId};
 use crate::kernel::Kernel;
@@ -39,6 +40,8 @@ pub struct Cluster {
     kernels: Vec<Kernel>,
     routes: IdMap<u32, (usize, NsId)>,
     partitioned: HashSet<usize, BuildHasherDefault<IdHasher>>,
+    /// Crashed hosts: partitioned for good, [`Cluster::heal`] ignores them.
+    crashed: HashSet<usize, BuildHasherDefault<IdHasher>>,
     /// Packets between stacks during a [`Cluster::pump`], and the stacks its
     /// last round delivered to; kept for their capacity.
     in_flight: Vec<Packet>,
@@ -61,6 +64,7 @@ impl Cluster {
             kernels: Vec::new(),
             routes: IdMap::default(),
             partitioned: HashSet::default(),
+            crashed: HashSet::default(),
             in_flight: Vec::new(),
             woken: Vec::new(),
             clock: SimClock::new(),
@@ -114,9 +118,25 @@ impl Cluster {
         self.partitioned.insert(host.0 as usize);
     }
 
-    /// Heal a partition (reconnect the cable).
+    /// Fail-stop `host`: partition it for good and drop its volatile state
+    /// (processes, address spaces, page cache, disk, stacks). The slot keeps
+    /// an empty [`Kernel`] with the same cost model, so host ids stay valid
+    /// and [`Cluster::pump`] needs no special case. Use it where nothing
+    /// reads the host again; a host that is alive but unreachable (a fenced
+    /// zombie, a healing partition) stays a [`Cluster::partition`].
+    pub fn crash(&mut self, host: HostId) {
+        let idx = host.0 as usize;
+        self.partition(host);
+        self.crashed.insert(idx);
+        let costs = self.kernels[idx].costs.clone();
+        self.kernels[idx] = Kernel::new(costs);
+    }
+
+    /// Heal a partition (reconnect the cable). A crashed host stays dark.
     pub fn heal(&mut self, host: HostId) {
-        self.partitioned.remove(&(host.0 as usize));
+        if !self.crashed.contains(&(host.0 as usize)) {
+            self.partitioned.remove(&(host.0 as usize));
+        }
     }
 
     /// Whether `host` is partitioned.
@@ -182,8 +202,9 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Endpoint;
+    use crate::ids::{Endpoint, Pid};
     use crate::net::InputMode;
+    use std::rc::Rc;
 
     /// Two hosts: a server container on host 0 (addr 10) and a client on
     /// host 1 (addr 20).
@@ -272,6 +293,56 @@ mod tests {
         cli.connect(c2, Endpoint::new(10, 80)).unwrap();
         let st = cl.pump();
         assert!(st.delivered >= 2);
+    }
+
+    #[test]
+    fn crashed_host_loses_its_state_and_stays_dark() {
+        let (mut cl, h0, ns0, h1, ns1) = two_hosts();
+        let k0 = cl.host_mut(h0);
+        let cg = k0.cgroups.create("/docker/c1");
+        let pid = k0.spawn_process(Pid(1), cg, ns0, "/bin/server");
+        k0.mmap_anon(pid, 0x10000, 0x4000, true).unwrap();
+        k0.mem_write(pid, 0x10000, b"state").unwrap();
+        let page = k0.mm(pid).unwrap().snapshot_page(0x10).unwrap();
+        assert_eq!(Rc::strong_count(&page), 2, "the frame and this snapshot");
+        let srv = k0.stack_mut(ns0).unwrap();
+        let l = srv.socket();
+        srv.bind(l, 80).unwrap();
+        srv.listen(l).unwrap();
+        // A SYN queued on the way out dies with its stack: the first pump
+        // after the crash counts only the inbound drop.
+        let out = srv.socket();
+        srv.connect(out, Endpoint::new(20, 80)).unwrap();
+
+        cl.crash(h0);
+        let k0 = cl.host(h0);
+        assert!(k0.pids().is_empty(), "no process survives");
+        assert_eq!(
+            Rc::strong_count(&page),
+            1,
+            "no address space holds the page"
+        );
+        assert!(k0.stack(ns0).is_err(), "no stack survives");
+        assert!(cl.is_partitioned(h0));
+        let connect = |cl: &mut Cluster, h: HostId, ns: NsId, to: u32| {
+            let s = cl.host_mut(h).stack_mut(ns).unwrap();
+            let c = s.socket();
+            s.connect(c, Endpoint::new(to, 80)).unwrap();
+            cl.pump()
+        };
+        let st = connect(&mut cl, h1, ns1, 10);
+        assert_eq!((st.delivered, st.dropped), (0, 1), "inbound drops");
+
+        // Healing does not revive it: a stack created on the dead slot
+        // still cannot send, and nothing reaches it.
+        cl.heal(h0);
+        assert!(cl.is_partitioned(h0), "a crashed host stays dark");
+        let ns = cl.host_mut(h0).namespaces.create_set("late").net;
+        cl.host_mut(h0).create_stack(ns, 30, InputMode::Buffer);
+        let st = connect(&mut cl, h0, ns, 20);
+        assert_eq!((st.delivered, st.dropped), (0, 1), "outbound drops");
+        let st = connect(&mut cl, h1, ns1, 10);
+        assert_eq!((st.delivered, st.dropped), (0, 1), "inbound drops");
     }
 
     #[test]

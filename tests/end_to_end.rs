@@ -367,6 +367,83 @@ fn rearm_bootstrap_survives_replacement_loss_and_retries() {
         .expect("consistency preserved across failover + aborted bootstrap");
 }
 
+/// Run `mode` on `w` with a fault at 300 ms, stop at the failover epoch,
+/// and return `(dead host's pid count, holders of each resident heap page
+/// of the restored init process)`. A holder count counts the snapshot taken
+/// to read it.
+fn holders_after_failover(w: workloads::Workload, mode: RunMode) -> (usize, Vec<usize>) {
+    use nilicon_sim::PAGE_SIZE;
+    use std::rc::Rc;
+    let rearm = matches!(&mode, RunMode::Replicated(e) if e.supports_rearm());
+    let mut h = harness(w, mode);
+    h.inject_fault_at(300 * MILLISECOND);
+    while h.failovers() == 0 {
+        h.run_epochs(1).unwrap();
+    }
+    assert_eq!(h.failovers(), 1);
+    // A rearm swaps the roles: the promoted host becomes the primary.
+    let (dead, live) = if rearm {
+        (h.backup, h.primary)
+    } else {
+        (h.primary, h.backup)
+    };
+    let mm = h.cluster.host(live).mm(h.container().init_pid()).unwrap();
+    let heap = mm
+        .resident_vpns()
+        .into_iter()
+        .filter(|&vpn| mm.vma_at(vpn * PAGE_SIZE as u64).is_some_and(|v| v.is_heap));
+    let holders = heap
+        .map(|vpn| Rc::strong_count(&mm.snapshot_page(vpn).unwrap()))
+        .collect();
+    (h.cluster.host(dead).pids().len(), holders)
+}
+
+#[test]
+fn failover_leaves_the_restored_container_the_images_only_holder() {
+    // Fail-stop takes the primary's memory with it, and the paper path drops
+    // the engine (and its backup store) at promotion: each heap page is held
+    // by the restored frame alone, so the first write after failover lands
+    // in place instead of copying.
+    for w in [
+        workloads::redis(Scale::small(), 4),
+        workloads::ssdb(Scale::small(), 4),
+    ] {
+        let name = w.spec.name.clone();
+        let (dead_pids, holders) = holders_after_failover(w, nilicon_mode());
+        assert_eq!(dead_pids, 0, "{name}: the crashed primary runs nothing");
+        assert!(holders.len() > 100, "{name}: {} heap pages", holders.len());
+        assert!(
+            holders.iter().all(|&n| n == 2),
+            "{name}: frame + snapshot only, got {:?}",
+            holders
+                .iter()
+                .filter(|&&n| n != 2)
+                .take(8)
+                .collect::<Vec<_>>()
+        );
+    }
+}
+
+#[test]
+fn rearm_keeps_the_committed_image_in_the_parked_engine_until_rearm_prepare() {
+    // With rearm the engine is parked, not dropped: its backup agent's
+    // committed store still shares every restored page until the bootstrap
+    // (`rearm_prepare`) replaces it. The crashed host holds nothing.
+    let (dead_pids, holders) =
+        holders_after_failover(workloads::redis(Scale::small(), 4), rearm_mode());
+    assert_eq!(dead_pids, 0);
+    assert!(holders.len() > 100);
+    assert!(
+        holders.iter().all(|&n| n == 3),
+        "frame + parked store + snapshot, got {:?}",
+        holders
+            .iter()
+            .filter(|&&n| n != 3)
+            .take(8)
+            .collect::<Vec<_>>()
+    );
+}
+
 #[test]
 fn run_lasts_virtual_seconds_and_is_deterministic() {
     let run = || {
