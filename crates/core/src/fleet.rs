@@ -54,7 +54,7 @@ use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
 use crate::traffic::ClientBehavior;
-use nilicon_container::{Application, ContainerSpec, MemLayout};
+use nilicon_container::{Application, ContainerSpec};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
@@ -164,9 +164,6 @@ struct FleetLane {
     /// When the owning instance stopped executing: set by a fired fault,
     /// cleared at the lane's promotion.
     down_since: Option<Nanos>,
-    /// Scripted per-epoch guest writes (equivalence tests drive lanes with
-    /// the same write history a plain engine loop applies).
-    script: Vec<Vec<(u64, u8)>>,
     staged: Option<StagedEpoch>,
     unrecovered: bool,
 }
@@ -251,7 +248,6 @@ pub struct FleetScheduler {
     beat_bitmap: HashMap<u64, Vec<u64>>,
     /// Replication-network partition window `[from, until)`.
     partition_window: Option<(Nanos, Nanos)>,
-    partition_applied: bool,
 }
 
 impl FleetScheduler {
@@ -322,7 +318,6 @@ impl FleetScheduler {
                 target: 0,
                 fault_at: None,
                 down_since: None,
-                script: Vec::new(),
                 staged: None,
                 unrecovered: false,
             });
@@ -339,7 +334,6 @@ impl FleetScheduler {
             cfg,
             beat_bitmap: HashMap::new(),
             partition_window: None,
-            partition_applied: false,
         })
     }
 
@@ -360,13 +354,6 @@ impl FleetScheduler {
             e.set_tracer(tracer.clone());
         }
         l.core.set_tracer(tracer);
-    }
-
-    /// Drive lane `lane` with a scripted per-epoch guest-write history
-    /// (epoch `e` applies `history[e-1]` before its checkpoint) — the
-    /// equivalence tests' replay seam.
-    pub fn script_writes(&mut self, lane: usize, history: Vec<Vec<(u64, u8)>>) {
-        self.lanes[lane].script = history;
     }
 
     /// Fail-stop the single container of `lane` at virtual time `t` (its
@@ -459,12 +446,10 @@ impl FleetScheduler {
     fn apply_world_events(&mut self, t: Nanos) {
         if let Some((from, until)) = self.partition_window {
             // A partition, not a crash: the primary stays alive and heals.
-            if !self.partition_applied && t >= from && t < until {
-                self.partition_applied = true;
+            if !self.cluster.is_partitioned(self.primary) && t >= from && t < until {
                 self.cluster.partition(self.primary);
             }
-            if self.partition_applied && t >= until {
-                self.partition_applied = false;
+            if self.cluster.is_partitioned(self.primary) && t >= until {
                 self.cluster.heal(self.primary);
             }
         }
@@ -538,7 +523,7 @@ impl FleetScheduler {
         let epoch_exec = self.cfg.epoch_exec;
         let exec_start = t - epoch_exec;
         let host = self.host_of(li);
-        let cut = self.partition_applied;
+        let cut = self.cluster.is_partitioned(self.primary);
         let lane = &mut self.lanes[li];
         let seq = lane.epochs_done + 1;
         lane.core.tracer.begin_epoch(seq, exec_start);
@@ -547,26 +532,12 @@ impl FleetScheduler {
             offset: lane.offset,
         });
 
-        // Scripted writes (the equivalence seam): epoch `seq` applies
-        // `script[seq-1]` exactly like a plain engine-loop history. Their
-        // tracking faults belong to this epoch's record.
-        let mut script_faults = 0;
-        if let Some(writes) = lane.script.get((seq - 1) as usize) {
-            let k = self.cluster.host_mut(host);
-            let pid = lane.core.container.init_pid();
-            for &(page, val) in writes {
-                k.mem_write(pid, MemLayout::heap_page(page), &[val])?;
-            }
-            script_faults = k.fault_meter.take();
-        }
-
         let served = lane
             .core
             .serve(&mut self.cluster, host, exec_start, t, epoch_exec, None)?;
         let now = self.cluster.clock.now().max(t);
         self.cluster.clock.advance_to(now);
-        let mut record = served.record(seq);
-        record.tracking_overhead += script_faults;
+        let record = served.record(seq);
         let completions = served.completions;
 
         // Consolidated heartbeat: one channel, one liveness bit per lane.
@@ -670,7 +641,7 @@ impl FleetScheduler {
         record.ack_delay += link_wait;
         lane.core
             .tracer
-            .reconcile(record.epoch, record.stop_time, record.ack_delay)
+            .reconcile(record.epoch, record.stop_time, record.ack_delay, 0)
             .map_err(SimError::Invalid)?;
 
         // The ack lands at `completion`.
@@ -716,6 +687,7 @@ impl FleetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nilicon_container::MemLayout;
 
     fn wait_of(out: &[(usize, Nanos, Nanos)], lane: usize) -> Nanos {
         out.iter().find(|o| o.0 == lane).expect("lane scheduled").1

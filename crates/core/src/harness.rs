@@ -60,36 +60,56 @@ pub enum RunMode {
     Replicated(Box<dyn Checkpointer>),
 }
 
-impl std::fmt::Debug for RunMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// Where replication stands: the one state every epoch, fault and stream
+/// decision of the harness reads.
+enum Replication {
+    /// Unreplicated from the start (the paper's "stock" baseline): a fault
+    /// injected here is a harness-usage error.
+    Stock,
+    /// The engine drives epochs.
+    Active(Box<dyn Checkpointer>),
+    /// Re-replication only: the engine waits between a failover (or a
+    /// backup loss) and the end of the replacement backup's bootstrap.
+    Parked(Box<dyn Checkpointer>),
+    /// Replication is gone (after a failover or a backup loss without
+    /// rearm): the container serves unreplicated.
+    Spent,
+    /// The service died to a fault with no backup: no further epochs run.
+    Lost,
+}
+
+impl Replication {
+    /// The engine driving epochs. A method on the field (not on the
+    /// harness) so the borrow stays disjoint from `self.cluster`.
+    fn engine(&mut self) -> &mut dyn Checkpointer {
         match self {
-            RunMode::Unreplicated => write!(f, "Unreplicated"),
-            RunMode::Replicated(e) => write!(f, "Replicated({})", e.name()),
+            Replication::Active(engine) => engine.as_mut(),
+            _ => unreachable!("no engine is driving epochs"),
         }
     }
-}
 
-/// The engine driving epochs. A free function over the field (not a method
-/// on the harness) so the borrow stays disjoint from `self.cluster`.
-fn engine(mode: &mut RunMode) -> &mut dyn Checkpointer {
-    match mode {
-        RunMode::Replicated(engine) => engine.as_mut(),
-        RunMode::Unreplicated => unreachable!("no engine is driving epochs"),
+    /// The engine a stream of `kind` runs on: the parked one for a rearm,
+    /// the one driving epochs for a repair.
+    fn stream_engine(&mut self, kind: StreamKind) -> Option<&mut (dyn Checkpointer + 'static)> {
+        match (kind, self) {
+            (StreamKind::Rearm, Replication::Parked(engine))
+            | (StreamKind::Repair, Replication::Active(engine)) => Some(engine.as_mut()),
+            _ => None,
+        }
+    }
+
+    /// Move the state out, leaving [`Replication::Spent`] behind.
+    fn take(&mut self) -> Replication {
+        std::mem::replace(self, Replication::Spent)
     }
 }
 
-/// The engine a stream of `kind` runs on: the parked one for a rearm, the
-/// one driving epochs for a repair.
-fn stream_engine<'a>(
-    kind: StreamKind,
-    mode: &'a mut RunMode,
-    parked: &'a mut Option<Box<dyn Checkpointer>>,
-) -> Option<&'a mut (dyn Checkpointer + 'static)> {
-    match (kind, mode) {
-        (StreamKind::Rearm, _) => parked.as_deref_mut(),
-        (StreamKind::Repair, RunMode::Replicated(engine)) => Some(engine.as_mut()),
-        (StreamKind::Repair, RunMode::Unreplicated) => None,
-    }
+/// A scheduled fail-stop fault. At one instant a backup fault fires first
+/// (the order sorts by `(time, Fault)`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Fault {
+    Backup,
+    Primary,
 }
 
 /// Final outcome of a run.
@@ -155,6 +175,8 @@ struct ChaosState {
     /// Acks attempted inside a partial-loss window (drives `drop_nth`).
     acks_attempted: u64,
     stats: ChaosStats,
+    /// The release deferred from the previous epoch, if any.
+    pending_release: Option<PendingRelease>,
 }
 
 /// An output release deferred to its logical release time (chaos mode): the
@@ -170,27 +192,22 @@ struct PendingRelease {
 pub struct RunHarness {
     /// The simulated cluster: primary, backup, client hosts.
     pub cluster: Cluster,
-    /// Primary host id.
+    /// The host running the container. Every promotion swaps the roles, so
+    /// after a failover this is the promoted host.
     pub primary: HostId,
-    /// Backup host id.
+    /// The backup host. After a failover it is the failed former primary
+    /// (crashed, or a fenced zombie behind a partition) until a rearm
+    /// provisions a replacement; without rearm, for good.
     pub backup: HostId,
     /// Client host id.
     pub client_host: HostId,
     lane: Lane,
     cfg: ReplicationConfig,
-    mode: RunMode,
-    /// Pending primary-host faults, in firing order.
-    faults: VecDeque<Nanos>,
-    /// Pending backup-host faults, in firing order.
-    backup_faults: VecDeque<Nanos>,
+    replication: Replication,
+    /// Pending host faults, in firing order (one timeline for both hosts).
+    faults: VecDeque<(Nanos, Fault)>,
     stage_fails: VecDeque<(Nanos, u64)>,
-    on_backup: bool,
-    /// Whether the run was constructed replicated (fault injection into a
-    /// stock run is a harness-usage error, even after degradation).
-    replicated_run: bool,
     unrecovered_faults: u64,
-    /// The service is gone (unprotected fault): no further epochs run.
-    dead: bool,
     /// The rearm bootstrap or coded repair in flight (always idle in paper
     /// configurations: a rearm needs [`Checkpointer::supports_rearm`], a
     /// repair [`Checkpointer::supports_placement`]). During a repair the
@@ -198,28 +215,21 @@ pub struct RunHarness {
     stream: Stream,
     /// A rearm completed since the most recent failover or backup loss.
     rearmed: bool,
-    /// The engine while it is not driving epochs (between a failover and
-    /// the completion of the re-replication bootstrap).
-    parked: Option<Box<dyn Checkpointer>>,
     epoch: u64,
     /// Chaos extension state (None on every paper path).
     chaos: Option<ChaosState>,
-    /// Chaos mode: the release deferred from the previous epoch, if any.
-    pending_release: Option<PendingRelease>,
 }
 
 impl std::fmt::Debug for RunHarness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunHarness")
-            .field("mode", &self.mode)
             .field("epoch", &self.epoch)
-            .field("on_backup", &self.on_backup)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 /// Insert `item` into a queue kept sorted by `key` (after any equal keys).
-fn insert_sorted<T>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> Nanos) {
+fn insert_sorted<T, K: PartialOrd>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> K) {
     let at = key(&item);
     let pos = queue
         .iter()
@@ -241,7 +251,7 @@ impl RunHarness {
         spec: ContainerSpec,
         app: Box<dyn Application>,
         behavior: Option<Box<dyn ClientBehavior>>,
-        mut mode: RunMode,
+        mode: RunMode,
         cfg: ReplicationConfig,
         parallelism: f64,
     ) -> SimResult<Self> {
@@ -261,12 +271,14 @@ impl RunHarness {
         let lane = Lane::create(&mut cluster, primary, &spec, app, behavior, &cfg, setup)?;
 
         // Engine preparation (arms tracking, plugs the qdisc).
-        if let RunMode::Replicated(engine) = &mut mode {
-            engine.prepare(cluster.host_mut(primary), &lane.container)?;
-            cluster.host_mut(primary).meter.take();
-        }
-
-        let replicated_run = matches!(mode, RunMode::Replicated(_));
+        let replication = match mode {
+            RunMode::Unreplicated => Replication::Stock,
+            RunMode::Replicated(mut engine) => {
+                engine.prepare(cluster.host_mut(primary), &lane.container)?;
+                cluster.host_mut(primary).meter.take();
+                Replication::Active(engine)
+            }
+        };
         Ok(RunHarness {
             cluster,
             primary,
@@ -274,20 +286,14 @@ impl RunHarness {
             client_host,
             lane,
             cfg,
-            mode,
+            replication,
             faults: VecDeque::new(),
-            backup_faults: VecDeque::new(),
             stage_fails: VecDeque::new(),
-            on_backup: false,
-            replicated_run,
             unrecovered_faults: 0,
-            dead: false,
             stream: Stream::idle(),
             rearmed: false,
-            parked: None,
             epoch: 0,
             chaos: None,
-            pending_release: None,
         })
     }
 
@@ -308,6 +314,7 @@ impl RunHarness {
             acks_attempted: 0,
             stats: ChaosStats::default(),
             schedule,
+            pending_release: None,
         });
     }
 
@@ -323,13 +330,13 @@ impl RunHarness {
     /// Whether replication is currently driving epochs (false after a
     /// non-rearm failover or backup loss).
     pub fn replication_active(&self) -> bool {
-        matches!(self.mode, RunMode::Replicated(_))
+        matches!(self.replication, Replication::Active(_))
     }
 
     /// Whether the hybrid-replay extension is recording this run's epochs
     /// (the active engine supports it and is driving epochs).
     fn replay_on(&self) -> bool {
-        matches!(&self.mode, RunMode::Replicated(e) if e.supports_replay())
+        matches!(&self.replication, Replication::Active(e) if e.supports_replay())
     }
 
     /// Byte snapshot of the active container's guest heap: `pages` pages per
@@ -339,34 +346,36 @@ impl RunHarness {
     ///
     /// [`FleetScheduler::snapshot_heap`]: crate::fleet::FleetScheduler::snapshot_heap
     pub fn snapshot_heap(&mut self, pages: u64) -> Vec<u8> {
-        let host = self.active_host();
-        crate::replay::heap_snapshot(self.cluster.host_mut(host), &self.lane.container, pages)
+        let host = self.cluster.host_mut(self.primary);
+        crate::replay::heap_snapshot(host, &self.lane.container, pages)
     }
 
     /// Attach a [`Tracer`]: the harness, the engine, and the failure
     /// detector all emit spans/events into it (see `OBSERVABILITY.md` for
     /// the schema). Call before running epochs.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        if let RunMode::Replicated(engine) = &mut self.mode {
+        if let Replication::Active(engine) = &mut self.replication {
             engine.set_tracer(tracer.clone());
         }
         self.lane.set_tracer(tracer);
     }
 
-    /// Schedule a fail-stop fault of the active host at absolute virtual
-    /// time `t` (§VII-A). May be called repeatedly: faults fire in time
-    /// order, and with the `rearm` extension a later fault exercises a
-    /// second failover onto the bootstrapped replacement backup.
+    /// Schedule a fail-stop fault of the primary (the host running the
+    /// container) at absolute virtual time `t` (§VII-A). May be called
+    /// repeatedly: faults fire in time order, and with the `rearm` extension
+    /// a later fault exercises a second failover onto the bootstrapped
+    /// replacement backup.
     pub fn inject_fault_at(&mut self, t: Nanos) {
-        insert_sorted(&mut self.faults, t, |&f| f);
+        insert_sorted(&mut self.faults, (t, Fault::Primary), |&f| f);
     }
 
     /// Schedule a fail-stop fault of the *backup* host at `t`. During a
     /// re-replication bootstrap this kills the replacement (the bootstrap
     /// aborts and retries with backoff); against a healthy replicated pair
-    /// it degrades the run to unreplicated.
+    /// it degrades the run to unreplicated. A backup fault at the instant
+    /// of a primary fault fires first.
     pub fn inject_backup_fault_at(&mut self, t: Nanos) {
-        insert_sorted(&mut self.backup_faults, t, |&f| f);
+        insert_sorted(&mut self.faults, (t, Fault::Backup), |&f| f);
     }
 
     /// Schedule a one-shot pipeline-stage crash: at the first checkpoint at
@@ -376,14 +385,6 @@ impl RunHarness {
     /// for engines without staged transfer.
     pub fn inject_stage_fail_at(&mut self, t: Nanos, chunk: u64) {
         insert_sorted(&mut self.stage_fails, (t, chunk), |&(f, _)| f);
-    }
-
-    fn active_host(&self) -> HostId {
-        if self.on_backup {
-            self.backup
-        } else {
-            self.primary
-        }
     }
 
     /// Current container handle.
@@ -399,7 +400,7 @@ impl RunHarness {
     /// Whether the run has failed over at least once (the container now
     /// lives on a host other than the original primary).
     pub fn on_backup(&self) -> bool {
-        self.on_backup || self.lane.failovers > 0
+        self.lane.failovers > 0
     }
 
     /// Completed failovers so far.
@@ -478,13 +479,13 @@ impl RunHarness {
     /// otherwise *fence*: the packets stay plugged (they ride the next valid
     /// release, or die with the primary) and only the event is emitted.
     fn chaos_flush_pending(&mut self) -> SimResult<()> {
-        let Some(pr) = self.pending_release.take() else {
+        let waits = !self.replay_on();
+        let Some(ch) = self.chaos.as_mut() else {
             return Ok(());
         };
-        let ch = self
-            .chaos
-            .as_mut()
-            .expect("pending release without chaos state");
+        let Some(pr) = ch.pending_release.take() else {
+            return Ok(());
+        };
         if !ch.fence.may_release(pr.release_time) {
             self.lane.tracer.event_at(
                 TraceEvent::FencedOutput {
@@ -498,8 +499,7 @@ impl RunHarness {
         }
         let held = std::mem::take(&mut self.lane.held);
         let riding = held.into_iter().chain(pr.receipts);
-        let host = self.active_host();
-        let waits = !self.replay_on();
+        let host = self.primary;
         self.lane
             .release(&mut self.cluster, host, pr.release_time, riding, waits)
     }
@@ -514,7 +514,7 @@ impl RunHarness {
         self.chaos_flush_pending()?;
         self.chaos_edges(now);
         self.chaos_deliver_beats(now);
-        if !matches!(self.mode, RunMode::Replicated(_)) {
+        if !self.replication_active() {
             return Ok(false);
         }
         if self.lane.detector.check(now) {
@@ -568,7 +568,7 @@ impl RunHarness {
     /// the service dies to an unprotected fault).
     pub fn run_epochs(&mut self, n: u64) -> SimResult<()> {
         for _ in 0..n {
-            if self.lane.batch_done || self.dead {
+            if self.lane.batch_done || matches!(self.replication, Replication::Lost) {
                 break;
             }
             let now = self.cluster.clock.now();
@@ -577,58 +577,29 @@ impl RunHarness {
             // it pending — the fault handler voids it
             // (fault-during-output-release) or flushes it (backup faults:
             // the ack had already committed).
-            if let Some(release_time) = self.pending_release.as_ref().map(|p| p.release_time) {
-                let next_fault = self
-                    .faults
-                    .front()
-                    .into_iter()
-                    .chain(self.backup_faults.front())
-                    .min();
-                if next_fault.is_none_or(|&f| release_time <= f) {
-                    self.chaos_flush_pending()?;
-                }
+            let next_fault = self.faults.front().map(|&(t, _)| t);
+            let pending = self
+                .chaos
+                .as_ref()
+                .and_then(|ch| ch.pending_release.as_ref());
+            if pending.is_some_and(|pr| next_fault.is_none_or(|f| pr.release_time <= f)) {
+                self.chaos_flush_pending()?;
             }
-            let horizon = now + self.cfg.epoch_exec;
-            let bf_due = self.backup_faults.front().is_some_and(|&t| t <= horizon);
-            let pf_due = self.faults.front().is_some_and(|&t| t <= horizon);
-            if bf_due && (!pf_due || self.backup_faults[0] <= self.faults[0]) {
-                let t = self.backup_faults.pop_front().expect("front checked");
-                self.handle_backup_fault(t.max(now))?;
+            let Some(t) = next_fault.filter(|&t| t <= now + self.cfg.epoch_exec) else {
+                self.stream_tick()?;
+                self.run_one_epoch()?;
                 continue;
+            };
+            let (_, fault) = self.faults.pop_front().expect("front checked");
+            match fault {
+                Fault::Backup => self.handle_backup_fault(t.max(now))?,
+                // Hybrid replay: execution up to the fault instant is
+                // recoverable via the log, so serve the partial epoch
+                // before failing over instead of rounding down to the
+                // previous checkpoint.
+                Fault::Primary if self.replay_on() => self.run_truncated_epoch(t.max(now))?,
+                Fault::Primary => self.handle_primary_fault(t.max(now))?,
             }
-            if pf_due {
-                let t = self.faults.pop_front().expect("front checked");
-                if self.replay_on() {
-                    // Hybrid replay: execution up to the fault instant is
-                    // recoverable via the log, so serve the partial epoch
-                    // before failing over instead of rounding down to the
-                    // previous checkpoint.
-                    self.run_truncated_epoch(t.max(now))?;
-                    continue;
-                }
-                self.handle_primary_fault(t.max(now))?;
-                continue;
-            }
-            self.stream_tick()?;
-            self.run_one_epoch()?;
-        }
-        self.lane.metrics.elapsed = self.cluster.clock.now();
-        Ok(())
-    }
-
-    /// Run epochs until the batch workload completes (bounded by
-    /// `max_epochs`). Errors if the bound is hit first.
-    pub fn run_batch_to_completion(&mut self, max_epochs: u64) -> SimResult<()> {
-        let mut left = max_epochs;
-        while !self.lane.batch_done {
-            if left == 0 {
-                return Err(SimError::Invalid(
-                    "batch did not complete within bound".into(),
-                ));
-            }
-            let chunk = left.min(64);
-            self.run_epochs(chunk)?;
-            left -= chunk;
         }
         self.lane.metrics.elapsed = self.cluster.clock.now();
         Ok(())
@@ -648,7 +619,7 @@ impl RunHarness {
         let RunHarness {
             lane,
             cluster,
-            mode,
+            replication,
             chaos,
             primary,
             epoch,
@@ -658,7 +629,8 @@ impl RunHarness {
             if Self::chaos_blocked(chaos, at) {
                 return Ok(None);
             }
-            engine(mode)
+            replication
+                .engine()
                 .ship_log(cluster.host_mut(*primary), *epoch, events)
                 .map(Some)
         };
@@ -672,7 +644,7 @@ impl RunHarness {
             return Ok(());
         }
         let exec_start = self.cluster.clock.now();
-        let host = self.active_host();
+        let host = self.primary;
         let epoch = self.epoch;
         let epoch_end = exec_start + self.cfg.epoch_exec;
         self.lane.tracer.begin_epoch(epoch, exec_start);
@@ -693,7 +665,7 @@ impl RunHarness {
             self.chaos_beat(epoch_end);
         }
 
-        if matches!(self.mode, RunMode::Unreplicated) {
+        if !self.replication_active() {
             self.cluster.pump();
             if self.stream.streaming(StreamKind::Rearm) {
                 // Responses stay in the plugged qdisc: the bootstrap image
@@ -751,7 +723,7 @@ impl RunHarness {
         let epoch = record.epoch;
         let replay_on = self.replay_on();
         let outcome = {
-            let engine = engine(&mut self.mode);
+            let engine = self.replication.engine();
             // The execution phase that just ended is overlap time for the
             // engine's background pipeline stages (staged-pipeline
             // extension; a no-op for synchronous engines). Whatever
@@ -773,7 +745,7 @@ impl RunHarness {
         if replay_on {
             // The seal rides the checkpoint transfer: it marks the epoch's
             // log complete so a failover can replay it whole.
-            engine(&mut self.mode).seal_log(epoch)?;
+            self.replication.engine().seal_log(epoch)?;
         }
         // Chaos delay spikes stretch the ack round-trip (transfer out plus
         // ack back). With a staging engine the stretch is an explicit
@@ -801,7 +773,7 @@ impl RunHarness {
         // delay it reported (the OBSERVABILITY.md invariant).
         log.trace(tracer);
         tracer
-            .reconcile_with_log(epoch, outcome.stop_time, traced_ack, log.time)
+            .reconcile(epoch, outcome.stop_time, traced_ack, log.time)
             .map_err(SimError::Invalid)?;
         let release_time = self.cluster.clock.now() + outcome.ack_delay + chaos_extra;
 
@@ -821,8 +793,8 @@ impl RunHarness {
             self.lane
                 .unplug(&mut self.cluster, self.primary, release_time)?;
         }
-        let commit_cpu =
-            engine(&mut self.mode).commit(self.cluster.host_mut(self.backup), epoch)?;
+        let backup = self.cluster.host_mut(self.backup);
+        let commit_cpu = self.replication.engine().commit(backup, epoch)?;
         match (ack_lost, self.chaos.as_mut()) {
             (Some(true), Some(ch)) => {
                 // The primary never learns: no release, no lease renewal.
@@ -839,7 +811,7 @@ impl RunHarness {
                 self.lane
                     .tracer
                     .event_at(TraceEvent::LeaseAcquire { until }, release_time);
-                self.pending_release = Some(PendingRelease {
+                ch.pending_release = Some(PendingRelease {
                     release_time,
                     receipts: completions,
                 });
@@ -873,7 +845,7 @@ impl RunHarness {
     /// back to the last checkpoint (clients retransmit).
     fn run_truncated_epoch(&mut self, fault_time: Nanos) -> SimResult<()> {
         let exec_start = self.cluster.clock.now();
-        let host = self.active_host();
+        let host = self.primary;
         self.lane.tracer.begin_epoch(self.epoch, exec_start);
         let exec_window = fault_time
             .saturating_sub(exec_start)
@@ -891,7 +863,7 @@ impl RunHarness {
         // this partial epoch, and deliver the outputs that were granted
         // release at log commit.
         if !served.blocked {
-            engine(&mut self.mode).seal_log(self.epoch)?;
+            self.replication.engine().seal_log(self.epoch)?;
             self.lane.unplug(&mut self.cluster, host, fault_time)?;
             self.lane.stamp_committed(served.committed);
             self.lane.collect(&mut self.cluster, fault_time)?;
@@ -909,10 +881,10 @@ impl RunHarness {
     /// after a failover (the paper path, or mid-bootstrap): the service is
     /// lost. Unreplicated from the start: a harness-usage error.
     fn handle_primary_fault(&mut self, fault_time: Nanos) -> SimResult<()> {
-        if matches!(self.mode, RunMode::Replicated(_)) {
+        if self.replication_active() {
             return self.do_failover(fault_time);
         }
-        if !self.replicated_run {
+        if matches!(self.replication, Replication::Stock) {
             return Err(SimError::Invalid(
                 "fault injected into an unreplicated run".into(),
             ));
@@ -922,7 +894,7 @@ impl RunHarness {
         // goes dark, keeping its memory: the chaos runner still checks the
         // lost instance's heap against its script model.
         self.cluster.clock.advance_to(fault_time);
-        self.cluster.partition(self.active_host());
+        self.cluster.partition(self.primary);
         let discarded = (self.lane.pending.len() + self.lane.held.len()) as u64;
         self.lane
             .tracer
@@ -930,7 +902,7 @@ impl RunHarness {
         self.lane.pending.clear();
         self.lane.held.clear();
         self.unrecovered_faults += 1;
-        self.dead = true;
+        self.replication = Replication::Lost;
         Ok(())
     }
 
@@ -976,7 +948,8 @@ impl RunHarness {
         self.promote_backup(detected.saturating_sub(fault_time))
     }
 
-    /// Promote the backup ([`Lane::promote`]), then either re-arm or
+    /// Promote the backup ([`Lane::promote`]) and swap the roles: the
+    /// promoted host is the primary from now on. Then either re-arm or
     /// degrade. Shared by the injected-fault path ([`Self::do_failover`])
     /// and the chaos-detected path ([`Self::chaos_promote`]). A release
     /// deferred past the fault dies with the primary: its packets were never
@@ -984,31 +957,25 @@ impl RunHarness {
     /// output, never duplicated.
     fn promote_backup(&mut self, latency: Nanos) -> SimResult<()> {
         let voided = self
-            .pending_release
-            .take()
+            .chaos
+            .as_mut()
+            .and_then(|ch| ch.pending_release.take())
             .map_or(0, |pr| pr.receipts.len());
-        self.lane.promote(
-            &mut self.cluster,
-            self.backup,
-            engine(&mut self.mode),
-            Some(latency),
-            voided,
-        )?;
+        let (engine, backup) = (self.replication.engine(), self.backup);
+        self.lane
+            .promote(&mut self.cluster, backup, engine, Some(latency), voided)?;
+        std::mem::swap(&mut self.primary, &mut self.backup);
         // A repair in flight at failover time is moot: the rearm bootstrap
         // (if any) rebuilds the whole placement from the promoted primary.
         self.stream.reset();
-        match std::mem::replace(&mut self.mode, RunMode::Unreplicated) {
-            RunMode::Replicated(engine) if engine.supports_rearm() => {
-                // Rearm extension: the promoted host becomes the new primary
-                // (role swap keeps `active_host` and any later failover on
-                // the unmodified code path); the engine parks until a
-                // replacement backup is bootstrapped.
-                std::mem::swap(&mut self.primary, &mut self.backup);
+        // Rearm extension: the engine parks until a replacement backup is
+        // bootstrapped. Otherwise the container continues unreplicated (the
+        // paper does not re-arm replication after failover) and the engine,
+        // with its backup store, is dropped here.
+        if let Replication::Active(engine) = self.replication.take() {
+            if engine.supports_rearm() {
                 self.park_for_rearm(engine, self.cluster.clock.now());
             }
-            // Continue unreplicated on the backup (the paper does not
-            // re-arm replication after failover).
-            _ => self.on_backup = true,
         }
         self.epoch += 1;
         Ok(())
@@ -1017,7 +984,7 @@ impl RunHarness {
     /// Park `engine` and schedule the bootstrap of a replacement backup
     /// [`REARM_DELAY`] after `t`.
     fn park_for_rearm(&mut self, engine: Box<dyn Checkpointer>, t: Nanos) {
-        self.parked = Some(engine);
+        self.replication = Replication::Parked(engine);
         self.rearmed = false;
         self.stream.schedule(StreamKind::Rearm, t + REARM_DELAY, 0);
     }
@@ -1039,7 +1006,9 @@ impl RunHarness {
             // output goes out; a repair provisions another fresh host and
             // epochs keep committing on the surviving quorum throughout.
             self.cluster.crash(self.backup);
-            let engine = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked)
+            let engine = self
+                .replication
+                .stream_engine(self.stream.kind)
                 .expect("streaming without an engine");
             self.stream.abort(
                 t,
@@ -1056,9 +1025,7 @@ impl RunHarness {
                 }
             };
         }
-        let RunMode::Replicated(mut engine) =
-            std::mem::replace(&mut self.mode, RunMode::Unreplicated)
-        else {
+        let Replication::Active(mut engine) = self.replication.take() else {
             return Err(SimError::Invalid(
                 "backup fault injected with no live backup".into(),
             ));
@@ -1076,7 +1043,7 @@ impl RunHarness {
                 // stays plugged/released on the normal ack path. Provision
                 // the replacement immediately; the repair starts after the
                 // same settling delay a rearm bootstrap uses.
-                self.mode = RunMode::Replicated(engine);
+                self.replication = Replication::Active(engine);
                 self.backup = self.cluster.add_host(Kernel::default());
                 self.lane
                     .tracer
@@ -1100,11 +1067,11 @@ impl RunHarness {
     /// Replication is gone (backup lost): output commit is moot, so unplug
     /// the qdisc for good, release everything held, and deliver to clients.
     fn release_plugged_output(&mut self, t: Nanos) -> SimResult<()> {
-        let host = self.active_host();
         let ns = self.lane.container.ns.net;
-        self.cluster.host_mut(host).stack_mut(ns)?.plugged = false;
+        self.cluster.host_mut(self.primary).stack_mut(ns)?.plugged = false;
         let held = std::mem::take(&mut self.lane.held);
-        self.lane.release(&mut self.cluster, host, t, held, false)
+        self.lane
+            .release(&mut self.cluster, self.primary, t, held, false)
     }
 
     /// Start the scheduled stream once its time arrives. A rearm provisions
@@ -1120,7 +1087,7 @@ impl RunHarness {
         if rearm {
             self.backup = self.cluster.add_host(Kernel::default());
         }
-        let Some(engine) = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked) else {
+        let Some(engine) = self.replication.stream_engine(self.stream.kind) else {
             self.stream.reset();
             return Ok(());
         };
@@ -1147,7 +1114,7 @@ impl RunHarness {
     /// redundancy; a completed bootstrap resumes incremental epochs with a
     /// fresh failure detector.
     fn stream_step(&mut self) -> SimResult<()> {
-        let Some(engine) = stream_engine(self.stream.kind, &mut self.mode, &mut self.parked) else {
+        let Some(engine) = self.replication.stream_engine(self.stream.kind) else {
             return Ok(());
         };
         let now = self.cluster.clock.now();
@@ -1164,8 +1131,9 @@ impl RunHarness {
         if !done || self.stream.kind == StreamKind::Repair {
             return Ok(());
         }
-        let engine = self.parked.take().expect("just used");
-        self.mode = RunMode::Replicated(engine);
+        if let Replication::Parked(engine) = self.replication.take() {
+            self.replication = Replication::Active(engine);
+        }
         self.rearmed = true;
         self.lane.detector = FailureDetector::new(now);
         self.lane.detector.set_tracer(self.lane.tracer.clone());
@@ -1188,7 +1156,8 @@ impl RunHarness {
         // A scheduled fault that never fired is unproven survival: the old
         // `recovered` semantics (fault pending + still on the primary =
         // not recovered) are preserved by counting it against the run.
-        let unrecovered = self.unrecovered_faults + self.faults.len() as u64;
+        let pending = self.faults.iter().filter(|f| f.1 == Fault::Primary);
+        let unrecovered = self.unrecovered_faults + pending.count() as u64;
         RunResult {
             metrics: self.lane.metrics,
             failover: self.lane.failover_report,

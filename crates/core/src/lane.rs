@@ -624,16 +624,18 @@ impl Lane {
 
     /// End of run: flush the trace and fold the §VII-A checks. A failed
     /// client-stack lookup must fail the run, not count as zero broken
-    /// connections — it is folded into `verify` so the gate cannot pass
-    /// vacuously. Returns `(broken connections, verify)`.
+    /// connections, and a trace that could not be written must fail it too:
+    /// both are folded into `verify` so the gate cannot pass vacuously.
+    /// Returns `(broken connections, verify)`.
     pub fn finish(&mut self, cluster: &mut Cluster) -> (u64, Result<(), String>) {
-        let _ = self.tracer.flush();
+        let flushed = self.tracer.flush().map_err(|e| format!("trace: {e}"));
         let broken = self
             .pool
             .as_ref()
             .map_or(Ok(0), |p| p.broken_connections(cluster));
+        let verify = self.behavior.as_ref().map_or(Ok(()), |b| b.verify());
         match broken {
-            Ok(n) => (n, self.behavior.as_ref().map_or(Ok(()), |b| b.verify())),
+            Ok(n) => (n, flushed.and(verify)),
             Err(e) => (u64::MAX, Err(format!("broken_connections: {e}"))),
         }
     }

@@ -874,7 +874,7 @@ mod tests {
                 tracer.begin_epoch(epoch as u64, 0);
                 let o = e.checkpoint(&mut p, &mut b, &c, epoch as u64).unwrap();
                 tracer
-                    .reconcile(epoch as u64, o.stop_time, o.ack_delay)
+                    .reconcile(epoch as u64, o.stop_time, o.ack_delay, 0)
                     .unwrap();
                 e.commit(&mut b, epoch as u64).unwrap();
                 total_bytes += o.state_bytes;
@@ -965,7 +965,7 @@ mod tests {
             }
             tracer.begin_epoch(2, 0);
             let o = e.checkpoint(&mut p, &mut b, &c, 2).unwrap();
-            tracer.reconcile(2, o.stop_time, o.ack_delay).unwrap();
+            tracer.reconcile(2, o.stop_time, o.ack_delay, 0).unwrap();
             e.commit(&mut b, 2).unwrap();
             (o, ring.snapshot(), e)
         };

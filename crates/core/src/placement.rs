@@ -676,7 +676,9 @@ mod tests {
                 apply(&mut p, &c, epoch);
                 tracer.begin_epoch(epoch, 0);
                 let o = e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
-                tracer.reconcile(epoch, o.stop_time, o.ack_delay).unwrap();
+                tracer
+                    .reconcile(epoch, o.stop_time, o.ack_delay, 0)
+                    .unwrap();
                 assert!(o.ack_delay > 0, "staged ack path");
                 e.commit(&mut b, epoch).unwrap();
                 dirty.push(o.dirty_pages);
@@ -783,7 +785,9 @@ mod tests {
                 apply(&mut p, &c, epoch);
                 tracer.begin_epoch(epoch, 0);
                 let o = e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
-                tracer.reconcile(epoch, o.stop_time, o.ack_delay).unwrap();
+                tracer
+                    .reconcile(epoch, o.stop_time, o.ack_delay, 0)
+                    .unwrap();
                 e.commit(&mut b, epoch).unwrap();
                 let spans: Vec<TraceRecord> = ring
                     .snapshot()

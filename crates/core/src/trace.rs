@@ -53,7 +53,7 @@
 //! tracer.span(TraceEvent::Transfer { bytes: 12_288 }, 40);
 //! tracer.span(TraceEvent::BackupIngest { probes: 12 }, 20);
 //! tracer.span(TraceEvent::Ack, 30);
-//! tracer.reconcile(1, 105, 90).unwrap();
+//! tracer.reconcile(1, 105, 90, 0).unwrap();
 //! let recs = ring.snapshot();
 //! assert_eq!(recs.len(), 6);
 //! assert_eq!(recs[1].t, 10, "spans are laid out contiguously");
@@ -610,9 +610,12 @@ impl RingHandle {
     }
 }
 
-/// JSONL file sink: one [`TraceRecord`] per line.
+/// JSONL file sink: one [`TraceRecord`] per line. The first write error is
+/// kept and returned by the next [`TraceSink::flush`], so a trace that could
+/// not be written fails the run instead of ending short.
 pub struct JsonlSink {
     out: std::io::BufWriter<std::fs::File>,
+    error: Option<std::io::Error>,
 }
 
 impl JsonlSink {
@@ -620,6 +623,7 @@ impl JsonlSink {
     pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         Ok(JsonlSink {
             out: std::io::BufWriter::new(std::fs::File::create(path)?),
+            error: None,
         })
     }
 }
@@ -629,12 +633,17 @@ impl TraceSink for JsonlSink {
         // Serialization of a TraceRecord cannot fail; a full disk surfaces
         // on flush.
         if let Ok(line) = serde_json::to_string(rec) {
-            let _ = writeln!(self.out, "{line}");
+            if let Err(e) = writeln!(self.out, "{line}") {
+                self.error.get_or_insert(e);
+            }
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.out.flush()
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.out.flush(),
+        }
     }
 }
 
@@ -788,15 +797,10 @@ impl Tracer {
 
     /// Check the epoch's phase spans against the engine-reported
     /// `stop_time`/`ack_delay` (see the module docs for the exact identity)
-    /// and reset the sums. Vacuously `Ok` if no phase spans were emitted.
-    pub fn reconcile(&self, epoch: u64, stop_time: Nanos, ack_delay: Nanos) -> Result<(), String> {
-        self.reconcile_with_log(epoch, stop_time, ack_delay, 0)
-    }
-
-    /// [`Tracer::reconcile`] extended with the hybrid-replay axis: log-ship
-    /// spans must additionally sum to `log_total` (the engine-reported
-    /// cumulative log commit latency this epoch). Paper-path epochs pass 0.
-    pub fn reconcile_with_log(
+    /// and its log-ship spans against `log_total` (the hybrid-replay axis:
+    /// the cumulative log commit latency this epoch; 0 without a log), then
+    /// reset the sums. Vacuously `Ok` if no phase spans were emitted.
+    pub fn reconcile(
         &self,
         epoch: u64,
         stop_time: Nanos,
@@ -851,7 +855,7 @@ mod tests {
         assert!(!t.enabled());
         t.begin_epoch(1, 0);
         t.span(TraceEvent::Freeze, 100);
-        t.reconcile(1, 999, 999).unwrap(); // never fails when disabled
+        t.reconcile(1, 999, 999, 0).unwrap(); // never fails when disabled
         t.flush().unwrap();
     }
 
@@ -887,7 +891,7 @@ mod tests {
         t.span(TraceEvent::Transfer { bytes: 1 }, 7);
         t.span(TraceEvent::BackupIngest { probes: 0 }, 3);
         t.span(TraceEvent::Ack, 2);
-        t.reconcile(1, 35, 12).unwrap();
+        t.reconcile(1, 35, 12, 0).unwrap();
         // Inline (no staging): everything inside stop_time.
         t.begin_epoch(2, 0);
         t.span(TraceEvent::Freeze, 10);
@@ -896,7 +900,7 @@ mod tests {
         t.span(TraceEvent::Transfer { bytes: 1 }, 7);
         t.span(TraceEvent::BackupIngest { probes: 0 }, 3);
         t.span(TraceEvent::Ack, 2);
-        t.reconcile(2, 47, 0).unwrap();
+        t.reconcile(2, 47, 0, 0).unwrap();
     }
 
     #[test]
@@ -917,7 +921,7 @@ mod tests {
         t.span(TraceEvent::Transfer { bytes: 32_768 }, 7);
         t.span(TraceEvent::BackupIngest { probes: 0 }, 3);
         t.span(TraceEvent::Ack, 2);
-        t.reconcile(1, 35, 52).unwrap();
+        t.reconcile(1, 35, 52, 0).unwrap();
     }
 
     #[test]
@@ -937,7 +941,7 @@ mod tests {
         t.span(TraceEvent::Transfer { bytes: 4096 }, 7);
         t.span(TraceEvent::BackupIngest { probes: 1 }, 3);
         t.span(TraceEvent::Ack, 2);
-        t.reconcile_with_log(1, 35, 12, 68).unwrap();
+        t.reconcile(1, 35, 12, 68).unwrap();
         // A missing log total is a reconciliation failure, not a silent pass.
         t.begin_epoch(2, 0);
         t.span(TraceEvent::Freeze, 35);
@@ -948,7 +952,7 @@ mod tests {
             },
             9,
         );
-        let err = t.reconcile(2, 35, 0).unwrap_err();
+        let err = t.reconcile(2, 35, 0, 0).unwrap_err();
         assert!(err.contains("log spans 9ns"), "{err}");
     }
 
@@ -957,12 +961,12 @@ mod tests {
         let (t, _ring) = Tracer::in_memory(16);
         t.begin_epoch(1, 0);
         t.span(TraceEvent::Freeze, 10);
-        let err = t.reconcile(1, 35, 0).unwrap_err();
+        let err = t.reconcile(1, 35, 0, 0).unwrap_err();
         assert!(err.contains("epoch 1"), "{err}");
         // Sums reset: the next epoch starts clean.
         t.begin_epoch(2, 0);
         t.span(TraceEvent::Freeze, 35);
-        t.reconcile(2, 35, 0).unwrap();
+        t.reconcile(2, 35, 0, 0).unwrap();
     }
 
     #[test]
@@ -977,7 +981,7 @@ mod tests {
             30,
         );
         t.event_at(TraceEvent::OutputRelease { packets: 4 }, 99);
-        t.reconcile(1, 123, 456).unwrap();
+        t.reconcile(1, 123, 456, 0).unwrap();
     }
 
     #[test]

@@ -15,7 +15,7 @@ use nilicon::trace::{TraceEvent, Tracer};
 use nilicon::traffic::ClientBehavior;
 use nilicon::{Checkpointer, NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_container::{
-    Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout, RequestOutcome,
+    Application, ContainerRuntime, ContainerSpec, GuestCtx, MemLayout, RequestOutcome, StepOutcome,
 };
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::time::Nanos;
@@ -28,15 +28,34 @@ type EpochWrites = Vec<(u64, u8)>;
 /// Per-epoch `(stop_time, ack_delay, state_bytes, dirty_pages)`.
 type Outcomes = Vec<(Nanos, Nanos, u64, u64)>;
 
-/// An application that does nothing by itself (the test scripts guest
-/// writes directly, exactly like the plain engine-loop histories).
-struct Inert;
-impl Application for Inert {
+/// Exec window of `ReplicationConfig::default()`.
+const EPOCH: Nanos = 30_000_000;
+
+/// A batch application that takes one step per epoch: step `e` writes
+/// `history[e]` into the heap and burns a whole epoch's CPU budget, so the
+/// fleet's epoch `e + 1` checkpoints exactly the writes the plain loop
+/// applies before its checkpoint `e + 1`.
+struct Scripted {
+    history: Vec<EpochWrites>,
+    next: usize,
+}
+impl Application for Scripted {
     fn name(&self) -> &str {
-        "inert"
+        "scripted"
     }
     fn init(&mut self, _ctx: &mut GuestCtx<'_>) -> SimResult<()> {
         Ok(())
+    }
+    fn step(&mut self, ctx: &mut GuestCtx<'_>) -> SimResult<StepOutcome> {
+        for &(page, val) in self.history.get(self.next).into_iter().flatten() {
+            ctx.heap_touch_page(page, val)?;
+        }
+        self.next += 1;
+        ctx.cpu(EPOCH);
+        Ok(StepOutcome { done: false })
+    }
+    fn is_server(&self) -> bool {
+        false
     }
 }
 
@@ -55,7 +74,7 @@ fn run_plain(opts: OptimizationConfig, history: &[EpochWrites]) -> Outcomes {
             p.mem_write(c.init_pid(), MemLayout::heap_page(page), &[val])
                 .unwrap();
         }
-        e.pipeline_advance(30_000_000);
+        e.pipeline_advance(EPOCH);
         let o = e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
         e.commit(&mut b, epoch).unwrap();
         outcomes.push((o.stop_time, o.ack_delay, o.state_bytes, o.dirty_pages));
@@ -63,7 +82,7 @@ fn run_plain(opts: OptimizationConfig, history: &[EpochWrites]) -> Outcomes {
     outcomes
 }
 
-/// The same history through a one-lane fleet.
+/// The same history through a one-lane fleet, written by its application.
 fn run_fleet1(opts: OptimizationConfig, history: &[EpochWrites]) -> Outcomes {
     let mut cfg = ReplicationConfig { opts, ..Default::default() };
     cfg.opts.fleet = 1;
@@ -71,17 +90,22 @@ fn run_fleet1(opts: OptimizationConfig, history: &[EpochWrites]) -> Outcomes {
         cfg,
         vec![LaneSpec {
             spec: ContainerSpec::server("redis", 10, 6379),
-            app: Box::new(Inert),
+            app: Box::new(Scripted {
+                history: history.to_vec(),
+                next: 0,
+            }),
             behavior: None,
         }],
     )
     .unwrap();
-    fleet.script_writes(0, history.to_vec());
     fleet.run_epochs(history.len() as u64).unwrap();
     let r = fleet.finish();
-    r.lanes[0]
-        .metrics
-        .epochs
+    let epochs = &r.lanes[0].metrics.epochs;
+    assert!(
+        epochs.iter().all(|e| e.steps_done == 1),
+        "one step per epoch"
+    );
+    epochs
         .iter()
         .map(|e| (e.stop_time, e.ack_delay, e.state_bytes, e.dirty_pages))
         .collect()

@@ -191,8 +191,8 @@ fn batch_counter_is_exact_without_faults() {
         1.0,
     )
     .unwrap();
-    h.run_batch_to_completion(1000).unwrap();
-    assert!(h.batch_done());
+    h.run_epochs(1000).unwrap();
+    assert!(h.batch_done(), "the batch completes within 1000 epochs");
     let r = h.finish();
     assert_eq!(
         r.metrics.steps_total, 500,
@@ -217,14 +217,16 @@ fn failover_mid_batch_never_double_counts() {
     )
     .unwrap();
     h.inject_fault_at(200 * MILLISECOND);
-    h.run_batch_to_completion(2000).unwrap();
+    h.run_epochs(2000).unwrap();
+    assert!(h.batch_done(), "the batch completes within 2000 epochs");
     assert!(h.on_backup());
-    // Read the counter from the restored guest memory.
+    // Read the counter from the restored guest memory, on the promoted host
+    // (a promotion swaps the roles).
     let pid = h.container().init_pid();
-    let backup = h.backup;
+    let promoted = h.primary;
     let mut buf = [0u8; 8];
     h.cluster
-        .host_mut(backup)
+        .host_mut(promoted)
         .mem_read(pid, nilicon_container::MemLayout::heap(0), &mut buf)
         .unwrap();
     assert_eq!(
@@ -371,4 +373,65 @@ fn harness_rejects_a_zero_epoch() {
 fn harness_rejects_a_zero_rearm_chunk() {
     let msg = harness_rejects(|c| c.rearm_chunk_pages = 0);
     assert!(msg.contains("cfg.rearm_chunk_pages"), "{msg}");
+}
+
+/// The echo service with one validating client, replicated under the
+/// paper config.
+fn replicated_echo() -> RunHarness {
+    RunHarness::new(
+        spec(),
+        Box::new(Echo),
+        Some(Box::new(Clients::new(1))),
+        nilicon(),
+        ReplicationConfig::default(),
+        1.0,
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_backup_fault_fires_before_a_primary_fault_at_the_same_instant() {
+    // One fault timeline for both hosts: at a tie the backup fault fires
+    // first, whichever was injected first. Under the paper config it
+    // degrades the run to unreplicated, so the primary fault then finds no
+    // backup: no failover, one unrecovered fault. (Primary-first would fail
+    // over and then reject the backup fault: no live backup.)
+    for backup_injected_first in [true, false] {
+        let mut h = replicated_echo();
+        let t = 200 * MILLISECOND;
+        if backup_injected_first {
+            h.inject_backup_fault_at(t);
+            h.inject_fault_at(t);
+        } else {
+            h.inject_fault_at(t);
+            h.inject_backup_fault_at(t);
+        }
+        h.run_epochs(20).unwrap();
+        let r = h.finish();
+        assert_eq!(
+            (r.failovers, r.unrecovered_faults),
+            (0, 1),
+            "backup fault injected first: {backup_injected_first}"
+        );
+    }
+}
+
+#[test]
+fn a_paper_path_promotion_makes_the_promoted_host_the_primary() {
+    // No rearm: after the failover `primary` names the host that runs the
+    // restored container and `backup` the crashed one.
+    let mut h = replicated_echo();
+    let (original, standby) = (h.primary, h.backup);
+    h.inject_fault_at(200 * MILLISECOND);
+    h.run_epochs(20).unwrap();
+    assert_eq!(h.failovers(), 1);
+    assert_eq!((h.primary, h.backup), (standby, original), "roles swapped");
+    let pid = h.container().init_pid();
+    assert!(h.cluster.host(h.primary).proc(pid).is_ok());
+    assert!(h.cluster.host(h.backup).pids().is_empty(), "crashed host");
+    // `snapshot_heap` reads the running container: the echo stages each
+    // request at heap offset 0 (a crashed host would read as zeros).
+    let heap = h.snapshot_heap(1);
+    assert!(heap.starts_with(b"client-0-seq-"), "{:?}", &heap[..16]);
+    h.finish().verify.unwrap();
 }

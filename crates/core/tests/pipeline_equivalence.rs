@@ -138,7 +138,9 @@ fn placement_history(
         }
         tracer.begin_epoch(epoch, 0);
         let o = e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
-        tracer.reconcile(epoch, o.stop_time, o.ack_delay).unwrap();
+        tracer
+            .reconcile(epoch, o.stop_time, o.ack_delay, 0)
+            .unwrap();
         e.commit(&mut b, epoch).unwrap();
     }
     let stored = e.stored_fragment_bytes();
@@ -205,7 +207,7 @@ fn stage_crash_replays_chunk_without_loss_or_duplication() {
         e.stage_fail_at_chunk = fail;
         tracer.begin_epoch(2, 0);
         let o = e.checkpoint(&mut p, &mut b, &c, 2).unwrap();
-        tracer.reconcile(2, o.stop_time, o.ack_delay).unwrap();
+        tracer.reconcile(2, o.stop_time, o.ack_delay, 0).unwrap();
         e.commit(&mut b, 2).unwrap();
         assert_eq!(e.stage_fail_at_chunk, None, "injection fires exactly once");
         (e.agent.materialize().unwrap(), o, ring.snapshot())
@@ -292,7 +294,7 @@ fn backpressure_stalls_stop_phase_and_drains_with_overlap() {
     }
     tracer.begin_epoch(1, 0);
     let o1 = e.checkpoint(&mut p, &mut b, &c, 1).unwrap();
-    tracer.reconcile(1, o1.stop_time, o1.ack_delay).unwrap();
+    tracer.reconcile(1, o1.stop_time, o1.ack_delay, 0).unwrap();
     e.commit(&mut b, 1).unwrap();
 
     // No pipeline_advance: epoch 1's entire ack backlog hits epoch 2's stop.
@@ -300,7 +302,7 @@ fn backpressure_stalls_stop_phase_and_drains_with_overlap() {
         .unwrap();
     tracer.begin_epoch(2, 0);
     let o2 = e.checkpoint(&mut p, &mut b, &c, 2).unwrap();
-    tracer.reconcile(2, o2.stop_time, o2.ack_delay).unwrap();
+    tracer.reconcile(2, o2.stop_time, o2.ack_delay, 0).unwrap();
     e.commit(&mut b, 2).unwrap();
     let stalled = ring
         .snapshot()
@@ -319,7 +321,7 @@ fn backpressure_stalls_stop_phase_and_drains_with_overlap() {
         .unwrap();
     tracer.begin_epoch(3, 0);
     let o3 = e.checkpoint(&mut p, &mut b, &c, 3).unwrap();
-    tracer.reconcile(3, o3.stop_time, o3.ack_delay).unwrap();
+    tracer.reconcile(3, o3.stop_time, o3.ack_delay, 0).unwrap();
     assert!(
         !ring
             .snapshot()

@@ -2,8 +2,9 @@
 //! the `EpochRecord` totals the harness reports (the OBSERVABILITY.md
 //! invariant), and fault injection must surface as detector/failover events.
 
+use nilicon::fleet::{FleetScheduler, LaneSpec};
 use nilicon::harness::{RunHarness, RunMode};
-use nilicon::trace::{TraceEvent, Tracer};
+use nilicon::trace::{TraceEvent, TraceRecord, TraceSink, Tracer};
 use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome};
 use nilicon_sim::time::{Nanos, MILLISECOND};
@@ -207,4 +208,63 @@ fn injected_stage_fail_traces_a_stage_restart() {
         })
         .collect();
     assert_eq!(restarts, [("ingest".to_string(), 0)]);
+}
+
+/// A sink that takes every record and cannot flush them (a full disk).
+struct Unflushable;
+
+impl TraceSink for Unflushable {
+    fn record(&mut self, _rec: &TraceRecord) {}
+    fn flush(&mut self) -> std::io::Result<()> {
+        Err(std::io::Error::other("no space left"))
+    }
+}
+
+/// `verify` of a replicated echo run traced into `tracer`, under the
+/// harness (`fleet == false`) or a one-lane fleet.
+fn verify_traced(tracer: Tracer, fleet: bool) -> Result<(), String> {
+    let opts = OptimizationConfig::nilicon();
+    let client = Box::new(OneClient { seq: 0 });
+    if fleet {
+        let cfg = ReplicationConfig {
+            opts: OptimizationConfig { fleet: 1, ..opts },
+            ..Default::default()
+        };
+        let lane = LaneSpec {
+            spec: spec(),
+            app: Box::new(Echo),
+            behavior: Some(client),
+        };
+        let mut f = FleetScheduler::new(cfg, vec![lane]).unwrap();
+        f.set_tracer(0, tracer);
+        f.run_epochs(5).unwrap();
+        return f.finish().lanes.remove(0).verify;
+    }
+    let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
+    let cfg = ReplicationConfig::default();
+    let mut h = RunHarness::new(spec(), Box::new(Echo), Some(client), mode, cfg, 1.0).unwrap();
+    h.set_tracer(tracer);
+    h.run_epochs(5).unwrap();
+    h.finish().verify
+}
+
+#[test]
+fn a_trace_that_cannot_be_flushed_fails_the_run() {
+    for fleet in [false, true] {
+        verify_traced(Tracer::in_memory(64).0, fleet).unwrap();
+        let err = verify_traced(Tracer::new(Box::new(Unflushable)), fleet).unwrap_err();
+        assert!(
+            err.contains("trace") && err.contains("no space left"),
+            "{err}"
+        );
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_trace_written_to_a_full_device_fails_the_run() {
+    for fleet in [false, true] {
+        let err = verify_traced(Tracer::to_file("/dev/full").unwrap(), fleet).unwrap_err();
+        assert!(err.starts_with("trace: "), "{err}");
+    }
 }

@@ -161,8 +161,9 @@ fn cache_invalidation_survives_failover() {
     h.inject_fault_at(h.cluster.clock.now() + 10 * MILLISECOND);
     h.run_epochs(10).unwrap();
     assert!(h.on_backup());
-    let backup = h.backup;
-    let restored_mounts = h.cluster.host_mut(backup).vfs.mounts().len();
+    // A promotion swaps the roles: the restored container runs on `primary`.
+    let promoted = h.primary;
+    let restored_mounts = h.cluster.host_mut(promoted).vfs.mounts().len();
     assert!(
         restored_mounts > mounts_before,
         "the ftrace-invalidated cache shipped the new mount: {restored_mounts} > {mounts_before}"
