@@ -283,7 +283,8 @@ impl BackupAgent {
     /// An epoch carrying a delta for a page the store has never seen is
     /// rejected as [`SimError::ImageCorrupt`] before it mutates anything (a
     /// delta is only meaningful against the base the primary diffed it
-    /// from); the epoch stays pending and earlier epochs stay committed.
+    /// from); the epoch stays pending and earlier epochs stay committed,
+    /// memory and disk alike.
     pub fn commit(&mut self, epoch: u64, backup_disk: &mut BlockDevice) -> SimResult<Nanos> {
         let epochs: Vec<u64> = self.pending.range(..=epoch).map(|(&e, _)| e).collect();
         let per_probe = if self.use_radix {
@@ -292,7 +293,7 @@ impl BackupAgent {
             self.costs.list_probe_per_ckpt
         };
         let mut cpu: Nanos = 0;
-        let mut total_probes = 0u64;
+        let (mut total_probes, mut disk_pages) = (0u64, 0u64);
         for e in epochs {
             let img = &self.pending[&e].0;
             let orphan = img.page_deltas.iter().find(|(pid, vpn, enc)| {
@@ -372,8 +373,12 @@ impl BackupAgent {
             }
             self.committed_meta = Some(img);
             self.committed_epoch = Some(e);
+            // The epoch's disk writes commit with its memory: a later epoch
+            // rejected below must not leave them buffered for a failover to
+            // discard.
+            disk_pages += self.drbd.commit(e, backup_disk) as u64;
         }
-        let disk_pages = self.drbd.commit(epoch, backup_disk) as u64;
+        disk_pages += self.drbd.commit(epoch, backup_disk) as u64;
         cpu += disk_pages as Nanos * self.costs.restore_disk_per_page;
         self.last_commit_stats = (total_probes, disk_pages);
         Ok(cpu)
@@ -651,6 +656,32 @@ mod tests {
             let full = a.materialize().unwrap();
             assert_eq!(full.pages[0].2[0], 1, "epoch 2's full page did not land");
         }
+    }
+
+    #[test]
+    fn a_rejected_epoch_leaves_the_earlier_epochs_disk_committed() {
+        let mut a = agent();
+        let mut disk = BlockDevice::new(DevId(2));
+        let write = nilicon_sim::block::DiskWrite {
+            ino: Ino(7),
+            page_idx: 3,
+            data: Rc::new([1; PAGE_SIZE]),
+        };
+        a.ingest(img(1, &[(1, 0x10, 1)]));
+        a.ingest_drbd(vec![DrbdMsg::Write(write), DrbdMsg::Barrier(1)]);
+        let mut i2 = img(2, &[]);
+        i2.page_deltas
+            .push((Pid(1), 0x20, PageEncoding::Delta(Default::default())));
+        a.ingest(i2);
+        a.ingest_drbd(vec![DrbdMsg::Barrier(2)]);
+
+        let err = a.commit(2, &mut disk).unwrap_err();
+        assert!(matches!(err, SimError::ImageCorrupt(_)), "got {err:?}");
+        assert_eq!(a.committed_epoch(), Some(1));
+        // Epoch 1's memory is committed, so its disk is too: a failover
+        // restores the two from the same epoch.
+        assert_eq!(disk.read_page(Ino(7), 3).map(|p| p[0]), Some(1));
+        assert_eq!(a.discard_uncommitted().drbd, 0);
     }
 
     #[test]

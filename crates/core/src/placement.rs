@@ -699,70 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn any_k_subset_reconstructs_identical_image() {
-        let (mut p, mut b, c, mut e) = setup(2, 3);
-        e.prepare(&mut p, &c).unwrap();
-        for epoch in 1..=4u64 {
-            apply(&mut p, &c, epoch);
-            e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
-            e.commit(&mut b, epoch).unwrap();
-        }
-        let ref_img = e.reconstruct_committed(&[0, 1]).unwrap();
-        assert!(!ref_img.pages.is_empty());
-        for subset in [[0usize, 2], [1, 2]] {
-            let img = e.reconstruct_committed(&subset).unwrap();
-            assert_eq!(img.pages.len(), ref_img.pages.len());
-            for (a, r) in img.pages.iter().zip(ref_img.pages.iter()) {
-                assert_eq!((a.0, a.1), (r.0, r.1));
-                assert_eq!(a.2, r.2, "page {:?}/{:#x} from {subset:?}", a.0, a.1);
-            }
-        }
-    }
-
-    #[test]
-    fn placement_image_matches_single_backup_nilicon() {
-        // The committed image reconstructed from shards must be
-        // byte-identical to the image a plain NiLiCon warm backup holds
-        // after the same writes.
-        let mut opts = OptimizationConfig::nilicon();
-        let mut pa = Kernel::default();
-        let mut ba = Kernel::default();
-        let ca =
-            ContainerRuntime::create(&mut pa, &ContainerSpec::server("redis", 10, 6379)).unwrap();
-        let mut ea = NiLiConEngine::new(opts, pa.costs.clone());
-        ea.prepare(&mut pa, &ca).unwrap();
-        for epoch in 1..=5u64 {
-            apply(&mut pa, &ca, epoch);
-            ea.checkpoint(&mut pa, &mut ba, &ca, epoch).unwrap();
-            ea.commit(&mut ba, epoch).unwrap();
-        }
-        let img_a = ea.agent.materialize().unwrap();
-
-        opts.backups = 3;
-        opts.quorum = 2;
-        let mut pb = Kernel::default();
-        let mut bb = Kernel::default();
-        let cb =
-            ContainerRuntime::create(&mut pb, &ContainerSpec::server("redis", 10, 6379)).unwrap();
-        let mut eb = PlacementEngine::new(opts, pb.costs.clone()).unwrap();
-        eb.prepare(&mut pb, &cb).unwrap();
-        for epoch in 1..=5u64 {
-            apply(&mut pb, &cb, epoch);
-            eb.checkpoint(&mut pb, &mut bb, &cb, epoch).unwrap();
-            eb.commit(&mut bb, epoch).unwrap();
-        }
-        let img_b = eb.reconstruct_committed(&[1, 2]).unwrap();
-
-        assert_eq!(img_a.pages.len(), img_b.pages.len());
-        for (x, y) in img_a.pages.iter().zip(img_b.pages.iter()) {
-            assert_eq!((x.0, x.1), (y.0, y.1));
-            assert_eq!(x.2, y.2, "page {:?}/{:#x} diverged", x.0, x.1);
-        }
-        assert_eq!(pa.vfs.disk.digest(), pb.vfs.disk.digest());
-        assert_eq!(ba.vfs.disk.digest(), bb.vfs.disk.digest());
-    }
-
-    #[test]
     fn stop_phase_is_the_single_backup_engines_at_any_placement() {
         // One scripted write history under NiLiCon and under (1,1) and (2,3)
         // placements: how the checkpoint is laid out on replicas is decided

@@ -173,8 +173,6 @@ pub struct CostModel {
     pub repl_link_per_byte_ns_x1000: u64,
     /// Per-message (send syscall + NIC doorbell) overhead on the link.
     pub repl_msg_overhead: Nanos,
-    /// Client-facing link: per-byte cost (1 Gb/s → 8 ns/B).
-    pub client_link_per_byte_ns_x1000: u64,
     /// Client-facing link one-way latency.
     pub client_link_latency: Nanos,
 
@@ -309,7 +307,6 @@ impl Default for CostModel {
             repl_link_latency: us(15),
             repl_link_per_byte_ns_x1000: 800, // 0.8 ns/B = 10 Gb/s
             repl_msg_overhead: us(4),
-            client_link_per_byte_ns_x1000: 8_000, // 8 ns/B = 1 Gb/s
             client_link_latency: us(80),
 
             backup_recv_per_byte_ns_x1000: 900,
@@ -420,11 +417,6 @@ mod tests {
         // 10 Gb/s: 1.25 GB/s → 1 MiB in ~0.84 ms.
         let t = c.repl_wire(1024 * 1024);
         assert!((700 * MICROSECOND..1_000 * MICROSECOND).contains(&t));
-        // 1 Gb/s is 10x slower.
-        assert_eq!(
-            c.client_link_per_byte_ns_x1000,
-            10 * c.repl_link_per_byte_ns_x1000
-        );
     }
 
     #[test]

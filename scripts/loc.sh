@@ -3,7 +3,7 @@
 # `#[cfg(test)]`, for every crates/*/src/**/*.rs, plus the total, then the
 # same for vendored/*/src/**/*.rs with a total of its own. The two totals
 # together are the "net LOC (non-test, non-doc)" figure the ROADMAP ground
-# rules ask each PR to report. Exits non-zero when the two epoch drivers and the lane core they
+# rules ask each PR to report; a `tests` total follows them. Exits non-zero when the two epoch drivers and the lane core they
 # share (harness.rs + fleet.rs + lane.rs) exceed the first ratchet below, or
 # the replication engine (nilicon_engine.rs + placement.rs + stages.rs, plus
 # any file engine code moves into) the second; ROADMAP item 1 PRs lower the
@@ -48,6 +48,23 @@ for f in $(find vendored/*/src -name '*.rs' | sort); do
     vendored=$((vendored + n))
 done
 printf '%6d  vendored total\n' "$vendored"
+# Test code, the same count (informational, no ratchet): every line of
+# tests/*.rs and crates/*/tests/*.rs, and each source file's in-file test
+# module, from its first `#[cfg(test)]` to the end of the file.
+test_lines() {
+    awk -v whole="$1" '/^[[:space:]]*#\[cfg\(test\)\]/ { on = 1 }
+         !(whole + 0 || on) || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+         { n++ }
+         END { print n + 0 }' "$2"
+}
+tests=0
+for f in $(find tests crates/*/tests -name '*.rs' | sort); do
+    tests=$((tests + $(test_lines 1 "$f")))
+done
+for f in $(find src crates/*/src -name '*.rs' | sort); do
+    tests=$((tests + $(test_lines 0 "$f")))
+done
+printf '%6d  tests total\n' "$tests"
 printf '%6d  harness.rs + fleet.rs + lane.rs (ratchet %d)\n' "$drivers" "$RATCHET"
 printf '%6d  nilicon_engine.rs + placement.rs + stages.rs (ratchet %d)\n' "$engines" "$ENGINES_RATCHET"
 [ "$drivers" -le "$RATCHET" ] && [ "$engines" -le "$ENGINES_RATCHET" ]

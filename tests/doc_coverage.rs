@@ -1,11 +1,13 @@
 //! Doc checks. Every `TraceEvent` variant must be documented in
 //! OBSERVABILITY.md — the trace schema is a contract, and an event that
-//! ships without documentation is unreconcilable by readers of the traces.
+//! ships without documentation is unreconcilable by readers of the traces —
+//! and its row must list the fields the variant serializes, in order.
 //! Every measurement binary, criterion bench and root `BENCH_*` or
 //! `REPRODUCE_*` file must
 //! have a row in EXPERIMENTS.md's "Measurement apparatus" table saying what
 //! it alone measures — a second producer of a number cannot land unnoticed.
 
+use nilicon::TraceEvent;
 use std::path::Path;
 
 /// Extract the variant names of `pub enum TraceEvent` from the source text.
@@ -88,6 +90,136 @@ fn chaos_events_are_among_the_parsed_variants() {
     ] {
         assert!(variants.contains(&v.to_string()), "parser misses {v}");
     }
+}
+
+/// One event of every `TraceEvent` variant, each field at its default. The
+/// compiler holds the field lists to the enum's; the variant list is checked
+/// against the parsed source below.
+fn one_of_each_variant() -> Vec<TraceEvent> {
+    macro_rules! each {
+        ($($variant:ident $({ $($field:ident),* })?),* $(,)?) => {
+            vec![$(TraceEvent::$variant $({ $($field: Default::default()),* })?),*]
+        };
+    }
+    each![
+        RunStart { name, mode },
+        Exec { requests, steps },
+        Freeze,
+        Dump { dirty_pages },
+        DumpDetail { processes, pages, sockets, fs_cache, infrequent },
+        DeltaEncode { zero_pages, delta_pages, full_pages, raw_bytes, encoded_bytes },
+        LocalCopy,
+        DrbdShip { writes, bytes },
+        CowCopy { pages, bytes },
+        CowFault { faults },
+        Transfer { bytes },
+        BackupIngest { probes },
+        Ack,
+        BackupCommit { probes, disk_pages },
+        OutputRelease { packets },
+        ClientDeliver { responses },
+        HeartbeatMiss { misses },
+        OutputDiscard { packets },
+        RearmStart { attempt },
+        BootstrapChunk { pages, bytes },
+        RearmComplete { pages, bytes },
+        Failover { detection_latency, restore, arp, tcp, others },
+        PartitionStart,
+        PartitionHeal,
+        LeaseAcquire { until },
+        LeaseExpire { at },
+        FencedOutput { packets },
+        FalseSuspicion { suspected_for },
+        ChaosDelay { extra },
+        ShardCommit { shards, pages, frag_bytes },
+        RepairStart { kind, attempt },
+        RepairChunk { pages, bytes },
+        RepairComplete { pages, bytes },
+        DegradedMode { alive, need },
+        LogShip { events, bytes },
+        LogCommit { events, commit_latency },
+        ReplayStart { epochs, events },
+        ReplayComplete { events, replay_time },
+        ReplayDiverge { reason },
+        StageEnqueue { stage, chunk },
+        StageDequeue { stage, chunk, wait },
+        StageRestart { stage, chunk },
+        Backpressure { stalled },
+        FleetEpochStart { lane, offset },
+        FairShareWait { lane, waited },
+    ]
+}
+
+/// The field names `event` serializes, in order: a field-less variant is a
+/// bare string, any other `{"Name":{"field":value,...}}`, and with every
+/// field at its default no value holds a `,` or a `:`.
+fn serialized_fields(event: &TraceEvent) -> Vec<String> {
+    let json = serde_json::to_string(event).expect("serializes");
+    let Some((_, body)) = json.split_once(":{") else {
+        return Vec::new();
+    };
+    let body = body.strip_suffix("}}").expect("one nested object");
+    body.split(',')
+        .map(|pair| pair.split_once(':').expect("key:value").0.trim_matches('"').to_string())
+        .collect()
+}
+
+/// The schema tables' rows as `(variant, fields)`: the backticked first cell
+/// and the backticked names in the second (none for "—").
+fn schema_rows(doc: &str) -> Vec<(String, Vec<String>)> {
+    doc.lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix("| `")?.split('|');
+            let name = cells.next()?.trim().strip_suffix('`')?;
+            let fields = cells.next()?.split('`').skip(1).step_by(2);
+            Some((name.to_string(), fields.map(String::from).collect()))
+        })
+        .collect()
+}
+
+/// What is wrong with the schema rows against the events: a variant without
+/// a row, a row whose fields are not the serialized ones.
+fn schema_gaps(rows: &[(String, Vec<String>)], events: &[TraceEvent]) -> Vec<String> {
+    let mut gaps = Vec::new();
+    for event in events {
+        let (name, fields) = (event.name(), serialized_fields(event));
+        match rows.iter().find(|(n, _)| n == name) {
+            None => gaps.push(format!("{name}: no row")),
+            Some((_, row)) if *row != fields => {
+                gaps.push(format!("{name}: row says {row:?}, serialized {fields:?}"))
+            }
+            Some(_) => {}
+        }
+    }
+    gaps
+}
+
+#[test]
+fn every_schema_row_lists_the_serialized_fields_in_order() {
+    let events = one_of_each_variant();
+    let names: Vec<&str> = events.iter().map(TraceEvent::name).collect();
+    let variants = trace_event_variants(include_str!("../crates/core/src/trace.rs"));
+    assert_eq!(names, variants, "one_of_each_variant is the enum's variant list");
+    let rows = schema_rows(include_str!("../OBSERVABILITY.md"));
+    let gaps = schema_gaps(&rows, &events);
+    assert!(gaps.is_empty(), "OBSERVABILITY.md schema rows vs serialization: {gaps:?}");
+}
+
+#[test]
+fn schema_check_catches_a_doctored_row() {
+    let doc = include_str!("../OBSERVABILITY.md")
+        .replace("| `Exec` | `requests`, `steps` |", "| `Exec` | `steps`, `requests` |")
+        .replace("| `Ack` | — |", "| `Ack` | `at` |")
+        .replace("| `Freeze` |", "| `Frozen` |");
+    let gaps = schema_gaps(&schema_rows(&doc), &one_of_each_variant());
+    assert_eq!(
+        gaps,
+        [
+            r#"Exec: row says ["steps", "requests"], serialized ["requests", "steps"]"#,
+            "Freeze: no row",
+            r#"Ack: row says ["at"], serialized []"#,
+        ]
+    );
 }
 
 /// The apparatus table's rows as `(name, kept)`: the backticked first cell
