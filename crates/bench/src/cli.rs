@@ -19,10 +19,10 @@ pub fn positional_u64(n: usize, default: u64) -> u64 {
 }
 
 /// Overlay EXTENSION flags onto a paper-faithful optimization row:
-/// `--delta` enables delta-encoded checkpoint transfer, `--dump-workers N`
-/// shards the per-process dump loop, `--cow` switches to copy-on-write
-/// checkpointing (dirty pages are write-protected at pause and copied out in
-/// the background — the stop phase shrinks, the copy moves to the ack path),
+/// `--delta` enables delta-encoded checkpoint transfer, `--cow` switches to
+/// copy-on-write checkpointing (dirty pages are write-protected at pause and
+/// copied out in the background — the stop phase shrinks, the copy moves to
+/// the ack path),
 /// `--rearm` re-establishes redundancy after a failover by bootstrapping
 /// a replacement backup (the run then survives a second primary fault),
 /// `--backups N`/`--quorum K` replace the single warm backup with a k-of-n
@@ -57,7 +57,6 @@ pub fn apply_cli_extensions(
             "--rearm" => opts.rearm = true,
             "--replay" => opts.hybrid_replay = true,
             "--pipeline" => opts.pipeline = true,
-            "--dump-workers" => opts.dump_workers = count()?,
             "--backups" => opts.backups = count()?,
             "--quorum" => opts.quorum = count()?,
             "--trace" => {
@@ -112,9 +111,8 @@ mod tests {
         let traced = overlay(&["table1", "40", "--trace", "/tmp/t.jsonl"]);
         assert_eq!(traced, base, "--trace is the tracer's flag");
 
-        let extended = overlay(&["table1", "--delta", "--dump-workers", "4", "--cow", "--rearm"]);
+        let extended = overlay(&["table1", "--delta", "--cow", "--rearm"]);
         assert!(extended.delta_transfer);
-        assert_eq!(extended.dump_workers, 4);
         assert!(extended.cow_checkpoint);
         assert!(extended.rearm);
 
@@ -133,13 +131,11 @@ mod tests {
 
         // `--backups` with `--delta` (or a quorum no codec has) is the
         // placement engine's error, not a silent single-backup run; a
-        // quorum without backups, or a dump without workers, is
-        // `validate`'s.
+        // quorum without backups is `validate`'s.
         for (flags, needle) in [
             (&["--backups", "3", "--delta"][..], "delta_transfer"),
             (&["--backups", "3", "--quorum", "4"][..], "k=4, n=3"),
             (&["--quorum", "2"][..], "opts.quorum"),
-            (&["--dump-workers", "0"][..], "opts.dump_workers"),
         ] {
             let err = match replicated_engine(overlay(flags)) {
                 Err(e) => e.to_string(),

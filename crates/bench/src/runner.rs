@@ -42,13 +42,20 @@ pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpoi
 /// A NiLiCon run mode with the given optimization set, plus any EXTENSION
 /// knobs passed on the command line (see [`apply_cli_extensions`]). An
 /// unknown flag, or a combination the engines refuse, ends the run with its
-/// message.
+/// message — except that a Table I staircase row below the staging buffer
+/// keeps the synchronous path under `--pipeline` (unless `--cow` stages
+/// it), and the single-backup engine under `--backups`, and says so on
+/// stderr.
 pub fn nilicon_mode(row: OptimizationConfig) -> RunMode {
-    let opts = apply_cli_extensions(row, std::env::args()).unwrap_or_else(|e| panic!("{e}"));
+    let mut opts = apply_cli_extensions(row, std::env::args()).unwrap_or_else(|e| panic!("{e}"));
+    let rows = OptimizationConfig::table1_rows();
+    let label = rows.iter().find(|(_, r)| *r == row).map_or("this row", |(l, _)| l);
+    if opts.pipeline && !opts.staging_buffer && !opts.cow_checkpoint {
+        opts.pipeline = false;
+        eprintln!("--pipeline: \"{label}\" has no staging buffer; it keeps the synchronous path");
+    }
     let engine = replicated_engine(opts).unwrap_or_else(|e| panic!("{e}"));
     if opts.backups > 1 && !engine.supports_placement() {
-        let rows = OptimizationConfig::table1_rows();
-        let label = rows.iter().find(|(_, r)| *r == row).map_or("this row", |(l, _)| l);
         eprintln!(
             "--backups {}: \"{label}\" has no staging buffer; it keeps the single-backup engine",
             opts.backups

@@ -41,11 +41,6 @@ pub struct OptimizationConfig {
     /// cost lands in the stop phase and a decode cost on the backup. Off in
     /// every paper reproduction run.
     pub delta_transfer: bool,
-    /// EXTENSION (§VIII concurrency): shard the per-process dump loop across
-    /// this many workers; stop time charges the max shard instead of the
-    /// sum. At least `1`; `1` (the paper's serial dump) in every
-    /// reproduction run.
-    pub dump_workers: u32,
     /// EXTENSION (§VIII pause-shrinking; HyCoR, arXiv:2101.09584):
     /// copy-on-write checkpointing — at pause, dirty pages are
     /// *write-protected* (cheap) instead of copied; the container resumes
@@ -93,11 +88,13 @@ pub struct OptimizationConfig {
     /// committed image stays byte-identical to the synchronous path. When the
     /// pipeline cannot drain an epoch before the next checkpoint, the backlog
     /// stalls the next stop phase (backpressure), degrading toward the
-    /// paper's synchronous behavior. Off in every paper reproduction run.
+    /// paper's synchronous behavior. It overlaps the staged ack path, so it
+    /// needs `staging_buffer` or `cow_checkpoint`. Off in every paper
+    /// reproduction run.
     pub pipeline: bool,
     /// EXTENSION (fleet scale; ROADMAP item 1): multiplex this many
     /// containers over one primary/backup pair via the [`crate::fleet`]
-    /// scheduler — per-container shadow stores and epoch state feeding one
+    /// scheduler — per-container engines and epoch state feeding one
     /// shared FIFO transfer link, staggered epoch boundaries (phase offset
     /// `i·epoch/N`), and one consolidated heartbeat channel carrying
     /// per-container liveness bits. `0` disables the fleet
@@ -107,8 +104,9 @@ pub struct OptimizationConfig {
     /// EXTENSION (fleet scale): align every fleet member's epoch boundary to
     /// the same phase instead of staggering — the stop-phase and link convoy
     /// configuration the stagger exists to avoid; `fleet_bench`'s aligned
-    /// cell measures the convoy with it. [`Self::validate`] rejects it when
-    /// `fleet == 0`; off in every paper reproduction run.
+    /// cell measures the convoy with it. [`Self::validate`] rejects it below
+    /// two lanes, where lane 0's offset is the only one and is 0 either way;
+    /// off in every paper reproduction run.
     pub fleet_aligned: bool,
 }
 
@@ -124,7 +122,6 @@ impl OptimizationConfig {
             shm_page_transfer: false,
             optimized_rto: false,
             delta_transfer: false,
-            dump_workers: 1,
             cow_checkpoint: false,
             rearm: false,
             backups: 1,
@@ -147,7 +144,6 @@ impl OptimizationConfig {
             shm_page_transfer: true,
             optimized_rto: true,
             delta_transfer: false,
-            dump_workers: 1,
             cow_checkpoint: false,
             rearm: false,
             backups: 1,
@@ -190,9 +186,10 @@ impl OptimizationConfig {
     }
 
     /// [`Self::validate`] for an engine of the coded (`PlacementEngine`, at
-    /// any `(k, n)`) or the mirror (`NiLiConEngine`) layout. Every layout
-    /// dumps with at least one worker, and a quorum other than 1 needs more
-    /// than one backup. The coded layout codes fragments from full page
+    /// any `(k, n)`) or the mirror (`NiLiConEngine`) layout. On every layout
+    /// a quorum other than 1 needs more than one backup, and the pipeline
+    /// needs a staged ack path to overlap — the staging buffer's, or the COW
+    /// drain's. The coded layout codes fragments from full page
     /// bodies — the dump's, or the COW drain's — after the container
     /// resumes, so it needs the staged ack path, does not compose with
     /// `delta_transfer`, and its shape must pass [`ShardCodec::check`]; every
@@ -204,8 +201,12 @@ impl OptimizationConfig {
         let fleet = self.fleet > 0;
         let fleet_rule = "does not compose with the fleet scheduler";
         for (broken, rule) in [
-            (self.dump_workers == 0, "opts.dump_workers must be at least 1".into()),
             (self.backups == 1 && self.quorum != 1, "opts.quorum needs opts.backups > 1".into()),
+            (
+                self.pipeline && !self.staging_buffer && !self.cow_checkpoint,
+                "opts.pipeline needs opts.staging_buffer or opts.cow_checkpoint (staged ack path)"
+                    .into(),
+            ),
             (
                 coded && !self.staging_buffer,
                 "placement requires the staging buffer (staged ack path)".into(),
@@ -219,8 +220,8 @@ impl OptimizationConfig {
             (fleet && self.hybrid_replay, format!("fleet: opts.hybrid_replay {fleet_rule}")),
             (fleet && self.rearm, format!("fleet: opts.rearm {fleet_rule}")),
             (
-                !fleet && self.fleet_aligned,
-                "fleet: opts.fleet_aligned needs the fleet scheduler (opts.fleet > 0)".into(),
+                self.fleet_aligned && self.fleet < 2,
+                "fleet: opts.fleet_aligned needs two or more lanes (opts.fleet > 1)".into(),
             ),
         ] {
             if broken {
@@ -251,7 +252,6 @@ impl OptimizationConfig {
             } else {
                 PageTransferVia::Pipe
             },
-            workers: self.dump_workers,
             cow: self.cow_checkpoint,
         }
     }
@@ -350,14 +350,12 @@ mod tests {
         assert_eq!(full.freeze, FreezeStrategy::BusyPoll);
         assert_eq!(full.vma_via, VmaCollectVia::Netlink);
         assert_eq!(full.page_via, PageTransferVia::SharedMem);
-        assert_eq!(full.workers, 1, "paper runs dump serially");
     }
 
     #[test]
     fn extensions_default_off_in_paper_configs() {
         for cfg in [OptimizationConfig::basic(), OptimizationConfig::nilicon()] {
             assert!(!cfg.delta_transfer);
-            assert_eq!(cfg.dump_workers, 1);
             assert!(!cfg.cow_checkpoint);
             assert!(!cfg.rearm);
             assert_eq!(cfg.backups, 1, "paper rows: single warm backup");
@@ -372,10 +370,6 @@ mod tests {
         let mut cow = OptimizationConfig::nilicon();
         cow.cow_checkpoint = true;
         assert!(cow.dump_config().cow);
-        // Sharding knob flows through to the CRIU dump config.
-        let mut cfg = OptimizationConfig::nilicon();
-        cfg.dump_workers = 4;
-        assert_eq!(cfg.dump_config().workers, 4);
     }
 
     #[test]
@@ -400,7 +394,6 @@ mod tests {
         assert!(rejected(|o| (o.backups, o.quorum) = (200, 2)).contains("n <= 128"));
         assert!(rejected(|o| (o.backups, o.quorum) = (129, 1)).contains("n <= 128"));
         assert!(rejected(|o| o.quorum = 2).contains("opts.quorum"));
-        assert!(rejected(|o| o.dump_workers = 0).contains("opts.dump_workers"));
         let mut fleet = OptimizationConfig::nilicon();
         (fleet.fleet, fleet.delta_transfer, fleet.pipeline) = (8, true, true);
         fleet.validate().expect("the fleet composes with the single-backup knobs");
@@ -409,6 +402,16 @@ mod tests {
         assert!(rejected(|o| (o.fleet, o.rearm) = (8, true)).contains("opts.rearm"));
         assert!(rejected(|o| (o.fleet, o.staging_buffer) = (8, false)).contains("opts.staging_buffer"));
         assert!(rejected(|o| o.fleet_aligned = true).contains("opts.fleet_aligned"));
+        let one_lane = rejected(|o| (o.fleet, o.fleet_aligned) = (1, true));
+        assert!(one_lane.contains("opts.fleet_aligned") && one_lane.contains("two or more lanes"));
+        (fleet.fleet, fleet.fleet_aligned) = (2, true);
+        fleet.validate().expect("two lanes can align");
+        let inert = |o: &mut OptimizationConfig| (o.pipeline, o.staging_buffer) = (true, false);
+        assert!(rejected(inert).contains("opts.pipeline"));
+        let mut streamed = OptimizationConfig::nilicon();
+        inert(&mut streamed);
+        streamed.cow_checkpoint = true;
+        streamed.validate().expect("the COW drain is a staged ack path");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! NiLiCon replicates one container per host pair; a real deployment packs
 //! many. The [`FleetScheduler`] runs N independent *lanes* — each with its
 //! own container, application, client pool, and [`NiLiConEngine`] (its own
-//! shadow store and backup agent) — over one shared primary kernel, one
-//! shared backup kernel, and two shared per-pair resources:
+//! backup agent, whose committed store is the delta base) — over one
+//! shared primary kernel, one shared backup kernel, and two shared
+//! per-pair resources:
 //!
 //! * a **serial dump service** (one CRIU' dump helper per host): overlapping
 //!   stop phases queue, and the queue wait is surfaced as a

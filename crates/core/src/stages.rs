@@ -507,12 +507,13 @@ impl StageCore {
     }
 
     /// Whether an epoch's pages stream to the replicas while the container
-    /// runs: off the COW drain, or through the staged pipeline — which needs
-    /// the staging buffer (§V-D(2)) to overlap the ack path with execution.
+    /// runs: off the COW drain, or through the staged pipeline — which
+    /// [`OptimizationConfig::validate`] admits only with the staging buffer
+    /// (§V-D(2)) or the drain to overlap the ack path with execution.
     /// Otherwise the whole epoch ships at once, and without the staging
     /// buffer commits inline.
     pub(crate) fn streams(&self) -> bool {
-        self.opts.cow_checkpoint || (self.opts.pipeline && self.opts.staging_buffer)
+        self.opts.cow_checkpoint || self.opts.pipeline
     }
 
     /// Staged pipeline: this epoch's ack path (`ack_delay` long) runs in the

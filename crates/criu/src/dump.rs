@@ -16,11 +16,6 @@ pub struct DumpConfig {
     pub vma_via: VmaCollectVia,
     /// Parasite page-transfer mechanism (§V-D (3)).
     pub page_via: PageTransferVia,
-    /// Dump shards: the per-process loop is split round-robin across this
-    /// many worker threads and stop time charged as the *max* of per-shard
-    /// costs instead of their sum (the concurrency opportunity §VIII points
-    /// at — processes dump independently). `1` = serial stock behavior.
-    pub workers: u32,
     /// Copy-on-write dump: write-protect dirty pages instead of copying them
     /// while frozen, recording them in `CheckpointImage::deferred_vpns` for
     /// the engine's background copier. Off in every paper-faithful row.
@@ -35,7 +30,6 @@ impl DumpConfig {
             freeze: FreezeStrategy::Stock,
             vma_via: VmaCollectVia::Smaps,
             page_via: PageTransferVia::Pipe,
-            workers: 1,
             cow: false,
         }
     }
@@ -46,15 +40,8 @@ impl DumpConfig {
             freeze: FreezeStrategy::BusyPoll,
             vma_via: VmaCollectVia::Netlink,
             page_via: PageTransferVia::SharedMem,
-            workers: 1,
             cow: false,
         }
-    }
-}
-
-impl Default for DumpConfig {
-    fn default() -> Self {
-        Self::nilicon()
     }
 }
 
@@ -99,8 +86,6 @@ fn dump(
     // ------------------------------------------------------------------
     // Per-process state: VMAs, pages, threads, fds.
     // ------------------------------------------------------------------
-    // Per-pid (processes-stage, pages-stage) costs, for shard accounting.
-    let mut per_pid_costs: Vec<(u64, u64)> = Vec::new();
     for &pid in &container.all_pids() {
         let s_proc = kernel.meter.lifetime_total();
         let vmas = kernel.collect_vmas(pid, cfg.vma_via)?;
@@ -135,9 +120,7 @@ fn dump(
                 img.pages.push((pid, vpn, data));
             }
         }
-        let e_pages = kernel.meter.lifetime_total();
-        img.stats.phases.pages += e_pages - s_pages;
-        per_pid_costs.push((s_pages - s_proc, e_pages - s_pages));
+        img.stats.phases.pages += kernel.meter.lifetime_total() - s_pages;
 
         img.processes.push(ProcessImage {
             pid,
@@ -148,31 +131,6 @@ fn dump(
             fds,
             vmas,
         });
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded dump: model `cfg.workers` dump threads walking the process
-    // list round-robin. The kernel metered the loop serially; wall-clock
-    // stop time is the *critical* (max-cost) shard, so the cost of every
-    // other shard is refunded, and the phase breakdown is re-attributed to
-    // the critical shard so the stage deltas still telescope to stop_time.
-    // ------------------------------------------------------------------
-    let workers = cfg.workers.max(1) as usize;
-    if workers > 1 && per_pid_costs.len() > 1 {
-        let mut shard_proc = vec![0u64; workers];
-        let mut shard_pages = vec![0u64; workers];
-        for (i, &(p, g)) in per_pid_costs.iter().enumerate() {
-            shard_proc[i % workers] += p;
-            shard_pages[i % workers] += g;
-        }
-        let critical = (0..workers)
-            .max_by_key(|&i| shard_proc[i] + shard_pages[i])
-            .expect("workers > 1");
-        let serial: u64 = per_pid_costs.iter().map(|&(p, g)| p + g).sum();
-        let parallel = shard_proc[critical] + shard_pages[critical];
-        kernel.meter.refund(serial - parallel);
-        img.stats.phases.processes = shard_proc[critical];
-        img.stats.phases.pages = shard_pages[critical];
     }
 
     // ------------------------------------------------------------------
@@ -419,56 +377,6 @@ mod tests {
             assert!(ph.processes > 0, "{label}: processes stage metered");
             assert!(ph.infrequent > 0, "{label}: infrequent stage metered");
         }
-    }
-
-    #[test]
-    fn sharded_dump_cuts_stop_time_and_phases_still_telescope() {
-        let mut spec = ContainerSpec::server("httpd", 64, 80);
-        spec.processes = 4; // multi-process container: shardable work
-        let run = |workers: u32| {
-            let mut k = Kernel::default();
-            let c = ContainerRuntime::create(&mut k, &spec).unwrap();
-            for &pid in &c.workers {
-                k.mm_mut(pid).unwrap().set_tracking(TrackingMode::SoftDirty);
-                k.mem_write(pid, nilicon_container::MemLayout::heap(0), b"w")
-                    .unwrap();
-            }
-            k.freeze_cgroup(c.cgroup, FreezeStrategy::BusyPoll).unwrap();
-            let mut cfg = DumpConfig::nilicon();
-            cfg.workers = workers;
-            k.meter.take();
-            let img = dump_container(&mut k, &c, &cfg, None, 1).unwrap();
-            let metered = k.meter.take();
-            assert_eq!(
-                img.stats.phases.total(),
-                img.stats.stop_time,
-                "workers={workers}: stage deltas telescope to stop_time"
-            );
-            assert_eq!(
-                metered, img.stats.stop_time,
-                "workers={workers}: meter agrees with stop_time"
-            );
-            img.stats.stop_time
-        };
-        let serial = run(1);
-        let sharded = run(4);
-        assert!(
-            sharded < serial,
-            "workers=4 ({sharded}ns) must beat workers=1 ({serial}ns)"
-        );
-    }
-
-    #[test]
-    fn sharding_is_a_noop_for_single_process() {
-        let (mut k, c) = setup();
-        k.freeze_cgroup(c.cgroup, FreezeStrategy::BusyPoll).unwrap();
-        let mut cfg = DumpConfig::nilicon();
-        cfg.workers = 8;
-        let img = dump_container(&mut k, &c, &cfg, None, 1).unwrap();
-        // server() spec = worker + keepalive: 2 pids, so sharding engages,
-        // but phases must still telescope and stop_time stay positive.
-        assert_eq!(img.stats.phases.total(), img.stats.stop_time);
-        assert!(img.stats.stop_time > 0);
     }
 
     #[test]

@@ -127,19 +127,6 @@ impl CostMeter {
     pub fn lifetime_total(&self) -> Nanos {
         self.total.get()
     }
-
-    /// Refund `ns` of previously charged cost (saturating at zero).
-    ///
-    /// Used when a driver models *parallel* execution of work the kernel
-    /// metered serially: it charges each shard's cost as usual, then refunds
-    /// everything except the critical (max) shard. The refund applies to both
-    /// the pending accumulator and the lifetime total so telescoped samples
-    /// of [`CostMeter::lifetime_total`] stay consistent.
-    #[inline]
-    pub fn refund(&self, ns: Nanos) {
-        self.accum.set(self.accum.get().saturating_sub(ns));
-        self.total.set(self.total.get().saturating_sub(ns));
-    }
 }
 
 #[cfg(test)]
@@ -175,46 +162,6 @@ mod tests {
         assert_eq!(m.take(), 0);
         m.charge(5);
         assert_eq!(m.lifetime_total(), 35);
-    }
-
-    #[test]
-    fn meter_refund_reduces_both_counters() {
-        let m = CostMeter::new();
-        m.charge(100);
-        m.refund(30);
-        assert_eq!(m.peek(), 70);
-        assert_eq!(m.lifetime_total(), 70);
-        m.refund(1_000); // saturates, never underflows
-        assert_eq!(m.peek(), 0);
-        assert_eq!(m.lifetime_total(), 0);
-    }
-
-    #[test]
-    fn meter_refund_edge_cases() {
-        let m = CostMeter::new();
-        // Zero refund is a no-op.
-        m.charge(40);
-        m.refund(0);
-        assert_eq!(m.peek(), 40);
-        assert_eq!(m.lifetime_total(), 40);
-        // Repeated refunds compose.
-        m.refund(10);
-        m.refund(10);
-        assert_eq!(m.peek(), 20);
-        assert_eq!(m.lifetime_total(), 20);
-        // A refund larger than the pending accumulator (after a take has
-        // drained it) saturates the pending side at zero while the lifetime
-        // total still absorbs the full amount.
-        assert_eq!(m.take(), 20);
-        m.charge(5);
-        m.refund(15);
-        assert_eq!(m.peek(), 0, "pending saturates");
-        assert_eq!(m.lifetime_total(), 10, "total absorbs the full refund");
-        // Refunding a meter that was never charged never underflows.
-        let fresh = CostMeter::new();
-        fresh.refund(100);
-        assert_eq!(fresh.peek(), 0);
-        assert_eq!(fresh.lifetime_total(), 0);
     }
 
     #[test]

@@ -6,35 +6,38 @@
 //! `REPRODUCE_*` file must
 //! have a row in EXPERIMENTS.md's "Measurement apparatus" table saying what
 //! it alone measures — a second producer of a number cannot land unnoticed.
+//! Every knob the prose cites as `OptimizationConfig::<name>` or
+//! `opts.<name>` must be a field or method of `OptimizationConfig`.
 
 use nilicon::TraceEvent;
 use std::path::Path;
 
-/// Extract the variant names of `pub enum TraceEvent` from the source text.
-fn trace_event_variants(src: &str) -> Vec<String> {
-    let start = src
-        .find("pub enum TraceEvent")
-        .expect("trace.rs declares TraceEvent");
+/// The text between the braces of the first item `src` opens with `head`.
+fn braced_body<'a>(src: &'a str, head: &str) -> &'a str {
+    let start = src.find(head).unwrap_or_else(|| panic!("no {head}"));
     let body = &src[start..];
-    let open = body.find('{').expect("enum body");
+    let open = body.find('{').expect("item body");
     let mut depth = 0usize;
-    let mut end = open;
     for (i, c) in body[open..].char_indices() {
         match c {
             '{' => depth += 1,
             '}' => {
                 depth -= 1;
                 if depth == 0 {
-                    end = open + i;
-                    break;
+                    return &body[open + 1..open + i];
                 }
             }
             _ => {}
         }
     }
+    panic!("{head}: unbalanced braces")
+}
+
+/// Extract the variant names of `pub enum TraceEvent` from the source text.
+fn trace_event_variants(src: &str) -> Vec<String> {
     let mut variants = Vec::new();
     let mut brace = 0usize;
-    for line in body[open + 1..end].lines() {
+    for line in braced_body(src, "pub enum TraceEvent").lines() {
         let t = line.trim();
         // Only top-level variant lines: skip doc comments, attributes, and
         // the field lines inside a struct variant's braces.
@@ -334,12 +337,7 @@ fn apparatus_check_catches_a_bin_without_a_row() {
 /// `::<fn>` after it, if any) and every `--test <name>`, the latter as
 /// `tests/<name>.rs`.
 fn test_citations(doc: &str) -> Vec<(String, Option<String>)> {
-    let ident = |s: &str| {
-        let end = s
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .unwrap_or(s.len());
-        s[..end].to_string()
-    };
+    let ident = |s: &str| leading_ident(s).to_string();
     let mut cited = Vec::new();
     for (at, _) in doc.match_indices("tests/") {
         let name = ident(&doc[at + 6..]);
@@ -452,4 +450,74 @@ fn citation_check_catches_a_missing_file_and_fn() {
             "tests/e.rs: 2 files match",
         ]
     );
+}
+
+/// The first identifier in `s`.
+fn leading_ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// The names `OptimizationConfig` answers to: the fields of its struct and
+/// the fns of its inherent impl, parsed from config.rs.
+fn knob_names(src: &str) -> Vec<String> {
+    let fields = braced_body(src, "pub struct OptimizationConfig")
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("pub "));
+    let methods = braced_body(src, "impl OptimizationConfig {")
+        .lines()
+        .filter(|l| !l.trim().starts_with("//"))
+        .filter_map(|l| l.split_once("fn ").map(|(_, rest)| rest));
+    fields.chain(methods).map(|s| leading_ident(s).to_string()).collect()
+}
+
+/// The knob names `doc` cites: `OptimizationConfig::<name>`,
+/// `OptimizationConfig::{<name>, ...}` and `opts.<name>`.
+fn knob_citations(doc: &str) -> Vec<String> {
+    let mut cited = Vec::new();
+    for (at, m) in doc.match_indices("OptimizationConfig::") {
+        let rest = &doc[at + m.len()..];
+        match rest.strip_prefix('{').and_then(|r| r.split_once('}')) {
+            Some((group, _)) => cited.extend(group.split(',').map(|n| n.trim().to_string())),
+            None => cited.push(leading_ident(rest).to_string()),
+        }
+    }
+    for (at, m) in doc.match_indices("opts.") {
+        cited.push(leading_ident(&doc[at + m.len()..]).to_string());
+    }
+    cited
+}
+
+/// The cited names `OptimizationConfig` does not have.
+fn knob_gaps(cited: &[String], names: &[String]) -> Vec<String> {
+    cited.iter().filter(|c| !names.contains(c)).cloned().collect()
+}
+
+#[test]
+fn every_cited_knob_is_an_optimization_config_name() {
+    let names = knob_names(include_str!("../crates/core/src/config.rs"));
+    for name in ["optimize_criu", "fleet_aligned", "nilicon", "validate", "dump_config"] {
+        assert!(names.iter().any(|n| n == name), "parser misses {name}: {names:?}");
+    }
+    let docs = [
+        include_str!("../DESIGN.md"),
+        include_str!("../EXPERIMENTS.md"),
+        include_str!("../README.md"),
+        include_str!("../OBSERVABILITY.md"),
+        include_str!("../.claude/skills/verify/SKILL.md"),
+    ];
+    let cited: Vec<String> = docs.iter().flat_map(|d| knob_citations(d)).collect();
+    assert!(cited.len() >= 10, "parser found only {} knob citations", cited.len());
+    let gaps = knob_gaps(&cited, &names);
+    assert!(gaps.is_empty(), "docs cite knobs OptimizationConfig lacks: {gaps:?}");
+}
+
+#[test]
+fn knob_check_catches_a_stale_citation() {
+    let names = knob_names(include_str!("../crates/core/src/config.rs"));
+    let doc = "`OptimizationConfig::{fleet, dump_threads}`, `opts.pipeline`, \
+               `cfg.opts.quorum`, `opts.validate()`, `OptimizationConfig::shard_dump`";
+    assert_eq!(knob_gaps(&knob_citations(doc), &names), ["dump_threads", "shard_dump"]);
 }

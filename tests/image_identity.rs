@@ -281,9 +281,9 @@ fn cow_committed_state_is_byte_identical_across_ten_epochs_and_failover() {
 }
 
 #[test]
-fn cow_composes_with_delta_and_sharded_dumps() {
-    let staged = opts(|o| (o.cow_checkpoint, o.delta_transfer, o.dump_workers) = (true, true, 4));
-    let what = "cow + delta + sharded dump diverged from the eager path";
+fn cow_composes_with_delta() {
+    let staged = opts(|o| (o.cow_checkpoint, o.delta_transfer) = (true, true));
+    let what = "cow + delta diverged from the eager path";
     let (eager_bytes, cow_bytes) = eager_and(staged, &mixed_script, 12, None, what);
     assert!(
         cow_bytes < eager_bytes,

@@ -6,8 +6,8 @@
 //!
 //! Axes, enumerated and never listed: the harness axis is the replica
 //! layout {mirror, (1,2), (2,3)} × `delta_transfer` / `cow_checkpoint` /
-//! `pipeline` / `staging_buffer` / `rearm` / `hybrid_replay` ×
-//! `dump_workers` {1, 4}; the fleet axis is N ∈ {1, 2} × the same. A
+//! `pipeline` / `staging_buffer` / `rearm` / `hybrid_replay`; the fleet
+//! axis is N ∈ {1, 2} × the same. A
 //! cell's expected outcome is computed from its config and its fault
 //! ([`expect`]), and every fault must leave its mark in the trace
 //! ([`marks`]): a fault that missed its window fails the cell.
@@ -20,7 +20,7 @@
 //! * the echo clients verify, with zero broken connections, and are served
 //!   again after a failover.
 //!
-//! A rejected combination must be refused by its constructor with
+//! A rejected combination must be refused by its layout's constructor with
 //! `validate`'s message. The script's heap never shrinks: the prune of
 //! unmapped pages is held by `nilicon_engine.rs`'s `shrink_then_failover_*`.
 
@@ -30,6 +30,7 @@ use nilicon::{OptimizationConfig, PlacementEngine, ReplicationConfig};
 use nilicon_bench::chaos::{
     echo_lane, replay, run_service_cell, run_state_cell, Outcome, Scenario, ScriptApp, HEAP_PAGES,
 };
+use nilicon_bench::runner::replicated_engine;
 use nilicon_container::ContainerSpec;
 use nilicon_sim::net::{ChaosSchedule, FaultKind};
 use nilicon_sim::time::Nanos;
@@ -44,17 +45,16 @@ const RING: usize = 1 << 12;
 /// Every combination of the knobs on each replica layout.
 fn knob_space() -> impl Iterator<Item = OptimizationConfig> {
     let layouts = [(1, 1), (1, 2), (2, 3)];
-    (0..3 << 7).map(move |i: usize| {
+    (0..3 << 6).map(move |i: usize| {
         let bit = |b: usize| i >> b & 1 == 1;
         let mut o = OptimizationConfig::nilicon();
-        (o.quorum, o.backups) = layouts[i >> 7];
+        (o.quorum, o.backups) = layouts[i >> 6];
         o.delta_transfer = bit(0);
         o.cow_checkpoint = bit(1);
         o.pipeline = bit(2);
         o.staging_buffer = !bit(3);
         o.rearm = bit(4);
         o.hybrid_replay = bit(5);
-        o.dump_workers = if bit(6) { 4 } else { 1 };
         o
     })
 }
@@ -70,7 +70,7 @@ fn label(o: &OptimizationConfig) -> String {
         (o.hybrid_replay, "replay"),
     ];
     let on: Vec<&str> = knobs.iter().filter(|k| k.0).map(|k| k.1).collect();
-    format!("({},{}) x{} {on:?}", o.quorum, o.backups, o.dump_workers)
+    format!("({},{}) {on:?}", o.quorum, o.backups)
 }
 
 /// The harness fault alphabet.
@@ -279,16 +279,22 @@ fn cell(f: Fault, o: OptimizationConfig) -> Result<(), String> {
 
 /// Walk the harness axis under `f`: every accepted config with `f`'s
 /// mechanism is a cell; every rejected one must be refused by its layout's
-/// constructor — only a coded layout refuses knobs — with `validate`'s
-/// words. Returns the number of cells.
+/// constructor with `validate`'s words — the mirror's through
+/// `replicated_engine`, which returns the error where `NiLiConEngine::new`
+/// would panic. Returns the number of cells.
 fn walk(f: Fault) -> usize {
     let (mut cells, mut refused, mut failed) = (0, 0, Vec::new());
     for o in knob_space() {
         let verdict = match o.validate() {
             Err(rule) => {
                 refused += 1;
-                match PlacementEngine::new(o, CostModel::default()) {
-                    Err(e) if o.backups > 1 && e.to_string() == rule.to_string() => Ok(()),
+                let built = if o.backups > 1 {
+                    PlacementEngine::new(o, CostModel::default()).map(drop)
+                } else {
+                    replicated_engine(o).map(drop)
+                };
+                match built {
+                    Err(e) if e.to_string() == rule.to_string() => Ok(()),
                     other => Err(format!("{:?}, not refused with {rule}", other.err())),
                 }
             }
@@ -314,7 +320,7 @@ fn walk(f: Fault) -> usize {
 #[test]
 fn no_fault() {
     let accepted = walk(Fault::None);
-    assert!(accepted >= 192, "the walk lost combinations: {accepted}");
+    assert!(accepted >= 88, "the walk lost combinations: {accepted}");
 }
 
 #[test]
@@ -494,6 +500,6 @@ fn fleet_lattice() {
         failed.len()
     );
     assert!(failed.is_empty(), "{}", failed.join("\n"));
-    assert_eq!(accepted + rejected, 2 * 384);
-    assert!(accepted >= 32, "the walk lost combinations: {accepted}");
+    assert_eq!(accepted + rejected, 2 * 192);
+    assert!(accepted >= 16, "the walk lost combinations: {accepted}");
 }
