@@ -6,66 +6,45 @@
 //!
 //! `cargo run -p nilicon-bench --release --bin epoch_sweep [epochs]`
 
-use nilicon::harness::{RunHarness, RunMode};
-use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_bench::{fmt_ms, summarize, Table, WARMUP_EPOCHS};
+use nilicon::harness::RunMode;
+use nilicon::{OptimizationConfig, ReplicationConfig};
+use nilicon_bench::{
+    fmt_ms, nilicon_mode, run_server, run_workload, summarize, Table, WARMUP_EPOCHS,
+};
 use nilicon_sim::time::MILLISECOND;
-use nilicon_sim::CostModel;
 use nilicon_workloads::Scale;
 
 fn main() {
     let virtual_secs: u64 = nilicon_bench::cli::positional_u64(1, 3);
     let scale = Scale::bench();
+    // Every sweep mode before the first run: a flag the overlay refuses
+    // ends the sweep before the stock baseline is spent.
+    let sweep =
+        [10u64, 20, 30, 60, 120].map(|ms| (ms, nilicon_mode(OptimizationConfig::nilicon())));
 
     // Stock throughput baseline (epoch length irrelevant unreplicated).
-    let stock = {
-        let w = nilicon_workloads::redis(scale, 8);
-        let cfg = ReplicationConfig::default();
-        let mut h = RunHarness::new(
-            w.spec,
-            w.app,
-            w.behavior,
-            RunMode::Unreplicated,
-            cfg,
-            w.parallelism,
-        )
-        .expect("harness");
-        h.run_epochs(virtual_secs * 33).expect("run");
-        let r = h.finish();
-        r.verify.expect("valid");
-        summarize("Redis", "stock", &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
-    };
+    let redis = || nilicon_workloads::redis(scale, 8);
+    let stock = run_server(redis(), RunMode::Unreplicated, virtual_secs * 33, "stock");
 
     let mut t = Table::new(
         "Epoch-length sensitivity — Redis under NiLiCon (paper fixes 30 ms, §IV)",
         vec!["epoch", "overhead", "avg stop", "mean latency", "state/epoch"],
     );
-    for epoch_ms in [10u64, 20, 30, 60, 120] {
+    for (epoch_ms, mode) in sweep {
         eprintln!("[epoch={epoch_ms}ms]...");
-        let w = nilicon_workloads::redis(scale, 8);
         let cfg = ReplicationConfig {
             epoch_exec: epoch_ms * MILLISECOND,
             ..ReplicationConfig::default()
         };
-        let engine = NiLiConEngine::new(OptimizationConfig::nilicon(), CostModel::default());
-        let mut h = RunHarness::new(
-            w.spec,
-            w.app,
-            w.behavior,
-            RunMode::Replicated(Box::new(engine)),
-            cfg,
-            w.parallelism,
-        )
-        .expect("harness");
-        // Same virtual-time budget for every epoch length.
-        h.run_epochs(virtual_secs * 1_000 / epoch_ms).expect("run");
-        let r = h.finish();
-        r.verify.expect("valid");
         let label = format!("{epoch_ms}ms");
+        // Same virtual-time budget for every epoch length.
+        let epochs = virtual_secs * 1_000 / epoch_ms;
+        let r = run_workload(redis(), mode, cfg, &[], epochs, &label);
+        r.verify.expect("valid");
         let s = summarize("Redis", &label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
         let overhead = s.overhead_vs(stock.throughput) * 100.0;
         t.push(
-            format!("{epoch_ms}ms"),
+            label,
             vec![
                 format!("{overhead:.1}%"),
                 fmt_ms(s.avg_stop),

@@ -27,13 +27,15 @@
 //!
 //! Results land in `BENCH_pipeline.json`.
 
-use nilicon::harness::{RunHarness, RunMode};
-use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
+use nilicon::harness::RunMode;
+use nilicon::{OptimizationConfig, ReplicationConfig};
+use nilicon_bench::runner::replicated_engine;
+use nilicon_bench::{run_workload, summarize, WARMUP_EPOCHS};
 use nilicon_criu::delta::{encode_against, DeltaStats};
 use nilicon_criu::{PageKey, PageStore, RadixTreeStore};
 use nilicon_sim::mem::ALL_LINES;
 use nilicon_sim::ids::Pid;
-use nilicon_sim::{CostModel, PageBuf, PAGE_SIZE};
+use nilicon_sim::{PageBuf, PAGE_SIZE};
 use nilicon_workloads::{Scale, Workload};
 use serde::Serialize;
 use std::hint::black_box;
@@ -167,37 +169,13 @@ fn continuous_streamcluster() -> Workload {
 /// equal-work check between the two rows).
 fn streamcluster_row(label: &str, opts: OptimizationConfig) -> ThroughputRow {
     let w = continuous_streamcluster();
-    let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
-    let mut h = RunHarness::new(
-        w.spec,
-        w.app,
-        w.behavior,
-        mode,
-        ReplicationConfig::default(),
-        w.parallelism,
-    )
-    .expect("harness");
-    let tracer = nilicon_bench::cli_tracer();
-    tracer.event_at(
-        nilicon::TraceEvent::RunStart {
-            name: w.name.to_string(),
-            mode: label.to_string(),
-        },
-        0,
-    );
-    h.set_tracer(tracer);
-    h.run_epochs(EPOCHS).expect("run");
-    let r = h.finish();
+    let name = w.name;
+    let mode = RunMode::Replicated(replicated_engine(opts).expect("a valid row"));
+    let cfg = ReplicationConfig::default();
+    let r = run_workload(w, mode, cfg, &[], EPOCHS, label);
     r.verify.expect("workload validated");
-    let epoch_exec = ReplicationConfig::default().epoch_exec;
-    let s = nilicon_bench::summarize(
-        w.name,
-        label,
-        &r.metrics,
-        epoch_exec,
-        nilicon_bench::WARMUP_EPOCHS,
-    );
-    let warm = &r.metrics.epochs[nilicon_bench::WARMUP_EPOCHS..];
+    let s = summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
+    let warm = &r.metrics.epochs[WARMUP_EPOCHS..];
     ThroughputRow {
         mode: label.to_string(),
         steps_per_s: s.throughput,

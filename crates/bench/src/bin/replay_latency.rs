@@ -19,16 +19,16 @@
 //! Results land in `BENCH_replay.json`; the process fails if the log-commit
 //! mean release wait exceeds 2 ms or fails to beat the epoch-ack mean.
 
-use nilicon::harness::{RunHarness, RunMode};
-use nilicon::{
-    replay_tail, Checkpointer, NiLiConEngine, OptimizationConfig, ReplicationConfig, RunMetrics,
-};
+use nilicon::harness::RunMode;
+use nilicon::{replay_tail, Checkpointer, NiLiConEngine, OptimizationConfig, ReplicationConfig};
+use nilicon_bench::run_workload;
+use nilicon_bench::runner::replicated_engine;
 use nilicon_container::{
     Application, ContainerRuntime, ContainerSpec, GuestCtx, RequestOutcome, StepOutcome,
 };
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::replay::ReplayEvent;
-use nilicon_sim::{CostModel, SimResult};
+use nilicon_sim::SimResult;
 use nilicon_workloads::Scale;
 use serde::Serialize;
 
@@ -59,29 +59,16 @@ struct Bench {
     replay: Vec<ReplayRow>,
 }
 
-/// The Table-VI Redis row under the given release rule.
-fn redis_run(hybrid_replay: bool) -> RunMetrics {
+/// The Table-VI Redis row under the given release rule, traced as `mode`.
+fn release_row(mode: &str, hybrid_replay: bool) -> ReleaseRow {
     let w = nilicon_workloads::redis(Scale::bench(), 1);
     let mut opts = OptimizationConfig::nilicon();
     opts.hybrid_replay = hybrid_replay;
-    let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())));
-    let mut h = RunHarness::new(
-        w.spec,
-        w.app,
-        w.behavior,
-        mode,
-        ReplicationConfig::default(),
-        w.parallelism,
-    )
-    .expect("harness");
-    h.run_epochs(EPOCHS).expect("run");
-    let r = h.finish();
+    let engine = RunMode::Replicated(replicated_engine(opts).expect("a valid row"));
+    let r = run_workload(w, engine, ReplicationConfig::default(), &[], EPOCHS, mode);
     r.verify.expect("workload validated");
     assert_eq!(r.broken_connections, 0, "broken connections");
-    r.metrics
-}
-
-fn release_row(mode: &str, m: &RunMetrics) -> ReleaseRow {
+    let m = r.metrics;
     ReleaseRow {
         mode: mode.to_string(),
         requests: m.release_waits.len() as u64,
@@ -168,13 +155,9 @@ fn replay_duration(events: u64) -> u64 {
 
 fn main() {
     eprintln!("[release] Redis Table-VI row, epoch-ack release...");
-    let baseline = redis_run(false);
+    let baseline = release_row("epoch_ack", false);
     eprintln!("[release] Redis Table-VI row, log-commit release (--replay)...");
-    let hybrid = redis_run(true);
-    let release = vec![
-        release_row("epoch_ack", &baseline),
-        release_row("log_commit", &hybrid),
-    ];
+    let release = vec![baseline, release_row("log_commit", true)];
 
     let replay: Vec<ReplayRow> = [10u64, 100, 1_000, 10_000]
         .iter()

@@ -3,9 +3,11 @@
 //! `cargo run -p nilicon-bench --release --bin reproduce [-- quick] [-- --trace PREFIX]`
 //!
 //! `quick` trims run lengths (useful for CI smoke); the default settings are
-//! the ones EXPERIMENTS.md records. With `--trace PREFIX`, each child binary
-//! records its epoch-phase trace to `PREFIX.<bin>.jsonl` (one file per
-//! binary — see OBSERVABILITY.md), ready for `trace-report`.
+//! the ones EXPERIMENTS.md records. With `--trace PREFIX`, each of the eight
+//! children that run epochs (all but `anchors`) records its epoch-phase
+//! trace to `PREFIX.<bin>.jsonl`, one file per binary, every run in it
+//! behind the bench runner's `RunStart` marker (see OBSERVABILITY.md), ready
+//! for `trace-report`.
 
 use std::process::Command;
 

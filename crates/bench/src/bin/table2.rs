@@ -6,11 +6,9 @@
 //! failover report (restore / ARP / TCP / others), excluding the ~90 ms
 //! detection latency, exactly as the paper reports it.
 
-use nilicon::harness::{RunHarness, RunMode};
-use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_bench::{fmt_ms, Table};
+use nilicon::{FailoverReport, OptimizationConfig, ReplicationConfig};
+use nilicon_bench::{fmt_ms, nilicon_mode, run_workload, Table};
 use nilicon_sim::time::MILLISECOND;
-use nilicon_sim::CostModel;
 use nilicon_workloads::{Scale, Workload};
 
 /// Paper Table II rows: (name, restore, arp, tcp, others, total) in ms.
@@ -19,23 +17,10 @@ pub const PAPER_TABLE2: [(&str, f64, f64, f64, f64, f64); 2] = [
     ("Redis", 314.0, 28.0, 23.0, 7.0, 372.0),
 ];
 
-fn run_failover(w: Workload, parallelism: f64) -> (nilicon::FailoverReport, u64) {
-    let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(
-        OptimizationConfig::nilicon(),
-        CostModel::default(),
-    )));
-    let mut h = RunHarness::new(
-        w.spec,
-        w.app,
-        w.behavior,
-        mode,
-        ReplicationConfig::default(),
-        parallelism,
-    )
-    .expect("harness");
-    h.inject_fault_at(900 * MILLISECOND);
-    h.run_epochs(60).expect("run");
-    let r = h.finish();
+fn run_failover(w: Workload) -> (FailoverReport, u64) {
+    let mode = nilicon_mode(OptimizationConfig::nilicon());
+    let cfg = ReplicationConfig::default();
+    let r = run_workload(w, mode, cfg, &[900 * MILLISECOND], 60, "NiLiCon");
     r.verify.expect("consistent across failover");
     assert_eq!(r.broken_connections, 0, "no broken connections (§VII-A)");
     (
@@ -53,14 +38,10 @@ fn main() {
     );
 
     eprintln!("[Net] failover...");
-    let w = nilicon_workloads::net_echo(5);
-    let par = w.parallelism;
-    let (net, net_det) = run_failover(w, par);
+    let (net, net_det) = run_failover(nilicon_workloads::net_echo(5));
 
     eprintln!("[Redis] failover (paper-scale 100MB dataset)...");
-    let w = nilicon_workloads::redis(Scale::paper(), 5);
-    let par = w.parallelism;
-    let (redis, redis_det) = run_failover(w, par);
+    let (redis, redis_det) = run_failover(nilicon_workloads::redis(Scale::paper(), 5));
 
     for (paper, measured, det) in [
         (&PAPER_TABLE2[0], &net, net_det),

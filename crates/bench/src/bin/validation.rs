@@ -9,10 +9,8 @@
 //! connection is broken by an RST, and the workload's own validator reports
 //! no inconsistency (value mismatches, lost updates, corrupted echoes).
 
-use nilicon::harness::{RunHarness, RunMode};
-use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_bench::Table;
-use nilicon_sim::CostModel;
+use nilicon::{OptimizationConfig, ReplicationConfig};
+use nilicon_bench::{nilicon_mode, run_workload, Table};
 use nilicon_workloads::Scale;
 
 fn builders(scale: Scale) -> Vec<(&'static str, nilicon_bench::comparison::WorkloadBuilder)> {
@@ -63,6 +61,8 @@ fn main() {
     );
     let mut all_ok = true;
     let mut rng: u64 = 0x0123_4567_89AB_CDEF;
+    let cfg = ReplicationConfig::default();
+    let span = epochs * cfg.epoch_exec;
 
     for (name, build) in builders(scale) {
         eprintln!("[{name}] {runs} fault injections...");
@@ -74,26 +74,12 @@ fn main() {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let span = epochs * ReplicationConfig::default().epoch_exec;
             let fault_at = span / 10 + (rng >> 16) % (span * 8 / 10);
 
-            let w = build();
-            let mode = RunMode::Replicated(Box::new(NiLiConEngine::new(
-                OptimizationConfig::nilicon(),
-                CostModel::default(),
-            )));
-            let mut h = RunHarness::new(
-                w.spec,
-                w.app,
-                w.behavior,
-                mode,
-                ReplicationConfig::default(),
-                w.parallelism,
-            )
-            .expect("harness");
-            h.inject_fault_at(fault_at);
-            h.run_epochs(epochs).expect("run");
-            let r = h.finish();
+            // The mode first: a flag the overlay refuses ends the campaign
+            // before any run.
+            let mode = nilicon_mode(OptimizationConfig::nilicon());
+            let r = run_workload(build(), mode, cfg, &[fault_at], epochs, "NiLiCon");
             if r.recovered {
                 recovered += 1;
             }

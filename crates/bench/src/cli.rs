@@ -99,7 +99,8 @@ pub fn cli_tracer() -> Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::replicated_engine;
+    use crate::runner::{nilicon_mode_from, replicated_engine};
+    use nilicon::harness::RunMode;
 
     #[test]
     fn cli_extensions_overlay_flags() {
@@ -143,12 +144,15 @@ mod tests {
             };
             assert!(err.contains(needle), "{flags:?}: {err}");
         }
-        // Staircase rows below the staging buffer keep the paper's engine;
-        // the rows from it on host the placement.
+        // Staircase rows below the staging buffer keep the paper's engine
+        // (and its synchronous path under `--pipeline`); the rows from it
+        // on host the placement.
         for (label, row) in OptimizationConfig::table1_rows() {
-            let flags = args(&["--backups", "3", "--quorum", "2"]);
-            let opts = apply_cli_extensions(row, flags.into_iter()).unwrap();
-            let engine = replicated_engine(opts).unwrap();
+            let flags = args(&["table1", "--backups", "3", "--quorum", "2", "--pipeline"]);
+            let RunMode::Replicated(engine) = nilicon_mode_from(row, flags.into_iter()).unwrap()
+            else {
+                panic!("{label}: unreplicated");
+            };
             assert_eq!(engine.supports_placement(), row.staging_buffer, "{label}");
         }
     }

@@ -1,7 +1,7 @@
 //! Shared run-and-summarize machinery for the table binaries.
 
 pub use crate::cli::{apply_cli_extensions, cli_tracer};
-use nilicon::harness::{RunHarness, RunMode};
+use nilicon::harness::{RunHarness, RunMode, RunResult};
 use nilicon::metrics::{percentile, RunMetrics};
 use nilicon::trace::TraceEvent;
 use nilicon::{
@@ -18,25 +18,21 @@ use serde::Serialize;
 pub const WARMUP_EPOCHS: usize = 4;
 
 /// The engine an optimization set calls for: the k-of-n placement engine
-/// when `backups > 1`, else the paper's single-backup engine.
-///
-/// A placement needs the staged ack path, so a Table I staircase row below
-/// "+ Add memory staging buffer" keeps the single-backup engine under
-/// `--backups`. Every other combination is judged by
-/// [`OptimizationConfig::validate`], which both engine constructors go
-/// through: `--backups` with `--delta`, or with a shape outside
-/// `1 <= k <= n <= 128`, is its error — numbers under a placement label
-/// come from a placement — and so is `--quorum` without `--backups`;
+/// when `backups > 1`, else the paper's single-backup engine. The set is
+/// judged by [`OptimizationConfig::validate`] first, so a combination the
+/// chosen layout refuses is an error here, not a panic in its constructor:
+/// `--backups` without the staging buffer or with `--delta`, or with a
+/// shape outside `1 <= k <= n <= 128` — numbers under a placement label
+/// come from a placement — and `--quorum` without `--backups`;
 /// `--backups` with `--cow` stripes the COW drain's pages.
 pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpointer>> {
+    opts.validate()?;
     let costs = CostModel::default();
-    if opts.backups > 1 && opts.staging_buffer {
-        return Ok(Box::new(PlacementEngine::new(opts, costs)?));
-    }
-    if opts.backups == 1 {
-        opts.validate()?; // an error here, where the constructor would panic
-    }
-    Ok(Box::new(NiLiConEngine::new(opts, costs)))
+    Ok(if opts.backups > 1 {
+        Box::new(PlacementEngine::new(opts, costs)?)
+    } else {
+        Box::new(NiLiConEngine::new(opts, costs))
+    })
 }
 
 /// A NiLiCon run mode with the given optimization set, plus any EXTENSION
@@ -47,21 +43,31 @@ pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpoi
 /// it), and the single-backup engine under `--backups`, and says so on
 /// stderr.
 pub fn nilicon_mode(row: OptimizationConfig) -> RunMode {
-    let mut opts = apply_cli_extensions(row, std::env::args()).unwrap_or_else(|e| panic!("{e}"));
+    nilicon_mode_from(row, std::env::args()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`nilicon_mode`] over the argument list `args`.
+pub(crate) fn nilicon_mode_from(
+    row: OptimizationConfig,
+    args: impl Iterator<Item = String>,
+) -> Result<RunMode, String> {
+    let mut opts = apply_cli_extensions(row, args)?;
     let rows = OptimizationConfig::table1_rows();
     let label = rows.iter().find(|(_, r)| *r == row).map_or("this row", |(l, _)| l);
     if opts.pipeline && !opts.staging_buffer && !opts.cow_checkpoint {
         opts.pipeline = false;
         eprintln!("--pipeline: \"{label}\" has no staging buffer; it keeps the synchronous path");
     }
-    let engine = replicated_engine(opts).unwrap_or_else(|e| panic!("{e}"));
-    if opts.backups > 1 && !engine.supports_placement() {
+    if opts.backups > 1 && !opts.staging_buffer {
         eprintln!(
             "--backups {}: \"{label}\" has no staging buffer; it keeps the single-backup engine",
             opts.backups
         );
+        (opts.backups, opts.quorum) = (1, 1);
     }
-    RunMode::Replicated(engine)
+    Ok(RunMode::Replicated(
+        replicated_engine(opts).map_err(|e| e.to_string())?,
+    ))
 }
 
 /// The MC baseline run mode.
@@ -167,23 +173,44 @@ pub fn summarize(
     }
 }
 
-/// Run a server workload for `epochs` epochs under `mode`.
-pub fn run_server(w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfSummary {
-    let name = w.name;
-    let cfg = ReplicationConfig::default();
+/// Run `w` for `epochs` epochs under `mode` and `cfg`, with a fail-stop
+/// fault of the primary at each virtual time in `faults`, traced into
+/// [`cli_tracer`] behind a `RunStart` marker labelled `label`. The one run
+/// path of every binary that drives the single-container harness (the
+/// chaos cells, which arm schedules mid-run, aside); the result comes back
+/// unchecked, for the caller's own verdict.
+pub fn run_workload(
+    w: Workload,
+    mode: RunMode,
+    cfg: ReplicationConfig,
+    faults: &[Nanos],
+    epochs: u64,
+    label: &str,
+) -> RunResult {
     let mut h =
         RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).expect("harness");
     let tracer = cli_tracer();
     tracer.event_at(
         TraceEvent::RunStart {
-            name: name.to_string(),
+            name: w.name.to_string(),
             mode: label.to_string(),
         },
         0,
     );
     h.set_tracer(tracer);
+    for &t in faults {
+        h.inject_fault_at(t);
+    }
     h.run_epochs(epochs).expect("run");
-    let r = h.finish();
+    h.finish()
+}
+
+/// Run a server workload for `epochs` epochs under `mode`, check it, and
+/// summarize it.
+pub fn run_server(w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfSummary {
+    let name = w.name;
+    let cfg = ReplicationConfig::default();
+    let r = run_workload(w, mode, cfg, &[], epochs, label);
     r.verify.expect("workload validated");
     assert_eq!(r.broken_connections, 0, "{name}: broken connections");
     summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
@@ -252,12 +279,25 @@ mod tests {
         assert_eq!(s.overhead_vs(0.0), 0.0, "degenerate baseline");
     }
 
-    /// The engines behind both modes construct. (`nilicon_mode` itself reads
-    /// the process's arguments, which under the test harness are its own.)
+    /// The engines behind both modes construct.
     #[test]
     fn modes_construct() {
         let engine = replicated_engine(OptimizationConfig::nilicon()).unwrap();
         assert_eq!(engine.placement(), (1, 1));
         let _ = mc_mode();
+    }
+
+    /// A placement without the staging buffer is `validate`'s error from
+    /// `replicated_engine`, not a panic in the single-backup constructor,
+    /// whatever other knob rides along.
+    #[test]
+    fn replicated_engine_refuses_what_validate_refuses() {
+        let mut opts = OptimizationConfig::nilicon();
+        (opts.backups, opts.staging_buffer, opts.pipeline) = (3, false, true);
+        let rule = opts.validate().unwrap_err().to_string();
+        match replicated_engine(opts) {
+            Err(e) => assert_eq!(e.to_string(), rule),
+            Ok(e) => panic!("ran as {}", e.name()),
+        }
     }
 }

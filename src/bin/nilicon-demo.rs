@@ -8,10 +8,17 @@
 //! cargo run --release --bin nilicon-demo -- --workload streamcluster --engine stock
 //! cargo run --release --bin nilicon-demo -- --list
 //! ```
+//!
+//! Every other flag is the table binaries' (`nilicon_bench::cli`): the
+//! EXTENSION overlay (`--delta`, `--cow`, `--rearm`, `--replay`,
+//! `--pipeline`, `--backups N`, `--quorum K`, applied to the `nilicon`
+//! engine) and `--trace FILE.jsonl`; a `--` flag neither knows fails the run.
+//! The run itself is the bench runner's.
 
-use nilicon_repro::core::harness::{RunHarness, RunMode};
-use nilicon_repro::core::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_repro::mc::McEngine;
+use nilicon_bench::runner::{apply_cli_extensions, mc_mode, replicated_engine, run_workload};
+use nilicon_repro::colo::ColoEngine;
+use nilicon_repro::core::harness::RunMode;
+use nilicon_repro::core::{OptimizationConfig, ReplicationConfig};
 use nilicon_repro::sim::CostModel;
 use nilicon_repro::workloads::{self, Scale, Workload};
 
@@ -33,9 +40,9 @@ struct Args {
     epochs: u64,
     clients: usize,
     fault_at_ms: Vec<u64>,
-    rearm: bool,
     scale: String,
-    trace: Option<String>,
+    /// The EXTENSION overlay over the paper's optimization set.
+    opts: OptimizationConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -45,34 +52,19 @@ fn parse_args() -> Result<Args, String> {
         epochs: 60,
         clients: 4,
         fault_at_ms: Vec::new(),
-        rearm: false,
         scale: "small".into(),
-        trace: None,
+        opts: OptimizationConfig::nilicon(),
     };
+    let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
-            "--workload" | "-w" => args.workload = val("--workload")?,
-            "--engine" | "-e" => args.engine = val("--engine")?,
-            "--epochs" | "-n" => {
-                args.epochs = val("--epochs")?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?
-            }
-            "--clients" | "-c" => {
-                args.clients = val("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--fault-at-ms" | "-f" => args.fault_at_ms.push(
-                val("--fault-at-ms")?
-                    .parse()
-                    .map_err(|e| format!("--fault-at-ms: {e}"))?,
-            ),
-            "--rearm" => args.rearm = true,
-            "--scale" | "-s" => args.scale = val("--scale")?,
-            "--trace" | "-t" => args.trace = Some(val("--trace")?),
+            "--workload" | "-w" => args.workload = value(&mut it, "--workload")?,
+            "--engine" | "-e" => args.engine = value(&mut it, "--engine")?,
+            "--epochs" | "-n" => args.epochs = value(&mut it, "--epochs")?,
+            "--clients" | "-c" => args.clients = value(&mut it, "--clients")?,
+            "--fault-at-ms" | "-f" => args.fault_at_ms.push(value(&mut it, "--fault-at-ms")?),
+            "--scale" | "-s" => args.scale = value(&mut it, "--scale")?,
             "--list" => {
                 println!("workloads: {}", WORKLOADS.join(", "));
                 println!("engines  : nilicon, mc, colo, stock");
@@ -82,15 +74,38 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: nilicon-demo [--workload NAME] [--engine nilicon|mc|colo|stock] \
-                     [--epochs N] [--clients N] [--fault-at-ms T]... [--rearm] \
-                     [--scale small|bench|paper] [--trace FILE.jsonl] [--list]"
+                     [--epochs N] [--clients N] [--fault-at-ms T]... \
+                     [--scale small|bench|paper] [--list]\n\
+                     \x20      [--delta] [--cow] [--rearm] [--replay] [--pipeline] \
+                     [--backups N] [--quorum K] [--trace FILE.jsonl]\n\
+                     short forms: -w -e -n -c -f -s -h (the table binaries' flags have none)"
                 );
                 std::process::exit(0);
+            }
+            // The overlay's flags, and a word after one of them (its value).
+            f if f.starts_with("--") => rest.push(flag),
+            f if !f.starts_with('-') && rest.last().is_some_and(|p| p.starts_with("--")) => {
+                rest.push(flag)
             }
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
+    args.opts = apply_cli_extensions(args.opts, rest.into_iter())?;
     Ok(args)
+}
+
+/// The value after `flag`, parsed.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = it
+        .next()
+        .ok_or_else(|| format!("missing value for {flag}"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn build_workload(name: &str, scale: Scale, clients: usize) -> Result<Workload, String> {
@@ -119,82 +134,42 @@ fn build_workload(name: &str, scale: Scale, clients: usize) -> Result<Workload, 
     })
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+/// The parsed arguments, with their workload and run mode.
+fn setup(args: Args) -> Result<(Args, Workload, RunMode), String> {
     let scale = match args.scale.as_str() {
         "small" => Scale::small(),
         "bench" => Scale::bench(),
         "paper" => Scale::paper(),
-        other => {
-            eprintln!("error: unknown scale {other}");
-            std::process::exit(2);
-        }
+        other => return Err(format!("unknown scale {other}")),
     };
-    let w = match build_workload(&args.workload, scale, args.clients) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let w = build_workload(&args.workload, scale, args.clients)?;
     let mode = match args.engine.as_str() {
-        "nilicon" => {
-            let mut opts = OptimizationConfig::nilicon();
-            opts.rearm = args.rearm;
-            RunMode::Replicated(Box::new(NiLiConEngine::new(opts, CostModel::default())))
-        }
-        "mc" => RunMode::Replicated(Box::new(McEngine::new(CostModel::default()))),
-        "colo" => RunMode::Replicated(Box::new(nilicon_repro::colo::ColoEngine::new(
-            CostModel::default(),
-            0.05,
-        ))),
+        "nilicon" => RunMode::Replicated(replicated_engine(args.opts).map_err(|e| e.to_string())?),
+        "mc" => mc_mode(),
+        "colo" => RunMode::Replicated(Box::new(ColoEngine::new(CostModel::default(), 0.05))),
         "stock" => RunMode::Unreplicated,
-        other => {
-            eprintln!("error: unknown engine {other} (nilicon|mc|colo|stock)");
-            std::process::exit(2);
-        }
+        other => return Err(format!("unknown engine {other} (nilicon|mc|colo|stock)")),
     };
+    Ok((args, w, mode))
+}
+
+fn main() {
+    let (args, w, mode) = parse_args().and_then(setup).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
 
     println!(
         "running {} under {} for {} epochs (scale {}, {} clients)...",
         args.workload, args.engine, args.epochs, args.scale, args.clients
     );
     let name = w.name;
-    let mut h = RunHarness::new(
-        w.spec,
-        w.app,
-        w.behavior,
-        mode,
-        ReplicationConfig::default(),
-        w.parallelism,
-    )
-    .expect("harness construction");
-    if let Some(path) = &args.trace {
-        let tracer =
-            nilicon_repro::core::trace::Tracer::to_file(path).expect("create trace file");
-        tracer.event_at(
-            nilicon_repro::core::trace::TraceEvent::RunStart {
-                name: name.to_string(),
-                mode: args.engine.clone(),
-            },
-            0,
-        );
-        h.set_tracer(tracer);
-        println!("tracing epoch phases to {path} (see OBSERVABILITY.md)");
-    }
     for &ms in &args.fault_at_ms {
-        h.inject_fault_at(ms * 1_000_000);
         println!("fail-stop fault scheduled at t={ms}ms");
     }
-    h.run_epochs(args.epochs).expect("run");
-    let failed_over = h.on_backup();
-    let r = h.finish();
+    let faults: Vec<u64> = args.fault_at_ms.iter().map(|ms| ms * 1_000_000).collect();
+    let cfg = ReplicationConfig::default();
+    let r = run_workload(w, mode, cfg, &faults, args.epochs, &args.engine);
 
     println!("\n== {name} results ==");
     println!(
@@ -218,7 +193,7 @@ fn main() {
         "backup core util    : {:.2}",
         r.metrics.backup_utilization()
     );
-    if failed_over {
+    if r.failovers > 0 {
         let fo = r.failover.expect("failover report");
         println!(
             "failover            : detected in {:.0} ms, recovered in {:.0} ms \

@@ -461,3 +461,21 @@ fn run_lasts_virtual_seconds_and_is_deterministic() {
     assert_eq!(a, b, "bit-for-bit deterministic");
     assert!(a.0 > SECOND, "35 epochs ≈ >1s of virtual time");
 }
+
+/// The demo hands what it does not parse to the table binaries' overlay,
+/// which refuses a flag it does not know; `--trace` has no short form there.
+#[test]
+fn demo_refuses_unknown_flags() {
+    for flag in ["--dleta", "-t"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nilicon-demo"))
+            .args([flag, "x"])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} ran");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+}

@@ -26,7 +26,7 @@
 
 use nilicon::fleet::{FleetScheduler, LaneSpec};
 use nilicon::trace::{TraceEvent, TraceRecord, Tracer};
-use nilicon::{OptimizationConfig, PlacementEngine, ReplicationConfig};
+use nilicon::{OptimizationConfig, ReplicationConfig};
 use nilicon_bench::chaos::{
     echo_lane, replay, run_service_cell, run_state_cell, Outcome, Scenario, ScriptApp, HEAP_PAGES,
 };
@@ -34,7 +34,7 @@ use nilicon_bench::runner::replicated_engine;
 use nilicon_container::ContainerSpec;
 use nilicon_sim::net::{ChaosSchedule, FaultKind};
 use nilicon_sim::time::Nanos;
-use nilicon_sim::{CostModel, MILLISECOND};
+use nilicon_sim::MILLISECOND;
 
 const MS: Nanos = MILLISECOND;
 /// When the fault under test lands: mid-epoch, after the initial sync.
@@ -278,22 +278,16 @@ fn cell(f: Fault, o: OptimizationConfig) -> Result<(), String> {
 }
 
 /// Walk the harness axis under `f`: every accepted config with `f`'s
-/// mechanism is a cell; every rejected one must be refused by its layout's
-/// constructor with `validate`'s words — the mirror's through
-/// `replicated_engine`, which returns the error where `NiLiConEngine::new`
-/// would panic. Returns the number of cells.
+/// mechanism is a cell; every rejected one must be refused by
+/// `replicated_engine` (either layout) with `validate`'s words, as an error
+/// where `NiLiConEngine::new` would panic. Returns the number of cells.
 fn walk(f: Fault) -> usize {
     let (mut cells, mut refused, mut failed) = (0, 0, Vec::new());
     for o in knob_space() {
         let verdict = match o.validate() {
             Err(rule) => {
                 refused += 1;
-                let built = if o.backups > 1 {
-                    PlacementEngine::new(o, CostModel::default()).map(drop)
-                } else {
-                    replicated_engine(o).map(drop)
-                };
-                match built {
+                match replicated_engine(o).map(drop) {
                     Err(e) if e.to_string() == rule.to_string() => Ok(()),
                     other => Err(format!("{:?}, not refused with {rule}", other.err())),
                 }
