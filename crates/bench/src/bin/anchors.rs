@@ -1,10 +1,11 @@
 //! §V/§VI anchor check: every cost the paper states numerically, next to
 //! what the model produces. Run: `cargo run -p nilicon-bench --bin anchors`.
 
-use nilicon_bench::Table;
+use nilicon_bench::{Cli, Flags, Table};
 use nilicon_sim::CostModel;
 
 fn main() {
+    Cli::parse(&[], Flags::None);
     let c = CostModel::default();
     let mut t = Table::new(
         "Paper-stated cost anchors (§I, §V, §VII-C) vs model",

@@ -12,10 +12,11 @@
 use nilicon_bench::chaos::{
     fleet_scenarios, run_cell, run_fleet_cell, scenarios, Cell, Outcome, CELL_EPOCHS,
 };
-use nilicon_bench::Table;
+use nilicon_bench::{Cli, Flags, Table};
 use nilicon_sim::MILLISECOND;
 
 fn main() {
+    Cli::parse(&[], Flags::None);
     // The fault-timing sweep: the same schedule landing at different phases
     // of the 30 ms epoch (mid-epoch, near a boundary, near a release).
     let shifts = [0, 7 * MILLISECOND, 23 * MILLISECOND];

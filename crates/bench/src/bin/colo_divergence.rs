@@ -3,26 +3,27 @@
 //! (tiny output delay, no stop time) but becomes prohibitive as output
 //! divergence rises, while burning >100% backup CPU at every point.
 //!
-//! `cargo run -p nilicon-bench --release --bin colo_divergence [epochs]`
+//! `cargo run -p nilicon-bench --release --bin colo_divergence [EPOCHS]`
 
 use nilicon::harness::RunMode;
 use nilicon::OptimizationConfig;
-use nilicon_bench::{fmt_ms, nilicon_mode, run_server, Table};
+use nilicon_bench::{fmt_ms, Cli, Flags, Slot, Table};
 use nilicon_colo::ColoEngine;
 use nilicon_sim::CostModel;
 use nilicon_workloads::Scale;
 
 fn main() {
-    let epochs: u64 = nilicon_bench::cli::positional_u64(1, 60);
+    let cli = Cli::parse(&[Slot::Count("EPOCHS", 60)], Flags::Runs);
+    let epochs = cli.counts[0];
     let scale = Scale::bench();
     let redis = || nilicon_workloads::redis(scale, 8);
 
     eprintln!("[stock]...");
-    let stock = run_server(redis(), RunMode::Unreplicated, epochs, "stock");
+    let stock = cli.run_server(redis(), RunMode::Unreplicated, epochs, "stock");
     eprintln!("[NiLiCon]...");
-    let nilicon = run_server(
+    let nilicon = cli.run_server(
         redis(),
-        nilicon_mode(OptimizationConfig::nilicon()),
+        cli.nilicon_mode(OptimizationConfig::nilicon()),
         epochs,
         "NiLiCon",
     );
@@ -49,7 +50,7 @@ fn main() {
     for divergence in [0.0, 0.05, 0.25, 0.5, 1.0] {
         eprintln!("[COLO d={divergence}]...");
         let mode = RunMode::Replicated(Box::new(ColoEngine::new(CostModel::default(), divergence)));
-        let s = run_server(redis(), mode, epochs, "COLO");
+        let s = cli.run_server(redis(), mode, epochs, "COLO");
         t.push(
             format!("COLO, divergence {:.0}%", divergence * 100.0),
             vec![

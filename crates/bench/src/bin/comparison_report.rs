@@ -3,16 +3,17 @@
 //! runs in the paper too).
 //!
 //! `cargo run --release -p nilicon-bench --bin comparison_report -- [EPOCHS]`
-//! (default 120); the NiLiCon runs take the extension flags of
-//! [`nilicon_bench::apply_cli_extensions`] (`--delta`, `--cow`, ...).
+//! (default 120); the NiLiCon runs take the EXTENSION overlay
+//! ([`nilicon_bench::Flags::Runs`]: `--delta`, `--cow`, ...).
 
 use nilicon_bench::comparison::{PAPER_FIG3, PAPER_TABLE3, PAPER_TABLE4, PAPER_TABLE5};
-use nilicon_bench::{fmt_mib, fmt_ms, run_comparisons, Table};
+use nilicon_bench::{fmt_mib, fmt_ms, run_comparisons, Cli, Flags, Slot, Table};
 use nilicon_workloads::Scale;
 
 fn main() {
-    let epochs: u64 = nilicon_bench::cli::positional_u64(1, 120);
-    let comparisons = run_comparisons(Scale::bench(), epochs);
+    let cli = Cli::parse(&[Slot::Count("EPOCHS", 120)], Flags::Runs);
+    let epochs = cli.counts[0];
+    let comparisons = run_comparisons(&cli, Scale::bench(), epochs);
 
     // ---------------- Fig. 3 ----------------
     let mut fig3 = Table::new(

@@ -4,33 +4,28 @@
 //! longer epochs invert the trade. The paper fixes 30 ms (§IV); this sweep
 //! shows the latency/overhead frontier around that choice.
 //!
-//! `cargo run -p nilicon-bench --release --bin epoch_sweep [epochs]`
+//! `cargo run -p nilicon-bench --release --bin epoch_sweep [SECONDS]`
 
 use nilicon::harness::RunMode;
 use nilicon::{OptimizationConfig, ReplicationConfig};
-use nilicon_bench::{
-    fmt_ms, nilicon_mode, run_server, run_workload, summarize, Table, WARMUP_EPOCHS,
-};
+use nilicon_bench::{fmt_ms, summarize, Cli, Flags, Slot, Table, WARMUP_EPOCHS};
 use nilicon_sim::time::MILLISECOND;
 use nilicon_workloads::Scale;
 
 fn main() {
-    let virtual_secs: u64 = nilicon_bench::cli::positional_u64(1, 3);
+    let cli = Cli::parse(&[Slot::Count("SECONDS", 3)], Flags::Runs);
+    let virtual_secs = cli.counts[0];
     let scale = Scale::bench();
-    // Every sweep mode before the first run: a flag the overlay refuses
-    // ends the sweep before the stock baseline is spent.
-    let sweep =
-        [10u64, 20, 30, 60, 120].map(|ms| (ms, nilicon_mode(OptimizationConfig::nilicon())));
 
     // Stock throughput baseline (epoch length irrelevant unreplicated).
     let redis = || nilicon_workloads::redis(scale, 8);
-    let stock = run_server(redis(), RunMode::Unreplicated, virtual_secs * 33, "stock");
+    let stock = cli.run_server(redis(), RunMode::Unreplicated, virtual_secs * 33, "stock");
 
     let mut t = Table::new(
         "Epoch-length sensitivity — Redis under NiLiCon (paper fixes 30 ms, §IV)",
         vec!["epoch", "overhead", "avg stop", "mean latency", "state/epoch"],
     );
-    for (epoch_ms, mode) in sweep {
+    for epoch_ms in [10u64, 20, 30, 60, 120] {
         eprintln!("[epoch={epoch_ms}ms]...");
         let cfg = ReplicationConfig {
             epoch_exec: epoch_ms * MILLISECOND,
@@ -39,9 +34,11 @@ fn main() {
         let label = format!("{epoch_ms}ms");
         // Same virtual-time budget for every epoch length.
         let epochs = virtual_secs * 1_000 / epoch_ms;
-        let r = run_workload(redis(), mode, cfg, &[], epochs, &label);
+        let (w, mode) = (redis(), cli.nilicon_mode(OptimizationConfig::nilicon()));
+        let batch = !w.app.is_server();
+        let r = cli.run_workload(w, mode, cfg, &[], epochs, &label);
         r.verify.expect("valid");
-        let s = summarize("Redis", &label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
+        let s = summarize(batch, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
         let overhead = s.overhead_vs(stock.throughput) * 100.0;
         t.push(
             label,

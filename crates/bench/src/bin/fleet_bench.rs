@@ -25,6 +25,7 @@ use nilicon::fleet::{FleetScheduler, LaneSpec};
 use nilicon::trace::{TraceEvent, Tracer};
 use nilicon::{percentile, OptimizationConfig, ReplicationConfig};
 use nilicon_bench::chaos::echo_lane;
+use nilicon_bench::{Cli, Flags, Slot};
 use nilicon_container::ContainerSpec;
 use nilicon_sim::time::Nanos;
 use serde::Serialize;
@@ -209,7 +210,7 @@ fn scale_cell() -> CellOut {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "scale") {
+    if Cli::parse(&[Slot::Word(&["scale"])], Flags::None).words[0].is_some() {
         // Simulator throughput on the cell that is all request path: wall
         // time and simulated time per wall time (a host number: printed,
         // never written to BENCH_fleet.json).

@@ -30,7 +30,7 @@
 use nilicon::harness::RunMode;
 use nilicon::{OptimizationConfig, ReplicationConfig};
 use nilicon_bench::runner::replicated_engine;
-use nilicon_bench::{run_workload, summarize, WARMUP_EPOCHS};
+use nilicon_bench::{summarize, Cli, Flags, WARMUP_EPOCHS};
 use nilicon_criu::delta::{encode_against, DeltaStats};
 use nilicon_criu::{PageKey, PageStore, RadixTreeStore};
 use nilicon_sim::mem::ALL_LINES;
@@ -167,14 +167,14 @@ fn continuous_streamcluster() -> Workload {
 /// Run streamcluster for [`EPOCHS`] epochs and summarize: post-warmup
 /// steps/s, mean stop/ack, and the total committed state bytes (the
 /// equal-work check between the two rows).
-fn streamcluster_row(label: &str, opts: OptimizationConfig) -> ThroughputRow {
+fn streamcluster_row(cli: &Cli, label: &str, opts: OptimizationConfig) -> ThroughputRow {
     let w = continuous_streamcluster();
-    let name = w.name;
+    let batch = !w.app.is_server();
     let mode = RunMode::Replicated(replicated_engine(opts).expect("a valid row"));
     let cfg = ReplicationConfig::default();
-    let r = run_workload(w, mode, cfg, &[], EPOCHS, label);
+    let r = cli.run_workload(w, mode, cfg, &[], EPOCHS, label);
     r.verify.expect("workload validated");
-    let s = summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
+    let s = summarize(batch, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS);
     let warm = &r.metrics.epochs[WARMUP_EPOCHS..];
     ThroughputRow {
         mode: label.to_string(),
@@ -186,6 +186,7 @@ fn streamcluster_row(label: &str, opts: OptimizationConfig) -> ThroughputRow {
 }
 
 fn main() {
+    let cli = Cli::parse(&[], Flags::Trace);
     eprintln!("[encode] 300-page epoch batch, 15 samples interleaved with a copy of the batch...");
     let encode = encode_epoch_timing();
     let encode_speedup = ENCODE_BASELINE_NS as f64 / encode.mean_ns as f64;
@@ -210,9 +211,9 @@ fn main() {
     piped.pipeline = true;
 
     eprintln!("[throughput] streamcluster x{EPOCHS} epochs, synchronous...");
-    let row_sync = streamcluster_row("synchronous", sync);
+    let row_sync = streamcluster_row(&cli, "synchronous", sync);
     eprintln!("[throughput] streamcluster x{EPOCHS} epochs, --pipeline...");
-    let row_pipe = streamcluster_row("pipeline", piped);
+    let row_pipe = streamcluster_row(&cli, "pipeline", piped);
     let ratio = row_pipe.steps_per_s / row_sync.steps_per_s;
     for r in [&row_sync, &row_pipe] {
         println!(

@@ -21,7 +21,7 @@
 //! storage overhead is not strictly below mirroring's 2×.
 
 use nilicon::{Checkpointer, OptimizationConfig, PlacementEngine};
-use nilicon_bench::Table;
+use nilicon_bench::{Cli, Flags, Table};
 use nilicon_container::{Container, ContainerRuntime, ContainerSpec, MemLayout};
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::PAGE_SIZE;
@@ -131,6 +131,7 @@ fn run_cell(k: u32, n: u32) -> SweepRow {
 }
 
 fn main() {
+    Cli::parse(&[], Flags::None);
     let placements = [(1u32, 2u32), (2, 3), (3, 5)];
     let rows: Vec<SweepRow> = placements.iter().map(|&(k, n)| run_cell(k, n)).collect();
 

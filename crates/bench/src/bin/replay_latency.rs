@@ -21,8 +21,8 @@
 
 use nilicon::harness::RunMode;
 use nilicon::{replay_tail, Checkpointer, NiLiConEngine, OptimizationConfig, ReplicationConfig};
-use nilicon_bench::run_workload;
 use nilicon_bench::runner::replicated_engine;
+use nilicon_bench::{Cli, Flags};
 use nilicon_container::{
     Application, ContainerRuntime, ContainerSpec, GuestCtx, RequestOutcome, StepOutcome,
 };
@@ -60,12 +60,12 @@ struct Bench {
 }
 
 /// The Table-VI Redis row under the given release rule, traced as `mode`.
-fn release_row(mode: &str, hybrid_replay: bool) -> ReleaseRow {
+fn release_row(cli: &Cli, mode: &str, hybrid_replay: bool) -> ReleaseRow {
     let w = nilicon_workloads::redis(Scale::bench(), 1);
     let mut opts = OptimizationConfig::nilicon();
     opts.hybrid_replay = hybrid_replay;
     let engine = RunMode::Replicated(replicated_engine(opts).expect("a valid row"));
-    let r = run_workload(w, engine, ReplicationConfig::default(), &[], EPOCHS, mode);
+    let r = cli.run_workload(w, engine, ReplicationConfig::default(), &[], EPOCHS, mode);
     r.verify.expect("workload validated");
     assert_eq!(r.broken_connections, 0, "broken connections");
     let m = r.metrics;
@@ -154,10 +154,11 @@ fn replay_duration(events: u64) -> u64 {
 }
 
 fn main() {
+    let cli = Cli::parse(&[], Flags::Trace);
     eprintln!("[release] Redis Table-VI row, epoch-ack release...");
-    let baseline = release_row("epoch_ack", false);
+    let baseline = release_row(&cli, "epoch_ack", false);
     eprintln!("[release] Redis Table-VI row, log-commit release (--replay)...");
-    let release = vec![baseline, release_row("log_commit", true)];
+    let release = vec![baseline, release_row(&cli, "log_commit", true)];
 
     let replay: Vec<ReplayRow> = [10u64, 100, 1_000, 10_000]
         .iter()

@@ -1,6 +1,6 @@
 //! Reproduce every table and figure in sequence (the EXPERIMENTS.md driver).
 //!
-//! `cargo run -p nilicon-bench --release --bin reproduce [-- quick] [-- --trace PREFIX]`
+//! `cargo run -p nilicon-bench --release --bin reproduce [-- [quick] [--trace PREFIX]]`
 //!
 //! `quick` trims run lengths (useful for CI smoke); the default settings are
 //! the ones EXPERIMENTS.md records. With `--trace PREFIX`, each of the eight
@@ -9,6 +9,7 @@
 //! behind the bench runner's `RunStart` marker (see OBSERVABILITY.md), ready
 //! for `trace-report`.
 
+use nilicon_bench::{Cli, Flags, Slot};
 use std::process::Command;
 
 fn run(bin: &str, args: &[&str], trace_prefix: Option<&str>) {
@@ -26,18 +27,13 @@ fn run(bin: &str, args: &[&str], trace_prefix: Option<&str>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let trace_prefix = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| args.get(i + 1).expect("--trace requires a path prefix").clone());
-    let (t1, cmp, t6, val_runs, val_epochs, scal) = if quick {
+    let cli = Cli::parse(&[Slot::Word(&["quick"])], Flags::TracePrefix);
+    let (t1, cmp, t6, val_runs, val_epochs, scal) = if cli.words[0].is_some() {
         ("60", "30", "120", "3", "30", "30")
     } else {
         ("300", "120", "400", "50", "40", "60")
     };
-    let tp = trace_prefix.as_deref();
+    let tp = cli.trace.as_deref();
 
     run("anchors", &[], None); // no epoch runs to trace
     run("table1", &[t1], tp);

@@ -6,147 +6,113 @@
 
 use nilicon::harness::RunMode;
 use nilicon::OptimizationConfig;
-use nilicon_bench::{fmt_ms, nilicon_mode, run_server, PerfSummary, Table};
+use nilicon_bench::{fmt_ms, Cli, Flags, PerfSummary, Slot, Table};
 use nilicon_workloads::{streamcluster, Scale, Workload};
 use std::collections::HashMap;
 
-/// Stock (unreplicated) baselines, keyed by (workload, procs/threads,
-/// clients). Identical workload configs appear in more than one table —
-/// e.g. Lighttpd (4 procs, 32 clients) sits in both the client and the
-/// process sweeps — so each stock baseline runs exactly once per invocation.
-struct StockCache {
-    runs: HashMap<(&'static str, usize, usize), PerfSummary>,
+/// A workload configuration: (workload, procs/threads, clients).
+type Config = (&'static str, usize, usize);
+
+/// One §VII-C sweep: the paper's overhead anchors along its axis, and the
+/// workload configuration at each point.
+struct Sweep {
+    /// The axis, as the command line and the table's first column name it.
+    axis: &'static str,
+    title: &'static str,
+    /// (point, paper overhead %) pairs.
+    paper: &'static [(usize, f64)],
+    /// Points whose paper value is interpolated from the figure.
+    interpolated: &'static [usize],
+    config: fn(usize) -> Config,
 }
 
-impl StockCache {
-    fn new() -> Self {
-        StockCache { runs: HashMap::new() }
-    }
+const SWEEPS: [Sweep; 3] = [
+    Sweep {
+        axis: "threads",
+        title: "§VII-C — streamcluster overhead vs thread count (paper: 23% @1 → 52% @32)",
+        paper: &[(1, 23.0), (4, 31.8), (8, 36.0), (16, 43.0), (32, 52.0)],
+        interpolated: &[4, 8, 16],
+        config: |threads| ("streamcluster", threads, 0),
+    },
+    Sweep {
+        axis: "clients",
+        title:
+            "§VII-C — Lighttpd (4 processes) overhead vs client count (paper: ~34% ≤32 → 45% @128)",
+        paper: &[(2, 34.0), (8, 34.0), (32, 34.0), (128, 45.0)],
+        interpolated: &[],
+        config: |clients| ("lighttpd", 4, clients),
+    },
+    Sweep {
+        axis: "processes",
+        title: "§VII-C — Lighttpd overhead vs process count (paper: 23% @1 → 63% @8)",
+        paper: &[(1, 23.0), (2, 33.0), (4, 45.0), (8, 63.0)],
+        interpolated: &[2, 4],
+        // Clients scale with processes, as in the paper (2 → 8 clients
+        // needed to saturate 1 → 8 processes; we use 8× headroom).
+        config: |procs| ("lighttpd", procs, 8 * procs),
+    },
+];
 
-    fn get_or_run(
-        &mut self,
-        key: (&'static str, usize, usize),
-        epochs: u64,
-        make: impl FnOnce() -> Workload,
-    ) -> PerfSummary {
-        if let Some(s) = self.runs.get(&key) {
+/// A fresh workload of configuration `config`.
+fn workload(scale: Scale, (name, procs, clients): Config) -> Workload {
+    match name {
+        "streamcluster" => streamcluster(scale, procs),
+        _ => nilicon_workloads::lighttpd(procs, clients),
+    }
+}
+
+/// Stock (unreplicated) baselines, keyed by configuration. Identical
+/// configurations appear in more than one sweep — e.g. Lighttpd (4 procs,
+/// 32 clients) sits in both the client and the process sweeps — so each
+/// stock baseline runs exactly once per invocation.
+struct StockCache(HashMap<Config, PerfSummary>);
+
+impl StockCache {
+    fn get_or_run(&mut self, cli: &Cli, scale: Scale, key: Config, epochs: u64) -> PerfSummary {
+        if let Some(s) = self.0.get(&key) {
             eprintln!("  [stock {key:?}] cached");
             return s.clone();
         }
-        let s = run_server(make(), RunMode::Unreplicated, epochs, "stock");
-        self.runs.insert(key, s.clone());
+        let s = cli.run_server(workload(scale, key), RunMode::Unreplicated, epochs, "stock");
+        self.0.insert(key, s.clone());
         s
     }
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let epochs: u64 = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(60);
+    let cli = Cli::parse(
+        &[
+            Slot::Word(&["threads", "clients", "processes", "all"]),
+            Slot::Count("EPOCHS", 60),
+        ],
+        Flags::Runs,
+    );
+    let which = cli.words[0].as_deref().unwrap_or("all");
+    let epochs = cli.counts[0];
     let scale = Scale::bench();
-    let mut stock_cache = StockCache::new();
+    let mut stock_cache = StockCache(HashMap::new());
 
-    if which == "threads" || which == "all" {
-        let paper = [(1usize, 23.0), (4, 31.8), (8, 36.0), (16, 43.0), (32, 52.0)];
+    for sweep in SWEEPS.iter().filter(|s| which == "all" || which == s.axis) {
         let mut t = Table::new(
-            "§VII-C — streamcluster overhead vs thread count (paper: 23% @1 → 52% @32)",
-            vec!["threads", "paper", "measured", "avg stop"],
+            sweep.title,
+            vec![sweep.axis, "paper", "measured", "avg stop"],
         );
-        for (threads, p) in paper {
-            eprintln!("[threads={threads}] stock + NiLiCon...");
-            let stock = stock_cache.get_or_run(("streamcluster", threads, 0), epochs, || {
-                streamcluster(scale, threads)
-            });
-            let repl = run_server(
-                streamcluster(scale, threads),
-                nilicon_mode(OptimizationConfig::nilicon()),
-                epochs,
-                "NiLiCon",
-            );
-            let overhead = repl.time_overhead_vs(stock.throughput) * 100.0;
-            t.push(
-                format!("{threads}"),
-                vec![
-                    format!(
-                        "{p:.0}%{}",
-                        if threads == 4 || threads == 8 || threads == 16 {
-                            " (interp.)"
-                        } else {
-                            ""
-                        }
-                    ),
-                    format!("{overhead:.0}%"),
-                    fmt_ms(repl.avg_stop),
-                ],
-            );
-        }
-        t.emit();
-    }
-
-    if which == "clients" || which == "all" {
-        let paper = [(2usize, 34.0), (8, 34.0), (32, 34.0), (128, 45.0)];
-        let mut t = Table::new(
-            "§VII-C — Lighttpd (4 processes) overhead vs client count (paper: ~34% ≤32 → 45% @128)",
-            vec!["clients", "paper", "measured", "avg stop"],
-        );
-        for (clients, p) in paper {
-            eprintln!("[clients={clients}] stock + NiLiCon...");
-            let stock = stock_cache.get_or_run(("lighttpd", 4, clients), epochs, || {
-                nilicon_workloads::lighttpd(4, clients)
-            });
-            let repl = run_server(
-                nilicon_workloads::lighttpd(4, clients),
-                nilicon_mode(OptimizationConfig::nilicon()),
+        for &(x, p) in sweep.paper {
+            eprintln!("[{}={x}] stock + NiLiCon...", sweep.axis);
+            let config = (sweep.config)(x);
+            let stock = stock_cache.get_or_run(&cli, scale, config, epochs);
+            let repl = cli.run_server(
+                workload(scale, config),
+                cli.nilicon_mode(OptimizationConfig::nilicon()),
                 epochs,
                 "NiLiCon",
             );
             let overhead = repl.overhead_vs(stock.throughput) * 100.0;
+            let interp = sweep.interpolated.contains(&x).then_some(" (interp.)");
             t.push(
-                format!("{clients}"),
+                format!("{x}"),
                 vec![
-                    format!("{p:.0}%"),
-                    format!("{overhead:.0}%"),
-                    fmt_ms(repl.avg_stop),
-                ],
-            );
-        }
-        t.emit();
-    }
-
-    if which == "processes" || which == "all" {
-        let paper = [(1usize, 23.0), (2, 33.0), (4, 45.0), (8, 63.0)];
-        let mut t = Table::new(
-            "§VII-C — Lighttpd overhead vs process count (paper: 23% @1 → 63% @8)",
-            vec!["processes", "paper", "measured", "avg stop"],
-        );
-        for (procs, p) in paper {
-            // Clients scale with processes, as in the paper (2 → 8 clients
-            // needed to saturate 1 → 8 processes; we use 8× headroom).
-            let clients = 8 * procs;
-            eprintln!("[processes={procs}] stock + NiLiCon...");
-            let stock = stock_cache.get_or_run(("lighttpd", procs, clients), epochs, || {
-                nilicon_workloads::lighttpd(procs, clients)
-            });
-            let repl = run_server(
-                nilicon_workloads::lighttpd(procs, clients),
-                nilicon_mode(OptimizationConfig::nilicon()),
-                epochs,
-                "NiLiCon",
-            );
-            let overhead = repl.overhead_vs(stock.throughput) * 100.0;
-            t.push(
-                format!("{procs}"),
-                vec![
-                    format!(
-                        "{p:.0}%{}",
-                        if procs == 2 || procs == 4 {
-                            " (interp.)"
-                        } else {
-                            ""
-                        }
-                    ),
+                    format!("{p:.0}%{}", interp.unwrap_or_default()),
                     format!("{overhead:.0}%"),
                     fmt_ms(repl.avg_stop),
                 ],

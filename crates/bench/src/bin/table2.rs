@@ -7,7 +7,7 @@
 //! detection latency, exactly as the paper reports it.
 
 use nilicon::{FailoverReport, OptimizationConfig, ReplicationConfig};
-use nilicon_bench::{fmt_ms, nilicon_mode, run_workload, Table};
+use nilicon_bench::{fmt_ms, Cli, Flags, Table};
 use nilicon_sim::time::MILLISECOND;
 use nilicon_workloads::{Scale, Workload};
 
@@ -17,10 +17,10 @@ pub const PAPER_TABLE2: [(&str, f64, f64, f64, f64, f64); 2] = [
     ("Redis", 314.0, 28.0, 23.0, 7.0, 372.0),
 ];
 
-fn run_failover(w: Workload) -> (FailoverReport, u64) {
-    let mode = nilicon_mode(OptimizationConfig::nilicon());
+fn run_failover(cli: &Cli, w: Workload) -> (FailoverReport, u64) {
+    let mode = cli.nilicon_mode(OptimizationConfig::nilicon());
     let cfg = ReplicationConfig::default();
-    let r = run_workload(w, mode, cfg, &[900 * MILLISECOND], 60, "NiLiCon");
+    let r = cli.run_workload(w, mode, cfg, &[900 * MILLISECOND], 60, "NiLiCon");
     r.verify.expect("consistent across failover");
     assert_eq!(r.broken_connections, 0, "no broken connections (§VII-A)");
     (
@@ -30,6 +30,7 @@ fn run_failover(w: Workload) -> (FailoverReport, u64) {
 }
 
 fn main() {
+    let cli = Cli::parse(&[], Flags::Runs);
     let mut t = Table::new(
         "Table II — recovery latency breakdown (paper / measured)",
         vec![
@@ -38,10 +39,10 @@ fn main() {
     );
 
     eprintln!("[Net] failover...");
-    let (net, net_det) = run_failover(nilicon_workloads::net_echo(5));
+    let (net, net_det) = run_failover(&cli, nilicon_workloads::net_echo(5));
 
     eprintln!("[Redis] failover (paper-scale 100MB dataset)...");
-    let (redis, redis_det) = run_failover(nilicon_workloads::redis(Scale::paper(), 5));
+    let (redis, redis_det) = run_failover(&cli, nilicon_workloads::redis(Scale::paper(), 5));
 
     for (paper, measured, det) in [
         (&PAPER_TABLE2[0], &net, net_det),

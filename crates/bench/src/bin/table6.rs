@@ -7,7 +7,7 @@
 
 use nilicon::harness::RunMode;
 use nilicon::OptimizationConfig;
-use nilicon_bench::{fmt_ms, nilicon_mode, run_server, Table};
+use nilicon_bench::{fmt_ms, Cli, Flags, Slot, Table};
 use nilicon_workloads::Scale;
 
 /// Paper Table VI: (benchmark, stock ms, NiLiCon ms).
@@ -35,7 +35,8 @@ fn single_client_workloads(
 }
 
 fn main() {
-    let epochs: u64 = nilicon_bench::cli::positional_u64(1, 400);
+    let cli = Cli::parse(&[Slot::Count("EPOCHS", 400)], Flags::Runs);
+    let epochs = cli.counts[0];
     let scale = Scale::bench();
 
     let mut t = Table::new(
@@ -50,11 +51,11 @@ fn main() {
     );
     for (name, build) in single_client_workloads(scale) {
         eprintln!("[{name}] stock...");
-        let stock = run_server(build(), RunMode::Unreplicated, epochs, "stock");
+        let stock = cli.run_server(build(), RunMode::Unreplicated, epochs, "stock");
         eprintln!("[{name}] NiLiCon...");
-        let repl = run_server(
+        let repl = cli.run_server(
             build(),
-            nilicon_mode(OptimizationConfig::nilicon()),
+            cli.nilicon_mode(OptimizationConfig::nilicon()),
             epochs,
             "NiLiCon",
         );

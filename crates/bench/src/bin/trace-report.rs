@@ -25,6 +25,7 @@
 
 use nilicon::metrics::percentile;
 use nilicon::trace::{TraceEvent, TraceRecord};
+use nilicon_bench::{Cli, Flags, Slot};
 use nilicon_sim::time::Nanos;
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -285,12 +286,10 @@ fn fmt_ns(ns: Nanos) -> String {
 }
 
 fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: trace-report <trace.jsonl>");
-        std::process::exit(2);
-    });
+    let cli = Cli::parse(&[Slot::Path("TRACE.jsonl")], Flags::None);
+    let path = cli.words[0].as_deref().expect("a required slot");
     let content =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read trace {path}: {e}"));
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read trace {path}: {e}"));
     let records = parse(&content).unwrap_or_else(|errors| {
         for e in &errors {
             eprintln!("error: {e}");

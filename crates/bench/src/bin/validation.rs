@@ -2,15 +2,15 @@
 //! consistency checking.
 //!
 //! For each benchmark (the seven §VI benchmarks plus the two §VII-A
-//! microbenchmarks), runs `--runs` executions (paper: 50). Each run lasts at
-//! least 60 virtual seconds' worth of epochs scaled down to `--epochs`, with
+//! microbenchmarks), runs `RUNS` executions (paper: 50). Each run lasts at
+//! least 60 virtual seconds' worth of epochs scaled down to `EPOCHS`, with
 //! a fail-stop fault injected at a uniformly random time inside the middle
 //! 80% of the run. A run passes if the failover succeeds, no client
 //! connection is broken by an RST, and the workload's own validator reports
 //! no inconsistency (value mismatches, lost updates, corrupted echoes).
 
 use nilicon::{OptimizationConfig, ReplicationConfig};
-use nilicon_bench::{nilicon_mode, run_workload, Table};
+use nilicon_bench::{Cli, Flags, Slot, Table};
 use nilicon_workloads::Scale;
 
 fn builders(scale: Scale) -> Vec<(&'static str, nilicon_bench::comparison::WorkloadBuilder)> {
@@ -43,8 +43,11 @@ fn builders(scale: Scale) -> Vec<(&'static str, nilicon_bench::comparison::Workl
 }
 
 fn main() {
-    let runs: u64 = nilicon_bench::cli::positional_u64(1, 10);
-    let epochs: u64 = nilicon_bench::cli::positional_u64(2, 40);
+    let cli = Cli::parse(
+        &[Slot::Count("RUNS", 10), Slot::Count("EPOCHS", 40)],
+        Flags::Runs,
+    );
+    let (runs, epochs) = (cli.counts[0], cli.counts[1]);
     // Small scale keeps 50-run campaigns tractable; consistency checking is
     // scale-independent.
     let scale = Scale::small();
@@ -75,11 +78,8 @@ fn main() {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let fault_at = span / 10 + (rng >> 16) % (span * 8 / 10);
-
-            // The mode first: a flag the overlay refuses ends the campaign
-            // before any run.
-            let mode = nilicon_mode(OptimizationConfig::nilicon());
-            let r = run_workload(build(), mode, cfg, &[fault_at], epochs, "NiLiCon");
+            let mode = cli.nilicon_mode(OptimizationConfig::nilicon());
+            let r = cli.run_workload(build(), mode, cfg, &[fault_at], epochs, "NiLiCon");
             if r.recovered {
                 recovered += 1;
             }

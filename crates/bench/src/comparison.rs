@@ -1,11 +1,11 @@
 //! The Fig. 3 / Tables III-V comparison runs: every benchmark under stock,
 //! NiLiCon, and MC, from which four of the paper's exhibits derive.
 
-use crate::runner::{mc_mode, nilicon_mode, run_server, PerfSummary};
+use crate::cli::Cli;
+use crate::runner::{mc_mode, PerfSummary};
 use nilicon::harness::RunMode;
 use nilicon::{OptimizationConfig, ReplicationConfig};
 use nilicon_workloads::{Scale, Workload};
-use serde::Serialize;
 
 /// Paper Fig. 3: (benchmark, MC %, NiLiCon %). The values follow the
 /// DESIGN.md reconstruction of the figure's OCR-garbled labels (anchored on
@@ -55,7 +55,7 @@ pub const PAPER_TABLE5: [(&str, f64, f64); 7] = [
 ];
 
 /// One benchmark's triple of runs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// Benchmark name.
     pub name: String,
@@ -65,19 +65,12 @@ pub struct Comparison {
     pub nilicon: PerfSummary,
     /// MC run.
     pub mc: PerfSummary,
-    /// True for the non-interactive (execution-time-metric) benchmarks.
-    pub batch: bool,
 }
 
 impl Comparison {
-    /// Fig. 3 overhead (%): throughput reduction for servers, execution-time
-    /// increase for batch.
+    /// Fig. 3 overhead (%) of run `s` vs the stock run.
     pub fn overhead_pct(&self, s: &PerfSummary) -> f64 {
-        if self.batch {
-            s.time_overhead_vs(self.stock.throughput) * 100.0
-        } else {
-            s.overhead_vs(self.stock.throughput) * 100.0
-        }
+        s.overhead_vs(self.stock.throughput) * 100.0
     }
 
     /// Fig. 3 breakdown: `(stopped%, runtime%)` components of the overhead.
@@ -94,68 +87,55 @@ impl Comparison {
 pub type WorkloadBuilder = Box<dyn Fn() -> Workload>;
 
 /// The Fig. 3 benchmark list (paper order) as workload builders.
-pub fn fig3_workloads(scale: Scale) -> Vec<(&'static str, bool, WorkloadBuilder)> {
+pub fn fig3_workloads(scale: Scale) -> Vec<(&'static str, WorkloadBuilder)> {
     vec![
         (
             "Swaptions",
-            true,
             Box::new(move || nilicon_workloads::swaptions(scale, 4)),
         ),
         (
             "Streamcluster",
-            true,
             Box::new(move || nilicon_workloads::streamcluster(scale, 4)),
         ),
         (
             "Redis",
-            false,
             Box::new(move || nilicon_workloads::redis(scale, 8)),
         ),
-        (
-            "SSDB",
-            false,
-            Box::new(move || nilicon_workloads::ssdb(scale, 8)),
-        ),
+        ("SSDB", Box::new(move || nilicon_workloads::ssdb(scale, 8))),
         (
             "Node",
-            false,
             Box::new(move || nilicon_workloads::node(scale, 128)),
         ),
         (
             "Lighttpd",
-            false,
             Box::new(move || nilicon_workloads::lighttpd(4, 32)),
         ),
-        (
-            "DJCMS",
-            false,
-            Box::new(move || nilicon_workloads::djcms(16)),
-        ),
+        ("DJCMS", Box::new(move || nilicon_workloads::djcms(16))),
     ]
 }
 
-/// Run the full three-way comparison over all seven benchmarks.
-pub fn run_comparisons(scale: Scale, epochs: u64) -> Vec<Comparison> {
+/// Run the full three-way comparison over all seven benchmarks, the
+/// NiLiCon runs under `cli`'s overlay.
+pub fn run_comparisons(cli: &Cli, scale: Scale, epochs: u64) -> Vec<Comparison> {
     fig3_workloads(scale)
         .into_iter()
-        .map(|(name, batch, build)| {
+        .map(|(name, build)| {
             eprintln!("[{name}] stock...");
-            let stock = run_server(build(), RunMode::Unreplicated, epochs, "stock");
+            let stock = cli.run_server(build(), RunMode::Unreplicated, epochs, "stock");
             eprintln!("[{name}] NiLiCon...");
-            let nilicon = run_server(
+            let nilicon = cli.run_server(
                 build(),
-                nilicon_mode(OptimizationConfig::nilicon()),
+                cli.nilicon_mode(OptimizationConfig::nilicon()),
                 epochs,
                 "NiLiCon",
             );
             eprintln!("[{name}] MC...");
-            let mc = run_server(build(), mc_mode(), epochs, "MC");
+            let mc = cli.run_server(build(), mc_mode(), epochs, "MC");
             Comparison {
                 name: name.to_string(),
                 stock,
                 nilicon,
                 mc,
-                batch,
             }
         })
         .collect()
@@ -181,10 +161,9 @@ mod tests {
 
     #[test]
     fn bundles_are_consistent() {
-        for (name, batch, build) in fig3_workloads(Scale::small()) {
+        for (name, build) in fig3_workloads(Scale::small()) {
             let w = build();
             assert!(w.parallelism > 0.5, "{name}");
-            assert_eq!(batch, !w.app.is_server(), "{name}");
             assert_eq!(w.behavior.is_some(), w.app.is_server(), "{name}");
             if w.app.is_server() {
                 assert!(w.spec.listen_port.is_some(), "{name}");

@@ -1,6 +1,6 @@
 //! Shared run-and-summarize machinery for the table binaries.
 
-pub use crate::cli::{apply_cli_extensions, cli_tracer};
+use crate::cli::Cli;
 use nilicon::harness::{RunHarness, RunMode, RunResult};
 use nilicon::metrics::{percentile, RunMetrics};
 use nilicon::trace::TraceEvent;
@@ -11,7 +11,6 @@ use nilicon_mc::McEngine;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{CostModel, SimResult};
 use nilicon_workloads::Workload;
-use serde::Serialize;
 
 /// Epochs discarded before aggregating (initial full sync + cold
 /// infrequent-state cache; the paper's 100-run averages are warm).
@@ -35,23 +34,10 @@ pub fn replicated_engine(opts: OptimizationConfig) -> SimResult<Box<dyn Checkpoi
     })
 }
 
-/// A NiLiCon run mode with the given optimization set, plus any EXTENSION
-/// knobs passed on the command line (see [`apply_cli_extensions`]). An
-/// unknown flag, or a combination the engines refuse, ends the run with its
-/// message — except that a Table I staircase row below the staging buffer
-/// keeps the synchronous path under `--pipeline` (unless `--cow` stages
-/// it), and the single-backup engine under `--backups`, and says so on
-/// stderr.
-pub fn nilicon_mode(row: OptimizationConfig) -> RunMode {
-    nilicon_mode_from(row, std::env::args()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`nilicon_mode`] over the argument list `args`.
-pub(crate) fn nilicon_mode_from(
-    row: OptimizationConfig,
-    args: impl Iterator<Item = String>,
-) -> Result<RunMode, String> {
-    let mut opts = apply_cli_extensions(row, args)?;
+/// The one NiLiCon mode builder, [`Cli::nilicon_mode`] with a combination
+/// the engines refuse as the error (the parse's check).
+pub(crate) fn nilicon_mode_from(row: OptimizationConfig, cli: &Cli) -> Result<RunMode, String> {
+    let mut opts = cli.overlay(row);
     let rows = OptimizationConfig::table1_rows();
     let label = rows.iter().find(|(_, r)| *r == row).map_or("this row", |(l, _)| l);
     if opts.pipeline && !opts.staging_buffer && !opts.cow_checkpoint {
@@ -76,12 +62,11 @@ pub fn mc_mode() -> RunMode {
 }
 
 /// Post-warmup aggregate of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfSummary {
-    /// Workload name.
-    pub name: String,
-    /// Mode label ("stock", "NiLiCon", "MC", or a Table-I row).
-    pub mode: String,
+    /// Whether the workload is a batch job rather than a server: it picks
+    /// the Fig. 3 overhead metric ([`PerfSummary::overhead_vs`]).
+    pub batch: bool,
     /// Requests (or steps) per virtual second, post-warmup.
     pub throughput: f64,
     /// Mean stop time (ns).
@@ -98,37 +83,31 @@ pub struct PerfSummary {
     pub backup_util: f64,
     /// Mean response latency (ns; server workloads).
     pub mean_latency: Nanos,
-    /// Fraction of post-warmup wall time spent stopped.
-    pub stop_frac: f64,
-    /// Fraction of exec CPU burned on tracking faults.
-    pub tracking_frac: f64,
 }
 
 impl PerfSummary {
-    /// Relative reduction in maximum throughput vs stock — the Fig. 3
-    /// metric for *server* applications (§VII-C).
+    /// The Fig. 3 overhead vs a stock run of the same workload (§VII-C):
+    /// for a batch job the relative increase in execution time (same work,
+    /// longer time), for a server the relative reduction in maximum
+    /// throughput.
     pub fn overhead_vs(&self, stock_throughput: f64) -> f64 {
-        if stock_throughput <= 0.0 {
-            return 0.0;
+        let (base, overhead) = if self.batch {
+            (self.throughput, stock_throughput / self.throughput - 1.0)
+        } else {
+            (stock_throughput, 1.0 - self.throughput / stock_throughput)
+        };
+        if base <= 0.0 {
+            0.0
+        } else {
+            overhead
         }
-        1.0 - self.throughput / stock_throughput
-    }
-
-    /// Relative increase in execution time vs stock — the Fig. 3 metric for
-    /// *non-interactive* applications (§VII-C): same work, longer time.
-    pub fn time_overhead_vs(&self, stock_throughput: f64) -> f64 {
-        if self.throughput <= 0.0 {
-            return 0.0;
-        }
-        stock_throughput / self.throughput - 1.0
     }
 }
 
-/// Aggregate `metrics` of a run with `epoch_exec`-long execution phases,
-/// skipping `warmup` epochs.
+/// Aggregate `metrics` of a run (of a batch job if `batch`) with
+/// `epoch_exec`-long execution phases, skipping `warmup` epochs.
 pub fn summarize(
-    name: &str,
-    mode: &str,
+    batch: bool,
     metrics: &RunMetrics,
     epoch_exec: Nanos,
     warmup: usize,
@@ -146,12 +125,10 @@ pub fn summarize(
     let states: Vec<u64> = epochs.iter().map(|e| e.state_bytes).collect();
     let stop_total: Nanos = stops.iter().sum();
     let exec_total: Nanos = epochs.iter().map(|e| e.exec_cpu).sum();
-    let tracking_total: Nanos = epochs.iter().map(|e| e.tracking_overhead).sum();
     let backup_total: Nanos = epochs.iter().map(|e| e.backup_cpu).sum();
 
     PerfSummary {
-        name: name.to_string(),
-        mode: mode.to_string(),
+        batch,
         throughput: work as f64 / wall_s,
         avg_stop: stop_total / epochs.len().max(1) as u64,
         avg_dirty: epochs.iter().map(|e| e.dirty_pages).sum::<u64>() as f64 / n,
@@ -168,52 +145,63 @@ pub fn summarize(
         active_util: exec_total as f64 / wall as f64,
         backup_util: backup_total as f64 / wall as f64,
         mean_latency: metrics.mean_latency(),
-        stop_frac: stop_total as f64 / wall as f64,
-        tracking_frac: tracking_total as f64 / wall as f64,
     }
 }
 
-/// Run `w` for `epochs` epochs under `mode` and `cfg`, with a fail-stop
-/// fault of the primary at each virtual time in `faults`, traced into
-/// [`cli_tracer`] behind a `RunStart` marker labelled `label`. The one run
-/// path of every binary that drives the single-container harness (the
-/// chaos cells, which arm schedules mid-run, aside); the result comes back
-/// unchecked, for the caller's own verdict.
-pub fn run_workload(
-    w: Workload,
-    mode: RunMode,
-    cfg: ReplicationConfig,
-    faults: &[Nanos],
-    epochs: u64,
-    label: &str,
-) -> RunResult {
-    let mut h =
-        RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).expect("harness");
-    let tracer = cli_tracer();
-    tracer.event_at(
-        TraceEvent::RunStart {
-            name: w.name.to_string(),
-            mode: label.to_string(),
-        },
-        0,
-    );
-    h.set_tracer(tracer);
-    for &t in faults {
-        h.inject_fault_at(t);
+impl Cli {
+    /// A NiLiCon run mode: `row` under this command line's EXTENSION
+    /// overlay — except that a Table I staircase row below the staging
+    /// buffer keeps the synchronous path under `--pipeline` (unless `--cow`
+    /// stages it), and the single-backup engine under `--backups`, and says
+    /// so on stderr. The parse built the paper row's mode, so an overlay
+    /// the engines refuse never gets this far.
+    pub fn nilicon_mode(&self, row: OptimizationConfig) -> RunMode {
+        nilicon_mode_from(row, self).unwrap_or_else(|e| panic!("{e}"))
     }
-    h.run_epochs(epochs).expect("run");
-    h.finish()
-}
 
-/// Run a server workload for `epochs` epochs under `mode`, check it, and
-/// summarize it.
-pub fn run_server(w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfSummary {
-    let name = w.name;
-    let cfg = ReplicationConfig::default();
-    let r = run_workload(w, mode, cfg, &[], epochs, label);
-    r.verify.expect("workload validated");
-    assert_eq!(r.broken_connections, 0, "{name}: broken connections");
-    summarize(name, label, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
+    /// Run `w` for `epochs` epochs under `mode` and `cfg`, with a fail-stop
+    /// fault of the primary at each virtual time in `faults`, traced into
+    /// this command line's tracer behind a `RunStart` marker labelled
+    /// `label`. The one run path of every binary that drives the
+    /// single-container harness (the chaos cells, which arm schedules
+    /// mid-run, aside); the result comes back unchecked, for the caller's
+    /// own verdict.
+    pub fn run_workload(
+        &self,
+        w: Workload,
+        mode: RunMode,
+        cfg: ReplicationConfig,
+        faults: &[Nanos],
+        epochs: u64,
+        label: &str,
+    ) -> RunResult {
+        let mut h =
+            RunHarness::new(w.spec, w.app, w.behavior, mode, cfg, w.parallelism).expect("harness");
+        self.tracer.event_at(
+            TraceEvent::RunStart {
+                name: w.name.to_string(),
+                mode: label.to_string(),
+            },
+            0,
+        );
+        h.set_tracer(self.tracer.clone());
+        for &t in faults {
+            h.inject_fault_at(t);
+        }
+        h.run_epochs(epochs).expect("run");
+        h.finish()
+    }
+
+    /// Run a server workload for `epochs` epochs under `mode`, check it,
+    /// and summarize it.
+    pub fn run_server(&self, w: Workload, mode: RunMode, epochs: u64, label: &str) -> PerfSummary {
+        let (name, batch) = (w.name, !w.app.is_server());
+        let cfg = ReplicationConfig::default();
+        let r = self.run_workload(w, mode, cfg, &[], epochs, label);
+        r.verify.expect("workload validated");
+        assert_eq!(r.broken_connections, 0, "{name}: broken connections");
+        summarize(batch, &r.metrics, cfg.epoch_exec, WARMUP_EPOCHS)
+    }
 }
 
 #[cfg(test)]
@@ -247,13 +235,13 @@ mod tests {
         let stops = [200_000_000, 150_000_000, 5_000_000, 5_000_000, 5_000_000, 5_000_000];
         let reqs = [1, 1, 10, 10, 10, 10];
         let m = metrics(&stops, &reqs);
-        let s = summarize("x", "y", &m, E, 2);
+        let s = summarize(false, &m, E, 2);
         assert_eq!(s.avg_stop, 5_000_000, "warmup epochs excluded");
         let per_epoch_wall = 35_000_000.0;
         let expect = 10.0 / (per_epoch_wall / 1e9);
         assert!((s.throughput - expect).abs() < 1.0, "{} vs {expect}", s.throughput);
         // A 120 ms epoch run does the same work in 125 ms per epoch.
-        let long = summarize("x", "y", &m, 4 * E, 2);
+        let long = summarize(false, &m, 4 * E, 2);
         let expect = 10.0 / (125_000_000.0 / 1e9);
         assert!((long.throughput - expect).abs() < 1.0, "{} vs {expect}", long.throughput);
     }
@@ -261,7 +249,7 @@ mod tests {
     #[test]
     fn summarize_handles_short_runs() {
         let m = metrics(&[1_000_000], &[5]);
-        let s = summarize("x", "y", &m, E, 4); // warmup longer than the run
+        let s = summarize(false, &m, E, 4); // warmup longer than the run
         assert_eq!(s.avg_stop, 1_000_000);
         assert!(s.throughput > 0.0);
     }
@@ -269,14 +257,17 @@ mod tests {
     #[test]
     fn overhead_metrics() {
         let m = metrics(&[10_000_000; 10], &[8; 10]);
-        let s = summarize("x", "y", &m, E, 2);
+        let s = summarize(false, &m, E, 2);
         // Server metric: throughput reduction.
         let o = s.overhead_vs(s.throughput * 2.0);
         assert!((o - 0.5).abs() < 1e-9);
-        // Batch metric: time increase.
-        let t = s.time_overhead_vs(s.throughput * 2.0);
-        assert!((t - 1.0).abs() < 1e-9);
         assert_eq!(s.overhead_vs(0.0), 0.0, "degenerate baseline");
+        // Batch metric: time increase.
+        let batch = summarize(true, &m, E, 2);
+        let t = batch.overhead_vs(batch.throughput * 2.0);
+        assert!((t - 1.0).abs() < 1e-9);
+        let idle = summarize(true, &metrics(&[0; 4], &[0; 4]), E, 0);
+        assert_eq!(idle.overhead_vs(1.0), 0.0, "degenerate run");
     }
 
     /// The engines behind both modes construct.

@@ -231,11 +231,7 @@ impl std::fmt::Debug for RunHarness {
 /// Insert `item` into a queue kept sorted by `key` (after any equal keys).
 fn insert_sorted<T, K: PartialOrd>(queue: &mut VecDeque<T>, item: T, key: impl Fn(&T) -> K) {
     let at = key(&item);
-    let pos = queue
-        .iter()
-        .position(|q| key(q) > at)
-        .unwrap_or(queue.len());
-    queue.insert(pos, item);
+    queue.insert(queue.partition_point(|q| key(q) <= at), item);
 }
 
 impl RunHarness {
@@ -593,11 +589,6 @@ impl RunHarness {
             let (_, fault) = self.faults.pop_front().expect("front checked");
             match fault {
                 Fault::Backup => self.handle_backup_fault(t.max(now))?,
-                // Hybrid replay: execution up to the fault instant is
-                // recoverable via the log, so serve the partial epoch
-                // before failing over instead of rounding down to the
-                // previous checkpoint.
-                Fault::Primary if self.replay_on() => self.run_truncated_epoch(t.max(now))?,
                 Fault::Primary => self.handle_primary_fault(t.max(now))?,
             }
         }
@@ -842,7 +833,8 @@ impl RunHarness {
     /// committed, the truncated log seals and failover replay recovers the
     /// partial epoch byte-identically; a chunk lost to a cut link leaves the
     /// log unsealed, nothing from the epoch is released, and recovery falls
-    /// back to the last checkpoint (clients retransmit).
+    /// back to the last checkpoint (clients retransmit). The caller fails
+    /// over next.
     fn run_truncated_epoch(&mut self, fault_time: Nanos) -> SimResult<()> {
         let exec_start = self.cluster.clock.now();
         let host = self.primary;
@@ -870,18 +862,26 @@ impl RunHarness {
         }
         self.lane.metrics.push(record);
         self.epoch += 1;
-        self.do_failover(fault_time)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Failover
     // ------------------------------------------------------------------
 
-    /// A primary-host fault fired. Replicated: fail over. Unreplicated
-    /// after a failover (the paper path, or mid-bootstrap): the service is
-    /// lost. Unreplicated from the start: a harness-usage error.
+    /// A primary-host fault fired. Replicated, with a committed checkpoint
+    /// to restore: fail over. Unreplicated after a failover (the paper
+    /// path, or mid-bootstrap), or replicated before the first checkpoint
+    /// committed: the service is lost. Unreplicated from the start: a
+    /// harness-usage error.
     fn handle_primary_fault(&mut self, fault_time: Nanos) -> SimResult<()> {
-        if self.replication_active() {
+        if self.replication_active() && self.replication.engine().committed_epoch().is_some() {
+            // Hybrid replay: execution up to the fault instant is
+            // recoverable via the log, so serve the partial epoch before
+            // failing over instead of rounding down to the checkpoint.
+            if self.replay_on() {
+                self.run_truncated_epoch(fault_time)?;
+            }
             return self.do_failover(fault_time);
         }
         if matches!(self.replication, Replication::Stock) {
@@ -889,10 +889,11 @@ impl RunHarness {
                 "fault injected into an unreplicated run".into(),
             ));
         }
-        // No live backup (fault tolerance exhausted, or mid-bootstrap):
-        // everything still plugged or queued dies with the host. It only
-        // goes dark, keeping its memory: the chaos runner still checks the
-        // lost instance's heap against its script model.
+        // No live backup (fault tolerance exhausted, or mid-bootstrap), or
+        // none holding a checkpoint yet: everything still plugged or queued
+        // dies with the host. It only goes dark, keeping its memory: the
+        // chaos runner still checks the lost instance's heap against its
+        // script model.
         self.cluster.clock.advance_to(fault_time);
         self.cluster.partition(self.primary);
         let discarded = (self.lane.pending.len() + self.lane.held.len()) as u64;
@@ -906,7 +907,8 @@ impl RunHarness {
         Ok(())
     }
 
-    /// Fail over a replicated run (callers check the engine is driving).
+    /// Fail over a replicated run (the caller checks that the engine is
+    /// driving and holds a committed checkpoint).
     fn do_failover(&mut self, fault_time: Nanos) -> SimResult<()> {
         // Fail-stop (§VII-A): the primary goes dark and its memory with it,
         // so the restored container is the committed image's only holder.

@@ -76,11 +76,6 @@ impl RunMetrics {
         self.epochs.iter().map(|e| e.dirty_pages).sum::<u64>() as f64 / self.epochs.len() as f64
     }
 
-    /// State-size percentile in bytes (Table IV).
-    pub fn state_percentile(&self, p: f64) -> u64 {
-        percentile(self.epochs.iter().map(|e| e.state_bytes).collect(), p)
-    }
-
     /// Requests per virtual second (server throughput).
     pub fn throughput_rps(&self) -> f64 {
         if self.elapsed == 0 {
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(m.avg_stop(), 2500);
         assert_eq!(m.avg_dirty_pages(), 25.0);
         assert_eq!(m.requests_total, 20);
-        assert_eq!(m.state_percentile(90.0), 4096 * 4);
         assert!((m.throughput_rps() - 125.0).abs() < 1e-9);
         assert!((m.backup_utilization() - 0.025).abs() < 1e-9);
     }

@@ -3,6 +3,7 @@
 //! plumbing, failover sequencing, and engine ablations.
 
 use nilicon::harness::{RunHarness, RunMode};
+use nilicon::trace::{TraceEvent, Tracer};
 use nilicon::traffic::ClientBehavior;
 use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome, StepOutcome};
@@ -434,4 +435,43 @@ fn a_paper_path_promotion_makes_the_promoted_host_the_primary() {
     let heap = h.snapshot_heap(1);
     assert!(heap.starts_with(b"client-0-seq-"), "{:?}", &heap[..16]);
     h.finish().verify.unwrap();
+}
+
+#[test]
+fn a_fault_before_the_first_committed_checkpoint_loses_the_service() {
+    // The fault lands inside epoch 0, before its checkpoint commits: the
+    // backup holds nothing to restore, so the run ends like a fault with no
+    // live backup (output discarded, one unrecovered fault) instead of
+    // failing over to an image that does not exist — on the plain path and
+    // on the hybrid-replay truncated-epoch path alike.
+    for hybrid_replay in [false, true] {
+        let mut opts = OptimizationConfig::nilicon();
+        opts.hybrid_replay = hybrid_replay;
+        let engine = NiLiConEngine::new(opts, CostModel::default());
+        let mut h = RunHarness::new(
+            spec(),
+            Box::new(Echo),
+            Some(Box::new(Clients::new(1))),
+            RunMode::Replicated(Box::new(engine)),
+            ReplicationConfig::default(),
+            1.0,
+        )
+        .unwrap();
+        let (tracer, ring) = Tracer::in_memory(1 << 12);
+        h.set_tracer(tracer);
+        h.inject_fault_at(10 * MILLISECOND);
+        h.run_epochs(20).unwrap();
+        let r = h.finish();
+        let discards = ring
+            .snapshot()
+            .iter()
+            .filter(|rec| matches!(rec.kind, TraceEvent::OutputDiscard { .. }))
+            .count();
+        assert_eq!(
+            (r.recovered, r.failovers, r.unrecovered_faults, discards),
+            (false, 0, 1, 1),
+            "hybrid_replay: {hybrid_replay}"
+        );
+        assert_eq!(r.metrics.epochs.len(), 0, "no epoch runs after the loss");
+    }
 }

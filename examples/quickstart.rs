@@ -6,7 +6,7 @@
 //! ```
 
 use nilicon_repro::core::harness::{RunHarness, RunMode};
-use nilicon_repro::core::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
+use nilicon_repro::core::{percentile, NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_repro::sim::CostModel;
 use nilicon_repro::workloads::{self, Scale};
 
@@ -59,7 +59,7 @@ fn main() {
     );
     println!(
         "  state p50 per epoch  : {:.1} MiB",
-        m.state_percentile(50.0) as f64 / 1048576.0
+        percentile(m.epochs.iter().map(|e| e.state_bytes).collect(), 50.0) as f64 / 1048576.0
     );
     println!("\nEvery response the clients saw was covered by a committed checkpoint.");
 }

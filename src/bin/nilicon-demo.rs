@@ -9,13 +9,14 @@
 //! cargo run --release --bin nilicon-demo -- --list
 //! ```
 //!
-//! Every other flag is the table binaries' (`nilicon_bench::cli`): the
-//! EXTENSION overlay (`--delta`, `--cow`, `--rearm`, `--replay`,
-//! `--pipeline`, `--backups N`, `--quorum K`, applied to the `nilicon`
-//! engine) and `--trace FILE.jsonl`; a `--` flag neither knows fails the run.
-//! The run itself is the bench runner's.
+//! Every other argument goes to the bench binaries' one parse
+//! (`nilicon_bench::Cli`, no positionals): the EXTENSION overlay (`--delta`,
+//! `--cow`, `--rearm`, `--replay`, `--pipeline`, `--backups N`, `--quorum
+//! K`, for the `nilicon` engine only) and `--trace FILE.jsonl`; an argument
+//! neither knows fails the run before it starts. The run itself is the
+//! bench runner's.
 
-use nilicon_bench::runner::{apply_cli_extensions, mc_mode, replicated_engine, run_workload};
+use nilicon_bench::{mc_mode, Cli, Flags};
 use nilicon_repro::colo::ColoEngine;
 use nilicon_repro::core::harness::RunMode;
 use nilicon_repro::core::{OptimizationConfig, ReplicationConfig};
@@ -41,11 +42,10 @@ struct Args {
     clients: usize,
     fault_at_ms: Vec<u64>,
     scale: String,
-    /// The EXTENSION overlay over the paper's optimization set.
-    opts: OptimizationConfig,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The demo's own flags, and the shared parse of the rest.
+fn parse_args() -> Result<(Args, Cli), String> {
     let mut args = Args {
         workload: "redis".into(),
         engine: "nilicon".into(),
@@ -53,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         clients: 4,
         fault_at_ms: Vec::new(),
         scale: "small".into(),
-        opts: OptimizationConfig::nilicon(),
     };
     let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -82,16 +81,14 @@ fn parse_args() -> Result<Args, String> {
                 );
                 std::process::exit(0);
             }
-            // The overlay's flags, and a word after one of them (its value).
-            f if f.starts_with("--") => rest.push(flag),
-            f if !f.starts_with('-') && rest.last().is_some_and(|p| p.starts_with("--")) => {
-                rest.push(flag)
-            }
-            other => return Err(format!("unknown flag {other} (try --help)")),
+            _ => rest.push(flag),
         }
     }
-    args.opts = apply_cli_extensions(args.opts, rest.into_iter())?;
-    Ok(args)
+    let cli = Cli::parse_from(&[], Flags::Runs, rest)?;
+    if cli.overlaid() && args.engine != "nilicon" {
+        return Err("the extension flags need --engine nilicon".into());
+    }
+    Ok((args, cli))
 }
 
 /// The value after `flag`, parsed.
@@ -135,7 +132,7 @@ fn build_workload(name: &str, scale: Scale, clients: usize) -> Result<Workload, 
 }
 
 /// The parsed arguments, with their workload and run mode.
-fn setup(args: Args) -> Result<(Args, Workload, RunMode), String> {
+fn setup((args, cli): (Args, Cli)) -> Result<(Args, Cli, Workload, RunMode), String> {
     let scale = match args.scale.as_str() {
         "small" => Scale::small(),
         "bench" => Scale::bench(),
@@ -144,17 +141,17 @@ fn setup(args: Args) -> Result<(Args, Workload, RunMode), String> {
     };
     let w = build_workload(&args.workload, scale, args.clients)?;
     let mode = match args.engine.as_str() {
-        "nilicon" => RunMode::Replicated(replicated_engine(args.opts).map_err(|e| e.to_string())?),
+        "nilicon" => cli.nilicon_mode(OptimizationConfig::nilicon()),
         "mc" => mc_mode(),
         "colo" => RunMode::Replicated(Box::new(ColoEngine::new(CostModel::default(), 0.05))),
         "stock" => RunMode::Unreplicated,
         other => return Err(format!("unknown engine {other} (nilicon|mc|colo|stock)")),
     };
-    Ok((args, w, mode))
+    Ok((args, cli, w, mode))
 }
 
 fn main() {
-    let (args, w, mode) = parse_args().and_then(setup).unwrap_or_else(|e| {
+    let (args, cli, w, mode) = parse_args().and_then(setup).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     });
@@ -169,7 +166,7 @@ fn main() {
     }
     let faults: Vec<u64> = args.fault_at_ms.iter().map(|ms| ms * 1_000_000).collect();
     let cfg = ReplicationConfig::default();
-    let r = run_workload(w, mode, cfg, &faults, args.epochs, &args.engine);
+    let r = cli.run_workload(w, mode, cfg, &faults, args.epochs, &args.engine);
 
     println!("\n== {name} results ==");
     println!(
