@@ -54,6 +54,9 @@ impl HeartbeatSender {
 #[derive(Debug)]
 pub struct FailureDetector {
     last_beat: Nanos,
+    /// Latest beat heard, suspicion or not: one after `detected_at` proves
+    /// the suspicion false.
+    heard: Nanos,
     detected_at: Option<Nanos>,
     /// Missed intervals already traced since the last beat (dedupes
     /// `HeartbeatMiss` events across repeated `check` calls).
@@ -66,6 +69,7 @@ impl FailureDetector {
     pub fn new(start: Nanos) -> Self {
         FailureDetector {
             last_beat: start,
+            heard: start,
             detected_at: None,
             misses_traced: 0,
             tracer: Tracer::disabled(),
@@ -81,6 +85,7 @@ impl FailureDetector {
 
     /// A heartbeat arrived at time `t`.
     pub fn on_beat(&mut self, t: Nanos) {
+        self.heard = self.heard.max(t);
         if self.detected_at.is_none() {
             self.last_beat = self.last_beat.max(t);
             self.misses_traced = 0;
@@ -120,12 +125,18 @@ impl FailureDetector {
         self.detected_at
     }
 
-    /// The first heartbeat-interval boundary strictly after `t` — the
-    /// earliest instant the backup can notice silence that began at `t`.
-    /// Detection polling must walk these boundaries: the detector only ever
-    /// changes state on its own beat grid, so probing on a grid offset from
-    /// it (e.g. stepping from the fault time) asks about instants where
-    /// nothing can happen.
+    /// The latest beat heard, including those after detection fired.
+    pub(crate) fn heard(&self) -> Nanos {
+        self.heard
+    }
+
+    /// The first heartbeat-interval boundary at or after `t`, and after the
+    /// last beat — the earliest instant the backup can notice silence that
+    /// began at `t`; a poll that just asked at a boundary asks next at
+    /// `next_boundary(t + 1)`. Detection polling must walk these boundaries:
+    /// the detector only ever changes state on its own beat grid, so
+    /// probing on a grid offset from it (e.g. stepping from the fault time)
+    /// asks about instants where nothing can happen.
     pub fn next_boundary(&self, t: Nanos) -> Nanos {
         if t <= self.last_beat {
             return self.last_beat + HEARTBEAT_INTERVAL;
@@ -136,9 +147,9 @@ impl FailureDetector {
 
     /// Cancel a standing detection at time `t`: a late heartbeat proved the
     /// suspicion false before promotion went through. Only meaningful when
-    /// promotion is gated on something slower than detection (the chaos
-    /// lease); the paper's detector promotes immediately, so
-    /// on the paper path detection stays sticky and this is never called.
+    /// promotion is gated on something slower than detection (a lease, or a
+    /// first commit still to come); the lane's owner rule calls it, and on
+    /// the paper path, where detection promotes at once, it never fires.
     /// Re-anchors the silence window at `t`.
     pub fn rescind(&mut self, t: Nanos) {
         self.detected_at = None;
@@ -285,7 +296,7 @@ mod tests {
     fn rescind_cancels_detection_and_reanchors() {
         let mut d = FailureDetector::new(0);
         assert!(d.check(3 * MS30), "silence from t=0 detects at 90ms");
-        // A late beat arrives at 95ms; the harness rescinds the suspicion.
+        // A late beat arrives at 95ms; the owner rule rescinds the suspicion.
         d.rescind(95 * MILLISECOND);
         assert_eq!(d.detected_at(), None);
         assert!(!d.check(95 * MILLISECOND + 2 * MS30), "window re-anchored");

@@ -38,9 +38,10 @@
 //! exactly-one-owner per container.
 //!
 //! A lane is the same private lane core the run harness drives (`lane.rs`;
-//! `DESIGN.md` §8.2): execution phase, output release, fence and promotion
-//! tail are shared. What this module adds is the *time model* — lanes run
-//! on a fixed `i·E/N` grid through the two shared resources above.
+//! `DESIGN.md` §8.2): execution phase, output release, fence, owner rule and
+//! promotion tail are shared. What this module adds is the *time model* —
+//! lanes run on a fixed `i·E/N` grid through the two shared resources
+//! above, and ask the owner rule at every boundary of a replicated lane.
 //!
 //! Off in every paper row: `OptimizationConfig::fleet == 0` in `basic()`
 //! and `nilicon()`, and Tables I–VI never construct a scheduler. With
@@ -49,13 +50,12 @@
 //! (pinned by `tests/fleet_equivalence.rs`).
 use crate::config::ReplicationConfig;
 use crate::detector::HEARTBEAT_INTERVAL;
-use crate::engine::{Checkpointer, FailoverReport};
-use crate::lane::{Completion, Fence, Lane, LaneSetup, LEASE_TERM};
+use crate::engine::FailoverReport;
+pub use crate::lane::LaneSpec;
+use crate::lane::{Completion, Fence, Lane, LaneSetup, Owner, Replication, LEASE_TERM};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
-use crate::traffic::ClientBehavior;
-use nilicon_container::{Application, ContainerSpec};
 use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
@@ -65,17 +65,6 @@ use std::collections::HashMap;
 
 /// Base address for per-lane client stacks (lane `i` gets `CLIENT_BASE+i`).
 const CLIENT_BASE: u32 = 200;
-
-/// One container's worth of workload handed to [`FleetScheduler::new`].
-pub struct LaneSpec {
-    /// Container spec. The address must be unique across the fleet.
-    pub spec: ContainerSpec,
-    /// The application served inside the container.
-    pub app: Box<dyn Application>,
-    /// Optional closed-loop clients (each lane gets its own client netns,
-    /// so §VII-A's zero-broken-connections gate is attributable per lane).
-    pub behavior: Option<Box<dyn ClientBehavior>>,
-}
 
 /// One epoch transfer contending for the shared replication link.
 struct LinkJob {
@@ -150,9 +139,6 @@ struct StagedEpoch {
 /// plus what is scheduling.
 struct FleetLane {
     core: Lane,
-    /// `None` after failover consumed the engine (the lane then runs
-    /// unreplicated on the backup, as the paper does not re-arm).
-    engine: Option<NiLiConEngine>,
     fence: Fence,
     /// Phase offset of this lane's epoch boundaries (`i·E/N`; 0 aligned).
     offset: Nanos,
@@ -166,7 +152,6 @@ struct FleetLane {
     /// cleared at the lane's promotion.
     down_since: Option<Nanos>,
     staged: Option<StagedEpoch>,
-    unrecovered: bool,
 }
 
 impl FleetLane {
@@ -176,10 +161,9 @@ impl FleetLane {
         self.next_boundary += epoch_exec;
     }
 
-    /// Whether the backup may take this lane over at `t`: detection fired
-    /// and the granted lease has run out.
-    fn promotable(&mut self, t: Nanos) -> bool {
-        self.engine.is_some() && self.core.detector.check(t) && t >= self.fence.promotable_at()
+    /// Whether the lane still runs epochs in this `run_epochs` call.
+    fn due(&self) -> bool {
+        self.epochs_done < self.target && !matches!(self.core.replication, Replication::Lost)
     }
 }
 
@@ -297,21 +281,14 @@ impl FleetScheduler {
                 jitter_seed: 0x243F6A8885A308D3 ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
                 detector_start: offset,
                 quiet_release: true,
+                engine: Some(Box::new(NiLiConEngine::new(
+                    cfg.opts,
+                    cluster.host_mut(primary).costs.clone(),
+                ))),
             };
-            let core = Lane::create(
-                &mut cluster,
-                primary,
-                &ls.spec,
-                ls.app,
-                ls.behavior,
-                &cfg,
-                setup,
-            )?;
-            let mut engine = NiLiConEngine::new(cfg.opts, cluster.host_mut(primary).costs.clone());
-            engine.prepare(cluster.host_mut(primary), &core.container)?;
+            let core = Lane::create(&mut cluster, primary, ls, &cfg, setup)?;
             built.push(FleetLane {
                 core,
-                engine: Some(engine),
                 fence: Fence::new(LEASE_TERM, 0),
                 offset,
                 next_boundary: offset + cfg.epoch_exec,
@@ -320,7 +297,6 @@ impl FleetScheduler {
                 fault_at: None,
                 down_since: None,
                 staged: None,
-                unrecovered: false,
             });
         }
         Ok(FleetScheduler {
@@ -350,11 +326,7 @@ impl FleetScheduler {
 
     /// Attach a tracer to lane `lane` (its engine and detector share it).
     pub fn set_tracer(&mut self, lane: usize, tracer: Tracer) {
-        let l = &mut self.lanes[lane];
-        if let Some(e) = l.engine.as_mut() {
-            e.set_tracer(tracer.clone());
-        }
-        l.core.set_tracer(tracer);
+        self.lanes[lane].core.set_tracer(tracer);
     }
 
     /// Fail-stop the single container of `lane` at virtual time `t` (its
@@ -390,16 +362,13 @@ impl FleetScheduler {
         while let Some(t) = self
             .lanes
             .iter()
-            .filter(|l| l.epochs_done < l.target && !l.unrecovered)
+            .filter(|l| l.due())
             .map(|l| l.next_boundary)
             .min()
         {
-            self.apply_world_events(t);
+            self.apply_world_events(t)?;
             let group: Vec<usize> = (0..self.lanes.len())
-                .filter(|&i| {
-                    let l = &self.lanes[i];
-                    l.epochs_done < l.target && !l.unrecovered && l.next_boundary == t
-                })
+                .filter(|&i| self.lanes[i].due() && self.lanes[i].next_boundary == t)
                 .collect();
             self.process_group(t, &group)?;
         }
@@ -422,7 +391,7 @@ impl FleetScheduler {
                 broken_connections,
                 verify,
                 split_brain: lane.fence.split_brain(),
-                unrecovered: lane.unrecovered,
+                unrecovered: matches!(lane.core.replication, Replication::Lost),
             });
         }
         let min_live_bits = self
@@ -444,7 +413,7 @@ impl FleetScheduler {
 
     /// Apply scheduled world events (partition window edges, lane faults)
     /// that fire at or before boundary `t`.
-    fn apply_world_events(&mut self, t: Nanos) {
+    fn apply_world_events(&mut self, t: Nanos) -> SimResult<()> {
         if let Some((from, until)) = self.partition_window {
             // A partition, not a crash: the primary stays alive and heals.
             if !self.cluster.is_partitioned(self.primary) && t >= from && t < until {
@@ -452,6 +421,10 @@ impl FleetScheduler {
             }
             if self.cluster.is_partitioned(self.primary) && t >= until {
                 self.cluster.heal(self.primary);
+                // Requests sent into the partition were dropped.
+                for lane in &mut self.lanes {
+                    lane.core.retransmit_clients(&mut self.cluster)?;
+                }
             }
         }
         for lane in &mut self.lanes {
@@ -466,6 +439,7 @@ impl FleetScheduler {
                     .bind_addr(c.spec.addr, self.blackhole, c.ns.net);
             }
         }
+        Ok(())
     }
 
     /// The host executing lane `li`'s container.
@@ -498,15 +472,15 @@ impl FleetScheduler {
         Ok(())
     }
 
-    /// A faulted lane's boundary: no exec, no beat — poll the detector and
-    /// promote once both the detection and the grant-lease fence allow it.
+    /// A faulted lane's boundary: no exec, no beat — ask the owner rule,
+    /// which promotes once detection and the grant-lease fence allow it, or
+    /// loses the lane when nothing committed is left to take over from.
     fn dead_lane_boundary(&mut self, li: usize, t: Nanos) -> SimResult<()> {
         let lane = &mut self.lanes[li];
-        // With no engine there is nothing to promote to: the service is gone.
-        lane.unrecovered = lane.engine.is_none();
         lane.next_boundary += self.cfg.epoch_exec;
-        if lane.promotable(t) {
-            self.promote_lane(li, t)?;
+        let owner = lane.core.owner(t, lane.down_since, Some(&mut lane.fence))?;
+        if let Owner::Promote(latency) = owner {
+            self.promote_lane(li, t, latency)?;
             // The fail-stopped instance leaves the shared primary with its
             // promotion; a partition-driven one keeps its fenced zombie.
             for pid in self.lanes[li].core.container.all_pids() {
@@ -548,19 +522,21 @@ impl FleetScheduler {
             .entry(t / HEARTBEAT_INTERVAL)
             .or_insert_with(|| vec![0; self.lanes.len().div_ceil(64)]);
         let lane = &mut self.lanes[li];
-        if beat && lane.engine.is_some() && !cut {
-            words[li / 64] |= 1u64 << (li % 64);
-            lane.core.detector.on_beat(t);
-        }
-
-        let Some(engine) = lane.engine.as_mut() else {
+        if !matches!(lane.core.replication, Replication::Active(_)) {
             // Post-failover lane: unreplicated, output released immediately.
             lane.core.metrics.push(record);
             lane.core
                 .release(&mut self.cluster, host, t, completions, true)?;
             lane.advance(epoch_exec);
             return Ok(None);
-        };
+        }
+        if beat && !cut {
+            words[li / 64] |= 1u64 << (li % 64);
+            lane.core.detector.on_beat(t);
+        }
+        // After the beat: a live lane that just beat rescinds a standing
+        // suspicion, so the rule can promote only behind the cut.
+        let owner = lane.core.owner(t, None, Some(&mut lane.fence))?;
         if cut {
             // Partitioned: the checkpoint cannot reach the backup, the ack
             // never comes, and this epoch's output stays plugged. The lease
@@ -573,8 +549,8 @@ impl FleetScheduler {
             // primary's holder lease expired strictly earlier, so the (still
             // alive) primary instance is fenced — its held output is
             // discarded at promotion, never released.
-            if lane.promotable(t) {
-                self.promote_lane(li, t)?;
+            if let Owner::Promote(latency) = owner {
+                self.promote_lane(li, t, latency)?;
             }
             return Ok(None);
         }
@@ -589,6 +565,7 @@ impl FleetScheduler {
                 queue_wait,
             );
         }
+        let engine = lane.core.replication.engine()?;
         engine.pipeline_advance(epoch_exec);
         let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
         let outcome = engine.checkpoint(pk, bk, &lane.core.container, seq)?;
@@ -646,7 +623,7 @@ impl FleetScheduler {
             .map_err(SimError::Invalid)?;
 
         // The ack lands at `completion`.
-        let engine = lane.engine.as_mut().expect("replicated lane");
+        let engine = lane.core.replication.engine()?;
         engine.commit(self.cluster.host_mut(self.backup), record.epoch)?;
         lane.fence.on_ack(t, completion);
         lane.core.metrics.push(record);
@@ -661,23 +638,15 @@ impl FleetScheduler {
     /// Promote lane `li`'s ownership to the backup at time `t`
     /// ([`Lane::promote`]): restore from the lane's own backup agent, move
     /// the address, discard uncommitted output, retransmit both sides.
-    /// Every other lane is untouched.
-    fn promote_lane(&mut self, li: usize, t: Nanos) -> SimResult<()> {
+    /// Every other lane is untouched. The engine, with its backup store, is
+    /// dropped: the fleet does not re-arm.
+    fn promote_lane(&mut self, li: usize, t: Nanos, latency: Nanos) -> SimResult<()> {
         let lane = &mut self.lanes[li];
-        // Exactly-one-owner fence: the primary's output lease must have
-        // lapsed before the backup takes over.
-        lane.fence.authorize_promotion(t)?;
-        let fault = lane.down_since.take().unwrap_or(t);
-        let latency = lane
-            .core
-            .detector
-            .detected_at()
-            .map(|d| d.saturating_sub(fault));
-        let mut engine = lane.engine.take().expect("promotable lane");
+        lane.down_since = None;
         let now = self.cluster.clock.now().max(t);
         self.cluster.clock.advance_to(now);
         lane.core
-            .promote(&mut self.cluster, self.backup, &mut engine, latency, 0)?;
+            .promote(&mut self.cluster, self.backup, latency, 0)?;
         // The promoted instance starts with a clean slate on the backup.
         lane.core.cpu_debt = 0;
         lane.core.last_stop = 0;
@@ -688,7 +657,7 @@ impl FleetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nilicon_container::MemLayout;
+    use nilicon_container::{Application, ContainerSpec};
 
     fn wait_of(out: &[(usize, Nanos, Nanos)], lane: usize) -> Nanos {
         out.iter().find(|o| o.0 == lane).expect("lane scheduled").1
@@ -834,8 +803,12 @@ mod tests {
         assert!(runs(&fleet, p, &lane1), "lane 1 untouched");
     }
 
-    /// A batch application: each step burns 1 ms and stamps one heap page.
-    struct Stepper(u64);
+    /// A batch application: each step burns 1 ms and stamps one heap page,
+    /// until it has stepped `limit` times.
+    struct Stepper {
+        n: u64,
+        limit: u64,
+    }
     impl Application for Stepper {
         fn name(&self) -> &str {
             "stepper"
@@ -848,9 +821,11 @@ mod tests {
             ctx: &mut nilicon_container::GuestCtx<'_>,
         ) -> SimResult<nilicon_container::StepOutcome> {
             ctx.cpu(1_000_000);
-            ctx.heap_touch_page(self.0 % 8, 0xA5)?;
-            self.0 += 1;
-            Ok(nilicon_container::StepOutcome { done: false })
+            ctx.heap_touch_page(self.n % 8, 0xA5)?;
+            self.n += 1;
+            Ok(nilicon_container::StepOutcome {
+                done: self.n >= self.limit,
+            })
         }
         fn is_server(&self) -> bool {
             false
@@ -858,41 +833,39 @@ mod tests {
     }
 
     /// A batch lane steps under the fleet exactly as under the harness: its
-    /// writes are dirtied, checkpointed and committed on the backup.
+    /// writes are dirtied, checkpointed and committed on the backup, which
+    /// restores them at the lane's failover.
     #[test]
     fn batch_lane_steps_and_commits_its_pages() {
         let mut cfg = ReplicationConfig::default();
         cfg.opts.fleet = 2;
+        let epoch = cfg.epoch_exec;
         let lane = |i: u32, app: Box<dyn Application>| LaneSpec {
             spec: ContainerSpec::server(&format!("svc{i}"), 10 + i, 6379),
             app,
             behavior: None,
         };
-        let lanes = vec![lane(0, Box::new(Stepper(0))), lane(1, Box::new(Inert))];
+        let stepper = Stepper { n: 0, limit: 40 };
+        let lanes = vec![lane(0, Box::new(stepper)), lane(1, Box::new(Inert))];
         let mut fleet = FleetScheduler::new(cfg, lanes).unwrap();
         fleet.run_epochs(4).unwrap();
-        let engine = fleet.lanes[0].engine.as_ref().unwrap();
-        let image = engine.agent.materialize().unwrap();
-        let stamped = image
-            .pages
-            .iter()
-            .filter(|(_, vpn, _)| {
-                let first = MemLayout::heap_page(0) / nilicon_sim::PAGE_SIZE as u64;
-                (first..first + 8).contains(vpn)
-            })
+        fleet.inject_lane_fault_at(0, 4 * epoch + 5_000_000);
+        fleet.run_epochs(8).unwrap();
+        // The stepper stopped long before the fault, so the restored heap is
+        // the committed image.
+        let heap = fleet.snapshot_heap(0, 8);
+        let stamped = (0..8)
+            .filter(|p| heap[p * nilicon_sim::PAGE_SIZE] == 0xA5)
             .count();
         assert_eq!(
             stamped, 8,
             "all eight stamped heap pages are in the committed image"
         );
         let r = fleet.finish();
+        assert_eq!(r.lanes[0].failovers, 1);
         let batch = &r.lanes[0].metrics;
-        assert!(
-            batch.steps_total >= 4 * 25,
-            "~30 one-ms steps per epoch: {}",
-            batch.steps_total
-        );
-        assert!(batch.epochs[1..]
+        assert_eq!(batch.steps_total, 40, "~30 one-ms steps per epoch");
+        assert!(batch.epochs[..2]
             .iter()
             .all(|e| e.dirty_pages >= 8 && e.steps_done > 0));
         assert_eq!(

@@ -18,15 +18,16 @@
 //!
 //! The harness is one of two callers of the private lane core (`lane.rs`;
 //! `DESIGN.md` §8.2): what it adds is the *time model* — epochs are
-//! serial and the clock advances by each stop — plus the chaos schedule and
-//! the decision of what a backup fault means.
+//! serial and the clock advances by each stop — plus the chaos schedule,
+//! when to ask the lane's owner rule, and the decision of what a backup
+//! fault means.
 
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HEARTBEAT_INTERVAL};
+use crate::detector::FailureDetector;
 use crate::engine::{Checkpointer, FailoverReport};
 use crate::lane::{
-    Completion, Fence, Lane, LaneSetup, LogTotals, Served, ShipLog, Stream, StreamKind,
-    StreamPhase, LEASE_TERM,
+    Completion, Fence, Lane, LaneSetup, LaneSpec, LogTotals, Owner, Replication, Served, Stream,
+    StreamKind, StreamPhase, LEASE_TERM,
 };
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::trace::{TraceEvent, Tracer};
@@ -36,7 +37,6 @@ use nilicon_sim::cluster::Cluster;
 use nilicon_sim::ids::HostId;
 use nilicon_sim::kernel::Kernel;
 use nilicon_sim::net::{ChaosLink, ChaosSchedule, LinkDir};
-use nilicon_sim::replay::ReplayEvent;
 use nilicon_sim::time::{Nanos, MILLISECOND};
 use nilicon_sim::{SimError, SimResult};
 use std::collections::VecDeque;
@@ -58,50 +58,6 @@ pub enum RunMode {
     Unreplicated,
     /// Replicated under an engine (NiLiCon or MC).
     Replicated(Box<dyn Checkpointer>),
-}
-
-/// Where replication stands: the one state every epoch, fault and stream
-/// decision of the harness reads.
-enum Replication {
-    /// Unreplicated from the start (the paper's "stock" baseline): a fault
-    /// injected here is a harness-usage error.
-    Stock,
-    /// The engine drives epochs.
-    Active(Box<dyn Checkpointer>),
-    /// Re-replication only: the engine waits between a failover (or a
-    /// backup loss) and the end of the replacement backup's bootstrap.
-    Parked(Box<dyn Checkpointer>),
-    /// Replication is gone (after a failover or a backup loss without
-    /// rearm): the container serves unreplicated.
-    Spent,
-    /// The service died to a fault with no backup: no further epochs run.
-    Lost,
-}
-
-impl Replication {
-    /// The engine driving epochs. A method on the field (not on the
-    /// harness) so the borrow stays disjoint from `self.cluster`.
-    fn engine(&mut self) -> &mut dyn Checkpointer {
-        match self {
-            Replication::Active(engine) => engine.as_mut(),
-            _ => unreachable!("no engine is driving epochs"),
-        }
-    }
-
-    /// The engine a stream of `kind` runs on: the parked one for a rearm,
-    /// the one driving epochs for a repair.
-    fn stream_engine(&mut self, kind: StreamKind) -> Option<&mut (dyn Checkpointer + 'static)> {
-        match (kind, self) {
-            (StreamKind::Rearm, Replication::Parked(engine))
-            | (StreamKind::Repair, Replication::Active(engine)) => Some(engine.as_mut()),
-            _ => None,
-        }
-    }
-
-    /// Move the state out, leaving [`Replication::Spent`] behind.
-    fn take(&mut self) -> Replication {
-        std::mem::replace(self, Replication::Spent)
-    }
 }
 
 /// A scheduled fail-stop fault. At one instant a backup fault fires first
@@ -169,14 +125,19 @@ struct ChaosState {
     /// Heartbeats in flight (payload = send time).
     hb: ChaosLink<Nanos>,
     fence: Fence,
-    last_beat_delivered: Nanos,
     in_partition: bool,
-    partition_started_at: Option<Nanos>,
     /// Acks attempted inside a partial-loss window (drives `drop_nth`).
     acks_attempted: u64,
     stats: ChaosStats,
     /// The release deferred from the previous epoch, if any.
     pending_release: Option<PendingRelease>,
+}
+
+impl ChaosState {
+    /// Whether the schedule cuts the primary→backup direction at `t`.
+    fn cuts(&self, t: Nanos) -> bool {
+        self.schedule.blocked(t, LinkDir::AtoB)
+    }
 }
 
 /// An output release deferred to its logical release time (chaos mode): the
@@ -203,7 +164,6 @@ pub struct RunHarness {
     pub client_host: HostId,
     lane: Lane,
     cfg: ReplicationConfig,
-    replication: Replication,
     /// Pending host faults, in firing order (one timeline for both hosts).
     faults: VecDeque<(Nanos, Fault)>,
     stage_fails: VecDeque<(Nanos, u64)>,
@@ -263,18 +223,17 @@ impl RunHarness {
             jitter_seed: 0x243F6A8885A308D3,
             detector_start: 0,
             quiet_release: false,
+            engine: match mode {
+                RunMode::Unreplicated => None,
+                RunMode::Replicated(engine) => Some(engine),
+            },
         };
-        let lane = Lane::create(&mut cluster, primary, &spec, app, behavior, &cfg, setup)?;
-
-        // Engine preparation (arms tracking, plugs the qdisc).
-        let replication = match mode {
-            RunMode::Unreplicated => Replication::Stock,
-            RunMode::Replicated(mut engine) => {
-                engine.prepare(cluster.host_mut(primary), &lane.container)?;
-                cluster.host_mut(primary).meter.take();
-                Replication::Active(engine)
-            }
+        let lane = LaneSpec {
+            spec,
+            app,
+            behavior,
         };
+        let lane = Lane::create(&mut cluster, primary, lane, &cfg, setup)?;
         Ok(RunHarness {
             cluster,
             primary,
@@ -282,7 +241,6 @@ impl RunHarness {
             client_host,
             lane,
             cfg,
-            replication,
             faults: VecDeque::new(),
             stage_fails: VecDeque::new(),
             unrecovered_faults: 0,
@@ -304,9 +262,7 @@ impl RunHarness {
         self.chaos = Some(ChaosState {
             hb: ChaosLink::new(LinkDir::AtoB, latency, schedule.clone()),
             fence: Fence::new(LEASE_TERM, now),
-            last_beat_delivered: now,
             in_partition: false,
-            partition_started_at: None,
             acks_attempted: 0,
             stats: ChaosStats::default(),
             schedule,
@@ -326,13 +282,13 @@ impl RunHarness {
     /// Whether replication is currently driving epochs (false after a
     /// non-rearm failover or backup loss).
     pub fn replication_active(&self) -> bool {
-        matches!(self.replication, Replication::Active(_))
+        matches!(self.lane.replication, Replication::Active(_))
     }
 
     /// Whether the hybrid-replay extension is recording this run's epochs
     /// (the active engine supports it and is driving epochs).
     fn replay_on(&self) -> bool {
-        matches!(&self.replication, Replication::Active(e) if e.supports_replay())
+        matches!(&self.lane.replication, Replication::Active(e) if e.supports_replay())
     }
 
     /// Byte snapshot of the active container's guest heap: `pages` pages per
@@ -350,9 +306,6 @@ impl RunHarness {
     /// detector all emit spans/events into it (see `OBSERVABILITY.md` for
     /// the schema). Call before running epochs.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        if let Replication::Active(engine) = &mut self.replication {
-            engine.set_tracer(tracer.clone());
-        }
         self.lane.set_tracer(tracer);
     }
 
@@ -433,17 +386,9 @@ impl RunHarness {
     fn chaos_deliver_beats(&mut self, now: Nanos) {
         if let Some(ch) = self.chaos.as_mut() {
             for (at, _sent) in ch.hb.poll(now) {
-                ch.last_beat_delivered = ch.last_beat_delivered.max(at);
                 self.lane.detector.on_beat(at);
             }
         }
-    }
-
-    /// Whether the chaos schedule cuts the primary→backup direction at `t`.
-    fn chaos_blocked(chaos: &Option<ChaosState>, t: Nanos) -> bool {
-        chaos
-            .as_ref()
-            .is_some_and(|ch| ch.schedule.blocked(t, LinkDir::AtoB))
     }
 
     /// Emit `PartitionStart`/`PartitionHeal`/`LeaseExpire` markers on
@@ -455,7 +400,6 @@ impl RunHarness {
         let part = ch.schedule.partitioned(now);
         if part && !ch.in_partition {
             ch.in_partition = true;
-            ch.partition_started_at = Some(now);
             ch.stats.partitions += 1;
             self.lane.tracer.event_at(TraceEvent::PartitionStart, now);
         } else if !part && ch.in_partition {
@@ -500,60 +444,35 @@ impl RunHarness {
             .release(&mut self.cluster, host, pr.release_time, riding, waits)
     }
 
+    /// Ask the lane's owner rule ([`Lane::owner`]) at `now`, the chaos
+    /// fence gating a promotion; `down` is when the primary died.
+    fn owner(&mut self, now: Nanos, down: Option<Nanos>) -> SimResult<Owner> {
+        let fence = self.chaos.as_mut().map(|ch| &mut ch.fence);
+        let owner = self.lane.owner(now, down, fence)?;
+        if let (Owner::Rescinded, Some(ch)) = (owner, self.chaos.as_mut()) {
+            ch.stats.false_suspicions += 1;
+        }
+        Ok(owner)
+    }
+
     /// Chaos-mode epoch prologue: flush the deferred release, trace schedule
-    /// edges, deliver in-flight heartbeats, then resolve any standing
-    /// suspicion — rescind it if a later beat arrived (false positive), or
-    /// promote the backup once the *granted* lease has expired. Returns true
-    /// if a promotion consumed this epoch slot.
+    /// edges, deliver in-flight heartbeats, then ask the owner rule. A
+    /// promotion here (the grant ran out behind a partition) consumes the
+    /// epoch slot: returns true.
     fn chaos_prologue(&mut self) -> SimResult<bool> {
         let now = self.cluster.clock.now();
         self.chaos_flush_pending()?;
         self.chaos_edges(now);
         self.chaos_deliver_beats(now);
-        if !self.replication_active() {
+        let Owner::Promote(latency) = self.owner(now, None)? else {
             return Ok(false);
-        }
-        if self.lane.detector.check(now) {
-            let det = self
-                .lane
-                .detector
-                .detected_at()
-                .expect("check returned true");
-            let ch = self.chaos.as_mut().expect("chaos prologue");
-            let late_beat = ch.last_beat_delivered;
-            if late_beat > det {
-                // A beat arrived after the suspicion began: false positive.
-                // The lease gate bought the time to notice — rescind.
-                self.lane.tracer.event_at(
-                    TraceEvent::FalseSuspicion {
-                        suspected_for: late_beat - det,
-                    },
-                    late_beat,
-                );
-                self.lane.detector.rescind(late_beat);
-                ch.stats.false_suspicions += 1;
-            } else if now >= ch.fence.promotable_at() {
-                self.chaos_promote(now)?;
-                return Ok(true);
-            }
-            // Suspicion stands but the grant is still live: the backup
-            // waits — exactly the delay that prevents split-brain.
-        }
-        Ok(false)
-    }
-
-    /// Promote the backup on granted-lease expiry (the primary may be alive
-    /// but unreachable — a partition, not a fault).
-    fn chaos_promote(&mut self, now: Nanos) -> SimResult<()> {
-        let ch = self.chaos.as_mut().expect("chaos promote");
-        ch.fence.authorize_promotion(now)?;
-        // "Detection latency" for a partition is measured from its start.
-        let latency = now.saturating_sub(ch.partition_started_at.unwrap_or(now));
+        };
         // The fenced primary withdraws (fail-stop its traffic); whatever it
         // still held plugged is discarded exactly as at a real fault. It is
         // a zombie behind an expired lease, not a crash: it keeps its state.
         self.cluster.partition(self.primary);
-        self.promote_backup(latency)
+        self.promote_backup(latency)?;
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -564,7 +483,7 @@ impl RunHarness {
     /// the service dies to an unprotected fault).
     pub fn run_epochs(&mut self, n: u64) -> SimResult<()> {
         for _ in 0..n {
-            if self.lane.batch_done || matches!(self.replication, Replication::Lost) {
+            if self.lane.batch_done || matches!(self.lane.replication, Replication::Lost) {
                 break;
             }
             let now = self.cluster.clock.now();
@@ -607,26 +526,11 @@ impl RunHarness {
         exec_window: Nanos,
     ) -> SimResult<Served> {
         let replay_on = self.replay_on();
-        let RunHarness {
-            lane,
-            cluster,
-            replication,
-            chaos,
-            primary,
-            epoch,
-            ..
-        } = self;
-        let mut ship = |cluster: &mut Cluster, at: Nanos, events: &[ReplayEvent]| {
-            if Self::chaos_blocked(chaos, at) {
-                return Ok(None);
-            }
-            replication
-                .engine()
-                .ship_log(cluster.host_mut(*primary), *epoch, events)
-                .map(Some)
-        };
-        let hook = replay_on.then_some(&mut ship as ShipLog<'_>);
-        lane.serve(cluster, host, exec_start, window_end, exec_window, hook)
+        let chaos = &self.chaos;
+        let cut = |at| chaos.as_ref().is_some_and(|ch| ch.cuts(at));
+        let log = replay_on.then_some((self.epoch, &cut as &dyn Fn(Nanos) -> bool));
+        let (cluster, lane) = (&mut self.cluster, &mut self.lane);
+        lane.serve(cluster, host, exec_start, window_end, exec_window, log)
     }
 
     fn run_one_epoch(&mut self) -> SimResult<()> {
@@ -670,15 +574,15 @@ impl RunHarness {
                 self.lane.collect(&mut self.cluster, epoch_end)?;
                 self.lane.metrics.push(record);
             }
-        } else if Self::chaos_blocked(&self.chaos, epoch_end) {
+        } else if let Some(ch) = self.chaos.as_mut().filter(|ch| ch.cuts(epoch_end)) {
             // Chaos: the transfer direction is cut at the epoch boundary —
             // the checkpoint cannot reach the backup, so the epoch *stalls*:
             // no stop phase, output stays plugged, and the dirty state
             // accumulates into the first post-heal checkpoint (soft-dirty
             // tracking is cumulative until cleared by a dump). The backup
             // sees silence and starts suspecting.
+            ch.stats.stalled_epochs += 1;
             self.lane.held.extend(completions);
-            self.chaos.as_mut().expect("chaos").stats.stalled_epochs += 1;
             self.lane.metrics.push(record);
         } else {
             self.checkpoint_epoch(record, completions, log, epoch_end)?;
@@ -714,7 +618,7 @@ impl RunHarness {
         let epoch = record.epoch;
         let replay_on = self.replay_on();
         let outcome = {
-            let engine = self.replication.engine();
+            let engine = self.lane.replication.engine()?;
             // The execution phase that just ended is overlap time for the
             // engine's background pipeline stages (staged-pipeline
             // extension; a no-op for synchronous engines). Whatever
@@ -736,7 +640,7 @@ impl RunHarness {
         if replay_on {
             // The seal rides the checkpoint transfer: it marks the epoch's
             // log complete so a failover can replay it whole.
-            self.replication.engine().seal_log(epoch)?;
+            self.lane.replication.engine()?.seal_log(epoch)?;
         }
         // Chaos delay spikes stretch the ack round-trip (transfer out plus
         // ack back). With a staging engine the stretch is an explicit
@@ -785,7 +689,7 @@ impl RunHarness {
                 .unplug(&mut self.cluster, self.primary, release_time)?;
         }
         let backup = self.cluster.host_mut(self.backup);
-        let commit_cpu = self.replication.engine().commit(backup, epoch)?;
+        let commit_cpu = self.lane.replication.engine()?.commit(backup, epoch)?;
         match (ack_lost, self.chaos.as_mut()) {
             (Some(true), Some(ch)) => {
                 // The primary never learns: no release, no lease renewal.
@@ -855,7 +759,7 @@ impl RunHarness {
         // this partial epoch, and deliver the outputs that were granted
         // release at log commit.
         if !served.blocked {
-            self.replication.engine().seal_log(self.epoch)?;
+            self.lane.replication.engine()?.seal_log(self.epoch)?;
             self.lane.unplug(&mut self.cluster, host, fault_time)?;
             self.lane.stamp_committed(served.committed);
             self.lane.collect(&mut self.cluster, fault_time)?;
@@ -869,103 +773,61 @@ impl RunHarness {
     // Failover
     // ------------------------------------------------------------------
 
-    /// A primary-host fault fired. Replicated, with a committed checkpoint
-    /// to restore: fail over. Unreplicated after a failover (the paper
-    /// path, or mid-bootstrap), or replicated before the first checkpoint
-    /// committed: the service is lost. Unreplicated from the start: a
+    /// A primary-host fault fired: ask the owner rule at the fault instant.
+    /// With no backup holding a committed image the service is lost, and
+    /// the host only goes dark, keeping its memory: the chaos runner still
+    /// checks the lost instance's heap against its script model. Otherwise
+    /// the host crashes (fail-stop, §VII-A: its memory goes, so the
+    /// restored container is the committed image's only holder), and the
+    /// rule is asked again at each instant it names — under chaos, beats
+    /// still in flight keep landing meanwhile — until the backup takes
+    /// over. Unreplicated from the start, the rule refuses the fault as a
     /// harness-usage error.
     fn handle_primary_fault(&mut self, fault_time: Nanos) -> SimResult<()> {
-        if self.replication_active() && self.replication.engine().committed_epoch().is_some() {
-            // Hybrid replay: execution up to the fault instant is
-            // recoverable via the log, so serve the partial epoch before
-            // failing over instead of rounding down to the checkpoint.
-            if self.replay_on() {
-                self.run_truncated_epoch(fault_time)?;
-            }
-            return self.do_failover(fault_time);
+        self.chaos_deliver_beats(fault_time);
+        let mut owner = self.owner(fault_time, Some(fault_time))?;
+        if owner == Owner::Lost {
+            self.cluster.clock.advance_to(fault_time);
+            self.cluster.partition(self.primary);
+            self.unrecovered_faults += 1;
+            return Ok(());
         }
-        if matches!(self.replication, Replication::Stock) {
-            return Err(SimError::Invalid(
-                "fault injected into an unreplicated run".into(),
-            ));
+        // Hybrid replay: execution up to the fault instant is recoverable
+        // via the log, so serve the partial epoch before failing over
+        // instead of rounding down to the checkpoint.
+        if self.replay_on() {
+            self.run_truncated_epoch(fault_time)?;
         }
-        // No live backup (fault tolerance exhausted, or mid-bootstrap), or
-        // none holding a checkpoint yet: everything still plugged or queued
-        // dies with the host. It only goes dark, keeping its memory: the
-        // chaos runner still checks the lost instance's heap against its
-        // script model.
-        self.cluster.clock.advance_to(fault_time);
-        self.cluster.partition(self.primary);
-        let discarded = (self.lane.pending.len() + self.lane.held.len()) as u64;
-        self.lane
-            .tracer
-            .event_at(TraceEvent::OutputDiscard { packets: discarded }, fault_time);
-        self.lane.pending.clear();
-        self.lane.held.clear();
-        self.unrecovered_faults += 1;
-        self.replication = Replication::Lost;
-        Ok(())
-    }
-
-    /// Fail over a replicated run (the caller checks that the engine is
-    /// driving and holds a committed checkpoint).
-    fn do_failover(&mut self, fault_time: Nanos) -> SimResult<()> {
-        // Fail-stop (§VII-A): the primary goes dark and its memory with it,
-        // so the restored container is the committed image's only holder.
         self.cluster.clock.advance_to(fault_time);
         self.cluster.crash(self.primary);
-
-        // Detection: the detector only changes state on its own heartbeat
-        // grid, so poll along the beat boundaries. Under chaos, beats still
-        // in flight (delayed or heal-flushed) keep landing while we wait.
-        let mut t = self.lane.detector.next_boundary(fault_time);
-        loop {
-            self.chaos_deliver_beats(t);
-            if self.lane.detector.check(t) {
-                break;
+        let mut t = fault_time;
+        let latency = loop {
+            match owner {
+                Owner::Promote(latency) => break latency,
+                Owner::Waits(next) => t = next,
+                _ => return Err(SimError::Invalid("a dead primary kept the service".into())),
             }
-            t += HEARTBEAT_INTERVAL;
-        }
-        let detected = self
-            .lane
-            .detector
-            .detected_at()
-            .expect("check returned true");
-        let Some(ch) = self.chaos.as_mut() else {
-            self.cluster.clock.advance_to(detected.max(fault_time));
-            let latency = self
-                .lane
-                .detector
-                .detection_latency(fault_time)?
-                .expect("check returned true");
-            return self.promote_backup(latency);
+            self.chaos_deliver_beats(t);
+            owner = self.owner(t, Some(fault_time))?;
         };
-        // Fencing: promotion additionally waits out the granted lease, so
-        // even a falsely-suspected primary can no longer release.
-        let act = detected.max(fault_time).max(ch.fence.promotable_at());
-        self.cluster.clock.advance_to(act);
-        ch.fence.authorize_promotion(act)?;
-        // A standing suspicion (from a partition, say) may predate the
-        // injected fault; the silence simply continues.
-        self.promote_backup(detected.saturating_sub(fault_time))
+        self.cluster.clock.advance_to(t);
+        self.promote_backup(latency)
     }
 
     /// Promote the backup ([`Lane::promote`]) and swap the roles: the
     /// promoted host is the primary from now on. Then either re-arm or
-    /// degrade. Shared by the injected-fault path ([`Self::do_failover`])
-    /// and the chaos-detected path ([`Self::chaos_promote`]). A release
-    /// deferred past the fault dies with the primary: its packets were never
-    /// unplugged, so they are discarded with the rest of the uncommitted
-    /// output, never duplicated.
+    /// degrade. A release deferred past the fault dies with the primary:
+    /// its packets were never unplugged, so they are discarded with the
+    /// rest of the uncommitted output, never duplicated.
     fn promote_backup(&mut self, latency: Nanos) -> SimResult<()> {
         let voided = self
             .chaos
             .as_mut()
             .and_then(|ch| ch.pending_release.take())
             .map_or(0, |pr| pr.receipts.len());
-        let (engine, backup) = (self.replication.engine(), self.backup);
-        self.lane
-            .promote(&mut self.cluster, backup, engine, Some(latency), voided)?;
+        let engine = self
+            .lane
+            .promote(&mut self.cluster, self.backup, latency, voided)?;
         std::mem::swap(&mut self.primary, &mut self.backup);
         // A repair in flight at failover time is moot: the rearm bootstrap
         // (if any) rebuilds the whole placement from the promoted primary.
@@ -974,10 +836,8 @@ impl RunHarness {
         // bootstrapped. Otherwise the container continues unreplicated (the
         // paper does not re-arm replication after failover) and the engine,
         // with its backup store, is dropped here.
-        if let Replication::Active(engine) = self.replication.take() {
-            if engine.supports_rearm() {
-                self.park_for_rearm(engine, self.cluster.clock.now());
-            }
+        if engine.supports_rearm() {
+            self.park_for_rearm(engine, self.cluster.clock.now());
         }
         self.epoch += 1;
         Ok(())
@@ -986,7 +846,7 @@ impl RunHarness {
     /// Park `engine` and schedule the bootstrap of a replacement backup
     /// [`REARM_DELAY`] after `t`.
     fn park_for_rearm(&mut self, engine: Box<dyn Checkpointer>, t: Nanos) {
-        self.replication = Replication::Parked(engine);
+        self.lane.replication = Replication::Parked(engine);
         self.rearmed = false;
         self.stream.schedule(StreamKind::Rearm, t + REARM_DELAY, 0);
     }
@@ -1009,6 +869,7 @@ impl RunHarness {
             // epochs keep committing on the surviving quorum throughout.
             self.cluster.crash(self.backup);
             let engine = self
+                .lane
                 .replication
                 .stream_engine(self.stream.kind)
                 .expect("streaming without an engine");
@@ -1027,7 +888,7 @@ impl RunHarness {
                 }
             };
         }
-        let Replication::Active(mut engine) = self.replication.take() else {
+        let Replication::Active(mut engine) = self.lane.replication.take() else {
             return Err(SimError::Invalid(
                 "backup fault injected with no live backup".into(),
             ));
@@ -1045,7 +906,7 @@ impl RunHarness {
                 // stays plugged/released on the normal ack path. Provision
                 // the replacement immediately; the repair starts after the
                 // same settling delay a rearm bootstrap uses.
-                self.replication = Replication::Active(engine);
+                self.lane.replication = Replication::Active(engine);
                 self.backup = self.cluster.add_host(Kernel::default());
                 self.lane
                     .tracer
@@ -1089,7 +950,7 @@ impl RunHarness {
         if rearm {
             self.backup = self.cluster.add_host(Kernel::default());
         }
-        let Some(engine) = self.replication.stream_engine(self.stream.kind) else {
+        let Some(engine) = self.lane.replication.stream_engine(self.stream.kind) else {
             self.stream.reset();
             return Ok(());
         };
@@ -1116,7 +977,7 @@ impl RunHarness {
     /// redundancy; a completed bootstrap resumes incremental epochs with a
     /// fresh failure detector.
     fn stream_step(&mut self) -> SimResult<()> {
-        let Some(engine) = self.replication.stream_engine(self.stream.kind) else {
+        let Some(engine) = self.lane.replication.stream_engine(self.stream.kind) else {
             return Ok(());
         };
         let now = self.cluster.clock.now();
@@ -1133,8 +994,8 @@ impl RunHarness {
         if !done || self.stream.kind == StreamKind::Repair {
             return Ok(());
         }
-        if let Replication::Parked(engine) = self.replication.take() {
-            self.replication = Replication::Active(engine);
+        if let Replication::Parked(engine) = self.lane.replication.take() {
+            self.lane.replication = Replication::Active(engine);
         }
         self.rearmed = true;
         self.lane.detector = FailureDetector::new(now);

@@ -6,9 +6,10 @@
 //! owns N and runs them on a fixed grid through a shared dump service and
 //! link. Both call the same execution phase ([`Lane::serve`]), the same
 //! output release ([`Lane::release`]), the same lease pair ([`Fence`]), the
-//! same promotion tail ([`Lane::promote`]) and — the harness only — the same
-//! stream-while-serving driver ([`Stream`]) for rearm and coded repair. See
-//! `DESIGN.md` §8.2.
+//! same owner rule ([`Lane::owner`]) over the same [`Replication`] state,
+//! the same promotion tail ([`Lane::promote`]) and — the harness only — the
+//! same stream-while-serving driver ([`Stream`]) for rearm and coded repair.
+//! See `DESIGN.md` §8.2.
 
 use crate::config::ReplicationConfig;
 use crate::detector::{FailureDetector, HeartbeatSender, HEARTBEAT_INTERVAL, HEARTBEAT_MISSES};
@@ -38,11 +39,73 @@ const KEEPALIVE_COST: Nanos = 300;
 /// service-done time).
 pub(crate) type Completion = (Endpoint, Nanos);
 
-/// The per-completion log hook of [`Lane::serve`] (hybrid replay): ship
-/// `events`, produced at the given instant, to the backup's log store.
-/// `Ok(None)` means the log link is cut there — the chunk cannot commit.
-pub(crate) type ShipLog<'a> =
-    &'a mut dyn FnMut(&mut Cluster, Nanos, &[ReplayEvent]) -> SimResult<Option<LogShipOutcome>>;
+/// The per-completion log hook of [`Lane::serve`] (hybrid replay): the
+/// epoch the events belong to, and whether the log link is cut at an
+/// instant (a chunk shipped then cannot commit).
+pub(crate) type ShipLog<'a> = (u64, &'a dyn Fn(Nanos) -> bool);
+
+/// Where replication stands: the one state every epoch, fault, stream and
+/// owner decision of both drivers reads.
+pub(crate) enum Replication {
+    /// Unreplicated from the start (the paper's "stock" baseline): a fault
+    /// injected here is a harness-usage error.
+    Stock,
+    /// The engine drives epochs.
+    Active(Box<dyn Checkpointer>),
+    /// Re-replication only: the engine waits between a failover (or a
+    /// backup loss) and the end of the replacement backup's bootstrap.
+    Parked(Box<dyn Checkpointer>),
+    /// Replication is gone (after a failover, or a backup loss without
+    /// rearm): the container serves unreplicated.
+    Spent,
+    /// The service died with an instance nothing could take over from: no
+    /// further epochs run.
+    Lost,
+}
+
+impl Replication {
+    /// The engine driving epochs. A method on the field (not on the lane)
+    /// so the borrow stays disjoint from the container and the tracer.
+    pub fn engine(&mut self) -> SimResult<&mut dyn Checkpointer> {
+        match self {
+            Replication::Active(engine) => Ok(engine.as_mut()),
+            _ => Err(SimError::Invalid("no engine is driving epochs".into())),
+        }
+    }
+
+    /// The engine a stream of `kind` runs on: the parked one for a rearm,
+    /// the one driving epochs for a repair.
+    pub fn stream_engine(&mut self, kind: StreamKind) -> Option<&mut (dyn Checkpointer + 'static)> {
+        match (kind, self) {
+            (StreamKind::Rearm, Replication::Parked(engine))
+            | (StreamKind::Repair, Replication::Active(engine)) => Some(engine.as_mut()),
+            _ => None,
+        }
+    }
+
+    /// Move the state out, leaving [`Replication::Spent`] behind.
+    pub fn take(&mut self) -> Replication {
+        std::mem::replace(self, Replication::Spent)
+    }
+}
+
+/// The owner rule's answer ([`Lane::owner`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Owner {
+    /// The instance keeps the service.
+    Serves,
+    /// A beat that arrived after the suspicion cancelled it
+    /// (`FalseSuspicion`): the instance keeps the service.
+    Rescinded,
+    /// The backup waits, and nothing changes before this instant: the next
+    /// detector boundary, or the end of the granted lease.
+    Waits(Nanos),
+    /// The backup takes over from the committed image ([`Lane::promote`]);
+    /// the detection latency.
+    Promote(Nanos),
+    /// The service died with the instance (`OutputDiscard`).
+    Lost,
+}
 
 /// Per-epoch log traffic, shipped as the execution phase produced it.
 #[derive(Debug, Default, Clone, Copy)]
@@ -117,10 +180,27 @@ impl Served {
     }
 }
 
+/// One container's worth of workload: what [`FleetScheduler::new`] takes
+/// per lane, and what [`RunHarness::new`] takes as arguments.
+///
+/// [`FleetScheduler::new`]: crate::fleet::FleetScheduler::new
+/// [`RunHarness::new`]: crate::harness::RunHarness::new
+pub struct LaneSpec {
+    /// Container spec. The address must be unique across the fleet.
+    pub spec: ContainerSpec,
+    /// The application served inside the container.
+    pub app: Box<dyn Application>,
+    /// Optional closed-loop clients (each fleet lane gets its own client
+    /// netns, so §VII-A's zero-broken-connections gate is attributable per
+    /// lane).
+    pub behavior: Option<Box<dyn ClientBehavior>>,
+}
+
 /// One container's protocol state, owned once by the harness and once per
 /// lane by the fleet.
 pub(crate) struct Lane {
     pub container: Container,
+    pub replication: Replication,
     app: Box<dyn Application>,
     behavior: Option<Box<dyn ClientBehavior>>,
     pool: Option<ClientPool>,
@@ -168,31 +248,32 @@ pub(crate) struct LaneSetup<'a> {
     /// Start of the failure detector's heartbeat grid.
     pub detector_start: Nanos,
     pub quiet_release: bool,
+    /// The replication engine, prepared here; `None` runs stock.
+    pub engine: Option<Box<dyn Checkpointer>>,
 }
 
 impl Lane {
-    /// Create the container on `host`, initialise the workload and connect
-    /// the clients (handshakes flow freely: nothing is plugged yet).
+    /// Create the container on `host`, initialise the workload, connect the
+    /// clients (handshakes flow freely: nothing is plugged yet) and prepare
+    /// the engine, if any (arms tracking, plugs the qdisc).
     pub fn create(
         cluster: &mut Cluster,
         host: HostId,
-        spec: &ContainerSpec,
-        mut app: Box<dyn Application>,
-        behavior: Option<Box<dyn ClientBehavior>>,
+        mut ls: LaneSpec,
         cfg: &ReplicationConfig,
         setup: LaneSetup<'_>,
     ) -> SimResult<Self> {
-        let container = ContainerRuntime::create(cluster.host_mut(host), spec)?;
-        cluster.bind_addr(spec.addr, host, container.ns.net);
+        let container = ContainerRuntime::create(cluster.host_mut(host), &ls.spec)?;
+        cluster.bind_addr(ls.spec.addr, host, container.ns.net);
         let client_link = {
             let k = cluster.host_mut(host);
             let mut ctx = GuestCtx::new(k, container.workers[0], 0);
-            app.init(&mut ctx)?;
+            ls.app.init(&mut ctx)?;
             k.meter.take();
             k.fault_meter.take();
             k.costs.client_link_latency
         };
-        let pool = match (&behavior, spec.listen_port) {
+        let pool = match (&ls.behavior, ls.spec.listen_port) {
             (Some(b), Some(port)) => {
                 let (name, addr) = setup.client;
                 let k = cluster.host_mut(setup.client_host);
@@ -204,15 +285,21 @@ impl Lane {
                     setup.client_host,
                     ns,
                     b.client_count(),
-                    Endpoint::new(spec.addr, port),
+                    Endpoint::new(ls.spec.addr, port),
                 )?)
             }
             _ => None,
         };
+        let mut replication = setup.engine.map_or(Replication::Stock, Replication::Active);
+        if let Replication::Active(engine) = &mut replication {
+            engine.prepare(cluster.host_mut(host), &container)?;
+            cluster.host_mut(host).meter.take();
+        }
         Ok(Lane {
             container,
-            app,
-            behavior,
+            replication,
+            app: ls.app,
+            behavior: ls.behavior,
             pool,
             pending: VecDeque::new(),
             receipts: IdMap::default(),
@@ -235,9 +322,12 @@ impl Lane {
         })
     }
 
-    /// Attach a tracer (the detector shares it; the caller hands the same
-    /// tracer to the engine).
+    /// Attach a tracer (the engine driving epochs and the detector share
+    /// it).
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        if let Replication::Active(engine) = &mut self.replication {
+            engine.set_tracer(tracer.clone());
+        }
         self.detector.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
@@ -278,9 +368,10 @@ impl Lane {
     ///
     /// With `ship` (hybrid replay) every completion's log chunk — and a
     /// batch phase's step log, as one chunk at `window_end` — is shipped as
-    /// it is produced: a committed chunk externalises its completion at log
-    /// commit + Δ ([`Served::committed`]); a chunk that met a cut link leaves
-    /// it riding the epoch ack and sets [`Served::blocked`].
+    /// it is produced ([`Lane::ship_log`]): a committed chunk externalises
+    /// its completion at log commit + Δ ([`Served::committed`]); a chunk
+    /// that met a cut link leaves it riding the epoch ack and sets
+    /// [`Served::blocked`].
     pub fn serve(
         &mut self,
         cluster: &mut Cluster,
@@ -288,7 +379,7 @@ impl Lane {
         exec_start: Nanos,
         window_end: Nanos,
         exec_window: Nanos,
-        mut ship: Option<ShipLog<'_>>,
+        ship: Option<ShipLog<'_>>,
     ) -> SimResult<Served> {
         self.turnaround(cluster, host, exec_start)?;
         let budget = (exec_window as f64 * self.parallelism) as Nanos;
@@ -335,7 +426,7 @@ impl Lane {
                 let logged = ship.is_some().then(|| (response_digest(&response), response.len() as u32));
                 send_frame(stack, sid, response)?;
                 s.requests += 1;
-                let (Some(ship), Some((response_hash, response_len))) = (ship.as_mut(), logged) else {
+                let (Some(ship), Some((response_hash, response_len))) = (ship, logged) else {
                     s.completions.push((remote, t_done));
                     continue;
                 };
@@ -349,7 +440,7 @@ impl Lane {
                     response_hash,
                     response_len,
                 };
-                match ship(cluster, exec_start + used, &[ev])? {
+                match self.ship_log(cluster, host, ship, exec_start + used, &[ev])? {
                     Some(o) => {
                         s.log.add(1, &o);
                         let receipt = t_done + o.commit_latency + self.client_link;
@@ -382,8 +473,8 @@ impl Lane {
                 }
                 self.batch_done = outcome.done;
             }
-            if let (Some(ship), false) = (ship.as_mut(), step_events.is_empty()) {
-                match ship(cluster, window_end, &step_events)? {
+            if let (Some(ship), false) = (ship, step_events.is_empty()) {
+                match self.ship_log(cluster, host, ship, window_end, &step_events)? {
                     Some(o) => s.log.add(step_events.len() as u64, &o),
                     None => s.blocked = true,
                 }
@@ -402,6 +493,24 @@ impl Lane {
             exec_window,
         );
         Ok(s)
+    }
+
+    /// Ship `events`, produced at `at` on `host`, to the backup's log store.
+    /// `Ok(None)` means the log link is cut there — the chunk cannot commit.
+    fn ship_log(
+        &mut self,
+        cluster: &mut Cluster,
+        host: HostId,
+        (epoch, cut): ShipLog<'_>,
+        at: Nanos,
+        events: &[ReplayEvent],
+    ) -> SimResult<Option<LogShipOutcome>> {
+        if cut(at) {
+            return Ok(None);
+        }
+        let engine = self.replication.engine()?;
+        let outcome = engine.ship_log(cluster.host_mut(host), epoch, events)?;
+        Ok(Some(outcome))
     }
 
     /// Whether the primary agent beats this interval: only if the
@@ -497,24 +606,100 @@ impl Lane {
     }
 
     // ------------------------------------------------------------------
-    // Promotion tail
+    // The owner rule and the promotion tail
     // ------------------------------------------------------------------
 
-    /// The failover tail: restore on `backup` from `engine`'s committed
+    /// Who holds the service at `now`: the one owner rule both drivers ask
+    /// (`DESIGN.md` §9.2). `down` is when the instance died (`None` while
+    /// it lives, reachable or not); `fence` is the lease pair, when the
+    /// driver holds one.
+    /// * With no backup, or none holding a committed image, a dead instance
+    ///   takes the service with it and a live one keeps it: the backup
+    ///   waits, as NiLiCon starts detection once replication is up. (A
+    ///   fault in a run unreplicated from the start is a usage error.)
+    /// * A beat that arrived after a suspicion of a live instance cancels
+    ///   it (a dead one's suspicion is never false).
+    /// * Otherwise the backup takes over once detection fired and, under a
+    ///   fence, the granted lease ran out.
+    pub fn owner(
+        &mut self,
+        now: Nanos,
+        down: Option<Nanos>,
+        fence: Option<&mut Fence>,
+    ) -> SimResult<Owner> {
+        let image = match &self.replication {
+            Replication::Active(engine) => engine.committed_epoch().is_some(),
+            _ if down.is_none() => return Ok(Owner::Serves),
+            Replication::Stock => {
+                return Err(SimError::Invalid("fault in an unreplicated run".into()))
+            }
+            _ => false,
+        };
+        if down.is_some() && !image {
+            self.discard(now, 0);
+            self.replication = Replication::Lost;
+            return Ok(Owner::Lost);
+        }
+        self.detector.check(now);
+        let Some(detected) = self.detector.detected_at() else {
+            // A dead instance waits for the first detector boundary after `now`.
+            let next = self.detector.next_boundary(now + 1);
+            return Ok(down.map_or(Owner::Serves, |_| Owner::Waits(next)));
+        };
+        let heard = self.detector.heard();
+        if down.is_none() && heard > detected {
+            let suspected_for = heard - detected;
+            self.tracer
+                .event_at(TraceEvent::FalseSuspicion { suspected_for }, heard);
+            self.detector.rescind(heard);
+            return Ok(Owner::Rescinded);
+        }
+        if !image {
+            return Ok(Owner::Serves);
+        }
+        if let Some(fence) = fence {
+            if now < fence.promotable_at() {
+                return Ok(Owner::Waits(fence.promotable_at()));
+            }
+            fence.authorize_promotion(now)?;
+        }
+        // Latency runs from the death (a suspicion standing at the death
+        // detected it at once) or, for a live instance, from the last beat
+        // the backup heard.
+        let since = down.unwrap_or(heard);
+        Ok(Owner::Promote(detected.max(since) - since))
+    }
+
+    /// Uncommitted driver-side buffers are garbage: the clients retransmit
+    /// anything a committed state has not consumed, and held completions
+    /// were never released. `voided` counts receipts of a deferred release
+    /// that died with the primary.
+    fn discard(&mut self, at: Nanos, voided: usize) {
+        let packets = (self.pending.len() + self.held.len() + voided) as u64;
+        self.tracer
+            .event_at(TraceEvent::OutputDiscard { packets }, at);
+        self.pending.clear();
+        self.held.clear();
+    }
+
+    /// The failover tail, once [`Lane::owner`] answered
+    /// [`Owner::Promote`]: restore on `backup` from the engine's committed
     /// state, move the address (gratuitous ARP), rebuild the application,
     /// replay the sealed log tail if the engine keeps one, discard
-    /// uncommitted output (`voided` counts receipts of a deferred release
-    /// that died with the primary), retransmit both sides, deliver. The
-    /// caller has already advanced the clock to the promotion instant and
-    /// authorised it ([`Fence::authorize_promotion`]).
+    /// uncommitted output, retransmit both sides, deliver. The caller has
+    /// already advanced the clock to the promotion instant. Replication is
+    /// [`Replication::Spent`] afterwards; the engine is handed back for a
+    /// driver that rearms.
     pub fn promote(
         &mut self,
         cluster: &mut Cluster,
         backup: HostId,
-        engine: &mut dyn Checkpointer,
-        latency: Option<Nanos>,
+        latency: Nanos,
         voided: usize,
-    ) -> SimResult<()> {
+    ) -> SimResult<Box<dyn Checkpointer>> {
+        let Replication::Active(mut engine) = self.replication.take() else {
+            return Err(SimError::Invalid("promotion with no engine".into()));
+        };
         let (restored, report) = engine.failover(cluster.host_mut(backup))?;
         cluster.clock.advance(report.total());
         cluster.bind_addr(
@@ -568,30 +753,21 @@ impl Lane {
             }
         }
 
-        // Uncommitted driver-side buffers are garbage now: the clients will
-        // retransmit anything the committed state has not consumed. Held
-        // completions were never released — discarded too.
         let now = cluster.clock.now();
-        let discarded = (self.pending.len() + self.held.len() + voided) as u64;
-        self.tracer
-            .event_at(TraceEvent::OutputDiscard { packets: discarded }, now);
-        self.pending.clear();
-        self.held.clear();
-        if let Some(detection_latency) = latency {
-            self.tracer.event_at(
-                TraceEvent::Failover {
-                    detection_latency,
-                    restore: report.restore,
-                    arp: report.arp,
-                    tcp: report.tcp,
-                    others: report.others,
-                },
-                now,
-            );
-        }
+        self.discard(now, voided);
+        self.tracer.event_at(
+            TraceEvent::Failover {
+                detection_latency: latency,
+                restore: report.restore,
+                arp: report.arp,
+                tcp: report.tcp,
+                others: report.others,
+            },
+            now,
+        );
         self.container = restored.container;
         self.failover_report = Some(report);
-        self.detection_latency = latency;
+        self.detection_latency = Some(latency);
         self.failovers += 1;
         // The promoted host's cgroup accounting starts from zero: without a
         // fresh sender, `tick` would never see progress and a re-armed
@@ -604,11 +780,20 @@ impl Lane {
             .host_mut(backup)
             .stack_mut(self.container.ns.net)?
             .retransmit_all();
+        self.retransmit_clients(cluster)?;
+        cluster.pump();
+        self.collect(cluster, now)?;
+        Ok(engine)
+    }
+
+    /// The clients' stacks re-send their unacknowledged requests (their RTO
+    /// firing): after a failover, or when a partition that dropped them
+    /// heals.
+    pub fn retransmit_clients(&mut self, cluster: &mut Cluster) -> SimResult<()> {
         if let Some(pool) = self.pool.as_mut() {
             pool.retransmit(cluster)?;
         }
-        cluster.pump();
-        self.collect(cluster, now)
+        Ok(())
     }
 
     /// Rebuild the application's working state from restored guest memory.
@@ -1395,17 +1580,15 @@ mod tests {
             jitter_seed: 1,
             detector_start: 0,
             quiet_release: false,
+            engine: None,
         };
-        let mut lane = Lane::create(
-            &mut cluster,
-            host,
-            &ContainerSpec::server("svc", 10, 6379),
-            Box::new(Echo),
-            Some(Box::new(Silent(8))),
-            &ReplicationConfig::default(),
-            setup,
-        )
-        .unwrap();
+        let spec = LaneSpec {
+            spec: ContainerSpec::server("svc", 10, 6379),
+            app: Box::new(Echo),
+            behavior: Some(Box::new(Silent(8))),
+        };
+        let cfg = ReplicationConfig::default();
+        let mut lane = Lane::create(&mut cluster, host, spec, &cfg, setup).unwrap();
         for i in 0..8u64 {
             let pool = lane.pool.as_ref().unwrap();
             let remote = pool.local_endpoint(&mut cluster, i as usize).unwrap();

@@ -7,6 +7,7 @@ use nilicon::trace::{TraceEvent, Tracer};
 use nilicon::traffic::ClientBehavior;
 use nilicon::{NiLiConEngine, OptimizationConfig, ReplicationConfig};
 use nilicon_container::{Application, ContainerSpec, GuestCtx, RequestOutcome, StepOutcome};
+use nilicon_sim::net::{ChaosSchedule, FaultKind};
 use nilicon_sim::time::{Nanos, MILLISECOND};
 use nilicon_sim::{CostModel, SimResult};
 
@@ -474,4 +475,54 @@ fn a_fault_before_the_first_committed_checkpoint_loses_the_service() {
         );
         assert_eq!(r.metrics.epochs.len(), 0, "no epoch runs after the loss");
     }
+}
+
+/// The replicated echo service with chaos armed from t = 0: a partition of
+/// the replication link over `[0, until)`, a ring tracer, `epochs` epochs.
+fn partitioned_from_the_start(until: Nanos, epochs: u64) -> (RunHarness, Vec<TraceEvent>) {
+    let mut h = replicated_echo();
+    let (tracer, ring) = Tracer::in_memory(1 << 12);
+    h.set_tracer(tracer);
+    h.set_chaos(ChaosSchedule::default().window(0, until, FaultKind::Partition));
+    h.run_epochs(epochs).unwrap();
+    let events = ring.snapshot().into_iter().map(|rec| rec.kind).collect();
+    (h, events)
+}
+
+#[test]
+fn a_partition_healed_before_the_first_commit_is_a_false_suspicion() {
+    // Nothing has committed when detection fires at 90 ms: the primary is
+    // alive behind the partition, so it keeps the service and the backup
+    // waits; the first beat after the heal rescinds the suspicion.
+    let (h, events) = partitioned_from_the_start(400 * MILLISECOND, 40);
+    let stats = h.chaos_stats().unwrap();
+    assert_eq!((h.failovers(), stats.false_suspicions), (0, 1));
+    assert!(!stats.split_brain);
+    let suspicions = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::FalseSuspicion { .. }))
+        .count();
+    assert_eq!(suspicions, 1);
+    let r = h.finish();
+    assert!(r.metrics.requests_total > 0, "served after the heal");
+    r.verify.unwrap();
+}
+
+#[test]
+fn a_partition_that_never_heals_before_the_first_commit_keeps_the_primary() {
+    // With no committed image the backup never takes over, and nothing the
+    // primary served is ever released.
+    let (h, events) = partitioned_from_the_start(5_000 * MILLISECOND, 60);
+    let stats = h.chaos_stats().unwrap();
+    assert_eq!((h.failovers(), stats.split_brain), (0, false));
+    let released = events.iter().find(|e| {
+        matches!(
+            e,
+            TraceEvent::OutputRelease { .. } | TraceEvent::ClientDeliver { .. }
+        )
+    });
+    assert_eq!(released, None);
+    let r = h.finish();
+    assert_eq!((r.failovers, r.unrecovered_faults), (0, 0));
+    r.verify.unwrap();
 }

@@ -11,7 +11,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-RATCHET=1939
+RATCHET=1928
 ENGINES_RATCHET=1505
 
 count() {

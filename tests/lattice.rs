@@ -367,6 +367,16 @@ enum LaneFault {
     LaneTwice,
     /// The pair partitions for less than a lease, then heals.
     Partition,
+    /// The pair partitions from t = 0, before any commit, for longer than
+    /// a lease: with nothing to promote to, every lane keeps its primary.
+    EarlyPartition,
+    /// Lane 0 fails before its first commit: lost, with its output
+    /// discarded.
+    EarlyLane,
+    /// The pair partitions long enough for detection, heals (the first beat
+    /// after the heal rescinds the suspicion), then lane 0 fails: detected
+    /// as fast as with no partition before it.
+    HealThenLane,
 }
 
 /// Lane 0 runs the script, any other lane an echo service with clients.
@@ -401,16 +411,24 @@ fn fleet_cell(n: u32, o: OptimizationConfig, f: LaneFault) -> Result<(), String>
         })
         .collect();
     let base = fleet.snapshot_heap(0, HEAP_PAGES);
+    // Lane 0 lost before its first epoch never stepped.
+    let stepped = f != LaneFault::EarlyLane;
     let scripted = |fleet: &mut FleetScheduler| {
         let heap = fleet.snapshot_heap(0, HEAP_PAGES);
         let steps = u64::from_le_bytes(heap[..8].try_into().expect("counter bytes"));
-        steps > 0 && heap == replay(&base, steps)
+        (steps > 0) == stepped && heap == replay(&base, steps)
     };
     match f {
         LaneFault::None => {}
         LaneFault::Lane(lane) => fleet.inject_lane_fault_at(lane, FAULT_AT),
         LaneFault::LaneTwice => fleet.inject_lane_fault_at(0, FAULT_AT),
         LaneFault::Partition => fleet.partition_primary(FAULT_AT - 15 * MS, FAULT_AT + 45 * MS),
+        LaneFault::EarlyPartition => fleet.partition_primary(0, 400 * MS),
+        LaneFault::EarlyLane => fleet.inject_lane_fault_at(0, 5 * MS),
+        LaneFault::HealThenLane => {
+            fleet.partition_primary(300 * MS, 420 * MS);
+            fleet.inject_lane_fault_at(0, 1000 * MS);
+        }
     }
     // The script lane's heap is the model's right after its failover, as
     // well as at the end.
@@ -433,13 +451,15 @@ fn fleet_cell(n: u32, o: OptimizationConfig, f: LaneFault) -> Result<(), String>
         return Err("the script lane's heap is not the script's".into());
     }
     let r = fleet.finish();
-    // The fault's mark: a heartbeat interval that missed a lane's bit.
-    if (r.min_live_bits < n) != (f != LaneFault::None) {
+    // The fault's mark: a heartbeat interval that missed a lane's bit (or
+    // none at all: a lone lane lost before its first epoch).
+    if (r.min_live_bits < n || r.heartbeat_intervals == 0) != (f != LaneFault::None) {
         return Err(format!("{} of {n} live bits at the least", r.min_live_bits));
     }
     for (i, l) in r.lanes.iter().enumerate() {
-        let lost = f == LaneFault::LaneTwice && i == 0;
-        let failovers = u64::from(lost || f == LaneFault::Lane(i));
+        let lost = i == 0 && matches!(f, LaneFault::LaneTwice | LaneFault::EarlyLane);
+        let failed = i == 0 && matches!(f, LaneFault::LaneTwice | LaneFault::HealThenLane);
+        let failovers = u64::from(failed || f == LaneFault::Lane(i));
         if (l.failovers, l.unrecovered, l.split_brain) != (failovers, lost, false) {
             return Err(format!(
                 "lane {i}: {} failovers, unrecovered {}, split-brain {}",
@@ -455,6 +475,20 @@ fn fleet_cell(n: u32, o: OptimizationConfig, f: LaneFault) -> Result<(), String>
         // An echo lane that failed over serves its clients again.
         if i > 0 && l.failovers > 0 && served_after_failover(&rings[i].snapshot()) != Some(true) {
             return Err(format!("lane {i}: no echo after its failover"));
+        }
+        // A lost lane discards its output.
+        let seen = |name| rings[i].snapshot().iter().any(|r| r.kind.name() == name);
+        if lost && !seen("OutputDiscard") {
+            return Err(format!("lane {i}: lost without an OutputDiscard"));
+        }
+        // The healed suspicion is rescinded, so the fault at 1 s is detected
+        // 80 ms later, after three missed beats from the last one at 990 ms.
+        let healed = i == 0 && f == LaneFault::HealThenLane;
+        if healed && (!seen("FalseSuspicion") || l.detection_latency != Some(80 * MS)) {
+            return Err(format!(
+                "lane 0: detection latency {:?}",
+                l.detection_latency
+            ));
         }
     }
     Ok(())
@@ -477,7 +511,14 @@ fn fleet_lattice() {
                 continue;
             }
             accepted += 1;
-            let faults = [LaneFault::None, LaneFault::LaneTwice, LaneFault::Partition];
+            let faults = [
+                LaneFault::None,
+                LaneFault::LaneTwice,
+                LaneFault::Partition,
+                LaneFault::EarlyPartition,
+                LaneFault::EarlyLane,
+                LaneFault::HealThenLane,
+            ];
             for f in faults
                 .into_iter()
                 .chain((0..n as usize).map(LaneFault::Lane))
