@@ -418,8 +418,8 @@ mod tests {
     fn default_replication_config_matches_paper() {
         let c = ReplicationConfig::default();
         assert_eq!(c.epoch_exec, 30 * MILLISECOND);
-        assert_eq!(crate::detector::HEARTBEAT_INTERVAL, 30 * MILLISECOND);
-        assert_eq!(crate::detector::HEARTBEAT_MISSES, 3);
+        assert_eq!(crate::lane::owner::HEARTBEAT_INTERVAL, 30 * MILLISECOND);
+        assert_eq!(crate::lane::owner::HEARTBEAT_MISSES, 3);
         // The re-replication budget exists but the knob itself is off.
         assert!(!c.opts.rearm);
         assert!(!c.opts.hybrid_replay);

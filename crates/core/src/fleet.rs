@@ -29,13 +29,12 @@
 //!
 //! Failure handling is **per lane**: one consolidated heartbeat channel
 //! carries an N-bit liveness bitmap (one cpuacct-gated bit per container);
-//! each lane has its own [`FailureDetector`](crate::FailureDetector) and
-//! holder/grant lease pair, so a fault on container A
-//! promotes only A's ownership to the backup — container B keeps executing
-//! on the primary with zero broken connections. The lease fence (holder
-//! anchored at epoch end on the primary, grant anchored at ack receipt on
-//! the backup, so the holder always expires first) preserves
-//! exactly-one-owner per container.
+//! each lane has its own failure detector and holder/grant lease pair, so a
+//! fault on container A promotes only A's ownership to the backup —
+//! container B keeps executing on the primary with zero broken connections.
+//! The lease fence (holder anchored at epoch end on the primary, grant
+//! anchored at ack receipt on the backup, so the holder always expires
+//! first) preserves exactly-one-owner per container.
 //!
 //! A lane is the same private lane core the run harness drives (`lane.rs`;
 //! `DESIGN.md` §8.2): execution phase, output release, fence, owner rule and
@@ -49,10 +48,11 @@
 //! the same reconciliation identities, as a plain single-engine loop
 //! (pinned by `tests/fleet_equivalence.rs`).
 use crate::config::ReplicationConfig;
-use crate::detector::HEARTBEAT_INTERVAL;
 use crate::engine::FailoverReport;
 pub use crate::lane::LaneSpec;
-use crate::lane::{Completion, Fence, Lane, LaneSetup, Owner, Replication, LEASE_TERM};
+use crate::lane::{
+    Completion, Fence, Lane, LaneSetup, Owner, Replication, HEARTBEAT_INTERVAL, LEASE_TERM,
+};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::nilicon_engine::NiLiConEngine;
 use crate::trace::{TraceEvent, Tracer};
@@ -139,7 +139,6 @@ struct StagedEpoch {
 /// plus what is scheduling.
 struct FleetLane {
     core: Lane,
-    fence: Fence,
     /// Phase offset of this lane's epoch boundaries (`i·E/N`; 0 aligned).
     offset: Nanos,
     next_boundary: Nanos,
@@ -280,6 +279,7 @@ impl FleetScheduler {
                 parallelism: 1.0,
                 jitter_seed: 0x243F6A8885A308D3 ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
                 detector_start: offset,
+                fence: Some(Fence::new(LEASE_TERM, 0)),
                 quiet_release: true,
                 engine: Some(Box::new(NiLiConEngine::new(
                     cfg.opts,
@@ -289,7 +289,6 @@ impl FleetScheduler {
             let core = Lane::create(&mut cluster, primary, ls, &cfg, setup)?;
             built.push(FleetLane {
                 core,
-                fence: Fence::new(LEASE_TERM, 0),
                 offset,
                 next_boundary: offset + cfg.epoch_exec,
                 epochs_done: 0,
@@ -324,7 +323,7 @@ impl FleetScheduler {
         self.lanes.is_empty()
     }
 
-    /// Attach a tracer to lane `lane` (its engine and detector share it).
+    /// Attach a tracer to lane `lane` (its engine shares it).
     pub fn set_tracer(&mut self, lane: usize, tracer: Tracer) {
         self.lanes[lane].core.set_tracer(tracer);
     }
@@ -390,7 +389,7 @@ impl FleetScheduler {
                 on_backup: lane.core.failovers > 0,
                 broken_connections,
                 verify,
-                split_brain: lane.fence.split_brain(),
+                split_brain: lane.core.rule.split_brain(),
                 unrecovered: matches!(lane.core.replication, Replication::Lost),
             });
         }
@@ -478,7 +477,7 @@ impl FleetScheduler {
     fn dead_lane_boundary(&mut self, li: usize, t: Nanos) -> SimResult<()> {
         let lane = &mut self.lanes[li];
         lane.next_boundary += self.cfg.epoch_exec;
-        let owner = lane.core.owner(t, lane.down_since, Some(&mut lane.fence))?;
+        let owner = lane.core.owner(t, lane.down_since)?;
         if let Owner::Promote(latency) = owner {
             self.promote_lane(li, t, latency)?;
             // The fail-stopped instance leaves the shared primary with its
@@ -532,11 +531,11 @@ impl FleetScheduler {
         }
         if beat && !cut {
             words[li / 64] |= 1u64 << (li % 64);
-            lane.core.detector.on_beat(t);
+            lane.core.rule.on_beat(t);
         }
         // After the beat: a live lane that just beat rescinds a standing
         // suspicion, so the rule can promote only behind the cut.
-        let owner = lane.core.owner(t, None, Some(&mut lane.fence))?;
+        let owner = lane.core.owner(t, None)?;
         if cut {
             // Partitioned: the checkpoint cannot reach the backup, the ack
             // never comes, and this epoch's output stays plugged. The lease
@@ -603,10 +602,11 @@ impl FleetScheduler {
     ) -> SimResult<()> {
         let host = self.host_of(li);
         let lane = &mut self.lanes[li];
+        let staged = lane.staged.take();
         let StagedEpoch {
             mut record,
             completions,
-        } = lane.staged.take().expect("staged epoch");
+        } = staged.ok_or_else(|| SimError::Invalid(format!("lane {li}: no staged epoch")))?;
         if link_wait > 0 {
             lane.core.tracer.span(
                 TraceEvent::FairShareWait {
@@ -625,7 +625,9 @@ impl FleetScheduler {
         // The ack lands at `completion`.
         let engine = lane.core.replication.engine()?;
         engine.commit(self.cluster.host_mut(self.backup), record.epoch)?;
-        lane.fence.on_ack(t, completion);
+        if let Some(fence) = lane.core.rule.fence.as_mut() {
+            fence.on_ack(t, completion);
+        }
         lane.core.metrics.push(record);
         lane.core.last_stop = record.stop_time;
         let release = t + record.stop_time + record.ack_delay;

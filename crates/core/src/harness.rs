@@ -23,7 +23,6 @@
 //! fault means.
 
 use crate::config::ReplicationConfig;
-use crate::detector::FailureDetector;
 use crate::engine::{Checkpointer, FailoverReport};
 use crate::lane::{
     Completion, Fence, Lane, LaneSetup, LaneSpec, LogTotals, Owner, Replication, Served, Stream,
@@ -118,13 +117,12 @@ pub struct ChaosStats {
     pub split_brain: bool,
 }
 
-/// Chaos-mode run state: the heartbeat link under the fault schedule plus
-/// the output-release fence.
+/// Chaos-mode run state: the heartbeat link under the fault schedule (the
+/// output-release fence is the lane's).
 struct ChaosState {
     schedule: ChaosSchedule,
     /// Heartbeats in flight (payload = send time).
     hb: ChaosLink<Nanos>,
-    fence: Fence,
     in_partition: bool,
     /// Acks attempted inside a partial-loss window (drives `drop_nth`).
     acks_attempted: u64,
@@ -222,6 +220,7 @@ impl RunHarness {
             parallelism,
             jitter_seed: 0x243F6A8885A308D3,
             detector_start: 0,
+            fence: None,
             quiet_release: false,
             engine: match mode {
                 RunMode::Unreplicated => None,
@@ -259,9 +258,9 @@ impl RunHarness {
     pub fn set_chaos(&mut self, schedule: ChaosSchedule) {
         let latency = self.cluster.host_mut(self.primary).costs.repl_link_latency;
         let now = self.cluster.clock.now();
+        self.lane.rule.fence = Some(Fence::new(LEASE_TERM, now));
         self.chaos = Some(ChaosState {
             hb: ChaosLink::new(LinkDir::AtoB, latency, schedule.clone()),
-            fence: Fence::new(LEASE_TERM, now),
             in_partition: false,
             acks_attempted: 0,
             stats: ChaosStats::default(),
@@ -274,7 +273,7 @@ impl RunHarness {
     /// called).
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
         self.chaos.as_ref().map(|c| ChaosStats {
-            split_brain: c.fence.split_brain(),
+            split_brain: self.lane.rule.split_brain(),
             ..c.stats
         })
     }
@@ -302,8 +301,8 @@ impl RunHarness {
         crate::replay::heap_snapshot(host, &self.lane.container, pages)
     }
 
-    /// Attach a [`Tracer`]: the harness, the engine, and the failure
-    /// detector all emit spans/events into it (see `OBSERVABILITY.md` for
+    /// Attach a [`Tracer`]: the harness, the engine, and the lane's owner
+    /// rule all emit spans/events into it (see `OBSERVABILITY.md` for
     /// the schema). Call before running epochs.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.lane.set_tracer(tracer);
@@ -378,7 +377,7 @@ impl RunHarness {
     fn chaos_beat(&mut self, t: Nanos) {
         match self.chaos.as_mut() {
             Some(ch) => ch.hb.send(t, t),
-            None => self.lane.detector.on_beat(t),
+            None => self.lane.rule.on_beat(t),
         }
     }
 
@@ -386,7 +385,7 @@ impl RunHarness {
     fn chaos_deliver_beats(&mut self, now: Nanos) {
         if let Some(ch) = self.chaos.as_mut() {
             for (at, _sent) in ch.hb.poll(now) {
-                self.lane.detector.on_beat(at);
+                self.lane.rule.on_beat(at);
             }
         }
     }
@@ -406,7 +405,7 @@ impl RunHarness {
             ch.in_partition = false;
             self.lane.tracer.event_at(TraceEvent::PartitionHeal, now);
         }
-        if let Some(at) = ch.fence.lapsed(now) {
+        if let Some(at) = self.lane.rule.fence.as_mut().and_then(|f| f.lapsed(now)) {
             ch.stats.lease_expiries += 1;
             self.lane
                 .tracer
@@ -426,7 +425,8 @@ impl RunHarness {
         let Some(pr) = ch.pending_release.take() else {
             return Ok(());
         };
-        if !ch.fence.may_release(pr.release_time) {
+        let fence = self.lane.rule.fence.as_ref();
+        if !fence.is_none_or(|f| f.may_release(pr.release_time)) {
             self.lane.tracer.event_at(
                 TraceEvent::FencedOutput {
                     packets: pr.receipts.len() as u64,
@@ -444,12 +444,11 @@ impl RunHarness {
             .release(&mut self.cluster, host, pr.release_time, riding, waits)
     }
 
-    /// Ask the lane's owner rule ([`Lane::owner`]) at `now`, the chaos
-    /// fence gating a promotion; `down` is when the primary died.
+    /// Ask the lane's owner rule ([`Lane::owner`]) at `now`; `down` is when
+    /// the primary died.
     fn owner(&mut self, now: Nanos, down: Option<Nanos>) -> SimResult<Owner> {
-        let fence = self.chaos.as_mut().map(|ch| &mut ch.fence);
-        let owner = self.lane.owner(now, down, fence)?;
-        if let (Owner::Rescinded, Some(ch)) = (owner, self.chaos.as_mut()) {
+        let owner = self.lane.owner(now, down)?;
+        if let (Owner::Rescinded { .. }, Some(ch)) = (owner, self.chaos.as_mut()) {
             ch.stats.false_suspicions += 1;
         }
         Ok(owner)
@@ -500,12 +499,12 @@ impl RunHarness {
             if pending.is_some_and(|pr| next_fault.is_none_or(|f| pr.release_time <= f)) {
                 self.chaos_flush_pending()?;
             }
-            let Some(t) = next_fault.filter(|&t| t <= now + self.cfg.epoch_exec) else {
+            let horizon = now + self.cfg.epoch_exec;
+            let Some((t, fault)) = self.faults.pop_front_if(|&mut (t, _)| t <= horizon) else {
                 self.stream_tick()?;
                 self.run_one_epoch()?;
                 continue;
             };
-            let (_, fault) = self.faults.pop_front().expect("front checked");
             match fault {
                 Fault::Backup => self.handle_backup_fault(t.max(now))?,
                 Fault::Primary => self.handle_primary_fault(t.max(now))?,
@@ -624,12 +623,7 @@ impl RunHarness {
             // extension; a no-op for synchronous engines). Whatever
             // backlog remains surfaces as backpressure in the checkpoint.
             engine.pipeline_advance(self.cfg.epoch_exec);
-            while self
-                .stage_fails
-                .front()
-                .is_some_and(|&(t, _)| t <= epoch_end)
-            {
-                let (_, chunk) = self.stage_fails.pop_front().expect("front checked");
+            while let Some((_, chunk)) = self.stage_fails.pop_front_if(|f| f.0 <= epoch_end) {
                 engine.inject_stage_fail(chunk);
             }
             let (pk, bk) = self.cluster.two_hosts_mut(self.primary, self.backup);
@@ -701,11 +695,13 @@ impl RunHarness {
                 // The ack doubles as a lease grant (see [`Fence`]). The
                 // release itself is deferred to the epoch boundary so a
                 // fault inside the gap can void it.
-                ch.fence.on_ack(epoch_end, release_time);
-                let until = ch.fence.holder_expiry();
-                self.lane
-                    .tracer
-                    .event_at(TraceEvent::LeaseAcquire { until }, release_time);
+                if let Some(fence) = self.lane.rule.fence.as_mut() {
+                    fence.on_ack(epoch_end, release_time);
+                    let until = fence.holder_expiry();
+                    self.lane
+                        .tracer
+                        .event_at(TraceEvent::LeaseAcquire { until }, release_time);
+                }
                 ch.pending_release = Some(PendingRelease {
                     release_time,
                     receipts: completions,
@@ -872,7 +868,7 @@ impl RunHarness {
                 .lane
                 .replication
                 .stream_engine(self.stream.kind)
-                .expect("streaming without an engine");
+                .ok_or_else(|| SimError::Invalid("streaming without an engine".into()))?;
             self.stream.abort(
                 t,
                 engine,
@@ -998,14 +994,7 @@ impl RunHarness {
             self.lane.replication = Replication::Active(engine);
         }
         self.rearmed = true;
-        self.lane.detector = FailureDetector::new(now);
-        self.lane.detector.set_tracer(self.lane.tracer.clone());
-        if let Some(ch) = self.chaos.as_mut() {
-            // Fresh pair, fresh fences: re-anchor both leases at `now` so a
-            // grant left over from before the fault cannot green-light an
-            // instant promotion.
-            ch.fence.on_ack(now, now);
-        }
+        self.lane.rule.restart(now);
         Ok(())
     }
 

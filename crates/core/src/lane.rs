@@ -5,14 +5,17 @@
 //! the clock by each stop; [`FleetScheduler`](crate::fleet::FleetScheduler)
 //! owns N and runs them on a fixed grid through a shared dump service and
 //! link. Both call the same execution phase ([`Lane::serve`]), the same
-//! output release ([`Lane::release`]), the same lease pair ([`Fence`]), the
-//! same owner rule ([`Lane::owner`]) over the same [`Replication`] state,
-//! the same promotion tail ([`Lane::promote`]) and — the harness only — the
-//! same stream-while-serving driver ([`Stream`]) for rearm and coded repair.
-//! See `DESIGN.md` §8.2.
+//! output release ([`Lane::release`]), the same owner rule ([`Lane::owner`]
+//! over the pure [`Rule`]: failure detector, lease pair and decision) over
+//! the same [`Replication`] state, the same promotion tail
+//! ([`Lane::promote`]) and — the harness only — the same stream-while-serving
+//! driver ([`Stream`]) for rearm and coded repair. See `DESIGN.md` §8.2.
+
+pub(crate) mod owner;
+
+pub(crate) use owner::{Fence, Owner, Rule, HEARTBEAT_INTERVAL, LEASE_TERM};
 
 use crate::config::ReplicationConfig;
-use crate::detector::{FailureDetector, HeartbeatSender, HEARTBEAT_INTERVAL, HEARTBEAT_MISSES};
 use crate::engine::{Checkpointer, FailoverReport, LogShipOutcome};
 use crate::metrics::{EpochRecord, RunMetrics};
 use crate::replay::replay_tail;
@@ -87,24 +90,6 @@ impl Replication {
     pub fn take(&mut self) -> Replication {
         std::mem::replace(self, Replication::Spent)
     }
-}
-
-/// The owner rule's answer ([`Lane::owner`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Owner {
-    /// The instance keeps the service.
-    Serves,
-    /// A beat that arrived after the suspicion cancelled it
-    /// (`FalseSuspicion`): the instance keeps the service.
-    Rescinded,
-    /// The backup waits, and nothing changes before this instant: the next
-    /// detector boundary, or the end of the granted lease.
-    Waits(Nanos),
-    /// The backup takes over from the committed image ([`Lane::promote`]);
-    /// the detection latency.
-    Promote(Nanos),
-    /// The service died with the instance (`OutputDiscard`).
-    Lost,
 }
 
 /// Per-epoch log traffic, shipped as the execution phase produced it.
@@ -228,8 +213,11 @@ pub(crate) struct Lane {
     client_link: Nanos,
     /// Emit `OutputRelease` only when packets were actually unplugged.
     quiet_release: bool,
-    sender: HeartbeatSender,
-    pub detector: FailureDetector,
+    /// `cpuacct.usage` at the last beat: the primary agent beats only when
+    /// it advanced (§IV).
+    last_cpuacct: Nanos,
+    /// The failure detector and the lease pair.
+    pub rule: Rule,
     pub failover_report: Option<FailoverReport>,
     pub detection_latency: Option<Nanos>,
     pub failovers: u64,
@@ -247,6 +235,8 @@ pub(crate) struct LaneSetup<'a> {
     pub jitter_seed: u64,
     /// Start of the failure detector's heartbeat grid.
     pub detector_start: Nanos,
+    /// The lease pair, for a driver that fences from the start.
+    pub fence: Option<Fence>,
     pub quiet_release: bool,
     /// The replication engine, prepared here; `None` runs stock.
     pub engine: Option<Box<dyn Checkpointer>>,
@@ -312,8 +302,8 @@ impl Lane {
             parallelism: setup.parallelism,
             client_link,
             quiet_release: setup.quiet_release,
-            sender: HeartbeatSender::new(),
-            detector: FailureDetector::new(setup.detector_start),
+            last_cpuacct: 0,
+            rule: Rule::new(setup.detector_start, setup.fence),
             failover_report: None,
             detection_latency: None,
             failovers: 0,
@@ -322,13 +312,11 @@ impl Lane {
         })
     }
 
-    /// Attach a tracer (the engine driving epochs and the detector share
-    /// it).
+    /// Attach a tracer (the engine driving epochs shares it).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         if let Replication::Active(engine) = &mut self.replication {
             engine.set_tracer(tracer.clone());
         }
-        self.detector.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
 
@@ -396,13 +384,11 @@ impl Lane {
         // way). Multi-process CPU capacity is modeled by `parallelism`.
         let pid = self.container.workers[0];
         if self.app.is_server() {
-            while used < budget
-                && self
-                    .pending
-                    .front()
-                    .is_some_and(|(_, _, arrival)| *arrival <= window_end)
-            {
-                let (remote, req, arrival) = self.pending.pop_front().expect("front checked");
+            while used < budget {
+                let due = |(_, _, arrival): &mut (_, _, Nanos)| *arrival <= window_end;
+                let Some((remote, req, arrival)) = self.pending.pop_front_if(due) else {
+                    break;
+                };
                 let k = cluster.host_mut(host);
                 let mut ctx = GuestCtx::new(k, pid, exec_start + used);
                 let response = self.app.handle_request(&mut ctx, &req)?.response;
@@ -520,7 +506,9 @@ impl Lane {
             .host_mut(host)
             .cgroups
             .cpuacct_usage(self.container.cgroup);
-        self.sender.tick(cpuacct)
+        let beat = cpuacct > self.last_cpuacct;
+        self.last_cpuacct = self.last_cpuacct.max(cpuacct);
+        beat
     }
 
     // ------------------------------------------------------------------
@@ -610,23 +598,13 @@ impl Lane {
     // ------------------------------------------------------------------
 
     /// Who holds the service at `now`: the one owner rule both drivers ask
-    /// (`DESIGN.md` §9.2). `down` is when the instance died (`None` while
-    /// it lives, reachable or not); `fence` is the lease pair, when the
-    /// driver holds one.
-    /// * With no backup, or none holding a committed image, a dead instance
-    ///   takes the service with it and a live one keeps it: the backup
-    ///   waits, as NiLiCon starts detection once replication is up. (A
-    ///   fault in a run unreplicated from the start is a usage error.)
-    /// * A beat that arrived after a suspicion of a live instance cancels
-    ///   it (a dead one's suspicion is never false).
-    /// * Otherwise the backup takes over once detection fired and, under a
-    ///   fence, the granted lease ran out.
-    pub fn owner(
-        &mut self,
-        now: Nanos,
-        down: Option<Nanos>,
-        fence: Option<&mut Fence>,
-    ) -> SimResult<Owner> {
+    /// (`DESIGN.md` §9.2), [`Rule::decide`] over the committed image
+    /// [`Replication`] holds; `down` is when the instance died (`None` while
+    /// it lives, reachable or not). The lane traces the misses, then
+    /// `FalseSuspicion`, or discards and loses the service. A live instance
+    /// with no engine driving epochs keeps the service; a fault in a run
+    /// unreplicated from the start is a usage error.
+    pub fn owner(&mut self, now: Nanos, down: Option<Nanos>) -> SimResult<Owner> {
         let image = match &self.replication {
             Replication::Active(engine) => engine.committed_epoch().is_some(),
             _ if down.is_none() => return Ok(Owner::Serves),
@@ -635,39 +613,22 @@ impl Lane {
             }
             _ => false,
         };
-        if down.is_some() && !image {
-            self.discard(now, 0);
-            self.replication = Replication::Lost;
-            return Ok(Owner::Lost);
+        let decision = self.rule.decide(now, down, image)?;
+        for (misses, at) in decision.misses() {
+            self.tracer.event_at(TraceEvent::HeartbeatMiss { misses }, at);
         }
-        self.detector.check(now);
-        let Some(detected) = self.detector.detected_at() else {
-            // A dead instance waits for the first detector boundary after `now`.
-            let next = self.detector.next_boundary(now + 1);
-            return Ok(down.map_or(Owner::Serves, |_| Owner::Waits(next)));
-        };
-        let heard = self.detector.heard();
-        if down.is_none() && heard > detected {
-            let suspected_for = heard - detected;
-            self.tracer
-                .event_at(TraceEvent::FalseSuspicion { suspected_for }, heard);
-            self.detector.rescind(heard);
-            return Ok(Owner::Rescinded);
-        }
-        if !image {
-            return Ok(Owner::Serves);
-        }
-        if let Some(fence) = fence {
-            if now < fence.promotable_at() {
-                return Ok(Owner::Waits(fence.promotable_at()));
+        match decision.owner {
+            Owner::Rescinded { heard, suspected_for } => {
+                let event = TraceEvent::FalseSuspicion { suspected_for };
+                self.tracer.event_at(event, heard);
             }
-            fence.authorize_promotion(now)?;
+            Owner::Lost => {
+                self.discard(now, 0);
+                self.replication = Replication::Lost;
+            }
+            _ => {}
         }
-        // Latency runs from the death (a suspicion standing at the death
-        // detected it at once) or, for a live instance, from the last beat
-        // the backup heard.
-        let since = down.unwrap_or(heard);
-        Ok(Owner::Promote(detected.max(since) - since))
+        Ok(decision.owner)
     }
 
     /// Uncommitted driver-side buffers are garbage: the clients retransmit
@@ -770,9 +731,9 @@ impl Lane {
         self.detection_latency = Some(latency);
         self.failovers += 1;
         // The promoted host's cgroup accounting starts from zero: without a
-        // fresh sender, `tick` would never see progress and a re-armed
+        // fresh gate, `beat_due` would never see progress and a re-armed
         // detector would starve.
-        self.sender = HeartbeatSender::new();
+        self.last_cpuacct = 0;
 
         // Retransmissions: restored server sockets re-send unacked
         // responses (§V-E); clients re-send their unacked request backlog.
@@ -823,123 +784,6 @@ impl Lane {
             Ok(n) => (n, flushed.and(verify)),
             Err(e) => (u64::MAX, Err(format!("broken_connections: {e}"))),
         }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Fence
-// ----------------------------------------------------------------------
-
-/// Term of both drivers' output-release leases: two heartbeat intervals
-/// past the detection threshold (150 ms), so a false suspicion under delay
-/// can resolve before the promotion gate opens. The price of the fence is
-/// promotion latency: the backup waits out the granted lease even when the
-/// primary is truly dead.
-pub(crate) const LEASE_TERM: Nanos = (HEARTBEAT_MISSES as Nanos + 2) * HEARTBEAT_INTERVAL;
-
-/// The output-release lease pair of one container — pure: time comes in as
-/// arguments. The ack of an epoch doubles as a lease grant for `term` past
-/// its anchor. The primary anchors its (conservative) view at the epoch's
-/// end, the backup anchors the granted view at the ack's completion, so the
-/// holder always expires first:
-///
-/// ```text
-/// holder expiry = epoch_end + term  ≤  ack_time + term = granted expiry
-/// ```
-///
-/// Output may be released only under the holder's lease and only at an
-/// instant an observed ack covers; promotion only once the grant has run
-/// out. Exactly-one-owner is the ordering of the two expiries (DESIGN.md
-/// §9).
-#[derive(Debug, Clone)]
-pub(crate) struct Fence {
-    term: Nanos,
-    /// The primary's lease: valid strictly before this instant.
-    holder_until: Nanos,
-    /// The backup's grant: promotion may not happen before this instant.
-    grant_until: Nanos,
-    /// Latest ack instant observed: a release may name no later one.
-    acked_at: Option<Nanos>,
-    holder_was_valid: bool,
-    split_brain: bool,
-}
-
-impl Fence {
-    /// Both leases start with the implicit grant of replication handoff.
-    pub fn new(term: Nanos, start: Nanos) -> Self {
-        Fence {
-            term,
-            holder_until: start + term,
-            grant_until: start + term,
-            acked_at: None,
-            holder_was_valid: true,
-            split_brain: false,
-        }
-    }
-
-    /// The epoch that ended at `epoch_end` committed on the backup and its
-    /// ack arrived at `ack_at`: renew both views. A renewal never shortens a
-    /// lease (a reordered stale ack must not revoke a newer grant).
-    pub fn on_ack(&mut self, epoch_end: Nanos, ack_at: Nanos) {
-        debug_assert!(epoch_end <= ack_at, "an ack precedes its epoch's end");
-        self.holder_until = self.holder_until.max(epoch_end + self.term);
-        self.grant_until = self.grant_until.max(ack_at + self.term);
-        self.acked_at = self.acked_at.max(Some(ack_at));
-        self.holder_was_valid = true;
-        debug_assert!(
-            self.holder_until <= self.grant_until,
-            "exactly-one-owner: the holder must expire before the grant"
-        );
-    }
-
-    /// Whether output may be released at `at`: an observed ack covers the
-    /// instant and the holder's lease is still valid there.
-    pub fn may_release(&self, at: Nanos) -> bool {
-        let ok = self.acked_at.is_some_and(|acked| at <= acked) && at < self.holder_until;
-        debug_assert!(
-            !ok || at < self.grant_until,
-            "exactly-one-owner: release at {at}ns after the grant ran out"
-        );
-        ok
-    }
-
-    /// When the primary's own lease runs out.
-    pub fn holder_expiry(&self) -> Nanos {
-        self.holder_until
-    }
-
-    /// Earliest instant the backup may promote (the granted lease's end).
-    pub fn promotable_at(&self) -> Nanos {
-        self.grant_until
-    }
-
-    /// `Some(expiry)` once per lapse of the holder's lease (edge-triggered;
-    /// re-armed by the next ack).
-    pub fn lapsed(&mut self, now: Nanos) -> Option<Nanos> {
-        (self.holder_was_valid && now >= self.holder_until).then(|| {
-            self.holder_was_valid = false;
-            self.holder_until
-        })
-    }
-
-    /// Gate a promotion at `now`. Safe only because the primary's own lease
-    /// expired strictly earlier, so it is already fenced — checked, not
-    /// assumed: a violation is recorded as split-brain *and* fails the run.
-    pub fn authorize_promotion(&mut self, now: Nanos) -> SimResult<()> {
-        if now < self.holder_until {
-            self.split_brain = true;
-            return Err(SimError::Invalid(format!(
-                "split-brain: promoting at {now}ns while the primary's output lease is \
-                 valid until {}ns",
-                self.holder_until
-            )));
-        }
-        Ok(())
-    }
-
-    /// Whether a promotion was ever attempted under a valid holder lease.
-    pub fn split_brain(&self) -> bool {
-        self.split_brain
     }
 }
 
@@ -1158,7 +1002,7 @@ mod tests {
     const E: Nanos = 30 * MILLISECOND;
 
     // ------------------------------------------------------------------
-    // Fence: every event order up to length 6
+    // The owner rule: every event order up to length 6
     // ------------------------------------------------------------------
 
     #[derive(Debug, Clone, Copy)]
@@ -1183,14 +1027,17 @@ mod tests {
         Ev::Tick,
     ];
 
-    /// One epoch per event. The primary acks and beats only while it is up
-    /// and connected; the backup promotes exactly as both drivers do — once
-    /// detection fired *and* the grant ran out. After every event the two
-    /// invariants are probed at the instants where they could break.
-    fn drive(seq: &[Ev], term: Nanos) {
-        let mut fence = Fence::new(term, 0);
-        let mut det = FailureDetector::new(0);
-        let (mut cut, mut dead, mut promoted_at) = (false, false, None);
+    /// One epoch per event. The primary commits, acks and beats only while
+    /// it is up and connected (a lost ack still commits); after every event
+    /// the backup asks the owner rule itself, [`Rule::decide`], until it
+    /// answers `Promote` or `Lost`. Each answer is checked against its
+    /// invariant, and the fence is probed at the instants where it could
+    /// break. Returns one bit per kind of answer given.
+    fn drive(seq: &[Ev], term: Nanos) -> u8 {
+        let mut answered = 0;
+        let mut rule = Rule::new(0, Some(Fence::new(term, 0)));
+        let (mut cut, mut image, mut down, mut promoted_at, mut lost) =
+            (false, false, None, None, false);
         let mut late_beats: Vec<Nanos> = Vec::new();
         // Would-be release instants of every epoch, and the acks observed.
         let (mut epochs, mut acked): (Vec<Nanos>, Vec<Nanos>) = (Vec::new(), Vec::new());
@@ -1200,69 +1047,103 @@ mod tests {
             let ack_at = now + 5 * MILLISECOND;
             late_beats.retain(|&due| {
                 if due <= now {
-                    det.on_beat(due);
+                    rule.on_beat(due);
                 }
                 due > now
             });
-            let running = !dead && promoted_at.is_none();
+            let running = down.is_none() && promoted_at.is_none();
             if running {
                 epochs.push(ack_at);
             }
             match ev {
                 Ev::AckGranted if running && !cut => {
-                    fence.on_ack(now, ack_at);
+                    image = true;
+                    rule.fence.as_mut().expect("fenced").on_ack(now, ack_at);
                     acked.push(ack_at);
                 }
-                Ev::Beat if running && !cut => det.on_beat(now),
+                Ev::AckLost if running && !cut => image = true,
+                Ev::Beat if running && !cut => rule.on_beat(now),
                 Ev::BeatLate if running && !cut => late_beats.push(now + 2 * E),
                 Ev::PartitionStart => cut = true,
                 Ev::PartitionHeal => cut = false,
-                Ev::Fault => dead = true,
+                Ev::Fault => down = down.or(Some(now)),
                 _ => {}
             }
-            if promoted_at.is_none() && det.check(now) && now >= fence.promotable_at() {
-                fence
-                    .authorize_promotion(now)
-                    .unwrap_or_else(|e| panic!("{seq:?} term {term}: {e}"));
-                promoted_at = Some(now);
+            let at = || format!("{seq:?} term {term} at {now}");
+            if promoted_at.is_none() && !lost {
+                let grant = rule.fence.as_ref().map_or(0, Fence::promotable_at);
+                let owner = rule.decide(now, down, image);
+                let owner = owner.unwrap_or_else(|e| panic!("{}: {e}", at())).owner;
+                answered |= 1 << owner_index(owner);
+                match owner {
+                    Owner::Serves => {}
+                    Owner::Waits(t) => assert!(t > now, "{}: waits until {t}", at()),
+                    Owner::Rescinded { .. } => {
+                        assert!(down.is_none(), "{}: a dead instance's suspicion rescinded", at())
+                    }
+                    Owner::Lost => {
+                        assert!(!image, "{}: lost with a committed image", at());
+                        lost = true;
+                    }
+                    Owner::Promote(_) => {
+                        let detected = rule.detected_at.is_some_and(|d| d <= now);
+                        assert!(detected && now >= grant, "{}: promoted early", at());
+                        promoted_at = Some(now);
+                    }
+                }
             }
-            assert!(!fence.split_brain(), "{seq:?} term {term}");
+            let fence = rule.fence.as_ref().expect("fenced");
+            assert!(!fence.split_brain(), "{}", at());
 
             let edges = [fence.holder_expiry(), fence.promotable_at()];
             for t in [now, ack_at, edges[0] - 1, edges[0], edges[1] - 1, edges[1]] {
                 let promotable = fence.clone().authorize_promotion(t).is_ok();
                 assert!(
                     !(fence.may_release(t) && promotable),
-                    "{seq:?} term {term}: two owners at {t}"
+                    "{}: two owners at {t}",
+                    at()
                 );
             }
-            for &at in &epochs {
+            for &epoch in &epochs {
                 assert!(
-                    !fence.may_release(at) || acked.iter().any(|&a| a >= at),
-                    "{seq:?} term {term}: release at {at} with no commit observed"
+                    !fence.may_release(epoch) || acked.iter().any(|&a| a >= epoch),
+                    "{}: release at {epoch} with no commit observed",
+                    at()
                 );
             }
             if let Some(p) = promoted_at {
                 for t in [p, p + 1, now, now + E] {
-                    assert!(!fence.may_release(t), "{seq:?}: release after promotion");
+                    assert!(!fence.may_release(t), "{}: release after promotion", at());
                 }
             }
+        }
+        answered
+    }
+
+    fn owner_index(owner: Owner) -> u8 {
+        match owner {
+            Owner::Serves => 0,
+            Owner::Rescinded { .. } => 1,
+            Owner::Waits(_) => 2,
+            Owner::Promote(_) => 3,
+            Owner::Lost => 4,
         }
     }
 
     #[test]
     fn fence_never_has_two_owners_nor_releases_ahead_of_a_commit() {
         for term in [45 * MILLISECOND, 90 * MILLISECOND, 150 * MILLISECOND] {
-            let mut idx = [0usize; 6];
+            let (mut idx, mut answered) = ([0usize; 6], 0);
             loop {
                 let seq: Vec<Ev> = idx.iter().map(|&i| EVENTS[i]).collect();
-                drive(&seq, term);
+                answered |= drive(&seq, term);
                 let Some(pos) = idx.iter().position(|&i| i + 1 < EVENTS.len()) else {
                     break;
                 };
                 idx[..pos].fill(0);
                 idx[pos] += 1;
             }
+            assert_eq!(answered, 0b1_1111, "term {term}: every answer is reached");
         }
     }
 
@@ -1579,6 +1460,7 @@ mod tests {
             parallelism: 1.0,
             jitter_seed: 1,
             detector_start: 0,
+            fence: None,
             quiet_release: false,
             engine: None,
         };
@@ -1621,5 +1503,19 @@ mod tests {
         let (_, first_done) = full.completions[0];
         assert!(first_done > 200_000 * 36 / 30, "{first_done}");
         assert!(cut.consumed < full.consumed);
+    }
+
+    /// The primary agent beats only when `cpuacct.usage` advanced (§IV).
+    #[test]
+    fn sender_gates_on_cpuacct_progress() {
+        let (mut cluster, host, mut lane) = scripted_lane();
+        let cgroup = lane.container.cgroup;
+        let beat_after = |cluster: &mut Cluster, lane: &mut Lane, cpu| {
+            cluster.host_mut(host).cgroups.charge_cpu(cgroup, cpu);
+            lane.beat_due(cluster, host)
+        };
+        assert!(beat_after(&mut cluster, &mut lane, 100), "progress -> beat");
+        assert!(!beat_after(&mut cluster, &mut lane, 0), "no progress -> suppressed");
+        assert!(beat_after(&mut cluster, &mut lane, 50));
     }
 }

@@ -28,7 +28,6 @@
 //! ## Crate layout
 //!
 //! * [`config`] — the §V optimization toggles (Table I rows) and run config,
-//! * [`detector`] — the cpuacct-gated heartbeat failure detector (§IV),
 //! * [`engine`] — the [`engine::Checkpointer`] trait shared with the MC
 //!   baseline, plus checkpoint/failover outcome types,
 //! * [`backup`] — the backup agent: buffered state, page store, DRBD buffer,
@@ -44,7 +43,8 @@
 //!   workloads implement,
 //! * [`harness`] — the epoch-loop run harness (unreplicated / NiLiCon / MC)
 //!   with fault injection; it and [`fleet`] drive one private lane core
-//!   (execution phase, output release, lease fence, promotion tail,
+//!   (execution phase, output release, the owner rule over the cpuacct-gated
+//!   heartbeat failure detector of §IV and the lease fence, promotion tail,
 //!   rearm/repair stream),
 //! * [`metrics`] — per-epoch records and aggregation (Tables III-VI),
 //! * [`trace`] — epoch-phase spans/events with pluggable sinks (see
@@ -95,7 +95,6 @@
 
 pub mod backup;
 pub mod config;
-pub mod detector;
 pub mod engine;
 pub mod fleet;
 pub mod harness;
@@ -110,7 +109,6 @@ pub mod traffic;
 
 pub use backup::DiscardCounts;
 pub use config::{OptimizationConfig, ReplicationConfig};
-pub use detector::FailureDetector;
 pub use engine::{BootstrapBegin, BootstrapStep, CheckpointOutcome, Checkpointer, FailoverReport};
 pub use fleet::{FleetResult, FleetScheduler, LaneResult, LaneSpec};
 pub use harness::{ChaosStats, RunHarness, RunMode, RunResult};

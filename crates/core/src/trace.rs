@@ -670,7 +670,7 @@ struct TracerInner {
 }
 
 /// Shared handle to a trace in progress. Cloning is cheap (`Rc`); the
-/// harness, engine, detector, and client pool all hold clones of one tracer.
+/// harness, lane, engine and client pool all hold clones of one tracer.
 /// A disabled tracer ([`Tracer::disabled`], also [`Default`]) makes every
 /// operation a no-op.
 #[derive(Clone, Default)]

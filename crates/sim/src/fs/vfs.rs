@@ -114,15 +114,6 @@ impl Vfs {
         self.inodes.get_mut(&ino).ok_or(SimError::NoSuchInode(ino))
     }
 
-    /// `chown` — restores inode-cache state at failover (§III).
-    pub fn chown(&mut self, ino: Ino, uid: u32, gid: u32, now: u64) -> SimResult<()> {
-        let i = self.inode_mut(ino)?;
-        i.uid = uid;
-        i.gid = gid;
-        i.touch_meta(now);
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Data operations (through the page cache)
     // ------------------------------------------------------------------
@@ -190,16 +181,6 @@ impl Vfs {
             fstype: fstype.to_string(),
         });
         id
-    }
-
-    /// Remove a mount entry.
-    pub fn umount(&mut self, id: MountId) -> SimResult<()> {
-        let before = self.mounts.len();
-        self.mounts.retain(|m| m.id != id);
-        if self.mounts.len() == before {
-            return Err(SimError::Invalid(format!("no mount {id}")));
-        }
-        Ok(())
     }
 
     /// Mount table snapshot.
@@ -344,8 +325,10 @@ mod tests {
         assert_eq!(pages.pages.len(), 1);
         // Root dir + /a + /b all have fresh (DNC) metadata.
         assert_eq!(inodes.len(), 3);
-        // Second collection with only a chown on /b.
-        v.chown(b, 1000, 1000, 2).unwrap();
+        // Second collection with only an ownership change on /b.
+        let inode = v.inode_mut(b).unwrap();
+        (inode.uid, inode.gid) = (1000, 1000);
+        inode.touch_meta(2);
         let (pages2, inodes2) = v.fgetfc();
         assert!(pages2.pages.is_empty());
         assert_eq!(inodes2.len(), 1);
@@ -374,14 +357,12 @@ mod tests {
     #[test]
     fn mounts_and_stats() {
         let mut v = vfs();
-        let m = v.mount("overlay", "/", "overlay");
+        v.mount("overlay", "/", "overlay");
         v.mount("proc", "/proc", "proc");
         v.create("/dev/null", InodeKind::Device, 0).unwrap();
         let s = v.stats();
         assert_eq!(s.mounts, 2);
         assert_eq!(s.device_files, 1);
-        v.umount(m).unwrap();
-        assert_eq!(v.mounts().len(), 1);
-        assert!(v.umount(m).is_err());
+        assert_eq!(v.mounts().len(), 2);
     }
 }

@@ -155,11 +155,6 @@ impl ChaosSchedule {
             .iter()
             .any(|w| w.kind == FaultKind::Reorder && w.covers(t))
     }
-
-    /// The latest `until` across all windows — after this the link is clean.
-    pub fn horizon(&self) -> Nanos {
-        self.windows.iter().map(|w| w.until).max().unwrap_or(0)
-    }
 }
 
 /// One direction of the replication link under a chaos schedule.
@@ -288,11 +283,6 @@ impl<T> ChaosLink<T> {
         (self.sent, self.delivered, self.dropped)
     }
 
-    /// Messages currently in flight or held by a partition.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len() + usize::from(self.swap_pending.is_some())
-    }
-
     /// The schedule this link runs under.
     pub fn schedule(&self) -> &ChaosSchedule {
         &self.schedule
@@ -330,7 +320,6 @@ mod tests {
         l.send(12 * MS, 2);
         // Nothing crosses while the partition is open.
         assert!(l.poll(19 * MS).is_empty());
-        assert_eq!(l.in_flight(), 2);
         // Heal: both flush, FIFO, delivered at heal + latency.
         let got = l.poll(21 * MS);
         assert_eq!(got, vec![(20 * MS + LAT, 1), (20 * MS + LAT, 2)]);
@@ -427,6 +416,5 @@ mod tests {
         assert!(!sched.blocked(10 * MS, LinkDir::AtoB));
         assert_eq!(sched.delay_extra(15 * MS), MS);
         assert_eq!(sched.partition_release(3 * MS), 10 * MS);
-        assert_eq!(sched.horizon(), 20 * MS);
     }
 }

@@ -38,7 +38,7 @@ proptest! {
             link.send(t, i);
         }
         // Drain far past every window.
-        let horizon = sched.horizon() + 200 * MS;
+        let horizon = windows.iter().map(|w| w.1).max().unwrap_or(0) + 200 * MS;
         let delivered = link.poll(horizon);
 
         // Every message arrives exactly once (partitions hold, never drop)…
@@ -81,7 +81,7 @@ proptest! {
         sends.sort_unstable();
         let mut eager: ChaosLink<usize> = ChaosLink::new(LinkDir::AtoB, latency, sched.clone());
         let mut lazy: ChaosLink<usize> = ChaosLink::new(LinkDir::AtoB, latency, sched.clone());
-        let horizon = sched.horizon() + 200 * MS;
+        let horizon = windows.iter().map(|w| w.1).max().unwrap_or(0) + 200 * MS;
 
         // Eager: poll after every send (a harness polling each epoch).
         let mut eager_out = Vec::new();

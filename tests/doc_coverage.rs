@@ -8,6 +8,8 @@
 //! it alone measures — a second producer of a number cannot land unnoticed.
 //! Every knob the prose cites as `OptimizationConfig::<name>` or
 //! `opts.<name>` must be a field or method of `OptimizationConfig`.
+//! Every CHANGES.md entry from `FIRST_LIMITED_PR` on stays within 1 500
+//! characters.
 
 use nilicon::TraceEvent;
 use std::path::Path;
@@ -520,4 +522,53 @@ fn knob_check_catches_a_stale_citation() {
     let doc = "`OptimizationConfig::{fleet, dump_threads}`, `opts.pipeline`, \
                `cfg.opts.quorum`, `opts.validate()`, `OptimizationConfig::shard_dump`";
     assert_eq!(knob_gaps(&knob_citations(doc), &names), ["dump_threads", "shard_dump"]);
+}
+
+/// The first PR whose CHANGES.md entry is held to [`ENTRY_LIMIT`].
+const FIRST_LIMITED_PR: u32 = 46;
+/// Characters in one CHANGES.md entry: its `- PR N` line, without the
+/// `MENDED:` / `FOUND:` lines that follow it.
+const ENTRY_LIMIT: usize = 1_500;
+
+/// Every `- PR N` entry of `doc` as `(N, characters)`.
+fn changes_entries(doc: &str) -> Vec<(u32, usize)> {
+    doc.lines()
+        .filter_map(|line| {
+            let n = leading_ident(line.strip_prefix("- PR ")?).parse().ok()?;
+            Some((n, line.chars().count()))
+        })
+        .collect()
+}
+
+/// The entries from [`FIRST_LIMITED_PR`] on that run over [`ENTRY_LIMIT`].
+fn long_entries(entries: &[(u32, usize)]) -> Vec<(u32, usize)> {
+    let long = |&&(n, len): &&(u32, usize)| n >= FIRST_LIMITED_PR && len > ENTRY_LIMIT;
+    entries.iter().filter(long).copied().collect()
+}
+
+#[test]
+fn every_recent_changes_entry_stays_within_the_limit() {
+    let entries = changes_entries(include_str!("../CHANGES.md"));
+    assert!(entries.len() >= 35, "parser found only {} entries", entries.len());
+    assert_eq!(long_entries(&entries), [], "CHANGES.md entries over {ENTRY_LIMIT} characters");
+}
+
+#[test]
+fn changes_check_catches_a_long_entry() {
+    let entry = |n: u32, len: usize| {
+        let head = format!("- PR {n} (simplicity): ");
+        let body = "é".repeat(len - head.len());
+        head + &body
+    };
+    // Multi-byte characters: the limit counts characters, not bytes.
+    let first = FIRST_LIMITED_PR;
+    let doc = [
+        entry(first - 1, 3_000),
+        entry(first, ENTRY_LIMIT),
+        format!("MENDED: {}", "y".repeat(2_000)),
+        format!("FOUND: {}", "z".repeat(2_000)),
+        entry(first + 1, ENTRY_LIMIT + 1),
+    ]
+    .join("\n");
+    assert_eq!(long_entries(&changes_entries(&doc)), [(first + 1, ENTRY_LIMIT + 1)]);
 }
