@@ -83,13 +83,12 @@ struct ActiveRepair {
     target: usize,
     /// The k survivors the base is read from.
     survivors: Vec<usize>,
-    /// Their committed fragments as of `base_epoch`, one key-aligned list
-    /// per survivor. The buffers are shared with the survivors' stores (a
-    /// later commit replaces a store's buffer, it never writes into one),
-    /// so the snapshot copies nothing; each step decodes its own chunk.
-    base: Vec<Vec<(PageKey, FragBuf)>>,
-    /// Next page to stream.
-    cursor: usize,
+    /// Their committed fragments as of `base_epoch` not yet streamed, one
+    /// key-aligned stream per survivor, shared with their stores (a commit
+    /// replaces a store's buffer, it never writes into one). Each step moves
+    /// its chunk out and drops it: a superseded buffer outlives its store
+    /// entry only until its page is streamed.
+    base: Vec<std::vec::IntoIter<(PageKey, FragBuf)>>,
     /// Committed epoch the base image corresponds to.
     base_epoch: u64,
     /// Agent CPU charged at begin (metadata receive), carried into the
@@ -201,7 +200,7 @@ fn committed_fragments<'a>(
 
 /// One page from `k` of its fragments (`(replica index, bytes)`). With
 /// `k = 1` the fragment is the page and its buffer is handed over as is.
-fn decode_page(codec: &mut ShardCodec, frags: &[(usize, &FragBuf)]) -> SimResult<PageBuf> {
+fn decode_page(codec: &mut ShardCodec, frags: &[(usize, FragBuf)]) -> SimResult<PageBuf> {
     if let [(_, whole)] = frags {
         if let Ok(page) = PageBuf::try_from(FragBuf::clone(whole)) {
             return Ok(page);
@@ -219,7 +218,7 @@ impl Coded {
     fn regenerate(
         &mut self,
         key: PageKey,
-        frags: &[(usize, &FragBuf)],
+        frags: &[(usize, FragBuf)],
         target: usize,
     ) -> SimResult<Fragment> {
         let page = decode_page(&mut self.codec, frags)?;
@@ -408,7 +407,7 @@ impl Coded {
         let mut frags = Vec::with_capacity(k);
         for (p, &(key, _)) in lists[0].iter().enumerate() {
             frags.clear();
-            frags.extend(pick.iter().zip(&lists).map(|(&i, list)| (i, list[p].1)));
+            frags.extend(pick.iter().zip(&lists).map(|(&i, list)| (i, list[p].1.clone())));
             let page = decode_page(&mut self.codec, &frags)?;
             out.pages.push((key.pid, key.vpn, page));
         }
@@ -431,9 +430,10 @@ impl Coded {
         let survivors = survivors(replicas, self.codec.k() as usize)?;
         // The survivors' fragment buffers, not decoded pages: the snapshot
         // shares them, and each step decodes only the chunk it streams.
-        let base: Vec<Vec<(PageKey, FragBuf)>> = committed_fragments(replicas, &survivors)?
+        let base: Vec<_> = committed_fragments(replicas, &survivors)?
             .into_iter()
-            .map(|list| list.into_iter().map(|(key, f)| (key, f.clone())).collect())
+            .map(|list| list.into_iter().map(|(key, f)| (key, f.clone())))
+            .map(|list| list.collect::<Vec<_>>().into_iter())
             .collect();
         let meta = replicas[survivors[0]].agent.materialize()?;
         let base_epoch = meta.epoch;
@@ -454,7 +454,6 @@ impl Coded {
             target,
             survivors,
             base,
-            cursor: 0,
             base_epoch,
             cpu_carry,
         });
@@ -472,17 +471,19 @@ impl Coded {
         max_pages: u64,
     ) -> SimResult<BootstrapStep> {
         let mut rep = self.active_repair("repair_step")?;
-        let total = rep.base[0].len();
-        let take = ((total - rep.cursor) as u64).min(max_pages) as usize;
+        let take = (rep.base[0].len() as u64).min(max_pages) as usize;
         let mut batch = Vec::with_capacity(take);
         let mut frags = Vec::with_capacity(rep.survivors.len());
-        for p in rep.cursor..rep.cursor + take {
+        for _ in 0..take {
+            // The page's k fragments leave the base here; the next row
+            // drops them.
+            let key = rep.base[0].as_slice()[0].0;
             frags.clear();
-            let held = rep.survivors.iter().zip(&rep.base);
-            frags.extend(held.map(|(&i, list)| (i, &list[p].1)));
-            batch.push(self.regenerate(rep.base[0][p].0, &frags, rep.target)?);
+            for (&i, list) in rep.survivors.iter().zip(&mut rep.base) {
+                frags.extend(list.next().map(|(_, frag)| (i, frag)));
+            }
+            batch.push(self.regenerate(key, &frags, rep.target)?);
         }
-        rep.cursor += take;
         let pages = take as u64;
         // The replacement host reads k committed fragments per page from
         // the surviving peers (the RS repair read amplification), decodes,
@@ -493,7 +494,7 @@ impl Coded {
         backup_cpu += replicas[rep.target]
             .agent
             .ingest_fragments(rep.base_epoch, batch)?;
-        let remaining = (total - rep.cursor) as u64;
+        let remaining = rep.base[0].len() as u64;
         self.repair = Some(rep);
         Ok(BootstrapStep {
             pages,
@@ -511,7 +512,7 @@ impl Coded {
         backup: &mut Kernel,
     ) -> SimResult<Nanos> {
         let rep = self.active_repair("repair_finish")?;
-        if rep.cursor < rep.base[0].len() {
+        if rep.base[0].len() > 0 {
             self.repair = Some(rep);
             return Err(SimError::Invalid(
                 "repair base image not fully streamed".into(),
@@ -553,7 +554,7 @@ impl Coded {
                             "replica {i} holds no fragment of committed page {pid:?}/{vpn:#x}"
                         ))
                     })?;
-                    frags.push((i, frag));
+                    frags.push((i, frag.clone()));
                 }
                 batch.push(self.regenerate(key, &frags, target)?);
             }
@@ -935,6 +936,59 @@ mod tests {
         e.checkpoint(&mut p, &mut fresh, &c, 100).unwrap();
         e.commit(&mut fresh, 100).unwrap();
         assert_eq!(e.committed_epoch(), Some(100));
+    }
+
+    #[test]
+    fn repair_releases_each_base_fragment_once_streamed() {
+        let (mut p, mut b, c, mut e) = setup(2, 3);
+        e.prepare(&mut p, &c).unwrap();
+        for epoch in 1..=3u64 {
+            apply(&mut p, &c, epoch);
+            e.checkpoint(&mut p, &mut b, &c, epoch).unwrap();
+            e.commit(&mut b, epoch).unwrap();
+        }
+        e.replica_fault().unwrap();
+        let mut fresh = Kernel::default();
+        e.repair_begin(3).unwrap();
+
+        // Survivor 1's base fragments of heap pages 1 and 7, in streaming
+        // order.
+        let key = |page| PageKey {
+            pid: c.init_pid(),
+            vpn: MemLayout::heap_page(page) / PAGE_SIZE as u64,
+        };
+        let order = e.replicas[1].agent.fragments();
+        let at = |page| order.iter().position(|f| f.0 == key(page)).unwrap();
+        let first = at(1);
+        assert!(first < at(7));
+        let weak = |page| Rc::downgrade(order[at(page)].1);
+        let (streamed, unstreamed) = (weak(1), weak(7));
+
+        // Epoch 4 rewrites both pages; ending the fragment round drops what
+        // its commit displaced, so only the base still holds them.
+        for page in [1, 7] {
+            p.mem_write(c.init_pid(), MemLayout::heap_page(page), &[0xEE])
+                .unwrap();
+        }
+        e.checkpoint(&mut p, &mut fresh, &c, 4).unwrap();
+        e.commit(&mut fresh, 4).unwrap();
+        end_fragment_round();
+
+        assert!(e.repair_step(4, first as u64 + 1).unwrap().remaining > 0);
+        assert!(
+            streamed.upgrade().is_none(),
+            "a streamed page's fragment is released"
+        );
+        assert!(
+            unstreamed.upgrade().is_some(),
+            "an unstreamed page keeps its base_epoch fragment"
+        );
+
+        while e.repair_step(4, 64).unwrap().remaining > 0 {}
+        e.repair_finish(&mut fresh, 4).unwrap();
+        let via_repaired = e.reconstruct_committed(&[0, 2]).unwrap().pages;
+        let via_survivors = e.reconstruct_committed(&[1, 2]).unwrap().pages;
+        assert!(via_repaired == via_survivors, "the repaired fragments diverged");
     }
 
     #[test]
