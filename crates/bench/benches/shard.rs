@@ -1,12 +1,13 @@
-//! Wall-clock benchmark of the `(k, n)` placement data path's fragment
-//! recycler: one epoch's fan-out → commit cycle at the dirty-page count the
-//! system benchmark's `kn_repair` workload averages. The codec itself is the
-//! frozen benchmark's `criu_shard.{encode,decode}_host_ns_per_page` probes;
-//! the whole placement epoch is `kn_repair`'s host time.
+//! Wall-clock benchmark of the `(k, n)` placement data path: the fragment
+//! recycler's fan-out → commit cycle at the dirty-page count the system
+//! benchmark's `kn_repair` workload averages, and one coded-repair chunk's
+//! regeneration. The codec itself is the frozen benchmark's
+//! `criu_shard.{encode,decode}_host_ns_per_page` probes; the whole placement
+//! epoch is `kn_repair`'s host time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nilicon::backup::BackupAgent;
-use nilicon_criu::{end_fragment_round, CheckpointImage, ShardCodec};
+use nilicon_criu::{end_fragment_round, CheckpointImage, FragBuf, ShardCodec};
 use nilicon_drbd::DrbdMsg;
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::ids::Pid;
@@ -57,7 +58,7 @@ fn bench_fan_out_commit(c: &mut Criterion) {
                     .enumerate()
                     .map(|(vpn, page)| (Pid(1), vpn as u64, codec.encode_fragment(page, i)))
                     .collect();
-                agent.ingest_fragments(epoch, batch).unwrap();
+                agent.ingest_fragments(epoch, batch, 0).unwrap();
                 agent.ingest_drbd(vec![DrbdMsg::Barrier(epoch)]);
                 agent.finish_assembly(epoch).unwrap();
             }
@@ -70,5 +71,28 @@ fn bench_fan_out_commit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fan_out_commit);
+/// One repair chunk as `kn_repair` streams it (~220 pages a step): the lost
+/// replica 0's fragment of each page regenerated from survivors 1 and 2,
+/// into buffers the chunk then hands on.
+fn bench_regenerate(c: &mut Criterion) {
+    const PAGES: u32 = 220;
+    let mut group = c.benchmark_group("shard");
+    let mut codec = ShardCodec::new(2, 3).unwrap();
+    let survivors: Vec<[(usize, FragBuf); 2]> = (0..PAGES)
+        .map(noise_page)
+        .map(|p| [1, 2].map(|i| (i, codec.encode_fragment(&p, i))))
+        .collect();
+    group.bench_function("regenerate_220_pages_from_1_2", |b| {
+        b.iter(|| {
+            let chunk: Vec<FragBuf> = survivors
+                .iter()
+                .map(|frags| codec.regenerate_fragment(frags, 0).unwrap())
+                .collect();
+            black_box(chunk);
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_fan_out_commit, bench_regenerate);
 criterion_main!(benches);

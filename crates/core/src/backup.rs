@@ -17,11 +17,11 @@ use nilicon_drbd::{DrbdBackup, DrbdMsg};
 use nilicon_sim::block::BlockDevice;
 use nilicon_sim::costs::CostModel;
 use nilicon_sim::fs::{FsCacheCheckpoint, Inode};
-use nilicon_sim::ids::Ino;
+use nilicon_sim::ids::{IdMap, Ino};
 use nilicon_sim::mem::recycle_page;
 use nilicon_sim::time::Nanos;
 use nilicon_sim::{PageBuf, SimError, SimResult, PAGE_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Merged committed file-cache page: contents + writeback-dirty flag.
@@ -38,6 +38,9 @@ struct CowAssembly {
     img: Rc<CheckpointImage>,
     /// Fragments received so far (a `(k, n)` placement replica's chunks).
     frags: Vec<Fragment>,
+    /// Pages counted received that arrive with no fragment (see
+    /// [`BackupAgent::ingest_fragments`]).
+    superseded: u64,
     /// Pages the primary deferred at pause (the protect-set size).
     expected_pages: u64,
     /// Pages received in chunks so far.
@@ -76,16 +79,18 @@ pub struct BackupAgent {
     /// the other way round on the paper's single backup).
     frag_store: Box<dyn PageStore<FragBuf>>,
     /// Fully-received epochs awaiting commit (epoch → image and fragments).
-    pending: BTreeMap<u64, (Rc<CheckpointImage>, Vec<Fragment>)>,
+    /// Fully-assembled epochs: the image, its fragments and its superseded
+    /// page count.
+    pending: BTreeMap<u64, (Rc<CheckpointImage>, Vec<Fragment>, u64)>,
     /// In-flight COW chunk assembly (at most one epoch streams at a time).
     assembling: Option<CowAssembly>,
     /// Latest committed metadata image (pages stripped — they live in the
     /// store).
     committed_meta: Option<Rc<CheckpointImage>>,
-    /// Merged committed file-cache state.
-    fs_pages: HashMap<(Ino, u64), FsPageEntry>,
-    /// Merged committed inode-cache state.
-    fs_inodes: HashMap<Ino, Inode>,
+    /// Merged committed file-cache state (`materialize` sorts it).
+    fs_pages: IdMap<(Ino, u64), FsPageEntry>,
+    /// Merged committed inode-cache state (`materialize` sorts it).
+    fs_inodes: IdMap<Ino, Inode>,
     /// DRBD write buffer.
     pub drbd: DrbdBackup,
     committed_epoch: Option<u64>,
@@ -128,8 +133,8 @@ impl BackupAgent {
             pending: BTreeMap::new(),
             assembling: None,
             committed_meta: None,
-            fs_pages: HashMap::new(),
-            fs_inodes: HashMap::new(),
+            fs_pages: IdMap::default(),
+            fs_inodes: IdMap::default(),
             drbd: DrbdBackup::new(),
             committed_epoch: None,
             costs,
@@ -144,7 +149,8 @@ impl BackupAgent {
         let cpu = self
             .costs
             .backup_recv(img.state_bytes(), img.transfer_chunks());
-        self.pending.insert(img.epoch, (Rc::new(img), Vec::new()));
+        let pending = (Rc::new(img), Vec::new(), 0);
+        self.pending.insert(pending.0.epoch, pending);
         cpu
     }
 
@@ -169,6 +175,7 @@ impl BackupAgent {
         self.assembling = Some(CowAssembly {
             img,
             frags: Vec::new(),
+            superseded: 0,
             expected_pages,
             received_pages: 0,
             received_chunks: 0,
@@ -203,12 +210,22 @@ impl BackupAgent {
 
     /// [`BackupAgent::ingest_chunk`] for a `(k, n)` placement replica: one
     /// chunk of this replica's fragments, `frag_len` bytes each, kept at
-    /// that size. The receive is charged per 4 KiB unit, as it was when a
-    /// fragment travelled padded to a page.
-    pub fn ingest_fragments(&mut self, epoch: u64, frags: Vec<Fragment>) -> SimResult<Nanos> {
-        let units = frags.len() as u64;
+    /// that size, and `superseded` more pages of the assembly that arrive
+    /// without one — a repair's base pages whose fragments the seal's
+    /// top-up brings at a later epoch's value. The receive is charged per
+    /// 4 KiB unit for every page, as it was when a fragment travelled padded
+    /// to a page, and the commit charges a superseded page the store insert
+    /// it would have taken.
+    pub fn ingest_fragments(
+        &mut self,
+        epoch: u64,
+        frags: Vec<Fragment>,
+        superseded: u64,
+    ) -> SimResult<Nanos> {
+        let units = frags.len() as u64 + superseded;
         let (asm, cpu) = self.receive_chunk(epoch, units, units * PAGE_SIZE as u64)?;
         asm.frags.extend(frags);
+        asm.superseded += superseded;
         Ok(cpu)
     }
 
@@ -254,7 +271,8 @@ impl BackupAgent {
                 asm.received_pages, asm.expected_pages
             )));
         }
-        self.pending.insert(epoch, (asm.img, asm.frags));
+        let pending = (asm.img, asm.frags, asm.superseded);
+        self.pending.insert(epoch, pending);
         Ok(())
     }
 
@@ -308,7 +326,8 @@ impl BackupAgent {
                     "epoch {e}: delta for page {pid:?}/{vpn:#x} with no base in the backup store"
                 )));
             }
-            let (mut img, frags) = self.pending.remove(&e).expect("epoch listed from range");
+            let (mut img, frags, superseded) =
+                self.pending.remove(&e).expect("epoch listed from range");
             // What this epoch merges into the stores: taken out of an image
             // this agent alone holds, copied out of one other replicas share.
             let (pages, page_deltas, fs_pages, fs_inodes) = match Rc::get_mut(&mut img) {
@@ -354,6 +373,13 @@ impl BackupAgent {
                     recycle_fragment(old);
                 }
             }
+            // An insert's probes do not depend on its key: four in the radix
+            // tree, one per directory in the list.
+            let insert_probes = match self.use_radix {
+                true => 4,
+                false => self.frag_store.checkpoints(),
+            };
+            probes += superseded * insert_probes;
             // Delta-encoded pages: reconstruct against the store's current
             // copy (epochs apply in order, so that copy is exactly the base
             // the primary encoded against) and charge the modeled decode CPU.
@@ -408,7 +434,7 @@ impl BackupAgent {
 
     /// The page encodings of `epoch`, received and not yet committed.
     pub fn pending_encodings(&self, epoch: u64) -> Option<&[(Pid, u64, PageEncoding)]> {
-        self.pending.get(&epoch).map(|(img, _)| &img.page_deltas[..])
+        self.pending.get(&epoch).map(|(img, ..)| &img.page_deltas[..])
     }
 
     /// Failover step 1: discard everything not committed (§IV: "the backup
@@ -482,6 +508,13 @@ impl BackupAgent {
     /// The committed fragment of one page.
     pub fn fragment(&self, key: PageKey) -> Option<&FragBuf> {
         self.frag_store.get(key)
+    }
+
+    /// Keys of the fragments the open assembly has received, in order.
+    #[cfg(test)]
+    pub(crate) fn assembling_keys(&self) -> Vec<PageKey> {
+        let frags = self.assembling.iter().flat_map(|a| &a.frags);
+        frags.map(|&(pid, vpn, _)| PageKey { pid, vpn }).collect()
     }
 }
 
@@ -975,7 +1008,7 @@ mod tests {
         let frag = |tag: u8| -> FragBuf { vec![tag; 2048].into() };
         a.begin_assembly(img(1, &[]), 2);
         let cpu = a
-            .ingest_fragments(1, vec![(Pid(1), 0x10, frag(1)), (Pid(1), 0x11, frag(2))])
+            .ingest_fragments(1, vec![(Pid(1), 0x10, frag(1)), (Pid(1), 0x11, frag(2))], 0)
             .unwrap();
         assert_eq!(
             cpu,
@@ -991,9 +1024,9 @@ mod tests {
 
         // Epoch 2 rewrites one page and is discarded before its commit.
         a.begin_assembly(img(2, &[]), 1);
-        a.ingest_fragments(2, vec![(Pid(1), 0x10, frag(9))])
+        a.ingest_fragments(2, vec![(Pid(1), 0x10, frag(9))], 0)
             .unwrap();
-        assert!(a.ingest_fragments(3, vec![]).is_err(), "epoch mismatch");
+        assert!(a.ingest_fragments(3, vec![], 0).is_err(), "epoch mismatch");
         a.discard_uncommitted();
         let key = PageKey {
             pid: Pid(1),
@@ -1006,6 +1039,46 @@ mod tests {
         );
         let keys: Vec<u64> = a.fragments().iter().map(|(k, _)| k.vpn).collect();
         assert_eq!(keys, [0x10, 0x11]);
+
+        // Epoch 3 expects three pages; two arrive superseded, without a
+        // fragment: received and charged, never stored.
+        a.begin_assembly(img(3, &[]), 3);
+        let cpu = a.ingest_fragments(3, vec![(Pid(1), 0x12, frag(3))], 2).unwrap();
+        assert_eq!(cpu, CostModel::default().backup_recv(3 * PAGE_SIZE as u64, 1));
+        a.ingest_drbd(vec![DrbdMsg::Barrier(3)]);
+        a.finish_assembly(3).unwrap();
+        a.commit(3, &mut disk).unwrap();
+        let keys: Vec<u64> = a.fragments().iter().map(|(k, _)| k.vpn).collect();
+        assert_eq!(keys, [0x10, 0x11, 0x12]);
+    }
+
+    #[test]
+    fn a_superseded_page_costs_the_commit_what_its_fragment_would() {
+        // Two agents commit epoch 1 alike; at epoch 2 one receives three
+        // fragments, the other one fragment and two superseded pages. Their
+        // commits probe and charge alike on either store, where the list's
+        // insert walks two directories by then.
+        let frag = |tag: u8| -> FragBuf { vec![tag; 2048].into() };
+        for radix in [true, false] {
+            let mut disk = BlockDevice::new(DevId(2));
+            let mut charged = Vec::new();
+            for superseded in [0u64, 2] {
+                let mut a = BackupAgent::new(CostModel::default(), radix);
+                a.begin_assembly(img(1, &[]), 1);
+                a.ingest_fragments(1, vec![(Pid(1), 0x10, frag(1))], 0).unwrap();
+                a.ingest_drbd(vec![DrbdMsg::Barrier(1)]);
+                a.finish_assembly(1).unwrap();
+                a.commit(1, &mut disk).unwrap();
+                let frags = (0x10..0x13 - superseded).map(|vpn| (Pid(1), vpn, frag(2)));
+                a.begin_assembly(img(2, &[]), 3);
+                a.ingest_fragments(2, frags.collect(), superseded).unwrap();
+                a.ingest_drbd(vec![DrbdMsg::Barrier(2)]);
+                a.finish_assembly(2).unwrap();
+                let cpu = a.commit(2, &mut disk).unwrap();
+                charged.push((cpu, a.last_commit_stats()));
+            }
+            assert_eq!(charged[0], charged[1], "radix={radix}");
+        }
     }
 
     #[test]

@@ -287,9 +287,11 @@ pub trait Checkpointer {
         no_placement()
     }
 
-    /// Regenerate at most `max_pages` missing fragments from k surviving
-    /// peers (decode + re-encode). Called once per epoch while the repair is
-    /// active; reuses [`BootstrapStep`] for accounting.
+    /// Stream at most `max_pages` base pages, regenerating each one's
+    /// missing fragment from k surviving peers (modelled as decode +
+    /// re-encode) unless a later epoch committed it, which leaves it to the
+    /// seal's top-up. Called once per epoch while the repair is active;
+    /// reuses [`BootstrapStep`] for accounting.
     fn repair_step(&mut self, _epoch: u64, _max_pages: u64) -> SimResult<BootstrapStep> {
         no_placement()
     }

@@ -20,8 +20,11 @@
 //! * losing a replica leaves the placement in *degraded mode* (epochs keep
 //!   committing on the `alive ≥ k` survivors) and triggers **coded repair**:
 //!   the missing fragment store is regenerated onto a fresh host from `k`
-//!   peers — decode + re-encode, `k × frag_len` wire bytes per page — while
-//!   the primary keeps serving.
+//!   peers — one row of the survivors' decode plan per page
+//!   ([`ShardCodec::regenerate_fragment`]), `k × frag_len` wire bytes — while
+//!   the primary keeps serving. A base page the container re-committed
+//!   before the stream reached it is left to the seal's top-up, which
+//!   regenerates it at its current value.
 //!
 //! Repair, rearm (PR 5's bootstrap streaming), and planned live migration
 //! are three instantiations of the same stream-while-serving flow:
@@ -91,6 +94,10 @@ struct ActiveRepair {
     base: Vec<std::vec::IntoIter<(PageKey, FragBuf)>>,
     /// Committed epoch the base image corresponds to.
     base_epoch: u64,
+    /// Base pages the stream skipped because they were in `redirty` when
+    /// it reached them: the top-up owes the target each one that is still
+    /// committed at the seal.
+    superseded: Vec<PageKey>,
     /// Agent CPU charged at begin (metadata receive), carried into the
     /// first step's accounting.
     cpu_carry: Nanos,
@@ -198,8 +205,9 @@ fn committed_fragments<'a>(
     Ok(lists)
 }
 
-/// One page from `k` of its fragments (`(replica index, bytes)`). With
-/// `k = 1` the fragment is the page and its buffer is handed over as is.
+/// One page from `k` of its fragments (`(replica index, bytes)`), for a
+/// failover. With `k = 1` the fragment is the page and its buffer is handed
+/// over as is.
 fn decode_page(codec: &mut ShardCodec, frags: &[(usize, FragBuf)]) -> SimResult<PageBuf> {
     if let [(_, whole)] = frags {
         if let Ok(page) = PageBuf::try_from(FragBuf::clone(whole)) {
@@ -213,18 +221,6 @@ fn decode_page(codec: &mut ShardCodec, frags: &[(usize, FragBuf)]) -> SimResult<
 }
 
 impl Coded {
-    /// `target`'s fragment of the page `key`, regenerated from `k`
-    /// survivors' fragments of it (decode + re-encode).
-    fn regenerate(
-        &mut self,
-        key: PageKey,
-        frags: &[(usize, FragBuf)],
-        target: usize,
-    ) -> SimResult<Fragment> {
-        let page = decode_page(&mut self.codec, frags)?;
-        Ok((key.pid, key.vpn, self.codec.encode_fragment(&page, target)))
-    }
-
     /// Take the active repair out for `method` to advance or end.
     fn active_repair(&mut self, method: &str) -> SimResult<ActiveRepair> {
         let none = || SimError::Invalid(format!("{method} with no active repair"));
@@ -361,7 +357,7 @@ impl Coded {
             if replicas[i].alive {
                 pages = batch.len() as u64;
                 let batch = std::mem::take(batch);
-                per_cpu[i] += replicas[i].agent.ingest_fragments(epoch, batch)?;
+                per_cpu[i] += replicas[i].agent.ingest_fragments(epoch, batch, 0)?;
             }
         }
         Ok(pages * self.codec.frag_len() as u64)
@@ -455,6 +451,7 @@ impl Coded {
             survivors,
             base,
             base_epoch,
+            superseded: Vec::new(),
             cpu_carry,
         });
         Ok(RepairBegin {
@@ -475,25 +472,31 @@ impl Coded {
         let mut batch = Vec::with_capacity(take);
         let mut frags = Vec::with_capacity(rep.survivors.len());
         for _ in 0..take {
-            // The page's k fragments leave the base here; the next row
-            // drops them.
+            // The page's k fragments leave the base here and are dropped
+            // once read. A page re-committed since the base is the top-up's
+            // to regenerate, at its current value: none is made here.
             let key = rep.base[0].as_slice()[0].0;
             frags.clear();
             for (&i, list) in rep.survivors.iter().zip(&mut rep.base) {
                 frags.extend(list.next().map(|(_, frag)| (i, frag)));
             }
-            batch.push(self.regenerate(key, &frags, rep.target)?);
+            if self.redirty.contains(&(key.pid, key.vpn)) {
+                rep.superseded.push(key);
+            } else {
+                batch.push((key.pid, key.vpn, self.codec.regenerate_fragment(&frags, rep.target)?));
+            }
         }
         let pages = take as u64;
-        // The replacement host reads k committed fragments per page from
-        // the surviving peers (the RS repair read amplification), decodes,
-        // and re-encodes its own fragment.
+        // The modelled stream is every page's: the replacement host reads
+        // k committed fragments per page from the surviving peers (the RS
+        // repair read amplification), decodes, and re-encodes its own
+        // fragment; a superseded page is received and charged like the
+        // others.
         let bytes = pages * self.codec.frag_len() as u64 * self.codec.k() as u64;
         let mut backup_cpu =
             std::mem::take(&mut rep.cpu_carry) + Self::recode_cpu(&core.costs, pages);
-        backup_cpu += replicas[rep.target]
-            .agent
-            .ingest_fragments(rep.base_epoch, batch)?;
+        let (agent, skipped) = (&mut replicas[rep.target].agent, pages - batch.len() as u64);
+        backup_cpu += agent.ingest_fragments(rep.base_epoch, batch, skipped)?;
         let remaining = rep.base[0].len() as u64;
         self.repair = Some(rep);
         Ok(BootstrapStep {
@@ -512,11 +515,18 @@ impl Coded {
         backup: &mut Kernel,
     ) -> SimResult<Nanos> {
         let rep = self.active_repair("repair_finish")?;
-        if rep.base[0].len() > 0 {
+        // A skipped base page is the top-up's, unless the container unmapped
+        // it since: then no alive replica holds it any more.
+        let held = |k: &PageKey| replicas.iter().any(|r| r.alive && r.agent.fragment(*k).is_some());
+        let owed = |k: &&PageKey| held(k) && !self.redirty.contains(&(k.pid, k.vpn));
+        let error = match rep.superseded.iter().find(owed) {
+            _ if rep.base[0].len() > 0 => Some("repair base image not fully streamed".into()),
+            Some(k) => Some(format!("base page {k:?} skipped, neither topped up nor unmapped")),
+            None => None,
+        };
+        if let Some(error) = error {
             self.repair = Some(rep);
-            return Err(SimError::Invalid(
-                "repair base image not fully streamed".into(),
-            ));
+            return Err(SimError::Invalid(error));
         }
         let (target, base_epoch) = (rep.target, rep.base_epoch);
 
@@ -556,13 +566,13 @@ impl Coded {
                     })?;
                     frags.push((i, frag.clone()));
                 }
-                batch.push(self.regenerate(key, &frags, target)?);
+                batch.push((pid, vpn, self.codec.regenerate_fragment(&frags, target)?));
             }
             let n = batch.len() as u64;
             cpu += Self::recode_cpu(&core.costs, n);
             let agent = &mut replicas[target].agent;
             cpu += agent.begin_assembly(meta, n);
-            cpu += agent.ingest_fragments(cur_epoch, batch)?;
+            cpu += agent.ingest_fragments(cur_epoch, batch, 0)?;
             let barrier = vec![DrbdMsg::Barrier(cur_epoch)];
             cpu += seal(replicas, target, cur_epoch, barrier, backup)?;
         } else if !self.redirty.is_empty() {
@@ -1226,13 +1236,93 @@ mod tests {
         }
     }
 
+    /// What [`stream_repair`] leaves: the engine, its backup kernel, the
+    /// last epoch, the pages the stream regenerated that were already in
+    /// `redirty`, the pages it streamed and the steps' backup CPU.
+    type Streamed = (PlacementEngine, Kernel, u64, usize, u64, Nanos);
+
+    /// A (2,3) repair streamed to its last step, two pages a step, while
+    /// every epoch re-commits a page the stream has yet to reach. Unless
+    /// `skip`, each step is shown an empty `redirty`, so the stream
+    /// regenerates every base page, as it did before it skipped any.
+    fn stream_repair(opts: OptimizationConfig, skip: bool) -> Streamed {
+        let (mut p, _b, c, mut e) = run_epochs(opts, 3);
+        e.replica_fault().unwrap();
+        let mut fresh = Kernel::default();
+        e.repair_begin(3).unwrap();
+        let target = e.layout.repair.as_ref().unwrap().target;
+        let (mut epoch, mut twice, mut streamed, mut cpu) = (3, 0, 0, 0);
+        loop {
+            epoch += 1;
+            apply(&mut p, &c, epoch);
+            let ahead = MemLayout::heap_page(100 + 2 * epoch);
+            p.mem_write(c.init_pid(), ahead, &[0xEE]).unwrap();
+            e.checkpoint(&mut p, &mut fresh, &c, epoch).unwrap();
+            e.commit(&mut fresh, epoch).unwrap();
+            let owed = e.layout.redirty.clone();
+            if !skip {
+                e.layout.redirty.clear();
+            }
+            let before = e.replicas[target].agent.assembling_keys().len();
+            let step = e.repair_step(epoch, 2).unwrap();
+            e.layout.redirty.clone_from(&owed);
+            (streamed, cpu) = (streamed + step.pages, cpu + step.backup_cpu);
+            let made = e.replicas[target].agent.assembling_keys();
+            twice += made[before..]
+                .iter()
+                .filter(|k| owed.contains(&(k.pid, k.vpn)))
+                .count();
+            if step.remaining == 0 {
+                return (e, fresh, epoch, twice, streamed, cpu);
+            }
+        }
+    }
+
+    #[test]
+    fn repair_regenerates_no_page_the_top_up_replaces() {
+        // The stream skips a page committed ahead of it, the top-up
+        // regenerates it once, and a skipped page the top-up does not carry
+        // stops the seal. The modelled repair, stream and seal, is what a
+        // stream that skips nothing charges, on either page store.
+        for radix in [true, false] {
+            let mut opts = placement_opts(2, 3);
+            opts.optimize_criu = radix;
+            let (mut e, mut fresh, epoch, twice, streamed, cpu) = stream_repair(opts, true);
+            let (mut whole, mut whole_fresh, _, twice_whole, _, whole_cpu) =
+                stream_repair(opts, false);
+            assert_eq!(twice, 0, "pages regenerated by the stream and again by the top-up");
+            assert!(twice_whole > 0, "without the skip the stream regenerates pages twice");
+            let target = e.layout.repair.as_ref().unwrap().target;
+            let skipped = e.layout.repair.as_ref().unwrap().superseded.clone();
+            assert!(!skipped.is_empty(), "the stream met pages committed ahead of it");
+            let made = e.replicas[target].agent.assembling_keys().len() as u64;
+            assert_eq!(made + skipped.len() as u64, streamed);
+            assert_eq!(cpu, whole_cpu, "radix={radix}: the stream's CPU");
+
+            let key = skipped[0];
+            e.layout.redirty.remove(&(key.pid, key.vpn));
+            let err = e.repair_finish(&mut fresh, epoch).unwrap_err();
+            assert!(err.to_string().contains("neither topped up nor unmapped"), "{err}");
+            e.layout.redirty.insert((key.pid, key.vpn));
+            let sealed = e.repair_finish(&mut fresh, epoch).unwrap();
+            let whole_sealed = whole.repair_finish(&mut whole_fresh, epoch).unwrap();
+            assert_eq!(sealed, whole_sealed, "radix={radix}: the seal's CPU");
+            let survivors: Vec<usize> = (0..3).filter(|&i| i != target).collect();
+            let reference = e.reconstruct_committed(&survivors).unwrap();
+            for with in survivors.iter().map(|&i| [target, i]) {
+                let img = e.reconstruct_committed(&with).unwrap();
+                assert!(img.pages == reference.pages, "replica {target} with {with:?}");
+            }
+        }
+    }
+
     /// Commit `frags` as epoch `epoch` on one replica only, behind its back.
     fn inject(e: &mut PlacementEngine, replica: usize, epoch: u64, frags: Vec<Fragment>) {
         let agent = &mut e.replicas[replica].agent;
         let mut meta = agent.materialize().unwrap();
         meta.epoch = epoch;
         agent.begin_assembly(meta, frags.len() as u64);
-        agent.ingest_fragments(epoch, frags).unwrap();
+        agent.ingest_fragments(epoch, frags, 0).unwrap();
         agent.ingest_drbd(vec![DrbdMsg::Barrier(epoch)]);
         agent.finish_assembly(epoch).unwrap();
         agent.commit(epoch, &mut BlockDevice::default()).unwrap();

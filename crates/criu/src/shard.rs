@@ -18,14 +18,18 @@
 //!   current (they are recomputed from the page contents at encode time,
 //!   never patched incrementally).
 //!
-//! The field arithmetic runs through one kernel, `gf_mul_acc`
-//! (`dst ^= c · src`, 32 bytes per step where the CPU has `pshufb`), and a
-//! fragment is written exactly once, into the heap buffer the replica's store
-//! will keep ([`ShardCodec::encode_fragment`]): nothing is staged in codec
-//! scratch and copied out. That buffer is, in steady state, one a commit
-//! displaced from a store an epoch earlier ([`recycle_fragment`]). Decoding
-//! inverts the survivors' generator rows once per survivor set, not once per
-//! page.
+//! The generator's parity block is scaled so that its first row and first
+//! column are all ones: the first parity fragment is the XOR of the stripes
+//! (`s0 ⊕ s1` at `(2,3)`), and every parity fragment starts as a copy of
+//! stripe 0. The field arithmetic runs through one kernel, `gf_mul_into`
+//! (`dst = c · src` or `dst ^= c · src`, 32 bytes per step where the CPU has
+//! `pshufb`; a copy or a plain XOR where `c = 1`), and a fragment is written
+//! exactly once, into the heap buffer the replica's store will keep
+//! ([`ShardCodec::encode_fragment`], [`ShardCodec::regenerate_fragment`]):
+//! nothing is staged in codec scratch and copied out. That buffer is, in
+//! steady state, one a commit displaced from a store an epoch earlier
+//! ([`recycle_fragment`]). Decoding inverts the survivors' generator rows once
+//! per survivor set, not once per page.
 
 use nilicon_sim::mem::Recycler;
 use nilicon_sim::{SimError, SimResult, PAGE_SIZE};
@@ -120,35 +124,71 @@ fn gf_inv(a: u8) -> u8 {
     gf_pow(a, 254)
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2⁸) — the one inner loop of encode and
-/// decode. Dispatches to the widest `pshufb` the CPU has
-/// (`is_x86_feature_detected!` caches its CPUID probe); the portable loop
-/// reads the same tables a byte at a time.
+/// `dst[i] = c · src[i]`, or with `ACC` `dst[i] ^= c · src[i]`, over GF(2⁸)
+/// — the one inner loop of encode, decode and regeneration. A product by 1
+/// is a copy or a plain XOR ([`xor_into`]); any other dispatches to the
+/// widest `pshufb` the CPU has (`is_x86_feature_detected!` caches its CPUID
+/// probe), and the portable loop reads the same tables a byte at a time.
 #[inline]
-fn gf_mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "gf_mul_acc operands differ in length");
-    if c == 0 {
-        return;
+fn gf_mul_into<const ACC: bool>(dst: &mut [u8], src: &[u8], c: u8) {
+    assert_eq!(dst.len(), src.len(), "gf_mul_into operands differ");
+    match (c, ACC) {
+        (0, true) => return,
+        (0, false) => return dst.fill(0),
+        (1, true) => return xor_into(dst, src),
+        (1, false) => return dst.copy_from_slice(src),
+        _ => {}
     }
     let table = &NIBBLES[c as usize];
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: avx2 support was just verified at runtime.
-            return unsafe { gf_mul_acc_avx2(dst, src, table) };
+            return unsafe { gf_mul_into_avx2::<ACC>(dst, src, table) };
         }
         if std::arch::is_x86_feature_detected!("ssse3") {
             // SAFETY: ssse3 support was just verified at runtime.
-            return unsafe { gf_mul_acc_ssse3(dst, src, table) };
+            return unsafe { gf_mul_into_ssse3::<ACC>(dst, src, table) };
         }
     }
-    gf_mul_acc_portable(dst, src, table)
+    gf_mul_into_portable::<ACC>(dst, src, table)
+}
+
+/// `dst = Σ c · src` over the `(c, src)` terms, a `src` shorter than `dst`
+/// counting as zero-padded: the first term with a nonzero coefficient is
+/// written (a copy when it is 1), the rest are accumulated, and nothing is
+/// zero-filled first.
+fn combine<'a>(dst: &mut [u8], terms: impl IntoIterator<Item = (u8, &'a [u8])>) {
+    let mut first = true;
+    for (c, src) in terms.into_iter().filter(|&(c, _)| c != 0) {
+        let (head, tail) = dst.split_at_mut(src.len());
+        if std::mem::take(&mut first) {
+            gf_mul_into::<false>(head, src, c);
+            tail.fill(0);
+        } else {
+            gf_mul_into::<true>(head, src, c);
+        }
+    }
+    if first {
+        dst.fill(0);
+    }
+}
+
+/// `dst ^= src`: the product by 1 needs no table. The compiler vectorizes
+/// this loop for the baseline target.
+#[inline]
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
 }
 
 /// Portable kernel, and the tail of the vector ones.
-fn gf_mul_acc_portable(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
+fn gf_mul_into_portable<const ACC: bool>(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d ^= table[(s & 15) as usize] ^ table[16 + (s >> 4) as usize];
+        let p = table[(s & 15) as usize] ^ table[16 + (s >> 4) as usize];
+        *d = if ACC { *d ^ p } else { p };
     }
 }
 
@@ -156,7 +196,7 @@ fn gf_mul_acc_portable(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
 /// one `vpshufb` per nibble half, 32 products per step.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gf_mul_acc_avx2(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
+unsafe fn gf_mul_into_avx2<const ACC: bool>(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
     use std::arch::x86_64::*;
     // SAFETY: `table` is 32 bytes, so both 16-byte unaligned loads are in
     // bounds.
@@ -176,18 +216,20 @@ unsafe fn gf_mul_acc_avx2(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
             let x = _mm256_loadu_si256(s.as_ptr() as *const _);
             let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(x, mask));
             let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(x, 4), mask));
-            let acc = _mm256_loadu_si256(d.as_ptr() as *const _);
-            let sum = _mm256_xor_si256(acc, _mm256_xor_si256(l, h));
-            _mm256_storeu_si256(d.as_mut_ptr() as *mut _, sum);
+            let mut p = _mm256_xor_si256(l, h);
+            if ACC {
+                p = _mm256_xor_si256(p, _mm256_loadu_si256(d.as_ptr() as *const _));
+            }
+            _mm256_storeu_si256(d.as_mut_ptr() as *mut _, p);
         }
     }
-    gf_mul_acc_portable(d_chunks.into_remainder(), s_chunks.remainder(), table);
+    gf_mul_into_portable::<ACC>(d_chunks.into_remainder(), s_chunks.remainder(), table);
 }
 
 /// SSSE3 kernel: the same two-`pshufb` product, 16 bytes per step.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3")]
-unsafe fn gf_mul_acc_ssse3(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
+unsafe fn gf_mul_into_ssse3<const ACC: bool>(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
     use std::arch::x86_64::*;
     // SAFETY: `table` is 32 bytes, so both 16-byte unaligned loads are in
     // bounds.
@@ -207,14 +249,14 @@ unsafe fn gf_mul_acc_ssse3(dst: &mut [u8], src: &[u8], table: &[u8; 32]) {
             let x = _mm_loadu_si128(s.as_ptr() as *const _);
             let l = _mm_shuffle_epi8(lo, _mm_and_si128(x, mask));
             let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(x, 4), mask));
-            let acc = _mm_loadu_si128(d.as_ptr() as *const _);
-            _mm_storeu_si128(
-                d.as_mut_ptr() as *mut _,
-                _mm_xor_si128(acc, _mm_xor_si128(l, h)),
-            );
+            let mut p = _mm_xor_si128(l, h);
+            if ACC {
+                p = _mm_xor_si128(p, _mm_loadu_si128(d.as_ptr() as *const _));
+            }
+            _mm_storeu_si128(d.as_mut_ptr() as *mut _, p);
         }
     }
-    gf_mul_acc_portable(d_chunks.into_remainder(), s_chunks.remainder(), table);
+    gf_mul_into_portable::<ACC>(d_chunks.into_remainder(), s_chunks.remainder(), table);
 }
 
 /// Invert a `k × k` matrix over GF(2⁸) by Gauss–Jordan elimination.
@@ -271,8 +313,9 @@ pub struct ShardCodec {
     n: usize,
     frag_len: usize,
     /// The systematic `n × k` generator matrix: rows `0..k` are the
-    /// identity, rows `k..n` are the parity coefficients. Every `k × k`
-    /// row submatrix is invertible.
+    /// identity, rows `k..n` are the parity coefficients, whose first row
+    /// and first column are all ones. Every `k × k` row submatrix is
+    /// invertible.
     gen: Vec<Vec<u8>>,
     /// What [`ShardCodec::encode`] returns a borrow of. The replication
     /// path does not pass through it (see [`ShardCodec::encode_fragment`]).
@@ -319,7 +362,7 @@ impl ShardCodec {
             })
             .collect();
         let top_inv = gf_invert(&vand[..k])?;
-        let gen: Vec<Vec<u8>> = (0..n)
+        let mut gen: Vec<Vec<u8>> = (0..n)
             .map(|i| {
                 (0..k)
                     .map(|j| {
@@ -333,6 +376,19 @@ impl ShardCodec {
             })
             .collect();
         debug_assert!((0..k).all(|i| (0..k).all(|j| gen[i][j] == u8::from(i == j))));
+        // Scale the parity block P to D1·P·D2 with nonzero diagonals: D2
+        // makes the first parity row ones, D1 the first column. A k × k
+        // row submatrix's determinant only gains nonzero factors, so the
+        // code stays MDS (every entry of P is a 1 × 1 minor, hence nonzero).
+        if n > k {
+            let cols: Vec<u8> = gen[k].iter().map(|&c| gf_inv(c)).collect();
+            for row in &mut gen[k..] {
+                let r = gf_inv(gf_mul(row[0], cols[0]));
+                for (c, &d) in row.iter_mut().zip(&cols) {
+                    *c = gf_mul(gf_mul(*c, d), r);
+                }
+            }
+        }
         Ok(ShardCodec {
             k,
             n,
@@ -372,21 +428,26 @@ impl ShardCodec {
     }
 
     /// Write fragment `idx` of `page` into `dst` (`frag_len` bytes): the
-    /// raw stripe for `idx < k`, the generator row applied to the stripes —
-    /// read where they lie in the page — for parity.
+    /// generator row applied to the stripes, read where they lie in the
+    /// page — the raw stripe for `idx < k`.
     fn fill_fragment(&self, page: &[u8; PAGE_SIZE], idx: usize, dst: &mut [u8]) {
         debug_assert_eq!(dst.len(), self.frag_len);
-        if idx < self.k {
-            let stripe = &page[self.stripe(idx)];
-            dst[..stripe.len()].copy_from_slice(stripe);
-            dst[stripe.len()..].fill(0);
-        } else {
-            dst.fill(0);
-            for (j, &c) in self.gen[idx].iter().enumerate() {
-                let stripe = &page[self.stripe(j)];
-                gf_mul_acc(&mut dst[..stripe.len()], stripe, c);
+        let stripes = (0..self.k).map(|j| &page[self.stripe(j)]);
+        combine(dst, self.gen[idx].iter().copied().zip(stripes));
+    }
+
+    /// A `frag_len`-byte buffer written by `fill`: a recycled one when the
+    /// thread has a spare of this codec's length that nobody else holds.
+    fn fragment_with(&self, fill: impl FnOnce(&mut [u8])) -> FragBuf {
+        if let Some(mut frag) = SPARE_FRAGS.with(|r| r.borrow_mut().take()) {
+            if let Some(dst) = Rc::get_mut(&mut frag).filter(|d| d.len() == self.frag_len) {
+                fill(dst);
+                return frag;
             }
         }
+        let mut frag: FragBuf = std::iter::repeat_n(0u8, self.frag_len).collect();
+        fill(Rc::get_mut(&mut frag).expect("a fresh buffer has one owner"));
+        frag
     }
 
     /// Fragment `idx` of `page`, alone, in the buffer it will be stored in:
@@ -402,16 +463,7 @@ impl ShardCodec {
             "fragment index {idx} out of range (n={})",
             self.n
         );
-        if let Some(mut frag) = SPARE_FRAGS.with(|r| r.borrow_mut().take()) {
-            if let Some(dst) = Rc::get_mut(&mut frag).filter(|d| d.len() == self.frag_len) {
-                self.fill_fragment(page, idx, dst);
-                return frag;
-            }
-        }
-        let mut frag: FragBuf = std::iter::repeat_n(0u8, self.frag_len).collect();
-        let dst = Rc::get_mut(&mut frag).expect("a fresh buffer has one owner");
-        self.fill_fragment(page, idx, dst);
-        frag
+        self.fragment_with(|dst| self.fill_fragment(page, idx, dst))
     }
 
     /// Encode one page into all `n` fragments (the returned slice lives in
@@ -458,15 +510,10 @@ impl ShardCodec {
         Ok(DecodePlan { idx, inv })
     }
 
-    /// Reconstruct a page from any `k` distinct `(replica index, fragment)`
-    /// pairs. Fragment lengths must equal [`ShardCodec::frag_len`]. The
-    /// survivor set's matrix inverse is computed on the first call and
-    /// reused while later calls name the same indices in the same order.
-    pub fn decode<F: AsRef<[u8]>>(
-        &mut self,
-        frags: &[(usize, F)],
-        out: &mut [u8; PAGE_SIZE],
-    ) -> SimResult<()> {
+    /// Make `plan` the one for the survivor set `frags` names, built if it
+    /// is not the last one used: fragment lengths and indices are checked
+    /// here.
+    fn ensure_plan<F: AsRef<[u8]>>(&mut self, frags: &[(usize, F)]) -> SimResult<()> {
         if let Some((_, bad)) = frags.iter().find(|(_, f)| f.as_ref().len() != self.frag_len) {
             return Err(SimError::Invalid(format!(
                 "fragment length {} != frag_len {}",
@@ -481,6 +528,19 @@ impl ShardCodec {
         if !planned {
             self.plan = Some(self.plan_for(frags.iter().map(|(i, _)| *i).collect())?);
         }
+        Ok(())
+    }
+
+    /// Reconstruct a page from any `k` distinct `(replica index, fragment)`
+    /// pairs. Fragment lengths must equal [`ShardCodec::frag_len`]. The
+    /// survivor set's matrix inverse is computed on the first call and
+    /// reused while later calls name the same indices in the same order.
+    pub fn decode<F: AsRef<[u8]>>(
+        &mut self,
+        frags: &[(usize, F)],
+        out: &mut [u8; PAGE_SIZE],
+    ) -> SimResult<()> {
+        self.ensure_plan(frags)?;
         let plan = self.plan.as_ref().expect("planned above");
         if plan.inv.is_empty() {
             // All-systematic fast path: the fragments are the stripes.
@@ -492,13 +552,47 @@ impl ShardCodec {
         } else {
             for (j, row) in plan.inv.iter().enumerate() {
                 let stripe = &mut out[self.stripe(j)];
-                stripe.fill(0);
-                for (&c, (_, frag)) in row.iter().zip(frags) {
-                    gf_mul_acc(stripe, &frag.as_ref()[..stripe.len()], c);
-                }
+                let len = stripe.len();
+                let terms = frags.iter().map(|(_, f)| &f.as_ref()[..len]);
+                combine(stripe, row.iter().copied().zip(terms));
             }
         }
         Ok(())
+    }
+
+    /// Fragment `target` of the page that `k` distinct `(replica index,
+    /// fragment)` pairs encode, without the page: row `gen[target] · inv`
+    /// of the survivors' decode plan applied to the fragments, written into
+    /// a buffer as [`ShardCodec::encode_fragment`] picks one. At `(2,3)`,
+    /// fragment 0 from fragments 1 and 2 is `f1 ⊕ f2`. Holds the bytes
+    /// `encode_fragment(decode(frags), target)` would; the row costs `k²`
+    /// table products a call, against a fragment's worth of XOR.
+    pub fn regenerate_fragment<F: AsRef<[u8]>>(
+        &mut self,
+        frags: &[(usize, F)],
+        target: usize,
+    ) -> SimResult<FragBuf> {
+        if target >= self.n {
+            return Err(SimError::Invalid(format!(
+                "fragment index {target} out of range (n={})",
+                self.n
+            )));
+        }
+        self.ensure_plan(frags)?;
+        let plan = self.plan.as_ref().expect("planned above");
+        // Stripe j is Σ inv[j][i] · fragment i (fragment i is stripe idx[i]
+        // when the plan is the identity), so fragment `target` is
+        // Σ row[i] · fragment i. k ≤ 128 ([`ShardCodec::check`]).
+        let gen = &self.gen[target];
+        let mut row = [0u8; 128];
+        for (i, r) in row[..self.k].iter_mut().enumerate() {
+            *r = match plan.inv.is_empty() {
+                true => gen[plan.idx[i]],
+                false => (0..self.k).fold(0, |acc, j| acc ^ gf_mul(gen[j], plan.inv[j][i])),
+            };
+        }
+        let terms = row.iter().copied().zip(frags.iter().map(|(_, f)| f.as_ref()));
+        Ok(self.fragment_with(|dst| combine(dst, terms)))
     }
 }
 
@@ -573,37 +667,43 @@ mod tests {
     }
 
     /// The dispatched kernel, the portable kernel and a byte-by-byte
-    /// reference agree for every coefficient, at lengths on both sides of
-    /// the 16- and 32-byte vector steps and at unaligned offsets. The
-    /// portable kernel is called directly, so a runner whose CPU takes the
-    /// AVX2 path still covers it.
+    /// reference agree for every coefficient, accumulating or not, at
+    /// lengths on both sides of the 16- and 32-byte vector steps and at
+    /// unaligned offsets. The portable kernel is called directly, so a
+    /// runner whose CPU takes the AVX2 path still covers it.
     #[test]
     fn kernels_agree_with_the_bytewise_reference() {
-        const LENS: [usize; 11] = [0, 1, 15, 16, 17, 31, 32, 33, 1366, 2048, 4096];
-        let src_buf = noise(91, PAGE_SIZE + 3);
-        let dst_buf = noise(17, PAGE_SIZE + 3);
-        for c in 0..=255u8 {
-            for len in LENS {
-                for s_off in 0..=3 {
-                    let src = &src_buf[s_off..s_off + len];
-                    for d_off in 0..=3 {
-                        let span = d_off..d_off + len;
-                        let mut want = dst_buf.clone();
-                        for (d, &s) in want[span.clone()].iter_mut().zip(src) {
-                            *d ^= gf_mul_bitwise(c, s);
+        fn check<const ACC: bool>(src_buf: &[u8], dst_buf: &[u8]) {
+            const LENS: [usize; 11] = [0, 1, 15, 16, 17, 31, 32, 33, 1366, 2048, 4096];
+            for c in 0..=255u8 {
+                for len in LENS {
+                    for s_off in 0..=3 {
+                        let src = &src_buf[s_off..s_off + len];
+                        for d_off in 0..=3 {
+                            let span = d_off..d_off + len;
+                            let mut want = dst_buf.to_vec();
+                            for (d, &s) in want[span.clone()].iter_mut().zip(src) {
+                                *d = gf_mul_bitwise(c, s) ^ if ACC { *d } else { 0 };
+                            }
+                            let at = format!("ACC={ACC} c={c} len={len} +{s_off}/+{d_off}");
+                            // Whole buffers are compared, so a write outside
+                            // the slice fails too.
+                            let mut got = dst_buf.to_vec();
+                            gf_mul_into::<ACC>(&mut got[span.clone()], src, c);
+                            assert!(got == want, "dispatched {at}");
+                            let mut got = dst_buf.to_vec();
+                            let table = &NIBBLES[c as usize];
+                            gf_mul_into_portable::<ACC>(&mut got[span.clone()], src, table);
+                            assert!(got == want, "portable {at}");
                         }
-                        // Whole buffers are compared, so a write outside the
-                        // slice fails too.
-                        let mut got = dst_buf.clone();
-                        gf_mul_acc(&mut got[span.clone()], src, c);
-                        assert!(got == want, "dispatched c={c} len={len} +{s_off}/+{d_off}");
-                        let mut got = dst_buf.clone();
-                        gf_mul_acc_portable(&mut got[span], src, &NIBBLES[c as usize]);
-                        assert!(got == want, "portable c={c} len={len} +{s_off}/+{d_off}");
                     }
                 }
             }
         }
+        let src_buf = noise(91, PAGE_SIZE + 3);
+        let dst_buf = noise(17, PAGE_SIZE + 3);
+        check::<true>(&src_buf, &dst_buf);
+        check::<false>(&src_buf, &dst_buf);
     }
 
     /// Where AVX2 exists the SSSE3 kernel is never the dispatched one, so
@@ -618,12 +718,17 @@ mod tests {
         for c in [1u8, 2, 0x1D, 0x80, 0xFF] {
             for len in [0usize, 15, 16, 17, 1366, 4096] {
                 let table = &NIBBLES[c as usize];
+                let (d, s) = (1..1 + len, &src[..len]);
                 let mut got = noise(6, PAGE_SIZE + 1);
                 let mut want = got.clone();
                 // SAFETY: ssse3 support was just verified at runtime.
-                unsafe { gf_mul_acc_ssse3(&mut got[1..1 + len], &src[..len], table) };
-                gf_mul_acc_portable(&mut want[1..1 + len], &src[..len], table);
-                assert!(got == want, "c={c} len={len}");
+                unsafe { gf_mul_into_ssse3::<true>(&mut got[d.clone()], s, table) };
+                gf_mul_into_portable::<true>(&mut want[d.clone()], s, table);
+                assert!(got == want, "accumulating c={c} len={len}");
+                // SAFETY: as above.
+                unsafe { gf_mul_into_ssse3::<false>(&mut got[d.clone()], s, table) };
+                gf_mul_into_portable::<false>(&mut want[d], s, table);
+                assert!(got == want, "writing c={c} len={len}");
             }
         }
     }
@@ -697,9 +802,41 @@ mod tests {
         end_fragment_round();
     }
 
-    /// FNV-1a over every fragment of a fixed page, recorded from the
-    /// log/exp-table codec this kernel replaced: the bytes a replica stores
-    /// did not change with the arithmetic.
+    /// The normalised generator, built here from its definition with the
+    /// shift-and-reduce product only: the systematic Vandermonde code over
+    /// `x_i = 2^i` is Lagrange interpolation through the top `k` points,
+    /// `P[r][j] = Π_{m≠j} (x_r ⊕ x_m) / (x_j ⊕ x_m)`, and the scaling makes
+    /// `P'[r][j] = P[r][j] · P[k][0] / (P[k][j] · P[r][0])`.
+    fn bitwise_generator(k: usize, n: usize) -> Vec<Vec<u8>> {
+        let pow = |b: u8, e: usize| (0..e).fold(1u8, |a, _| gf_mul_bitwise(a, b));
+        let inv = |a: u8| pow(a, 254);
+        let x = |i: usize| pow(2, i);
+        let lagrange = |r: usize, j: usize| {
+            (0..k).filter(|&m| m != j).fold(1u8, |a, m| {
+                let t = gf_mul_bitwise(x(r) ^ x(m), inv(x(j) ^ x(m)));
+                gf_mul_bitwise(a, t)
+            })
+        };
+        (0..n)
+            .map(|r| {
+                (0..k)
+                    .map(|j| match r < k {
+                        true => u8::from(r == j),
+                        false => {
+                            let num = gf_mul_bitwise(lagrange(r, j), lagrange(k, 0));
+                            gf_mul_bitwise(num, inv(gf_mul_bitwise(lagrange(k, j), lagrange(r, 0))))
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// FNV-1a over every fragment of a fixed page: the data fragments are
+    /// the bytes the log/exp-table codec stored, the parity fragments the
+    /// normalised generator's. The pinned values come from a bytewise
+    /// encoder over [`bitwise_generator`], which shares no arithmetic with
+    /// the kernels.
     #[test]
     fn fragments_are_the_bytes_the_table_codec_produced() {
         let mut p = [0u8; PAGE_SIZE];
@@ -708,17 +845,78 @@ mod tests {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             *b = (x >> 16) as u8;
         }
+        let fnv = |bytes: &mut dyn Iterator<Item = u8>| {
+            bytes.fold(0xcbf29ce484222325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            })
+        };
         for (k, n, want) in [
-            (2u32, 3u32, 0xdc24e7c18f366052u64),
-            (3, 5, 0x32a9ce9e0b53c3c4),
-            (4, 6, 0x7eea0cdd6544a094),
+            (2usize, 3usize, 0x74e92eef8c38d5c9u64),
+            (3, 5, 0xd7def039aa1950ce),
+            (4, 6, 0x1cdc99e0bb7116c7),
         ] {
-            let mut c = ShardCodec::new(k, n).unwrap();
-            let mut h = 0xcbf29ce484222325u64;
-            for &b in c.encode(&p).iter().flatten() {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+            let gen = bitwise_generator(k, n);
+            let frag_len = PAGE_SIZE.div_ceil(k);
+            let stripe = |j: usize, b: usize| p.get(j * frag_len + b).filter(|_| b < frag_len);
+            let bytewise = (0..n).flat_map(|i| (0..frag_len).map(move |b| (i, b)));
+            let mut bytewise = bytewise.map(|(i, b)| {
+                (0..k).fold(0u8, |acc, j| {
+                    acc ^ gf_mul_bitwise(gen[i][j], *stripe(j, b).unwrap_or(&0))
+                })
+            });
+            assert_eq!(fnv(&mut bytewise), want, "bytewise (k={k},n={n})");
+            let mut c = ShardCodec::new(k as u32, n as u32).unwrap();
+            let mut coded = c.encode(&p).iter().flatten().copied();
+            assert_eq!(fnv(&mut coded), want, "(k={k},n={n})");
+        }
+    }
+
+    /// For every `1 ≤ k ≤ n ≤ 12` the generator is the normalised one: its
+    /// first parity row and column are ones, and every `k × k` row
+    /// submatrix inverts (the code is MDS).
+    #[test]
+    fn normalised_generator_keeps_every_row_subset_invertible() {
+        for n in 1..=12usize {
+            for k in 1..=n {
+                let c = ShardCodec::new(k as u32, n as u32).unwrap();
+                assert_eq!(c.gen, bitwise_generator(k, n), "(k={k},n={n})");
+                if n > k {
+                    assert!(c.gen[k].iter().all(|&g| g == 1), "(k={k},n={n}) row");
+                    assert!(c.gen[k..].iter().all(|r| r[0] == 1), "(k={k},n={n}) column");
+                }
+                for subset in subsets(n, k) {
+                    let rows: Vec<Vec<u8>> = subset.iter().map(|&i| c.gen[i].clone()).collect();
+                    assert!(gf_invert(&rows).is_ok(), "(k={k},n={n}) {subset:?}");
+                }
             }
-            assert_eq!(h, want, "(k={k},n={n})");
+        }
+    }
+
+    #[test]
+    fn regenerated_fragment_is_the_reencoded_decode() {
+        for (k, n) in [(2u32, 3u32), (2, 4), (3, 5), (4, 6)] {
+            let mut c = ShardCodec::new(k, n).unwrap();
+            for seed in [0u8, 77] {
+                let p = page(seed);
+                let frags: Vec<Vec<u8>> = c.encode(&p).to_vec();
+                for subset in subsets(n as usize, k as usize) {
+                    let picked: Vec<(usize, &[u8])> =
+                        subset.iter().map(|&i| (i, frags[i].as_slice())).collect();
+                    let mut page = Box::new([0u8; PAGE_SIZE]);
+                    c.decode(&picked, &mut page).unwrap();
+                    for target in 0..n as usize {
+                        let want = c.encode_fragment(&page, target);
+                        let got = c.regenerate_fragment(&picked, target).unwrap();
+                        assert_eq!(&got[..], &want[..], "(k={k},n={n}) {subset:?} -> {target}");
+                    }
+                }
+            }
+            let zeros = |i| (i, vec![0u8; c.frag_len()]);
+            let picked: Vec<(usize, Vec<u8>)> = (0..k as usize).map(zeros).collect();
+            let out_of_range = c.regenerate_fragment(&picked, n as usize);
+            assert!(out_of_range.is_err(), "target out of range");
+            let too_few = c.regenerate_fragment(&picked[1..], 0);
+            assert!(too_few.is_err(), "too few fragments");
         }
     }
 

@@ -6,9 +6,8 @@
 //! on ack) fully faithful while avoiding irrelevant sector math. Every write
 //! is appended to a write log that the DRBD primary drains.
 
-use crate::ids::{DevId, Ino};
+use crate::ids::{DevId, IdMap, Ino};
 use crate::mem::PageBuf;
-use std::collections::HashMap;
 
 /// One logical disk write (a page of file data hitting stable storage).
 #[derive(Clone, PartialEq, Eq)]
@@ -35,7 +34,8 @@ impl std::fmt::Debug for DiskWrite {
 pub struct BlockDevice {
     /// Device id (assigned by the kernel).
     pub id: DevId,
-    store: HashMap<(Ino, u64), PageBuf>,
+    /// Walks sort (`full_sync_writes`, `digest`).
+    store: IdMap<(Ino, u64), PageBuf>,
     write_log: Vec<DiskWrite>,
     writes_total: u64,
 }

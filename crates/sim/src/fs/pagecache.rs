@@ -1,10 +1,9 @@
 //! Page cache with Dirty and DNC bits, and the `fgetfc` collection path.
 
 use crate::block::BlockDevice;
-use crate::ids::Ino;
+use crate::ids::{IdMap, Ino};
 use crate::mem::PageBuf;
 use crate::PAGE_SIZE;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// One cached file page.
@@ -49,7 +48,8 @@ impl FsCacheCheckpoint {
 /// The page cache of one kernel.
 #[derive(Debug, Default)]
 pub struct PageCache {
-    entries: HashMap<(Ino, u64), CachePage>,
+    /// Walks sort (`flush`, `fgetfc`) or only count.
+    entries: IdMap<(Ino, u64), CachePage>,
 }
 
 impl PageCache {
@@ -122,15 +122,20 @@ impl PageCache {
     /// block device. Clears Dirty; leaves DNC untouched (the state still
     /// changed since the last checkpoint). Returns pages written.
     pub fn flush(&mut self, disk: &mut BlockDevice, ino: Option<Ino>) -> usize {
-        let mut written = 0;
-        for (&(i, idx), e) in self.entries.iter_mut() {
-            if e.dirty && ino.is_none_or(|want| want == i) {
-                disk.write_page(i, idx, e.data.clone());
-                e.dirty = false;
-                written += 1;
-            }
+        // Sorted: the write log's order is DRBD's shipping order.
+        let mut keys: Vec<(Ino, u64)> = self
+            .entries
+            .iter()
+            .filter(|(&(i, _), e)| e.dirty && ino.is_none_or(|want| want == i))
+            .map(|(&k, _)| k)
+            .collect();
+        keys.sort_unstable();
+        for &(i, idx) in &keys {
+            let e = self.entries.get_mut(&(i, idx)).expect("key just collected");
+            disk.write_page(i, idx, e.data.clone());
+            e.dirty = false;
         }
-        written
+        keys.len()
     }
 
     /// The paper's `fgetfc` syscall: collect every DNC page and clear its DNC

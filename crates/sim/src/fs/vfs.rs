@@ -4,10 +4,10 @@ use super::inode::{Inode, InodeKind};
 use super::pagecache::{FsCacheCheckpoint, PageCache};
 use crate::block::BlockDevice;
 use crate::error::{SimError, SimResult};
-use crate::ids::{DevId, IdAlloc, Ino, MountId};
+use crate::ids::{DevId, IdAlloc, IdMap, Ino, MountId};
 use crate::PAGE_SIZE;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One mount-table entry (part of the infrequently-modified state set).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,7 +37,8 @@ pub struct VfsStats {
 /// backing block device.
 #[derive(Debug)]
 pub struct Vfs {
-    inodes: HashMap<Ino, Inode>,
+    /// Walks sort (`fgetfc`) or only count.
+    inodes: IdMap<Ino, Inode>,
     /// Absolute path -> inode. A flat map: full directory-tree semantics are
     /// not needed by any replication code path, and a flat map keeps lookups
     /// honest and simple.
@@ -61,7 +62,7 @@ impl Vfs {
     /// Fresh VFS with a root directory and a backing device.
     pub fn new(dev: DevId) -> Self {
         let mut v = Vfs {
-            inodes: HashMap::new(),
+            inodes: IdMap::default(),
             paths: BTreeMap::new(),
             cache: PageCache::new(),
             disk: BlockDevice::new(dev),

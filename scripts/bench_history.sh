@@ -4,7 +4,7 @@
 # workload, `--trace 0`, seed 1 — RUNS times each, and append one line to
 # BENCH_history.jsonl:
 #
-#   {"commit": ..., "date": ..., "runs": 5,
+#   {"commit": ..., "date": ..., "runs": 5, "path_len": ..,
 #    "workloads": {workload: {metric: {"median": .., "q1": .., "q3": ..}}}}
 #
 # with BENCHMARK.json's end-to-end metrics. The runs go round-robin over the
@@ -14,7 +14,10 @@
 # a diff between two lines only where their ranges do not overlap. Lines
 # without a "runs" field predate this format: one run per workload, a bare
 # value per metric. The commit is HEAD's short hash, with a `+` when tracked files
-# differ from it (a PR measured before it is committed). Nothing under
+# differ from it (a PR measured before it is committed). `path_len` is the
+# length of the checkout's absolute path: glibc's heap follows it, so
+# `peak_rss_mb` moves ~1 MiB with it and two lines compare on that metric
+# only where it matches (lines without it predate the field). Nothing under
 # benchmark/ is read or changed. Claims are still alternating pairs, see
 # EXPERIMENTS.md.
 set -eu
@@ -26,7 +29,7 @@ commit=$(git rev-parse --short HEAD)
 git diff --quiet HEAD || commit="$commit+"
 
 python3 - "$commit" "$(date -u +%Y-%m-%d)" "$RUNS" <<'PY' >>BENCH_history.jsonl
-import json, statistics, subprocess, sys
+import json, os, statistics, subprocess, sys
 
 commit, date, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 bench = json.load(open("BENCHMARK.json"))
@@ -51,7 +54,8 @@ def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
-line = {"commit": commit, "date": date, "runs": runs, "workloads": {
+line = {"commit": commit, "date": date, "runs": runs,
+        "path_len": len(os.path.abspath(".")), "workloads": {
     w: {name: summary(v) for name, v in metrics.items() if v}
     for w, metrics in samples.items()
 }}
